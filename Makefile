@@ -1,7 +1,7 @@
 # Development entry points. CI runs the same targets; see
 # .github/workflows/ci.yml for the full matrix.
 
-.PHONY: build test race lint chaos bench allocs
+.PHONY: build test race lint chaos bench bench-smoke allocs
 
 build:
 	go build ./...
@@ -29,11 +29,17 @@ chaos:
 	go test -race -count=2 -run 'TestWatermark|TestSetWatermarks' ./internal/storage/
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/
 
-# allocs: the refresh step's allocation budget — fails when either arm
-# of BenchmarkRefreshStep exceeds its committed baseline
-# (scripts/allocs-baseline.txt) by more than 20%.
+# allocs: the refresh step's allocation budget — fails when any arm of
+# BenchmarkRefreshStep (row, columnar, join) exceeds its committed
+# baseline (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh
+
+# bench-smoke: build and smoke-test the repo benchmark. benchmark/ is
+# its own module, so the root `go test ./...` never compiles it; this is
+# what catches an engine API change that breaks it.
+bench-smoke:
+	cd benchmark && go test ./...
 
 # bench: regenerate the committed BENCH_<ID>.json tables at the repo
 # root. E16/E18/E19/E22 run at the quick scale; E20 and E21 run at full

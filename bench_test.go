@@ -867,7 +867,12 @@ func BenchmarkA5MaintainedJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		plan = algebra.Optimize(plan)
-		ij, err := dra.NewIncrementalJoin(dra.NewEngine(), plan, store.Live())
+		prep, err := dra.NewEngine().Prepare(plan, dra.StrategyIncremental)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer prep.Close()
+		prev, err := dra.InitialResult(plan, store.Live())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -901,12 +906,15 @@ func BenchmarkA5MaintainedJoin(b *testing.B) {
 					"c": delta.New(relation.MustSchema(relation.Column{Name: "y", Type: relation.TInt}, relation.Column{Name: "name", Type: relation.TString})),
 				},
 				LastTS: lastTS,
+				Prev:   prev,
 			}
 			ts := store.Now()
 			b.StartTimer()
-			if _, err := ij.Step(ctx, ts); err != nil {
+			res, err := prep.Step(ctx, ts)
+			if err != nil {
 				b.Fatal(err)
 			}
+			prev = res.ApplyTo(prev)
 			b.StopTimer()
 			lastTS = ts
 			store.CollectGarbage(lastTS)

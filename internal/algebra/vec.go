@@ -35,7 +35,10 @@ func selectRows(pred CompiledExpr, b *batch.Batch, in, out []int32, scratch []re
 			// Successive filtering matches the row path's short-circuit:
 			// rows rejected by the left conjunct never evaluate the right.
 			mid, err := selectRows(be.l, b, in, nil, scratch)
-			if err != nil {
+			if err != nil || len(mid) == 0 {
+				// An empty selection must end here: passed on, nil would
+				// read as "all rows" and the right conjunct alone would
+				// decide rows the left one rejected.
 				return out, err
 			}
 			return selectRows(be.r, b, mid, out, scratch)

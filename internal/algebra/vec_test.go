@@ -69,6 +69,11 @@ func TestSelectBatchMatchesRowPath(t *testing.T) {
 		"ABS(n - 50) < 20",
 		"tag = 'alpha' OR (n > 90 AND ok)",
 		"n > NULL",
+		// A left conjunct that selects no row: the empty selection must
+		// not reach the right conjunct as "all rows".
+		"n = 1000 AND x < 8.0",
+		"(n = 1000 AND ok) AND x < 8.0",
+		"tag = 'alpha' OR (n > 1000 AND x < 8.0)",
 	}
 	rng := rand.New(rand.NewSource(42))
 	b := vecBatch(t, rng, 300)

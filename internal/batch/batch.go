@@ -19,6 +19,7 @@ package batch
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -104,8 +105,21 @@ func (b *Batch) init(schema relation.Schema, capHint int) {
 		c.F64 = c.F64[:0]
 		c.Str = c.Str[:0]
 		c.B = c.B[:0]
+		// One sized allocation where the recycled buffer falls short,
+		// instead of a doubling series as the rows arrive.
+		switch c.Type {
+		case relation.TInt:
+			c.I64 = slices.Grow(c.I64, capHint)
+		case relation.TFloat:
+			c.F64 = slices.Grow(c.F64, capHint)
+		case relation.TString:
+			c.Str = slices.Grow(c.Str, capHint)
+		case relation.TBool:
+			c.B = slices.Grow(c.B, capHint)
+		}
 	}
-	_ = capHint // capacity grows on append; the hint matters to Pool.Get sizing
+	b.TIDs = slices.Grow(b.TIDs, capHint)
+	b.Signs = slices.Grow(b.Signs, capHint)
 }
 
 // Len returns the number of rows.
@@ -281,8 +295,15 @@ func (c *Col) value(i int) relation.Value {
 // equalAt reports whether rows i and j of the column hold equal values
 // under relation.Value.Equal semantics (NULL equals NULL; payloads
 // compare typed).
-func (c *Col) equalAt(i, j int) bool {
-	vi, vj := c.IsValid(i), c.IsValid(j)
+func (c *Col) equalAt(i, j int) bool { return colsEqual(c, i, c, j) }
+
+// colsEqual is equalAt across two columns: row i of c against row j of
+// o. Columns of different types compare through relation.Value.Equal.
+func colsEqual(c *Col, i int, o *Col, j int) bool {
+	if c.Type != o.Type {
+		return c.value(i).Equal(o.value(j))
+	}
+	vi, vj := c.IsValid(i), o.IsValid(j)
 	if vi != vj {
 		return false
 	}
@@ -291,15 +312,40 @@ func (c *Col) equalAt(i, j int) bool {
 	}
 	switch c.Type {
 	case relation.TInt:
-		return c.I64[i] == c.I64[j]
+		return c.I64[i] == o.I64[j]
 	case relation.TFloat:
-		return c.F64[i] == c.F64[j]
+		return c.F64[i] == o.F64[j]
 	case relation.TString:
-		return c.Str[i] == c.Str[j]
+		return c.Str[i] == o.Str[j]
 	case relation.TBool:
-		return c.B[i] == c.B[j]
+		return c.B[i] == o.B[j]
 	default:
 		return false
+	}
+}
+
+// setFromCol overwrites row n of the column (which holds rows rows) with
+// row i of src (same type).
+func (c *Col) setFromCol(n, rows int, src *Col, i int) {
+	if valid := src.IsValid(i); c.Valid != nil || !valid {
+		if c.Valid == nil {
+			c.materializeValidity(rows)
+		}
+		if valid {
+			c.Valid[n>>6] |= 1 << uint(n&63)
+		} else {
+			c.Valid[n>>6] &^= 1 << uint(n&63)
+		}
+	}
+	switch c.Type {
+	case relation.TInt:
+		c.I64[n] = src.I64[i]
+	case relation.TFloat:
+		c.F64[n] = src.F64[i]
+	case relation.TString:
+		c.Str[n] = src.Str[i]
+	case relation.TBool:
+		c.B[n] = src.B[i]
 	}
 }
 
@@ -443,6 +489,70 @@ func (b *Batch) AppendMerged(src *Batch, r int, op *Batch, m, lo int) {
 	b.n++
 }
 
+// SetRowFrom overwrites row slot with row i of src (same column types),
+// TID and sign included. Together with AppendFrom and ClearRow it makes
+// a batch usable as slot-stable storage: a row keeps its index for as
+// long as it lives, which is what lets hash indexes address replica
+// rows by slot number.
+func (b *Batch) SetRowFrom(slot int, src *Batch, i int) {
+	b.check()
+	src.check()
+	for c := range b.Cols {
+		b.Cols[c].setFromCol(slot, b.n, &src.Cols[c], i)
+	}
+	b.TIDs[slot] = src.TIDs[i]
+	b.Signs[slot] = src.Signs[i]
+}
+
+// ClearRow frees row slot of a slot-stable batch: the row stays in
+// place as a hole with sign 0 and tid 0 (so it can never be mistaken
+// for a live row) and drops its string payloads for the collector.
+func (b *Batch) ClearRow(slot int) {
+	b.check()
+	for c := range b.Cols {
+		if col := &b.Cols[c]; col.Type == relation.TString {
+			col.Str[slot] = ""
+		}
+	}
+	b.TIDs[slot] = 0
+	b.Signs[slot] = 0
+}
+
+// HashKey hashes the given columns of one row to exactly
+// relation.HashValues of the same cells, without materializing Values.
+func (b *Batch) HashKey(row int, cols []int) uint64 {
+	b.check()
+	h := relation.NewKeyHasher()
+	for _, ci := range cols {
+		c := &b.Cols[ci]
+		switch {
+		case !c.IsValid(row):
+			h.Null()
+		case c.Type == relation.TInt:
+			h.Int(c.I64[row])
+		case c.Type == relation.TFloat:
+			h.Float(c.F64[row])
+		case c.Type == relation.TString:
+			h.Str(c.Str[row])
+		case c.Type == relation.TBool:
+			h.Bool(c.B[row])
+		}
+	}
+	return h.Sum()
+}
+
+// KeyEqual reports whether the given columns of row equal ocols of row
+// orow in o, position by position (relation.Value.Equal semantics) — the
+// collision check of a hash probe, compared in place.
+func (b *Batch) KeyEqual(row int, cols []int, o *Batch, orow int, ocols []int) bool {
+	for k, ci := range cols {
+		if !colsEqual(&b.Cols[ci], row, &o.Cols[ocols[k]], orow) {
+			return false
+		}
+	}
+	return true
+}
+
 // CanGather reports whether the batch owns every buffer, so Gather may
 // compact it in place. Views and batches holding stolen/aliased columns
 // must be gathered into a fresh batch instead.
@@ -536,12 +646,14 @@ func (b *Batch) View(schema relation.Schema) *Batch {
 	return v
 }
 
-// StealCol moves column i's buffers out of the batch, returning them
-// for reuse in a downstream batch; the source slot is left empty and
-// marked Shared so a later Pool.Put does not recycle the moved buffers.
-func (b *Batch) StealCol(i int) Col {
+// MoveCol moves column i's buffers into column j of dst (same type) and
+// hands dst's previous buffers back in exchange, so both batches keep
+// recyclable capacity. The source column is left empty whatever its row
+// count says: the batch must only be released afterwards. A Shared
+// source column stays marked Shared in dst, so Pool.Put never recycles
+// buffers another batch still references.
+func (b *Batch) MoveCol(i int, dst *Batch, j int) {
 	b.check()
-	c := b.Cols[i]
-	b.Cols[i] = Col{Type: c.Type, Shared: true}
-	return c
+	dst.check()
+	b.Cols[i], dst.Cols[j] = dst.Cols[j], b.Cols[i]
 }

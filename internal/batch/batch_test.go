@@ -117,15 +117,37 @@ func TestViewSharesBuffers(t *testing.T) {
 	}
 }
 
-func TestStealCol(t *testing.T) {
-	b := New(testSchema(), 2)
-	b.AppendRow(9, +1, row(42, 0, "", false))
-	c := b.StealCol(0)
-	if len(c.I64) != 1 || c.I64[0] != 42 {
-		t.Fatalf("stolen col = %+v", c)
+func TestMoveCol(t *testing.T) {
+	src := New(testSchema(), 2)
+	src.AppendRow(9, +1, row(42, 0, "", false))
+	dst := New(testSchema(), 4)
+	dstBuf := cap(dst.Cols[0].I64)
+	src.MoveCol(0, dst, 0)
+	if c := dst.Cols[0]; len(c.I64) != 1 || c.I64[0] != 42 || c.Shared {
+		t.Fatalf("moved col = %+v", c)
 	}
-	if !b.Cols[0].Shared {
-		t.Fatal("source slot must be marked shared after steal")
+	if c := src.Cols[0]; len(c.I64) != 0 || cap(c.I64) != dstBuf {
+		t.Fatalf("source slot must hold dst's old empty buffer, got %+v", c)
+	}
+	// A shared (view) column stays shared in its new home, so pooling
+	// the destination never recycles the window's buffers.
+	view := src.View(testSchema())
+	view.MoveCol(1, dst, 1)
+	if !dst.Cols[1].Shared {
+		t.Fatal("a moved view column must stay marked shared")
+	}
+}
+
+// TestPoolGetHonoursCapHint: a recycled batch reshaped for another
+// schema gets its typed buffers sized up front, not by doubling.
+func TestPoolGetHonoursCapHint(t *testing.T) {
+	p := NewPool()
+	ints := relation.MustSchema(relation.Column{Name: "a", Type: relation.TInt})
+	strs := relation.MustSchema(relation.Column{Name: "a", Type: relation.TString})
+	p.Put(p.Get(ints, 64))
+	b := p.Get(strs, 64)
+	if cap(b.Cols[0].Str) < 64 || cap(b.TIDs) < 64 || cap(b.Signs) < 64 {
+		t.Fatalf("capacity hint ignored: str=%d tids=%d signs=%d", cap(b.Cols[0].Str), cap(b.TIDs), cap(b.Signs))
 	}
 }
 
@@ -201,5 +223,75 @@ func TestRowsEqual(t *testing.T) {
 	}
 	if b.RowsEqual(0, 3) {
 		t.Fatal("NULL vs value must compare unequal")
+	}
+}
+
+// TestSlotStableRows exercises the batch as slot-addressed storage:
+// overwrite in place (including a first NULL into an all-valid column),
+// free a slot into a hole, and refill it, with every other row keeping
+// its index and content.
+func TestSlotStableRows(t *testing.T) {
+	store := New(testSchema(), 4)
+	for i := int64(0); i < 4; i++ {
+		store.AppendRow(relation.TID(10+i), +1, row(i, float64(i), "s", true))
+	}
+	src := New(testSchema(), 2)
+	src.AppendRow(77, +1, []relation.Value{
+		relation.Int(70), relation.TypedNull(relation.TFloat), relation.Str("new"), relation.Bool(false),
+	})
+	src.AppendRow(78, +1, row(80, 8, "again", true))
+
+	store.SetRowFrom(1, src, 0)
+	if store.TIDs[1] != 77 || store.Signs[1] != 1 || store.Value(1, 0).AsInt() != 70 ||
+		!store.Value(1, 1).IsNull() || store.Value(1, 2).AsString() != "new" {
+		t.Fatalf("overwritten row = tid %d %v %v %v", store.TIDs[1], store.Value(1, 0), store.Value(1, 1), store.Value(1, 2))
+	}
+	for _, r := range []int{0, 2, 3} {
+		if store.Value(r, 1).IsNull() || store.Value(r, 0).AsInt() != int64(r) {
+			t.Fatalf("row %d disturbed by overwriting row 1", r)
+		}
+	}
+
+	store.ClearRow(1)
+	if store.TIDs[1] != 0 || store.Signs[1] != 0 || store.Value(1, 2).AsString() != "" || store.Len() != 4 {
+		t.Fatalf("cleared slot: tid %d sign %d str %q len %d", store.TIDs[1], store.Signs[1], store.Value(1, 2).AsString(), store.Len())
+	}
+	store.SetRowFrom(1, src, 1)
+	if store.TIDs[1] != 78 || store.Value(1, 1).AsFloat() != 8 {
+		t.Fatalf("refilled slot = tid %d %v", store.TIDs[1], store.Value(1, 1))
+	}
+}
+
+// TestHashKeyAndKeyEqual: column-wise key hashing equals HashValues of
+// the same cells (NULLs included), and KeyEqual compares keys in place
+// across batches and column positions.
+func TestHashKeyAndKeyEqual(t *testing.T) {
+	a := New(testSchema(), 2)
+	a.AppendRow(1, +1, row(5, 1.5, "k", true))
+	a.AppendRow(2, +1, []relation.Value{
+		relation.TypedNull(relation.TInt), relation.Float(1.5), relation.Str("k"), relation.Bool(true),
+	})
+	cols := []int{2, 0, 3}
+	for r := 0; r < 2; r++ {
+		want := relation.HashValues([]relation.Value{a.Value(r, 2), a.Value(r, 0), a.Value(r, 3)})
+		if got := a.HashKey(r, cols); got != want {
+			t.Fatalf("row %d: HashKey %x != HashValues %x", r, got, want)
+		}
+	}
+	swapped := relation.MustSchema(
+		relation.Column{Name: "s", Type: relation.TString},
+		relation.Column{Name: "i", Type: relation.TInt},
+	)
+	b := New(swapped, 2)
+	b.AppendRow(9, +1, []relation.Value{relation.Str("k"), relation.Int(5)})
+	b.AppendRow(9, +1, []relation.Value{relation.Str("k"), relation.TypedNull(relation.TInt)})
+	if !a.KeyEqual(0, []int{2, 0}, b, 0, []int{0, 1}) {
+		t.Fatal("equal keys across batches must compare equal")
+	}
+	if a.KeyEqual(0, []int{2, 0}, b, 1, []int{0, 1}) {
+		t.Fatal("5 must not equal NULL")
+	}
+	if !a.KeyEqual(1, []int{2, 0}, b, 1, []int{0, 1}) {
+		t.Fatal("NULL keys compare equal under Value.Equal semantics")
 	}
 }

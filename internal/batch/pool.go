@@ -27,8 +27,9 @@ type Pool struct {
 // NewPool returns an empty arena.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns an empty batch shaped for the schema, possibly carrying
-// recycled buffer capacity from earlier rounds.
+// Get returns an empty batch shaped for the schema with room for
+// capHint rows, possibly carrying recycled buffer capacity from earlier
+// rounds.
 func (p *Pool) Get(schema relation.Schema, capHint int) *Batch {
 	if p == nil {
 		return New(schema, capHint)

@@ -236,6 +236,11 @@ type CQState struct {
 	// TemplateMates is the current member count of the CQ's template
 	// group, this CQ included (0 when unshared).
 	TemplateMates int
+	// Replicas is the state a prepared join keeps per operand — live
+	// rows and maintained hash indexes — in plan order; empty for
+	// join-free plans. A template member reports its group's shared
+	// replicas.
+	Replicas []dra.ReplicaStat
 }
 
 // instance is the manager's record of one registered CQ.
@@ -596,7 +601,13 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	// seeds its state from the same initial pass.
 	var initial *relation.Relation
 	if m.cfg.UseDRA {
-		maint, err := newMaintainer(m.cfg, plan, m.store.Live())
+		// Initial executions scan base tables in full, so they run under
+		// the store's read lock (View): writers may be committing.
+		var maint maintainer
+		err := m.store.View(func(src storage.LiveView) (err error) {
+			maint, err = newMaintainer(m.cfg, plan, src)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -630,14 +641,16 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		}
 	}
 	if initial == nil {
-		res, err := dra.InitialResult(plan, m.store.Live())
+		err := m.store.View(func(src storage.LiveView) (err error) {
+			initial, err = dra.InitialResult(plan, src)
+			return err
+		})
 		if err != nil {
 			if inst.group != nil {
 				m.leaveTemplateLocked(inst)
 			}
 			return nil, err
 		}
-		initial = res
 	}
 	if inst.into != "" {
 		// Create (or adopt, see ensureTargetLocked) the target table and
@@ -1016,12 +1029,14 @@ func (m *Manager) State(name string) (CQState, error) {
 	}
 	if inst.prepared != nil {
 		st.Strategy = inst.prepared.Strategy().String()
+		st.Replicas = inst.prepared.Replicas()
 	}
 	if g := inst.group; g != nil {
 		st.Template = g.fp
 		g.mu.Lock()
 		st.TemplateMates = len(g.members)
 		st.Strategy = g.prepared.Strategy().String()
+		st.Replicas = g.prepared.Replicas()
 		g.mu.Unlock()
 	}
 	for _, acct := range inst.eps {

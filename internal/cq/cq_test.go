@@ -759,6 +759,66 @@ func TestIncrementalJoinsConfig(t *testing.T) {
 	}
 }
 
+// TestStateReportsJoinState: a join CQ's per-operand replica rows and
+// index counts surface in CQState, and the engine-wide join instruments
+// (probe and emit rows, replica-row gauge) follow the CQ's lifetime.
+func TestStateReportsJoinState(t *testing.T) {
+	tradeSchema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	insertStock(t, s, "DEC", 150)
+	insertStock(t, s, "IBM", 75)
+	reg := obs.NewRegistry()
+	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Strategy: dra.StrategyIncremental, Metrics: reg})
+	defer func() { _ = m.Close() }()
+	if _, err := m.Register(Def{Name: "joined", Query: "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Register(Def{Name: "plain", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, s, func(tx *storage.Tx) error {
+		for _, sym := range []string{"DEC", "DEC", "IBM"} {
+			if _, err := tx.Insert("trades", []relation.Value{relation.Str(sym), relation.Int(100)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if _, err := m.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.State("joined")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []dra.ReplicaStat{
+		{Operand: "stocks", Rows: 2, Indexes: 1}, // probed by the trades window
+		{Operand: "trades", Rows: 3, Indexes: 0}, // advanced, never probed yet
+	}
+	if fmt.Sprint(st.Replicas) != fmt.Sprint(want) {
+		t.Errorf("join state = %+v, want %+v", st.Replicas, want)
+	}
+	if plain, _ := m.State("plain"); len(plain.Replicas) != 0 {
+		t.Errorf("join-free CQ reports replicas: %+v", plain.Replicas)
+	}
+	snap := reg.Snapshot()
+	if p, e := snap.Counter("dra.join.probe_rows"), snap.Counter("dra.join.emit_rows"); p != 3 || e != 3 {
+		t.Errorf("probe rows = %d, emit rows = %d, want 3 and 3", p, e)
+	}
+	if g := snap.Gauges["dra.replica.rows"]; g != 5 {
+		t.Errorf("dra.replica.rows = %d, want 5", g)
+	}
+	if err := m.Drop("joined"); err != nil {
+		t.Fatal(err)
+	}
+	if g := reg.Snapshot().Gauges["dra.replica.rows"]; g != 0 {
+		t.Errorf("dra.replica.rows after drop = %d, want 0", g)
+	}
+}
+
 // A forced strategy the plan cannot run must fall back to the cost
 // model audibly: one log line and one cq.maintainer.fallbacks count,
 // never a silent demotion.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
@@ -227,5 +229,73 @@ func TestPushRefreshesWithoutPolling(t *testing.T) {
 	// consumed, so the poll is a no-op.
 	if n, err := m.Poll(); err != nil || n != 0 {
 		t.Fatalf("post-push Poll = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// TestPushSmallResultSelectionStaysDifferential holds a selection whose
+// result (a handful of rows) is far smaller than its windows through
+// more than sixteen push refreshes while a writer keeps committing. The
+// cost model used to read the result size as the base size, re-pick
+// StrategyPropagate at the first adaptive check, and scan the live
+// relation while commits wrote it — which -race reports. A join-free
+// plan must hold the differential path, and its answer must stay exact.
+func TestPushSmallResultSelectionStaysDifferential(t *testing.T) {
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+	var tids []relation.TID
+	commit(t, s, func(tx *storage.Tx) error {
+		for i := 0; i < 400; i++ {
+			tid, err := tx.Insert("stocks", []relation.Value{relation.Str(fmt.Sprintf("S%03d", i)), relation.Float(float64(i))})
+			if err != nil {
+				return err
+			}
+			tids = append(tids, tid)
+		}
+		return nil
+	})
+	reg := obs.NewRegistry()
+	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Push: true, Metrics: reg})
+	defer func() { _ = m.Close() }()
+	const query = "SELECT * FROM stocks WHERE price > 396" // 3 of 400 rows
+	if _, err := m.Register(Def{Name: "q", Query: query}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; reg.Snapshot().Counter("cq.refreshes") < 20; round++ {
+		if round > 400 {
+			t.Fatalf("only %d refreshes after %d commits", reg.Snapshot().Counter("cq.refreshes"), round)
+		}
+		// 16-row windows over a 3-row result; every commit moves a row
+		// across the predicate boundary so each refresh has work to do.
+		commit(t, s, func(tx *storage.Tx) error {
+			for k := 0; k < 16; k++ {
+				i := (round*16 + k) % len(tids)
+				price := float64((i + round) % 400)
+				if err := tx.Update("stocks", tids[i], []relation.Value{relation.Str(fmt.Sprintf("S%03d", i)), relation.Float(price)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if round%4 == 3 {
+			m.FlushPush() // otherwise refreshes overlap the next commits
+		}
+		if st, err := m.State("q"); err != nil || st.Strategy != "truth-table" {
+			t.Fatalf("round %d: strategy = %q (err %v), want truth-table throughout", round, st.Strategy, err)
+		}
+	}
+	m.FlushPush()
+	got, err := m.Result("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := algebra.PlanSQL(query, s.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dra.InitialResult(algebra.Optimize(plan), s.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualByTID(want) {
+		t.Fatalf("pushed result diverges from re-evaluation:\n%s\nwant:\n%s", got, want)
 	}
 }

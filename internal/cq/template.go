@@ -111,7 +111,11 @@ func (m *Manager) joinTemplateLocked(inst *instance, resume bool) (*relation.Rel
 			m.logf("cq %q: template not preparable (%v); registering unshared", inst.def.Name, err)
 			return nil, false, nil
 		}
-		prev, err := dra.InitialResult(tpl.Plan, m.store.Live())
+		var prev *relation.Relation
+		err = m.store.View(func(src storage.LiveView) (err error) {
+			prev, err = dra.InitialResult(tpl.Plan, src)
+			return err
+		})
 		if err != nil {
 			prep.Close()
 			return nil, false, err

@@ -194,49 +194,132 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 	}
 }
 
+// probeStep is one join step of a term: operand op joins the rows
+// accumulated so far, through a hash index on buildCols (local columns
+// of op) probed with the accumulated row's probeCols (full-width
+// columns), or as a cross product when no equi conjunct links op to the
+// operands already joined. preds lists the conjuncts that become
+// evaluable once op is joined and that the key did not already decide.
+type probeStep struct {
+	op        int
+	probeCols []int
+	buildCols []int
+	preds     []int
+}
+
+// termPlan is the resolved evaluation plan of one term: the seeding
+// operand, the conjuncts over it alone, and the join steps in order.
+// Everything the term evaluators used to re-derive per row or per step
+// (key columns, which conjuncts are ready, which the key consumed) is
+// decided here once — at Prepare for the telescoping kernel, per term
+// for the truth table, whose join order depends on operand sizes.
+type termPlan struct {
+	first     int
+	seedPreds []int
+	steps     []probeStep
+}
+
+// equiLinked reports that an equi conjunct links operand k to the
+// operands in filled and to nothing else.
+func (cj *compiledJoin) equiLinked(filled uint64, k int) bool {
+	kbit := uint64(1) << uint(k)
+	for pi, m := range cj.masks {
+		if cj.equi[pi].ok && m&kbit != 0 && m&filled != 0 && m&^(filled|kbit) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// planTerm resolves the steps of joining the operands in the given
+// order. With useHash, every equi conjunct linking a step's operand to
+// the operands before it becomes part of the step's composite key and
+// is not evaluated again; all other conjuncts run as soon as their
+// operands are joined ("select before join", Section 5.2).
+func (cj *compiledJoin) planTerm(order []int, useHash bool) *termPlan {
+	tp := &termPlan{first: order[0], steps: make([]probeStep, 0, len(order)-1)}
+	applied := make([]bool, len(cj.preds))
+	filled := uint64(1) << uint(order[0])
+	ready := func() []int {
+		var out []int
+		for i, m := range cj.masks {
+			if !applied[i] && m&^filled == 0 {
+				applied[i] = true
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	tp.seedPreds = ready()
+	for _, k := range order[1:] {
+		st := probeStep{op: k}
+		kbit := uint64(1) << uint(k)
+		lo, hi := cj.ops[k].lo, cj.ops[k].hi
+		for i, eq := range cj.equi {
+			m := cj.masks[i]
+			if !useHash || applied[i] || !eq.ok || m&kbit == 0 || m&filled == 0 || m&^(filled|kbit) != 0 {
+				continue
+			}
+			lIn, rIn := eq.li >= lo && eq.li < hi, eq.ri >= lo && eq.ri < hi
+			switch {
+			case lIn && !rIn:
+				st.probeCols, st.buildCols = append(st.probeCols, eq.ri), append(st.buildCols, eq.li-lo)
+			case rIn && !lIn:
+				st.probeCols, st.buildCols = append(st.probeCols, eq.li), append(st.buildCols, eq.ri-lo)
+			default:
+				continue
+			}
+			applied[i] = true
+		}
+		filled |= kbit
+		st.preds = ready()
+		tp.steps = append(tp.steps, st)
+	}
+	return tp
+}
+
+// deltaFirstOrder is the size-blind join order of a telescoping term
+// seeded by operand src: grow over equi links where one exists (first
+// such operand in plan order), cross-join the first unjoined operand
+// otherwise.
+func (cj *compiledJoin) deltaFirstOrder(src int) []int {
+	n := len(cj.ops)
+	order := append(make([]int, 0, n), src)
+	filled := uint64(1) << uint(src)
+	for len(order) < n {
+		next := -1
+		for k := 0; k < n; k++ {
+			if filled&(1<<uint(k)) != 0 {
+				continue
+			}
+			if next < 0 {
+				next = k
+			}
+			if cj.equiLinked(filled, k) {
+				next = k
+				break
+			}
+		}
+		order = append(order, next)
+		filled |= 1 << uint(next)
+	}
+	return order
+}
+
 // equiCoverage is the fraction of the n-1 join steps that can use an
 // equi-key probe when the join is grown greedily from operand 0 — 1.0
 // means a fully equi-connected join graph (no cross steps), the shape
 // where maintained hash indexes pay off.
 func (cj *compiledJoin) equiCoverage() float64 {
-	n := len(cj.ops)
-	if n < 2 {
+	if len(cj.ops) < 2 {
 		return 1
 	}
-	visited := make([]bool, n)
-	visited[0] = true
-	var filled uint64 = 1
-	equiSteps := 0
-	for count := 1; count < n; count++ {
-		found := false
-		for pi := range cj.preds {
-			if !cj.equi[pi].ok {
-				continue
-			}
-			m := cj.masks[pi]
-			for j := 0; j < n && !found; j++ {
-				jbit := uint64(1) << uint(j)
-				if visited[j] || m&jbit == 0 || m&filled == 0 || m&^(filled|jbit) != 0 {
-					continue
-				}
-				visited[j] = true
-				filled |= jbit
-				equiSteps++
-				found = true
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			for j := 0; j < n; j++ {
-				if !visited[j] {
-					visited[j] = true
-					filled |= uint64(1) << uint(j)
-					break
-				}
-			}
+	keyed := 0
+	tp := cj.planTerm(cj.deltaFirstOrder(0), true)
+	for _, st := range tp.steps {
+		if len(st.buildCols) > 0 {
+			keyed++
 		}
 	}
-	return float64(equiSteps) / float64(n-1)
+	return float64(keyed) / float64(len(tp.steps))
 }

@@ -119,6 +119,12 @@ type Stats struct {
 	// builds. Both stay zero on the unprepared Reevaluate path.
 	IndexCacheHits   int
 	IndexCacheMisses int
+	// JoinProbeRows counts in-progress join rows that entered a join
+	// step of the columnar kernels (index probe or cross product);
+	// JoinEmitRows counts the signed rows the join terms emitted before
+	// netting. Their ratio is the refresh's probe fan-out.
+	JoinProbeRows int
+	JoinEmitRows  int
 }
 
 // Engine evaluates differential forms of SPJ plans. The flags correspond
@@ -147,6 +153,8 @@ type Engine struct {
 	// NULLs) make the refresh fall back to the row path with identical
 	// results; operand-cache advances are deferred until the vectorized
 	// tree succeeds, so the fallback never sees half-advanced replicas.
+	// StrategyIncremental's telescoping kernel exists on this path only;
+	// set the field before Prepare, which refuses that strategy without it.
 	Vectorized bool
 
 	// pool recycles batch and selection buffers across refreshes; it is
@@ -234,14 +242,15 @@ func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Times
 		}
 		root = r
 	}
-	return e.evaluate(plan, root, ctx, execTS)
+	return e.evaluate(plan, root, ctx, execTS, false)
 }
 
 // evaluate is the refresh core shared by Reevaluate (transient compile
 // per call) and Prepared.Step (compile once at registration): the
-// truth-table differential evaluation when root is non-nil, the
-// Propagate fallback otherwise.
-func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+// differential evaluation when root is non-nil — join groups by truth
+// table, or by the telescoping kernel when telescope is set and the
+// engine is vectorized — and the Propagate fallback otherwise.
+func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, telescope bool) (*Result, error) {
 	if ctx.Prev == nil {
 		return nil, ErrNoPrev
 	}
@@ -279,13 +288,13 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 				// replica already equals its operand's state at execTS.
 				root.eachJoin(func(cj *compiledJoin) {
 					if cj.cache != nil {
-						cj.cache.skipTo(ctx, execTS)
+						cj.cache.advance(ctx, execTS, nil)
 					}
 				})
 			}
 		}
 		if signed == nil && e.Vectorized {
-			net, ok, err := e.vecEvaluate(root, ctx, execTS, &st)
+			net, ok, err := e.vecEvaluate(root, ctx, execTS, &st, telescope)
 			if err != nil {
 				return nil, err
 			}
@@ -301,8 +310,9 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 					Stats:  st,
 				}, nil
 			}
-			// Some value was unrepresentable in typed columns; nothing
-			// was mutated, so the row path below re-runs cleanly.
+			// Some value was unrepresentable in typed columns; the
+			// replicas are untouched or dropped (see errVecFallback), so
+			// the row path below re-runs cleanly.
 			if m := e.Metrics; m != nil {
 				m.VecFallbacks.Inc()
 			}

@@ -1,378 +1,63 @@
 package dra
 
-import (
-	"fmt"
+import "github.com/diorama/continual/internal/batch"
 
-	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/delta"
-	"github.com/diorama/continual/internal/relation"
-	"github.com/diorama/continual/internal/sql"
-	"github.com/diorama/continual/internal/vclock"
-)
-
-// IncrementalJoin maintains an SPJ join query with persistent state,
-// removing the per-refresh partner scans that bound Algorithm 1's join
-// gains (see experiment E5): each operand's filtered output is kept as a
-// replica with mutable hash indexes on its equi-join keys, so a refresh
-// costs O(Σ|Δi| × probe fan-out) instead of re-materializing unchanged
-// partners per truth-table term.
-//
-// The evaluation uses the telescoping decomposition equivalent to the
-// truth table: processing operand deltas in a fixed order with replicas
-// of earlier operands already advanced,
+// telescopeJoin is StrategyIncremental's join kernel: the telescoping
+// decomposition equivalent to the truth table. Processing operand
+// deltas in a fixed order, with the replicas of earlier operands already
+// advanced,
 //
 //	ΔQ = Σ_i  R1' ⋈ ... ⋈ R(i-1)' ⋈ ΔRi ⋈ R(i+1) ⋈ ... ⋈ Rn
 //
-// which produces exactly the same net change as the 2^k−1 subset terms.
-// This realizes the paper's closing future-work item ("other algorithms
-// for differential or incremental evaluation of CQs") as a maintained-
-// index variant.
-type IncrementalJoin struct {
-	engine  *Engine
-	plan    algebra.Plan // full root (may include a projection)
-	join    algebra.Plan // the join subtree
-	ops     []*operand
-	opNodes []*compiledNode // compiled operand subtrees for delta extraction
-	preds   []sql.Expr
-	cPreds []algebra.CompiledExpr
-	masks  []uint64
-
-	// probePlans[i] is the BFS order for joining a Δ row of operand i
-	// with all partners.
-	probePlans [][]probeStep
-
-	replicas []*relation.Relation
-	// indexes[j] maps "key columns within j" (hashed) to a mutable index.
-	indexes []map[uint64]*relation.MutableIndex
-
-	projItems []algebra.CompiledExpr
-	outSchema relation.Schema
-
-	result *relation.Relation
-}
-
-// probeStep joins partial rows with operand `op` by probing its index on
-// buildCols with values from the partial's probeCols; a negative index
-// (no equi predicate reaches op) scans the whole replica.
-type probeStep struct {
-	op        int
-	probeCols []int // full-width columns in the accumulated row
-	buildCols []int // local columns within op
-}
-
-// NewIncrementalJoin validates the plan (SPJ with at least two operands)
-// and builds the replicas and indexes from the current source contents.
-func NewIncrementalJoin(engine *Engine, plan algebra.Plan, src algebra.Source) (*IncrementalJoin, error) {
-	root := plan
-	var project *algebra.ProjectPlan
-	if p, ok := root.(*algebra.ProjectPlan); ok {
-		project = p
-		root = p.Input
-	}
-	if !supportsDifferential(plan) {
-		return nil, fmt.Errorf("%w: not SPJ", ErrNotIncremental)
-	}
-	if _, ok := root.(*algebra.JoinPlan); !ok {
-		return nil, fmt.Errorf("%w: root is %T, need a join", ErrNotIncremental, root)
-	}
-	ops, preds, err := flatten(root)
-	if err != nil {
-		return nil, err
-	}
-	if len(ops) < 2 {
-		return nil, fmt.Errorf("%w: single operand", ErrNotIncremental)
-	}
-	opNodes := make([]*compiledNode, len(ops))
-	for i, op := range ops {
-		opNodes[i], err = compilePlan(op.plan)
+// produces exactly the net change of the 2^k−1 subset terms in at most
+// n terms, each of which only probes maintained indexes: a refresh
+// costs O(Σ|ΔRi| × probe fan-out). This realizes the paper's closing
+// future-work item ("other algorithms for differential or incremental
+// evaluation of CQs") as a maintained-index variant, run batch-at-a-time
+// over the same replicas the truth table reads: each operand's window
+// seeds a work batch, walks the partner replicas' flat indexes along the
+// term plan resolved at Prepare, and is then folded into its own
+// replica before the next operand's window runs.
+//
+// Every input that can fail to fit typed columns (the operand windows,
+// passed in; the replicas, validated or rebuilt here) is resolved
+// before the first replica moves. After that (v.mutated), any error
+// leaves replicas part-advanced and vecEvaluate drops them all.
+func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch.Batch, error) {
+	c := cj.cache
+	term := make([]*vecInput, len(cj.ops))
+	for i := range cj.ops {
+		ent, err := c.pre(i, v.ctx, v.st)
 		if err != nil {
 			return nil, err
 		}
+		term[i] = &vecInput{ent: ent}
 	}
-
-	ij := &IncrementalJoin{
-		engine:  engine,
-		plan:    plan,
-		join:    root,
-		ops:     ops,
-		opNodes: opNodes,
-		preds:   preds,
-	}
-	ij.cPreds, ij.masks, err = compilePreds(preds, root.Schema(), ops)
-	if err != nil {
-		return nil, err
-	}
-	if err := ij.buildProbePlans(root.Schema()); err != nil {
-		return nil, err
-	}
-	if project != nil {
-		ij.outSchema = project.Schema()
-		for _, it := range project.Items {
-			ce, err := algebra.Compile(it.Expr, root.Schema())
-			if err != nil {
-				return nil, err
-			}
-			ij.projItems = append(ij.projItems, ce)
+	var out *batch.Batch
+	for i, d := range deltas {
+		if d.Len() == 0 {
+			continue
 		}
-	} else {
-		ij.outSchema = root.Schema()
-	}
-
-	// Materialize replicas and indexes.
-	ij.replicas = make([]*relation.Relation, len(ops))
-	ij.indexes = make([]map[uint64]*relation.MutableIndex, len(ops))
-	for i, op := range ops {
-		rel, err := algebra.NewExecutor(src).Execute(op.plan)
+		held := term[i]
+		term[i] = &vecInput{b: d}
+		var err error
+		out, err = v.runTerm(cj, c.plans[i], term, out)
+		term[i] = held
 		if err != nil {
 			return nil, err
 		}
-		ij.replicas[i] = rel
-		ij.indexes[i] = make(map[uint64]*relation.MutableIndex)
+		// Advance replica i AFTER its delta ran, so later operands'
+		// deltas see it at the new state and earlier ones saw it at the
+		// old state (the telescoping invariant).
+		v.mutated = true
+		held.ent.apply(d)
+		// A cross step of an earlier term may have copied the replica's
+		// live rows (vecInput.enumerable); that copy is now stale.
+		held.b = nil
 	}
-	for i := range ops {
-		for _, cols := range ij.neededKeySets(i) {
-			ix := relation.NewMutableIndex(cols)
-			for _, t := range ij.replicas[i].Tuples() {
-				ix.Add(t)
-			}
-			ij.indexes[i][keySetHash(cols)] = ix
-		}
+	c.advance(v.ctx, v.execTS, nil)
+	if out == nil {
+		out = v.own(v.e.pool.Get(cj.outSchema, 0))
 	}
-
-	// Initial result.
-	initial, err := algebra.NewExecutor(src).Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	ij.result = initial
-	return ij, nil
-}
-
-// neededKeySets lists the local key-column sets under which operand i is
-// probed by any probe plan.
-func (ij *IncrementalJoin) neededKeySets(i int) [][]int {
-	seen := make(map[uint64][]int)
-	for _, plan := range ij.probePlans {
-		for _, step := range plan {
-			if step.op == i && len(step.buildCols) > 0 {
-				seen[keySetHash(step.buildCols)] = step.buildCols
-			}
-		}
-	}
-	out := make([][]int, 0, len(seen))
-	for _, cols := range seen {
-		out = append(out, cols)
-	}
-	return out
-}
-
-func keySetHash(cols []int) uint64 {
-	vs := make([]relation.Value, len(cols))
-	for i, c := range cols {
-		vs[i] = relation.Int(int64(c))
-	}
-	return relation.HashValues(vs)
-}
-
-// buildProbePlans computes, for each source operand, a BFS order over the
-// equi-predicate graph covering every other operand. Operands with no
-// equi connection to the growing set are cross-joined (empty key sets).
-func (ij *IncrementalJoin) buildProbePlans(schema relation.Schema) error {
-	n := len(ij.ops)
-	ij.probePlans = make([][]probeStep, n)
-	for src := 0; src < n; src++ {
-		visited := make([]bool, n)
-		visited[src] = true
-		var filled uint64 = 1 << uint(src)
-		var plan []probeStep
-		for count := 1; count < n; count++ {
-			found := false
-			// Prefer an operand connected by an equi predicate.
-			for pi, p := range ij.preds {
-				if !isEquiConjunct(p) {
-					continue
-				}
-				m := ij.masks[pi]
-				for j := 0; j < n; j++ {
-					jbit := uint64(1) << uint(j)
-					if visited[j] || m&jbit == 0 || m&filled == 0 || m&^(filled|jbit) != 0 {
-						continue
-					}
-					be := p.(*sql.BinaryExpr)
-					li, _ := schema.ColIndex(be.L.(*sql.ColumnRef).Name)
-					ri, _ := schema.ColIndex(be.R.(*sql.ColumnRef).Name)
-					inJ := func(c int) bool { return c >= ij.ops[j].lo && c < ij.ops[j].hi }
-					step := probeStep{op: j}
-					switch {
-					case inJ(li) && !inJ(ri):
-						step.probeCols = []int{ri}
-						step.buildCols = []int{li - ij.ops[j].lo}
-					case inJ(ri) && !inJ(li):
-						step.probeCols = []int{li}
-						step.buildCols = []int{ri - ij.ops[j].lo}
-					default:
-						continue
-					}
-					plan = append(plan, step)
-					visited[j] = true
-					filled |= jbit
-					found = true
-					break
-				}
-				if found {
-					break
-				}
-			}
-			if found {
-				continue
-			}
-			// Fall back to a cross step for the first unvisited operand.
-			for j := 0; j < n; j++ {
-				if !visited[j] {
-					plan = append(plan, probeStep{op: j})
-					visited[j] = true
-					filled |= 1 << uint(j)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("dra: incremental join: probe plan construction stalled")
-			}
-		}
-		ij.probePlans[src] = plan
-	}
-	return nil
-}
-
-// Result returns the maintained query result. Callers must not mutate it.
-func (ij *IncrementalJoin) Result() *relation.Relation { return ij.result }
-
-// Step folds the update windows into the replicas and result.
-func (ij *IncrementalJoin) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	joinSchema := ij.join.Schema()
-	width := joinSchema.Len()
-	var st Stats
-	var outRows []delta.SignedRow
-
-	for i := range ij.ops {
-		din, err := ij.engine.signedDelta(ij.opNodes[i], ctx, execTS, &st)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range din.Rows {
-			// Seed a partial with the delta row.
-			vals := make([]relation.Value, width)
-			copy(vals[ij.ops[i].lo:ij.ops[i].hi], r.Values)
-			tids := make([]relation.TID, len(ij.ops))
-			tids[i] = r.TID
-			cur := []*partial{{vals: vals, sign: r.Sign, tids: tids}}
-			filled := uint64(1) << uint(i)
-			applied := make([]bool, len(ij.preds))
-			cur, err = ij.engine.applyReady(cur, filled, applied, ij.cPreds, ij.masks)
-			if err != nil {
-				return nil, err
-			}
-
-			for _, step := range ij.probePlans[i] {
-				if len(cur) == 0 {
-					break
-				}
-				var next []*partial
-				op := ij.ops[step.op]
-				if len(step.buildCols) > 0 {
-					ix := ij.indexes[step.op][keySetHash(step.buildCols)]
-					key := make([]relation.Value, len(step.probeCols))
-					for _, p := range cur {
-						for ki, c := range step.probeCols {
-							key[ki] = p.vals[c]
-						}
-						for _, match := range ix.Probe(key) {
-							next = append(next, mergeReplicaTuple(p, match, op, step.op))
-						}
-					}
-					// The probe pred is re-verified by applyReady below
-					// together with any other newly resolvable conjunct
-					// (unlike evalTerm's hash step, only one equi pred was
-					// used as the key here).
-				} else {
-					for _, p := range cur {
-						for _, match := range ij.replicas[step.op].Tuples() {
-							next = append(next, mergeReplicaTuple(p, match, op, step.op))
-						}
-					}
-				}
-				filled |= 1 << uint(step.op)
-				cur, err = ij.engine.applyReady(next, filled, applied, ij.cPreds, ij.masks)
-				if err != nil {
-					return nil, err
-				}
-			}
-
-			for _, p := range cur {
-				tid := p.tids[0]
-				for t := 1; t < len(p.tids); t++ {
-					tid = relation.CombineTIDs(tid, p.tids[t])
-				}
-				outRows = append(outRows, delta.SignedRow{TID: tid, Values: p.vals, Sign: p.sign})
-			}
-		}
-
-		// Advance replica i and its indexes AFTER processing Δi, so later
-		// operands' deltas see it at the new state and earlier ones saw it
-		// at the old state (the telescoping invariant).
-		for _, r := range din.Rows {
-			tup := relation.Tuple{TID: r.TID, Values: r.Values}
-			if r.Sign < 0 {
-				_ = ij.replicas[i].Delete(r.TID)
-				for _, ix := range ij.indexes[i] {
-					ix.Remove(tup)
-				}
-			} else {
-				_ = ij.replicas[i].Upsert(tup)
-				for _, ix := range ij.indexes[i] {
-					ix.Add(tup)
-				}
-			}
-		}
-	}
-
-	// Optional projection.
-	if ij.projItems != nil {
-		projected := make([]delta.SignedRow, 0, len(outRows))
-		for _, r := range outRows {
-			vals := make([]relation.Value, len(ij.projItems))
-			for ci, ce := range ij.projItems {
-				v, err := ce.Eval(relation.Tuple{TID: r.TID, Values: r.Values})
-				if err != nil {
-					return nil, fmt.Errorf("dra: incremental join projection: %w", err)
-				}
-				vals[ci] = v
-			}
-			projected = append(projected, delta.SignedRow{TID: r.TID, Values: vals, Sign: r.Sign})
-		}
-		outRows = projected
-	}
-
-	net := netSigned(&delta.Signed{Schema: ij.outSchema, Rows: outRows})
-	delta.ApplySigned(ij.result, net)
-	res := &Result{
-		Signed: net,
-		Delta:  net.ToDeltaNetted(execTS),
-		ExecTS: execTS,
-		Stats:  st,
-	}
-	res.materialized = ij.result
-	return res, nil
-}
-
-// mergeReplicaTuple extends a partial with a replica tuple of operand op.
-func mergeReplicaTuple(p *partial, t relation.Tuple, op *operand, opIdx int) *partial {
-	vals := make([]relation.Value, len(p.vals))
-	copy(vals, p.vals)
-	copy(vals[op.lo:op.hi], t.Values)
-	tids := make([]relation.TID, len(p.tids))
-	copy(tids, p.tids)
-	tids[opIdx] = t.TID
-	return &partial{vals: vals, sign: p.sign, tids: tids}
+	return out, nil
 }

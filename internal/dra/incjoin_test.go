@@ -10,23 +10,40 @@ import (
 	"github.com/diorama/continual/internal/relation"
 )
 
-func newIncJoin(t *testing.T, f *fixture, query string) (*IncrementalJoin, algebra.Plan) {
-	t.Helper()
-	plan := f.plan(t, query)
-	ij, err := NewIncrementalJoin(NewEngine(), plan, f.store.Live())
-	if err != nil {
-		t.Fatalf("NewIncrementalJoin: %v", err)
-	}
-	return ij, plan
+// incJoin drives a plan under StrategyIncremental — the telescoping
+// kernel over maintained replicas — keeping the complete result the way
+// a CQ instance does.
+type incJoin struct {
+	p    *Prepared
+	prev *relation.Relation
 }
 
-func incJoinStepAndVerify(t *testing.T, f *fixture, ij *IncrementalJoin, plan algebra.Plan) *Result {
+func (ij *incJoin) Result() *relation.Relation { return ij.prev }
+
+func newIncJoin(t *testing.T, f *fixture, query string) (*incJoin, algebra.Plan) {
+	t.Helper()
+	plan := f.plan(t, query)
+	p, err := NewEngine().Prepare(plan, StrategyIncremental)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	t.Cleanup(p.Close)
+	prev, err := InitialResult(plan, f.store.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &incJoin{p: p, prev: prev}, plan
+}
+
+func incJoinStepAndVerify(t *testing.T, f *fixture, ij *incJoin, plan algebra.Plan) *Result {
 	t.Helper()
 	ctx := f.ctx(t)
-	res, err := ij.Step(ctx, f.store.Now())
+	ctx.Prev = ij.prev
+	res, err := ij.p.Step(ctx, f.store.Now())
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
+	ij.prev = res.ApplyTo(ij.prev)
 	f.mark()
 	want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
 	if err != nil {
@@ -177,7 +194,7 @@ func TestIncrementalJoinRejectsNonJoin(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	f.insert(t, "stocks", sv("A", 1))
 	plan := f.plan(t, "SELECT * FROM stocks WHERE price > 0")
-	if _, err := NewIncrementalJoin(NewEngine(), plan, f.store.Live()); !errors.Is(err, ErrNotIncremental) {
+	if _, err := NewEngine().Prepare(plan, StrategyIncremental); !errors.Is(err, ErrUnsupportedPlan) {
 		t.Errorf("err = %v", err)
 	}
 }

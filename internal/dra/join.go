@@ -1,6 +1,7 @@
 package dra
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -63,12 +64,12 @@ func flatten(p algebra.Plan) ([]*operand, []sql.Expr, error) {
 // of building a transient index per term.
 type termInput struct {
 	signed *delta.Signed
-	ent    *cachedOperand
+	ent    *replica
 }
 
 func (t termInput) len() int {
 	if t.ent != nil {
-		return t.ent.rel.Len()
+		return t.ent.live
 	}
 	return t.signed.Len()
 }
@@ -100,7 +101,7 @@ func (e *Engine) joinDelta(cj *compiledJoin, ctx *Context, execTS vclock.Timesta
 	}
 	if len(changed) == 0 {
 		if cj.cache != nil {
-			cj.cache.advance(ctx, execTS, deltas)
+			cj.cache.advanceSigned(ctx, execTS, deltas)
 		}
 		return &delta.Signed{Schema: cj.outSchema}, nil
 	}
@@ -166,21 +167,23 @@ func (e *Engine) joinDelta(cj *compiledJoin, ctx *Context, execTS vclock.Timesta
 		out.Rows = append(out.Rows, rows...)
 	}
 	if cj.cache != nil {
-		cj.cache.advance(ctx, execTS, deltas)
+		cj.cache.advanceSigned(ctx, execTS, deltas)
 	}
 	return out, nil
 }
 
 // operandPre materializes operand i's pre-state: from the cross-refresh
-// cache when the join is prepared, transiently from the last-execution
-// snapshot otherwise.
+// cache when the join is prepared and the operand fits typed columns,
+// transiently from the last-execution snapshot otherwise.
 func (e *Engine) operandPre(cj *compiledJoin, i int, ctx *Context, st *Stats) (termInput, error) {
 	if cj.cache != nil {
 		ent, err := cj.cache.pre(i, ctx, st)
-		if err != nil {
+		if err == nil {
+			return termInput{ent: ent}, nil
+		}
+		if !errors.Is(err, errVecFallback) {
 			return termInput{}, err
 		}
-		return termInput{ent: ent}, nil
 	}
 	ex := algebra.NewExecutor(ctx.Pre)
 	ex.UseHashJoin = e.UseHashJoin
@@ -233,61 +236,37 @@ type partial struct {
 // evalTerm joins the term's operand relations, multiplying signs and
 // applying predicates as soon as all referenced operands are joined.
 func (e *Engine) evalTerm(cj *compiledJoin, term []termInput, isDelta []bool, st *Stats) ([]delta.SignedRow, error) {
-	order := e.termOrder(cj, term, isDelta)
+	tp := cj.planTerm(e.termOrder(cj, term, isDelta), e.UseHashJoin)
 	width := cj.outSchema.Len()
 
-	applied := make([]bool, len(cj.preds))
-	var filled uint64
-
 	// Seed with the first operand.
-	first := order[0]
-	seed := term[first].rows()
+	first := cj.ops[tp.first]
+	seed := term[tp.first].rows()
 	cur := make([]*partial, 0, len(seed.Rows))
 	for _, r := range seed.Rows {
 		vals := make([]relation.Value, width)
-		copy(vals[cj.ops[first].lo:cj.ops[first].hi], r.Values)
+		copy(vals[first.lo:first.hi], r.Values)
 		tids := make([]relation.TID, len(cj.ops))
-		tids[first] = r.TID
+		tids[tp.first] = r.TID
 		cur = append(cur, &partial{vals: vals, sign: r.Sign, tids: tids})
 	}
-	filled |= 1 << uint(first)
-	var err error
-	if cur, err = e.applyReady(cur, filled, applied, cj.cPreds, cj.masks); err != nil {
+	cur, err := applyPreds(cur, cj, tp.seedPreds)
+	if err != nil {
 		return nil, err
 	}
 
-	for _, k := range order[1:] {
+	for i := range tp.steps {
 		if len(cur) == 0 {
 			return nil, nil
 		}
-		lk, rk := equiPairs(cj, applied, filled, k)
-		var next []*partial
-		if e.UseHashJoin && len(lk) > 0 {
-			next, err = e.hashStep(cur, term[k], cj.ops[k], k, lk, rk, st)
+		step := &tp.steps[i]
+		if len(step.buildCols) > 0 {
+			cur = hashStep(cur, term[step.op], cj.ops[step.op], step, st)
 		} else {
-			next, err = e.loopStep(cur, term[k].rows(), cj.ops[k], k)
+			cur = loopStep(cur, term[step.op].rows(), cj.ops[step.op], step.op)
 		}
-		if err != nil {
+		if cur, err = applyPreds(cur, cj, step.preds); err != nil {
 			return nil, err
-		}
-		// Mark equi predicates used by the hash step as applied.
-		if e.UseHashJoin && len(lk) > 0 {
-			markEquiApplied(cj, applied, filled, k)
-		}
-		filled |= 1 << uint(k)
-		cur = next
-		if cur, err = e.applyReady(cur, filled, applied, cj.cPreds, cj.masks); err != nil {
-			return nil, err
-		}
-	}
-
-	// Any predicate not yet applied (defensive) runs now.
-	for i := range cj.preds {
-		if !applied[i] {
-			if cur, err = e.applyOne(cur, cj.cPreds[i]); err != nil {
-				return nil, err
-			}
-			applied[i] = true
 		}
 	}
 
@@ -340,16 +319,6 @@ func (e *Engine) termOrderBy(cj *compiledJoin, lens []int, isDelta []bool) []int
 	used[best] = true
 	var filled uint64 = 1 << uint(best)
 
-	connected := func(k int) bool {
-		kbit := uint64(1) << uint(k)
-		for pi := range cj.preds {
-			m := cj.masks[pi]
-			if m&kbit != 0 && m&filled != 0 && m&^(filled|kbit) == 0 && cj.equi[pi].ok {
-				return true
-			}
-		}
-		return false
-	}
 	for len(order) < n {
 		next := -1
 		for k := 0; k < n; k++ {
@@ -360,7 +329,7 @@ func (e *Engine) termOrderBy(cj *compiledJoin, lens []int, isDelta []bool) []int
 				next = k
 				continue
 			}
-			nc, kc := connected(next), connected(k)
+			nc, kc := cj.equiLinked(filled, next), cj.equiLinked(filled, k)
 			switch {
 			case kc && !nc:
 				next = k
@@ -385,156 +354,103 @@ func isEquiConjunct(p sql.Expr) bool {
 	return l && r
 }
 
-// equiPairs finds unapplied equi conjuncts linking the filled operands to
-// operand k, returning (full-width column index on the filled side,
-// local column index within k).
-func equiPairs(cj *compiledJoin, applied []bool, filled uint64, k int) (probeCols []int, buildCols []int) {
-	kbit := uint64(1) << uint(k)
-	lo, hi := cj.ops[k].lo, cj.ops[k].hi
-	for i := range cj.preds {
-		if applied[i] || !cj.equi[i].ok {
-			continue
-		}
-		if cj.masks[i]&kbit == 0 || cj.masks[i]&filled == 0 || cj.masks[i]&^(filled|kbit) != 0 {
-			continue
-		}
-		li, ri := cj.equi[i].li, cj.equi[i].ri
-		inK := func(c int) bool { return c >= lo && c < hi }
-		switch {
-		case inK(li) && !inK(ri):
-			probeCols = append(probeCols, ri)
-			buildCols = append(buildCols, li-lo)
-		case inK(ri) && !inK(li):
-			probeCols = append(probeCols, li)
-			buildCols = append(buildCols, ri-lo)
-		}
-	}
-	return probeCols, buildCols
-}
-
-// markEquiApplied marks the equi conjuncts consumed by a hash step.
-func markEquiApplied(cj *compiledJoin, applied []bool, filled uint64, k int) {
-	kbit := uint64(1) << uint(k)
-	lo, hi := cj.ops[k].lo, cj.ops[k].hi
-	for i := range cj.preds {
-		if applied[i] || !cj.equi[i].ok {
-			continue
-		}
-		if cj.masks[i]&kbit == 0 || cj.masks[i]&filled == 0 || cj.masks[i]&^(filled|kbit) != 0 {
-			continue
-		}
-		li, ri := cj.equi[i].li, cj.equi[i].ri
-		inK := func(c int) bool { return c >= lo && c < hi }
-		if inK(li) != inK(ri) {
-			applied[i] = true
-		}
-	}
-}
-
-// hashStep joins the current partials with operand k through a hash
-// index on the equi-key columns: the maintained index of a cached
-// pre-state replica when one is attached, a transient per-term index
-// otherwise.
-func (e *Engine) hashStep(cur []*partial, in termInput, op *operand, opIdx int, probeCols, buildCols []int, st *Stats) ([]*partial, error) {
-	if in.ent != nil {
-		ix := in.ent.index(buildCols, st)
-		probe := make([]relation.Value, len(probeCols))
-		var out []*partial
+// hashStep joins the current partials with operand step.op through a
+// hash index on the step's key columns: the maintained index of a
+// cached pre-state replica when one is attached, a transient per-term
+// index otherwise.
+func hashStep(cur []*partial, in termInput, op *operand, step *probeStep, st *Stats) []*partial {
+	var out []*partial
+	probe := make([]relation.Value, len(step.probeCols))
+	if ent := in.ent; ent != nil {
+		ix := ent.index(step.buildCols, st)
 		for _, p := range cur {
-			for i, c := range probeCols {
+			for i, c := range step.probeCols {
 				probe[i] = p.vals[c]
 			}
-			for _, match := range ix.Probe(probe) {
-				out = append(out, mergeReplicaTuple(p, match, op, opIdx))
+			for s := ix.First(relation.HashValues(probe)); s >= 0; s = ix.Next(s) {
+				if ent.keyIs(int(s), step.buildCols, probe) {
+					np := extendPartial(p, step.op, ent.rows.TIDs[s], 1)
+					ent.rows.ReadRow(int(s), np.vals[op.lo:op.hi])
+					out = append(out, np)
+				}
 			}
 		}
-		return out, nil
+		return out
 	}
 	rel := in.signed
-	type bucket []delta.SignedRow
-	idx := make(map[uint64]bucket, rel.Len())
-	key := make([]relation.Value, len(buildCols))
+	idx := make(map[uint64][]delta.SignedRow, rel.Len())
+	key := make([]relation.Value, len(step.buildCols))
 	for _, r := range rel.Rows {
-		for i, c := range buildCols {
+		for i, c := range step.buildCols {
 			key[i] = r.Values[c]
 		}
 		h := relation.HashValues(key)
 		idx[h] = append(idx[h], r)
 	}
-	var out []*partial
-	probe := make([]relation.Value, len(probeCols))
 	for _, p := range cur {
-		for i, c := range probeCols {
+		for i, c := range step.probeCols {
 			probe[i] = p.vals[c]
 		}
-		h := relation.HashValues(probe)
-		for _, r := range idx[h] {
+		for _, r := range idx[relation.HashValues(probe)] {
 			// Verify against collisions.
 			match := true
-			for i, c := range buildCols {
+			for i, c := range step.buildCols {
 				if !r.Values[c].Equal(probe[i]) {
 					match = false
 					break
 				}
 			}
-			if !match {
-				continue
+			if match {
+				out = append(out, mergePartial(p, r, op, step.op))
 			}
-			out = append(out, mergePartial(p, r, op, opIdx))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // loopStep joins the current partials with operand k by nested loops;
-// predicates are applied afterwards by applyReady.
-func (e *Engine) loopStep(cur []*partial, rel *delta.Signed, op *operand, opIdx int) ([]*partial, error) {
+// predicates are applied afterwards.
+func loopStep(cur []*partial, rel *delta.Signed, op *operand, opIdx int) []*partial {
 	out := make([]*partial, 0, len(cur))
 	for _, p := range cur {
 		for _, r := range rel.Rows {
 			out = append(out, mergePartial(p, r, op, opIdx))
 		}
 	}
-	return out, nil
+	return out
+}
+
+// extendPartial copies p with operand opIdx's provenance and sign
+// factor set; the caller fills the operand's value range.
+func extendPartial(p *partial, opIdx int, tid relation.TID, sign int) *partial {
+	vals := make([]relation.Value, len(p.vals))
+	copy(vals, p.vals)
+	tids := make([]relation.TID, len(p.tids))
+	copy(tids, p.tids)
+	tids[opIdx] = tid
+	return &partial{vals: vals, sign: p.sign * sign, tids: tids}
 }
 
 func mergePartial(p *partial, r delta.SignedRow, op *operand, opIdx int) *partial {
-	vals := make([]relation.Value, len(p.vals))
-	copy(vals, p.vals)
-	copy(vals[op.lo:op.hi], r.Values)
-	tids := make([]relation.TID, len(p.tids))
-	copy(tids, p.tids)
-	tids[opIdx] = r.TID
-	return &partial{vals: vals, sign: p.sign * r.Sign, tids: tids}
+	np := extendPartial(p, opIdx, r.TID, r.Sign)
+	copy(np.vals[op.lo:op.hi], r.Values)
+	return np
 }
 
-// applyReady applies every unapplied predicate whose operands are all
-// filled, filtering the partials.
-func (e *Engine) applyReady(cur []*partial, filled uint64, applied []bool, compiled []algebra.CompiledExpr, masks []uint64) ([]*partial, error) {
-	for i := range compiled {
-		if applied[i] || masks[i]&^filled != 0 {
-			continue
+// applyPreds filters the partials through the listed conjuncts.
+func applyPreds(cur []*partial, cj *compiledJoin, preds []int) ([]*partial, error) {
+	for _, pi := range preds {
+		out := cur[:0]
+		for _, p := range cur {
+			ok, err := algebra.EvalPredicate(cj.cPreds[pi], relation.Tuple{Values: p.vals})
+			if err != nil {
+				return nil, fmt.Errorf("dra: term predicate: %w", err)
+			}
+			if ok {
+				out = append(out, p)
+			}
 		}
-		var err error
-		cur, err = e.applyOne(cur, compiled[i])
-		if err != nil {
-			return nil, err
-		}
-		applied[i] = true
+		cur = out
 	}
 	return cur, nil
-}
-
-func (e *Engine) applyOne(cur []*partial, pred algebra.CompiledExpr) ([]*partial, error) {
-	out := cur[:0]
-	for _, p := range cur {
-		ok, err := algebra.EvalPredicate(pred, relation.Tuple{Values: p.vals})
-		if err != nil {
-			return nil, fmt.Errorf("dra: term predicate: %w", err)
-		}
-		if ok {
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }

@@ -21,21 +21,29 @@ const spanSample = 16
 // /stats surface. With a nil *Metrics the engine is uninstrumented: the
 // only cost in Reevaluate is one nil check.
 type Metrics struct {
-	Reevaluations *obs.Counter   // dra.reevaluations
-	Terms         *obs.Counter   // dra.terms_evaluated
-	DeltaRows     *obs.Counter   // dra.delta_rows_consumed
-	PreTuples     *obs.Counter   // dra.pre_tuples_scanned
-	Differential  *obs.Counter   // dra.differential_path
-	Fallbacks     *obs.Counter   // dra.fallback_path
-	Skips         *obs.Counter   // dra.skipped
-	IndexHits     *obs.Counter   // dra.index_cache.hits
-	IndexMisses   *obs.Counter   // dra.index_cache.misses
-	Repicks       *obs.Counter   // dra.strategy.repicks
+	Reevaluations *obs.Counter // dra.reevaluations
+	Terms         *obs.Counter // dra.terms_evaluated
+	DeltaRows     *obs.Counter // dra.delta_rows_consumed
+	PreTuples     *obs.Counter // dra.pre_tuples_scanned
+	Differential  *obs.Counter // dra.differential_path
+	Fallbacks     *obs.Counter // dra.fallback_path
+	Skips         *obs.Counter // dra.skipped
+	IndexHits     *obs.Counter // dra.index_cache.hits
+	IndexMisses   *obs.Counter // dra.index_cache.misses
+	Repicks       *obs.Counter // dra.strategy.repicks
 	// VecSteps counts evaluations served by the columnar kernels;
 	// VecFallbacks counts the ones that started vectorized but hit an
 	// unrepresentable value and re-ran on the row path.
 	VecSteps     *obs.Counter // dra.vector_steps
 	VecFallbacks *obs.Counter // dra.vector_fallbacks
+	// JoinProbeRows counts rows entering a join step of the columnar
+	// kernels, JoinEmitRows the signed rows join terms emitted before
+	// netting (emit/probe is the probe fan-out); ReplicaRows gauges the
+	// live operand-replica rows held by every prepared plan — the join
+	// state size.
+	JoinProbeRows *obs.Counter   // dra.join.probe_rows
+	JoinEmitRows  *obs.Counter   // dra.join.emit_rows
+	ReplicaRows   *obs.Gauge     // dra.replica.rows
 	Latency       *obs.Histogram // dra.reevaluate_ns
 	PrepareNS     *obs.Histogram // dra.prepare_ns
 	Traces        *obs.TraceLog  // per-Reevaluate spans, sampled
@@ -91,6 +99,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Repicks:       reg.Counter("dra.strategy.repicks"),
 		VecSteps:      reg.Counter("dra.vector_steps"),
 		VecFallbacks:  reg.Counter("dra.vector_fallbacks"),
+		JoinProbeRows: reg.Counter("dra.join.probe_rows"),
+		JoinEmitRows:  reg.Counter("dra.join.emit_rows"),
+		ReplicaRows:   reg.Gauge("dra.replica.rows"),
 		Latency:       reg.Histogram("dra.reevaluate_ns"),
 		PrepareNS:     reg.Histogram("dra.prepare_ns"),
 		Traces:        reg.Traces(),
@@ -119,6 +130,8 @@ func (m *Metrics) observe(st Stats, span *obs.Span, elapsed time.Duration) {
 	m.PreTuples.Add(int64(st.PreTuplesScanned))
 	m.IndexHits.Add(int64(st.IndexCacheHits))
 	m.IndexMisses.Add(int64(st.IndexCacheMisses))
+	m.JoinProbeRows.Add(int64(st.JoinProbeRows))
+	m.JoinEmitRows.Add(int64(st.JoinEmitRows))
 	switch {
 	case st.Skipped:
 		m.Skips.Inc()

@@ -2,30 +2,38 @@ package dra
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// cachedOperand is one join operand's pre-state kept across refreshes:
-// the operand subtree's output as of ts, plus mutable hash indexes on
-// every join-key column set it has been probed with. Where the
-// transient truth table re-executes the operand against a historical
-// snapshot and rebuilds a hash index per term, the cache advances the
-// replica by the operand's own signed delta and keeps the indexes
-// maintained — the same telescoping advance IncrementalJoin uses.
-type cachedOperand struct {
-	rel     *relation.Relation
-	view    *delta.Signed // +1 signed view of rel, built lazily, dropped on advance
-	indexes map[uint64]*relation.MutableIndex
+// replica is one join operand's state kept across refreshes — the only
+// operand-replica type in the engine, shared by the truth table (which
+// reads it as the pre-state) and the telescoping kernel (which advances
+// it operand by operand). Rows live in typed columns addressed by slot:
+// a row keeps its slot for as long as it lives, freed slots are holes
+// (sign 0) reused LIFO, and every index — tid → slot, and one per probed
+// key-column set — is a flat relation.SlotIndex over slot numbers,
+// verified against the columns on probe. Nothing here holds a Tuple or
+// a per-key map; apart from string payloads the whole structure is
+// pointer-free.
+type replica struct {
+	rows  *batch.Batch // slot-addressed; Signs[slot] is +1 live, 0 free
+	byTID relation.SlotIndex
+	free  []int32
+	live  int
+	keys  []*keyIndex
+	view  *delta.Signed // +1 signed view for the row path, dropped on advance
 
-	// ts is the timestamp the replica reflects: rel equals the operand
+	// ts is the timestamp the replica reflects: rows equal the operand
 	// subtree executed at ts.
 	ts vclock.Timestamp
 	// version is the operand table's change counter from the refresh
-	// that advanced the entry to ts — snapshotted by the caller BEFORE
+	// that advanced the replica to ts — snapshotted by the caller BEFORE
 	// that refresh's timestamp was issued (Context.Versions), which is
 	// what makes a later equality check prove the table untouched in
 	// between. verOK marks the snapshot as present.
@@ -33,70 +41,194 @@ type cachedOperand struct {
 	verOK   bool
 }
 
-// signedView returns the replica as a +1 signed relation for term
-// enumeration (seeding and nested-loop steps).
-func (c *cachedOperand) signedView() *delta.Signed {
-	if c.view == nil {
-		out := &delta.Signed{Schema: c.rel.Schema(), Rows: make([]delta.SignedRow, 0, c.rel.Len())}
-		for _, t := range c.rel.Tuples() {
-			out.Rows = append(out.Rows, delta.SignedRow{TID: t.TID, Values: t.Values, Sign: +1})
+// keyIndex is one maintained hash index: key hash of cols → slots.
+type keyIndex struct {
+	cols []int
+	ix   relation.SlotIndex
+}
+
+// newReplica loads an operand's executed output into typed columns;
+// ok=false when some value is unrepresentable (kind drift, untyped
+// NULL), in which case the operand cannot be cached.
+func newReplica(rel *relation.Relation, ts vclock.Timestamp) (*replica, bool) {
+	r := &replica{rows: batch.New(rel.Schema(), rel.Len()), ts: ts}
+	for _, t := range rel.Tuples() {
+		if !r.rows.AppendRow(t.TID, +1, t.Values) {
+			return nil, false
 		}
-		c.view = out
+		r.byTID.Insert(int32(r.live), uint64(t.TID))
+		r.live++
 	}
-	return c.view
+	return r, true
+}
+
+// slotOf returns the slot holding tid, or -1.
+func (r *replica) slotOf(tid relation.TID) int32 {
+	s := r.byTID.First(uint64(tid))
+	for s >= 0 && r.rows.TIDs[s] != tid {
+		s = r.byTID.Next(s)
+	}
+	return s
+}
+
+// apply folds an operand's signed delta batch into the replica in row
+// order: a negative row frees its tid's slot, a positive row overwrites
+// its tid's slot or takes a free one. A modification arrives as -old
+// directly before +new and is one overwrite in place: the row keeps its
+// slot, and only the indexes whose key hash changed are relinked.
+func (r *replica) apply(b *batch.Batch) {
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		tid := b.TIDs[i]
+		s := r.slotOf(tid)
+		if b.Signs[i] < 0 {
+			if s >= 0 && i+1 < n && b.Signs[i+1] > 0 && b.TIDs[i+1] == tid {
+				i++ // -old +new: fall through to overwrite slot s with +new
+			} else {
+				if s >= 0 {
+					for _, k := range r.keys {
+						k.ix.Delete(s)
+					}
+					r.byTID.Delete(s)
+					r.rows.ClearRow(int(s))
+					r.free = append(r.free, s)
+					r.live--
+				}
+				continue
+			}
+		}
+		if s >= 0 {
+			r.rows.SetRowFrom(int(s), b, i)
+			for _, k := range r.keys {
+				k.ix.Move(s, r.rows.HashKey(int(s), k.cols))
+			}
+			continue
+		}
+		if f := len(r.free); f > 0 {
+			s, r.free = r.free[f-1], r.free[:f-1]
+			r.rows.SetRowFrom(int(s), b, i)
+		} else {
+			s = int32(r.rows.Len())
+			r.rows.AppendFrom(b, i)
+		}
+		r.byTID.Insert(s, uint64(tid))
+		r.live++
+		for _, k := range r.keys {
+			k.ix.Insert(s, r.rows.HashKey(int(s), k.cols))
+		}
+	}
+	r.view = nil
 }
 
 // index returns the maintained hash index on cols, building it on first
 // use (counted as a miss: the build scans the replica once; afterwards
 // refreshes probe it for free).
-func (c *cachedOperand) index(cols []int, st *Stats) *relation.MutableIndex {
-	h := keySetHash(cols)
-	ix := c.indexes[h]
-	if ix == nil {
-		ix = relation.NewMutableIndex(cols)
-		for _, t := range c.rel.Tuples() {
-			ix.Add(t)
+func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
+	for _, k := range r.keys {
+		if slices.Equal(k.cols, cols) {
+			return &k.ix
 		}
-		c.indexes[h] = ix
-		st.IndexCacheMisses++
 	}
-	return ix
+	k := &keyIndex{cols: cols}
+	for s := 0; s < r.rows.Len(); s++ {
+		if r.rows.Signs[s] != 0 {
+			k.ix.Insert(int32(s), r.rows.HashKey(s, cols))
+		}
+	}
+	r.keys = append(r.keys, k)
+	st.IndexCacheMisses++
+	return &k.ix
 }
 
-// opCache is one prepared join group's cross-refresh operand cache. It
-// is owned by a single Prepared and touched only inside its Step (the
-// cq manager serializes refreshes per CQ under the instance lock);
-// nothing here is safe for concurrent use.
+// keyIs reports whether slot's cols hold exactly the key values — the
+// row path's collision check.
+func (r *replica) keyIs(slot int, cols []int, key []relation.Value) bool {
+	for i, c := range cols {
+		if !r.rows.Value(slot, c).Equal(key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// signedView returns the live rows as a +1 signed relation for the row
+// path's term enumeration (seeding and nested-loop steps).
+func (r *replica) signedView() *delta.Signed {
+	if r.view == nil {
+		width := r.rows.Schema.Len()
+		flat := make([]relation.Value, r.live*width)
+		out := &delta.Signed{Schema: r.rows.Schema, Rows: make([]delta.SignedRow, 0, r.live)}
+		for s := 0; s < r.rows.Len(); s++ {
+			if r.rows.Signs[s] == 0 {
+				continue
+			}
+			vals := flat[:width:width]
+			flat = flat[width:]
+			r.rows.ReadRow(s, vals)
+			out.Rows = append(out.Rows, delta.SignedRow{TID: r.rows.TIDs[s], Values: vals, Sign: +1})
+		}
+		r.view = out
+	}
+	return r.view
+}
+
+// liveBatch copies the live rows into a pooled batch for the columnar
+// path's enumerating steps (term seeds and cross products).
+func (r *replica) liveBatch(p *batch.Pool) *batch.Batch {
+	out := p.Get(r.rows.Schema, r.live)
+	for s := 0; s < r.rows.Len(); s++ {
+		if r.rows.Signs[s] != 0 {
+			out.AppendFrom(r.rows, s)
+		}
+	}
+	return out
+}
+
+// opCache is one prepared join group's cross-refresh operand state: a
+// replica per operand plus the telescoping term plans, resolved once at
+// Prepare. It is owned by a single Prepared and touched only inside its
+// Step (the cq manager serializes refreshes per CQ under the instance
+// lock); nothing here is safe for concurrent use.
 type opCache struct {
 	engine *Engine
 	cj     *compiledJoin
 	tables []string // operand scan table; "" when the operand has several
-	ents   []*cachedOperand
+	ents   []*replica
+	// plans[i] is the term plan of operand i's delta against every other
+	// operand's replica.
+	plans []*termPlan
 }
 
 func newOpCache(e *Engine, cj *compiledJoin) *opCache {
-	tables := make([]string, len(cj.ops))
+	c := &opCache{
+		engine: e, cj: cj,
+		tables: make([]string, len(cj.ops)),
+		ents:   make([]*replica, len(cj.ops)),
+		plans:  make([]*termPlan, len(cj.ops)),
+	}
 	for i, op := range cj.ops {
 		if scans := algebra.Tables(op.plan); len(scans) == 1 {
-			tables[i] = scans[0].Table
+			c.tables[i] = scans[0].Table
 		}
+		c.plans[i] = cj.planTerm(cj.deltaFirstOrder(i), e.UseHashJoin)
 	}
-	return &opCache{engine: e, cj: cj, tables: tables, ents: make([]*cachedOperand, len(cj.ops))}
+	return c
 }
 
-// pre returns operand i's pre-state entry for a refresh whose window
-// starts at ctx.LastTS. Validation is two-tier:
+// pre returns operand i's replica for a refresh whose window starts at
+// ctx.LastTS. Validation is two-tier:
 //
-//   - an entry advanced to exactly ctx.LastTS by the previous refresh
+//   - a replica advanced to exactly ctx.LastTS by the previous refresh
 //     is current (the common case: consecutive refreshes);
-//   - otherwise, an unchanged table change-counter between the entry's
-//     refresh and this one proves the base — hence the operand output —
-//     identical at every timestamp in between, so only the timestamp
-//     tag moves.
+//   - otherwise, an unchanged table change-counter between the
+//     replica's refresh and this one proves the base — hence the operand
+//     output — identical at every timestamp in between, so only the
+//     timestamp tag moves.
 //
 // Anything else is rebuilt from the pre-state snapshot, which is the
-// transient truth table's cost.
-func (c *opCache) pre(i int, ctx *Context, st *Stats) (*cachedOperand, error) {
+// transient truth table's cost. errVecFallback means the operand's
+// output does not fit typed columns and cannot be cached at all.
+func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 	if ent := c.ents[i]; ent != nil {
 		if ent.ts == ctx.LastTS {
 			st.IndexCacheHits++
@@ -118,66 +250,63 @@ func (c *opCache) pre(i int, ctx *Context, st *Stats) (*cachedOperand, error) {
 	}
 	st.PreTuplesScanned += rel.Len()
 	st.IndexCacheMisses++
-	ent := &cachedOperand{rel: rel, indexes: make(map[uint64]*relation.MutableIndex), ts: ctx.LastTS}
+	ent, ok := newReplica(rel, ctx.LastTS)
+	if !ok {
+		c.ents[i] = nil
+		return nil, errVecFallback
+	}
 	c.ents[i] = ent
 	return ent, nil
 }
 
-// advance folds the refresh's operand deltas into every entry that is
-// current at ctx.LastTS, moving it to execTS — deletions drop the tuple
-// from the replica and every index, anything else upserts (a signed
-// modification arrives as -old before +new, so index removal precedes
-// the re-add, exactly as in IncrementalJoin's replica advance). deltas
-// may be nil for a skipped refresh: all filtered deltas were empty, so
-// the replicas are already the state at execTS and only the tags move.
+// advance folds the refresh's operand delta batches into every replica
+// that is current at ctx.LastTS and moves it to execTS. A nil batch (or
+// nil deltas, for a skipped refresh or one whose kernel already applied
+// them) folds nothing: the replica already equals the state at execTS
+// and only the tags move.
 //
-// Entries from older refreshes that were not revalidated this round are
-// left alone; the next pre() call version-checks or rebuilds them.
-func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*delta.Signed) {
+// Replicas from older refreshes that were not revalidated this round
+// are left alone; the next pre() call version-checks or rebuilds them.
+func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*batch.Batch) {
 	for i, ent := range c.ents {
 		if ent == nil || ent.ts != ctx.LastTS {
 			continue
 		}
-		if deltas != nil && deltas[i] != nil && len(deltas[i].Rows) > 0 {
-			for _, r := range deltas[i].Rows {
-				tup := relation.Tuple{TID: r.TID, Values: r.Values}
-				if r.Sign < 0 {
-					_ = ent.rel.Delete(r.TID)
-					for _, ix := range ent.indexes {
-						ix.Remove(tup)
-					}
-				} else {
-					_ = ent.rel.Upsert(tup)
-					for _, ix := range ent.indexes {
-						ix.Add(tup)
-					}
-				}
-			}
-			ent.view = nil
+		if deltas != nil && deltas[i] != nil {
+			ent.apply(deltas[i])
 		}
 		ent.ts = execTS
-		if c.tables[i] != "" && ctx.Versions != nil {
-			if v, ok := ctx.Versions[c.tables[i]]; ok {
-				ent.version = v
-				ent.verOK = true
-				continue
-			}
+		ent.version, ent.verOK = ctx.Versions[c.tables[i]]
+		ent.verOK = ent.verOK && c.tables[i] != ""
+	}
+}
+
+// advanceSigned is advance for the row path, whose operand deltas are
+// signed rows: each converts to a batch first, and a replica whose delta
+// does not fit typed columns is dropped (the next refresh rebuilds it
+// or, failing that too, runs uncached).
+func (c *opCache) advanceSigned(ctx *Context, execTS vclock.Timestamp, deltas []*delta.Signed) {
+	pool := c.engine.pool
+	bs := make([]*batch.Batch, len(deltas))
+	for i, d := range deltas {
+		if c.ents[i] == nil || d.Len() == 0 {
+			continue
 		}
-		ent.verOK = false
+		b, ok := batch.FromSigned(pool, d)
+		if !ok {
+			c.ents[i] = nil
+		}
+		bs[i] = b
+	}
+	c.advance(ctx, execTS, bs)
+	for _, b := range bs {
+		// released: the replicas copied the rows they keep.
+		pool.Put(b)
 	}
 }
 
-// skipTo moves current entries to execTS without folding anything in —
-// the relevant-update refinement proved every operand's filtered delta
-// empty, so the replicas already equal the state at execTS.
-func (c *opCache) skipTo(ctx *Context, execTS vclock.Timestamp) {
-	c.advance(ctx, execTS, nil)
-}
-
-// invalidate drops every entry (used when a strategy re-pick returns to
-// the truth table after the replicas went unmaintained).
+// invalidate drops every replica (Close, and any refresh that failed
+// after the telescoping kernel had begun advancing them).
 func (c *opCache) invalidate() {
-	for i := range c.ents {
-		c.ents[i] = nil
-	}
+	clear(c.ents)
 }

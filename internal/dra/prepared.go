@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -19,8 +18,9 @@ const (
 	// StrategyTruthTable runs Algorithm 1's 2^k-1 term expansion with
 	// the cross-refresh operand cache.
 	StrategyTruthTable
-	// StrategyIncremental maintains per-operand replicas with hash
-	// indexes and processes deltas by telescoping (IncrementalJoin).
+	// StrategyIncremental processes deltas by telescoping over the same
+	// operand replicas (telescopeJoin): at most one term per changed
+	// operand, each probing maintained indexes only.
 	StrategyIncremental
 	// StrategyPropagate recomputes the query on both states and diffs —
 	// the paper's complete re-evaluation, cheapest when deltas approach
@@ -83,7 +83,9 @@ const (
 // registration and reused by every Step, so a refresh only pays for
 // delta rows. A Prepared additionally owns the refresh strategy — truth
 // table, incremental join, or propagate — picked by a cost model under
-// StrategyAuto and re-evaluated as the workload drifts.
+// StrategyAuto and re-evaluated as the workload drifts. Truth table and
+// incremental read and advance the same replicas, so a re-pick between
+// them keeps all state.
 //
 // A Prepared serves one CQ and is not safe for concurrent use; the cq
 // manager serializes refreshes per instance.
@@ -97,14 +99,15 @@ type Prepared struct {
 	requested Strategy // as passed to Prepare; Auto enables re-picking
 	cur       Strategy // concrete strategy in effect
 
-	ij *IncrementalJoin // live incremental state; built lazily, dropped on re-pick
-
 	// Cost-model state: an EWMA of delta rows over observed base
-	// cardinality, the last observed base size, and the refresh count
-	// since preparation.
+	// cardinality, the last observed base size (operand replica rows;
+	// stays 0 for join-free plans), and the refresh count since
+	// preparation.
 	ratio    float64
 	baseSize int
 	steps    int
+	// gauged is this plan's current contribution to dra.replica.rows.
+	gauged int
 
 	closed bool
 }
@@ -112,8 +115,9 @@ type Prepared struct {
 // Prepare compiles the plan once and picks the refresh strategy.
 // strategy Auto defers to the cost model; a forced strategy the plan
 // cannot run (TruthTable on a non-SPJ plan, Incremental on a plan
-// without a join of two or more operands) is an error, so callers can
-// fall back explicitly rather than silently.
+// without a join of two or more operands or on an engine with
+// Vectorized off) is an error, so callers can fall back explicitly
+// rather than silently.
 func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error) {
 	start := time.Now()
 	p := &Prepared{
@@ -148,6 +152,11 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 		if !incrementalEligible(plan) {
 			return nil, fmt.Errorf("%w: incremental strategy needs an SPJ join of two or more operands", ErrUnsupportedPlan)
 		}
+		if !e.Vectorized {
+			// The telescoping kernel is columnar only; the row path would
+			// run the truth table under the incremental label.
+			return nil, fmt.Errorf("%w: incremental strategy needs a vectorized engine", ErrUnsupportedPlan)
+		}
 		p.cur = StrategyIncremental
 	case StrategyPropagate:
 		p.cur = StrategyPropagate
@@ -180,9 +189,8 @@ func (p *Prepared) Tables() []string {
 	return out
 }
 
-// Close releases the prepared state: the strategy gauge unit, the
-// incremental replicas, and the operand caches. The Prepared must not
-// be stepped afterwards.
+// Close releases the prepared state: the strategy gauge unit and the
+// operand replicas. The Prepared must not be stepped afterwards.
 func (p *Prepared) Close() {
 	if p.closed {
 		return
@@ -193,14 +201,70 @@ func (p *Prepared) Close() {
 			g.Add(-1)
 		}
 	}
-	p.ij = nil
+	p.dropReplicas()
+}
+
+// dropReplicas discards every join group's operand replicas.
+func (p *Prepared) dropReplicas() {
+	if p.root != nil {
+		p.root.eachJoin(func(cj *compiledJoin) { cj.cache.invalidate() })
+	}
+	p.gaugeReplicas()
+}
+
+// ReplicaStat describes one join operand's maintained state.
+type ReplicaStat struct {
+	// Operand names the operand: its base table, or its position in the
+	// join when the operand subtree reads several.
+	Operand string
+	// Rows is the replica's live row count; Indexes the number of key
+	// sets it keeps a hash index on (the tid table not counted). Both
+	// are zero while the replica is not built.
+	Rows    int
+	Indexes int
+}
+
+// Replicas reports the state the plan keeps per join operand, in plan
+// order across join groups. Like Step it must not run concurrently
+// with a Step of the same Prepared.
+func (p *Prepared) Replicas() []ReplicaStat {
+	if p.root == nil {
+		return nil
+	}
+	var out []ReplicaStat
+	p.root.eachJoin(func(cj *compiledJoin) {
+		for i, ent := range cj.cache.ents {
+			st := ReplicaStat{Operand: cj.cache.tables[i]}
+			if st.Operand == "" {
+				st.Operand = fmt.Sprintf("operand %d", i)
+			}
+			if ent != nil {
+				st.Rows, st.Indexes = ent.live, len(ent.keys)
+			}
+			out = append(out, st)
+		}
+	})
+	return out
+}
+
+// gaugeReplicas brings dra.replica.rows in line with the replicas the
+// plan holds right now and returns their row total.
+func (p *Prepared) gaugeReplicas() int {
+	rows := 0
 	if p.root != nil {
 		p.root.eachJoin(func(cj *compiledJoin) {
-			if cj.cache != nil {
-				cj.cache.invalidate()
+			for _, ent := range cj.cache.ents {
+				if ent != nil {
+					rows += ent.live
+				}
 			}
 		})
 	}
+	if m := p.engine.Metrics; m != nil {
+		m.ReplicaRows.Add(int64(rows - p.gauged))
+	}
+	p.gauged = rows
+	return rows
 }
 
 // Step runs one refresh over the window in ctx, producing the signed
@@ -217,50 +281,16 @@ func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) 
 
 	var res *Result
 	var err error
-	switch p.cur {
-	case StrategyIncremental:
-		res, err = p.stepIncremental(ctx, execTS)
-	case StrategyPropagate:
-		res, err = p.engine.evaluate(p.plan, nil, ctx, execTS)
-	default:
-		res, err = p.engine.evaluate(p.plan, p.root, ctx, execTS)
+	if p.cur == StrategyPropagate {
+		res, err = p.engine.evaluate(p.plan, nil, ctx, execTS, false)
+	} else {
+		res, err = p.engine.evaluate(p.plan, p.root, ctx, execTS, p.cur == StrategyIncremental)
 	}
+	base := p.gaugeReplicas() // on failure too: the kernel may have dropped them
 	if err != nil {
 		return nil, err
 	}
-	p.observeCost(ctx)
-	return res, nil
-}
-
-// stepIncremental refreshes through the maintained-replica join,
-// building it from the pre-state on first use (its replicas and initial
-// result then equal the previous execution, which is exactly the state
-// IncrementalJoin expects to advance from). Construction failure on a
-// structurally eligible plan is unexpected; it demotes to the truth
-// table rather than failing the refresh.
-func (p *Prepared) stepIncremental(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	if p.ij == nil {
-		ij, err := NewIncrementalJoin(p.engine, p.plan, ctx.Pre)
-		if err != nil {
-			p.setStrategy(StrategyTruthTable)
-			return p.engine.evaluate(p.plan, p.root, ctx, execTS)
-		}
-		p.ij = ij
-	}
-	var span *obs.Span
-	var start time.Time
-	m := p.engine.Metrics
-	if m != nil {
-		start = time.Now()
-		span = m.startSpan()
-	}
-	res, err := p.ij.Step(ctx, execTS)
-	if err != nil {
-		return nil, err
-	}
-	if m != nil {
-		m.observe(res.Stats, span, time.Since(start))
-	}
+	p.observeCost(ctx, base)
 	return res, nil
 }
 
@@ -272,7 +302,7 @@ func (p *Prepared) pick() Strategy {
 	if p.baseSize > 0 && p.ratio > propagateRatio {
 		return StrategyPropagate
 	}
-	if p.baseSize >= incrementalMinBase && incrementalEligible(p.plan) && p.fullyEquiConnected() {
+	if p.engine.Vectorized && p.baseSize >= incrementalMinBase && incrementalEligible(p.plan) && p.fullyEquiConnected() {
 		return StrategyIncremental
 	}
 	return StrategyTruthTable
@@ -304,10 +334,10 @@ func (p *Prepared) repick() {
 	}
 }
 
-// setStrategy moves the gauge unit and drops state the new strategy
-// will not maintain: leaving incremental discards the replicas; the
-// truth table's operand caches are invalidated on entry because other
-// strategies left them unadvanced.
+// setStrategy moves the gauge unit. Truth table and incremental share
+// the operand replicas, so switching between them keeps all state;
+// propagate maintains none, so entering it frees them (a later return
+// rebuilds from the pre-state snapshot, one propagate step's cost).
 func (p *Prepared) setStrategy(next Strategy) {
 	if m := p.engine.Metrics; m != nil {
 		if g := m.strategyGauge(p.cur); g != nil {
@@ -317,60 +347,40 @@ func (p *Prepared) setStrategy(next Strategy) {
 			g.Add(1)
 		}
 	}
-	if p.cur == StrategyIncremental {
-		p.ij = nil
-	}
-	if next == StrategyTruthTable && p.root != nil {
-		p.root.eachJoin(func(cj *compiledJoin) {
-			if cj.cache != nil {
-				cj.cache.invalidate()
-			}
-		})
+	if next == StrategyPropagate {
+		p.dropReplicas()
 	}
 	p.cur = next
 }
 
-// observeCost folds this refresh's window size and observed base
-// cardinality into the cost-model state. Base size is read from
-// whatever structure the refresh maintained (operand cache replicas or
-// incremental replicas) and from the previous result as a floor, so the
-// model keeps tracking even across propagate-only stretches.
-func (p *Prepared) observeCost(ctx *Context) {
+// observeCost folds this refresh's window size into the cost-model
+// state. Base size is the operand replicas' row count (base),
+// remembered across stretches that maintain none (propagate,
+// irrelevant windows). A
+// join-free plan has no replicas and so never observes a base: its
+// differential refresh is O(|ΔR|) against propagate's two O(|R|) scans
+// at any window size, and the only size in reach — the previous result —
+// says nothing about |R| (a selective filter over a large table would
+// read as a tiny base and flip to propagate).
+func (p *Prepared) observeCost(ctx *Context, base int) {
+	if base > 0 {
+		p.baseSize = base
+	}
+	if p.baseSize == 0 {
+		return
+	}
 	deltaRows := 0
 	for _, t := range p.tables {
 		if d := ctx.Deltas[t]; d != nil {
 			deltaRows += d.Len()
 		}
 	}
-	base := 0
-	if p.ij != nil {
-		for _, r := range p.ij.replicas {
-			base += r.Len()
-		}
-	} else if p.root != nil {
-		p.root.eachJoin(func(cj *compiledJoin) {
-			if cj.cache == nil {
-				return
-			}
-			for _, ent := range cj.cache.ents {
-				if ent != nil {
-					base += ent.rel.Len()
-				}
-			}
-		})
-	}
-	if base == 0 && ctx.Prev != nil {
-		base = ctx.Prev.Len()
-	}
-	if base > 0 {
-		p.baseSize = base
-		p.ratio = (1-ratioAlpha)*p.ratio + ratioAlpha*(float64(deltaRows)/float64(base))
-	}
+	p.ratio = (1-ratioAlpha)*p.ratio + ratioAlpha*(float64(deltaRows)/float64(p.baseSize))
 }
 
-// incrementalEligible reports that the plan has the head shape
-// IncrementalJoin maintains: an SPJ tree whose root (under an optional
-// projection) is a join of at least two operands.
+// incrementalEligible reports that the plan has the head shape the
+// incremental strategy is offered for: an SPJ tree whose root (under an
+// optional projection) is a join of at least two operands.
 func incrementalEligible(plan algebra.Plan) bool {
 	if !supportsDifferential(plan) {
 		return false

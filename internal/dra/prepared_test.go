@@ -1,6 +1,7 @@
 package dra
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -233,6 +234,15 @@ func TestPrepareForcedStrategyErrors(t *testing.T) {
 	if p.Strategy() != StrategyPropagate {
 		t.Errorf("auto on non-SPJ = %v, want propagate", p.Strategy())
 	}
+
+	// The telescoping kernel is columnar only: a row-path engine must
+	// refuse the label rather than run the truth table under it.
+	joinPlan := f.plan(t, "SELECT a.name FROM stocks a JOIN stocks b ON a.name = b.name")
+	rowEng := NewEngine()
+	rowEng.Vectorized = false
+	if _, err := rowEng.Prepare(joinPlan, StrategyIncremental); !errors.Is(err, ErrUnsupportedPlan) {
+		t.Errorf("incremental on a non-vectorized engine: err = %v, want ErrUnsupportedPlan", err)
+	}
 }
 
 // TestPreparedAdaptiveRepick drives the cost model both ways: a large
@@ -244,7 +254,7 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 		relation.Column{Name: "sym", Type: relation.TString},
 		relation.Column{Name: "volume", Type: relation.TInt},
 	)
-	t.Run("to_incremental", func(t *testing.T) {
+	calmJoin := func(t *testing.T, e *Engine) *Prepared {
 		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
 		var stocks, trades [][]relation.Value
 		for i := 0; i < 64; i++ {
@@ -254,12 +264,11 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 		f.insert(t, "stocks", stocks...)
 		f.insert(t, "trades", trades...)
 		plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
-		e := NewEngine()
 		p, err := e.Prepare(plan, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
+		t.Cleanup(p.Close)
 		if p.Strategy() != StrategyTruthTable {
 			t.Fatalf("initial auto strategy = %v, want truth-table", p.Strategy())
 		}
@@ -270,28 +279,41 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 			_, complete := stepPrepared(t, f, p, prev)
 			prev = complete
 		}
-		if p.Strategy() != StrategyIncremental {
+		return p
+	}
+	t.Run("to_incremental", func(t *testing.T) {
+		if p := calmJoin(t, NewEngine()); p.Strategy() != StrategyIncremental {
 			t.Errorf("after %d small-delta refreshes over a %d-row base: strategy = %v, want incremental",
 				2*repickEvery, 2*64, p.Strategy())
 		}
 	})
-	t.Run("to_propagate", func(t *testing.T) {
-		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
-		tids := f.insert(t, "stocks", sv("A", 1), sv("B", 2), sv("C", 3), sv("D", 4))
-		plan := f.plan(t, "SELECT * FROM stocks WHERE price >= 0")
+	// Without the columnar kernels there is no telescoping kernel to
+	// graduate to: the row engine holds the truth table.
+	t.Run("row_engine_stays_truth_table", func(t *testing.T) {
 		e := NewEngine()
-		p, err := e.Prepare(plan, StrategyAuto)
+		e.Vectorized = false
+		if p := calmJoin(t, e); p.Strategy() != StrategyTruthTable {
+			t.Errorf("non-vectorized engine re-picked %v, want truth-table", p.Strategy())
+		}
+	})
+	// rewriteAll drives rounds that rewrite every stock each round:
+	// delta/base ratio 1 for a plan whose base is the stocks table.
+	rewriteAll := func(t *testing.T, query string) *Prepared {
+		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+		tids := f.insert(t, "stocks", sv("A", 1), sv("B", 2), sv("C", 3), sv("D", 4))
+		f.insert(t, "trades", []relation.Value{relation.Str("A"), relation.Int(1)})
+		plan := f.plan(t, query)
+		p, err := NewEngine().Prepare(plan, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
+		t.Cleanup(p.Close)
 		prev, _ := InitialResult(plan, f.store.Live())
 		f.mark()
 		for i := 0; i < 2*repickEvery; i++ {
-			// Rewrite the whole base every round: delta/base ratio 1.
 			tx := f.store.Begin()
-			for _, tid := range tids {
-				if err := tx.Update("stocks", tid, sv(fmt.Sprintf("R%d", i), float64(i))); err != nil {
+			for j, tid := range tids {
+				if err := tx.Update("stocks", tid, sv(string(rune('A'+j)), float64(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,8 +323,26 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 			_, complete := stepPrepared(t, f, p, prev)
 			prev = complete
 		}
+		return p
+	}
+	t.Run("to_propagate", func(t *testing.T) {
+		p := rewriteAll(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
 		if p.Strategy() != StrategyPropagate {
 			t.Errorf("after full-rewrite rounds: strategy = %v, want propagate", p.Strategy())
+		}
+	})
+	// A join-free plan must hold the differential path whatever the
+	// window: its refresh is O(|dR|) against propagate's two O(|R|)
+	// scans, and the one size it can observe — its own result, here a
+	// single row of a four-row table rewritten every round — is no
+	// measure of |R|.
+	t.Run("join_free_never_propagates", func(t *testing.T) {
+		p := rewriteAll(t, "SELECT * FROM stocks WHERE name = 'A'")
+		if p.Strategy() != StrategyTruthTable {
+			t.Errorf("join-free plan re-picked %v, want truth-table", p.Strategy())
+		}
+		if p.baseSize != 0 || p.ratio != 0 {
+			t.Errorf("join-free plan observed a base: baseSize=%d ratio=%g", p.baseSize, p.ratio)
 		}
 	})
 }

@@ -14,10 +14,12 @@ import (
 // errVecFallback aborts a vectorized evaluation when some value cannot
 // live in a typed column (kind drift, untyped NULLs outside the
 // projection-NULL case). It never escapes the engine: evaluate catches
-// it and re-runs the refresh on the row path. Falling back mid-tree is
-// always safe because the vectorized path defers every operand-cache
-// advance until the whole tree has evaluated — no replica has been
-// mutated when the sentinel surfaces.
+// it and re-runs the refresh on the row path. The fallback rule: the
+// truth table defers every replica advance until the whole tree has
+// evaluated, so nothing has been mutated when the sentinel surfaces;
+// the telescoping kernel advances replicas as it goes, so a failure
+// after its first advance drops every replica of the plan and the row
+// path rebuilds them from the pre-state snapshot.
 var errVecFallback = errors.New("dra: unrepresentable in columnar form")
 
 // pendingAdvance is one join group's deferred cache advance: the
@@ -40,6 +42,11 @@ type vecEval struct {
 	st     *Stats
 	owned  []*batch.Batch
 	adv    []pendingAdvance
+	// telescope selects the telescoping kernel for prepared join groups
+	// (StrategyIncremental); mutated records that it has begun advancing
+	// replicas in place.
+	telescope bool
+	mutated   bool
 }
 
 // vecRelevant is the relevance probe of Section 5.2 over the columnar
@@ -68,16 +75,21 @@ func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (relevant, ok boo
 	return false, true, nil
 }
 
-// vecEvaluate runs the truth-table differential evaluation over typed
-// columnar batches. ok=false means the refresh must re-run on the row
-// path (no state was mutated); the error return is a genuine evaluation
-// error, identical to what the row path would raise.
-func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats) (*delta.Signed, bool, error) {
+// vecEvaluate runs the differential evaluation over typed columnar
+// batches — join groups by truth-table expansion, or by the telescoping
+// kernel when telescope is set. ok=false means the refresh must re-run
+// on the row path (replicas untouched or dropped, see errVecFallback);
+// the error return is a genuine evaluation error, identical to what the
+// row path would raise.
+func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats, telescope bool) (*delta.Signed, bool, error) {
 	var vst Stats
-	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: &vst}
+	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: &vst, telescope: telescope}
 	out, err := v.nodeBatch(root)
 	if err != nil {
 		v.releaseOwned()
+		if v.mutated {
+			root.eachJoin(func(cj *compiledJoin) { cj.cache.invalidate() }) // telescoping implies prepared groups
+		}
 		if errors.Is(err, errVecFallback) {
 			return nil, false, nil
 		}
@@ -99,6 +111,8 @@ func (st *Stats) add(o Stats) {
 	st.PreTuplesScanned += o.PreTuplesScanned
 	st.IndexCacheHits += o.IndexCacheHits
 	st.IndexCacheMisses += o.IndexCacheMisses
+	st.JoinProbeRows += o.JoinProbeRows
+	st.JoinEmitRows += o.JoinEmitRows
 }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
@@ -116,18 +130,12 @@ func (v *vecEval) releaseOwned() {
 }
 
 // applyAdvances folds the refresh's operand deltas into the prepared
-// caches, exactly as the row path's joinDelta does inline. ToSigned
-// materializes owned memory, so the replicas stay valid after the
-// source batches return to the pool.
+// caches, exactly as the row path's joinDelta does inline. The replicas
+// copy the rows they keep, so they stay valid after the source batches
+// return to the pool.
 func (v *vecEval) applyAdvances() {
 	for _, pa := range v.adv {
-		signed := make([]*delta.Signed, len(pa.batches))
-		for i, b := range pa.batches {
-			if b.Len() > 0 {
-				signed[i] = b.ToSigned()
-			}
-		}
-		pa.cache.advance(v.ctx, v.execTS, signed)
+		pa.cache.advance(v.ctx, v.execTS, pa.batches)
 	}
 	v.adv = nil
 }
@@ -228,7 +236,7 @@ func (v *vecEval) filterBatch(in *batch.Batch, pred algebra.CompiledExpr) (*batc
 }
 
 // projectBatch evaluates projection as column permutation: items that
-// are bare column references of the output type move by slice reuse
+// are bare column references of the output type move by slice exchange
 // (zero copies; the input slot is hollowed out), and only computed
 // items run a row loop. The row path emits untyped NULLs from
 // NULL-propagating expressions; the typed output column adopts them as
@@ -278,7 +286,7 @@ func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, sc
 			continue
 		}
 		if refs[ci] == 1 {
-			out.Cols[i] = in.StealCol(ci)
+			in.MoveCol(ci, out, i)
 		} else {
 			// The column appears more than once in the projection: every
 			// use takes a deep copy so no two output columns alias.
@@ -289,38 +297,37 @@ func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, sc
 	return out, nil
 }
 
-// vecInput is one operand's relation within a truth-table term: a
-// signed batch to enumerate, or a cached pre-state replica whose
-// maintained hash indexes the hash step probes directly.
+// vecInput is one operand's relation within a term: a signed batch to
+// enumerate, or a replica whose maintained hash indexes the hash step
+// probes directly.
 type vecInput struct {
 	b   *batch.Batch
-	ent *cachedOperand
+	ent *replica
 }
 
 func (t *vecInput) length() int {
 	if t.ent != nil {
-		return t.ent.rel.Len()
+		return t.ent.live
 	}
 	return t.b.Len()
 }
 
-// enumerable returns the input as a batch, converting a cached replica
-// on first use (seed and nested-loop steps enumerate; hash steps probe
-// the replica's index and never call this).
-func (t *vecInput) enumerable(v *vecEval) (*batch.Batch, error) {
+// enumerable returns the input as a batch, copying a replica's live
+// rows on first use (seed and cross steps enumerate; hash steps probe
+// the replica's index and never call this). The copy is good until the
+// replica advances; telescopeJoin drops it there.
+func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 	if t.b == nil {
-		fb, ok := batch.FromSigned(v.e.pool, t.ent.signedView())
-		if !ok {
-			return nil, errVecFallback
-		}
-		t.b = v.own(fb)
+		t.b = v.own(t.ent.liveBatch(v.e.pool))
 	}
-	return t.b, nil
+	return t.b
 }
 
-// joinBatch computes the signed delta of a join group by truth-table
-// expansion over columnar batches. Cache advances are recorded, not
-// applied — see pendingAdvance.
+// joinBatch computes the signed delta of a join group: by the
+// telescoping kernel when the refresh runs StrategyIncremental over a
+// prepared group, by truth-table expansion otherwise. The truth table
+// records its cache advance instead of applying it — see
+// pendingAdvance.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	e := v.e
 	nOps := len(cj.ops)
@@ -342,6 +349,9 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		}
 		return v.own(e.pool.Get(cj.outSchema, 0)), nil
 	}
+	if v.telescope && cj.cache != nil {
+		return v.telescopeJoin(cj, deltas)
+	}
 	if len(changed) > maxChangedOperands {
 		// Complete re-evaluation, as on the row path; no advance is
 		// recorded, the cache revalidates or rebuilds next refresh.
@@ -357,7 +367,7 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	}
 
 	// Lazily materialized pre-states, served from the cache when one is
-	// attached. cache.pre only normalizes entries to the window start
+	// attached. cache.pre only normalizes replicas to the window start
 	// (rebuild or version retag), so running it before a possible
 	// fallback is safe — only advance moves state past LastTS.
 	pres := make([]*vecInput, nOps)
@@ -372,13 +382,14 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		return pres[i], nil
 	}
 
-	out := v.own(e.pool.Get(cj.outSchema, 0))
+	var out *batch.Batch
 	dIn := make([]*vecInput, nOps)
 	for i := range deltas {
 		dIn[i] = &vecInput{b: deltas[i]}
 	}
 	term := make([]*vecInput, nOps)
 	isDelta := make([]bool, nOps)
+	lens := make([]int, nOps)
 	k := len(changed)
 	for mask := 1; mask < 1<<k; mask++ {
 		empty := false
@@ -401,7 +412,7 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 				term[i] = p
 				isDelta[i] = false
 			}
-			if term[i].length() == 0 {
+			if lens[i] = term[i].length(); lens[i] == 0 {
 				empty = true
 				break
 			}
@@ -410,18 +421,23 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 			continue
 		}
 		v.st.Terms++
-		if err := v.evalTermVec(cj, term, isDelta, out); err != nil {
+		tp := cj.planTerm(e.termOrderBy(cj, lens, isDelta), e.UseHashJoin)
+		var err error
+		if out, err = v.runTerm(cj, tp, term, out); err != nil {
 			return nil, err
 		}
 	}
 	if cj.cache != nil {
 		v.adv = append(v.adv, pendingAdvance{cache: cj.cache, batches: deltas})
 	}
+	if out == nil {
+		out = v.own(e.pool.Get(cj.outSchema, 0))
+	}
 	return out, nil
 }
 
-// operandPreVec materializes operand i's pre-state: the live cache
-// entry when the join is prepared, a pooled batch executed from the
+// operandPreVec materializes operand i's pre-state: the live replica
+// when the join is prepared, a pooled batch executed from the
 // last-execution snapshot otherwise.
 func (v *vecEval) operandPreVec(cj *compiledJoin, i int) (*vecInput, error) {
 	if cj.cache != nil {
@@ -447,264 +463,137 @@ func (v *vecEval) operandPreVec(cj *compiledJoin, i int) (*vecInput, error) {
 	return &vecInput{b: pb}, nil
 }
 
-// evalTermVec joins one truth-table term's operand batches, multiplying
-// signs and applying predicates as soon as their operands are joined,
-// and appends the term's signed rows to out. The in-progress join state
-// is a single pooled batch over the flattened schema (unfilled operand
-// ranges hold placeholders that no ready predicate can read) plus one
-// pooled TID column per operand for provenance.
-func (v *vecEval) evalTermVec(cj *compiledJoin, term []*vecInput, isDelta []bool, out *batch.Batch) error {
-	e := v.e
+// runTerm joins one term's operand inputs along its resolved plan,
+// multiplying signs and applying predicates as soon as their operands
+// are joined, and adds the term's signed rows to out (nil adopts the
+// term's own final batch, saving the copy when a refresh has a single
+// term). The in-progress join state is a pooled work batch over the
+// flattened schema (unfilled operand ranges hold placeholders that no
+// ready predicate can read) plus a pooled row-major provenance buffer
+// of one TID per operand per row.
+func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out *batch.Batch) (*batch.Batch, error) {
+	pool := v.e.pool
 	nOps := len(cj.ops)
-	lens := make([]int, nOps)
-	for i, t := range term {
-		lens[i] = t.length()
-	}
-	order := e.termOrderBy(cj, lens, isDelta)
-
-	applied := make([]bool, len(cj.preds))
-	var filled uint64
-
-	first := order[0]
-	fb, err := term[first].enumerable(v)
-	if err != nil {
-		return err
-	}
-	work := v.own(e.pool.Get(cj.outSchema, fb.Len()))
-	tids := make([][]relation.TID, nOps)
-	for i := range tids {
-		tids[i] = e.pool.GetTIDs(fb.Len())
-	}
-	defer func() {
-		for i := range tids {
-			// released: provenance columns recycled after the term emits.
-			e.pool.PutTIDs(tids[i])
-		}
-	}()
-	lo := cj.ops[first].lo
+	fb := term[tp.first].enumerable(v)
+	work := v.own(pool.Get(cj.outSchema, fb.Len()))
+	tids := pool.GetTIDs(nOps * fb.Len())
+	lo := cj.ops[tp.first].lo
 	for r := 0; r < fb.Len(); r++ {
 		work.AppendPlaced(fb, r, lo)
-		for i := range tids {
-			if i == first {
-				tids[i] = append(tids[i], fb.TIDs[r])
-			} else {
-				tids[i] = append(tids[i], 0)
-			}
-		}
-	}
-	filled |= 1 << uint(first)
-	if err := v.applyReadyVec(cj, work, tids, filled, applied); err != nil {
-		return err
-	}
-
-	for _, k := range order[1:] {
-		if work.Len() == 0 {
-			return nil
-		}
-		lk, rk := equiPairs(cj, applied, filled, k)
-		var nw *batch.Batch
-		var nt [][]relation.TID
-		if e.UseHashJoin && len(lk) > 0 {
-			nw, nt, err = v.hashStepVec(work, tids, term[k], cj.ops[k], k, lk, rk)
-			if err != nil {
-				return err
-			}
-			markEquiApplied(cj, applied, filled, k)
-		} else {
-			kb, err := term[k].enumerable(v)
-			if err != nil {
-				return err
-			}
-			nw, nt = v.loopStepVec(work, tids, kb, cj.ops[k], k)
-		}
-		for i := range tids {
-			// released: superseded by the join step's output columns.
-			e.pool.PutTIDs(tids[i])
-		}
-		work, tids = nw, nt
-		filled |= 1 << uint(k)
-		if err := v.applyReadyVec(cj, work, tids, filled, applied); err != nil {
-			return err
-		}
-	}
-
-	// Any predicate not yet applied (defensive) runs now.
-	for i := range cj.preds {
-		if !applied[i] {
-			if err := v.applyPredVec(work, tids, cj.cPreds[i]); err != nil {
-				return err
-			}
-			applied[i] = true
-		}
-	}
-
-	for r := 0; r < work.Len(); r++ {
-		tid := tids[0][r]
-		for i := 1; i < nOps; i++ {
-			tid = relation.CombineTIDs(tid, tids[i][r])
-		}
-		out.AppendFrom(work, r)
-		out.TIDs[out.Len()-1] = tid
-	}
-	return nil
-}
-
-// applyReadyVec applies every unapplied predicate whose operands are
-// all filled, compacting the work batch and provenance columns.
-func (v *vecEval) applyReadyVec(cj *compiledJoin, work *batch.Batch, tids [][]relation.TID, filled uint64, applied []bool) error {
-	for i := range cj.cPreds {
-		if applied[i] || cj.masks[i]&^filled != 0 {
-			continue
-		}
-		if err := v.applyPredVec(work, tids, cj.cPreds[i]); err != nil {
-			return err
-		}
-		applied[i] = true
-	}
-	return nil
-}
-
-func (v *vecEval) applyPredVec(work *batch.Batch, tids [][]relation.TID, pred algebra.CompiledExpr) error {
-	if work.Len() == 0 {
-		return nil
-	}
-	pool := v.e.pool
-	sel, err := algebra.SelectBatch(pred, work, pool.GetIdx(work.Len()))
-	if err != nil {
-		// released: predicate aborted; the indices never escaped.
-		pool.PutIdx(sel)
-		return fmt.Errorf("dra: term predicate: %w", err)
-	}
-	if len(sel) < work.Len() {
-		work.Gather(sel)
-		for i := range tids {
-			t := tids[i]
-			for k, j := range sel {
-				t[k] = t[j]
-			}
-			tids[i] = t[:len(sel)]
-		}
-	}
-	// released: gather and provenance compaction consumed the indices.
-	pool.PutIdx(sel)
-	return nil
-}
-
-// hashStepVec joins the work batch with operand k through a hash index
-// on the equi-key columns: the cached replica's maintained index when
-// one is attached (probed per row, emitting matches straight into the
-// pooled output batch), a transient row-index map over the operand
-// batch otherwise.
-func (v *vecEval) hashStepVec(work *batch.Batch, tids [][]relation.TID, in *vecInput, op *operand, opIdx int, probeCols, buildCols []int) (*batch.Batch, [][]relation.TID, error) {
-	e := v.e
-	nOps := len(tids)
-	out := v.own(e.pool.Get(work.Schema, work.Len()))
-	outTids := make([][]relation.TID, nOps)
-	for i := range outTids {
-		outTids[i] = e.pool.GetTIDs(work.Len())
-	}
-	fail := func(err error) (*batch.Batch, [][]relation.TID, error) {
-		for i := range outTids {
-			// released: step aborted before handing the columns over.
-			e.pool.PutTIDs(outTids[i])
-		}
-		return nil, nil, err
-	}
-	emitTids := func(srcRow int, tid relation.TID) {
 		for i := 0; i < nOps; i++ {
-			if i == opIdx {
-				outTids[i] = append(outTids[i], tid)
-			} else {
-				outTids[i] = append(outTids[i], tids[i][srcRow])
-			}
+			tids = append(tids, 0)
 		}
+		tids[r*nOps+tp.first] = fb.TIDs[r]
 	}
-	probe := make([]relation.Value, len(probeCols))
-	if in.ent != nil {
-		ix := in.ent.index(buildCols, v.st)
-		scratch := make([]relation.Value, work.Schema.Len())
-		for r := 0; r < work.Len(); r++ {
-			for i, c := range probeCols {
-				probe[i] = work.Value(r, c)
+	tids, err := v.applyPredsVec(cj, work, tids, tp.seedPreds)
+	for i := 0; err == nil && i < len(tp.steps) && work.Len() > 0; i++ {
+		step := &tp.steps[i]
+		in := term[step.op]
+		v.st.JoinProbeRows += work.Len()
+		nw := v.own(pool.Get(work.Schema, work.Len()))
+		nt := pool.GetTIDs(len(tids))
+		switch {
+		case len(step.buildCols) == 0:
+			nt = crossStepVec(nw, nt, work, tids, in.enumerable(v), cj.ops[step.op].lo, step.op, nOps)
+		case in.ent != nil:
+			nt = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.rows, cj.ops[step.op].lo, step, nOps)
+		default:
+			// A batch operand (another delta, or an uncached pre-state)
+			// gets a transient index over its rows.
+			var ix relation.SlotIndex
+			for r := 0; r < in.b.Len(); r++ {
+				ix.Insert(int32(r), in.b.HashKey(r, step.buildCols))
 			}
-			work.ReadRow(r, scratch)
-			sign := work.Signs[r]
-			var stepErr error
-			ix.ProbeEach(probe, func(t relation.Tuple) {
-				if stepErr != nil {
-					return
-				}
-				copy(scratch[op.lo:op.hi], t.Values)
-				if !out.AppendRow(0, sign, scratch) {
-					stepErr = errVecFallback
-					return
-				}
-				emitTids(r, t.TID)
-			})
-			if stepErr != nil {
-				return fail(stepErr)
-			}
+			nt = hashStepVec(nw, nt, work, tids, &ix, in.b, cj.ops[step.op].lo, step, nOps)
 		}
-		return out, outTids, nil
+		// released: superseded by the join step's output provenance.
+		pool.PutTIDs(tids)
+		work, tids = nw, nt
+		tids, err = v.applyPredsVec(cj, work, tids, step.preds)
 	}
-	fb := in.b
-	idx := make(map[uint64][]int32, fb.Len())
-	key := make([]relation.Value, len(buildCols))
-	for r := 0; r < fb.Len(); r++ {
-		for i, c := range buildCols {
-			key[i] = fb.Value(r, c)
+	if err != nil || work.Len() == 0 {
+		// released: the term failed or emitted nothing.
+		pool.PutTIDs(tids)
+		return out, err
+	}
+	v.st.JoinEmitRows += work.Len()
+	for r := 0; r < work.Len(); r++ {
+		t := tids[r*nOps : (r+1)*nOps]
+		tid := t[0]
+		for _, next := range t[1:] {
+			tid = relation.CombineTIDs(tid, next)
 		}
-		h := relation.HashValues(key)
-		idx[h] = append(idx[h], int32(r))
+		work.TIDs[r] = tid
+	}
+	// released: provenance folded into the output tids.
+	pool.PutTIDs(tids)
+	if out == nil {
+		return work, nil
 	}
 	for r := 0; r < work.Len(); r++ {
-		for i, c := range probeCols {
-			probe[i] = work.Value(r, c)
-		}
-		h := relation.HashValues(probe)
-		for _, m := range idx[h] {
-			// Verify against collisions.
-			match := true
-			for i, c := range buildCols {
-				if !fb.Value(int(m), c).Equal(probe[i]) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			out.AppendMerged(work, r, fb, int(m), op.lo)
-			emitTids(r, fb.TIDs[m])
-		}
+		out.AppendFrom(work, r)
 	}
-	return out, outTids, nil
+	return out, nil
 }
 
-// loopStepVec joins the work batch with operand k by nested loops;
-// predicates run afterwards in applyReadyVec.
-func (v *vecEval) loopStepVec(work *batch.Batch, tids [][]relation.TID, kb *batch.Batch, op *operand, opIdx int) (*batch.Batch, [][]relation.TID) {
-	e := v.e
-	nOps := len(tids)
-	hint := work.Len() * kb.Len()
-	out := v.own(e.pool.Get(work.Schema, hint))
-	outTids := make([][]relation.TID, nOps)
-	for i := range outTids {
-		outTids[i] = e.pool.GetTIDs(hint)
+// applyPredsVec filters the work batch through the listed conjuncts,
+// compacting the batch and its provenance buffer in step.
+func (v *vecEval) applyPredsVec(cj *compiledJoin, work *batch.Batch, tids []relation.TID, preds []int) ([]relation.TID, error) {
+	pool := v.e.pool
+	nOps := len(cj.ops)
+	for _, pi := range preds {
+		if work.Len() == 0 {
+			break
+		}
+		sel, err := algebra.SelectBatch(cj.cPreds[pi], work, pool.GetIdx(work.Len()))
+		if err != nil {
+			// released: predicate aborted; the indices never escaped.
+			pool.PutIdx(sel)
+			return tids, fmt.Errorf("dra: term predicate: %w", err)
+		}
+		if len(sel) < work.Len() {
+			work.Gather(sel)
+			for k, j := range sel {
+				copy(tids[k*nOps:(k+1)*nOps], tids[int(j)*nOps:(int(j)+1)*nOps])
+			}
+			tids = tids[:len(sel)*nOps]
+		}
+		// released: gather and provenance compaction consumed the indices.
+		pool.PutIdx(sel)
 	}
+	return tids, nil
+}
+
+// hashStepVec joins the work batch with one operand by walking a flat
+// hash index over the operand's rows — a replica's maintained index
+// over its slots, or a transient one over a batch — verifying each
+// candidate against the columns and emitting matches straight into the
+// output batch and provenance buffer.
+func hashStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, ix *relation.SlotIndex, rows *batch.Batch, lo int, step *probeStep, nOps int) []relation.TID {
+	for r := 0; r < work.Len(); r++ {
+		for s := ix.First(work.HashKey(r, step.probeCols)); s >= 0; s = ix.Next(s) {
+			if !rows.KeyEqual(int(s), step.buildCols, work, r, step.probeCols) {
+				continue // hash collision
+			}
+			out.AppendMerged(work, r, rows, int(s), lo)
+			outT = append(outT, tids[r*nOps:(r+1)*nOps]...)
+			outT[len(outT)-nOps+step.op] = rows.TIDs[s]
+		}
+	}
+	return outT
+}
+
+// crossStepVec joins the work batch with every row of kb; predicates
+// run afterwards.
+func crossStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, kb *batch.Batch, lo, opIdx, nOps int) []relation.TID {
 	for r := 0; r < work.Len(); r++ {
 		for m := 0; m < kb.Len(); m++ {
-			out.AppendMerged(work, r, kb, m, op.lo)
-			for i := 0; i < nOps; i++ {
-				if i == opIdx {
-					outTids[i] = append(outTids[i], kb.TIDs[m])
-				} else {
-					outTids[i] = append(outTids[i], tids[i][r])
-				}
-			}
+			out.AppendMerged(work, r, kb, m, lo)
+			outT = append(outT, tids[r*nOps:(r+1)*nOps]...)
+			outT[len(outT)-nOps+opIdx] = kb.TIDs[m]
 		}
 	}
-	return out, outTids
+	return outT
 }
 
 // netEntry is one distinct value-row of a tid's net group: the index of

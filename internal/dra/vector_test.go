@@ -323,13 +323,18 @@ func TestVectorizedPathTaken(t *testing.T) {
 		applyRandomBatch(t, f, rng, live, 3, 3)
 		ctx := f.ctx(t)
 		ctx.Prev = prev
-		var st Stats
-		_, ok, err := e.vecEvaluate(p.root, ctx, f.store.Now(), &st)
-		if err != nil {
-			t.Fatalf("q%d: %v", qi, err)
-		}
-		if !ok {
-			t.Fatalf("q%d: vectorized path fell back on clean typed data", qi)
+		// Both kernels over the same window: the second run finds the
+		// replicas advanced past the window start by the first and
+		// rebuilds them from the pre-state snapshot.
+		for _, telescope := range []bool{false, true} {
+			var st Stats
+			_, ok, err := e.vecEvaluate(p.root, ctx, f.store.Now(), &st, telescope)
+			if err != nil {
+				t.Fatalf("q%d telescope=%v: %v", qi, telescope, err)
+			}
+			if !ok {
+				t.Fatalf("q%d telescope=%v: vectorized path fell back on clean typed data", qi, telescope)
+			}
 		}
 	}
 }

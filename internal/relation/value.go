@@ -245,6 +245,33 @@ func (f *fnvState) writeString(s string) {
 
 func (f *fnvState) sum() uint64 { return f.h }
 
+// KeyHasher streams values into the hash HashValues computes, so typed
+// columns can be hashed cell by cell — without first gathering a
+// []Value key — and still land in the same bucket as a Value-keyed
+// probe of the same index.
+type KeyHasher struct{ s fnvState }
+
+// NewKeyHasher returns a hasher in HashValues' initial state.
+func NewKeyHasher() KeyHasher { return KeyHasher{s: *newFNV()} }
+
+// Int, Float, Str, Bool and Null fold one non-NULL typed payload (or a
+// NULL) into the hash exactly as Value.hashInto does.
+func (k *KeyHasher) Int(v int64) { k.s.writeByte(byte(TInt)); k.s.writeUint64(uint64(v)) }
+
+func (k *KeyHasher) Float(v float64) {
+	k.s.writeByte(byte(TFloat))
+	k.s.writeUint64(math.Float64bits(v))
+}
+
+func (k *KeyHasher) Str(v string) { k.s.writeByte(byte(TString)); k.s.writeString(v) }
+
+func (k *KeyHasher) Bool(v bool) { Bool(v).hashInto(&k.s) }
+
+func (k *KeyHasher) Null() { k.s.writeByte(0) }
+
+// Sum returns the hash of everything folded in so far.
+func (k *KeyHasher) Sum() uint64 { return k.s.sum() }
+
 // HashValues hashes a slice of values; used for derived-tuple identity and
 // join keys.
 func HashValues(vs []Value) uint64 {

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
@@ -8,20 +10,57 @@ import (
 // LiveView adapts the store's current contents to the query executor's
 // Source interface (satisfied structurally; storage does not import the
 // algebra package). Relations returned are the live ones — callers must
-// not mutate them.
-type LiveView struct{ s *Store }
+// not mutate them. A view from Live locks each lookup only, so a scan
+// through it races with commits; a view handed out by View is read with
+// the store's read lock already held around the whole use.
+type LiveView struct {
+	s    *Store
+	held bool // View holds s.mu for us: lookups must not re-lock
+}
 
 // Live returns a Source view of the current contents.
 func (s *Store) Live() LiveView { return LiveView{s: s} }
 
+// View runs f over the current contents with the store's read lock held
+// for the whole call: f sees one state of every table and no commit can
+// mutate a relation under it. It is how a whole query — a CQ's initial
+// execution — runs against live data while writers are active. Commits
+// wait for f, and f must not call back into the store except through
+// the view.
+func (s *Store) View(f func(LiveView) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return f(LiveView{s: s, held: true})
+}
+
+func (v LiveView) table(name string) (*Table, error) {
+	if !v.held {
+		v.s.mu.RLock()
+		defer v.s.mu.RUnlock()
+	}
+	t, ok := v.s.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
+	}
+	return t, nil
+}
+
 // Relation implements the executor's Source contract.
 func (v LiveView) Relation(table string) (*relation.Relation, error) {
-	return v.s.Contents(table)
+	t, err := v.table(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.rel, nil
 }
 
 // Schema implements the planner's Catalog contract.
 func (v LiveView) Schema(table string) (relation.Schema, error) {
-	return v.s.Schema(table)
+	t, err := v.table(table)
+	if err != nil {
+		return relation.Schema{}, err
+	}
+	return t.rel.Schema(), nil
 }
 
 // HistoricView adapts a point-in-time reconstruction to the Source
