@@ -8,6 +8,7 @@ import (
 
 	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/obs"
+	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/workload"
@@ -27,16 +28,24 @@ import (
 //     pipeline over a 4x larger base with the same per-round batch
 //     refreshes in the same time, while a 4x larger batch over the same
 //     base does not (the "scaling" rows, staged poll mode).
+//  3. The same holds where the stage is an aggregate: a GROUP BY ... INTO
+//     stage refreshes in time that follows the signed window, not the
+//     number of groups it maintains — flat from 2k to 200k groups under
+//     a 256-row window, growing from a 16-row to a 4,096-row window at
+//     20k groups (the "rollup" rows; the time is the aggregate step
+//     alone — fold and emit, the eval_ns of the stage's refresh span —
+//     since materializing the delta is the "scaling" rows' subject).
 //
-// Columns: mode (latency D=depth / scaling), the arrival gap or round
-// batch, base rows, latency samples or measured rounds, p50/p99
-// commit-to-leaf-notify latency (latency rows) or median staged-round
-// time (scaling rows), and end-to-end refreshes per second.
+// Columns: mode (latency D=depth / scaling / rollup), the arrival gap,
+// round batch or signed window rows, base rows (rollup: groups),
+// latency samples or measured rounds, p50/p99 commit-to-leaf-notify
+// latency (latency rows), staged-round time (scaling rows) or aggregate
+// step time (rollup rows), and end-to-end refreshes per second.
 func E22(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E22",
 		Title: "cascading CQs: INTO pipeline depth, latency, and delta-bound leaf cost",
-		Note: fmt.Sprintf("base %d rows, seed per config, host cores %d; latency rows drive push mode, scaling rows one staged Poll per round",
+		Note: fmt.Sprintf("base %d rows, seed per config, host cores %d; latency rows drive push mode, scaling rows one staged Poll per round, rollup rows time the aggregate step of a GROUP BY INTO stage (base rows = groups, gap/batch = signed window rows)",
 			scale.BaseRows, runtime.NumCPU()),
 		Header: []string{"mode", "gap/batch", "base rows", "samples", "p50 ms", "p99 ms", "refr/s"},
 	}
@@ -67,6 +76,25 @@ func E22(scale Scale) (*Table, error) {
 		row, err := e22Scaling(scale, cfg.baseRows, cfg.batch)
 		if err != nil {
 			return nil, fmt.Errorf("e22 scaling base=%d batch=%d: %w", cfg.baseRows, cfg.batch, err)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+
+	// Result-size vs window for an aggregate stage: a fixed window over
+	// growing group counts (cost must stay flat), then growing windows
+	// over a fixed group count (cost must grow).
+	for _, cfg := range []struct {
+		groups, window int
+	}{
+		{2_000, 256},
+		{20_000, 256},
+		{200_000, 256},
+		{20_000, 16},
+		{20_000, 4_096},
+	} {
+		row, err := e22Rollup(cfg.groups, cfg.window)
+		if err != nil {
+			return nil, fmt.Errorf("e22 rollup groups=%d window=%d: %w", cfg.groups, cfg.window, err)
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -274,6 +302,113 @@ func e22Scaling(scale Scale, baseRows, batch int) ([]string, error) {
 		fmt.Sprint(rounds),
 		fmt.Sprintf("%.2f", float64(p50.Nanoseconds())/1e6),
 		fmt.Sprintf("%.2f", float64(p99.Nanoseconds())/1e6),
+		fmt.Sprintf("%.0f", float64(refreshes)/elapsed.Seconds()),
+	}, nil
+}
+
+// e22Rollup measures the refresh of one GROUP BY ... INTO stage that
+// maintains `groups` groups (two input rows each) under rounds of
+// window/2 modifications — a signed window of `window` rows, a tenth of
+// them moving their row to another group — with a filter over the
+// derived table as the leaf. The reported time is the eval_ns field of
+// the stage's cq.refresh span: the state keeper's Step and nothing else.
+func e22Rollup(groups, window int) ([]string, error) {
+	const rounds = 100
+	reg := obs.NewRegistry()
+	store := storage.NewStore()
+	mgr := cq.NewManagerConfig(store, cq.Config{UseDRA: true, AutoGC: true, Metrics: reg})
+	defer func() { _ = mgr.Close() }()
+	if err := store.CreateTable("ev", relation.MustSchema(
+		relation.Column{Name: "k", Type: relation.TInt},
+		relation.Column{Name: "v", Type: relation.TInt},
+	)); err != nil {
+		return nil, err
+	}
+	row := func(k, v int) []relation.Value {
+		return []relation.Value{relation.Int(int64(k)), relation.Int(int64(v))}
+	}
+	tids := make([]relation.TID, 0, 2*groups)
+	tx := store.Begin()
+	for i := 0; i < 2*groups; i++ {
+		tid, err := tx.Insert("ev", row(i%groups, i%100))
+		if err != nil {
+			return nil, err
+		}
+		tids = append(tids, tid)
+	}
+	if _, err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	for _, def := range []cq.Def{
+		{Name: "roll", Query: "SELECT k, SUM(v) AS s, COUNT(*) AS n INTO by_k FROM ev GROUP BY k"},
+		{Name: "leaf", Query: "SELECT k, s FROM by_k WHERE s > 150", NotifyEmpty: true},
+	} {
+		if _, err := mgr.Register(def); err != nil {
+			return nil, err
+		}
+	}
+
+	// step commits one window, polls it through, and returns the step
+	// time of the roll stage's refresh (the newest such span).
+	round := 0
+	step := func() (time.Duration, error) {
+		tx := store.Begin()
+		for i := 0; i < window/2; i++ {
+			n := (round*window + i*7919) % len(tids)
+			k := n % groups
+			if i%10 == 0 {
+				k = (n * 31) % groups
+			}
+			if err := tx.Update("ev", tids[n], row(k, (round+i*13)%100)); err != nil {
+				return 0, err
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			return 0, err
+		}
+		round++
+		if _, err := mgr.Poll(); err != nil {
+			return 0, err
+		}
+		for _, sp := range mgr.Traces().Recent() { // newest first
+			if sp.Name != "cq.refresh:roll" {
+				continue
+			}
+			for _, f := range sp.Fields {
+				if f.Key == "eval_ns" {
+					return time.Duration(f.Value), nil
+				}
+			}
+		}
+		return 0, fmt.Errorf("round %d left no cq.refresh:roll span", round)
+	}
+	if _, err := step(); err != nil { // warm-up, as in e22Scaling
+		return nil, err
+	}
+	// Collect the seeding garbage now: a collection of a 200k-group heap
+	// started mid-measurement would tax those rows alone.
+	runtime.GC()
+	warm := reg.Snapshot().Counter("cq.refreshes")
+	times := make([]time.Duration, 0, rounds)
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		d, err := step()
+		if err != nil {
+			return nil, err
+		}
+		times = append(times, d)
+	}
+	elapsed := time.Since(start)
+	refreshes := reg.Snapshot().Counter("cq.refreshes") - warm
+
+	sortDurations(times)
+	return []string{
+		fmt.Sprintf("rollup w=%d", window),
+		fmt.Sprint(window),
+		fmt.Sprint(groups),
+		fmt.Sprint(rounds),
+		fmt.Sprintf("%.3f", float64(times[len(times)/2].Nanoseconds())/1e6),
+		fmt.Sprintf("%.3f", float64(times[len(times)*99/100].Nanoseconds())/1e6),
 		fmt.Sprintf("%.0f", float64(refreshes)/elapsed.Seconds()),
 	}, nil
 }

@@ -241,6 +241,10 @@ type CQState struct {
 	// join-free plans. A template member reports its group's shared
 	// replicas.
 	Replicas []dra.ReplicaStat
+	// Groups is the number of groups an aggregate or DISTINCT state
+	// keeper holds in its output (its refreshes touch a few of them; see
+	// the cq.refresh span's groups_touched); 0 for other CQs.
+	Groups int
 }
 
 // instance is the manager's record of one registered CQ.
@@ -330,11 +334,29 @@ type instance struct {
 	guardErr atomic.Pointer[error]
 }
 
+// closeEval releases the instance's refresh state — the prepared
+// pipeline or the state keeper, and with it their gauge shares. Caller
+// holds inst.mu or owns an instance not yet visible.
+func (inst *instance) closeEval() {
+	if inst.prepared != nil {
+		inst.prepared.Close()
+		inst.prepared = nil
+	}
+	if inst.maint != nil {
+		inst.maint.Close()
+		inst.maint = nil
+	}
+}
+
 // maintainer abstracts the incremental state keepers of the dra package
 // (IncrementalAggregate, IncrementalDistinct).
 type maintainer interface {
 	Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error)
+	// Result renders the maintained output as a fresh relation the
+	// caller owns.
 	Result() *relation.Relation
+	Groups() int
+	Close()
 }
 
 // Config tunes the manager.
@@ -613,7 +635,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		}
 		if maint != nil {
 			inst.maint = maint
-			initial = maint.Result().Clone()
+			initial = maint.Result()
 		} else {
 			// Template sharing first: a shared member's initial result
 			// is the parameter-filtered template result, and its
@@ -660,9 +682,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		created, terr := m.ensureTargetLocked(inst, initial)
 		createdTarget = created
 		if terr != nil {
-			if inst.prepared != nil {
-				inst.prepared.Close()
-			}
+			inst.closeEval()
 			return nil, fmt.Errorf("cq %q: materialize target %q: %w", def.Name, inst.into, terr)
 		}
 	}
@@ -679,9 +699,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		entry := m.entryLocked(inst)
 		inst.mu.Unlock()
 		if err := m.cfg.Journal.CQRegistered(entry); err != nil {
-			if inst.prepared != nil {
-				inst.prepared.Close()
-			}
+			inst.closeEval()
 			if inst.group != nil {
 				m.leaveTemplateLocked(inst)
 			}
@@ -1031,6 +1049,9 @@ func (m *Manager) State(name string) (CQState, error) {
 		st.Strategy = inst.prepared.Strategy().String()
 		st.Replicas = inst.prepared.Replicas()
 	}
+	if inst.maint != nil {
+		st.Groups = inst.maint.Groups()
+	}
 	if g := inst.group; g != nil {
 		st.Template = g.fp
 		g.mu.Lock()
@@ -1092,10 +1113,7 @@ func (m *Manager) Drop(name string) error {
 		}
 	}
 	closeSubs(inst)
-	if inst.prepared != nil {
-		inst.prepared.Close()
-		inst.prepared = nil
-	}
+	inst.closeEval()
 	if inst.group != nil {
 		// Under inst.mu: an in-flight refresh of THIS member either
 		// finished (it held the lock before us) or will see dropped and
@@ -1720,6 +1738,10 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 		if m.cfg.Engine.Vectorized {
 			m.fillBatches(ctx, inst.tables, inst.lastExec, execTS, cache, compact, pushed)
 		}
+		var evalStart time.Time
+		if span != nil {
+			evalStart = time.Now()
+		}
 		switch {
 		case inst.maint != nil:
 			res, err = inst.maint.Step(ctx, execTS)
@@ -1730,6 +1752,11 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 			// members in pendingSync: one full-window differential
 			// catch-up over the member's own plan.
 			res, err = m.cfg.Engine.Reevaluate(inst.plan, ctx, execTS)
+		}
+		if span != nil {
+			// The engine's share of the refresh: windows, materialization
+			// and journaling are the rest of the span.
+			span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
 		}
 	default:
 		res, err = dra.FullReevaluate(inst.plan, m.store.Live(), inst.prev, execTS)
@@ -1799,6 +1826,11 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 			span.SetField("inserted", int64(ins))
 			span.SetField("deleted", int64(del))
 			span.SetField("modified", int64(mod))
+		}
+		if inst.maint != nil {
+			span.SetField("groups", int64(inst.maint.Groups()))
+			span.SetField("groups_touched", int64(res.Stats.GroupsTouched))
+			span.SetField("group_rows_emitted", int64(res.Stats.GroupRowsEmitted))
 		}
 		span.Finish()
 	}
@@ -2236,10 +2268,7 @@ func (m *Manager) Close() error {
 	for _, inst := range m.cqs {
 		inst.mu.Lock()
 		closeSubs(inst)
-		if inst.prepared != nil {
-			inst.prepared.Close()
-			inst.prepared = nil
-		}
+		inst.closeEval()
 		inst.mu.Unlock()
 	}
 	for fp, g := range m.templates {

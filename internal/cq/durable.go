@@ -228,7 +228,7 @@ func (m *Manager) Resume(e wal.CQEntry) error {
 		if maint != nil {
 			inst.maint = maint
 			if e.Result == nil {
-				e.Result = maint.Result().Clone()
+				e.Result = maint.Result()
 			}
 		} else {
 			// Template sharing round-trips recovery: a shareable member

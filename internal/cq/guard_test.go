@@ -46,6 +46,8 @@ func (f *faultMaint) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Resul
 }
 
 func (f *faultMaint) Result() *relation.Relation { return nil }
+func (f *faultMaint) Groups() int                { return 0 }
+func (f *faultMaint) Close()                     {}
 
 func getInst(t *testing.T, m *Manager, name string) *instance {
 	t.Helper()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
@@ -173,5 +174,72 @@ func TestConcurrentPollSubscribeDropMetrics(t *testing.T) {
 	}
 	if snap.Counter("cq.refreshes") < 1 {
 		t.Error("no refreshes recorded under concurrent churn")
+	}
+}
+
+// TestMaintainerRefreshInPlace: an aggregate state keeper's Result
+// carries no materialized relation, so a refresh maintains inst.prev in
+// place — the same *relation.Relation before and after, changed by the
+// delta alone — and the running system can say how many groups the
+// refresh touched out of how many: CQState.Groups, the refresh span's
+// fields, and the dra.agg.* instruments, the gauge released by Drop.
+func TestMaintainerRefreshInPlace(t *testing.T) {
+	store := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+	reg := obs.NewRegistry()
+	mgr := NewManagerConfig(store, Config{UseDRA: true, AutoGC: true, Metrics: reg})
+	defer func() { _ = mgr.Close() }()
+	for i := 0; i < 6; i++ {
+		insertStock(t, store, fmt.Sprintf("S%d", i%3), float64(10*i))
+	}
+	const query = "SELECT name, SUM(price) AS total, COUNT(*) AS n FROM stocks GROUP BY name"
+	if _, err := mgr.Register(Def{Name: "totals", Query: query}); err != nil {
+		t.Fatal(err)
+	}
+	inst := getInst(t, mgr, "totals")
+	if inst.maint == nil {
+		t.Fatal("aggregate CQ registered without a state keeper")
+	}
+	before := inst.prev
+
+	insertStock(t, store, "S1", 5)  // touches one of three groups
+	insertStock(t, store, "NEW", 7) // and adds a fourth
+	if _, err := mgr.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if inst.prev != before {
+		t.Fatal("the refresh replaced inst.prev instead of maintaining it in place")
+	}
+	want, err := dra.InitialResult(mustPlan(t, query, store), store.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inst.prev.EqualByTID(want) {
+		t.Fatalf("maintained result\n%s\nwant\n%s", inst.prev, want)
+	}
+
+	if st, err := mgr.State("totals"); err != nil || st.Groups != 4 {
+		t.Fatalf("State = %+v, %v; want 4 groups", st, err)
+	}
+	fields := map[string]int64{}
+	for _, sp := range mgr.Traces().Recent() {
+		if sp.Name == "cq.refresh:totals" {
+			for _, f := range sp.Fields {
+				fields[f.Key] = f.Value
+			}
+		}
+	}
+	if fields["groups"] != 4 || fields["groups_touched"] != 2 || fields["group_rows_emitted"] != 3 {
+		t.Errorf("refresh span fields = %v, want 4 groups, 2 touched, 3 rows emitted (-old +new, +new)", fields)
+	}
+	snap := mgr.Stats()
+	if snap.Counter("dra.agg.rows_folded") != 2 || snap.Counter("dra.agg.groups_touched") != 2 ||
+		snap.Counter("dra.agg.rows_emitted") != 3 || snap.Gauge("dra.agg.groups") != 4 {
+		t.Errorf("dra.agg instruments = %v / %v", snap.Filter("dra.agg").Counters, snap.Filter("dra.agg").Gauges)
+	}
+	if err := mgr.Drop("totals"); err != nil {
+		t.Fatal(err)
+	}
+	if got := mgr.Stats().Gauge("dra.agg.groups"); got != 0 {
+		t.Errorf("dra.agg.groups after drop = %d, want 0", got)
 	}
 }

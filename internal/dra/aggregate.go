@@ -3,22 +3,22 @@ package dra
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
-	"github.com/diorama/continual/internal/vclock"
 )
 
 // This file extends the paper's SPJ-only Algorithm 1 to aggregate
 // queries. Section 5.3 already evaluates aggregate *trigger conditions*
 // differentially by keeping running sums over the differential relation
 // (Deposits / Withdrawals); IncrementalAggregate applies the same idea to
-// the query result itself: per-group counts and sums are maintained as
-// auxiliary state, folded forward by the signed delta of the aggregate's
-// input subplan, so refreshing SELECT SUM(amount) FROM CheckingAccounts
-// costs O(|Δ|) instead of a base scan.
+// the query result itself: per-group counts and sums are auxiliary state
+// (groupTable), folded forward by the signed delta of the aggregate's
+// input subplan, and the result change is rendered from the groups that
+// delta touched. Refreshing SELECT SUM(amount) FROM CheckingAccounts
+// GROUP BY branch therefore costs O(|Δ|) — neither a base scan nor a
+// pass over the groups — for select-only inputs; a join input adds its
+// truth-table evaluation.
 //
 // Supported: root-level AggregatePlan with SUM / COUNT / COUNT(*) / AVG
 // aggregates and no HAVING clause. MIN and MAX are not incrementally
@@ -30,32 +30,9 @@ import (
 // incrementally and the caller should use the Propagate fallback.
 var ErrNotIncremental = errors.New("dra: plan is not incrementally maintainable")
 
-// groupState is the auxiliary state of one group.
-type groupState struct {
-	key []relation.Value
-	// rows is the signed count of input rows in the group (group
-	// existence).
-	rows int64
-	// counts[i] is the signed count of non-null aggregate arguments.
-	counts []int64
-	// sumF[i] / sumI[i] accumulate the argument values.
-	sumF []float64
-	sumI []int64
-}
-
 // IncrementalAggregate maintains an aggregate query's result across
-// refreshes.
-type IncrementalAggregate struct {
-	plan   *algebra.AggregatePlan
-	input  *compiledNode // compiled SPJ input, built once at construction
-	engine *Engine
-
-	groupEx []algebra.CompiledExpr
-	argEx   []algebra.CompiledExpr // nil for COUNT(*)
-
-	groups map[uint64]*groupState
-	out    *relation.Relation // current output
-}
+// refreshes. Step, Result, Groups and Close are groupTable's.
+type IncrementalAggregate struct{ *groupTable }
 
 // NewIncrementalAggregate validates the plan and builds the initial
 // state from the current source contents. The plan must be the root of
@@ -79,200 +56,41 @@ func NewIncrementalAggregate(engine *Engine, plan algebra.Plan, src algebra.Sour
 		}
 	}
 
-	ia := &IncrementalAggregate{
-		plan:   agg,
-		engine: engine,
-		groups: make(map[uint64]*groupState),
-	}
-	in, err := compilePlan(agg.Input)
-	if err != nil {
-		return nil, err
-	}
-	ia.input = in
-	inSchema := agg.Input.Schema()
-	for _, g := range agg.GroupBy {
+	// The fold row: group keys under their output types, then one column
+	// per aggregate argument.
+	inSchema, outSchema := agg.Input.Schema(), agg.Schema()
+	nKeys := len(agg.GroupBy)
+	items := make([]algebra.CompiledExpr, 0, nKeys+len(agg.Aggs))
+	cols := make([]relation.Column, 0, nKeys+len(agg.Aggs))
+	for i, g := range agg.GroupBy {
 		ce, err := algebra.Compile(g.Expr, inSchema)
 		if err != nil {
 			return nil, err
 		}
-		ia.groupEx = append(ia.groupEx, ce)
+		items = append(items, ce)
+		cols = append(cols, relation.Column{Name: fmt.Sprintf("k%d", i), Type: outSchema.Col(i).Type})
 	}
-	for _, a := range agg.Aggs {
+	aggs := make([]groupAgg, len(agg.Aggs))
+	for i, a := range agg.Aggs {
+		aggs[i] = groupAgg{fn: a.Func, arg: -1, out: outSchema.Col(nKeys + i).Type}
 		if a.Arg == nil {
-			ia.argEx = append(ia.argEx, nil)
-			continue
+			continue // COUNT(*)
 		}
 		ce, err := algebra.Compile(a.Arg, inSchema)
 		if err != nil {
 			return nil, err
 		}
-		ia.argEx = append(ia.argEx, ce)
-	}
-
-	// Seed the state from the initial input contents.
-	input, err := algebra.NewExecutor(src).Execute(agg.Input)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range input.Tuples() {
-		if err := ia.fold(t, +1); err != nil {
-			return nil, err
+		typ := ce.Type()
+		if typ == 0 {
+			typ = relation.TInt // a bare NULL literal; any column type holds its NULLs
 		}
+		aggs[i].arg = len(items)
+		items = append(items, ce)
+		cols = append(cols, relation.Column{Name: fmt.Sprintf("a%d", i), Type: typ})
 	}
-	ia.out, err = ia.materialize()
+	g, err := newGroupTable(engine, outSchema, agg.Input, items, cols, nKeys, aggs, src)
 	if err != nil {
 		return nil, err
 	}
-	return ia, nil
+	return &IncrementalAggregate{g}, nil
 }
-
-// Result returns the maintained aggregate output. Callers must not
-// mutate it.
-func (ia *IncrementalAggregate) Result() *relation.Relation { return ia.out }
-
-// fold accumulates one input row with the given sign.
-func (ia *IncrementalAggregate) fold(t relation.Tuple, sign int) error {
-	key := make([]relation.Value, len(ia.groupEx))
-	for i, ge := range ia.groupEx {
-		v, err := ge.Eval(t)
-		if err != nil {
-			return fmt.Errorf("dra: aggregate group key: %w", err)
-		}
-		key[i] = v
-	}
-	h := relation.HashValues(key)
-	g, ok := ia.groups[h]
-	if !ok {
-		g = &groupState{
-			key:    key,
-			counts: make([]int64, len(ia.argEx)),
-			sumF:   make([]float64, len(ia.argEx)),
-			sumI:   make([]int64, len(ia.argEx)),
-		}
-		ia.groups[h] = g
-	}
-	g.rows += int64(sign)
-	for i, ae := range ia.argEx {
-		if ae == nil { // COUNT(*)
-			g.counts[i] += int64(sign)
-			continue
-		}
-		v, err := ae.Eval(t)
-		if err != nil {
-			return fmt.Errorf("dra: aggregate argument: %w", err)
-		}
-		if v.IsNull() {
-			continue
-		}
-		g.counts[i] += int64(sign)
-		g.sumF[i] += float64(sign) * v.AsFloat()
-		if v.Kind == relation.TInt {
-			g.sumI[i] += int64(sign) * v.AsInt()
-		} else {
-			// A float contribution poisons the integer accumulator; SUM
-			// output type is already TFloat for float inputs.
-			g.sumI[i] = 0
-		}
-	}
-	if g.rows == 0 && len(ia.groupEx) > 0 {
-		delete(ia.groups, h)
-	}
-	return nil
-}
-
-// materialize renders the current state as the aggregate output
-// relation, mirroring the executor's semantics (COUNT over empty = 0,
-// SUM/AVG over empty = NULL; a global aggregate always emits one row).
-func (ia *IncrementalAggregate) materialize() (*relation.Relation, error) {
-	out := relation.New(ia.plan.Schema())
-	emit := func(g *groupState) error {
-		vals := make([]relation.Value, 0, len(g.key)+len(ia.plan.Aggs))
-		vals = append(vals, g.key...)
-		for i, a := range ia.plan.Aggs {
-			outType := ia.plan.Schema().Col(len(g.key) + i).Type
-			switch a.Func {
-			case "COUNT":
-				vals = append(vals, relation.Int(g.counts[i]))
-			case "SUM":
-				if g.counts[i] == 0 {
-					vals = append(vals, relation.TypedNull(outType))
-				} else if outType == relation.TInt {
-					vals = append(vals, relation.Int(g.sumI[i]))
-				} else {
-					vals = append(vals, relation.Float(g.sumF[i]))
-				}
-			case "AVG":
-				if g.counts[i] == 0 {
-					vals = append(vals, relation.TypedNull(relation.TFloat))
-				} else {
-					vals = append(vals, relation.Float(g.sumF[i]/float64(g.counts[i])))
-				}
-			}
-		}
-		tid := relation.HashTID(g.key)
-		if len(ia.groupEx) == 0 {
-			tid = 1
-		}
-		return out.Insert(relation.Tuple{TID: tid, Values: vals})
-	}
-	if len(ia.groupEx) == 0 {
-		g, ok := ia.groups[relation.HashValues(nil)]
-		if !ok {
-			g = &groupState{
-				counts: make([]int64, len(ia.argEx)),
-				sumF:   make([]float64, len(ia.argEx)),
-				sumI:   make([]int64, len(ia.argEx)),
-			}
-		}
-		if err := emit(g); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for _, g := range ia.groups {
-		if g.rows <= 0 {
-			continue
-		}
-		if err := emit(g); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Step folds the update window into the state and returns the result
-// change and the new output. The input subplan's signed delta is
-// computed by the engine's differential machinery, so the cost is
-// O(|Δ|) for select-only inputs.
-func (ia *IncrementalAggregate) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	var st Stats
-	din, err := ia.engine.signedDelta(ia.input, ctx, execTS, &st)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range din.Rows {
-		if err := ia.fold(relation.Tuple{TID: r.TID, Values: r.Values}, r.Sign); err != nil {
-			return nil, err
-		}
-	}
-	next, err := ia.materialize()
-	if err != nil {
-		return nil, err
-	}
-	d, err := delta.Diff(ia.out, next, execTS)
-	if err != nil {
-		return nil, err
-	}
-	ia.out = next
-	res := &Result{
-		Signed: &delta.Signed{Schema: ia.plan.Schema(), Rows: d.ToSigned().Rows},
-		Delta:  d,
-		ExecTS: execTS,
-		Stats:  st,
-	}
-	res.materialized = next
-	return res, nil
-}
-
-// approxEqual helps the tests compare float aggregates with tolerance.
-func approxEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }

@@ -2,11 +2,12 @@ package dra
 
 import (
 	"errors"
-	"math/rand"
+	"math"
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
 func accountsFixture(t *testing.T) *fixture {
@@ -51,6 +52,8 @@ func stepAndVerify(t *testing.T, f *fixture, ia *IncrementalAggregate, plan alge
 	}
 	return res
 }
+
+func approxEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 // aggEqual compares aggregate outputs by group key with float tolerance.
 func aggEqual(a, b *relation.Relation) bool {
@@ -215,61 +218,73 @@ func TestNotIncrementalCases(t *testing.T) {
 	}
 }
 
-// Property: the maintained aggregate equals fresh execution over long
-// random update streams, for global and grouped shapes.
-func TestIncrementalAggregateEquivalenceProperty(t *testing.T) {
-	queries := []string{
-		"SELECT SUM(amount) AS total, COUNT(*) AS n, AVG(amount) AS a FROM accounts",
-		"SELECT branch, SUM(amount) AS total, COUNT(*) AS n FROM accounts GROUP BY branch",
-		"SELECT branch, COUNT(*) AS n FROM accounts WHERE amount > 50 GROUP BY branch",
+// TestGroupTableHashCollision feeds the group table two distinct keys
+// engineered to collide under the key hash (see collidingRows) — which
+// is also the output tid, so the two groups would be one result row.
+// Keyed by the bare hash they silently shared an accumulator; now the
+// probe verifies the key against the stored columns and the collision
+// fails the Step (and a seed holding both fails construction) on both
+// arms, for aggregates and DISTINCT alike. The failed fold is rolled
+// back: once the colliding row is gone, the same window — grown by its
+// deletion — folds cleanly to the fresh result.
+func TestGroupTableHashCollision(t *testing.T) {
+	a, b := collidingRows()
+	if relation.HashValues(a) != relation.HashValues(b) {
+		t.Fatal("fixture rows no longer collide; rebuild them against the current HashValues encoding")
 	}
-	branches := []string{"n", "s", "e", "w"}
-	for qi, q := range queries {
-		rng := rand.New(rand.NewSource(int64(qi + 77)))
-		f := accountsFixture(t)
-		var live []relation.TID
-		// Seed.
-		tx := f.store.Begin()
-		for i := 0; i < 30; i++ {
-			tid, err := tx.Insert("accounts", av("x", float64(rng.Intn(200)), branches[rng.Intn(4)]))
+	type maintainer interface {
+		Step(*Context, vclock.Timestamp) (*Result, error)
+		Result() *relation.Relation
+	}
+	build := func(e *Engine, plan algebra.Plan, src algebra.Source) (maintainer, error) {
+		if _, ok := plan.(*algebra.DistinctPlan); ok {
+			return NewIncrementalDistinct(e, plan, src)
+		}
+		return NewIncrementalAggregate(e, plan, src)
+	}
+	for _, q := range []string{
+		"SELECT x, y, COUNT(*) AS n FROM p GROUP BY x, y",
+		"SELECT DISTINCT x, y FROM p",
+	} {
+		for _, vectorized := range []bool{true, false} {
+			f := newFixture(t, map[string]relation.Schema{"p": pairSchema()})
+			f.insert(t, "p", a, strs("u", "v"))
+			plan := f.plan(t, q)
+			eng := NewEngine()
+			eng.Vectorized = vectorized
+			m, err := build(eng, plan, f.store.Live())
 			if err != nil {
 				t.Fatal(err)
 			}
-			live = append(live, tid)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		ia, plan := newIncAgg(t, f, q)
-		f.mark()
+			f.mark()
 
-		for round := 0; round < 15; round++ {
+			// The colliding key arrives behind an ordinary change, so the
+			// fold is half done when it fails.
+			tids := f.insert(t, "p", strs("u", "v"), b)
+			if _, err := m.Step(f.ctx(t), f.store.Now()); err == nil {
+				t.Fatalf("%q vectorized=%v: colliding keys merged into one group:\n%s", q, vectorized, m.Result())
+			}
+			if _, err := build(eng, plan, f.store.Live()); err == nil {
+				t.Fatalf("%q: a seed holding both colliding keys built", q)
+			}
+
 			tx := f.store.Begin()
-			for op := 0; op < 5; op++ {
-				switch k := rng.Intn(3); {
-				case k == 0 || len(live) == 0:
-					tid, err := tx.Insert("accounts", av("x", float64(rng.Intn(200)), branches[rng.Intn(4)]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, tid)
-				case k == 1:
-					i := rng.Intn(len(live))
-					if err := tx.Update("accounts", live[i], av("x", float64(rng.Intn(200)), branches[rng.Intn(4)])); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					i := rng.Intn(len(live))
-					if err := tx.Delete("accounts", live[i]); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live[:i], live[i+1:]...)
-				}
+			if err := tx.Delete("p", tids[1]); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			stepAndVerify(t, f, ia, plan) // asserts vs fresh execution
+			if _, err := m.Step(f.ctx(t), f.store.Now()); err != nil {
+				t.Fatalf("%q vectorized=%v: retry after the collision left: %v", q, vectorized, err)
+			}
+			want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Result().EqualByTID(want) {
+				t.Fatalf("%q vectorized=%v: failed fold was not rolled back.\nmaintained:\n%s\nfresh:\n%s", q, vectorized, m.Result(), want)
+			}
 		}
 	}
 }

@@ -223,16 +223,144 @@ func (jb *joinBench) finish(b *testing.B, res *Result, err error, ts vclock.Time
 	jb.store.CollectGarbage(ts)
 }
 
-// BenchmarkRefreshStep measures the steady-state prepared refresh step:
-// the row/columnar arms over a 2048-row signed window of a 16k-row
-// relation, the join arm over a 256-row signed window of a 3-way
+// groupBench is a live single-table fixture for the agg and distinct
+// arms: 16k rows over 2k (k, bucket) groups. A state keeper folds its
+// window for good, so — as on the join arm — every iteration commits
+// and images a fresh one with the timer stopped.
+type groupBench struct {
+	store  *storage.Store
+	tids   []relation.TID
+	lastTS vclock.Timestamp
+	round  int
+}
+
+const groupBenchKeys = 2048
+
+func groupBenchRow(id, k, v int) []relation.Value {
+	return []relation.Value{relation.Int(int64(id)), relation.Int(int64(k)), relation.Int(int64(k % 16)), relation.Int(int64(v))}
+}
+
+func newGroupBench(b *testing.B, base int) *groupBench {
+	b.Helper()
+	gb := &groupBench{store: storage.NewStore()}
+	if err := gb.store.CreateTable("e", relation.MustSchema(
+		relation.Column{Name: "id", Type: relation.TInt},
+		relation.Column{Name: "k", Type: relation.TInt},
+		relation.Column{Name: "bucket", Type: relation.TInt},
+		relation.Column{Name: "v", Type: relation.TInt},
+	)); err != nil {
+		b.Fatal(err)
+	}
+	tx := gb.store.Begin()
+	for i := 0; i < base; i++ {
+		tid, err := tx.Insert("e", groupBenchRow(i, i%groupBenchKeys, i%100))
+		if err != nil {
+			b.Fatal(err)
+		}
+		gb.tids = append(gb.tids, tid)
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	gb.lastTS = gb.store.Now()
+	return gb
+}
+
+// window commits `rows` modifications (a tenth of them moving the row
+// to another group) and returns the refresh inputs as the cq manager
+// builds them: compacted window plus its prebuilt columnar image.
+func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp) {
+	b.Helper()
+	tx := gb.store.Begin()
+	for i := 0; i < rows; i++ {
+		n := (gb.round*rows + i*7) % len(gb.tids)
+		k := n % groupBenchKeys
+		if i%10 == 0 {
+			k = (n * 31) % groupBenchKeys
+		}
+		if err := tx.Update("e", gb.tids[n], groupBenchRow(n, k, (gb.round+i*13)%100)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	gb.round++
+	d, err := gb.store.DeltaSince("e", gb.lastTS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d = d.Compact()
+	img, ok := batch.FromDelta(nil, d)
+	if !ok {
+		b.Fatal("benchmark window unrepresentable in columnar form")
+	}
+	ctx := &Context{
+		Pre: gb.store.At(gb.lastTS), Post: gb.store.Live(), LastTS: gb.lastTS, Compacted: true,
+		Deltas: map[string]*delta.Delta{"e": d}, Batches: map[string]*batch.Batch{"e": img},
+	}
+	return ctx, gb.store.Now()
+}
+
+// BenchmarkRefreshStep measures the steady-state refresh step: the
+// row/columnar arms over a 2048-row signed window of a 16k-row
+// relation; the join arm over a 256-row signed window of a 3-way
 // equi-join of 16k-row operands under StrategyAuto (after the warm-up
-// that lets the cost model settle on the telescoping kernel) — the
+// that lets the cost model settle on the telescoping kernel); the agg
+// and distinct arms over a 256-row signed window of a 16k-row input —
+// GROUP BY two int keys with SUM and COUNT(*) over 2k groups, and
+// DISTINCT over 2k values — through the group table. It is the
 // per-refresh engine work of a pushed CQ, with window fetch,
 // compaction, and batch building amortized outside (as the shared
-// window cache amortizes them across every CQ of a round). The three
+// window cache amortizes them across every CQ of a round). The five
 // arms are the allocation contract scripts/check-allocs.sh gates in CI.
 func BenchmarkRefreshStep(b *testing.B) {
+	for _, arm := range []struct{ name, query string }{
+		{"agg", "SELECT k, bucket, SUM(v) AS s, COUNT(*) AS n FROM e GROUP BY k, bucket"},
+		{"distinct", "SELECT DISTINCT k FROM e"},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			gb := newGroupBench(b, 16_384)
+			plan, err := algebra.PlanSQL(arm.query, gb.store.Live())
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan = algebra.Optimize(plan)
+			var maint interface {
+				Step(*Context, vclock.Timestamp) (*Result, error)
+			}
+			if arm.name == "agg" {
+				maint, err = NewIncrementalAggregate(NewEngine(), plan, gb.store.Live())
+			} else {
+				maint, err = NewIncrementalDistinct(NewEngine(), plan, gb.store.Live())
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The timer is stopped except around Step itself.
+			step := func() {
+				ctx, ts := gb.window(b, 128)
+				b.StartTimer()
+				_, err := maint.Step(ctx, ts)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				gb.lastTS = ts
+				gb.store.CollectGarbage(ts)
+			}
+			b.StopTimer()
+			for i := 0; i < 3; i++ {
+				step() // warm-up: the fold's scratch buffers reach window size
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+
 	b.Run("join", func(b *testing.B) {
 		jb := newJoinBench(b, 16_384)
 		defer jb.prep.Close()

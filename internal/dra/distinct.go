@@ -4,31 +4,17 @@ import (
 	"fmt"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/delta"
-	"github.com/diorama/continual/internal/relation"
-	"github.com/diorama/continual/internal/vclock"
 )
 
 // IncrementalDistinct maintains a DISTINCT query's result across
 // refreshes. Duplicate elimination is not expressible in the SPJ signed
 // algebra alone — whether a value leaves the result depends on how many
 // duplicates remain — so, like IncrementalAggregate, it keeps auxiliary
-// state: a multiplicity count per distinct value, folded forward by the
-// signed delta of the input subplan. A value enters the result when its
-// count rises from zero and leaves when it returns to zero.
-type IncrementalDistinct struct {
-	plan   *algebra.DistinctPlan
-	input  *compiledNode // compiled SPJ input, built once at construction
-	engine *Engine
-
-	counts map[uint64]*distinctEntry
-	out    *relation.Relation
-}
-
-type distinctEntry struct {
-	values []relation.Value
-	count  int64
-}
+// state: groupTable keyed on the whole row with no aggregates, that is,
+// a multiplicity count per distinct value, folded forward by the signed
+// delta of the input subplan. A value enters the result when its count
+// rises from zero and leaves when it returns to zero.
+type IncrementalDistinct struct{ *groupTable }
 
 // NewIncrementalDistinct validates the plan (root must be Distinct over
 // an SPJ subtree) and seeds the multiplicity state.
@@ -40,77 +26,10 @@ func NewIncrementalDistinct(engine *Engine, plan algebra.Plan, src algebra.Sourc
 	if !supportsDifferential(d.Input) {
 		return nil, fmt.Errorf("%w: DISTINCT input is not SPJ", ErrNotIncremental)
 	}
-	id := &IncrementalDistinct{
-		plan:   d,
-		engine: engine,
-		counts: make(map[uint64]*distinctEntry),
-	}
-	in, err := compilePlan(d.Input)
+	cols := d.Schema().Columns()
+	g, err := newGroupTable(engine, d.Schema(), d.Input, nil, cols, len(cols), nil, src)
 	if err != nil {
 		return nil, err
 	}
-	id.input = in
-	input, err := algebra.NewExecutor(src).Execute(d.Input)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range input.Tuples() {
-		id.fold(t.Values, +1)
-	}
-	id.out = id.materialize()
-	return id, nil
-}
-
-func (id *IncrementalDistinct) fold(values []relation.Value, sign int) {
-	h := relation.HashValues(values)
-	e, ok := id.counts[h]
-	if !ok {
-		e = &distinctEntry{values: values}
-		id.counts[h] = e
-	}
-	e.count += int64(sign)
-	if e.count == 0 {
-		delete(id.counts, h)
-	}
-}
-
-func (id *IncrementalDistinct) materialize() *relation.Relation {
-	out := relation.New(id.plan.Schema())
-	for h, e := range id.counts {
-		if e.count <= 0 {
-			continue
-		}
-		_ = out.Insert(relation.Tuple{TID: relation.TID(h), Values: e.values})
-	}
-	return out
-}
-
-// Result returns the maintained distinct output. Callers must not mutate
-// it.
-func (id *IncrementalDistinct) Result() *relation.Relation { return id.out }
-
-// Step folds the update window and returns the result change.
-func (id *IncrementalDistinct) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	var st Stats
-	din, err := id.engine.signedDelta(id.input, ctx, execTS, &st)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range din.Rows {
-		id.fold(r.Values, r.Sign)
-	}
-	next := id.materialize()
-	d, err := delta.Diff(id.out, next, execTS)
-	if err != nil {
-		return nil, err
-	}
-	id.out = next
-	res := &Result{
-		Signed: &delta.Signed{Schema: id.plan.Schema(), Rows: d.ToSigned().Rows},
-		Delta:  d,
-		ExecTS: execTS,
-		Stats:  st,
-	}
-	res.materialized = next
-	return res, nil
+	return &IncrementalDistinct{g}, nil
 }

@@ -2,7 +2,6 @@ package dra
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -90,50 +89,5 @@ func TestIncrementalDistinctRejectsNonDistinctRoot(t *testing.T) {
 	plan := f.plan(t, "SELECT name FROM stocks")
 	if _, err := NewIncrementalDistinct(NewEngine(), plan, f.store.Live()); !errors.Is(err, ErrNotIncremental) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-// Property: maintained DISTINCT equals fresh execution over random
-// histories with heavy duplication.
-func TestIncrementalDistinctEquivalenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
-	names := []string{"A", "B", "C"} // tiny domain: lots of duplicates
-	var live []relation.TID
-	tx := f.store.Begin()
-	for i := 0; i < 20; i++ {
-		tid, _ := tx.Insert("stocks", sv(names[rng.Intn(3)], float64(rng.Intn(3)*100)))
-		live = append(live, tid)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	id, plan := newIncDistinct(t, f, "SELECT DISTINCT name, price FROM stocks")
-	f.mark()
-
-	for round := 0; round < 20; round++ {
-		tx := f.store.Begin()
-		for op := 0; op < 4; op++ {
-			switch k := rng.Intn(3); {
-			case k == 0 || len(live) == 0:
-				tid, _ := tx.Insert("stocks", sv(names[rng.Intn(3)], float64(rng.Intn(3)*100)))
-				live = append(live, tid)
-			case k == 1:
-				i := rng.Intn(len(live))
-				if err := tx.Update("stocks", live[i], sv(names[rng.Intn(3)], float64(rng.Intn(3)*100))); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				i := rng.Intn(len(live))
-				if err := tx.Delete("stocks", live[i]); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:i], live[i+1:]...)
-			}
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		distinctStepAndVerify(t, f, id, plan)
 	}
 }

@@ -31,8 +31,10 @@
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
 // Algorithm 1 covers ("limited to SPJ expressions"); Reevaluate falls
-// back to Propagate for them, and the cq package maintains aggregate
-// trigger state differentially per Section 5.3 instead.
+// back to Propagate for them. IncrementalAggregate and
+// IncrementalDistinct maintain the shapes that allow it from per-group
+// state instead (groupTable), and the cq package maintains aggregate
+// trigger state differentially per Section 5.3.
 package dra
 
 import (
@@ -125,6 +127,11 @@ type Stats struct {
 	// netting. Their ratio is the refresh's probe fan-out.
 	JoinProbeRows int
 	JoinEmitRows  int
+	// GroupsTouched counts the groups an aggregate or DISTINCT
+	// maintainer's fold reached this refresh; GroupRowsEmitted the signed
+	// output rows it rendered from them. Both stay zero for SPJ plans.
+	GroupsTouched    int
+	GroupRowsEmitted int
 }
 
 // Engine evaluates differential forms of SPJ plans. The flags correspond

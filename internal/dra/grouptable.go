@@ -1,0 +1,561 @@
+package dra
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"slices"
+
+	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
+	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
+)
+
+// groupTable is the keyed Z-set operator behind IncrementalAggregate and
+// IncrementalDistinct: the signed delta of an SPJ input folds into one
+// slot-addressed columnar table of groups, and the output delta is read
+// off the groups the fold touched — never off the whole result.
+//
+// Layout, as in replica: key columns live in a batch addressed by slot
+// (Signs[slot] is +1 occupied, 0 free; TIDs[slot] is the group's output
+// tid), accumulators in flat arrays beside it, freed slots are reused
+// LIFO, and one relation.SlotIndex maps key hash → slot. The output tid
+// of a group IS its key hash (1 for the single group of a global
+// aggregate), so a hash holds at most one slot: a probe that finds the
+// hash under a different key has found two output rows with one tid,
+// which is an error, never a merge.
+//
+// DISTINCT is the configuration "every column is a key column, no
+// aggregates": a group's row multiplicity alone decides its one output
+// row.
+type groupTable struct {
+	engine *Engine
+	schema relation.Schema // output schema
+	// fold is the compiled input: the query's SPJ input projected to
+	// [key columns..., aggregate arguments...], or the input itself for
+	// DISTINCT. Its first nKeys columns have the layout of keys, which is
+	// what lets key cells be hashed, compared and copied between the two
+	// in place.
+	fold   *compiledNode
+	nKeys  int
+	keyIdx []int // 0..nKeys-1
+	aggs   []groupAgg
+	global bool // aggregates without a key: one group, always rendered
+
+	keys *batch.Batch
+	ix   relation.SlotIndex
+	free []int32
+	// odd holds, by slot, the keys typed columns cannot hold (a
+	// kind-drifted cell); the slot's columns then carry NULL placeholders.
+	// Only the row arm can meet such a key.
+	odd map[int32][]relation.Value
+	// cur is the accumulator state, stride cells per slot and adjacent —
+	// a fold touches a group's whole state at once, so it sits on one
+	// cache line, not on one per accumulator kind. The first cell's count
+	// is the signed count of input rows in the group (the group is in the
+	// output while it is positive); one cell per aggregate follows.
+	stride int
+	cur    []aggCell
+
+	// touched lists the groups the current fold reached, in first-touch
+	// order; snap holds their state as it was before the fold, stride
+	// cells each — what the pre-refresh output row renders from, and what
+	// a failed fold rolls back to. changed is emit's scratch.
+	touched []touchedGroup
+	mark    []bool // by slot: already in touched
+	snap    []aggCell
+	changed []int32
+	hashes  []uint64 // foldBatch's scratch, by batch row
+	slots   []int32
+
+	live   int // groups in the output
+	gauged int // share of dra.agg.groups this table accounts for
+}
+
+// groupAgg is one aggregate of the output row.
+type groupAgg struct {
+	fn  string        // COUNT, SUM or AVG
+	arg int           // fold column of the argument; -1 for COUNT(*)
+	out relation.Type // output column type
+}
+
+// aggCell is one accumulator: the signed count of the rows (first cell)
+// or non-NULL arguments (aggregate cells) folded in, and the arguments'
+// sum as integer and as float.
+type aggCell struct {
+	count, sumI int64
+	sumF        float64
+}
+
+type touchedGroup struct {
+	slot int32
+	tid  relation.TID
+}
+
+// state returns group i's cells in cur or snap.
+func (g *groupTable) state(cells []aggCell, i int) []aggCell {
+	return cells[i*g.stride : (i+1)*g.stride]
+}
+
+// newGroupTable builds the operator over the compiled input and seeds it
+// from the input's current contents. cols are the fold columns, the
+// nKeys key columns first; items project the input to them (nil when the
+// input row is the key, as for DISTINCT).
+func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, items []algebra.CompiledExpr, cols []relation.Column, nKeys int, aggs []groupAgg, src algebra.Source) (*groupTable, error) {
+	fold, err := compilePlan(input)
+	if err != nil {
+		return nil, err
+	}
+	if items != nil {
+		foldSchema, err := relation.NewSchema(cols...)
+		if err != nil {
+			return nil, err
+		}
+		fold = &compiledNode{proj: &compiledProject{input: fold, items: items, schema: foldSchema}}
+	}
+	keySchema, err := relation.NewSchema(cols[:nKeys]...)
+	if err != nil {
+		return nil, err
+	}
+	g := &groupTable{
+		engine: engine, schema: schema, fold: fold,
+		nKeys: nKeys, aggs: aggs, global: nKeys == 0 && len(aggs) > 0,
+		keys: batch.New(keySchema, 0), stride: 1 + len(aggs),
+	}
+	for i := 0; i < nKeys; i++ {
+		g.keyIdx = append(g.keyIdx, i)
+	}
+	rel, err := algebra.NewExecutor(src).Execute(input)
+	if err != nil {
+		return nil, err
+	}
+	if g.global {
+		// The one group exists from the start and never dies: a global
+		// aggregate over an empty input still has its row.
+		g.keyedSlotOf(nil, relation.HashValues(nil))
+		g.live = 1
+	}
+	vals := make([]relation.Value, len(items))
+	for _, t := range rel.Tuples() {
+		row := t.Values
+		if items != nil {
+			for i, ce := range items {
+				if vals[i], err = ce.Eval(t); err != nil {
+					return nil, fmt.Errorf("dra: aggregate input: %w", err)
+				}
+			}
+			row = vals
+		}
+		if err := g.foldRow(row, +1); err != nil {
+			return nil, err
+		}
+	}
+	g.settle(false)
+	g.touched, g.snap = nil, nil // seed-sized; refreshes need window-sized
+	g.gauge()
+	return g, nil
+}
+
+// Groups returns the number of groups currently in the output.
+func (g *groupTable) Groups() int { return g.live }
+
+// Close releases the table's share of the dra.agg.groups gauge.
+func (g *groupTable) Close() {
+	g.live = 0
+	g.gauge()
+}
+
+func (g *groupTable) gauge() {
+	if m := g.engine.Metrics; m != nil {
+		m.AggGroups.Add(int64(g.live - g.gauged))
+	}
+	g.gauged = g.live
+}
+
+// Result renders the maintained output as a fresh relation the caller
+// owns — O(|groups|), for registration and recovery; refreshes never
+// call it.
+func (g *groupTable) Result() *relation.Relation {
+	out := relation.New(g.schema)
+	for s := 0; s < g.keys.Len(); s++ {
+		cells := g.state(g.cur, s)
+		if g.keys.Signs[s] == 0 || !g.inOutput(cells) {
+			continue
+		}
+		vals := make([]relation.Value, g.schema.Len())
+		g.render(vals, int32(s), cells)
+		// Tids are distinct by construction: one slot per key hash.
+		_ = out.Insert(relation.Tuple{TID: g.keys.TIDs[s], Values: vals})
+	}
+	return out
+}
+
+// inOutput reports whether a group in the given state has an output row.
+func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0].count > 0 }
+
+// Step folds the update window into the table and returns the change of
+// the output, read off the touched groups: O(|Δ|) beyond the evaluation
+// of the input's own signed delta.
+func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+	var st Stats
+	folded, err := g.foldWindow(ctx, execTS, &st)
+	if err != nil {
+		g.settle(true)
+		return nil, err
+	}
+	st.GroupsTouched = len(g.touched)
+	net := g.emit()
+	st.GroupRowsEmitted = len(net.Rows)
+	g.gauge()
+	if m := g.engine.Metrics; m != nil {
+		m.AggRowsFolded.Add(int64(folded))
+		m.AggGroupsTouched.Add(int64(st.GroupsTouched))
+		m.AggRowsEmitted.Add(int64(st.GroupRowsEmitted))
+	}
+	return &Result{Signed: net, Delta: net.ToDeltaNetted(execTS), ExecTS: execTS, Stats: st}, nil
+}
+
+// foldWindow evaluates the fold node over the window and folds its
+// signed rows, returning how many. The columnar arm runs the vectorized
+// kernels (zero-copy over ctx.Batches where the window image is shared)
+// and folds the batch column-at-a-time; a value that does not fit typed
+// columns surfaces while that batch is built, before the first row
+// folds, so the row arm then re-runs against an untouched table.
+func (g *groupTable) foldWindow(ctx *Context, execTS vclock.Timestamp, st *Stats) (int, error) {
+	m := g.engine.Metrics
+	if g.engine.Vectorized {
+		var vst Stats
+		v := &vecEval{e: g.engine, ctx: ctx, execTS: execTS, st: &vst}
+		defer v.releaseOwned()
+		b, err := v.nodeBatch(g.fold)
+		if err == nil {
+			st.add(vst)
+			if m != nil {
+				m.VecSteps.Inc()
+			}
+			return b.Len(), g.foldBatch(b)
+		}
+		if !errors.Is(err, errVecFallback) {
+			return 0, err
+		}
+		if m != nil {
+			m.VecFallbacks.Inc()
+		}
+	}
+	din, err := g.engine.signedDelta(g.fold, ctx, execTS, st)
+	if err != nil {
+		return 0, err
+	}
+	for _, r := range din.Rows {
+		if err := g.foldRow(r.Values, r.Sign); err != nil {
+			return 0, err
+		}
+	}
+	return len(din.Rows), nil
+}
+
+// foldBatch folds a signed fold batch into the table.
+func (g *groupTable) foldBatch(b *batch.Batch) error {
+	// Hash and probe every row before folding any: the probes of a large
+	// table miss the cache, and in a loop this tight the misses of
+	// neighbouring rows overlap instead of queueing behind each fold.
+	n := b.Len()
+	g.hashes, g.slots = slices.Grow(g.hashes[:0], n)[:n], slices.Grow(g.slots[:0], n)[:n]
+	for r := range g.hashes {
+		g.hashes[r] = b.HashKey(r, g.keyIdx)
+	}
+	for r, h := range g.hashes {
+		g.slots[r] = g.ix.First(h)
+	}
+	for r, h := range g.hashes {
+		s := g.slots[r]
+		if s < 0 {
+			s = g.ix.First(h) // born earlier in this batch?
+		}
+		switch {
+		case s < 0:
+			s = g.keyedSlot(b, r, h)
+		case g.odd[s] != nil || !g.keys.KeyEqual(int(s), g.keyIdx, b, r, g.keyIdx):
+			return g.collision(h)
+		}
+		cells := g.touch(s, h)
+		sign := int64(b.Signs[r])
+		cells[0].count += sign
+		for j, a := range g.aggs {
+			cell := &cells[1+j]
+			if a.arg < 0 { // COUNT(*)
+				cell.count += sign
+				continue
+			}
+			col := &b.Cols[a.arg]
+			if !col.IsValid(r) {
+				continue
+			}
+			switch col.Type {
+			case relation.TInt:
+				cell.add(sign, true, col.I64[r], float64(col.I64[r]))
+			case relation.TFloat:
+				cell.add(sign, false, 0, col.F64[r])
+			default:
+				cell.add(sign, false, 0, 0)
+			}
+		}
+	}
+	return nil
+}
+
+// foldRow folds one signed fold row given as values — the row arm, and
+// the seed.
+func (g *groupTable) foldRow(vals []relation.Value, sign int) error {
+	key := vals[:g.nKeys]
+	h := relation.HashValues(key)
+	s := g.ix.First(h)
+	switch {
+	case s < 0:
+		s = g.keyedSlotOf(key, h)
+	case !g.keyIs(s, key):
+		return g.collision(h)
+	}
+	cells := g.touch(s, h)
+	cells[0].count += int64(sign)
+	for j, a := range g.aggs {
+		if a.arg < 0 { // COUNT(*)
+			cells[1+j].count += int64(sign)
+		} else if v := vals[a.arg]; !v.IsNull() {
+			cells[1+j].add(int64(sign), v.Kind == relation.TInt, v.AsInt(), v.AsFloat())
+		}
+	}
+	return nil
+}
+
+// add folds one non-NULL argument into the cell.
+func (c *aggCell) add(sign int64, isInt bool, i int64, f float64) {
+	c.count += sign
+	c.sumF += float64(sign) * f
+	if isInt {
+		c.sumI += sign * i
+	} else {
+		// A non-integer contribution poisons the integer accumulator; SUM
+		// output type is already TFloat for float inputs.
+		c.sumI = 0
+	}
+}
+
+// tidOf is the output tid of the group whose key hashes to h.
+func (g *groupTable) tidOf(h uint64) relation.TID {
+	if g.global {
+		return 1
+	}
+	return relation.TID(h)
+}
+
+func (g *groupTable) collision(h uint64) error {
+	return fmt.Errorf("dra: two distinct group keys share output tid %d", g.tidOf(h))
+}
+
+// keyIs reports whether slot holds exactly the key values.
+func (g *groupTable) keyIs(s int32, key []relation.Value) bool {
+	if o := g.odd[s]; o != nil {
+		return sameValues(o, key)
+	}
+	for c, v := range key {
+		if !g.keys.Value(int(s), c).Equal(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyedSlot gives a new group a slot — a freed one, or a fresh one at the
+// end — with its key cells copied from row r of src and indexed under h.
+func (g *groupTable) keyedSlot(src *batch.Batch, r int, h uint64) int32 {
+	var s int32
+	if f := len(g.free); f > 0 {
+		s, g.free = g.free[f-1], g.free[:f-1]
+		g.keys.SetRowFrom(int(s), src, r)
+	} else {
+		s = int32(g.keys.Len())
+		g.keys.AppendFrom(src, r)
+		for i := 0; i < g.stride; i++ {
+			g.cur = append(g.cur, aggCell{})
+		}
+		g.mark = append(g.mark, false)
+	}
+	g.keys.TIDs[s], g.keys.Signs[s] = g.tidOf(h), 1
+	g.ix.Insert(s, h)
+	return s
+}
+
+// keyedSlotOf is keyedSlot for a key given as values: a NULL takes its
+// column's type (equal to, and hashed like, the untyped NULL), and a key
+// with a cell of another kind than its column goes to odd.
+func (g *groupTable) keyedSlotOf(key []relation.Value, h uint64) int32 {
+	vals := make([]relation.Value, len(key))
+	fits := true
+	for c, v := range key {
+		t := g.keys.Schema.Col(c).Type
+		if v.IsNull() {
+			v = relation.TypedNull(t)
+		}
+		fits = fits && v.Kind == t
+		vals[c] = v
+	}
+	if !fits {
+		for c := range vals {
+			vals[c] = relation.TypedNull(g.keys.Schema.Col(c).Type)
+		}
+	}
+	pool := g.engine.pool
+	kb := pool.Get(g.keys.Schema, 1)
+	kb.AppendRow(0, 0, vals) // cannot fail: every cell has its column's kind
+	s := g.keyedSlot(kb, 0, h)
+	// released: the key cells were copied into the table's own columns.
+	pool.Put(kb)
+	if !fits {
+		if g.odd == nil {
+			g.odd = make(map[int32][]relation.Value)
+		}
+		g.odd[s] = slices.Clone(key)
+	}
+	return s
+}
+
+// touch returns the group's cells, snapshotting them the first time a
+// fold reaches the group.
+func (g *groupTable) touch(s int32, h uint64) []aggCell {
+	cells := g.state(g.cur, int(s))
+	if !g.mark[s] {
+		g.mark[s] = true
+		g.touched = append(g.touched, touchedGroup{slot: s, tid: g.tidOf(h)})
+		g.snap = append(g.snap, cells...)
+	}
+	return cells
+}
+
+// emit renders the output change off the touched groups — insert on
+// birth, delete on death, -old +new where the rendered row changed,
+// nothing where the fold netted to no change — in ascending tid order,
+// the order delta.Diff gave, and settles the fold.
+func (g *groupTable) emit() *delta.Signed {
+	g.changed = g.changed[:0] // indexes into touched
+	nOld, nNew := 0, 0
+	for i, t := range g.touched {
+		was, is := g.state(g.snap, i), g.state(g.cur, int(t.slot))
+		if slices.Equal(was, is) || len(g.aggs) == 0 && g.inOutput(was) && g.inOutput(is) {
+			continue // same accumulators, or only a DISTINCT row's multiplicity moved: same row
+		}
+		g.changed = append(g.changed, int32(i))
+		if g.inOutput(was) {
+			nOld++
+		}
+		if g.inOutput(is) {
+			nNew++
+		}
+	}
+	out := &delta.Signed{Schema: g.schema}
+	if len(g.changed) > 0 {
+		slices.SortFunc(g.changed, func(a, b int32) int {
+			return cmp.Compare(g.touched[a].tid, g.touched[b].tid)
+		})
+		// Old rows live as long as the notification and share one
+		// backing; a new row lives in the caller's maintained result
+		// until its group changes again, so each owns its memory — a
+		// shared chunk would stay pinned by its longest-lived row.
+		width := g.schema.Len()
+		olds := make([]relation.Value, nOld*width)
+		var now []relation.Value
+		out.Rows = make([]delta.SignedRow, 0, nOld+nNew)
+		for _, i := range g.changed {
+			t := g.touched[i]
+			was, is := g.state(g.snap, int(i)), g.state(g.cur, int(t.slot))
+			var old []relation.Value
+			if g.inOutput(was) {
+				old = olds[:width:width]
+				g.render(old, t.slot, was)
+			}
+			stays := g.inOutput(is)
+			if stays {
+				if now == nil {
+					now = make([]relation.Value, width)
+				}
+				g.render(now, t.slot, is)
+			}
+			if old != nil && stays && sameValues(old, now) {
+				continue // e.g. an integer SUM whose float shadow alone moved
+			}
+			if old != nil {
+				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: old, Sign: -1})
+				olds = olds[width:]
+			}
+			if stays {
+				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: now, Sign: +1})
+				now = nil
+			}
+		}
+	}
+	g.settle(false)
+	return out
+}
+
+// render writes the output row of slot s in the given state (live, or
+// the first-touch snapshot) into dst, mirroring the executor: COUNT over
+// nothing is 0, SUM and AVG are NULL.
+func (g *groupTable) render(dst []relation.Value, s int32, cells []aggCell) {
+	if o := g.odd[s]; o != nil {
+		copy(dst, o)
+	} else {
+		for c := 0; c < g.nKeys; c++ {
+			dst[c] = g.keys.Value(int(s), c)
+		}
+	}
+	for j, a := range g.aggs {
+		c := cells[1+j]
+		var v relation.Value
+		switch {
+		case a.fn == "COUNT":
+			v = relation.Int(c.count)
+		case c.count == 0:
+			v = relation.TypedNull(a.out)
+		case a.fn == "AVG":
+			v = relation.Float(c.sumF / float64(c.count))
+		case a.out == relation.TInt:
+			v = relation.Int(c.sumI)
+		default:
+			v = relation.Float(c.sumF)
+		}
+		dst[g.nKeys+j] = v
+	}
+}
+
+// settle ends a fold. With undo it first puts every touched group back
+// to its snapshot, so a fold that failed midway leaves the table as the
+// refresh found it and the retry folds the window exactly once. A group
+// left with no rows frees its slot (nothing between refreshes holds an
+// empty group, so "no rows in the snapshot" means "born in this fold");
+// the global group stays.
+func (g *groupTable) settle(undo bool) {
+	for i, t := range g.touched {
+		was, is := g.state(g.snap, i), g.state(g.cur, int(t.slot))
+		if undo {
+			copy(is, was)
+		} else if !g.global {
+			if is[0].count > 0 {
+				g.live++
+			}
+			if was[0].count > 0 {
+				g.live--
+			}
+		}
+		g.mark[t.slot] = false
+		if is[0].count == 0 && !g.global {
+			clear(is)
+			g.ix.Delete(t.slot)
+			g.keys.ClearRow(int(t.slot))
+			delete(g.odd, t.slot)
+			g.free = append(g.free, t.slot)
+		}
+	}
+	g.touched, g.snap = g.touched[:0], g.snap[:0]
+}

@@ -1,0 +1,296 @@
+package dra_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/baseline"
+	"github.com/diorama/continual/internal/batch"
+	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/dra"
+	"github.com/diorama/continual/internal/obs"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
+	"github.com/diorama/continual/internal/vclock"
+)
+
+// groupMaint is what the aggregate and DISTINCT maintainers share.
+type groupMaint interface {
+	Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error)
+	Result() *relation.Relation
+	Groups() int
+	Close()
+}
+
+var groupTableSchema = relation.MustSchema(
+	relation.Column{Name: "k", Type: relation.TInt},
+	relation.Column{Name: "b", Type: relation.TInt},
+	relation.Column{Name: "v", Type: relation.TInt},
+	relation.Column{Name: "f", Type: relation.TFloat},
+	relation.Column{Name: "s", Type: relation.TString},
+)
+
+// groupRow draws a row from domains small enough that groups fill up,
+// empty out and come back; v and f are NULL about one time in six.
+// Floats are multiples of 0.25, so every sum is exact and the
+// maintained result must equal complete re-evaluation bit for bit.
+func groupRow(rng *rand.Rand) []relation.Value {
+	row := []relation.Value{
+		relation.Int(int64(rng.Intn(4))),
+		relation.Int(int64(rng.Intn(3))),
+		relation.Int(int64(rng.Intn(50) - 10)),
+		relation.Float(float64(rng.Intn(400)) / 4),
+		relation.Str(fmt.Sprintf("s%d", rng.Intn(3))),
+	}
+	if rng.Intn(6) == 0 {
+		row[2] = relation.TypedNull(relation.TInt)
+	}
+	if rng.Intn(6) == 0 {
+		row[3] = relation.TypedNull(relation.TFloat)
+	}
+	return row
+}
+
+// TestGroupTableTranscriptEquivalence steps the aggregate and DISTINCT
+// maintainers beside complete re-evaluation (baseline.Full) over seeded
+// histories: every round the reported change must be the one
+// delta.Diff finds between the two complete results — same rows, same
+// ascending-tid order — and the result maintained from it, the result
+// rendered on demand and the group count must match the complete one.
+//
+// Histories cover groups being born and dying, modifications that move
+// a row between groups, a row inserted and deleted inside one window (a
+// quiet round of only that must report nothing), NULL arguments,
+// COUNT(*) / COUNT(x) / SUM / AVG over int and float columns, the table
+// draining to empty — a global aggregate then reports COUNT 0 and SUM
+// NULL — and refilling, DISTINCT values held by several rows, and two
+// planted rows typed columns cannot hold (a kind-drifted cell, an
+// untyped NULL), which push the columnar arm onto the row arm mid-run
+// and, for the DISTINCT over that column, become group keys.
+func TestGroupTableTranscriptEquivalence(t *testing.T) {
+	queries := []string{
+		"SELECT k, b, SUM(v) AS sv, COUNT(*) AS n, COUNT(v) AS nv, AVG(v) AS av FROM t GROUP BY k, b",
+		"SELECT s, SUM(f) AS sf, AVG(f) AS af, COUNT(f) AS nf FROM t WHERE v > 2 GROUP BY s",
+		"SELECT SUM(v) AS sv, COUNT(*) AS n, SUM(f) AS sf, AVG(f) AS af, COUNT(v) AS nv FROM t",
+		"SELECT k, SUM(v * 2) AS sv2, AVG(f + 1) AS af1, COUNT(v + b) AS nvb, SUM(NULL) AS z FROM t WHERE b > 0 GROUP BY k",
+		"SELECT DISTINCT k, b FROM t",
+		"SELECT DISTINCT s, f FROM t WHERE k < 3",
+	}
+	variants := []struct {
+		name       string
+		vectorized bool
+		compact    bool // engine compacts; false feeds in-window insert+delete to the fold
+		image      bool // manager-style prebuilt compacted images
+	}{
+		{"columnar_images", true, true, true},
+		{"columnar_raw", true, false, false},
+		{"row", false, false, false},
+	}
+	for qi, q := range queries {
+		for _, va := range variants {
+			t.Run(fmt.Sprintf("q%d_%s", qi, va.name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(31*qi + len(va.name))))
+				store := storage.NewStore()
+				if err := store.CreateTable("t", groupTableSchema); err != nil {
+					t.Fatal(err)
+				}
+				var live []relation.TID
+				commit := func(tx *storage.Tx) {
+					t.Helper()
+					if _, err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				insert := func(tx *storage.Tx, row []relation.Value) relation.TID {
+					t.Helper()
+					tid, err := tx.Insert("t", row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tid
+				}
+				fill := func(n int) {
+					tx := store.Begin()
+					for i := 0; i < n; i++ {
+						live = append(live, insert(tx, groupRow(rng)))
+					}
+					commit(tx)
+				}
+				fill(14)
+
+				plan, err := algebra.PlanSQL(q, store.Live())
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = algebra.Optimize(plan)
+				reg := obs.NewRegistry()
+				eng := dra.NewEngine()
+				eng.Vectorized, eng.CompactDeltas = va.vectorized, va.compact
+				eng.Instrument(reg)
+				var maint groupMaint
+				if _, distinct := plan.(*algebra.DistinctPlan); distinct {
+					maint, err = dra.NewIncrementalDistinct(eng, plan, store.Live())
+				} else {
+					maint, err = dra.NewIncrementalAggregate(eng, plan, store.Live())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := baseline.NewFull(plan, store.Live())
+				if err != nil {
+					t.Fatal(err)
+				}
+				prev := maint.Result()
+				if !prev.EqualByTID(full.Result()) {
+					t.Fatalf("initial results diverge:\n%s\nvs\n%s", prev, full.Result())
+				}
+				lastTS := store.Now()
+
+				var planted relation.TID
+				for round := 0; round < 16; round++ {
+					quiet := false
+					switch round {
+					case 3, 9: // plant: a kind-drifted cell, then an untyped NULL
+						bad := groupRow(rng)
+						bad[3] = relation.Int(7)
+						if round == 9 {
+							bad[3] = relation.NullValue()
+						}
+						tx := store.Begin()
+						planted = insert(tx, bad)
+						commit(tx)
+					case 5, 11: // and take it out again
+						tx := store.Begin()
+						if err := tx.Delete("t", planted); err != nil {
+							t.Fatal(err)
+						}
+						commit(tx)
+					case 6: // drain the table
+						tx := store.Begin()
+						for _, tid := range live {
+							if err := tx.Delete("t", tid); err != nil {
+								t.Fatal(err)
+							}
+						}
+						commit(tx)
+						live = live[:0]
+					case 7: // and refill it
+						fill(10)
+					case 13: // only a row that comes and goes within the window
+						quiet = true
+					}
+					if !quiet && round != 6 {
+						for n := 1 + rng.Intn(3); n > 0; n-- {
+							tx := store.Begin()
+							for op := 1 + rng.Intn(4); op > 0; op-- {
+								switch k := rng.Intn(4); {
+								case k == 0 || len(live) == 0:
+									live = append(live, insert(tx, groupRow(rng)))
+								case k == 1:
+									i := rng.Intn(len(live))
+									if err := tx.Delete("t", live[i]); err != nil {
+										t.Fatal(err)
+									}
+									live = append(live[:i], live[i+1:]...)
+								default: // redraws the keys too: the row changes group
+									if err := tx.Update("t", live[rng.Intn(len(live))], groupRow(rng)); err != nil {
+										t.Fatal(err)
+									}
+								}
+							}
+							commit(tx)
+						}
+					}
+					if quiet || rng.Intn(2) == 0 {
+						passing := groupRow(rng)
+						passing[0], passing[4] = relation.Int(99), relation.Str("passing") // a group of its own
+						tx := store.Begin()
+						tid := insert(tx, passing)
+						commit(tx)
+						tx = store.Begin()
+						if err := tx.Delete("t", tid); err != nil {
+							t.Fatal(err)
+						}
+						commit(tx)
+					}
+
+					d, err := store.DeltaSince("t", lastTS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := &dra.Context{
+						Pre: store.At(lastTS), Post: store.Live(), LastTS: lastTS,
+						Deltas: map[string]*delta.Delta{"t": d}, Versions: store.ChangeCounts(),
+					}
+					if va.image {
+						cd := d.Compact()
+						ctx.Compacted, ctx.Deltas["t"] = true, cd
+						if img, ok := batch.FromDelta(nil, cd); ok {
+							ctx.Batches = map[string]*batch.Batch{"t": img}
+						}
+					}
+					ts := store.Now()
+					label := fmt.Sprintf("round %d", round)
+					res, err := maint.Step(ctx, ts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					want, err := full.Step(store.Live(), ts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dra.AssertSameNet(t, label, want.ToSigned(), res.Signed)
+					if len(res.Delta.Rows()) != len(want.Rows()) {
+						t.Fatalf("%s: %d delta rows, complete re-evaluation has %d", label, len(res.Delta.Rows()), len(want.Rows()))
+					}
+					for i, r := range res.Delta.Rows() {
+						if w := want.Rows()[i]; r.TID != w.TID || r.Kind() != w.Kind() {
+							t.Fatalf("%s: delta row %d is %v of tid %d, delta.Diff has %v of tid %d", label, i, r.Kind(), r.TID, w.Kind(), w.TID)
+						}
+					}
+					if quiet && res.Signed.Len() != 0 {
+						t.Fatalf("%s: a row inserted and deleted within the window reported %+v", label, res.Signed.Rows)
+					}
+					if res.Stats.GroupRowsEmitted != res.Signed.Len() || res.Stats.GroupsTouched > d.ToSigned().Len() {
+						t.Fatalf("%s: stats %+v for %d signed input rows, %d emitted", label, res.Stats, d.ToSigned().Len(), res.Signed.Len())
+					}
+					if same := res.ApplyTo(prev); same != prev {
+						t.Fatalf("%s: ApplyTo replaced the caller's result instead of maintaining it", label)
+					}
+					if !prev.EqualByTID(full.Result()) || !maint.Result().EqualByTID(full.Result()) {
+						t.Fatalf("%s: complete results diverge:\nmaintained:\n%s\nrendered:\n%s\ncomplete:\n%s", label, prev, maint.Result(), full.Result())
+					}
+					if maint.Groups() != full.Result().Len() {
+						t.Fatalf("%s: %d groups, complete result has %d rows", label, maint.Groups(), full.Result().Len())
+					}
+					if round == 6 && qi == 2 {
+						if vals := prev.At(0).Values; !vals[0].IsNull() || vals[1].AsInt() != 0 {
+							t.Fatalf("drained global aggregate = %v, want SUM NULL and COUNT 0", vals)
+						}
+					}
+					lastTS = ts
+				}
+
+				snap := reg.Snapshot()
+				if got := snap.Gauge("dra.agg.groups"); got != int64(maint.Groups()) {
+					t.Errorf("dra.agg.groups = %d with %d groups held", got, maint.Groups())
+				}
+				if snap.Counter("dra.agg.rows_folded") == 0 || snap.Counter("dra.agg.groups_touched") == 0 || snap.Counter("dra.agg.rows_emitted") == 0 {
+					t.Errorf("fold counters never moved: %+v", snap)
+				}
+				steps, fallbacks := snap.Counter("dra.vector_steps"), snap.Counter("dra.vector_fallbacks")
+				if va.vectorized && (steps == 0 || fallbacks == 0) {
+					t.Errorf("columnar arm: %d steps, %d fallbacks; the planted rows must force some of each", steps, fallbacks)
+				} else if !va.vectorized && steps+fallbacks != 0 {
+					t.Errorf("row arm ran the columnar kernels: %d steps, %d fallbacks", steps, fallbacks)
+				}
+				maint.Close()
+				if got := reg.Snapshot().Gauge("dra.agg.groups"); got != 0 {
+					t.Errorf("dra.agg.groups = %d after Close", got)
+				}
+			})
+		}
+	}
+}

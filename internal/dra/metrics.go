@@ -48,6 +48,16 @@ type Metrics struct {
 	PrepareNS     *obs.Histogram // dra.prepare_ns
 	Traces        *obs.TraceLog  // per-Reevaluate spans, sampled
 
+	// AggRowsFolded counts the signed input rows the aggregate and
+	// DISTINCT maintainers folded, AggGroupsTouched the groups those rows
+	// reached, AggRowsEmitted the signed output rows rendered from them;
+	// AggGroups gauges the groups all live maintainers hold in their
+	// outputs — touched/groups is how delta-bound a refresh was.
+	AggRowsFolded    *obs.Counter // dra.agg.rows_folded
+	AggGroupsTouched *obs.Counter // dra.agg.groups_touched
+	AggRowsEmitted   *obs.Counter // dra.agg.rows_emitted
+	AggGroups        *obs.Gauge   // dra.agg.groups
+
 	// stratTruthTable / stratIncremental / stratPropagate gauge how many
 	// live Prepared plans currently run each strategy; re-picks move a
 	// unit between gauges and Close decrements.
@@ -105,6 +115,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Latency:       reg.Histogram("dra.reevaluate_ns"),
 		PrepareNS:     reg.Histogram("dra.prepare_ns"),
 		Traces:        reg.Traces(),
+
+		AggRowsFolded:    reg.Counter("dra.agg.rows_folded"),
+		AggGroupsTouched: reg.Counter("dra.agg.groups_touched"),
+		AggRowsEmitted:   reg.Counter("dra.agg.rows_emitted"),
+		AggGroups:        reg.Gauge("dra.agg.groups"),
 
 		stratTruthTable:  reg.Gauge("dra.strategy.truth_table"),
 		stratIncremental: reg.Gauge("dra.strategy.incremental"),
