@@ -30,7 +30,7 @@ chaos:
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/
 
 # allocs: the refresh step's allocation budget — fails when any arm of
-# BenchmarkRefreshStep (row, columnar, join, agg, distinct) exceeds its
+# BenchmarkRefreshStep (columnar, join, agg, distinct) exceeds its
 # committed baseline (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh

@@ -1,10 +1,13 @@
 package continual
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/diorama/continual/internal/relation"
 )
 
 func openStocks(t *testing.T) *DB {
@@ -80,14 +83,22 @@ func TestExecErrors(t *testing.T) {
 	if err := db.Exec(`INSERT INTO t VALUES (1, 2)`); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if err := db.Exec(`INSERT INTO t VALUES ('str')`); err == nil {
-		t.Error("type mismatch should fail")
+	// Kinds are checked in one place, the store's write boundary; SQL
+	// sees its error.
+	if err := db.Exec(`INSERT INTO t VALUES ('str')`); !errors.Is(err, relation.ErrTypeMismatch) {
+		t.Errorf("type mismatch: err = %v, want relation.ErrTypeMismatch", err)
 	}
-	if err := db.Exec(`INSERT INTO t VALUES (1.5)`); err == nil {
-		t.Error("non-integral float into INT should fail")
+	if err := db.Exec(`INSERT INTO t VALUES (1.5)`); !errors.Is(err, relation.ErrTypeMismatch) {
+		t.Errorf("non-integral float into INT: err = %v, want relation.ErrTypeMismatch", err)
 	}
 	if err := db.Exec(`INSERT INTO t VALUES (2.0)`); err != nil {
 		t.Errorf("integral float into INT should coerce: %v", err)
+	}
+	if err := db.Exec(`UPDATE t SET a = 'str'`); !errors.Is(err, relation.ErrTypeMismatch) {
+		t.Errorf("UPDATE type mismatch: err = %v, want relation.ErrTypeMismatch", err)
+	}
+	if err := db.Exec(`UPDATE t SET a = NULL`); err != nil {
+		t.Errorf("UPDATE to NULL: %v", err)
 	}
 }
 

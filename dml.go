@@ -51,12 +51,7 @@ func (db *DB) execInsert(stmt *sql.InsertStmt) error {
 				tx.Abort()
 				return err
 			}
-			coerced, err := coerce(v, schema.Col(i).Type)
-			if err != nil {
-				tx.Abort()
-				return fmt.Errorf("continual: column %q: %w", schema.Col(i).Name, err)
-			}
-			vals[i] = coerced
+			vals[i] = v
 		}
 		if _, err := tx.Insert(stmt.Table, vals); err != nil {
 			tx.Abort()
@@ -65,28 +60,6 @@ func (db *DB) execInsert(stmt *sql.InsertStmt) error {
 	}
 	_, err = tx.Commit()
 	return err
-}
-
-// coerce adapts numeric literals to the declared column type.
-func coerce(v relation.Value, want relation.Type) (relation.Value, error) {
-	if v.IsNull() {
-		return relation.TypedNull(want), nil
-	}
-	if v.Kind == want {
-		return v, nil
-	}
-	switch {
-	case v.Kind == relation.TInt && want == relation.TFloat:
-		return relation.Float(float64(v.AsInt())), nil
-	case v.Kind == relation.TFloat && want == relation.TInt:
-		f := v.AsFloat()
-		if f == float64(int64(f)) {
-			return relation.Int(int64(f)), nil
-		}
-		return relation.Value{}, fmt.Errorf("non-integral value %v for INT column", f)
-	default:
-		return relation.Value{}, fmt.Errorf("cannot store %s into %s column", v.Kind, want)
-	}
 }
 
 // execUpdate handles UPDATE ... SET ... WHERE.
@@ -143,12 +116,7 @@ func (db *DB) execUpdate(stmt *sql.UpdateStmt) error {
 				tx.Abort()
 				return err
 			}
-			coerced, err := coerce(v, schema.Col(a.col).Type)
-			if err != nil {
-				tx.Abort()
-				return fmt.Errorf("continual: column %q: %w", schema.Col(a.col).Name, err)
-			}
-			newVals[a.col] = coerced
+			newVals[a.col] = v
 		}
 		if err := tx.Update(stmt.Table, t.TID, newVals); err != nil {
 			tx.Abort()

@@ -12,9 +12,11 @@
 // Representability: a Batch stores one declared type per column. Values
 // whose Kind differs from the column type — including untyped NULLs
 // (relation.NullValue, Kind 0) — are unrepresentable; conversion entry
-// points report ok=false and callers fall back to the row-oriented
-// path. NULLs tagged with the column type (relation.TypedNull) round-
-// trip exactly through the validity bitmap.
+// points report ok=false. The store's write boundary
+// (relation.Schema.Conform) keeps such values out of every stored row,
+// so for the engine ok=false is an error, not a mode. NULLs tagged with
+// the column type (relation.TypedNull) round-trip exactly through the
+// validity bitmap.
 package batch
 
 import (

@@ -26,12 +26,12 @@ func (b *Batch) EnableTS() {
 // FromSigned converts a signed delta into a pooled columnar batch. It
 // reports ok=false — and returns no batch — when any value is
 // unrepresentable under the schema's column types (kind mismatch or an
-// untyped NULL), in which case the caller falls back to the row path.
+// untyped NULL); what to do then is the caller's.
 func FromSigned(p *Pool, s *delta.Signed) (*Batch, bool) {
 	b := p.Get(s.Schema, len(s.Rows))
 	for _, r := range s.Rows {
 		if !b.AppendRow(r.TID, int8(r.Sign), r.Values) {
-			// released: partial fill discarded on the row-path fallback.
+			// released: partial fill discarded, nothing else holds it.
 			p.Put(b)
 			return nil, false
 		}
@@ -67,13 +67,13 @@ func (b *Batch) AppendChange(r delta.Row) bool {
 
 // FromDelta converts a differential window into its ordered signed
 // batch form (TS column populated). ok=false means some value was
-// unrepresentable and the caller must use the row-oriented window.
+// unrepresentable; a window read from the store never is.
 func FromDelta(p *Pool, d *delta.Delta) (*Batch, bool) {
 	b := p.Get(d.Schema(), d.Len()*2)
 	b.EnableTS()
 	for _, r := range d.Rows() {
 		if !b.AppendChange(r) {
-			// released: partial fill discarded on the row-path fallback.
+			// released: partial fill discarded, nothing else holds it.
 			p.Put(b)
 			return nil, false
 		}

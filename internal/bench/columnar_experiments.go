@@ -10,55 +10,47 @@ import (
 	"github.com/diorama/continual/internal/workload"
 )
 
-// E21 measures the columnar refresh path against the row-oriented
-// engine it replaced, on the production-shaped hot path: prepared plans
-// (compile once, operand caches maintained across refreshes), windows
-// pre-compacted by the storage layer, and — on the columnar arm — the
-// batch images the commit path and window cache hand every CQ of the
-// round, so the measured step is exactly the per-refresh work a pushed
-// refresh performs. Latency, heap allocations, and allocated bytes per
-// step come from the same loop, exposing both the cycle win
-// (column-at-a-time predicates, slice-move projection) and the
-// allocation win (arena reuse instead of per-row Value slices). Each
-// vectorized arm is checked for vacuity: it must record vector steps
-// and zero fallbacks, otherwise it silently measured the row path.
+// E21 measures the engine's refresh step on the production-shaped hot
+// path: prepared plans (compile once, operand caches maintained across
+// refreshes), windows pre-compacted by the storage layer, and the batch
+// images the commit path and window cache hand every CQ of the round, so
+// the measured step is exactly the per-refresh work a pushed refresh
+// performs. Latency, heap allocations, and allocated bytes per step come
+// from the same loop. The experiment was built as a row-vs-columnar
+// comparison; the row evaluator lost every cell and was deleted
+// (EXPERIMENTS.md E21 records its last numbers), so these rows are now the
+// committed reference for the one evaluator. Each arm is checked for
+// vacuity: it must record vector steps.
 func E21(scale Scale) (*Table, error) {
 	rounds := 2 + 2*scale.Iterations
 	t := &Table{
 		ID:    "E21",
-		Title: "columnar vs row refresh: typed kernels + pooled batch arena",
+		Title: "columnar refresh: typed kernels + pooled batch arena",
 		Note: fmt.Sprintf("prepared refresh step; selection: |R| = %d stocks, %d-row update batches; join: |A|=|B|=|C| = %d; median of %d refreshes",
 			scale.BaseRows, e21BatchRows(scale), scale.BaseRows/5, rounds),
-		Header: []string{"workload", "path", "|dW| rows", "us/refresh", "speedup", "alloc ratio"},
+		Header: []string{"workload", "|dW| rows", "us/refresh"},
 	}
 	workloads := []struct {
 		name string
-		run  func(vectorized bool) (e21Arm, error)
+		run  func() (e21Arm, error)
 	}{
-		{"selection", func(vec bool) (e21Arm, error) { return e21Select(scale, rounds, vec) }},
-		{"3-way join", func(vec bool) (e21Arm, error) { return e21Join(scale, rounds, vec, dra.StrategyTruthTable) }},
-		{"3-way join (auto)", func(vec bool) (e21Arm, error) { return e21Join(scale, rounds, vec, dra.StrategyAuto) }},
+		{"selection", func() (e21Arm, error) { return e21Select(scale, rounds) }},
+		{"3-way join", func() (e21Arm, error) { return e21Join(scale, rounds, dra.StrategyTruthTable) }},
+		{"3-way join (auto)", func() (e21Arm, error) { return e21Join(scale, rounds, dra.StrategyAuto) }},
 	}
 	for _, w := range workloads {
-		row, err := w.run(false)
+		arm, err := w.run()
 		if err != nil {
-			return nil, fmt.Errorf("%s row arm: %w", w.name, err)
+			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
-		col, err := w.run(true)
-		if err != nil {
-			return nil, fmt.Errorf("%s columnar arm: %w", w.name, err)
-		}
-		t.Rows = append(t.Rows,
-			[]string{w.name, "row", fmt.Sprint(row.rows), us(row.lat), "-", "-"},
-			[]string{w.name, "columnar", fmt.Sprint(col.rows), us(col.lat),
-				ratio(col.lat, row.lat), allocRatio(col.allocs, row.allocs)})
-		t.AllocsPerOp = append(t.AllocsPerOp, row.allocs, col.allocs)
-		t.BytesPerOp = append(t.BytesPerOp, row.bytes, col.bytes)
+		t.Rows = append(t.Rows, []string{w.name, fmt.Sprint(arm.rows), us(arm.lat)})
+		t.AllocsPerOp = append(t.AllocsPerOp, arm.allocs)
+		t.BytesPerOp = append(t.BytesPerOp, arm.bytes)
 	}
 	return t, nil
 }
 
-// e21Arm is one (workload, engine path) measurement.
+// e21Arm is one workload's measurement.
 type e21Arm struct {
 	lat    time.Duration
 	allocs uint64
@@ -79,66 +71,49 @@ func e21BatchRows(scale Scale) int {
 
 // e21Engine builds the measured engine with a private registry so the
 // vacuity check reads this arm's counters only.
-func e21Engine(vectorized bool) (*dra.Engine, *obs.Registry) {
+func e21Engine() (*dra.Engine, *obs.Registry) {
 	reg := obs.NewRegistry()
 	eng := dra.NewEngine()
-	eng.Vectorized = vectorized
 	eng.Instrument(reg)
 	return eng, reg
 }
 
 // e21Prep mirrors the refresh manager's window handling outside the
 // measured region: windows arrive pre-compacted (the window cache folds
-// them once per round for every CQ), and on the columnar arm the
-// context carries the prebuilt batch images the storage boundary shares
-// across consumers. The returned context is what prep.Step sees.
-func e21Prep(ctx *dra.Context, eng *dra.Engine, vectorized bool) {
+// them once per round for every CQ), and the context carries the
+// prebuilt batch images the storage boundary shares across consumers.
+// The returned context is what prep.Step sees.
+func e21Prep(ctx *dra.Context, eng *dra.Engine) {
 	if eng.CompactDeltas {
 		for name, d := range ctx.Deltas {
 			ctx.Deltas[name] = d.Compact()
 		}
 		ctx.Compacted = true
 	}
-	if vectorized {
-		ctx.Batches = make(map[string]*batch.Batch, len(ctx.Deltas))
-		for name, d := range ctx.Deltas {
-			if b, ok := batch.FromDelta(nil, d); ok {
-				ctx.Batches[name] = b
-			}
+	ctx.Batches = make(map[string]*batch.Batch, len(ctx.Deltas))
+	for name, d := range ctx.Deltas {
+		if b, ok := batch.FromDelta(nil, d); ok {
+			ctx.Batches[name] = b
 		}
 	}
 }
 
-// e21Check fails a vectorized arm that never ran the columnar kernels.
-func e21Check(vectorized bool, reg *obs.Registry) error {
-	if !vectorized {
-		return nil
-	}
-	snap := reg.Snapshot()
-	if snap.Counter("dra.vector_steps") == 0 {
-		return fmt.Errorf("vectorized arm took zero vector steps")
-	}
-	if n := snap.Counter("dra.vector_fallbacks"); n != 0 {
-		return fmt.Errorf("vectorized arm fell back to the row path %d times", n)
+// e21Check fails an arm that never ran the columnar kernels.
+func e21Check(reg *obs.Registry) error {
+	if reg.Snapshot().Counter("dra.vector_steps") == 0 {
+		return fmt.Errorf("arm took zero vector steps")
 	}
 	return nil
 }
 
-func allocRatio(col, row uint64) string {
-	if col == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.1fx", float64(row)/float64(col))
-}
-
 // e21Select drives the Example-2 selection over modify-heavy update
 // batches and measures only the prepared refresh step.
-func e21Select(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
+func e21Select(scale Scale, rounds int) (e21Arm, error) {
 	f, err := newEngineFixture(scale.BaseRows, 21, workload.DefaultMix, "SELECT * FROM stocks WHERE price > 120")
 	if err != nil {
 		return e21Arm{}, err
 	}
-	eng, reg := e21Engine(vectorized)
+	eng, reg := e21Engine()
 	prep, err := eng.Prepare(f.plan, dra.StrategyAuto)
 	if err != nil {
 		return e21Arm{}, err
@@ -161,7 +136,7 @@ func e21Select(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
 			return e21Arm{}, err
 		}
 		ctx.Versions = versions
-		e21Prep(ctx, eng, vectorized)
+		e21Prep(ctx, eng)
 		arm.rows = ctx.Deltas["stocks"].Len()
 		var res *dra.Result
 		lat, al, by, err := stopwatchAllocs(1, func() error {
@@ -179,7 +154,7 @@ func e21Select(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
 		f.lastTS = ts
 		f.store.CollectGarbage(f.lastTS)
 	}
-	if err := e21Check(vectorized, reg); err != nil {
+	if err := e21Check(reg); err != nil {
 		return e21Arm{}, err
 	}
 	sortDurations(times)
@@ -192,19 +167,16 @@ func e21Select(scale Scale, rounds int, vectorized bool) (e21Arm, error) {
 // e21Join drives the E5 3-way join with two changed operands per
 // refresh. Under the truth-table strategy, term evaluation (predicate +
 // hash probe per signed row) is the hot loop and the prepared operand
-// replicas keep partner index builds out of the measured step on both
-// arms. Under StrategyAuto — what a registered CQ runs — an unmeasured
-// warm-up lets the cost model settle first: the columnar arm then runs
-// the telescoping kernel over the same replicas, while the row arm,
-// which has no telescoping kernel (the cost model never picks
-// incremental on a non-vectorized engine), keeps evaluating the truth
-// table row-at-a-time.
-func e21Join(scale Scale, rounds int, vectorized bool, strat dra.Strategy) (e21Arm, error) {
+// replicas keep partner index builds out of the measured step. Under
+// StrategyAuto — what a registered CQ runs — an unmeasured warm-up lets
+// the cost model settle first; the step then runs the telescoping kernel
+// over the same replicas.
+func e21Join(scale Scale, rounds int, strat dra.Strategy) (e21Arm, error) {
 	jf, err := newJoinFixture(scale.BaseRows/5, 21)
 	if err != nil {
 		return e21Arm{}, err
 	}
-	eng, reg := e21Engine(vectorized)
+	eng, reg := e21Engine()
 	prep, err := eng.Prepare(jf.plan, strat)
 	if err != nil {
 		return e21Arm{}, err
@@ -228,7 +200,7 @@ func e21Join(scale Scale, rounds int, vectorized bool, strat dra.Strategy) (e21A
 			return e21Arm{}, err
 		}
 		ctx.Versions = versions
-		e21Prep(ctx, eng, vectorized)
+		e21Prep(ctx, eng)
 		arm.rows = 0
 		for _, d := range ctx.Deltas {
 			arm.rows += d.Len()
@@ -250,7 +222,7 @@ func e21Join(scale Scale, rounds int, vectorized bool, strat dra.Strategy) (e21A
 		jf.prev = res.ApplyTo(jf.prev)
 		jf.lastTS = ts
 	}
-	if err := e21Check(vectorized, reg); err != nil {
+	if err := e21Check(reg); err != nil {
 		return e21Arm{}, err
 	}
 	sortDurations(times)

@@ -36,7 +36,7 @@ func All() []Experiment {
 		{"E18", "push vs poll: commit-to-notification latency and coalescing", E18},
 		{"E19", "chaos: healthy-CQ latency beside poison CQs, quarantine on/off", E19},
 		{"E20", "template sharing: shared plan + parameter dispatch vs private plans", E20},
-		{"E21", "columnar vs row refresh: typed kernels + pooled batch arena", E21},
+		{"E21", "columnar refresh: typed kernels + pooled batch arena", E21},
 		{"E22", "cascading CQs: INTO pipeline depth, latency, and delta-bound leaf cost", E22},
 		{"A1", "ablation: heuristic term ordering", A1},
 		{"A2", "ablation: delta compaction", A2},

@@ -7,37 +7,35 @@ import (
 	"github.com/diorama/continual/internal/dra"
 )
 
-// TestColumnarRowEquivalence is the end-to-end transcript property for
-// the vectorized refresh path: the same commit script must yield
-// byte-identical per-CQ notification sequences whether the engine
-// evaluates row-at-a-time or through the columnar kernels — across the
-// poll, push, and overflow-mixed drive modes, with and without
-// template sharing. Run with -race this also exercises the shared
-// read-only batch images (window cache entries and routed commit
-// batches) under concurrent refresh workers.
-func TestColumnarRowEquivalence(t *testing.T) {
+// TestColumnarEquivalence is the end-to-end transcript property for the
+// differential refresh path: the same commit script must yield
+// byte-identical per-CQ notification sequences whether every refresh is
+// the paper's complete re-evaluation (UseDRA off: run the query, diff
+// with the previous result) or the engine's columnar differential
+// evaluation — across the poll, push, and overflow-mixed drive modes,
+// with and without template sharing. Run with -race this also exercises
+// the shared read-only batch images (window cache entries and routed
+// commit batches) under concurrent refresh workers.
+func TestColumnarEquivalence(t *testing.T) {
 	const steps = 36
 	for _, share := range []bool{false, true} {
 		for _, mode := range []string{"poll", "push", "mixed"} {
 			t.Run(fmt.Sprintf("share=%v/%s", share, mode), func(t *testing.T) {
-				rowEng := dra.NewEngine()
-				rowEng.Vectorized = false
 				base, _ := e2eWorldCfg(t, mode, steps, func(c *Config) {
-					c.Engine = rowEng
-					c.ShareTemplates = share
+					c.UseDRA = false
 				})
 				for _, name := range []string{"sel", "join", "upd3", "compl"} {
 					if len(base[name]) == 0 {
-						t.Fatalf("row transcript for %q is empty; the script is too tame", name)
+						t.Fatalf("complete re-evaluation transcript for %q is empty; the script is too tame", name)
 					}
 				}
 
 				vec, snap := e2eWorldCfg(t, mode, steps, func(c *Config) {
-					c.Engine = dra.NewEngine() // Vectorized on by default
+					c.Engine = dra.NewEngine()
 					c.ShareTemplates = share
 				})
 				if snap.Counter("dra.vector_steps") == 0 {
-					t.Fatal("columnar world never took the vectorized path; the property holds vacuously")
+					t.Fatal("differential world never ran the columnar kernels; the property holds vacuously")
 				}
 				if mode == "push" && !share && snap.Counter("cq.columnar.pushed") == 0 {
 					t.Fatal("push mode never consumed a routed commit image; the zero-conversion path went unexercised")
@@ -46,12 +44,12 @@ func TestColumnarRowEquivalence(t *testing.T) {
 				for name, want := range base {
 					got := vec[name]
 					if len(got) != len(want) {
-						t.Fatalf("%q delivered %d notifications columnar, %d row",
+						t.Fatalf("%q delivered %d notifications differential, %d by complete re-evaluation",
 							name, len(got), len(want))
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Errorf("%q notification %d:\n  row: %s\n  col: %s",
+							t.Errorf("%q notification %d:\n  full: %s\n  dra:  %s",
 								name, i, want[i], got[i])
 						}
 					}

@@ -376,14 +376,6 @@ type Config struct {
 	// registration — logged through Logf and counted in
 	// cq.maintainer.fallbacks.
 	Strategy dra.Strategy
-	// IncrementalJoins maintains join CQs with persistent per-operand
-	// replicas and mutable indexes instead of the paper's truth-table
-	// re-evaluation.
-	//
-	// Deprecated: IncrementalJoins is an alias for Strategy =
-	// dra.StrategyIncremental, kept for pre-strategy callers. It is
-	// ignored when Strategy is set to anything but StrategyAuto.
-	IncrementalJoins bool
 	// Logf receives the manager's rare diagnostic lines (strategy
 	// fallbacks at registration). Nil uses the standard library logger.
 	Logf func(format string, args ...any)
@@ -1604,13 +1596,11 @@ func (m *Manager) pushDispatch(name string) (refreshed, retire bool, err error) 
 	// The routed commit images become the refresh's columnar inputs when
 	// they provably cover the window — the zero-conversion path.
 	var pushed map[string][]push.BatchRef
-	if m.cfg.Engine.Vectorized {
-		m.mu.Lock()
-		if r := m.router; r != nil {
-			pushed = r.TakeBatches(name, roundTS)
-		}
-		m.mu.Unlock()
+	m.mu.Lock()
+	if r := m.router; r != nil {
+		pushed = r.TakeBatches(name, roundTS)
 	}
+	m.mu.Unlock()
 	refreshed, rerr := m.guardedRefresh(inst, roundTS, cache, versions, pushed)
 	if rerr != nil {
 		return false, false, rerr
@@ -1735,9 +1725,7 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 			}
 			ctx.Deltas[table] = w
 		}
-		if m.cfg.Engine.Vectorized {
-			m.fillBatches(ctx, inst.tables, inst.lastExec, execTS, cache, compact, pushed)
-		}
+		m.fillBatches(ctx, inst.tables, inst.lastExec, execTS, cache, compact, pushed)
 		var evalStart time.Time
 		if span != nil {
 			evalStart = time.Now()
@@ -1849,8 +1837,8 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 // subscribed CQ shares them by reference), accepting them only when a
 // signed-row count proves they cover the window exactly; otherwise it
 // falls back to the round's shared WindowBatch conversion. A table left
-// out of ctx.Batches keeps the engine on its own conversion (or row)
-// path — never incorrect, just slower.
+// out of ctx.Batches keeps the engine on its own conversion — never
+// incorrect, just slower.
 func (m *Manager) fillBatches(ctx *dra.Context, tables []string, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool, pushed map[string][]push.BatchRef) {
 	ctx.Batches = make(map[string]*batch.Batch, len(tables))
 	for _, table := range tables {
@@ -2324,9 +2312,6 @@ func newMaintainer(cfg Config, plan algebra.Plan, src algebra.Source) (maintaine
 // audibly, through Logf and the cq.maintainer.fallbacks counter, never
 // silently.
 func (m *Manager) prepare(name string, plan algebra.Plan, strat dra.Strategy) (*dra.Prepared, error) {
-	if strat == dra.StrategyAuto && m.cfg.IncrementalJoins {
-		strat = dra.StrategyIncremental
-	}
 	prep, err := m.cfg.Engine.Prepare(plan, strat)
 	if err != nil && strat != dra.StrategyAuto {
 		m.logf("cq %q: %v strategy unavailable (%v); falling back to auto", name, strat, err)

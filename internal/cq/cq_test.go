@@ -706,62 +706,6 @@ func TestOrderByLimitCQFallsBackButStaysCorrect(t *testing.T) {
 	}
 }
 
-func TestIncrementalJoinsConfig(t *testing.T) {
-	tradeSchema := relation.MustSchema(
-		relation.Column{Name: "sym", Type: relation.TString},
-		relation.Column{Name: "volume", Type: relation.TInt},
-	)
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
-	insertStock(t, s, "DEC", 150)
-	commit(t, s, func(tx *storage.Tx) error {
-		_, err := tx.Insert("trades", []relation.Value{relation.Str("DEC"), relation.Int(100)})
-		return err
-	})
-	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, IncrementalJoins: true})
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name:  "joined",
-		Query: "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym",
-		Mode:  sql.ModeComplete,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.State("joined")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Strategy != dra.StrategyIncremental.String() {
-		t.Fatalf("strategy = %q, want incremental (IncrementalJoins alias)", st.Strategy)
-	}
-	commit(t, s, func(tx *storage.Tx) error {
-		_, err := tx.Insert("trades", []relation.Value{relation.Str("DEC"), relation.Int(900)})
-		return err
-	})
-	if _, err := m.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := m.Result("joined")
-	if res.Len() != 2 {
-		t.Errorf("maintained join = %d rows", res.Len())
-	}
-	// Default config keeps the paper's truth-table path for joins.
-	m2 := NewManager(s)
-	defer func() { _ = m2.Close() }()
-	if _, err := m2.Register(Def{Name: "tt", Query: "SELECT * FROM stocks s JOIN trades t ON s.name = t.sym"}); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := m2.State("tt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Strategy != dra.StrategyTruthTable.String() {
-		t.Fatalf("default strategy = %q, want truth-table", st2.Strategy)
-	}
-}
-
-// TestStateReportsJoinState: a join CQ's per-operand replica rows and
-// index counts surface in CQState, and the engine-wide join instruments
-// (probe and emit rows, replica-row gauge) follow the CQ's lifetime.
 func TestStateReportsJoinState(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
@@ -793,6 +737,9 @@ func TestStateReportsJoinState(t *testing.T) {
 	st, err := m.State("joined")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res, _ := m.Result("joined"); st.Strategy != dra.StrategyIncremental.String() || res.Len() != 3 {
+		t.Fatalf("forced strategy = %q with %d maintained rows, want incremental and 3", st.Strategy, res.Len())
 	}
 	want := []dra.ReplicaStat{
 		{Operand: "stocks", Rows: 2, Indexes: 1}, // probed by the trades window

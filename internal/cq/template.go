@@ -269,9 +269,7 @@ func (m *Manager) stepGroupLocked(g *templateGroup, execTS vclock.Timestamp, cac
 		}
 		ctx.Deltas[table] = w
 	}
-	if m.cfg.Engine.Vectorized {
-		m.fillBatches(ctx, g.tables, g.lastExec, execTS, cache, compact, nil)
-	}
+	m.fillBatches(ctx, g.tables, g.lastExec, execTS, cache, compact, nil)
 	res, err := g.prepared.Step(ctx, execTS)
 	if err != nil {
 		return err

@@ -223,8 +223,8 @@ func TestNotIncrementalCases(t *testing.T) {
 // is also the output tid, so the two groups would be one result row.
 // Keyed by the bare hash they silently shared an accumulator; now the
 // probe verifies the key against the stored columns and the collision
-// fails the Step (and a seed holding both fails construction) on both
-// arms, for aggregates and DISTINCT alike. The failed fold is rolled
+// fails the Step (and a seed holding both fails construction), for
+// aggregates and DISTINCT alike. The failed fold is rolled
 // back: once the colliding row is gone, the same window — grown by its
 // deletion — folds cleanly to the fresh result.
 func TestGroupTableHashCollision(t *testing.T) {
@@ -246,45 +246,42 @@ func TestGroupTableHashCollision(t *testing.T) {
 		"SELECT x, y, COUNT(*) AS n FROM p GROUP BY x, y",
 		"SELECT DISTINCT x, y FROM p",
 	} {
-		for _, vectorized := range []bool{true, false} {
-			f := newFixture(t, map[string]relation.Schema{"p": pairSchema()})
-			f.insert(t, "p", a, strs("u", "v"))
-			plan := f.plan(t, q)
-			eng := NewEngine()
-			eng.Vectorized = vectorized
-			m, err := build(eng, plan, f.store.Live())
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.mark()
+		f := newFixture(t, map[string]relation.Schema{"p": pairSchema()})
+		f.insert(t, "p", a, strs("u", "v"))
+		plan := f.plan(t, q)
+		eng := NewEngine()
+		m, err := build(eng, plan, f.store.Live())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.mark()
 
-			// The colliding key arrives behind an ordinary change, so the
-			// fold is half done when it fails.
-			tids := f.insert(t, "p", strs("u", "v"), b)
-			if _, err := m.Step(f.ctx(t), f.store.Now()); err == nil {
-				t.Fatalf("%q vectorized=%v: colliding keys merged into one group:\n%s", q, vectorized, m.Result())
-			}
-			if _, err := build(eng, plan, f.store.Live()); err == nil {
-				t.Fatalf("%q: a seed holding both colliding keys built", q)
-			}
+		// The colliding key arrives behind an ordinary change, so the
+		// fold is half done when it fails.
+		tids := f.insert(t, "p", strs("u", "v"), b)
+		if _, err := m.Step(f.ctx(t), f.store.Now()); err == nil {
+			t.Fatalf("%q: colliding keys merged into one group:\n%s", q, m.Result())
+		}
+		if _, err := build(eng, plan, f.store.Live()); err == nil {
+			t.Fatalf("%q: a seed holding both colliding keys built", q)
+		}
 
-			tx := f.store.Begin()
-			if err := tx.Delete("p", tids[1]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Step(f.ctx(t), f.store.Now()); err != nil {
-				t.Fatalf("%q vectorized=%v: retry after the collision left: %v", q, vectorized, err)
-			}
-			want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !m.Result().EqualByTID(want) {
-				t.Fatalf("%q vectorized=%v: failed fold was not rolled back.\nmaintained:\n%s\nfresh:\n%s", q, vectorized, m.Result(), want)
-			}
+		tx := f.store.Begin()
+		if err := tx.Delete("p", tids[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Step(f.ctx(t), f.store.Now()); err != nil {
+			t.Fatalf("%q: retry after the collision left: %v", q, err)
+		}
+		want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Result().EqualByTID(want) {
+			t.Fatalf("%q: failed fold was not rolled back.\nmaintained:\n%s\nfresh:\n%s", q, m.Result(), want)
 		}
 	}
 }

@@ -23,9 +23,8 @@ type benchStep struct {
 
 // newBenchStep seeds |R| = base rows, commits one window of modifies,
 // and freezes the refresh inputs the way the cq manager hands them to
-// the engine: window compacted once, columnar image prebuilt and shared
-// when vectorized.
-func newBenchStep(b *testing.B, base, window int, vectorized bool) (*Prepared, *Context, func() error) {
+// the engine: window compacted once, columnar image prebuilt and shared.
+func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, func() error) {
 	b.Helper()
 	store := storage.NewStore()
 	schema := relation.MustSchema(
@@ -74,9 +73,7 @@ func newBenchStep(b *testing.B, base, window int, vectorized bool) (*Prepared, *
 		b.Fatal(err)
 	}
 
-	eng := NewEngine()
-	eng.Vectorized = vectorized
-	prep, err := eng.Prepare(plan, StrategyTruthTable)
+	prep, err := NewEngine().Prepare(plan, StrategyTruthTable)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,13 +92,11 @@ func newBenchStep(b *testing.B, base, window int, vectorized bool) (*Prepared, *
 		Versions:  store.ChangeCounts(),
 		Compacted: true,
 	}
-	if vectorized {
-		img, ok := batch.FromDelta(nil, d)
-		if !ok {
-			b.Fatal("benchmark window unrepresentable in columnar form")
-		}
-		ctx.Batches = map[string]*batch.Batch{"r": img}
+	img, ok := batch.FromDelta(nil, d)
+	if !ok {
+		b.Fatal("benchmark window unrepresentable in columnar form")
 	}
+	ctx.Batches = map[string]*batch.Batch{"r": img}
 	ts := store.Now()
 	step := func() error {
 		_, err := prep.Step(ctx, ts)
@@ -303,7 +298,7 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 }
 
 // BenchmarkRefreshStep measures the steady-state refresh step: the
-// row/columnar arms over a 2048-row signed window of a 16k-row
+// columnar arm (a selection) over a 2048-row signed window of a 16k-row
 // relation; the join arm over a 256-row signed window of a 3-way
 // equi-join of 16k-row operands under StrategyAuto (after the warm-up
 // that lets the cost model settle on the telescoping kernel); the agg
@@ -312,7 +307,7 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 // DISTINCT over 2k values — through the group table. It is the
 // per-refresh engine work of a pushed CQ, with window fetch,
 // compaction, and batch building amortized outside (as the shared
-// window cache amortizes them across every CQ of a round). The five
+// window cache amortizes them across every CQ of a round). The four
 // arms are the allocation contract scripts/check-allocs.sh gates in CI.
 func BenchmarkRefreshStep(b *testing.B) {
 	for _, arm := range []struct{ name, query string }{
@@ -384,20 +379,15 @@ func BenchmarkRefreshStep(b *testing.B) {
 		}
 	})
 
-	for _, arm := range []struct {
-		name       string
-		vectorized bool
-	}{{"row", false}, {"columnar", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			prep, _, step := newBenchStep(b, 16_384, 1024, arm.vectorized)
-			defer prep.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := step(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("columnar", func(b *testing.B) {
+		prep, _, step := newBenchStep(b, 16_384, 1024)
+		defer prep.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -194,6 +194,17 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 	}
 }
 
+// dropReplicas discards the operand replicas of every prepared join group
+// in the tree; the next refresh rebuilds them from its pre-state
+// snapshot.
+func (n *compiledNode) dropReplicas() {
+	n.eachJoin(func(cj *compiledJoin) {
+		if cj.cache != nil {
+			cj.cache.invalidate()
+		}
+	})
+}
+
 // probeStep is one join step of a term: operand op joins the rows
 // accumulated so far, through a hash index on buildCols (local columns
 // of op) probed with the accumulated row's probeCols (full-width

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 )
@@ -20,7 +21,18 @@ func collidingRows() (a, b []relation.Value) {
 	return a, b
 }
 
-func TestNetSignedHashCollision(t *testing.T) {
+// TestNetCollidingRows is the regression for a netting pass that
+// bucketed rows by value hash alone: netBatch compares candidate rows by
+// value, so two distinct rows with one hash never merge.
+func TestNetCollidingRows(t *testing.T) {
+	net := func(s *delta.Signed) *delta.Signed {
+		t.Helper()
+		b, ok := batch.FromSigned(nil, s)
+		if !ok {
+			t.Fatal("fixture rows do not fit typed columns")
+		}
+		return (&vecEval{e: NewEngine()}).netBatch(b)
+	}
 	a, b := collidingRows()
 	if relation.HashValues(a) != relation.HashValues(b) {
 		t.Fatal("fixture rows no longer collide; rebuild them against the current HashValues encoding")
@@ -40,9 +52,9 @@ func TestNetSignedHashCollision(t *testing.T) {
 		{TID: 7, Values: a, Sign: -1},
 		{TID: 7, Values: b, Sign: +1},
 	}}
-	out := netSigned(in)
+	out := net(in)
 	if len(out.Rows) != 2 {
-		t.Fatalf("netSigned folded colliding distinct rows: got %d rows, want 2\n%+v", len(out.Rows), out.Rows)
+		t.Fatalf("netBatch folded colliding distinct rows: got %d rows, want 2\n%+v", len(out.Rows), out.Rows)
 	}
 	if out.Rows[0].Sign != -1 || !sameValues(out.Rows[0].Values, a) {
 		t.Errorf("first row = %+v, want -1 x %v", out.Rows[0], a)
@@ -52,7 +64,7 @@ func TestNetSignedHashCollision(t *testing.T) {
 	}
 
 	// Sanity: rows that really are equal still cancel.
-	canceled := netSigned(&delta.Signed{Schema: schema, Rows: []delta.SignedRow{
+	canceled := net(&delta.Signed{Schema: schema, Rows: []delta.SignedRow{
 		{TID: 9, Values: a, Sign: -1},
 		{TID: 9, Values: a, Sign: +1},
 	}})

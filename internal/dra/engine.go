@@ -39,7 +39,6 @@ package dra
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -90,11 +89,11 @@ type Context struct {
 
 	// Batches optionally carries prebuilt columnar images of Deltas —
 	// same rows, same order — built once at the storage boundary and
-	// shared read-only by every CQ refreshing over the window. A
-	// Vectorized engine scans them as zero-copy views instead of
-	// converting the row window per CQ, provided no further compaction
-	// would apply (CompactDeltas off, or Compacted set). Nil or missing
-	// entries are fine; the scan converts from Deltas.
+	// shared read-only by every CQ refreshing over the window. The scan
+	// reads them as zero-copy views instead of converting the row window
+	// per CQ, provided no further compaction would apply (CompactDeltas
+	// off, or Compacted set). Nil or missing entries are fine; the scan
+	// converts from Deltas.
 	Batches map[string]*batch.Batch
 }
 
@@ -134,8 +133,15 @@ type Stats struct {
 	GroupRowsEmitted int
 }
 
-// Engine evaluates differential forms of SPJ plans. The flags correspond
-// to the ablation benchmarks in EXPERIMENTS.md.
+// Engine evaluates differential forms of SPJ plans over typed columnar
+// batches (internal/batch): operand windows are signed column batches,
+// selection produces selection indices, projection moves columns, join
+// terms probe the operand replicas' flat indexes, all over a pooled
+// arena. The store's write boundary (relation.Schema.Conform) guarantees
+// that every stored value fits its column, so a window value that does
+// not is an invariant violation: the refresh fails with an error
+// wrapping relation.ErrTypeMismatch and the plan's replicas are dropped.
+// The flags correspond to the ablation benchmarks in EXPERIMENTS.md.
 type Engine struct {
 	// UseHeuristics orders term joins delta-first and applies predicates
 	// as soon as their operands are joined ("select before join",
@@ -151,19 +157,6 @@ type Engine struct {
 	// SkipIrrelevant enables the Section 5.2 refinement: when every
 	// operand's filtered delta is empty the re-evaluation is skipped.
 	SkipIrrelevant bool
-	// Vectorized routes differential evaluation through the columnar
-	// batch kernels: operand windows become typed column batches,
-	// selection produces selection indices instead of row copies,
-	// projection moves columns by slice reuse, and join terms probe the
-	// prepared operand indexes per batch, all over a pooled arena.
-	// Values unrepresentable in typed columns (kind drift, untyped
-	// NULLs) make the refresh fall back to the row path with identical
-	// results; operand-cache advances are deferred until the vectorized
-	// tree succeeds, so the fallback never sees half-advanced replicas.
-	// StrategyIncremental's telescoping kernel exists on this path only;
-	// set the field before Prepare, which refuses that strategy without it.
-	Vectorized bool
-
 	// pool recycles batch and selection buffers across refreshes; it is
 	// sync.Pool-backed, so concurrent refresh workers share it safely.
 	// Nil (zero-value engines in tests) degrades to plain allocation.
@@ -186,7 +179,6 @@ func NewEngine() *Engine {
 		CompactDeltas:  true,
 		UseHashJoin:    true,
 		SkipIrrelevant: true,
-		Vectorized:     true,
 		pool:           batch.NewPool(),
 	}
 }
@@ -255,8 +247,8 @@ func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Times
 // evaluate is the refresh core shared by Reevaluate (transient compile
 // per call) and Prepared.Step (compile once at registration): the
 // differential evaluation when root is non-nil — join groups by truth
-// table, or by the telescoping kernel when telescope is set and the
-// engine is vectorized — and the Propagate fallback otherwise.
+// table, or by the telescoping kernel when telescope is set — and the
+// Propagate fallback otherwise.
 func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, telescope bool) (*Result, error) {
 	if ctx.Prev == nil {
 		return nil, ErrNoPrev
@@ -269,78 +261,21 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		span = m.startSpan()
 	}
 
-	var signed *delta.Signed
-	if root != nil {
-		if e.SkipIrrelevant {
-			relevant, probed := false, false
-			if e.Vectorized {
-				rel, ok, err := e.vecRelevant(root, ctx)
-				if err != nil {
-					return nil, err
-				}
-				relevant, probed = rel, ok
-			}
-			if !probed {
-				rel, err := e.relevant(root, ctx)
-				if err != nil {
-					return nil, err
-				}
-				relevant = rel
-			}
-			if !relevant {
-				st.Skipped = true
-				signed = &delta.Signed{Schema: plan.Schema()}
-				// The skipped window still moves the operand caches
-				// forward: every filtered delta is empty, so each
-				// replica already equals its operand's state at execTS.
-				root.eachJoin(func(cj *compiledJoin) {
-					if cj.cache != nil {
-						cj.cache.advance(ctx, execTS, nil)
-					}
-				})
-			}
-		}
-		if signed == nil && e.Vectorized {
-			net, ok, err := e.vecEvaluate(root, ctx, execTS, &st, telescope)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if m := e.Metrics; m != nil {
-					m.VecSteps.Inc()
-					m.observe(st, span, time.Since(start))
-				}
-				return &Result{
-					Signed: net,
-					Delta:  net.ToDeltaNetted(execTS),
-					ExecTS: execTS,
-					Stats:  st,
-				}, nil
-			}
-			// Some value was unrepresentable in typed columns; the
-			// replicas are untouched or dropped (see errVecFallback), so
-			// the row path below re-runs cleanly.
-			if m := e.Metrics; m != nil {
-				m.VecFallbacks.Inc()
-			}
-		}
-		if signed == nil {
-			s, err := e.signedDelta(root, ctx, execTS, &st)
-			if err != nil {
-				return nil, err
-			}
-			signed = s
-		}
-	} else {
+	var net *delta.Signed
+	var err error
+	if root == nil {
 		st.FellBack = true
-		s, err := PropagateSigned(plan, ctx.Pre, ctx.Post)
-		if err != nil {
-			return nil, err
-		}
-		signed = s
+		// Diff output: already at most one -old and one +new per tid.
+		net, err = PropagateSigned(plan, ctx.Pre, ctx.Post)
+	} else if net, err = e.vecEvaluate(root, ctx, execTS, &st, telescope); err != nil {
+		// A failed refresh drops every replica of the plan: join groups
+		// advance them as they go, and the next refresh must rebuild from
+		// its pre-state snapshot rather than read a part-advanced state.
+		root.dropReplicas()
 	}
-
-	net := netSigned(signed)
+	if err != nil {
+		return nil, err
+	}
 	if m := e.Metrics; m != nil {
 		m.observe(st, span, time.Since(start))
 	}
@@ -350,38 +285,6 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		ExecTS: execTS,
 		Stats:  st,
 	}, nil
-}
-
-// Relevant implements the query refinement of Section 5.2: it tests the
-// per-operand differential windows against the operand-local predicates
-// and reports whether any update can affect the query result. It never
-// materializes pre-states, so it is cheap (O(Σ|ΔRi|)).
-func (e *Engine) Relevant(plan algebra.Plan, ctx *Context) (bool, error) {
-	if !supportsDifferential(plan) {
-		return true, nil
-	}
-	root, err := compilePlan(plan)
-	if err != nil {
-		return false, err
-	}
-	return e.relevant(root, ctx)
-}
-
-// relevant tests every maximal join-free subtree's filtered delta for
-// emptiness, on a scratch Stats: the rows it scans are counted again by
-// the real evaluation, so its work never reaches Result.Stats.
-func (e *Engine) relevant(root *compiledNode, ctx *Context) (bool, error) {
-	var scratch Stats
-	for _, op := range root.operands(nil) {
-		d, err := e.signedDelta(op, ctx, 0, &scratch)
-		if err != nil {
-			return false, err
-		}
-		if d.Len() > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // supportsDifferential reports whether the plan is in the SPJ class
@@ -399,161 +302,4 @@ func supportsDifferential(p algebra.Plan) bool {
 	default:
 		return false
 	}
-}
-
-// signedDelta computes the signed change of a compiled node's output
-// between the pre and post states, accumulating work counts into st.
-// execTS is the timestamp the refresh runs at; join groups with an
-// operand cache use it to tag advanced replicas (zero is fine when no
-// cache is attached, e.g. relevance probes on join-free subtrees).
-func (e *Engine) signedDelta(n *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats) (*delta.Signed, error) {
-	switch {
-	case n.scan != nil:
-		return e.scanDelta(n.scan, ctx, st)
-	case n.sel != nil:
-		in, err := e.signedDelta(n.sel.input, ctx, execTS, st)
-		if err != nil {
-			return nil, err
-		}
-		return filterSigned(in, n.sel.pred)
-	case n.proj != nil:
-		in, err := e.signedDelta(n.proj.input, ctx, execTS, st)
-		if err != nil {
-			return nil, err
-		}
-		return projectSigned(in, n.proj.items, n.proj.schema)
-	case n.join != nil:
-		return e.joinDelta(n.join, ctx, execTS, st)
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupportedPlan, n.plan)
-	}
-}
-
-// scanDelta converts the table's differential window to signed form under
-// the scan's qualified schema.
-func (e *Engine) scanDelta(n *algebra.ScanPlan, ctx *Context, st *Stats) (*delta.Signed, error) {
-	d := ctx.Deltas[n.Table]
-	if d == nil {
-		return &delta.Signed{Schema: n.Schema()}, nil
-	}
-	if e.CompactDeltas && !ctx.Compacted {
-		d = d.Compact()
-	}
-	s := d.ToSigned()
-	st.DeltaRows += len(s.Rows)
-	// Rebadge under the scan's qualified schema (same types).
-	return &delta.Signed{Schema: n.Schema(), Rows: s.Rows}, nil
-}
-
-// filterSigned applies a compiled selection predicate to each signed
-// row. A modification whose old half passes and whose new half fails
-// nets to a deletion from the result, exactly as in Example 2 of the
-// paper.
-func filterSigned(in *delta.Signed, ce algebra.CompiledExpr) (*delta.Signed, error) {
-	out := &delta.Signed{Schema: in.Schema, Rows: make([]delta.SignedRow, 0, len(in.Rows))}
-	for _, r := range in.Rows {
-		pass, err := algebra.EvalPredicate(ce, relation.Tuple{TID: r.TID, Values: r.Values})
-		if err != nil {
-			return nil, fmt.Errorf("dra: select: %w", err)
-		}
-		if pass {
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
-}
-
-// projectSigned maps each signed row through compiled projection items.
-func projectSigned(in *delta.Signed, compiled []algebra.CompiledExpr, outSchema relation.Schema) (*delta.Signed, error) {
-	out := &delta.Signed{Schema: outSchema, Rows: make([]delta.SignedRow, 0, len(in.Rows))}
-	for _, r := range in.Rows {
-		vals := make([]relation.Value, len(compiled))
-		for i, ce := range compiled {
-			v, err := ce.Eval(relation.Tuple{TID: r.TID, Values: r.Values})
-			if err != nil {
-				return nil, fmt.Errorf("dra: project: %w", err)
-			}
-			vals[i] = v
-		}
-		out.Rows = append(out.Rows, delta.SignedRow{TID: r.TID, Values: vals, Sign: r.Sign})
-	}
-	return out, nil
-}
-
-// netSigned reduces a signed multiset to at most one negative and one
-// positive row per tid by counting per (tid, value) and keeping nonzero
-// nets. This collapses the cross terms of the truth-table expansion
-// (e.g. a tuple modified on both join sides contributes four signed rows
-// that net to one -old and one +new).
-//
-// Rows are bucketed by value hash per tid, but the hash alone is not the
-// identity: entries with the same hash are chained and distinguished by
-// comparing the actual values, so a hash collision between two distinct
-// rows never merges (and possibly cancels) their counts.
-func netSigned(s *delta.Signed) *delta.Signed {
-	type valEntry struct {
-		values []relation.Value
-		count  int
-		order  int
-	}
-	perTID := make(map[relation.TID]map[uint64][]*valEntry, len(s.Rows))
-	var tidOrder []relation.TID
-	n := 0
-	for _, r := range s.Rows {
-		m, ok := perTID[r.TID]
-		if !ok {
-			m = make(map[uint64][]*valEntry, 2)
-			perTID[r.TID] = m
-			tidOrder = append(tidOrder, r.TID)
-		}
-		h := relation.HashValues(r.Values)
-		var ve *valEntry
-		for _, cand := range m[h] {
-			if sameValues(cand.values, r.Values) {
-				ve = cand
-				break
-			}
-		}
-		if ve == nil {
-			ve = &valEntry{values: r.Values, order: n}
-			n++
-			m[h] = append(m[h], ve)
-		}
-		ve.count += r.Sign
-	}
-	out := &delta.Signed{Schema: s.Schema}
-	for _, tid := range tidOrder {
-		var neg, pos *valEntry
-		for _, chain := range perTID[tid] {
-			for _, ve := range chain {
-				switch {
-				case ve.count < 0 && (neg == nil || ve.order < neg.order):
-					neg = ve
-				case ve.count > 0 && (pos == nil || ve.order < pos.order):
-					pos = ve
-				}
-			}
-		}
-		if neg != nil {
-			out.Rows = append(out.Rows, delta.SignedRow{TID: tid, Values: neg.values, Sign: -1})
-		}
-		if pos != nil {
-			out.Rows = append(out.Rows, delta.SignedRow{TID: tid, Values: pos.values, Sign: +1})
-		}
-	}
-	return out
-}
-
-// sameValues reports whether two rows carry equal values position by
-// position (same arity assumed within one signed multiset).
-func sameValues(a, b []relation.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,6 @@ package dra
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -47,10 +46,6 @@ type groupTable struct {
 	keys *batch.Batch
 	ix   relation.SlotIndex
 	free []int32
-	// odd holds, by slot, the keys typed columns cannot hold (a
-	// kind-drifted cell); the slot's columns then carry NULL placeholders.
-	// Only the row arm can meet such a key.
-	odd map[int32][]relation.Value
 	// cur is the accumulator state, stride cells per slot and adjacent —
 	// a fold touches a group's whole state at once, so it sits on one
 	// cache line, not on one per accumulator kind. The first cell's count
@@ -108,11 +103,11 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 	if err != nil {
 		return nil, err
 	}
+	foldSchema, err := relation.NewSchema(cols...)
+	if err != nil {
+		return nil, err
+	}
 	if items != nil {
-		foldSchema, err := relation.NewSchema(cols...)
-		if err != nil {
-			return nil, err
-		}
 		fold = &compiledNode{proj: &compiledProject{input: fold, items: items, schema: foldSchema}}
 	}
 	keySchema, err := relation.NewSchema(cols[:nKeys]...)
@@ -134,26 +129,35 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 	if g.global {
 		// The one group exists from the start and never dies: a global
 		// aggregate over an empty input still has its row.
-		g.keyedSlotOf(nil, relation.HashValues(nil))
+		one := batch.New(keySchema, 1)
+		one.AppendRow(0, 0, nil)
+		g.keyedSlot(one, 0, relation.HashValues(nil))
 		g.live = 1
 	}
-	vals := make([]relation.Value, len(items))
+	// The seed is one fold of the input's current contents as +1 rows,
+	// each conformed to the fold columns as projectBatch would.
+	seed := batch.New(foldSchema, rel.Len())
+	vals := make([]relation.Value, foldSchema.Len())
 	for _, t := range rel.Tuples() {
-		row := t.Values
-		if items != nil {
-			for i, ce := range items {
-				if vals[i], err = ce.Eval(t); err != nil {
-					return nil, fmt.Errorf("dra: aggregate input: %w", err)
-				}
+		if items == nil {
+			copy(vals, t.Values)
+		}
+		for i, ce := range items {
+			if vals[i], err = ce.Eval(t); err != nil {
+				return nil, fmt.Errorf("dra: aggregate input: %w", err)
 			}
-			row = vals
 		}
-		if err := g.foldRow(row, +1); err != nil {
-			return nil, err
+		if err := foldSchema.Conform(vals); err != nil {
+			return nil, fmt.Errorf("dra: aggregate input: %w", err)
 		}
+		seed.AppendRow(0, +1, vals) // conformed: fits
+	}
+	if err := g.foldBatch(seed); err != nil {
+		return nil, err
 	}
 	g.settle(false)
-	g.touched, g.snap = nil, nil // seed-sized; refreshes need window-sized
+	// seed-sized; refreshes need window-sized
+	g.touched, g.snap, g.hashes, g.slots = nil, nil, nil, nil
 	g.gauge()
 	return g, nil
 }
@@ -197,10 +201,16 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 
 // Step folds the update window into the table and returns the change of
 // the output, read off the touched groups: O(|Δ|) beyond the evaluation
-// of the input's own signed delta.
+// of the input's own signed delta, which runs the columnar kernels
+// (zero-copy over ctx.Batches where the window image is shared).
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	var st Stats
-	folded, err := g.foldWindow(ctx, execTS, &st)
+	v := &vecEval{e: g.engine, ctx: ctx, execTS: execTS, st: &st}
+	defer v.releaseOwned()
+	b, err := v.nodeBatch(g.fold)
+	if err == nil {
+		err = g.foldBatch(b)
+	}
 	if err != nil {
 		g.settle(true)
 		return nil, err
@@ -210,50 +220,12 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 	st.GroupRowsEmitted = len(net.Rows)
 	g.gauge()
 	if m := g.engine.Metrics; m != nil {
-		m.AggRowsFolded.Add(int64(folded))
+		m.VecSteps.Inc()
+		m.AggRowsFolded.Add(int64(b.Len()))
 		m.AggGroupsTouched.Add(int64(st.GroupsTouched))
 		m.AggRowsEmitted.Add(int64(st.GroupRowsEmitted))
 	}
 	return &Result{Signed: net, Delta: net.ToDeltaNetted(execTS), ExecTS: execTS, Stats: st}, nil
-}
-
-// foldWindow evaluates the fold node over the window and folds its
-// signed rows, returning how many. The columnar arm runs the vectorized
-// kernels (zero-copy over ctx.Batches where the window image is shared)
-// and folds the batch column-at-a-time; a value that does not fit typed
-// columns surfaces while that batch is built, before the first row
-// folds, so the row arm then re-runs against an untouched table.
-func (g *groupTable) foldWindow(ctx *Context, execTS vclock.Timestamp, st *Stats) (int, error) {
-	m := g.engine.Metrics
-	if g.engine.Vectorized {
-		var vst Stats
-		v := &vecEval{e: g.engine, ctx: ctx, execTS: execTS, st: &vst}
-		defer v.releaseOwned()
-		b, err := v.nodeBatch(g.fold)
-		if err == nil {
-			st.add(vst)
-			if m != nil {
-				m.VecSteps.Inc()
-			}
-			return b.Len(), g.foldBatch(b)
-		}
-		if !errors.Is(err, errVecFallback) {
-			return 0, err
-		}
-		if m != nil {
-			m.VecFallbacks.Inc()
-		}
-	}
-	din, err := g.engine.signedDelta(g.fold, ctx, execTS, st)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range din.Rows {
-		if err := g.foldRow(r.Values, r.Sign); err != nil {
-			return 0, err
-		}
-	}
-	return len(din.Rows), nil
 }
 
 // foldBatch folds a signed fold batch into the table.
@@ -277,7 +249,7 @@ func (g *groupTable) foldBatch(b *batch.Batch) error {
 		switch {
 		case s < 0:
 			s = g.keyedSlot(b, r, h)
-		case g.odd[s] != nil || !g.keys.KeyEqual(int(s), g.keyIdx, b, r, g.keyIdx):
+		case !g.keys.KeyEqual(int(s), g.keyIdx, b, r, g.keyIdx):
 			return g.collision(h)
 		}
 		cells := g.touch(s, h)
@@ -301,30 +273,6 @@ func (g *groupTable) foldBatch(b *batch.Batch) error {
 			default:
 				cell.add(sign, false, 0, 0)
 			}
-		}
-	}
-	return nil
-}
-
-// foldRow folds one signed fold row given as values — the row arm, and
-// the seed.
-func (g *groupTable) foldRow(vals []relation.Value, sign int) error {
-	key := vals[:g.nKeys]
-	h := relation.HashValues(key)
-	s := g.ix.First(h)
-	switch {
-	case s < 0:
-		s = g.keyedSlotOf(key, h)
-	case !g.keyIs(s, key):
-		return g.collision(h)
-	}
-	cells := g.touch(s, h)
-	cells[0].count += int64(sign)
-	for j, a := range g.aggs {
-		if a.arg < 0 { // COUNT(*)
-			cells[1+j].count += int64(sign)
-		} else if v := vals[a.arg]; !v.IsNull() {
-			cells[1+j].add(int64(sign), v.Kind == relation.TInt, v.AsInt(), v.AsFloat())
 		}
 	}
 	return nil
@@ -355,19 +303,6 @@ func (g *groupTable) collision(h uint64) error {
 	return fmt.Errorf("dra: two distinct group keys share output tid %d", g.tidOf(h))
 }
 
-// keyIs reports whether slot holds exactly the key values.
-func (g *groupTable) keyIs(s int32, key []relation.Value) bool {
-	if o := g.odd[s]; o != nil {
-		return sameValues(o, key)
-	}
-	for c, v := range key {
-		if !g.keys.Value(int(s), c).Equal(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // keyedSlot gives a new group a slot — a freed one, or a fresh one at the
 // end — with its key cells copied from row r of src and indexed under h.
 func (g *groupTable) keyedSlot(src *batch.Batch, r int, h uint64) int32 {
@@ -385,40 +320,6 @@ func (g *groupTable) keyedSlot(src *batch.Batch, r int, h uint64) int32 {
 	}
 	g.keys.TIDs[s], g.keys.Signs[s] = g.tidOf(h), 1
 	g.ix.Insert(s, h)
-	return s
-}
-
-// keyedSlotOf is keyedSlot for a key given as values: a NULL takes its
-// column's type (equal to, and hashed like, the untyped NULL), and a key
-// with a cell of another kind than its column goes to odd.
-func (g *groupTable) keyedSlotOf(key []relation.Value, h uint64) int32 {
-	vals := make([]relation.Value, len(key))
-	fits := true
-	for c, v := range key {
-		t := g.keys.Schema.Col(c).Type
-		if v.IsNull() {
-			v = relation.TypedNull(t)
-		}
-		fits = fits && v.Kind == t
-		vals[c] = v
-	}
-	if !fits {
-		for c := range vals {
-			vals[c] = relation.TypedNull(g.keys.Schema.Col(c).Type)
-		}
-	}
-	pool := g.engine.pool
-	kb := pool.Get(g.keys.Schema, 1)
-	kb.AppendRow(0, 0, vals) // cannot fail: every cell has its column's kind
-	s := g.keyedSlot(kb, 0, h)
-	// released: the key cells were copied into the table's own columns.
-	pool.Put(kb)
-	if !fits {
-		if g.odd == nil {
-			g.odd = make(map[int32][]relation.Value)
-		}
-		g.odd[s] = slices.Clone(key)
-	}
 	return s
 }
 
@@ -482,7 +383,7 @@ func (g *groupTable) emit() *delta.Signed {
 				}
 				g.render(now, t.slot, is)
 			}
-			if old != nil && stays && sameValues(old, now) {
+			if old != nil && stays && slices.EqualFunc(old, now, relation.Value.Equal) {
 				continue // e.g. an integer SUM whose float shadow alone moved
 			}
 			if old != nil {
@@ -503,12 +404,8 @@ func (g *groupTable) emit() *delta.Signed {
 // the first-touch snapshot) into dst, mirroring the executor: COUNT over
 // nothing is 0, SUM and AVG are NULL.
 func (g *groupTable) render(dst []relation.Value, s int32, cells []aggCell) {
-	if o := g.odd[s]; o != nil {
-		copy(dst, o)
-	} else {
-		for c := 0; c < g.nKeys; c++ {
-			dst[c] = g.keys.Value(int(s), c)
-		}
+	for c := 0; c < g.nKeys; c++ {
+		dst[c] = g.keys.Value(int(s), c)
 	}
 	for j, a := range g.aggs {
 		c := cells[1+j]
@@ -553,7 +450,6 @@ func (g *groupTable) settle(undo bool) {
 			clear(is)
 			g.ix.Delete(t.slot)
 			g.keys.ClearRow(int(t.slot))
-			delete(g.odd, t.slot)
 			g.free = append(g.free, t.slot)
 		}
 	}

@@ -66,9 +66,10 @@ func groupRow(rng *rand.Rand) []relation.Value {
 // COUNT(*) / COUNT(x) / SUM / AVG over int and float columns, the table
 // draining to empty — a global aggregate then reports COUNT 0 and SUM
 // NULL — and refilling, DISTINCT values held by several rows, and two
-// planted rows typed columns cannot hold (a kind-drifted cell, an
-// untyped NULL), which push the columnar arm onto the row arm mid-run
-// and, for the DISTINCT over that column, become group keys.
+// planted rows written with a value of another kind than its column (an
+// INT into the FLOAT column, an untyped NULL), which the store's write
+// boundary conforms and which, for the DISTINCT over that column, become
+// group keys.
 func TestGroupTableTranscriptEquivalence(t *testing.T) {
 	queries := []string{
 		"SELECT k, b, SUM(v) AS sv, COUNT(*) AS n, COUNT(v) AS nv, AVG(v) AS av FROM t GROUP BY k, b",
@@ -79,14 +80,12 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 		"SELECT DISTINCT s, f FROM t WHERE k < 3",
 	}
 	variants := []struct {
-		name       string
-		vectorized bool
-		compact    bool // engine compacts; false feeds in-window insert+delete to the fold
-		image      bool // manager-style prebuilt compacted images
+		name    string
+		compact bool // engine compacts; false feeds in-window insert+delete to the fold
+		image   bool // manager-style prebuilt compacted images
 	}{
-		{"columnar_images", true, true, true},
-		{"columnar_raw", true, false, false},
-		{"row", false, false, false},
+		{"columnar_images", true, true},
+		{"columnar_raw", false, false},
 	}
 	for qi, q := range queries {
 		for _, va := range variants {
@@ -127,7 +126,7 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 				plan = algebra.Optimize(plan)
 				reg := obs.NewRegistry()
 				eng := dra.NewEngine()
-				eng.Vectorized, eng.CompactDeltas = va.vectorized, va.compact
+				eng.CompactDeltas = va.compact
 				eng.Instrument(reg)
 				var maint groupMaint
 				if _, distinct := plan.(*algebra.DistinctPlan); distinct {
@@ -152,7 +151,7 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 				for round := 0; round < 16; round++ {
 					quiet := false
 					switch round {
-					case 3, 9: // plant: a kind-drifted cell, then an untyped NULL
+					case 3, 9: // plant: an INT for the FLOAT column, then an untyped NULL
 						bad := groupRow(rng)
 						bad[3] = relation.Int(7)
 						if round == 9 {
@@ -227,9 +226,11 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 					if va.image {
 						cd := d.Compact()
 						ctx.Compacted, ctx.Deltas["t"] = true, cd
-						if img, ok := batch.FromDelta(nil, cd); ok {
-							ctx.Batches = map[string]*batch.Batch{"t": img}
+						img, ok := batch.FromDelta(nil, cd)
+						if !ok {
+							t.Fatalf("round %d: window has no columnar image", round)
 						}
+						ctx.Batches = map[string]*batch.Batch{"t": img}
 					}
 					ts := store.Now()
 					label := fmt.Sprintf("round %d", round)
@@ -280,11 +281,8 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 				if snap.Counter("dra.agg.rows_folded") == 0 || snap.Counter("dra.agg.groups_touched") == 0 || snap.Counter("dra.agg.rows_emitted") == 0 {
 					t.Errorf("fold counters never moved: %+v", snap)
 				}
-				steps, fallbacks := snap.Counter("dra.vector_steps"), snap.Counter("dra.vector_fallbacks")
-				if va.vectorized && (steps == 0 || fallbacks == 0) {
-					t.Errorf("columnar arm: %d steps, %d fallbacks; the planted rows must force some of each", steps, fallbacks)
-				} else if !va.vectorized && steps+fallbacks != 0 {
-					t.Errorf("row arm ran the columnar kernels: %d steps, %d fallbacks", steps, fallbacks)
+				if steps := snap.Counter("dra.vector_steps"); steps != 16 {
+					t.Errorf("dra.vector_steps = %d over 16 rounds", steps)
 				}
 				maint.Close()
 				if got := reg.Snapshot().Gauge("dra.agg.groups"); got != 0 {

@@ -17,12 +17,8 @@ import "github.com/diorama/continual/internal/batch"
 // over the same replicas the truth table reads: each operand's window
 // seeds a work batch, walks the partner replicas' flat indexes along the
 // term plan resolved at Prepare, and is then folded into its own
-// replica before the next operand's window runs.
-//
-// Every input that can fail to fit typed columns (the operand windows,
-// passed in; the replicas, validated or rebuilt here) is resolved
-// before the first replica moves. After that (v.mutated), any error
-// leaves replicas part-advanced and vecEvaluate drops them all.
+// replica before the next operand's window runs. An error part-way
+// leaves replicas part-advanced; evaluate drops them all.
 func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch.Batch, error) {
 	c := cj.cache
 	term := make([]*vecInput, len(cj.ops))
@@ -49,7 +45,6 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 		// Advance replica i AFTER its delta ran, so later operands'
 		// deltas see it at the new state and earlier ones saw it at the
 		// old state (the telescoping invariant).
-		v.mutated = true
 		held.ent.apply(d)
 		// A cross step of an earlier term may have copied the replica's
 		// live rows (vecInput.enumerable); that copy is now stale.

@@ -31,11 +31,10 @@ type Metrics struct {
 	IndexHits     *obs.Counter // dra.index_cache.hits
 	IndexMisses   *obs.Counter // dra.index_cache.misses
 	Repicks       *obs.Counter // dra.strategy.repicks
-	// VecSteps counts evaluations served by the columnar kernels;
-	// VecFallbacks counts the ones that started vectorized but hit an
-	// unrepresentable value and re-ran on the row path.
-	VecSteps     *obs.Counter // dra.vector_steps
-	VecFallbacks *obs.Counter // dra.vector_fallbacks
+	// VecSteps counts evaluations served by the columnar kernels: every
+	// differential refresh that was not skipped, and every aggregate or
+	// DISTINCT maintainer step.
+	VecSteps *obs.Counter // dra.vector_steps
 	// JoinProbeRows counts rows entering a join step of the columnar
 	// kernels, JoinEmitRows the signed rows join terms emitted before
 	// netting (emit/probe is the probe fan-out); ReplicaRows gauges the
@@ -108,7 +107,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		IndexMisses:   reg.Counter("dra.index_cache.misses"),
 		Repicks:       reg.Counter("dra.strategy.repicks"),
 		VecSteps:      reg.Counter("dra.vector_steps"),
-		VecFallbacks:  reg.Counter("dra.vector_fallbacks"),
 		JoinProbeRows: reg.Counter("dra.join.probe_rows"),
 		JoinEmitRows:  reg.Counter("dra.join.emit_rows"),
 		ReplicaRows:   reg.Gauge("dra.replica.rows"),
@@ -154,6 +152,7 @@ func (m *Metrics) observe(st Stats, span *obs.Span, elapsed time.Duration) {
 		m.Fallbacks.Inc()
 	default:
 		m.Differential.Inc()
+		m.VecSteps.Inc()
 	}
 	if span != nil {
 		span.Fields = append(span.Fields,

@@ -6,28 +6,26 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
 
 // replica is one join operand's state kept across refreshes — the only
 // operand-replica type in the engine, shared by the truth table (which
-// reads it as the pre-state) and the telescoping kernel (which advances
-// it operand by operand). Rows live in typed columns addressed by slot:
-// a row keeps its slot for as long as it lives, freed slots are holes
-// (sign 0) reused LIFO, and every index — tid → slot, and one per probed
-// key-column set — is a flat relation.SlotIndex over slot numbers,
-// verified against the columns on probe. Nothing here holds a Tuple or
-// a per-key map; apart from string payloads the whole structure is
-// pointer-free.
+// reads it as the pre-state and advances it once its terms have run) and
+// the telescoping kernel (which advances it operand by operand). Rows
+// live in typed columns addressed by slot: a row keeps its slot for as
+// long as it lives, freed slots are holes (sign 0) reused LIFO, and
+// every index — tid → slot, and one per probed key-column set — is a
+// flat relation.SlotIndex over slot numbers, verified against the
+// columns on probe. Nothing here holds a Tuple or a per-key map; apart
+// from string payloads the whole structure is pointer-free.
 type replica struct {
 	rows  *batch.Batch // slot-addressed; Signs[slot] is +1 live, 0 free
 	byTID relation.SlotIndex
 	free  []int32
 	live  int
 	keys  []*keyIndex
-	view  *delta.Signed // +1 signed view for the row path, dropped on advance
 
 	// ts is the timestamp the replica reflects: rows equal the operand
 	// subtree executed at ts.
@@ -47,19 +45,17 @@ type keyIndex struct {
 	ix   relation.SlotIndex
 }
 
-// newReplica loads an operand's executed output into typed columns;
-// ok=false when some value is unrepresentable (kind drift, untyped
-// NULL), in which case the operand cannot be cached.
-func newReplica(rel *relation.Relation, ts vclock.Timestamp) (*replica, bool) {
+// newReplica loads an operand's executed output into typed columns.
+func newReplica(rel *relation.Relation, ts vclock.Timestamp) (*replica, error) {
 	r := &replica{rows: batch.New(rel.Schema(), rel.Len()), ts: ts}
 	for _, t := range rel.Tuples() {
 		if !r.rows.AppendRow(t.TID, +1, t.Values) {
-			return nil, false
+			return nil, nonConforming("operand pre-state")
 		}
 		r.byTID.Insert(int32(r.live), uint64(t.TID))
 		r.live++
 	}
-	return r, true
+	return r, nil
 }
 
 // slotOf returns the slot holding tid, or -1.
@@ -117,7 +113,6 @@ func (r *replica) apply(b *batch.Batch) {
 			k.ix.Insert(s, r.rows.HashKey(int(s), k.cols))
 		}
 	}
-	r.view = nil
 }
 
 // index returns the maintained hash index on cols, building it on first
@@ -140,40 +135,8 @@ func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
 	return &k.ix
 }
 
-// keyIs reports whether slot's cols hold exactly the key values — the
-// row path's collision check.
-func (r *replica) keyIs(slot int, cols []int, key []relation.Value) bool {
-	for i, c := range cols {
-		if !r.rows.Value(slot, c).Equal(key[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// signedView returns the live rows as a +1 signed relation for the row
-// path's term enumeration (seeding and nested-loop steps).
-func (r *replica) signedView() *delta.Signed {
-	if r.view == nil {
-		width := r.rows.Schema.Len()
-		flat := make([]relation.Value, r.live*width)
-		out := &delta.Signed{Schema: r.rows.Schema, Rows: make([]delta.SignedRow, 0, r.live)}
-		for s := 0; s < r.rows.Len(); s++ {
-			if r.rows.Signs[s] == 0 {
-				continue
-			}
-			vals := flat[:width:width]
-			flat = flat[width:]
-			r.rows.ReadRow(s, vals)
-			out.Rows = append(out.Rows, delta.SignedRow{TID: r.rows.TIDs[s], Values: vals, Sign: +1})
-		}
-		r.view = out
-	}
-	return r.view
-}
-
-// liveBatch copies the live rows into a pooled batch for the columnar
-// path's enumerating steps (term seeds and cross products).
+// liveBatch copies the live rows into a pooled batch for the enumerating
+// steps of a term (seeds and cross products).
 func (r *replica) liveBatch(p *batch.Pool) *batch.Batch {
 	out := p.Get(r.rows.Schema, r.live)
 	for s := 0; s < r.rows.Len(); s++ {
@@ -226,8 +189,7 @@ func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 //     timestamp tag moves.
 //
 // Anything else is rebuilt from the pre-state snapshot, which is the
-// transient truth table's cost. errVecFallback means the operand's
-// output does not fit typed columns and cannot be cached at all.
+// transient truth table's cost.
 func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 	if ent := c.ents[i]; ent != nil {
 		if ent.ts == ctx.LastTS {
@@ -250,20 +212,15 @@ func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 	}
 	st.PreTuplesScanned += rel.Len()
 	st.IndexCacheMisses++
-	ent, ok := newReplica(rel, ctx.LastTS)
-	if !ok {
-		c.ents[i] = nil
-		return nil, errVecFallback
-	}
-	c.ents[i] = ent
-	return ent, nil
+	c.ents[i], err = newReplica(rel, ctx.LastTS)
+	return c.ents[i], err
 }
 
 // advance folds the refresh's operand delta batches into every replica
-// that is current at ctx.LastTS and moves it to execTS. A nil batch (or
-// nil deltas, for a skipped refresh or one whose kernel already applied
-// them) folds nothing: the replica already equals the state at execTS
-// and only the tags move.
+// that is current at ctx.LastTS and moves it to execTS. Nil deltas (a
+// skipped refresh, or one whose kernel already applied them) fold
+// nothing: the replica already equals the state at execTS and only the
+// tags move.
 //
 // Replicas from older refreshes that were not revalidated this round
 // are left alone; the next pre() call version-checks or rebuilds them.
@@ -272,7 +229,7 @@ func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*batch
 		if ent == nil || ent.ts != ctx.LastTS {
 			continue
 		}
-		if deltas != nil && deltas[i] != nil {
+		if deltas != nil {
 			ent.apply(deltas[i])
 		}
 		ent.ts = execTS
@@ -281,32 +238,8 @@ func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*batch
 	}
 }
 
-// advanceSigned is advance for the row path, whose operand deltas are
-// signed rows: each converts to a batch first, and a replica whose delta
-// does not fit typed columns is dropped (the next refresh rebuilds it
-// or, failing that too, runs uncached).
-func (c *opCache) advanceSigned(ctx *Context, execTS vclock.Timestamp, deltas []*delta.Signed) {
-	pool := c.engine.pool
-	bs := make([]*batch.Batch, len(deltas))
-	for i, d := range deltas {
-		if c.ents[i] == nil || d.Len() == 0 {
-			continue
-		}
-		b, ok := batch.FromSigned(pool, d)
-		if !ok {
-			c.ents[i] = nil
-		}
-		bs[i] = b
-	}
-	c.advance(ctx, execTS, bs)
-	for _, b := range bs {
-		// released: the replicas copied the rows they keep.
-		pool.Put(b)
-	}
-}
-
-// invalidate drops every replica (Close, and any refresh that failed
-// after the telescoping kernel had begun advancing them).
+// invalidate drops every replica (Close, entering propagate, and any
+// refresh that failed: its join groups may have advanced part-way).
 func (c *opCache) invalidate() {
 	clear(c.ents)
 }

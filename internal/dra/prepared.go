@@ -115,9 +115,8 @@ type Prepared struct {
 // Prepare compiles the plan once and picks the refresh strategy.
 // strategy Auto defers to the cost model; a forced strategy the plan
 // cannot run (TruthTable on a non-SPJ plan, Incremental on a plan
-// without a join of two or more operands or on an engine with
-// Vectorized off) is an error, so callers can fall back explicitly
-// rather than silently.
+// without a join of two or more operands) is an error, so callers can
+// fall back explicitly rather than silently.
 func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error) {
 	start := time.Now()
 	p := &Prepared{
@@ -151,11 +150,6 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 	case StrategyIncremental:
 		if !incrementalEligible(plan) {
 			return nil, fmt.Errorf("%w: incremental strategy needs an SPJ join of two or more operands", ErrUnsupportedPlan)
-		}
-		if !e.Vectorized {
-			// The telescoping kernel is columnar only; the row path would
-			// run the truth table under the incremental label.
-			return nil, fmt.Errorf("%w: incremental strategy needs a vectorized engine", ErrUnsupportedPlan)
 		}
 		p.cur = StrategyIncremental
 	case StrategyPropagate:
@@ -207,7 +201,7 @@ func (p *Prepared) Close() {
 // dropReplicas discards every join group's operand replicas.
 func (p *Prepared) dropReplicas() {
 	if p.root != nil {
-		p.root.eachJoin(func(cj *compiledJoin) { cj.cache.invalidate() })
+		p.root.dropReplicas()
 	}
 	p.gaugeReplicas()
 }
@@ -286,7 +280,7 @@ func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) 
 	} else {
 		res, err = p.engine.evaluate(p.plan, p.root, ctx, execTS, p.cur == StrategyIncremental)
 	}
-	base := p.gaugeReplicas() // on failure too: the kernel may have dropped them
+	base := p.gaugeReplicas() // on failure too: a failed refresh drops them
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +296,7 @@ func (p *Prepared) pick() Strategy {
 	if p.baseSize > 0 && p.ratio > propagateRatio {
 		return StrategyPropagate
 	}
-	if p.engine.Vectorized && p.baseSize >= incrementalMinBase && incrementalEligible(p.plan) && p.fullyEquiConnected() {
+	if p.baseSize >= incrementalMinBase && incrementalEligible(p.plan) && p.fullyEquiConnected() {
 		return StrategyIncremental
 	}
 	return StrategyTruthTable

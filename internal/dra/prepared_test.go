@@ -1,7 +1,6 @@
 package dra
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -234,15 +233,6 @@ func TestPrepareForcedStrategyErrors(t *testing.T) {
 	if p.Strategy() != StrategyPropagate {
 		t.Errorf("auto on non-SPJ = %v, want propagate", p.Strategy())
 	}
-
-	// The telescoping kernel is columnar only: a row-path engine must
-	// refuse the label rather than run the truth table under it.
-	joinPlan := f.plan(t, "SELECT a.name FROM stocks a JOIN stocks b ON a.name = b.name")
-	rowEng := NewEngine()
-	rowEng.Vectorized = false
-	if _, err := rowEng.Prepare(joinPlan, StrategyIncremental); !errors.Is(err, ErrUnsupportedPlan) {
-		t.Errorf("incremental on a non-vectorized engine: err = %v, want ErrUnsupportedPlan", err)
-	}
 }
 
 // TestPreparedAdaptiveRepick drives the cost model both ways: a large
@@ -285,15 +275,6 @@ func TestPreparedAdaptiveRepick(t *testing.T) {
 		if p := calmJoin(t, NewEngine()); p.Strategy() != StrategyIncremental {
 			t.Errorf("after %d small-delta refreshes over a %d-row base: strategy = %v, want incremental",
 				2*repickEvery, 2*64, p.Strategy())
-		}
-	})
-	// Without the columnar kernels there is no telescoping kernel to
-	// graduate to: the row engine holds the truth table.
-	t.Run("row_engine_stays_truth_table", func(t *testing.T) {
-		e := NewEngine()
-		e.Vectorized = false
-		if p := calmJoin(t, e); p.Strategy() != StrategyTruthTable {
-			t.Errorf("non-vectorized engine re-picked %v, want truth-table", p.Strategy())
 		}
 	})
 	// rewriteAll drives rounds that rewrite every stock each round:

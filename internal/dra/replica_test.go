@@ -32,13 +32,19 @@ func signedBatch(schema relation.Schema, rows ...srow) *batch.Batch {
 func strs(x, y string) []relation.Value { return []relation.Value{relation.Str(x), relation.Str(y)} }
 
 // probeSlots walks the replica's index on cols for a key, verifying
-// candidates against the columns exactly as the row path does.
+// candidates against the columns exactly as hashStepVec does.
 func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
 	var st Stats
 	ix := r.index(cols, &st)
+	probe := batch.New(r.rows.Schema.Project(cols), 1)
+	probe.AppendRow(0, +1, key)
+	pcols := make([]int, len(cols))
+	for i := range pcols {
+		pcols[i] = i
+	}
 	var out []relation.TID
-	for s := ix.First(relation.HashValues(key)); s >= 0; s = ix.Next(s) {
-		if r.keyIs(int(s), cols, key) {
+	for s := ix.First(probe.HashKey(0, pcols)); s >= 0; s = ix.Next(s) {
+		if r.rows.KeyEqual(int(s), cols, probe, 0, pcols) {
 			out = append(out, r.rows.TIDs[s])
 		}
 	}
@@ -56,9 +62,9 @@ func TestReplicaSlotReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, ok := newReplica(rel, 1)
-	if !ok {
-		t.Fatal("clean strings must fit typed columns")
+	r, err := newReplica(rel, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	key := []int{0}
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 1 || got[0] != 2 {
@@ -97,8 +103,8 @@ func TestReplicaSlotReuse(t *testing.T) {
 	if got := probeSlots(r, key, relation.Str("z")); len(got) != 2 {
 		t.Fatalf("probe z after the move = %v, want tids 1 and 9", got)
 	}
-	if view := r.signedView(); len(view.Rows) != 4 {
-		t.Fatalf("signed view has %d rows, want the 4 live ones", len(view.Rows))
+	if lb := r.liveBatch(nil); lb.Len() != 4 {
+		t.Fatalf("live batch has %d rows, want the 4 live ones", lb.Len())
 	}
 }
 

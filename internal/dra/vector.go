@@ -1,7 +1,6 @@
 package dra
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -11,24 +10,14 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// errVecFallback aborts a vectorized evaluation when some value cannot
-// live in a typed column (kind drift, untyped NULLs outside the
-// projection-NULL case). It never escapes the engine: evaluate catches
-// it and re-runs the refresh on the row path. The fallback rule: the
-// truth table defers every replica advance until the whole tree has
-// evaluated, so nothing has been mutated when the sentinel surfaces;
-// the telescoping kernel advances replicas as it goes, so a failure
-// after its first advance drops every replica of the plan and the row
-// path rebuilds them from the pre-state snapshot.
-var errVecFallback = errors.New("dra: unrepresentable in columnar form")
-
-// pendingAdvance is one join group's deferred cache advance: the
-// operand delta batches are folded into the replicas only after the
-// whole refresh succeeds, so a row-path fallback re-runs against
-// untouched caches.
-type pendingAdvance struct {
-	cache   *opCache
-	batches []*batch.Batch
+// nonConforming reports a value that does not fit its typed column. The
+// store's write boundary conforms every stored value to its column
+// (relation.Schema.Conform), so this is an invariant violation — a
+// hand-built window, or a store that bypassed the boundary — and an
+// ordinary refresh error: the scheduler's guard counts it against the
+// CQ's breaker like any other failure.
+func nonConforming(what string) error {
+	return fmt.Errorf("dra: %s: value does not fit its typed column: %w", what, relation.ErrTypeMismatch)
 }
 
 // vecEval is the per-refresh state of the columnar evaluator. Every
@@ -41,78 +30,65 @@ type vecEval struct {
 	execTS vclock.Timestamp
 	st     *Stats
 	owned  []*batch.Batch
-	adv    []pendingAdvance
 	// telescope selects the telescoping kernel for prepared join groups
-	// (StrategyIncremental); mutated records that it has begun advancing
-	// replicas in place.
+	// (StrategyIncremental).
 	telescope bool
-	mutated   bool
 }
 
-// vecRelevant is the relevance probe of Section 5.2 over the columnar
-// kernels: every maximal join-free subtree's filtered window evaluates
-// batch-at-a-time with pooled buffers, replacing the row path's
-// per-tuple predicate loop. Operand subtrees are join-free by
-// construction, so the probe can never queue a cache advance. ok=false
-// means some value was unrepresentable in typed columns; the caller
-// re-probes on the row path.
-func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (relevant, ok bool, err error) {
+// vecRelevant is the relevance probe of Section 5.2: every maximal
+// join-free subtree's filtered window evaluates batch-at-a-time with
+// pooled buffers, and the refresh is relevant when any is non-empty. It
+// never materializes pre-states, so it is cheap (O(Σ|ΔRi|)), and operand
+// subtrees are join-free by construction, so it never touches a replica.
+// It runs on a scratch Stats: the rows it scans are counted again by the
+// real evaluation, so its work never reaches Result.Stats.
+func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (bool, error) {
 	var scratch Stats
 	v := &vecEval{e: e, ctx: ctx, st: &scratch}
 	defer v.releaseOwned()
 	for _, op := range root.operands(nil) {
 		b, err := v.nodeBatch(op)
 		if err != nil {
-			if errors.Is(err, errVecFallback) {
-				return false, false, nil
-			}
-			return false, false, err
+			return false, err
 		}
 		if b.Len() > 0 {
-			return true, true, nil
+			return true, nil
 		}
 	}
-	return false, true, nil
+	return false, nil
 }
 
 // vecEvaluate runs the differential evaluation over typed columnar
 // batches — join groups by truth-table expansion, or by the telescoping
-// kernel when telescope is set. ok=false means the refresh must re-run
-// on the row path (replicas untouched or dropped, see errVecFallback);
-// the error return is a genuine evaluation error, identical to what the
-// row path would raise.
-func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats, telescope bool) (*delta.Signed, bool, error) {
-	var vst Stats
-	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: &vst, telescope: telescope}
+// kernel when telescope is set — and nets the result. Join groups
+// advance their replicas as they go, so an error can leave them
+// part-advanced; the caller drops them (evaluate).
+func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats, telescope bool) (*delta.Signed, error) {
+	if e.SkipIrrelevant {
+		relevant, err := e.vecRelevant(root, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !relevant {
+			st.Skipped = true
+			// The skipped window still moves the operand caches forward:
+			// every filtered delta is empty, so each replica already
+			// equals its operand's state at execTS.
+			root.eachJoin(func(cj *compiledJoin) {
+				if cj.cache != nil {
+					cj.cache.advance(ctx, execTS, nil)
+				}
+			})
+			return &delta.Signed{Schema: root.plan.Schema()}, nil
+		}
+	}
+	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: st, telescope: telescope}
+	defer v.releaseOwned()
 	out, err := v.nodeBatch(root)
 	if err != nil {
-		v.releaseOwned()
-		if v.mutated {
-			root.eachJoin(func(cj *compiledJoin) { cj.cache.invalidate() }) // telescoping implies prepared groups
-		}
-		if errors.Is(err, errVecFallback) {
-			return nil, false, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
-	net := v.netBatch(out)
-	v.applyAdvances()
-	v.releaseOwned()
-	st.add(vst)
-	return net, true, nil
-}
-
-// add accumulates another evaluation's work counts (the vectorized path
-// runs on a scratch Stats so a fallback discards its partial counts
-// instead of double-counting with the row path's).
-func (st *Stats) add(o Stats) {
-	st.Terms += o.Terms
-	st.DeltaRows += o.DeltaRows
-	st.PreTuplesScanned += o.PreTuplesScanned
-	st.IndexCacheHits += o.IndexCacheHits
-	st.IndexCacheMisses += o.IndexCacheMisses
-	st.JoinProbeRows += o.JoinProbeRows
-	st.JoinEmitRows += o.JoinEmitRows
+	return v.netBatch(out), nil
 }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
@@ -129,19 +105,8 @@ func (v *vecEval) releaseOwned() {
 	v.owned = nil
 }
 
-// applyAdvances folds the refresh's operand deltas into the prepared
-// caches, exactly as the row path's joinDelta does inline. The replicas
-// copy the rows they keep, so they stay valid after the source batches
-// return to the pool.
-func (v *vecEval) applyAdvances() {
-	for _, pa := range v.adv {
-		pa.cache.advance(v.ctx, v.execTS, pa.batches)
-	}
-	v.adv = nil
-}
-
-// nodeBatch is the columnar mirror of signedDelta: the signed change of
-// a compiled node's output as a batch.
+// nodeBatch computes the signed change of a compiled node's output
+// between the pre and post states, as a batch.
 func (v *vecEval) nodeBatch(n *compiledNode) (*batch.Batch, error) {
 	switch {
 	case n.scan != nil:
@@ -191,7 +156,7 @@ func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {
 	if d != nil {
 		for _, r := range d.Rows() {
 			if !out.AppendChange(r) {
-				return nil, errVecFallback
+				return nil, nonConforming("window of " + n.Table)
 			}
 		}
 	}
@@ -238,10 +203,10 @@ func (v *vecEval) filterBatch(in *batch.Batch, pred algebra.CompiledExpr) (*batc
 // projectBatch evaluates projection as column permutation: items that
 // are bare column references of the output type move by slice exchange
 // (zero copies; the input slot is hollowed out), and only computed
-// items run a row loop. The row path emits untyped NULLs from
-// NULL-propagating expressions; the typed output column adopts them as
-// typed NULLs, which Equal and the value hash treat identically, so the
-// transcripts stay equal.
+// items run a row loop. NULL-propagating expressions evaluate to untyped
+// NULLs; each computed value takes its output column's type by the
+// store's own rule (relation.Column.Conform), which Equal and the value
+// hash cannot tell from the untyped form.
 func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, schema relation.Schema) (*batch.Batch, error) {
 	out := v.own(v.e.pool.Get(schema, in.Len()))
 	width := in.Schema.Len()
@@ -265,19 +230,17 @@ func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, sc
 		if scratch == nil {
 			scratch = make([]relation.Value, width)
 		}
-		colType := schema.Col(i).Type
+		col := schema.Col(i)
 		for r := 0; r < n; r++ {
 			in.ReadRow(r, scratch)
 			val, err := ce.Eval(relation.Tuple{TID: in.TIDs[r], Values: scratch})
+			if err == nil {
+				val, err = col.Conform(val)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("dra: project: %w", err)
 			}
-			if val.IsNull() && val.Kind != colType {
-				val = relation.TypedNull(colType)
-			}
-			if !out.AppendColValue(i, val) {
-				return nil, errVecFallback
-			}
+			out.AppendColValue(i, val) // conformed: fits
 		}
 	}
 	for i := range items {
@@ -325,9 +288,9 @@ func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 
 // joinBatch computes the signed delta of a join group: by the
 // telescoping kernel when the refresh runs StrategyIncremental over a
-// prepared group, by truth-table expansion otherwise. The truth table
-// records its cache advance instead of applying it — see
-// pendingAdvance.
+// prepared group, by truth-table expansion (Algorithm 1, steps 1-3)
+// otherwise. Either way a prepared group's replicas end the call
+// advanced to execTS.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	e := v.e
 	nOps := len(cj.ops)
@@ -345,7 +308,7 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	}
 	if len(changed) == 0 {
 		if cj.cache != nil {
-			v.adv = append(v.adv, pendingAdvance{cache: cj.cache, batches: deltas})
+			cj.cache.advance(v.ctx, v.execTS, nil)
 		}
 		return v.own(e.pool.Get(cj.outSchema, 0)), nil
 	}
@@ -353,23 +316,21 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		return v.telescopeJoin(cj, deltas)
 	}
 	if len(changed) > maxChangedOperands {
-		// Complete re-evaluation, as on the row path; no advance is
-		// recorded, the cache revalidates or rebuilds next refresh.
+		// Complete re-evaluation; the cache is left behind and will
+		// revalidate by table version or rebuild at the next refresh.
 		s, err := PropagateSigned(cj.plan, v.ctx.Pre, v.ctx.Post)
 		if err != nil {
 			return nil, err
 		}
 		pb, ok := batch.FromSigned(e.pool, s)
 		if !ok {
-			return nil, errVecFallback
+			return nil, nonConforming("join re-evaluation")
 		}
 		return v.own(pb), nil
 	}
 
 	// Lazily materialized pre-states, served from the cache when one is
-	// attached. cache.pre only normalizes replicas to the window start
-	// (rebuild or version retag), so running it before a possible
-	// fallback is safe — only advance moves state past LastTS.
+	// attached.
 	pres := make([]*vecInput, nOps)
 	preOf := func(i int) (*vecInput, error) {
 		if pres[i] == nil {
@@ -421,14 +382,14 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 			continue
 		}
 		v.st.Terms++
-		tp := cj.planTerm(e.termOrderBy(cj, lens, isDelta), e.UseHashJoin)
+		tp := cj.planTerm(e.termOrder(cj, lens, isDelta), e.UseHashJoin)
 		var err error
 		if out, err = v.runTerm(cj, tp, term, out); err != nil {
 			return nil, err
 		}
 	}
 	if cj.cache != nil {
-		v.adv = append(v.adv, pendingAdvance{cache: cj.cache, batches: deltas})
+		cj.cache.advance(v.ctx, v.execTS, deltas)
 	}
 	if out == nil {
 		out = v.own(e.pool.Get(cj.outSchema, 0))
@@ -457,7 +418,7 @@ func (v *vecEval) operandPreVec(cj *compiledJoin, i int) (*vecInput, error) {
 	pb := v.own(v.e.pool.Get(rel.Schema(), rel.Len()))
 	for _, t := range rel.Tuples() {
 		if !pb.AppendRow(t.TID, +1, t.Values) {
-			return nil, errVecFallback
+			return nil, nonConforming("operand pre-state")
 		}
 	}
 	return &vecInput{b: pb}, nil
@@ -631,12 +592,15 @@ func (g *netGroup) add(e netEntry) {
 }
 
 // netBatch reduces the signed batch to at most one negative and one
-// positive row per tid — netSigned over columns, comparing candidate
-// rows in place (RowsEqual) instead of materializing and hashing every
-// row. Grouping is a flat group slice addressed through one tid index,
-// so the pass costs O(1) allocations rather than two map levels plus an
-// entry per row. The emitted rows share one flat owned backing, so the
-// result stays valid after the batch returns to the pool.
+// positive row per tid by counting per (tid, value) and keeping nonzero
+// nets. This collapses the cross terms of the truth-table expansion
+// (e.g. a tuple modified on both join sides contributes four signed rows
+// that net to one -old and one +new). Candidate rows are compared in
+// place (RowsEqual) — no row is materialized or hashed, so two distinct
+// rows can never merge — and grouping is a flat group slice addressed
+// through one tid index, so the pass costs O(1) allocations. The emitted
+// rows share one flat owned backing, so the result stays valid after the
+// batch returns to the pool.
 func (v *vecEval) netBatch(b *batch.Batch) *delta.Signed {
 	width := b.Schema.Len()
 	groupOf := make(map[relation.TID]int32, b.Len())
@@ -664,9 +628,8 @@ func (v *vecEval) netBatch(b *batch.Batch) *delta.Signed {
 		}
 	}
 	// Entries sit in arrival order within each group and groups in
-	// first-arrival order of their tid, so picking the first negative
-	// and first positive entry per group reproduces netSigned's emit
-	// order exactly.
+	// first-arrival order of their tid: the emit order is the first
+	// negative, then the first positive entry of each group.
 	nEmit := 0
 	for gi := range groups {
 		g := &groups[gi]

@@ -1,18 +1,28 @@
 package dra
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
-// netKey identifies one row of a netted signed delta. netSigned emits at
-// most one negative and one positive row per tid, so (tid, sign) is a
-// unique key within one result.
+// sameValues reports whether two rows carry equal values position by
+// position.
+func sameValues(a, b []relation.Value) bool {
+	return slices.EqualFunc(a, b, relation.Value.Equal)
+}
+
+// netKey identifies one row of a netted signed delta: at most one
+// negative and one positive row per tid, so (tid, sign) is a unique key
+// within one result.
 type netKey struct {
 	tid  relation.TID
 	sign int
@@ -20,8 +30,8 @@ type netKey struct {
 
 // assertSameNet compares two netted signed deltas as sets: same keys,
 // value-equal rows (relation.Value.Equal semantics, so NULL kind tags —
-// which the columnar path normalizes to the column type — don't count).
-func assertSameNet(t *testing.T, label string, row, vec *delta.Signed) {
+// which the engine normalizes to the column type — don't count).
+func assertSameNet(t *testing.T, label string, want, got *delta.Signed) {
 	t.Helper()
 	index := func(s *delta.Signed) map[netKey][]relation.Value {
 		m := make(map[netKey][]relation.Value, len(s.Rows))
@@ -34,18 +44,42 @@ func assertSameNet(t *testing.T, label string, row, vec *delta.Signed) {
 		}
 		return m
 	}
-	rm, vm := index(row), index(vec)
-	if len(rm) != len(vm) {
-		t.Fatalf("%s: row path emitted %d rows, vec path %d", label, len(rm), len(vm))
+	wm, gm := index(want), index(got)
+	if len(wm) != len(gm) {
+		t.Fatalf("%s: oracle emitted %d rows, engine %d", label, len(wm), len(gm))
 	}
-	for k, rv := range rm {
-		vv, ok := vm[k]
+	for k, wv := range wm {
+		gv, ok := gm[k]
 		if !ok {
-			t.Fatalf("%s: vec path missing row %+v", label, k)
+			t.Fatalf("%s: engine missing row %+v", label, k)
 		}
-		if !sameValues(rv, vv) {
-			t.Fatalf("%s: values diverge at %+v:\nrow: %v\nvec: %v", label, k, rv, vv)
+		if !sameValues(wv, gv) {
+			t.Fatalf("%s: values diverge at %+v:\noracle: %v\nengine: %v", label, k, wv, gv)
 		}
+	}
+}
+
+// oracle is the paper's yardstick for one window: the signed change by
+// complete re-evaluation of the plan on both states.
+func oracle(t *testing.T, plan algebra.Plan, ctx *Context) *delta.Signed {
+	t.Helper()
+	want, err := PropagateSigned(plan, ctx.Pre, ctx.Post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// assertComplete checks a maintained result against running the query
+// from scratch.
+func assertComplete(t *testing.T, label string, plan algebra.Plan, f *fixture, got *relation.Relation) {
+	t.Helper()
+	want, err := InitialResult(plan, f.store.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualByTID(want) {
+		t.Fatalf("%s: maintained result diverges from full re-evaluation.\nDRA:\n%s\nfull:\n%s", label, got, want)
 	}
 }
 
@@ -83,12 +117,12 @@ func vecFixtureSchemas() map[string]relation.Schema {
 	}
 }
 
-// TestVectorizedMatchesRowPath is the tentpole's transcript-equivalence
-// gate inside the engine: over random histories, a row-path engine and
-// a vectorized engine (each with its own prepared plan and operand
-// cache) must produce identical net signed deltas round after round,
-// across the flag matrix that changes which kernels run.
-func TestVectorizedMatchesRowPath(t *testing.T) {
+// TestVectorizedMatchesPropagate is the transcript-equivalence gate
+// inside the engine: over random histories, a prepared plan must produce,
+// round after round, exactly the net signed delta of complete
+// re-evaluation (PropagateSigned) and maintain exactly the from-scratch
+// result, across the flag matrix that changes which kernels run.
+func TestVectorizedMatchesPropagate(t *testing.T) {
 	type variant struct {
 		name string
 		mod  func(*Engine)
@@ -109,17 +143,9 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 				applyRandomBatch(t, f, rng, live, 8, 3)
 
 				plan := f.plan(t, q)
-				rowEng := NewEngine()
-				rowEng.Vectorized = false
-				va.mod(rowEng)
-				vecEng := NewEngine()
-				va.mod(vecEng)
-
-				rowP, err := rowEng.Prepare(plan, StrategyTruthTable)
-				if err != nil {
-					t.Fatal(err)
-				}
-				vecP, err := vecEng.Prepare(plan, StrategyTruthTable)
+				eng := NewEngine()
+				va.mod(eng)
+				p, err := eng.Prepare(plan, StrategyTruthTable)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,17 +158,14 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 					applyRandomBatch(t, f, rng, live, 1+rng.Intn(3), 1+rng.Intn(4))
 					ctx := f.ctx(t)
 					ctx.Prev = prev
-					ts := f.store.Now()
-					rowRes, err := rowP.Step(ctx, ts)
+					res, err := p.Step(ctx, f.store.Now())
 					if err != nil {
-						t.Fatalf("round %d row: %v", round, err)
+						t.Fatalf("round %d: %v", round, err)
 					}
-					vecRes, err := vecP.Step(ctx, ts)
-					if err != nil {
-						t.Fatalf("round %d vec: %v", round, err)
-					}
-					assertSameNet(t, fmt.Sprintf("round %d", round), rowRes.Signed, vecRes.Signed)
-					prev = rowRes.ApplyTo(prev)
+					label := fmt.Sprintf("round %d", round)
+					assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+					prev = res.ApplyTo(prev)
+					assertComplete(t, label, plan, f, prev)
 					f.mark()
 				}
 			})
@@ -153,9 +176,9 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 // TestVectorizedPrebuiltWindow drives the zero-copy scan entry: the
 // context carries prebuilt columnar windows (as the cq scheduler's
 // shared window cache does), compacted once and shared read-only, and
-// the result must match the row path over the same compacted windows.
-// Two vectorized steps share the same prebuilt batches to prove the
-// views never mutate them.
+// the result must match complete re-evaluation over the same window.
+// Two steps share the same prebuilt batches to prove the views never
+// mutate them.
 func TestVectorizedPrebuiltWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := newFixture(t, vecFixtureSchemas())
@@ -164,14 +187,12 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 
 	q := "SELECT * FROM r JOIN u ON r.s1 = u.s2 WHERE r.a > 20"
 	plan := f.plan(t, q)
-	rowEng := NewEngine()
-	rowEng.Vectorized = false
-	vecEng := NewEngine()
-	vecA, err := vecEng.Prepare(plan, StrategyTruthTable)
+	eng := NewEngine()
+	vecA, err := eng.Prepare(plan, StrategyTruthTable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecB, err := vecEng.Prepare(plan, StrategyTruthTable)
+	vecB, err := eng.Prepare(plan, StrategyTruthTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +212,15 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 		for name, d := range ctx.Deltas {
 			cd := d.Compact()
 			ctx.Deltas[name] = cd
-			if b, ok := batch.FromDelta(pool, cd); ok {
-				ctx.Batches[name] = b
+			b, ok := batch.FromDelta(pool, cd)
+			if !ok {
+				t.Fatalf("window of %q has no columnar image", name)
 			}
+			ctx.Batches[name] = b
 		}
 		ctx.Prev = prev
 		ts := f.store.Now()
-		rowRes, err := rowEng.Reevaluate(plan, ctx, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(t, plan, ctx)
 		aRes, err := vecA.Step(ctx, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -209,100 +229,161 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameNet(t, fmt.Sprintf("round %d A", round), rowRes.Signed, aRes.Signed)
-		assertSameNet(t, fmt.Sprintf("round %d B", round), rowRes.Signed, bRes.Signed)
+		assertSameNet(t, fmt.Sprintf("round %d A", round), want, aRes.Signed)
+		assertSameNet(t, fmt.Sprintf("round %d B", round), want, bRes.Signed)
 		for _, b := range ctx.Batches {
 			pool.Put(b)
 		}
-		prev = rowRes.ApplyTo(prev)
+		prev = aRes.ApplyTo(prev)
+		assertComplete(t, fmt.Sprintf("round %d", round), plan, f, prev)
 		f.mark()
 	}
 }
 
-// TestVectorizedFallbackKeepsCachesCoherent forces the columnar path to
-// bail out mid-refresh (storage validates arity only, so a wrong-kind
-// value is insertable and unrepresentable in a typed column) and checks
-// the refresh still answers through the row path — then, critically,
-// that the NEXT refresh is also correct: the deferred-advance design
-// means the fallback round left the prepared operand replicas
-// untouched, so they must revalidate or rebuild rather than serve a
-// half-advanced state.
-func TestVectorizedFallbackKeepsCachesCoherent(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := newFixture(t, vecFixtureSchemas())
-	live := liveSet{}
-	applyRandomBatch(t, f, rng, live, 8, 3)
-
-	q := "SELECT * FROM r JOIN u ON r.s1 = u.s2"
-	plan := f.plan(t, q)
-	rowEng := NewEngine()
-	rowEng.Vectorized = false
-	vecEng := NewEngine()
-	rowP, err := rowEng.Prepare(plan, StrategyTruthTable)
-	if err != nil {
-		t.Fatal(err)
+// TestNonConformingWindowFailsStep hands each kind of standing plan a
+// hand-built window holding a value its column cannot (a STRING in a
+// FLOAT column — the store's write boundary would have rejected it): the
+// Step must fail with the relation.ErrTypeMismatch sentinel, never
+// evaluate a second way, and leave nothing half-advanced behind — the
+// next Step over the clean window must equal complete re-evaluation. The
+// last case fails ABOVE a join group that has already advanced its
+// replicas, which must be dropped.
+func TestNonConformingWindowFailsStep(t *testing.T) {
+	type stepper interface {
+		Step(*Context, vclock.Timestamp) (*Result, error)
 	}
-	vecP, err := vecEng.Prepare(plan, StrategyTruthTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := InitialResult(plan, f.store.Live())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.mark()
-
-	step := func(round string) {
-		ctx := f.ctx(t)
-		ctx.Prev = prev
-		ts := f.store.Now()
-		rowRes, err := rowP.Step(ctx, ts)
+	badWindow := func(t *testing.T, f *fixture, ctx *Context) {
+		t.Helper()
+		schema, err := f.store.Schema("r")
 		if err != nil {
-			t.Fatalf("%s row: %v", round, err)
+			t.Fatal(err)
 		}
-		vecRes, err := vecP.Step(ctx, ts)
-		if err != nil {
-			t.Fatalf("%s vec: %v", round, err)
+		bad := delta.New(schema)
+		if err := bad.AppendInsert(1<<40, []relation.Value{relation.Str("k1"), relation.Str("oops")}, f.store.Now()); err != nil {
+			t.Fatal(err)
 		}
-		assertSameNet(t, round, rowRes.Signed, vecRes.Signed)
-		prev = rowRes.ApplyTo(prev)
-		f.mark()
+		ctx.Deltas["r"] = bad
 	}
+	prepared := func(strat Strategy) func(*testing.T, *fixture, algebra.Plan) stepper {
+		return func(t *testing.T, _ *fixture, plan algebra.Plan) stepper {
+			p, err := NewEngine().Prepare(plan, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	cases := []struct {
+		name, query string
+		build       func(*testing.T, *fixture, algebra.Plan) stepper
+		// poison makes the next Step fail; nil hand-builds a bad window.
+		poison func(*testing.T, *fixture)
+	}{
+		{"truth-table", "SELECT * FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyTruthTable), nil},
+		{"telescoping", "SELECT * FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyIncremental), nil},
+		{"group-table", "SELECT s1, SUM(a) AS total, COUNT(*) AS n FROM r GROUP BY s1", func(t *testing.T, f *fixture, plan algebra.Plan) stepper {
+			ia, err := NewIncrementalAggregate(NewEngine(), plan, f.store.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ia
+		}, nil},
+		{"error-above-advanced-join", "SELECT r.s1, u.x / (u.x - 99) AS q FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyTruthTable), func(t *testing.T, f *fixture) {
+			// Both operands change and the joined row divides by zero in
+			// the projection, after the join group advanced.
+			f.insert(t, "r", []relation.Value{relation.Str("kz"), relation.Float(1)})
+			f.insert(t, "u", []relation.Value{relation.Str("kz"), relation.Float(1), relation.Int(99)})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			f := newFixture(t, vecFixtureSchemas())
+			live := liveSet{}
+			applyRandomBatch(t, f, rng, live, 8, 3)
 
-	// Round 1: clean data, vectorized path runs and advances its cache.
-	applyRandomBatch(t, f, rng, live, 2, 3)
-	step("clean-1")
+			plan := f.plan(t, tc.query)
+			s := tc.build(t, f, plan)
+			prev, err := InitialResult(plan, f.store.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.mark()
+			clean := func(label string) {
+				t.Helper()
+				ctx := f.ctx(t)
+				ctx.Prev = prev
+				res, err := s.Step(ctx, f.store.Now())
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+				prev = res.ApplyTo(prev)
+				f.mark()
+			}
 
-	// Round 2: a kind-drifted row (string in the float column) makes the
-	// window unrepresentable; the vectorized engine must fall back and
-	// still match.
-	tx := f.store.Begin()
-	tid, err := tx.Insert("r", []relation.Value{relation.Str("k1"), relation.Str("oops")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	step("drifted")
+			// Round 1: clean data; join plans build and advance replicas.
+			applyRandomBatch(t, f, rng, live, 2, 3)
+			clean("clean-1")
 
-	// Round 3: the drifted row leaves again; the vectorized cache,
-	// untouched by the fallback round, must rebuild/revalidate and agree.
-	tx = f.store.Begin()
-	if err := tx.Delete("r", tid); err != nil {
-		t.Fatal(err)
+			// Round 2: the failing Step.
+			applyRandomBatch(t, f, rng, live, 2, 3)
+			if tc.poison != nil {
+				tc.poison(t, f)
+			}
+			ctx := f.ctx(t)
+			ctx.Prev = prev
+			if tc.poison == nil {
+				badWindow(t, f, ctx)
+			}
+			_, err = s.Step(ctx, f.store.Now())
+			if err == nil {
+				t.Fatal("Step over the failing window succeeded")
+			}
+			if tc.poison == nil && !errors.Is(err, relation.ErrTypeMismatch) {
+				t.Fatalf("Step error = %v, want relation.ErrTypeMismatch", err)
+			}
+			if p, ok := s.(*Prepared); ok {
+				for _, r := range p.Replicas() {
+					if r.Rows != 0 {
+						t.Fatalf("replica %q kept %d rows across a failed Step", r.Operand, r.Rows)
+					}
+				}
+			}
+
+			// Round 3: the same window, clean (the poison rows leave
+			// again), must equal complete re-evaluation.
+			if tc.poison != nil {
+				tx := f.store.Begin()
+				for _, table := range []string{"r", "u"} {
+					rel, err := f.store.Snapshot(table)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tu := range rel.Tuples() {
+						if tu.Values[0].AsString() == "kz" {
+							if err := tx.Delete(table, tu.TID); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clean("clean-2")
+			assertComplete(t, "clean-2", plan, f, prev)
+		})
 	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	applyRandomBatch(t, f, rng, live, 2, 3)
-	step("clean-2")
 }
 
-// TestVectorizedPathTaken guards against the silent-degradation
-// failure mode: over clean typed data, vecEvaluate must actually run
-// (ok=true) for every query shape, not quietly fall back to rows.
-func TestVectorizedPathTaken(t *testing.T) {
+// TestVectorizedBothKernels runs the truth table and the telescoping
+// kernel over the same window for every query shape: the second run
+// finds the replicas advanced past the window start by the first,
+// rebuilds them from the pre-state snapshot, and both must equal
+// complete re-evaluation.
+func TestVectorizedBothKernels(t *testing.T) {
 	for qi, q := range vecQueries {
 		rng := rand.New(rand.NewSource(int64(qi)))
 		f := newFixture(t, vecFixtureSchemas())
@@ -323,26 +404,21 @@ func TestVectorizedPathTaken(t *testing.T) {
 		applyRandomBatch(t, f, rng, live, 3, 3)
 		ctx := f.ctx(t)
 		ctx.Prev = prev
-		// Both kernels over the same window: the second run finds the
-		// replicas advanced past the window start by the first and
-		// rebuilds them from the pre-state snapshot.
+		want := oracle(t, plan, ctx)
 		for _, telescope := range []bool{false, true} {
 			var st Stats
-			_, ok, err := e.vecEvaluate(p.root, ctx, f.store.Now(), &st, telescope)
+			net, err := e.vecEvaluate(p.root, ctx, f.store.Now(), &st, telescope)
 			if err != nil {
 				t.Fatalf("q%d telescope=%v: %v", qi, telescope, err)
 			}
-			if !ok {
-				t.Fatalf("q%d telescope=%v: vectorized path fell back on clean typed data", qi, telescope)
-			}
+			assertSameNet(t, fmt.Sprintf("q%d telescope=%v", qi, telescope), want, net)
 		}
 	}
 }
 
-// TestVectorizedCompleteResult chains vectorized refreshes only,
-// maintaining the complete result, and checks each round against full
-// re-evaluation — the paper's functional-equivalence statement for the
-// columnar engine on its own.
+// TestVectorizedCompleteResult chains unprepared refreshes, maintaining
+// the complete result, and checks each round against full re-evaluation
+// — the paper's functional-equivalence statement.
 func TestVectorizedCompleteResult(t *testing.T) {
 	for qi, q := range vecQueries {
 		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {

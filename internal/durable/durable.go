@@ -133,7 +133,9 @@ func Open(opts Options) (*System, error) {
 		case wal.KindDropTable:
 			return store.DropTable(rec.Table)
 		case wal.KindTx:
-			return store.ApplyReplay(rec.TS, rec.Rows)
+			if err := store.ApplyReplay(rec.TS, rec.Rows); err != nil {
+				return fmt.Errorf("tx record at ts %d: %w", rec.TS, err)
+			}
 		case wal.KindCQRegister:
 			e := *rec.CQ
 			if _, seen := reg[e.Name]; !seen {

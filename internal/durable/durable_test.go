@@ -1,10 +1,14 @@
 package durable_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/cq"
+	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/guard"
@@ -320,5 +324,104 @@ func TestQuarantineSurvivesRecovery(t *testing.T) {
 	}
 	if wres.Len() != 2 { // seed(60), more(70)
 		t.Fatalf("watch result = %d rows", wres.Len())
+	}
+}
+
+// TestRecoveryConformsLegacyRows reopens a data directory as a build
+// from before the write boundary checked kinds could have left it: the
+// checkpoint and the log tail both hold untyped NULLs in an INT column
+// (Tx.Insert accepted and logged relation.NullValue()). Recovery must
+// pass every restored and replayed row through the boundary's rule, so
+// the store holds typed NULLs and a CQ over the table refreshes on the
+// columnar engine — including over a window whose old halves are the
+// recovered rows. A logged row that cannot conform fails recovery with
+// its position, like a corrupt record.
+func TestRecoveryConformsLegacyRows(t *testing.T) {
+	legacy := func(t *testing.T, tail ...wal.TxRow) *faults.MemFS {
+		t.Helper()
+		fs := faults.NewMemFS(9)
+		log, err := wal.Open("data", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := log.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := []relation.Value{relation.Str("OLD"), relation.NullValue()}
+		if err := log.WriteCheckpoint(&wal.Checkpoint{
+			Seg: seg, TS: 2, NextTID: 2,
+			Tables: []wal.TableState{{
+				Name: "stocks", Schema: stockSchema(), Version: 1,
+				Tuples:    []relation.Tuple{{TID: 1, Values: old}},
+				DeltaRows: []delta.Row{{TID: 1, New: old, TS: 2}},
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.AppendTx(3, tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+
+	fs := legacy(t,
+		wal.TxRow{Table: "stocks", Row: delta.Row{TID: 2, New: []relation.Value{relation.Str("NEW"), relation.NullValue()}}},
+		wal.TxRow{Table: "stocks", Row: delta.Row{TID: 3, New: []relation.Value{relation.Str("BIG"), relation.Int(70)}}},
+	)
+	sys := openSys(t, fs, 0)
+	defer sys.Close()
+	if !sys.Recovery.FromCheckpoint || sys.Recovery.Records != 1 {
+		t.Fatalf("recovery: %+v", sys.Recovery)
+	}
+	rel, _ := sys.Store.Snapshot("stocks")
+	for _, tid := range []relation.TID{1, 2} {
+		tu, ok := rel.Lookup(tid)
+		if !ok || !tu.Values[1].IsNull() || tu.Values[1].Kind != relation.TInt {
+			t.Fatalf("tid %d recovered as %v, want a typed INT NULL", tid, tu.Values)
+		}
+	}
+	d, err := sys.Store.DeltaSince("stocks", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := batch.FromDelta(nil, d); !ok {
+		t.Fatal("recovered differential rows do not fit typed columns")
+	}
+
+	if _, err := sys.Manager.RegisterSQL(watchQuery); err != nil {
+		t.Fatal(err)
+	}
+	tx := sys.Store.Begin()
+	if err := tx.Update("stocks", 1, []relation.Value{relation.Str("OLD"), relation.Int(60)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("stocks", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Manager.Poll(); err != nil {
+		t.Fatalf("refresh over the recovered rows: %v", err)
+	}
+	st, _ := sys.Manager.State("watch")
+	res, _ := sys.Manager.Result("watch")
+	if st.Seq != 2 || st.LastErr != nil || res.Len() != 2 { // BIG, and OLD once it reads 60
+		t.Fatalf("watch after the refresh: seq %d, err %v, result\n%s", st.Seq, st.LastErr, res)
+	}
+
+	fs = legacy(t, wal.TxRow{Table: "stocks", Row: delta.Row{TID: 2, New: []relation.Value{relation.Str("BAD"), relation.Str("x")}}})
+	_, err = durable.Open(durable.Options{Dir: "data", FS: fs, CQ: cq.Config{UseDRA: true}})
+	if !errors.Is(err, relation.ErrTypeMismatch) {
+		t.Fatalf("open over an unconformable row: err = %v, want relation.ErrTypeMismatch", err)
+	}
+	for _, where := range []string{"segment", "ts 3", `"stocks" tid 2`} {
+		if !strings.Contains(err.Error(), where) {
+			t.Fatalf("recovery error %q does not name the record's %s", err, where)
+		}
 	}
 }

@@ -1,14 +1,40 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
+
+// ErrTypeMismatch reports a value that cannot be stored under its
+// column's type.
+var ErrTypeMismatch = errors.New("relation: type mismatch")
 
 // Column describes one attribute of a relation.
 type Column struct {
 	Name string
 	Type Type
+}
+
+// Conform returns v as a value of the column's type — the one rule for
+// "a stored value has its column's type": NULL becomes the column's
+// typed NULL, INT and FLOAT convert where nothing is lost, anything else
+// is an ErrTypeMismatch.
+func (c Column) Conform(v Value) (Value, error) {
+	switch {
+	case v.Null:
+		return TypedNull(c.Type), nil
+	case v.Kind == c.Type:
+		return v, nil
+	case v.Kind == TInt && c.Type == TFloat:
+		return Float(float64(v.i)), nil
+	case v.Kind == TFloat && c.Type == TInt && v.f == float64(int64(v.f)):
+		return Int(int64(v.f)), nil
+	case v.Kind == TFloat && c.Type == TInt:
+		return Value{}, fmt.Errorf("%w: column %q: non-integral value %v for INT column", ErrTypeMismatch, c.Name, v.f)
+	default:
+		return Value{}, fmt.Errorf("%w: column %q: cannot store %s into %s column", ErrTypeMismatch, c.Name, v.Kind, c.Type)
+	}
 }
 
 // Schema is an ordered list of columns. Schemas are immutable by
@@ -45,6 +71,27 @@ func MustSchema(cols ...Column) Schema {
 
 // Len returns the number of columns.
 func (s Schema) Len() int { return len(s.cols) }
+
+// Conform rewrites vals in place so that every value has its column's
+// type (Column.Conform). The write boundary of the store applies it to
+// its own copy of a row, so everything behind the boundary — base
+// relations, differential rows, the log — fits typed columns.
+func (s Schema) Conform(vals []Value) error {
+	if len(vals) != len(s.cols) {
+		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrArity, len(vals), len(s.cols))
+	}
+	for i := range s.cols {
+		if vals[i].Kind == s.cols[i].Type {
+			continue // the common case, typed NULLs included: nothing to copy
+		}
+		v, err := s.cols[i].Conform(vals[i])
+		if err != nil {
+			return err
+		}
+		vals[i] = v
+	}
+	return nil
+}
 
 // Col returns the i-th column.
 func (s Schema) Col(i int) Column { return s.cols[i] }

@@ -74,7 +74,11 @@ type Request struct {
 // Response is one server reply. Exactly one payload field is set on
 // success; Err is the error text otherwise.
 type Response struct {
-	Err      string
+	Err string
+	// TypeErr marks Err as the store's write-boundary refusal
+	// (relation.ErrTypeMismatch), so the client's error keeps that
+	// identity across the wire.
+	TypeErr  bool
 	Tables   []string
 	Columns  []WireColumn
 	Rel      *WireRelation
@@ -443,12 +447,24 @@ func (c *codec) bytesRead() int64    { return c.conn.read.Load() }
 func (c *codec) bytesWritten() int64 { return c.conn.wrote.Load() }
 
 // errResponse builds an error reply.
-func errResponse(err error) Response { return Response{Err: err.Error()} }
+func errResponse(err error) Response {
+	return Response{Err: err.Error(), TypeErr: errors.Is(err, relation.ErrTypeMismatch)}
+}
+
+// typeError is a server-side relation.ErrTypeMismatch as the client sees
+// it: the server's text, the sentinel's identity.
+type typeError string
+
+func (e typeError) Error() string        { return string(e) }
+func (e typeError) Is(target error) bool { return target == relation.ErrTypeMismatch }
 
 // asError converts a reply's Err field.
 func (r Response) asError() error {
-	if r.Err == "" {
+	switch {
+	case r.Err == "":
 		return nil
+	case r.TypeErr:
+		return fmt.Errorf("remote: server: %w", typeError(r.Err))
 	}
 	return fmt.Errorf("remote: server: %s", r.Err)
 }

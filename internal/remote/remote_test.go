@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"errors"
+	"net"
+	"strings"
 	"testing"
 
 	"github.com/diorama/continual/internal/relation"
@@ -378,5 +381,63 @@ func TestStaleDeltaWindowErrorsOverWire(t *testing.T) {
 	store.CollectGarbage(store.Now())
 	if _, _, err := client.DeltaSince("stocks", 0); err == nil {
 		t.Error("collected window should error through the wire")
+	}
+}
+
+// TestApplyUpdatesTypeErrorOverWire is the wire-level regression for the
+// store's write boundary: a STRING pushed into the FLOAT column used to
+// commit. On a raw connection the server must answer the frame with an
+// application error flagged TypeErr, abort the whole transaction (the
+// clean row ahead of the bad one must not land), and keep serving the
+// same connection; through the client the error is final (no retry, no
+// ErrMaybeApplied, connection not broken) and still IS
+// relation.ErrTypeMismatch.
+func TestApplyUpdatesTypeErrorOverWire(t *testing.T) {
+	store, srv, client := startServer(t)
+	bad := []WireDeltaRow{
+		{New: []relation.Value{relation.Str("OK"), relation.Float(1)}},
+		{New: []relation.Value{relation.Str("BAD"), relation.Str("oops")}},
+	}
+
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wire := newCodec(conn)
+	exchange := func(req Request) Response {
+		t.Helper()
+		if err := wire.send(req); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := wire.recv(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := exchange(Request{Op: OpApplyUpdates, Table: "stocks", Updates: bad})
+	if !resp.TypeErr || !strings.Contains(resp.Err, relation.ErrTypeMismatch.Error()) {
+		t.Fatalf("response = %+v, want the type error flagged TypeErr", resp)
+	}
+	if snap, _ := store.Snapshot("stocks"); snap.Len() != 0 {
+		t.Fatalf("refused batch left rows behind:\n%s", snap)
+	}
+	if resp = exchange(Request{Op: OpNow}); resp.Err != "" || resp.Now != store.Now() {
+		t.Fatalf("connection unusable after the type error: %+v", resp)
+	}
+
+	err = client.ApplyUpdates("stocks", bad)
+	if !errors.Is(err, relation.ErrTypeMismatch) || errors.Is(err, ErrMaybeApplied) {
+		t.Fatalf("client error = %v, want relation.ErrTypeMismatch and not ErrMaybeApplied", err)
+	}
+	if client.broken {
+		t.Fatal("an application error broke the client connection")
+	}
+	if err := client.ApplyUpdates("stocks", bad[:1]); err != nil {
+		t.Fatalf("clean batch after the refusal: %v", err)
+	}
+	if snap, _ := store.Snapshot("stocks"); snap.Len() != 1 {
+		t.Fatalf("store holds %d rows, want the one clean row", snap.Len())
 	}
 }

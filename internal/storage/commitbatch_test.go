@@ -96,37 +96,8 @@ func TestCommitHookCarriesColumnarBatch(t *testing.T) {
 	}
 }
 
-// TestCommitHookNilBatchOnUnrepresentable: a committed value whose kind
-// does not match the column type cannot live in a typed column; the
-// hook must see a nil batch (consumer falls back to the row window),
-// not a wrong one.
-func TestCommitHookNilBatchOnUnrepresentable(t *testing.T) {
-	s := newStockStore(t)
-	var last CommitEvent
-	s.SetCommitHook(func(ev CommitEvent) { last = ev })
-
-	tx := s.Begin()
-	// Kind drift: a string where the schema says float. Storage checks
-	// arity, not kinds, so this commits.
-	if _, err := tx.Insert("stocks", []relation.Value{relation.Str("DEC"), relation.Str("oops")}); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, tx)
-
-	if len(last.Changes) != 1 {
-		t.Fatalf("changes = %v", last.Changes)
-	}
-	if last.Changes[0].Batch != nil {
-		t.Fatal("batch for kind-drifted commit must be nil")
-	}
-	if last.Changes[0].Rows != 1 {
-		t.Fatalf("rows = %d, want 1 (count still reported)", last.Changes[0].Rows)
-	}
-}
-
 // TestWindowBatchSharesOneConversion: the columnar image of a window is
-// built once per cache key and shared, including the negative
-// (unrepresentable) result.
+// built once per cache key and shared.
 func TestWindowBatchSharesOneConversion(t *testing.T) {
 	s := newStockStore(t)
 	t0 := s.Now()
@@ -161,22 +132,5 @@ func TestWindowBatchSharesOneConversion(t *testing.T) {
 	}
 	if w.Len() != b1.Len() {
 		t.Fatalf("rows: window %d vs batch %d", w.Len(), b1.Len())
-	}
-
-	// Unrepresentable window: nil, cached.
-	tx = s.Begin()
-	if _, err := tx.Insert("stocks", []relation.Value{relation.Str("BAD"), relation.Str("oops")}); err != nil {
-		t.Fatal(err)
-	}
-	t2 := mustCommit(t, tx)
-	nb, err := c.WindowBatch("stocks", t1, t2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb != nil {
-		t.Fatal("unrepresentable window must yield a nil batch")
-	}
-	if nb, err = c.WindowBatch("stocks", t1, t2, false); err != nil || nb != nil {
-		t.Fatalf("negative result must be cached: %v, %v", nb, err)
 	}
 }

@@ -12,9 +12,7 @@ import (
 // a columnar image of those rows. Batch is built once at commit (only
 // when a hook is installed), is unpooled, and after the hook returns is
 // owned by whoever the hook handed it to — the store never touches it
-// again, so consumers may retain it without copying. It is nil when
-// some committed value is unrepresentable in typed columns; a consumer
-// then pulls the delta window itself.
+// again, so consumers may retain it without copying.
 type TableChange struct {
 	Table string
 	Rows  int

@@ -100,12 +100,20 @@ func (s *Store) Restore(st State) error {
 			version:  ts.Version,
 		}
 		for _, tu := range ts.Tuples {
-			if err := t.rel.Insert(tu.Clone()); err != nil {
+			tu = tu.Clone()
+			if err := ts.Schema.Conform(tu.Values); err != nil {
+				return fmt.Errorf("storage: restore %q tid %d: %w", ts.Name, tu.TID, err)
+			}
+			if err := t.rel.Insert(tu); err != nil {
 				return fmt.Errorf("storage: restore %q: %w", ts.Name, err)
 			}
 		}
 		for _, r := range ts.DeltaRows {
-			if err := t.dlt.Append(cloneRow(r)); err != nil {
+			r = cloneRow(r)
+			if err := conformRow(ts.Schema, &r); err != nil {
+				return fmt.Errorf("storage: restore %q delta tid %d: %w", ts.Name, r.TID, err)
+			}
+			if err := t.dlt.Append(r); err != nil {
 				return fmt.Errorf("storage: restore %q delta: %w", ts.Name, err)
 			}
 			s.noteDeltaAppendLocked(r)
@@ -133,6 +141,24 @@ func cloneRow(r delta.Row) delta.Row {
 	return r
 }
 
+// conformRow passes both halves of a recovered differential row through
+// the write boundary's rule, in place. A data directory written before
+// the boundary checked kinds can hold untyped NULLs (and INT/FLOAT
+// drift); recovery brings them under their columns' types, and a row
+// that cannot be is reported like any other record the state cannot
+// absorb.
+func conformRow(schema relation.Schema, r *delta.Row) error {
+	if r.Old != nil {
+		if err := schema.Conform(r.Old); err != nil {
+			return err
+		}
+	}
+	if r.New != nil {
+		return schema.Conform(r.New)
+	}
+	return nil
+}
+
 // ApplyReplay applies one logged transaction during recovery: the same
 // validation and bookkeeping as Commit, but with the logged timestamp
 // and rows instead of a fresh tick, and without re-logging. Replay is
@@ -148,8 +174,11 @@ func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 		if !ok {
 			return fmt.Errorf("%w: %q in replay", ErrNoSuchTable, tr.Table)
 		}
-		row := tr.Row
+		row := tr.Row // the record's slices become the differential row's
 		row.TS = ts
+		if err := conformRow(t.rel.Schema(), &row); err != nil {
+			return fmt.Errorf("storage: replay %q tid %d: %w", tr.Table, row.TID, err)
+		}
 		switch row.Kind() {
 		case delta.Insert:
 			if err := t.rel.Insert(relation.Tuple{TID: row.TID, Values: cloneValues(row.New)}); err != nil {

@@ -475,21 +475,34 @@ func (tx *Tx) pendingRow(table string, tid relation.TID) (*delta.Row, bool) {
 	return &tx.ops[i].row, true
 }
 
+// conformed is the write boundary: it returns the transaction's own copy
+// of a row for table with every value given its column's type
+// (relation.Schema.Conform), or the arity or type error that rejects the
+// write. Nothing behind it — base relations, differential rows, the log,
+// the columnar window images — ever holds a value its column cannot.
+func (tx *Tx) conformed(op, table string, values []relation.Value) ([]relation.Value, error) {
+	schema, err := tx.store.Schema(table)
+	if err != nil {
+		return nil, err
+	}
+	row := cloneValues(values)
+	if err := schema.Conform(row); err != nil {
+		return nil, fmt.Errorf("storage: %s %q: %w", op, table, err)
+	}
+	return row, nil
+}
+
 // Insert buffers an insertion and returns the assigned tid.
 func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error) {
 	if tx.done {
 		return 0, ErrTxDone
 	}
-	schema, err := tx.store.Schema(table)
+	row, err := tx.conformed("insert into", table, values)
 	if err != nil {
 		return 0, err
 	}
-	if len(values) != schema.Len() {
-		return 0, fmt.Errorf("storage: insert into %q: %w", table, relation.ErrArity)
-	}
 	tid := tx.store.NewTID()
-	op := writeOp{table: table, row: delta.Row{TID: tid, New: cloneValues(values)}}
-	tx.ops = append(tx.ops, op)
+	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return tid, nil
 }
@@ -500,14 +513,11 @@ func (tx *Tx) InsertWithTID(table string, tid relation.TID, values []relation.Va
 	if tx.done {
 		return ErrTxDone
 	}
-	schema, err := tx.store.Schema(table)
+	row, err := tx.conformed("insert into", table, values)
 	if err != nil {
 		return err
 	}
-	if len(values) != schema.Len() {
-		return fmt.Errorf("storage: insert into %q: %w", table, relation.ErrArity)
-	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, New: cloneValues(values)}})
+	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -539,12 +549,9 @@ func (tx *Tx) Update(table string, tid relation.TID, values []relation.Value) er
 	if tx.done {
 		return ErrTxDone
 	}
-	schema, err := tx.store.Schema(table)
+	row, err := tx.conformed("update", table, values)
 	if err != nil {
 		return err
-	}
-	if len(values) != schema.Len() {
-		return fmt.Errorf("storage: update %q: %w", table, relation.ErrArity)
 	}
 	old, err := tx.currentValues(table, tid)
 	if err != nil {
@@ -552,10 +559,10 @@ func (tx *Tx) Update(table string, tid relation.TID, values []relation.Value) er
 	}
 	if p, ok := tx.pendingRow(table, tid); ok {
 		// Fold into the pending op: keep the original Old, replace New.
-		p.New = cloneValues(values)
+		p.New = row
 		return nil
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: cloneValues(old), New: cloneValues(values)}})
+	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: cloneValues(old), New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -719,9 +726,7 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 				b.EnableTS()
 				batches[t] = b
 			}
-			if b != nil && !b.AppendChange(op.row) {
-				batches[t] = nil // unrepresentable value: consumer pulls the window
-			}
+			b.AppendChange(op.row) // conformed at the write boundary: fits
 		}
 		for t, n := range touched {
 			ev.Changes = append(ev.Changes, TableChange{Table: t.name, Rows: n, Batch: batches[t]})

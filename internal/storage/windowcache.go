@@ -6,6 +6,7 @@ import (
 
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -93,10 +94,7 @@ func (c *WindowCache) Window(table string, from, to vclock.Timestamp, compact bo
 // WindowBatch returns the columnar image of the same window Window
 // would return, built once per key and shared read-only by every CQ in
 // the round. The batch is unpooled (it outlives no pool generation) and
-// its rows match the row window exactly, in the same order. It returns
-// (nil, nil) — with the negative result cached — when some value in the
-// window is unrepresentable in typed columns; the caller then sticks
-// with the row form.
+// its rows match the row window exactly, in the same order.
 func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
 	key := windowKey{table: table, from: from, to: to, compact: compact}
 	c.mu.Lock()
@@ -112,7 +110,9 @@ func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compa
 	}
 	b, ok := batch.FromDelta(nil, d)
 	if !ok {
-		b = nil
+		// Cannot happen: every stored value was conformed to its column
+		// at the write boundary (Tx) or on recovery.
+		return nil, fmt.Errorf("storage: window of %q: %w", table, relation.ErrTypeMismatch)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,10 +1,9 @@
 #!/bin/sh
 # check-allocs: the refresh step's allocations per operation are a
 # budget, not an observation. BenchmarkRefreshStep (internal/dra)
-# measures the steady-state refresh over a fixed window on both engine
-# paths of a selection (row, columnar), on the telescoping kernel of a
-# 3-way join (join), and on the group table under a GROUP BY and a
-# DISTINCT (agg, distinct); this script fails when any arm exceeds its
+# measures the steady-state refresh over a fixed window on a selection
+# (columnar), on the telescoping kernel of a 3-way join (join), and on
+# the group table under a GROUP BY and a DISTINCT (agg, distinct); this script fails when any arm exceeds its
 # committed baseline (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
