@@ -1,7 +1,7 @@
 # Development entry points. CI runs the same targets; see
 # .github/workflows/ci.yml for the full matrix.
 
-.PHONY: build test race lint chaos bench bench-smoke allocs
+.PHONY: build test race lint chaos bench bench-smoke bench-compare allocs
 
 build:
 	go build ./...
@@ -30,7 +30,7 @@ chaos:
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/
 
 # allocs: the refresh step's allocation budget — fails when any arm of
-# BenchmarkRefreshStep (columnar, join, agg, distinct) exceeds its
+# BenchmarkRefreshStep (columnar, notify, join, agg, distinct) exceeds its
 # committed baseline (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh
@@ -40,6 +40,15 @@ allocs:
 # what catches an engine API change that breaks it.
 bench-smoke:
 	cd benchmark && go test ./...
+
+# bench-compare: the repo benchmark on BASE (a git ref) and on the
+# working tree, alternated for PAIRS rounds and judged by `benchmark
+# -compare`; fails on any "worse". The merged reports stay in
+# .bench_build/compare/ for a PR to commit as its before/after.
+BASE ?= HEAD~1
+PAIRS ?= 5
+bench-compare:
+	./scripts/bench-compare.sh $(BASE) $(PAIRS)
 
 # bench: regenerate the committed BENCH_<ID>.json tables at the repo
 # root. E16/E18/E19/E22 run at the quick scale; E20 and E21 run at full

@@ -61,7 +61,7 @@ func Compile(e sql.Expr, schema relation.Schema) (CompiledExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binExpr{op: ex.Op, l: l, r: r}, nil
+		return binExpr{op: ex.Op, l: l, r: r, cmp: resolveColCmp(ex.Op, l, r)}, nil
 	case *sql.FuncCall:
 		if sql.AggregateFuncs[ex.Name] {
 			return nil, fmt.Errorf("%w: %s", ErrAggregate, ex.Name)
@@ -186,6 +186,9 @@ func (a absExpr) String() string      { return fmt.Sprintf("ABS(%s)", a.e) }
 type binExpr struct {
 	op   string
 	l, r CompiledExpr
+	// cmp is the typed column-at-a-time form of a comparison between a
+	// bare column and a literal (SelectBatch); nil for every other shape.
+	cmp *colCmp
 }
 
 func (b binExpr) Eval(t relation.Tuple) (relation.Value, error) {

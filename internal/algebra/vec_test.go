@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/diorama/continual/internal/batch"
@@ -56,11 +57,24 @@ func TestSelectBatchMatchesRowPath(t *testing.T) {
 		"50 < n",
 		"n = 7",
 		"n != 7",
+		"n >= 50",
+		"7 != n",
+		"50 >= n",
 		"x < 5.0",
+		"x >= 5.0",
+		"5.0 <= x",
+		"x > 3",
 		"n > 2.5",
+		"n <= 2.5",
 		"tag = 'alpha'",
 		"tag != ''",
+		"tag < 'beta'",
+		"'beta' <= tag",
 		"ok = TRUE",
+		"ok != TRUE",
+		"ok < TRUE",
+		"ok >= FALSE",
+		"FALSE < ok",
 		"n > 10 AND x < 8.0",
 		"n > 10 AND x < 8.0 AND tag != 'beta'",
 		"n > 80 OR x < 1.0",
@@ -78,6 +92,7 @@ func TestSelectBatchMatchesRowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	b := vecBatch(t, rng, 300)
 	schema := vecSchema()
+	pool := batch.NewPool()
 	scratch := make([]relation.Value, schema.Len())
 	for _, src := range preds {
 		expr, err := sql.ParseExpr(src)
@@ -102,7 +117,7 @@ func TestSelectBatchMatchesRowPath(t *testing.T) {
 				want = append(want, int32(i))
 			}
 		}
-		got, gotErr := SelectBatch(ce, b, nil)
+		got, gotErr := SelectBatch(ce, b, nil, nil, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: row=%v vec=%v", src, wantErr, gotErr)
 		}
@@ -116,6 +131,21 @@ func TestSelectBatchMatchesRowPath(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s: index %d: row %d vs vec %d", src, i, want[i], got[i])
 			}
+		}
+		// Over an explicit selection (every third row), through a pool:
+		// exactly the oracle's rows that lie in it.
+		var in, wantIn []int32
+		for i := 0; i < b.Len(); i += 3 {
+			in = append(in, int32(i))
+		}
+		for _, i := range want {
+			if i%3 == 0 {
+				wantIn = append(wantIn, i)
+			}
+		}
+		gotIn, err := SelectBatch(ce, b, in, nil, pool)
+		if err != nil || !slices.Equal(gotIn, wantIn) {
+			t.Fatalf("%s over a selection: got %v (err %v), want %v", src, gotIn, err, wantIn)
 		}
 	}
 }
@@ -134,7 +164,7 @@ func TestSelectBatchErrors(t *testing.T) {
 		if err != nil {
 			continue // compile-time rejection is fine too
 		}
-		if _, err := SelectBatch(ce, b, nil); err == nil {
+		if _, err := SelectBatch(ce, b, nil, nil, nil); err == nil {
 			t.Fatalf("%s: expected evaluation error", src)
 		}
 	}

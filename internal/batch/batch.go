@@ -40,10 +40,6 @@ type Col struct {
 	// Valid is the validity bitmap (bit i set means row i is non-NULL);
 	// nil means every row is valid.
 	Valid []uint64
-	// Shared marks the buffers as aliased from another owner (a window
-	// batch served to many CQs, or a column stolen into a downstream
-	// batch). Pool.Put leaves shared buffers alone.
-	Shared bool
 }
 
 // Batch is a signed columnar multiset of rows under a schema.
@@ -62,10 +58,6 @@ type Batch struct {
 	Cols []Col
 
 	n int
-
-	// sharedRows marks TIDs/Signs/TS as aliased from another batch (set
-	// by View); Pool.Put detaches them instead of recycling.
-	sharedRows bool
 
 	// dead and gen implement the poisoned-generation use-after-release
 	// assertion: Pool.Put marks the batch dead and bumps gen; in poison
@@ -89,7 +81,6 @@ func New(schema relation.Schema, capHint int) *Batch {
 func (b *Batch) init(schema relation.Schema, capHint int) {
 	b.Schema = schema
 	b.n = 0
-	b.sharedRows = false
 	b.TIDs = b.TIDs[:0]
 	b.Signs = b.Signs[:0]
 	b.TS = nil
@@ -101,7 +92,6 @@ func (b *Batch) init(schema relation.Schema, capHint int) {
 	for i := range b.Cols {
 		c := &b.Cols[i]
 		c.Type = schema.Col(i).Type
-		c.Shared = false
 		c.Valid = c.Valid[:0]
 		c.I64 = c.I64[:0]
 		c.F64 = c.F64[:0]
@@ -262,8 +252,50 @@ func (c *Col) appendFromCol(n int, src *Col, i int) {
 	}
 }
 
-// CloneCol deep-copies a column's buffers; the clone owns its memory
-// (not Shared).
+// appendSelected appends rows sel of src (same type; nil = every row)
+// to the column, which holds n rows.
+func (c *Col) appendSelected(n int, src *Col, sel []int32) {
+	if c.Valid != nil || src.Valid != nil {
+		rows := len(sel)
+		if sel == nil {
+			rows = src.length()
+		}
+		for k := 0; k < rows; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			c.appendValidity(n+k, src.IsValid(i))
+		}
+	}
+	if sel == nil {
+		c.I64 = append(c.I64, src.I64...)
+		c.F64 = append(c.F64, src.F64...)
+		c.Str = append(c.Str, src.Str...)
+		c.B = append(c.B, src.B...)
+		return
+	}
+	switch c.Type {
+	case relation.TInt:
+		for _, i := range sel {
+			c.I64 = append(c.I64, src.I64[i])
+		}
+	case relation.TFloat:
+		for _, i := range sel {
+			c.F64 = append(c.F64, src.F64[i])
+		}
+	case relation.TString:
+		for _, i := range sel {
+			c.Str = append(c.Str, src.Str[i])
+		}
+	case relation.TBool:
+		for _, i := range sel {
+			c.B = append(c.B, src.B[i])
+		}
+	}
+}
+
+// CloneCol deep-copies a column's buffers; the clone owns its memory.
 func CloneCol(c Col) Col {
 	out := Col{Type: c.Type}
 	out.I64 = append(out.I64, c.I64...)
@@ -423,6 +455,29 @@ func (b *Batch) AppendFrom(src *Batch, i int) {
 	b.n++
 }
 
+// AppendSelected appends rows sel of src (nil means every row), in
+// order, taking column j from src column cols[j]: the selection and
+// bare-column projection of a window as one column-at-a-time copy. b's
+// column types must be those of the chosen src columns.
+func (b *Batch) AppendSelected(src *Batch, sel []int32, cols []int) {
+	b.check()
+	src.check()
+	for j, ci := range cols {
+		b.Cols[j].appendSelected(b.n, &src.Cols[ci], sel)
+	}
+	if sel == nil {
+		b.TIDs = append(b.TIDs, src.TIDs...)
+		b.Signs = append(b.Signs, src.Signs...)
+		b.n += src.n
+		return
+	}
+	for _, i := range sel {
+		b.TIDs = append(b.TIDs, src.TIDs[i])
+		b.Signs = append(b.Signs, src.Signs[i])
+	}
+	b.n += len(sel)
+}
+
 // AppendColValue appends one value to column col (at that column's
 // current length), for column-wise builders like vectorized projection.
 // The caller must keep all columns at equal length before using the
@@ -555,25 +610,8 @@ func (b *Batch) KeyEqual(row int, cols []int, o *Batch, orow int, ocols []int) b
 	return true
 }
 
-// CanGather reports whether the batch owns every buffer, so Gather may
-// compact it in place. Views and batches holding stolen/aliased columns
-// must be gathered into a fresh batch instead.
-func (b *Batch) CanGather() bool {
-	b.check()
-	if b.sharedRows {
-		return false
-	}
-	for i := range b.Cols {
-		if b.Cols[i].Shared {
-			return false
-		}
-	}
-	return true
-}
-
 // Gather compacts the batch in place to exactly the rows whose indices
-// appear in sel (ascending). The batch must own its buffers (no Shared
-// columns); callers gather shared inputs into a fresh batch instead.
+// appear in sel (ascending).
 func (b *Batch) Gather(sel []int32) {
 	b.check()
 	for c := range b.Cols {
@@ -627,33 +665,10 @@ func (b *Batch) Gather(sel []int32) {
 	b.n = len(sel)
 }
 
-// View returns a shallow copy of the batch rebadged under a schema with
-// identical column types (a scan's qualified schema over a base-table
-// window). Every column of the view is marked Shared, so pooling the
-// view never recycles the underlying buffers.
-func (b *Batch) View(schema relation.Schema) *Batch {
-	b.check()
-	v := &Batch{
-		Schema:     schema,
-		TIDs:       b.TIDs,
-		Signs:      b.Signs,
-		TS:         b.TS,
-		Cols:       append([]Col(nil), b.Cols...),
-		n:          b.n,
-		sharedRows: true,
-	}
-	for i := range v.Cols {
-		v.Cols[i].Shared = true
-	}
-	return v
-}
-
 // MoveCol moves column i's buffers into column j of dst (same type) and
 // hands dst's previous buffers back in exchange, so both batches keep
 // recyclable capacity. The source column is left empty whatever its row
-// count says: the batch must only be released afterwards. A Shared
-// source column stays marked Shared in dst, so Pool.Put never recycles
-// buffers another batch still references.
+// count says: the batch must only be released afterwards.
 func (b *Batch) MoveCol(i int, dst *Batch, j int) {
 	b.check()
 	dst.check()

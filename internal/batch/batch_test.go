@@ -93,27 +93,49 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestViewSharesBuffers(t *testing.T) {
-	b := New(testSchema(), 2)
-	b.AppendRow(1, +1, row(1, 1, "a", true))
-	renamed := relation.MustSchema(
-		relation.Column{Name: "t.i", Type: relation.TInt},
-		relation.Column{Name: "t.f", Type: relation.TFloat},
-		relation.Column{Name: "t.s", Type: relation.TString},
-		relation.Column{Name: "t.b", Type: relation.TBool},
+// TestAppendSelected: selection indices plus a column map copy out in
+// one call exactly the cells row-at-a-time AppendFrom plus a projection
+// would, NULLs included, appending after rows already present; a nil
+// selection means every row.
+func TestAppendSelected(t *testing.T) {
+	src := New(testSchema(), 4)
+	src.AppendRow(1, -1, row(10, 1.5, "a", true))
+	src.AppendRow(1, +1, []relation.Value{relation.Int(11), relation.TypedNull(relation.TFloat), relation.Str("b"), relation.Bool(false)})
+	src.AppendRow(2, +1, row(12, 2.5, "c", true))
+	src.AppendRow(3, -1, []relation.Value{relation.TypedNull(relation.TInt), relation.Float(3.5), relation.TypedNull(relation.TString), relation.Bool(true)})
+	// Output: (s, i, s) — a reordered, duplicated subset of the columns.
+	cols := []int{2, 0, 2}
+	schema := relation.MustSchema(
+		relation.Column{Name: "s", Type: relation.TString},
+		relation.Column{Name: "i", Type: relation.TInt},
+		relation.Column{Name: "s2", Type: relation.TString},
 	)
-	v := b.View(renamed)
-	if v.Len() != 1 || v.Value(0, 0).AsInt() != 1 {
-		t.Fatal("view content")
-	}
-	if !v.Cols[0].Shared || !v.sharedRows {
-		t.Fatal("view must mark buffers shared")
-	}
-	// Pooling the view must not recycle the parent's buffers.
-	p := NewPool()
-	p.Put(v)
-	if b.Value(0, 0).AsInt() != 1 {
-		t.Fatal("parent corrupted by pooling a view")
+	for _, sel := range [][]int32{nil, {1, 3}, {0}, {}} {
+		dst := New(schema, 0)
+		dst.AppendRow(9, +1, []relation.Value{relation.Str("z"), relation.Int(0), relation.Str("z")})
+		dst.AppendSelected(src, sel, cols)
+		rows := sel
+		if sel == nil {
+			rows = []int32{0, 1, 2, 3}
+		}
+		if dst.Len() != 1+len(rows) {
+			t.Fatalf("sel %v: %d rows, want %d", sel, dst.Len(), 1+len(rows))
+		}
+		for k, i := range rows {
+			r := 1 + k
+			if dst.TIDs[r] != src.TIDs[i] || dst.Signs[r] != src.Signs[i] {
+				t.Fatalf("sel %v row %d: tid/sign %d/%d, want %d/%d", sel, k, dst.TIDs[r], dst.Signs[r], src.TIDs[i], src.Signs[i])
+			}
+			for j, ci := range cols {
+				got, want := dst.Value(r, j), src.Value(int(i), ci)
+				if got.Kind != want.Kind || got.Null != want.Null || !got.Equal(want) {
+					t.Fatalf("sel %v row %d col %d: %v, want %v", sel, k, j, got, want)
+				}
+			}
+		}
+		if v := dst.Value(0, 1); v.IsNull() || v.AsInt() != 0 {
+			t.Fatalf("sel %v: the row already present changed: %v", sel, v)
+		}
 	}
 }
 
@@ -123,18 +145,11 @@ func TestMoveCol(t *testing.T) {
 	dst := New(testSchema(), 4)
 	dstBuf := cap(dst.Cols[0].I64)
 	src.MoveCol(0, dst, 0)
-	if c := dst.Cols[0]; len(c.I64) != 1 || c.I64[0] != 42 || c.Shared {
+	if c := dst.Cols[0]; len(c.I64) != 1 || c.I64[0] != 42 {
 		t.Fatalf("moved col = %+v", c)
 	}
 	if c := src.Cols[0]; len(c.I64) != 0 || cap(c.I64) != dstBuf {
 		t.Fatalf("source slot must hold dst's old empty buffer, got %+v", c)
-	}
-	// A shared (view) column stays shared in its new home, so pooling
-	// the destination never recycles the window's buffers.
-	view := src.View(testSchema())
-	view.MoveCol(1, dst, 1)
-	if !dst.Cols[1].Shared {
-		t.Fatal("a moved view column must stay marked shared")
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 // again — not even Len. In race/poison builds Put bumps the batch's
 // generation counter and marks it dead, and every subsequent accessor
 // panics, so use-after-release is a loud CI failure rather than a
-// silent read of recycled memory. Buffers marked Shared (views, stolen
-// columns) are dropped at Put, never recycled, because another batch
-// still references them.
+// silent read of recycled memory.
 type Pool struct {
 	batches sync.Pool
-	idx     sync.Pool
-	tids    sync.Pool
+	idx     slicePool[int32]
+	tids    slicePool[relation.TID]
 }
 
 // NewPool returns an empty arena.
@@ -43,27 +41,9 @@ func (p *Pool) Get(schema relation.Schema, capHint int) *Batch {
 	return b
 }
 
-// Put returns a batch to the arena. Shared buffers (views, stolen
-// columns, aliased row metadata) are detached rather than recycled.
-// Safe on nil pools and nil batches.
-func (b *Batch) release() {
-	b.dead = true
-	b.gen++
-	for i := range b.Cols {
-		if b.Cols[i].Shared {
-			b.Cols[i] = Col{Type: b.Cols[i].Type}
-		}
-	}
-	if b.sharedRows {
-		b.TIDs = nil
-		b.Signs = nil
-		b.TS = nil
-		b.sharedRows = false
-	}
-}
-
 // Put returns a batch to the arena for reuse. The batch must not be
-// referenced afterward (see the Pool lifecycle contract).
+// referenced afterward (see the Pool lifecycle contract). Safe on nil
+// pools and nil batches.
 func (p *Pool) Put(b *Batch) {
 	if b == nil {
 		return
@@ -71,7 +51,8 @@ func (p *Pool) Put(b *Batch) {
 	if poisonEnabled && b.dead {
 		panic("batch: double Put (poisoned generation)")
 	}
-	b.release()
+	b.dead = true
+	b.gen++
 	if p == nil {
 		return
 	}
@@ -82,40 +63,65 @@ func (p *Pool) Put(b *Batch) {
 // GetIdx returns an empty selection-index buffer with at least capHint
 // capacity.
 func (p *Pool) GetIdx(capHint int) []int32 {
-	if p != nil {
-		if v, _ := p.idx.Get().(*[]int32); v != nil {
-			return (*v)[:0]
-		}
+	if p == nil {
+		return make([]int32, 0, capHint)
 	}
-	return make([]int32, 0, capHint)
+	return p.idx.get(capHint)
 }
 
 // PutIdx recycles a selection-index buffer obtained from GetIdx.
 func (p *Pool) PutIdx(s []int32) {
-	if p == nil || s == nil {
-		return
+	if p != nil {
+		// released: index buffer recycled; selection already consumed.
+		p.idx.put(s)
 	}
-	s = s[:0]
-	// released: index buffer recycled; selection already consumed.
-	p.idx.Put(&s)
 }
 
 // GetTIDs returns an empty TID scratch buffer.
 func (p *Pool) GetTIDs(capHint int) []relation.TID {
-	if p != nil {
-		if v, _ := p.tids.Get().(*[]relation.TID); v != nil {
-			return (*v)[:0]
-		}
+	if p == nil {
+		return make([]relation.TID, 0, capHint)
 	}
-	return make([]relation.TID, 0, capHint)
+	return p.tids.get(capHint)
 }
 
 // PutTIDs recycles a TID scratch buffer obtained from GetTIDs.
 func (p *Pool) PutTIDs(s []relation.TID) {
-	if p == nil || s == nil {
+	if p != nil {
+		// released: tid scratch recycled; provenance already folded.
+		p.tids.put(s)
+	}
+}
+
+// slicePool recycles []T buffers. A sync.Pool holds pointers, so a
+// buffer travels in a *[]T box; get empties the box into boxes instead
+// of dropping it, and put refills one, so a steady get/put cycle
+// allocates neither buffers nor boxes.
+type slicePool[T any] struct {
+	full, boxes sync.Pool
+}
+
+func (p *slicePool[T]) get(capHint int) []T {
+	box, _ := p.full.Get().(*[]T)
+	if box == nil {
+		return make([]T, 0, capHint)
+	}
+	s := (*box)[:0]
+	*box = nil
+	// released: the box is empty; the buffer it held leaves with the caller.
+	p.boxes.Put(box)
+	return s
+}
+
+func (p *slicePool[T]) put(s []T) {
+	if s == nil {
 		return
 	}
-	s = s[:0]
-	// released: tid scratch recycled; provenance already folded.
-	p.tids.Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	// released: the caller gave the buffer up (PutIdx / PutTIDs).
+	p.full.Put(box)
 }

@@ -259,6 +259,9 @@ type instance struct {
 	// registration; the durable registry persists it and re-parses it at
 	// recovery.
 	queryText string
+	// spanName is the name of the CQ's refresh span, built once: a
+	// refresh does not concatenate it again.
+	spanName string
 	// into is the materialization target (SELECT ... INTO): each refresh
 	// commits the result delta into this derived base table. Empty for
 	// terminal queries; immutable after the instance becomes visible.
@@ -333,6 +336,9 @@ type instance struct {
 	// Cleared at the start of every guarded attempt; read by State.
 	guardErr atomic.Pointer[error]
 }
+
+// refreshSpanName names the refresh span of the CQ called name.
+func refreshSpanName(name string) string { return "cq.refresh:" + name }
 
 // closeEval releases the instance's refresh state — the prepared
 // pipeline or the state keeper, and with it their gauge shares. Caller
@@ -577,6 +583,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		trigger:   def.Trigger,
 		stop:      def.Stop,
 		queryText: stmt.String(),
+		spanName:  refreshSpanName(def.Name),
 		breaker:   m.newBreaker(),
 	}
 	for _, scan := range algebra.Tables(plan) {
@@ -1698,7 +1705,7 @@ func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache
 	var start time.Time
 	if mm := m.met; mm != nil {
 		start = time.Now()
-		span = mm.traces.Start("cq.refresh:" + inst.def.Name)
+		span = mm.traces.Start(inst.spanName)
 	}
 	var res *dra.Result
 	var err error
@@ -1937,18 +1944,15 @@ func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notificatio
 		Mode:       inst.mode,
 		Terminated: inst.terminated.Load(),
 	}
+	ins, del, mods := res.Delta.Views()
 	switch inst.mode {
 	case sql.ModeComplete:
 		note.Complete = inst.prev.Clone()
-		note.Inserted = res.Inserted()
-		note.Deleted = res.Deleted()
-		note.Modified = res.Modified()
+		note.Inserted, note.Deleted, note.Modified = ins, del, mods
 	case sql.ModeDeletions:
-		note.Deleted = res.Deleted()
+		note.Deleted = del
 	default: // ModeDifferential
-		note.Inserted = res.Inserted()
-		note.Deleted = res.Deleted()
-		note.Modified = res.Modified()
+		note.Inserted, note.Deleted, note.Modified = ins, del, mods
 	}
 	return note
 }

@@ -163,6 +163,7 @@ func (m *Manager) Resume(e wal.CQEntry) error {
 		trigger:   def.Trigger,
 		stop:      def.Stop,
 		queryText: stmt.String(),
+		spanName:  refreshSpanName(def.Name),
 		breaker:   m.newBreaker(),
 	}
 	// A CQ that was quarantined (or probing) when the checkpoint cut

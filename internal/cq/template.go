@@ -337,7 +337,7 @@ func (m *Manager) refreshShared(inst *instance, execTS vclock.Timestamp, cache *
 	net := foldBatches(inst.prev, mem.pending, execTS, g.prev.Schema())
 	return &dra.Result{
 		Signed: net,
-		Delta:  net.ToDelta(execTS),
+		Delta:  net.ToDeltaNetted(execTS),
 		ExecTS: execTS,
 	}, nil
 }
@@ -376,9 +376,9 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 
 // foldBatches collapses a member's pending batches (those covered by
 // execTS) into one net signed delta relative to prev. Batches cannot
-// simply be concatenated: ApplySigned applies all deletions before all
-// insertions, so insert@T1 followed by delete@T2 of the same tid would
-// resurrect the row. Instead each tid runs a tiny presence state
+// simply be concatenated: a Result carries the net change — each tid at
+// most once, as one row or a -old/+new pair — and two batches may both
+// touch a tid. Instead each tid runs a tiny presence state
 // machine seeded from prev, and the net emits at most one -1 (the
 // original value) and one +1 (the final value) per tid — exactly what a
 // private differential evaluation over the whole window would net to.

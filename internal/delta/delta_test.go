@@ -309,3 +309,135 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Error("Clone shares value storage")
 	}
 }
+
+// TestInsertionsFollowsRowOrder: a tid deleted and then inserted again
+// inside the window (storage.Tx.InsertWithTID re-uses tids: a group row's
+// tid is its key hash) is present afterwards with the new value, so its
+// new half belongs in the insertions view — as it does once Compact has
+// folded the two rows into a modification.
+func TestInsertionsFollowsRowOrder(t *testing.T) {
+	d := New(stockSchema())
+	_ = d.AppendDelete(7, row(7, "G", 1), 1)
+	_ = d.AppendInsert(7, row(7, "G", 2), 2)
+	for name, w := range map[string]*Delta{"raw": d, "compacted": d.Compact()} {
+		ins, del := w.Insertions(), w.Deletions()
+		if tu, ok := ins.Lookup(7); !ok || ins.Len() != 1 || tu.Values[2].AsFloat() != 2 {
+			t.Errorf("%s: insertions = %v, want the re-inserted row at 2", name, ins.Tuples())
+		}
+		if tu, ok := del.Lookup(7); !ok || del.Len() != 1 || tu.Values[2].AsFloat() != 1 {
+			t.Errorf("%s: deletions = %v, want the deleted row at 1", name, del.Tuples())
+		}
+	}
+	// And the other way round: born, gone, born again is one insertion.
+	d = New(stockSchema())
+	_ = d.AppendInsert(8, row(8, "H", 1), 1)
+	_ = d.AppendDelete(8, row(8, "H", 1), 2)
+	_ = d.AppendInsert(8, row(8, "H", 3), 3)
+	if tu, ok := d.Insertions().Lookup(8); !ok || tu.Values[2].AsFloat() != 3 {
+		t.Errorf("insertions = %v, want the last insert at 3", d.Insertions().Tuples())
+	}
+	if got := d.Deletions().Len(); got != 0 {
+		t.Errorf("a tid born inside the window has no deletion, got %d", got)
+	}
+}
+
+// randomWindow builds a valid update history over 12 tids with tid
+// reuse — a deleted tid may be inserted again — and returns it with the
+// number of rows appended. Every written price is new, so no tid's
+// window nets to "no change": that is the one case where the views and
+// Compact differ by design (Compact drops a tid modified and back; the
+// views, which list halves, show it in both with equal values).
+func randomWindow(rng *rand.Rand, rows int) *Delta {
+	d := New(stockSchema())
+	live := map[relation.TID][]relation.Value{}
+	price := 0.0
+	fresh := func(tid relation.TID) []relation.Value {
+		price++
+		return row(int64(tid), "S", price)
+	}
+	for tid := relation.TID(1); tid <= 6; tid++ {
+		live[tid] = fresh(tid) // present before the window
+	}
+	for ts := vclock.Timestamp(1); d.Len() < rows; ts++ {
+		tid := relation.TID(1 + rng.Intn(12))
+		old, present := live[tid]
+		switch {
+		case !present:
+			live[tid] = fresh(tid)
+			_ = d.AppendInsert(tid, live[tid], ts)
+		case rng.Intn(2) == 0:
+			delete(live, tid)
+			_ = d.AppendDelete(tid, old, ts)
+		default:
+			live[tid] = fresh(tid)
+			_ = d.AppendModify(tid, old, live[tid], ts)
+		}
+	}
+	return d
+}
+
+// Property: the insertions and deletions views of a window are those of
+// its net effect, Insertions/Deletions(d) ≡ Insertions/Deletions(d.Compact()),
+// over random windows in which tids recur and are re-used after a delete.
+func TestViewsOfWindowEqualViewsOfCompactProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		d := randomWindow(rng, 1+rng.Intn(40))
+		c := d.Compact()
+		if !d.Insertions().EqualByTID(c.Insertions()) {
+			t.Fatalf("trial %d: insertions of the window\n%s\ndiffer from those of its compacted form\n%s\nwindow: %+v",
+				trial, d.Insertions(), c.Insertions(), d.Rows())
+		}
+		if !d.Deletions().EqualByTID(c.Deletions()) {
+			t.Fatalf("trial %d: deletions of the window\n%s\ndiffer from those of its compacted form\n%s\nwindow: %+v",
+				trial, d.Deletions(), c.Deletions(), d.Rows())
+		}
+	}
+}
+
+// TestViewsMatchesTheThreeViews: the one-pass Views equals Insertions,
+// Deletions and Modifications on netted deltas (one row per tid: what
+// Compact, Diff and ToDeltaNetted emit, and the only shape the engine
+// hands it) — and, through its repeat detection, on raw windows too.
+func TestViewsMatchesTheThreeViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	check := func(label string, d *Delta) {
+		t.Helper()
+		ins, del, mods := d.Views()
+		wantMods := d.Modifications()
+		if !ins.EqualByTID(d.Insertions()) || !del.EqualByTID(d.Deletions()) || len(mods) != len(wantMods) {
+			t.Fatalf("%s: Views = %d/%d/%d rows, the three views %d/%d/%d\ndelta: %+v", label,
+				ins.Len(), del.Len(), len(mods), d.Insertions().Len(), d.Deletions().Len(), len(wantMods), d.Rows())
+		}
+		for i, r := range mods {
+			if w := wantMods[i]; r.TID != w.TID || &r.Old[0] != &w.Old[0] || &r.New[0] != &w.New[0] {
+				t.Fatalf("%s: modification %d is %+v, want %+v", label, i, r, w)
+			}
+		}
+		// The views are ordinary relations: indexed, and open to mutation.
+		for _, tu := range ins.Tuples() {
+			if got, ok := ins.Lookup(tu.TID); !ok || &got.Values[0] != &tu.Values[0] {
+				t.Fatalf("%s: insertions index misses tid %d", label, tu.TID)
+			}
+		}
+		if err := del.Insert(relation.Tuple{TID: 1 << 40, Values: row(0, "x", 0)}); err != nil || !del.Has(1<<40) {
+			t.Fatalf("%s: a view must stay a usable relation: %v", label, err)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		raw := randomWindow(rng, rng.Intn(40))
+		check("netted", raw.Compact())
+		check("raw", raw)
+	}
+	// The repeats only the cross-check sees: one tid as an insert row and
+	// a delete row, either way round.
+	d := New(stockSchema())
+	_ = d.AppendInsert(1, row(1, "A", 1), 1)
+	_ = d.AppendDelete(1, row(1, "A", 1), 2)
+	check("insert+delete", d)
+	d = New(stockSchema())
+	_ = d.AppendDelete(1, row(1, "A", 1), 1)
+	_ = d.AppendInsert(1, row(1, "A", 2), 2)
+	check("delete+insert", d)
+	check("empty", New(stockSchema()))
+}

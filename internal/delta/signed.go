@@ -188,21 +188,22 @@ func (s *Signed) DeletedRelation() *relation.Relation {
 	return out
 }
 
-// ApplySigned applies a signed delta to a materialized result relation:
-// -1 rows remove the tid, +1 rows insert/replace it. Used to maintain the
-// cached complete result of a CQ (Section 4.3, "complete set of the
-// result").
+// ApplySigned applies a signed delta to a materialized result relation
+// in row order: a -1 row removes its tid, a +1 row inserts or replaces
+// it. A -1 row directly followed by the +1 row of the same tid — how a
+// netted delta carries a modification — is one replacement in place: the
+// tuple keeps its position and the tid index is not touched. Used to
+// maintain the cached complete result of a CQ (Section 4.3, "complete
+// set of the result").
 func ApplySigned(rel *relation.Relation, s *Signed) {
-	for _, r := range s.Rows {
-		if r.Sign < 0 {
-			if rel.Has(r.TID) {
-				_ = rel.Delete(r.TID)
-			}
-		}
-	}
-	for _, r := range s.Rows {
-		if r.Sign > 0 {
+	for i, r := range s.Rows {
+		switch {
+		case r.Sign > 0:
 			_ = rel.Upsert(relation.Tuple{TID: r.TID, Values: r.Values})
+		case i+1 < len(s.Rows) && s.Rows[i+1].Sign > 0 && s.Rows[i+1].TID == r.TID:
+			// -old of a pair: the +new that follows overwrites it.
+		default:
+			_ = rel.Delete(r.TID) // an absent tid has nothing to remove
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/diorama/continual/internal/relation"
@@ -266,4 +267,76 @@ func relEq(a, b *Delta) bool {
 		}
 	}
 	return true
+}
+
+// TestApplySignedInPlaceMatchesDeleteThenInsert: on netted signed deltas
+// — each tid once, as a lone row or an adjacent -old/+new pair — applying
+// in row order with pairs overwritten in place leaves the same tid →
+// values set as removing every -1 row's tid and then inserting every +1
+// row, and a modified tuple keeps its position.
+func TestApplySignedInPlaceMatchesDeleteThenInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		rel := relation.New(stockSchema())
+		for tid := relation.TID(1); tid <= 10; tid++ {
+			if rng.Intn(3) > 0 {
+				_ = rel.Insert(relation.Tuple{TID: tid, Values: row(int64(tid), "S", float64(rng.Intn(50)))})
+			}
+		}
+		s := &Signed{Schema: stockSchema()}
+		paired := map[relation.TID]bool{}
+		for _, tid := range rng.Perm(14) {
+			tid := relation.TID(tid + 1)
+			old, present := rel.Lookup(tid)
+			now := row(int64(tid), "S", float64(50+rng.Intn(50)))
+			switch k := rng.Intn(4); {
+			case k == 0:
+				// untouched
+			case present && k == 1:
+				s.Rows = append(s.Rows, SignedRow{TID: tid, Values: old.Values, Sign: -1})
+			case present:
+				paired[tid] = true
+				s.Rows = append(s.Rows,
+					SignedRow{TID: tid, Values: old.Values, Sign: -1},
+					SignedRow{TID: tid, Values: now, Sign: +1})
+			default:
+				s.Rows = append(s.Rows, SignedRow{TID: tid, Values: now, Sign: +1})
+			}
+		}
+		want := rel.Clone()
+		for _, r := range s.Rows {
+			if r.Sign < 0 && want.Has(r.TID) {
+				_ = want.Delete(r.TID)
+			}
+		}
+		for _, r := range s.Rows {
+			if r.Sign > 0 {
+				_ = want.Upsert(relation.Tuple{TID: r.TID, Values: r.Values})
+			}
+		}
+		// Positions of the paired tids, up to the first lone delete: a
+		// swap-remove before them may legitimately move a tuple.
+		at := map[relation.TID]int{}
+		for i, tu := range rel.Tuples() {
+			at[tu.TID] = i
+		}
+		loneDelete := false
+		for i, r := range s.Rows {
+			if r.Sign < 0 && !(i+1 < len(s.Rows) && s.Rows[i+1].TID == r.TID) {
+				loneDelete = true
+			}
+		}
+		ApplySigned(rel, s)
+		if !rel.EqualByTID(want) {
+			t.Fatalf("trial %d: in-place apply\n%s\ndiffers from delete-then-insert\n%s\ndelta: %+v", trial, rel, want, s.Rows)
+		}
+		for i, tu := range rel.Tuples() {
+			if got, ok := rel.Lookup(tu.TID); !ok || !valuesEqual(got.Values, tu.Values) {
+				t.Fatalf("trial %d: tid index out of step at position %d", trial, i)
+			}
+			if paired[tu.TID] && !loneDelete && at[tu.TID] != i {
+				t.Fatalf("trial %d: modified tid %d moved from %d to %d", trial, tu.TID, at[tu.TID], i)
+			}
+		}
+	}
 }

@@ -12,19 +12,13 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// benchStep is one frozen refresh: a prepared selection plan plus the
-// context of a pending window, reusable across benchmark iterations
-// because a selection has no operand caches to advance.
-type benchStep struct {
-	prep *Prepared
-	ctx  *Context
-	ts   int64
-}
-
 // newBenchStep seeds |R| = base rows, commits one window of modifies,
-// and freezes the refresh inputs the way the cq manager hands them to
-// the engine: window compacted once, columnar image prebuilt and shared.
-func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, func() error) {
+// and freezes one refresh — a prepared selection plan plus the context
+// and timestamp of the pending window, reusable across benchmark
+// iterations because a selection has no operand caches to advance — the
+// way the cq manager hands it to the engine: window compacted once,
+// columnar image prebuilt and shared.
+func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, vclock.Timestamp) {
 	b.Helper()
 	store := storage.NewStore()
 	schema := relation.MustSchema(
@@ -97,12 +91,7 @@ func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, func() e
 		b.Fatal("benchmark window unrepresentable in columnar form")
 	}
 	ctx.Batches = map[string]*batch.Batch{"r": img}
-	ts := store.Now()
-	step := func() error {
-		_, err := prep.Step(ctx, ts)
-		return err
-	}
-	return prep, ctx, step
+	return prep, ctx, store.Now()
 }
 
 // joinBench is a live 3-way equi-join fixture for the join arm: unlike
@@ -307,8 +296,10 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 // DISTINCT over 2k values — through the group table. It is the
 // per-refresh engine work of a pushed CQ, with window fetch,
 // compaction, and batch building amortized outside (as the shared
-// window cache amortizes them across every CQ of a round). The four
-// arms are the allocation contract scripts/check-allocs.sh gates in CI.
+// window cache amortizes them across every CQ of a round); the notify
+// arm adds what follows the step for a selection — ApplyTo and the
+// notification views. The five arms are the allocation contract
+// scripts/check-allocs.sh gates in CI.
 func BenchmarkRefreshStep(b *testing.B) {
 	for _, arm := range []struct{ name, query string }{
 		{"agg", "SELECT k, bucket, SUM(v) AS s, COUNT(*) AS n FROM e GROUP BY k, bucket"},
@@ -380,14 +371,43 @@ func BenchmarkRefreshStep(b *testing.B) {
 	})
 
 	b.Run("columnar", func(b *testing.B) {
-		prep, _, step := newBenchStep(b, 16_384, 1024)
+		prep, ctx, ts := newBenchStep(b, 16_384, 1024)
 		defer prep.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := step(); err != nil {
+			if _, err := prep.Step(ctx, ts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+
+	// The same refresh carried through to what a subscriber receives: the
+	// step, the in-place maintenance of the complete result, and the
+	// notification's three views. Every iteration applies the window to a
+	// fresh copy of the pre-window result, cloned with the timer stopped.
+	b.Run("notify", func(b *testing.B) {
+		prep, ctx, ts := newBenchStep(b, 16_384, 1024)
+		defer prep.Close()
+		before := ctx.Prev
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ctx.Prev = before.Clone()
+			b.StartTimer()
+			res, err := prep.Step(ctx, ts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx.Prev = res.ApplyTo(ctx.Prev)
+			benchIns, benchDel, benchMods = res.Delta.Views()
+		}
+	})
 }
+
+// Sinks: the notify arm's views must not be optimized away.
+var (
+	benchIns, benchDel *relation.Relation
+	benchMods          []delta.Row
+)

@@ -2,6 +2,7 @@ package dra
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/relation"
@@ -21,6 +22,29 @@ type compiledNode struct {
 	sel  *compiledSelect
 	proj *compiledProject
 	join *compiledJoin
+
+	// view is set when the subtree has the shape the evaluator reads
+	// straight off its scan's window (selection); the kind field above is
+	// then not evaluated.
+	view *selection
+}
+
+// selection is the compiled form of a join-free subtree
+// [Project(bare columns)]([Select]...(Scan)): selection and projection
+// are linear, so the subtree's signed change is a subset of the scan's
+// window rows under a column map — no operator between the window and
+// the subtree's consumer builds a batch of its own (selView).
+type selection struct {
+	scan *algebra.ScanPlan
+	// preds are the selections, innermost first, compiled against the
+	// scan's schema.
+	preds []algebra.CompiledExpr
+	// cols maps output column j to scan column cols[j]; projected is set
+	// once a projection has shaped them, after which a further Select's
+	// predicate no longer reads the scan's columns.
+	cols      []int
+	projected bool
+	schema    relation.Schema
 }
 
 type compiledSelect struct {
@@ -68,7 +92,11 @@ type compiledJoin struct {
 func compilePlan(p algebra.Plan) (*compiledNode, error) {
 	switch n := p.(type) {
 	case *algebra.ScanPlan:
-		return &compiledNode{plan: p, scan: n}, nil
+		cols := make([]int, n.Schema().Len())
+		for i := range cols {
+			cols[i] = i
+		}
+		return &compiledNode{plan: p, scan: n, view: &selection{scan: n, cols: cols, schema: n.Schema()}}, nil
 	case *algebra.SelectPlan:
 		in, err := compilePlan(n.Input)
 		if err != nil {
@@ -78,7 +106,13 @@ func compilePlan(p algebra.Plan) (*compiledNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &compiledNode{plan: p, sel: &compiledSelect{input: in, pred: ce}}, nil
+		out := &compiledNode{plan: p, sel: &compiledSelect{input: in, pred: ce}}
+		if v := in.view; v != nil && !v.projected {
+			sel := *v
+			sel.preds = append(slices.Clip(v.preds), ce)
+			out.view = &sel
+		}
+		return out, nil
 	case *algebra.ProjectPlan:
 		in, err := compilePlan(n.Input)
 		if err != nil {
@@ -92,12 +126,33 @@ func compilePlan(p algebra.Plan) (*compiledNode, error) {
 			}
 			items[i] = ce
 		}
-		return &compiledNode{plan: p, proj: &compiledProject{input: in, items: items, schema: p.Schema()}}, nil
+		return newProjectNode(p, in, items, p.Schema()), nil
 	case *algebra.JoinPlan:
 		return compileJoin(n)
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupportedPlan, p)
 	}
+}
+
+// newProjectNode compiles a projection of in to the given items. Items
+// that are all bare column references over a selection keep the subtree
+// a selection: the projection is a column map.
+func newProjectNode(p algebra.Plan, in *compiledNode, items []algebra.CompiledExpr, schema relation.Schema) *compiledNode {
+	out := &compiledNode{plan: p, proj: &compiledProject{input: in, items: items, schema: schema}}
+	v := in.view
+	if v == nil {
+		return out
+	}
+	cols := make([]int, len(items))
+	for i, ce := range items {
+		ci, ok := algebra.ColumnIndexOf(ce)
+		if !ok || schema.Col(i).Type != v.schema.Col(ci).Type {
+			return out
+		}
+		cols[i] = v.cols[ci]
+	}
+	out.view = &selection{scan: v.scan, preds: v.preds, cols: cols, projected: true, schema: schema}
+	return out
 }
 
 // compileJoin flattens a join subtree and resolves everything the
@@ -145,7 +200,10 @@ func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 	return &compiledNode{plan: n, join: cj}, nil
 }
 
-// joinFree reports that no join occurs in the subtree.
+// joinFree reports that no join occurs in the subtree. The maximal
+// join-free subtrees — a join-free root, a join group's join-free
+// operands — are the units whose filtered windows decide relevance
+// (Section 5.2).
 func (n *compiledNode) joinFree() bool {
 	switch {
 	case n.scan != nil:
@@ -156,26 +214,6 @@ func (n *compiledNode) joinFree() bool {
 		return n.proj.input.joinFree()
 	default:
 		return false
-	}
-}
-
-// operands collects the maximal join-free subtrees of the tree — the
-// units whose filtered deltas decide relevance (Section 5.2) and whose
-// pre-states the truth table materializes.
-func (n *compiledNode) operands(out []*compiledNode) []*compiledNode {
-	if n.joinFree() {
-		return append(out, n)
-	}
-	switch {
-	case n.sel != nil:
-		return n.sel.input.operands(out)
-	case n.proj != nil:
-		return n.proj.input.operands(out)
-	default:
-		for _, op := range n.join.opNodes {
-			out = op.operands(out)
-		}
-		return out
 	}
 }
 

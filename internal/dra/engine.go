@@ -22,12 +22,22 @@
 //	(R1+ΔR1) ⋈ (R2+ΔR2) = R1⋈R2 + ΔR1⋈R2 + R1⋈ΔR2 + ΔR1⋈ΔR2
 //
 // generalized to n operands. Selections and projections commute with the
-// signed representation row by row.
+// signed representation row by row: they are linear, so their
+// incremental form keeps no state and builds no structure. A join-free
+// subtree [Project(bare columns)]([Select](Scan)) is therefore evaluated
+// as a view of its scan's window — surviving row indices and a column
+// map over the batch every CQ of the round shares (selView) — which the
+// root nets by adjacent -old/+new pair straight into result rows and
+// which a join operand copies out once. A join-free refresh is one pass
+// over the window.
 //
-// The package also provides Propagate, the paper's complete
+// The relevant-update refinement of Section 5.2 falls out of the same
+// pass: when every operand's filtered window is empty the refresh is
+// reported as skipped (Stats.Skipped) — there was nothing further to
+// run. The package also provides Propagate, the paper's complete
 // re-evaluation reference operator (run Q on both states and Diff), used
 // by the equivalence proofs in the test suite and by the benchmark
-// baselines, and the relevant-update refinement of Section 5.2.
+// baselines.
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
 // Algorithm 1 covers ("limited to SPJ expressions"); Reevaluate falls
@@ -103,7 +113,12 @@ type Stats struct {
 	// Terms is the number of truth-table terms evaluated (Σ over join
 	// groups of 2^k - 1).
 	Terms int
-	// DeltaRows is the total number of signed delta rows consumed.
+	// DeltaRows is the total number of signed window rows the scans of a
+	// relevant refresh read. A skipped refresh reports zero although it
+	// scanned its windows to find that out: the counter (and
+	// dra.delta_rows_consumed, the denominator of the benchmark's
+	// pre-tuples-per-delta-row) means rows that fed an evaluation, as it
+	// did when a separate pre-pass made the call.
 	DeltaRows int
 	// PreTuplesScanned counts tuples materialized from unchanged-operand
 	// pre-states for join partner sides.
@@ -111,8 +126,12 @@ type Stats struct {
 	// FellBack reports that the plan was outside the SPJ class and was
 	// recomputed via Propagate.
 	FellBack bool
-	// Skipped reports that the relevant-update refinement (Section 5.2)
-	// proved all updates irrelevant and skipped evaluation entirely.
+	// Skipped reports that the window was irrelevant (Section 5.2): every
+	// maximal join-free subtree of the plan — the root of a join-free
+	// plan, each join-free operand of a join group — filtered its window
+	// to nothing, so no term ran, no pre-state was read, and the net
+	// change is empty. Join replicas still end the refresh advanced to its
+	// timestamp. Set only under Engine.SkipIrrelevant.
 	Skipped bool
 	// IndexCacheHits counts operand pre-states served from a prepared
 	// plan's cross-refresh cache (no snapshot scan, indexes reused);
@@ -135,9 +154,9 @@ type Stats struct {
 
 // Engine evaluates differential forms of SPJ plans over typed columnar
 // batches (internal/batch): operand windows are signed column batches,
-// selection produces selection indices, projection moves columns, join
-// terms probe the operand replicas' flat indexes, all over a pooled
-// arena. The store's write boundary (relation.Schema.Conform) guarantees
+// selection produces selection indices over them, bare-column projection
+// is a column map, join terms probe the operand replicas' flat indexes,
+// all over a pooled arena. The store's write boundary (relation.Schema.Conform) guarantees
 // that every stored value fits its column, so a window value that does
 // not is an invariant violation: the refresh fails with an error
 // wrapping relation.ErrTypeMismatch and the plan's replicas are dropped.
@@ -154,8 +173,9 @@ type Engine struct {
 	// UseHashJoin probes hash indexes for equi-join terms (A3); nested
 	// loops otherwise.
 	UseHashJoin bool
-	// SkipIrrelevant enables the Section 5.2 refinement: when every
-	// operand's filtered delta is empty the re-evaluation is skipped.
+	// SkipIrrelevant enables the Section 5.2 refinement: a refresh whose
+	// operands' filtered deltas are all empty is reported as skipped
+	// (Stats.Skipped) rather than as a differential evaluation.
 	SkipIrrelevant bool
 	// pool recycles batch and selection buffers across refreshes; it is
 	// sync.Pool-backed, so concurrent refresh workers share it safely.
@@ -183,7 +203,12 @@ func NewEngine() *Engine {
 	}
 }
 
-// Result is the outcome of one differential re-evaluation.
+// Result is the outcome of one differential re-evaluation. Invariant,
+// kept by every producer in the engine (both nettings, Diff behind the
+// propagate arms, the group table, the template fold) and relied on by
+// result assembly (Signed.ToDeltaNetted, delta.ApplySigned's in-place
+// update, Delta.Views): Delta holds each tid at most once, and Signed
+// carries it as one row or as one adjacent -old/+new pair.
 type Result struct {
 	// Signed is the net signed change of the query result.
 	Signed *delta.Signed
@@ -253,7 +278,10 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 	if ctx.Prev == nil {
 		return nil, ErrNoPrev
 	}
-	var st Stats
+	// The evaluator keeps a pointer to the stats it fills: they live in
+	// the result from the start rather than escaping on their own.
+	res := &Result{ExecTS: execTS}
+	st := &res.Stats
 	var span *obs.Span
 	var start time.Time
 	if m := e.Metrics; m != nil {
@@ -261,13 +289,12 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		span = m.startSpan()
 	}
 
-	var net *delta.Signed
 	var err error
 	if root == nil {
 		st.FellBack = true
 		// Diff output: already at most one -old and one +new per tid.
-		net, err = PropagateSigned(plan, ctx.Pre, ctx.Post)
-	} else if net, err = e.vecEvaluate(root, ctx, execTS, &st, telescope); err != nil {
+		res.Signed, err = PropagateSigned(plan, ctx.Pre, ctx.Post)
+	} else if res.Signed, err = e.vecEvaluate(root, ctx, execTS, st, telescope); err != nil {
 		// A failed refresh drops every replica of the plan: join groups
 		// advance them as they go, and the next refresh must rebuild from
 		// its pre-state snapshot rather than read a part-advanced state.
@@ -277,14 +304,10 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		return nil, err
 	}
 	if m := e.Metrics; m != nil {
-		m.observe(st, span, time.Since(start))
+		m.observe(*st, span, time.Since(start))
 	}
-	return &Result{
-		Signed: net,
-		Delta:  net.ToDeltaNetted(execTS),
-		ExecTS: execTS,
-		Stats:  st,
-	}, nil
+	res.Delta = res.Signed.ToDeltaNetted(execTS)
+	return res, nil
 }
 
 // supportsDifferential reports whether the plan is in the SPJ class

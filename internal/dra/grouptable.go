@@ -108,7 +108,7 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 		return nil, err
 	}
 	if items != nil {
-		fold = &compiledNode{proj: &compiledProject{input: fold, items: items, schema: foldSchema}}
+		fold = newProjectNode(nil, fold, items, foldSchema)
 	}
 	keySchema, err := relation.NewSchema(cols[:nKeys]...)
 	if err != nil {
@@ -205,8 +205,8 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // (zero-copy over ctx.Batches where the window image is shared).
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	var st Stats
-	v := &vecEval{e: g.engine, ctx: ctx, execTS: execTS, st: &st}
-	defer v.releaseOwned()
+	v := newVecEval(g.engine, ctx, execTS, &st)
+	defer v.release()
 	b, err := v.nodeBatch(g.fold)
 	if err == nil {
 		err = g.foldBatch(b)

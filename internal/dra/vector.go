@@ -21,41 +21,33 @@ func nonConforming(what string) error {
 }
 
 // vecEval is the per-refresh state of the columnar evaluator. Every
-// pooled batch it creates lands in owned and returns to the arena in
-// one sweep at the end — cross-refresh buffer reuse through the pool is
-// where the allocation win comes from.
+// pooled batch and selection vector it creates lands in owned / idx and
+// returns to the arena in one sweep at the end — cross-refresh buffer
+// reuse through the pool is where the allocation win comes from.
 type vecEval struct {
 	e      *Engine
 	ctx    *Context
 	execTS vclock.Timestamp
 	st     *Stats
 	owned  []*batch.Batch
+	idx    [][]int32
+	// A selection owns at most a converted window and a selection vector
+	// per Select: the common refresh fits these and never grows them.
+	ownedBuf [2]*batch.Batch
+	idxBuf   [2][]int32
 	// telescope selects the telescoping kernel for prepared join groups
 	// (StrategyIncremental).
 	telescope bool
+	// relevant records that some maximal join-free subtree's filtered
+	// window was non-empty: the relevance test of Section 5.2, answered
+	// by the evaluation itself.
+	relevant bool
 }
 
-// vecRelevant is the relevance probe of Section 5.2: every maximal
-// join-free subtree's filtered window evaluates batch-at-a-time with
-// pooled buffers, and the refresh is relevant when any is non-empty. It
-// never materializes pre-states, so it is cheap (O(Σ|ΔRi|)), and operand
-// subtrees are join-free by construction, so it never touches a replica.
-// It runs on a scratch Stats: the rows it scans are counted again by the
-// real evaluation, so its work never reaches Result.Stats.
-func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (bool, error) {
-	var scratch Stats
-	v := &vecEval{e: e, ctx: ctx, st: &scratch}
-	defer v.releaseOwned()
-	for _, op := range root.operands(nil) {
-		b, err := v.nodeBatch(op)
-		if err != nil {
-			return false, err
-		}
-		if b.Len() > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
+func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *vecEval {
+	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: st}
+	v.owned, v.idx = v.ownedBuf[:0], v.idxBuf[:0]
+	return v
 }
 
 // vecEvaluate runs the differential evaluation over typed columnar
@@ -63,54 +55,75 @@ func (e *Engine) vecRelevant(root *compiledNode, ctx *Context) (bool, error) {
 // kernel when telescope is set — and nets the result. Join groups
 // advance their replicas as they go, so an error can leave them
 // part-advanced; the caller drops them (evaluate).
+//
+// A refresh whose operands' filtered windows are all empty is reported
+// as Skipped (when the engine skips irrelevant updates at all): nothing
+// past the window scan ran — a join group with no changed operand only
+// moves its replicas' tags forward — and the net change is empty.
 func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats, telescope bool) (*delta.Signed, error) {
-	if e.SkipIrrelevant {
-		relevant, err := e.vecRelevant(root, ctx)
+	v := newVecEval(e, ctx, execTS, st)
+	v.telescope = telescope
+	defer v.release()
+	var net *delta.Signed
+	if root.view != nil && v.paired() {
+		w, err := v.view(root.view)
 		if err != nil {
 			return nil, err
 		}
-		if !relevant {
-			st.Skipped = true
-			// The skipped window still moves the operand caches forward:
-			// every filtered delta is empty, so each replica already
-			// equals its operand's state at execTS.
-			root.eachJoin(func(cj *compiledJoin) {
-				if cj.cache != nil {
-					cj.cache.advance(ctx, execTS, nil)
-				}
-			})
-			return &delta.Signed{Schema: root.plan.Schema()}, nil
+		v.relevant = w.len() > 0
+		net = v.netView(w)
+	} else {
+		out, err := v.nodeBatch(root)
+		if err != nil {
+			return nil, err
 		}
+		if root.joinFree() && out.Len() > 0 {
+			v.relevant = true
+		}
+		net = v.netBatch(out)
 	}
-	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: st, telescope: telescope}
-	defer v.releaseOwned()
-	out, err := v.nodeBatch(root)
-	if err != nil {
-		return nil, err
+	if e.SkipIrrelevant && !v.relevant {
+		st.Skipped = true
+		st.DeltaRows = 0 // a skipped refresh consumed no delta row
 	}
-	return v.netBatch(out), nil
+	return net, nil
 }
+
+// paired reports that every scan's window holds each tid at most once,
+// as one row or as an adjacent -old/+new pair: the windows are compacted,
+// by the caller or by the scan.
+func (v *vecEval) paired() bool { return v.e.CompactDeltas || v.ctx.Compacted }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
 	v.owned = append(v.owned, b)
 	return b
 }
 
-func (v *vecEval) releaseOwned() {
+func (v *vecEval) release() {
 	for _, b := range v.owned {
-		// released: evaluation is over and netBatch materialized the net
+		// released: evaluation is over and netting materialized the net
 		// result into owned memory; no owned batch is referenced again.
 		v.e.pool.Put(b)
 	}
-	v.owned = nil
+	for _, sel := range v.idx {
+		// released: every view over the selection has been consumed.
+		v.e.pool.PutIdx(sel)
+	}
+	v.owned, v.idx = nil, nil
 }
 
 // nodeBatch computes the signed change of a compiled node's output
-// between the pre and post states, as a batch.
+// between the pre and post states, as a batch the evaluation owns.
 func (v *vecEval) nodeBatch(n *compiledNode) (*batch.Batch, error) {
 	switch {
-	case n.scan != nil:
-		return v.scanBatch(n.scan)
+	case n.view != nil:
+		w, err := v.view(n.view)
+		if err != nil {
+			return nil, err
+		}
+		out := v.own(v.e.pool.Get(w.schema, w.len()))
+		out.AppendSelected(w.b, w.sel, w.cols)
+		return out, nil
 	case n.sel != nil:
 		in, err := v.nodeBatch(n.sel.input)
 		if err != nil {
@@ -130,19 +143,66 @@ func (v *vecEval) nodeBatch(n *compiledNode) (*batch.Batch, error) {
 	}
 }
 
+// selView is the signed change of a selection, read in place: rows sel
+// of the scan's window batch b — the round's shared image, which this
+// evaluation must not write, or the scan's own conversion — with output
+// column j in b's column cols[j]. Its consumer nets it straight into
+// result rows (netView) or copies it out once (nodeBatch).
+type selView struct {
+	b      *batch.Batch
+	sel    []int32 // nil: every row
+	cols   []int
+	schema relation.Schema
+}
+
+func (w *selView) len() int {
+	if w.sel == nil {
+		return w.b.Len()
+	}
+	return len(w.sel)
+}
+
+// at returns the window row of the view's k-th row.
+func (w *selView) at(k int) int32 {
+	if w.sel == nil {
+		return int32(k)
+	}
+	return w.sel[k]
+}
+
+// view evaluates a selection: one pass of each predicate over the
+// window's surviving rows, producing selection indices and nothing else.
+func (v *vecEval) view(s *selection) (selView, error) {
+	w := selView{cols: s.cols, schema: s.schema}
+	var err error
+	if w.b, err = v.scanBatch(s.scan); err != nil {
+		return w, err
+	}
+	pool := v.e.pool
+	for _, pred := range s.preds {
+		if w.len() == 0 {
+			break
+		}
+		w.sel, err = algebra.SelectBatch(pred, w.b, w.sel, pool.GetIdx(w.len()), pool)
+		v.idx = append(v.idx, w.sel)
+		if err != nil {
+			return w, fmt.Errorf("dra: select: %w", err)
+		}
+	}
+	return w, nil
+}
+
 // scanBatch produces the table's differential window as a signed batch
-// under the scan's qualified schema. When the context carries a
-// prebuilt columnar window (built once at the storage boundary and
-// shared by every CQ over the round) and no further compaction would
-// apply, the scan is a zero-copy view rebadge; otherwise it converts
-// the row window into a pooled batch, falling back on unrepresentable
-// values.
+// with the scan's column types. When the context carries a prebuilt
+// columnar window (built once at the storage boundary and shared by
+// every CQ over the round) and no further compaction would apply, that
+// batch is the scan, read in place; otherwise the scan converts the row
+// window into a pooled batch.
 func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {
 	e := v.e
 	if pre := v.ctx.Batches[n.Table]; pre != nil && (!e.CompactDeltas || v.ctx.Compacted) {
-		vw := v.own(pre.View(n.Schema()))
-		v.st.DeltaRows += vw.Len()
-		return vw, nil
+		v.st.DeltaRows += pre.Len()
+		return pre, nil
 	}
 	d := v.ctx.Deltas[n.Table]
 	if d != nil && e.CompactDeltas && !v.ctx.Compacted {
@@ -164,40 +224,24 @@ func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {
 	return out, nil
 }
 
-// filterBatch applies a selection predicate column-at-a-time, producing
-// selection indices instead of row copies: an all-pass predicate is a
-// pass-through, a partial pass compacts the batch in place when it owns
-// its buffers, and only shared inputs (window views) pay a copy of the
-// surviving rows.
+// filterBatch applies a selection predicate column-at-a-time to a batch
+// the evaluation owns, compacting it in place to the surviving rows.
 func (v *vecEval) filterBatch(in *batch.Batch, pred algebra.CompiledExpr) (*batch.Batch, error) {
 	if in.Len() == 0 {
 		return in, nil
 	}
 	pool := v.e.pool
-	sel, err := algebra.SelectBatch(pred, in, pool.GetIdx(in.Len()))
+	sel, err := algebra.SelectBatch(pred, in, nil, pool.GetIdx(in.Len()), pool)
+	if err == nil && len(sel) < in.Len() {
+		in.Gather(sel)
+	}
+	// released: gather consumed the indices, or the selection aborted and
+	// they never escaped.
+	pool.PutIdx(sel)
 	if err != nil {
-		// released: selection aborted; the indices never escaped.
-		pool.PutIdx(sel)
 		return nil, fmt.Errorf("dra: select: %w", err)
 	}
-	switch {
-	case len(sel) == in.Len():
-		// released: all-pass predicate, input flows through unchanged.
-		pool.PutIdx(sel)
-		return in, nil
-	case in.CanGather():
-		in.Gather(sel)
-		// released: gather compacted the batch in place; indices consumed.
-		pool.PutIdx(sel)
-		return in, nil
-	}
-	out := v.own(pool.Get(in.Schema, len(sel)))
-	for _, i := range sel {
-		out.AppendFrom(in, int(i))
-	}
-	// released: surviving rows copied into out; indices consumed.
-	pool.PutIdx(sel)
-	return out, nil
+	return in, nil
 }
 
 // projectBatch evaluates projection as column permutation: items that
@@ -304,6 +348,9 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		deltas[i] = d
 		if d.Len() > 0 {
 			changed = append(changed, i)
+			if cj.opNodes[i].joinFree() {
+				v.relevant = true
+			}
 		}
 	}
 	if len(changed) == 0 {
@@ -506,7 +553,7 @@ func (v *vecEval) applyPredsVec(cj *compiledJoin, work *batch.Batch, tids []rela
 		if work.Len() == 0 {
 			break
 		}
-		sel, err := algebra.SelectBatch(cj.cPreds[pi], work, pool.GetIdx(work.Len()))
+		sel, err := algebra.SelectBatch(cj.cPreds[pi], work, nil, pool.GetIdx(work.Len()), pool)
 		if err != nil {
 			// released: predicate aborted; the indices never escaped.
 			pool.PutIdx(sel)
@@ -557,6 +604,52 @@ func crossStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids
 	return outT
 }
 
+// netView nets a selection over paired windows (vecEval.paired) and
+// renders the result rows. Each tid reaches the view as a lone row or
+// as its adjacent -old/+new pair, so netting is one forward pass with no
+// grouping: a pair whose projected columns are equal cancels (the
+// projection dropped every changed column), everything else is the net
+// change as it stands. Only the projected columns are compared or read;
+// the emitted rows share one flat owned backing, so the result does not
+// reference the window.
+func (v *vecEval) netView(w selView) *delta.Signed {
+	out := &delta.Signed{Schema: w.schema}
+	n := w.len()
+	if n == 0 {
+		return out
+	}
+	b, pool := w.b, v.e.pool
+	keep := pool.GetIdx(n)
+	for k := 0; k < n; k++ {
+		i := w.at(k)
+		if b.Signs[i] < 0 && k+1 < n {
+			if j := w.at(k + 1); b.Signs[j] > 0 && b.TIDs[j] == b.TIDs[i] {
+				k++
+				if !b.KeyEqual(int(i), w.cols, b, int(j), w.cols) {
+					keep = append(keep, i, j)
+				}
+				continue
+			}
+		}
+		keep = append(keep, i)
+	}
+	if len(keep) > 0 {
+		width := len(w.cols)
+		flat := make([]relation.Value, len(keep)*width)
+		out.Rows = make([]delta.SignedRow, len(keep))
+		for r, i := range keep {
+			vals := flat[r*width : (r+1)*width : (r+1)*width]
+			for c, ci := range w.cols {
+				vals[c] = b.Value(int(i), ci)
+			}
+			out.Rows[r] = delta.SignedRow{TID: b.TIDs[i], Values: vals, Sign: int(b.Signs[i])}
+		}
+	}
+	// released: the kept rows are rendered.
+	pool.PutIdx(keep)
+	return out
+}
+
 // netEntry is one distinct value-row of a tid's net group: the index of
 // its first occurrence in the batch and the accumulated sign count.
 type netEntry struct {
@@ -595,7 +688,9 @@ func (g *netGroup) add(e netEntry) {
 // positive row per tid by counting per (tid, value) and keeping nonzero
 // nets. This collapses the cross terms of the truth-table expansion
 // (e.g. a tuple modified on both join sides contributes four signed rows
-// that net to one -old and one +new). Candidate rows are compared in
+// that net to one -old and one +new), and is the netting of everything
+// netView's premise does not cover: join outputs, computed projections,
+// uncompacted windows. Candidate rows are compared in
 // place (RowsEqual) — no row is materialized or hashed, so two distinct
 // rows can never merge — and grouping is a flat group slice addressed
 // through one tid index, so the pass costs O(1) allocations. The emitted

@@ -25,6 +25,16 @@ type Span struct {
 
 	log  *TraceLog // set on roots; recorded at Finish
 	done bool
+	// buf backs Fields up to the widest span the engine records (a
+	// maintainer's cq.refresh: ten fields), so annotating a span
+	// allocates nothing beyond the span itself.
+	buf [10]Field
+}
+
+func newSpan(name string, log *TraceLog) *Span {
+	sp := &Span{Name: name, Start: time.Now(), log: log}
+	sp.Fields = sp.buf[:0]
+	return sp
 }
 
 // SetField annotates the span. Nil-safe.
@@ -40,7 +50,7 @@ func (sp *Span) Child(name string) *Span {
 	if sp == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: time.Now()}
+	c := newSpan(name, nil)
 	sp.Children = append(sp.Children, c)
 	return c
 }
@@ -82,7 +92,7 @@ func (l *TraceLog) Start(name string) *Span {
 	if l == nil {
 		return nil
 	}
-	return &Span{Name: name, Start: time.Now(), log: l}
+	return newSpan(name, l)
 }
 
 func (l *TraceLog) record(sp *Span) {

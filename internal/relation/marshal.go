@@ -20,15 +20,10 @@ func (v Value) MarshalBinary() ([]byte, error) {
 		return []byte{tag}, nil
 	}
 	switch v.Kind {
-	case TInt:
+	case TInt, TFloat:
 		buf := make([]byte, 9)
 		buf[0] = tag
-		binary.LittleEndian.PutUint64(buf[1:], uint64(v.i))
-		return buf, nil
-	case TFloat:
-		buf := make([]byte, 9)
-		buf[0] = tag
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v.f))
+		binary.LittleEndian.PutUint64(buf[1:], v.n)
 		return buf, nil
 	case TString:
 		buf := make([]byte, 1+len(v.s))
@@ -36,11 +31,7 @@ func (v Value) MarshalBinary() ([]byte, error) {
 		copy(buf[1:], v.s)
 		return buf, nil
 	case TBool:
-		b := byte(0)
-		if v.b {
-			b = 1
-		}
-		return []byte{tag, b}, nil
+		return []byte{tag, byte(v.n)}, nil
 	default:
 		if v.Kind == 0 {
 			// Untyped zero value: encode as untyped NULL.

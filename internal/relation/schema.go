@@ -27,11 +27,13 @@ func (c Column) Conform(v Value) (Value, error) {
 	case v.Kind == c.Type:
 		return v, nil
 	case v.Kind == TInt && c.Type == TFloat:
-		return Float(float64(v.i)), nil
-	case v.Kind == TFloat && c.Type == TInt && v.f == float64(int64(v.f)):
-		return Int(int64(v.f)), nil
+		return Float(v.AsFloat()), nil
 	case v.Kind == TFloat && c.Type == TInt:
-		return Value{}, fmt.Errorf("%w: column %q: non-integral value %v for INT column", ErrTypeMismatch, c.Name, v.f)
+		f := v.AsFloat()
+		if f != float64(int64(f)) {
+			return Value{}, fmt.Errorf("%w: column %q: non-integral value %v for INT column", ErrTypeMismatch, c.Name, f)
+		}
+		return Int(int64(f)), nil
 	default:
 		return Value{}, fmt.Errorf("%w: column %q: cannot store %s into %s column", ErrTypeMismatch, c.Name, v.Kind, c.Type)
 	}

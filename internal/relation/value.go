@@ -15,8 +15,10 @@ import (
 	"strconv"
 )
 
-// Type enumerates the value types supported by the engine.
-type Type int
+// Type enumerates the value types supported by the engine. It is one
+// byte wide so that a Value's tag and NULL flag share a word; the WAL and
+// checkpoints write it as a u64, the wire protocol as an int.
+type Type uint8
 
 // Supported column types.
 const (
@@ -43,15 +45,16 @@ func (t Type) String() string {
 }
 
 // Value is a single typed, nullable value. The zero Value is the SQL NULL
-// of no particular type.
+// of no particular type. It is 32 bytes: results, windows and replicas'
+// row images are slices of Values, so its size is the live heap's unit.
+// n holds the integer, the float's bits or the bool (1 = true) according
+// to Kind; s the string.
 type Value struct {
 	Kind Type
 	Null bool
 
-	i int64
-	f float64
+	n uint64
 	s string
-	b bool
 }
 
 // Null value constructor.
@@ -62,36 +65,41 @@ func NullValue() Value { return Value{Null: true} }
 func TypedNull(t Type) Value { return Value{Kind: t, Null: true} }
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{Kind: TInt, i: v} }
+func Int(v int64) Value { return Value{Kind: TInt, n: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{Kind: TFloat, f: v} }
+func Float(v float64) Value { return Value{Kind: TFloat, n: math.Float64bits(v)} }
 
 // String wraps a string. (Shadowing fmt.Stringer is intentional and local.)
 func Str(v string) Value { return Value{Kind: TString, s: v} }
 
 // Bool wraps a bool.
-func Bool(v bool) Value { return Value{Kind: TBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{Kind: TBool, n: 1}
+	}
+	return Value{Kind: TBool}
+}
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Null }
 
 // AsInt returns the integer payload. It is valid only for TInt values.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return int64(v.n) }
 
 // AsFloat returns the value as a float64, converting integers.
 func (v Value) AsFloat() float64 {
 	if v.Kind == TInt {
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // AsString returns the string payload. It is valid only for TString values.
 func (v Value) AsString() string { return v.s }
 
 // AsBool returns the boolean payload. It is valid only for TBool values.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.n != 0 }
 
 // IsNumeric reports whether the value is of a numeric type.
 func (v Value) IsNumeric() bool { return v.Kind == TInt || v.Kind == TFloat }
@@ -103,7 +111,7 @@ func (v Value) Equal(o Value) bool {
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.Kind == TInt && o.Kind == TInt {
-			return v.i == o.i
+			return v.n == o.n
 		}
 		return v.AsFloat() == o.AsFloat()
 	}
@@ -114,7 +122,7 @@ func (v Value) Equal(o Value) bool {
 	case TString:
 		return v.s == o.s
 	case TBool:
-		return v.b == o.b
+		return v.n == o.n
 	default:
 		return false
 	}
@@ -133,10 +141,10 @@ func (v Value) Compare(o Value) int {
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.Kind == TInt && o.Kind == TInt {
-			switch {
-			case v.i < o.i:
+			switch a, b := int64(v.n), int64(o.n); {
+			case a < b:
 				return -1
-			case v.i > o.i:
+			case a > b:
 				return 1
 			}
 			return 0
@@ -167,9 +175,9 @@ func (v Value) Compare(o Value) int {
 		return 0
 	case TBool:
 		switch {
-		case !v.b && o.b:
+		case v.n < o.n:
 			return -1
-		case v.b && !o.b:
+		case v.n > o.n:
 			return 1
 		}
 		return 0
@@ -185,14 +193,12 @@ func (v Value) hashInto(h *fnvState) {
 	}
 	h.writeByte(byte(v.Kind))
 	switch v.Kind {
-	case TInt:
-		h.writeUint64(uint64(v.i))
-	case TFloat:
-		h.writeUint64(math.Float64bits(v.f))
+	case TInt, TFloat:
+		h.writeUint64(v.n)
 	case TString:
 		h.writeString(v.s)
 	case TBool:
-		if v.b {
+		if v.n != 0 {
 			h.writeByte(1)
 		} else {
 			h.writeByte(2)
@@ -207,13 +213,13 @@ func (v Value) String() string {
 	}
 	switch v.Kind {
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case TString:
 		return v.s
 	case TBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.AsBool())
 	default:
 		return "?"
 	}

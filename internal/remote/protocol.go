@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"github.com/diorama/continual/internal/batch"
@@ -204,7 +205,7 @@ func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, er
 	for c := range w.Cols {
 		wc := &w.Cols[c]
 		want := schema.Col(c).Type
-		if relation.Type(wc.Type) != want {
+		if wc.Type != int(want) {
 			return nil, fmt.Errorf("%w: column %d type %d, schema says %d", errColDelta, c, wc.Type, want)
 		}
 		var have int
@@ -293,6 +294,9 @@ func toWireSchema(s relation.Schema) []WireColumn {
 func fromWireSchema(cols []WireColumn) (relation.Schema, error) {
 	rc := make([]relation.Column, len(cols))
 	for i, c := range cols {
+		if c.Type < 0 || c.Type > math.MaxUint8 {
+			return relation.Schema{}, fmt.Errorf("remote: column %q has type %d out of range", c.Name, c.Type)
+		}
 		rc[i] = relation.Column{Name: c.Name, Type: relation.Type(c.Type)}
 	}
 	return relation.NewSchema(rc...)

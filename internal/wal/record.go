@@ -324,6 +324,9 @@ func (d *dec) schema() relation.Schema {
 	for i := 0; i < n; i++ {
 		name := d.str()
 		typ := d.u64()
+		if typ > math.MaxUint8 {
+			d.fail() // relation.Type is one byte; a wider tag is not one of ours
+		}
 		cols = append(cols, relation.Column{Name: name, Type: relation.Type(typ)})
 	}
 	if d.err != nil {

@@ -2,9 +2,11 @@
 # check-allocs: the refresh step's allocations per operation are a
 # budget, not an observation. BenchmarkRefreshStep (internal/dra)
 # measures the steady-state refresh over a fixed window on a selection
-# (columnar), on the telescoping kernel of a 3-way join (join), and on
-# the group table under a GROUP BY and a DISTINCT (agg, distinct); this script fails when any arm exceeds its
-# committed baseline (scripts/allocs-baseline.txt) by more than 20%.
+# (columnar: the step alone; notify: the step, ApplyTo and the
+# notification's views), on the telescoping kernel of a 3-way join
+# (join), and on the group table under a GROUP BY and a DISTINCT (agg,
+# distinct); this script fails when any arm exceeds its committed
+# baseline (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
 # one performance number a shared runner can enforce. After a
