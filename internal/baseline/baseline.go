@@ -96,7 +96,7 @@ func (a *AppendOnly) Step(deltas map[string]*delta.Delta, pre, post algebra.Sour
 	}
 	// Append-only result maintenance: add new matches, never remove.
 	added := relation.New(a.result.Schema())
-	for _, t := range res.Inserted().Tuples() {
+	for _, t := range res.Delta.Insertions().Tuples() {
 		if !a.result.Has(t.TID) {
 			if err := a.result.Insert(t.Clone()); err != nil {
 				return nil, err

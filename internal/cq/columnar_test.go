@@ -2,9 +2,13 @@ package cq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/diorama/continual/internal/dra"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
+	"github.com/diorama/continual/internal/storage"
 )
 
 // TestColumnarEquivalence is the end-to-end transcript property for the
@@ -56,5 +60,84 @@ func TestColumnarEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPushedImagesWithTIDReuse refreshes a selection over a window of
+// two commits in which one tid is deleted by the first and re-inserted
+// by the second (Tx.InsertWithTID, as INTO targets do), with another
+// row's modification between them. The compacted window folds the two
+// to one modification of the same signed length as the raw window, while
+// the routed commit images carry the -old and +new rows apart: they are
+// not the window's columnar form and must not stand in for it. The
+// differential transcript must match complete re-evaluation — one Modify
+// of the reused tid, or nothing when the row came back unchanged.
+func TestPushedImagesWithTIDReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		query   string
+		back    float64 // the re-inserted row's price
+		wantMod bool    // the reused tid reaches the notification as a Modify
+	}{
+		{"changed", "SELECT * FROM stocks WHERE price > 100", 170, true},
+		{"unchanged", "SELECT * FROM stocks WHERE price > 100", 150, false},
+		{"changed column projected away", "SELECT name FROM stocks WHERE price > 100", 170, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			world := func(useDRA bool) ([]string, relation.TID) {
+				s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+				reused := insertStock(t, s, "DEC", 150)
+				other := insertStock(t, s, "IBM", 120)
+				m := NewManagerConfig(s, Config{UseDRA: useDRA, Push: true})
+				defer func() { _ = m.Close() }()
+				if _, err := m.Register(Def{Name: "q", Query: tc.query, NotifyEmpty: true,
+					Trigger: sql.TriggerSpec{Kind: sql.TriggerUpdates, Updates: 3}}); err != nil {
+					t.Fatal(err)
+				}
+				var out []string
+				if _, err := m.SubscribeFunc("q", func(n Notification, closed bool) {
+					if !closed {
+						out = append(out, renderNotification(n))
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				// Two updates: the trigger holds, the images accumulate.
+				commit(t, s, func(tx *storage.Tx) error {
+					if err := tx.Delete("stocks", reused); err != nil {
+						return err
+					}
+					return tx.Update("stocks", other, []relation.Value{relation.Str("IBX"), relation.Float(130)})
+				})
+				m.FlushPush()
+				// The third fires it over both commits.
+				commit(t, s, func(tx *storage.Tx) error {
+					return tx.InsertWithTID("stocks", reused, []relation.Value{relation.Str("DEC"), relation.Float(tc.back)})
+				})
+				m.FlushPush()
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return out, reused
+			}
+			want, _ := world(false)
+			got, reused := world(true)
+			if len(want) != 1 {
+				t.Fatalf("complete re-evaluation delivered %d notifications, want the one refresh over both commits:\n%s",
+					len(want), strings.Join(want, "\n"))
+			}
+			mods := want[0][strings.Index(want[0], "mod=["):strings.Index(want[0], " com=")]
+			if mod := strings.Contains(mods, fmt.Sprintf("%d:[", reused)); mod != tc.wantMod {
+				t.Fatalf("complete re-evaluation: reused tid modified = %v, want %v:\n%s", mod, tc.wantMod, want[0])
+			}
+			if len(got) != len(want) {
+				t.Fatalf("differential delivered %d notifications, complete re-evaluation %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("notification %d:\n  full: %s\n  dra:  %s", i, want[i], got[i])
+				}
+			}
+		})
 	}
 }

@@ -1874,11 +1874,15 @@ func (m *Manager) fillBatches(ctx *dra.Context, tables []string, from, to vclock
 // rests on counting: each ref is one commit's complete signed rows and
 // the refs are distinct commits inside (from, to], so their signed-row
 // total equals the raw window's exactly when the run covers every
-// commit. Under compaction one more equality is needed — the raw
-// window's signed length must match the folded window's, which (since
-// folding can only shrink a tid's signed rows, and an equal-size fold
-// is value-identical) proves compaction changed nothing the engine can
-// observe.
+// commit. Under compaction the images must also be the folded window
+// row for row, in order (dra.Context.Batches' contract: the engine nets
+// a compacted selection by adjacent -old/+new pair). Folding merges
+// only rows of one tid, each merge dropping at least one row, so equal
+// row counts prove that no tid repeats in the raw window and nothing
+// was folded. Equal signed lengths alone do not: a delete in one commit
+// and a re-insert of the tid in a later one (InsertWithTID, which INTO
+// targets use) fold to one modification of the same signed length,
+// while the images carry the -old and +new apart.
 func acceptPushed(refs []push.BatchRef, table string, win *delta.Delta, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool) *batch.Batch {
 	// Refs at or before `from` belong to commits an earlier refresh
 	// (typically a poll round, which does not consume refs) already
@@ -1901,8 +1905,7 @@ func acceptPushed(refs []push.BatchRef, table string, win *delta.Delta, from, to
 		if err != nil {
 			return nil
 		}
-		rawLen := signedLen(raw)
-		if total != rawLen || rawLen != signedLen(win) {
+		if total != signedLen(raw) || raw.Len() != win.Len() {
 			return nil
 		}
 	} else if total != signedLen(win) {
@@ -1944,15 +1947,14 @@ func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notificatio
 		Mode:       inst.mode,
 		Terminated: inst.terminated.Load(),
 	}
-	ins, del, mods := res.Delta.Views()
 	switch inst.mode {
 	case sql.ModeComplete:
 		note.Complete = inst.prev.Clone()
-		note.Inserted, note.Deleted, note.Modified = ins, del, mods
+		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
 	case sql.ModeDeletions:
-		note.Deleted = del
+		note.Deleted = res.Delta.Deletions()
 	default: // ModeDifferential
-		note.Inserted, note.Deleted, note.Modified = ins, del, mods
+		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
 	}
 	return note
 }

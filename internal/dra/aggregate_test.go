@@ -103,7 +103,7 @@ func TestIncrementalBankSum(t *testing.T) {
 	// Deposit.
 	f.insert(t, "accounts", av("carol", 50, "s"))
 	res := stepAndVerify(t, f, ia, plan)
-	if len(res.Modified()) != 1 {
+	if len(res.Delta.Modifications()) != 1 {
 		t.Errorf("sum change should be one modification, got %+v", res.Delta.Rows())
 	}
 	if ia.Result().At(0).Values[0].AsFloat() != 350 {
@@ -157,7 +157,7 @@ func TestIncrementalGroupByAppearsAndDisappears(t *testing.T) {
 	// New group appears.
 	southTIDs := f.insert(t, "accounts", av("c", 5, "south"))
 	res := stepAndVerify(t, f, ia, plan)
-	if res.Inserted().Len() != 1 {
+	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("new group should be an insertion, got %+v", res.Delta.Rows())
 	}
 	if ia.Result().Len() != 2 {
@@ -171,7 +171,7 @@ func TestIncrementalGroupByAppearsAndDisappears(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = stepAndVerify(t, f, ia, plan)
-	if res.Deleted().Len() != 1 {
+	if res.Delta.Deletions().Len() != 1 {
 		t.Errorf("vanished group should be a deletion, got %+v", res.Delta.Rows())
 	}
 	if ia.Result().Len() != 1 {

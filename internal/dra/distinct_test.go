@@ -63,7 +63,7 @@ func TestIncrementalDistinctDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = distinctStepAndVerify(t, f, id, plan)
-	if res.Deleted().Len() != 1 {
+	if res.Delta.Deletions().Len() != 1 {
 		t.Errorf("last duplicate should delete: %+v", res.Delta.Rows())
 	}
 }
@@ -78,7 +78,7 @@ func TestIncrementalDistinctWithPredicate(t *testing.T) {
 	}
 	f.insert(t, "stocks", sv("C", 500))
 	res := distinctStepAndVerify(t, f, id, plan)
-	if res.Inserted().Len() != 1 {
+	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("insert through predicate = %+v", res.Delta.Rows())
 	}
 }

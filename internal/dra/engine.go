@@ -103,7 +103,10 @@ type Context struct {
 	// reads them as zero-copy views instead of converting the row window
 	// per CQ, provided no further compaction would apply (CompactDeltas
 	// off, or Compacted set). Nil or missing entries are fine; the scan
-	// converts from Deltas.
+	// converts from Deltas. "Same rows, same order" is load-bearing under
+	// Compacted: a selection nets its window by adjacent -old/+new pair
+	// (netView), so an image that carries a tid's two halves apart — a
+	// raw multi-commit image of a window that folded — gives wrong output.
 	Batches map[string]*batch.Batch
 }
 
@@ -238,15 +241,6 @@ func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 	delta.ApplySigned(prev, r.Signed)
 	return prev
 }
-
-// Inserted returns the inserted-tuples view of the change.
-func (r *Result) Inserted() *relation.Relation { return r.Delta.Insertions() }
-
-// Deleted returns the deleted-tuples view of the change.
-func (r *Result) Deleted() *relation.Relation { return r.Delta.Deletions() }
-
-// Modified returns the modification rows of the change.
-func (r *Result) Modified() []delta.Row { return r.Delta.Modifications() }
 
 // Reevaluate computes the result of the current execution of the query
 // differentially, compiling the plan transiently per call. ctx.Prev

@@ -144,18 +144,18 @@ func TestExample2(t *testing.T) {
 	e := NewEngine()
 	res, complete := f.reval(t, e, plan, prev)
 
-	mods := res.Modified()
+	mods := res.Delta.Modifications()
 	if len(mods) != 1 {
 		t.Fatalf("modifications = %d, want 1 (DEC): %+v", len(mods), mods)
 	}
 	if mods[0].Old[1].AsFloat() != 150 || mods[0].New[1].AsFloat() != 149 {
 		t.Errorf("DEC modification = %v -> %v", mods[0].Old, mods[0].New)
 	}
-	del := res.Deleted()
+	del := res.Delta.Deletions()
 	if !del.Has(qliTID) {
 		t.Errorf("QLI deletion missing:\n%s", del)
 	}
-	ins := res.Inserted()
+	ins := res.Delta.Insertions()
 	for _, tu := range ins.Tuples() {
 		if tu.Values[0].AsString() == "MAC" {
 			t.Error("MAC (117) must not enter the >120 result")
@@ -183,13 +183,13 @@ func TestSelectInsertOnly(t *testing.T) {
 	f.insert(t, "stocks", sv("B", 140), sv("C", 100))
 
 	res, _ := f.reval(t, NewEngine(), plan, prev)
-	if res.Inserted().Len() != 1 {
-		t.Fatalf("inserted = %d, want 1:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 1 {
+		t.Fatalf("inserted = %d, want 1:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
-	if res.Inserted().At(0).Values[0].AsString() != "B" {
-		t.Errorf("inserted row = %v", res.Inserted().At(0))
+	if res.Delta.Insertions().At(0).Values[0].AsString() != "B" {
+		t.Errorf("inserted row = %v", res.Delta.Insertions().At(0))
 	}
-	if res.Deleted().Len() != 0 || len(res.Modified()) != 0 {
+	if res.Delta.Deletions().Len() != 0 || len(res.Delta.Modifications()) != 0 {
 		t.Error("unexpected deletions/modifications")
 	}
 }
@@ -209,14 +209,14 @@ func TestModificationCrossesPredicateBoundary(t *testing.T) {
 	}
 
 	res, _ := f.reval(t, NewEngine(), plan, prev)
-	if res.Inserted().Len() != 1 || res.Inserted().At(0).Values[0].AsString() != "UP" {
-		t.Errorf("inserted:\n%s", res.Inserted())
+	if res.Delta.Insertions().Len() != 1 || res.Delta.Insertions().At(0).Values[0].AsString() != "UP" {
+		t.Errorf("inserted:\n%s", res.Delta.Insertions())
 	}
-	if res.Deleted().Len() != 1 || res.Deleted().At(0).Values[0].AsString() != "DOWN" {
-		t.Errorf("deleted:\n%s", res.Deleted())
+	if res.Delta.Deletions().Len() != 1 || res.Delta.Deletions().At(0).Values[0].AsString() != "DOWN" {
+		t.Errorf("deleted:\n%s", res.Delta.Deletions())
 	}
-	if len(res.Modified()) != 0 {
-		t.Errorf("boundary-crossing updates are inserts/deletes, got mods %+v", res.Modified())
+	if len(res.Delta.Modifications()) != 0 {
+		t.Errorf("boundary-crossing updates are inserts/deletes, got mods %+v", res.Delta.Modifications())
 	}
 }
 
@@ -229,10 +229,10 @@ func TestProjectionDelta(t *testing.T) {
 	f.insert(t, "stocks", sv("B", 150))
 
 	res, _ := f.reval(t, NewEngine(), plan, prev)
-	if res.Inserted().Len() != 1 {
-		t.Fatalf("inserted = %d", res.Inserted().Len())
+	if res.Delta.Insertions().Len() != 1 {
+		t.Fatalf("inserted = %d", res.Delta.Insertions().Len())
 	}
-	if got := res.Inserted().At(0).Values; len(got) != 1 || got[0].AsString() != "B" {
+	if got := res.Delta.Insertions().At(0).Values; len(got) != 1 || got[0].AsString() != "B" {
 		t.Errorf("projected insert = %v", got)
 	}
 }
@@ -289,8 +289,8 @@ func TestJoinDeltaSingleChangedOperand(t *testing.T) {
 
 	e := NewEngine()
 	res, _ := f.reval(t, e, plan, prev)
-	if res.Inserted().Len() != 1 {
-		t.Fatalf("inserted = %d:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 1 {
+		t.Fatalf("inserted = %d:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
 	if res.Stats.Terms != 1 {
 		t.Errorf("terms = %d, want 1 (single changed operand)", res.Stats.Terms)
@@ -327,11 +327,11 @@ func TestJoinDeltaBothOperandsChanged(t *testing.T) {
 	}
 	// IBM@80 joined with old trade (modification) and with new trade
 	// (insertion).
-	if len(res.Modified()) != 1 {
-		t.Errorf("modifications = %d, want 1: %+v", len(res.Modified()), res.Modified())
+	if len(res.Delta.Modifications()) != 1 {
+		t.Errorf("modifications = %d, want 1: %+v", len(res.Delta.Modifications()), res.Delta.Modifications())
 	}
-	if res.Inserted().Len() != 2 { // new-trade join row + new half of modification
-		t.Errorf("insertions view = %d, want 2:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 2 { // new-trade join row + new half of modification
+		t.Errorf("insertions view = %d, want 2:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
 }
 
@@ -377,8 +377,8 @@ func TestThreeWayJoinDelta(t *testing.T) {
 	if res.Stats.Terms != 7 {
 		t.Errorf("terms = %d, want 7 (2^3-1)", res.Stats.Terms)
 	}
-	if res.Inserted().Len() != 1 {
-		t.Errorf("inserted = %d:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 1 {
+		t.Errorf("inserted = %d:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
 }
 
@@ -405,7 +405,7 @@ func TestAggregateFallsBackToPropagate(t *testing.T) {
 		t.Errorf("sum = %v", complete.At(0).Values)
 	}
 	// The change shows as a modification of the single aggregate row.
-	if len(res.Modified()) != 1 {
+	if len(res.Delta.Modifications()) != 1 {
 		t.Errorf("aggregate change should be one modification, got %+v", res.Delta.Rows())
 	}
 }
@@ -472,8 +472,8 @@ func TestSelfJoinDelta(t *testing.T) {
 	f.insert(t, "stocks", sv("SUN", 130))
 	e := NewEngine()
 	res, complete := f.reval(t, e, plan, prev)
-	if res.Inserted().Len() != 1 {
-		t.Errorf("self-join insert = %d:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 1 {
+		t.Errorf("self-join insert = %d:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
 	if complete.Len() != 3 {
 		t.Errorf("self-join complete = %d", complete.Len())
@@ -495,8 +495,8 @@ func TestCrossProductDelta(t *testing.T) {
 	f.mark()
 	f.insert(t, "r", []relation.Value{relation.Int(20)})
 	res, complete := f.reval(t, NewEngine(), plan, prev)
-	if res.Inserted().Len() != 2 || complete.Len() != 4 {
-		t.Errorf("cross delta: +%d, complete %d", res.Inserted().Len(), complete.Len())
+	if res.Delta.Insertions().Len() != 2 || complete.Len() != 4 {
+		t.Errorf("cross delta: +%d, complete %d", res.Delta.Insertions().Len(), complete.Len())
 	}
 }
 
@@ -516,8 +516,8 @@ func TestNonEquiJoinDelta(t *testing.T) {
 	f.mark()
 	f.insert(t, "l", []relation.Value{relation.Int(10)})
 	res, complete := f.reval(t, NewEngine(), plan, prev)
-	if res.Inserted().Len() != 2 { // (10,3) and (10,7)
-		t.Errorf("non-equi delta = %d:\n%s", res.Inserted().Len(), res.Inserted())
+	if res.Delta.Insertions().Len() != 2 { // (10,3) and (10,7)
+		t.Errorf("non-equi delta = %d:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
 	}
 	_ = complete
 }

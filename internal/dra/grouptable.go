@@ -201,8 +201,9 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 
 // Step folds the update window into the table and returns the change of
 // the output, read off the touched groups: O(|Δ|) beyond the evaluation
-// of the input's own signed delta, which runs the columnar kernels
-// (zero-copy over ctx.Batches where the window image is shared).
+// of the input's own signed delta, which runs the columnar kernels (a
+// selection view over ctx.Batches where the window image is shared,
+// its selected rows copied out once into the fold batch).
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	var st Stats
 	v := newVecEval(g.engine, ctx, execTS, &st)

@@ -78,7 +78,7 @@ func TestIncrementalJoinBasic(t *testing.T) {
 	// New trade joins against the maintained stock index (no rescans).
 	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(50)})
 	res := incJoinStepAndVerify(t, f, ij, plan)
-	if res.Inserted().Len() != 1 {
+	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("insert delta = %+v", res.Delta.Rows())
 	}
 }
@@ -100,7 +100,7 @@ func TestIncrementalJoinModificationsAndDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := incJoinStepAndVerify(t, f, ij, plan)
-	if len(res.Modified()) != 1 {
+	if len(res.Delta.Modifications()) != 1 {
 		t.Errorf("modification delta = %+v", res.Delta.Rows())
 	}
 
@@ -119,7 +119,7 @@ func TestIncrementalJoinModificationsAndDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = incJoinStepAndVerify(t, f, ij, plan)
-	if res.Deleted().Len() == 0 {
+	if res.Delta.Deletions().Len() == 0 {
 		t.Error("expected deletions after removing the joined stock")
 	}
 	if ij.Result().Len() != 0 {
@@ -146,7 +146,7 @@ func TestIncrementalJoinWithProjectionAndFilter(t *testing.T) {
 	// Above it.
 	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(900)})
 	res = incJoinStepAndVerify(t, f, ij, plan)
-	if res.Inserted().Len() != 1 || len(res.Inserted().At(0).Values) != 2 {
+	if res.Delta.Insertions().Len() != 1 || len(res.Delta.Insertions().At(0).Values) != 2 {
 		t.Errorf("projected insert = %+v", res.Delta.Rows())
 	}
 }
@@ -185,7 +185,7 @@ func TestIncrementalJoinThreeWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := incJoinStepAndVerify(t, f, ij, plan)
-	if res.Inserted().Len() != 1 {
+	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("3-way delta = %+v", res.Delta.Rows())
 	}
 }

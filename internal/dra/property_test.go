@@ -242,7 +242,7 @@ func TestStatsTuplesAccounting(t *testing.T) {
 
 	e := NewEngine()
 	res, _ := f.reval(t, e, plan, prev)
-	if res.Inserted().Len() != 1 {
+	if res.Delta.Insertions().Len() != 1 {
 		t.Fatal("expected one insertion")
 	}
 	if res.Stats.DeltaRows != 1 {

@@ -136,7 +136,7 @@ func TestFlatIndexHashCollision(t *testing.T) {
 		f.insert(t, "l", b)
 		f.insert(t, "r", a)
 		res, prev := stepPrepared(t, f, p, prev)
-		if n := res.Inserted().Len(); n != 2 {
+		if n := res.Delta.Insertions().Len(); n != 2 {
 			t.Fatalf("%v: %d joined rows, want 2 (a-a and b-b, never a-b)", strat, n)
 		}
 		// And one leaves: exactly its own pairing goes.
@@ -153,7 +153,7 @@ func TestFlatIndexHashCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, _ = stepPrepared(t, f, p, prev)
-		if n := res.Deleted().Len(); n != 1 {
+		if n := res.Delta.Deletions().Len(); n != 1 {
 			t.Fatalf("%v: %d rows left the result, want 1", strat, n)
 		}
 		p.Close()

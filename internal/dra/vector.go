@@ -91,7 +91,8 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Tim
 
 // paired reports that every scan's window holds each tid at most once,
 // as one row or as an adjacent -old/+new pair: the windows are compacted,
-// by the caller or by the scan.
+// by the caller (whose Context.Batches are then the compacted windows
+// row for row) or by the scan.
 func (v *vecEval) paired() bool { return v.e.CompactDeltas || v.ctx.Compacted }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
