@@ -20,11 +20,13 @@ lint:
 	./scripts/lint-guarded.sh
 
 # chaos: the robustness suite — fault isolation transcripts, quarantine
-# lifecycle and recovery, backpressure, subscribe/drop churn, and
-# cascade DAG churn (register/drop INTO pipelines under concurrent
-# writes and polls) — under the race detector.
+# lifecycle and recovery, subscribe/drop churn, cascade DAG churn
+# (register/drop INTO pipelines under concurrent writes and polls), a
+# refresh beside a committing writer, and subscription backpressure (in
+# the root package, where the policies run) — under the race detector.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestBackpressure|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG' ./internal/cq/
+	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG|TestRefreshReadsNoFurtherThanItsTimestamp' ./internal/cq/
+	go test -race -count=2 -run 'TestBackpressure|TestSubscriberBuffer' .
 	go test -race -count=2 -run 'TestQuarantineSurvivesRecovery' ./internal/durable/
 	go test -race -count=2 -run 'TestWatermark|TestSetWatermarks' ./internal/storage/
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/

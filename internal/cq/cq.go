@@ -8,20 +8,22 @@
 // complete, or deletions-only), garbage collects differential relations
 // past the system active delta zone (Section 5.4), and delivers
 // notifications to subscribers.
+//
+// This file is the registry side: installing, inspecting, dropping and
+// closing. The refresh pipeline every execution after the initial one
+// goes through is refresh.go.
 package cq
 
 import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/cascade"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
@@ -33,6 +35,7 @@ import (
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
+	"github.com/diorama/continual/internal/wal"
 )
 
 // Errors returned by the manager.
@@ -66,18 +69,19 @@ type Notification struct {
 	Deleted  *relation.Relation
 	Modified []delta.Row
 
-	// Complete holds the full current result (set in ModeComplete).
+	// Complete holds the full current result (set in ModeComplete, and in
+	// the catch-up a ResubscribeFunc returns).
 	Complete *relation.Relation
 
 	// Terminated reports the Stop condition became true; this is the last
 	// notification for the CQ.
 	Terminated bool
 
-	// Dropped is the number of notifications this subscriber lost since
-	// the one it last received (full buffer under a backpressure policy,
-	// or the catch-up gap after a Resubscribe). Zero means the sequence
-	// is gap-free. Subscribers that care re-fetch Result() or treat
-	// Dropped > 0 as a rebase signal.
+	// Dropped is the catch-up gap of a ResubscribeFunc: the number of
+	// executions between the resume token and the attach point. The
+	// manager itself never drops a delivery — callbacks run synchronously
+	// — so it is zero on every refresh notification; the buffering layer
+	// above (continual.Subscription) adds its own full-buffer drops.
 	Dropped int
 }
 
@@ -106,100 +110,18 @@ type Def struct {
 	NotifyEmpty bool
 }
 
-// DeliveryPolicy selects what deliver does when a channel subscriber's
-// buffer is full. Whatever the policy, sends never block a refresh —
-// a slow consumer costs itself notifications, never the engine.
-type DeliveryPolicy int
-
-const (
-	// DropNewest (the default, and the pre-policy behavior): discard
-	// the new notification; the consumer keeps its queued backlog and
-	// learns about the gap from Dropped on the next delivery.
-	DropNewest DeliveryPolicy = iota
-	// DropOldest: evict the oldest queued notification to make room
-	// for the new one — the consumer always sees the freshest state,
-	// with Dropped marking the gap.
-	DropOldest
-	// Disconnect: close the channel and detach the subscriber. The
-	// final resume token (Sub.Resume) lets it reattach with
-	// Manager.Resubscribe and catch up differentially.
-	Disconnect
-)
-
-// subscriber is one notification sink: either a channel (sends never
-// block: a full buffer invokes the delivery policy) or a synchronous
-// callback. All fields below ch/fn/policy are guarded by the owning
-// instance's mu.
+// subscriber is one notification sink: a callback invoked synchronously
+// under the owning instance's mu. Buffering and backpressure belong to
+// the caller (continual.Subscription); a refresh never waits on a
+// consumer.
 type subscriber struct {
-	ch     chan Notification
-	fn     func(n Notification, closed bool)
-	policy DeliveryPolicy
-	// dropped is the lifetime drop count; droppedSince counts drops
-	// since the last successful delivery and is folded into the next
-	// delivered Notification.Dropped (gap detection).
-	dropped      int
-	droppedSince int
-	// lastSeq/lastTS identify the newest notification this subscriber
-	// actually received — the resume point after Disconnect.
-	lastSeq int
-	lastTS  vclock.Timestamp
-	// disconnected marks a subscriber detached by policy (channel
-	// already closed) or by a panicking callback.
-	disconnected bool
+	fn func(n Notification, closed bool)
 }
 
-// SubOptions configures a subscription (SubscribeOpts, Resubscribe).
-type SubOptions struct {
-	// Buffer is the channel capacity (minimum 1).
-	Buffer int
-	// Policy is the full-buffer backpressure policy.
-	Policy DeliveryPolicy
-}
-
-// ResumeToken identifies where a disconnected subscriber left off.
+// ResumeToken identifies where a subscriber left off (ResubscribeFunc).
 type ResumeToken struct {
 	CQ  string
 	Seq int // last sequence number received (0 = none)
-	TS  vclock.Timestamp
-}
-
-// Sub is a subscription handle with policy-aware state: the channel,
-// cancellation, and — after a Disconnect — the resume token.
-type Sub struct {
-	inst *instance
-	s    *subscriber
-}
-
-// Ch returns the notification channel. It is closed when the CQ is
-// dropped, the manager closes, or the Disconnect policy fires.
-func (s *Sub) Ch() <-chan Notification { return s.s.ch }
-
-// Cancel detaches the subscription (idempotent; safe after disconnect).
-func (s *Sub) Cancel() {
-	s.inst.mu.Lock()
-	defer s.inst.mu.Unlock()
-	for i, x := range s.inst.subs {
-		if x == s.s {
-			s.inst.subs = append(s.inst.subs[:i], s.inst.subs[i+1:]...)
-			break
-		}
-	}
-}
-
-// Disconnected reports whether the Disconnect policy detached this
-// subscription (its channel is closed).
-func (s *Sub) Disconnected() bool {
-	s.inst.mu.Lock()
-	defer s.inst.mu.Unlock()
-	return s.s.disconnected
-}
-
-// Resume returns the token identifying the last notification this
-// subscription received, for Manager.Resubscribe.
-func (s *Sub) Resume() ResumeToken {
-	s.inst.mu.Lock()
-	defer s.inst.mu.Unlock()
-	return ResumeToken{CQ: s.inst.def.Name, Seq: s.s.lastSeq, TS: s.s.lastTS}
 }
 
 // CQState is a read-only snapshot of a registered CQ, for inspection.
@@ -227,9 +149,6 @@ type CQState struct {
 	// Failures is the consecutive refresh-failure count feeding the
 	// quarantine breaker (resets on success).
 	Failures int
-	// NotifsDropped counts notifications this CQ's subscribers lost to
-	// full buffers (all subscribers, lifetime).
-	NotifsDropped int64
 	// Template is the shared-template fingerprint this CQ subscribes to
 	// (Config.ShareTemplates), 0 when the CQ runs a private plan.
 	Template uint64
@@ -273,9 +192,10 @@ type instance struct {
 	into string
 
 	// mu guards the mutable refresh state below (and subs). Lock order
-	// is Manager.mu before instance.mu; the refresh workers of a Poll
-	// round take only instance.mu, which is what lets DRA re-evaluation
-	// and notification delivery run outside the manager lock.
+	// is Manager.mu → instance.mu → templateGroup.mu; the refresh workers
+	// of a round take only instance.mu (and through it their group's),
+	// which is what lets DRA re-evaluation and notification delivery run
+	// outside the manager lock.
 	mu          sync.Mutex
 	lastExec    vclock.Timestamp // timestamp of the last execution
 	lastObs     vclock.Timestamp // high-water mark of observed updates
@@ -285,15 +205,15 @@ type instance struct {
 	lastErr     error                          // see CQState.LastErr
 	eps         map[string]*epsilon.Accountant // per monitored table
 	subs        []*subscriber
-	// maint maintains non-SPJ roots incrementally when the shape allows
-	// (SUM/COUNT/AVG aggregates without HAVING; DISTINCT); nil when the
-	// query is SPJ or needs the Propagate fallback.
-	maint maintainer
-	// prepared is the compile-once refresh pipeline for SPJ queries
-	// (dra.Prepare): compiled predicates, join bindings, the cross-
-	// refresh operand index cache, and the refresh strategy. Nil when
-	// maint is set or DRA is off.
-	prepared *dra.Prepared
+	// eval is the CQ's one evaluator: the prepared SPJ pipeline
+	// (*dra.Prepared, with its refresh strategy and operand replicas), a
+	// group-table state keeper (SUM/COUNT/AVG without HAVING, DISTINCT),
+	// or the complete-re-evaluation baseline (fullEval, Config.UseDRA
+	// off). It is nil in two cases only: a template member that streams
+	// from its group (group != nil; a recovered member holds a private
+	// catch-up plan here until its first refresh has run), and a CQ
+	// recovered already terminated, which never refreshes again.
+	eval stepper
 
 	// terminated is atomic (not under mu) so the manager-lock paths
 	// (gauge recomputation, GC horizon) can read it while a refresh
@@ -305,22 +225,12 @@ type instance struct {
 	// drop racing an in-flight refresh would write an execution record
 	// after the drop record and corrupt recovery.
 	dropped atomic.Bool
-	// notifDropped is the per-CQ total of notifications lost to full
-	// subscriber buffers (CQState.NotifsDropped). Guarded by mu.
-	notifDropped int64
 
 	// group is the shared-template group this CQ subscribes to
-	// (Config.ShareTemplates), nil when unshared; groupParams is the
-	// member's constant vector, aligned with the template's slots.
-	// Written at registration/resume under m.mu before the instance is
-	// visible, cleared by Drop under inst.mu.
-	group       *templateGroup
-	groupParams []relation.Value
-	// pendingSync marks a recovered member that has not yet rejoined
-	// the template stream: its next refresh is a private full-plan
-	// differential catch-up, after which buffered template batches it
-	// covers are discarded (afterRefreshLocked). Guarded by mu.
-	pendingSync bool
+	// (Config.ShareTemplates), nil when unshared. Written at install
+	// under m.mu before the instance is visible, cleared by Drop under
+	// inst.mu.
+	group *templateGroup
 	// needsReconcile marks a recovered materializing CQ whose first
 	// refresh must reconcile the whole INTO target against the new
 	// result instead of trusting the delta: the crash may sit between
@@ -337,32 +247,44 @@ type instance struct {
 	guardErr atomic.Pointer[error]
 }
 
-// refreshSpanName names the refresh span of the CQ called name.
-func refreshSpanName(name string) string { return "cq.refresh:" + name }
-
-// closeEval releases the instance's refresh state — the prepared
-// pipeline or the state keeper, and with it their gauge shares. Caller
-// holds inst.mu or owns an instance not yet visible.
-func (inst *instance) closeEval() {
-	if inst.prepared != nil {
-		inst.prepared.Close()
-		inst.prepared = nil
-	}
-	if inst.maint != nil {
-		inst.maint.Close()
-		inst.maint = nil
-	}
+// stepper is what fills an instance's evaluator slot: one refresh is one
+// Step over the context refresh.go builds (stepContext, which states the
+// snapshot rule), and Close releases whatever state and gauge shares the
+// evaluator holds.
+type stepper interface {
+	Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error)
+	Close()
 }
 
-// maintainer abstracts the incremental state keepers of the dra package
-// (IncrementalAggregate, IncrementalDistinct).
+// maintainer is a stepper that keeps the query's output itself — the
+// group-table state keepers of the dra package (IncrementalAggregate,
+// IncrementalDistinct).
 type maintainer interface {
-	Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error)
+	stepper
 	// Result renders the maintained output as a fresh relation the
 	// caller owns.
 	Result() *relation.Relation
 	Groups() int
-	Close()
+}
+
+// fullEval is the complete-re-evaluation baseline (Config.UseDRA off) in
+// the evaluator slot: the query runs over the store as of the execution
+// timestamp and the change is its difference from the previous result.
+type fullEval struct{ plan algebra.Plan }
+
+func (f fullEval) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error) {
+	return dra.FullReevaluate(f.plan, ctx.Post, ctx.Prev, execTS)
+}
+
+func (fullEval) Close() {}
+
+// closeEval releases the instance's evaluator and with it its gauge
+// shares. Caller holds inst.mu or owns an instance not yet visible.
+func (inst *instance) closeEval() {
+	if inst.eval != nil {
+		inst.eval.Close()
+		inst.eval = nil
+	}
 }
 
 // Config tunes the manager.
@@ -460,15 +382,20 @@ type Manager struct {
 	// template fingerprint → group. Guarded by mu; each group's own
 	// refresh state lives behind its leaf lock (see template.go).
 	templates map[uint64]*templateGroup
+	// reapDue is raised (under a member's instance lock, where the
+	// manager lock cannot be taken) when a termination leaves a template
+	// group without active members; the round's housekeeping reaps it.
+	reapDue atomic.Bool
 
 	// router is the push subsystem (nil unless Config.Push): it owns
 	// the store's commit hook and the dispatcher workers. Guarded by mu
 	// for replacement; the router itself is concurrency-safe.
 	router *push.Router
-	// pushGCTicks throttles AutoGC on the push path: collecting after
-	// every dispatch would cost O(CQs) per commit, so push GCs every
-	// pushGCEvery refreshes and lets the poll loop do the rest.
-	pushGCTicks atomic.Uint64
+	// gcTicks throttles AutoGC outside the sweeping rounds: collecting
+	// after every push dispatch would cost O(CQs) per commit, so those
+	// collect every gcEvery refreshing rounds and let the poll loop do
+	// the rest (housekeep).
+	gcTicks atomic.Uint64
 
 	// guardPol is Config.Guard with defaults applied; breakerSeed
 	// derives a distinct jitter stream per breaker.
@@ -480,8 +407,9 @@ type Manager struct {
 	loopDone chan struct{}
 }
 
-// pushGCEvery is the push-path AutoGC period, in push refreshes.
-const pushGCEvery = 64
+// gcEvery is the AutoGC period of non-sweeping rounds, in rounds that
+// refreshed something.
+const gcEvery = 64
 
 // NewManager creates a manager with differential re-evaluation enabled.
 func NewManager(store *storage.Store) *Manager {
@@ -535,6 +463,24 @@ func (m *Manager) Traces() *obs.TraceLog { return m.cfg.Metrics.Traces() }
 func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	initial, err := m.installLocked(def, nil)
+	if err != nil {
+		return nil, err
+	}
+	return initial.Clone(), nil
+}
+
+// installLocked is the one way a CQ enters the registry; Register and
+// Resume differ only in the seed they hand it. A fresh registration (rec
+// nil) seeds from the live store: the initial execution runs under the
+// store's read lock, the result sequence starts at 1, and the journal
+// gets a registration record before the CQ becomes visible. A recovered
+// one seeds from the store as of its last execution and carries Seq,
+// result, health and strategy over from the entry, unjournaled — so the
+// first refresh after recovery is a differential catch-up over the
+// replayed window, the DRA applied to the crash itself. It returns the
+// CQ's result at the seed. Caller holds m.mu.
+func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -583,8 +529,10 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 		trigger:   def.Trigger,
 		stop:      def.Stop,
 		queryText: stmt.String(),
-		spanName:  refreshSpanName(def.Name),
-		breaker:   m.newBreaker(),
+		spanName:  "cq.refresh:" + def.Name,
+		into:      stmt.Into,
+		seq:       1,
+		breaker:   guard.NewBreaker(m.guardPol, m.breakerSeed.Add(1)),
 	}
 	for _, scan := range algebra.Tables(plan) {
 		inst.tables = append(inst.tables, scan.Table)
@@ -592,124 +540,167 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 
 	// Every CQ enters the dependency DAG — terminal queries as readers
 	// (dependent tracking), INTO queries also as their target's producer
-	// (stage assignment, cycle and depth checks). Any later failure must
-	// leave no edges (and no half-created target table) behind.
-	if _, err := m.dag.Register(def.Name, inst.tables, stmt.Into); err != nil {
+	// (stage assignment, cycle and depth checks). Recovery resumes
+	// entries in snapshot order, which need not be registration order —
+	// a reader can rejoin before its upstream's producer does; the
+	// registry recomputes every node's stage when a producer registers,
+	// so the staged poll converges to the pre-crash topology either way.
+	if _, err := m.dag.Register(def.Name, inst.tables, inst.into); err != nil {
 		return nil, err
 	}
-	inst.into = stmt.Into
-	installed := false
-	createdTarget := false
+	// Any later failure must leave nothing behind: no evaluator gauge
+	// share, no template membership, no edges, no half-created target.
+	installed, createdTarget := false, false
 	defer func() {
 		if installed {
 			return
 		}
+		inst.closeEval()
+		m.leaveTemplateLocked(inst)
 		m.dag.Unregister(def.Name)
 		if createdTarget {
-			_ = m.store.DropTable(stmt.Into)
+			_ = m.store.DropTable(inst.into)
 		}
 	}()
 
 	if def.Trigger.Kind == sql.TriggerEpsilon {
+		// On recovery the accountants restart empty: their divergence
+		// re-accumulates from the replayed window as lastObs advances.
 		if err := m.setupEpsilon(inst, stmt); err != nil {
 			return nil, err
 		}
 	}
 
-	// Initial execution (Section 4.2: Algorithm 1 applies "after its
-	// initial execution"). Aggregate queries get an incremental
-	// maintainer when the shape allows (SUM/COUNT/AVG, no HAVING); it
-	// seeds its state from the same initial pass.
-	var initial *relation.Relation
-	if m.cfg.UseDRA {
-		// Initial executions scan base tables in full, so they run under
-		// the store's read lock (View): writers may be committing.
-		var maint maintainer
-		err := m.store.View(func(src storage.LiveView) (err error) {
-			maint, err = newMaintainer(m.cfg, plan, src)
-			return err
+	// The seed: a source to evaluate over and the timestamp it is exact
+	// at. Fresh, that is the live store under its read lock (View) —
+	// writers may be committing, and commits tick the clock under the
+	// write lock, so Now() read inside is the timestamp of exactly the
+	// state the scan sees. Recovered, it is the store as of the last
+	// execution, NOT the live head: the next refresh must see the
+	// post-crash window as its delta, or replayed-but-unprocessed commits
+	// would be skipped. At(LastExec) is always reconstructible for a live
+	// CQ because the GC horizon never passes the minimum live lastExec.
+	seed := func(f func(src algebra.Source) error) error {
+		return m.store.View(func(v storage.LiveView) error {
+			inst.lastExec = m.store.Now()
+			return f(v)
 		})
-		if err != nil {
-			return nil, err
+	}
+	strategy := m.cfg.Strategy
+	if rec != nil {
+		seed = func(f func(src algebra.Source) error) error { return f(m.store.At(rec.LastExec)) }
+		inst.seq, inst.lastExec = rec.Seq, rec.LastExec
+		inst.terminated.Store(rec.Terminated)
+		if rec.Result != nil {
+			inst.prev = rec.Result.Clone()
 		}
-		if maint != nil {
-			inst.maint = maint
-			initial = maint.Result()
-		} else {
-			// Template sharing first: a shared member's initial result
-			// is the parameter-filtered template result, and its
-			// lastExec is pinned to the group's step position by the
-			// join. Unshareable shapes fall through to a private plan.
-			// Materializing CQs never share — their refreshes commit
-			// into a private target, so the plan stays private too.
-			var sharedInit *relation.Relation
-			var shared bool
-			if stmt.Into == "" {
-				sharedInit, shared, err = m.joinTemplateLocked(inst, false)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if shared {
-				initial = sharedInit
+		// The crash may sit between the last materialize commit and its
+		// execution record: the first refresh reconciles the whole target.
+		inst.needsReconcile = inst.into != ""
+		// A CQ that was quarantined (or probing) when the checkpoint cut
+		// resumes in probation, not healthy: one immediate probe is
+		// allowed, but a persistently failing CQ does not get a free
+		// quarantine escape via restart.
+		if guard.ParseHealth(rec.Health) != guard.Healthy {
+			inst.breaker.SeedProbation()
+		}
+		strategy = dra.StrategyAuto
+		if rec.Strategy != "" {
+			if s, perr := dra.ParseStrategy(rec.Strategy); perr == nil {
+				strategy = s
 			} else {
-				prep, err := m.prepare(def.Name, plan, m.cfg.Strategy)
-				if err != nil {
-					return nil, err
-				}
-				inst.prepared = prep
+				m.logf("cq %q: recovered strategy %q unknown; using auto", def.Name, rec.Strategy)
 			}
 		}
 	}
-	if initial == nil {
-		err := m.store.View(func(src storage.LiveView) (err error) {
-			initial, err = dra.InitialResult(plan, src)
+
+	// The evaluator (Section 4.2: Algorithm 1 applies "after its initial
+	// execution"). A state keeper seeds its state from the same pass that
+	// yields the initial result; a template member's result is the
+	// parameter-filtered template result, its lastExec pinned to the
+	// group's step position by the join. Materializing CQs never share —
+	// their refreshes commit into a private target, so the plan stays
+	// private too.
+	switch {
+	case inst.terminated.Load():
+		// The sequence is over: nothing will ever step.
+	case !m.cfg.UseDRA:
+		inst.eval = fullEval{plan}
+	default:
+		err := seed(func(src algebra.Source) error {
+			maint, err := newMaintainer(m.cfg.Engine, plan, src)
+			if maint != nil {
+				inst.eval = maint
+				if inst.prev == nil {
+					inst.prev = maint.Result()
+				}
+			}
 			return err
 		})
 		if err != nil {
-			if inst.group != nil {
-				m.leaveTemplateLocked(inst)
+			return nil, err
+		}
+		if inst.eval == nil && inst.into == "" {
+			if err := m.joinTemplateLocked(inst, rec == nil); err != nil {
+				return nil, err
 			}
+		}
+		// A private plan — or, for a recovered template member, the plan
+		// of its one catch-up refresh from LastExec to wherever the group
+		// stands, after which it streams from the group like its mates.
+		if inst.eval == nil && (inst.group == nil || rec != nil) {
+			prep, err := m.prepare(def.Name, plan, strategy)
+			if err != nil {
+				return nil, err
+			}
+			inst.eval = prep
+		}
+	}
+	if inst.prev == nil && inst.terminated.Load() {
+		// Terminated and no result survived: an empty relation keeps
+		// State/Result well defined.
+		inst.prev = relation.New(plan.Schema())
+	}
+	if inst.prev == nil {
+		err := seed(func(src algebra.Source) (err error) {
+			inst.prev, err = dra.InitialResult(plan, src)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
+	inst.lastObs = inst.lastExec
+
 	if inst.into != "" {
-		// Create (or adopt, see ensureTargetLocked) the target table and
-		// seed it to the initial result BEFORE taking lastExec: the seed
-		// commit ticks the clock, so it lands below every window this CQ
-		// or its downstream readers will ever evaluate.
-		created, terr := m.ensureTargetLocked(inst, initial)
-		createdTarget = created
-		if terr != nil {
-			inst.closeEval()
-			return nil, fmt.Errorf("cq %q: materialize target %q: %w", def.Name, inst.into, terr)
+		// Create the target table, or adopt an existing one. A fresh
+		// registration seeds it to the initial result; the seed commit
+		// ticks the clock past lastExec, which is harmless — the target is
+		// never one of this CQ's own operands. A recovered one leaves the
+		// contents to the reconciling first refresh.
+		createdTarget, err = m.ensureTargetLocked(inst)
+		if err == nil && rec == nil {
+			err = m.reconcileTarget(inst, inst.prev)
 		}
-	}
-	inst.prev = initial
-	inst.seq = 1
-	if inst.group == nil {
-		inst.lastExec = m.store.Now()
-		inst.lastObs = inst.lastExec
+		if err != nil {
+			return nil, fmt.Errorf("cq %q: materialize target %q: %w", def.Name, inst.into, err)
+		}
 	}
 	// Journal before the registry mutation becomes visible: a journal
 	// failure fails the registration with the manager unchanged.
-	if m.cfg.Journal != nil {
+	if rec == nil && m.cfg.Journal != nil {
 		inst.mu.Lock()
 		entry := m.entryLocked(inst)
 		inst.mu.Unlock()
 		if err := m.cfg.Journal.CQRegistered(entry); err != nil {
-			inst.closeEval()
-			if inst.group != nil {
-				m.leaveTemplateLocked(inst)
-			}
 			return nil, fmt.Errorf("cq %q: journal registration: %w", def.Name, err)
 		}
 	}
 	m.cqs[def.Name] = inst
 	m.routePushLocked(inst)
-	m.registeredDeltaLocked(inst, +1)
+	m.registeredDelta(inst, +1)
 	installed = true
-	return initial.Clone(), nil
+	return inst.prev, nil
 }
 
 // routePushLocked indexes a CQ in the push router. Time-based triggers
@@ -730,36 +721,20 @@ func (m *Manager) routePushLocked(inst *instance) {
 	// it runs under the router's (and possibly the store's) lock, so it
 	// must stay a side-effect-free breaker read.
 	b := inst.breaker
-	m.router.Register(inst.def.Name, inst.operandTables(), func() bool {
+	m.router.Register(inst.def.Name, inst.tables, func() bool {
 		return !b.Blocked()
 	})
 }
 
-// newBreaker mints a quarantine breaker with a per-CQ jitter stream.
-func (m *Manager) newBreaker() *guard.Breaker {
-	return guard.NewBreaker(m.guardPol, m.breakerSeed.Add(1))
-}
-
-// operandTables is the CQ's routing key: the operand set of its
-// prepared plan when it has one (dra.Prepared.Tables — the same set the
-// operand index cache is keyed by), the plan scan set otherwise.
-func (inst *instance) operandTables() []string {
-	if inst.prepared != nil {
-		return inst.prepared.Tables()
-	}
-	return inst.tables
-}
-
-// updateRegisteredLocked recomputes the live-CQ and health gauges.
-// Caller holds m.mu (breakers are self-locked leaves, safe to read here).
-// registeredDeltaLocked adjusts the population gauges for one instance
-// arriving (+1) or leaving (-1) without sweeping the registry: Register
-// and Drop on a million-CQ manager must stay O(1), and the full sweep
-// made them O(n) each — quadratic across a bulk registration. The
-// authoritative sweep (updateRegisteredLocked) still runs once per poll
-// round, so any drift from concurrent health transitions self-corrects
-// at the next round. Caller holds m.mu.
-func (m *Manager) registeredDeltaLocked(inst *instance, dir int64) {
+// registeredDelta adjusts the population gauges for one instance
+// arriving (+1) or leaving (-1) — registered, dropped, or terminated by
+// its Stop condition — without sweeping the registry: Register and Drop
+// on a million-CQ manager must stay O(1), and so must a push dispatch
+// whose refresh terminates its CQ. The gauges are atomic and the breaker
+// self-locked, so it needs no manager lock; the authoritative sweep
+// (updateRegisteredLocked) runs once per poll round and corrects any
+// drift from concurrent health transitions.
+func (m *Manager) registeredDelta(inst *instance, dir int64) {
 	if m.met == nil || inst.terminated.Load() {
 		return // sweeps never count terminated instances either
 	}
@@ -774,6 +749,8 @@ func (m *Manager) registeredDeltaLocked(inst *instance, dir int64) {
 	}
 }
 
+// updateRegisteredLocked recomputes the live-CQ and health gauges.
+// Caller holds m.mu (breakers are self-locked leaves, safe to read here).
 func (m *Manager) updateRegisteredLocked() {
 	if m.met == nil {
 		return
@@ -892,106 +869,31 @@ func (m *Manager) RegisterSQL(src string) (*relation.Relation, error) {
 	})
 }
 
-// Subscribe attaches a notification channel to a CQ with the default
-// DropNewest backpressure policy. The returned cancel function detaches
-// it. Sends never block; when the buffer is full the notification is
-// dropped and the gap reported via Notification.Dropped.
-func (m *Manager) Subscribe(name string, buf int) (<-chan Notification, func(), error) {
-	sub, err := m.SubscribeOpts(name, SubOptions{Buffer: buf})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub.Ch(), sub.Cancel, nil
-}
-
-// SubscribeOpts attaches a notification channel with an explicit
-// backpressure policy.
-func (m *Manager) SubscribeOpts(name string, opts SubOptions) (*Sub, error) {
+// attach is the one way a subscriber joins a CQ. It runs under the
+// instance lock, so the attach point it returns — the CQ's Seq, ExecTS
+// and termination at that instant, plus the complete result when
+// snapshot is set — and the first callback invocation leave no gap and
+// no overlap between them. The returned function detaches.
+func (m *Manager) attach(name string, f func(n Notification, closed bool), snapshot bool) (func(), Notification, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	inst, ok := m.cqs[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchCQ, name)
-	}
-	buf := opts.Buffer
-	if buf < 1 {
-		buf = 1
-	}
-	sub := &subscriber{ch: make(chan Notification, buf), policy: opts.Policy}
-	inst.mu.Lock()
-	sub.lastSeq, sub.lastTS = inst.seq, inst.lastExec
-	inst.subs = append(inst.subs, sub)
-	inst.mu.Unlock()
-	return &Sub{inst: inst, s: sub}, nil
-}
-
-// Resubscribe reattaches a subscriber disconnected by the Disconnect
-// policy (or any caller holding a ResumeToken). The returned
-// Notification is a differential catch-up: the current complete result
-// at the CQ's present sequence, with Dropped set to the number of
-// notifications missed since the token. The snapshot and the new
-// attachment happen atomically under the instance lock, so the
-// subscription continues gap-free from the catch-up point.
-func (m *Manager) Resubscribe(tok ResumeToken, opts SubOptions) (*Sub, Notification, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	inst, ok := m.cqs[tok.CQ]
-	if !ok {
-		return nil, Notification{}, fmt.Errorf("%w: %q", ErrNoSuchCQ, tok.CQ)
-	}
-	buf := opts.Buffer
-	if buf < 1 {
-		buf = 1
-	}
-	sub := &subscriber{ch: make(chan Notification, buf), policy: opts.Policy}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	missed := inst.seq - tok.Seq
-	if missed < 0 {
-		missed = 0
-	}
-	catch := Notification{
-		CQName:     tok.CQ,
-		Seq:        inst.seq,
-		ExecTS:     inst.lastExec,
-		Mode:       inst.mode,
-		Complete:   inst.prev.Clone(),
-		Terminated: inst.terminated.Load(),
-		Dropped:    missed,
-	}
-	sub.lastSeq, sub.lastTS = inst.seq, inst.lastExec
-	inst.subs = append(inst.subs, sub)
-	return &Sub{inst: inst, s: sub}, catch, nil
-}
-
-// ResubscribeFunc is Resubscribe for callback subscribers (the public
-// Subscription layer): the catch-up snapshot and the attachment happen
-// atomically under the instance lock, so no notification falls between
-// the returned catch-up and the first callback invocation.
-func (m *Manager) ResubscribeFunc(tok ResumeToken, f func(n Notification, closed bool)) (func(), Notification, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	inst, ok := m.cqs[tok.CQ]
-	if !ok {
-		return nil, Notification{}, fmt.Errorf("%w: %q", ErrNoSuchCQ, tok.CQ)
+		return nil, Notification{}, fmt.Errorf("%w: %q", ErrNoSuchCQ, name)
 	}
 	sub := &subscriber{fn: f}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	missed := inst.seq - tok.Seq
-	if missed < 0 {
-		missed = 0
-	}
-	catch := Notification{
-		CQName:     tok.CQ,
+	at := Notification{
+		CQName:     name,
 		Seq:        inst.seq,
 		ExecTS:     inst.lastExec,
 		Mode:       inst.mode,
-		Complete:   inst.prev.Clone(),
 		Terminated: inst.terminated.Load(),
-		Dropped:    missed,
 	}
-	sub.lastSeq, sub.lastTS = inst.seq, inst.lastExec
+	if snapshot {
+		at.Complete = inst.prev.Clone()
+	}
 	inst.subs = append(inst.subs, sub)
 	cancel := func() {
 		inst.mu.Lock()
@@ -1003,7 +905,31 @@ func (m *Manager) ResubscribeFunc(tok ResumeToken, f func(n Notification, closed
 			}
 		}
 	}
-	return cancel, catch, nil
+	return cancel, at, nil
+}
+
+// SubscribeFunc attaches a callback invoked synchronously while the
+// refresh is delivered: when Poll returns, every fired notification has
+// been handed to the callback. The callback runs under the CQ's
+// instance lock on a refresh worker goroutine — callbacks of different
+// CQs may run concurrently, one CQ's callbacks never do — and must not
+// call back into the Manager or cancel a subscription. On Drop or Close
+// it is invoked once more with closed = true.
+func (m *Manager) SubscribeFunc(name string, f func(n Notification, closed bool)) (func(), error) {
+	cancel, _, err := m.attach(name, f, false)
+	return cancel, err
+}
+
+// ResubscribeFunc reattaches a subscriber holding a ResumeToken (the
+// public Subscription layer, after its Disconnect policy fired). The
+// returned Notification is the catch-up: the current complete result at
+// the CQ's present sequence, with Dropped set to the number of
+// executions missed since the token; the stream then continues gap-free
+// from it (see attach).
+func (m *Manager) ResubscribeFunc(tok ResumeToken, f func(n Notification, closed bool)) (func(), Notification, error) {
+	cancel, catch, err := m.attach(tok.CQ, f, true)
+	catch.Dropped = max(catch.Seq-tok.Seq, 0)
+	return cancel, catch, err
 }
 
 // Names lists registered CQ names (sorted).
@@ -1029,27 +955,26 @@ func (m *Manager) State(name string) (CQState, error) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	st := CQState{
-		Name:          name,
-		Seq:           inst.seq,
-		LastExec:      inst.lastExec,
-		Terminated:    inst.terminated.Load(),
-		ResultLen:     inst.prev.Len(),
-		LastErr:       inst.lastErr,
-		Health:        inst.breaker.State().String(),
-		Failures:      inst.breaker.Failures(),
-		NotifsDropped: inst.notifDropped,
+		Name:       name,
+		Seq:        inst.seq,
+		LastExec:   inst.lastExec,
+		Terminated: inst.terminated.Load(),
+		ResultLen:  inst.prev.Len(),
+		LastErr:    inst.lastErr,
+		Health:     inst.breaker.State().String(),
+		Failures:   inst.breaker.Failures(),
 	}
 	// A budget timeout could not write lastErr (the late refresh still
 	// held the instance lock when the verdict landed); surface it here.
 	if p := inst.guardErr.Load(); p != nil {
 		st.LastErr = *p
 	}
-	if inst.prepared != nil {
-		st.Strategy = inst.prepared.Strategy().String()
-		st.Replicas = inst.prepared.Replicas()
-	}
-	if inst.maint != nil {
-		st.Groups = inst.maint.Groups()
+	switch ev := inst.eval.(type) {
+	case *dra.Prepared:
+		st.Strategy = ev.Strategy().String()
+		st.Replicas = ev.Replicas()
+	case maintainer:
+		st.Groups = ev.Groups()
 	}
 	if g := inst.group; g != nil {
 		st.Template = g.fp
@@ -1113,14 +1038,12 @@ func (m *Manager) Drop(name string) error {
 	}
 	closeSubs(inst)
 	inst.closeEval()
-	if inst.group != nil {
-		// Under inst.mu: an in-flight refresh of THIS member either
-		// finished (it held the lock before us) or will see dropped and
-		// skip; template-mates' refreshes only touch the group's leaf
-		// lock, so removing the member here cannot deadlock or race a
-		// dispatch into its pending buffer.
-		m.leaveTemplateLocked(inst)
-	}
+	// Under inst.mu: an in-flight refresh of THIS member either finished
+	// (it held the lock before us) or will see dropped and skip;
+	// template-mates' refreshes only touch the group's leaf lock, so
+	// removing the member here cannot deadlock or race a dispatch into
+	// its pending buffer.
+	m.leaveTemplateLocked(inst)
 	inst.mu.Unlock()
 	delete(m.cqs, name)
 	if m.router != nil {
@@ -1135,963 +1058,22 @@ func (m *Manager) Drop(name string) error {
 			m.logf("cq %q: drop derived table %q: %v", name, inst.into, derr)
 		}
 	}
-	m.registeredDeltaLocked(inst, -1)
+	m.registeredDelta(inst, -1)
 	return nil
 }
 
-// closeSubs closes every subscription. Caller holds inst.mu. Callback
-// subscribers are panic-isolated: teardown runs under manager locks, so
-// a panicking callback must not unwind through Drop or Close.
+// closeSubs tells every subscriber the stream is over. Caller holds
+// inst.mu. The callbacks are panic-isolated: teardown runs under manager
+// locks, so a panicking callback must not unwind through Drop or Close.
 func closeSubs(inst *instance) {
 	for _, s := range inst.subs {
-		if s.disconnected {
-			continue // channel already closed by the Disconnect policy
-		}
-		if s.fn != nil {
-			fn := s.fn
-			_ = guard.Protect(func() error {
-				fn(Notification{}, true)
-				return nil
-			})
-		} else {
-			close(s.ch)
-		}
+		fn := s.fn
+		_ = guard.Protect(func() error {
+			fn(Notification{}, true)
+			return nil
+		})
 	}
 	inst.subs = nil
-}
-
-// Poll evaluates all trigger conditions against the update stream and
-// refreshes every CQ whose condition fired. It returns the number of
-// refreshes performed. This is the synchronous entry point; Start runs it
-// periodically (Section 5.3's "evaluate Tcq periodically" strategy).
-//
-// The round is a group refresh: triggers are evaluated under the
-// manager lock at a single round timestamp, then the fired CQs are
-// re-evaluated on a bounded worker pool (Config.Parallelism) holding
-// only their per-instance locks, sharing one delta-window fetch per
-// (table, window) through a round-scoped cache. A failing CQ does not
-// abort the round: its error is recorded in CQState.LastErr, counted in
-// cq.refresh.errors, and joined into Poll's returned error while every
-// other CQ proceeds.
-func (m *Manager) Poll() (int, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if mm := m.met; mm != nil {
-		mm.polls.Inc()
-	}
-	m.mu.Unlock()
-
-	// Cascades refresh in topological stages: stage k's materialization
-	// commits land before stage k+1 takes its round timestamp, so a
-	// downstream CQ folds its upstream's round-N output within round N —
-	// one poll round propagates a source commit through the whole DAG.
-	// With no materializing CQs registered (MaxStage 0) the loop body
-	// runs once and is exactly the old single-round Poll.
-	n := 0
-	var errs []error
-	for stage := 0; ; stage++ {
-		sn, serrs, more := m.pollStage(stage)
-		n += sn
-		errs = append(errs, serrs...)
-		if !more {
-			break
-		}
-	}
-
-	m.mu.Lock()
-	if !m.closed {
-		m.updateRegisteredLocked()
-		m.reapTemplatesLocked()
-		if m.cfg.AutoGC {
-			m.gcLocked()
-		}
-	}
-	m.mu.Unlock()
-	return n, errors.Join(errs...)
-}
-
-// pollStage runs one topological stage of a poll round: trigger
-// evaluation under the manager lock at a stage-local timestamp, then the
-// fired CQs of that stage on the worker pool. It reports whether deeper
-// stages remain.
-func (m *Manager) pollStage(stage int) (int, []error, bool) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return 0, nil, false
-	}
-	more := stage < m.dag.MaxStage()
-	// The change-counter snapshot MUST precede the round timestamp:
-	// taken before Now(), the counters cover at most the commits older
-	// than roundTS, which is what lets a prepared plan's operand cache
-	// validate replicas by counter equality (dra.Context.Versions).
-	var versions map[string]uint64
-	if m.cfg.UseDRA {
-		versions = m.store.ChangeCounts()
-	}
-	roundTS := m.store.Now()
-	cache := m.store.NewWindowCache()
-	var fired []*instance
-	var errs []error
-	for _, inst := range m.cqs {
-		if m.dag.Stage(inst.def.Name) != stage {
-			continue
-		}
-		if inst.terminated.Load() || inst.dropped.Load() {
-			continue
-		}
-		// Quarantine gate: a CQ with too many consecutive failures is
-		// skipped until its backoff expires, then admitted as a single
-		// probe. Differential catch-up makes the skip safe — the probe
-		// re-evaluates from lastExec and covers the whole gap.
-		if !inst.breaker.Allow() {
-			if mm := m.met; mm != nil {
-				mm.quarantineSkips.Inc()
-			}
-			continue
-		}
-		should, err := m.observeAndTestLocked(inst, roundTS, cache)
-		if err != nil {
-			// One CQ's broken trigger must not starve the others: record
-			// it and continue the round (Section 5.3 accounting is
-			// per-CQ, so skipping one leaves the rest intact).
-			errs = append(errs, fmt.Errorf("cq %q: %w", inst.def.Name, err))
-			m.noteFailure(inst)
-			continue
-		}
-		if mm := m.met; mm != nil {
-			mm.triggerEvals.Inc()
-			if should {
-				mm.fireCounter(inst.trigger.Kind).Inc()
-			}
-		}
-		if should {
-			fired = append(fired, inst)
-		} else {
-			// The trigger did not fire: free the probe slot (no-op for
-			// healthy CQs) so the next round can probe again.
-			inst.breaker.Release()
-		}
-	}
-	m.mu.Unlock()
-
-	n, refErrs := m.refreshGroup(fired, roundTS, cache, versions)
-	return n, append(errs, refErrs...), more
-}
-
-// refreshGroup re-evaluates the fired CQs of one round on a bounded
-// worker pool. Workers hold only the per-instance lock, so a slow CQ no
-// longer stalls the others, and N CQs over the same tables share one
-// differential-window fetch through the round's cache — the paper's
-// system active delta zone (Section 5.4) materialized once per round.
-func (m *Manager) refreshGroup(fired []*instance, roundTS vclock.Timestamp, cache *storage.WindowCache, versions map[string]uint64) (int, []error) {
-	if len(fired) == 0 {
-		return 0, nil
-	}
-	workers := m.workerCount(len(fired))
-	var start time.Time
-	if mm := m.met; mm != nil {
-		start = time.Now()
-		mm.roundWorkers.Set(int64(workers))
-	}
-	type outcome struct {
-		refreshed bool
-		err       error
-	}
-	outs := make([]outcome, len(fired))
-	run := func(i int) {
-		refreshed, err := m.guardedRefresh(fired[i], roundTS, cache, versions, nil)
-		outs[i] = outcome{refreshed: refreshed, err: err}
-	}
-	if workers <= 1 {
-		for i := range fired {
-			run(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			// guarded: guardedRefresh isolates per-item panics; nothing
-			// in the loop body itself can panic.
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range fired {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	n := 0
-	var errs []error
-	for _, o := range outs {
-		switch {
-		case o.err != nil:
-			errs = append(errs, o.err)
-		case o.refreshed:
-			n++
-		}
-	}
-	if mm := m.met; mm != nil {
-		mm.roundNS.Observe(time.Since(start))
-	}
-	return n, errs
-}
-
-// errSkipRefresh marks a guarded attempt that found nothing to do (the
-// CQ terminated, was dropped, or a racing path already covered this
-// timestamp). Not a failure, not a success: the breaker releases its
-// probe slot and stays where it was.
-var errSkipRefresh = errors.New("cq: refresh skipped")
-
-// guardedRefresh runs one CQ's refresh under the guard layer: panic
-// isolation always, the configured budget when set, and breaker
-// accounting on every path. It reports whether a refresh was delivered.
-//
-// On a budget timeout the attempt goroutine is abandoned — Go cannot
-// preempt it — and keeps the instance lock until it finishes; the
-// monotonicity check makes its late completion harmless, and a reaper
-// records the late outcome in metrics. The timeout itself counts as a
-// breaker failure.
-func (m *Manager) guardedRefresh(inst *instance, execTS vclock.Timestamp, cache *storage.WindowCache, versions map[string]uint64, pushed map[string][]push.BatchRef) (bool, error) {
-	attempt := func() error {
-		inst.mu.Lock()
-		defer inst.mu.Unlock()
-		// A racing round (or explicit Refresh) may have re-evaluated
-		// past this round's timestamp already; refreshing would move
-		// lastExec backwards, so skip — monotonicity beats redundancy.
-		if inst.dropped.Load() || inst.terminated.Load() || execTS <= inst.lastExec {
-			return errSkipRefresh
-		}
-		inst.guardErr.Store(nil)
-		if err := m.refreshInstance(inst, execTS, cache, versions, pushed); err != nil {
-			inst.lastErr = err
-			return err
-		}
-		inst.lastErr = nil
-		return nil
-	}
-	err := guard.Attempt(m.guardPol.Budget, attempt, func(late error) {
-		m.noteLate(inst, late)
-	})
-	switch {
-	case err == nil:
-		inst.breaker.Success()
-		return true, nil
-	case errors.Is(err, errSkipRefresh):
-		inst.breaker.Release()
-		return false, nil
-	}
-	var pe *guard.PanicError
-	switch {
-	case errors.As(err, &pe):
-		if mm := m.met; mm != nil {
-			mm.refreshPanics.Inc()
-		}
-		err = fmt.Errorf("cq %q: %w", inst.def.Name, err)
-		// The panic unwound through the attempt's deferred unlock, so
-		// the instance lock is free to record the error.
-		inst.mu.Lock()
-		inst.lastErr = err
-		inst.mu.Unlock()
-	case errors.Is(err, guard.ErrBudgetExceeded):
-		if mm := m.met; mm != nil {
-			mm.refreshTimeouts.Inc()
-		}
-		err = fmt.Errorf("cq %q: %w", inst.def.Name, err)
-		// The abandoned attempt still holds the instance lock; park the
-		// verdict in guardErr for State to surface.
-		werr := err
-		inst.guardErr.Store(&werr)
-	}
-	m.noteFailure(inst)
-	return false, err
-}
-
-// observeAndTestLocked is observeAndTest under the instance lock with
-// panic isolation: the trigger predicate runs arbitrary expressions, and
-// a panic there must not unwind through the caller's manager lock.
-func (m *Manager) observeAndTestLocked(inst *instance, now vclock.Timestamp, cache *storage.WindowCache) (bool, error) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	var should bool
-	err := guard.Protect(func() error {
-		var terr error
-		should, terr = m.observeAndTest(inst, now, cache)
-		return terr
-	})
-	if err != nil {
-		inst.lastErr = err
-	}
-	return should, err
-}
-
-// noteFailure records one refresh (or trigger) failure against the CQ's
-// breaker, logging the transition if this trip opens the quarantine.
-func (m *Manager) noteFailure(inst *instance) {
-	if inst.breaker.Failure() {
-		if mm := m.met; mm != nil {
-			mm.quarantines.Inc()
-		}
-		if m.cfg.Logf != nil {
-			m.cfg.Logf("cq %q: quarantined after %d consecutive failures (backoff until probe)",
-				inst.def.Name, inst.breaker.Failures())
-		}
-	}
-	if mm := m.met; mm != nil {
-		mm.refreshErrors.Inc()
-	}
-}
-
-// noteLate records the eventual outcome of a refresh that outlived its
-// budget: the work completed (or failed) after the dispatcher gave up.
-func (m *Manager) noteLate(inst *instance, late error) {
-	mm := m.met
-	if mm == nil {
-		return
-	}
-	mm.refreshLate.Inc()
-	var pe *guard.PanicError
-	if errors.As(late, &pe) {
-		mm.refreshPanics.Inc()
-	}
-	_ = inst
-}
-
-// workerCount resolves Config.Parallelism against the round size.
-func (m *Manager) workerCount(tasks int) int {
-	w := m.cfg.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Refresh forces re-evaluation of one CQ regardless of its trigger.
-func (m *Manager) Refresh(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	inst, ok := m.cqs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchCQ, name)
-	}
-	if inst.terminated.Load() {
-		return fmt.Errorf("%w: %q", ErrTerminated, name)
-	}
-	// Counter snapshot before the timestamp, as in Poll.
-	var versions map[string]uint64
-	if m.cfg.UseDRA {
-		versions = m.store.ChangeCounts()
-	}
-	now := m.store.Now()
-	cache := m.store.NewWindowCache()
-	// A manual refresh is an operator probe: it bypasses the quarantine
-	// gate (no Allow check — the operator decided to try), runs with
-	// panic isolation but no budget (it holds the manager lock, so a
-	// deadline could not safely abandon it), and its outcome feeds the
-	// breaker: a successful manual refresh heals the CQ immediately.
-	err := guard.Protect(func() error {
-		inst.mu.Lock()
-		defer inst.mu.Unlock()
-		// Bring trigger accounting up to date so it resets consistently.
-		if _, terr := m.observeAndTest(inst, now, cache); terr != nil {
-			inst.lastErr = terr
-			return terr
-		}
-		if rerr := m.refreshInstance(inst, now, cache, versions, nil); rerr != nil {
-			inst.lastErr = rerr
-			return rerr
-		}
-		inst.lastErr = nil
-		inst.guardErr.Store(nil)
-		return nil
-	})
-	if err != nil {
-		var pe *guard.PanicError
-		if errors.As(err, &pe) {
-			if mm := m.met; mm != nil {
-				mm.refreshPanics.Inc()
-			}
-			err = fmt.Errorf("cq %q: %w", name, err)
-			inst.mu.Lock()
-			inst.lastErr = err
-			inst.mu.Unlock()
-		}
-		m.noteFailure(inst)
-		return err
-	}
-	inst.breaker.Success()
-	m.updateRegisteredLocked()
-	return nil
-}
-
-// pushDispatch is the push router's callback: one CQ's share of a Poll
-// round, run the moment a commit touches its operands. It follows the
-// Poll discipline exactly — change-counter snapshot before the round
-// timestamp, trigger evaluation under the instance lock, refresh
-// guarded by the roundTS <= lastExec monotonicity check — so a push
-// refresh and a racing Poll (or another dispatcher) of the same CQ
-// resolve to exactly one execution per timestamp, keeping Seq gap-free
-// and the notification sequence identical to what polling would have
-// produced.
-func (m *Manager) pushDispatch(name string) (refreshed, retire bool, err error) {
-	if fp, isTmpl := parseTmplRoute(name); isTmpl {
-		return m.pushDispatchTemplate(fp)
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false, true, nil
-	}
-	inst, ok := m.cqs[name]
-	if !ok || inst.terminated.Load() || inst.dropped.Load() {
-		m.mu.Unlock()
-		return false, true, nil
-	}
-	// Quarantine gate, as in Poll. The router's registration gate
-	// (Blocked) already filters most routings without dispatching;
-	// Allow here closes the race and claims the probe slot.
-	if !inst.breaker.Allow() {
-		m.mu.Unlock()
-		if mm := m.met; mm != nil {
-			mm.quarantineSkips.Inc()
-		}
-		return false, false, nil
-	}
-	var versions map[string]uint64
-	if m.cfg.UseDRA {
-		versions = m.store.ChangeCounts()
-	}
-	roundTS := m.store.Now()
-	cache := m.store.NewWindowCache()
-	should, terr := m.observeAndTestLocked(inst, roundTS, cache)
-	if terr != nil {
-		m.mu.Unlock()
-		m.noteFailure(inst)
-		return false, false, fmt.Errorf("cq %q: %w", name, terr)
-	}
-	m.mu.Unlock()
-	if mm := m.met; mm != nil {
-		mm.triggerEvals.Inc()
-		if should {
-			mm.fireCounter(inst.trigger.Kind).Inc()
-		}
-	}
-	if !should {
-		inst.breaker.Release()
-		return false, false, nil
-	}
-
-	// The routed commit images become the refresh's columnar inputs when
-	// they provably cover the window — the zero-conversion path.
-	var pushed map[string][]push.BatchRef
-	m.mu.Lock()
-	if r := m.router; r != nil {
-		pushed = r.TakeBatches(name, roundTS)
-	}
-	m.mu.Unlock()
-	refreshed, rerr := m.guardedRefresh(inst, roundTS, cache, versions, pushed)
-	if rerr != nil {
-		return false, false, rerr
-	}
-	terminated := inst.terminated.Load()
-	if refreshed && terminated {
-		m.mu.Lock()
-		m.updateRegisteredLocked()
-		m.mu.Unlock()
-	}
-	// Amortized GC: the poll loop still collects every round; the push
-	// path chips in periodically so a pure-push deployment (no poll
-	// loop at all) keeps its delta windows bounded too.
-	if refreshed && m.cfg.AutoGC && m.pushGCTicks.Add(1)%pushGCEvery == 0 {
-		m.mu.Lock()
-		if !m.closed {
-			m.gcLocked()
-		}
-		m.mu.Unlock()
-	}
-	return refreshed, terminated, nil
-}
-
-// FlushPush blocks until every queued push dispatch has completed — the
-// quiescence barrier for graceful drains (cqd shutdown, durable
-// checkpoint-on-close) and for tests comparing push against poll. A
-// no-op when push is disabled. Callers must not hold manager locks and
-// should stop committing first.
-func (m *Manager) FlushPush() {
-	m.mu.Lock()
-	r := m.router
-	m.mu.Unlock()
-	if r != nil {
-		r.Flush()
-	}
-}
-
-// PushPending reports the number of CQs queued or mid-dispatch in the
-// push router (0 when push is disabled).
-func (m *Manager) PushPending() int {
-	m.mu.Lock()
-	r := m.router
-	m.mu.Unlock()
-	if r == nil {
-		return 0
-	}
-	return r.Pending()
-}
-
-// observeAndTest folds the unobserved update window into the CQ's trigger
-// state and evaluates the trigger condition — differentially: only delta
-// rows are read (Section 5.3). Caller holds inst.mu. Trigger accounting
-// reads the raw (uncompacted) windows: updates-count and absolute
-// epsilon triggers must see every row, not the net effect.
-func (m *Manager) observeAndTest(inst *instance, now vclock.Timestamp, cache *storage.WindowCache) (bool, error) {
-	if now > inst.lastObs {
-		for _, table := range inst.tables {
-			w, err := cache.Window(table, inst.lastObs, now, false)
-			if err != nil {
-				return false, err
-			}
-			inst.updatesSeen += int64(w.Len())
-			if acct, ok := inst.eps[table]; ok {
-				if err := acct.Observe(w); err != nil {
-					return false, err
-				}
-			}
-		}
-		inst.lastObs = now
-	}
-
-	switch inst.trigger.Kind {
-	case sql.TriggerEvery:
-		return now >= inst.lastExec+vclock.Timestamp(inst.trigger.Every), nil
-	case sql.TriggerUpdates:
-		return inst.updatesSeen >= inst.trigger.Updates, nil
-	case sql.TriggerEpsilon:
-		for _, acct := range inst.eps {
-			if acct.Exceeded() {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return inst.updatesSeen > 0, nil
-	}
-}
-
-// refreshInstance re-evaluates the CQ at execTS and delivers the
-// notification, drawing differential windows from the round's shared
-// cache. Caller holds inst.mu (and only inst.mu on the Poll worker
-// path; the store and the DRA engine are safe for concurrent use).
-func (m *Manager) refreshInstance(inst *instance, execTS vclock.Timestamp, cache *storage.WindowCache, versions map[string]uint64, pushed map[string][]push.BatchRef) error {
-	var span *obs.Span
-	var start time.Time
-	if mm := m.met; mm != nil {
-		start = time.Now()
-		span = mm.traces.Start(inst.spanName)
-	}
-	var res *dra.Result
-	var err error
-	switch {
-	case m.cfg.UseDRA && inst.group != nil && !inst.pendingSync:
-		// Shared template: no private windows, no private evaluation —
-		// step the group once and fold this member's dispatched rows.
-		res, err = m.refreshShared(inst, execTS, cache, versions)
-	case m.cfg.UseDRA:
-		compact := m.cfg.Engine.CompactDeltas
-		ctx := &dra.Context{
-			Pre:       m.store.At(inst.lastExec),
-			Post:      m.store.Live(),
-			Deltas:    make(map[string]*delta.Delta, len(inst.tables)),
-			LastTS:    inst.lastExec,
-			Prev:      inst.prev,
-			Compacted: compact,
-			Versions:  versions,
-		}
-		for _, table := range inst.tables {
-			w, derr := cache.Window(table, inst.lastExec, execTS, compact)
-			if derr != nil {
-				return fmt.Errorf("cq %q: %w", inst.def.Name, derr)
-			}
-			ctx.Deltas[table] = w
-		}
-		m.fillBatches(ctx, inst.tables, inst.lastExec, execTS, cache, compact, pushed)
-		var evalStart time.Time
-		if span != nil {
-			evalStart = time.Now()
-		}
-		switch {
-		case inst.maint != nil:
-			res, err = inst.maint.Step(ctx, execTS)
-		case inst.prepared != nil:
-			res, err = inst.prepared.Step(ctx, execTS)
-		default:
-			// Private plans without a prepared pipeline, and grouped
-			// members in pendingSync: one full-window differential
-			// catch-up over the member's own plan.
-			res, err = m.cfg.Engine.Reevaluate(inst.plan, ctx, execTS)
-		}
-		if span != nil {
-			// The engine's share of the refresh: windows, materialization
-			// and journaling are the rest of the span.
-			span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
-		}
-	default:
-		res, err = dra.FullReevaluate(inst.plan, m.store.Live(), inst.prev, execTS)
-	}
-	if err != nil {
-		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
-	}
-
-	// Materialize BEFORE journaling the execution: the WAL must never
-	// hold an execution record whose derived delta did not commit, or
-	// replay would resurrect a result sequence the downstream tables
-	// never saw. The inverse crash window — delta committed, execution
-	// not journaled — is harmless because the apply is reconciling
-	// (materialize.go): recovery resumes one sequence back, re-derives
-	// the change, and the already-applied part stages as a no-op.
-	if inst.into != "" {
-		if merr := m.materializeLocked(inst, res); merr != nil {
-			return fmt.Errorf("cq %q: materialize into %q: %w", inst.def.Name, inst.into, merr)
-		}
-	}
-
-	// Journal the execution BEFORE any state mutates or a notification
-	// goes out: a journal failure fails the refresh with the instance
-	// unchanged (the trigger re-fires next round), so a delivered
-	// notification is always durable — at-most-once delivery across
-	// crashes. Subscribers that need the gap re-fetch Result() after a
-	// restart.
-	newSeq := inst.seq + 1
-	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
-	if m.cfg.Journal != nil {
-		if jerr := m.cfg.Journal.CQExecuted(inst.def.Name, newSeq, execTS, res.Delta, willTerm); jerr != nil {
-			return fmt.Errorf("cq %q: journal execution: %w", inst.def.Name, jerr)
-		}
-	}
-
-	inst.prev = res.ApplyTo(inst.prev)
-	inst.lastExec = execTS
-	inst.lastObs = execTS
-	inst.seq = newSeq
-	inst.updatesSeen = 0
-	for _, acct := range inst.eps {
-		acct.Reset()
-	}
-
-	if willTerm {
-		inst.terminated.Store(true)
-	}
-	if inst.group != nil {
-		// The refresh is journaled and applied: discard the covered
-		// template batches (a failure above kept them for the retry),
-		// finish a pendingSync member's rejoin, and take a terminated
-		// member out of the dispatch index.
-		m.afterRefreshLocked(inst, execTS, willTerm)
-	}
-
-	if mm := m.met; mm != nil {
-		mm.refreshes.Inc()
-		mm.refreshNS.Observe(time.Since(start))
-		if inst.terminated.Load() {
-			mm.terminated.Inc()
-		}
-		span.SetField("seq", int64(inst.seq))
-		span.SetField("exec_ts", int64(execTS))
-		span.SetField("result_rows", int64(inst.prev.Len()))
-		if res.Delta != nil {
-			ins, del, mod := res.Delta.Counts()
-			span.SetField("inserted", int64(ins))
-			span.SetField("deleted", int64(del))
-			span.SetField("modified", int64(mod))
-		}
-		if inst.maint != nil {
-			span.SetField("groups", int64(inst.maint.Groups()))
-			span.SetField("groups_touched", int64(res.Stats.GroupsTouched))
-			span.SetField("group_rows_emitted", int64(res.Stats.GroupRowsEmitted))
-		}
-		span.Finish()
-	}
-
-	note := m.buildNotification(inst, res)
-	if note.Empty() && !inst.def.NotifyEmpty && !note.Terminated {
-		return nil
-	}
-	m.deliver(inst, note)
-	return nil
-}
-
-// fillBatches populates ctx.Batches with one columnar image per operand
-// window. Per table it prefers the commit images the push router routed
-// (zero conversion: the store built them once at commit and every
-// subscribed CQ shares them by reference), accepting them only when a
-// signed-row count proves they cover the window exactly; otherwise it
-// falls back to the round's shared WindowBatch conversion. A table left
-// out of ctx.Batches keeps the engine on its own conversion — never
-// incorrect, just slower.
-func (m *Manager) fillBatches(ctx *dra.Context, tables []string, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool, pushed map[string][]push.BatchRef) {
-	ctx.Batches = make(map[string]*batch.Batch, len(tables))
-	for _, table := range tables {
-		w := ctx.Deltas[table]
-		if w == nil || w.Len() == 0 {
-			continue
-		}
-		if b := acceptPushed(pushed[table], table, w, from, to, cache, compact); b != nil {
-			ctx.Batches[table] = b
-			if mm := m.met; mm != nil {
-				mm.batchesPushed.Inc()
-			}
-			continue
-		}
-		if b, err := cache.WindowBatch(table, from, to, compact); err == nil && b != nil {
-			ctx.Batches[table] = b
-			if mm := m.met; mm != nil {
-				mm.batchesWindow.Inc()
-			}
-		}
-	}
-}
-
-// acceptPushed decides whether a run of routed commit images can stand
-// in for the window's columnar form, and assembles it if so. Soundness
-// rests on counting: each ref is one commit's complete signed rows and
-// the refs are distinct commits inside (from, to], so their signed-row
-// total equals the raw window's exactly when the run covers every
-// commit. Under compaction the images must also be the folded window
-// row for row, in order (dra.Context.Batches' contract: the engine nets
-// a compacted selection by adjacent -old/+new pair). Folding merges
-// only rows of one tid, each merge dropping at least one row, so equal
-// row counts prove that no tid repeats in the raw window and nothing
-// was folded. Equal signed lengths alone do not: a delete in one commit
-// and a re-insert of the tid in a later one (InsertWithTID, which INTO
-// targets use) fold to one modification of the same signed length,
-// while the images carry the -old and +new apart.
-func acceptPushed(refs []push.BatchRef, table string, win *delta.Delta, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool) *batch.Batch {
-	// Refs at or before `from` belong to commits an earlier refresh
-	// (typically a poll round, which does not consume refs) already
-	// covered.
-	for len(refs) > 0 && refs[0].TS <= from {
-		refs = refs[1:]
-	}
-	if len(refs) == 0 {
-		return nil
-	}
-	total := 0
-	for _, r := range refs {
-		if r.TS > to {
-			return nil // cannot happen: TakeBatches cuts at the round TS
-		}
-		total += r.Batch.Len()
-	}
-	if compact {
-		raw, err := cache.Window(table, from, to, false)
-		if err != nil {
-			return nil
-		}
-		if total != signedLen(raw) || raw.Len() != win.Len() {
-			return nil
-		}
-	} else if total != signedLen(win) {
-		return nil
-	}
-	if len(refs) == 1 {
-		return refs[0].Batch
-	}
-	out := batch.New(win.Schema(), total)
-	for _, r := range refs {
-		for i := 0; i < r.Batch.Len(); i++ {
-			out.AppendFrom(r.Batch, i)
-		}
-	}
-	return out
-}
-
-// signedLen is the number of signed (±) rows a differential window
-// expands to in columnar form: a modification carries two, an insertion
-// or deletion one.
-func signedLen(d *delta.Delta) int {
-	n := 0
-	for _, r := range d.Rows() {
-		if r.Kind() == delta.Modify {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
-// buildNotification assembles the per-mode answer (Section 4.3 step 4).
-func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notification {
-	note := Notification{
-		CQName:     inst.def.Name,
-		Seq:        inst.seq,
-		ExecTS:     res.ExecTS,
-		Mode:       inst.mode,
-		Terminated: inst.terminated.Load(),
-	}
-	switch inst.mode {
-	case sql.ModeComplete:
-		note.Complete = inst.prev.Clone()
-		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
-	case sql.ModeDeletions:
-		note.Deleted = res.Delta.Deletions()
-	default: // ModeDifferential
-		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
-	}
-	return note
-}
-
-// deliver fans the notification out to the CQ's subscribers under the
-// instance lock. Channel sends never block: a full buffer invokes the
-// subscriber's backpressure policy. Callback subscribers are
-// panic-isolated — a panicking callback is disconnected, not retried,
-// and never unwinds into the refresh.
-func (m *Manager) deliver(inst *instance, note Notification) {
-	delivered, dropped, disconnected := 0, 0, 0
-	removed := false
-	for _, s := range inst.subs {
-		if s.fn != nil {
-			fn := s.fn
-			if perr := guard.Protect(func() error {
-				fn(note, false)
-				return nil
-			}); perr != nil {
-				s.disconnected = true
-				removed = true
-				disconnected++
-				if mm := m.met; mm != nil {
-					mm.subscriberPanics.Inc()
-				}
-				m.logf("cq %q: subscriber callback panicked, disconnected: %v", inst.def.Name, perr)
-				continue
-			}
-			delivered++
-			s.lastSeq, s.lastTS = note.Seq, note.ExecTS
-			continue
-		}
-		send := note
-		send.Dropped = s.droppedSince
-		select {
-		case s.ch <- send:
-			delivered++
-			s.droppedSince = 0
-			s.lastSeq, s.lastTS = note.Seq, note.ExecTS
-			continue
-		default:
-		}
-		// Buffer full: apply the policy.
-		switch s.policy {
-		case DropOldest:
-			// Evict the oldest queued notification to make room; the
-			// consumer learns the gap from Dropped on this one. The
-			// evictee's own Dropped folds in, so the count survives
-			// chained evictions. deliver is the only sender (inst.mu),
-			// so the retry cannot race a refill — only a concurrent
-			// receive, which also makes room (and means nothing was
-			// dropped after all).
-			select {
-			case old := <-s.ch:
-				s.dropped++
-				dropped++
-				send.Dropped = s.droppedSince + old.Dropped + 1
-			default:
-			}
-			select {
-			case s.ch <- send:
-				delivered++
-				s.droppedSince = 0
-				s.lastSeq, s.lastTS = note.Seq, note.ExecTS
-			default:
-				s.dropped++
-				dropped++
-				s.droppedSince = send.Dropped + 1
-			}
-		case Disconnect:
-			// The consumer is too slow to keep a live feed: close the
-			// channel (the consumer sees EOF plus its resume token) and
-			// detach. Resubscribe catches up differentially.
-			s.dropped++
-			dropped++
-			s.disconnected = true
-			close(s.ch)
-			removed = true
-			disconnected++
-		default: // DropNewest
-			s.dropped++
-			s.droppedSince++
-			dropped++
-		}
-	}
-	if removed {
-		keep := inst.subs[:0]
-		for _, s := range inst.subs {
-			if !s.disconnected {
-				keep = append(keep, s)
-			}
-		}
-		inst.subs = keep
-	}
-	inst.notifDropped += int64(dropped)
-	if mm := m.met; mm != nil {
-		mm.notifications.Add(int64(delivered))
-		mm.drops.Add(int64(dropped))
-		mm.notifDropped.Add(int64(dropped))
-		mm.disconnects.Add(int64(disconnected))
-		depth := 0
-		for _, s := range inst.subs {
-			depth += len(s.ch)
-		}
-		mm.queueDepth.Set(int64(depth))
-	}
-}
-
-// SubscribeFunc attaches a callback invoked synchronously while the
-// refresh is delivered: when Poll returns, every fired notification has
-// been handed to the callback. The callback runs under the CQ's
-// instance lock on a refresh worker goroutine — callbacks of different
-// CQs may run concurrently, one CQ's callbacks never do — and must not
-// call back into the Manager or cancel a subscription. On Drop or Close
-// it is invoked once more with closed = true.
-func (m *Manager) SubscribeFunc(name string, f func(n Notification, closed bool)) (func(), error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	inst, ok := m.cqs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchCQ, name)
-	}
-	sub := &subscriber{fn: f}
-	inst.mu.Lock()
-	inst.subs = append(inst.subs, sub)
-	inst.mu.Unlock()
-	cancel := func() {
-		inst.mu.Lock()
-		defer inst.mu.Unlock()
-		for i, s := range inst.subs {
-			if s == sub {
-				inst.subs = append(inst.subs[:i], inst.subs[i+1:]...)
-				break
-			}
-		}
-	}
-	return cancel, nil
 }
 
 // gcLocked collects differential-relation garbage below the system
@@ -2228,8 +1210,8 @@ func (m *Manager) loop(interval time.Duration, stop <-chan struct{}, done chan<-
 
 // Close stops the background loop (if running), drains the push router
 // (pending dispatches refresh against the still-open manager, so no
-// committed delta is left unevaluated), and closes all subscriber
-// channels.
+// committed delta is left unevaluated), and tells every subscriber its
+// stream is over.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -2295,10 +1277,8 @@ func (m *Manager) onPressure(level storage.OverloadLevel) {
 
 // newMaintainer tries the incremental state keepers in turn; a nil, nil
 // return means the plan is plain SPJ (or otherwise unsupported) and the
-// caller should prepare it instead (Manager.prepare). Join maintenance
-// moved into the prepared layer as dra.StrategyIncremental.
-func newMaintainer(cfg Config, plan algebra.Plan, src algebra.Source) (maintainer, error) {
-	engine := cfg.Engine
+// caller should prepare it instead (Manager.prepare).
+func newMaintainer(engine *dra.Engine, plan algebra.Plan, src algebra.Source) (maintainer, error) {
 	if ia, err := dra.NewIncrementalAggregate(engine, plan, src); err == nil {
 		return ia, nil
 	} else if !errors.Is(err, dra.ErrNotIncremental) {

@@ -60,6 +60,27 @@ func insertStock(t *testing.T, s *storage.Store, name string, price float64) rel
 	return tid
 }
 
+// subscribeChan adapts the manager's one subscriber kind — a synchronous
+// callback (SubscribeFunc) — to a buffered channel for tests that read
+// notifications after the fact. A full buffer discards (no test fills
+// one on purpose: backpressure lives in, and is tested on,
+// continual.Subscription); the channel closes when the CQ is dropped or
+// the manager closes.
+func subscribeChan(m *Manager, name string, buf int) (<-chan Notification, func(), error) {
+	ch := make(chan Notification, buf)
+	cancel, err := m.SubscribeFunc(name, func(n Notification, closed bool) {
+		if closed {
+			close(ch)
+			return
+		}
+		select {
+		case ch <- n:
+		default:
+		}
+	})
+	return ch, cancel, err
+}
+
 func drain(ch <-chan Notification) []Notification {
 	var out []Notification
 	for {
@@ -132,7 +153,7 @@ func TestUpdateTriggerAndDifferentialNotification(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := m.Subscribe("exp", 16)
+	ch, cancel, err := subscribeChan(m, "exp", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +201,7 @@ func TestEveryTriggerUsesLogicalTime(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("periodic", 16)
+	ch, cancel, _ := subscribeChan(m, "periodic", 16)
 	defer cancel()
 
 	insertStock(t, s, "A", 10) // tick 1
@@ -209,7 +230,7 @@ func TestEpsilonTriggerBankExample(t *testing.T) {
 		MODE COMPLETE`); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("banksum", 16)
+	ch, cancel, _ := subscribeChan(m, "banksum", 16)
 	defer cancel()
 
 	deposit := func(owner string, amt float64) {
@@ -256,7 +277,7 @@ func TestStopAfterNTerminates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("short", 16)
+	ch, cancel, _ := subscribeChan(m, "short", 16)
 	defer cancel()
 
 	insertStock(t, s, "A", 10)
@@ -291,7 +312,7 @@ func TestDeletionsMode(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("gone", 16)
+	ch, cancel, _ := subscribeChan(m, "gone", 16)
 	defer cancel()
 
 	commit(t, s, func(tx *storage.Tx) error { return tx.Delete("stocks", tid) })
@@ -319,7 +340,7 @@ func TestCompleteModeMaintainsFullResult(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("all", 16)
+	ch, cancel, _ := subscribeChan(m, "all", 16)
 	defer cancel()
 
 	insertStock(t, s, "B", 140)
@@ -375,33 +396,6 @@ func TestGCBoundedBySlowestCQ(t *testing.T) {
 	}
 }
 
-func TestSubscriberBufferDropsWithoutBlocking(t *testing.T) {
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	reg := obs.NewRegistry()
-	m := NewManagerConfig(s, Config{Metrics: reg})
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 0"}); err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel, _ := m.Subscribe("q", 1)
-	defer cancel()
-	for i := 0; i < 5; i++ {
-		insertStock(t, s, "S", float64(i+1))
-		if _, err := m.Poll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Only one buffered; the rest dropped, but Poll never blocked.
-	if got := len(drain(ch)); got != 1 {
-		t.Errorf("buffered = %d, want 1", got)
-	}
-	// The drops are counted, not silent: 5 notifications minus the 1
-	// buffered.
-	if got := reg.Snapshot().Counter("cq.notifications.dropped"); got != 4 {
-		t.Errorf("cq.notifications.dropped = %d, want 4", got)
-	}
-}
-
 func TestManagerDRAMatchesFullBaseline(t *testing.T) {
 	build := func(useDRA bool) (*storage.Store, *Manager) {
 		s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
@@ -452,7 +446,7 @@ func TestAsyncLoopDeliversNotifications(t *testing.T) {
 	if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 0"}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, _ := m.Subscribe("q", 16)
+	ch, cancel, _ := subscribeChan(m, "q", 16)
 	defer cancel()
 	if err := m.Start(time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -502,7 +496,7 @@ func TestDropAndNamesAndResultErrors(t *testing.T) {
 	if _, err := m.Result("a"); !errors.Is(err, ErrNoSuchCQ) {
 		t.Errorf("Result missing err = %v", err)
 	}
-	if _, _, err := m.Subscribe("a", 1); !errors.Is(err, ErrNoSuchCQ) {
+	if _, _, err := subscribeChan(m, "a", 1); !errors.Is(err, ErrNoSuchCQ) {
 		t.Errorf("Subscribe missing err = %v", err)
 	}
 	if _, err := m.State("a"); !errors.Is(err, ErrNoSuchCQ) {
@@ -537,7 +531,7 @@ func TestJoinCQEndToEnd(t *testing.T) {
 	if initial.Len() != 1 {
 		t.Fatalf("initial = %d", initial.Len())
 	}
-	ch, cancel, _ := m.Subscribe("big_trades", 16)
+	ch, cancel, _ := subscribeChan(m, "big_trades", 16)
 	defer cancel()
 
 	commit(t, s, func(tx *storage.Tx) error {
@@ -570,12 +564,9 @@ func TestAggregateCQUsesIncrementalMaintenance(t *testing.T) {
 	mFull := NewManagerConfig(newStoreWith(t, map[string]relation.Schema{"accounts": accountSchema()}), Config{UseDRA: false})
 	defer func() { _ = mFull.Close() }()
 	// The maintainer must be installed for this shape.
-	m.mu.Lock()
-	if m.cqs["banksum"].maint == nil {
-		m.mu.Unlock()
+	if !maintained(t, m, "banksum") {
 		t.Fatal("incremental aggregate maintainer not installed")
 	}
-	m.mu.Unlock()
 
 	var tids []relation.TID
 	for i := 0; i < 10; i++ {
@@ -619,12 +610,9 @@ func TestAggregateCQWithHavingFallsBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	if m.cqs["big"].maint != nil {
-		m.mu.Unlock()
+	if maintained(t, m, "big") {
 		t.Fatal("HAVING query must not get a maintainer")
 	}
-	m.mu.Unlock()
 	commit(t, s, func(tx *storage.Tx) error {
 		_, err := tx.Insert("accounts", []relation.Value{relation.Str("a"), relation.Float(150)})
 		return err
@@ -655,12 +643,9 @@ func TestDistinctCQMaintainedIncrementally(t *testing.T) {
 	if initial.Len() != 1 {
 		t.Fatalf("initial distinct = %d", initial.Len())
 	}
-	m.mu.Lock()
-	if m.cqs["names"].maint == nil {
-		m.mu.Unlock()
+	if !maintained(t, m, "names") {
 		t.Fatal("distinct maintainer not installed")
 	}
-	m.mu.Unlock()
 
 	insertStock(t, s, "IBM", 2)
 	if _, err := m.Poll(); err != nil {

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/epsilon"
-	"github.com/diorama/continual/internal/guard"
-	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
@@ -54,8 +51,8 @@ func (m *Manager) entryLocked(inst *instance) wal.CQEntry {
 	if inst.trigger.On != nil {
 		e.TriggerOn = inst.trigger.On.String()
 	}
-	if inst.prepared != nil {
-		e.Strategy = inst.prepared.Strategy().String()
+	if prep, ok := inst.eval.(*dra.Prepared); ok {
+		e.Strategy = prep.Strategy().String()
 	}
 	if g := inst.group; g != nil {
 		g.mu.Lock()
@@ -112,22 +109,9 @@ func (m *Manager) SnapshotRegistry(cut func() error) ([]wal.CQEntry, error) {
 // Resume reinstalls a recovered CQ without journaling and without a
 // fresh initial execution: the entry's Seq/LastExec/Result carry on the
 // result sequence exactly where the previous incarnation stopped, and
-// the trigger starts observing at LastExec — so the first Poll after
-// recovery computes a differential catch-up over the replayed delta
-// window, the DRA applied to the crash itself.
+// the trigger starts observing at LastExec (installLocked's recovered
+// seed).
 func (m *Manager) Resume(e wal.CQEntry) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if _, dup := m.cqs[e.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateCQ, e.Name)
-	}
-	stmt, err := sql.ParseSelect(e.Query)
-	if err != nil {
-		return fmt.Errorf("cq %q: recovered query: %w", e.Name, err)
-	}
 	def := Def{
 		Name:  e.Name,
 		Query: e.Query,
@@ -149,147 +133,10 @@ func (m *Manager) Resume(e wal.CQEntry) error {
 		}
 		def.Trigger.On = on
 	}
-
-	plan, err := algebra.PlanSelect(stmt, m.store.Live())
-	if err != nil {
-		return fmt.Errorf("cq %q: recovered plan: %w", e.Name, err)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, err := m.installLocked(def, &e); err != nil {
+		return fmt.Errorf("cq %q: resume: %w", e.Name, err)
 	}
-	plan = algebra.Optimize(plan)
-
-	inst := &instance{
-		def:       def,
-		plan:      plan,
-		mode:      def.Mode,
-		trigger:   def.Trigger,
-		stop:      def.Stop,
-		queryText: stmt.String(),
-		spanName:  refreshSpanName(def.Name),
-		breaker:   m.newBreaker(),
-	}
-	// A CQ that was quarantined (or probing) when the checkpoint cut
-	// resumes in probation, not healthy: recovery clears transient
-	// state, so one immediate probe is allowed, but its failure streak
-	// is not forgotten — a persistently failing CQ does not get a free
-	// quarantine escape via restart.
-	if guard.ParseHealth(e.Health) != guard.Healthy {
-		inst.breaker.SeedProbation()
-	}
-	for _, scan := range algebra.Tables(plan) {
-		inst.tables = append(inst.tables, scan.Table)
-	}
-	// Rebuild the cascade DAG edges. Checkpoint recovery resumes entries
-	// in snapshot order, which need not be registration order — a reader
-	// can rejoin the DAG before its upstream's producer does. That is
-	// fine: the registry recomputes every node's stage retroactively
-	// when a producer registers, so the staged poll converges to the
-	// pre-crash topology no matter the resume order.
-	if _, err := m.dag.Register(e.Name, inst.tables, stmt.Into); err != nil {
-		return fmt.Errorf("cq %q: recovered cascade edges: %w", e.Name, err)
-	}
-	inst.into = stmt.Into
-	installed := false
-	defer func() {
-		if !installed {
-			m.dag.Unregister(e.Name)
-		}
-	}()
-	if stmt.Into != "" {
-		// The WAL replay normally recreated the target; a lost table
-		// (defensive path) is recreated empty and reseeded by the
-		// reconcile below. Either way the crash may sit between the last
-		// materialize commit and its execution record, so the first
-		// refresh reconciles the whole target instead of trusting its
-		// delta (materialize.go).
-		if _, serr := m.store.Schema(stmt.Into); serr != nil {
-			if cerr := m.store.CreateTable(stmt.Into, plan.Schema()); cerr != nil {
-				return fmt.Errorf("cq %q: recreate target %q: %w", e.Name, stmt.Into, cerr)
-			}
-		}
-		inst.needsReconcile = true
-	}
-	if def.Trigger.Kind == sql.TriggerEpsilon {
-		// Accountants restart empty: their divergence re-accumulates
-		// differentially from the replayed window as lastObs advances.
-		if err := m.setupEpsilon(inst, stmt); err != nil {
-			return fmt.Errorf("cq %q: recovered epsilon trigger: %w", e.Name, err)
-		}
-	}
-	inst.terminated.Store(e.Terminated)
-
-	if m.cfg.UseDRA && !e.Terminated {
-		// State keepers reseed AT THE LAST EXECUTION, not at the live
-		// head: the next refresh must see the post-crash window as its
-		// delta, or replayed-but-unprocessed commits would be skipped.
-		// At(LastExec) is always reconstructible for a live CQ because
-		// the GC horizon never passes the minimum live lastExec.
-		maint, err := newMaintainer(m.cfg, plan, m.store.At(e.LastExec))
-		if err != nil {
-			return fmt.Errorf("cq %q: reseed maintainer: %w", e.Name, err)
-		}
-		if maint != nil {
-			inst.maint = maint
-			if e.Result == nil {
-				e.Result = maint.Result()
-			}
-		} else {
-			// Template sharing round-trips recovery: a shareable member
-			// rejoins (or recreates) its group and is flagged
-			// pendingSync — its first refresh is a private differential
-			// catch-up from LastExec, after which it consumes the
-			// template stream like any other member. Materializing CQs
-			// never share (as at registration).
-			var joined bool
-			if stmt.Into == "" {
-				var jerr error
-				_, joined, jerr = m.joinTemplateLocked(inst, true)
-				if jerr != nil {
-					return fmt.Errorf("cq %q: rejoin template: %w", e.Name, jerr)
-				}
-			}
-			if !joined {
-				// Re-prepare with the recovered strategy, with the same
-				// audible fallback as registration.
-				strat := dra.StrategyAuto
-				if e.Strategy != "" {
-					s, perr := dra.ParseStrategy(e.Strategy)
-					if perr != nil {
-						m.logf("cq %q: recovered strategy %q unknown; using auto", e.Name, e.Strategy)
-					} else {
-						strat = s
-					}
-				}
-				prep, err := m.prepare(e.Name, plan, strat)
-				if err != nil {
-					return fmt.Errorf("cq %q: re-prepare: %w", e.Name, err)
-				}
-				inst.prepared = prep
-			}
-		}
-	}
-
-	switch {
-	case e.Result != nil:
-		inst.prev = e.Result.Clone()
-	case !e.Terminated:
-		// No materialized result survived (a fold error during recovery
-		// dropped it): reseed by evaluation at the last execution.
-		res, err := dra.InitialResult(plan, m.store.At(e.LastExec))
-		if err != nil {
-			return fmt.Errorf("cq %q: reseed result: %w", e.Name, err)
-		}
-		inst.prev = res
-	default:
-		// Terminated and no result: the sequence is over; an empty
-		// relation keeps State/Result well defined.
-		inst.prev = relation.New(plan.Schema())
-	}
-
-	inst.seq = e.Seq
-	inst.lastExec = e.LastExec
-	inst.lastObs = e.LastExec
-	m.cqs[e.Name] = inst
-	m.routePushLocked(inst)
-	m.registeredDeltaLocked(inst, +1)
-	installed = true
 	return nil
 }

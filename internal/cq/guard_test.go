@@ -22,7 +22,7 @@ import (
 	"github.com/diorama/continual/internal/wal"
 )
 
-// faultMaint is an injectable maintainer that misbehaves on Step:
+// faultMaint is an injectable evaluator that misbehaves on Step:
 // panics, errors, or sleeps past the refresh budget. Fields are set
 // before injection and never mutated, so an abandoned (late) Step may
 // read them concurrently with the test goroutine.
@@ -45,9 +45,7 @@ func (f *faultMaint) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Resul
 	return nil, errors.New("faultMaint: no failure configured")
 }
 
-func (f *faultMaint) Result() *relation.Relation { return nil }
-func (f *faultMaint) Groups() int                { return 0 }
-func (f *faultMaint) Close()                     {}
+func (f *faultMaint) Close() {}
 
 func getInst(t *testing.T, m *Manager, name string) *instance {
 	t.Helper()
@@ -60,14 +58,34 @@ func getInst(t *testing.T, m *Manager, name string) *instance {
 	return inst
 }
 
-// injectMaint swaps the instance's maintainer; a nil maint restores the
-// registration-time refresh path (prepared pipeline or Reevaluate).
-func injectMaint(t *testing.T, m *Manager, name string, f maintainer) {
+// maintained reports whether the CQ's evaluator is a group-table state
+// keeper.
+func maintained(t *testing.T, m *Manager, name string) bool {
 	t.Helper()
 	inst := getInst(t, m, name)
 	inst.mu.Lock()
-	inst.maint = f
-	inst.mu.Unlock()
+	defer inst.mu.Unlock()
+	_, ok := inst.eval.(maintainer)
+	return ok
+}
+
+// injected remembers the evaluator each faulted instance registered with.
+var injected sync.Map // *instance → stepper
+
+// injectMaint swaps a fault into the instance's evaluator slot; a nil
+// fault restores the evaluator the CQ registered with.
+func injectMaint(t *testing.T, m *Manager, name string, f *faultMaint) {
+	t.Helper()
+	inst := getInst(t, m, name)
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if f == nil {
+		orig, _ := injected.LoadAndDelete(inst)
+		inst.eval = orig.(stepper)
+		return
+	}
+	injected.LoadOrStore(inst, inst.eval)
+	inst.eval = f
 }
 
 func updatesTrigger() sql.TriggerSpec {
@@ -281,11 +299,11 @@ func TestQuarantineLifecycle(t *testing.T) {
 	// Seq increment, covering every row missed during quarantine.
 	injectMaint(t, m, "bad", nil)
 	advance(10 * time.Second)
-	sub, err := m.SubscribeOpts("bad", SubOptions{Buffer: 4})
+	probeCh, cancelProbe, err := subscribeChan(m, "bad", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Cancel()
+	defer cancelProbe()
 	insertStock(t, s, "F4", 180)
 	if _, err := m.Poll(); err != nil {
 		t.Fatalf("probe poll: %v", err)
@@ -297,7 +315,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if st.Seq != 2 {
 		t.Fatalf("probe seq = %d, want 2 (gap-free)", st.Seq)
 	}
-	notes := drain(sub.Ch())
+	notes := drain(probeCh)
 	if len(notes) != 1 {
 		t.Fatalf("probe notifications = %d", len(notes))
 	}
@@ -431,160 +449,8 @@ func refreshOnce(t *testing.T, s *storage.Store, m *Manager, name string, price 
 	}
 }
 
-func TestBackpressureDropNewest(t *testing.T) {
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	m := NewManager(s)
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name: "q", Query: "SELECT * FROM stocks WHERE price > 0",
-		Trigger: updatesTrigger(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := m.SubscribeOpts("q", SubOptions{Buffer: 1, Policy: DropNewest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-
-	refreshOnce(t, s, m, "A", 10) // fills the buffer (seq 2)
-	refreshOnce(t, s, m, "B", 20) // dropped
-	refreshOnce(t, s, m, "C", 30) // dropped
-
-	n1 := <-sub.Ch()
-	if n1.Seq != 2 || n1.Dropped != 0 {
-		t.Fatalf("first delivery = %+v", n1)
-	}
-	refreshOnce(t, s, m, "D", 40) // buffer free again
-	n2 := <-sub.Ch()
-	if n2.Seq != 5 || n2.Dropped != 2 {
-		t.Fatalf("post-gap delivery seq=%d dropped=%d, want seq=5 dropped=2", n2.Seq, n2.Dropped)
-	}
-	st, _ := m.State("q")
-	if st.NotifsDropped != 2 {
-		t.Errorf("CQState.NotifsDropped = %d, want 2", st.NotifsDropped)
-	}
-}
-
-func TestBackpressureDropOldest(t *testing.T) {
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	m := NewManager(s)
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name: "q", Query: "SELECT * FROM stocks WHERE price > 0",
-		Trigger: updatesTrigger(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := m.SubscribeOpts("q", SubOptions{Buffer: 1, Policy: DropOldest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-
-	refreshOnce(t, s, m, "A", 10) // seq 2 queued
-	refreshOnce(t, s, m, "B", 20) // evicts seq 2, queues seq 3 with gap
-
-	n := <-sub.Ch()
-	if n.Seq != 3 || n.Dropped != 1 {
-		t.Fatalf("delivery seq=%d dropped=%d, want freshest seq=3 with dropped=1", n.Seq, n.Dropped)
-	}
-	select {
-	case extra := <-sub.Ch():
-		t.Fatalf("unexpected extra notification %+v", extra)
-	default:
-	}
-}
-
-// Chained evictions must not lose the evictee's own Dropped count: the
-// gap accumulates, so delivered + Dropped always equals notifications
-// sent.
-func TestBackpressureDropOldestAccumulatesGap(t *testing.T) {
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	m := NewManager(s)
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name: "q", Query: "SELECT * FROM stocks WHERE price > 0",
-		Trigger: updatesTrigger(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := m.SubscribeOpts("q", SubOptions{Buffer: 1, Policy: DropOldest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-
-	// Five refreshes against a full buffer: seq 2 queues, 3-5 each
-	// evict their predecessor, seq 6 must carry the whole gap.
-	for i, price := range []float64{10, 20, 30, 40, 50} {
-		refreshOnce(t, s, m, fmt.Sprintf("S%d", i), price)
-	}
-	n := <-sub.Ch()
-	if n.Seq != 6 || n.Dropped != 4 {
-		t.Fatalf("delivery seq=%d dropped=%d, want seq=6 with dropped=4", n.Seq, n.Dropped)
-	}
-	if st, err := m.State("q"); err != nil || st.NotifsDropped != 4 {
-		t.Fatalf("NotifsDropped=%d err=%v, want 4", st.NotifsDropped, err)
-	}
-}
-
-func TestBackpressureDisconnectAndResume(t *testing.T) {
-	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	reg := obs.NewRegistry()
-	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Metrics: reg})
-	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{
-		Name: "q", Query: "SELECT * FROM stocks WHERE price > 0",
-		Trigger: updatesTrigger(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := m.SubscribeOpts("q", SubOptions{Buffer: 1, Policy: Disconnect})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	refreshOnce(t, s, m, "A", 10) // seq 2: delivered into the buffer
-	refreshOnce(t, s, m, "B", 20) // seq 3: full buffer -> disconnect
-
-	n1, ok := <-sub.Ch()
-	if !ok || n1.Seq != 2 {
-		t.Fatalf("queued delivery = %+v ok=%v", n1, ok)
-	}
-	if _, ok := <-sub.Ch(); ok {
-		t.Fatal("channel not closed after disconnect")
-	}
-	if !sub.Disconnected() {
-		t.Fatal("Disconnected() = false")
-	}
-	if got := reg.Snapshot().Counters["cq.subscriber_disconnects"]; got != 1 {
-		t.Errorf("cq.subscriber_disconnects = %d", got)
-	}
-
-	// Resume from the token: the catch-up notification carries the gap
-	// count and the full current result; deliveries then continue.
-	tok := sub.Resume()
-	if tok.CQ != "q" || tok.Seq != 2 {
-		t.Fatalf("resume token = %+v", tok)
-	}
-	sub2, catch, err := m.Resubscribe(tok, SubOptions{Buffer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub2.Cancel()
-	if catch.Seq != 3 || catch.Dropped != 1 || catch.Complete == nil || catch.Complete.Len() != 2 {
-		t.Fatalf("catch-up = %s", renderNote(catch))
-	}
-	refreshOnce(t, s, m, "C", 30)
-	n3 := <-sub2.Ch()
-	if n3.Seq != 4 || n3.Dropped != 0 {
-		t.Fatalf("post-resume delivery = %+v", n3)
-	}
-}
-
 // TestSubscriberPanicDisconnects: a panicking callback subscriber is
-// detached; channel subscribers on the same CQ keep receiving.
+// detached; the other subscribers on the same CQ keep receiving.
 func TestSubscriberPanicDisconnects(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	reg := obs.NewRegistry()
@@ -608,7 +474,7 @@ func TestSubscriberPanicDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cancelFn()
-	ch, cancelCh, err := m.Subscribe("q", 8)
+	ch, cancelCh, err := subscribeChan(m, "q", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,19 +647,20 @@ func TestSubscribeDropChurnStress(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // channel-subscriber churn across policies
+	go func() { // resubscribe churn: attach with a catch-up snapshot
 		defer wg.Done()
-		policies := []DeliveryPolicy{DropNewest, DropOldest, Disconnect}
 		for i := 0; i < iters; i++ {
-			sub, err := m.SubscribeOpts("watch", SubOptions{Buffer: 1, Policy: policies[i%3]})
+			cancel, catch, err := m.ResubscribeFunc(ResumeToken{CQ: "watch", Seq: i}, func(n Notification, closed bool) {})
 			if err != nil {
 				continue
 			}
-			drain(sub.Ch())
-			sub.Cancel()
+			if catch.Complete == nil || catch.Dropped < 0 {
+				t.Errorf("catch-up %d: %s", i, renderNote(catch))
+			}
+			cancel()
 		}
 	}()
-	go func() { // fn-subscriber churn
+	go func() { // subscribe churn
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			cancel, err := m.SubscribeFunc("watch", func(n Notification, closed bool) {})

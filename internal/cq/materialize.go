@@ -147,25 +147,24 @@ func (m *Manager) commitReconciled(inst *instance, cur *relation.Relation, rows 
 }
 
 // ensureTargetLocked creates the materialization target for a CQ being
-// registered — or adopts an existing producerless table with a matching
-// shape, the orphan a crash between the seed commit and the
-// registration journal leaves behind — and seeds it to the initial
-// result. Caller holds m.mu. Reports whether the table was created here
-// (so the caller's rollback knows to drop it).
-func (m *Manager) ensureTargetLocked(inst *instance, initial *relation.Relation) (created bool, err error) {
-	schema := initial.Schema()
+// installed, or adopts an existing table with a matching shape — the
+// replayed target of a recovered CQ, or the producerless orphan a crash
+// between the seed commit and the registration journal leaves behind.
+// Caller holds m.mu. Reports whether the table was created here (so the
+// caller's rollback knows to drop it).
+func (m *Manager) ensureTargetLocked(inst *instance) (created bool, err error) {
+	schema := inst.plan.Schema()
 	if existing, serr := m.store.Schema(inst.into); serr == nil {
 		if !existing.TypesEqual(schema) {
 			return false, fmt.Errorf("%w: table %q exists with schema %s (query produces %s)",
 				ErrNameCollision, inst.into, existing, schema)
 		}
-	} else {
-		if cerr := m.store.CreateTable(inst.into, schema); cerr != nil {
-			return false, cerr
-		}
-		created = true
+		return false, nil
 	}
-	return created, m.reconcileTarget(inst, initial)
+	if err := m.store.CreateTable(inst.into, schema); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // CreateTable creates a base table through the manager, so DDL shares

@@ -9,35 +9,28 @@ import (
 // Config.Metrics at construction. A nil *metrics (Config.Metrics == nil)
 // keeps every hook down to a nil check.
 type metrics struct {
-	registered    *obs.Gauge     // cq.registered: live (non-terminated) CQs
-	polls         *obs.Counter   // cq.polls
-	triggerEvals  *obs.Counter   // cq.trigger_evals: trigger conditions tested
-	firesEvery    *obs.Counter   // cq.trigger_fires.every
-	firesUpdates  *obs.Counter   // cq.trigger_fires.updates
-	firesEpsilon  *obs.Counter   // cq.trigger_fires.epsilon
-	firesDefault  *obs.Counter   // cq.trigger_fires.default
-	refreshes     *obs.Counter   // cq.refreshes
+	registered   *obs.Gauge   // cq.registered: live (non-terminated) CQs
+	polls        *obs.Counter // cq.polls
+	triggerEvals *obs.Counter // cq.trigger_evals: trigger conditions tested
+	firesEvery   *obs.Counter // cq.trigger_fires.every
+	firesUpdates *obs.Counter // cq.trigger_fires.updates
+	firesEpsilon *obs.Counter // cq.trigger_fires.epsilon
+	firesDefault *obs.Counter // cq.trigger_fires.default
+	refreshes    *obs.Counter // cq.refreshes
 	// batchesPushed counts operand windows served by routed commit
 	// images (zero conversion); batchesWindow counts the ones converted
 	// through the shared window cache.
-	batchesPushed *obs.Counter // cq.columnar.pushed
-	batchesWindow *obs.Counter // cq.columnar.window
+	batchesPushed *obs.Counter   // cq.columnar.pushed
+	batchesWindow *obs.Counter   // cq.columnar.window
 	refreshNS     *obs.Histogram // cq.refresh_ns
 	refreshErrors *obs.Counter   // cq.refresh.errors: per-CQ failures isolated by Poll
 	roundNS       *obs.Histogram // cq.round_ns: wall time of one group-refresh round
 	roundWorkers  *obs.Gauge     // cq.round_workers: worker pool size of the last round
 	notifications *obs.Counter   // cq.notifications: delivered to subscribers
-	drops         *obs.Counter   // cq.subscriber_drops: full-buffer discards
-	// notifDropped counts notifications discarded because a subscriber
-	// buffer was full — the same event cq.subscriber_drops counts, but
-	// under the cq.notifications.* namespace so delivered/dropped read
-	// as a pair; the public Subscription layer (continual) feeds its
-	// own channel drops into this counter too, which subscriber_drops
-	// (manager-internal buffers only) never saw.
-	notifDropped *obs.Counter // cq.notifications.dropped
-	queueDepth   *obs.Gauge   // cq.notify_queue_depth: buffered, undrained
-	gcReclaimed  *obs.Counter // cq.gc_reclaimed_rows
-	terminated   *obs.Counter // cq.terminated: Stop conditions reached
+	// Its pair, cq.notifications.dropped, is counted where notifications
+	// can be dropped: in the buffering layer above (continual.Subscription).
+	gcReclaimed *obs.Counter // cq.gc_reclaimed_rows
+	terminated  *obs.Counter // cq.terminated: Stop conditions reached
 	// maintFallbacks counts registrations where a forced refresh
 	// strategy could not run on the CQ's plan and the manager fell back
 	// to the cost model (formerly a silent fallback).
@@ -49,11 +42,9 @@ type metrics struct {
 	refreshLate     *obs.Counter // cq.refresh.late: abandoned refreshes that eventually finished
 	quarantines     *obs.Counter // cq.quarantines: breaker open transitions
 	quarantineSkips *obs.Counter // cq.quarantine.skips: rounds/dispatches skipped while quarantined
-	// subscriberPanics counts callback subscribers disconnected because
-	// their callback panicked; disconnects counts channel subscribers
-	// detached by the Disconnect backpressure policy plus those panics.
+	// subscriberPanics counts subscribers detached because their callback
+	// panicked.
 	subscriberPanics *obs.Counter // cq.subscriber_panics
-	disconnects      *obs.Counter // cq.subscriber_disconnects
 	// emergencyGC counts watermark-triggered garbage collections (the
 	// store's pressure hook), as opposed to scheduled AutoGC.
 	emergencyGC       *obs.Counter // cq.gc.emergency
@@ -104,9 +95,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		roundNS:        reg.Histogram("cq.round_ns"),
 		roundWorkers:   reg.Gauge("cq.round_workers"),
 		notifications:  reg.Counter("cq.notifications"),
-		drops:          reg.Counter("cq.subscriber_drops"),
-		notifDropped:   reg.Counter("cq.notifications.dropped"),
-		queueDepth:     reg.Gauge("cq.notify_queue_depth"),
 		gcReclaimed:    reg.Counter("cq.gc_reclaimed_rows"),
 		terminated:     reg.Counter("cq.terminated"),
 		maintFallbacks: reg.Counter("cq.maintainer.fallbacks"),
@@ -117,7 +105,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		quarantines:       reg.Counter("cq.quarantines"),
 		quarantineSkips:   reg.Counter("cq.quarantine.skips"),
 		subscriberPanics:  reg.Counter("cq.subscriber_panics"),
-		disconnects:       reg.Counter("cq.subscriber_disconnects"),
 		emergencyGC:       reg.Counter("cq.gc.emergency"),
 		healthHealthy:     reg.Gauge("cq.health.healthy"),
 		healthProbation:   reg.Gauge("cq.health.probation"),

@@ -30,7 +30,7 @@ func TestManagerMetrics(t *testing.T) {
 	if _, err := mgr.Register(Def{Name: "expensive", Query: "SELECT * FROM stocks WHERE price > 120"}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := mgr.Subscribe("expensive", 4)
+	ch, cancel, err := subscribeChan(mgr, "expensive", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestConcurrentPollSubscribeDropMetrics(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			ch, cancel, err := mgr.Subscribe("steady", 1)
+			ch, cancel, err := subscribeChan(mgr, "steady", 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -195,10 +195,10 @@ func TestMaintainerRefreshInPlace(t *testing.T) {
 	if _, err := mgr.Register(Def{Name: "totals", Query: query}); err != nil {
 		t.Fatal(err)
 	}
-	inst := getInst(t, mgr, "totals")
-	if inst.maint == nil {
+	if !maintained(t, mgr, "totals") {
 		t.Fatal("aggregate CQ registered without a state keeper")
 	}
+	inst := getInst(t, mgr, "totals")
 	before := inst.prev
 
 	insertStock(t, store, "S1", 5)  // touches one of three groups

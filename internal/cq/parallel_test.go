@@ -207,7 +207,7 @@ func TestSeqOrderPreservedUnderParallelism(t *testing.T) {
 		if _, err := m.Register(Def{Name: name, Query: "SELECT * FROM stocks"}); err != nil {
 			t.Fatal(err)
 		}
-		ch, _, err := m.Subscribe(name, rounds+2)
+		ch, _, err := subscribeChan(m, name, rounds+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestConcurrentManagerStress(t *testing.T) {
 		}
 	})
 	go loop(func() {
-		if ch, cancel, err := m.Subscribe("base1", 4); err == nil {
+		if ch, cancel, err := subscribeChan(m, "base1", 4); err == nil {
 			drain(ch)
 			cancel()
 		}

@@ -51,7 +51,8 @@ func renderNotification(n Notification) string {
 // (push on, FlushPush after every commit), "mixed" (push on with a
 // 1-slot queue and 1 worker so most routings overflow, FlushPush + Poll
 // after every commit — the overflowed CQs refresh through the poll
-// fallback at the same timestamp).
+// fallback at the same timestamp), "manual" (push off, no Poll: a forced
+// Refresh of every CQ, in name order, after every commit).
 func e2eWorld(t *testing.T, mode string, steps int) (map[string][]string, obs.Snapshot) {
 	return e2eWorldCfg(t, mode, steps, nil)
 }
@@ -133,9 +134,26 @@ func e2eWorldCfg(t *testing.T, mode string, steps int, mutate func(*Config)) (ma
 			t.Fatal(err)
 		}
 		m.FlushPush() // no-op in poll mode
-		if mode != "push" {
+		switch mode {
+		case "push":
+		case "manual":
+			for _, name := range m.Names() {
+				if err := m.Refresh(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
 			if _, err := m.Poll(); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+	if mode == "manual" {
+		// A forced refresh is an execution whether or not anything
+		// changed: one per commit, none lost, none doubled.
+		for _, name := range m.Names() {
+			if st, err := m.State(name); err != nil || st.Seq != 1+steps {
+				t.Errorf("manual: %q ended at seq %d (err %v), want %d", name, st.Seq, err, 1+steps)
 			}
 		}
 	}
@@ -175,25 +193,43 @@ func TestPushPollEquivalence(t *testing.T) {
 		t.Fatal("mixed mode never overflowed; the fallback path went unexercised")
 	}
 
-	for _, other := range []struct {
-		mode string
-		got  map[string][]string
-	}{{"push", push}, {"mixed", mixed}} {
-		for name, want := range base {
-			got := other.got[name]
-			if len(got) != len(want) {
-				t.Errorf("%s: %q delivered %d notifications, poll delivered %d",
-					other.mode, name, len(got), len(want))
+	compare := func(mode string, want, got map[string][]string) {
+		for name, w := range want {
+			g := got[name]
+			if len(g) != len(w) {
+				t.Errorf("%s: %q delivered %d notifications, poll delivered %d", mode, name, len(g), len(w))
 				continue
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s: %q notification %d:\n  poll: %s\n  %s: %s",
-						other.mode, name, i, want[i], other.mode, got[i])
+			for i := range w {
+				if g[i] != w[i] {
+					t.Errorf("%s: %q notification %d:\n  poll: %s\n  %s: %s", mode, name, i, w[i], mode, g[i])
 				}
 			}
 		}
 	}
+	compare("push", base, push)
+	compare("mixed", base, mixed)
+
+	// Manual refresh is the fourth feeder of the same pipeline. It
+	// executes every CQ on every commit, so only a CQ whose trigger fires
+	// on every commit anyway — the join reads both tables — keeps its
+	// numbering. The per-commit selection delivers the same changes at
+	// the same timestamps under later sequence numbers (its empty
+	// executions count but are not delivered). upd3 batches by three under
+	// its trigger and by one when forced, and compl (complete mode)
+	// delivers its result on every execution, changed or not: those two
+	// are held to the sequence check inside the world only.
+	manual, _ := e2eWorld(t, "manual", steps)
+	unnumbered := func(tr map[string][]string, name string) []string {
+		out := make([]string, len(tr[name]))
+		for i, line := range tr[name] {
+			out[i] = line[strings.Index(line, " ts="):]
+		}
+		return out
+	}
+	compare("manual",
+		map[string][]string{"join": base["join"], "sel": unnumbered(base, "sel")},
+		map[string][]string{"join": manual["join"], "sel": unnumbered(manual, "sel")})
 }
 
 // TestPushRefreshesWithoutPolling is the latency claim in miniature: in
@@ -207,7 +243,7 @@ func TestPushRefreshesWithoutPolling(t *testing.T) {
 	if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, err := m.Subscribe("q", 8)
+	ch, cancel, err := subscribeChan(m, "q", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,824 @@
+package cq
+
+// The refresh pipeline: everything between "these CQs might be due" and
+// "their subscribers have been told" exists once, here.
+//
+//	feeder → runRound → observeAndTestLocked → refreshGroup →
+//	         guardedRefresh → refreshInstance → deliver → housekeep
+//
+// runRound is the one round driver. It takes a candidate set, snapshots
+// the store once for the whole round (change counters, THEN the round
+// timestamp, THEN one window cache), passes every candidate through the
+// terminated/dropped/quarantine gate and the trigger test, refreshes the
+// ones that fired on the worker pool, and runs the housekeeping. Four
+// thin feeders decide only who the candidates are:
+//
+//	Poll                 every CQ of one cascade stage, stage by stage
+//	pushDispatch         the one CQ a commit was routed to (+ its images)
+//	pushDispatchTemplate the members of the template a commit was routed to
+//	Refresh              one CQ, trigger forced, quarantine gate bypassed
+//
+// Because all four converge on guardedRefresh's monotonicity check
+// (execTS <= lastExec skips), a push refresh and a racing Poll of the
+// same CQ resolve to exactly one execution per timestamp: Seq stays
+// gap-free and the notification sequence is the one polling alone would
+// have produced.
+//
+// Lock order, stated once: Manager.mu → instance.mu → templateGroup.mu.
+// The driver holds Manager.mu only for the snapshot and the trigger
+// pass; the evaluation, journaling and delivery of a refresh run under
+// the instance lock alone, whichever feeder started it.
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"github.com/diorama/continual/internal/batch"
+	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/dra"
+	"github.com/diorama/continual/internal/guard"
+	"github.com/diorama/continual/internal/obs"
+	"github.com/diorama/continual/internal/push"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
+	"github.com/diorama/continual/internal/storage"
+	"github.com/diorama/continual/internal/vclock"
+)
+
+// round is the store snapshot every refresh of one round shares.
+type round struct {
+	// versions are the per-table change counters, read BEFORE ts: they
+	// then cover at most the commits older than ts, which is what lets a
+	// prepared plan's operand cache validate replicas by counter equality
+	// (dra.Context.Versions).
+	versions map[string]uint64
+	// ts is the round timestamp: the execTS of every refresh in it.
+	ts vclock.Timestamp
+	// cache shares one delta-window fetch per (table, window) across the
+	// round — the paper's system active delta zone (Section 5.4)
+	// materialized once, however many CQs read it.
+	cache *storage.WindowCache
+}
+
+// newRound takes the snapshot, in the one order that is sound.
+func (m *Manager) newRound() round {
+	rd := round{versions: m.store.ChangeCounts()}
+	rd.ts = m.store.Now()
+	rd.cache = m.store.NewWindowCache()
+	return rd
+}
+
+// feed is what a feeder tells the driver beyond the candidate set.
+type feed struct {
+	// forced (Refresh) is an operator probe: it bypasses the quarantine
+	// gate — the operator decided to try — and treats the trigger as
+	// fired without counting an evaluation; the trigger state is still
+	// brought up to date so it resets consistently. Its outcome feeds the
+	// breaker like any other: a successful manual refresh heals the CQ.
+	forced bool
+	// route (pushDispatch) names the push route whose routed commit
+	// images the candidate's refresh may consume instead of converting
+	// the window (fillBatches).
+	route string
+	// sweep lets the housekeeping walk the registry (gauges, AutoGC):
+	// Poll sets it on its last stage, Refresh always. A push dispatch
+	// leaves it off and pays only an amortised share, so a commit never
+	// costs O(registered CQs).
+	sweep bool
+}
+
+// runRound is the round driver (see the file comment). It may reorder
+// and truncate cands. It returns the number of refreshes delivered; a
+// failing CQ does not abort the round — its error is recorded in
+// CQState.LastErr, counted in cq.refresh.errors and joined into the
+// returned error while every other CQ proceeds.
+func (m *Manager) runRound(cands []*instance, f feed) (int, error) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return 0, ErrClosed
+	}
+	rd := m.newRound()
+	var errs []error
+	fired := cands[:0]
+	for _, inst := range cands {
+		if inst.terminated.Load() || inst.dropped.Load() {
+			continue
+		}
+		// Quarantine gate: a CQ with too many consecutive failures is
+		// skipped until its backoff expires, then admitted as a single
+		// probe. Differential catch-up makes the skip safe — the probe
+		// re-evaluates from lastExec and covers the whole gap. (The push
+		// router's registration gate, Blocked, already filters most
+		// routings without dispatching; Allow closes the race and claims
+		// the probe slot.)
+		if !f.forced && !inst.breaker.Allow() {
+			if mm := m.met; mm != nil {
+				mm.quarantineSkips.Inc()
+			}
+			continue
+		}
+		should, err := m.observeAndTestLocked(inst, rd)
+		if err != nil {
+			// One CQ's broken trigger must not starve the others: record
+			// it and continue the round (Section 5.3 accounting is
+			// per-CQ, so skipping one leaves the rest intact).
+			errs = append(errs, fmt.Errorf("cq %q: %w", inst.def.Name, err))
+			m.noteFailure(inst)
+			continue
+		}
+		if mm := m.met; mm != nil && !f.forced {
+			mm.triggerEvals.Inc()
+			if should {
+				mm.fireCounter(inst.trigger.Kind).Inc()
+			}
+		}
+		if should || f.forced {
+			fired = append(fired, inst)
+		} else {
+			// The trigger did not fire: free the probe slot (no-op for
+			// healthy CQs) so the next round can probe again.
+			inst.breaker.Release()
+		}
+	}
+	var pushed map[string][]push.BatchRef
+	if f.route != "" && len(fired) > 0 && m.router != nil {
+		pushed = m.router.TakeBatches(f.route, rd.ts)
+	}
+	m.mu.Unlock()
+
+	n, refErrs := m.refreshGroup(fired, rd, pushed, f.forced)
+	m.housekeep(f.sweep, n)
+	return n, errors.Join(append(errs, refErrs...)...)
+}
+
+// housekeep is the one post-round rule. With sweep it recomputes the
+// population and health gauges, reaps template groups left without active
+// members, and collects garbage when AutoGC is on. Without it — a push
+// dispatch, an earlier stage of a Poll — it touches the manager lock only
+// when there is something to do: a group emptied (reapDue), or this is
+// the gcEvery-th such round that refreshed something, so a pure-push
+// deployment (no poll loop at all) keeps its delta windows bounded too.
+// The gauges need no sweep on that path: a refresh that terminates its CQ
+// adjusts them itself (registeredDelta).
+func (m *Manager) housekeep(sweep bool, refreshed int) {
+	gc := m.cfg.AutoGC && (sweep || (refreshed > 0 && m.gcTicks.Add(1)%gcEvery == 0))
+	if !sweep && !gc && !m.reapDue.Load() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
+	if sweep {
+		m.updateRegisteredLocked()
+	}
+	if m.reapDue.Swap(false) || sweep {
+		m.reapTemplatesLocked()
+	}
+	if gc {
+		m.gcLocked()
+	}
+}
+
+// Poll evaluates all trigger conditions against the update stream and
+// refreshes every CQ whose condition fired. It returns the number of
+// refreshes performed. This is the synchronous entry point; Start runs it
+// periodically (Section 5.3's "evaluate Tcq periodically" strategy).
+//
+// Cascades refresh in topological stages, one round each: stage k's
+// materialization commits land before stage k+1 takes its round
+// timestamp, so a downstream CQ folds its upstream's round-N output
+// within round N — one Poll propagates a source commit through the whole
+// DAG. With no materializing CQs registered (MaxStage 0) there is one
+// round.
+func (m *Manager) Poll() (int, error) {
+	if mm := m.met; mm != nil {
+		mm.polls.Inc()
+	}
+	n := 0
+	var errs []error
+	for stage := 0; ; stage++ {
+		m.mu.Lock()
+		more := stage < m.dag.MaxStage()
+		cands := make([]*instance, 0, len(m.cqs))
+		for _, inst := range m.cqs {
+			if m.dag.Stage(inst.def.Name) == stage {
+				cands = append(cands, inst)
+			}
+		}
+		m.mu.Unlock()
+		sn, err := m.runRound(cands, feed{sweep: !more})
+		n += sn
+		if err != nil {
+			errs = append(errs, err)
+		}
+		if !more || errors.Is(err, ErrClosed) {
+			return n, errors.Join(errs...)
+		}
+	}
+}
+
+// Refresh forces re-evaluation of one CQ regardless of its trigger and
+// of its quarantine state (feed.forced). The manager lock is not held
+// while the CQ evaluates, and the refresh budget applies as in any round.
+func (m *Manager) Refresh(name string) error {
+	m.mu.Lock()
+	inst, ok := m.cqs[name]
+	closed := m.closed
+	m.mu.Unlock()
+	switch {
+	case closed:
+		return ErrClosed
+	case !ok:
+		return fmt.Errorf("%w: %q", ErrNoSuchCQ, name)
+	case inst.terminated.Load():
+		return fmt.Errorf("%w: %q", ErrTerminated, name)
+	}
+	_, err := m.runRound([]*instance{inst}, feed{forced: true, sweep: true})
+	return err
+}
+
+// pushDispatch is the push router's callback: one round for the CQ (or
+// template, see pushDispatchTemplate) a commit touched, run the moment
+// the commit lands. retire tells the router to forget a route whose CQ
+// is gone or has terminated. (Close drains the router before it marks
+// the manager closed, so a dispatch never meets ErrClosed.)
+func (m *Manager) pushDispatch(name string) (refreshed, retire bool, err error) {
+	if fp, isTmpl := parseTmplRoute(name); isTmpl {
+		return m.pushDispatchTemplate(fp)
+	}
+	m.mu.Lock()
+	inst := m.cqs[name]
+	m.mu.Unlock()
+	if inst == nil {
+		return false, true, nil
+	}
+	n, err := m.runRound([]*instance{inst}, feed{route: name})
+	return n > 0, inst.terminated.Load() || inst.dropped.Load(), err
+}
+
+// FlushPush blocks until every queued push dispatch has completed — the
+// quiescence barrier for graceful drains (cqd shutdown, durable
+// checkpoint-on-close) and for tests comparing push against poll. A
+// no-op when push is disabled. Callers must not hold manager locks and
+// should stop committing first.
+func (m *Manager) FlushPush() {
+	m.mu.Lock()
+	r := m.router
+	m.mu.Unlock()
+	if r != nil {
+		r.Flush()
+	}
+}
+
+// PushPending reports the number of CQs queued or mid-dispatch in the
+// push router (0 when push is disabled).
+func (m *Manager) PushPending() int {
+	m.mu.Lock()
+	r := m.router
+	m.mu.Unlock()
+	if r == nil {
+		return 0
+	}
+	return r.Pending()
+}
+
+// observeAndTestLocked is observeAndTest under the instance lock with
+// panic isolation: the trigger predicate runs arbitrary expressions, and
+// a panic there must not unwind through the caller's manager lock.
+func (m *Manager) observeAndTestLocked(inst *instance, rd round) (bool, error) {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	var should bool
+	err := guard.Protect(func() error {
+		var terr error
+		should, terr = inst.observeAndTest(rd.ts, rd.cache)
+		return terr
+	})
+	if err != nil {
+		inst.lastErr = err
+	}
+	return should, err
+}
+
+// observeAndTest folds the unobserved update window into the CQ's trigger
+// state and evaluates the trigger condition — differentially: only delta
+// rows are read (Section 5.3). Caller holds inst.mu. Trigger accounting
+// reads the raw (uncompacted) windows: updates-count and absolute
+// epsilon triggers must see every row, not the net effect.
+func (inst *instance) observeAndTest(now vclock.Timestamp, cache *storage.WindowCache) (bool, error) {
+	if now > inst.lastObs {
+		for _, table := range inst.tables {
+			w, err := cache.Window(table, inst.lastObs, now, false)
+			if err != nil {
+				return false, err
+			}
+			inst.updatesSeen += int64(w.Len())
+			if acct, ok := inst.eps[table]; ok {
+				if err := acct.Observe(w); err != nil {
+					return false, err
+				}
+			}
+		}
+		inst.lastObs = now
+	}
+
+	switch inst.trigger.Kind {
+	case sql.TriggerEvery:
+		return now >= inst.lastExec+vclock.Timestamp(inst.trigger.Every), nil
+	case sql.TriggerUpdates:
+		return inst.updatesSeen >= inst.trigger.Updates, nil
+	case sql.TriggerEpsilon:
+		for _, acct := range inst.eps {
+			if acct.Exceeded() {
+				return true, nil
+			}
+		}
+		return false, nil
+	default:
+		return inst.updatesSeen > 0, nil
+	}
+}
+
+// refreshGroup re-evaluates the fired CQs of one round on a bounded
+// worker pool. Workers hold only the per-instance lock, so a slow CQ
+// does not stall the others.
+func (m *Manager) refreshGroup(fired []*instance, rd round, pushed map[string][]push.BatchRef, forced bool) (int, []error) {
+	if len(fired) == 0 {
+		return 0, nil
+	}
+	workers := m.workerCount(len(fired))
+	var start time.Time
+	if mm := m.met; mm != nil {
+		start = time.Now()
+		mm.roundWorkers.Set(int64(workers))
+	}
+	n := 0
+	var errs []error
+	tally := func(refreshed bool, err error) {
+		switch {
+		case err != nil:
+			errs = append(errs, err)
+		case refreshed:
+			n++
+		}
+	}
+	if workers <= 1 {
+		for _, inst := range fired {
+			tally(m.guardedRefresh(inst, rd, pushed, forced))
+		}
+	} else {
+		type outcome struct {
+			refreshed bool
+			err       error
+		}
+		outs := make([]outcome, len(fired))
+		var wg sync.WaitGroup
+		idx := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			// guarded: guardedRefresh isolates per-item panics; nothing
+			// in the loop body itself can panic.
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, pushed, forced)
+				}
+			}()
+		}
+		for i := range fired {
+			idx <- i
+		}
+		close(idx)
+		wg.Wait()
+		for _, o := range outs {
+			tally(o.refreshed, o.err)
+		}
+	}
+	if mm := m.met; mm != nil {
+		mm.roundNS.Observe(time.Since(start))
+	}
+	return n, errs
+}
+
+// errSkipRefresh marks a guarded attempt that found nothing to do (the
+// CQ terminated, was dropped, or a racing path already covered this
+// timestamp). Not a failure, not a success: the breaker releases its
+// probe slot and stays where it was.
+var errSkipRefresh = errors.New("cq: refresh skipped")
+
+// guardedRefresh runs one CQ's refresh under the guard layer: panic
+// isolation always, the configured budget when set, and breaker
+// accounting on every path. It reports whether a refresh was delivered.
+//
+// On a budget timeout the attempt goroutine is abandoned — Go cannot
+// preempt it — and keeps the instance lock until it finishes; the
+// monotonicity check makes its late completion harmless, and a reaper
+// records the late outcome in metrics. The timeout itself counts as a
+// breaker failure.
+func (m *Manager) guardedRefresh(inst *instance, rd round, pushed map[string][]push.BatchRef, forced bool) (bool, error) {
+	attempt := func() error {
+		inst.mu.Lock()
+		defer inst.mu.Unlock()
+		// A racing round may have re-evaluated past this round's
+		// timestamp already; refreshing would move lastExec backwards, so
+		// skip — monotonicity beats redundancy. A forced refresh AT the
+		// last execution still runs: it is an execution the operator
+		// asked for, with an empty window.
+		if inst.dropped.Load() || inst.terminated.Load() || rd.ts < inst.lastExec || (rd.ts == inst.lastExec && !forced) {
+			return errSkipRefresh
+		}
+		inst.guardErr.Store(nil)
+		if err := m.refreshInstance(inst, rd, pushed); err != nil {
+			inst.lastErr = err
+			return err
+		}
+		inst.lastErr = nil
+		return nil
+	}
+	err := guard.Attempt(m.guardPol.Budget, attempt, m.noteLate)
+	switch {
+	case err == nil:
+		inst.breaker.Success()
+		return true, nil
+	case errors.Is(err, errSkipRefresh):
+		inst.breaker.Release()
+		return false, nil
+	}
+	var pe *guard.PanicError
+	switch {
+	case errors.As(err, &pe):
+		if mm := m.met; mm != nil {
+			mm.refreshPanics.Inc()
+		}
+		err = fmt.Errorf("cq %q: %w", inst.def.Name, err)
+		// The panic unwound through the attempt's deferred unlock, so
+		// the instance lock is free to record the error.
+		inst.mu.Lock()
+		inst.lastErr = err
+		inst.mu.Unlock()
+	case errors.Is(err, guard.ErrBudgetExceeded):
+		if mm := m.met; mm != nil {
+			mm.refreshTimeouts.Inc()
+		}
+		err = fmt.Errorf("cq %q: %w", inst.def.Name, err)
+		// The abandoned attempt still holds the instance lock; park the
+		// verdict in guardErr for State to surface.
+		werr := err
+		inst.guardErr.Store(&werr)
+	}
+	m.noteFailure(inst)
+	return false, err
+}
+
+// noteFailure records one refresh (or trigger) failure against the CQ's
+// breaker, logging the transition if this trip opens the quarantine.
+func (m *Manager) noteFailure(inst *instance) {
+	if inst.breaker.Failure() {
+		if mm := m.met; mm != nil {
+			mm.quarantines.Inc()
+		}
+		if m.cfg.Logf != nil {
+			m.cfg.Logf("cq %q: quarantined after %d consecutive failures (backoff until probe)",
+				inst.def.Name, inst.breaker.Failures())
+		}
+	}
+	if mm := m.met; mm != nil {
+		mm.refreshErrors.Inc()
+	}
+}
+
+// noteLate records the eventual outcome of a refresh that outlived its
+// budget: the work completed (or failed) after the dispatcher gave up.
+func (m *Manager) noteLate(late error) {
+	mm := m.met
+	if mm == nil {
+		return
+	}
+	mm.refreshLate.Inc()
+	var pe *guard.PanicError
+	if errors.As(late, &pe) {
+		mm.refreshPanics.Inc()
+	}
+}
+
+// workerCount resolves Config.Parallelism against the round size.
+func (m *Manager) workerCount(tasks int) int {
+	w := m.cfg.Parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > tasks {
+		w = tasks
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// stepContext builds the input of one evaluation step — a CQ's private
+// refresh or a template group's shared one — and is where the snapshot
+// rule lives: a step from lastExec to the round timestamp ts reads
+//
+//	Pre  = the store as of lastExec,
+//	the windows (lastExec, ts] of each operand's differential relation,
+//	Post = the store as of ts
+//
+// — never Live(). Commits keep landing while a round runs; a live read
+// sees rows past ts that the next round's window will deliver again (a
+// propagate-arm CQ then reports the same insertion twice), and it scans
+// relations a writer is mutating. Both views are lazy: only the
+// propagate arms and the complete-re-evaluation baseline reconstruct
+// them, and the differential path never touches Post.
+func (m *Manager) stepContext(tables []string, lastExec vclock.Timestamp, prev *relation.Relation, rd round, pushed map[string][]push.BatchRef) (*dra.Context, error) {
+	compact := m.cfg.Engine.CompactDeltas
+	ctx := &dra.Context{
+		Pre:       m.store.At(lastExec),
+		Post:      m.store.At(rd.ts),
+		Deltas:    make(map[string]*delta.Delta, len(tables)),
+		LastTS:    lastExec,
+		Prev:      prev,
+		Compacted: compact,
+		Versions:  rd.versions,
+	}
+	for _, table := range tables {
+		w, err := rd.cache.Window(table, lastExec, rd.ts, compact)
+		if err != nil {
+			return nil, err
+		}
+		ctx.Deltas[table] = w
+	}
+	m.fillBatches(ctx, tables, lastExec, rd, compact, pushed)
+	return ctx, nil
+}
+
+// refreshInstance re-evaluates the CQ at the round timestamp and
+// delivers the notification. Caller holds inst.mu (and only inst.mu; the
+// store and the DRA engine are safe for concurrent use).
+func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]push.BatchRef) error {
+	execTS := rd.ts
+	var span *obs.Span
+	var start time.Time
+	if mm := m.met; mm != nil {
+		start = time.Now()
+		span = mm.traces.Start(inst.spanName)
+	}
+	var res *dra.Result
+	var err error
+	if inst.group != nil && inst.eval == nil {
+		// Shared template: no private windows, no private evaluation —
+		// step the group once and fold this member's dispatched rows.
+		res, err = m.refreshShared(inst, rd)
+	} else {
+		var ctx *dra.Context
+		if ctx, err = m.stepContext(inst.tables, inst.lastExec, inst.prev, rd, pushed); err == nil {
+			var evalStart time.Time
+			if span != nil {
+				evalStart = time.Now()
+			}
+			res, err = inst.eval.Step(ctx, execTS)
+			if span != nil {
+				// The evaluator's share of the refresh: windows,
+				// materialization and journaling are the rest of the span.
+				span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
+			}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
+	}
+
+	// Materialize BEFORE journaling the execution: the WAL must never
+	// hold an execution record whose derived delta did not commit, or
+	// replay would resurrect a result sequence the downstream tables
+	// never saw. The inverse crash window — delta committed, execution
+	// not journaled — is harmless because the apply is reconciling
+	// (materialize.go): recovery resumes one sequence back, re-derives
+	// the change, and the already-applied part stages as a no-op.
+	if inst.into != "" {
+		if merr := m.materializeLocked(inst, res); merr != nil {
+			return fmt.Errorf("cq %q: materialize into %q: %w", inst.def.Name, inst.into, merr)
+		}
+	}
+
+	// Journal the execution BEFORE any state mutates or a notification
+	// goes out: a journal failure fails the refresh with the instance
+	// unchanged (the trigger re-fires next round), so a delivered
+	// notification is always durable — at-most-once delivery across
+	// crashes. Subscribers that need the gap re-fetch Result() after a
+	// restart.
+	newSeq := inst.seq + 1
+	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
+	if m.cfg.Journal != nil {
+		if jerr := m.cfg.Journal.CQExecuted(inst.def.Name, newSeq, execTS, res.Delta, willTerm); jerr != nil {
+			return fmt.Errorf("cq %q: journal execution: %w", inst.def.Name, jerr)
+		}
+	}
+
+	inst.prev = res.ApplyTo(inst.prev)
+	inst.lastExec = execTS
+	inst.lastObs = execTS
+	inst.seq = newSeq
+	inst.updatesSeen = 0
+	for _, acct := range inst.eps {
+		acct.Reset()
+	}
+
+	if willTerm {
+		// The gauges first: the delta skips instances already flagged.
+		m.registeredDelta(inst, -1)
+		inst.terminated.Store(true)
+	}
+	if inst.group != nil {
+		// The refresh is journaled and applied: discard the covered
+		// template batches (a failure above kept them for the retry),
+		// retire a recovered member's catch-up plan, and take a
+		// terminated member out of the dispatch index.
+		m.afterRefreshLocked(inst, execTS, willTerm)
+	}
+
+	if mm := m.met; mm != nil {
+		mm.refreshes.Inc()
+		mm.refreshNS.Observe(time.Since(start))
+		if willTerm {
+			mm.terminated.Inc()
+		}
+		span.SetField("seq", int64(inst.seq))
+		span.SetField("exec_ts", int64(execTS))
+		span.SetField("result_rows", int64(inst.prev.Len()))
+		if res.Delta != nil {
+			ins, del, mod := res.Delta.Counts()
+			span.SetField("inserted", int64(ins))
+			span.SetField("deleted", int64(del))
+			span.SetField("modified", int64(mod))
+		}
+		if mt, ok := inst.eval.(maintainer); ok {
+			span.SetField("groups", int64(mt.Groups()))
+			span.SetField("groups_touched", int64(res.Stats.GroupsTouched))
+			span.SetField("group_rows_emitted", int64(res.Stats.GroupRowsEmitted))
+		}
+		span.Finish()
+	}
+
+	note := m.buildNotification(inst, res)
+	if note.Empty() && !inst.def.NotifyEmpty && !note.Terminated {
+		return nil
+	}
+	m.deliver(inst, note)
+	return nil
+}
+
+// fillBatches populates ctx.Batches with one columnar image per operand
+// window. Per table it prefers the commit images the push router routed
+// (zero conversion: the store built them once at commit and every
+// subscribed CQ shares them by reference), accepting them only when a
+// signed-row count proves they cover the window exactly; otherwise it
+// falls back to the round's shared WindowBatch conversion. A table left
+// out of ctx.Batches keeps the engine on its own conversion — never
+// incorrect, just slower.
+func (m *Manager) fillBatches(ctx *dra.Context, tables []string, from vclock.Timestamp, rd round, compact bool, pushed map[string][]push.BatchRef) {
+	ctx.Batches = make(map[string]*batch.Batch, len(tables))
+	for _, table := range tables {
+		w := ctx.Deltas[table]
+		if w == nil || w.Len() == 0 {
+			continue
+		}
+		if b := acceptPushed(pushed[table], table, w, from, rd.ts, rd.cache, compact); b != nil {
+			ctx.Batches[table] = b
+			if mm := m.met; mm != nil {
+				mm.batchesPushed.Inc()
+			}
+			continue
+		}
+		if b, err := rd.cache.WindowBatch(table, from, rd.ts, compact); err == nil && b != nil {
+			ctx.Batches[table] = b
+			if mm := m.met; mm != nil {
+				mm.batchesWindow.Inc()
+			}
+		}
+	}
+}
+
+// acceptPushed decides whether a run of routed commit images can stand
+// in for the window's columnar form, and assembles it if so. Soundness
+// rests on counting: each ref is one commit's complete signed rows and
+// the refs are distinct commits inside (from, to], so their signed-row
+// total equals the raw window's exactly when the run covers every
+// commit. Under compaction the images must also be the folded window
+// row for row, in order (dra.Context.Batches' contract: the engine nets
+// a compacted selection by adjacent -old/+new pair). Folding merges
+// only rows of one tid, each merge dropping at least one row, so equal
+// row counts prove that no tid repeats in the raw window and nothing
+// was folded. Equal signed lengths alone do not: a delete in one commit
+// and a re-insert of the tid in a later one (InsertWithTID, which INTO
+// targets use) fold to one modification of the same signed length,
+// while the images carry the -old and +new apart.
+func acceptPushed(refs []push.BatchRef, table string, win *delta.Delta, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool) *batch.Batch {
+	// Refs at or before `from` belong to commits an earlier refresh
+	// (typically a poll round, which does not consume refs) already
+	// covered.
+	for len(refs) > 0 && refs[0].TS <= from {
+		refs = refs[1:]
+	}
+	if len(refs) == 0 {
+		return nil
+	}
+	total := 0
+	for _, r := range refs {
+		if r.TS > to {
+			return nil // cannot happen: TakeBatches cuts at the round TS
+		}
+		total += r.Batch.Len()
+	}
+	if compact {
+		raw, err := cache.Window(table, from, to, false)
+		if err != nil {
+			return nil
+		}
+		if total != signedLen(raw) || raw.Len() != win.Len() {
+			return nil
+		}
+	} else if total != signedLen(win) {
+		return nil
+	}
+	if len(refs) == 1 {
+		return refs[0].Batch
+	}
+	out := batch.New(win.Schema(), total)
+	for _, r := range refs {
+		for i := 0; i < r.Batch.Len(); i++ {
+			out.AppendFrom(r.Batch, i)
+		}
+	}
+	return out
+}
+
+// signedLen is the number of signed (±) rows a differential window
+// expands to in columnar form: a modification carries two, an insertion
+// or deletion one.
+func signedLen(d *delta.Delta) int {
+	n := 0
+	for _, r := range d.Rows() {
+		if r.Kind() == delta.Modify {
+			n += 2
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+// buildNotification assembles the per-mode answer (Section 4.3 step 4).
+func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notification {
+	note := Notification{
+		CQName:     inst.def.Name,
+		Seq:        inst.seq,
+		ExecTS:     res.ExecTS,
+		Mode:       inst.mode,
+		Terminated: inst.terminated.Load(),
+	}
+	switch inst.mode {
+	case sql.ModeComplete:
+		note.Complete = inst.prev.Clone()
+		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
+	case sql.ModeDeletions:
+		note.Deleted = res.Delta.Deletions()
+	default: // ModeDifferential
+		note.Inserted, note.Deleted, note.Modified = res.Delta.Views()
+	}
+	return note
+}
+
+// deliver hands the notification to the CQ's subscribers under the
+// instance lock. The callbacks are panic-isolated — a panicking one is
+// detached, not retried, and never unwinds into the refresh.
+func (m *Manager) deliver(inst *instance, note Notification) {
+	delivered := 0
+	keep := inst.subs[:0]
+	for _, s := range inst.subs {
+		fn := s.fn
+		if perr := guard.Protect(func() error {
+			fn(note, false)
+			return nil
+		}); perr != nil {
+			if mm := m.met; mm != nil {
+				mm.subscriberPanics.Inc()
+			}
+			m.logf("cq %q: subscriber callback panicked, disconnected: %v", inst.def.Name, perr)
+			continue
+		}
+		delivered++
+		keep = append(keep, s)
+	}
+	clear(inst.subs[len(keep):]) // a detached subscriber must not stay reachable
+	inst.subs = keep
+	if mm := m.met; mm != nil {
+		mm.notifications.Add(int64(delivered))
+	}
+}

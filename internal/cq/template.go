@@ -34,12 +34,12 @@ import (
 // unshared path, so a member's transcript is indistinguishable from the
 // one it would have produced with a private plan.
 //
-// Lock order: Manager.mu → instance.mu → templateGroup.mu. The group
-// lock is a leaf — nothing acquires a manager or instance lock while
-// holding it — which is what lets a member's refresh (holding its own
-// instance lock) step the group while Drop of a DIFFERENT member
-// (holding the manager lock plus that member's instance lock) waits its
-// turn on the same group without deadlock.
+// The group lock is the leaf of the lock order (refresh.go) — nothing
+// acquires a manager or instance lock while holding it — which is what
+// lets a member's refresh (holding its own instance lock) step the group
+// while Drop of a DIFFERENT member (holding the manager lock plus that
+// member's instance lock) waits its turn on the same group without
+// deadlock.
 
 // templateGroup is one shared template: the prepared stripped plan, the
 // shared previous result, the subscriber table, and the dispatch index.
@@ -80,27 +80,26 @@ type tmplBatch struct {
 	rows []delta.SignedRow
 }
 
-// joinTemplateLocked attaches a CQ to its template group, creating the
-// group on first use. Caller holds m.mu; the instance is not yet
-// registered (Register) or just rebuilt (Resume), so its fields are
-// still private to the caller.
+// joinTemplateLocked attaches a CQ to its template group when
+// Config.ShareTemplates is on and the plan can be templated, creating the
+// group on first use; otherwise it leaves inst.group nil and the caller
+// installs a private plan. Caller (installLocked) holds m.mu and still
+// owns the instance.
 //
-// For a fresh registration (resume false) the group is stepped to the
-// current timestamp and the member's initial result — σ_params of the
-// shared template result — is returned, with inst.lastExec pinned to
-// the group's; the member then consumes the template stream forever.
-// For a durable resume (resume true) the member keeps its recovered
-// result and lastExec and is flagged pendingSync: its first refresh is
-// one private full-plan differential catch-up, after which pending
-// template batches at or before the catch-up point are discarded and
-// the member joins the stream.
-func (m *Manager) joinTemplateLocked(inst *instance, resume bool) (*relation.Relation, bool, error) {
-	if !m.cfg.UseDRA || !m.cfg.ShareTemplates || inst.maint != nil {
-		return nil, false, nil
+// A fresh registration steps the group to the current timestamp and
+// takes σ_params of the shared template result as its initial result,
+// with inst.lastExec pinned to the group's; the member then consumes the
+// template stream forever. A recovered member keeps its recovered result
+// and lastExec: the caller gives it a private plan for one differential
+// catch-up, after which template batches at or before the catch-up point
+// are discarded and the member joins the stream (afterRefreshLocked).
+func (m *Manager) joinTemplateLocked(inst *instance, fresh bool) error {
+	if !m.cfg.ShareTemplates {
+		return nil
 	}
 	tpl, params, ok := algebra.ExtractTemplate(inst.plan)
 	if !ok {
-		return nil, false, nil
+		return nil
 	}
 	g := m.templates[tpl.Fingerprint]
 	if g == nil {
@@ -109,66 +108,66 @@ func (m *Manager) joinTemplateLocked(inst *instance, resume bool) (*relation.Rel
 			// The template plan cannot be prepared (e.g. propagate-only
 			// shape): fall back to an unshared registration.
 			m.logf("cq %q: template not preparable (%v); registering unshared", inst.def.Name, err)
-			return nil, false, nil
-		}
-		var prev *relation.Relation
-		err = m.store.View(func(src storage.LiveView) (err error) {
-			prev, err = dra.InitialResult(tpl.Plan, src)
-			return err
-		})
-		if err != nil {
-			prep.Close()
-			return nil, false, err
+			return nil
 		}
 		g = &templateGroup{
 			fp:       tpl.Fingerprint,
 			tpl:      tpl,
 			tables:   prep.Tables(),
 			prepared: prep,
-			prev:     prev,
-			lastExec: m.store.Now(),
 			members:  make(map[string]*tmplMember),
 			index:    newParamIndex(tpl.Slots),
 		}
+		// The clock is read under the same read lock as the scan: commits
+		// tick it under the write lock, so prev is exact at lastExec.
+		err = m.store.View(func(src storage.LiveView) (err error) {
+			g.lastExec = m.store.Now()
+			g.prev, err = dra.InitialResult(tpl.Plan, src)
+			return err
+		})
+		if err != nil {
+			prep.Close()
+			return err
+		}
 		m.templates[g.fp] = g
-		m.routeTemplateLocked(g)
 	}
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var initial *relation.Relation
-	if resume {
-		inst.pendingSync = true
-	} else {
+	if fresh {
 		// Bring the group to the registration point so the member's
 		// initial result is exact at the timestamp it starts streaming
-		// from. Counter snapshot before the timestamp, as in Poll.
-		versions := m.store.ChangeCounts()
-		now := m.store.Now()
-		if err := m.stepGroupLocked(g, now, m.store.NewWindowCache(), versions); err != nil {
-			return nil, false, fmt.Errorf("cq %q: template catch-up: %w", inst.def.Name, err)
+		// from.
+		if err := m.stepGroupLocked(g, m.newRound()); err != nil {
+			m.reapDue.Store(true) // a group created for this member is empty
+			return fmt.Errorf("cq %q: template catch-up: %w", inst.def.Name, err)
 		}
-		initial = relation.New(g.prev.Schema())
+		inst.prev = relation.New(g.prev.Schema())
 		for _, tu := range g.prev.Tuples() {
 			if g.tpl.MatchRow(params, tu.Values) {
-				_ = initial.Insert(tu)
+				_ = inst.prev.Insert(tu)
 			}
 		}
 		inst.lastExec = g.lastExec
-		inst.lastObs = g.lastExec
 	}
 	mem := &tmplMember{inst: inst, params: params}
 	g.members[inst.def.Name] = mem
 	g.index.add(mem)
-	g.active.Add(1)
+	if g.active.Add(1) == 1 {
+		// First active member of a group just created — or revived, its
+		// last member having terminated with the reap still pending: the
+		// group gets its push route. Routes are added here and removed by
+		// reapGroupLocked, both under m.mu, so a dispatch for a reaped
+		// group can never unregister its successor's route.
+		m.routeTemplateLocked(g)
+	}
 	inst.group = g
-	inst.groupParams = params
 	if mm := m.met; mm != nil {
 		mm.sharedRegs.Inc()
 		mm.templates.Set(int64(len(m.templates)))
 		mm.templateMembers.Add(1)
 	}
-	return initial, true, nil
+	return nil
 }
 
 // leaveTemplateLocked detaches an instance from its group (Drop, or a
@@ -218,10 +217,11 @@ func (m *Manager) reapGroupLocked(g *templateGroup) {
 	}
 }
 
-// reapTemplatesLocked sweeps groups whose members have all terminated.
-// (Drop reaps eagerly; termination by StopAfterN only flags the member
-// under the group lock, so the sweep finishes the job.) Caller holds
-// m.mu.
+// reapTemplatesLocked reaps the groups whose members have all
+// terminated. Drop reaps eagerly; a termination by StopAfterN happens
+// under the member's instance lock, where it can only raise
+// Manager.reapDue for the round's housekeeping to finish the job here.
+// Caller holds m.mu.
 func (m *Manager) reapTemplatesLocked() {
 	if len(m.templates) == 0 {
 		return
@@ -237,48 +237,34 @@ func (m *Manager) reapTemplatesLocked() {
 	}
 }
 
-// stepGroupLocked advances the shared template evaluation to execTS:
-// one prepared differential Step over the template plan, then the
-// parameter-dispatch stage fans the template delta out to member
-// pending buffers. Caller holds g.mu. Monotonic: a round whose
-// timestamp the group has already covered is a no-op (the fired members
-// just drain their buffers), which is what makes one Step per template
-// per round out of N concurrent member refreshes.
-func (m *Manager) stepGroupLocked(g *templateGroup, execTS vclock.Timestamp, cache *storage.WindowCache, versions map[string]uint64) error {
-	if execTS <= g.lastExec {
+// stepGroupLocked advances the shared template evaluation to the round
+// timestamp: one prepared differential Step over the template plan, then
+// the parameter-dispatch stage fans the template delta out to member
+// pending buffers. Caller holds g.mu. Monotonic: a round whose timestamp
+// the group has already covered is a no-op (the fired members just drain
+// their buffers), which is what makes one Step per template per round
+// out of N concurrent member refreshes.
+func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
+	if rd.ts <= g.lastExec {
 		return nil
 	}
 	var start time.Time
 	if m.met != nil {
 		start = time.Now()
 	}
-	compact := m.cfg.Engine.CompactDeltas
-	ctx := &dra.Context{
-		Pre:       m.store.At(g.lastExec),
-		Post:      m.store.Live(),
-		Deltas:    make(map[string]*delta.Delta, len(g.tables)),
-		LastTS:    g.lastExec,
-		Prev:      g.prev,
-		Compacted: compact,
-		Versions:  versions,
+	ctx, err := m.stepContext(g.tables, g.lastExec, g.prev, rd, nil)
+	if err != nil {
+		return err
 	}
-	for _, table := range g.tables {
-		w, err := cache.Window(table, g.lastExec, execTS, compact)
-		if err != nil {
-			return err
-		}
-		ctx.Deltas[table] = w
-	}
-	m.fillBatches(ctx, g.tables, g.lastExec, execTS, cache, compact, nil)
-	res, err := g.prepared.Step(ctx, execTS)
+	res, err := g.prepared.Step(ctx, rd.ts)
 	if err != nil {
 		return err
 	}
 	if res.Signed != nil && len(res.Signed.Rows) > 0 {
-		m.dispatchLocked(g, res.Signed.Rows, execTS)
+		m.dispatchLocked(g, res.Signed.Rows, rd.ts)
 	}
 	g.prev = res.ApplyTo(g.prev)
-	g.lastExec = execTS
+	g.lastExec = rd.ts
 	if mm := m.met; mm != nil {
 		mm.templateSteps.Inc()
 		mm.templateStepNS.Observe(time.Since(start))
@@ -316,41 +302,43 @@ func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.SignedRow, ts vc
 	}
 }
 
-// refreshShared is the grouped member's replacement for a private plan
-// evaluation: step the group to execTS (first fired member of the round
-// pays; the rest find lastExec already there), then fold the member's
-// pending batches into one net signed delta against its previous
-// result. Caller holds inst.mu. The fold is pure — batches are only
-// discarded by afterRefreshLocked once the refresh has journaled and
-// committed, so a journal failure retries against intact buffers.
-func (m *Manager) refreshShared(inst *instance, execTS vclock.Timestamp, cache *storage.WindowCache, versions map[string]uint64) (*dra.Result, error) {
+// refreshShared is the streaming member's replacement for a private
+// plan evaluation: step the group to the round timestamp (first fired
+// member of the round pays; the rest find lastExec already there), then
+// fold the member's pending batches into one net signed delta against
+// its previous result. Caller holds inst.mu. The fold is pure — batches
+// are only discarded by afterRefreshLocked once the refresh has journaled
+// and committed, so a journal failure retries against intact buffers.
+func (m *Manager) refreshShared(inst *instance, rd round) (*dra.Result, error) {
 	g := inst.group
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if err := m.stepGroupLocked(g, execTS, cache, versions); err != nil {
+	if err := m.stepGroupLocked(g, rd); err != nil {
 		return nil, err
 	}
 	mem := g.members[inst.def.Name]
 	if mem == nil || mem.inst != inst {
 		return nil, errors.New("cq: instance detached from its template group")
 	}
-	net := foldBatches(inst.prev, mem.pending, execTS, g.prev.Schema())
+	net := foldBatches(inst.prev, mem.pending, rd.ts, g.prev.Schema())
 	return &dra.Result{
 		Signed: net,
-		Delta:  net.ToDeltaNetted(execTS),
-		ExecTS: execTS,
+		Delta:  net.ToDeltaNetted(rd.ts),
+		ExecTS: rd.ts,
 	}, nil
 }
 
 // afterRefreshLocked commits a grouped member's refresh at execTS:
-// covered pending batches are discarded, and a member that just
-// terminated (StopAfterN) leaves the dispatch index. Caller holds
-// inst.mu; the refresh has already journaled and applied.
+// covered pending batches are discarded, a recovered member's catch-up
+// plan has done its one step and closes (from here on the member streams
+// from the group), and a member that just terminated (StopAfterN) leaves
+// the dispatch index. Caller holds inst.mu; the refresh has already
+// journaled and applied.
 func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, terminated bool) {
+	inst.closeEval()
 	g := inst.group
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	inst.pendingSync = false
 	mem := g.members[inst.def.Name]
 	if mem == nil || mem.inst != inst {
 		return
@@ -367,7 +355,9 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 		mem.removed = true
 		mem.pending = nil
 		g.index.remove(mem)
-		g.active.Add(-1)
+		if g.active.Add(-1) == 0 {
+			m.reapDue.Store(true)
+		}
 		if mm := m.met; mm != nil {
 			mm.templateMembers.Add(-1)
 		}
@@ -418,7 +408,7 @@ func foldBatches(prev *relation.Relation, batches []tmplBatch, execTS vclock.Tim
 		st := states[tid]
 		switch {
 		case st.origPresent && st.curPresent:
-			if !valuesEq(st.orig, st.cur) {
+			if !valuesEqual(st.orig, st.cur) {
 				out.Rows = append(out.Rows,
 					delta.SignedRow{TID: tid, Values: st.orig, Sign: -1},
 					delta.SignedRow{TID: tid, Values: st.cur, Sign: +1})
@@ -430,18 +420,6 @@ func foldBatches(prev *relation.Relation, batches []tmplBatch, execTS vclock.Tim
 		}
 	}
 	return out
-}
-
-func valuesEq(a, b []relation.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // --- push routing ------------------------------------------------------
@@ -478,79 +456,29 @@ func (m *Manager) routeTemplateLocked(g *templateGroup) {
 	})
 }
 
-// pushDispatchTemplate is one template's share of a push round: the
-// commit-driven analogue of Poll restricted to the group's members.
-// Trigger evaluation, quarantine gating, Seq/journal ordering and the
-// roundTS monotonicity guard are exactly the per-CQ push path's; the
-// template is stepped once by the first fired member's refresh.
+// pushDispatchTemplate feeds one round with the members of the template
+// a commit was routed to; the template itself is stepped once, by the
+// first fired member's refresh. It never asks the router to retire the
+// route: the route is removed with the group (reapGroupLocked).
 func (m *Manager) pushDispatchTemplate(fp uint64) (refreshed, retire bool, err error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false, true, nil
-	}
 	g := m.templates[fp]
+	m.mu.Unlock()
 	if g == nil {
-		m.mu.Unlock()
-		return false, true, nil
+		return false, false, nil
 	}
-	var versions map[string]uint64
-	if m.cfg.UseDRA {
-		versions = m.store.ChangeCounts()
-	}
-	roundTS := m.store.Now()
-	cache := m.store.NewWindowCache()
 	g.mu.Lock()
-	insts := make([]*instance, 0, len(g.members))
+	cands := make([]*instance, 0, len(g.members))
 	for _, mem := range g.members {
-		insts = append(insts, mem.inst)
-	}
-	g.mu.Unlock()
-	var fired []*instance
-	var errs []error
-	for _, inst := range insts {
 		// Time-based triggers stay on the poll loop, exactly as in
 		// routePushLocked: a commit says nothing about the clock.
-		if inst.terminated.Load() || inst.dropped.Load() || inst.trigger.Kind == sql.TriggerEvery {
-			continue
-		}
-		if !inst.breaker.Allow() {
-			if mm := m.met; mm != nil {
-				mm.quarantineSkips.Inc()
-			}
-			continue
-		}
-		should, terr := m.observeAndTestLocked(inst, roundTS, cache)
-		if terr != nil {
-			m.noteFailure(inst)
-			errs = append(errs, fmt.Errorf("cq %q: %w", inst.def.Name, terr))
-			continue
-		}
-		if mm := m.met; mm != nil {
-			mm.triggerEvals.Inc()
-			if should {
-				mm.fireCounter(inst.trigger.Kind).Inc()
-			}
-		}
-		if should {
-			fired = append(fired, inst)
-		} else {
-			inst.breaker.Release()
+		if mem.inst.trigger.Kind != sql.TriggerEvery {
+			cands = append(cands, mem.inst)
 		}
 	}
-	m.mu.Unlock()
-
-	n, refErrs := m.refreshGroup(fired, roundTS, cache, versions)
-	errs = append(errs, refErrs...)
-	refreshed = n > 0
-	if refreshed && m.cfg.AutoGC && m.pushGCTicks.Add(1)%pushGCEvery == 0 {
-		m.mu.Lock()
-		if !m.closed {
-			m.gcLocked()
-		}
-		m.mu.Unlock()
-	}
-	return refreshed, g.active.Load() == 0, errors.Join(errs...)
+	g.mu.Unlock()
+	n, err := m.runRound(cands, feed{})
+	return n > 0, false, err
 }
 
 // --- parameter dispatch index ------------------------------------------

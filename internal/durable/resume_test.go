@@ -1,0 +1,240 @@
+package durable_test
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/diorama/continual/internal/cq"
+	"github.com/diorama/continual/internal/durable"
+	"github.com/diorama/continual/internal/faults"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
+	"github.com/diorama/continual/internal/wal"
+)
+
+// resumeWorld is one durable system driven through the fixed script of
+// TestRegisterVersusResume, with or without a restart in the middle.
+type resumeWorld struct {
+	t    *testing.T
+	fs   *faults.MemFS
+	cfg  cq.Config
+	sys  *durable.System
+	tids map[string]relation.TID // "table/name" → tid, stable across recovery
+}
+
+func (w *resumeWorld) open() {
+	w.t.Helper()
+	sys, err := durable.Open(durable.Options{Dir: "data", FS: w.fs, Fsync: wal.FsyncAlways, CQ: w.cfg})
+	if err != nil {
+		w.t.Fatalf("open: %v", err)
+	}
+	w.sys = sys
+}
+
+func (w *resumeWorld) commit(f func(tx *storage.Tx) error) {
+	w.t.Helper()
+	tx := w.sys.Store.Begin()
+	if err := f(tx); err != nil {
+		w.t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+func (w *resumeWorld) insert(tx *storage.Tx, table, name string, v int64) error {
+	tid, err := tx.Insert(table, []relation.Value{relation.Str(name), relation.Int(v)})
+	w.tids[table+"/"+name] = tid
+	return err
+}
+
+// round commits one transaction touching all three tables — an insert
+// everywhere, an update and (every other round) a delete in stocks — and
+// polls.
+func (w *resumeWorld) round(i int) {
+	w.t.Helper()
+	w.commit(func(tx *storage.Tx) error {
+		name := fmt.Sprintf("N%d", i)
+		for _, table := range []string{"stocks", "s2", "s3"} {
+			if err := w.insert(tx, table, name, int64(40+15*i)); err != nil {
+				return err
+			}
+		}
+		if err := tx.Update("stocks", w.tids["stocks/K1"], []relation.Value{relation.Str("K1"), relation.Int(int64(45 + 20*i))}); err != nil {
+			return err
+		}
+		if i%2 == 1 {
+			return tx.Delete("stocks", w.tids[fmt.Sprintf("stocks/N%d", i-1)])
+		}
+		return nil
+	})
+	if _, err := w.sys.Manager.Poll(); err != nil {
+		w.t.Fatalf("poll %d: %v", i, err)
+	}
+}
+
+func renderRows(r *relation.Relation) string {
+	if r == nil {
+		return "-"
+	}
+	rows := make([]string, 0, r.Len())
+	for _, tu := range r.Tuples() {
+		rows = append(rows, fmt.Sprintf("%d:%v", tu.TID, tu.Values))
+	}
+	sort.Strings(rows)
+	return "[" + strings.Join(rows, " ") + "]"
+}
+
+func renderChange(n cq.Notification) string {
+	mods := make([]string, len(n.Modified))
+	for i, r := range n.Modified {
+		mods[i] = fmt.Sprintf("%d:%v->%v", r.TID, r.Old, r.New)
+	}
+	sort.Strings(mods)
+	return fmt.Sprintf("seq=%d ts=%d term=%v ins=%s del=%s mod=%v com=%s",
+		n.Seq, n.ExecTS, n.Terminated, renderRows(n.Inserted), renderRows(n.Deleted), mods, renderRows(n.Complete))
+}
+
+// TestRegisterVersusResume holds the one install path to its contract: a
+// CQ reinstalled from its durable entry (Resume) is, field by field, the
+// CQ that was registered and never went down, and its next refresh tells
+// subscribers exactly what the uncrashed one's does.
+func TestRegisterVersusResume(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		share bool
+		defs  []cq.Def
+	}{
+		{"selection", false, []cq.Def{
+			{Name: "q", Query: "SELECT name, v FROM stocks WHERE v >= 50"}}},
+		{"join3", false, []cq.Def{
+			{Name: "q", Query: "SELECT stocks.name, s2.v, s3.v FROM stocks, s2, s3 WHERE stocks.name = s2.name AND s2.name = s3.name"}}},
+		{"groupby", false, []cq.Def{
+			{Name: "q", Query: "SELECT name, SUM(v) AS total, COUNT(*) AS n FROM stocks GROUP BY name"}}},
+		{"distinct", false, []cq.Def{
+			{Name: "q", Query: "SELECT DISTINCT v FROM stocks"}}},
+		{"template", true, []cq.Def{
+			{Name: "lo", Query: "SELECT name, v FROM stocks WHERE v >= 50"},
+			{Name: "hi", Query: "SELECT name, v FROM stocks WHERE v >= 80"}}},
+		{"into", false, []cq.Def{
+			{Name: "producer", Query: "SELECT name, v INTO hot FROM stocks WHERE v >= 50"},
+			{Name: "reader", Query: "SELECT name FROM hot WHERE v >= 80"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// run drives the script and returns, per CQ, its state at the
+			// comparison point, the notification of the refresh after it,
+			// and its state after that refresh.
+			type observed struct {
+				before, after cq.CQState
+				notes         []string
+			}
+			run := func(restart bool) map[string]*observed {
+				w := &resumeWorld{t: t, fs: faults.NewMemFS(1), tids: make(map[string]relation.TID),
+					cfg: cq.Config{UseDRA: true, AutoGC: true, ShareTemplates: tc.share}}
+				w.open()
+				defer func() { _ = w.sys.Close() }()
+				for _, table := range []string{"stocks", "s2", "s3"} {
+					if err := w.sys.Store.CreateTable(table, stockSchema()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w.commit(func(tx *storage.Tx) error {
+					for i := 0; i < 6; i++ {
+						for _, table := range []string{"stocks", "s2", "s3"} {
+							if err := w.insert(tx, table, fmt.Sprintf("K%d", i), int64(30+12*i)); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				})
+				for _, def := range tc.defs {
+					if _, err := w.sys.Manager.Register(def); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3; i++ {
+					w.round(i)
+				}
+				if restart {
+					if err := w.sys.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.sys.Close(); err != nil {
+						t.Fatal(err)
+					}
+					w.open()
+					if w.sys.Recovery.CQs != len(tc.defs) {
+						t.Fatalf("recovery resumed %d CQs, want %d", w.sys.Recovery.CQs, len(tc.defs))
+					}
+				}
+				out := make(map[string]*observed)
+				for _, def := range tc.defs {
+					name := def.Name
+					st, err := w.sys.Manager.State(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := &observed{before: st}
+					out[name] = o
+					if _, err := w.sys.Manager.SubscribeFunc(name, func(n cq.Notification, closed bool) {
+						if !closed {
+							o.notes = append(o.notes, renderChange(n))
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w.round(3)
+				for name, o := range out {
+					st, err := w.sys.Manager.State(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.after = st
+				}
+				return out
+			}
+
+			registered, resumed := run(false), run(true)
+			sameState := func(when, name string, a, b cq.CQState) {
+				t.Helper()
+				for _, f := range []struct {
+					field string
+					a, b  any
+				}{
+					{"Seq", a.Seq, b.Seq},
+					{"LastExec", a.LastExec, b.LastExec},
+					{"Strategy", a.Strategy, b.Strategy},
+					{"Template", a.Template, b.Template},
+					{"TemplateMates", a.TemplateMates, b.TemplateMates},
+					{"Groups", a.Groups, b.Groups},
+					{"len(Replicas)", len(a.Replicas), len(b.Replicas)},
+					{"ResultLen", a.ResultLen, b.ResultLen},
+					{"Terminated", a.Terminated, b.Terminated},
+					{"Health", a.Health, b.Health},
+				} {
+					if f.a != f.b {
+						t.Errorf("%s, %q: %s = %v registered, %v resumed", when, name, f.field, f.a, f.b)
+					}
+				}
+			}
+			for name, want := range registered {
+				got := resumed[name]
+				sameState("at the restart point", name, want.before, got.before)
+				sameState("after the next refresh", name, want.after, got.after)
+				if tc.share && (want.before.Template == 0 || want.before.TemplateMates != len(tc.defs)) {
+					t.Errorf("%q registered unshared: %+v", name, want.before)
+				}
+				if len(want.notes) == 0 {
+					t.Errorf("%q: the refresh after the restart point notified nothing; the script is too tame", name)
+				}
+				if fmt.Sprint(got.notes) != fmt.Sprint(want.notes) {
+					t.Errorf("%q: next refresh notified\n  resumed:    %v\n  registered: %v", name, got.notes, want.notes)
+				}
+			}
+		})
+	}
+}
