@@ -558,6 +558,43 @@ func (m *Manager) stepContext(tables []string, lastExec vclock.Timestamp, prev *
 	return ctx, nil
 }
 
+// evaluate computes the CQ's change at the round timestamp: one Step of
+// its evaluator over stepContext, or, for a template member streaming
+// from its group, the fold of the rows the group dispatched to it. Caller
+// holds inst.mu.
+func (m *Manager) evaluate(inst *instance, rd round, pushed map[string][]push.BatchRef, span *obs.Span) (*dra.Result, error) {
+	if g := inst.group; g != nil {
+		if inst.eval == nil {
+			// No private windows, no private evaluation: step the group
+			// once and fold this member's dispatched rows.
+			return m.refreshShared(inst, rd)
+		}
+		// A recovered member's private catch-up takes its group along: a
+		// group must never trail a member, because the GC horizon is
+		// computed from members' lastExec alone and would collect the
+		// window the group still has to step over.
+		g.mu.Lock()
+		err := m.stepGroupLocked(g, rd)
+		g.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	ctx, err := m.stepContext(inst.tables, inst.lastExec, inst.prev, rd, pushed)
+	if err != nil {
+		return nil, err
+	}
+	if span == nil {
+		return inst.eval.Step(ctx, rd.ts)
+	}
+	// The evaluator's share of the refresh: windows, materialization and
+	// journaling are the rest of the span.
+	evalStart := time.Now()
+	res, err := inst.eval.Step(ctx, rd.ts)
+	span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
+	return res, err
+}
+
 // refreshInstance re-evaluates the CQ at the round timestamp and
 // delivers the notification. Caller holds inst.mu (and only inst.mu; the
 // store and the DRA engine are safe for concurrent use).
@@ -569,27 +606,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]
 		start = time.Now()
 		span = mm.traces.Start(inst.spanName)
 	}
-	var res *dra.Result
-	var err error
-	if inst.group != nil && inst.eval == nil {
-		// Shared template: no private windows, no private evaluation —
-		// step the group once and fold this member's dispatched rows.
-		res, err = m.refreshShared(inst, rd)
-	} else {
-		var ctx *dra.Context
-		if ctx, err = m.stepContext(inst.tables, inst.lastExec, inst.prev, rd, pushed); err == nil {
-			var evalStart time.Time
-			if span != nil {
-				evalStart = time.Now()
-			}
-			res, err = inst.eval.Step(ctx, execTS)
-			if span != nil {
-				// The evaluator's share of the refresh: windows,
-				// materialization and journaling are the rest of the span.
-				span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
-			}
-		}
-	}
+	res, err := m.evaluate(inst, rd, pushed, span)
 	if err != nil {
 		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
 	}
