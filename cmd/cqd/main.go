@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/cq"
-	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
@@ -76,7 +75,6 @@ func run(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", remote.DefaultIdleTimeout, "drop connections idle longer than this (0 disables)")
 	drainTimeout := fs.Duration("drain", remote.DefaultDrainTimeout, "max wait for in-flight requests on shutdown")
 	parallelism := fs.Int("parallelism", 0, "refresh worker pool size for server-side CQs (0 = GOMAXPROCS)")
-	strategy := fs.String("strategy", "auto", "refresh strategy for server-side CQs (auto, truth-table, incremental, propagate)")
 	pollEvery := fs.Duration("poll", 250*time.Millisecond, "poll interval for server-side CQ triggers")
 	pushMode := fs.Bool("push", false, "push-based refresh: route committed deltas straight to affected CQs (poll loop stays on as fallback)")
 	pushQueue := fs.Int("push-queue", 0, "bounded push queue capacity (0 = default; overflow falls back to polling)")
@@ -91,10 +89,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	strat, err := dra.ParseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
 
 	reg := obs.NewRegistry()
 	// AutoGC stays off server-side: garbage-collecting at the local CQ
@@ -104,7 +98,6 @@ func run(args []string) error {
 		UseDRA:      true,
 		AutoGC:      false,
 		Parallelism: *parallelism,
-		Strategy:    strat,
 		Metrics:     reg,
 		Push:        *pushMode,
 		PushQueue:   *pushQueue,

@@ -32,7 +32,6 @@ import (
 
 	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/diom"
-	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/epsilon"
 	"github.com/diorama/continual/internal/guard"
@@ -73,13 +72,6 @@ type Options struct {
 	// setting; only the relative order of different queries'
 	// notifications is unspecified when Parallelism > 1.
 	Parallelism int
-	// Strategy forces the refresh pipeline for SPJ queries: "auto" (or
-	// empty, the default) picks by cost model per query and adapts as
-	// the workload drifts; "truth-table", "incremental", and
-	// "propagate" force one pipeline. A forced strategy a query cannot
-	// run falls back to auto for that query, logged and counted in
-	// cq.maintainer.fallbacks.
-	Strategy string
 	// Push enables commit-driven reactive refresh: every committed
 	// transaction is routed immediately to the continual queries whose
 	// operand tables it touched, their triggers evaluated and — when
@@ -181,19 +173,11 @@ func OpenWith(opts Options) *DB {
 	store := storage.NewStore()
 	reg := obs.NewRegistry()
 	store.Instrument(reg)
-	// An unknown strategy string falls back to auto: Options are often
-	// populated from flags or config files, and a typo there should not
-	// silently disable the engine — auto is correct for every query.
-	strat, err := dra.ParseStrategy(opts.Strategy)
-	if err != nil {
-		strat = dra.StrategyAuto
-	}
 	store.SetWatermarks(opts.watermarks())
 	manager := cq.NewManagerConfig(store, cq.Config{
 		UseDRA:      true,
 		AutoGC:      true,
 		Parallelism: opts.Parallelism,
-		Strategy:    strat,
 		Metrics:     reg,
 		Push:        opts.Push,
 		PushQueue:   opts.PushQueue,
@@ -222,10 +206,6 @@ func OpenDurable(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("continual: %w", err)
 	}
-	strat, err := dra.ParseStrategy(opts.Strategy)
-	if err != nil {
-		strat = dra.StrategyAuto
-	}
 	reg := obs.NewRegistry()
 	sys, err := durable.Open(durable.Options{
 		Dir:             opts.DataDir,
@@ -237,8 +217,7 @@ func OpenDurable(opts Options) (*DB, error) {
 			UseDRA:      true,
 			AutoGC:      true,
 			Parallelism: opts.Parallelism,
-			Strategy:    strat,
-			Metrics:     reg,
+				Metrics:     reg,
 			Push:        opts.Push,
 			PushQueue:   opts.PushQueue,
 			Guard:       opts.guardPolicy(),

@@ -596,15 +596,6 @@ func HavingAggregateRewrite(e sql.Expr, aggs []AggSpec) (sql.Expr, error) {
 	}
 }
 
-// EquiKeys exposes equi-join key extraction for the DRA engine: it returns
-// the paired column indexes of conjuncts of the form leftCol = rightCol,
-// plus the remaining conjuncts joined back into one residual predicate
-// (nil if none).
-func EquiKeys(on sql.Expr, left, right relation.Schema) (lk, rk []int, residual sql.Expr) {
-	lkk, rkk, rest := equiKeys(on, left, right)
-	return lkk, rkk, JoinConjuncts(rest)
-}
-
 func (ex *Executor) execSort(n *SortPlan) (*relation.Relation, error) {
 	in, err := ex.exec(n.Input)
 	if err != nil {

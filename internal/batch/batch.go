@@ -124,10 +124,6 @@ func (b *Batch) Len() int {
 // the batch is recycled through a Pool, so a holder can detect reuse.
 func (b *Batch) Gen() uint64 { return b.gen }
 
-// Alive reports whether the batch is currently checked out (not sitting
-// in a pool). Always true for unpooled batches.
-func (b *Batch) Alive() bool { return !b.dead }
-
 // check panics in poison builds when the batch has been returned to a
 // pool. In regular builds it compiles to nothing.
 func (b *Batch) check() {

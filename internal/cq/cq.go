@@ -132,10 +132,11 @@ type CQState struct {
 	Terminated bool
 	ResultLen  int
 	Divergence float64
-	// Strategy is the refresh pipeline currently in effect for a
-	// prepared SPJ CQ ("truth-table", "incremental", "propagate");
-	// empty for CQs maintained by a non-SPJ state keeper or evaluated
-	// without DRA.
+	// Strategy is what a prepared CQ runs, fixed when it was installed:
+	// "incremental" (an SPJ query, evaluated differentially) or
+	// "propagate" (complete re-evaluation: any other query, or any query
+	// under UseDRA off or Config.Strategy propagate). Empty for CQs kept
+	// by a group table.
 	Strategy string
 	// LastErr is the error of the most recent failed trigger evaluation
 	// or refresh for this CQ (nil after a successful refresh). Poll
@@ -205,11 +206,11 @@ type instance struct {
 	lastErr     error                          // see CQState.LastErr
 	eps         map[string]*epsilon.Accountant // per monitored table
 	subs        []*subscriber
-	// eval is the CQ's one evaluator: the prepared SPJ pipeline
-	// (*dra.Prepared, with its refresh strategy and operand replicas), a
-	// group-table state keeper (SUM/COUNT/AVG without HAVING, DISTINCT),
-	// or the complete-re-evaluation baseline (fullEval, Config.UseDRA
-	// off). It is nil in two cases only: a template member that streams
+	// eval is the CQ's one evaluator: a prepared plan (*dra.Prepared —
+	// differential with its operand replicas for an SPJ query, complete
+	// re-evaluation for any other and under Config.UseDRA off) or a
+	// group-table state keeper (SUM/COUNT/AVG without HAVING, DISTINCT).
+	// It is nil in two cases only: a template member that streams
 	// from its group (group != nil; a recovered member holds a private
 	// catch-up plan here until its first refresh has run), and a CQ
 	// recovered already terminated, which never refreshes again.
@@ -267,17 +268,6 @@ type maintainer interface {
 	Groups() int
 }
 
-// fullEval is the complete-re-evaluation baseline (Config.UseDRA off) in
-// the evaluator slot: the query runs over the store as of the execution
-// timestamp and the change is its difference from the previous result.
-type fullEval struct{ plan algebra.Plan }
-
-func (f fullEval) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error) {
-	return dra.FullReevaluate(f.plan, ctx.Post, ctx.Prev, execTS)
-}
-
-func (fullEval) Close() {}
-
 // closeEval releases the instance's evaluator and with it its gauge
 // shares. Caller holds inst.mu or owns an instance not yet visible.
 func (inst *instance) closeEval() {
@@ -290,22 +280,22 @@ func (inst *instance) closeEval() {
 // Config tunes the manager.
 type Config struct {
 	// UseDRA selects differential re-evaluation; false uses complete
-	// re-evaluation (the baseline), useful for benchmarking.
+	// re-evaluation (the baseline), useful for benchmarking: every CQ is
+	// then a private plan prepared with StrategyPropagate.
 	UseDRA bool
 	// Engine supplies the DRA engine; nil gets a default engine.
 	Engine *dra.Engine
 	// AutoGC collects differential-relation garbage after every refresh
 	// round, at the system active delta zone boundary.
 	AutoGC bool
-	// Strategy selects the refresh pipeline for prepared SPJ CQs
-	// (dra.Prepare): StrategyAuto (the default) applies the cost model
-	// and re-picks adaptively; the other values force one pipeline. A
-	// forced strategy a CQ's plan cannot run falls back to Auto at
-	// registration — logged through Logf and counted in
-	// cq.maintainer.fallbacks.
+	// Strategy is handed to dra.Prepare for every prepared CQ:
+	// StrategyAuto (the default) lets each plan's shape decide —
+	// differential for SPJ, complete re-evaluation otherwise — and
+	// StrategyPropagate puts SPJ plans on complete re-evaluation too.
 	Strategy dra.Strategy
-	// Logf receives the manager's rare diagnostic lines (strategy
-	// fallbacks at registration). Nil uses the standard library logger.
+	// Logf receives the manager's rare diagnostic lines (a quarantine, a
+	// recovered panic, an emergency GC). Nil uses the standard library
+	// logger.
 	Logf func(format string, args ...any)
 	// Parallelism bounds the worker pool Poll uses to refresh the fired
 	// CQs of a round concurrently. 0 (the default) uses GOMAXPROCS;
@@ -424,6 +414,9 @@ func NewManagerConfig(store *storage.Store, cfg Config) *Manager {
 	if cfg.Metrics != nil && cfg.Engine.Metrics == nil {
 		cfg.Engine.Instrument(cfg.Metrics)
 	}
+	if !cfg.UseDRA {
+		cfg.Strategy = dra.StrategyPropagate // the baseline is every plan on complete re-evaluation
+	}
 	m := &Manager{
 		store:     store,
 		cfg:       cfg,
@@ -476,7 +469,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 // store's read lock, the result sequence starts at 1, and the journal
 // gets a registration record before the CQ becomes visible. A recovered
 // one seeds from the store as of its last execution and carries Seq,
-// result, health and strategy over from the entry, unjournaled — so the
+// result and health over from the entry, unjournaled — so the
 // first refresh after recovery is a differential catch-up over the
 // replayed window, the DRA applied to the crash itself. It returns the
 // CQ's result at the seed. Caller holds m.mu.
@@ -586,7 +579,6 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 			return f(v)
 		})
 	}
-	strategy := m.cfg.Strategy
 	if rec != nil {
 		seed = func(f func(src algebra.Source) error) error { return f(m.store.At(rec.LastExec)) }
 		inst.seq, inst.lastExec = rec.Seq, rec.LastExec
@@ -604,14 +596,8 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 		if guard.ParseHealth(rec.Health) != guard.Healthy {
 			inst.breaker.SeedProbation()
 		}
-		strategy = dra.StrategyAuto
-		if rec.Strategy != "" {
-			if s, perr := dra.ParseStrategy(rec.Strategy); perr == nil {
-				strategy = s
-			} else {
-				m.logf("cq %q: recovered strategy %q unknown; using auto", def.Name, rec.Strategy)
-			}
-		}
+		// rec.Strategy is not read: what the CQ runs is decided as for a
+		// fresh one, by its plan's shape under this manager's configuration.
 	}
 
 	// The evaluator (Section 4.2: Algorithm 1 applies "after its initial
@@ -620,13 +606,8 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 	// parameter-filtered template result, its lastExec pinned to the
 	// group's step position by the join. Materializing CQs never share —
 	// their refreshes commit into a private target, so the plan stays
-	// private too.
-	switch {
-	case inst.terminated.Load():
-		// The sequence is over: nothing will ever step.
-	case !m.cfg.UseDRA:
-		inst.eval = fullEval{plan}
-	default:
+	// private too. A terminated sequence never steps: it gets none.
+	if m.cfg.UseDRA && !inst.terminated.Load() {
 		err := seed(func(src algebra.Source) error {
 			maint, err := newMaintainer(m.cfg.Engine, plan, src)
 			if maint != nil {
@@ -645,16 +626,16 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 				return nil, err
 			}
 		}
-		// A private plan — or, for a recovered template member, the plan
-		// of its one catch-up refresh from LastExec to wherever the group
-		// stands, after which it streams from the group like its mates.
-		if inst.eval == nil && (inst.group == nil || rec != nil) {
-			prep, err := m.prepare(def.Name, plan, strategy)
-			if err != nil {
-				return nil, err
-			}
-			inst.eval = prep
+	}
+	// A private plan — or, for a recovered template member, the plan of
+	// its one catch-up refresh from LastExec to wherever the group stands,
+	// after which it streams from the group like its mates.
+	if !inst.terminated.Load() && inst.eval == nil && (inst.group == nil || rec != nil) {
+		prep, err := m.cfg.Engine.Prepare(plan, m.cfg.Strategy)
+		if err != nil {
+			return nil, err
 		}
+		inst.eval = prep
 	}
 	if inst.prev == nil && inst.terminated.Load() {
 		// Terminated and no result survived: an empty relation keeps
@@ -1290,26 +1271,6 @@ func newMaintainer(engine *dra.Engine, plan algebra.Plan, src algebra.Source) (m
 		return nil, err
 	}
 	return nil, nil
-}
-
-// prepare builds the compile-once refresh pipeline for an SPJ (or
-// propagate-only) plan. A forced strategy the plan cannot run is not an
-// error for the registration: it falls back to the cost model — but
-// audibly, through Logf and the cq.maintainer.fallbacks counter, never
-// silently.
-func (m *Manager) prepare(name string, plan algebra.Plan, strat dra.Strategy) (*dra.Prepared, error) {
-	prep, err := m.cfg.Engine.Prepare(plan, strat)
-	if err != nil && strat != dra.StrategyAuto {
-		m.logf("cq %q: %v strategy unavailable (%v); falling back to auto", name, strat, err)
-		if mm := m.met; mm != nil {
-			mm.maintFallbacks.Inc()
-		}
-		prep, err = m.cfg.Engine.Prepare(plan, dra.StrategyAuto)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return prep, nil
 }
 
 // logf writes one diagnostic line through Config.Logf, defaulting to

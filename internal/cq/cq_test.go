@@ -700,10 +700,14 @@ func TestStateReportsJoinState(t *testing.T) {
 	insertStock(t, s, "DEC", 150)
 	insertStock(t, s, "IBM", 75)
 	reg := obs.NewRegistry()
-	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Strategy: dra.StrategyIncremental, Metrics: reg})
+	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Metrics: reg})
 	defer func() { _ = m.Close() }()
 	if _, err := m.Register(Def{Name: "joined", Query: "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym"}); err != nil {
 		t.Fatal(err)
+	}
+	// No warm-up: the join telescopes from registration on.
+	if st, err := m.State("joined"); err != nil || st.Strategy != "incremental" {
+		t.Fatalf("strategy at registration = %q (err %v), want incremental", st.Strategy, err)
 	}
 	if _, err := m.Register(Def{Name: "plain", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
 		t.Fatal(err)
@@ -724,7 +728,7 @@ func TestStateReportsJoinState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res, _ := m.Result("joined"); st.Strategy != dra.StrategyIncremental.String() || res.Len() != 3 {
-		t.Fatalf("forced strategy = %q with %d maintained rows, want incremental and 3", st.Strategy, res.Len())
+		t.Fatalf("strategy = %q with %d maintained rows, want incremental and 3", st.Strategy, res.Len())
 	}
 	want := []dra.ReplicaStat{
 		{Operand: "stocks", Rows: 2, Indexes: 1}, // probed by the trades window
@@ -751,9 +755,12 @@ func TestStateReportsJoinState(t *testing.T) {
 	}
 }
 
-// A forced strategy the plan cannot run must fall back to the cost
-// model audibly: one log line and one cq.maintainer.fallbacks count,
-// never a silent demotion.
+// No named strategy is unrunnable, so registration never falls back: a
+// join-free CQ asked for "incremental" is the differential selection,
+// silently. The one fallback left is the plan's own — a query outside the
+// SPJ class is completely re-evaluated — and it is audible where an
+// operator looks: State reports "propagate" and dra.fallback_path counts
+// every refresh.
 func TestStrategyFallbackIsAudible(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	insertStock(t, s, "DEC", 150)
@@ -761,36 +768,105 @@ func TestStrategyFallbackIsAudible(t *testing.T) {
 	var logged []string
 	m := NewManagerConfig(s, Config{
 		UseDRA:   true,
-		Strategy: dra.StrategyIncremental, // single-table plan: ineligible
+		Strategy: dra.StrategyIncremental,
 		Metrics:  reg,
 		Logf: func(format string, args ...any) {
 			logged = append(logged, fmt.Sprintf(format, args...))
 		},
 	})
 	defer func() { _ = m.Close() }()
-	if _, err := m.Register(Def{Name: "single", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
-		t.Fatalf("registration must survive the fallback: %v", err)
+	for name, query := range map[string]string{
+		"single": "SELECT * FROM stocks WHERE price > 100",
+		"top":    "SELECT MAX(price) AS top FROM stocks",
+	} {
+		if _, err := m.Register(Def{Name: name, Query: query}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(logged) != 1 {
-		t.Fatalf("fallback log lines = %d, want 1: %v", len(logged), logged)
+	if len(logged) != 0 {
+		t.Fatalf("registration logged %v, want nothing", logged)
 	}
-	if got := reg.Counter("cq.maintainer.fallbacks").Value(); got != 1 {
-		t.Errorf("cq.maintainer.fallbacks = %d, want 1", got)
+	if _, ok := reg.Snapshot().Counters["cq.maintainer.fallbacks"]; ok {
+		t.Error("cq.maintainer.fallbacks is still registered")
 	}
-	st, err := m.State("single")
-	if err != nil {
-		t.Fatal(err)
+	for name, want := range map[string]string{"single": "incremental", "top": "propagate"} {
+		if st, err := m.State(name); err != nil || st.Strategy != want {
+			t.Errorf("%s: strategy = %q (err %v), want %s", name, st.Strategy, err, want)
+		}
 	}
-	if st.Strategy != dra.StrategyTruthTable.String() {
-		t.Errorf("fallback strategy = %q, want truth-table", st.Strategy)
-	}
-	// The fallback CQ still refreshes correctly.
 	insertStock(t, s, "IBM", 175)
 	if _, err := m.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := m.Result("single")
-	if res.Len() != 2 {
-		t.Errorf("result = %d rows, want 2", res.Len())
+	if res, _ := m.Result("single"); res.Len() != 2 {
+		t.Errorf("single = %d rows, want 2", res.Len())
+	}
+	if res, _ := m.Result("top"); res.Len() != 1 || res.At(0).Values[0].AsFloat() != 175 {
+		t.Errorf("top = %s, want one row of 175", res)
+	}
+	snap := reg.Snapshot()
+	if fb, diff := snap.Counter("dra.fallback_path"), snap.Counter("dra.differential_path"); fb != 1 || diff != 1 {
+		t.Errorf("fallback_path = %d, differential_path = %d, want 1 and 1", fb, diff)
+	}
+}
+
+// A checkpoint written before the strategies were retired names them:
+// every selection and every young join recorded "truth-table". Such an
+// entry resumes as what its plan's shape makes it — without an error,
+// a log line or a lost window.
+func TestResumeRetiredStrategy(t *testing.T) {
+	tradeSchema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	insertStock(t, s, "DEC", 150)
+	insertTrade := func(sym string) {
+		commit(t, s, func(tx *storage.Tx) error {
+			_, err := tx.Insert("trades", []relation.Value{relation.Str(sym), relation.Int(100)})
+			return err
+		})
+	}
+	const query = "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym"
+	m1 := NewManagerConfig(s, Config{UseDRA: true})
+	if _, err := m1.Register(Def{Name: "joined", Query: query}); err != nil {
+		t.Fatal(err)
+	}
+	insertTrade("DEC")
+	if _, err := m1.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := m1.SnapshotRegistry(nil)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("snapshot: %d entries, err %v", len(entries), err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries[0].Strategy != "incremental" {
+		t.Fatalf("a join CQ records strategy %q, want incremental", entries[0].Strategy)
+	}
+	entries[0].Strategy = "truth-table"
+	insertTrade("DEC") // the crash window
+
+	var logged []string
+	m2 := NewManagerConfig(s, Config{UseDRA: true, Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	defer func() { _ = m2.Close() }()
+	if err := m2.Resume(entries[0]); err != nil {
+		t.Fatalf("resume of a truth-table entry: %v", err)
+	}
+	if st, err := m2.State("joined"); err != nil || st.Strategy != "incremental" || st.Health != "healthy" || st.Seq != 2 {
+		t.Fatalf("resumed state = %+v (err %v), want a healthy incremental CQ at seq 2", st, err)
+	}
+	if _, err := m2.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := m2.Result("joined"); res.Len() != 2 {
+		t.Errorf("result after the catch-up = %d rows, want 2", res.Len())
+	}
+	if len(logged) != 0 {
+		t.Errorf("resume logged %v, want nothing", logged)
 	}
 }

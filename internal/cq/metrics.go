@@ -31,10 +31,6 @@ type metrics struct {
 	// can be dropped: in the buffering layer above (continual.Subscription).
 	gcReclaimed *obs.Counter // cq.gc_reclaimed_rows
 	terminated  *obs.Counter // cq.terminated: Stop conditions reached
-	// maintFallbacks counts registrations where a forced refresh
-	// strategy could not run on the CQ's plan and the manager fell back
-	// to the cost model (formerly a silent fallback).
-	maintFallbacks *obs.Counter // cq.maintainer.fallbacks
 
 	// Guard layer (overload protection and self-healing).
 	refreshPanics   *obs.Counter // cq.refresh.panics: refreshes (or callbacks' refreshes) that panicked
@@ -80,24 +76,23 @@ func newMetrics(reg *obs.Registry) *metrics {
 		return nil
 	}
 	return &metrics{
-		registered:     reg.Gauge("cq.registered"),
-		polls:          reg.Counter("cq.polls"),
-		triggerEvals:   reg.Counter("cq.trigger_evals"),
-		firesEvery:     reg.Counter("cq.trigger_fires.every"),
-		firesUpdates:   reg.Counter("cq.trigger_fires.updates"),
-		firesEpsilon:   reg.Counter("cq.trigger_fires.epsilon"),
-		firesDefault:   reg.Counter("cq.trigger_fires.default"),
-		refreshes:      reg.Counter("cq.refreshes"),
-		batchesPushed:  reg.Counter("cq.columnar.pushed"),
-		batchesWindow:  reg.Counter("cq.columnar.window"),
-		refreshNS:      reg.Histogram("cq.refresh_ns"),
-		refreshErrors:  reg.Counter("cq.refresh.errors"),
-		roundNS:        reg.Histogram("cq.round_ns"),
-		roundWorkers:   reg.Gauge("cq.round_workers"),
-		notifications:  reg.Counter("cq.notifications"),
-		gcReclaimed:    reg.Counter("cq.gc_reclaimed_rows"),
-		terminated:     reg.Counter("cq.terminated"),
-		maintFallbacks: reg.Counter("cq.maintainer.fallbacks"),
+		registered:    reg.Gauge("cq.registered"),
+		polls:         reg.Counter("cq.polls"),
+		triggerEvals:  reg.Counter("cq.trigger_evals"),
+		firesEvery:    reg.Counter("cq.trigger_fires.every"),
+		firesUpdates:  reg.Counter("cq.trigger_fires.updates"),
+		firesEpsilon:  reg.Counter("cq.trigger_fires.epsilon"),
+		firesDefault:  reg.Counter("cq.trigger_fires.default"),
+		refreshes:     reg.Counter("cq.refreshes"),
+		batchesPushed: reg.Counter("cq.columnar.pushed"),
+		batchesWindow: reg.Counter("cq.columnar.window"),
+		refreshNS:     reg.Histogram("cq.refresh_ns"),
+		refreshErrors: reg.Counter("cq.refresh.errors"),
+		roundNS:       reg.Histogram("cq.round_ns"),
+		roundWorkers:  reg.Gauge("cq.round_workers"),
+		notifications: reg.Counter("cq.notifications"),
+		gcReclaimed:   reg.Counter("cq.gc_reclaimed_rows"),
+		terminated:    reg.Counter("cq.terminated"),
 
 		refreshPanics:     reg.Counter("cq.refresh.panics"),
 		refreshTimeouts:   reg.Counter("cq.refresh.timeouts"),

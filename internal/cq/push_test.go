@@ -271,10 +271,10 @@ func TestPushRefreshesWithoutPolling(t *testing.T) {
 // TestPushSmallResultSelectionStaysDifferential holds a selection whose
 // result (a handful of rows) is far smaller than its windows through
 // more than sixteen push refreshes while a writer keeps committing. The
-// cost model used to read the result size as the base size, re-pick
-// StrategyPropagate at the first adaptive check, and scan the live
-// relation while commits wrote it — which -race reports. A join-free
-// plan must hold the differential path, and its answer must stay exact.
+// result size says nothing about |R|: however small it is against its
+// windows, the plan holds the differential path it was prepared on —
+// complete re-evaluation would scan the relation beside the writer — and
+// its answer must stay exact.
 func TestPushSmallResultSelectionStaysDifferential(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	var tids []relation.TID
@@ -314,8 +314,8 @@ func TestPushSmallResultSelectionStaysDifferential(t *testing.T) {
 		if round%4 == 3 {
 			m.FlushPush() // otherwise refreshes overlap the next commits
 		}
-		if st, err := m.State("q"); err != nil || st.Strategy != "truth-table" {
-			t.Fatalf("round %d: strategy = %q (err %v), want truth-table throughout", round, st.Strategy, err)
+		if st, err := m.State("q"); err != nil || st.Strategy != "incremental" {
+			t.Fatalf("round %d: strategy = %q (err %v), want incremental throughout", round, st.Strategy, err)
 		}
 	}
 	m.FlushPush()

@@ -103,10 +103,10 @@ func (m *Manager) joinTemplateLocked(inst *instance, fresh bool) error {
 	}
 	g := m.templates[tpl.Fingerprint]
 	if g == nil {
-		prep, err := m.prepare(fmt.Sprintf("template %016x", tpl.Fingerprint), tpl.Plan, m.cfg.Strategy)
+		prep, err := m.cfg.Engine.Prepare(tpl.Plan, m.cfg.Strategy)
 		if err != nil {
-			// The template plan cannot be prepared (e.g. propagate-only
-			// shape): fall back to an unshared registration.
+			// The template plan does not compile: fall back to an unshared
+			// registration.
 			m.logf("cq %q: template not preparable (%v); registering unshared", inst.def.Name, err)
 			return nil
 		}

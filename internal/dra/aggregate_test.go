@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
@@ -282,6 +283,91 @@ func TestGroupTableHashCollision(t *testing.T) {
 		}
 		if !m.Result().EqualByTID(want) {
 			t.Fatalf("%q: failed fold was not rolled back.\nmaintained:\n%s\nfresh:\n%s", q, m.Result(), want)
+		}
+	}
+}
+
+// TestGroupTableOverJoinFailedFold: the fold of an aggregate or DISTINCT
+// over a join fails AFTER the join group has advanced its replicas (two
+// group keys engineered to collide, see collidingRows). The error rule
+// of every standing query applies: the table rolls back, the replicas
+// are dropped, and the retry — the same window grown by the colliding
+// row's deletion — rebuilds them from the pre-state and folds the window
+// exactly once.
+func TestGroupTableOverJoinFailedFold(t *testing.T) {
+	a, b := collidingRows()
+	for _, q := range []string{
+		"SELECT l.x, l.y, COUNT(*) AS n FROM l JOIN r ON l.x = r.x AND l.y = r.y GROUP BY l.x, l.y",
+		"SELECT DISTINCT l.x, l.y FROM l JOIN r ON l.x = r.x AND l.y = r.y",
+	} {
+		f := newFixture(t, map[string]relation.Schema{"l": pairSchema(), "r": pairSchema()})
+		f.insert(t, "l", a, strs("u", "v"))
+		f.insert(t, "r", a, strs("u", "v"), b)
+		plan := f.plan(t, q)
+		reg := obs.NewRegistry()
+		eng := NewEngine()
+		eng.Instrument(reg)
+		var g *groupTable
+		if _, ok := plan.(*algebra.DistinctPlan); ok {
+			m, err := NewIncrementalDistinct(eng, plan, f.store.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = m.groupTable
+		} else {
+			m, err := NewIncrementalAggregate(eng, plan, f.store.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g = m.groupTable
+		}
+		replicaRows := func() int64 { return reg.Snapshot().Gauge("dra.replica.rows") }
+		f.mark()
+
+		// A clean refresh builds the replicas.
+		f.insert(t, "r", strs("u", "v"))
+		if _, err := g.Step(f.ctx(t), f.store.Now()); err != nil {
+			t.Fatal(err)
+		}
+		f.mark()
+		if got := replicaRows(); got != 6 {
+			t.Fatalf("%q: dra.replica.rows = %d after the first refresh, want 6", q, got)
+		}
+
+		// The colliding group arrives behind an ordinary change: the join
+		// has advanced and the fold is half done when it fails.
+		tids := f.insert(t, "l", strs("u", "v"), b)
+		if _, err := g.Step(f.ctx(t), f.store.Now()); err == nil {
+			t.Fatalf("%q: colliding keys merged into one group:\n%s", q, g.Result())
+		}
+		if got := replicaRows(); got != 0 {
+			t.Fatalf("%q: dra.replica.rows = %d after a failed Step, want 0", q, got)
+		}
+
+		tx := f.store.Begin()
+		if err := tx.Delete("l", tids[1]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := g.Step(f.ctx(t), f.store.Now())
+		if err != nil {
+			t.Fatalf("%q: retry after the collision left: %v", q, err)
+		}
+		if res.Stats.PreTuplesScanned == 0 {
+			t.Errorf("%q: the retry did not rebuild the dropped replicas", q)
+		}
+		want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Result().EqualByTID(want) {
+			t.Fatalf("%q: the window was not folded exactly once.\nmaintained:\n%s\nfresh:\n%s", q, g.Result(), want)
+		}
+		g.Close()
+		if got := replicaRows(); got != 0 {
+			t.Errorf("%q: dra.replica.rows = %d after Close", q, got)
 		}
 	}
 }

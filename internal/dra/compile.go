@@ -60,7 +60,7 @@ type compiledProject struct {
 
 // equiBind is the pre-resolved form of one equi conjunct (column =
 // column): the two full-width column indexes, looked up once instead of
-// per truth-table term.
+// per term.
 type equiBind struct {
 	ok     bool // the conjunct is col = col
 	li, ri int  // full-width column indexes of the two sides
@@ -80,9 +80,11 @@ type compiledJoin struct {
 	equi      []equiBind
 	outSchema relation.Schema
 
-	// cache holds pre-state operand replicas and their hash indexes
-	// across refreshes. Nil on the transient Reevaluate path; set by
-	// Prepare.
+	// cache holds the operand replicas and their hash indexes across
+	// refreshes, and decides the group's kernel: with it the group
+	// telescopes over the replicas (telescopeJoin), without it — the
+	// transient Reevaluate path — it runs Algorithm 1's truth table over
+	// the pre-state snapshot. Set by attachReplicas.
 	cache *opCache
 }
 
@@ -155,9 +157,9 @@ func newProjectNode(p algebra.Plan, in *compiledNode, items []algebra.CompiledEx
 	return out
 }
 
-// compileJoin flattens a join subtree and resolves everything the
-// truth-table evaluator used to re-derive per refresh (or per term):
-// compiled conjuncts, operand masks, equi bindings.
+// compileJoin flattens a join subtree and resolves what no refresh or
+// term should re-derive: compiled conjuncts, operand masks, equi
+// bindings.
 func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 	ops, preds, err := flatten(n)
 	if err != nil {
@@ -230,6 +232,14 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 			op.eachJoin(f)
 		}
 	}
+}
+
+// attachReplicas gives every join group in the tree its cross-refresh
+// operand state — what makes the tree a standing query's.
+func (n *compiledNode) attachReplicas(e *Engine) {
+	n.eachJoin(func(cj *compiledJoin) {
+		cj.cache = newOpCache(e, cj)
+	})
 }
 
 // dropReplicas discards the operand replicas of every prepared join group
@@ -353,22 +363,4 @@ func (cj *compiledJoin) deltaFirstOrder(src int) []int {
 		filled |= 1 << uint(next)
 	}
 	return order
-}
-
-// equiCoverage is the fraction of the n-1 join steps that can use an
-// equi-key probe when the join is grown greedily from operand 0 — 1.0
-// means a fully equi-connected join graph (no cross steps), the shape
-// where maintained hash indexes pay off.
-func (cj *compiledJoin) equiCoverage() float64 {
-	if len(cj.ops) < 2 {
-		return 1
-	}
-	keyed := 0
-	tp := cj.planTerm(cj.deltaFirstOrder(0), true)
-	for _, st := range tp.steps {
-		if len(st.buildCols) > 0 {
-			keyed++
-		}
-	}
-	return float64(keyed) / float64(len(tp.steps))
 }

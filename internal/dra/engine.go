@@ -39,9 +39,17 @@
 // by the equivalence proofs in the test suite and by the benchmark
 // baselines.
 //
+// Joins have two kernels, chosen by what the caller is. Reevaluate is the
+// paper's stateless Algorithm 1: the truth table above, every unchanged
+// operand's pre-state executed from the last-execution snapshot. A
+// standing query (Prepared, the group table's input) keeps a replica per
+// join operand and telescopes over them instead (telescopeJoin): the same
+// net change in at most one term per changed operand, O(|ΔR|) per
+// refresh.
+//
 // Aggregate and DISTINCT queries are outside the SPJ class that
-// Algorithm 1 covers ("limited to SPJ expressions"); Reevaluate falls
-// back to Propagate for them. IncrementalAggregate and
+// Algorithm 1 covers ("limited to SPJ expressions"); they are recomputed
+// completely (Propagate). IncrementalAggregate and
 // IncrementalDistinct maintain the shapes that allow it from per-group
 // state instead (groupTable), and the cq package maintains aggregate
 // trigger state differentially per Section 5.3.
@@ -113,8 +121,10 @@ type Context struct {
 // Stats records the work of one differential re-evaluation, consumed by
 // the benchmark harness.
 type Stats struct {
-	// Terms is the number of truth-table terms evaluated (Σ over join
-	// groups of 2^k - 1).
+	// Terms is the number of join terms evaluated: per join group, one
+	// per changed operand under the telescoping kernel of a prepared
+	// plan, one per non-empty truth-table row (up to 2^k - 1) under
+	// unprepared Reevaluate.
 	Terms int
 	// DeltaRows is the total number of signed window rows the scans of a
 	// relevant refresh read. A skipped refresh reports zero although it
@@ -126,8 +136,8 @@ type Stats struct {
 	// PreTuplesScanned counts tuples materialized from unchanged-operand
 	// pre-states for join partner sides.
 	PreTuplesScanned int
-	// FellBack reports that the plan was outside the SPJ class and was
-	// recomputed via Propagate.
+	// FellBack reports complete re-evaluation: the plan is outside the
+	// SPJ class, or was prepared with StrategyPropagate.
 	FellBack bool
 	// Skipped reports that the window was irrelevant (Section 5.2): every
 	// maximal join-free subtree of the plan — the root of a join-free
@@ -225,7 +235,7 @@ type Result struct {
 	Stats Stats
 
 	// materialized is set when the evaluation already produced the full
-	// result (FullReevaluate); ApplyTo then returns it directly.
+	// result (complete re-evaluation); ApplyTo then returns it directly.
 	materialized *relation.Relation
 }
 
@@ -243,10 +253,12 @@ func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 }
 
 // Reevaluate computes the result of the current execution of the query
-// differentially, compiling the plan transiently per call. ctx.Prev
-// must hold the previous complete result. Standing queries should
-// Prepare once and Step instead: the compiled tree and the operand
-// index cache then persist across refreshes.
+// differentially, compiling the plan transiently per call and keeping
+// nothing afterwards: this is Algorithm 1 as the paper states it — join
+// groups by the 2^k-1 truth-table expansion over the pre-state snapshot —
+// with Propagate (the query on both states) for plans outside the SPJ
+// class. ctx.Prev must be non-nil but need not be the exact previous
+// result. Standing queries Prepare once and Step instead.
 //
 // Reevaluate is safe for concurrent use: stats accumulate into a
 // per-call value (returned in Result.Stats) and the context is only
@@ -265,17 +277,14 @@ func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Times
 
 // evaluate is the refresh core shared by Reevaluate (transient compile
 // per call) and Prepared.Step (compile once at registration): the
-// differential evaluation when root is non-nil — join groups by truth
-// table, or by the telescoping kernel when telescope is set — and the
-// Propagate fallback otherwise.
-func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, telescope bool) (*Result, error) {
+// differential evaluation when root is non-nil, complete re-evaluation
+// otherwise. exactPrev vouches that ctx.Prev is the query's result on
+// ctx.Pre, so complete re-evaluation is one execution over ctx.Post and
+// a Diff; without it the query runs on both states.
+func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, exactPrev bool) (*Result, error) {
 	if ctx.Prev == nil {
 		return nil, ErrNoPrev
 	}
-	// The evaluator keeps a pointer to the stats it fills: they live in
-	// the result from the start rather than escaping on their own.
-	res := &Result{ExecTS: execTS}
-	st := &res.Stats
 	var span *obs.Span
 	var start time.Time
 	if m := e.Metrics; m != nil {
@@ -283,24 +292,34 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		span = m.startSpan()
 	}
 
+	// The evaluator keeps a pointer to the stats it fills: they live in
+	// the result from the start rather than escaping on their own.
+	res := &Result{ExecTS: execTS}
 	var err error
-	if root == nil {
-		st.FellBack = true
+	switch {
+	case root != nil:
+		if res.Signed, err = e.vecEvaluate(root, ctx, execTS, &res.Stats); err != nil {
+			// A failed refresh drops every replica of the plan: join groups
+			// advance them as they go, and the next refresh must rebuild from
+			// its pre-state snapshot rather than read a part-advanced state.
+			root.dropReplicas()
+		}
+	case exactPrev:
+		res, err = FullReevaluate(plan, ctx.Post, ctx.Prev, execTS)
+	default:
 		// Diff output: already at most one -old and one +new per tid.
 		res.Signed, err = PropagateSigned(plan, ctx.Pre, ctx.Post)
-	} else if res.Signed, err = e.vecEvaluate(root, ctx, execTS, st, telescope); err != nil {
-		// A failed refresh drops every replica of the plan: join groups
-		// advance them as they go, and the next refresh must rebuild from
-		// its pre-state snapshot rather than read a part-advanced state.
-		root.dropReplicas()
 	}
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.FellBack = root == nil
 	if m := e.Metrics; m != nil {
-		m.observe(*st, span, time.Since(start))
+		m.observe(res.Stats, span, time.Since(start))
 	}
-	res.Delta = res.Signed.ToDeltaNetted(execTS)
+	if res.Delta == nil {
+		res.Delta = res.Signed.ToDeltaNetted(execTS)
+	}
 	return res, nil
 }
 

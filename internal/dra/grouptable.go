@@ -67,6 +67,9 @@ type groupTable struct {
 
 	live   int // groups in the output
 	gauged int // share of dra.agg.groups this table accounts for
+	// replicaRows is the table's share of dra.replica.rows: a join in the
+	// fold input keeps operand replicas, as a Prepared's does.
+	replicaRows int
 }
 
 // groupAgg is one aggregate of the output row.
@@ -107,6 +110,7 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 	if err != nil {
 		return nil, err
 	}
+	fold.attachReplicas(engine)
 	if items != nil {
 		fold = newProjectNode(nil, fold, items, foldSchema)
 	}
@@ -165,9 +169,11 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 // Groups returns the number of groups currently in the output.
 func (g *groupTable) Groups() int { return g.live }
 
-// Close releases the table's share of the dra.agg.groups gauge.
+// Close releases the fold input's operand replicas and the table's
+// shares of the dra.agg.groups and dra.replica.rows gauges.
 func (g *groupTable) Close() {
 	g.live = 0
+	g.fold.dropReplicas()
 	g.gauge()
 }
 
@@ -176,6 +182,7 @@ func (g *groupTable) gauge() {
 		m.AggGroups.Add(int64(g.live - g.gauged))
 	}
 	g.gauged = g.live
+	g.engine.gaugeReplicas(g.fold, &g.replicaRows)
 }
 
 // Result renders the maintained output as a fresh relation the caller
@@ -203,7 +210,10 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // the output, read off the touched groups: O(|Δ|) beyond the evaluation
 // of the input's own signed delta, which runs the columnar kernels (a
 // selection view over ctx.Batches where the window image is shared,
-// its selected rows copied out once into the fold batch).
+// its selected rows copied out once into the fold batch; a join
+// telescoping over its operand replicas). A failed Step leaves the table
+// as it found it and drops the replicas, which the input's joins may
+// have advanced: the retry rebuilds them and folds the window once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	var st Stats
 	v := newVecEval(g.engine, ctx, execTS, &st)
@@ -214,6 +224,8 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 	}
 	if err != nil {
 		g.settle(true)
+		g.fold.dropReplicas()
+		g.gauge()
 		return nil, err
 	}
 	st.GroupsTouched = len(g.touched)

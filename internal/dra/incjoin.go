@@ -2,8 +2,8 @@ package dra
 
 import "github.com/diorama/continual/internal/batch"
 
-// telescopeJoin is StrategyIncremental's join kernel: the telescoping
-// decomposition equivalent to the truth table. Processing operand
+// telescopeJoin is the join kernel of every standing query: the
+// telescoping decomposition equivalent to the truth table. Processing operand
 // deltas in a fixed order, with the replicas of earlier operands already
 // advanced,
 //
@@ -14,11 +14,12 @@ import "github.com/diorama/continual/internal/batch"
 // costs O(Σ|ΔRi| × probe fan-out). This realizes the paper's closing
 // future-work item ("other algorithms for differential or incremental
 // evaluation of CQs") as a maintained-index variant, run batch-at-a-time
-// over the same replicas the truth table reads: each operand's window
-// seeds a work batch, walks the partner replicas' flat indexes along the
+// over the group's operand replicas: each operand's window seeds a work
+// batch, walks the partner replicas' flat indexes along the
 // term plan resolved at Prepare, and is then folded into its own
 // replica before the next operand's window runs. An error part-way
-// leaves replicas part-advanced; evaluate drops them all.
+// leaves replicas part-advanced; the caller drops them all (evaluate,
+// groupTable.Step). A nil batch means no term emitted.
 func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch.Batch, error) {
 	c := cj.cache
 	term := make([]*vecInput, len(cj.ops))
@@ -34,6 +35,7 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 		if d.Len() == 0 {
 			continue
 		}
+		v.st.Terms++
 		held := term[i]
 		term[i] = &vecInput{b: d}
 		var err error
@@ -50,9 +52,6 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 		// live rows (vecInput.enumerable); that copy is now stale.
 		held.b = nil
 	}
-	c.advance(v.ctx, v.execTS, nil)
-	if out == nil {
-		out = v.own(v.e.pool.Get(cj.outSchema, 0))
-	}
+	c.advance(v.ctx, v.execTS)
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package dra
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,9 +9,9 @@ import (
 	"github.com/diorama/continual/internal/relation"
 )
 
-// incJoin drives a plan under StrategyIncremental — the telescoping
-// kernel over maintained replicas — keeping the complete result the way
-// a CQ instance does.
+// incJoin drives a prepared join — the telescoping kernel over
+// maintained replicas — keeping the complete result the way a CQ
+// instance does.
 type incJoin struct {
 	p    *Prepared
 	prev *relation.Relation
@@ -80,6 +79,11 @@ func TestIncrementalJoinBasic(t *testing.T) {
 	res := incJoinStepAndVerify(t, f, ij, plan)
 	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("insert delta = %+v", res.Delta.Rows())
+	}
+	// One changed operand, one term: dra.terms_evaluated counts the
+	// telescoping kernel's terms.
+	if res.Stats.Terms != 1 {
+		t.Errorf("terms = %d, want 1", res.Stats.Terms)
 	}
 }
 
@@ -188,14 +192,32 @@ func TestIncrementalJoinThreeWay(t *testing.T) {
 	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("3-way delta = %+v", res.Delta.Rows())
 	}
+	if res.Stats.Terms != 3 {
+		t.Errorf("terms = %d, want 3: one per changed operand, not 2^3-1", res.Stats.Terms)
+	}
 }
 
+// A join-free plan under StrategyIncremental is the differential
+// selection, a view over its window; the join kernel stays out of it: no
+// replicas, no terms, no pre-state read.
 func TestIncrementalJoinRejectsNonJoin(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	f.insert(t, "stocks", sv("A", 1))
 	plan := f.plan(t, "SELECT * FROM stocks WHERE price > 0")
-	if _, err := NewEngine().Prepare(plan, StrategyIncremental); !errors.Is(err, ErrUnsupportedPlan) {
-		t.Errorf("err = %v", err)
+	p, err := NewEngine().Prepare(plan, StrategyIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	prev, _ := InitialResult(plan, f.store.Live())
+	f.mark()
+	f.insert(t, "stocks", sv("B", 2))
+	res, _ := stepPrepared(t, f, p, plan, prev)
+	if p.Strategy() != StrategyIncremental || len(p.Replicas()) != 0 {
+		t.Errorf("strategy %v with %d replicas, want incremental and none", p.Strategy(), len(p.Replicas()))
+	}
+	if res.Stats.Terms != 0 || res.Stats.PreTuplesScanned != 0 || res.Stats.IndexCacheMisses != 0 {
+		t.Errorf("a selection refresh ran join work: %+v", res.Stats)
 	}
 }
 

@@ -30,7 +30,6 @@ type Metrics struct {
 	Skips         *obs.Counter // dra.skipped
 	IndexHits     *obs.Counter // dra.index_cache.hits
 	IndexMisses   *obs.Counter // dra.index_cache.misses
-	Repicks       *obs.Counter // dra.strategy.repicks
 	// VecSteps counts evaluations served by the columnar kernels: every
 	// differential refresh that was not skipped, and every aggregate or
 	// DISTINCT maintainer step.
@@ -57,29 +56,7 @@ type Metrics struct {
 	AggRowsEmitted   *obs.Counter // dra.agg.rows_emitted
 	AggGroups        *obs.Gauge   // dra.agg.groups
 
-	// stratTruthTable / stratIncremental / stratPropagate gauge how many
-	// live Prepared plans currently run each strategy; re-picks move a
-	// unit between gauges and Close decrements.
-	stratTruthTable  *obs.Gauge // dra.strategy.truth_table
-	stratIncremental *obs.Gauge // dra.strategy.incremental
-	stratPropagate   *obs.Gauge // dra.strategy.propagate
-
 	calls atomic.Uint64 // span sampling cursor
-}
-
-// strategyGauge maps a concrete (non-Auto) strategy to its gauge; nil
-// for Auto or an unknown value.
-func (m *Metrics) strategyGauge(s Strategy) *obs.Gauge {
-	switch s {
-	case StrategyTruthTable:
-		return m.stratTruthTable
-	case StrategyIncremental:
-		return m.stratIncremental
-	case StrategyPropagate:
-		return m.stratPropagate
-	default:
-		return nil
-	}
 }
 
 // startSpan begins a sampled per-Reevaluate span; nil outside the
@@ -105,7 +82,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Skips:         reg.Counter("dra.skipped"),
 		IndexHits:     reg.Counter("dra.index_cache.hits"),
 		IndexMisses:   reg.Counter("dra.index_cache.misses"),
-		Repicks:       reg.Counter("dra.strategy.repicks"),
 		VecSteps:      reg.Counter("dra.vector_steps"),
 		JoinProbeRows: reg.Counter("dra.join.probe_rows"),
 		JoinEmitRows:  reg.Counter("dra.join.emit_rows"),
@@ -118,10 +94,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		AggGroupsTouched: reg.Counter("dra.agg.groups_touched"),
 		AggRowsEmitted:   reg.Counter("dra.agg.rows_emitted"),
 		AggGroups:        reg.Gauge("dra.agg.groups"),
-
-		stratTruthTable:  reg.Gauge("dra.strategy.truth_table"),
-		stratIncremental: reg.Gauge("dra.strategy.incremental"),
-		stratPropagate:   reg.Gauge("dra.strategy.propagate"),
 	}
 }
 

@@ -10,10 +10,8 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// replica is one join operand's state kept across refreshes — the only
-// operand-replica type in the engine, shared by the truth table (which
-// reads it as the pre-state and advances it once its terms have run) and
-// the telescoping kernel (which advances it operand by operand). Rows
+// replica is one join operand's state kept across refreshes, read and
+// advanced operand by operand by the telescoping kernel. Rows
 // live in typed columns addressed by slot: a row keeps its slot for as
 // long as it lives, freed slots are holes (sign 0) reused LIFO, and
 // every index — tid → slot, and one per probed key-column set — is a
@@ -188,8 +186,8 @@ func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 //     output — identical at every timestamp in between, so only the
 //     timestamp tag moves.
 //
-// Anything else is rebuilt from the pre-state snapshot, which is the
-// transient truth table's cost.
+// Anything else is rebuilt from the pre-state snapshot, which is what
+// every refresh of the transient truth table pays.
 func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 	if ent := c.ents[i]; ent != nil {
 		if ent.ts == ctx.LastTS {
@@ -216,21 +214,16 @@ func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 	return c.ents[i], err
 }
 
-// advance folds the refresh's operand delta batches into every replica
-// that is current at ctx.LastTS and moves it to execTS. Nil deltas (a
-// skipped refresh, or one whose kernel already applied them) fold
-// nothing: the replica already equals the state at execTS and only the
-// tags move.
+// advance moves every replica that is current at ctx.LastTS to execTS.
+// The kernel has folded the window in by then (or there was none), so
+// the rows already equal the state at execTS and only the tags move.
 //
 // Replicas from older refreshes that were not revalidated this round
 // are left alone; the next pre() call version-checks or rebuilds them.
-func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*batch.Batch) {
+func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp) {
 	for i, ent := range c.ents {
 		if ent == nil || ent.ts != ctx.LastTS {
 			continue
-		}
-		if deltas != nil {
-			ent.apply(deltas[i])
 		}
 		ent.ts = execTS
 		ent.version, ent.verOK = ctx.Versions[c.tables[i]]
@@ -238,8 +231,27 @@ func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp, deltas []*batch
 	}
 }
 
-// invalidate drops every replica (Close, entering propagate, and any
-// refresh that failed: its join groups may have advanced part-way).
+// invalidate drops every replica (Close, and any refresh that failed:
+// its join groups may have advanced part-way).
 func (c *opCache) invalidate() {
 	clear(c.ents)
+}
+
+// gaugeReplicas brings dra.replica.rows in line with the replicas held
+// under root right now; *gauged is the owner's current share of the gauge.
+func (e *Engine) gaugeReplicas(root *compiledNode, gauged *int) {
+	rows := 0
+	if root != nil {
+		root.eachJoin(func(cj *compiledJoin) {
+			for _, ent := range cj.cache.ents {
+				if ent != nil {
+					rows += ent.live
+				}
+			}
+		})
+	}
+	if m := e.Metrics; m != nil {
+		m.ReplicaRows.Add(int64(rows - *gauged))
+	}
+	*gauged = rows
 }

@@ -3,20 +3,60 @@ package dra
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
-// stepPrepared runs one prepared refresh with the full protocol the cq
-// manager uses — change-counter snapshot BEFORE the execution timestamp
-// — maintains the complete result, and asserts it against full
+// subject is one way to refresh a plan: a Prepared, or Algorithm 1 run
+// statelessly (transient).
+type subject interface {
+	Step(ctx *Context, execTS vclock.Timestamp) (*Result, error)
+}
+
+// transient is unprepared Engine.Reevaluate as a subject: the plan is
+// compiled per call, join groups run the truth table over the pre-state
+// snapshot, and nothing is kept between refreshes.
+type transient struct {
+	e    *Engine
+	plan algebra.Plan
+}
+
+func (r transient) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+	return r.e.Reevaluate(r.plan, ctx, execTS)
+}
+
+// subjectFor returns the named way to refresh plan on e: "truth-table"
+// is unprepared Reevaluate, any other name a Strategy's, prepared and
+// closed with the test.
+func subjectFor(t *testing.T, e *Engine, plan algebra.Plan, name string) subject {
+	t.Helper()
+	if name == "truth-table" {
+		return transient{e, plan}
+	}
+	strat, err := ParseStrategy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Prepare(plan, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+// stepPrepared runs one refresh of plan by p with the full protocol the
+// cq manager uses — change-counter snapshot BEFORE the execution
+// timestamp — maintains the complete result, and asserts it against full
 // re-evaluation. prev is consumed (mutated); f.lastTS advances to the
 // execution timestamp, so consecutive calls exercise the cache's
 // primary (ts) validation tier.
-func stepPrepared(t *testing.T, f *fixture, p *Prepared, prev *relation.Relation) (*Result, *relation.Relation) {
+func stepPrepared(t *testing.T, f *fixture, p subject, plan algebra.Plan, prev *relation.Relation) (*Result, *relation.Relation) {
 	t.Helper()
 	versions := f.store.ChangeCounts()
 	execTS := f.store.Now()
@@ -28,13 +68,13 @@ func stepPrepared(t *testing.T, f *fixture, p *Prepared, prev *relation.Relation
 		t.Fatalf("Step: %v", err)
 	}
 	complete := res.ApplyTo(prev)
-	want, err := algebra.NewExecutor(f.store.Live()).Execute(p.plan)
+	want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !complete.EqualByTID(want) {
-		t.Fatalf("prepared %v result diverges from full re-evaluation.\nprepared:\n%s\nfull:\n%s",
-			p.Strategy(), complete, want)
+		t.Fatalf("%T result diverges from full re-evaluation.\nmaintained:\n%s\nfull:\n%s",
+			p, complete, want)
 	}
 	f.lastTS = execTS
 	return res, complete
@@ -42,11 +82,12 @@ func stepPrepared(t *testing.T, f *fixture, p *Prepared, prev *relation.Relation
 
 // TestPreparedStrategyEquivalenceProperty extends the package's central
 // theorem check to the prepared pipeline: over random multi-table
-// histories and SPJ query shapes, every refresh strategy — cached truth
-// table, incremental replicas, propagate, and the adaptive auto picker —
-// must produce exactly the complete re-evaluation result, round after
-// round against the SAME long-lived Prepared (so cross-refresh cache
-// state is actually exercised).
+// histories and SPJ query shapes, every way to refresh — the differential
+// pipeline by shape (auto) and by name (incremental), complete
+// re-evaluation (propagate), and Algorithm 1's stateless truth table
+// (unprepared Reevaluate) — must produce exactly the complete
+// re-evaluation result, round after round against the SAME long-lived
+// subject (so cross-refresh replica state is actually exercised).
 func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		"SELECT * FROM r WHERE a > 100",
@@ -57,7 +98,7 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 		"SELECT * FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE w.c > 10",
 		"SELECT r.a, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x",
 	}
-	strategies := []Strategy{StrategyAuto, StrategyTruthTable, StrategyIncremental, StrategyPropagate}
+	subjects := []string{"auto", "truth-table", "incremental", "propagate"}
 
 	rSchema := relation.MustSchema(
 		relation.Column{Name: "s1", Type: relation.TString},
@@ -74,23 +115,15 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 	)
 
 	for qi, q := range queries {
-		for _, strat := range strategies {
-			t.Run(fmt.Sprintf("q%d_%v", qi, strat), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(qi*1000) + int64(strat)))
+		for si, name := range subjects {
+			t.Run(fmt.Sprintf("q%d_%s", qi, name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(qi*1000) + int64(si)))
 				f := newFixture(t, map[string]relation.Schema{"r": rSchema, "u": uSchema, "w": wSchema})
 				live := liveSet{}
 				applyRandomBatch(t, f, rng, live, 10, 3)
 
 				plan := f.plan(t, q)
-				e := NewEngine()
-				p, err := e.Prepare(plan, strat)
-				if err != nil {
-					if strat == StrategyIncremental && !incrementalEligible(plan) {
-						t.Skip("plan has no join; incremental strategy is rightly refused")
-					}
-					t.Fatal(err)
-				}
-				defer p.Close()
+				p := subjectFor(t, NewEngine(), plan, name)
 
 				prev, err := InitialResult(plan, f.store.Live())
 				if err != nil {
@@ -100,7 +133,7 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 
 				for round := 0; round < 12; round++ {
 					applyRandomBatch(t, f, rng, live, 1+rng.Intn(3), 1+rng.Intn(4))
-					_, complete := stepPrepared(t, f, p, prev)
+					_, complete := stepPrepared(t, f, p, plan, prev)
 					prev = complete
 				}
 			})
@@ -126,7 +159,7 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	)
 	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
 	e := NewEngine()
-	p, err := e.Prepare(plan, StrategyTruthTable)
+	p, err := e.Prepare(plan, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +170,7 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	// First refresh: only trades changed; the stocks pre-state must be
 	// built once (miss).
 	f.insert(t, "trades", []relation.Value{relation.Str("MAC"), relation.Int(5)})
-	res1, complete := stepPrepared(t, f, p, prev)
+	res1, complete := stepPrepared(t, f, p, plan, prev)
 	if res1.Stats.IndexCacheHits != 0 {
 		t.Errorf("first refresh hits = %d, want 0 (cold cache)", res1.Stats.IndexCacheHits)
 	}
@@ -148,7 +181,7 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	// Second refresh, trades again: the stocks replica is exactly the
 	// one advanced last round — a hit, with zero pre-state scanning.
 	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(7)})
-	res2, _ := stepPrepared(t, f, p, complete)
+	res2, _ := stepPrepared(t, f, p, plan, complete)
 	if res2.Stats.IndexCacheHits == 0 {
 		t.Error("second refresh should hit the operand cache")
 	}
@@ -176,7 +209,7 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
 	e := NewEngine()
 	e.SkipIrrelevant = false // force evaluation so the cache is consulted
-	p, err := e.Prepare(plan, StrategyTruthTable)
+	p, err := e.Prepare(plan, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +219,7 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 
 	// Warm the cache.
 	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(3)})
-	_, complete := stepPrepared(t, f, p, prev)
+	_, complete := stepPrepared(t, f, p, plan, prev)
 
 	// Advance time with commits to an UNRELATED table, then refresh
 	// with a gap: lastTS moves past the replicas' ts, so only the
@@ -194,7 +227,7 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 	f.insert(t, "other", sv("noise", 1))
 	f.mark() // deliberate gap: replicas' ts != new LastTS
 	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(9)})
-	res, complete := stepPrepared(t, f, p, complete)
+	res, complete := stepPrepared(t, f, p, plan, complete)
 	if res.Stats.IndexCacheHits == 0 {
 		t.Error("unchanged stocks counter across the gap should revalidate the replica")
 	}
@@ -204,14 +237,16 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 	f.insert(t, "stocks", sv("NEW", 200))
 	f.mark()
 	f.insert(t, "trades", []relation.Value{relation.Str("NEW"), relation.Int(4)})
-	res2, _ := stepPrepared(t, f, p, complete)
+	res2, _ := stepPrepared(t, f, p, plan, complete)
 	if res2.Stats.IndexCacheMisses == 0 {
 		t.Error("changed stocks counter must force a replica rebuild")
 	}
 }
 
-// TestPrepareForcedStrategyErrors: a forced strategy the plan cannot run
-// is a loud error at preparation, never a silent demotion.
+// TestPrepareForcedStrategyErrors: no named strategy can be unrunnable —
+// the plan's shape decides what differential means for it, and only
+// propagate changes what an SPJ plan does — so the one preparation error
+// left is a value that names no strategy.
 func TestPrepareForcedStrategyErrors(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	f.insert(t, "stocks", sv("DEC", 150))
@@ -219,121 +254,53 @@ func TestPrepareForcedStrategyErrors(t *testing.T) {
 	aggPlan := f.plan(t, "SELECT MIN(price) AS m FROM stocks")
 	e := NewEngine()
 
-	if _, err := e.Prepare(selPlan, StrategyIncremental); err == nil {
-		t.Error("incremental on a joinless plan must error")
+	for _, tc := range []struct {
+		plan      algebra.Plan
+		requested Strategy
+		want      Strategy
+	}{
+		{selPlan, StrategyAuto, StrategyIncremental},
+		{selPlan, StrategyIncremental, StrategyIncremental},
+		{selPlan, StrategyPropagate, StrategyPropagate},
+		{aggPlan, StrategyAuto, StrategyPropagate},
+		{aggPlan, StrategyIncremental, StrategyPropagate},
+		{aggPlan, StrategyPropagate, StrategyPropagate},
+	} {
+		p, err := e.Prepare(tc.plan, tc.requested)
+		if err != nil {
+			t.Fatalf("Prepare(%T, %v): %v", tc.plan, tc.requested, err)
+		}
+		if p.Strategy() != tc.want {
+			t.Errorf("Prepare(%T, %v) runs %v, want %v", tc.plan, tc.requested, p.Strategy(), tc.want)
+		}
+		p.Close()
 	}
-	if _, err := e.Prepare(aggPlan, StrategyTruthTable); err == nil {
-		t.Error("truth table on a non-SPJ plan must error")
+	for _, bad := range []Strategy{-1, StrategyPropagate + 1} {
+		if _, err := e.Prepare(selPlan, bad); err == nil {
+			t.Errorf("Prepare with strategy %d must error", int(bad))
+		}
 	}
-	p, err := e.Prepare(aggPlan, StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Strategy() != StrategyPropagate {
-		t.Errorf("auto on non-SPJ = %v, want propagate", p.Strategy())
+	// Only the three strategies have a spelling.
+	for _, s := range []string{"truth-table", "truthtable"} {
+		if _, err := ParseStrategy(s); err == nil {
+			t.Errorf("ParseStrategy(%q) must error", s)
+		}
 	}
 }
 
-// TestPreparedAdaptiveRepick drives the cost model both ways: a large
-// equi-joined base with small deltas graduates from the initial truth
-// table to incremental replicas, while churn rewriting most of the base
-// every round forces propagate.
-func TestPreparedAdaptiveRepick(t *testing.T) {
+// TestPreparedStrategyGauges: a plan's strategy is a fact of its shape,
+// not a population to gauge — no dra.strategy.* instrument exists. What a
+// live plan does gauge is its replica rows, which Close — once or twice —
+// returns.
+func TestPreparedStrategyGauges(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
 		relation.Column{Name: "volume", Type: relation.TInt},
 	)
-	calmJoin := func(t *testing.T, e *Engine) *Prepared {
-		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
-		var stocks, trades [][]relation.Value
-		for i := 0; i < 64; i++ {
-			stocks = append(stocks, sv(fmt.Sprintf("S%d", i), float64(i)))
-			trades = append(trades, []relation.Value{relation.Str(fmt.Sprintf("S%d", i)), relation.Int(int64(i))})
-		}
-		f.insert(t, "stocks", stocks...)
-		f.insert(t, "trades", trades...)
-		plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
-		p, err := e.Prepare(plan, StrategyAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		if p.Strategy() != StrategyTruthTable {
-			t.Fatalf("initial auto strategy = %v, want truth-table", p.Strategy())
-		}
-		prev, _ := InitialResult(plan, f.store.Live())
-		f.mark()
-		for i := 0; i < 2*repickEvery; i++ {
-			f.insert(t, "trades", []relation.Value{relation.Str(fmt.Sprintf("S%d", i%64)), relation.Int(999)})
-			_, complete := stepPrepared(t, f, p, prev)
-			prev = complete
-		}
-		return p
-	}
-	t.Run("to_incremental", func(t *testing.T) {
-		if p := calmJoin(t, NewEngine()); p.Strategy() != StrategyIncremental {
-			t.Errorf("after %d small-delta refreshes over a %d-row base: strategy = %v, want incremental",
-				2*repickEvery, 2*64, p.Strategy())
-		}
-	})
-	// rewriteAll drives rounds that rewrite every stock each round:
-	// delta/base ratio 1 for a plan whose base is the stocks table.
-	rewriteAll := func(t *testing.T, query string) *Prepared {
-		f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
-		tids := f.insert(t, "stocks", sv("A", 1), sv("B", 2), sv("C", 3), sv("D", 4))
-		f.insert(t, "trades", []relation.Value{relation.Str("A"), relation.Int(1)})
-		plan := f.plan(t, query)
-		p, err := NewEngine().Prepare(plan, StrategyAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		prev, _ := InitialResult(plan, f.store.Live())
-		f.mark()
-		for i := 0; i < 2*repickEvery; i++ {
-			tx := f.store.Begin()
-			for j, tid := range tids {
-				if err := tx.Update("stocks", tid, sv(string(rune('A'+j)), float64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			_, complete := stepPrepared(t, f, p, prev)
-			prev = complete
-		}
-		return p
-	}
-	t.Run("to_propagate", func(t *testing.T) {
-		p := rewriteAll(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
-		if p.Strategy() != StrategyPropagate {
-			t.Errorf("after full-rewrite rounds: strategy = %v, want propagate", p.Strategy())
-		}
-	})
-	// A join-free plan must hold the differential path whatever the
-	// window: its refresh is O(|dR|) against propagate's two O(|R|)
-	// scans, and the one size it can observe — its own result, here a
-	// single row of a four-row table rewritten every round — is no
-	// measure of |R|.
-	t.Run("join_free_never_propagates", func(t *testing.T) {
-		p := rewriteAll(t, "SELECT * FROM stocks WHERE name = 'A'")
-		if p.Strategy() != StrategyTruthTable {
-			t.Errorf("join-free plan re-picked %v, want truth-table", p.Strategy())
-		}
-		if p.baseSize != 0 || p.ratio != 0 {
-			t.Errorf("join-free plan observed a base: baseSize=%d ratio=%g", p.baseSize, p.ratio)
-		}
-	})
-}
-
-// TestPreparedStrategyGauges: preparation, re-picks, and Close keep the
-// per-strategy gauges consistent with the set of live prepared plans.
-func TestPreparedStrategyGauges(t *testing.T) {
-	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
-	f.insert(t, "stocks", sv("DEC", 150))
-	plan := f.plan(t, "SELECT * FROM stocks WHERE price > 100")
+	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	f.insert(t, "stocks", sv("DEC", 150), sv("IBM", 75))
+	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(10)})
+	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
 	reg := obs.NewRegistry()
 	e := NewEngine()
 	e.Instrument(reg)
@@ -342,17 +309,22 @@ func TestPreparedStrategyGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Gauge("dra.strategy.truth_table").Value(); got != 1 {
-		t.Errorf("truth_table gauge after prepare = %d, want 1", got)
+	prev, _ := InitialResult(plan, f.store.Live())
+	f.mark()
+	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(3)})
+	stepPrepared(t, f, p, plan, prev)
+	if got := reg.Gauge("dra.replica.rows").Value(); got != 4 {
+		t.Errorf("replica rows after one step = %d, want 4 (2 stocks + 2 trades)", got)
 	}
 	p.Close()
-	if got := reg.Gauge("dra.strategy.truth_table").Value(); got != 0 {
-		t.Errorf("truth_table gauge after close = %d, want 0", got)
+	p.Close() // closing twice must not double-decrement
+	if got := reg.Gauge("dra.replica.rows").Value(); got != 0 {
+		t.Errorf("replica rows after close = %d, want 0", got)
 	}
-	// Closing twice must not double-decrement.
-	p.Close()
-	if got := reg.Gauge("dra.strategy.truth_table").Value(); got != 0 {
-		t.Errorf("truth_table gauge after double close = %d, want 0", got)
+	for _, name := range reg.Names() {
+		if strings.HasPrefix(name, "dra.strategy.") {
+			t.Errorf("metric %s is still registered", name)
+		}
 	}
 }
 

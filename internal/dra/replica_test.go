@@ -112,21 +112,19 @@ func TestReplicaSlotReuse(t *testing.T) {
 // are engineered to collide under the key hash (see collidingRows): the
 // colliding rows share an index chain in both replicas, and only the
 // column-by-column verification keeps them from joining — under the
-// telescoping kernel and the truth table alike.
+// telescoping kernel (replica indexes) and Algorithm 1's truth table
+// (transient indexes over the pre-state) alike.
 func TestFlatIndexHashCollision(t *testing.T) {
 	a, b := collidingRows()
 	if relation.HashValues(a) != relation.HashValues(b) {
 		t.Fatal("fixture rows no longer collide; rebuild them against the current HashValues encoding")
 	}
-	for _, strat := range []Strategy{StrategyIncremental, StrategyTruthTable} {
+	for _, strat := range []string{"incremental", "truth-table"} {
 		f := newFixture(t, map[string]relation.Schema{"l": pairSchema(), "r": pairSchema()})
 		f.insert(t, "l", a)
 		f.insert(t, "r", b)
 		plan := f.plan(t, "SELECT * FROM l JOIN r ON l.x = r.x AND l.y = r.y")
-		p, err := NewEngine().Prepare(plan, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := subjectFor(t, NewEngine(), plan, strat)
 		prev, err := InitialResult(plan, f.store.Live())
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +133,7 @@ func TestFlatIndexHashCollision(t *testing.T) {
 		// Another colliding pair arrives on each side: still no match.
 		f.insert(t, "l", b)
 		f.insert(t, "r", a)
-		res, prev := stepPrepared(t, f, p, prev)
+		res, prev := stepPrepared(t, f, p, plan, prev)
 		if n := res.Delta.Insertions().Len(); n != 2 {
 			t.Fatalf("%v: %d joined rows, want 2 (a-a and b-b, never a-b)", strat, n)
 		}
@@ -152,11 +150,10 @@ func TestFlatIndexHashCollision(t *testing.T) {
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		res, _ = stepPrepared(t, f, p, prev)
+		res, _ = stepPrepared(t, f, p, plan, prev)
 		if n := res.Delta.Deletions().Len(); n != 1 {
 			t.Fatalf("%v: %d rows left the result, want 1", strat, n)
 		}
-		p.Close()
 	}
 }
 
@@ -199,7 +196,7 @@ func TestSelectiveLeftConjunct(t *testing.T) {
 			[]relation.Value{relation.Str("C"), relation.Int(3), relation.Float(500)},
 			[]relation.Value{relation.Str("D"), relation.Int(2), relation.Float(900)},
 		)
-		res, _ := stepPrepared(t, f, p, prev)
+		res, _ := stepPrepared(t, f, p, plan, prev)
 		if res.Delta.Len() != 0 {
 			t.Errorf("%s: rows failing sector = 1 entered the result: %+v", q, res.Delta.Rows())
 		}

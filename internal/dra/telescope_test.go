@@ -162,8 +162,21 @@ func (w *world) touchAll() {
 	w.commit(tx)
 }
 
+// touchOne modifies a few live rows of one table: a window with a single
+// changed operand.
+func (w *world) touchOne(table string, rows int) {
+	tx := w.store.Begin()
+	live := w.live[table]
+	for i := 0; i < rows; i++ {
+		if err := tx.Update(table, live[w.rng.Intn(len(live))], w.row(table)); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	w.commit(tx)
+}
+
 // rewrite modifies every live row of every table: a window the size of
-// the base, which is what tips the cost model into propagate.
+// the base.
 func (w *world) rewrite() {
 	tx := w.store.Begin()
 	for _, table := range worldTables {
@@ -207,10 +220,13 @@ func (w *world) window(image bool) (*dra.Context, vclock.Timestamp) {
 	return ctx, execTS
 }
 
-// subject is one prepared plan with the complete result it maintains.
+// subject is one way to refresh a plan — a prepared plan, or Algorithm
+// 1's stateless truth table (unprepared Reevaluate; prep is nil) — with
+// the complete result it maintains.
 type subject struct {
 	name string
 	prep *dra.Prepared
+	eval func(*dra.Context, vclock.Timestamp) (*dra.Result, error)
 	prev *relation.Relation
 }
 
@@ -221,18 +237,30 @@ func newSubject(t *testing.T, name string, e *dra.Engine, plan algebra.Plan, str
 		t.Fatal(err)
 	}
 	t.Cleanup(prep.Close)
+	return &subject{name: name, prep: prep, eval: prep.Step, prev: initialResult(t, plan, src)}
+}
+
+func newTruthTable(t *testing.T, name string, e *dra.Engine, plan algebra.Plan, src algebra.Source) *subject {
+	t.Helper()
+	return &subject{name: name, prev: initialResult(t, plan, src), eval: func(ctx *dra.Context, ts vclock.Timestamp) (*dra.Result, error) {
+		return e.Reevaluate(plan, ctx, ts)
+	}}
+}
+
+func initialResult(t *testing.T, plan algebra.Plan, src algebra.Source) *relation.Relation {
+	t.Helper()
 	prev, err := dra.InitialResult(plan, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &subject{name: name, prep: prep, prev: prev}
+	return prev
 }
 
 func (s *subject) step(t *testing.T, ctx *dra.Context, ts vclock.Timestamp) *delta.Signed {
 	t.Helper()
 	c := *ctx
 	c.Prev = s.prev
-	res, err := s.prep.Step(&c, ts)
+	res, err := s.eval(&c, ts)
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
@@ -254,10 +282,11 @@ var telescopeQueries = []string{
 }
 
 // TestTelescopeTranscriptEquivalence is the kernel's property test: over
-// random histories, the telescoping kernel (forced, and as picked by the
-// adaptive strategy) and the truth table must report the net change of
-// complete re-evaluation (baseline.Full) every round and hold its
-// complete result. Histories include key-moving
+// random histories, the telescoping kernel (by name, and as the plan's
+// shape picks it) and Algorithm 1's truth table (unprepared Reevaluate)
+// must report the net change of complete re-evaluation (baseline.Full)
+// every round and hold its complete result — the one argument that lets
+// the serving path keep a single join kernel. Histories include key-moving
 // modifications, a tid inserted and deleted within one window, probe
 // fan-out above one, windows touching every operand (touchAll), string,
 // float and composite keys, and 3-way joins whose cross steps enumerate
@@ -297,7 +326,7 @@ func TestTelescopeTranscriptEquivalence(t *testing.T) {
 				kernelEng.CompactDeltas = va.compact
 				kernelEng.Instrument(reg)
 				kernel := newSubject(t, "kernel", kernelEng, plan, va.strat, w.store.Live())
-				table := newSubject(t, "truth table", kernelEng, plan, dra.StrategyTruthTable, w.store.Live())
+				table := newTruthTable(t, "truth table", kernelEng, plan, w.store.Live())
 				full, err := baseline.NewFull(plan, w.store.Live())
 				if err != nil {
 					t.Fatal(err)
@@ -355,67 +384,70 @@ func TestTelescopeTranscriptEquivalence(t *testing.T) {
 	}
 }
 
-// TestTelescopeRepickBothWays walks the adaptive strategy across every
-// boundary on one long-lived plan — truth table → incremental on a calm
-// base, → propagate under windows the size of the base, and back once
-// the churn stops — checking each round against complete re-evaluation.
-// Truth table and incremental share their replicas, so the first switch
-// must not rebuild any.
-func TestTelescopeRepickBothWays(t *testing.T) {
-	w := newWorld(t, 7, 40)
-	plan, err := algebra.PlanSQL("SELECT r.s1, u.b, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x", w.store.Live())
-	if err != nil {
-		t.Fatal(err)
+// TestJoinShapeDecidesAtPrepare covers the cells of DESIGN.md 5d's
+// table, where no other join kernel or strategy won: for every join
+// shape — 2- and 3-way equi-joins, operands of 32 and of 4 rows, a theta
+// join, partial equi coverage, a cross step — and every window — one
+// changed operand, all operands, every row of every operand rewritten —
+// a StrategyAuto plan is incremental before its first Step and after
+// every one, and its transcript equals Propagate's net change and the
+// from-scratch result each round.
+func TestJoinShapeDecidesAtPrepare(t *testing.T) {
+	shapes := []struct {
+		name, query string
+		rows        int
+	}{
+		{"3-way equi", "SELECT r.s1, u.b, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x", 32},
+		{"2-way equi", "SELECT r.s1, u.b FROM r JOIN u ON r.s1 = u.s2", 32},
+		{"3-way equi, 4-row operands", "SELECT r.s1, u.b, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x", 4},
+		{"2-way equi, 4-row operands", "SELECT r.s1, u.b FROM r JOIN u ON r.s1 = u.s2", 4},
+		{"theta", "SELECT r.s1, u.s2 FROM r JOIN u ON r.a > u.b", 32},
+		{"partial coverage", "SELECT r.s1, u.s2, w.c FROM r JOIN u ON r.a > u.b JOIN w ON u.x = w.x", 32},
+		{"cross step", "SELECT r.s1, w.x FROM r, w WHERE w.c > 100", 32},
 	}
-	plan = algebra.Optimize(plan)
-	kernel := newSubject(t, "auto", dra.NewEngine(), plan, dra.StrategyAuto, w.store.Live())
-	full, err := baseline.NewFull(plan, w.store.Live())
-	if err != nil {
-		t.Fatal(err)
+	windows := []struct {
+		name  string
+		apply func(w *world, round int)
+	}{
+		{"one operand", func(w *world, round int) { w.touchOne(worldTables[round%len(worldTables)], 3) }},
+		{"all operands", func(w *world, _ int) { w.touchAll() }},
+		{"all rows rewritten", func(w *world, _ int) { w.rewrite() }},
 	}
-	var seen []dra.Strategy
-	scannedAtSwitch := -1
-	round := func(label string) {
-		ctx, ts := w.window(true)
-		fd, err := full.Step(w.store.Live(), ts)
-		if err != nil {
-			t.Fatal(err)
+	for si, shape := range shapes {
+		for _, win := range windows {
+			t.Run(shape.name+"/"+win.name, func(t *testing.T) {
+				w := newWorld(t, int64(40+si), shape.rows)
+				plan, err := algebra.PlanSQL(shape.query, w.store.Live())
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = algebra.Optimize(plan)
+				auto := newSubject(t, "auto", dra.NewEngine(), plan, dra.StrategyAuto, w.store.Live())
+				if got := auto.prep.Strategy(); got != dra.StrategyIncremental {
+					t.Fatalf("before the first Step: strategy %v, want incremental", got)
+				}
+				for round := 0; round < 10; round++ {
+					win.apply(w, round)
+					ctx, ts := w.window(round%2 == 0)
+					want, err := dra.PropagateSigned(plan, ctx.Pre, ctx.Post)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("round %d", round)
+					dra.AssertSameNet(t, label, want, auto.step(t, ctx, ts))
+					scratch, err := dra.InitialResult(plan, w.store.Live())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !auto.prev.EqualByTID(scratch) {
+						t.Fatalf("%s: maintained result diverges from the from-scratch one", label)
+					}
+					if got := auto.prep.Strategy(); got != dra.StrategyIncremental {
+						t.Fatalf("%s: strategy %v, want incremental", label, got)
+					}
+					w.lastTS = ts
+				}
+			})
 		}
-		before := kernel.prep.Strategy()
-		c := *ctx
-		c.Prev = kernel.prev
-		res, err := kernel.prep.Step(&c, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kernel.prev = res.ApplyTo(kernel.prev)
-		dra.AssertSameNet(t, label, fd.ToSigned(), res.Signed)
-		w.lastTS = ts
-		now := kernel.prep.Strategy()
-		if before == dra.StrategyTruthTable && now == dra.StrategyIncremental {
-			scannedAtSwitch = res.Stats.PreTuplesScanned
-		}
-		if len(seen) == 0 || seen[len(seen)-1] != now {
-			seen = append(seen, now)
-		}
-	}
-	for i := 0; i < 12; i++ {
-		w.churn(1, 3)
-		round(fmt.Sprintf("calm %d", i))
-	}
-	for i := 0; i < 12; i++ {
-		w.rewrite()
-		round(fmt.Sprintf("rewrite %d", i))
-	}
-	for i := 0; i < 20; i++ {
-		w.churn(1, 3)
-		round(fmt.Sprintf("calm again %d", i))
-	}
-	want := []dra.Strategy{dra.StrategyTruthTable, dra.StrategyIncremental, dra.StrategyPropagate, dra.StrategyIncremental}
-	if fmt.Sprint(seen) != fmt.Sprint(want) {
-		t.Fatalf("strategy walk = %v, want %v", seen, want)
-	}
-	if scannedAtSwitch != 0 {
-		t.Errorf("first incremental refresh rebuilt replicas: scanned %d pre-state tuples, want 0", scannedAtSwitch)
 	}
 }

@@ -35,9 +35,6 @@ type vecEval struct {
 	// per Select: the common refresh fits these and never grows them.
 	ownedBuf [2]*batch.Batch
 	idxBuf   [2][]int32
-	// telescope selects the telescoping kernel for prepared join groups
-	// (StrategyIncremental).
-	telescope bool
 	// relevant records that some maximal join-free subtree's filtered
 	// window was non-empty: the relevance test of Section 5.2, answered
 	// by the evaluation itself.
@@ -51,18 +48,16 @@ func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *ve
 }
 
 // vecEvaluate runs the differential evaluation over typed columnar
-// batches — join groups by truth-table expansion, or by the telescoping
-// kernel when telescope is set — and nets the result. Join groups
-// advance their replicas as they go, so an error can leave them
-// part-advanced; the caller drops them (evaluate).
+// batches and nets the result. Prepared join groups advance their
+// replicas as they go, so an error can leave them part-advanced; the
+// caller drops them (evaluate).
 //
 // A refresh whose operands' filtered windows are all empty is reported
 // as Skipped (when the engine skips irrelevant updates at all): nothing
 // past the window scan ran — a join group with no changed operand only
 // moves its replicas' tags forward — and the net change is empty.
-func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats, telescope bool) (*delta.Signed, error) {
+func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats) (*delta.Signed, error) {
 	v := newVecEval(e, ctx, execTS, st)
-	v.telescope = telescope
 	defer v.release()
 	var net *delta.Signed
 	if root.view != nil && v.paired() {
@@ -331,17 +326,15 @@ func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 	return t.b
 }
 
-// joinBatch computes the signed delta of a join group: by the
-// telescoping kernel when the refresh runs StrategyIncremental over a
-// prepared group, by truth-table expansion (Algorithm 1, steps 1-3)
-// otherwise. Either way a prepared group's replicas end the call
-// advanced to execTS.
+// joinBatch computes the signed delta of a join group. What the group is
+// decides the kernel: a standing query's group (it has replicas)
+// telescopes over them and ends the call with them advanced to execTS; a
+// transient one runs Algorithm 1's truth table over the pre-state
+// snapshot.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
-	e := v.e
-	nOps := len(cj.ops)
-	deltas := make([]*batch.Batch, nOps)
+	deltas := make([]*batch.Batch, len(cj.ops))
 	var changed []int
-	for i := 0; i < nOps; i++ {
+	for i := range cj.ops {
 		d, err := v.nodeBatch(cj.opNodes[i])
 		if err != nil {
 			return nil, err
@@ -354,18 +347,32 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 			}
 		}
 	}
-	if len(changed) == 0 {
+	var out *batch.Batch
+	var err error
+	switch {
+	case len(changed) == 0:
 		if cj.cache != nil {
-			cj.cache.advance(v.ctx, v.execTS, nil)
+			cj.cache.advance(v.ctx, v.execTS)
 		}
-		return v.own(e.pool.Get(cj.outSchema, 0)), nil
+	case cj.cache != nil:
+		out, err = v.telescopeJoin(cj, deltas)
+	default:
+		out, err = v.truthTableJoin(cj, deltas, changed)
 	}
-	if v.telescope && cj.cache != nil {
-		return v.telescopeJoin(cj, deltas)
+	if out == nil && err == nil {
+		out = v.own(v.e.pool.Get(cj.outSchema, 0))
 	}
+	return out, err
+}
+
+// truthTableJoin is Algorithm 1, steps 1-3: one term per non-empty subset
+// of the changed operands, the subset's windows joined with every other
+// operand's pre-state, executed from the last-execution snapshot on first
+// use. It keeps nothing between calls. A nil batch means no term emitted.
+func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, changed []int) (*batch.Batch, error) {
+	e := v.e
+	nOps := len(cj.ops)
 	if len(changed) > maxChangedOperands {
-		// Complete re-evaluation; the cache is left behind and will
-		// revalidate by table version or rebuild at the next refresh.
 		s, err := PropagateSigned(cj.plan, v.ctx.Pre, v.ctx.Post)
 		if err != nil {
 			return nil, err
@@ -377,25 +384,12 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 		return v.own(pb), nil
 	}
 
-	// Lazily materialized pre-states, served from the cache when one is
-	// attached.
 	pres := make([]*vecInput, nOps)
-	preOf := func(i int) (*vecInput, error) {
-		if pres[i] == nil {
-			ti, err := v.operandPreVec(cj, i)
-			if err != nil {
-				return nil, err
-			}
-			pres[i] = ti
-		}
-		return pres[i], nil
-	}
-
-	var out *batch.Batch
 	dIn := make([]*vecInput, nOps)
 	for i := range deltas {
 		dIn[i] = &vecInput{b: deltas[i]}
 	}
+	var out *batch.Batch
 	term := make([]*vecInput, nOps)
 	isDelta := make([]bool, nOps)
 	lens := make([]int, nOps)
@@ -412,15 +406,17 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 			}
 			if substituted {
 				term[i] = dIn[i]
-				isDelta[i] = true
 			} else {
-				p, err := preOf(i)
-				if err != nil {
-					return nil, err
+				if pres[i] == nil {
+					pb, err := v.operandPre(cj, i)
+					if err != nil {
+						return nil, err
+					}
+					pres[i] = &vecInput{b: pb}
 				}
-				term[i] = p
-				isDelta[i] = false
+				term[i] = pres[i]
 			}
+			isDelta[i] = substituted
 			if lens[i] = term[i].length(); lens[i] == 0 {
 				empty = true
 				break
@@ -436,26 +432,12 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 			return nil, err
 		}
 	}
-	if cj.cache != nil {
-		cj.cache.advance(v.ctx, v.execTS, deltas)
-	}
-	if out == nil {
-		out = v.own(e.pool.Get(cj.outSchema, 0))
-	}
 	return out, nil
 }
 
-// operandPreVec materializes operand i's pre-state: the live replica
-// when the join is prepared, a pooled batch executed from the
-// last-execution snapshot otherwise.
-func (v *vecEval) operandPreVec(cj *compiledJoin, i int) (*vecInput, error) {
-	if cj.cache != nil {
-		ent, err := cj.cache.pre(i, v.ctx, v.st)
-		if err != nil {
-			return nil, err
-		}
-		return &vecInput{ent: ent}, nil
-	}
+// operandPre executes operand i's pre-state from the last-execution
+// snapshot into a pooled batch.
+func (v *vecEval) operandPre(cj *compiledJoin, i int) (*batch.Batch, error) {
 	ex := algebra.NewExecutor(v.ctx.Pre)
 	ex.UseHashJoin = v.e.UseHashJoin
 	rel, err := ex.Execute(cj.ops[i].plan)
@@ -469,7 +451,7 @@ func (v *vecEval) operandPreVec(cj *compiledJoin, i int) (*vecInput, error) {
 			return nil, nonConforming("operand pre-state")
 		}
 	}
-	return &vecInput{b: pb}, nil
+	return pb, nil
 }
 
 // runTerm joins one term's operand inputs along its resolved plan,
@@ -507,8 +489,8 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 		case in.ent != nil:
 			nt = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.rows, cj.ops[step.op].lo, step, nOps)
 		default:
-			// A batch operand (another delta, or an uncached pre-state)
-			// gets a transient index over its rows.
+			// A batch operand (another delta, or the truth table's
+			// pre-state) gets a transient index over its rows.
 			var ix relation.SlotIndex
 			for r := 0; r < in.b.Len(); r++ {
 				ix.Insert(int32(r), in.b.HashKey(r, step.buildCols))

@@ -11,7 +11,6 @@ import (
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
-	"github.com/diorama/continual/internal/vclock"
 )
 
 // sameValues reports whether two rows carry equal values position by
@@ -118,7 +117,8 @@ func vecFixtureSchemas() map[string]relation.Schema {
 }
 
 // TestVectorizedMatchesPropagate is the transcript-equivalence gate
-// inside the engine: over random histories, a prepared plan must produce,
+// inside the engine: over random histories, a prepared plan and
+// unprepared Reevaluate must each produce,
 // round after round, exactly the net signed delta of complete
 // re-evaluation (PropagateSigned) and maintain exactly the from-scratch
 // result, across the flag matrix that changes which kernels run.
@@ -137,36 +137,38 @@ func TestVectorizedMatchesPropagate(t *testing.T) {
 	for qi, q := range vecQueries {
 		for _, va := range variants {
 			t.Run(fmt.Sprintf("q%d_%s", qi, va.name), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(qi*31 + 7)))
-				f := newFixture(t, vecFixtureSchemas())
-				live := liveSet{}
-				applyRandomBatch(t, f, rng, live, 8, 3)
+				// Both join kernels under every flag: the standing query's
+				// telescoping and Algorithm 1's truth table, which is the one
+				// UseHeuristics and the term order reach.
+				for _, kernel := range []string{"auto", "truth-table"} {
+					rng := rand.New(rand.NewSource(int64(qi*31 + 7)))
+					f := newFixture(t, vecFixtureSchemas())
+					live := liveSet{}
+					applyRandomBatch(t, f, rng, live, 8, 3)
 
-				plan := f.plan(t, q)
-				eng := NewEngine()
-				va.mod(eng)
-				p, err := eng.Prepare(plan, StrategyTruthTable)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prev, err := InitialResult(plan, f.store.Live())
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.mark()
-				for round := 0; round < 6; round++ {
-					applyRandomBatch(t, f, rng, live, 1+rng.Intn(3), 1+rng.Intn(4))
-					ctx := f.ctx(t)
-					ctx.Prev = prev
-					res, err := p.Step(ctx, f.store.Now())
+					plan := f.plan(t, q)
+					eng := NewEngine()
+					va.mod(eng)
+					p := subjectFor(t, eng, plan, kernel)
+					prev, err := InitialResult(plan, f.store.Live())
 					if err != nil {
-						t.Fatalf("round %d: %v", round, err)
+						t.Fatal(err)
 					}
-					label := fmt.Sprintf("round %d", round)
-					assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
-					prev = res.ApplyTo(prev)
-					assertComplete(t, label, plan, f, prev)
 					f.mark()
+					for round := 0; round < 6; round++ {
+						applyRandomBatch(t, f, rng, live, 1+rng.Intn(3), 1+rng.Intn(4))
+						ctx := f.ctx(t)
+						ctx.Prev = prev
+						res, err := p.Step(ctx, f.store.Now())
+						label := fmt.Sprintf("%s round %d", kernel, round)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+						prev = res.ApplyTo(prev)
+						assertComplete(t, label, plan, f, prev)
+						f.mark()
+					}
 				}
 			})
 		}
@@ -188,14 +190,8 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 	q := "SELECT * FROM r JOIN u ON r.s1 = u.s2 WHERE r.a > 20"
 	plan := f.plan(t, q)
 	eng := NewEngine()
-	vecA, err := eng.Prepare(plan, StrategyTruthTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecB, err := eng.Prepare(plan, StrategyTruthTable)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vecA := subjectFor(t, eng, plan, "auto")
+	vecB := subjectFor(t, eng, plan, "truth-table")
 	prev, err := InitialResult(plan, f.store.Live())
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +236,8 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 	}
 }
 
-// TestNonConformingWindowFailsStep hands each kind of standing plan a
-// hand-built window holding a value its column cannot (a STRING in a
+// TestNonConformingWindowFailsStep hands each kind of standing plan —
+// and the stateless truth table — a hand-built window holding a value its column cannot (a STRING in a
 // FLOAT column — the store's write boundary would have rejected it): the
 // Step must fail with the relation.ErrTypeMismatch sentinel, never
 // evaluate a second way, and leave nothing half-advanced behind — the
@@ -249,9 +245,6 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 // last case fails ABOVE a join group that has already advanced its
 // replicas, which must be dropped.
 func TestNonConformingWindowFailsStep(t *testing.T) {
-	type stepper interface {
-		Step(*Context, vclock.Timestamp) (*Result, error)
-	}
 	badWindow := func(t *testing.T, f *fixture, ctx *Context) {
 		t.Helper()
 		schema, err := f.store.Schema("r")
@@ -264,31 +257,27 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 		}
 		ctx.Deltas["r"] = bad
 	}
-	prepared := func(strat Strategy) func(*testing.T, *fixture, algebra.Plan) stepper {
-		return func(t *testing.T, _ *fixture, plan algebra.Plan) stepper {
-			p, err := NewEngine().Prepare(plan, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+	named := func(name string) func(*testing.T, *fixture, algebra.Plan) subject {
+		return func(t *testing.T, _ *fixture, plan algebra.Plan) subject {
+			return subjectFor(t, NewEngine(), plan, name)
 		}
 	}
 	cases := []struct {
 		name, query string
-		build       func(*testing.T, *fixture, algebra.Plan) stepper
+		build       func(*testing.T, *fixture, algebra.Plan) subject
 		// poison makes the next Step fail; nil hand-builds a bad window.
 		poison func(*testing.T, *fixture)
 	}{
-		{"truth-table", "SELECT * FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyTruthTable), nil},
-		{"telescoping", "SELECT * FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyIncremental), nil},
-		{"group-table", "SELECT s1, SUM(a) AS total, COUNT(*) AS n FROM r GROUP BY s1", func(t *testing.T, f *fixture, plan algebra.Plan) stepper {
+		{"truth-table", "SELECT * FROM r JOIN u ON r.s1 = u.s2", named("truth-table"), nil},
+		{"telescoping", "SELECT * FROM r JOIN u ON r.s1 = u.s2", named("incremental"), nil},
+		{"group-table", "SELECT s1, SUM(a) AS total, COUNT(*) AS n FROM r GROUP BY s1", func(t *testing.T, f *fixture, plan algebra.Plan) subject {
 			ia, err := NewIncrementalAggregate(NewEngine(), plan, f.store.Live())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ia
 		}, nil},
-		{"error-above-advanced-join", "SELECT r.s1, u.x / (u.x - 99) AS q FROM r JOIN u ON r.s1 = u.s2", prepared(StrategyTruthTable), func(t *testing.T, f *fixture) {
+		{"error-above-advanced-join", "SELECT r.s1, u.x / (u.x - 99) AS q FROM r JOIN u ON r.s1 = u.s2", named("auto"), func(t *testing.T, f *fixture) {
 			// Both operands change and the joined row divides by zero in
 			// the projection, after the join group advanced.
 			f.insert(t, "r", []relation.Value{relation.Str("kz"), relation.Float(1)})
@@ -378,11 +367,12 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 	}
 }
 
-// TestVectorizedBothKernels runs the truth table and the telescoping
-// kernel over the same window for every query shape: the second run
-// finds the replicas advanced past the window start by the first,
-// rebuilds them from the pre-state snapshot, and both must equal
-// complete re-evaluation.
+// TestVectorizedBothKernels runs the truth table (a transient tree,
+// as unprepared Reevaluate compiles it) and the telescoping kernel (a
+// Prepared's tree) over the same window for every query shape, the
+// telescoping kernel twice: its second run finds the replicas advanced
+// past the window start by the first and rebuilds them from the
+// pre-state snapshot. All three must equal complete re-evaluation.
 func TestVectorizedBothKernels(t *testing.T) {
 	for qi, q := range vecQueries {
 		rng := rand.New(rand.NewSource(int64(qi)))
@@ -392,7 +382,11 @@ func TestVectorizedBothKernels(t *testing.T) {
 
 		plan := f.plan(t, q)
 		e := NewEngine()
-		p, err := e.Prepare(plan, StrategyTruthTable)
+		p, err := e.Prepare(plan, StrategyAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := compilePlan(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,14 +399,15 @@ func TestVectorizedBothKernels(t *testing.T) {
 		ctx := f.ctx(t)
 		ctx.Prev = prev
 		want := oracle(t, plan, ctx)
-		for _, telescope := range []bool{false, true} {
+		for i, root := range []*compiledNode{bare, p.root, p.root} {
 			var st Stats
-			net, err := e.vecEvaluate(p.root, ctx, f.store.Now(), &st, telescope)
+			net, err := e.vecEvaluate(root, ctx, f.store.Now(), &st)
 			if err != nil {
-				t.Fatalf("q%d telescope=%v: %v", qi, telescope, err)
+				t.Fatalf("q%d run %d: %v", qi, i, err)
 			}
-			assertSameNet(t, fmt.Sprintf("q%d telescope=%v", qi, telescope), want, net)
+			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, net)
 		}
+		p.Close()
 	}
 }
 

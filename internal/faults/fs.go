@@ -238,18 +238,6 @@ func (fs *MemFS) SyncDir(string) error {
 	return nil
 }
 
-// DumpDurable returns each file's post-crash-guaranteed content —
-// synced bytes only. For test assertions.
-func (fs *MemFS) DumpDurable() map[string][]byte {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make(map[string][]byte, len(fs.files))
-	for p, f := range fs.files {
-		out[p] = append([]byte(nil), f.synced...)
-	}
-	return out
-}
-
 // memHandle is an open write handle.
 type memHandle struct {
 	fs     *MemFS

@@ -327,13 +327,6 @@ func (l *Log) Rotate() (uint64, error) {
 	return l.seg, nil
 }
 
-// Segment returns the current segment number.
-func (l *Log) Segment() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
-}
-
 // Close syncs and closes the log. Safe to call twice.
 func (l *Log) Close() error {
 	l.mu.Lock()
