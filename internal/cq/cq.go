@@ -456,7 +456,7 @@ func (m *Manager) Traces() *obs.TraceLog { return m.cfg.Metrics.Traces() }
 func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	initial, err := m.installLocked(def, nil)
+	initial, err := m.installLocked(def, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -468,12 +468,13 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 // nil) seeds from the live store: the initial execution runs under the
 // store's read lock, the result sequence starts at 1, and the journal
 // gets a registration record before the CQ becomes visible. A recovered
-// one seeds from the store as of its last execution and carries Seq,
-// result and health over from the entry, unjournaled — so the
-// first refresh after recovery is a differential catch-up over the
-// replayed window, the DRA applied to the crash itself. It returns the
-// CQ's result at the seed. Caller holds m.mu.
-func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, error) {
+// one carries Seq and health over from the entry, unjournaled, and
+// re-derives its result by the same initial execution over the store as
+// of its last execution (paper §4.2) — so the first refresh after
+// recovery is a differential catch-up over the replayed window, the DRA
+// applied to the crash itself. It returns the CQ's result at the seed.
+// at is the store as of rec.LastExec (nil when rec is). Caller holds m.mu.
+func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*relation.Relation, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -580,12 +581,9 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 		})
 	}
 	if rec != nil {
-		seed = func(f func(src algebra.Source) error) error { return f(m.store.At(rec.LastExec)) }
+		seed = func(f func(src algebra.Source) error) error { return f(at) }
 		inst.seq, inst.lastExec = rec.Seq, rec.LastExec
 		inst.terminated.Store(rec.Terminated)
-		if rec.Result != nil {
-			inst.prev = rec.Result.Clone()
-		}
 		// The crash may sit between the last materialize commit and its
 		// execution record: the first refresh reconciles the whole target.
 		inst.needsReconcile = inst.into != ""
@@ -596,25 +594,22 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 		if guard.ParseHealth(rec.Health) != guard.Healthy {
 			inst.breaker.SeedProbation()
 		}
-		// rec.Strategy is not read: what the CQ runs is decided as for a
-		// fresh one, by its plan's shape under this manager's configuration.
 	}
 
 	// The evaluator (Section 4.2: Algorithm 1 applies "after its initial
 	// execution"). A state keeper seeds its state from the same pass that
 	// yields the initial result; a template member's result is the
-	// parameter-filtered template result, its lastExec pinned to the
-	// group's step position by the join. Materializing CQs never share —
-	// their refreshes commit into a private target, so the plan stays
-	// private too. A terminated sequence never steps: it gets none.
+	// parameter-filtered template result at its seed (a fresh member's
+	// lastExec pinned to the group's step position by the join).
+	// Materializing CQs never share — their refreshes commit into a
+	// private target, so the plan stays private too. A terminated
+	// sequence never steps: it gets none.
 	if m.cfg.UseDRA && !inst.terminated.Load() {
 		err := seed(func(src algebra.Source) error {
 			maint, err := newMaintainer(m.cfg.Engine, plan, src)
 			if maint != nil {
 				inst.eval = maint
-				if inst.prev == nil {
-					inst.prev = maint.Result()
-				}
+				inst.prev = maint.Result()
 			}
 			return err
 		})
@@ -622,7 +617,7 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 			return nil, err
 		}
 		if inst.eval == nil && inst.into == "" {
-			if err := m.joinTemplateLocked(inst, rec == nil); err != nil {
+			if err := m.joinTemplateLocked(inst, at); err != nil {
 				return nil, err
 			}
 		}
@@ -638,8 +633,9 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry) (*relation.Relation, 
 		inst.eval = prep
 	}
 	if inst.prev == nil && inst.terminated.Load() {
-		// Terminated and no result survived: an empty relation keeps
-		// State/Result well defined.
+		// Recovered terminated: it no longer pins the GC horizon, so the
+		// store at LastExec may be collected and the result cannot be
+		// re-derived. An empty relation keeps State/Result well defined.
 		inst.prev = relation.New(plan.Schema())
 	}
 	if inst.prev == nil {

@@ -810,11 +810,12 @@ func TestStrategyFallbackIsAudible(t *testing.T) {
 	}
 }
 
-// A checkpoint written before the strategies were retired names them:
-// every selection and every young join recorded "truth-table". Such an
-// entry resumes as what its plan's shape makes it — without an error,
-// a log line or a lost window.
-func TestResumeRetiredStrategy(t *testing.T) {
+// A durable entry carries no result: a resumed CQ re-derives it by one
+// initial execution over the store at LastExec, not at the live head,
+// so the commits of the crash window reach subscribers as the first
+// refresh's delta. It runs what its plan's shape makes it, without an
+// error, a log line or a lost window.
+func TestResumeReseedsAtLastExec(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
 		relation.Column{Name: "volume", Type: relation.TInt},
@@ -843,10 +844,6 @@ func TestResumeRetiredStrategy(t *testing.T) {
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if entries[0].Strategy != "incremental" {
-		t.Fatalf("a join CQ records strategy %q, want incremental", entries[0].Strategy)
-	}
-	entries[0].Strategy = "truth-table"
 	insertTrade("DEC") // the crash window
 
 	var logged []string
@@ -855,16 +852,24 @@ func TestResumeRetiredStrategy(t *testing.T) {
 	}})
 	defer func() { _ = m2.Close() }()
 	if err := m2.Resume(entries[0]); err != nil {
-		t.Fatalf("resume of a truth-table entry: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
-	if st, err := m2.State("joined"); err != nil || st.Strategy != "incremental" || st.Health != "healthy" || st.Seq != 2 {
-		t.Fatalf("resumed state = %+v (err %v), want a healthy incremental CQ at seq 2", st, err)
+	if st, err := m2.State("joined"); err != nil || st.Strategy != "incremental" || st.Health != "healthy" || st.Seq != 2 || st.ResultLen != 1 {
+		t.Fatalf("resumed state = %+v (err %v), want a healthy incremental CQ at seq 2 with the 1 row of LastExec", st, err)
+	}
+	var inserted int
+	if _, err := m2.SubscribeFunc("joined", func(n Notification, closed bool) {
+		if !closed {
+			inserted += n.Inserted.Len()
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := m2.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := m2.Result("joined"); res.Len() != 2 {
-		t.Errorf("result after the catch-up = %d rows, want 2", res.Len())
+	if res, _ := m2.Result("joined"); res.Len() != 2 || inserted != 1 {
+		t.Errorf("after the catch-up: %d rows, %d notified insertions; want 2 and 1", res.Len(), inserted)
 	}
 	if len(logged) != 0 {
 		t.Errorf("resume logged %v, want nothing", logged)

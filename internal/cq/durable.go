@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/epsilon"
+	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
+	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
 )
@@ -19,12 +21,15 @@ import (
 // notifications at-most-once across crashes — an execution the journal
 // never saw was also never delivered, so after recovery its trigger
 // simply re-fires and the refresh re-runs differentially.
+//
+// The journal sees a CQ's bookkeeping, never its result: a resumed CQ
+// re-derives its result by one initial execution at LastExec.
 type Journal interface {
-	// CQRegistered records a new CQ (entry carries the initial result).
+	// CQRegistered records a new CQ's definition and bookkeeping.
 	CQRegistered(e wal.CQEntry) error
-	// CQExecuted records one delivered refresh; change is the result
-	// delta of the execution (may be nil or empty).
-	CQExecuted(name string, seq int, ts vclock.Timestamp, change *delta.Delta, terminated bool) error
+	// CQExecuted records one delivered refresh: its sequence number,
+	// execution timestamp and whether it ended the sequence.
+	CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error
 	// CQDropped records removal.
 	CQDropped(name string) error
 }
@@ -50,17 +55,6 @@ func (m *Manager) entryLocked(inst *instance) wal.CQEntry {
 	}
 	if inst.trigger.On != nil {
 		e.TriggerOn = inst.trigger.On.String()
-	}
-	if prep, ok := inst.eval.(*dra.Prepared); ok {
-		e.Strategy = prep.Strategy().String()
-	}
-	if g := inst.group; g != nil {
-		g.mu.Lock()
-		e.Strategy = g.prepared.Strategy().String()
-		g.mu.Unlock()
-	}
-	if inst.prev != nil {
-		e.Result = inst.prev.Clone()
 	}
 	return e
 }
@@ -106,12 +100,41 @@ func (m *Manager) SnapshotRegistry(cut func() error) ([]wal.CQEntry, error) {
 	return entries, nil
 }
 
-// Resume reinstalls a recovered CQ without journaling and without a
-// fresh initial execution: the entry's Seq/LastExec/Result carry on the
-// result sequence exactly where the previous incarnation stopped, and
-// the trigger starts observing at LastExec (installLocked's recovered
-// seed).
-func (m *Manager) Resume(e wal.CQEntry) error {
+// Resume reinstalls recovered CQs without journaling: each entry's
+// Seq/LastExec carry on the result sequence exactly where the previous
+// incarnation stopped, the result is re-derived by one initial
+// execution over the store at LastExec, and the trigger starts
+// observing there (installLocked's recovered seed).
+//
+// A reseed reads whole tables as of LastExec, and recovered CQs share
+// few LastExec values (one or two after a clean close), so the entries
+// are resumed in LastExec order over one snapshot per table and
+// timestamp.
+func (m *Manager) Resume(entries ...wal.CQEntry) error {
+	entries = append([]wal.CQEntry(nil), entries...)
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].LastExec < entries[j].LastExec })
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var at *snapshotsAt
+	for i := range entries {
+		e := &entries[i]
+		def, err := resumedDef(e)
+		if err != nil {
+			return err
+		}
+		if at == nil || at.ts != e.LastExec {
+			at = &snapshotsAt{store: m.store, ts: e.LastExec,
+				rels: make(map[string]*relation.Relation), tmpls: make(map[uint64]*relation.Relation)}
+		}
+		if _, err := m.installLocked(def, e, at); err != nil {
+			return fmt.Errorf("cq %q: resume: %w", e.Name, err)
+		}
+	}
+	return nil
+}
+
+// resumedDef renders a durable entry back to its definition.
+func resumedDef(e *wal.CQEntry) (Def, error) {
 	def := Def{
 		Name:  e.Name,
 		Query: e.Query,
@@ -129,14 +152,46 @@ func (m *Manager) Resume(e wal.CQEntry) error {
 	if e.TriggerOn != "" {
 		on, err := sql.ParseExpr(e.TriggerOn)
 		if err != nil {
-			return fmt.Errorf("cq %q: recovered trigger expression: %w", e.Name, err)
+			return Def{}, fmt.Errorf("cq %q: recovered trigger expression: %w", e.Name, err)
 		}
 		def.Trigger.On = on
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.installLocked(def, &e); err != nil {
-		return fmt.Errorf("cq %q: resume: %w", e.Name, err)
+	return def, nil
+}
+
+// snapshotsAt is the store as of one timestamp, each table copied at
+// most once and each template evaluated at most once, shared by every
+// seed that reads them. Seeds only read what a source hands them: the
+// executor never mutates a tuple.
+type snapshotsAt struct {
+	store *storage.Store
+	ts    vclock.Timestamp
+	rels  map[string]*relation.Relation
+	tmpls map[uint64]*relation.Relation // template fingerprint → result
+}
+
+// Relation implements algebra.Source.
+func (s *snapshotsAt) Relation(table string) (*relation.Relation, error) {
+	if r, ok := s.rels[table]; ok {
+		return r, nil
 	}
-	return nil
+	r, err := s.store.SnapshotAt(table, s.ts)
+	if err != nil {
+		return nil, err
+	}
+	s.rels[table] = r
+	return r, nil
+}
+
+// templateResult is the template's result at ts.
+func (s *snapshotsAt) templateResult(tpl *algebra.Template) (*relation.Relation, error) {
+	if r, ok := s.tmpls[tpl.Fingerprint]; ok {
+		return r, nil
+	}
+	r, err := dra.InitialResult(tpl.Plan, s)
+	if err != nil {
+		return nil, err
+	}
+	s.tmpls[tpl.Fingerprint] = r
+	return r, nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
@@ -527,7 +526,7 @@ func (j *blockJournal) CQRegistered(e wal.CQEntry) error {
 	return nil
 }
 
-func (j *blockJournal) CQExecuted(name string, seq int, ts vclock.Timestamp, change *delta.Delta, terminated bool) error {
+func (j *blockJournal) CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error {
 	if j.armed.Load() {
 		j.once.Do(func() { close(j.entered) })
 		<-j.gate

@@ -633,7 +633,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]
 	newSeq := inst.seq + 1
 	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
 	if m.cfg.Journal != nil {
-		if jerr := m.cfg.Journal.CQExecuted(inst.def.Name, newSeq, execTS, res.Delta, willTerm); jerr != nil {
+		if jerr := m.cfg.Journal.CQExecuted(inst.def.Name, newSeq, execTS, willTerm); jerr != nil {
 			return fmt.Errorf("cq %q: journal execution: %w", inst.def.Name, jerr)
 		}
 	}

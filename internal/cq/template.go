@@ -86,14 +86,16 @@ type tmplBatch struct {
 // installs a private plan. Caller (installLocked) holds m.mu and still
 // owns the instance.
 //
-// A fresh registration steps the group to the current timestamp and
-// takes σ_params of the shared template result as its initial result,
-// with inst.lastExec pinned to the group's; the member then consumes the
-// template stream forever. A recovered member keeps its recovered result
-// and lastExec: the caller gives it a private plan for one differential
-// catch-up, after which template batches at or before the catch-up point
-// are discarded and the member joins the stream (afterRefreshLocked).
-func (m *Manager) joinTemplateLocked(inst *instance, fresh bool) error {
+// A fresh registration (at nil) steps the group to the current timestamp
+// and takes σ_params of the shared template result as its initial
+// result, with inst.lastExec pinned to the group's; the member then
+// consumes the template stream forever. A recovered member keeps its
+// recovered lastExec and takes σ_params of the template result as of it,
+// evaluated once over at for every member recovered there; the caller
+// gives it a private plan for one differential catch-up, after which
+// template batches at or before the catch-up point are discarded and the
+// member joins the stream (afterRefreshLocked).
+func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 	if !m.cfg.ShareTemplates {
 		return nil
 	}
@@ -134,7 +136,8 @@ func (m *Manager) joinTemplateLocked(inst *instance, fresh bool) error {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if fresh {
+	seed := g.prev
+	if at == nil {
 		// Bring the group to the registration point so the member's
 		// initial result is exact at the timestamp it starts streaming
 		// from.
@@ -142,13 +145,19 @@ func (m *Manager) joinTemplateLocked(inst *instance, fresh bool) error {
 			m.reapDue.Store(true) // a group created for this member is empty
 			return fmt.Errorf("cq %q: template catch-up: %w", inst.def.Name, err)
 		}
-		inst.prev = relation.New(g.prev.Schema())
-		for _, tu := range g.prev.Tuples() {
-			if g.tpl.MatchRow(params, tu.Values) {
-				_ = inst.prev.Insert(tu)
-			}
+		seed, inst.lastExec = g.prev, g.lastExec
+	} else if at.ts != g.lastExec {
+		var err error
+		if seed, err = at.templateResult(tpl); err != nil {
+			m.reapDue.Store(true)
+			return fmt.Errorf("cq %q: template result at %d: %w", inst.def.Name, at.ts, err)
 		}
-		inst.lastExec = g.lastExec
+	}
+	inst.prev = relation.New(seed.Schema())
+	for _, tu := range seed.Tuples() {
+		if g.tpl.MatchRow(params, tu.Values) {
+			_ = inst.prev.Insert(tu)
+		}
 	}
 	mem := &tmplMember{inst: inst, params: params}
 	g.members[inst.def.Name] = mem

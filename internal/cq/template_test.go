@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -237,7 +236,7 @@ func (j *nameFaultJournal) arm(on bool) {
 func (j *nameFaultJournal) CQRegistered(wal.CQEntry) error { return nil }
 func (j *nameFaultJournal) CQDropped(string) error         { return nil }
 
-func (j *nameFaultJournal) CQExecuted(name string, _ int, _ vclock.Timestamp, _ *delta.Delta, _ bool) error {
+func (j *nameFaultJournal) CQExecuted(name string, _ int, _ vclock.Timestamp, _ bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.armed && name == j.name {

@@ -2,13 +2,15 @@
 // write-ahead log into a crash-recoverable system.
 //
 // The contract follows the paper's differential spirit: persistence
-// records DELTAS, not states. Every committed transaction appends its
-// delta to the WAL before the store applies it; every delivered CQ
-// refresh appends its result delta before the notification goes out.
-// Recovery therefore is itself a differential evaluation — the latest
-// checkpoint restores a consistent cut, the WAL tail replays the
-// deltas past it, and each resumed CQ picks up at its last logged
-// execution so the first post-crash Poll computes an ordinary
+// records base facts, never derived state. Every committed transaction
+// appends its delta to the WAL before the store applies it; every
+// delivered CQ refresh appends only its bookkeeping (seq, execution
+// timestamp, terminated) before the notification goes out. A CQ's
+// result is a function of the logged transactions, so it is never
+// logged: the latest checkpoint restores a consistent cut, the WAL tail
+// replays the transactions past it, each resumed CQ re-derives its
+// result by one initial execution at its last logged execution (paper
+// §4.2), and the first post-crash Poll computes an ordinary
 // differential catch-up over the replayed window.
 package durable
 
@@ -19,7 +21,6 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/cq"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
@@ -150,14 +151,6 @@ func Open(opts Options) (*System, error) {
 			e.Seq = rec.Seq
 			e.LastExec = rec.ExecTS
 			e.Terminated = rec.Terminated
-			if e.Result != nil {
-				if err := foldChange(e.Result, rec.Change); err != nil {
-					// The materialized result can't absorb this delta;
-					// drop it and let Resume reseed by evaluation at
-					// LastExec. Recovery stays correct, just slower.
-					e.Result = nil
-				}
-			}
 		case wal.KindCQDrop:
 			delete(reg, rec.Name)
 		}
@@ -193,24 +186,25 @@ func Open(opts Options) (*System, error) {
 	cfg.Journal = s
 	s.Manager = cq.NewManagerConfig(store, cfg)
 
-	resumed := 0
+	// order names a CQ once per registration; reg holds the survivor of
+	// the last one, if any.
+	var live []wal.CQEntry
 	for _, name := range order {
-		e := reg[name]
-		if e == nil {
-			continue // dropped later in the log
+		if e := reg[name]; e != nil {
+			live = append(live, *e)
+			delete(reg, name)
 		}
-		if err := s.Manager.Resume(*e); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("durable: resume: %w", err)
-		}
-		resumed++
+	}
+	if err := s.Manager.Resume(live...); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("durable: resume: %w", err)
 	}
 
 	s.Recovery = RecoveryInfo{
 		FromCheckpoint: res.Checkpoint != nil,
 		Records:        res.Records,
 		Torn:           res.Torn,
-		CQs:            resumed,
+		CQs:            len(live),
 		Elapsed:        time.Since(start),
 	}
 	if opts.Metrics != nil {
@@ -218,21 +212,6 @@ func Open(opts Options) (*System, error) {
 		opts.Metrics.Gauge("wal.records_replayed").Set(int64(res.Records))
 	}
 	return s, nil
-}
-
-// foldChange applies one execution's result delta to a materialized
-// result relation.
-func foldChange(rel *relation.Relation, rows []delta.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	d := delta.New(rel.Schema())
-	for _, r := range rows {
-		if err := d.Append(r); err != nil {
-			return err
-		}
-	}
-	return d.Apply(rel)
 }
 
 // --- write-ahead sinks -------------------------------------------------
@@ -261,12 +240,8 @@ func (s *System) CQRegistered(e wal.CQEntry) error { return s.log.AppendCQRegist
 // CQExecuted implements cq.Journal: logged before the refresh mutates
 // the instance or notifies anyone, making delivery at-most-once across
 // crashes.
-func (s *System) CQExecuted(name string, seq int, ts vclock.Timestamp, change *delta.Delta, terminated bool) error {
-	var rows []delta.Row
-	if change != nil {
-		rows = change.Rows()
-	}
-	return s.log.AppendCQExec(name, seq, ts, rows, terminated)
+func (s *System) CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+	return s.log.AppendCQExec(name, seq, ts, terminated)
 }
 
 // CQDropped implements cq.Journal.

@@ -151,12 +151,21 @@ func TestDropIsDurable(t *testing.T) {
 	// Crash without a close: the drop must still be gone after replay.
 	fs.CrashClean()
 	sys2 := openSys(t, fs, 0)
-	defer sys2.Close()
 	if sys2.Recovery.CQs != 0 {
 		t.Fatalf("dropped cq resurrected: %+v", sys2.Recovery)
 	}
 	if names := sys2.Manager.Names(); len(names) != 0 {
 		t.Fatalf("names after drop+recovery: %v", names)
+	}
+	// The name registered again after its drop resumes once.
+	if _, err := sys2.Manager.RegisterSQL(watchQuery); err != nil {
+		t.Fatal(err)
+	}
+	fs.CrashClean()
+	sys3 := openSys(t, fs, 0)
+	defer sys3.Close()
+	if names := sys3.Manager.Names(); sys3.Recovery.CQs != 1 || len(names) != 1 {
+		t.Fatalf("re-registered cq after recovery: %+v, names %v", sys3.Recovery, names)
 	}
 }
 

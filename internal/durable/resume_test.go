@@ -10,6 +10,7 @@ import (
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/wal"
 )
@@ -50,10 +51,16 @@ func (w *resumeWorld) insert(tx *storage.Tx, table, name string, v int64) error 
 	return err
 }
 
-// round commits one transaction touching all three tables — an insert
-// everywhere, an update and (every other round) a delete in stocks — and
-// polls.
+// round commits one transaction touching all three tables and polls.
 func (w *resumeWorld) round(i int) {
+	w.t.Helper()
+	w.change(i)
+	w.poll()
+}
+
+// change commits one transaction touching all three tables: an insert
+// everywhere, an update and (every other round) a delete in stocks.
+func (w *resumeWorld) change(i int) {
 	w.t.Helper()
 	w.commit(func(tx *storage.Tx) error {
 		name := fmt.Sprintf("N%d", i)
@@ -70,8 +77,12 @@ func (w *resumeWorld) round(i int) {
 		}
 		return nil
 	})
+}
+
+func (w *resumeWorld) poll() {
+	w.t.Helper()
 	if _, err := w.sys.Manager.Poll(); err != nil {
-		w.t.Fatalf("poll %d: %v", i, err)
+		w.t.Fatalf("poll: %v", err)
 	}
 }
 
@@ -97,10 +108,24 @@ func renderChange(n cq.Notification) string {
 		n.Seq, n.ExecTS, n.Terminated, renderRows(n.Inserted), renderRows(n.Deleted), mods, renderRows(n.Complete))
 }
 
+// restart is how a resumeWorld goes down at the comparison point.
+type restart int
+
+const (
+	noRestart  restart = iota
+	checkpoint         // checkpoint, clean close, reopen: recovery starts at the cut
+	crash              // no checkpoint, kill: recovery replays the whole WAL
+)
+
 // TestRegisterVersusResume holds the one install path to its contract: a
 // CQ reinstalled from its durable entry (Resume) is, field by field, the
 // CQ that was registered and never went down, and its next refresh tells
-// subscribers exactly what the uncrashed one's does.
+// subscribers exactly what the uncrashed one's does. Both ways down are
+// checked: from a checkpoint, and from the WAL alone, where the
+// registration and execution records are all recovery has. A CQ whose
+// StopAfterN ended it before the restart resumes terminated with an
+// empty result: it no longer pins the GC horizon, so its result at
+// LastExec cannot be re-derived.
 func TestRegisterVersusResume(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -121,6 +146,12 @@ func TestRegisterVersusResume(t *testing.T) {
 		{"into", false, []cq.Def{
 			{Name: "producer", Query: "SELECT name, v INTO hot FROM stocks WHERE v >= 50"},
 			{Name: "reader", Query: "SELECT name FROM hot WHERE v >= 80"}}},
+		// MIN/MAX refreshes on the complete re-evaluation arm.
+		{"minmax", false, []cq.Def{
+			{Name: "q", Query: "SELECT name, MIN(v) AS lo, MAX(v) AS hi FROM stocks GROUP BY name"}}},
+		{"stopafter", false, []cq.Def{
+			{Name: "stopped", Query: "SELECT name, v FROM stocks WHERE v >= 50", Stop: sql.StopSpec{AfterN: 2}},
+			{Name: "q", Query: "SELECT name, v FROM stocks WHERE v >= 50"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// run drives the script and returns, per CQ, its state at the
@@ -130,7 +161,7 @@ func TestRegisterVersusResume(t *testing.T) {
 				before, after cq.CQState
 				notes         []string
 			}
-			run := func(restart bool) map[string]*observed {
+			run := func(down restart) map[string]*observed {
 				w := &resumeWorld{t: t, fs: faults.NewMemFS(1), tids: make(map[string]relation.TID),
 					cfg: cq.Config{UseDRA: true, AutoGC: true, ShareTemplates: tc.share}}
 				w.open()
@@ -158,14 +189,25 @@ func TestRegisterVersusResume(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					w.round(i)
 				}
-				if restart {
-					if err := w.sys.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					if err := w.sys.Close(); err != nil {
-						t.Fatal(err)
+				// The crash window: a commit no refresh has seen, so every
+				// resumed CQ reseeds at a LastExec behind the head.
+				w.change(3)
+				if down != noRestart {
+					if down == checkpoint {
+						if err := w.sys.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+						if err := w.sys.Close(); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						_ = w.sys.Manager.Close() // the log is abandoned open
+						w.fs.Crash()
 					}
 					w.open()
+					if ck := w.sys.Recovery.FromCheckpoint; ck != (down == checkpoint) {
+						t.Fatalf("recovery from a checkpoint = %v after restart kind %d", ck, down)
+					}
 					if w.sys.Recovery.CQs != len(tc.defs) {
 						t.Fatalf("recovery resumed %d CQs, want %d", w.sys.Recovery.CQs, len(tc.defs))
 					}
@@ -187,10 +229,10 @@ func TestRegisterVersusResume(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// Two rounds, not one: the first refresh of a recovered
+				// Two refreshes, not one: the first refresh of a recovered
 				// template member is a private catch-up, the second is the
 				// first it takes from its group's stream.
-				w.round(3)
+				w.poll()
 				w.round(4)
 				for name, o := range out {
 					st, err := w.sys.Manager.State(name)
@@ -202,9 +244,18 @@ func TestRegisterVersusResume(t *testing.T) {
 				return out
 			}
 
-			registered, resumed := run(false), run(true)
+			registered := run(noRestart)
 			sameState := func(when, name string, a, b cq.CQState) {
 				t.Helper()
+				if a.Terminated {
+					// The documented differences: the result is not
+					// re-derived, and a sequence that never steps again is
+					// given no evaluator.
+					if !b.Terminated || b.ResultLen != 0 {
+						t.Errorf("%s, %q: resumed Terminated=%v with %d rows, want terminated and empty", when, name, b.Terminated, b.ResultLen)
+					}
+					a.ResultLen, a.Strategy = 0, ""
+				}
 				for _, f := range []struct {
 					field string
 					a, b  any
@@ -226,17 +277,26 @@ func TestRegisterVersusResume(t *testing.T) {
 				}
 			}
 			for name, want := range registered {
-				got := resumed[name]
-				sameState("at the restart point", name, want.before, got.before)
-				sameState("two refreshes later", name, want.after, got.after)
 				if tc.share && (want.before.Template == 0 || want.before.TemplateMates != len(tc.defs)) {
 					t.Errorf("%q registered unshared: %+v", name, want.before)
 				}
-				if len(want.notes) < 2 {
+				if want.before.Terminated != (name == "stopped") {
+					t.Errorf("%q: terminated = %v at the restart point", name, want.before.Terminated)
+				}
+				if len(want.notes) < 2 && !want.before.Terminated {
 					t.Errorf("%q: the refreshes after the restart point notified %d times; the script is too tame", name, len(want.notes))
 				}
-				if fmt.Sprint(got.notes) != fmt.Sprint(want.notes) {
-					t.Errorf("%q: the next refreshes notified\n  resumed:    %v\n  registered: %v", name, got.notes, want.notes)
+			}
+			for _, down := range []restart{checkpoint, crash} {
+				resumed := run(down)
+				for name, want := range registered {
+					got := resumed[name]
+					when := map[restart]string{checkpoint: "from a checkpoint", crash: "from the WAL alone"}[down]
+					sameState(when+", at the restart point", name, want.before, got.before)
+					sameState(when+", two refreshes later", name, want.after, got.after)
+					if fmt.Sprint(got.notes) != fmt.Sprint(want.notes) {
+						t.Errorf("%q %s: the next refreshes notified\n  resumed:    %v\n  registered: %v", name, when, got.notes, want.notes)
+					}
 				}
 			}
 		})

@@ -196,6 +196,15 @@ func TestPartitionAndHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One echo round trip: the reply proves the server's Accept has
+	// returned, so the listener side of conn is wrapped and live before
+	// the partition, which must then sever both ends.
+	if _, err := conn.Write([]byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
 	inj.Partition()
 	// Live conn was severed.
 	if _, err := conn.Write([]byte("x")); !errors.Is(err, ErrInjected) {

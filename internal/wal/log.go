@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -293,8 +292,8 @@ func (l *Log) AppendCQRegister(e *CQEntry) error {
 }
 
 // AppendCQExec logs one delivered refresh of a CQ.
-func (l *Log) AppendCQExec(name string, seq int, execTS vclock.Timestamp, change []delta.Row, terminated bool) error {
-	return l.append(&Record{Kind: KindCQExec, Name: name, Seq: seq, ExecTS: execTS, Change: change, Terminated: terminated})
+func (l *Log) AppendCQExec(name string, seq int, execTS vclock.Timestamp, terminated bool) error {
+	return l.append(&Record{Kind: KindCQExec, Name: name, Seq: seq, ExecTS: execTS, Terminated: terminated})
 }
 
 // AppendCQDrop logs a CQ removal.

@@ -66,11 +66,15 @@ const (
 	// KindCreateTable / KindDropTable are DDL.
 	KindCreateTable
 	KindDropTable
-	// KindCQRegister installs a continual query (entry + initial result).
+	// KindCQRegister installs a continual query: its definition and
+	// result-sequence bookkeeping, never its result. Recovery re-derives
+	// the result by one initial execution at LastExec (paper §4.2).
 	KindCQRegister
 	// KindCQExec is one delivered refresh of a CQ: seq, exec timestamp
-	// and the result delta, so recovery can roll the stored result
-	// forward to the last delivered execution without re-evaluating.
+	// and whether it terminated the sequence. The result delta is not
+	// logged: it is a function of the logged transactions. Its slot in
+	// the layout stays (a zero row count); rows in records written before
+	// are parsed and dropped.
 	KindCQExec
 	// KindCQDrop removes a continual query.
 	KindCQDrop
@@ -104,13 +108,13 @@ type Record struct {
 	Seq        int
 	ExecTS     vclock.Timestamp
 	Terminated bool
-	Change     []delta.Row // result-schema delta rows of the refresh
 }
 
 // CQEntry is the durable form of one registered continual query: the
 // paper's triple (Q, Tcq, Stop) rendered to primitives, plus the
 // bookkeeping needed to resume the result sequence where it stopped
-// (Seq, LastExec) and the materialized result as of LastExec.
+// (Seq, LastExec). The result as of LastExec is not part of it: a
+// recovered CQ re-derives it from the store at LastExec.
 type CQEntry struct {
 	Name           string
 	Query          string // SELECT text; re-parsed at recovery
@@ -123,7 +127,6 @@ type CQEntry struct {
 	StopAfterN     int64
 	EpsilonMeasure int
 	NotifyEmpty    bool
-	Strategy       string // refresh pipeline in effect ("" = none)
 	Seq            int
 	LastExec       vclock.Timestamp
 	Terminated     bool
@@ -132,9 +135,6 @@ type CQEntry struct {
 	// that was not healthy resumes in probation — it must prove itself
 	// with a probe refresh rather than rejoin at full cadence.
 	Health string
-	// Result is the complete result as of LastExec. Nil means the
-	// recovering manager must reseed it by evaluation at LastExec.
-	Result *relation.Relation
 }
 
 // ---------------------------------------------------------------------
@@ -188,18 +188,6 @@ func (e *enc) schema(s relation.Schema) {
 		e.str(c.Name)
 		e.u64(uint64(c.Type))
 	}
-}
-
-func (e *enc) relation(r *relation.Relation) error {
-	e.schema(r.Schema())
-	e.u64(uint64(r.Len()))
-	for _, t := range r.Tuples() {
-		e.u64(uint64(t.TID))
-		if err := e.vals(t.Values); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (e *enc) deltaRow(r delta.Row) error {
@@ -340,25 +328,14 @@ func (d *dec) schema() relation.Schema {
 	return s
 }
 
-func (d *dec) relation() *relation.Relation {
-	schema := d.schema()
-	if d.err != nil {
-		return nil
+// skipRelation parses and drops a relation: the result slot of a CQ
+// entry written before results were re-derived at recovery.
+func (d *dec) skipRelation() {
+	d.schema()
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		d.u64()
+		d.vals()
 	}
-	out := relation.New(schema)
-	n := d.count()
-	for i := 0; i < n; i++ {
-		tid := relation.TID(d.u64())
-		vs := d.vals()
-		if d.err != nil {
-			return nil
-		}
-		if err := out.Insert(relation.Tuple{TID: tid, Values: vs}); err != nil {
-			d.fail()
-			return nil
-		}
-	}
-	return out
 }
 
 func (d *dec) deltaRow() delta.Row {
@@ -401,12 +378,7 @@ func encodeRecord(rec *Record) ([]byte, error) {
 		e.u64(uint64(rec.Seq))
 		e.u64(uint64(rec.ExecTS))
 		e.bool(rec.Terminated)
-		e.u64(uint64(len(rec.Change)))
-		for _, r := range rec.Change {
-			if err := e.deltaRow(r); err != nil {
-				return nil, err
-			}
-		}
+		e.u64(0) // the retired result-delta row count
 	case KindCQDrop:
 		e.str(rec.Name)
 	default:
@@ -453,16 +425,8 @@ func decodeRecord(payload []byte) (*Record, error) {
 		rec.Seq = int(d.u64())
 		rec.ExecTS = vclock.Timestamp(d.u64())
 		rec.Terminated = d.bool()
-		n := d.count()
-		if n > 0 {
-			rec.Change = make([]delta.Row, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			row := d.deltaRow()
-			if d.err != nil {
-				return nil, d.err
-			}
-			rec.Change = append(rec.Change, row)
+		for n := d.count(); n > 0 && d.err == nil; n-- {
+			d.deltaRow() // a legacy result-delta row: dropped
 		}
 	case KindCQDrop:
 		rec.Name = d.str()
@@ -478,6 +442,8 @@ func decodeRecord(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
+// encodeCQEntry writes a CQ entry. The retired strategy and result
+// slots keep their place in the layout, written empty.
 func encodeCQEntry(e *enc, cq *CQEntry) error {
 	if cq == nil {
 		return fmt.Errorf("wal: nil CQ entry")
@@ -493,17 +459,13 @@ func encodeCQEntry(e *enc, cq *CQEntry) error {
 	e.u64(uint64(cq.StopAfterN))
 	e.u64(uint64(cq.EpsilonMeasure))
 	e.bool(cq.NotifyEmpty)
-	e.str(cq.Strategy)
+	e.str("") // retired strategy name
 	e.u64(uint64(cq.Seq))
 	e.u64(uint64(cq.LastExec))
 	e.bool(cq.Terminated)
 	e.str(cq.Health)
-	if cq.Result == nil {
-		e.bool(false)
-		return nil
-	}
-	e.bool(true)
-	return e.relation(cq.Result)
+	e.bool(false) // no result
+	return nil
 }
 
 func decodeCQEntry(d *dec) *CQEntry {
@@ -519,13 +481,13 @@ func decodeCQEntry(d *dec) *CQEntry {
 	cq.StopAfterN = int64(d.u64())
 	cq.EpsilonMeasure = int(d.u64())
 	cq.NotifyEmpty = d.bool()
-	cq.Strategy = d.str()
+	d.str() // retired strategy name, dropped
 	cq.Seq = int(d.u64())
 	cq.LastExec = vclock.Timestamp(d.u64())
 	cq.Terminated = d.bool()
 	cq.Health = d.str()
 	if d.bool() {
-		cq.Result = d.relation()
+		d.skipRelation() // a legacy result, re-derived at recovery instead
 	}
 	if d.err != nil {
 		return nil

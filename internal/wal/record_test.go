@@ -9,6 +9,7 @@ import (
 
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
 func testSchema(t testing.TB) relation.Schema {
@@ -23,10 +24,6 @@ func testSchema(t testing.TB) relation.Schema {
 func testRecords(t testing.TB) []*Record {
 	t.Helper()
 	schema := testSchema(t)
-	res := relation.New(relation.MustSchema(relation.Column{Name: "name", Type: relation.TString}))
-	if err := res.Insert(relation.Tuple{TID: 7, Values: []relation.Value{relation.Str("DEC")}}); err != nil {
-		t.Fatal(err)
-	}
 	return []*Record{
 		{Kind: KindCreateTable, Table: "stocks", Schema: schema},
 		{Kind: KindTx, TS: 42, Rows: []TxRow{
@@ -40,13 +37,10 @@ func testRecords(t testing.TB) []*Record {
 			Name: "q1", Query: "SELECT name FROM stocks WHERE price > 100",
 			TriggerKind: 3, TriggerUpdates: 1, TriggerBound: 0.25, TriggerOn: "price * qty",
 			Mode: 1, StopAfterN: 10, EpsilonMeasure: 2, NotifyEmpty: true,
-			Strategy: "incremental", Health: "quarantined", Seq: 4, LastExec: 41, Result: res,
+			Health: "quarantined", Seq: 4, LastExec: 41,
 		}},
 		{Kind: KindCQRegister, CQ: &CQEntry{Name: "q2", Query: "SELECT * FROM stocks", TriggerKind: 3, Mode: 1}},
-		{Kind: KindCQExec, Name: "q1", Seq: 5, ExecTS: 43, Terminated: true, Change: []delta.Row{
-			{TID: 9, TS: 43, New: []relation.Value{relation.Str("NEW")}},
-			{TID: 7, TS: 43, Old: []relation.Value{relation.Str("DEC")}},
-		}},
+		{Kind: KindCQExec, Name: "q1", Seq: 5, ExecTS: 43, Terminated: true},
 		{Kind: KindCQExec, Name: "q2", Seq: 1, ExecTS: 44},
 		{Kind: KindDropTable, Table: "stocks"},
 		{Kind: KindCQDrop, Name: "q1"},
@@ -74,40 +68,138 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Rows, rec.Rows) {
 			t.Fatalf("kind %d: rows differ:\n got %+v\nwant %+v", rec.Kind, got.Rows, rec.Rows)
 		}
-		if !reflect.DeepEqual(got.Change, rec.Change) {
-			t.Fatalf("kind %d: change differs:\n got %+v\nwant %+v", rec.Kind, got.Change, rec.Change)
-		}
-		if (got.CQ == nil) != (rec.CQ == nil) {
-			t.Fatalf("kind %d: cq presence differs", rec.Kind)
-		}
-		if rec.CQ != nil {
-			g, w := *got.CQ, *rec.CQ
-			gr, wr := g.Result, w.Result
-			g.Result, w.Result = nil, nil
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("kind %d: cq entry differs:\n got %+v\nwant %+v", rec.Kind, g, w)
-			}
-			if (gr == nil) != (wr == nil) {
-				t.Fatalf("kind %d: result presence differs", rec.Kind)
-			}
-			if wr != nil && !relationEqual(gr, wr) {
-				t.Fatalf("kind %d: result relation differs", rec.Kind)
-			}
+		if !reflect.DeepEqual(got.CQ, rec.CQ) {
+			t.Fatalf("kind %d: cq entry differs:\n got %+v\nwant %+v", rec.Kind, got.CQ, rec.CQ)
 		}
 	}
 }
 
-func relationEqual(a, b *relation.Relation) bool {
-	if !a.Schema().Equal(b.Schema()) || a.Len() != b.Len() {
-		return false
+// legacyLog hand-builds a log in the layout written before CQ results
+// left it: the registration carries a strategy name and the initial
+// result, and the execution carries its result-delta rows. It returns
+// the payloads and the records each must decode to, with those dropped.
+//
+// The log is a complete history: q1 = σ_{price>100} stocks registers at
+// ts 1 over DEC and IBM, executes at ts 2 after HP arrives, and DEC
+// crosses the threshold at ts 3 with no execution after it.
+func legacyLog(t testing.TB) (payloads [][]byte, want []*Record) {
+	str := func(s string) []relation.Value { return []relation.Value{relation.Str(s)} }
+	stock := func(name string, price float64, qty int64) []relation.Value {
+		return []relation.Value{relation.Str(name), relation.Float(price), relation.Int(qty)}
 	}
-	for _, tu := range a.Tuples() {
-		other, ok := b.Lookup(tu.TID)
-		if !ok || !reflect.DeepEqual(tu.Values, other.Values) {
-			return false
+	entry := CQEntry{Name: "q1", Query: "SELECT name FROM stocks WHERE price > 100",
+		TriggerKind: 3, TriggerUpdates: 1, Mode: 1, Seq: 1, LastExec: 1}
+	tx := func(ts uint64, rows ...delta.Row) *Record {
+		rec := &Record{Kind: KindTx, TS: vclock.Timestamp(ts)}
+		for _, r := range rows {
+			r.TS = rec.TS
+			rec.Rows = append(rec.Rows, TxRow{Table: "stocks", Row: r})
+		}
+		return rec
+	}
+	want = []*Record{
+		{Kind: KindCreateTable, Table: "stocks", Schema: testSchema(t)},
+		tx(1, delta.Row{TID: 1, New: stock("DEC", 99.5, 10)}, delta.Row{TID: 2, New: stock("IBM", 150, 3)}),
+		{Kind: KindCQRegister, CQ: &entry},
+		tx(2, delta.Row{TID: 3, New: stock("HP", 120, 1)}),
+		{Kind: KindCQExec, Name: "q1", Seq: 2, ExecTS: 2},
+		tx(3, delta.Row{TID: 1, Old: stock("DEC", 99.5, 10), New: stock("DEC", 130, 10)}),
+	}
+	for _, rec := range want {
+		e := &enc{}
+		switch rec.Kind {
+		case KindCQRegister:
+			c := rec.CQ
+			e.byte(byte(KindCQRegister))
+			e.str(c.Name)
+			e.str(c.Query)
+			e.u64(uint64(c.TriggerKind))
+			e.u64(uint64(c.TriggerEvery))
+			e.u64(floatBits(c.TriggerBound))
+			e.str(c.TriggerOn)
+			e.u64(uint64(c.TriggerUpdates))
+			e.u64(uint64(c.Mode))
+			e.u64(uint64(c.StopAfterN))
+			e.u64(uint64(c.EpsilonMeasure))
+			e.bool(c.NotifyEmpty)
+			e.str("incremental") // strategy
+			e.u64(uint64(c.Seq))
+			e.u64(uint64(c.LastExec))
+			e.bool(c.Terminated)
+			e.str(c.Health)
+			e.bool(true) // result present: π_name of IBM
+			e.schema(relation.MustSchema(relation.Column{Name: "name", Type: relation.TString}))
+			e.u64(1)
+			e.u64(2)
+			_ = e.vals(str("IBM"))
+		case KindCQExec:
+			e.byte(byte(KindCQExec))
+			e.str(rec.Name)
+			e.u64(uint64(rec.Seq))
+			e.u64(uint64(rec.ExecTS))
+			e.bool(rec.Terminated)
+			e.u64(1) // one result-delta row: HP inserted
+			_ = e.deltaRow(delta.Row{TID: 3, TS: 2, New: str("HP")})
+		default:
+			p, err := encodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.b = p
+		}
+		payloads = append(payloads, e.b)
+	}
+	return payloads, want
+}
+
+// LegacySegment frames legacyLog into a segment file image, and
+// CurrentSegment frames the same records as this codec writes them.
+func LegacySegment(t testing.TB) []byte {
+	payloads, _ := legacyLog(t)
+	return segmentImage(payloads)
+}
+
+func CurrentSegment(t testing.TB) []byte {
+	_, recs := legacyLog(t)
+	var payloads [][]byte
+	for _, rec := range recs {
+		p, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	return segmentImage(payloads)
+}
+
+func segmentImage(payloads [][]byte) []byte {
+	img := []byte(segMagic)
+	for _, p := range payloads {
+		img = appendFrame(img, p)
+	}
+	return img
+}
+
+// A record in the legacy layout decodes with its strategy, result and
+// result-delta rows dropped, and re-encodes shorter in the same layout.
+func TestLegacyLayoutDecodes(t *testing.T) {
+	payloads, want := legacyLog(t)
+	for i, p := range payloads {
+		got, err := decodeRecord(p)
+		if err != nil {
+			t.Fatalf("record %d (kind %d): %v", i, want[i].Kind, err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("record %d decodes to\n %+v\nwant\n %+v", i, got, want[i])
+		}
+		again, err := encodeRecord(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := got.Kind; (k == KindCQRegister || k == KindCQExec) && len(again) >= len(p) {
+			t.Errorf("kind %d: re-encoded to %d bytes, legacy %d; the dropped slots are still written", k, len(again), len(p))
 		}
 	}
-	return true
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
@@ -183,6 +275,7 @@ func FuzzWALRecord(f *testing.F) {
 		stream = appendFrame(stream, payload)
 	}
 	f.Add(stream)
+	f.Add(LegacySegment(&seedT)[len(segMagic):])
 	f.Add(stream[:len(stream)-3])
 	flipped := append([]byte{}, stream...)
 	flipped[len(flipped)/2] ^= 0x01

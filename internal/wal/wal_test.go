@@ -3,9 +3,12 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -353,5 +356,58 @@ func TestBrokenLogIsSticky(t *testing.T) {
 	fs.Crash() // filesystem is healthy again...
 	if err := l.AppendTx(99, []wal.TxRow{txRow("t", 99, 99, "y")}); err == nil {
 		t.Fatal("...but the log must stay broken (fail-stop)")
+	}
+}
+
+// A data directory whose log was written in the legacy layout (CQ
+// results and result deltas inline) opens to the same recovered CQ as
+// one written in the current layout, and its next refresh is the same.
+func TestLegacyLogRecoversSameState(t *testing.T) {
+	reopen := func(segment []byte) string {
+		t.Helper()
+		fs := faults.NewMemFS(1)
+		if err := fs.MkdirAll("data"); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create("data/wal-00000000.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(segment); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := durable.Open(durable.Options{Dir: "data", FS: fs, CQ: cq.Config{UseDRA: true}})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer func() { _ = sys.Close() }()
+		var notes []string
+		if _, err := sys.Manager.SubscribeFunc("q1", func(n cq.Notification, closed bool) {
+			if !closed {
+				notes = append(notes, fmt.Sprintf("seq=%d ins=%v", n.Seq, n.Inserted.Tuples()))
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		before, err := sys.Manager.State("q1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Manager.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := sys.Manager.State("q1")
+		return fmt.Sprintf("%+v / %v / %+v", before, notes, after)
+	}
+	legacy, current := reopen(wal.LegacySegment(t)), reopen(wal.CurrentSegment(t))
+	if legacy != current {
+		t.Fatalf("legacy log recovers\n  %s\ncurrent layout\n  %s", legacy, current)
+	}
+	if !strings.Contains(legacy, "Seq:2 LastExec:2") || !strings.Contains(legacy, "ResultLen:2") ||
+		!strings.Contains(legacy, "seq=3 ins=[{1 [DEC]}]") {
+		t.Fatalf("recovered %s; want q1 at seq 2 with IBM and HP, then DEC inserted at seq 3", legacy)
 	}
 }
