@@ -217,7 +217,7 @@ func OpenDurable(opts Options) (*DB, error) {
 			UseDRA:      true,
 			AutoGC:      true,
 			Parallelism: opts.Parallelism,
-				Metrics:     reg,
+			Metrics:     reg,
 			Push:        opts.Push,
 			PushQueue:   opts.PushQueue,
 			Guard:       opts.guardPolicy(),

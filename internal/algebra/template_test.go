@@ -91,7 +91,7 @@ func TestTemplateRefusesUnsupportedShapes(t *testing.T) {
 		"SELECT DISTINCT name FROM stocks WHERE price > 5",
 		"SELECT * FROM stocks WHERE price > 5 ORDER BY price",
 		"SELECT * FROM stocks WHERE price > 5 LIMIT 3",
-		"SELECT * FROM stocks",               // nothing to strip
+		"SELECT * FROM stocks",                    // nothing to strip
 		"SELECT * FROM stocks WHERE price != 100", // != is not indexable
 	} {
 		if _, _, ok := ExtractTemplate(planFor(t, src, q)); ok {

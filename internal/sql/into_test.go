@@ -45,8 +45,8 @@ func TestParseSelectIntoRoundTrip(t *testing.T) {
 
 func TestParseSelectIntoErrors(t *testing.T) {
 	for _, src := range []string{
-		"SELECT * INTO FROM stocks",  // missing target
-		"SELECT * INTO 42 FROM t",    // target must be an identifier
+		"SELECT * INTO FROM stocks",   // missing target
+		"SELECT * INTO 42 FROM t",     // target must be an identifier
 		"SELECT name INTO a b FROM t", // one target only
 	} {
 		if _, err := ParseSelect(src); err == nil {
