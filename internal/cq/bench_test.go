@@ -1,0 +1,128 @@
+package cq
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/diorama/continual/internal/obs"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
+)
+
+// roundBench is the round arm's fixture: a 4,096-row quotes table and 64
+// instrumented selection CQs over it, each with a subscriber, refreshed
+// by Poll on one worker (so the allocation count does not depend on the
+// machine's core count).
+type roundBench struct {
+	store *storage.Store
+	mgr   *Manager
+	tids  []relation.TID
+	rng   *rand.Rand
+}
+
+const roundBenchRows = 4096
+
+func quotesRow(rng *rand.Rand, id int) []relation.Value {
+	return []relation.Value{
+		relation.Int(int64(id)), relation.Str(fmt.Sprintf("S%06d", id)),
+		relation.Int(int64(rng.Intn(128))),
+		relation.Float(float64(rng.Intn(1_000_000)) / 1000), relation.Int(int64(rng.Intn(10_000))),
+	}
+}
+
+func newRoundBench(b *testing.B) *roundBench {
+	b.Helper()
+	rb := &roundBench{store: storage.NewStore(), rng: rand.New(rand.NewSource(1))}
+	if err := rb.store.CreateTable("quotes", relation.MustSchema(
+		relation.Column{Name: "id", Type: relation.TInt},
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "sector", Type: relation.TInt},
+		relation.Column{Name: "px", Type: relation.TFloat},
+		relation.Column{Name: "vol", Type: relation.TInt},
+	)); err != nil {
+		b.Fatal(err)
+	}
+	tx := rb.store.Begin()
+	for i := 0; i < roundBenchRows; i++ {
+		tid, err := tx.Insert("quotes", quotesRow(rb.rng, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rb.tids = append(rb.tids, tid)
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rb.store.Instrument(reg)
+	rb.mgr = NewManagerConfig(rb.store, Config{UseDRA: true, AutoGC: true, Parallelism: 1, Metrics: reg})
+	// Four shapes, sixteen constants each: thresholds, ranges, and two
+	// conjunctions over two columns.
+	var queries []string
+	for i := 0; i < 16; i++ {
+		queries = append(queries,
+			fmt.Sprintf("SELECT * FROM quotes WHERE px > %d", 990-10*i),
+			fmt.Sprintf("SELECT sym, px FROM quotes WHERE px > %d AND px < %d", 20*i, 20*i+20+10*i),
+			fmt.Sprintf("SELECT id, px, vol FROM quotes WHERE px > %d AND sector < %d", 100+20*i, 8+i),
+			fmt.Sprintf("SELECT id, sym, vol FROM quotes WHERE vol < %d AND px > %d", 9500-300*i, 980-20*i))
+	}
+	for i, q := range queries {
+		name := fmt.Sprintf("q%02d", i)
+		if _, err := rb.mgr.Register(Def{Name: name, Query: q, NotifyEmpty: true}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rb.mgr.SubscribeFunc(name, func(Notification, bool) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return rb
+}
+
+// commit modifies 64 random quotes in one transaction: a new price and
+// volume, identity columns kept.
+func (rb *roundBench) commit(b *testing.B) {
+	tx := rb.store.Begin()
+	for i := 0; i < 64; i++ {
+		id := rb.rng.Intn(len(rb.tids))
+		if err := tx.Update("quotes", rb.tids[id], quotesRow(rb.rng, id)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func (rb *roundBench) poll(b *testing.B) {
+	if n, err := rb.mgr.Poll(); err != nil || n != 64 {
+		b.Fatalf("poll refreshed %d CQs (err %v), want 64", n, err)
+	}
+}
+
+// BenchmarkRefreshRound measures one Poll of 64 selection CQs over one
+// shared 64-row window: the round driver, the window and its columnar
+// image shared by the round, and per CQ the trigger test, the step
+// context, the evaluator's step, the result maintenance, the refresh
+// span and the notification delivered to a subscriber. The commit runs
+// with the timer stopped. Its allocs/op is the round arm that
+// scripts/check-allocs.sh gates: what a refresh allocates beyond its
+// window's own rows.
+func BenchmarkRefreshRound(b *testing.B) {
+	b.Run("round", func(b *testing.B) {
+		rb := newRoundBench(b)
+		defer func() { _ = rb.mgr.Close() }()
+		for i := 0; i < 3; i++ {
+			rb.commit(b) // warm-up: pools and reused buffers reach window size
+			rb.poll(b)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rb.commit(b)
+			b.StartTimer()
+			rb.poll(b)
+		}
+	})
+}

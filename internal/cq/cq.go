@@ -52,6 +52,13 @@ var (
 
 // Notification is one element of a CQ's result sequence, shaped by the
 // query's result mode (Section 4.3 step 4).
+//
+// A refresh hands every subscriber the change it computed, as it stands:
+// Delta is the refresh's netted result delta (dra.Result.Delta), and
+// Inserted, Deleted and Modified render the mode's views of it only when
+// called. Nothing a notification references is pooled or reused, so a
+// subscriber may keep it, and call its views, after the callback returns
+// and after any number of later refreshes.
 type Notification struct {
 	CQName string
 	// Seq numbers the executions; the initial execution is 1.
@@ -59,15 +66,11 @@ type Notification struct {
 	// ExecTS is the logical time of this execution.
 	ExecTS vclock.Timestamp
 	Mode   sql.ResultMode
-	// Initial marks the first execution (full evaluation; Inserted holds
-	// the whole result).
-	Initial bool
 
-	// Inserted/Deleted/Modified describe the difference from the previous
-	// result (set in ModeDifferential; Deleted also in ModeDeletions).
-	Inserted *relation.Relation
-	Deleted  *relation.Relation
-	Modified []delta.Row
+	// Delta is the difference from the previous result: each tid at most
+	// once, as one insert, delete or modify row. Nil in the catch-up a
+	// ResubscribeFunc returns. Read-only: it is shared by every subscriber.
+	Delta *delta.Delta
 
 	// Complete holds the full current result (set in ModeComplete, and in
 	// the catch-up a ResubscribeFunc returns).
@@ -85,13 +88,49 @@ type Notification struct {
 	Dropped int
 }
 
-// Empty reports whether the notification carries no change.
+// Empty reports whether the notification carries no change its mode
+// shows: no row at all, or in ModeDeletions no delete or modify row. A
+// notification carrying the complete result is never empty.
 func (n Notification) Empty() bool {
-	return !n.Initial &&
-		(n.Inserted == nil || n.Inserted.Len() == 0) &&
-		(n.Deleted == nil || n.Deleted.Len() == 0) &&
-		len(n.Modified) == 0 &&
-		n.Complete == nil
+	if n.Complete != nil {
+		return false
+	}
+	if n.Delta != nil {
+		for _, r := range n.Delta.Rows() {
+			if n.Mode != sql.ModeDeletions || r.Kind() != delta.Insert {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Inserted renders the tuples that entered the result — the new halves
+// of insert and modify rows (Section 4.1's insertions view) — or nil in
+// ModeDeletions and in a catch-up.
+func (n Notification) Inserted() *relation.Relation {
+	if n.Delta == nil || n.Mode == sql.ModeDeletions {
+		return nil
+	}
+	return n.Delta.Insertions()
+}
+
+// Deleted renders the tuples that left the result — the old halves of
+// delete and modify rows — or nil in a catch-up.
+func (n Notification) Deleted() *relation.Relation {
+	if n.Delta == nil {
+		return nil
+	}
+	return n.Delta.Deletions()
+}
+
+// Modified lists the modify rows, old and new halves paired, or nil in
+// ModeDeletions and in a catch-up.
+func (n Notification) Modified() []delta.Row {
+	if n.Delta == nil || n.Mode == sql.ModeDeletions {
+		return nil
+	}
+	return n.Delta.Modifications()
 }
 
 // Def defines a continual query for registration.
@@ -215,6 +254,8 @@ type instance struct {
 	// catch-up plan here until its first refresh has run), and a CQ
 	// recovered already terminated, which never refreshes again.
 	eval stepper
+	// in is eval's step context, refilled by every refresh (stepContext).
+	in stepInput
 
 	// terminated is atomic (not under mu) so the manager-lock paths
 	// (gauge recomputation, GC horizon) can read it while a refresh
@@ -391,6 +432,9 @@ type Manager struct {
 	// derives a distinct jitter stream per breaker.
 	guardPol    guard.Policy
 	breakerSeed atomic.Int64
+	// late is noteLate bound once, the late callback of every budgeted
+	// refresh.
+	late func(error)
 
 	// background loop lifecycle
 	loopStop chan struct{}
@@ -426,6 +470,7 @@ func NewManagerConfig(store *storage.Store, cfg Config) *Manager {
 		dag:       cascade.New(cfg.MaxCascadeDepth),
 	}
 	m.guardPol = cfg.Guard.WithDefaults()
+	m.late = m.noteLate
 	// Degraded-mode hook: a watermark trip runs emergency GC to shed
 	// delta retention. Invoked on the store's own goroutine, never
 	// under its mutex, so CollectGarbage is safe here.

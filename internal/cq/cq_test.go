@@ -172,11 +172,11 @@ func TestUpdateTriggerAndDifferentialNotification(t *testing.T) {
 		t.Fatalf("notifications = %d", len(notes))
 	}
 	n := notes[0]
-	if n.Seq != 2 || n.Inserted.Len() != 1 || n.Deleted.Len() != 0 {
+	if n.Seq != 2 || n.Inserted().Len() != 1 || n.Deleted().Len() != 0 {
 		t.Errorf("notification = %+v", n)
 	}
-	if n.Inserted.At(0).Values[0].AsString() != "MAC" {
-		t.Errorf("inserted = %v", n.Inserted.At(0))
+	if n.Inserted().At(0).Values[0].AsString() != "MAC" {
+		t.Errorf("inserted = %v", n.Inserted().At(0))
 	}
 
 	// Irrelevant update (below predicate): no notification by default.
@@ -214,7 +214,7 @@ func TestEveryTriggerUsesLogicalTime(t *testing.T) {
 		t.Error("should fire at 3 ticks")
 	}
 	notes := drain(ch)
-	if len(notes) != 1 || notes[0].Inserted.Len() != 3 {
+	if len(notes) != 1 || notes[0].Inserted().Len() != 3 {
 		t.Errorf("notes = %+v", notes)
 	}
 }
@@ -323,7 +323,7 @@ func TestDeletionsMode(t *testing.T) {
 	if len(notes) != 1 {
 		t.Fatalf("notes = %d", len(notes))
 	}
-	if notes[0].Deleted.Len() != 1 || notes[0].Inserted != nil {
+	if notes[0].Deleted().Len() != 1 || notes[0].Inserted() != nil {
 		t.Errorf("deletions-mode notification = %+v", notes[0])
 	}
 }
@@ -459,7 +459,7 @@ func TestAsyncLoopDeliversNotifications(t *testing.T) {
 	deadline := time.After(2 * time.Second)
 	select {
 	case n := <-ch:
-		if n.Inserted.Len() != 1 {
+		if n.Inserted().Len() != 1 {
 			t.Errorf("async notification = %+v", n)
 		}
 	case <-deadline:
@@ -542,10 +542,10 @@ func TestJoinCQEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	notes := drain(ch)
-	if len(notes) != 1 || notes[0].Inserted.Len() != 1 {
+	if len(notes) != 1 || notes[0].Inserted().Len() != 1 {
 		t.Fatalf("join CQ notes = %+v", notes)
 	}
-	if got := notes[0].Inserted.At(0).Values[1].AsInt(); got != 900 {
+	if got := notes[0].Inserted().At(0).Values[1].AsInt(); got != 900 {
 		t.Errorf("joined volume = %d", got)
 	}
 }
@@ -860,7 +860,7 @@ func TestResumeReseedsAtLastExec(t *testing.T) {
 	var inserted int
 	if _, err := m2.SubscribeFunc("joined", func(n Notification, closed bool) {
 		if !closed {
-			inserted += n.Inserted.Len()
+			inserted += n.Inserted().Len()
 		}
 	}); err != nil {
 		t.Fatal(err)

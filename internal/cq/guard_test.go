@@ -106,9 +106,9 @@ func renderNote(n Notification) string {
 		sort.Strings(vs)
 		return strings.Join(vs, ",")
 	}
-	return fmt.Sprintf("seq=%d ts=%d init=%v term=%v dropped=%d ins=[%s] del=[%s] full=[%s]",
-		n.Seq, n.ExecTS, n.Initial, n.Terminated, n.Dropped,
-		rows(n.Inserted), rows(n.Deleted), rows(n.Complete))
+	return fmt.Sprintf("seq=%d ts=%d term=%v dropped=%d ins=[%s] del=[%s] full=[%s]",
+		n.Seq, n.ExecTS, n.Terminated, n.Dropped,
+		rows(n.Inserted()), rows(n.Deleted()), rows(n.Complete))
 }
 
 // chaosRun drives a fixed workload against three healthy CQs and, when
@@ -318,8 +318,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if len(notes) != 1 {
 		t.Fatalf("probe notifications = %d", len(notes))
 	}
-	if notes[0].Inserted.Len() != 4 {
-		t.Errorf("catch-up covered %d rows, want 4 (F1-F4)", notes[0].Inserted.Len())
+	if notes[0].Inserted().Len() != 4 {
+		t.Errorf("catch-up covered %d rows, want 4 (F1-F4)", notes[0].Inserted().Len())
 	}
 }
 

@@ -34,14 +34,14 @@ func renderRel(r *relation.Relation) string {
 
 // renderNotification canonicalizes one delivery.
 func renderNotification(n Notification) string {
-	mods := make([]string, len(n.Modified))
-	for i, r := range n.Modified {
+	mods := make([]string, len(n.Modified()))
+	for i, r := range n.Modified() {
 		mods[i] = fmt.Sprintf("%d:%v->%v", r.TID, r.Old, r.New)
 	}
 	sort.Strings(mods)
-	return fmt.Sprintf("seq=%d ts=%d init=%v term=%v ins=%s del=%s mod=[%s] com=%s",
-		n.Seq, n.ExecTS, n.Initial, n.Terminated,
-		renderRel(n.Inserted), renderRel(n.Deleted),
+	return fmt.Sprintf("seq=%d ts=%d term=%v ins=%s del=%s mod=[%s] com=%s",
+		n.Seq, n.ExecTS, n.Terminated,
+		renderRel(n.Inserted()), renderRel(n.Deleted()),
 		strings.Join(mods, " "), renderRel(n.Complete))
 }
 
@@ -255,7 +255,7 @@ func TestPushRefreshesWithoutPolling(t *testing.T) {
 	if len(notes) != 1 {
 		t.Fatalf("notifications = %d, want 1 (delivered by push, not poll)", len(notes))
 	}
-	if notes[0].Seq != 2 || notes[0].Inserted == nil || notes[0].Inserted.Len() != 1 {
+	if notes[0].Seq != 2 || notes[0].Inserted() == nil || notes[0].Inserted().Len() != 1 {
 		t.Fatalf("unexpected notification %+v", notes[0])
 	}
 	if reg.Snapshot().Counter("cq.polls") != 0 {

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
+	"github.com/diorama/continual/internal/storage"
 )
 
 // foldTranscript replays a CQ's notifications over its initial result,
@@ -48,21 +50,21 @@ func (f *foldTranscript) apply(n Notification, closed bool) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, r := range n.Modified {
+	for _, r := range n.Modified() {
 		if cur, ok := f.state[r.TID]; !ok || !valuesEqual(cur, r.Old) {
 			f.errorf("seq %d modifies tid %d from %v, but the result holds %v", n.Seq, r.TID, r.Old, cur)
 		}
 	}
-	if n.Deleted != nil {
-		for _, tu := range n.Deleted.Tuples() {
+	if del := n.Deleted(); del != nil {
+		for _, tu := range del.Tuples() {
 			if _, ok := f.state[tu.TID]; !ok {
 				f.errorf("seq %d deletes tid %d, which is not in the result", n.Seq, tu.TID)
 			}
 			delete(f.state, tu.TID)
 		}
 	}
-	if n.Inserted != nil {
-		for _, tu := range n.Inserted.Tuples() {
+	if ins := n.Inserted(); ins != nil {
+		for _, tu := range ins.Tuples() {
 			if _, dup := f.state[tu.TID]; dup {
 				f.errorf("seq %d inserts tid %d a second time", n.Seq, tu.TID)
 			}
@@ -215,7 +217,7 @@ func TestTemplateRouteSurvivesAnEmptiedGroup(t *testing.T) {
 	insertStock(t, s, "QLI", 130)
 	m.FlushPush()
 	notes := drain(ch)
-	if len(notes) != 1 || notes[0].Inserted == nil || notes[0].Inserted.Len() != 1 {
+	if len(notes) != 1 || notes[0].Inserted() == nil || notes[0].Inserted().Len() != 1 {
 		t.Fatalf("b got %d push notifications, want 1 with the inserted row: %+v", len(notes), notes)
 	}
 	if reg.Snapshot().Counter("cq.polls") != 0 {
@@ -271,5 +273,194 @@ func TestRefreshLeavesTheManagerUnlocked(t *testing.T) {
 	close(release)
 	if err := <-refreshed; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeptNotificationOutlivesLaterRefreshes: a notification carries its
+// refresh's own result delta and renders its views only when asked, so
+// one a subscriber keeps must render the same Inserted, Deleted and
+// Modified after later refreshes of its CQ as it did in the callback.
+// This fails if anything a notification references is pooled or reused.
+func TestKeptNotificationOutlivesLaterRefreshes(t *testing.T) {
+	for _, mode := range []sql.ResultMode{sql.ModeDifferential, sql.ModeDeletions, sql.ModeComplete} {
+		for _, push := range []bool{false, true} {
+			driver := "poll"
+			if push {
+				driver = "push"
+			}
+			t.Run(fmt.Sprintf("%s/%s", mode, driver), func(t *testing.T) {
+				s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+				var tids []relation.TID
+				for i := 0; i < 8; i++ {
+					tids = append(tids, insertStock(t, s, fmt.Sprintf("S%d", i), float64(20+i)))
+				}
+				m := NewManagerConfig(s, Config{UseDRA: true, Push: push})
+				defer func() { _ = m.Close() }()
+				if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 10", Mode: mode}); err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var kept []Notification
+				var rendered []string
+				if _, err := m.SubscribeFunc("q", func(n Notification, closed bool) {
+					if closed {
+						return
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					kept = append(kept, n)
+					rendered = append(rendered, renderNotification(n))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				// Every round inserts, modifies and deletes a result row.
+				for round := 0; round < 4; round++ {
+					commit(t, s, func(tx *storage.Tx) error {
+						if _, err := tx.Insert("stocks", []relation.Value{relation.Str(fmt.Sprintf("N%d", round)), relation.Float(float64(30 + round))}); err != nil {
+							return err
+						}
+						if err := tx.Update("stocks", tids[round], []relation.Value{relation.Str(fmt.Sprintf("S%d", round)), relation.Float(float64(100 + round))}); err != nil {
+							return err
+						}
+						return tx.Delete("stocks", tids[4+round])
+					})
+					if push {
+						m.FlushPush()
+					} else if _, err := m.Poll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(kept) != 4 {
+					t.Fatalf("%d notifications, want 4", len(kept))
+				}
+				first := kept[0]
+				if first.Deleted().Len() != 2 || mode != sql.ModeDeletions && (first.Inserted().Len() != 2 || len(first.Modified()) != 1) {
+					t.Fatalf("the first refresh's views are too thin to prove anything: %s", rendered[0])
+				}
+				for i, n := range kept {
+					if got := renderNotification(n); got != rendered[i] {
+						t.Errorf("notification %d, %d refreshes later:\n got %s\nwant %s", i, len(kept)-1-i, got, rendered[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReusedStepContextForgetsEarlierRounds: every evaluator refills one
+// step context in place, refresh after refresh. A 2-way join and a
+// selection on one of its operands, driven through rounds that change
+// a, then b, then neither, then both — each round also forcing a refresh
+// of every CQ over an empty window, which must deliver nothing — must
+// equal complete re-evaluation after every round. This fails if a reused
+// context keeps an earlier round's window or batch.
+func TestReusedStepContextForgetsEarlierRounds(t *testing.T) {
+	queries := map[string]string{
+		"join": "SELECT a.name, b.price FROM a, b WHERE a.name = b.name",
+		"sel":  "SELECT * FROM a WHERE price > 50",
+		"sel2": "SELECT * FROM a WHERE price > 70", // a template mate of sel under sharing
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"poll", Config{UseDRA: true}},
+		{"push", Config{UseDRA: true, Push: true}},
+		{"templates", Config{UseDRA: true, ShareTemplates: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStoreWith(t, map[string]relation.Schema{"a": stockSchema(), "b": stockSchema()})
+			tids := map[string][]relation.TID{}
+			for _, table := range []string{"a", "b"} {
+				commit(t, s, func(tx *storage.Tx) error {
+					for i := 0; i < 6; i++ {
+						tid, err := tx.Insert(table, []relation.Value{relation.Str(fmt.Sprintf("S%d", i)), relation.Float(float64(40 + 10*i))})
+						if err != nil {
+							return err
+						}
+						tids[table] = append(tids[table], tid)
+					}
+					return nil
+				})
+			}
+			m := NewManagerConfig(s, tc.cfg)
+			defer func() { _ = m.Close() }()
+			var mu sync.Mutex
+			delivered := map[string]int{}
+			for name, q := range queries {
+				if _, err := m.Register(Def{Name: name, Query: q}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.SubscribeFunc(name, func(n Notification, closed bool) {
+					mu.Lock()
+					defer mu.Unlock()
+					if !closed {
+						delivered[name]++
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			change := func(tx *storage.Tx, table string, round int) error {
+				i := round % 6
+				if err := tx.Update(table, tids[table][i], []relation.Value{relation.Str(fmt.Sprintf("S%d", i)), relation.Float(float64(35 + 17*round))}); err != nil {
+					return err
+				}
+				_, err := tx.Insert(table, []relation.Value{relation.Str(fmt.Sprintf("S%d", (i+3)%6)), relation.Float(float64(60 + round))})
+				return err
+			}
+			for round, tables := range [][]string{{"a"}, {"b"}, nil, {"a", "b"}, {"a"}, nil, {"b"}} {
+				if tables != nil {
+					commit(t, s, func(tx *storage.Tx) error {
+						for _, table := range tables {
+							if err := change(tx, table, round); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				}
+				if tc.cfg.Push {
+					m.FlushPush()
+				} else if _, err := m.Poll(); err != nil {
+					t.Fatal(err)
+				}
+				for step, forced := range []bool{false, true} {
+					if forced {
+						// The windows are empty: the refreshes change nothing,
+						// so they deliver nothing.
+						mu.Lock()
+						before := maps.Clone(delivered)
+						mu.Unlock()
+						for _, name := range m.Names() {
+							if err := m.Refresh(name); err != nil {
+								t.Fatal(err)
+							}
+						}
+						mu.Lock()
+						after := maps.Clone(delivered)
+						mu.Unlock()
+						if !maps.Equal(before, after) {
+							t.Fatalf("round %d (changed %v): a forced refresh over an empty window delivered a change: %v before, %v after", round, tables, before, after)
+						}
+					}
+					for name, q := range queries {
+						got, err := m.Result(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := dra.InitialResult(mustPlan(t, q, s), s.Live())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.EqualByTID(want) {
+							t.Fatalf("round %d (changed %v), step %d: %s diverges from complete re-evaluation:\n%s\nwant:\n%s", round, tables, step, name, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -247,47 +247,6 @@ func (d *Delta) Modifications() []Row {
 	return out
 }
 
-// Views renders Insertions, Deletions and Modifications together. A
-// delta that holds each tid at most once — every result delta the engine
-// produces: Diff, Compact and Signed.ToDeltaNetted all emit one row per
-// tid — is read in a single pass, each half going straight into its
-// view. A tid that does repeat shows up as a view's index coming up
-// short (two new halves, or two old halves) or as an insert row's tid
-// among the old halves (or a delete row's among the new), and the
-// general definitions above apply.
-func (d *Delta) Views() (ins, del *relation.Relation, mods []Row) {
-	nIns, nDel, nMod := d.Counts()
-	news := make([]relation.Tuple, 0, nIns+nMod)
-	olds := make([]relation.Tuple, 0, nDel+nMod)
-	if nMod > 0 {
-		mods = make([]Row, 0, nMod)
-	}
-	for _, r := range d.rows {
-		if r.New != nil {
-			news = append(news, relation.Tuple{TID: r.TID, Values: r.New})
-		}
-		if r.Old != nil {
-			olds = append(olds, relation.Tuple{TID: r.TID, Values: r.Old})
-		}
-		if r.New != nil && r.Old != nil {
-			mods = append(mods, r)
-		}
-	}
-	ins, err := relation.FromTuples(d.schema, news)
-	if err == nil {
-		del, err = relation.FromTuples(d.schema, olds)
-	}
-	for i := 0; err == nil && i < len(d.rows); i++ {
-		if r := d.rows[i]; r.Old == nil && del.Has(r.TID) || r.New == nil && ins.Has(r.TID) {
-			err = relation.ErrDuplicateTID
-		}
-	}
-	if err != nil {
-		return d.Insertions(), d.Deletions(), d.Modifications()
-	}
-	return ins, del, mods
-}
-
 // Counts returns the number of insert, delete and modify rows.
 func (d *Delta) Counts() (ins, del, mod int) {
 	for _, r := range d.rows {

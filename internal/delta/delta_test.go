@@ -394,50 +394,3 @@ func TestViewsOfWindowEqualViewsOfCompactProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestViewsMatchesTheThreeViews: the one-pass Views equals Insertions,
-// Deletions and Modifications on netted deltas (one row per tid: what
-// Compact, Diff and ToDeltaNetted emit, and the only shape the engine
-// hands it) — and, through its repeat detection, on raw windows too.
-func TestViewsMatchesTheThreeViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	check := func(label string, d *Delta) {
-		t.Helper()
-		ins, del, mods := d.Views()
-		wantMods := d.Modifications()
-		if !ins.EqualByTID(d.Insertions()) || !del.EqualByTID(d.Deletions()) || len(mods) != len(wantMods) {
-			t.Fatalf("%s: Views = %d/%d/%d rows, the three views %d/%d/%d\ndelta: %+v", label,
-				ins.Len(), del.Len(), len(mods), d.Insertions().Len(), d.Deletions().Len(), len(wantMods), d.Rows())
-		}
-		for i, r := range mods {
-			if w := wantMods[i]; r.TID != w.TID || &r.Old[0] != &w.Old[0] || &r.New[0] != &w.New[0] {
-				t.Fatalf("%s: modification %d is %+v, want %+v", label, i, r, w)
-			}
-		}
-		// The views are ordinary relations: indexed, and open to mutation.
-		for _, tu := range ins.Tuples() {
-			if got, ok := ins.Lookup(tu.TID); !ok || &got.Values[0] != &tu.Values[0] {
-				t.Fatalf("%s: insertions index misses tid %d", label, tu.TID)
-			}
-		}
-		if err := del.Insert(relation.Tuple{TID: 1 << 40, Values: row(0, "x", 0)}); err != nil || !del.Has(1<<40) {
-			t.Fatalf("%s: a view must stay a usable relation: %v", label, err)
-		}
-	}
-	for trial := 0; trial < 200; trial++ {
-		raw := randomWindow(rng, rng.Intn(40))
-		check("netted", raw.Compact())
-		check("raw", raw)
-	}
-	// The repeats only the cross-check sees: one tid as an insert row and
-	// a delete row, either way round.
-	d := New(stockSchema())
-	_ = d.AppendInsert(1, row(1, "A", 1), 1)
-	_ = d.AppendDelete(1, row(1, "A", 1), 2)
-	check("insert+delete", d)
-	d = New(stockSchema())
-	_ = d.AppendDelete(1, row(1, "A", 1), 1)
-	_ = d.AppendInsert(1, row(1, "A", 2), 2)
-	check("delete+insert", d)
-	check("empty", New(stockSchema()))
-}

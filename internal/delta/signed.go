@@ -142,9 +142,18 @@ func (s *Signed) ToDelta(ts vclock.Timestamp) *Delta {
 // with no per-tid index, so the conversion allocates only the output
 // rows. Callers holding arbitrary signed deltas must use ToDelta.
 func (s *Signed) ToDeltaNetted(ts vclock.Timestamp) *Delta {
-	out := New(s.Schema)
+	out := &Delta{}
+	s.ToDeltaNettedInto(out, ts)
+	return out
+}
+
+// ToDeltaNettedInto is ToDeltaNetted into a header the caller already
+// holds: out's schema and rows are replaced, and only the rows are
+// allocated.
+func (s *Signed) ToDeltaNettedInto(out *Delta, ts vclock.Timestamp) {
+	*out = Delta{schema: s.Schema}
 	if len(s.Rows) == 0 {
-		return out
+		return
 	}
 	out.rows = make([]Row, 0, len(s.Rows))
 	for i := 0; i < len(s.Rows); i++ {
@@ -163,7 +172,6 @@ func (s *Signed) ToDeltaNetted(ts vclock.Timestamp) *Delta {
 			out.rows = append(out.rows, Row{TID: r.TID, New: r.Values, TS: ts})
 		}
 	}
-	return out
 }
 
 // InsertedRelation materializes the +1 rows as a relation.

@@ -31,7 +31,9 @@ func TestNetCollidingRows(t *testing.T) {
 		if !ok {
 			t.Fatal("fixture rows do not fit typed columns")
 		}
-		return (&vecEval{e: NewEngine()}).netBatch(b)
+		out := &delta.Signed{}
+		(&vecEval{e: NewEngine()}).netBatch(b, out)
+		return out
 	}
 	a, b := collidingRows()
 	if relation.HashValues(a) != relation.HashValues(b) {

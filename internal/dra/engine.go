@@ -83,6 +83,12 @@ var (
 //
 // Post is the current contents, needed by the Propagate fallback and by
 // result verification.
+//
+// The engine keeps no reference to a Context, nor to its Pre and Post
+// sources or its maps, once Step (or Reevaluate) returns: a caller may
+// reuse one Context, refilling it in place, for every refresh of its
+// evaluator. Windows and batches it carries are only read; the Result
+// references none of them.
 type Context struct {
 	Pre    algebra.Source
 	Post   algebra.Source
@@ -220,8 +226,13 @@ func NewEngine() *Engine {
 // kept by every producer in the engine (both nettings, Diff behind the
 // propagate arms, the group table, the template fold) and relied on by
 // result assembly (Signed.ToDeltaNetted, delta.ApplySigned's in-place
-// update, Delta.Views): Delta holds each tid at most once, and Signed
-// carries it as one row or as one adjacent -old/+new pair.
+// update, the cq notification read straight off Delta): Delta holds each
+// tid at most once, and Signed carries it as one row or as one adjacent
+// -old/+new pair.
+//
+// A Result the engine produces owns its rows — netting renders them into
+// fresh backing, never into pooled or reused memory — so a caller may
+// keep it, or anything it references, for as long as it likes.
 type Result struct {
 	// Signed is the net signed change of the query result.
 	Signed *delta.Signed
@@ -237,6 +248,18 @@ type Result struct {
 	// materialized is set when the evaluation already produced the full
 	// result (complete re-evaluation); ApplyTo then returns it directly.
 	materialized *relation.Relation
+}
+
+// newResult returns a Result whose Signed and Delta point at headers
+// allocated with it: one object per refresh instead of three.
+func newResult(execTS vclock.Timestamp) *Result {
+	blk := &struct {
+		res    Result
+		signed delta.Signed
+		delta  delta.Delta
+	}{}
+	blk.res = Result{Signed: &blk.signed, Delta: &blk.delta, ExecTS: execTS}
+	return &blk.res
 }
 
 // ApplyTo maintains the complete result (Section 4.3: Et_i(Q) ∪
@@ -292,13 +315,13 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		span = m.startSpan()
 	}
 
-	// The evaluator keeps a pointer to the stats it fills: they live in
-	// the result from the start rather than escaping on their own.
-	res := &Result{ExecTS: execTS}
+	var res *Result
 	var err error
 	switch {
 	case root != nil:
-		if res.Signed, err = e.vecEvaluate(root, ctx, execTS, &res.Stats); err != nil {
+		// The evaluator fills the result's own stats and headers in place.
+		res = newResult(execTS)
+		if err = e.vecEvaluate(root, ctx, res); err != nil {
 			// A failed refresh drops every replica of the plan: join groups
 			// advance them as they go, and the next refresh must rebuild from
 			// its pre-state snapshot rather than read a part-advanced state.
@@ -308,7 +331,10 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		res, err = FullReevaluate(plan, ctx.Post, ctx.Prev, execTS)
 	default:
 		// Diff output: already at most one -old and one +new per tid.
-		res.Signed, err = PropagateSigned(plan, ctx.Pre, ctx.Post)
+		var net *delta.Signed
+		if net, err = PropagateSigned(plan, ctx.Pre, ctx.Post); err == nil {
+			res = &Result{Signed: net, Delta: net.ToDeltaNetted(execTS), ExecTS: execTS}
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -316,9 +342,6 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 	res.Stats.FellBack = root == nil
 	if m := e.Metrics; m != nil {
 		m.observe(res.Stats, span, time.Since(start))
-	}
-	if res.Delta == nil {
-		res.Delta = res.Signed.ToDeltaNetted(execTS)
 	}
 	return res, nil
 }

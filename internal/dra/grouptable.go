@@ -215,8 +215,9 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // as it found it and drops the replicas, which the input's joins may
 // have advanced: the retry rebuilds them and folds the window once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	var st Stats
-	v := newVecEval(g.engine, ctx, execTS, &st)
+	res := newResult(execTS)
+	st := &res.Stats
+	v := newVecEval(g.engine, ctx, execTS, st)
 	defer v.release()
 	b, err := v.nodeBatch(g.fold)
 	if err == nil {
@@ -229,8 +230,8 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 		return nil, err
 	}
 	st.GroupsTouched = len(g.touched)
-	net := g.emit()
-	st.GroupRowsEmitted = len(net.Rows)
+	g.emit(res.Signed)
+	st.GroupRowsEmitted = len(res.Signed.Rows)
 	g.gauge()
 	if m := g.engine.Metrics; m != nil {
 		m.VecSteps.Inc()
@@ -238,7 +239,8 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 		m.AggGroupsTouched.Add(int64(st.GroupsTouched))
 		m.AggRowsEmitted.Add(int64(st.GroupRowsEmitted))
 	}
-	return &Result{Signed: net, Delta: net.ToDeltaNetted(execTS), ExecTS: execTS, Stats: st}, nil
+	res.Signed.ToDeltaNettedInto(res.Delta, execTS)
+	return res, nil
 }
 
 // foldBatch folds a signed fold batch into the table.
@@ -348,11 +350,11 @@ func (g *groupTable) touch(s int32, h uint64) []aggCell {
 	return cells
 }
 
-// emit renders the output change off the touched groups — insert on
-// birth, delete on death, -old +new where the rendered row changed,
-// nothing where the fold netted to no change — in ascending tid order,
-// the order delta.Diff gave, and settles the fold.
-func (g *groupTable) emit() *delta.Signed {
+// emit renders the output change off the touched groups into out —
+// insert on birth, delete on death, -old +new where the rendered row
+// changed, nothing where the fold netted to no change — in ascending tid
+// order, the order delta.Diff gave, and settles the fold.
+func (g *groupTable) emit(out *delta.Signed) {
 	g.changed = g.changed[:0] // indexes into touched
 	nOld, nNew := 0, 0
 	for i, t := range g.touched {
@@ -368,7 +370,7 @@ func (g *groupTable) emit() *delta.Signed {
 			nNew++
 		}
 	}
-	out := &delta.Signed{Schema: g.schema}
+	*out = delta.Signed{Schema: g.schema}
 	if len(g.changed) > 0 {
 		slices.SortFunc(g.changed, func(a, b int32) int {
 			return cmp.Compare(g.touched[a].tid, g.touched[b].tid)
@@ -410,7 +412,6 @@ func (g *groupTable) emit() *delta.Signed {
 		}
 	}
 	g.settle(false)
-	return out
 }
 
 // render writes the output row of slot s in the given state (live, or

@@ -2,6 +2,7 @@ package dra
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
@@ -23,7 +24,9 @@ func nonConforming(what string) error {
 // vecEval is the per-refresh state of the columnar evaluator. Every
 // pooled batch and selection vector it creates lands in owned / idx and
 // returns to the arena in one sweep at the end — cross-refresh buffer
-// reuse through the pool is where the allocation win comes from.
+// reuse through the pool is where the allocation win comes from. The
+// vecEval itself is pooled too (vecEvals), its two lists keeping their
+// capacity from one refresh to the next.
 type vecEval struct {
 	e      *Engine
 	ctx    *Context
@@ -31,57 +34,58 @@ type vecEval struct {
 	st     *Stats
 	owned  []*batch.Batch
 	idx    [][]int32
-	// A selection owns at most a converted window and a selection vector
-	// per Select: the common refresh fits these and never grows them.
-	ownedBuf [2]*batch.Batch
-	idxBuf   [2][]int32
 	// relevant records that some maximal join-free subtree's filtered
 	// window was non-empty: the relevance test of Section 5.2, answered
 	// by the evaluation itself.
 	relevant bool
 }
 
+// vecEvals recycles evaluator states across refreshes and engines.
+var vecEvals = sync.Pool{New: func() any { return new(vecEval) }}
+
+// newVecEval takes an evaluator state from the pool; release returns it.
 func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *vecEval {
-	v := &vecEval{e: e, ctx: ctx, execTS: execTS, st: st}
-	v.owned, v.idx = v.ownedBuf[:0], v.idxBuf[:0]
+	v := vecEvals.Get().(*vecEval)
+	*v = vecEval{e: e, ctx: ctx, execTS: execTS, st: st, owned: v.owned[:0], idx: v.idx[:0]}
 	return v
 }
 
 // vecEvaluate runs the differential evaluation over typed columnar
-// batches and nets the result. Prepared join groups advance their
-// replicas as they go, so an error can leave them part-advanced; the
-// caller drops them (evaluate).
+// batches and nets the result into res. Prepared join groups advance
+// their replicas as they go, so an error can leave them part-advanced;
+// the caller drops them (evaluate).
 //
 // A refresh whose operands' filtered windows are all empty is reported
 // as Skipped (when the engine skips irrelevant updates at all): nothing
 // past the window scan ran — a join group with no changed operand only
 // moves its replicas' tags forward — and the net change is empty.
-func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, execTS vclock.Timestamp, st *Stats) (*delta.Signed, error) {
-	v := newVecEval(e, ctx, execTS, st)
+func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) error {
+	st := &res.Stats
+	v := newVecEval(e, ctx, res.ExecTS, st)
 	defer v.release()
-	var net *delta.Signed
 	if root.view != nil && v.paired() {
 		w, err := v.view(root.view)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.relevant = w.len() > 0
-		net = v.netView(w)
+		v.netView(w, res.Signed)
 	} else {
 		out, err := v.nodeBatch(root)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if root.joinFree() && out.Len() > 0 {
 			v.relevant = true
 		}
-		net = v.netBatch(out)
+		v.netBatch(out, res.Signed)
 	}
 	if e.SkipIrrelevant && !v.relevant {
 		st.Skipped = true
 		st.DeltaRows = 0 // a skipped refresh consumed no delta row
 	}
-	return net, nil
+	res.Signed.ToDeltaNettedInto(res.Delta, res.ExecTS)
+	return nil
 }
 
 // paired reports that every scan's window holds each tid at most once,
@@ -105,7 +109,12 @@ func (v *vecEval) release() {
 		// released: every view over the selection has been consumed.
 		v.e.pool.PutIdx(sel)
 	}
-	v.owned, v.idx = nil, nil
+	clear(v.owned)
+	clear(v.idx)
+	*v = vecEval{owned: v.owned[:0], idx: v.idx[:0]}
+	// released: the evaluation is over and the state is wiped above, so
+	// the pooled value keeps no buffer, context or engine reachable.
+	vecEvals.Put(v)
 }
 
 // nodeBatch computes the signed change of a compiled node's output
@@ -588,18 +597,18 @@ func crossStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids
 }
 
 // netView nets a selection over paired windows (vecEval.paired) and
-// renders the result rows. Each tid reaches the view as a lone row or
-// as its adjacent -old/+new pair, so netting is one forward pass with no
-// grouping: a pair whose projected columns are equal cancels (the
-// projection dropped every changed column), everything else is the net
-// change as it stands. Only the projected columns are compared or read;
-// the emitted rows share one flat owned backing, so the result does not
-// reference the window.
-func (v *vecEval) netView(w selView) *delta.Signed {
-	out := &delta.Signed{Schema: w.schema}
+// renders the result rows into out. Each tid reaches the view as a lone
+// row or as its adjacent -old/+new pair, so netting is one forward pass
+// with no grouping: a pair whose projected columns are equal cancels
+// (the projection dropped every changed column), everything else is the
+// net change as it stands. Only the projected columns are compared or
+// read; the emitted rows share one flat owned backing, so the result
+// does not reference the window.
+func (v *vecEval) netView(w selView, out *delta.Signed) {
+	*out = delta.Signed{Schema: w.schema}
 	n := w.len()
 	if n == 0 {
-		return out
+		return
 	}
 	b, pool := w.b, v.e.pool
 	keep := pool.GetIdx(n)
@@ -630,7 +639,6 @@ func (v *vecEval) netView(w selView) *delta.Signed {
 	}
 	// released: the kept rows are rendered.
 	pool.PutIdx(keep)
-	return out
 }
 
 // netEntry is one distinct value-row of a tid's net group: the index of
@@ -677,9 +685,9 @@ func (g *netGroup) add(e netEntry) {
 // place (RowsEqual) — no row is materialized or hashed, so two distinct
 // rows can never merge — and grouping is a flat group slice addressed
 // through one tid index, so the pass costs O(1) allocations. The emitted
-// rows share one flat owned backing, so the result stays valid after the
-// batch returns to the pool.
-func (v *vecEval) netBatch(b *batch.Batch) *delta.Signed {
+// rows, written into out, share one flat owned backing, so the result
+// stays valid after the batch returns to the pool.
+func (v *vecEval) netBatch(b *batch.Batch, out *delta.Signed) {
 	width := b.Schema.Len()
 	groupOf := make(map[relation.TID]int32, b.Len())
 	groups := make([]netGroup, 0, b.Len())
@@ -723,9 +731,9 @@ func (v *vecEval) netBatch(b *batch.Batch) *delta.Signed {
 			}
 		}
 	}
-	out := &delta.Signed{Schema: b.Schema}
+	*out = delta.Signed{Schema: b.Schema}
 	if nEmit == 0 {
-		return out
+		return
 	}
 	flat := make([]relation.Value, nEmit*width)
 	out.Rows = make([]delta.SignedRow, 0, nEmit)
@@ -754,5 +762,4 @@ func (v *vecEval) netBatch(b *batch.Batch) *delta.Signed {
 			emit(g.tid, posAt, +1)
 		}
 	}
-	return out
 }

@@ -400,12 +400,11 @@ func TestVectorizedBothKernels(t *testing.T) {
 		ctx.Prev = prev
 		want := oracle(t, plan, ctx)
 		for i, root := range []*compiledNode{bare, p.root, p.root} {
-			var st Stats
-			net, err := e.vecEvaluate(root, ctx, f.store.Now(), &st)
-			if err != nil {
+			res := newResult(f.store.Now())
+			if err := e.vecEvaluate(root, ctx, res); err != nil {
 				t.Fatalf("q%d run %d: %v", qi, i, err)
 			}
-			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, net)
+			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, res.Signed)
 		}
 		p.Close()
 	}

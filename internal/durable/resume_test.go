@@ -99,13 +99,13 @@ func renderRows(r *relation.Relation) string {
 }
 
 func renderChange(n cq.Notification) string {
-	mods := make([]string, len(n.Modified))
-	for i, r := range n.Modified {
+	mods := make([]string, len(n.Modified()))
+	for i, r := range n.Modified() {
 		mods[i] = fmt.Sprintf("%d:%v->%v", r.TID, r.Old, r.New)
 	}
 	sort.Strings(mods)
 	return fmt.Sprintf("seq=%d ts=%d term=%v ins=%s del=%s mod=%v com=%s",
-		n.Seq, n.ExecTS, n.Terminated, renderRows(n.Inserted), renderRows(n.Deleted), mods, renderRows(n.Complete))
+		n.Seq, n.ExecTS, n.Terminated, renderRows(n.Inserted()), renderRows(n.Deleted()), mods, renderRows(n.Complete))
 }
 
 // restart is how a resumeWorld goes down at the comparison point.

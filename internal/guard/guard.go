@@ -39,12 +39,18 @@ func (e *PanicError) Error() string {
 // Protect runs fn, converting a panic into a *PanicError. This is the
 // zero-overhead isolation boundary used when no deadline is configured.
 func Protect(fn func() error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
+	defer Recover(&err)
 	return fn()
+}
+
+// Recover is Protect's boundary for a function that defers it directly
+// (defer guard.Recover(&err)): a panic unwinding that function becomes
+// a *PanicError in *err. A hot path uses it to isolate a call without
+// building the closure Protect takes.
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
 }
 
 // Attempt runs fn under a budget with panic isolation.

@@ -14,30 +14,30 @@ var ErrMarshal = errors.New("relation: malformed encoded value")
 // high bit marking NULL) followed by the payload. encoding/gob picks this
 // up automatically, which is how values travel over the remote protocol.
 func (v Value) MarshalBinary() ([]byte, error) {
+	return v.AppendBinary(nil)
+}
+
+// AppendBinary appends MarshalBinary's encoding of the value to dst
+// (encoding.BinaryAppender), so an encoder writing many values into one
+// buffer allocates only when the buffer grows.
+func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	tag := byte(v.Kind)
 	if v.Null {
-		tag |= 0x80
-		return []byte{tag}, nil
+		return append(dst, tag|0x80), nil
 	}
 	switch v.Kind {
 	case TInt, TFloat:
-		buf := make([]byte, 9)
-		buf[0] = tag
-		binary.LittleEndian.PutUint64(buf[1:], v.n)
-		return buf, nil
+		return binary.LittleEndian.AppendUint64(append(dst, tag), v.n), nil
 	case TString:
-		buf := make([]byte, 1+len(v.s))
-		buf[0] = tag
-		copy(buf[1:], v.s)
-		return buf, nil
+		return append(append(dst, tag), v.s...), nil
 	case TBool:
-		return []byte{tag, byte(v.n)}, nil
+		return append(dst, tag, byte(v.n)), nil
 	default:
 		if v.Kind == 0 {
 			// Untyped zero value: encode as untyped NULL.
-			return []byte{0x80}, nil
+			return append(dst, 0x80), nil
 		}
-		return nil, fmt.Errorf("relation: cannot marshal kind %d", v.Kind)
+		return dst, fmt.Errorf("relation: cannot marshal kind %d", v.Kind)
 	}
 }
 

@@ -50,24 +50,6 @@ func New(schema Schema) *Relation {
 	return &Relation{schema: schema, byTID: make(map[TID]int)}
 }
 
-// FromTuples builds a relation that takes ownership of tuples, whose
-// tids the caller knows to be pairwise distinct: the tid index is
-// filled without probing it per tuple, and a repeated tid — found by the
-// index coming up short — or a wrong arity is an error.
-func FromTuples(schema Schema, tuples []Tuple) (*Relation, error) {
-	r := &Relation{schema: schema, tuples: tuples, byTID: make(map[TID]int, len(tuples))}
-	for i, t := range tuples {
-		if len(t.Values) != schema.Len() {
-			return nil, fmt.Errorf("%w: got %d values, schema has %d columns", ErrArity, len(t.Values), schema.Len())
-		}
-		r.byTID[t.TID] = i
-	}
-	if len(r.byTID) != len(tuples) {
-		return nil, fmt.Errorf("%w among %d tuples", ErrDuplicateTID, len(tuples))
-	}
-	return r, nil
-}
-
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
 

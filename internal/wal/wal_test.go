@@ -387,7 +387,7 @@ func TestLegacyLogRecoversSameState(t *testing.T) {
 		var notes []string
 		if _, err := sys.Manager.SubscribeFunc("q1", func(n cq.Notification, closed bool) {
 			if !closed {
-				notes = append(notes, fmt.Sprintf("seq=%d ins=%v", n.Seq, n.Inserted.Tuples()))
+				notes = append(notes, fmt.Sprintf("seq=%d ins=%v", n.Seq, n.Inserted().Tuples()))
 			}
 		}); err != nil {
 			t.Fatal(err)

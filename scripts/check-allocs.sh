@@ -1,12 +1,14 @@
 #!/bin/sh
-# check-allocs: the refresh step's allocations per operation are a
-# budget, not an observation. BenchmarkRefreshStep (internal/dra)
-# measures the steady-state refresh over a fixed window on a selection
-# (columnar: the step alone; notify: the step, ApplyTo and the
-# notification's views), on the telescoping kernel of a 3-way join
-# (join), and on the group table under a GROUP BY and a DISTINCT (agg,
-# distinct); this script fails when any arm exceeds its committed
-# baseline (scripts/allocs-baseline.txt) by more than 20%.
+# check-allocs: a refresh's allocations per operation are a budget, not
+# an observation. BenchmarkRefreshStep (internal/dra) measures the
+# steady-state refresh over a fixed window on a selection (columnar: the
+# step alone; notify: the step and ApplyTo), on the telescoping kernel of
+# a 3-way join (join), and on the group table under a GROUP BY and a
+# DISTINCT (agg, distinct); BenchmarkRefreshRound (internal/cq) measures
+# one Poll of 64 selection CQs over a shared window, everything the
+# manager does around each step included (round). This script fails
+# when any arm exceeds its committed baseline
+# (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
 # one performance number a shared runner can enforce. After a
@@ -15,13 +17,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 baseline=scripts/allocs-baseline.txt
-bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x)
+bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
+	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x)
 echo "$bench"
 status=0
 while read -r arm base; do
 	[ -n "$arm" ] || continue
 	cur=$(echo "$bench" | awk -v arm="$arm" '
-		$1 ~ "^BenchmarkRefreshStep/"arm"(-|$)" {
+		$1 ~ "^BenchmarkRefresh(Step|Round)/"arm"(-|$)" {
 			for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
 		}')
 	if [ -z "$cur" ]; then

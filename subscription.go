@@ -132,7 +132,13 @@ func (s *Subscription) Resume() (*Subscription, *Change, error) {
 	return ns, &change, nil
 }
 
-// toChange converts an internal notification to the public Change shape.
+// toChange converts an internal notification to the public Change
+// shape, reading the notification's delta rows straight into Change rows
+// in row order: the new half of an insert or modify row into Inserted
+// (left nil in deletions mode), the old half of a delete or modify row
+// into Deleted, both halves of a modify row into Modified. The notifier
+// nets a refresh's delta to one row per tid, so these are exactly the
+// notification's Inserted, Deleted and Modified views.
 func toChange(n cq.Notification) Change {
 	change := Change{
 		CQ:         n.CQName,
@@ -141,16 +147,38 @@ func toChange(n cq.Notification) Change {
 		Dropped:    n.Dropped,
 	}
 	switch {
-	case n.Inserted != nil:
-		change.Columns = columnsOf(n.Inserted)
-	case n.Deleted != nil:
-		change.Columns = columnsOf(n.Deleted)
+	case n.Delta != nil:
+		change.Columns = columnsOf(n.Delta.Schema())
 	case n.Complete != nil:
-		change.Columns = columnsOf(n.Complete)
+		change.Columns = columnsOf(n.Complete.Schema())
 	}
-	change.Inserted = rowsData(n.Inserted)
-	change.Deleted = rowsData(n.Deleted)
-	change.Modified = modifications(n.Modified)
+	var nIns, nDel, nMod int
+	if n.Delta != nil {
+		nIns, nDel, nMod = n.Delta.Counts()
+	}
+	inserts := n.Mode != sql.ModeDeletions
+	if !inserts {
+		nMod = 0
+	}
+	change.Modified = make([]Modification, 0, nMod)
+	if n.Delta != nil {
+		if inserts {
+			change.Inserted = make([][]any, 0, nIns+nMod)
+		}
+		change.Deleted = make([][]any, 0, nDel+nMod)
+		for _, r := range n.Delta.Rows() {
+			if r.Old != nil {
+				change.Deleted = append(change.Deleted, anyValues(r.Old))
+			}
+			if !inserts || r.New == nil {
+				continue
+			}
+			change.Inserted = append(change.Inserted, anyValues(r.New))
+			if r.Old != nil {
+				change.Modified = append(change.Modified, Modification{Old: anyValues(r.Old), New: anyValues(r.New)})
+			}
+		}
+	}
 	if n.Mode == sql.ModeComplete {
 		change.Complete = rowsData(n.Complete)
 	}
@@ -217,13 +245,10 @@ func (s *Subscription) onNotification(n cq.Notification, closed bool) {
 	}
 }
 
-func columnsOf(rel *relation.Relation) []string {
-	if rel == nil {
-		return nil
-	}
-	out := make([]string, rel.Schema().Len())
+func columnsOf(schema relation.Schema) []string {
+	out := make([]string, schema.Len())
 	for i := range out {
-		out[i] = rel.Schema().Col(i).Name
+		out[i] = schema.Col(i).Name
 	}
 	return out
 }

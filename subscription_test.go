@@ -2,7 +2,13 @@ package continual
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"github.com/diorama/continual/internal/cq"
+	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
 )
 
 // The backpressure policies run in Subscription.onNotification — the only
@@ -154,5 +160,56 @@ func TestSubscriberBufferDropsWithoutBlocking(t *testing.T) {
 	// buffered.
 	if got := db.Stats().Counter("cq.notifications.dropped"); got != 4 {
 		t.Errorf("cq.notifications.dropped = %d, want 4", got)
+	}
+}
+
+// toChange walks a notification's delta rows straight into Change rows;
+// what it builds must be what the notification's rendered views give, in
+// the same order, in every mode — and for a catch-up, which carries only
+// the complete result.
+func TestToChangeMatchesTheViews(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "name", Type: relation.TString},
+		relation.Column{Name: "price", Type: relation.TFloat},
+	)
+	row := func(name string, price float64) []relation.Value {
+		return []relation.Value{relation.Str(name), relation.Float(price)}
+	}
+	d := delta.New(schema)
+	for _, err := range []error{
+		d.AppendModify(4, row("DEC", 150), row("DEC", 149), 7),
+		d.AppendInsert(9, row("MAC", 117), 7),
+		d.AppendDelete(2, row("QLI", 145), 7),
+		d.AppendInsert(1, row("IBM", 75), 7),
+		d.AppendModify(3, row("HP", 20), row("HP", 21), 7),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	complete := relation.New(schema)
+	if err := complete.Insert(relation.Tuple{TID: 4, Values: row("DEC", 149)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []sql.ResultMode{sql.ModeDifferential, sql.ModeDeletions, sql.ModeComplete} {
+		n := cq.Notification{CQName: "q", Seq: 3, Mode: mode, Delta: d, Dropped: 1}
+		if mode == sql.ModeComplete {
+			n.Complete = complete
+		}
+		want := Change{
+			CQ: "q", Seq: 3, Dropped: 1, Columns: []string{"name", "price"},
+			Inserted: rowsData(n.Inserted()),
+			Deleted:  rowsData(n.Deleted()),
+			Modified: modifications(n.Modified()),
+			Complete: rowsData(n.Complete),
+		}
+		if got := toChange(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: toChange =\n %+v\nthe views give\n %+v", mode, got, want)
+		}
+	}
+	catchUp := cq.Notification{CQName: "q", Seq: 3, Mode: sql.ModeDifferential, Complete: complete}
+	want := Change{CQ: "q", Seq: 3, Columns: []string{"name", "price"}, Modified: []Modification{}}
+	if got := toChange(catchUp); !reflect.DeepEqual(got, want) {
+		t.Errorf("catch-up: toChange =\n %+v\nwant\n %+v", got, want)
 	}
 }
