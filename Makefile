@@ -35,7 +35,8 @@ chaos:
 
 # allocs: the refresh's allocation budget — fails when any arm of
 # BenchmarkRefreshStep (columnar, notify, join, agg, distinct) or of
-# BenchmarkRefreshRound (round) exceeds its committed baseline
+# BenchmarkRefreshRound (round: one Poll; push: one commit fanned out to
+# push dispatches) exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh

@@ -10,13 +10,14 @@ import (
 	"github.com/diorama/continual/internal/storage"
 )
 
-// roundBench is the round arm's fixture: a 4,096-row quotes table and 64
-// instrumented selection CQs over it, each with a subscriber, refreshed
-// by Poll on one worker (so the allocation count does not depend on the
-// machine's core count).
+// roundBench is the fixture of BenchmarkRefreshRound: a 4,096-row quotes
+// table and 64 instrumented selection CQs over it, each with a
+// subscriber, refreshed by Poll or by push dispatch on one worker (so the
+// allocation count does not depend on the machine's core count).
 type roundBench struct {
 	store *storage.Store
 	mgr   *Manager
+	reg   *obs.Registry
 	tids  []relation.TID
 	rng   *rand.Rand
 }
@@ -31,7 +32,7 @@ func quotesRow(rng *rand.Rand, id int) []relation.Value {
 	}
 }
 
-func newRoundBench(b *testing.B) *roundBench {
+func newRoundBench(b *testing.B, push bool) *roundBench {
 	b.Helper()
 	rb := &roundBench{store: storage.NewStore(), rng: rand.New(rand.NewSource(1))}
 	if err := rb.store.CreateTable("quotes", relation.MustSchema(
@@ -54,9 +55,9 @@ func newRoundBench(b *testing.B) *roundBench {
 	if _, err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	rb.store.Instrument(reg)
-	rb.mgr = NewManagerConfig(rb.store, Config{UseDRA: true, AutoGC: true, Parallelism: 1, Metrics: reg})
+	rb.reg = obs.NewRegistry()
+	rb.store.Instrument(rb.reg)
+	rb.mgr = NewManagerConfig(rb.store, Config{UseDRA: true, AutoGC: true, Push: push, Parallelism: 1, Metrics: rb.reg})
 	// Four shapes, sixteen constants each: thresholds, ranges, and two
 	// conjunctions over two columns.
 	var queries []string
@@ -94,23 +95,35 @@ func (rb *roundBench) commit(b *testing.B) {
 	}
 }
 
+// push commits and waits for the dispatches the commit fanned out.
+func (rb *roundBench) push(b *testing.B) {
+	rb.commit(b)
+	rb.mgr.FlushPush()
+}
+
 func (rb *roundBench) poll(b *testing.B) {
 	if n, err := rb.mgr.Poll(); err != nil || n != 64 {
 		b.Fatalf("poll refreshed %d CQs (err %v), want 64", n, err)
 	}
 }
 
-// BenchmarkRefreshRound measures one Poll of 64 selection CQs over one
+// BenchmarkRefreshRound measures the refresh of 64 selection CQs over one
 // shared 64-row window: the round driver, the window and its columnar
 // image shared by the round, and per CQ the trigger test, the step
 // context, the evaluator's step, the result maintenance, the refresh
-// span and the notification delivered to a subscriber. The commit runs
-// with the timer stopped. Its allocs/op is the round arm that
-// scripts/check-allocs.sh gates: what a refresh allocates beyond its
-// window's own rows.
+// span and the notification delivered to a subscriber. Its arms are the
+// two ways a commit reaches the CQs, and both are gated by
+// scripts/check-allocs.sh:
+//
+//	round  one Poll; the commit runs with the timer stopped. Its
+//	       allocs/op is what a refresh allocates beyond its window's own
+//	       rows.
+//	push   one commit plus FlushPush, which fans the commit out to one
+//	       dispatch per CQ; every dispatch at the commit's timestamp
+//	       reads the same window cache.
 func BenchmarkRefreshRound(b *testing.B) {
 	b.Run("round", func(b *testing.B) {
-		rb := newRoundBench(b)
+		rb := newRoundBench(b, false)
 		defer func() { _ = rb.mgr.Close() }()
 		for i := 0; i < 3; i++ {
 			rb.commit(b) // warm-up: pools and reused buffers reach window size
@@ -123,6 +136,22 @@ func BenchmarkRefreshRound(b *testing.B) {
 			rb.commit(b)
 			b.StartTimer()
 			rb.poll(b)
+		}
+	})
+	b.Run("push", func(b *testing.B) {
+		rb := newRoundBench(b, true)
+		defer func() { _ = rb.mgr.Close() }()
+		for i := 0; i < 3; i++ {
+			rb.push(b) // warm-up, as in the round arm
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rb.push(b)
+		}
+		b.StopTimer()
+		if n := rb.reg.Snapshot().Counter("cq.refreshes"); n != int64(64*(3+b.N)) {
+			b.Fatalf("%d refreshes over %d commits, want 64 per commit", n, 3+b.N)
 		}
 	})
 }

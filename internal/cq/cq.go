@@ -195,8 +195,9 @@ type CQState struct {
 	// TemplateMates is the current member count of the CQ's template
 	// group, this CQ included (0 when unshared).
 	TemplateMates int
-	// Replicas is the state a prepared join keeps per operand — live
-	// rows and maintained hash indexes — in plan order; empty for
+	// Replicas is the state a standing join keeps per operand — live
+	// rows and maintained hash indexes — in plan order, whether the join
+	// is the plan or the input of an aggregate or DISTINCT; empty for
 	// join-free plans. A template member reports its group's shared
 	// replicas.
 	Replicas []dra.ReplicaStat
@@ -307,6 +308,7 @@ type maintainer interface {
 	// caller owns.
 	Result() *relation.Relation
 	Groups() int
+	Replicas() []dra.ReplicaStat
 }
 
 // closeEval releases the instance's evaluator and with it its gauge
@@ -417,6 +419,9 @@ type Manager struct {
 	// manager lock cannot be taken) when a termination leaves a template
 	// group without active members; the round's housekeeping reaps it.
 	reapDue atomic.Bool
+	// round is the last round taken, reused by every round at its
+	// timestamp (newRound). Guarded by mu.
+	round round
 
 	// router is the push subsystem (nil unless Config.Push): it owns
 	// the store's commit hook and the dispatcher workers. Guarded by mu
@@ -997,6 +1002,7 @@ func (m *Manager) State(name string) (CQState, error) {
 		st.Replicas = ev.Replicas()
 	case maintainer:
 		st.Groups = ev.Groups()
+		st.Replicas = ev.Replicas()
 	}
 	if g := inst.group; g != nil {
 		st.Template = g.fp

@@ -712,6 +712,11 @@ func TestStateReportsJoinState(t *testing.T) {
 	if _, err := m.Register(Def{Name: "plain", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
 		t.Fatal(err)
 	}
+	// The same join under a GROUP BY: the group table's input keeps the
+	// same replicas.
+	if _, err := m.Register(Def{Name: "rollup", Query: "SELECT s.name, SUM(t.volume) FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name"}); err != nil {
+		t.Fatal(err)
+	}
 	commit(t, s, func(tx *storage.Tx) error {
 		for _, sym := range []string{"DEC", "DEC", "IBM"} {
 			if _, err := tx.Insert("trades", []relation.Value{relation.Str(sym), relation.Int(100)}); err != nil {
@@ -740,15 +745,21 @@ func TestStateReportsJoinState(t *testing.T) {
 	if plain, _ := m.State("plain"); len(plain.Replicas) != 0 {
 		t.Errorf("join-free CQ reports replicas: %+v", plain.Replicas)
 	}
+	if rollup, _ := m.State("rollup"); fmt.Sprint(rollup.Replicas) != fmt.Sprint(want) || rollup.Groups != 2 {
+		t.Errorf("GROUP BY over the join: replicas %+v over %d groups, want %+v over 2", rollup.Replicas, rollup.Groups, want)
+	}
 	snap := reg.Snapshot()
+	// The join CQ's refresh (a group table's steps are not counted here).
 	if p, e := snap.Counter("dra.join.probe_rows"), snap.Counter("dra.join.emit_rows"); p != 3 || e != 3 {
 		t.Errorf("probe rows = %d, emit rows = %d, want 3 and 3", p, e)
 	}
-	if g := snap.Gauges["dra.replica.rows"]; g != 5 {
-		t.Errorf("dra.replica.rows = %d, want 5", g)
+	if g := snap.Gauges["dra.replica.rows"]; g != 10 {
+		t.Errorf("dra.replica.rows = %d, want 5 per join", g)
 	}
-	if err := m.Drop("joined"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"joined", "rollup"} {
+		if err := m.Drop(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g := reg.Snapshot().Gauges["dra.replica.rows"]; g != 0 {
 		t.Errorf("dra.replica.rows after drop = %d, want 0", g)

@@ -9,19 +9,14 @@ import (
 // Config.Metrics at construction. A nil *metrics (Config.Metrics == nil)
 // keeps every hook down to a nil check.
 type metrics struct {
-	registered   *obs.Gauge   // cq.registered: live (non-terminated) CQs
-	polls        *obs.Counter // cq.polls
-	triggerEvals *obs.Counter // cq.trigger_evals: trigger conditions tested
-	firesEvery   *obs.Counter // cq.trigger_fires.every
-	firesUpdates *obs.Counter // cq.trigger_fires.updates
-	firesEpsilon *obs.Counter // cq.trigger_fires.epsilon
-	firesDefault *obs.Counter // cq.trigger_fires.default
-	refreshes    *obs.Counter // cq.refreshes
-	// batchesPushed counts operand windows served by routed commit
-	// images (zero conversion); batchesWindow counts the ones converted
-	// through the shared window cache.
-	batchesPushed *obs.Counter   // cq.columnar.pushed
-	batchesWindow *obs.Counter   // cq.columnar.window
+	registered    *obs.Gauge     // cq.registered: live (non-terminated) CQs
+	polls         *obs.Counter   // cq.polls
+	triggerEvals  *obs.Counter   // cq.trigger_evals: trigger conditions tested
+	firesEvery    *obs.Counter   // cq.trigger_fires.every
+	firesUpdates  *obs.Counter   // cq.trigger_fires.updates
+	firesEpsilon  *obs.Counter   // cq.trigger_fires.epsilon
+	firesDefault  *obs.Counter   // cq.trigger_fires.default
+	refreshes     *obs.Counter   // cq.refreshes
 	refreshNS     *obs.Histogram // cq.refresh_ns
 	refreshErrors *obs.Counter   // cq.refresh.errors: per-CQ failures isolated by Poll
 	roundNS       *obs.Histogram // cq.round_ns: wall time of one group-refresh round
@@ -84,8 +79,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		firesEpsilon:  reg.Counter("cq.trigger_fires.epsilon"),
 		firesDefault:  reg.Counter("cq.trigger_fires.default"),
 		refreshes:     reg.Counter("cq.refreshes"),
-		batchesPushed: reg.Counter("cq.columnar.pushed"),
-		batchesWindow: reg.Counter("cq.columnar.window"),
 		refreshNS:     reg.Histogram("cq.refresh_ns"),
 		refreshErrors: reg.Counter("cq.refresh.errors"),
 		roundNS:       reg.Histogram("cq.round_ns"),

@@ -335,3 +335,92 @@ func TestPushSmallResultSelectionStaysDifferential(t *testing.T) {
 		t.Fatalf("pushed result diverges from re-evaluation:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestPushDispatchesShareOneWindow: one commit fans out to one push
+// dispatch per private CQ, and every dispatch at the commit's timestamp
+// reads the same window cache. Each commit plus FlushPush therefore
+// fetches each window form once — the raw window the triggers read,
+// and, when the engine compacts, its folded form — however many CQs read
+// it, while every CQ still refreshes once and delivers what a
+// Poll-driven manager delivers.
+func TestPushDispatchesShareOneWindow(t *testing.T) {
+	const cqs, steps = 8, 12
+	for _, tc := range []struct {
+		compact         bool
+		missesPerCommit int64
+	}{
+		{false, 1}, // the triggers' window is the steps' window
+		{true, 2},  // the raw window, then its folded form
+	} {
+		t.Run(fmt.Sprintf("compact=%v", tc.compact), func(t *testing.T) {
+			world := func(push bool) map[string][]string {
+				s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+				var tids []relation.TID
+				for i := 0; i < 16; i++ {
+					tids = append(tids, insertStock(t, s, fmt.Sprintf("S%02d", i), float64(10*i)))
+				}
+				reg := obs.NewRegistry()
+				s.Instrument(reg)
+				eng := dra.NewEngine()
+				eng.CompactDeltas = tc.compact
+				m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Push: push, Engine: eng, Metrics: reg})
+				defer func() { _ = m.Close() }()
+				var mu sync.Mutex
+				transcript := make(map[string][]string)
+				for i := 0; i < cqs; i++ {
+					name := fmt.Sprintf("q%d", i)
+					if _, err := m.Register(Def{Name: name, Query: fmt.Sprintf("SELECT * FROM stocks WHERE price > %d", 20*i)}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.SubscribeFunc(name, func(n Notification, closed bool) {
+						if !closed {
+							mu.Lock()
+							transcript[name] = append(transcript[name], renderNotification(n))
+							mu.Unlock()
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for step := 0; step < steps; step++ {
+					before := reg.Snapshot()
+					commit(t, s, func(tx *storage.Tx) error {
+						for k := 0; k < 4; k++ {
+							i := (3*step + k) % len(tids)
+							price := float64((37*step + 11*k) % 200)
+							if err := tx.Update("stocks", tids[i], []relation.Value{relation.Str(fmt.Sprintf("S%02d", i)), relation.Float(price)}); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+					if push {
+						m.FlushPush()
+					} else if _, err := m.Poll(); err != nil {
+						t.Fatal(err)
+					}
+					after := reg.Snapshot()
+					if got := after.Counter("cq.refreshes") - before.Counter("cq.refreshes"); got != cqs {
+						t.Fatalf("push=%v step %d: %d refreshes, want one per CQ (%d)", push, step, got, cqs)
+					}
+					if !push {
+						continue
+					}
+					if got := after.Counter("storage.window_cache.misses") - before.Counter("storage.window_cache.misses"); got != tc.missesPerCommit {
+						t.Fatalf("step %d: %d window cache misses for %d dispatches, want %d", step, got, cqs, tc.missesPerCommit)
+					}
+				}
+				return transcript
+			}
+			polled, pushed := world(false), world(true)
+			if len(polled) != cqs {
+				t.Fatalf("poll transcripts for %d CQs, want %d", len(polled), cqs)
+			}
+			for name, want := range polled {
+				if fmt.Sprint(pushed[name]) != fmt.Sprint(want) {
+					t.Errorf("%s:\n  poll: %v\n  push: %v", name, want, pushed[name])
+				}
+			}
+		})
+	}
+}

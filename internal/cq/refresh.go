@@ -8,13 +8,14 @@ package cq
 //
 // runRound is the one round driver. It takes a candidate set, snapshots
 // the store once for the whole round (change counters, THEN the round
-// timestamp, THEN one window cache), passes every candidate through the
+// timestamp, THEN one window cache — the previous round's snapshot while
+// the clock has not moved, see newRound), passes every candidate through the
 // terminated/dropped/quarantine gate and the trigger test, refreshes the
 // ones that fired on the worker pool, and runs the housekeeping. Four
 // thin feeders decide only who the candidates are:
 //
 //	Poll                 every CQ of one cascade stage, stage by stage
-//	pushDispatch         the one CQ a commit was routed to (+ its images)
+//	pushDispatch         the one CQ a commit was routed to
 //	pushDispatchTemplate the members of the template a commit was routed to
 //	Refresh              one CQ, trigger forced, quarantine gate bypassed
 //
@@ -23,6 +24,10 @@ package cq
 // same CQ resolve to exactly one execution per timestamp: Seq stays
 // gap-free and the notification sequence is the one polling alone would
 // have produced.
+//
+// The round's window cache is a refresh's only source of windows: the
+// trigger test reads its row windows, the step its columnar images
+// (stepContext). The push router routes names, never rows.
 //
 // Lock order, stated once: Manager.mu → instance.mu → templateGroup.mu.
 // The driver holds Manager.mu only for the snapshot and the trigger
@@ -38,11 +43,9 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
-	"github.com/diorama/continual/internal/push"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
@@ -58,20 +61,32 @@ type round struct {
 	versions map[string]uint64
 	// ts is the round timestamp: the execTS of every refresh in it.
 	ts vclock.Timestamp
-	// cache shares one delta-window fetch per (table, window) across the
-	// round — the paper's system active delta zone (Section 5.4)
-	// materialized once, however many CQs read it.
+	// cache shares one delta-window fetch per (table, window) across
+	// every round at ts — the paper's system active delta zone (Section
+	// 5.4) materialized once, however many CQs read it. It is the only
+	// source of a refresh's windows, row and columnar.
 	cache *storage.WindowCache
 	// post is the store as of ts, every step's dra.Context.Post.
 	post algebra.Source
 }
 
-// newRound takes the snapshot, in the one order that is sound.
+// newRound takes the snapshot, in the one order that is sound. While the
+// store clock still reads the previous round's timestamp, it returns that
+// round again: a window (from, ts] cannot change once ts has been issued
+// (a commit ticks the clock under the store's write lock before it
+// appends), so every push dispatch, poll stage and template step at one
+// timestamp reads one cache, and a burst of dispatches for one commit
+// fetches, compacts and converts each window once. The manager therefore
+// holds one round's cache until the clock moves. Caller holds m.mu.
 func (m *Manager) newRound() round {
+	if m.round.cache != nil && m.store.Now() == m.round.ts {
+		return m.round
+	}
 	rd := round{versions: m.store.ChangeCounts()}
 	rd.ts = m.store.Now()
 	rd.cache = m.store.NewWindowCache()
 	rd.post = m.store.At(rd.ts)
+	m.round = rd
 	return rd
 }
 
@@ -83,10 +98,6 @@ type feed struct {
 	// brought up to date so it resets consistently. Its outcome feeds the
 	// breaker like any other: a successful manual refresh heals the CQ.
 	forced bool
-	// route (pushDispatch) names the push route whose routed commit
-	// images the candidate's refresh may consume instead of converting
-	// the window (fillBatches).
-	route string
 	// sweep lets the housekeeping walk the registry (gauges, AutoGC):
 	// Poll sets it on its last stage, Refresh always. A push dispatch
 	// leaves it off and pays only an amortised share, so a commit never
@@ -148,13 +159,9 @@ func (m *Manager) runRound(cands []*instance, f feed) (int, error) {
 			inst.breaker.Release()
 		}
 	}
-	var pushed map[string][]push.BatchRef
-	if f.route != "" && len(fired) > 0 && m.router != nil {
-		pushed = m.router.TakeBatches(f.route, rd.ts)
-	}
 	m.mu.Unlock()
 
-	n, refErrs := m.refreshGroup(fired, rd, pushed, f.forced)
+	n, refErrs := m.refreshGroup(fired, rd, f.forced)
 	m.housekeep(f.sweep, n)
 	return n, errors.Join(append(errs, refErrs...)...)
 }
@@ -262,7 +269,7 @@ func (m *Manager) pushDispatch(name string) (refreshed, retire bool, err error) 
 	if inst == nil {
 		return false, true, nil
 	}
-	n, err := m.runRound([]*instance{inst}, feed{route: name})
+	n, err := m.runRound([]*instance{inst}, feed{})
 	return n > 0, inst.terminated.Load() || inst.dropped.Load(), err
 }
 
@@ -352,7 +359,7 @@ func (inst *instance) observeAndTest(now vclock.Timestamp, cache *storage.Window
 // refreshGroup re-evaluates the fired CQs of one round on a bounded
 // worker pool. Workers hold only the per-instance lock, so a slow CQ
 // does not stall the others.
-func (m *Manager) refreshGroup(fired []*instance, rd round, pushed map[string][]push.BatchRef, forced bool) (int, []error) {
+func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, []error) {
 	if len(fired) == 0 {
 		return 0, nil
 	}
@@ -374,7 +381,7 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, pushed map[string][]
 	}
 	if workers <= 1 {
 		for _, inst := range fired {
-			tally(m.guardedRefresh(inst, rd, pushed, forced))
+			tally(m.guardedRefresh(inst, rd, forced))
 		}
 	} else {
 		type outcome struct {
@@ -391,7 +398,7 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, pushed map[string][]
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, pushed, forced)
+					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, forced)
 				}
 			}()
 		}
@@ -426,12 +433,12 @@ var errSkipRefresh = errors.New("cq: refresh skipped")
 // records the late outcome in metrics. The timeout itself counts as a
 // breaker failure. Without a budget the attempt runs inline and creates
 // no closure (protectedRefresh).
-func (m *Manager) guardedRefresh(inst *instance, rd round, pushed map[string][]push.BatchRef, forced bool) (bool, error) {
+func (m *Manager) guardedRefresh(inst *instance, rd round, forced bool) (bool, error) {
 	var err error
 	if budget := m.guardPol.Budget; budget > 0 {
-		err = guard.Attempt(budget, func() error { return m.attemptRefresh(inst, rd, pushed, forced) }, m.late)
+		err = guard.Attempt(budget, func() error { return m.attemptRefresh(inst, rd, forced) }, m.late)
 	} else {
-		err = m.protectedRefresh(inst, rd, pushed, forced)
+		err = m.protectedRefresh(inst, rd, forced)
 	}
 	switch {
 	case err == nil:
@@ -468,7 +475,7 @@ func (m *Manager) guardedRefresh(inst *instance, rd round, pushed map[string][]p
 }
 
 // attemptRefresh is one guarded attempt at a CQ's refresh.
-func (m *Manager) attemptRefresh(inst *instance, rd round, pushed map[string][]push.BatchRef, forced bool) error {
+func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool) error {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	// A racing round may have re-evaluated past this round's timestamp
@@ -480,7 +487,7 @@ func (m *Manager) attemptRefresh(inst *instance, rd round, pushed map[string][]p
 		return errSkipRefresh
 	}
 	inst.guardErr.Store(nil)
-	if err := m.refreshInstance(inst, rd, pushed); err != nil {
+	if err := m.refreshInstance(inst, rd); err != nil {
 		inst.lastErr = err
 		return err
 	}
@@ -490,9 +497,9 @@ func (m *Manager) attemptRefresh(inst *instance, rd round, pushed map[string][]p
 
 // protectedRefresh is attemptRefresh under guard.Protect's panic
 // isolation, written without the closure Protect takes.
-func (m *Manager) protectedRefresh(inst *instance, rd round, pushed map[string][]push.BatchRef, forced bool) (err error) {
+func (m *Manager) protectedRefresh(inst *instance, rd round, forced bool) (err error) {
 	defer guard.Recover(&err)
-	return m.attemptRefresh(inst, rd, pushed, forced)
+	return m.attemptRefresh(inst, rd, forced)
 }
 
 // noteFailure records one refresh (or trigger) failure against the CQ's
@@ -556,25 +563,29 @@ func (m *Manager) workerCount(tasks int) int {
 // propagate arms and the complete-re-evaluation baseline reconstruct
 // them, and the differential path never touches Post.
 //
-// The context is in's, refilled in place: its maps are reused, not
+// Each operand window is the round cache's columnar image, read in
+// place by every CQ at the round timestamp; an empty window is left out
+// of Batches and scans as empty. ctx.Deltas stays unset: the engine
+// reads the images, already compacted when the engine compacts. A window
+// the cache cannot produce fails the step.
+//
+// The context is in's, refilled in place: its map is reused, not
 // reallocated, and Pre points at in's own view, so nothing is boxed per
 // step. The caller holds the lock that guards in (the instance's, or
 // the template group's) and calls in.release once the step has returned
 // — the engine keeps no reference to the context past Step — or once
 // stepContext has failed.
-func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Timestamp, prev *relation.Relation, rd round, pushed map[string][]push.BatchRef) (*dra.Context, error) {
+func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Timestamp, prev *relation.Relation, rd round) (*dra.Context, error) {
 	compact := m.cfg.Engine.CompactDeltas
 	in.pre = m.store.At(lastExec)
 	ctx := &in.ctx
-	deltas, batches := ctx.Deltas, ctx.Batches // empty: see release
-	if deltas == nil {
-		deltas = make(map[string]*delta.Delta, len(tables))
+	batches := ctx.Batches // empty: see release
+	if batches == nil {
 		batches = make(map[string]*batch.Batch, len(tables))
 	}
 	*ctx = dra.Context{
 		Pre:       &in.pre,
 		Post:      rd.post,
-		Deltas:    deltas,
 		Batches:   batches,
 		LastTS:    lastExec,
 		Prev:      prev,
@@ -586,9 +597,13 @@ func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Ti
 		if err != nil {
 			return nil, err
 		}
-		ctx.Deltas[table] = w
+		if w.Len() == 0 {
+			continue // an empty window needs no image
+		}
+		if batches[table], err = rd.cache.WindowBatch(table, lastExec, rd.ts, compact); err != nil {
+			return nil, err
+		}
 	}
-	m.fillBatches(ctx, tables, lastExec, rd, compact, pushed)
 	return ctx, nil
 }
 
@@ -600,22 +615,20 @@ type stepInput struct {
 }
 
 // release empties the context once its step is over, keeping only the
-// maps' storage: an idle evaluator pins none of its last round's
-// windows, batches or snapshots, and no window or batch outlives the
-// step it was read for — fillBatches leaves a table with an empty
-// window out of Batches, so a batch left over would be read as the next
-// round's.
+// map's storage: an idle evaluator pins none of its last round's
+// batches or snapshots, and no batch outlives the step it was read for —
+// stepContext leaves a table with an empty window out of Batches, so a
+// batch left over would be read as the next round's.
 func (in *stepInput) release() {
-	clear(in.ctx.Deltas)
 	clear(in.ctx.Batches)
-	in.ctx = dra.Context{Deltas: in.ctx.Deltas, Batches: in.ctx.Batches}
+	in.ctx = dra.Context{Batches: in.ctx.Batches}
 }
 
 // evaluate computes the CQ's change at the round timestamp: one Step of
 // its evaluator over stepContext, or, for a template member streaming
 // from its group, the fold of the rows the group dispatched to it. Caller
 // holds inst.mu.
-func (m *Manager) evaluate(inst *instance, rd round, pushed map[string][]push.BatchRef, span *obs.Span) (*dra.Result, error) {
+func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Result, error) {
 	if g := inst.group; g != nil {
 		if inst.eval == nil {
 			// No private windows, no private evaluation: step the group
@@ -633,7 +646,7 @@ func (m *Manager) evaluate(inst *instance, rd round, pushed map[string][]push.Ba
 			return nil, err
 		}
 	}
-	ctx, err := m.stepContext(&inst.in, inst.tables, inst.lastExec, inst.prev, rd, pushed)
+	ctx, err := m.stepContext(&inst.in, inst.tables, inst.lastExec, inst.prev, rd)
 	defer inst.in.release()
 	if err != nil {
 		return nil, err
@@ -652,7 +665,7 @@ func (m *Manager) evaluate(inst *instance, rd round, pushed map[string][]push.Ba
 // refreshInstance re-evaluates the CQ at the round timestamp and
 // delivers the notification. Caller holds inst.mu (and only inst.mu; the
 // store and the DRA engine are safe for concurrent use).
-func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]push.BatchRef) error {
+func (m *Manager) refreshInstance(inst *instance, rd round) error {
 	execTS := rd.ts
 	var span *obs.Span
 	var start time.Time
@@ -660,7 +673,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]
 		start = time.Now()
 		span = mm.traces.Start(inst.spanName)
 	}
-	res, err := m.evaluate(inst, rd, pushed, span)
+	res, err := m.evaluate(inst, rd, span)
 	if err != nil {
 		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
 	}
@@ -743,105 +756,6 @@ func (m *Manager) refreshInstance(inst *instance, rd round, pushed map[string][]
 	}
 	m.deliver(inst, note)
 	return nil
-}
-
-// fillBatches populates ctx.Batches, empty on entry, with one columnar
-// image per operand window. Per table it prefers the commit images the
-// push router routed (zero conversion: the store built them once at
-// commit and every subscribed CQ shares them by reference), accepting
-// them only when a signed-row count proves they cover the window
-// exactly; otherwise it falls back to the round's shared WindowBatch
-// conversion. A table left out of ctx.Batches keeps the engine on its
-// own conversion — never incorrect, just slower.
-func (m *Manager) fillBatches(ctx *dra.Context, tables []string, from vclock.Timestamp, rd round, compact bool, pushed map[string][]push.BatchRef) {
-	for _, table := range tables {
-		w := ctx.Deltas[table]
-		if w == nil || w.Len() == 0 {
-			continue
-		}
-		if b := acceptPushed(pushed[table], table, w, from, rd.ts, rd.cache, compact); b != nil {
-			ctx.Batches[table] = b
-			if mm := m.met; mm != nil {
-				mm.batchesPushed.Inc()
-			}
-			continue
-		}
-		if b, err := rd.cache.WindowBatch(table, from, rd.ts, compact); err == nil && b != nil {
-			ctx.Batches[table] = b
-			if mm := m.met; mm != nil {
-				mm.batchesWindow.Inc()
-			}
-		}
-	}
-}
-
-// acceptPushed decides whether a run of routed commit images can stand
-// in for the window's columnar form, and assembles it if so. Soundness
-// rests on counting: each ref is one commit's complete signed rows and
-// the refs are distinct commits inside (from, to], so their signed-row
-// total equals the raw window's exactly when the run covers every
-// commit. Under compaction the images must also be the folded window
-// row for row, in order (dra.Context.Batches' contract: the engine nets
-// a compacted selection by adjacent -old/+new pair). Folding merges
-// only rows of one tid, each merge dropping at least one row, so equal
-// row counts prove that no tid repeats in the raw window and nothing
-// was folded. Equal signed lengths alone do not: a delete in one commit
-// and a re-insert of the tid in a later one (InsertWithTID, which INTO
-// targets use) fold to one modification of the same signed length,
-// while the images carry the -old and +new apart.
-func acceptPushed(refs []push.BatchRef, table string, win *delta.Delta, from, to vclock.Timestamp, cache *storage.WindowCache, compact bool) *batch.Batch {
-	// Refs at or before `from` belong to commits an earlier refresh
-	// (typically a poll round, which does not consume refs) already
-	// covered.
-	for len(refs) > 0 && refs[0].TS <= from {
-		refs = refs[1:]
-	}
-	if len(refs) == 0 {
-		return nil
-	}
-	total := 0
-	for _, r := range refs {
-		if r.TS > to {
-			return nil // cannot happen: TakeBatches cuts at the round TS
-		}
-		total += r.Batch.Len()
-	}
-	if compact {
-		raw, err := cache.Window(table, from, to, false)
-		if err != nil {
-			return nil
-		}
-		if total != signedLen(raw) || raw.Len() != win.Len() {
-			return nil
-		}
-	} else if total != signedLen(win) {
-		return nil
-	}
-	if len(refs) == 1 {
-		return refs[0].Batch
-	}
-	out := batch.New(win.Schema(), total)
-	for _, r := range refs {
-		for i := 0; i < r.Batch.Len(); i++ {
-			out.AppendFrom(r.Batch, i)
-		}
-	}
-	return out
-}
-
-// signedLen is the number of signed (±) rows a differential window
-// expands to in columnar form: a modification carries two, an insertion
-// or deletion one.
-func signedLen(d *delta.Delta) int {
-	n := 0
-	for _, r := range d.Rows() {
-		if r.Kind() == delta.Modify {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
 }
 
 // buildNotification assembles the per-mode answer (Section 4.3 step 4):

@@ -262,7 +262,7 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	if m.met != nil {
 		start = time.Now()
 	}
-	ctx, err := m.stepContext(&g.in, g.tables, g.lastExec, g.prev, rd, nil)
+	ctx, err := m.stepContext(&g.in, g.tables, g.lastExec, g.prev, rd)
 	defer g.in.release()
 	if err != nil {
 		return err

@@ -77,7 +77,7 @@ var (
 //
 //	(i)   the CQ definition        — the plan passed to Reevaluate;
 //	(ii)  base contents at the last execution — Pre;
-//	(iii) the differential relations           — Deltas (window > last ts);
+//	(iii) the differential relations           — Deltas or Batches (window > last ts);
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
@@ -96,10 +96,10 @@ type Context struct {
 	LastTS vclock.Timestamp
 	Prev   *relation.Relation
 
-	// Compacted declares that Deltas are already folded to their net
-	// per-tid effect, so a CompactDeltas engine must not compact them
-	// again. The cq scheduler's shared window cache sets this when it
-	// hands the same compacted window to many CQs.
+	// Compacted declares that the windows are already folded to their
+	// net per-tid effect, so a CompactDeltas engine must not compact them
+	// again. The cq scheduler sets this when it hands the window cache's
+	// compacted images to many CQs.
 	Compacted bool
 
 	// Versions carries per-table change-counter snapshots
@@ -111,16 +111,17 @@ type Context struct {
 	// consecutive refreshes via timestamps alone).
 	Versions map[string]uint64
 
-	// Batches optionally carries prebuilt columnar images of Deltas —
-	// same rows, same order — built once at the storage boundary and
-	// shared read-only by every CQ refreshing over the window. The scan
-	// reads them as zero-copy views instead of converting the row window
-	// per CQ, provided no further compaction would apply (CompactDeltas
-	// off, or Compacted set). Nil or missing entries are fine; the scan
-	// converts from Deltas. "Same rows, same order" is load-bearing under
-	// Compacted: a selection nets its window by adjacent -old/+new pair
-	// (netView), so an image that carries a tid's two halves apart — a
-	// raw multi-commit image of a window that folded — gives wrong output.
+	// Batches optionally carries prebuilt columnar images of the
+	// windows — the rows of the window's delta, in the same order —
+	// built once (storage.WindowCache) and shared read-only by every CQ
+	// refreshing over the window. The scan reads them as zero-copy views
+	// instead of converting the row window per CQ, provided no further
+	// compaction would apply (CompactDeltas off, or Compacted set). A
+	// table missing from Batches scans Deltas' entry, and one missing
+	// from both scans as an empty window. "Same rows, same order" is
+	// load-bearing under Compacted: a selection nets its window by
+	// adjacent -old/+new pair (netView), so the image must be the
+	// compacted window row for row.
 	Batches map[string]*batch.Batch
 }
 

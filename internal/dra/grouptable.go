@@ -169,6 +169,10 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 // Groups returns the number of groups currently in the output.
 func (g *groupTable) Groups() int { return g.live }
 
+// Replicas reports the operand replicas a join in the fold input keeps,
+// as Prepared.Replicas does; nil for a join-free input.
+func (g *groupTable) Replicas() []ReplicaStat { return g.fold.replicaStats() }
+
 // Close releases the fold input's operand replicas and the table's
 // shares of the dra.agg.groups and dra.replica.rows gauges.
 func (g *groupTable) Close() {

@@ -159,12 +159,16 @@ type ReplicaStat struct {
 // Replicas reports the state the plan keeps per join operand, in plan
 // order across join groups. Like Step it must not run concurrently
 // with a Step of the same Prepared.
-func (p *Prepared) Replicas() []ReplicaStat {
-	if p.root == nil {
+func (p *Prepared) Replicas() []ReplicaStat { return p.root.replicaStats() }
+
+// replicaStats reports the operand replicas of every join group in the
+// tree, in plan order; nil for a join-free (or absent) tree.
+func (n *compiledNode) replicaStats() []ReplicaStat {
+	if n == nil {
 		return nil
 	}
 	var out []ReplicaStat
-	p.root.eachJoin(func(cj *compiledJoin) {
+	n.eachJoin(func(cj *compiledJoin) {
 		for i, ent := range cj.cache.ents {
 			st := ReplicaStat{Operand: cj.cache.tables[i]}
 			if st.Operand == "" {

@@ -199,8 +199,8 @@ func (v *vecEval) view(s *selection) (selView, error) {
 
 // scanBatch produces the table's differential window as a signed batch
 // with the scan's column types. When the context carries a prebuilt
-// columnar window (built once at the storage boundary and shared by
-// every CQ over the round) and no further compaction would apply, that
+// columnar window (built once by the window cache and shared by every
+// CQ at the round timestamp) and no further compaction would apply, that
 // batch is the scan, read in place; otherwise the scan converts the row
 // window into a pooled batch.
 func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {

@@ -28,11 +28,6 @@ type metrics struct {
 	shed *obs.Counter // push.shed
 	// gateSkips counts routings vetoed by a CQ's quarantine gate.
 	gateSkips *obs.Counter // push.gate_skips
-	// batchRefs counts columnar commit images retained for dispatch;
-	// batchGaps counts accumulation runs abandoned (unrepresentable
-	// commit, per-table cap, or overload shed).
-	batchRefs *obs.Counter // push.batch_refs
-	batchGaps *obs.Counter // push.batch_gaps
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -55,8 +50,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		notifyNS:  reg.Histogram("push.notify_ns"),
 		shed:      reg.Counter("push.shed"),
 		gateSkips: reg.Counter("push.gate_skips"),
-		batchRefs: reg.Counter("push.batch_refs"),
-		batchGaps: reg.Counter("push.batch_gaps"),
 	}
 	m.registered = reg.Gauge("push.registered")
 	return m

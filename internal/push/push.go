@@ -28,6 +28,13 @@
 //     push). Degradation is graceful by construction — push never
 //     queues unboundedly and never loses work, because the delta store,
 //     not the queue, is the source of truth.
+//
+// The router carries no rows. A dispatch names a CQ; the refresh it
+// starts reads its windows from the manager's window cache for the
+// current timestamp, which every dispatch, poll round and template step
+// at that timestamp shares. A burst of dispatches for one commit
+// therefore fetches, compacts and converts each window once, and push
+// and poll refreshes read the same window form.
 package push
 
 import (
@@ -36,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -96,29 +102,7 @@ type entry struct {
 	// lastTS dedupes within one event: a commit touching two operand
 	// tables of the same CQ must route once, not twice.
 	lastTS vclock.Timestamp
-	// refs accumulates, per operand table, references to the columnar
-	// commit images routed since the last TakeBatches — the batches the
-	// store built once at commit, shared by every subscribed entry
-	// without copying. A nil slice with gapped set means some commit in
-	// the span carried no usable image (unrepresentable values, or the
-	// per-table cap was hit); the consumer must fall back to the window.
-	refs   map[string][]BatchRef
-	gapped map[string]bool
 }
-
-// BatchRef is one commit's columnar image for one table, tagged with
-// the commit timestamp so a consumer can check the refs it took cover
-// exactly the differential window it is about to evaluate.
-type BatchRef struct {
-	TS    vclock.Timestamp
-	Batch *batch.Batch
-}
-
-// maxRefsPerTable bounds how many commit images one entry retains per
-// table between dispatches. Past the cap the entry drops the whole run
-// (a gap is a gap — partial coverage is worthless) and the eventual
-// refresh converts its window instead.
-const maxRefsPerTable = 64
 
 // Router routes committed deltas to the continual queries whose
 // operands they touch. All exported methods are safe for concurrent
@@ -253,14 +237,6 @@ func (r *Router) Publish(ev storage.CommitEvent) {
 	// exactly the wrong shape under overload. Deltas stay in the store;
 	// nothing is lost (the differential catch-up property).
 	if ev.Overload >= storage.OverloadSoft {
-		// The skipped commit punches a hole in every affected entry's
-		// accumulated columnar refs; drop them now rather than letting
-		// the consumer discover the gap at refresh time.
-		for _, ch := range ev.Changes {
-			for _, e := range r.index[ch.Table] {
-				e.markGap(ch.Table)
-			}
-		}
 		if m := r.met; m != nil {
 			m.shed.Inc()
 		}
@@ -268,15 +244,6 @@ func (r *Router) Publish(ev storage.CommitEvent) {
 	}
 	for _, ch := range ev.Changes {
 		for _, e := range r.index[ch.Table] {
-			stored, gap := e.accumulate(ch.Table, ev.TS, ch.Batch)
-			if m := r.met; m != nil {
-				if stored {
-					m.batchRefs.Inc()
-				}
-				if gap {
-					m.batchGaps.Inc()
-				}
-			}
 			if e.lastTS == ev.TS {
 				continue // commit touched two operands of this CQ
 			}
@@ -319,78 +286,6 @@ func (r *Router) Publish(ev storage.CommitEvent) {
 	if m := r.met; m != nil {
 		m.queueDepth.Set(int64(len(r.queue)))
 	}
-}
-
-// accumulate records one commit's columnar image for one table, in
-// commit order. Caller holds r.mu. stored reports the ref was kept;
-// gap reports this call opened a gap (nil image or cap reached), which
-// discards the table's run — later commits are skipped until the next
-// TakeBatches resets the state.
-func (e *entry) accumulate(table string, ts vclock.Timestamp, b *batch.Batch) (stored, gap bool) {
-	if e.gapped[table] {
-		return false, false
-	}
-	if b == nil || len(e.refs[table]) >= maxRefsPerTable {
-		e.markGap(table)
-		return false, true
-	}
-	if e.refs == nil {
-		e.refs = make(map[string][]BatchRef, len(e.tables))
-	}
-	e.refs[table] = append(e.refs[table], BatchRef{TS: ts, Batch: b})
-	return true, false
-}
-
-// markGap discards a table's accumulated refs and blocks further
-// accumulation until the next TakeBatches. Caller holds r.mu.
-func (e *entry) markGap(table string) {
-	if e.gapped == nil {
-		e.gapped = make(map[string]bool, len(e.tables))
-	}
-	e.gapped[table] = true
-	delete(e.refs, table)
-}
-
-// TakeBatches removes and returns the columnar commit images routed to
-// the named CQ with commit timestamps at or below upTo: per table, that
-// table's refs in commit order. Refs beyond upTo stay accumulated for
-// the next take — they belong to commits the caller's refresh window
-// will not cover. A table absent from the map had a gap (or saw no
-// commits) — the consumer must pull its window the ordinary way. The
-// caller owns the returned map and slices; the batches themselves stay
-// shared read-only, since other CQs subscribed to the same tables hold
-// references to the very same commit images.
-func (r *Router) TakeBatches(name string, upTo vclock.Timestamp) map[string][]BatchRef {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.cqs[name]
-	if !ok || (e.refs == nil && e.gapped == nil) {
-		return nil
-	}
-	var out map[string][]BatchRef
-	for t, run := range e.refs {
-		cut := len(run)
-		for cut > 0 && run[cut-1].TS > upTo {
-			cut--
-		}
-		if cut == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string][]BatchRef, len(e.refs))
-		}
-		out[t] = run[:cut:cut]
-		if cut == len(run) {
-			delete(e.refs, t)
-		} else {
-			e.refs[t] = append([]BatchRef(nil), run[cut:]...)
-		}
-	}
-	// A gap poisons only the span up to this take: the refresh that
-	// triggered the take covers everything at or below upTo from the
-	// window itself, so accumulation may start fresh.
-	e.gapped = nil
-	return out
 }
 
 // worker dequeues ready CQs and dispatches them. The queued flag drops

@@ -335,23 +335,21 @@ func (c *Client) Snapshot(table string) (*relation.Relation, vclock.Timestamp, e
 	return rel, resp.Now, err
 }
 
-// DeltaSince fetches a table's differential window. It asks for the
-// columnar wire form and decodes whichever representation the server
-// ships — columnar when the window fits typed columns, rows otherwise.
+// DeltaSince fetches a table's differential window, shipped in the
+// columnar wire form.
 func (c *Client) DeltaSince(table string, since vclock.Timestamp) (*delta.Delta, vclock.Timestamp, error) {
-	resp, err := c.roundTrip(Request{Op: OpDeltaSince, Table: table, Since: since, Columnar: true})
+	resp, err := c.roundTrip(Request{Op: OpDeltaSince, Table: table, Since: since})
 	if err != nil {
 		return nil, 0, err
+	}
+	if resp.ColDelta == nil {
+		return nil, 0, fmt.Errorf("%w: reply carries no window", errColDelta)
 	}
 	schema, err := c.Schema(table)
 	if err != nil {
 		return nil, 0, err
 	}
-	if resp.ColDelta != nil {
-		d, derr := fromWireColDelta(resp.ColDelta, schema)
-		return d, resp.Now, derr
-	}
-	d, err := fromWireDelta(resp.Delta, schema)
+	d, err := fromWireColDelta(resp.ColDelta, schema)
 	return d, resp.Now, err
 }
 

@@ -80,7 +80,8 @@ func TestColDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColDeltaUnrepresentable: kind drift forces the row form.
+// TestColDeltaUnrepresentable: a kind-drifted window does not fit the
+// columnar form; the server answers such a window with a type error.
 func TestColDeltaUnrepresentable(t *testing.T) {
 	sc := colSchema(t)
 	d := delta.New(sc)

@@ -63,13 +63,6 @@ type Request struct {
 	// Updates carries OpApplyUpdates rows (benchmark drivers push load
 	// through the same connection).
 	Updates []WireDeltaRow
-	// Columnar asks the server to answer OpDeltaSince with the columnar
-	// wire form (Response.ColDelta): typed flat slices instead of
-	// per-row tagged values. Always safe to set — a server whose window
-	// is unrepresentable in typed columns (or that predates the format)
-	// answers with the row form, and the client decodes whichever
-	// arrives.
-	Columnar bool
 }
 
 // Response is one server reply. Exactly one payload field is set on
@@ -83,8 +76,7 @@ type Response struct {
 	Tables   []string
 	Columns  []WireColumn
 	Rel      *WireRelation
-	Delta    []WireDeltaRow
-	ColDelta *WireColDelta
+	ColDelta *WireColDelta // OpDeltaSince's window, the one wire form
 	Now      vclock.Timestamp
 	Stats    *obs.Snapshot
 	Deps     []WireDep
@@ -111,7 +103,8 @@ type WireRelation struct {
 	Rows    [][]relation.Value
 }
 
-// WireDeltaRow mirrors delta.Row for the wire.
+// WireDeltaRow mirrors delta.Row for the wire: the rows OpApplyUpdates
+// carries.
 type WireDeltaRow struct {
 	TID uint64
 	Old []relation.Value
@@ -149,8 +142,8 @@ type WireCol struct {
 }
 
 // toWireColDelta flattens a differential window into the columnar wire
-// form via its batch image. ok=false means some value is not
-// representable in typed columns and the row form must ship instead.
+// form via its batch image. ok=false means some value does not fit its
+// typed column, which the store's write boundary rules out.
 func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
 	b, ok := batch.FromDelta(nil, d)
 	if !ok {
@@ -325,26 +318,6 @@ func fromWireRelation(w *WireRelation) (*relation.Relation, error) {
 	out := relation.New(schema)
 	for i, tid := range w.TIDs {
 		if err := out.Insert(relation.Tuple{TID: relation.TID(tid), Values: w.Rows[i]}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// toWireDelta converts a differential relation.
-func toWireDelta(d *delta.Delta) []WireDeltaRow {
-	out := make([]WireDeltaRow, 0, d.Len())
-	for _, r := range d.Rows() {
-		out = append(out, WireDeltaRow{TID: uint64(r.TID), Old: r.Old, New: r.New, TS: r.TS})
-	}
-	return out
-}
-
-// fromWireDelta converts back onto a schema.
-func fromWireDelta(rows []WireDeltaRow, schema relation.Schema) (*delta.Delta, error) {
-	out := delta.New(schema)
-	for _, r := range rows {
-		if err := out.Append(delta.Row{TID: relation.TID(r.TID), Old: r.Old, New: r.New, TS: r.TS}); err != nil {
 			return nil, err
 		}
 	}

@@ -305,13 +305,13 @@ func (s *Server) handle(req Request) Response {
 		if m := s.met; m != nil {
 			m.windows.Inc()
 		}
-		if req.Columnar {
-			if cd, ok := toWireColDelta(d); ok {
-				return Response{ColDelta: cd, Now: s.store.Now()}
-			}
-			// Unrepresentable window: the row form below is the answer.
+		cd, ok := toWireColDelta(d)
+		if !ok {
+			// Cannot happen: every stored value was conformed to its
+			// column at the write boundary or on recovery.
+			return errResponse(fmt.Errorf("remote: window of %q: %w", req.Table, relation.ErrTypeMismatch))
 		}
-		return Response{Delta: toWireDelta(d), Now: s.store.Now()}
+		return Response{ColDelta: cd, Now: s.store.Now()}
 
 	case OpQuery:
 		plan, err := algebra.PlanSQL(req.Query, s.store.Live())

@@ -3,28 +3,23 @@ package storage
 import (
 	"time"
 
-	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/vclock"
 )
 
 // TableChange is one table's share of a committed transaction: the
-// number of differential-relation rows the commit appended to it, plus
-// a columnar image of those rows. Batch is built once at commit (only
-// when a hook is installed), is unpooled, and after the hook returns is
-// owned by whoever the hook handed it to — the store never touches it
-// again, so consumers may retain it without copying.
+// number of differential-relation rows the commit appended to it. The
+// rows themselves stay in the differential relation, where every reader
+// fetches them as part of a window (WindowCache).
 type TableChange struct {
 	Table string
 	Rows  int
-	Batch *batch.Batch
 }
 
 // CommitEvent describes one committed transaction to a commit hook: the
 // commit timestamp, the wall-clock instant the commit applied (the
-// anchor for commit-to-notification latency measurements), and the net
-// per-table changes. Each change carries at most one small columnar
-// batch, so the hook stays cheap however many consumers fan out behind
-// it — the conversion happens once, not per subscriber.
+// anchor for commit-to-notification latency measurements), and the
+// per-table change counts. It names what changed, not the changed rows,
+// so the hook stays cheap however many consumers fan out behind it.
 type CommitEvent struct {
 	TS vclock.Timestamp
 	At time.Time

@@ -12,8 +12,8 @@ import (
 // the write path — Tx.Insert, Tx.InsertWithTID and Tx.Update — with
 // values of another kind than their column: an untyped NULL and a
 // lossless INT/FLOAT conversion are stored under the column's type (and
-// reach the differential relation and the commit hook's columnar image
-// that way); anything else is refused with relation.ErrTypeMismatch, the
+// reach the differential relation and its window's columnar image that
+// way); anything else is refused with relation.ErrTypeMismatch, the
 // transaction stays abortable, and the store is untouched.
 func TestWriteBoundaryConformance(t *testing.T) {
 	schema := relation.MustSchema(
@@ -93,7 +93,7 @@ func TestWriteBoundaryConformance(t *testing.T) {
 				if !row[tc.col].Equal(tc.in) || row[tc.col].Kind != tc.in.Kind {
 					t.Fatal("the boundary rewrote the caller's slice instead of its own copy")
 				}
-				mustCommit(t, tx)
+				ts := mustCommit(t, tx)
 				rel, _ := s.Snapshot("t")
 				got, ok := rel.Lookup(tid)
 				if !ok {
@@ -111,8 +111,12 @@ func TestWriteBoundaryConformance(t *testing.T) {
 				if d.Len() != 1 || d.Rows()[0].New[tc.col].Kind != schema.Col(tc.col).Type {
 					t.Fatalf("differential row not conformed: %+v", d.Rows())
 				}
-				if hooked != 1 || last.Changes[0].Batch == nil || last.Changes[0].Batch.Len() != d.ToSigned().Len() {
-					t.Fatalf("commit image missing or short: %+v", last.Changes)
+				if hooked != 1 || last.Changes[0].Rows != d.Len() {
+					t.Fatalf("commit hook calls %d, changes %+v, want one event counting the window", hooked, last.Changes)
+				}
+				b, err := s.NewWindowCache().WindowBatch("t", before, ts, false)
+				if err != nil || b.Len() != d.ToSigned().Len() {
+					t.Fatalf("window image: %v rows (err %v), want %d", b, err, d.ToSigned().Len())
 				}
 			})
 		}

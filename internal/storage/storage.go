@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -710,26 +709,8 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 	if h := s.hook; h != nil && appended > 0 {
 		ev := CommitEvent{TS: ts, At: time.Now(), Overload: s.overload, Changes: make([]TableChange, 0, len(touched)),
 			Origin: tx.origin, Depth: tx.depth}
-		// Build one columnar image per touched table, in tx op order —
-		// the same order the delta log recorded. Unpooled: the batch's
-		// ownership passes to the hook's consumer.
-		batches := make(map[*Table]*batch.Batch, len(touched))
-		for i := range tx.ops {
-			op := &tx.ops[i]
-			if op.row.Old == nil && op.row.New == nil {
-				continue
-			}
-			t := s.tables[op.table]
-			b, seen := batches[t]
-			if !seen {
-				b = batch.New(t.rel.Schema(), 2*touched[t])
-				b.EnableTS()
-				batches[t] = b
-			}
-			b.AppendChange(op.row) // conformed at the write boundary: fits
-		}
 		for t, n := range touched {
-			ev.Changes = append(ev.Changes, TableChange{Table: t.name, Rows: n, Batch: batches[t]})
+			ev.Changes = append(ev.Changes, TableChange{Table: t.name, Rows: n})
 		}
 		h(ev)
 	}

@@ -10,29 +10,30 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// WindowCache shares differential-window fetches within one refresh
-// round. The paper's system active delta zone (Section 5.4) implies
-// that concurrent continual queries over the same tables consume the
-// very same differential windows; the cache materializes each
-// (table, from, to) window — and its compacted form — once, so N CQs
-// sharing a table cost one fetch and one compaction instead of N.
+// WindowCache shares differential-window fetches among the refreshes
+// that read windows ending at one store timestamp. The paper's system
+// active delta zone (Section 5.4) implies that concurrent continual
+// queries over the same tables consume the very same differential
+// windows; the cache materializes each (table, from, to) window — its
+// compacted form and its columnar image too — once, so N CQs sharing a
+// table cost one fetch, one compaction and one conversion instead of N.
 //
 // Entries are owned copies, detached from the live delta: they stay
 // valid if garbage collection truncates (and shifts) the underlying
-// rows mid-round. Callers must treat them as read-only — the whole
-// point is that many CQ refresh workers read the same entry — and must
-// not reuse a cache across rounds, since it would keep serving windows
-// that newer commits have outgrown.
+// rows. Callers must treat them as read-only — the whole point is that
+// many CQ refresh workers read the same entry. A cache may serve every
+// reader whose windows end at the same timestamp `to`, for as long as
+// the store clock still reads `to`: a commit ticks the clock under the
+// store's write lock before it appends, so no window (from, to] changes
+// once `to` has been issued. Once the clock has moved, start a new
+// cache: reads at the new timestamp share nothing with the old one.
 //
 // WindowCache is safe for concurrent use.
 type WindowCache struct {
-	s       *Store
-	mu      sync.Mutex
-	entries map[windowKey]*delta.Delta
-	// cols caches the columnar image of each window alongside the row
-	// form. A present nil marks a window already found unrepresentable
-	// in typed columns, so N CQs don't re-attempt the conversion.
-	cols         map[windowKey]*batch.Batch
+	s            *Store
+	mu           sync.Mutex
+	entries      map[windowKey]*delta.Delta
+	cols         map[windowKey]*batch.Batch // each entry's columnar image
 	hits, misses int64
 }
 
@@ -42,8 +43,7 @@ type windowKey struct {
 	compact  bool
 }
 
-// NewWindowCache returns an empty per-round window cache over the
-// store.
+// NewWindowCache returns an empty window cache over the store.
 func (s *Store) NewWindowCache() *WindowCache {
 	return &WindowCache{
 		s:       s,
@@ -92,9 +92,9 @@ func (c *WindowCache) Window(table string, from, to vclock.Timestamp, compact bo
 }
 
 // WindowBatch returns the columnar image of the same window Window
-// would return, built once per key and shared read-only by every CQ in
-// the round. The batch is unpooled (it outlives no pool generation) and
-// its rows match the row window exactly, in the same order.
+// would return, built once per key and shared read-only by every reader
+// of the cache. The batch is unpooled (it outlives no pool generation)
+// and its rows match the row window exactly, in the same order.
 func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
 	key := windowKey{table: table, from: from, to: to, compact: compact}
 	c.mu.Lock()
@@ -123,7 +123,7 @@ func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compa
 	return b, nil
 }
 
-// Stats reports the cache's hit/miss counts for the round.
+// Stats reports the cache's hit/miss counts.
 func (c *WindowCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -173,3 +173,42 @@ func TestWindowCacheConcurrent(t *testing.T) {
 		t.Errorf("stats = %d hits / %d misses, want %d/2", hits, misses, 8*50-2)
 	}
 }
+
+// TestWindowBatchSharesOneConversion: the columnar image of a window is
+// built once per cache key and shared.
+func TestWindowBatchSharesOneConversion(t *testing.T) {
+	s := newStockStore(t)
+	t0 := s.Now()
+	tx := s.Begin()
+	if _, err := tx.Insert("stocks", sv("DEC", 150)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("stocks", sv("IBM", 75)); err != nil {
+		t.Fatal(err)
+	}
+	t1 := mustCommit(t, tx)
+
+	c := s.NewWindowCache()
+	b1, err := c.WindowBatch("stocks", t0, t1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1 == nil || b1.Len() != 2 {
+		t.Fatalf("window batch = %v, want 2 rows", b1)
+	}
+	b2, err := c.WindowBatch("stocks", t0, t1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1 != b2 {
+		t.Error("second WindowBatch must share the first conversion")
+	}
+	// The image mirrors the row window exactly.
+	w, err := c.Window("stocks", t0, t1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() != b1.Len() {
+		t.Fatalf("rows: window %d vs batch %d", w.Len(), b1.Len())
+	}
+}

@@ -5,8 +5,10 @@
 # step alone; notify: the step and ApplyTo), on the telescoping kernel of
 # a 3-way join (join), and on the group table under a GROUP BY and a
 # DISTINCT (agg, distinct); BenchmarkRefreshRound (internal/cq) measures
-# one Poll of 64 selection CQs over a shared window, everything the
-# manager does around each step included (round). This script fails
+# the refresh of 64 selection CQs over a shared window, everything the
+# manager does around each step included: one Poll (round), and one
+# commit fanned out to 64 push dispatches that share the commit's window
+# cache (push). This script fails
 # when any arm exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
