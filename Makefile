@@ -34,9 +34,10 @@ chaos:
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/
 
 # allocs: the refresh's allocation budget — fails when any arm of
-# BenchmarkRefreshStep (columnar, notify, join, agg, distinct) or of
+# BenchmarkRefreshStep (columnar, notify, join, agg, distinct), of
 # BenchmarkRefreshRound (round: one Poll; push: one commit fanned out to
-# push dispatches) exceeds its committed baseline
+# push dispatches) or of BenchmarkRefreshMirror (mirror: one commit and
+# one client-side MirrorCQ refresh) exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh

@@ -16,8 +16,8 @@ type Source interface {
 	Relation(table string) (*relation.Relation, error)
 }
 
-// MapSource is a Source backed by a map, used for tests and for DRA term
-// evaluation.
+// MapSource is a Source backed by a map, used for tests, for DRA term
+// evaluation and for a client mirror's operand replicas.
 type MapSource map[string]*relation.Relation
 
 // Relation implements Source.

@@ -23,6 +23,15 @@ func (b *Batch) EnableTS() {
 	b.TS = b.TS[:0]
 }
 
+// Adopt wraps columns built elsewhere — a decoded wire frame — as an
+// ordered signed batch without copying them. Every slice must hold
+// len(tids) rows (a Valid bitmap: nil, or at least one bit per row); the
+// caller checks that, and must not modify the slices while the batch is
+// in use.
+func Adopt(schema relation.Schema, tids []relation.TID, signs []int8, ts []vclock.Timestamp, cols []Col) *Batch {
+	return &Batch{Schema: schema, TIDs: tids, Signs: signs, TS: ts, Cols: cols, n: len(tids)}
+}
+
 // FromSigned converts a signed delta into a pooled columnar batch. It
 // reports ok=false — and returns no batch — when any value is
 // unrepresentable under the schema's column types (kind mismatch or an

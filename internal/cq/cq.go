@@ -171,11 +171,12 @@ type CQState struct {
 	Terminated bool
 	ResultLen  int
 	Divergence float64
-	// Strategy is what a prepared CQ runs, fixed when it was installed:
-	// "incremental" (an SPJ query, evaluated differentially) or
+	// Strategy is what the CQ's evaluator runs, fixed when it was
+	// installed: "incremental" (an SPJ query evaluated differentially, or
+	// an aggregate or DISTINCT query kept by a group table) or
 	// "propagate" (complete re-evaluation: any other query, or any query
-	// under UseDRA off or Config.Strategy propagate). Empty for CQs kept
-	// by a group table.
+	// under UseDRA off or Config.Strategy propagate). Empty for a CQ
+	// recovered terminated, which never refreshes again.
 	Strategy string
 	// LastErr is the error of the most recent failed trigger evaluation
 	// or refresh for this CQ (nil after a successful refresh). Poll
@@ -201,8 +202,8 @@ type CQState struct {
 	// join-free plans. A template member reports its group's shared
 	// replicas.
 	Replicas []dra.ReplicaStat
-	// Groups is the number of groups an aggregate or DISTINCT state
-	// keeper holds in its output (its refreshes touch a few of them; see
+	// Groups is the number of groups an aggregate or DISTINCT CQ's group
+	// table holds in its output (its refreshes touch a few of them; see
 	// the cq.refresh span's groups_touched); 0 for other CQs.
 	Groups int
 }
@@ -246,17 +247,21 @@ type instance struct {
 	lastErr     error                          // see CQState.LastErr
 	eps         map[string]*epsilon.Accountant // per monitored table
 	subs        []*subscriber
-	// eval is the CQ's one evaluator: a prepared plan (*dra.Prepared —
-	// differential with its operand replicas for an SPJ query, complete
-	// re-evaluation for any other and under Config.UseDRA off) or a
-	// group-table state keeper (SUM/COUNT/AVG without HAVING, DISTINCT).
-	// It is nil in two cases only: a template member that streams
-	// from its group (group != nil; a recovered member holds a private
-	// catch-up plan here until its first refresh has run), and a CQ
-	// recovered already terminated, which never refreshes again.
-	eval stepper
+	// eval is the CQ's one evaluator, seeded at install and stepped by
+	// every refresh: differential with its operand replicas for an SPJ
+	// query, a group table for SUM/COUNT/AVG without HAVING and DISTINCT,
+	// complete re-evaluation for any other query and under Config.UseDRA
+	// off or Config.Strategy propagate. It is nil in two cases only: a
+	// template member that streams from its group (group != nil; a
+	// recovered member holds a private catch-up plan here until its first
+	// refresh has run), and a CQ recovered already terminated, which
+	// never refreshes again.
+	eval *dra.Prepared
 	// in is eval's step context, refilled by every refresh (stepContext).
 	in stepInput
+	// fault, set only by the guard tests, fails every private step in
+	// eval's place: it injects panics, errors and stalls.
+	fault func() error
 
 	// terminated is atomic (not under mu) so the manager-lock paths
 	// (gauge recomputation, GC horizon) can read it while a refresh
@@ -290,27 +295,6 @@ type instance struct {
 	guardErr atomic.Pointer[error]
 }
 
-// stepper is what fills an instance's evaluator slot: one refresh is one
-// Step over the context refresh.go builds (stepContext, which states the
-// snapshot rule), and Close releases whatever state and gauge shares the
-// evaluator holds.
-type stepper interface {
-	Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error)
-	Close()
-}
-
-// maintainer is a stepper that keeps the query's output itself — the
-// group-table state keepers of the dra package (IncrementalAggregate,
-// IncrementalDistinct).
-type maintainer interface {
-	stepper
-	// Result renders the maintained output as a fresh relation the
-	// caller owns.
-	Result() *relation.Relation
-	Groups() int
-	Replicas() []dra.ReplicaStat
-}
-
 // closeEval releases the instance's evaluator and with it its gauge
 // shares. Caller holds inst.mu or owns an instance not yet visible.
 func (inst *instance) closeEval() {
@@ -331,10 +315,11 @@ type Config struct {
 	// AutoGC collects differential-relation garbage after every refresh
 	// round, at the system active delta zone boundary.
 	AutoGC bool
-	// Strategy is handed to dra.Prepare for every prepared CQ:
+	// Strategy is handed to dra.Prepare for every CQ and template group:
 	// StrategyAuto (the default) lets each plan's shape decide —
-	// differential for SPJ, complete re-evaluation otherwise — and
-	// StrategyPropagate puts SPJ plans on complete re-evaluation too.
+	// differential for SPJ, a group table for SUM/COUNT/AVG without
+	// HAVING and DISTINCT, complete re-evaluation otherwise — and
+	// StrategyPropagate puts every plan on complete re-evaluation.
 	Strategy dra.Strategy
 	// Logf receives the manager's rare diagnostic lines (a quarantine, a
 	// recovered panic, an emergency GC). Nil uses the standard library
@@ -615,23 +600,7 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*re
 		}
 	}
 
-	// The seed: a source to evaluate over and the timestamp it is exact
-	// at. Fresh, that is the live store under its read lock (View) —
-	// writers may be committing, and commits tick the clock under the
-	// write lock, so Now() read inside is the timestamp of exactly the
-	// state the scan sees. Recovered, it is the store as of the last
-	// execution, NOT the live head: the next refresh must see the
-	// post-crash window as its delta, or replayed-but-unprocessed commits
-	// would be skipped. At(LastExec) is always reconstructible for a live
-	// CQ because the GC horizon never passes the minimum live lastExec.
-	seed := func(f func(src algebra.Source) error) error {
-		return m.store.View(func(v storage.LiveView) error {
-			inst.lastExec = m.store.Now()
-			return f(v)
-		})
-	}
 	if rec != nil {
-		seed = func(f func(src algebra.Source) error) error { return f(at) }
 		inst.seq, inst.lastExec = rec.Seq, rec.LastExec
 		inst.terminated.Store(rec.Terminated)
 		// The crash may sit between the last materialize commit and its
@@ -647,50 +616,52 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*re
 	}
 
 	// The evaluator (Section 4.2: Algorithm 1 applies "after its initial
-	// execution"). A state keeper seeds its state from the same pass that
-	// yields the initial result; a template member's result is the
-	// parameter-filtered template result at its seed (a fresh member's
-	// lastExec pinned to the group's step position by the join).
-	// Materializing CQs never share — their refreshes commit into a
-	// private target, so the plan stays private too. A terminated
-	// sequence never steps: it gets none.
-	if m.cfg.UseDRA && !inst.terminated.Load() {
-		err := seed(func(src algebra.Source) error {
-			maint, err := newMaintainer(m.cfg.Engine, plan, src)
-			if maint != nil {
-				inst.eval = maint
-				inst.prev = maint.Result()
-			}
-			return err
-		})
-		if err != nil {
+	// execution"). A template member's result is the parameter-filtered
+	// template result at its seed (a fresh member's lastExec pinned to the
+	// group's step position by the join). Materializing CQs never share —
+	// their refreshes commit into a private target, so the plan stays
+	// private too. A terminated sequence never steps: it gets none.
+	if m.cfg.UseDRA && !inst.terminated.Load() && inst.into == "" {
+		if err := m.joinTemplateLocked(inst, at); err != nil {
 			return nil, err
-		}
-		if inst.eval == nil && inst.into == "" {
-			if err := m.joinTemplateLocked(inst, at); err != nil {
-				return nil, err
-			}
 		}
 	}
 	// A private plan — or, for a recovered template member, the plan of
 	// its one catch-up refresh from LastExec to wherever the group stands,
 	// after which it streams from the group like its mates.
-	if !inst.terminated.Load() && inst.eval == nil && (inst.group == nil || rec != nil) {
+	if !inst.terminated.Load() && (inst.group == nil || rec != nil) {
 		prep, err := m.cfg.Engine.Prepare(plan, m.cfg.Strategy)
 		if err != nil {
 			return nil, err
 		}
 		inst.eval = prep
 	}
-	if inst.prev == nil && inst.terminated.Load() {
+	switch {
+	case inst.prev != nil:
+		// A template member: seeded from its group's result.
+	case inst.eval == nil:
 		// Recovered terminated: it no longer pins the GC horizon, so the
 		// store at LastExec may be collected and the result cannot be
 		// re-derived. An empty relation keeps State/Result well defined.
 		inst.prev = relation.New(plan.Schema())
-	}
-	if inst.prev == nil {
-		err := seed(func(src algebra.Source) (err error) {
-			inst.prev, err = dra.InitialResult(plan, src)
+	case rec != nil:
+		// The initial execution over the store as of the last execution,
+		// NOT the live head: the next refresh must see the post-crash window
+		// as its delta, or replayed-but-unprocessed commits would be
+		// skipped. At(LastExec) is always reconstructible for a live CQ
+		// because the GC horizon never passes the minimum live lastExec.
+		if inst.prev, err = inst.eval.Seed(at); err != nil {
+			return nil, err
+		}
+	default:
+		// The initial execution over the live store under its read lock
+		// (View): writers may be committing, and commits tick the clock
+		// under the write lock, so Now() read inside is the timestamp of
+		// exactly the state the scan sees. A group table seeds from the
+		// same pass.
+		err := m.store.View(func(v storage.LiveView) (err error) {
+			inst.lastExec = m.store.Now()
+			inst.prev, err = inst.eval.Seed(v)
 			return err
 		})
 		if err != nil {
@@ -996,13 +967,10 @@ func (m *Manager) State(name string) (CQState, error) {
 	if p := inst.guardErr.Load(); p != nil {
 		st.LastErr = *p
 	}
-	switch ev := inst.eval.(type) {
-	case *dra.Prepared:
+	if ev := inst.eval; ev != nil {
 		st.Strategy = ev.Strategy().String()
 		st.Replicas = ev.Replicas()
-	case maintainer:
-		st.Groups = ev.Groups()
-		st.Replicas = ev.Replicas()
+		st.Groups, _ = ev.Groups()
 	}
 	if g := inst.group; g != nil {
 		st.Template = g.fp
@@ -1301,23 +1269,6 @@ func (m *Manager) onPressure(level storage.OverloadLevel) {
 		m.logf("cq: overload %v: emergency GC reclaimed %d delta rows", level, reclaimed)
 		return nil
 	})
-}
-
-// newMaintainer tries the incremental state keepers in turn; a nil, nil
-// return means the plan is plain SPJ (or otherwise unsupported) and the
-// caller should prepare it instead (Manager.prepare).
-func newMaintainer(engine *dra.Engine, plan algebra.Plan, src algebra.Source) (maintainer, error) {
-	if ia, err := dra.NewIncrementalAggregate(engine, plan, src); err == nil {
-		return ia, nil
-	} else if !errors.Is(err, dra.ErrNotIncremental) {
-		return nil, err
-	}
-	if id, err := dra.NewIncrementalDistinct(engine, plan, src); err == nil {
-		return id, nil
-	} else if !errors.Is(err, dra.ErrNotIncremental) {
-		return nil, err
-	}
-	return nil, nil
 }
 
 // logf writes one diagnostic line through Config.Logf, defaulting to

@@ -712,10 +712,15 @@ func TestStateReportsJoinState(t *testing.T) {
 	if _, err := m.Register(Def{Name: "plain", Query: "SELECT * FROM stocks WHERE price > 100"}); err != nil {
 		t.Fatal(err)
 	}
-	// The same join under a GROUP BY: the group table's input keeps the
-	// same replicas.
-	if _, err := m.Register(Def{Name: "rollup", Query: "SELECT s.name, SUM(t.volume) FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name"}); err != nil {
-		t.Fatal(err)
+	// The same join under a GROUP BY and under DISTINCT: each group
+	// table's input keeps the same replicas.
+	for name, query := range map[string]string{
+		"rollup":   "SELECT s.name, SUM(t.volume) FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name",
+		"distinct": "SELECT DISTINCT s.name FROM stocks s JOIN trades t ON s.name = t.sym",
+	} {
+		if _, err := m.Register(Def{Name: name, Query: query}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	commit(t, s, func(tx *storage.Tx) error {
 		for _, sym := range []string{"DEC", "DEC", "IBM"} {
@@ -745,18 +750,21 @@ func TestStateReportsJoinState(t *testing.T) {
 	if plain, _ := m.State("plain"); len(plain.Replicas) != 0 {
 		t.Errorf("join-free CQ reports replicas: %+v", plain.Replicas)
 	}
-	if rollup, _ := m.State("rollup"); fmt.Sprint(rollup.Replicas) != fmt.Sprint(want) || rollup.Groups != 2 {
-		t.Errorf("GROUP BY over the join: replicas %+v over %d groups, want %+v over 2", rollup.Replicas, rollup.Groups, want)
+	for _, name := range []string{"rollup", "distinct"} {
+		st, _ := m.State(name)
+		if st.Strategy != "incremental" || fmt.Sprint(st.Replicas) != fmt.Sprint(want) || st.Groups != 2 {
+			t.Errorf("%s over the join: %q, replicas %+v over %d groups, want incremental, %+v over 2", name, st.Strategy, st.Replicas, st.Groups, want)
+		}
 	}
 	snap := reg.Snapshot()
 	// The join CQ's refresh (a group table's steps are not counted here).
 	if p, e := snap.Counter("dra.join.probe_rows"), snap.Counter("dra.join.emit_rows"); p != 3 || e != 3 {
 		t.Errorf("probe rows = %d, emit rows = %d, want 3 and 3", p, e)
 	}
-	if g := snap.Gauges["dra.replica.rows"]; g != 10 {
+	if g := snap.Gauges["dra.replica.rows"]; g != 15 {
 		t.Errorf("dra.replica.rows = %d, want 5 per join", g)
 	}
-	for _, name := range []string{"joined", "rollup"} {
+	for _, name := range []string{"joined", "rollup", "distinct"} {
 		if err := m.Drop(name); err != nil {
 			t.Fatal(err)
 		}
@@ -818,6 +826,39 @@ func TestStrategyFallbackIsAudible(t *testing.T) {
 	snap := reg.Snapshot()
 	if fb, diff := snap.Counter("dra.fallback_path"), snap.Counter("dra.differential_path"); fb != 1 || diff != 1 {
 		t.Errorf("fallback_path = %d, differential_path = %d, want 1 and 1", fb, diff)
+	}
+}
+
+// Config.Strategy governs every shape: forced onto complete
+// re-evaluation, an aggregate and a DISTINCT CQ keep no group table and
+// still refresh correctly.
+func TestStrategyPropagateCoversGroupTables(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"propagate": {UseDRA: true, Strategy: dra.StrategyPropagate},
+		"no-dra":    {UseDRA: false},
+	} {
+		s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+		insertStock(t, s, "DEC", 150)
+		m := NewManagerConfig(s, cfg)
+		for cq, query := range map[string]string{
+			"sum":   "SELECT name, SUM(price) AS total FROM stocks GROUP BY name",
+			"names": "SELECT DISTINCT name FROM stocks",
+		} {
+			if _, err := m.Register(Def{Name: cq, Query: query}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insertStock(t, s, "IBM", 75)
+		if _, err := m.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cq := range []string{"sum", "names"} {
+			st, err := m.State(cq)
+			if err != nil || st.Strategy != "propagate" || st.Groups != 0 || st.ResultLen != 2 {
+				t.Errorf("%s: %s: strategy %q, %d groups, %d rows (err %v); want propagate, 0, 2", name, cq, st.Strategy, st.Groups, st.ResultLen, err)
+			}
+		}
+		_ = m.Close()
 	}
 }
 

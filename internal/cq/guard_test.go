@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -21,17 +20,17 @@ import (
 	"github.com/diorama/continual/internal/wal"
 )
 
-// faultMaint is an injectable evaluator that misbehaves on Step:
-// panics, errors, or sleeps past the refresh budget. Fields are set
-// before injection and never mutated, so an abandoned (late) Step may
-// read them concurrently with the test goroutine.
+// faultMaint is an injectable step fault: it panics, errors, or sleeps
+// past the refresh budget. Fields are set before injection and never
+// mutated, so an abandoned (late) step may read them concurrently with
+// the test goroutine.
 type faultMaint struct {
 	panics bool
 	err    error
 	sleep  time.Duration
 }
 
-func (f *faultMaint) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Result, error) {
+func (f *faultMaint) step() error {
 	if f.sleep > 0 {
 		time.Sleep(f.sleep)
 	}
@@ -39,12 +38,10 @@ func (f *faultMaint) Step(ctx *dra.Context, execTS vclock.Timestamp) (*dra.Resul
 		panic("injected refresh panic")
 	}
 	if f.err != nil {
-		return nil, f.err
+		return f.err
 	}
-	return nil, errors.New("faultMaint: no failure configured")
+	return errors.New("faultMaint: no failure configured")
 }
-
-func (f *faultMaint) Close() {}
 
 func getInst(t *testing.T, m *Manager, name string) *instance {
 	t.Helper()
@@ -57,34 +54,27 @@ func getInst(t *testing.T, m *Manager, name string) *instance {
 	return inst
 }
 
-// maintained reports whether the CQ's evaluator is a group-table state
-// keeper.
+// maintained reports whether the CQ's evaluator keeps a group table.
 func maintained(t *testing.T, m *Manager, name string) bool {
 	t.Helper()
 	inst := getInst(t, m, name)
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	_, ok := inst.eval.(maintainer)
+	_, ok := inst.eval.Groups()
 	return ok
 }
 
-// injected remembers the evaluator each faulted instance registered with.
-var injected sync.Map // *instance → stepper
-
-// injectMaint swaps a fault into the instance's evaluator slot; a nil
+// injectMaint makes every step of the instance fail with the fault; a nil
 // fault restores the evaluator the CQ registered with.
 func injectMaint(t *testing.T, m *Manager, name string, f *faultMaint) {
 	t.Helper()
 	inst := getInst(t, m, name)
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	if f == nil {
-		orig, _ := injected.LoadAndDelete(inst)
-		inst.eval = orig.(stepper)
-		return
+	inst.fault = nil
+	if f != nil {
+		inst.fault = f.step
 	}
-	injected.LoadOrStore(inst, inst.eval)
-	inst.eval = f
 }
 
 func updatesTrigger() sql.TriggerSpec {

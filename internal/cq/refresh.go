@@ -651,6 +651,9 @@ func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Resul
 	if err != nil {
 		return nil, err
 	}
+	if inst.fault != nil {
+		return nil, inst.fault()
+	}
 	if span == nil {
 		return inst.eval.Step(ctx, rd.ts)
 	}
@@ -742,10 +745,12 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 			span.SetField("deleted", int64(del))
 			span.SetField("modified", int64(mod))
 		}
-		if mt, ok := inst.eval.(maintainer); ok {
-			span.SetField("groups", int64(mt.Groups()))
-			span.SetField("groups_touched", int64(res.Stats.GroupsTouched))
-			span.SetField("group_rows_emitted", int64(res.Stats.GroupRowsEmitted))
+		if inst.eval != nil {
+			if groups, ok := inst.eval.Groups(); ok {
+				span.SetField("groups", int64(groups))
+				span.SetField("groups_touched", int64(res.Stats.GroupsTouched))
+				span.SetField("group_rows_emitted", int64(res.Stats.GroupRowsEmitted))
+			}
 		}
 		span.Finish()
 	}

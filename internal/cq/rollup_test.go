@@ -18,8 +18,8 @@ import (
 // filter, plus SELECT DISTINCT k — through a durable manager: every
 // round each result and each derived table must equal its query
 // evaluated from scratch, tids included. The system is then closed with
-// commits no refresh has seen and reopened: the state keepers reseed at
-// each CQ's last execution, the first refresh folds the missed window
+// commits no refresh has seen and reopened: the group tables reseed
+// (Prepared.Seed) at each CQ's last execution, the first refresh folds the missed window
 // and reconciles the INTO targets against it, and the pipeline carries
 // on as if nothing had happened.
 func TestRollupDurableReopen(t *testing.T) {

@@ -125,7 +125,7 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 		// tick it under the write lock, so prev is exact at lastExec.
 		err = m.store.View(func(src storage.LiveView) (err error) {
 			g.lastExec = m.store.Now()
-			g.prev, err = dra.InitialResult(tpl.Plan, src)
+			g.prev, err = prep.Seed(src)
 			return err
 		})
 		if err != nil {

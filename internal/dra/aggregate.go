@@ -21,43 +21,35 @@ import (
 // telescopes over them, as a prepared SPJ plan's does.
 //
 // Supported: root-level AggregatePlan with SUM / COUNT / COUNT(*) / AVG
-// aggregates and no HAVING clause. MIN and MAX are not incrementally
-// maintainable from counts alone (a deletion of the current extremum
-// needs the base data) and report ErrNotIncremental, as does HAVING; the
-// caller falls back to Propagate.
+// aggregates and no HAVING clause, which Engine.Prepare compiles into a
+// group table. MIN and MAX are not incrementally maintainable from counts
+// alone (a deletion of the current extremum needs the base data), nor is
+// HAVING: Prepare puts them on complete re-evaluation.
 
-// ErrNotIncremental reports that a plan cannot be maintained
-// incrementally and the caller should use the Propagate fallback.
+// ErrNotIncremental reports that a plan is not a group-table shape, so
+// NewIncrementalAggregate and NewIncrementalDistinct refuse it; Prepare
+// puts such a plan on complete re-evaluation.
 var ErrNotIncremental = errors.New("dra: plan is not incrementally maintainable")
 
 // IncrementalAggregate maintains an aggregate query's result across
-// refreshes. Step, Result, Groups and Close are groupTable's.
+// refreshes: the group table a prepared aggregate plan keeps, stand-alone.
+// Step, Result, Groups and Close are groupTable's.
 type IncrementalAggregate struct{ *groupTable }
 
-// NewIncrementalAggregate validates the plan and builds the initial
-// state from the current source contents. The plan must be the root of
-// the query.
+// NewIncrementalAggregate validates the plan and seeds the table from the
+// current source contents — the group-table halves of Engine.Prepare and
+// Prepared.Seed. The plan must be the root of the query.
 func NewIncrementalAggregate(engine *Engine, plan algebra.Plan, src algebra.Source) (*IncrementalAggregate, error) {
-	agg, ok := plan.(*algebra.AggregatePlan)
-	if !ok {
-		return nil, fmt.Errorf("%w: root is %T", ErrNotIncremental, plan)
+	g, err := seededGroupTable[*algebra.AggregatePlan](engine, plan, src)
+	if err != nil {
+		return nil, err
 	}
-	if agg.Having != nil {
-		return nil, fmt.Errorf("%w: HAVING requires group recomputation", ErrNotIncremental)
-	}
-	if !supportsDifferential(agg.Input) {
-		return nil, fmt.Errorf("%w: input is not SPJ", ErrNotIncremental)
-	}
-	for _, a := range agg.Aggs {
-		switch a.Func {
-		case "SUM", "COUNT", "AVG":
-		default:
-			return nil, fmt.Errorf("%w: %s needs base access on deletions", ErrNotIncremental, a.Func)
-		}
-	}
+	return &IncrementalAggregate{g}, nil
+}
 
-	// The fold row: group keys under their output types, then one column
-	// per aggregate argument.
+// aggregateFold compiles an aggregate's fold row: the group keys under
+// their output types, then one column per aggregate argument.
+func aggregateFold(agg *algebra.AggregatePlan) ([]algebra.CompiledExpr, []relation.Column, []groupAgg, error) {
 	inSchema, outSchema := agg.Input.Schema(), agg.Schema()
 	nKeys := len(agg.GroupBy)
 	items := make([]algebra.CompiledExpr, 0, nKeys+len(agg.Aggs))
@@ -65,20 +57,23 @@ func NewIncrementalAggregate(engine *Engine, plan algebra.Plan, src algebra.Sour
 	for i, g := range agg.GroupBy {
 		ce, err := algebra.Compile(g.Expr, inSchema)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		items = append(items, ce)
 		cols = append(cols, relation.Column{Name: fmt.Sprintf("k%d", i), Type: outSchema.Col(i).Type})
 	}
 	aggs := make([]groupAgg, len(agg.Aggs))
 	for i, a := range agg.Aggs {
+		if a.Func != "SUM" && a.Func != "COUNT" && a.Func != "AVG" {
+			return nil, nil, nil, fmt.Errorf("%w: %s needs base access on deletions", ErrNotIncremental, a.Func)
+		}
 		aggs[i] = groupAgg{fn: a.Func, arg: -1, out: outSchema.Col(nKeys + i).Type}
 		if a.Arg == nil {
 			continue // COUNT(*)
 		}
 		ce, err := algebra.Compile(a.Arg, inSchema)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		typ := ce.Type()
 		if typ == 0 {
@@ -88,9 +83,5 @@ func NewIncrementalAggregate(engine *Engine, plan algebra.Plan, src algebra.Sour
 		items = append(items, ce)
 		cols = append(cols, relation.Column{Name: fmt.Sprintf("a%d", i), Type: typ})
 	}
-	g, err := newGroupTable(engine, outSchema, agg.Input, items, cols, nKeys, aggs, src)
-	if err != nil {
-		return nil, err
-	}
-	return &IncrementalAggregate{g}, nil
+	return items, cols, aggs, nil
 }

@@ -39,20 +39,27 @@
 // by the equivalence proofs in the test suite and by the benchmark
 // baselines.
 //
-// Joins have two kernels, chosen by what the caller is. Reevaluate is the
-// paper's stateless Algorithm 1: the truth table above, every unchanged
-// operand's pre-state executed from the last-execution snapshot. A
-// standing query (Prepared, the group table's input) keeps a replica per
-// join operand and telescopes over them instead (telescopeJoin): the same
-// net change in at most one term per changed operand, O(|ΔR|) per
-// refresh.
+// A standing query holds one evaluator, Prepared, wherever it runs: the
+// cq manager's CQs and template groups on the server, and
+// remote.MirrorCQ on a client (Section 6). Engine.Prepare compiles the
+// plan once, Prepared.Seed runs the initial execution, and every refresh
+// is one Prepared.Step. Joins have two kernels, chosen by what the
+// caller is. Reevaluate is the paper's stateless Algorithm 1: the truth
+// table above, every unchanged operand's pre-state executed from the
+// last-execution snapshot; it serves one-shot callers (baselines,
+// experiments, tests). Prepared keeps a replica per join operand and
+// telescopes over them instead (telescopeJoin): the same net change in
+// at most one term per changed operand, O(|ΔR|) per refresh.
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
-// Algorithm 1 covers ("limited to SPJ expressions"); they are recomputed
-// completely (Propagate). IncrementalAggregate and
-// IncrementalDistinct maintain the shapes that allow it from per-group
-// state instead (groupTable), and the cq package maintains aggregate
-// trigger state differentially per Section 5.3.
+// Algorithm 1 covers ("limited to SPJ expressions"). Prepare keeps the
+// shapes that allow it — SUM / COUNT / AVG without HAVING, and DISTINCT,
+// over an SPJ input — in a group table (groupTable) that folds the
+// input's signed delta, seeded by Seed from the same pass as the initial
+// result; MIN, MAX, HAVING and the rest are recomputed completely
+// (Propagate). IncrementalAggregate and IncrementalDistinct are the same
+// table stand-alone, and the cq package maintains aggregate trigger
+// state differentially per Section 5.3.
 package dra
 
 import (
@@ -81,8 +88,13 @@ var (
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
-// Post is the current contents, needed by the Propagate fallback and by
-// result verification.
+// Pre is read only where a refresh must rebuild state: a join replica
+// that is missing (the first refresh, or after a failed one) or not at
+// LastTS, and the query on both states under unprepared Reevaluate. A
+// caller that keeps its own copy of the base tables hands them here as
+// they stand at LastTS. Post is the current contents, needed by complete
+// re-evaluation and by result verification; a Prepared whose Strategy is
+// StrategyIncremental never reads it.
 //
 // The engine keeps no reference to a Context, nor to its Pre and Post
 // sources or its maps, once Step (or Reevaluate) returns: a caller may

@@ -12,8 +12,9 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// groupTable is the keyed Z-set operator behind IncrementalAggregate and
-// IncrementalDistinct: the signed delta of an SPJ input folds into one
+// groupTable is the keyed Z-set operator behind a prepared aggregate or
+// DISTINCT plan (Prepared; IncrementalAggregate and IncrementalDistinct
+// wrap the same table): the signed delta of an SPJ input folds into one
 // slot-addressed columnar table of groups, and the output delta is read
 // off the groups the fold touched — never off the whole result.
 //
@@ -70,6 +71,15 @@ type groupTable struct {
 	// replicaRows is the table's share of dra.replica.rows: a join in the
 	// fold input keeps operand replicas, as a Prepared's does.
 	replicaRows int
+
+	// input, items and foldSchema are what seed executes and projects:
+	// the SPJ input plan, the fold columns' expressions over it (nil for
+	// DISTINCT), and the fold columns. They sit after the fields every
+	// Step reads.
+	input      algebra.Plan
+	items      []algebra.CompiledExpr
+	foldSchema relation.Schema
+	seeded     bool
 }
 
 // groupAgg is one aggregate of the output row.
@@ -97,11 +107,35 @@ func (g *groupTable) state(cells []aggCell, i int) []aggCell {
 	return cells[i*g.stride : (i+1)*g.stride]
 }
 
-// newGroupTable builds the operator over the compiled input and seeds it
-// from the input's current contents. cols are the fold columns, the
-// nKeys key columns first; items project the input to them (nil when the
-// input row is the key, as for DISTINCT).
-func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, items []algebra.CompiledExpr, cols []relation.Column, nKeys int, aggs []groupAgg, src algebra.Source) (*groupTable, error) {
+// newGroupTable compiles a group-table plan into an empty table, which
+// seed fills: an AggregatePlan of SUM / COUNT / COUNT(*) / AVG without
+// HAVING, or a DistinctPlan, over an SPJ input. Any other plan reports
+// ErrNotIncremental with the reason.
+func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
+	var input algebra.Plan
+	var items []algebra.CompiledExpr // nil: the input row is the key, as for DISTINCT
+	var cols []relation.Column       // fold columns, the nKeys key columns first
+	var aggs []groupAgg
+	var nKeys int
+	switch n := plan.(type) {
+	case *algebra.DistinctPlan:
+		input, cols = n.Input, n.Schema().Columns()
+		nKeys = len(cols)
+	case *algebra.AggregatePlan:
+		if n.Having != nil {
+			return nil, fmt.Errorf("%w: HAVING requires group recomputation", ErrNotIncremental)
+		}
+		var err error
+		if items, cols, aggs, err = aggregateFold(n); err != nil {
+			return nil, err
+		}
+		input, nKeys = n.Input, len(n.GroupBy)
+	default:
+		return nil, fmt.Errorf("%w: root is %T", ErrNotIncremental, plan)
+	}
+	if !supportsDifferential(input) {
+		return nil, fmt.Errorf("%w: input is not SPJ", ErrNotIncremental)
+	}
 	fold, err := compilePlan(input)
 	if err != nil {
 		return nil, err
@@ -119,50 +153,74 @@ func newGroupTable(engine *Engine, schema relation.Schema, input algebra.Plan, i
 		return nil, err
 	}
 	g := &groupTable{
-		engine: engine, schema: schema, fold: fold,
+		engine: engine, schema: plan.Schema(), fold: fold,
+		input: input, items: items, foldSchema: foldSchema,
 		nKeys: nKeys, aggs: aggs, global: nKeys == 0 && len(aggs) > 0,
 		keys: batch.New(keySchema, 0), stride: 1 + len(aggs),
 	}
 	for i := 0; i < nKeys; i++ {
 		g.keyIdx = append(g.keyIdx, i)
 	}
-	rel, err := algebra.NewExecutor(src).Execute(input)
+	return g, nil
+}
+
+// seed fills the empty table from one execution of the input over src,
+// folded in as +1 rows, each conformed to the fold columns as
+// projectBatch would. It runs once, before the first Step.
+func (g *groupTable) seed(src algebra.Source) error {
+	rel, err := algebra.NewExecutor(src).Execute(g.input)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	g.seeded = true
 	if g.global {
 		// The one group exists from the start and never dies: a global
 		// aggregate over an empty input still has its row.
-		one := batch.New(keySchema, 1)
+		one := batch.New(g.keys.Schema, 1)
 		one.AppendRow(0, 0, nil)
 		g.keyedSlot(one, 0, relation.HashValues(nil))
 		g.live = 1
 	}
-	// The seed is one fold of the input's current contents as +1 rows,
-	// each conformed to the fold columns as projectBatch would.
-	seed := batch.New(foldSchema, rel.Len())
-	vals := make([]relation.Value, foldSchema.Len())
+	seed := batch.New(g.foldSchema, rel.Len())
+	vals := make([]relation.Value, g.foldSchema.Len())
 	for _, t := range rel.Tuples() {
-		if items == nil {
+		if g.items == nil {
 			copy(vals, t.Values)
 		}
-		for i, ce := range items {
+		for i, ce := range g.items {
 			if vals[i], err = ce.Eval(t); err != nil {
-				return nil, fmt.Errorf("dra: aggregate input: %w", err)
+				return fmt.Errorf("dra: aggregate input: %w", err)
 			}
 		}
-		if err := foldSchema.Conform(vals); err != nil {
-			return nil, fmt.Errorf("dra: aggregate input: %w", err)
+		if err := g.foldSchema.Conform(vals); err != nil {
+			return fmt.Errorf("dra: aggregate input: %w", err)
 		}
 		seed.AppendRow(0, +1, vals) // conformed: fits
 	}
 	if err := g.foldBatch(seed); err != nil {
-		return nil, err
+		return err
 	}
 	g.settle(false)
 	// seed-sized; refreshes need window-sized
 	g.touched, g.snap, g.hashes, g.slots = nil, nil, nil, nil
 	g.gauge()
+	return nil
+}
+
+// seededGroupTable compiles and seeds a group table in one go, for the
+// stand-alone wrappers, whose plans must have a Root at the root.
+func seededGroupTable[Root algebra.Plan](engine *Engine, plan algebra.Plan, src algebra.Source) (*groupTable, error) {
+	if _, ok := plan.(Root); !ok {
+		return nil, fmt.Errorf("%w: root is %T", ErrNotIncremental, plan)
+	}
+	g, err := newGroupTable(engine, plan)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.seed(src); err != nil {
+		g.Close()
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -219,6 +277,9 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // as it found it and drops the replicas, which the input's joins may
 // have advanced: the retry rebuilds them and folds the window once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+	if !g.seeded {
+		return nil, fmt.Errorf("dra: Step before Seed")
+	}
 	res := newResult(execTS)
 	st := &res.Stats
 	v := newVecEval(g.engine, ctx, execTS, st)

@@ -1,10 +1,12 @@
 package dra
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -14,20 +16,24 @@ import (
 type Strategy int
 
 const (
-	// StrategyAuto lets the shape decide: an SPJ plan refreshes
-	// differentially (StrategyIncremental), anything else by complete
-	// re-evaluation (StrategyPropagate).
+	// StrategyAuto lets the shape decide: an SPJ plan, and an aggregate
+	// or DISTINCT plan a group table keeps, refresh differentially
+	// (StrategyIncremental); anything else by complete re-evaluation
+	// (StrategyPropagate).
 	StrategyAuto Strategy = iota
-	// StrategyIncremental is the differential refresh of an SPJ plan: a
-	// join-free subtree is a view over its scan's window (selection), a
-	// join group telescopes over its operand replicas (telescopeJoin): at
-	// most one term per changed operand, each probing maintained indexes
-	// only. Requested for a plan outside the SPJ class it is StrategyAuto.
+	// StrategyIncremental is the differential refresh: a join-free
+	// subtree is a view over its scan's window (selection), a join group
+	// telescopes over its operand replicas (telescopeJoin): at most one
+	// term per changed operand, each probing maintained indexes only. An
+	// aggregate (SUM / COUNT / AVG without HAVING) or DISTINCT over such
+	// an SPJ input folds the input's signed delta into a group table and
+	// reads its change off the groups touched. Requested for any other
+	// plan it is StrategyAuto.
 	StrategyIncremental
 	// StrategyPropagate is the paper's complete re-evaluation: the query
 	// runs on the post state and the change is its difference from the
-	// previous result. It is what a plan outside the SPJ class gets, and
-	// the baseline an SPJ plan can be forced onto.
+	// previous result. It is what MIN, MAX, HAVING, ORDER BY/LIMIT get,
+	// and the baseline every other plan can be forced onto.
 	StrategyPropagate
 )
 
@@ -58,20 +64,23 @@ func ParseStrategy(s string) (Strategy, error) {
 	}
 }
 
-// Prepared is the compile-once refresh pipeline for one standing query:
-// the compiled plan tree (predicates, projections, join bindings, term
-// plans) and each join group's operand replicas are built once and reused
-// by every Step, so a refresh only pays for delta rows. A plan outside
-// the SPJ class, or one forced onto StrategyPropagate, keeps no compiled
-// tree and re-evaluates completely.
+// Prepared is the one evaluator of a standing query, on the server and
+// in a client mirror alike: Seed runs the initial execution, and every
+// refresh after it is one Step (Section 4.2). What it keeps is compiled
+// once and reused by every Step, so a refresh only pays for delta rows:
+// for an SPJ plan the compiled tree (predicates, projections, join
+// bindings, term plans) and each join group's operand replicas; for an
+// aggregate or DISTINCT plan a group table, seeded by Seed, over its
+// compiled SPJ input. Any other plan, or one forced onto
+// StrategyPropagate, keeps nothing and re-evaluates completely.
 //
 // A Prepared serves one CQ and is not safe for concurrent use; the cq
 // manager serializes refreshes per instance.
 type Prepared struct {
 	engine *Engine
 	plan   algebra.Plan
-	root   *compiledNode // nil: complete re-evaluation
-	fp     uint64
+	root   *compiledNode // the differential SPJ tree, or nil
+	group  *groupTable   // the aggregate or DISTINCT table, or nil
 	tables []string
 
 	// gauged is this plan's current contribution to dra.replica.rows.
@@ -81,7 +90,8 @@ type Prepared struct {
 }
 
 // Prepare compiles the plan once. Whatever strategy names, every plan
-// can run it: only StrategyPropagate changes what an SPJ plan does.
+// can run it: only StrategyPropagate changes what an SPJ, aggregate or
+// DISTINCT plan does.
 func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error) {
 	start := time.Now()
 	if strategy < StrategyAuto || strategy > StrategyPropagate {
@@ -90,18 +100,25 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 	p := &Prepared{
 		engine: e,
 		plan:   plan,
-		fp:     algebra.PlanFingerprint(plan),
 	}
 	for _, s := range algebra.Tables(plan) {
 		p.tables = append(p.tables, s.Table)
 	}
-	if strategy != StrategyPropagate && supportsDifferential(plan) {
+	switch {
+	case strategy == StrategyPropagate:
+	case supportsDifferential(plan):
 		root, err := compilePlan(plan)
 		if err != nil {
 			return nil, err
 		}
 		root.attachReplicas(e)
 		p.root = root
+	default:
+		g, err := newGroupTable(e, plan)
+		if err != nil && !errors.Is(err, ErrNotIncremental) {
+			return nil, err
+		}
+		p.group = g
 	}
 	if m := e.Metrics; m != nil {
 		m.PrepareNS.Observe(time.Since(start))
@@ -112,14 +129,11 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 // Strategy reports what the plan runs: StrategyIncremental or
 // StrategyPropagate, fixed at Prepare.
 func (p *Prepared) Strategy() Strategy {
-	if p.root != nil {
+	if p.root != nil || p.group != nil {
 		return StrategyIncremental
 	}
 	return StrategyPropagate
 }
-
-// Fingerprint identifies the compiled plan shape (algebra.PlanFingerprint).
-func (p *Prepared) Fingerprint() uint64 { return p.fp }
 
 // Tables returns the plan's operand set — the base tables whose deltas
 // can change the result. This is the routing key of push-based refresh:
@@ -131,13 +145,17 @@ func (p *Prepared) Tables() []string {
 	return out
 }
 
-// Close releases the operand replicas and their share of
-// dra.replica.rows. The Prepared must not be stepped afterwards.
+// Close releases the operand replicas and group table and their shares
+// of dra.replica.rows and dra.agg.groups. The Prepared must not be
+// stepped afterwards.
 func (p *Prepared) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
+	if p.group != nil {
+		p.group.Close()
+	}
 	if p.root != nil {
 		p.root.dropReplicas()
 	}
@@ -157,9 +175,23 @@ type ReplicaStat struct {
 }
 
 // Replicas reports the state the plan keeps per join operand, in plan
-// order across join groups. Like Step it must not run concurrently
-// with a Step of the same Prepared.
-func (p *Prepared) Replicas() []ReplicaStat { return p.root.replicaStats() }
+// order across join groups — the SPJ tree's, or the group table's input's.
+// Like Step it must not run concurrently with a Step of the same Prepared.
+func (p *Prepared) Replicas() []ReplicaStat {
+	if p.group != nil {
+		return p.group.Replicas()
+	}
+	return p.root.replicaStats()
+}
+
+// Groups reports the live group count of an aggregate or DISTINCT plan's
+// group table; ok is false for any other plan.
+func (p *Prepared) Groups() (n int, ok bool) {
+	if p.group == nil {
+		return 0, false
+	}
+	return p.group.Groups(), true
+}
 
 // replicaStats reports the operand replicas of every join group in the
 // tree, in plan order; nil for a join-free (or absent) tree.
@@ -183,13 +215,32 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 	return out
 }
 
+// Seed runs the query's initial execution over src and returns the
+// result, which the caller owns. An aggregate or DISTINCT plan seeds its
+// group table from that same pass; it must be seeded once before its
+// first Step. Any other plan keeps nothing from Seed.
+func (p *Prepared) Seed(src algebra.Source) (*relation.Relation, error) {
+	if p.group == nil {
+		return InitialResult(p.plan, src)
+	}
+	if err := p.group.seed(src); err != nil {
+		return nil, err
+	}
+	return p.group.Result(), nil
+}
+
 // Step runs one refresh over the window in ctx, producing the signed
 // change at execTS. ctx.Prev must be the query's result at ctx.LastTS
 // exactly — complete re-evaluation diffs against it instead of running
-// the query on the pre-state too.
+// the query on the pre-state too. ctx.Post is read only by complete
+// re-evaluation, so it may be left nil when Strategy is
+// StrategyIncremental.
 func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dra: Step on closed Prepared")
+	}
+	if p.group != nil {
+		return p.group.Step(ctx, execTS)
 	}
 	res, err := p.engine.evaluate(p.plan, p.root, ctx, execTS, true)
 	p.engine.gaugeReplicas(p.root, &p.gauged) // on failure too: a failed refresh drops them

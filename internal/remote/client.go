@@ -378,18 +378,21 @@ func (c *Client) ApplyUpdates(table string, rows []WireDeltaRow) error {
 	return err
 }
 
-// MirrorCQ is a client-side continual query evaluated by DRA over
-// shipped deltas: the client keeps a replica of the operand tables
-// (applied forward by the delta stream) and the cached previous result —
-// "shifting the processing to the client side" (Section 6).
+// MirrorCQ is a client-side continual query — "shifting the processing
+// to the client side" (Section 6). It keeps a replica of each operand
+// table, applied forward by the shipped delta windows, and the query's
+// current result, and refreshes them with the same evaluator a server
+// CQ holds: the query is prepared once (dra.Prepared), seeded from the
+// initial snapshots, and every Refresh is one Step over the windows it
+// pulled. The replicas are the step's pre-state; they are read only
+// where the evaluator must rebuild (its first join refresh, or one after
+// a failure) or re-evaluates completely.
 type MirrorCQ struct {
 	client *Client
-	query  string
-	plan   algebra.Plan
-	engine *dra.Engine
+	prep   *dra.Prepared
 
 	tables  []string
-	replica map[string]*relation.Relation // operand replicas at lastTS
+	replica algebra.MapSource // operand replicas at lastTS
 	lastTS  vclock.Timestamp
 	result  *relation.Relation
 
@@ -400,28 +403,9 @@ type MirrorCQ struct {
 	lastErr error
 }
 
-// replicaCatalog adapts the replica set to the planner/executor.
-type replicaCatalog map[string]*relation.Relation
-
-func (rc replicaCatalog) Schema(table string) (relation.Schema, error) {
-	r, ok := rc[table]
-	if !ok {
-		return relation.Schema{}, fmt.Errorf("remote: no replica of %q", table)
-	}
-	return r.Schema(), nil
-}
-
-func (rc replicaCatalog) Relation(table string) (*relation.Relation, error) {
-	r, ok := rc[table]
-	if !ok {
-		return nil, fmt.Errorf("remote: no replica of %q", table)
-	}
-	return r, nil
-}
-
-// NewMirrorCQ installs a client-side CQ: it snapshots the operand tables
-// once, evaluates the initial result locally, and afterwards refreshes by
-// pulling only deltas.
+// NewMirrorCQ installs a client-side CQ: it prepares the query, snapshots
+// the operand tables once, seeds the initial result locally, and
+// afterwards refreshes by pulling only deltas.
 func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 	// Plan against server schemas.
 	serverCat := &clientCatalog{client: client}
@@ -430,16 +414,16 @@ func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 		return nil, err
 	}
 	plan = algebra.Optimize(plan)
+	prep, err := dra.NewEngine().Prepare(plan, dra.StrategyAuto)
+	if err != nil {
+		return nil, err
+	}
 
 	m := &MirrorCQ{
 		client:  client,
-		query:   query,
-		plan:    plan,
-		engine:  dra.NewEngine(),
-		replica: make(map[string]*relation.Relation),
-	}
-	for _, scan := range algebra.Tables(plan) {
-		m.tables = append(m.tables, scan.Table)
+		prep:    prep,
+		tables:  prep.Tables(),
+		replica: make(algebra.MapSource),
 	}
 	// Initial snapshots. Each snapshot arrives tagged with the server
 	// time it was taken at; replicas are then brought forward to the
@@ -474,11 +458,9 @@ func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 		}
 	}
 	m.lastTS = ts
-	initial, err := dra.InitialResult(plan, replicaCatalog(m.replica))
-	if err != nil {
+	if m.result, err = prep.Seed(m.replica); err != nil {
 		return nil, err
 	}
-	m.result = initial
 	return m, nil
 }
 
@@ -505,17 +487,17 @@ func (m *MirrorCQ) Stale() bool { return m.stale }
 // fresh).
 func (m *MirrorCQ) LastErr() error { return m.lastErr }
 
-// Refresh pulls the delta windows since the last refresh, re-evaluates
-// the query differentially against the local replicas, advances the
-// replicas, and returns the result change.
+// Refresh pulls the delta windows since the last refresh, steps the
+// prepared query over them, advances the replicas, and returns the
+// result change.
 //
 // Refresh is failure-atomic and resumes differentially: no local state
-// changes until every window has been pulled, so a refresh that dies
-// mid-stream (connection killed, server restarted) leaves lastTS
-// intact and the next Refresh simply re-pulls DeltaSince(lastTS) over
-// a fresh connection — no snapshot rebuild. On failure the CQ enters
-// degraded mode (Stale reports true, Result serves the last good
-// state) until a refresh succeeds.
+// changes until every window has been pulled and the step has
+// succeeded, so a refresh that dies mid-stream (connection killed,
+// server restarted) leaves lastTS intact and the next Refresh simply
+// re-pulls DeltaSince(lastTS) over a fresh connection — no snapshot
+// rebuild. On failure the CQ enters degraded mode (Stale reports true,
+// Result serves the last good state) until a refresh succeeds.
 func (m *MirrorCQ) Refresh() (*delta.Delta, error) {
 	d, err := m.refresh()
 	if err != nil {
@@ -537,41 +519,46 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 		if err != nil {
 			return nil, err
 		}
-		if serverNow > now {
+		// The cut is the earliest time any window was read at: every
+		// window is complete up to it, and rows past it come again with
+		// the next refresh.
+		if len(deltas) == 0 || serverNow < now {
 			now = serverNow
 		}
 		deltas[table] = d
 	}
-	// Clamp all windows to the common horizon so the evaluation sees a
-	// consistent cut.
 	for table, d := range deltas {
 		deltas[table] = d.Window(m.lastTS, now)
 	}
-
-	// Post-state replicas: needed by the engine's non-SPJ fallback, and
-	// they become the new replica set after a successful refresh.
-	post := make(map[string]*relation.Relation, len(m.replica))
-	for table, rel := range m.replica {
-		clone := rel.Clone()
-		if d, ok := deltas[table]; ok {
-			if err := d.Apply(clone); err != nil {
-				return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
-			}
-		}
-		post[table] = clone
-	}
 	ctx := &dra.Context{
-		Pre:    replicaCatalog(m.replica),
-		Post:   replicaCatalog(post),
+		Pre:    m.replica,
 		Deltas: deltas,
 		LastTS: m.lastTS,
 		Prev:   m.result,
 	}
-	res, err := m.engine.Reevaluate(m.plan, ctx, now)
+	if m.prep.Strategy() == dra.StrategyPropagate {
+		// Complete re-evaluation runs the query on the post state.
+		post := make(algebra.MapSource, len(m.replica))
+		for table, rel := range m.replica {
+			post[table] = rel.Clone()
+			if err := deltas[table].Apply(post[table]); err != nil {
+				return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
+			}
+		}
+		ctx.Post = post
+	}
+	res, err := m.prep.Step(ctx, now)
 	if err != nil {
 		return nil, err
 	}
-	m.replica = post
+	// In place, once the step has succeeded. A window that does not apply
+	// means the replica has diverged from the server, which no later
+	// refresh can repair.
+	for table, d := range deltas {
+		if err := d.Apply(m.replica[table]); err != nil {
+			return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
+		}
+	}
 	m.result = res.ApplyTo(m.result)
 	m.lastTS = now
 	return res.Delta, nil

@@ -186,7 +186,8 @@ func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
 var errColDelta = errors.New("remote: malformed columnar delta")
 
 // fromWireColDelta reconstructs the differential window on a schema,
-// validating the frame's shape strictly.
+// validating the frame's shape strictly, then adopts its columns into a
+// batch and reads the rows off it (batch.Batch.ToDeltaOrdered).
 func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, error) {
 	n := len(w.TIDs)
 	if len(w.Signs) != n || len(w.TS) != n {
@@ -195,6 +196,7 @@ func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, er
 	if len(w.Cols) != schema.Len() {
 		return nil, fmt.Errorf("%w: %d columns, schema has %d", errColDelta, len(w.Cols), schema.Len())
 	}
+	cols := make([]batch.Col, len(w.Cols))
 	for c := range w.Cols {
 		wc := &w.Cols[c]
 		want := schema.Col(c).Type
@@ -220,57 +222,23 @@ func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, er
 		if len(wc.Valid) != 0 && len(wc.Valid) < (n+63)/64 {
 			return nil, fmt.Errorf("%w: column %d bitmap too short", errColDelta, c)
 		}
+		cols[c] = batch.Col{Type: want, I64: wc.I64, F64: wc.F64, Str: wc.Str, B: wc.B}
+		if len(wc.Valid) != 0 {
+			cols[c].Valid = wc.Valid
+		}
 	}
+	tids, ts := make([]relation.TID, n), make([]vclock.Timestamp, n)
 	for i := 0; i < n; i++ {
 		if w.Signs[i] != 1 && w.Signs[i] != -1 {
 			return nil, fmt.Errorf("%w: sign[%d] = %d", errColDelta, i, w.Signs[i])
 		}
+		tids[i], ts[i] = relation.TID(w.TIDs[i]), vclock.Timestamp(w.TS[i])
 	}
-
-	row := func(i int) []relation.Value {
-		vals := make([]relation.Value, len(w.Cols))
-		for c := range w.Cols {
-			wc := &w.Cols[c]
-			if len(wc.Valid) != 0 && wc.Valid[i/64]&(1<<(i%64)) == 0 {
-				vals[c] = relation.TypedNull(relation.Type(wc.Type))
-				continue
-			}
-			switch relation.Type(wc.Type) {
-			case relation.TInt:
-				vals[c] = relation.Int(wc.I64[i])
-			case relation.TFloat:
-				vals[c] = relation.Float(wc.F64[i])
-			case relation.TString:
-				vals[c] = relation.Str(wc.Str[i])
-			case relation.TBool:
-				vals[c] = relation.Bool(wc.B[i])
-			}
-		}
-		return vals
+	d, err := batch.Adopt(schema, tids, w.Signs, ts, cols).ToDeltaOrdered()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errColDelta, err)
 	}
-
-	out := delta.New(schema)
-	for i := 0; i < n; {
-		tid := relation.TID(w.TIDs[i])
-		ts := vclock.Timestamp(w.TS[i])
-		var r delta.Row
-		switch {
-		case w.Signs[i] == -1 && i+1 < n && w.Signs[i+1] == 1 &&
-			w.TIDs[i+1] == w.TIDs[i] && w.TS[i+1] == w.TS[i]:
-			r = delta.Row{TID: tid, Old: row(i), New: row(i + 1), TS: ts}
-			i += 2
-		case w.Signs[i] == -1:
-			r = delta.Row{TID: tid, Old: row(i), TS: ts}
-			i++
-		default:
-			r = delta.Row{TID: tid, New: row(i), TS: ts}
-			i++
-		}
-		if err := out.Append(r); err != nil {
-			return nil, fmt.Errorf("%w: %v", errColDelta, err)
-		}
-	}
-	return out, nil
+	return d, nil
 }
 
 // toWireSchema converts a schema.

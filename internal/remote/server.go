@@ -12,6 +12,7 @@ import (
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
+	"github.com/diorama/continual/internal/vclock"
 )
 
 // Default connection-management timeouts; override with SetIdleTimeout
@@ -285,20 +286,38 @@ func (s *Server) handle(req Request) Response {
 		return Response{Columns: toWireSchema(schema)}
 
 	case OpSnapshot:
-		rel, err := s.store.Snapshot(req.Table)
+		// The clock is read under the same read lock as the copy: commits
+		// tick it under the write lock, so the copy is exactly the state
+		// at now.
+		var rel *relation.Relation
+		var now vclock.Timestamp
+		err := s.store.View(func(v storage.LiveView) error {
+			live, err := v.Relation(req.Table)
+			if err != nil {
+				return err
+			}
+			rel, now = live.Clone(), s.store.Now()
+			return nil
+		})
 		if err != nil {
 			return errResponse(err)
 		}
 		if m := s.met; m != nil {
 			m.snapshots.Inc()
 		}
-		return Response{Rel: toWireRelation(rel), Now: s.store.Now()}
+		return Response{Rel: toWireRelation(rel), Now: now}
 
 	case OpDeltaSince:
+		// The clock first, the window clamped to it: a commit ticks the
+		// clock under the write lock before it appends, so once the read
+		// lock is granted every row at or before now is in the log, and a
+		// row past now is left for the next pull.
+		now := s.store.Now()
 		d, err := s.store.DeltaSince(req.Table, req.Since)
 		if err != nil {
 			return errResponse(err)
 		}
+		d = d.Window(req.Since, now)
 		s.mu.Lock()
 		s.deltasServed++
 		s.mu.Unlock()
@@ -311,7 +330,7 @@ func (s *Server) handle(req Request) Response {
 			// column at the write boundary or on recovery.
 			return errResponse(fmt.Errorf("remote: window of %q: %w", req.Table, relation.ErrTypeMismatch))
 		}
-		return Response{ColDelta: cd, Now: s.store.Now()}
+		return Response{ColDelta: cd, Now: now}
 
 	case OpQuery:
 		plan, err := algebra.PlanSQL(req.Query, s.store.Live())

@@ -8,7 +8,10 @@
 # the refresh of 64 selection CQs over a shared window, everything the
 # manager does around each step included: one Poll (round), and one
 # commit fanned out to 64 push dispatches that share the commit's window
-# cache (push). This script fails
+# cache (push); BenchmarkRefreshMirror (internal/remote) measures the
+# client side: one 64-row commit to a 50k-row table and one Refresh of a
+# selection MirrorCQ over loopback, server included (mirror). This
+# script fails
 # when any arm exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
@@ -20,13 +23,14 @@ set -eu
 cd "$(dirname "$0")/.."
 baseline=scripts/allocs-baseline.txt
 bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
-	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x)
+	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x
+	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x)
 echo "$bench"
 status=0
 while read -r arm base; do
 	[ -n "$arm" ] || continue
 	cur=$(echo "$bench" | awk -v arm="$arm" '
-		$1 ~ "^BenchmarkRefresh(Step|Round)/"arm"(-|$)" {
+		$1 ~ "^BenchmarkRefresh(Step|Round|Mirror)/"arm"(-|$)" {
 			for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
 		}')
 	if [ -z "$cur" ]; then
