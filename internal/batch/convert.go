@@ -18,7 +18,8 @@ var ErrShape = errors.New("batch: not an ordered signed batch")
 func (b *Batch) EnableTS() {
 	b.check()
 	if b.TS == nil {
-		b.TS = make([]vclock.Timestamp, 0, 8)
+		// Sized like the other columns, so filling the batch grows none.
+		b.TS = make([]vclock.Timestamp, 0, max(cap(b.TIDs), 8))
 	}
 	b.TS = b.TS[:0]
 }

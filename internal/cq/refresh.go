@@ -61,10 +61,10 @@ type round struct {
 	versions map[string]uint64
 	// ts is the round timestamp: the execTS of every refresh in it.
 	ts vclock.Timestamp
-	// cache shares one delta-window fetch per (table, window) across
+	// cache shares one delta-window image per (table, window) across
 	// every round at ts — the paper's system active delta zone (Section
-	// 5.4) materialized once, however many CQs read it. It is the only
-	// source of a refresh's windows, row and columnar.
+	// 5.4) folded once, however many CQs read it. It is the only source
+	// of a refresh's windows and of its trigger's counts.
 	cache *storage.WindowCache
 	// post is the store as of ts, every step's dra.Context.Post.
 	post algebra.Source
@@ -76,7 +76,7 @@ type round struct {
 // (a commit ticks the clock under the store's write lock before it
 // appends), so every push dispatch, poll stage and template step at one
 // timestamp reads one cache, and a burst of dispatches for one commit
-// fetches, compacts and converts each window once. The manager therefore
+// folds each window into its image once. The manager therefore
 // holds one round's cache until the clock moves. Caller holds m.mu.
 func (m *Manager) newRound() round {
 	if m.round.cache != nil && m.store.Now() == m.round.ts {
@@ -321,19 +321,28 @@ func (m *Manager) observeAndTestLocked(inst *instance, rd round) (bool, error) {
 // state and evaluates the trigger condition — differentially: only delta
 // rows are read (Section 5.3). Caller holds inst.mu. Trigger accounting
 // reads the raw (uncompacted) windows: updates-count and absolute
-// epsilon triggers must see every row, not the net effect.
+// epsilon triggers must see every row, not the net effect. A count needs
+// no rows — it is read off the live log — so only a table with an
+// epsilon accountant fetches its window, in row form.
 func (inst *instance) observeAndTest(now vclock.Timestamp, cache *storage.WindowCache) (bool, error) {
 	if now > inst.lastObs {
 		for _, table := range inst.tables {
+			acct, ok := inst.eps[table]
+			if !ok {
+				n, err := cache.Len(table, inst.lastObs, now)
+				if err != nil {
+					return false, err
+				}
+				inst.updatesSeen += int64(n)
+				continue
+			}
 			w, err := cache.Window(table, inst.lastObs, now, false)
 			if err != nil {
 				return false, err
 			}
 			inst.updatesSeen += int64(w.Len())
-			if acct, ok := inst.eps[table]; ok {
-				if err := acct.Observe(w); err != nil {
-					return false, err
-				}
+			if err := acct.Observe(w); err != nil {
+				return false, err
 			}
 		}
 		inst.lastObs = now
@@ -593,15 +602,12 @@ func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Ti
 		Versions:  rd.versions,
 	}
 	for _, table := range tables {
-		w, err := rd.cache.Window(table, lastExec, rd.ts, compact)
+		b, err := rd.cache.WindowBatch(table, lastExec, rd.ts, compact)
 		if err != nil {
 			return nil, err
 		}
-		if w.Len() == 0 {
-			continue // an empty window needs no image
-		}
-		if batches[table], err = rd.cache.WindowBatch(table, lastExec, rd.ts, compact); err != nil {
-			return nil, err
+		if b.Len() > 0 {
+			batches[table] = b // an empty window scans as empty
 		}
 	}
 	return ctx, nil

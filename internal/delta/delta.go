@@ -24,9 +24,12 @@
 package delta
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -58,6 +61,13 @@ func (k Kind) String() string {
 
 // Row is one entry of a differential relation. Old is nil for insertions;
 // New is nil for deletions; both are set for modifications.
+//
+// Once a row is committed to a store's differential relation its value
+// slices are never written again: a modification hands the base
+// relation a fresh slice, and garbage collection moves row headers, not
+// values. Windows, compacted windows, columnar images and the base
+// relation may therefore share a committed row's Old and New, and no
+// reader may write through them.
 type Row struct {
 	TID relation.TID
 	Old []relation.Value
@@ -147,27 +157,29 @@ func (d *Delta) AppendModify(tid relation.TID, old, now []relation.Value, ts vcl
 // evaluation (Section 4.2). The returned Delta shares row storage with d;
 // callers must treat it as read-only.
 func (d *Delta) After(t vclock.Timestamp) *Delta {
-	// Rows are in ts order: binary search for the first ts > t.
-	lo, hi := 0, len(d.rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.rows[mid].TS > t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return &Delta{schema: d.schema, rows: d.rows[lo:]}
+	return &Delta{schema: d.schema, rows: d.rows[d.search(t):]}
 }
 
-// Window returns rows with lo < TS <= hi.
+// Window returns rows with lo < TS <= hi, sharing row storage with d
+// like After.
 func (d *Delta) Window(lo, hi vclock.Timestamp) *Delta {
-	after := d.After(lo)
-	n := len(after.rows)
-	for n > 0 && after.rows[n-1].TS > hi {
-		n--
+	return &Delta{schema: d.schema, rows: d.WindowRows(lo, hi)}
+}
+
+// WindowRows returns the rows with lo < TS <= hi: a subslice of d's row
+// storage, found by binary search, for read-only use before d changes.
+func (d *Delta) WindowRows(lo, hi vclock.Timestamp) []Row {
+	i, j := d.search(lo), d.search(hi)
+	if j < i {
+		return nil // hi < lo: the window is empty
 	}
-	return &Delta{schema: d.schema, rows: after.rows[:n]}
+	return d.rows[i:j]
+}
+
+// search returns the index of the first row with TS > t (rows are in ts
+// order).
+func (d *Delta) search(t vclock.Timestamp) int {
+	return sort.Search(len(d.rows), func(i int) bool { return d.rows[i].TS > t })
 }
 
 // MaxTS returns the timestamp of the newest row, or 0 if empty.
@@ -315,50 +327,84 @@ func (d *Delta) Unapply(rel *relation.Relation) error {
 	return nil
 }
 
-// Compact folds the delta to its net effect per tid: insert-then-modify
-// becomes insert of the final value, insert-then-delete vanishes,
-// modify-then-modify collapses, delete-then-insert of the same tid becomes
-// a modify. The resulting rows carry the timestamp of the last
-// contributing row, preserving window semantics for any t before the
-// compaction horizon. Returns a new Delta.
+// Compact folds the delta to its net effect per tid (see Fold). Its rows
+// share their value slices with d's. Returns a new Delta.
 func (d *Delta) Compact() *Delta {
-	type state struct {
-		row   Row
-		alive bool
-	}
-	net := make(map[relation.TID]*state, len(d.rows))
-	order := make([]relation.TID, 0, len(d.rows))
-	for _, r := range d.rows {
-		st, ok := net[r.TID]
-		if !ok {
-			cp := r
-			net[r.TID] = &state{row: cp, alive: true}
-			order = append(order, r.TID)
+	out := New(d.schema)
+	Fold(d.rows, func(r Row) { out.rows = append(out.rows, r) })
+	return out
+}
+
+// Fold folds rows — a window of a differential relation, in timestamp
+// order — to their net effect per tid and passes each net row to emit:
+// insert-then-modify becomes an insert of the final value,
+// insert-then-delete vanishes, modify-then-modify collapses, a
+// modification back to the original values vanishes, and
+// delete-then-insert of the same tid becomes a modify. A net row keeps
+// the tid's first old half and last new half, with the timestamp of its
+// last contributing row, which preserves window semantics for any t
+// before the compaction horizon. Net rows are emitted in order of that
+// timestamp, ties in order of each tid's first appearance. Their value
+// slices are the input rows' own.
+//
+// Fold is the one compaction: Compact collects its rows, and the store
+// folds a window straight into a columnar image with it. Its scratch is
+// pooled, so a steady stream of windows folds without allocating.
+func Fold(rows []Row, emit func(Row)) {
+	f := folders.Get().(*folder)
+	for _, r := range rows {
+		if i, ok := f.slot[r.TID]; ok {
+			// The original pre-window value stays; the latest wins.
+			f.net[i].New, f.net[i].TS = r.New, r.TS
 			continue
 		}
-		// Merge r into the accumulated row for this tid.
-		prev := st.row
-		merged := Row{TID: r.TID, TS: r.TS}
-		merged.Old = prev.Old // original pre-window value (nil if first op was insert)
-		merged.New = r.New    // latest value (nil if last op was delete)
-		st.row = merged
+		f.slot[r.TID] = int32(len(f.net))
+		f.net = append(f.net, r)
 	}
-	out := New(d.schema)
-	for _, tid := range order {
-		st := net[tid]
-		r := st.row
+	// A tid's net row moved to its last timestamp, which may put it after
+	// rows of other tids; a stable sort keeps ties in first appearance.
+	if !slices.IsSortedFunc(f.net, byTS) {
+		slices.SortStableFunc(f.net, byTS)
+	}
+	for _, r := range f.net {
 		if r.Old == nil && r.New == nil {
 			continue // insert followed by delete: net nothing
 		}
 		if r.Old != nil && r.New != nil && valuesEqual(r.Old, r.New) {
 			continue // modified back to the original value: net nothing
 		}
-		// Rows may now be out of ts order per-tid vs other tids; re-sort.
-		out.rows = append(out.rows, r)
+		emit(r)
 	}
-	sortRowsByTS(out.rows)
-	return out
+	f.reset()
 }
+
+// folder is Fold's scratch: a slot per tid, indexed by the map, holding
+// the tid's net row.
+type folder struct {
+	slot map[relation.TID]int32
+	net  []Row
+}
+
+// maxPooledFold bounds the scratch Fold keeps: clearing a map costs its
+// capacity, so a folder grown by one huge window is left to the
+// collector rather than taxing every small window after it.
+const maxPooledFold = 1 << 14
+
+var folders = sync.Pool{New: func() any {
+	return &folder{slot: make(map[relation.TID]int32)}
+}}
+
+func (f *folder) reset() {
+	if len(f.net) > maxPooledFold {
+		return
+	}
+	clear(f.slot)
+	clear(f.net) // drop the value references
+	f.net = f.net[:0]
+	folders.Put(f)
+}
+
+func byTS(a, b Row) int { return cmp.Compare(a.TS, b.TS) }
 
 // TruncateBefore drops all rows with TS <= t. This is the garbage
 // collection primitive of Section 5.4: t is the lower boundary of the
@@ -375,6 +421,13 @@ func (d *Delta) TruncateBefore(t vclock.Timestamp) int {
 	n := copy(d.rows, d.rows[lo:])
 	d.rows = d.rows[:n]
 	return lo
+}
+
+// Detach returns a copy of the delta's row headers that shares their
+// value slices (see Row): it stays intact when d is truncated or
+// appended to, and costs one allocation, not one per value.
+func (d *Delta) Detach() *Delta {
+	return &Delta{schema: d.schema, rows: slices.Clone(d.rows)}
 }
 
 // Clone deep-copies the delta.
@@ -441,10 +494,6 @@ func valuesEqual(a, b []relation.Value) bool {
 		}
 	}
 	return true
-}
-
-func sortRowsByTS(rows []Row) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].TS < rows[j].TS })
 }
 
 func sortRowsByTID(rows []Row) {

@@ -3,6 +3,7 @@ package delta
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/diorama/continual/internal/relation"
@@ -393,4 +394,86 @@ func TestViewsOfWindowEqualViewsOfCompactProperty(t *testing.T) {
 				trial, d.Deletions(), c.Deletions(), d.Rows())
 		}
 	}
+}
+
+// referenceCompact is the per-tid fold Compact was first written as, one
+// heap state per tid, kept as the reference Fold is checked against.
+func referenceCompact(d *Delta) []Row {
+	type state struct{ row Row }
+	net := map[relation.TID]*state{}
+	var order []relation.TID
+	for _, r := range d.Rows() {
+		st, ok := net[r.TID]
+		if !ok {
+			net[r.TID] = &state{row: r}
+			order = append(order, r.TID)
+			continue
+		}
+		st.row = Row{TID: r.TID, TS: r.TS, Old: st.row.Old, New: r.New}
+	}
+	var out []Row
+	for _, tid := range order {
+		r := net[tid].row
+		if r.Old == nil && r.New == nil {
+			continue
+		}
+		if r.Old != nil && r.New != nil && valuesEqual(r.Old, r.New) {
+			continue
+		}
+		out = append(out, r)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
+	return out
+}
+
+// TestFoldMatchesReferenceProperty: Compact (and so every image folded
+// with Fold) emits exactly the reference fold's rows, in its order —
+// over windows of multi-row commits in which tids recur, are deleted
+// and inserted again, and are modified back to their original values.
+func TestFoldMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		d := New(stockSchema())
+		live := map[relation.TID][]relation.Value{}
+		for tid := relation.TID(1); tid <= 4; tid++ {
+			live[tid] = row(int64(tid), "S", float64(rng.Intn(2)))
+		}
+		for ts := vclock.Timestamp(1); ts <= vclock.Timestamp(1+rng.Intn(8)); ts++ {
+			touched := map[relation.TID]bool{} // a commit writes a tid once
+			for op := 0; op < 1+rng.Intn(4); op++ {
+				tid := relation.TID(1 + rng.Intn(8))
+				if touched[tid] {
+					continue
+				}
+				touched[tid] = true
+				old, present := live[tid]
+				now := row(int64(tid), "S", float64(rng.Intn(2)))
+				switch {
+				case !present:
+					_ = d.AppendInsert(tid, now, ts)
+					live[tid] = now
+				case rng.Intn(3) == 0:
+					_ = d.AppendDelete(tid, old, ts)
+					delete(live, tid)
+				default:
+					_ = d.AppendModify(tid, old, now, ts)
+					live[tid] = now
+				}
+			}
+		}
+		got, want := d.Compact().Rows(), referenceCompact(d)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d rows, want %d\nwindow: %+v", trial, len(got), len(want), d.Rows())
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.TID != w.TID || g.TS != w.TS || !sameHalf(g.Old, w.Old) || !sameHalf(g.New, w.New) {
+				t.Fatalf("trial %d row %d: %+v, want %+v\nwindow: %+v", trial, i, g, w, d.Rows())
+			}
+		}
+	}
+}
+
+func sameHalf(a, b []relation.Value) bool {
+	return (a == nil) == (b == nil) && valuesEqual(a, b)
 }

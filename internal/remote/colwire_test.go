@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 )
@@ -215,4 +216,15 @@ func TestClientDecodesColumnarWindow(t *testing.T) {
 	if !d.Rows()[0].New[1].Equal(relation.Float(150)) {
 		t.Fatalf("price = %v, want 150", d.Rows()[0].New[1])
 	}
+}
+
+// toWireColDelta encodes a row-form window the way the server encodes
+// the store's image of one; ok=false means some value does not fit its
+// typed column.
+func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
+	b, ok := batch.FromDelta(nil, d)
+	if !ok {
+		return nil, false
+	}
+	return toWireColBatch(b), true
 }

@@ -141,14 +141,9 @@ type WireCol struct {
 	Valid []uint64
 }
 
-// toWireColDelta flattens a differential window into the columnar wire
-// form via its batch image. ok=false means some value does not fit its
-// typed column, which the store's write boundary rules out.
-func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
-	b, ok := batch.FromDelta(nil, d)
-	if !ok {
-		return nil, false
-	}
+// toWireColBatch flattens a window's ordered signed image (TS column
+// set) into the columnar wire form, sharing its column payloads.
+func toWireColBatch(b *batch.Batch) *WireColDelta {
 	n := b.Len()
 	out := &WireColDelta{
 		TIDs:  make([]uint64, n),
@@ -177,7 +172,7 @@ func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
 			wc.B = col.B
 		}
 	}
-	return out, true
+	return out
 }
 
 // errColDelta reports a malformed columnar frame. Every shape defect is

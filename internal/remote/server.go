@@ -311,26 +311,21 @@ func (s *Server) handle(req Request) Response {
 		// The clock first, the window clamped to it: a commit ticks the
 		// clock under the write lock before it appends, so once the read
 		// lock is granted every row at or before now is in the log, and a
-		// row past now is left for the next pull.
+		// row past now is left for the next pull. The frame is encoded
+		// from the store's one-pass image of (Since, now], with no
+		// row-form copy of the window.
 		now := s.store.Now()
-		d, err := s.store.DeltaSince(req.Table, req.Since)
+		b, err := s.store.WindowImage(req.Table, req.Since, now, false)
 		if err != nil {
 			return errResponse(err)
 		}
-		d = d.Window(req.Since, now)
 		s.mu.Lock()
 		s.deltasServed++
 		s.mu.Unlock()
 		if m := s.met; m != nil {
 			m.windows.Inc()
 		}
-		cd, ok := toWireColDelta(d)
-		if !ok {
-			// Cannot happen: every stored value was conformed to its
-			// column at the write boundary or on recovery.
-			return errResponse(fmt.Errorf("remote: window of %q: %w", req.Table, relation.ErrTypeMismatch))
-		}
-		return Response{ColDelta: cd, Now: now}
+		return Response{ColDelta: toWireColBatch(b), Now: now}
 
 	case OpQuery:
 		plan, err := algebra.PlanSQL(req.Query, s.store.Live())

@@ -181,7 +181,7 @@ func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 		}
 		switch row.Kind() {
 		case delta.Insert:
-			if err := t.rel.Insert(relation.Tuple{TID: row.TID, Values: cloneValues(row.New)}); err != nil {
+			if err := t.rel.Insert(relation.Tuple{TID: row.TID, Values: row.New}); err != nil {
 				return fmt.Errorf("storage: replay insert %q tid %d: %w", tr.Table, row.TID, err)
 			}
 		case delta.Delete:
@@ -189,7 +189,7 @@ func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 				return fmt.Errorf("storage: replay delete %q tid %d: %w", tr.Table, row.TID, err)
 			}
 		case delta.Modify:
-			if err := t.rel.Update(row.TID, cloneValues(row.New)); err != nil {
+			if err := t.rel.Update(row.TID, row.New); err != nil {
 				return fmt.Errorf("storage: replay update %q tid %d: %w", tr.Table, row.TID, err)
 			}
 		}

@@ -269,22 +269,19 @@ func (s *Store) SnapshotAt(table string, ts vclock.Timestamp) (*relation.Relatio
 	return snap, nil
 }
 
-// DeltaSince returns a copy of the differential relation rows of the
-// table with timestamps strictly greater than ts.
+// DeltaSince returns the differential relation rows of the table with
+// timestamps strictly greater than ts. The result has row headers of its
+// own — later commits and garbage collection leave it intact — and
+// shares the committed rows' value slices, which nobody writes (see
+// delta.Row): callers must not write them either.
 func (s *Store) DeltaSince(table string, ts vclock.Timestamp) (*delta.Delta, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
+	t, err := s.windowTableLocked(table, ts)
+	if err != nil {
+		return nil, err
 	}
-	if ts < t.lowWater {
-		if m := s.met; m != nil {
-			m.staleWindow.Inc()
-		}
-		return nil, fmt.Errorf("%w: want >%d, low water %d", ErrStaleWindow, ts, t.lowWater)
-	}
-	return t.dlt.After(ts).Clone(), nil
+	return t.dlt.After(ts).Detach(), nil
 }
 
 // DeltaLen returns the number of retained delta rows for a table.
@@ -479,6 +476,12 @@ func (tx *Tx) pendingRow(table string, tid relation.TID) (*delta.Row, bool) {
 // (relation.Schema.Conform), or the arity or type error that rejects the
 // write. Nothing behind it — base relations, differential rows, the log,
 // the columnar window images — ever holds a value its column cannot.
+//
+// The copy is also the last one a value gets: from here on the slice is
+// committed as is — the differential row's New and the base relation's
+// tuple are the same slice, and a later modification's Old aliases it —
+// because a committed value slice is never written (see delta.Row). The
+// copy shields all of them from the caller's later writes.
 func (tx *Tx) conformed(op, table string, values []relation.Value) ([]relation.Value, error) {
 	schema, err := tx.store.Schema(table)
 	if err != nil {
@@ -561,7 +564,7 @@ func (tx *Tx) Update(table string, tid relation.TID, values []relation.Value) er
 		p.New = row
 		return nil
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: cloneValues(old), New: row}})
+	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: old, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -585,7 +588,7 @@ func (tx *Tx) Delete(table string, tid relation.TID) error {
 		p.New = nil
 		return nil
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: cloneValues(old)}})
+	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: old}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -674,11 +677,11 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 		op.row.TS = ts
 		switch op.row.Kind() {
 		case delta.Insert:
-			_ = t.rel.Insert(relation.Tuple{TID: op.row.TID, Values: cloneValues(op.row.New)})
+			_ = t.rel.Insert(relation.Tuple{TID: op.row.TID, Values: op.row.New})
 		case delta.Delete:
 			_ = t.rel.Delete(op.row.TID)
 		case delta.Modify:
-			_ = t.rel.Update(op.row.TID, cloneValues(op.row.New))
+			_ = t.rel.Update(op.row.TID, op.row.New)
 		}
 		if err := t.dlt.Append(op.row); err != nil {
 			// Cannot happen: single writer under s.mu, monotone clock.

@@ -14,16 +14,20 @@ import (
 // that read windows ending at one store timestamp. The paper's system
 // active delta zone (Section 5.4) implies that concurrent continual
 // queries over the same tables consume the very same differential
-// windows; the cache materializes each (table, from, to) window — its
-// compacted form and its columnar image too — once, so N CQs sharing a
-// table cost one fetch, one compaction and one conversion instead of N.
+// windows; the cache builds each (table, from, to, compact) window once
+// per form — the columnar image the refresh steps read, and the row form
+// for readers that want rows — so N CQs sharing a table cost one fold
+// instead of N.
 //
-// Entries are owned copies, detached from the live delta: they stay
-// valid if garbage collection truncates (and shifts) the underlying
-// rows. Callers must treat them as read-only — the whole point is that
-// many CQ refresh workers read the same entry. A cache may serve every
-// reader whose windows end at the same timestamp `to`, for as long as
-// the store clock still reads `to`: a commit ticks the clock under the
+// Entries share the committed rows' value slices and own everything
+// else: an image holds its values in its own columns, and a row-form
+// window its own row headers, so both stay intact when garbage
+// collection truncates (and shifts) the live log or later commits
+// replace the same tids' values — committed values are never written
+// (see delta.Row). Callers must treat entries as read-only: many CQ
+// refresh workers read the same one. A cache may serve every reader
+// whose windows end at the same timestamp `to`, for as long as the
+// store clock still reads `to`: a commit ticks the clock under the
 // store's write lock before it appends, so no window (from, to] changes
 // once `to` has been issued. Once the clock has moved, start a new
 // cache: reads at the new timestamp share nothing with the old one.
@@ -32,8 +36,8 @@ import (
 type WindowCache struct {
 	s            *Store
 	mu           sync.Mutex
-	entries      map[windowKey]*delta.Delta
-	cols         map[windowKey]*batch.Batch // each entry's columnar image
+	rows         map[windowKey]*delta.Delta
+	images       map[windowKey]*batch.Batch
 	hits, misses int64
 }
 
@@ -46,81 +50,65 @@ type windowKey struct {
 // NewWindowCache returns an empty window cache over the store.
 func (s *Store) NewWindowCache() *WindowCache {
 	return &WindowCache{
-		s:       s,
-		entries: make(map[windowKey]*delta.Delta),
-		cols:    make(map[windowKey]*batch.Batch),
+		s:      s,
+		rows:   make(map[windowKey]*delta.Delta),
+		images: make(map[windowKey]*batch.Batch),
 	}
 }
 
 // Window returns the table's differential rows with from < TS <= to,
 // folded to their net per-tid effect when compact is set. The first
-// call per key fetches from the store; later calls share the entry.
-// Like DeltaSince it returns ErrStaleWindow when garbage collection
-// has already discarded part of the requested window.
+// call per key reads the store; later calls share the entry. Like
+// DeltaSince it returns ErrStaleWindow when garbage collection has
+// already discarded part of the requested window.
 func (c *WindowCache) Window(table string, from, to vclock.Timestamp, compact bool) (*delta.Delta, error) {
-	key := windowKey{table: table, from: from, to: to, compact: compact}
+	return cached(c, c.rows, windowKey{table, from, to, compact}, c.s.window)
+}
+
+// WindowBatch returns the columnar image of the same window Window
+// would return (Store.WindowImage), built once per key and shared
+// read-only by every reader of the cache.
+func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
+	return cached(c, c.images, windowKey{table, from, to, compact}, c.s.WindowImage)
+}
+
+// cached serves key from entries, or builds it under the cache lock so
+// each form of a window is built exactly once, one miss per build.
+func cached[T any](c *WindowCache, entries map[windowKey]T, key windowKey,
+	build func(string, vclock.Timestamp, vclock.Timestamp, bool) (T, error)) (T, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if d, ok := c.entries[key]; ok {
+	if e, ok := entries[key]; ok {
 		c.hits++
 		if m := c.s.met; m != nil {
 			m.windowHits.Inc()
 		}
-		return d, nil
+		return e, nil
 	}
-	var d *delta.Delta
-	if compact {
-		// Derive from the raw entry when present: compaction is the
-		// expensive half, and the store scan need not repeat.
-		if raw, ok := c.entries[windowKey{table: table, from: from, to: to}]; ok {
-			d = raw.Compact()
-		}
-	}
-	if d == nil {
-		var err error
-		d, err = c.s.window(table, from, to, compact)
-		if err != nil {
-			return nil, err
-		}
+	e, err := build(key.table, key.from, key.to, key.compact)
+	if err != nil {
+		return e, err
 	}
 	c.misses++
 	if m := c.s.met; m != nil {
 		m.windowMisses.Inc()
 	}
-	c.entries[key] = d
-	return d, nil
+	entries[key] = e
+	return e, nil
 }
 
-// WindowBatch returns the columnar image of the same window Window
-// would return, built once per key and shared read-only by every reader
-// of the cache. The batch is unpooled (it outlives no pool generation)
-// and its rows match the row window exactly, in the same order.
-func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
-	key := windowKey{table: table, from: from, to: to, compact: compact}
-	c.mu.Lock()
-	if b, ok := c.cols[key]; ok {
-		c.mu.Unlock()
-		return b, nil
-	}
-	c.mu.Unlock()
-	// Window takes the same lock; fetch (or share) the row form first.
-	d, err := c.Window(table, from, to, compact)
+// Len counts the table's differential rows with from < TS <= to in the
+// live log, without copying them or touching the cache. It fails like
+// Window on an unknown table or a collected window.
+func (c *WindowCache) Len(table string, from, to vclock.Timestamp) (int, error) {
+	s := c.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, err := s.windowTableLocked(table, from)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	b, ok := batch.FromDelta(nil, d)
-	if !ok {
-		// Cannot happen: every stored value was conformed to its column
-		// at the write boundary (Tx) or on recovery.
-		return nil, fmt.Errorf("storage: window of %q: %w", table, relation.ErrTypeMismatch)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, seen := c.cols[key]; seen {
-		return prev, nil // raced with another worker; share its image
-	}
-	c.cols[key] = b
-	return b, nil
+	return len(t.dlt.WindowRows(from, to)), nil
 }
 
 // Stats reports the cache's hit/miss counts.
@@ -130,13 +118,58 @@ func (c *WindowCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// window materializes an owned copy of one differential window
-// (from < TS <= to), optionally compacted. Unlike DeltaSince the result
-// never aliases the live delta's row storage, so it survives a
-// concurrent TruncateBefore.
+// WindowImage builds the columnar image of the table's differential
+// window from < TS <= to in the ordered signed form (TS column set),
+// folded to its net per-tid effect when compact is set (delta.Fold). It
+// is one pass over the live log under the read lock: no row-form copy
+// of the window is made. The image is unpooled and owns its columns.
+func (s *Store) WindowImage(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, err := s.windowTableLocked(table, from)
+	if err != nil {
+		return nil, err
+	}
+	rows := t.dlt.WindowRows(from, to)
+	b := batch.New(t.rel.Schema(), 2*len(rows))
+	b.EnableTS()
+	ok := true
+	if compact {
+		delta.Fold(rows, func(r delta.Row) { ok = ok && b.AppendChange(r) })
+	} else {
+		for i := 0; ok && i < len(rows); i++ {
+			ok = b.AppendChange(rows[i])
+		}
+	}
+	if !ok {
+		// Cannot happen: every stored value was conformed to its column
+		// at the write boundary (Tx) or on recovery.
+		return nil, fmt.Errorf("storage: window of %q: %w", table, relation.ErrTypeMismatch)
+	}
+	return b, nil
+}
+
+// window is the row form of one differential window (from < TS <= to),
+// optionally compacted: row headers of its own over the shared values,
+// so it survives a concurrent TruncateBefore.
 func (s *Store) window(table string, from, to vclock.Timestamp, compact bool) (*delta.Delta, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	t, err := s.windowTableLocked(table, from)
+	if err != nil {
+		return nil, err
+	}
+	w := t.dlt.Window(from, to)
+	if compact {
+		return w.Compact(), nil
+	}
+	return w.Detach(), nil
+}
+
+// windowTableLocked resolves the table a window (from, …] is read from,
+// failing when garbage collection has discarded rows past from. Caller
+// holds s.mu.
+func (s *Store) windowTableLocked(table string, from vclock.Timestamp) (*Table, error) {
 	t, ok := s.tables[table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, table)
@@ -147,9 +180,5 @@ func (s *Store) window(table string, from, to vclock.Timestamp, compact bool) (*
 		}
 		return nil, fmt.Errorf("%w: want >%d, low water %d", ErrStaleWindow, from, t.lowWater)
 	}
-	w := t.dlt.Window(from, to)
-	if compact {
-		return w.Compact(), nil
-	}
-	return w.Clone(), nil
+	return t, nil
 }
