@@ -36,9 +36,10 @@ chaos:
 # allocs: the refresh's allocation budget — fails when any arm of
 # BenchmarkRefreshStep (columnar, notify, join, agg, distinct), of
 # BenchmarkRefreshRound (round: one Poll; push: one commit fanned out to
-# push dispatches) or of BenchmarkRefreshMirror (mirror: one commit and
-# one client-side MirrorCQ refresh) exceeds its committed baseline
-# (scripts/allocs-baseline.txt) by more than 20%.
+# push dispatches), of BenchmarkRefreshMirror (mirror: one commit and
+# one client-side MirrorCQ refresh) or of BenchmarkRegister (burst: 18
+# registrations at one timestamp, initial executions included) exceeds
+# its committed baseline (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh
 

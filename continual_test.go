@@ -467,3 +467,71 @@ func TestRowsStringAndQueryOrderBy(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryBesideWriters: a one-shot Query reads one committed state
+// while writers commit. Each commit moves value between two rows, so any
+// scan that sees part of a commit breaks their constant sum; under -race
+// the unlocked scan this replaced is also a reported data race.
+func TestQueryBesideWriters(t *testing.T) {
+	db := Open()
+	t.Cleanup(func() { _ = db.Close() })
+	if err := db.Exec(`CREATE TABLE acct (name STRING, bal INT)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec(`INSERT INTO acct VALUES ('a', 50), ('b', 50)`); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			from := "a"
+			if i%2 == 1 {
+				from = "b"
+			}
+			tx := db.store.Begin()
+			rel, err := db.store.Snapshot("acct")
+			if err != nil {
+				done <- err
+				return
+			}
+			for _, tu := range rel.Tuples() {
+				delta := int64(1)
+				if tu.Values[0].AsString() == from {
+					delta = -1
+				}
+				if err := tx.Update("acct", tu.TID, []relation.Value{tu.Values[0], relation.Int(tu.Values[1].AsInt() + delta)}); err != nil {
+					done <- err
+					return
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		rows, err := db.Query(`SELECT bal FROM acct`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := int64(0)
+		for _, r := range rows.Data {
+			sum += r[0].(int64)
+		}
+		if rows.Len() != 2 || sum != 100 {
+			t.Fatalf("query %d saw %d rows summing to %d, want 2 summing to 100", i, rows.Len(), sum)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

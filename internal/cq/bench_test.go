@@ -3,7 +3,9 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -153,5 +155,146 @@ func BenchmarkRefreshRound(b *testing.B) {
 		if n := rb.reg.Snapshot().Counter("cq.refreshes"); n != int64(64*(3+b.N)) {
 			b.Fatalf("%d refreshes over %d commits, want 64 per commit", n, 3+b.N)
 		}
+	})
+}
+
+// registerBench is the fixture of BenchmarkRegister: tables a, b and c
+// of rows each (columns id, k, v; k is the join key, unique per table)
+// and a manager on one worker.
+type registerBench struct {
+	store *storage.Store
+	mgr   *Manager
+	rng   *rand.Rand
+}
+
+func newRegisterBench(b *testing.B, rows int) *registerBench {
+	b.Helper()
+	rb := &registerBench{store: storage.NewStore(), rng: rand.New(rand.NewSource(1))}
+	schema := relation.MustSchema(
+		relation.Column{Name: "id", Type: relation.TInt},
+		relation.Column{Name: "k", Type: relation.TInt},
+		relation.Column{Name: "v", Type: relation.TFloat},
+	)
+	for _, table := range []string{"a", "b", "c"} {
+		if err := rb.store.CreateTable(table, schema); err != nil {
+			b.Fatal(err)
+		}
+		tx := rb.store.Begin()
+		for i := 0; i < rows; i++ {
+			if _, err := tx.Insert(table, []relation.Value{
+				relation.Int(int64(i)), relation.Int(int64(i)), relation.Float(float64(rb.rng.Intn(1000))),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rb.mgr = NewManagerConfig(rb.store, Config{UseDRA: true, Parallelism: 1})
+	return rb
+}
+
+// touch commits one insert into a, moving the store clock.
+func (rb *registerBench) touch(b *testing.B) {
+	tx := rb.store.Begin()
+	if _, err := tx.Insert("a", []relation.Value{relation.Int(-1), relation.Int(-1), relation.Float(0)}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+const join3 = "SELECT a.id, b.v, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k WHERE a.v > 100"
+
+// BenchmarkRegister measures CQ registration, the initial execution
+// included.
+//
+//	burst  each op registers, at one store timestamp, sixteen selection
+//	       CQs, one 3-way join and one GROUP BY over 16k-row tables (the
+//	       selections and the GROUP BY over a; a commit before every op,
+//	       timer stopped, moves the clock), and then drops them. Gated by
+//	       scripts/check-allocs.sh.
+//	stall  each op registers and drops the 3-way join over 20k-row
+//	       tables while a writer commits one-row updates to a as fast as
+//	       it can; it reports the writer's commit latency (commit_max_us,
+//	       commit_p99_us over every commit of the run), which is how long
+//	       a registration holds the writers up.
+func BenchmarkRegister(b *testing.B) {
+	b.Run("burst", func(b *testing.B) {
+		rb := newRegisterBench(b, 16<<10)
+		defer func() { _ = rb.mgr.Close() }()
+		var defs []Def
+		for i := 0; i < 16; i++ {
+			defs = append(defs, Def{Name: fmt.Sprintf("sel%02d", i),
+				Query: fmt.Sprintf("SELECT id, v FROM a WHERE v > %d AND k < %d", 900-10*i, 8000+100*i)})
+		}
+		defs = append(defs,
+			Def{Name: "join3", Query: join3},
+			Def{Name: "rollup", Query: "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM a WHERE id < 4096 GROUP BY k"})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rb.touch(b)
+			b.StartTimer()
+			for _, def := range defs {
+				if _, err := rb.mgr.Register(def); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, def := range defs {
+				if err := rb.mgr.Drop(def.Name); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("stall", func(b *testing.B) {
+		rb := newRegisterBench(b, 20_000)
+		defer func() { _ = rb.mgr.Close() }()
+		stop := make(chan struct{})
+		lats := make(chan []time.Duration)
+		go func() {
+			var out []time.Duration
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					lats <- out
+					return
+				default:
+				}
+				start := time.Now()
+				tx := rb.store.Begin()
+				if err := tx.Update("a", relation.TID(1+n%1000), []relation.Value{
+					relation.Int(int64(n % 1000)), relation.Int(int64(n % 1000)), relation.Float(float64(n % 1000)),
+				}); err == nil {
+					_, _ = tx.Commit()
+				}
+				out = append(out, time.Since(start))
+			}
+		}()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rb.mgr.Register(Def{Name: "join3", Query: join3}); err != nil {
+				b.Fatal(err)
+			}
+			if err := rb.mgr.Drop("join3"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		close(stop)
+		out := <-lats
+		slices.Sort(out)
+		if len(out) == 0 {
+			b.Fatal("the writer committed nothing")
+		}
+		b.ReportMetric(float64(out[len(out)-1].Microseconds()), "commit_max_us")
+		b.ReportMetric(float64(out[len(out)*99/100].Microseconds()), "commit_p99_us")
+		b.ReportMetric(float64(len(out))/float64(b.N), "commits/op")
 	})
 }

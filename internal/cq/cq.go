@@ -487,7 +487,10 @@ func (m *Manager) Traces() *obs.TraceLog { return m.cfg.Metrics.Traces() }
 
 // Register installs a continual query, runs its initial execution, and
 // notifies subscribers attached later only with subsequent refreshes (the
-// initial result is returned).
+// initial result is returned). The returned relation is the caller's,
+// but its rows' value slices are the CQ's own maintained rows, which
+// refreshes replace and never write: the caller must not write them
+// either.
 func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -495,13 +498,13 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return initial.Clone(), nil
+	return initial.CloneShared(), nil
 }
 
 // installLocked is the one way a CQ enters the registry; Register and
 // Resume differ only in the seed they hand it. A fresh registration (rec
-// nil) seeds from the live store: the initial execution runs under the
-// store's read lock, the result sequence starts at 1, and the journal
+// nil) seeds at the round timestamp from the round cache's shared table
+// images, the result sequence starts at 1, and the journal
 // gets a registration record before the CQ becomes visible. A recovered
 // one carries Seq and health over from the entry, unjournaled, and
 // re-derives its result by the same initial execution over the store as
@@ -650,21 +653,18 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*re
 		// as its delta, or replayed-but-unprocessed commits would be
 		// skipped. At(LastExec) is always reconstructible for a live CQ
 		// because the GC horizon never passes the minimum live lastExec.
-		if inst.prev, err = inst.eval.Seed(at); err != nil {
+		if inst.prev, err = inst.eval.Seed(at, at.ts); err != nil {
 			return nil, err
 		}
 	default:
-		// The initial execution over the live store under its read lock
-		// (View): writers may be committing, and commits tick the clock
-		// under the write lock, so Now() read inside is the timestamp of
-		// exactly the state the scan sees. A group table seeds from the
-		// same pass.
-		err := m.store.View(func(v storage.LiveView) (err error) {
-			inst.lastExec = m.store.Now()
-			inst.prev, err = inst.eval.Seed(v)
-			return err
-		})
-		if err != nil {
+		// The initial execution as of the round timestamp, over the round
+		// cache's table images: every registration between two commits
+		// seeds from the same image of each table, and the store's read
+		// lock is held only while an image is built. A commit landing
+		// meanwhile is past the timestamp and left to the first refresh.
+		rd := m.newRound()
+		inst.lastExec = rd.ts
+		if inst.prev, err = inst.eval.Seed(rd.cache.At(rd.ts), rd.ts); err != nil {
 			return nil, err
 		}
 	}

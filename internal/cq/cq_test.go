@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -926,4 +927,83 @@ func TestResumeReseedsAtLastExec(t *testing.T) {
 	if len(logged) != 0 {
 		t.Errorf("resume logged %v, want nothing", logged)
 	}
+}
+
+// TestFirstRefreshReadsNoPreState: the initial execution leaves a join's
+// operand replicas current at the registration (and resume) timestamp,
+// so no refresh after it reads a pre-state — registered or resumed, a
+// join CQ and a rollup over a join reach dra.pre_tuples_scanned = 0 and
+// keep results equal to the query run from scratch.
+func TestFirstRefreshReadsNoPreState(t *testing.T) {
+	tradeSchema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	for i := 0; i < 20; i++ {
+		insertStock(t, s, fmt.Sprintf("S%02d", i%7), float64(100+i))
+	}
+	trade := func(sym string, vol int64) {
+		commit(t, s, func(tx *storage.Tx) error {
+			_, err := tx.Insert("trades", []relation.Value{relation.Str(sym), relation.Int(vol)})
+			return err
+		})
+	}
+	trade("S01", 5)
+	queries := map[string]string{
+		"joined": "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym WHERE s.price > 103",
+		"rollup": "SELECT s.name, SUM(t.volume) AS v FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name",
+	}
+	refresh := func(t *testing.T, m *Manager, reg *obs.Registry) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			trade(fmt.Sprintf("S%02d", i), int64(10+i))
+			insertStock(t, s, fmt.Sprintf("S%02d", 3+i), float64(200+i))
+			if _, err := m.Poll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := reg.Snapshot().Counter("dra.pre_tuples_scanned"); n != 0 {
+			t.Errorf("refreshes read %d pre-state tuples, want 0", n)
+		}
+		for name, q := range queries {
+			got, err := m.Result(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := algebra.PlanSQL(q, s.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dra.InitialResult(algebra.Optimize(plan), s.Live())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EqualContents(want) {
+				t.Errorf("%s:\nmaintained:\n%s\nfrom scratch:\n%s", name, got, want)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	m := NewManagerConfig(s, Config{UseDRA: true, Metrics: reg})
+	defer func() { _ = m.Close() }()
+	for name, q := range queries {
+		if _, err := m.Register(Def{Name: name, Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refresh(t, m, reg)
+
+	entries, err := m.SnapshotRegistry(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trade("S02", 7) // past every CQ's last execution: the resumed CQs' first window
+	reg2 := obs.NewRegistry()
+	m2 := NewManagerConfig(s, Config{UseDRA: true, Metrics: reg2})
+	defer func() { _ = m2.Close() }()
+	if err := m2.Resume(entries...); err != nil {
+		t.Fatal(err)
+	}
+	refresh(t, m2, reg2)
 }

@@ -108,8 +108,9 @@ func (m *Manager) SnapshotRegistry(cut func() error) ([]wal.CQEntry, error) {
 //
 // A reseed reads whole tables as of LastExec, and recovered CQs share
 // few LastExec values (one or two after a clean close), so the entries
-// are resumed in LastExec order over one snapshot per table and
-// timestamp.
+// are resumed in LastExec order, each run of one LastExec over one
+// table image (and, for complete re-evaluation, one snapshot) per table,
+// released when the run ends.
 func (m *Manager) Resume(entries ...wal.CQEntry) error {
 	entries = append([]wal.CQEntry(nil), entries...)
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].LastExec < entries[j].LastExec })
@@ -123,8 +124,8 @@ func (m *Manager) Resume(entries ...wal.CQEntry) error {
 			return err
 		}
 		if at == nil || at.ts != e.LastExec {
-			at = &snapshotsAt{store: m.store, ts: e.LastExec,
-				rels: make(map[string]*relation.Relation), tmpls: make(map[uint64]*relation.Relation)}
+			at = &snapshotsAt{HistoricView: m.store.NewWindowCache().At(e.LastExec), ts: e.LastExec,
+				tmpls: make(map[uint64]*relation.Relation)}
 		}
 		if _, err := m.installLocked(def, e, at); err != nil {
 			return fmt.Errorf("cq %q: resume: %w", e.Name, err)
@@ -159,36 +160,28 @@ func resumedDef(e *wal.CQEntry) (Def, error) {
 	return def, nil
 }
 
-// snapshotsAt is the store as of one timestamp, each table copied at
-// most once and each template evaluated at most once, shared by every
-// seed that reads them. Seeds only read what a source hands them: the
-// executor never mutates a tuple.
+// snapshotsAt is the store as of one timestamp, shared by every seed
+// that reads it: a window cache's view, which builds each table's image
+// (and snapshot) at most once, plus each template's result, evaluated at
+// most once. Seeds only read what a source hands them.
 type snapshotsAt struct {
-	store *storage.Store
+	storage.HistoricView
 	ts    vclock.Timestamp
-	rels  map[string]*relation.Relation
 	tmpls map[uint64]*relation.Relation // template fingerprint → result
 }
 
-// Relation implements algebra.Source.
-func (s *snapshotsAt) Relation(table string) (*relation.Relation, error) {
-	if r, ok := s.rels[table]; ok {
-		return r, nil
-	}
-	r, err := s.store.SnapshotAt(table, s.ts)
-	if err != nil {
-		return nil, err
-	}
-	s.rels[table] = r
-	return r, nil
-}
-
-// templateResult is the template's result at ts.
-func (s *snapshotsAt) templateResult(tpl *algebra.Template) (*relation.Relation, error) {
+// templateResult is the template's result at ts: the initial execution
+// of a transient prepared template plan.
+func (s *snapshotsAt) templateResult(e *dra.Engine, strategy dra.Strategy, tpl *algebra.Template) (*relation.Relation, error) {
 	if r, ok := s.tmpls[tpl.Fingerprint]; ok {
 		return r, nil
 	}
-	r, err := dra.InitialResult(tpl.Plan, s)
+	prep, err := e.Prepare(tpl.Plan, strategy)
+	if err != nil {
+		return nil, err
+	}
+	defer prep.Close()
+	r, err := prep.Seed(s, s.ts)
 	if err != nil {
 		return nil, err
 	}

@@ -569,8 +569,11 @@ func (m *Manager) workerCount(tasks int) int {
 // sees rows past ts that the next round's window will deliver again (a
 // propagate-arm CQ then reports the same insertion twice), and it scans
 // relations a writer is mutating. Both views are lazy: only the
-// propagate arms and the complete-re-evaluation baseline reconstruct
-// them, and the differential path never touches Post.
+// propagate arms reconstruct them, and the differential path reads Pre
+// only to rebuild a join replica that is not current (as the table's
+// columnar image at lastExec, storage.HistoricView.TableImage) and never
+// touches Post. A Seed leaves its replicas current at the seed
+// timestamp, so the first step after it rebuilds nothing.
 //
 // Each operand window is the round cache's columnar image, read in
 // place by every CQ at the round timestamp; an empty window is left out

@@ -15,7 +15,6 @@ import (
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
-	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -121,14 +120,10 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 			members:  make(map[string]*tmplMember),
 			index:    newParamIndex(tpl.Slots),
 		}
-		// The clock is read under the same read lock as the scan: commits
-		// tick it under the write lock, so prev is exact at lastExec.
-		err = m.store.View(func(src storage.LiveView) (err error) {
-			g.lastExec = m.store.Now()
-			g.prev, err = prep.Seed(src)
-			return err
-		})
-		if err != nil {
+		// Seeded like a private plan, from the round's table images.
+		rd := m.newRound()
+		g.lastExec = rd.ts
+		if g.prev, err = prep.Seed(rd.cache.At(rd.ts), rd.ts); err != nil {
 			prep.Close()
 			return err
 		}
@@ -149,7 +144,7 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 		seed, inst.lastExec = g.prev, g.lastExec
 	} else if at.ts != g.lastExec {
 		var err error
-		if seed, err = at.templateResult(tpl); err != nil {
+		if seed, err = at.templateResult(m.cfg.Engine, m.cfg.Strategy, tpl); err != nil {
 			m.reapDue.Store(true)
 			return fmt.Errorf("cq %q: template result at %d: %w", inst.def.Name, at.ts, err)
 		}

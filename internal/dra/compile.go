@@ -244,7 +244,7 @@ func (n *compiledNode) attachReplicas(e *Engine) {
 
 // dropReplicas discards the operand replicas of every prepared join group
 // in the tree; the next refresh rebuilds them from its pre-state
-// snapshot.
+// (vecEval.operandAt).
 func (n *compiledNode) dropReplicas() {
 	n.eachJoin(func(cj *compiledJoin) {
 		if cj.cache != nil {

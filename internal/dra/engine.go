@@ -42,8 +42,10 @@
 // A standing query holds one evaluator, Prepared, wherever it runs: the
 // cq manager's CQs and template groups on the server, and
 // remote.MirrorCQ on a client (Section 6). Engine.Prepare compiles the
-// plan once, Prepared.Seed runs the initial execution, and every refresh
-// is one Prepared.Step. Joins have two kernels, chosen by what the
+// plan once, Prepared.Seed runs the initial execution — the same
+// kernels' step from the empty state, every operand entering as an
+// all-insert columnar image (ΔR = R) — and every refresh is one
+// Prepared.Step. Joins have two kernels, chosen by what the
 // caller is. Reevaluate is the paper's stateless Algorithm 1: the truth
 // table above, every unchanged operand's pre-state executed from the
 // last-execution snapshot; it serves one-shot callers (baselines,
@@ -89,10 +91,13 @@ var (
 //	(v)   the previous complete result         — Prev.
 //
 // Pre is read only where a refresh must rebuild state: a join replica
-// that is missing (the first refresh, or after a failed one) or not at
-// LastTS, and the query on both states under unprepared Reevaluate. A
-// caller that keeps its own copy of the base tables hands them here as
-// they stand at LastTS. Post is the current contents, needed by complete
+// that is missing (a Step without a prior Seed, or after a failed one)
+// or not at LastTS, a truth-table term's pre-state, and the query on both
+// states under unprepared Reevaluate. A rebuild reads Pre the way Seed
+// reads its source: as one columnar image per table, the source's own
+// when it has a TableImage method (storage.HistoricView), converted from
+// its relations otherwise. A caller that keeps its own copy of the base
+// tables hands them here as they stand at LastTS. Post is the current contents, needed by complete
 // re-evaluation and by result verification; a Prepared whose Strategy is
 // StrategyIncremental never reads it.
 //
@@ -337,7 +342,7 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		if err = e.vecEvaluate(root, ctx, res); err != nil {
 			// A failed refresh drops every replica of the plan: join groups
 			// advance them as they go, and the next refresh must rebuild from
-			// its pre-state snapshot rather than read a part-advanced state.
+			// its pre-state rather than read a part-advanced state.
 			root.dropReplicas()
 		}
 	case exactPrev:

@@ -72,14 +72,10 @@ type groupTable struct {
 	// fold input keeps operand replicas, as a Prepared's does.
 	replicaRows int
 
-	// input, items and foldSchema are what seed executes and projects:
-	// the SPJ input plan, the fold columns' expressions over it (nil for
-	// DISTINCT), and the fold columns. They sit after the fields every
-	// Step reads.
-	input      algebra.Plan
-	items      []algebra.CompiledExpr
-	foldSchema relation.Schema
-	seeded     bool
+	// input is the SPJ input plan, whose tables seed reads; it sits after
+	// the fields every Step reads.
+	input  algebra.Plan
+	seeded bool
 }
 
 // groupAgg is one aggregate of the output row.
@@ -154,7 +150,7 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	}
 	g := &groupTable{
 		engine: engine, schema: plan.Schema(), fold: fold,
-		input: input, items: items, foldSchema: foldSchema,
+		input: input,
 		nKeys: nKeys, aggs: aggs, global: nKeys == 0 && len(aggs) > 0,
 		keys: batch.New(keySchema, 0), stride: 1 + len(aggs),
 	}
@@ -164,11 +160,13 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	return g, nil
 }
 
-// seed fills the empty table from one execution of the input over src,
-// folded in as +1 rows, each conformed to the fold columns as
-// projectBatch would. It runs once, before the first Step.
-func (g *groupTable) seed(src algebra.Source) error {
-	rel, err := algebra.NewExecutor(src).Execute(g.input)
+// seed fills the empty table by the step from the empty state at ts
+// (seedContext): the input's compiled kernels run over the images of its
+// tables in src, and their batch folds in as a refresh's would. It runs
+// once, before the first Step; a join in the input ends with its
+// replicas current at ts.
+func (g *groupTable) seed(src algebra.Source, ts vclock.Timestamp) error {
+	ctx, err := seedContext(src, g.input, ts)
 	if err != nil {
 		return err
 	}
@@ -181,23 +179,16 @@ func (g *groupTable) seed(src algebra.Source) error {
 		g.keyedSlot(one, 0, relation.HashValues(nil))
 		g.live = 1
 	}
-	seed := batch.New(g.foldSchema, rel.Len())
-	vals := make([]relation.Value, g.foldSchema.Len())
-	for _, t := range rel.Tuples() {
-		if g.items == nil {
-			copy(vals, t.Values)
-		}
-		for i, ce := range g.items {
-			if vals[i], err = ce.Eval(t); err != nil {
-				return fmt.Errorf("dra: aggregate input: %w", err)
-			}
-		}
-		if err := g.foldSchema.Conform(vals); err != nil {
-			return fmt.Errorf("dra: aggregate input: %w", err)
-		}
-		seed.AppendRow(0, +1, vals) // conformed: fits
+	var st Stats
+	v := newVecEval(g.engine, ctx, ts, &st)
+	defer v.release()
+	g.fold.emptyReplicas(ts)
+	b, err := v.nodeBatch(g.fold)
+	if err == nil {
+		err = g.foldBatch(b)
 	}
-	if err := g.foldBatch(seed); err != nil {
+	if err != nil {
+		g.fold.dropReplicas()
 		return err
 	}
 	g.settle(false)
@@ -217,10 +208,14 @@ func seededGroupTable[Root algebra.Plan](engine *Engine, plan algebra.Plan, src 
 	if err != nil {
 		return nil, err
 	}
-	if err := g.seed(src); err != nil {
+	if err := g.seed(src, 0); err != nil {
 		g.Close()
 		return nil, err
 	}
+	// src has no timestamp to tag the input's replicas with: the first
+	// Step rebuilds them at its own.
+	g.fold.dropReplicas()
+	g.gauge()
 	return g, nil
 }
 
@@ -251,7 +246,7 @@ func (g *groupTable) gauge() {
 // owns — O(|groups|), for registration and recovery; refreshes never
 // call it.
 func (g *groupTable) Result() *relation.Relation {
-	out := relation.New(g.schema)
+	out := relation.NewSized(g.schema, g.live)
 	for s := 0; s < g.keys.Len(); s++ {
 		cells := g.state(g.cur, s)
 		if g.keys.Signs[s] == 0 || !g.inOutput(cells) {

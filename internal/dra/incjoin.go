@@ -24,7 +24,7 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 	c := cj.cache
 	term := make([]*vecInput, len(cj.ops))
 	for i := range cj.ops {
-		ent, err := c.pre(i, v.ctx, v.st)
+		ent, err := c.pre(i, v)
 		if err != nil {
 			return nil, err
 		}
@@ -39,7 +39,9 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 		held := term[i]
 		term[i] = &vecInput{b: d}
 		var err error
-		out, err = v.runTerm(cj, c.plans[i], term, out)
+		if !emptyPartner(term, i) {
+			out, err = v.runTerm(cj, c.plans[i], term, out)
+		}
 		term[i] = held
 		if err != nil {
 			return nil, err
@@ -54,4 +56,17 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 	}
 	c.advance(v.ctx, v.execTS)
 	return out, nil
+}
+
+// emptyPartner reports that some operand other than i has no rows, so
+// term i joins to nothing: it runs no probe and builds no index. An
+// initial execution meets this in every term but the last (the later
+// operands' replicas are still empty).
+func emptyPartner(term []*vecInput, i int) bool {
+	for j, in := range term {
+		if j != i && in.length() == 0 {
+			return true
+		}
+	}
+	return false
 }

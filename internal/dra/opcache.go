@@ -1,7 +1,6 @@
 package dra
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -43,17 +42,14 @@ type keyIndex struct {
 	ix   relation.SlotIndex
 }
 
-// newReplica loads an operand's executed output into typed columns.
-func newReplica(rel *relation.Relation, ts vclock.Timestamp) (*replica, error) {
-	r := &replica{rows: batch.New(rel.Schema(), rel.Len()), ts: ts}
-	for _, t := range rel.Tuples() {
-		if !r.rows.AppendRow(t.TID, +1, t.Values) {
-			return nil, nonConforming("operand pre-state")
-		}
-		r.byTID.Insert(int32(r.live), uint64(t.TID))
-		r.live++
+// newReplica adopts rows — an operand's output, every row +1 — as a
+// replica at ts.
+func newReplica(rows *batch.Batch, ts vclock.Timestamp) *replica {
+	r := &replica{rows: rows, live: rows.Len(), ts: ts}
+	for s, tid := range rows.TIDs {
+		r.byTID.Insert(int32(s), uint64(tid))
 	}
-	return r, nil
+	return r
 }
 
 // slotOf returns the slot holding tid, or -1.
@@ -72,6 +68,10 @@ func (r *replica) slotOf(tid relation.TID) int32 {
 // slot, and only the indexes whose key hash changed are relinked.
 func (r *replica) apply(b *batch.Batch) {
 	n := b.Len()
+	if r.rows.Len() == 0 {
+		// An empty replica (a seed's) takes the batch's size at once.
+		r.rows = batch.New(r.rows.Schema, n)
+	}
 	for i := 0; i < n; i++ {
 		tid := b.TIDs[i]
 		s := r.slotOf(tid)
@@ -180,15 +180,18 @@ func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 // ctx.LastTS. Validation is two-tier:
 //
 //   - a replica advanced to exactly ctx.LastTS by the previous refresh
-//     is current (the common case: consecutive refreshes);
+//     (or left there by Seed) is current (the common case: consecutive
+//     refreshes);
 //   - otherwise, an unchanged table change-counter between the
 //     replica's refresh and this one proves the base — hence the operand
 //     output — identical at every timestamp in between, so only the
 //     timestamp tag moves.
 //
-// Anything else is rebuilt from the pre-state snapshot, which is what
-// every refresh of the transient truth table pays.
-func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
+// Anything else is rebuilt as the initial execution builds it: the
+// operand evaluated from the empty state over its tables' images as of
+// ctx.LastTS (vecEval.operandAt).
+func (c *opCache) pre(i int, v *vecEval) (*replica, error) {
+	ctx, st := v.ctx, v.st
 	if ent := c.ents[i]; ent != nil {
 		if ent.ts == ctx.LastTS {
 			st.IndexCacheHits++
@@ -202,16 +205,13 @@ func (c *opCache) pre(i int, ctx *Context, st *Stats) (*replica, error) {
 			}
 		}
 	}
-	ex := algebra.NewExecutor(ctx.Pre)
-	ex.UseHashJoin = c.engine.UseHashJoin
-	rel, err := ex.Execute(c.cj.ops[i].plan)
-	if err != nil {
-		return nil, fmt.Errorf("dra: operand pre-state: %w", err)
+	rows := batch.New(c.cj.ops[i].plan.Schema(), 0)
+	if err := v.operandAt(c.cj, i, rows); err != nil {
+		return nil, err
 	}
-	st.PreTuplesScanned += rel.Len()
 	st.IndexCacheMisses++
-	c.ents[i], err = newReplica(rel, ctx.LastTS)
-	return c.ents[i], err
+	c.ents[i] = newReplica(rows, ctx.LastTS)
+	return c.ents[i], nil
 }
 
 // advance moves every replica that is current at ctx.LastTS to execTS.

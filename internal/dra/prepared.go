@@ -215,18 +215,41 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 	return out
 }
 
-// Seed runs the query's initial execution over src and returns the
-// result, which the caller owns. An aggregate or DISTINCT plan seeds its
-// group table from that same pass; it must be seeded once before its
-// first Step. Any other plan keeps nothing from Seed.
-func (p *Prepared) Seed(src algebra.Source) (*relation.Relation, error) {
-	if p.group == nil {
-		return InitialResult(p.plan, src)
+// Seed runs the query's initial execution as of ts over src and returns
+// the result, which the caller owns; src must hold the operand tables as
+// they stood at ts. The initial execution is the differential step from
+// the empty state with every ΔR = R (seed.go): the plan's own kernels
+// run over one all-insert columnar image per table — src's own
+// (storage.HistoricView, shared per timestamp when it is a window
+// cache's), or converted from its relations. A join leaves its operand
+// replicas current at ts, so the first Step from ts probes them
+// without rebuilding; a group table is filled from the same pass, and
+// must be seeded once before its first Step. A plan on complete
+// re-evaluation executes over src's relations and keeps nothing.
+func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*relation.Relation, error) {
+	if p.closed {
+		return nil, fmt.Errorf("dra: Seed on closed Prepared")
 	}
-	if err := p.group.seed(src); err != nil {
-		return nil, err
+	switch {
+	case p.group != nil:
+		if err := p.group.seed(src, ts); err != nil {
+			return nil, err
+		}
+		return p.group.Result(), nil
+	case p.root != nil:
+		ctx, err := seedContext(src, p.plan, ts)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := p.engine.seed(p.root, ctx)
+		if err != nil {
+			p.root.dropReplicas()
+		}
+		p.engine.gaugeReplicas(p.root, &p.gauged)
+		return rel, err
+	default:
+		return execute(p.plan, src)
 	}
-	return p.group.Result(), nil
 }
 
 // Step runs one refresh over the window in ctx, producing the signed

@@ -16,11 +16,11 @@ import (
 // functionally equivalent to this operator; the property tests in this
 // package exercise that equivalence over randomized histories.
 func Propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp) (*delta.Delta, error) {
-	oldR, err := algebra.NewExecutor(pre).Execute(plan)
+	oldR, err := execute(plan, pre)
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate pre: %w", err)
 	}
-	newR, err := algebra.NewExecutor(post).Execute(plan)
+	newR, err := execute(plan, post)
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate post: %w", err)
 	}
@@ -43,7 +43,7 @@ func FullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relat
 	if prev == nil {
 		return nil, ErrNoPrev
 	}
-	cur, err := algebra.NewExecutor(post).Execute(plan)
+	cur, err := execute(plan, post)
 	if err != nil {
 		return nil, fmt.Errorf("dra: full re-evaluation: %w", err)
 	}
@@ -60,8 +60,16 @@ func FullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relat
 	return res, nil
 }
 
-// InitialResult runs the query from scratch (the "initial execution" of
-// the CQ, which Algorithm 1 assumes has happened).
+// InitialResult runs the query from scratch on the row executor (the
+// "initial execution" of the CQ, which Algorithm 1 assumes has
+// happened). It is the oracle Prepared.Seed is held to; a standing query
+// seeds through Seed.
 func InitialResult(plan algebra.Plan, src algebra.Source) (*relation.Relation, error) {
+	return execute(plan, src)
+}
+
+// execute runs the query completely over src: the one use of the row
+// executor in the package, behind complete re-evaluation and the oracle.
+func execute(plan algebra.Plan, src algebra.Source) (*relation.Relation, error) {
 	return algebra.NewExecutor(src).Execute(plan)
 }

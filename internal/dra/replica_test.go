@@ -56,16 +56,11 @@ func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
 // not its tid, not its place in any index chain. A key-moving
 // modification (-old +new in one window) keeps its slot.
 func TestReplicaSlotReuse(t *testing.T) {
-	rel := relation.New(pairSchema())
+	rows := batch.New(pairSchema(), 4)
 	for i, k := range []string{"a", "b", "c", "d"} {
-		if err := rel.Insert(relation.Tuple{TID: relation.TID(i + 1), Values: strs(k, "v")}); err != nil {
-			t.Fatal(err)
-		}
+		rows.AppendRow(relation.TID(i+1), +1, strs(k, "v"))
 	}
-	r, err := newReplica(rel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newReplica(rows, 1)
 	key := []int{0}
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("probe b = %v", got)

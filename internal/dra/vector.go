@@ -376,8 +376,8 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 
 // truthTableJoin is Algorithm 1, steps 1-3: one term per non-empty subset
 // of the changed operands, the subset's windows joined with every other
-// operand's pre-state, executed from the last-execution snapshot on first
-// use. It keeps nothing between calls. A nil batch means no term emitted.
+// operand's pre-state, evaluated from the images as of the last
+// execution on first use (operandPre). It keeps nothing between calls. A nil batch means no term emitted.
 func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, changed []int) (*batch.Batch, error) {
 	e := v.e
 	nOps := len(cj.ops)
@@ -444,21 +444,12 @@ func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, change
 	return out, nil
 }
 
-// operandPre executes operand i's pre-state from the last-execution
-// snapshot into a pooled batch.
+// operandPre evaluates operand i's pre-state into a pooled batch, as a
+// replica rebuild does (operandAt).
 func (v *vecEval) operandPre(cj *compiledJoin, i int) (*batch.Batch, error) {
-	ex := algebra.NewExecutor(v.ctx.Pre)
-	ex.UseHashJoin = v.e.UseHashJoin
-	rel, err := ex.Execute(cj.ops[i].plan)
-	if err != nil {
-		return nil, fmt.Errorf("dra: operand pre-state: %w", err)
-	}
-	v.st.PreTuplesScanned += rel.Len()
-	pb := v.own(v.e.pool.Get(rel.Schema(), rel.Len()))
-	for _, t := range rel.Tuples() {
-		if !pb.AppendRow(t.TID, +1, t.Values) {
-			return nil, nonConforming("operand pre-state")
-		}
+	pb := v.own(v.e.pool.Get(cj.ops[i].plan.Schema(), 0))
+	if err := v.operandAt(cj, i, pb); err != nil {
+		return nil, err
 	}
 	return pb, nil
 }

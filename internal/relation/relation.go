@@ -3,6 +3,8 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,6 +50,11 @@ type Relation struct {
 // New creates an empty relation with the given schema.
 func New(schema Schema) *Relation {
 	return &Relation{schema: schema, byTID: make(map[TID]int)}
+}
+
+// NewSized creates an empty relation with room for n tuples.
+func NewSized(schema Schema, n int) *Relation {
+	return &Relation{schema: schema, tuples: make([]Tuple, 0, n), byTID: make(map[TID]int, n)}
 }
 
 // Schema returns the relation's schema.
@@ -147,6 +154,14 @@ func (r *Relation) Clone() *Relation {
 		out.byTID[t.TID] = i
 	}
 	return out
+}
+
+// CloneShared copies the relation's tuple list and tid index but shares
+// each tuple's value slice with r: a copy that stays intact while r has
+// tuples inserted, deleted or replaced, for holders that never write a
+// value slice in place.
+func (r *Relation) CloneShared() *Relation {
+	return &Relation{schema: r.schema, tuples: slices.Clone(r.tuples), byTID: maps.Clone(r.byTID)}
 }
 
 // Union returns r ∪ o by tid (set semantics on tid). Schemas must be

@@ -458,7 +458,7 @@ func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 		}
 	}
 	m.lastTS = ts
-	if m.result, err = prep.Seed(m.replica); err != nil {
+	if m.result, err = prep.Seed(m.replica, ts); err != nil {
 		return nil, err
 	}
 	return m, nil

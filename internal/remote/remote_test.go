@@ -441,3 +441,64 @@ func TestApplyUpdatesTypeErrorOverWire(t *testing.T) {
 		t.Fatalf("store holds %d rows, want the one clean row", snap.Len())
 	}
 }
+
+// TestQueryOverWireBesideWriters: the remote one-shot query reads one
+// committed state while a writer commits, and stamps the reply with that
+// state's timestamp: the rows must equal the store as of the returned
+// Now. (An unlocked scan stamped after the fact fails both ways, and is
+// a data race under -race.)
+func TestQueryOverWireBesideWriters(t *testing.T) {
+	store, _, client := startServer(t)
+	for i := 0; i < 8; i++ {
+		insertStock(t, store, string(rune('A'+i)), float64(100+i))
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			rel, err := store.Snapshot("stocks")
+			if err != nil {
+				done <- err
+				return
+			}
+			tx := store.Begin()
+			for _, tu := range rel.Tuples() {
+				if err := tx.Update("stocks", tu.TID, []relation.Value{tu.Values[0], relation.Float(tu.Values[1].AsFloat() + 1)}); err != nil {
+					done <- err
+					return
+				}
+			}
+			if _, err := tx.Insert("stocks", []relation.Value{relation.Str("N"), relation.Float(float64(i))}); err != nil {
+				done <- err
+				return
+			}
+			if _, err := tx.Commit(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		got, now, err := client.Query("SELECT * FROM stocks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := store.SnapshotAt("stocks", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualByTID(want) {
+			t.Fatalf("query %d: %d rows stamped %d, the store at %d has %d", i, got.Len(), now, now, want.Len())
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -332,8 +332,19 @@ func (s *Server) handle(req Request) Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		ex := algebra.NewExecutor(s.store.Live())
-		rel, err := ex.Execute(algebra.Optimize(plan))
+		plan = algebra.Optimize(plan)
+		// The scan runs under the read lock, and the clock is read there:
+		// commits tick it under the write lock, so now is the timestamp of
+		// exactly the state the result reflects.
+		var rel *relation.Relation
+		var now vclock.Timestamp
+		var ex *algebra.Executor
+		err = s.store.View(func(v storage.LiveView) (err error) {
+			now = s.store.Now()
+			ex = algebra.NewExecutor(v)
+			rel, err = ex.Execute(plan)
+			return err
+		})
 		if err != nil {
 			return errResponse(err)
 		}
@@ -345,7 +356,7 @@ func (s *Server) handle(req Request) Response {
 			m.queries.Inc()
 			m.tuples.Add(int64(ex.Stats.TuplesScanned))
 		}
-		return Response{Rel: toWireRelation(rel), Now: s.store.Now()}
+		return Response{Rel: toWireRelation(rel), Now: now}
 
 	case OpNow:
 		return Response{Now: s.store.Now()}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -384,5 +385,56 @@ func TestUpdateCommitAllocsPerRow(t *testing.T) {
 	if perRow := (large - small) / 64; perRow > 1.2 {
 		t.Errorf("a Tx.Update commit costs %.2f allocations per row (64 rows: %v, 128 rows: %v), want at most one slice per row",
 			perRow, small, large)
+	}
+}
+
+// TestTableImageIsTheStateAtTS: over random histories — key-moving
+// updates, insert and delete of one tid between two timestamps,
+// modifications back to earlier values, tid reuse across commits —
+// the table image as of every timestamp holds exactly the rows
+// SnapshotAt reconstructs, each once and signed +1; the cache's shared
+// image is the same, and an image below the low water fails like a
+// window.
+func TestTableImageIsTheStateAtTS(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 200; trial++ {
+		s := NewStore()
+		if err := s.CreateTable("t", imageSchema()); err != nil {
+			t.Fatal(err)
+		}
+		marks := randomHistory(t, rng, s)
+		cache := s.NewWindowCache()
+		for _, ts := range marks {
+			want, err := s.SnapshotAt("t", ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []HistoricView{s.At(ts), cache.At(ts)} {
+				img, err := src.TableImage("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := relation.New(want.Schema())
+				for i := 0; i < img.Len(); i++ {
+					vals := make([]relation.Value, img.Schema.Len())
+					img.ReadRow(i, vals)
+					if img.Signs[i] != +1 {
+						t.Fatalf("trial %d ts %d: row sign %d", trial, ts, img.Signs[i])
+					}
+					if err := got.Insert(relation.Tuple{TID: img.TIDs[i], Values: vals}); err != nil {
+						t.Fatalf("trial %d ts %d: %v", trial, ts, err)
+					}
+				}
+				if !got.EqualByTID(want) {
+					t.Fatalf("trial %d ts %d:\nimage:\n%s\nsnapshot:\n%s", trial, ts, got, want)
+				}
+			}
+		}
+		if last := marks[len(marks)-1]; last > marks[0] {
+			s.CollectGarbage(last)
+			if _, err := s.TableImage("t", last-1); !errors.Is(err, ErrStaleWindow) {
+				t.Fatalf("trial %d: image below the low water: %v, want ErrStaleWindow", trial, err)
+			}
+		}
 	}
 }

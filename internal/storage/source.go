@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
@@ -64,11 +65,16 @@ func (v LiveView) Schema(table string) (relation.Schema, error) {
 }
 
 // HistoricView adapts a point-in-time reconstruction to the Source
-// interface. Each Relation call reconstructs the table as of the view's
-// timestamp (the state after the CQ's last execution, DRA input (ii)).
+// interface: the store as of the view's timestamp (the state after the
+// CQ's last execution, DRA input (ii)). Relation reconstructs a table in
+// row form for the executor; TableImage builds its columnar image, which
+// is what the differential kernels seed from. A view from Store.At
+// builds on every call; one from WindowCache.At shares each table's
+// image and snapshot among every reader of the cache.
 type HistoricView struct {
-	s  *Store
-	ts vclock.Timestamp
+	s     *Store
+	ts    vclock.Timestamp
+	cache *WindowCache
 }
 
 // At returns a Source view of the store as of logical time ts.
@@ -76,7 +82,19 @@ func (s *Store) At(ts vclock.Timestamp) HistoricView { return HistoricView{s: s,
 
 // Relation implements the executor's Source contract.
 func (v HistoricView) Relation(table string) (*relation.Relation, error) {
+	if v.cache != nil {
+		return tableAt(v.cache, &v.cache.snaps, table, v.ts, v.s.SnapshotAt)
+	}
 	return v.s.SnapshotAt(table, v.ts)
+}
+
+// TableImage returns the table's columnar image as of the view's
+// timestamp (Store.TableImage), shared when the view is a cache's.
+func (v HistoricView) TableImage(table string) (*batch.Batch, error) {
+	if v.cache != nil {
+		return tableAt(v.cache, &v.cache.tables, table, v.ts, v.s.TableImage)
+	}
+	return v.s.TableImage(table, v.ts)
 }
 
 // Schema implements the planner's Catalog contract.

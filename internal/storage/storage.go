@@ -7,10 +7,11 @@
 //
 // The store keeps, per table, the current contents plus the accumulated
 // differential relation. Any earlier state within the retained delta
-// window can be reconstructed with SnapshotAt, which is how DRA obtains
-// "the contents of each base relation after the last execution of the CQ"
-// (input (ii) of Algorithm 1) without the store having to keep explicit
-// snapshots.
+// window can be reconstructed — in row form by SnapshotAt, as a columnar
+// image by TableImage — which is how DRA obtains "the contents of each
+// base relation after the last execution of the CQ" (input (ii) of
+// Algorithm 1) and a CQ its initial execution without the store having to
+// keep explicit snapshots.
 package storage
 
 import (

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/diorama/continual/internal/batch"
@@ -17,7 +19,8 @@ import (
 // windows; the cache builds each (table, from, to, compact) window once
 // per form — the columnar image the refresh steps read, and the row form
 // for readers that want rows — so N CQs sharing a table cost one fold
-// instead of N.
+// instead of N. Beside the windows it shares whole tables as of one
+// timestamp (At): every CQ seeded at ts reads one image per table.
 //
 // Entries share the committed rows' value slices and own everything
 // else: an image holds its values in its own columns, and a row-form
@@ -39,12 +42,26 @@ type WindowCache struct {
 	rows         map[windowKey]*delta.Delta
 	images       map[windowKey]*batch.Batch
 	hits, misses int64
+
+	// tables and snaps hold whole tables as of one timestamp, for the
+	// initial executions that read them (At): the columnar image every
+	// compiled kernel seeds from, and the row form complete
+	// re-evaluation executes over. Neither counts as a window hit or
+	// miss, and both are made on first use: most caches serve refreshes
+	// only.
+	tables map[tableKey]*batch.Batch
+	snaps  map[tableKey]*relation.Relation
 }
 
 type windowKey struct {
 	table    string
 	from, to vclock.Timestamp
 	compact  bool
+}
+
+type tableKey struct {
+	table string
+	ts    vclock.Timestamp
 }
 
 // NewWindowCache returns an empty window cache over the store.
@@ -54,6 +71,35 @@ func (s *Store) NewWindowCache() *WindowCache {
 		rows:   make(map[windowKey]*delta.Delta),
 		images: make(map[windowKey]*batch.Batch),
 	}
+}
+
+// At returns the store as of ts as a source whose table images and
+// snapshots are built once per (table, ts) and shared by every reader
+// of the cache: one image serves every CQ seeded at ts. A table's state
+// at ts cannot change once ts has been issued, so the entries stay
+// exact whatever commits later; like every entry they are read-only.
+func (c *WindowCache) At(ts vclock.Timestamp) HistoricView {
+	return HistoricView{s: c.s, ts: ts, cache: c}
+}
+
+// tableAt serves (table, ts) from *entries, or builds it under the
+// cache lock so each is built once.
+func tableAt[T any](c *WindowCache, entries *map[tableKey]T, table string, ts vclock.Timestamp,
+	build func(string, vclock.Timestamp) (T, error)) (T, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := tableKey{table, ts}
+	if e, ok := (*entries)[key]; ok {
+		return e, nil
+	}
+	e, err := build(table, ts)
+	if err == nil {
+		if *entries == nil {
+			*entries = make(map[tableKey]T)
+		}
+		(*entries)[key] = e
+	}
+	return e, err
 }
 
 // Window returns the table's differential rows with from < TS <= to,
@@ -145,6 +191,62 @@ func (s *Store) WindowImage(table string, from, to vclock.Timestamp, compact boo
 		// Cannot happen: every stored value was conformed to its column
 		// at the write boundary (Tx) or on recovery.
 		return nil, fmt.Errorf("storage: window of %q: %w", table, relation.ErrTypeMismatch)
+	}
+	return b, nil
+}
+
+// TableImage builds the columnar image of the table as of ts: every
+// row of its state at ts as one +1 row (TS column unset), in no
+// particular order — the operand of an initial execution, which the
+// differential kernels evaluate as one step from the empty state with
+// ΔR = R. It is one pass over the live relation and the log after ts
+// under the read lock: a row untouched since ts is read in place, and a
+// row touched since takes its values from the first log row after ts
+// (its Old; no row when that first row inserted it). No copy of the
+// table is made and nothing is unapplied. Like a window it fails with
+// ErrStaleWindow once garbage collection has passed ts. The image owns
+// its columns and shares string payloads with the committed rows, which
+// nobody writes (see delta.Row).
+func (s *Store) TableImage(table string, ts vclock.Timestamp) (*batch.Batch, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, err := s.windowTableLocked(table, ts)
+	if err != nil {
+		return nil, err
+	}
+	if m := s.met; m != nil {
+		m.snapshots.Inc()
+	}
+	after := t.dlt.After(ts).Rows()
+	b := batch.New(t.rel.Schema(), t.rel.Len()+len(after))
+	// byTID lists the rows after ts by tid, earliest first within a tid:
+	// the first of each tid holds the row's state at ts.
+	byTID := make([]int32, len(after))
+	for i := range byTID {
+		byTID[i] = int32(i)
+	}
+	slices.SortStableFunc(byTID, func(i, j int32) int { return cmp.Compare(after[i].TID, after[j].TID) })
+	touched := func(tid relation.TID) bool {
+		_, found := slices.BinarySearchFunc(byTID, tid, func(i int32, tid relation.TID) int {
+			return cmp.Compare(after[i].TID, tid)
+		})
+		return found
+	}
+	ok := true
+	for _, tu := range t.rel.Tuples() {
+		if len(after) == 0 || !touched(tu.TID) {
+			ok = ok && b.AppendRow(tu.TID, +1, tu.Values)
+		}
+	}
+	for k, i := range byTID {
+		r := &after[i]
+		if (k == 0 || after[byTID[k-1]].TID != r.TID) && r.Old != nil {
+			ok = ok && b.AppendRow(r.TID, +1, r.Old)
+		}
+	}
+	if !ok {
+		// Cannot happen: every stored value was conformed to its column.
+		return nil, fmt.Errorf("storage: image of %q: %w", table, relation.ErrTypeMismatch)
 	}
 	return b, nil
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
 )
 
 // Rows is a materialized query result. Values use Go native types:
@@ -198,11 +199,19 @@ func modifications(rows []delta.Row) []Modification {
 	return out
 }
 
-// queryRelation plans, optimizes and executes a SELECT internally.
+// queryRelation plans, optimizes and executes a SELECT internally. The
+// execution runs under the store's read lock (Store.View): the executor
+// scans live relations, which a concurrent commit would be mutating.
 func (db *DB) queryRelation(query string) (*relation.Relation, error) {
 	plan, err := algebra.PlanSQL(query, db.store.Live())
 	if err != nil {
 		return nil, err
 	}
-	return algebra.NewExecutor(db.store.Live()).Execute(algebra.Optimize(plan))
+	plan = algebra.Optimize(plan)
+	var rel *relation.Relation
+	err = db.store.View(func(v storage.LiveView) (err error) {
+		rel, err = algebra.NewExecutor(v).Execute(plan)
+		return err
+	})
+	return rel, err
 }

@@ -10,9 +10,11 @@
 # commit fanned out to 64 push dispatches that share the commit's window
 # cache (push); BenchmarkRefreshMirror (internal/remote) measures the
 # client side: one 64-row commit to a 50k-row table and one Refresh of a
-# selection MirrorCQ over loopback, server included (mirror). This
-# script fails
-# when any arm exceeds its committed baseline
+# selection MirrorCQ over loopback, server included (mirror);
+# BenchmarkRegister (internal/cq) measures registration, the initial
+# execution included: sixteen selections, one 3-way join and one GROUP
+# BY registered at one timestamp over 16k-row tables (burst). This
+# script fails when any arm exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
@@ -24,13 +26,14 @@ cd "$(dirname "$0")/.."
 baseline=scripts/allocs-baseline.txt
 bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
 	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x
-	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x)
+	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x
+	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/burst' -benchmem -benchtime 20x)
 echo "$bench"
 status=0
 while read -r arm base; do
 	[ -n "$arm" ] || continue
 	cur=$(echo "$bench" | awk -v arm="$arm" '
-		$1 ~ "^BenchmarkRefresh(Step|Round|Mirror)/"arm"(-|$)" {
+		$1 ~ "^Benchmark(Refresh(Step|Round|Mirror)|Register)/"arm"(-|$)" {
 			for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
 		}')
 	if [ -z "$cur" ]; then
