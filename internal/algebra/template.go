@@ -3,6 +3,7 @@ package algebra
 import (
 	"sort"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 )
@@ -99,6 +100,42 @@ func (t *Template) MatchRow(params, row []relation.Value) bool {
 		}
 	}
 	return true
+}
+
+// MatchBatch appends to out the indices of the rows of b — rows of the
+// template's output schema — that MatchRow accepts under params, testing
+// them column at a time: the slots become one conjunction of column /
+// constant comparisons run by SelectBatch's typed loops. A constant that
+// does not compare with its column as SQL would (a kind mismatch, which
+// the selection reports as an error) has the rows tested one by one
+// instead, so the answer is MatchRow's either way.
+func (t *Template) MatchBatch(params []relation.Value, b *batch.Batch, out []int32) []int32 {
+	n := len(out)
+	var pred sql.Expr
+	for i, s := range t.Slots {
+		var cmp sql.Expr = &sql.BinaryExpr{Op: s.Op,
+			L: &sql.ColumnRef{Name: b.Schema.Col(s.Idx).Name}, R: &sql.Literal{Value: params[i]}}
+		if pred != nil {
+			cmp = &sql.BinaryExpr{Op: "AND", L: pred, R: cmp}
+		}
+		pred = cmp
+	}
+	if ce, err := Compile(pred, b.Schema); err == nil {
+		if sel, err := SelectBatch(ce, b, nil, out, nil); err == nil {
+			return sel
+		}
+	}
+	out = out[:n]
+	row := make([]relation.Value, b.Schema.Len())
+	for r := 0; r < b.Len(); r++ {
+		for _, s := range t.Slots {
+			row[s.Idx] = b.Value(r, s.Idx)
+		}
+		if t.MatchRow(params, row) {
+			out = append(out, int32(r))
+		}
+	}
+	return out
 }
 
 func slotMatches(s ParamSlot, param relation.Value, row []relation.Value) bool {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
 )
 
@@ -131,7 +132,50 @@ func TestTemplateEquivalence(t *testing.T) {
 			t.Fatalf("query %q: original and template+dispatch disagree\nwant %v\ngot  %v",
 				query, want, got)
 		}
+		// MatchBatch selects exactly the rows MatchRow accepts — under
+		// the extracted parameters and under ones a row test must judge
+		// (NULL, a number of the other kind, a string against a number).
+		b := batch.New(full.Schema(), full.Len())
+		for _, tu := range full.Tuples() {
+			if !b.AppendRow(tu.TID, +1, tu.Values) {
+				t.Fatalf("query %q: template row %v has no columnar form", query, tu.Values)
+			}
+		}
+		for _, ps := range [][]relation.Value{params, perturb(rng, params)} {
+			sel := tpl.MatchBatch(ps, b, nil)
+			k := 0
+			for r, tu := range full.Tuples() {
+				in := k < len(sel) && sel[k] == int32(r)
+				if in {
+					k++
+				}
+				if in != tpl.MatchRow(ps, tu.Values) {
+					t.Fatalf("query %q, params %v: MatchBatch and MatchRow disagree on %v", query, ps, tu.Values)
+				}
+			}
+			if k != len(sel) {
+				t.Fatalf("query %q, params %v: MatchBatch selected rows out of order: %v", query, ps, sel)
+			}
+		}
 	}
+}
+
+// perturb returns params with one constant replaced by NULL, by a number
+// of the other numeric kind, or by a string.
+func perturb(rng *rand.Rand, params []relation.Value) []relation.Value {
+	out := append([]relation.Value(nil), params...)
+	i := rng.Intn(len(out))
+	switch v := out[i]; {
+	case rng.Intn(3) == 0:
+		out[i] = relation.NullValue()
+	case v.Kind == relation.TInt:
+		out[i] = relation.Float(float64(v.AsInt()) + 0.5)
+	case v.Kind == relation.TFloat:
+		out[i] = relation.Int(int64(v.AsFloat()))
+	default:
+		out[i] = relation.Int(int64(rng.Intn(100)))
+	}
+	return out
 }
 
 // randTemplatableQuery builds SPJ queries over the randSource tables

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/cascade"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
@@ -73,7 +74,9 @@ type Notification struct {
 	Delta *delta.Delta
 
 	// Complete holds the full current result (set in ModeComplete, and in
-	// the catch-up a ResubscribeFunc returns).
+	// the catch-up a ResubscribeFunc returns): a copy rendered from the
+	// CQ's result table for this notification, on one flat backing the
+	// notification owns.
 	Complete *relation.Relation
 
 	// Terminated reports the Stop condition became true; this is the last
@@ -170,7 +173,12 @@ type CQState struct {
 	LastExec   vclock.Timestamp
 	Terminated bool
 	ResultLen  int
-	Divergence float64
+	// ResultBytes is the memory the CQ's maintained result holds: its
+	// result table's columns, tid index and free list (string payloads,
+	// shared with the base tables, not counted). A template member
+	// reports its own result, not its group's.
+	ResultBytes int
+	Divergence  float64
 	// Strategy is what the CQ's evaluator runs, fixed when it was
 	// installed: "incremental" (an SPJ query evaluated differentially, or
 	// an aggregate or DISTINCT query kept by a group table) or
@@ -238,10 +246,14 @@ type instance struct {
 	// of a round take only instance.mu (and through it their group's),
 	// which is what lets DRA re-evaluation and notification delivery run
 	// outside the manager lock.
-	mu          sync.Mutex
-	lastExec    vclock.Timestamp // timestamp of the last execution
-	lastObs     vclock.Timestamp // high-water mark of observed updates
-	prev        *relation.Relation
+	mu       sync.Mutex
+	lastExec vclock.Timestamp // timestamp of the last execution
+	lastObs  vclock.Timestamp // high-water mark of observed updates
+	// prev is the CQ's maintained result at lastExec (Section 4.3's
+	// Et_i(Q)): a slot table every refresh applies its change to by
+	// typed writes, so no row references the refresh output it came
+	// from. Reads render copies (Result, Complete notifications).
+	prev        *batch.Table
 	seq         int
 	updatesSeen int64
 	lastErr     error                          // see CQState.LastErr
@@ -487,10 +499,8 @@ func (m *Manager) Traces() *obs.TraceLog { return m.cfg.Metrics.Traces() }
 
 // Register installs a continual query, runs its initial execution, and
 // notifies subscribers attached later only with subsequent refreshes (the
-// initial result is returned). The returned relation is the caller's,
-// but its rows' value slices are the CQ's own maintained rows, which
-// refreshes replace and never write: the caller must not write them
-// either.
+// initial result is returned). The returned relation is a copy rendered
+// from the CQ's result table, the caller's to keep and to write.
 func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -498,7 +508,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return initial.CloneShared(), nil
+	return initial.Relation(), nil
 }
 
 // installLocked is the one way a CQ enters the registry; Register and
@@ -512,7 +522,7 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 // recovery is a differential catch-up over the replayed window, the DRA
 // applied to the crash itself. It returns the CQ's result at the seed.
 // at is the store as of rec.LastExec (nil when rec is). Caller holds m.mu.
-func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*relation.Relation, error) {
+func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*batch.Table, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -645,8 +655,8 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*re
 	case inst.eval == nil:
 		// Recovered terminated: it no longer pins the GC horizon, so the
 		// store at LastExec may be collected and the result cannot be
-		// re-derived. An empty relation keeps State/Result well defined.
-		inst.prev = relation.New(plan.Schema())
+		// re-derived. An empty table keeps State/Result well defined.
+		inst.prev = batch.NewTable(plan.Schema(), 0)
 	case rec != nil:
 		// The initial execution over the store as of the last execution,
 		// NOT the live head: the next refresh must see the post-crash window
@@ -678,7 +688,7 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*re
 		// contents to the reconciling first refresh.
 		createdTarget, err = m.ensureTargetLocked(inst)
 		if err == nil && rec == nil {
-			err = m.reconcileTarget(inst, inst.prev)
+			err = m.reconcileTarget(inst, inst.prev.Relation())
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cq %q: materialize target %q: %w", def.Name, inst.into, err)
@@ -890,7 +900,7 @@ func (m *Manager) attach(name string, f func(n Notification, closed bool), snaps
 		Terminated: inst.terminated.Load(),
 	}
 	if snapshot {
-		at.Complete = inst.prev.Clone()
+		at.Complete = inst.prev.Relation()
 	}
 	inst.subs = append(inst.subs, sub)
 	cancel := func() {
@@ -953,14 +963,15 @@ func (m *Manager) State(name string) (CQState, error) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	st := CQState{
-		Name:       name,
-		Seq:        inst.seq,
-		LastExec:   inst.lastExec,
-		Terminated: inst.terminated.Load(),
-		ResultLen:  inst.prev.Len(),
-		LastErr:    inst.lastErr,
-		Health:     inst.breaker.State().String(),
-		Failures:   inst.breaker.Failures(),
+		Name:        name,
+		Seq:         inst.seq,
+		LastExec:    inst.lastExec,
+		Terminated:  inst.terminated.Load(),
+		ResultLen:   inst.prev.Len(),
+		ResultBytes: inst.prev.Bytes(),
+		LastErr:     inst.lastErr,
+		Health:      inst.breaker.State().String(),
+		Failures:    inst.breaker.Failures(),
 	}
 	// A budget timeout could not write lastErr (the late refresh still
 	// held the instance lock when the verdict landed); surface it here.
@@ -986,7 +997,8 @@ func (m *Manager) State(name string) (CQState, error) {
 	return st, nil
 }
 
-// Result returns a copy of the CQ's current complete result.
+// Result returns the CQ's current complete result: a copy rendered from
+// its result table, the caller's to keep and to write.
 func (m *Manager) Result(name string) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -996,7 +1008,7 @@ func (m *Manager) Result(name string) (*relation.Relation, error) {
 	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.prev.Clone(), nil
+	return inst.prev.Relation(), nil
 }
 
 // Drop removes a CQ. A refresh of it already in flight completes (its

@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/epsilon"
-	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -125,7 +125,7 @@ func (m *Manager) Resume(entries ...wal.CQEntry) error {
 		}
 		if at == nil || at.ts != e.LastExec {
 			at = &snapshotsAt{HistoricView: m.store.NewWindowCache().At(e.LastExec), ts: e.LastExec,
-				tmpls: make(map[uint64]*relation.Relation)}
+				tmpls: make(map[uint64]*batch.Table)}
 		}
 		if _, err := m.installLocked(def, e, at); err != nil {
 			return fmt.Errorf("cq %q: resume: %w", e.Name, err)
@@ -167,12 +167,12 @@ func resumedDef(e *wal.CQEntry) (Def, error) {
 type snapshotsAt struct {
 	storage.HistoricView
 	ts    vclock.Timestamp
-	tmpls map[uint64]*relation.Relation // template fingerprint → result
+	tmpls map[uint64]*batch.Table // template fingerprint → result
 }
 
 // templateResult is the template's result at ts: the initial execution
 // of a transient prepared template plan.
-func (s *snapshotsAt) templateResult(e *dra.Engine, strategy dra.Strategy, tpl *algebra.Template) (*relation.Relation, error) {
+func (s *snapshotsAt) templateResult(e *dra.Engine, strategy dra.Strategy, tpl *algebra.Template) (*batch.Table, error) {
 	if r, ok := s.tmpls[tpl.Fingerprint]; ok {
 		return r, nil
 	}

@@ -24,11 +24,12 @@ import (
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
 )
 
 // materializeLocked commits one refresh's change into the instance's
 // INTO target. Caller holds inst.mu; inst.prev still holds the previous
-// result (ApplyTo runs after journaling).
+// result (the change is applied to it after journaling).
 func (m *Manager) materializeLocked(inst *instance, res *dra.Result) error {
 	d := res.Delta
 	if inst.needsReconcile || d == nil {
@@ -37,9 +38,14 @@ func (m *Manager) materializeLocked(inst *instance, res *dra.Result) error {
 		// refresh away from the journaled sequence — in either direction,
 		// since the sources can revert while the producer is down — so
 		// reconcile the whole target against the new result once, then
-		// return to delta-driven applies.
-		want := res.ApplyTo(inst.prev.Clone())
-		if err := m.reconcileTarget(inst, want); err != nil {
+		// return to delta-driven applies. The new result is rendered from
+		// a copy of the table: inst.prev must stay the previous result
+		// until the execution journals.
+		want := inst.prev.Clone()
+		if err := want.Apply(res.Signed); err != nil {
+			return err
+		}
+		if err := m.reconcileTarget(inst, want.Relation()); err != nil {
 			return err
 		}
 		inst.needsReconcile = false
@@ -48,29 +54,29 @@ func (m *Manager) materializeLocked(inst *instance, res *dra.Result) error {
 	if d.Len() == 0 {
 		return nil
 	}
-	cur, err := m.store.Contents(inst.into)
-	if err != nil {
-		return err
-	}
-	return m.commitReconciled(inst, cur, d.Rows())
+	return m.commitReconciled(inst, d.Rows())
 }
 
 // reconcileTarget commits whatever transforms the target's current
 // contents into want — the seed at registration, the adoption of an
-// orphaned target, and the post-recovery catch-up all reduce to it.
+// orphaned target, and the post-recovery catch-up all reduce to it. The
+// difference is taken under the store's read lock: client writes to the
+// target commit concurrently, and a commit mutates the relation Diff
+// reads.
 func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation) error {
-	cur, err := m.store.Contents(inst.into)
-	if err != nil {
+	var d *delta.Delta
+	err := m.store.View(func(v storage.LiveView) error {
+		cur, err := v.Relation(inst.into)
+		if err != nil {
+			return err
+		}
+		d, err = delta.Diff(cur, want, 0)
+		return err
+	})
+	if err != nil || d.Len() == 0 {
 		return err
 	}
-	d, err := delta.Diff(cur, want, 0)
-	if err != nil {
-		return err
-	}
-	if d.Len() == 0 {
-		return nil
-	}
-	return m.commitReconciled(inst, cur, d.Rows())
+	return m.commitReconciled(inst, d.Rows())
 }
 
 // commitReconciled stages the delta rows against the target in one
@@ -78,62 +84,55 @@ func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation) error
 // with the producer's provenance (CommitEvent.Origin/Depth). Result
 // TIDs carry into the target unchanged: a downstream CQ's deletes and
 // modifies must address the same rows the upstream's inserts created.
-func (m *Manager) commitReconciled(inst *instance, cur *relation.Relation, rows []delta.Row) error {
-	// overlay tracks the effect of already-staged rows so a TID touched
-	// twice in one delta reconciles against its in-transaction state,
-	// not the pre-transaction snapshot.
-	type rowState struct {
-		vals    []relation.Value
-		present bool
-	}
-	overlay := make(map[relation.TID]rowState)
-	lookup := func(tid relation.TID) ([]relation.Value, bool) {
-		if st, ok := overlay[tid]; ok {
-			return st.vals, st.present
+// Which rows stage is decided against the target's committed rows under
+// one hold of the store's read lock (Store.View): client writes to the
+// target commit concurrently, and a commit mutates the relation read.
+// A client write landing between the check and the commit fails the
+// staging or the commit as a conflict, never silently. The rows hold
+// each tid at most once (dra.Result.Delta, delta.Diff), so no row's
+// check depends on another's staging.
+func (m *Manager) commitReconciled(inst *instance, rows []delta.Row) error {
+	staged := make([]delta.Row, 0, len(rows))
+	err := m.store.View(func(v storage.LiveView) error {
+		cur, err := v.Relation(inst.into)
+		if err != nil {
+			return err
 		}
-		t, ok := cur.Lookup(tid)
-		if !ok {
-			return nil, false
+		for _, r := range rows {
+			have, ok := cur.Lookup(r.TID)
+			switch {
+			case r.Kind() == delta.Delete:
+				if ok {
+					staged = append(staged, delta.Row{TID: r.TID, Old: have.Values})
+				}
+			// Insert and Modify both mean "the row's value is now New".
+			case ok && valuesEqual(have.Values, r.New):
+				// Already reflected — the crash-window no-op.
+			case ok:
+				staged = append(staged, delta.Row{TID: r.TID, Old: have.Values, New: r.New})
+			default:
+				staged = append(staged, delta.Row{TID: r.TID, New: r.New})
+			}
 		}
-		return t.Values, true
+		return nil
+	})
+	if err != nil || len(staged) == 0 {
+		return err
 	}
 	tx := m.store.Begin()
-	ops := 0
-	for _, r := range rows {
-		if r.Kind() == delta.Delete {
-			if _, ok := lookup(r.TID); ok {
-				if err := tx.Delete(inst.into, r.TID); err != nil {
-					tx.Abort()
-					return err
-				}
-				ops++
-			}
-			overlay[r.TID] = rowState{}
-			continue
-		}
-		// Insert and Modify both mean "the row's value is now New".
-		have, ok := lookup(r.TID)
-		switch {
-		case ok && valuesEqual(have, r.New):
-			// Already reflected — the crash-window no-op.
-		case ok:
-			if err := tx.Update(inst.into, r.TID, r.New); err != nil {
-				tx.Abort()
-				return err
-			}
-			ops++
+	for _, r := range staged {
+		switch r.Kind() {
+		case delta.Delete:
+			err = tx.Delete(inst.into, r.TID)
+		case delta.Modify:
+			err = tx.Update(inst.into, r.TID, r.New)
 		default:
-			if err := tx.InsertWithTID(inst.into, r.TID, r.New); err != nil {
-				tx.Abort()
-				return err
-			}
-			ops++
+			err = tx.InsertWithTID(inst.into, r.TID, r.New)
 		}
-		overlay[r.TID] = rowState{vals: r.New, present: true}
-	}
-	if ops == 0 {
-		tx.Abort()
-		return nil
+		if err != nil {
+			tx.Abort()
+			return err
+		}
 	}
 	tx.SetOrigin(inst.def.Name, m.dag.Stage(inst.def.Name)+1)
 	if _, err := tx.Commit(); err != nil {
@@ -141,7 +140,7 @@ func (m *Manager) commitReconciled(inst *instance, cur *relation.Relation, rows 
 	}
 	if mm := m.met; mm != nil {
 		mm.materializeCommits.Inc()
-		mm.materializeRows.Add(int64(ops))
+		mm.materializeRows.Add(int64(len(staged)))
 	}
 	return nil
 }

@@ -213,8 +213,8 @@ func TestMaintainerRefreshInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inst.prev.EqualByTID(want) {
-		t.Fatalf("maintained result\n%s\nwant\n%s", inst.prev, want)
+	if got := inst.prev.Relation(); !got.EqualByTID(want) {
+		t.Fatalf("maintained result\n%s\nwant\n%s", got, want)
 	}
 
 	if st, err := mgr.State("totals"); err != nil || st.Groups != 4 {

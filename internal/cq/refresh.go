@@ -41,12 +41,10 @@ import (
 	"sync"
 	"time"
 
-	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
-	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -66,8 +64,6 @@ type round struct {
 	// 5.4) folded once, however many CQs read it. It is the only source
 	// of a refresh's windows and of its trigger's counts.
 	cache *storage.WindowCache
-	// post is the store as of ts, every step's dra.Context.Post.
-	post algebra.Source
 }
 
 // newRound takes the snapshot, in the one order that is sound. While the
@@ -85,7 +81,6 @@ func (m *Manager) newRound() round {
 	rd := round{versions: m.store.ChangeCounts()}
 	rd.ts = m.store.Now()
 	rd.cache = m.store.NewWindowCache()
-	rd.post = m.store.At(rd.ts)
 	m.round = rd
 	return rd
 }
@@ -581,13 +576,18 @@ func (m *Manager) workerCount(tasks int) int {
 // reads the images, already compacted when the engine compacts. A window
 // the cache cannot produce fails the step.
 //
+// Prev and Post are set for an evaluator on complete re-evaluation
+// (propagate) only, which runs the query over Post and diffs against
+// Prev, rendered from the result table prev — that arm is O(|R|) per
+// refresh anyway. A differential step reads neither.
+//
 // The context is in's, refilled in place: its map is reused, not
 // reallocated, and Pre points at in's own view, so nothing is boxed per
 // step. The caller holds the lock that guards in (the instance's, or
 // the template group's) and calls in.release once the step has returned
 // — the engine keeps no reference to the context past Step — or once
 // stepContext has failed.
-func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Timestamp, prev *relation.Relation, rd round) (*dra.Context, error) {
+func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Timestamp, eval *dra.Prepared, prev *batch.Table, rd round) (*dra.Context, error) {
 	compact := m.cfg.Engine.CompactDeltas
 	in.pre = m.store.At(lastExec)
 	ctx := &in.ctx
@@ -597,12 +597,13 @@ func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Ti
 	}
 	*ctx = dra.Context{
 		Pre:       &in.pre,
-		Post:      rd.post,
 		Batches:   batches,
 		LastTS:    lastExec,
-		Prev:      prev,
 		Compacted: compact,
 		Versions:  rd.versions,
+	}
+	if eval.Strategy() == dra.StrategyPropagate {
+		ctx.Prev, ctx.Post = prev.Relation(), m.store.At(rd.ts)
 	}
 	for _, table := range tables {
 		b, err := rd.cache.WindowBatch(table, lastExec, rd.ts, compact)
@@ -655,7 +656,7 @@ func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Resul
 			return nil, err
 		}
 	}
-	ctx, err := m.stepContext(&inst.in, inst.tables, inst.lastExec, inst.prev, rd)
+	ctx, err := m.stepContext(&inst.in, inst.tables, inst.lastExec, inst.eval, inst.prev, rd)
 	defer inst.in.release()
 	if err != nil {
 		return nil, err
@@ -686,6 +687,11 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 		span = mm.traces.Start(inst.spanName)
 	}
 	res, err := m.evaluate(inst, rd, span)
+	if err == nil {
+		// A change the result table cannot hold fails the refresh here,
+		// before anything commits or journals.
+		err = inst.prev.Fits(res.Signed)
+	}
 	if err != nil {
 		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
 	}
@@ -717,7 +723,9 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 		}
 	}
 
-	inst.prev = res.ApplyTo(inst.prev)
+	// Section 4.3: Et_i(Q) ∪ insertions − deletions, typed into the
+	// table's own slots. It fits (checked above), so it cannot fail.
+	_ = inst.prev.Apply(res.Signed)
 	inst.lastExec = execTS
 	inst.lastObs = execTS
 	inst.seq = newSeq
@@ -775,8 +783,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 // buildNotification assembles the per-mode answer (Section 4.3 step 4):
 // the refresh's own netted change, its views left to the subscribers
 // that ask (Notification.Inserted, Deleted, Modified). Complete mode
-// adds a copy of the complete result, which later refreshes maintain in
-// place.
+// adds a copy of the complete result, rendered from the result table.
 func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notification {
 	note := Notification{
 		CQName:     inst.def.Name,
@@ -787,7 +794,7 @@ func (m *Manager) buildNotification(inst *instance, res *dra.Result) Notificatio
 		Terminated: inst.terminated.Load(),
 	}
 	if inst.mode == sql.ModeComplete {
-		note.Complete = inst.prev.Clone()
+		note.Complete = inst.prev.Relation()
 	}
 	return note
 }

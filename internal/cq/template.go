@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/relation"
@@ -55,8 +56,8 @@ type templateGroup struct {
 
 	mu       sync.Mutex
 	prepared *dra.Prepared
-	in       stepInput          // prepared's step context (stepContext)
-	prev     *relation.Relation // template result at lastExec
+	in       stepInput    // prepared's step context (stepContext)
+	prev     *batch.Table // template result at lastExec
 	lastExec vclock.Timestamp
 	members  map[string]*tmplMember
 	index    *paramIndex
@@ -149,10 +150,14 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 			return fmt.Errorf("cq %q: template result at %d: %w", inst.def.Name, at.ts, err)
 		}
 	}
-	inst.prev = relation.New(seed.Schema())
-	for _, tu := range seed.Tuples() {
-		if g.tpl.MatchRow(params, tu.Values) {
-			_ = inst.prev.Insert(tu)
+	// σ_params of the template result, selected column at a time and
+	// copied typed slot by slot (a hole's zero payload may match too, so
+	// holes are skipped).
+	rows := seed.Rows()
+	inst.prev = batch.NewTable(seed.Schema(), 0)
+	for _, s := range g.tpl.MatchBatch(params, rows, nil) {
+		if rows.Signs[s] != 0 {
+			inst.prev.PutFrom(rows, int(s))
 		}
 	}
 	mem := &tmplMember{inst: inst, params: params}
@@ -257,7 +262,7 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	if m.met != nil {
 		start = time.Now()
 	}
-	ctx, err := m.stepContext(&g.in, g.tables, g.lastExec, g.prev, rd)
+	ctx, err := m.stepContext(&g.in, g.tables, g.lastExec, g.prepared, g.prev, rd)
 	defer g.in.release()
 	if err != nil {
 		return err
@@ -266,10 +271,12 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	if err != nil {
 		return err
 	}
-	if res.Signed != nil && len(res.Signed.Rows) > 0 {
+	if err := g.prev.Apply(res.Signed); err != nil {
+		return err
+	}
+	if len(res.Signed.Rows) > 0 {
 		m.dispatchLocked(g, res.Signed.Rows, rd.ts)
 	}
-	g.prev = res.ApplyTo(g.prev)
 	g.lastExec = rd.ts
 	if mm := m.met; mm != nil {
 		mm.templateSteps.Inc()
@@ -326,7 +333,7 @@ func (m *Manager) refreshShared(inst *instance, rd round) (*dra.Result, error) {
 	if mem == nil || mem.inst != inst {
 		return nil, errors.New("cq: instance detached from its template group")
 	}
-	net := foldBatches(inst.prev, mem.pending, rd.ts, g.prev.Schema())
+	net := foldBatches(inst.prev, mem.pending, rd.ts)
 	return &dra.Result{
 		Signed: net,
 		Delta:  net.ToDeltaNetted(rd.ts),
@@ -355,6 +362,9 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 			keep = append(keep, b)
 		}
 	}
+	// The discarded batches must not stay reachable past the slice's
+	// length: their rows pin the group step output they came from.
+	clear(mem.pending[len(keep):])
 	mem.pending = keep
 	if terminated {
 		delete(g.members, inst.def.Name)
@@ -371,37 +381,53 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 }
 
 // foldBatches collapses a member's pending batches (those covered by
-// execTS) into one net signed delta relative to prev. Batches cannot
-// simply be concatenated: a Result carries the net change — each tid at
-// most once, as one row or a -old/+new pair — and two batches may both
-// touch a tid. Instead each tid runs a tiny presence state
-// machine seeded from prev, and the net emits at most one -1 (the
-// original value) and one +1 (the final value) per tid — exactly what a
-// private differential evaluation over the whole window would net to.
-func foldBatches(prev *relation.Relation, batches []tmplBatch, execTS vclock.Timestamp, schema relation.Schema) *delta.Signed {
+// execTS) into one net signed delta relative to prev, the member's
+// result table. Batches cannot simply be concatenated: a Result carries
+// the net change — each tid at most once, as one row or a -old/+new pair
+// — and two batches may both touch a tid. Instead each tid runs a tiny
+// presence state machine seeded from prev, and the net emits at most one
+// -1 (the original value) and one +1 (the final value) per tid — exactly
+// what a private differential evaluation over the whole window would net
+// to.
+//
+// Nothing is allocated per row. Presence comes from the table's tid
+// index. The original value of a tid the member holds is the -old half
+// the group dispatched first for it: the member's row equals the
+// template row it was selected from, and the first step that changed
+// that row emitted it as -old and routed it here, since it matched. The
+// final value is compared with the table's slot in place.
+func foldBatches(prev *batch.Table, batches []tmplBatch, execTS vclock.Timestamp) *delta.Signed {
 	type presence struct {
-		orig        []relation.Value
-		cur         []relation.Value
+		tid         relation.TID
+		orig, cur   []relation.Value
+		slot        int32
 		origPresent bool
 		curPresent  bool
 	}
-	states := make(map[relation.TID]*presence)
-	var order []relation.TID
+	n := 0
+	for _, b := range batches {
+		if b.ts <= execTS {
+			n += len(b.rows)
+		}
+	}
+	at := make(map[relation.TID]int32, n)
+	states := make([]presence, 0, n)
 	for _, b := range batches {
 		if b.ts > execTS {
 			continue
 		}
 		for _, r := range b.rows {
-			st := states[r.TID]
-			if st == nil {
-				st = &presence{}
-				if tu, ok := prev.Lookup(r.TID); ok {
-					st.orig, st.origPresent = tu.Values, true
-					st.cur, st.curPresent = tu.Values, true
+			i, seen := at[r.TID]
+			if !seen {
+				i = int32(len(states))
+				at[r.TID] = i
+				slot := prev.Slot(r.TID)
+				states = append(states, presence{tid: r.TID, slot: slot, origPresent: slot >= 0, curPresent: slot >= 0})
+				if slot >= 0 && r.Sign < 0 {
+					states[i].orig = r.Values
 				}
-				states[r.TID] = st
-				order = append(order, r.TID)
 			}
+			st := &states[i]
 			if r.Sign < 0 {
 				st.curPresent = false
 			} else {
@@ -409,20 +435,26 @@ func foldBatches(prev *relation.Relation, batches []tmplBatch, execTS vclock.Tim
 			}
 		}
 	}
-	out := &delta.Signed{Schema: schema}
-	for _, tid := range order {
-		st := states[tid]
+	out := &delta.Signed{Schema: prev.Schema(), Rows: make([]delta.SignedRow, 0, 2*len(states))}
+	for i := range states {
+		st := &states[i]
+		if st.origPresent && st.orig == nil {
+			// A held row whose first dispatched change was not its -old
+			// half: render it from the table (never expected, see above).
+			st.orig = make([]relation.Value, prev.Schema().Len())
+			prev.ReadRow(st.slot, st.orig)
+		}
 		switch {
 		case st.origPresent && st.curPresent:
-			if !valuesEqual(st.orig, st.cur) {
+			if st.cur != nil && !prev.RowEqual(st.slot, st.cur) {
 				out.Rows = append(out.Rows,
-					delta.SignedRow{TID: tid, Values: st.orig, Sign: -1},
-					delta.SignedRow{TID: tid, Values: st.cur, Sign: +1})
+					delta.SignedRow{TID: st.tid, Values: st.orig, Sign: -1},
+					delta.SignedRow{TID: st.tid, Values: st.cur, Sign: +1})
 			}
 		case st.origPresent:
-			out.Rows = append(out.Rows, delta.SignedRow{TID: tid, Values: st.orig, Sign: -1})
+			out.Rows = append(out.Rows, delta.SignedRow{TID: st.tid, Values: st.orig, Sign: -1})
 		case st.curPresent:
-			out.Rows = append(out.Rows, delta.SignedRow{TID: tid, Values: st.cur, Sign: +1})
+			out.Rows = append(out.Rows, delta.SignedRow{TID: st.tid, Values: st.cur, Sign: +1})
 		}
 	}
 	return out

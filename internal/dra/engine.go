@@ -285,6 +285,14 @@ func newResult(execTS vclock.Timestamp) *Result {
 // O(|Δ|) operation, which is the whole point of differential maintenance
 // — and returns it. Callers that still need the old result must clone it
 // first. Calling ApplyTo more than once on the same Result is incorrect.
+//
+// ApplyTo is the paper-facing form, over a relation.Relation: the
+// baselines, the tests and the benchmark's replay use it. prev keeps the
+// +1 rows' value slices as they are, which reference this Result's
+// output, so a relation maintained this way pins every refresh output
+// one of its rows came from. A standing query's result is a
+// batch.Table instead, which takes the change by typed writes
+// (batch.Table.Apply) and references none of it.
 func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 	if r.materialized != nil {
 		return r.materialized
@@ -323,7 +331,10 @@ func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Times
 // ctx.Pre, so complete re-evaluation is one execution over ctx.Post and
 // a Diff; without it the query runs on both states.
 func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, exactPrev bool) (*Result, error) {
-	if ctx.Prev == nil {
+	if ctx.Prev == nil && !(root != nil && exactPrev) {
+		// Algorithm 1's input (v): Reevaluate takes it as the paper does,
+		// complete re-evaluation diffs against it; only a prepared
+		// differential step never reads it.
 		return nil, ErrNoPrev
 	}
 	var span *obs.Span

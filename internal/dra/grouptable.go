@@ -65,6 +65,7 @@ type groupTable struct {
 	changed []int32
 	hashes  []uint64 // foldBatch's scratch, by batch row
 	slots   []int32
+	row     []relation.Value // one output row, emit's comparison scratch
 
 	live   int // groups in the output
 	gauged int // share of dra.agg.groups this table accounts for
@@ -153,6 +154,7 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 		input: input,
 		nKeys: nKeys, aggs: aggs, global: nKeys == 0 && len(aggs) > 0,
 		keys: batch.New(keySchema, 0), stride: 1 + len(aggs),
+		row: make([]relation.Value, plan.Schema().Len()),
 	}
 	for i := 0; i < nKeys; i++ {
 		g.keyIdx = append(g.keyIdx, i)
@@ -258,6 +260,23 @@ func (g *groupTable) Result() *relation.Relation {
 		_ = out.Insert(relation.Tuple{TID: g.keys.TIDs[s], Values: vals})
 	}
 	return out
+}
+
+// table renders the maintained output into a fresh result table, typed
+// cell by cell through the scratch row — O(|groups|), for the seed.
+func (g *groupTable) table() (*batch.Table, error) {
+	out := batch.NewTable(g.schema, g.live)
+	for s := 0; s < g.keys.Len(); s++ {
+		cells := g.state(g.cur, s)
+		if g.keys.Signs[s] == 0 || !g.inOutput(cells) {
+			continue
+		}
+		g.render(g.row, int32(s), cells)
+		if err := out.Set(g.keys.TIDs[s], g.row); err != nil {
+			return nil, fmt.Errorf("dra: group result: %w", err)
+		}
+	}
+	return out, nil
 }
 
 // inOutput reports whether a group in the given state has an output row.
@@ -435,39 +454,35 @@ func (g *groupTable) emit(out *delta.Signed) {
 		slices.SortFunc(g.changed, func(a, b int32) int {
 			return cmp.Compare(g.touched[a].tid, g.touched[b].tid)
 		})
-		// Old rows live as long as the notification and share one
-		// backing; a new row lives in the caller's maintained result
-		// until its group changes again, so each owns its memory — a
-		// shared chunk would stay pinned by its longest-lived row.
+		// Every emitted row shares one backing, as a netting's do: the
+		// rows live as long as the notification, and the caller's result
+		// table copies what it keeps.
 		width := g.schema.Len()
-		olds := make([]relation.Value, nOld*width)
-		var now []relation.Value
+		flat := make([]relation.Value, (nOld+nNew)*width)
 		out.Rows = make([]delta.SignedRow, 0, nOld+nNew)
 		for _, i := range g.changed {
 			t := g.touched[i]
 			was, is := g.state(g.snap, int(i)), g.state(g.cur, int(t.slot))
-			var old []relation.Value
-			if g.inOutput(was) {
-				old = olds[:width:width]
+			hadOld, stays := g.inOutput(was), g.inOutput(is)
+			old := flat[:width:width]
+			if hadOld {
 				g.render(old, t.slot, was)
 			}
-			stays := g.inOutput(is)
-			if stays {
-				if now == nil {
-					now = make([]relation.Value, width)
+			if hadOld && stays {
+				g.render(g.row, t.slot, is)
+				if slices.EqualFunc(old, g.row, relation.Value.Equal) {
+					continue // e.g. an integer SUM whose float shadow alone moved
 				}
-				g.render(now, t.slot, is)
 			}
-			if old != nil && stays && slices.EqualFunc(old, now, relation.Value.Equal) {
-				continue // e.g. an integer SUM whose float shadow alone moved
-			}
-			if old != nil {
+			if hadOld {
 				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: old, Sign: -1})
-				olds = olds[width:]
+				flat = flat[width:]
 			}
 			if stays {
+				now := flat[:width:width]
+				g.render(now, t.slot, is)
 				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: now, Sign: +1})
-				now = nil
+				flat = flat[width:]
 			}
 		}
 	}

@@ -10,19 +10,17 @@ import (
 )
 
 // replica is one join operand's state kept across refreshes, read and
-// advanced operand by operand by the telescoping kernel. Rows
-// live in typed columns addressed by slot: a row keeps its slot for as
-// long as it lives, freed slots are holes (sign 0) reused LIFO, and
-// every index — tid → slot, and one per probed key-column set — is a
-// flat relation.SlotIndex over slot numbers, verified against the
-// columns on probe. Nothing here holds a Tuple or a per-key map; apart
-// from string payloads the whole structure is pointer-free.
+// advanced operand by operand by the telescoping kernel. Its rows are a
+// batch.Table — typed columns addressed by slot, a flat tid → slot
+// index, a LIFO free list — the same slot table every maintained query
+// result is held in. On top of it the replica keeps one flat
+// relation.SlotIndex per probed key-column set, verified against the
+// columns on probe, and the timestamp it reflects. Nothing here holds a
+// Tuple or a per-key map; apart from string payloads the whole structure
+// is pointer-free.
 type replica struct {
-	rows  *batch.Batch // slot-addressed; Signs[slot] is +1 live, 0 free
-	byTID relation.SlotIndex
-	free  []int32
-	live  int
-	keys  []*keyIndex
+	*batch.Table
+	keys []*keyIndex
 
 	// ts is the timestamp the replica reflects: rows equal the operand
 	// subtree executed at ts.
@@ -42,73 +40,27 @@ type keyIndex struct {
 	ix   relation.SlotIndex
 }
 
-// newReplica adopts rows — an operand's output, every row +1 — as a
-// replica at ts.
-func newReplica(rows *batch.Batch, ts vclock.Timestamp) *replica {
-	r := &replica{rows: rows, live: rows.Len(), ts: ts}
-	for s, tid := range rows.TIDs {
-		r.byTID.Insert(int32(s), uint64(tid))
+// apply folds an operand's signed delta batch into the replica
+// (batch.Table.ApplyBatch). A modification is one overwrite in place, and
+// only the indexes whose key hash changed are relinked.
+func (r *replica) apply(b *batch.Batch) { r.ApplyBatch(b, r) }
+
+// SlotFreed unindexes a slot the table is about to free.
+func (r *replica) SlotFreed(s int32) {
+	for _, k := range r.keys {
+		k.ix.Delete(s)
 	}
-	return r
 }
 
-// slotOf returns the slot holding tid, or -1.
-func (r *replica) slotOf(tid relation.TID) int32 {
-	s := r.byTID.First(uint64(tid))
-	for s >= 0 && r.rows.TIDs[s] != tid {
-		s = r.byTID.Next(s)
-	}
-	return s
-}
-
-// apply folds an operand's signed delta batch into the replica in row
-// order: a negative row frees its tid's slot, a positive row overwrites
-// its tid's slot or takes a free one. A modification arrives as -old
-// directly before +new and is one overwrite in place: the row keeps its
-// slot, and only the indexes whose key hash changed are relinked.
-func (r *replica) apply(b *batch.Batch) {
-	n := b.Len()
-	if r.rows.Len() == 0 {
-		// An empty replica (a seed's) takes the batch's size at once.
-		r.rows = batch.New(r.rows.Schema, n)
-	}
-	for i := 0; i < n; i++ {
-		tid := b.TIDs[i]
-		s := r.slotOf(tid)
-		if b.Signs[i] < 0 {
-			if s >= 0 && i+1 < n && b.Signs[i+1] > 0 && b.TIDs[i+1] == tid {
-				i++ // -old +new: fall through to overwrite slot s with +new
-			} else {
-				if s >= 0 {
-					for _, k := range r.keys {
-						k.ix.Delete(s)
-					}
-					r.byTID.Delete(s)
-					r.rows.ClearRow(int(s))
-					r.free = append(r.free, s)
-					r.live--
-				}
-				continue
-			}
-		}
-		if s >= 0 {
-			r.rows.SetRowFrom(int(s), b, i)
-			for _, k := range r.keys {
-				k.ix.Move(s, r.rows.HashKey(int(s), k.cols))
-			}
-			continue
-		}
-		if f := len(r.free); f > 0 {
-			s, r.free = r.free[f-1], r.free[:f-1]
-			r.rows.SetRowFrom(int(s), b, i)
+// SlotWritten indexes a slot the table has just written.
+func (r *replica) SlotWritten(s int32, fresh bool) {
+	rows := r.Rows()
+	for _, k := range r.keys {
+		h := rows.HashKey(int(s), k.cols)
+		if fresh {
+			k.ix.Insert(s, h)
 		} else {
-			s = int32(r.rows.Len())
-			r.rows.AppendFrom(b, i)
-		}
-		r.byTID.Insert(s, uint64(tid))
-		r.live++
-		for _, k := range r.keys {
-			k.ix.Insert(s, r.rows.HashKey(int(s), k.cols))
+			k.ix.Move(s, h)
 		}
 	}
 }
@@ -123,9 +75,10 @@ func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
 		}
 	}
 	k := &keyIndex{cols: cols}
-	for s := 0; s < r.rows.Len(); s++ {
-		if r.rows.Signs[s] != 0 {
-			k.ix.Insert(int32(s), r.rows.HashKey(s, cols))
+	rows := r.Rows()
+	for s := 0; s < rows.Len(); s++ {
+		if rows.Signs[s] != 0 {
+			k.ix.Insert(int32(s), rows.HashKey(s, cols))
 		}
 	}
 	r.keys = append(r.keys, k)
@@ -136,10 +89,11 @@ func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
 // liveBatch copies the live rows into a pooled batch for the enumerating
 // steps of a term (seeds and cross products).
 func (r *replica) liveBatch(p *batch.Pool) *batch.Batch {
-	out := p.Get(r.rows.Schema, r.live)
-	for s := 0; s < r.rows.Len(); s++ {
-		if r.rows.Signs[s] != 0 {
-			out.AppendFrom(r.rows, s)
+	rows := r.Rows()
+	out := p.Get(rows.Schema, r.Len())
+	for s := 0; s < rows.Len(); s++ {
+		if rows.Signs[s] != 0 {
+			out.AppendFrom(rows, s)
 		}
 	}
 	return out
@@ -210,7 +164,7 @@ func (c *opCache) pre(i int, v *vecEval) (*replica, error) {
 		return nil, err
 	}
 	st.IndexCacheMisses++
-	c.ents[i] = newReplica(rows, ctx.LastTS)
+	c.ents[i] = &replica{Table: batch.TableOf(rows), ts: ctx.LastTS}
 	return c.ents[i], nil
 }
 
@@ -245,7 +199,7 @@ func (e *Engine) gaugeReplicas(root *compiledNode, gauged *int) {
 		root.eachJoin(func(cj *compiledJoin) {
 			for _, ent := range cj.cache.ents {
 				if ent != nil {
-					rows += ent.live
+					rows += ent.Len()
 				}
 			}
 		})

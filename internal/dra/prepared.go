@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -207,7 +207,7 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 				st.Operand = fmt.Sprintf("operand %d", i)
 			}
 			if ent != nil {
-				st.Rows, st.Indexes = ent.live, len(ent.keys)
+				st.Rows, st.Indexes = ent.Len(), len(ent.keys)
 			}
 			out = append(out, st)
 		}
@@ -216,17 +216,21 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 }
 
 // Seed runs the query's initial execution as of ts over src and returns
-// the result, which the caller owns; src must hold the operand tables as
-// they stood at ts. The initial execution is the differential step from
-// the empty state with every ΔR = R (seed.go): the plan's own kernels
-// run over one all-insert columnar image per table — src's own
+// the result as a fresh batch.Table, which the caller owns and keeps
+// current by applying every Step's Result.Signed to it
+// (batch.Table.Apply); src must hold the operand tables as they
+// stood at ts. The initial execution is the differential step from the
+// empty state with every ΔR = R (seed.go): the plan's own kernels run
+// over one all-insert columnar image per table — src's own
 // (storage.HistoricView, shared per timestamp when it is a window
-// cache's), or converted from its relations. A join leaves its operand
-// replicas current at ts, so the first Step from ts probes them
-// without rebuilding; a group table is filled from the same pass, and
-// must be seeded once before its first Step. A plan on complete
-// re-evaluation executes over src's relations and keeps nothing.
-func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*relation.Relation, error) {
+// cache's), or converted from its relations — and the output is copied
+// typed into the table's slots, so the result references none of it. A
+// join leaves its operand replicas current at ts, so the first Step from
+// ts probes them without rebuilding; a group table is filled from the
+// same pass, and must be seeded once before its first Step. A plan on
+// complete re-evaluation executes over src's relations and keeps
+// nothing.
+func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dra: Seed on closed Prepared")
 	}
@@ -235,29 +239,33 @@ func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*relation.Rela
 		if err := p.group.seed(src, ts); err != nil {
 			return nil, err
 		}
-		return p.group.Result(), nil
+		return p.group.table()
 	case p.root != nil:
 		ctx, err := seedContext(src, p.plan, ts)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := p.engine.seed(p.root, ctx)
+		t, err := p.engine.seed(p.root, ctx)
 		if err != nil {
 			p.root.dropReplicas()
 		}
 		p.engine.gaugeReplicas(p.root, &p.gauged)
-		return rel, err
+		return t, err
 	default:
-		return execute(p.plan, src)
+		rel, err := execute(p.plan, src)
+		if err != nil {
+			return nil, err
+		}
+		return tableOf(rel)
 	}
 }
 
 // Step runs one refresh over the window in ctx, producing the signed
-// change at execTS. ctx.Prev must be the query's result at ctx.LastTS
-// exactly — complete re-evaluation diffs against it instead of running
-// the query on the pre-state too. ctx.Post is read only by complete
-// re-evaluation, so it may be left nil when Strategy is
-// StrategyIncremental.
+// change at execTS. Under complete re-evaluation ctx.Prev must be the
+// query's result at ctx.LastTS exactly — it diffs against it instead of
+// running the query on the pre-state too — and ctx.Post the state at
+// execTS; when Strategy is StrategyIncremental neither is read, and both
+// may be left nil.
 func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dra: Step on closed Prepared")

@@ -73,19 +73,19 @@ func (n *compiledNode) emptyReplicas(ts vclock.Timestamp) {
 	n.eachJoin(func(cj *compiledJoin) {
 		if c := cj.cache; c != nil {
 			for i, op := range cj.ops {
-				c.ents[i] = &replica{rows: batch.New(op.plan.Schema(), 0), ts: ts}
+				c.ents[i] = &replica{Table: batch.NewTable(op.plan.Schema(), 0), ts: ts}
 			}
 		}
 	})
 }
 
 // seed runs the compiled SPJ tree as one step from the empty state over
-// ctx (seedContext) and renders its output as the query's result. Its
+// ctx (seedContext) and fills its output into a fresh result table. Its
 // join groups end with their replicas current at ctx.LastTS, so the
-// first Step from there probes them. Every result row owns its values:
-// the result outlives the seed by as long as the CQ stands, and rows on
-// one shared backing would keep all of it alive for the last survivor.
-func (e *Engine) seed(root *compiledNode, ctx *Context) (*relation.Relation, error) {
+// first Step from there probes them. The table's rows are typed copies:
+// the result outlives the seed by as long as the CQ stands, and must not
+// keep the images or the step's batches alive.
+func (e *Engine) seed(root *compiledNode, ctx *Context) (*batch.Table, error) {
 	var st Stats
 	v := newVecEval(e, ctx, ctx.LastTS, &st)
 	defer v.release()
@@ -95,26 +95,31 @@ func (e *Engine) seed(root *compiledNode, ctx *Context) (*relation.Relation, err
 		if err != nil {
 			return nil, err
 		}
-		out := relation.NewSized(w.schema, w.len())
-		for k := 0; k < w.len(); k++ {
-			i := int(w.at(k))
-			vals := make([]relation.Value, len(w.cols))
-			for c, ci := range w.cols {
-				vals[c] = w.b.Value(i, ci)
-			}
-			_ = out.Upsert(relation.Tuple{TID: w.b.TIDs[i], Values: vals}) // arity matches
-		}
+		out := batch.NewTable(w.schema, w.len())
+		out.Load(w.b, w.sel, w.cols)
 		return out, nil
 	}
 	b, err := v.nodeBatch(root)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.NewSized(root.plan.Schema(), b.Len())
-	for r := 0; r < b.Len(); r++ {
-		vals := make([]relation.Value, b.Schema.Len())
-		b.ReadRow(r, vals)
-		_ = out.Upsert(relation.Tuple{TID: b.TIDs[r], Values: vals}) // arity matches
+	cols := make([]int, b.Schema.Len())
+	for c := range cols {
+		cols[c] = c
+	}
+	out := batch.NewTable(root.plan.Schema(), b.Len())
+	out.Load(b, nil, cols)
+	return out, nil
+}
+
+// tableOf writes a relation the row executor produced into a fresh
+// result table; a value its column cannot hold fails the conversion.
+func tableOf(rel *relation.Relation) (*batch.Table, error) {
+	out := batch.NewTable(rel.Schema(), rel.Len())
+	for _, t := range rel.Tuples() {
+		if err := out.Set(t.TID, t.Values); err != nil {
+			return nil, fmt.Errorf("dra: result: %w", err)
+		}
 	}
 	return out, nil
 }

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
+	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -213,12 +215,12 @@ func TestSeedMatchesInitialResult(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(t, got, want)
+					check(t, got.Relation(), want)
 
 					// The first Step, from ts to the head.
 					f.lastTS = ts
 					ctx := f.ctx(t)
-					ctx.Prev = got
+					ctx.Prev = got.Relation()
 					res, err := p.Step(ctx, now)
 					if err != nil {
 						t.Fatal(err)
@@ -230,7 +232,10 @@ func TestSeedMatchesInitialResult(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(t, res.ApplyTo(got), head)
+					if err := got.Apply(res.Signed); err != nil {
+						t.Fatal(err)
+					}
+					check(t, got.Relation(), head)
 				})
 			}
 		}
@@ -248,14 +253,14 @@ func TestSeedMatchesInitialResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, got, want)
+			check(t, got.Relation(), want)
 		})
 	}
 }
 
-// TestSeedRowsOwnTheirValues: no two rows of a seeded result share a
-// backing array, so a row the CQ keeps does not keep the whole seed
-// alive.
+// TestSeedRowsOwnTheirValues: a seeded result is a typed copy in its
+// own slots — scribbling over every column of the images it was seeded
+// from, once the seed has returned, changes none of its rows.
 func TestSeedRowsOwnTheirValues(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	for i := 0; i < 64; i++ {
@@ -263,26 +268,62 @@ func TestSeedRowsOwnTheirValues(t *testing.T) {
 	}
 	for _, q := range []string{
 		"SELECT name FROM stocks WHERE price > 110",
+		"SELECT * FROM stocks WHERE price > 110",
 		"SELECT a.name, b.price FROM stocks a JOIN stocks b ON a.name = b.name",
 	} {
-		p, err := NewEngine().Prepare(f.plan(t, q), StrategyAuto)
+		plan := f.plan(t, q)
+		want, err := InitialResult(plan, f.store.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Seed(f.store.At(f.store.Now()), f.store.Now())
+		p, err := NewEngine().Prepare(plan, StrategyAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &scribbled{HistoricView: f.store.At(f.store.Now())}
+		got, err := p.Seed(src, f.store.Now())
 		p.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[*relation.Value]bool{}
-		for _, tu := range got.Tuples() {
-			first := &tu.Values[:cap(tu.Values)][cap(tu.Values)-1]
-			if seen[first] || cap(tu.Values) != len(tu.Values) {
-				t.Fatalf("%s: rows share a backing array", q)
+		for _, b := range src.images {
+			for c := range b.Cols {
+				col := &b.Cols[c]
+				for i := range col.Str {
+					col.Str[i] = "scribbled"
+				}
+				for i := range col.F64 {
+					col.F64[i] = -1
+				}
 			}
-			seen[first] = true
+			for i := range b.TIDs {
+				b.TIDs[i] = 0
+			}
+		}
+		if !got.Relation().EqualByTID(want) {
+			t.Fatalf("%s: the seeded result changed with the images it was seeded from:\n%s", q, got.Relation())
 		}
 	}
+}
+
+// scribbled is a store view whose table images are private copies the
+// test may overwrite once the seed has read them.
+type scribbled struct {
+	storage.HistoricView
+	images []*batch.Batch
+}
+
+func (s *scribbled) TableImage(table string) (*batch.Batch, error) {
+	im, err := s.HistoricView.TableImage(table)
+	if err != nil {
+		return nil, err
+	}
+	cp := batch.New(im.Schema, im.Len())
+	for i := 0; i < im.Len(); i++ {
+		cp.AppendFrom(im, i)
+	}
+	s.images = append(s.images, cp)
+	return cp, nil
 }
 
 // TestRebuildNestedJoinOperand: a join operand that is itself a join
@@ -319,9 +360,11 @@ func TestRebuildNestedJoinOperand(t *testing.T) {
 			t.Fatal(err)
 		}
 		if name == "seeded" {
-			if prev, err = p.(*Prepared).Seed(f.store.At(f.lastTS), f.lastTS); err != nil {
+			seeded, err := p.(*Prepared).Seed(f.store.At(f.lastTS), f.lastTS)
+			if err != nil {
 				t.Fatal(err)
 			}
+			prev = seeded.Relation()
 		}
 		for round := 0; round < 4; round++ {
 			seedHistory(t, f, rng, 5)

@@ -34,6 +34,9 @@ type slotEntry struct {
 // Len returns the number of indexed slots.
 func (ix *SlotIndex) Len() int { return ix.n }
 
+// Bytes is the memory the index holds, by capacity.
+func (ix *SlotIndex) Bytes() int { return cap(ix.heads)*4 + cap(ix.ents)*16 }
+
 // bucket spreads the hash by Fibonacci multiplication and keeps the
 // high bits, so sequential tids and FNV sums distribute alike.
 func (ix *SlotIndex) bucket(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> ix.shift) }

@@ -3,8 +3,6 @@ package relation
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -154,14 +152,6 @@ func (r *Relation) Clone() *Relation {
 		out.byTID[t.TID] = i
 	}
 	return out
-}
-
-// CloneShared copies the relation's tuple list and tid index but shares
-// each tuple's value slice with r: a copy that stays intact while r has
-// tuples inserted, deleted or replaced, for holders that never write a
-// value slice in place.
-func (r *Relation) CloneShared() *Relation {
-	return &Relation{schema: r.schema, tuples: slices.Clone(r.tuples), byTID: maps.Clone(r.byTID)}
 }
 
 // Union returns r ∪ o by tid (set semantics on tid). Schemas must be

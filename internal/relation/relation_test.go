@@ -369,34 +369,3 @@ func TestSchemaEqualConcatProjectColumns(t *testing.T) {
 		t.Error("Columns should return a copy")
 	}
 }
-
-// TestCloneSharedOutlivesReplacements: a CloneShared copy keeps its
-// tuples while the original has tuples deleted, replaced (Upsert,
-// Update) and inserted — the ways a maintained result changes — and the
-// copy's own edits do not reach the original.
-func TestCloneSharedOutlivesReplacements(t *testing.T) {
-	r := stockRel(t)
-	want := r.Clone()
-	c := r.CloneShared()
-	if err := r.Delete(100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Upsert(Tuple{TID: 7, Values: []Value{Int(7), Str("IBM"), Float(80)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Update(92394, []Value{Int(92394), Str("QLI"), Float(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Insert(Tuple{TID: 9, Values: []Value{Int(9), Str("MAC"), Float(117)}}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.EqualByTID(want) {
-		t.Fatalf("copy changed with the original:\n%s\nwant\n%s", c, want)
-	}
-	if err := c.Delete(92394); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Has(92394) {
-		t.Fatal("deleting from the copy reached the original")
-	}
-}

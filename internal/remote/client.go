@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/obs"
@@ -384,7 +385,9 @@ func (c *Client) ApplyUpdates(table string, rows []WireDeltaRow) error {
 // current result, and refreshes them with the same evaluator a server
 // CQ holds: the query is prepared once (dra.Prepared), seeded from the
 // initial snapshots, and every Refresh is one Step over the windows it
-// pulled. The replicas are the step's pre-state; they are read only
+// pulled. The result is a slot table (batch.Table), as a server CQ's
+// is: each Step's change is written typed into it, so it references
+// none of the windows or step output it came from. The replicas are the step's pre-state; they are read only
 // where the evaluator must rebuild (its first join refresh, or one after
 // a failure) or re-evaluates completely.
 type MirrorCQ struct {
@@ -394,7 +397,7 @@ type MirrorCQ struct {
 	tables  []string
 	replica algebra.MapSource // operand replicas at lastTS
 	lastTS  vclock.Timestamp
-	result  *relation.Relation
+	result  *batch.Table
 
 	// Degraded-mode state: when a Refresh fails (server unreachable,
 	// retries exhausted) the CQ keeps serving the last good result and
@@ -471,10 +474,11 @@ func (cc *clientCatalog) Schema(table string) (relation.Schema, error) {
 	return cc.client.Schema(table)
 }
 
-// Result returns the cached current result. While the server is
-// unreachable this keeps serving the last successfully refreshed
-// result; check Stale to tell the two apart.
-func (m *MirrorCQ) Result() *relation.Relation { return m.result }
+// Result returns the current result, rendered from the result table as
+// a copy the caller owns. While the server is unreachable this keeps
+// serving the last successfully refreshed result; check Stale to tell
+// the two apart.
+func (m *MirrorCQ) Result() *relation.Relation { return m.result.Relation() }
 
 // LastTS returns the logical time of the last refresh.
 func (m *MirrorCQ) LastTS() vclock.Timestamp { return m.lastTS }
@@ -534,10 +538,11 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 		Pre:    m.replica,
 		Deltas: deltas,
 		LastTS: m.lastTS,
-		Prev:   m.result,
 	}
 	if m.prep.Strategy() == dra.StrategyPropagate {
-		// Complete re-evaluation runs the query on the post state.
+		// Complete re-evaluation runs the query on the post state and
+		// diffs against the previous result.
+		ctx.Prev = m.result.Relation()
 		post := make(algebra.MapSource, len(m.replica))
 		for table, rel := range m.replica {
 			post[table] = rel.Clone()
@@ -548,6 +553,9 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 		ctx.Post = post
 	}
 	res, err := m.prep.Step(ctx, now)
+	if err == nil {
+		err = m.result.Fits(res.Signed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +567,7 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 			return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
 		}
 	}
-	m.result = res.ApplyTo(m.result)
+	_ = m.result.Apply(res.Signed) // fits: checked above
 	m.lastTS = now
 	return res.Delta, nil
 }

@@ -37,8 +37,11 @@ import (
 //
 // WindowCache is safe for concurrent use.
 type WindowCache struct {
-	s            *Store
-	mu           sync.Mutex
+	s  *Store
+	mu sync.Mutex
+	// rows and images hold the windows in row and columnar form, each
+	// map made on first use: a round without epsilon triggers reads no
+	// row window.
 	rows         map[windowKey]*delta.Delta
 	images       map[windowKey]*batch.Batch
 	hits, misses int64
@@ -66,11 +69,7 @@ type tableKey struct {
 
 // NewWindowCache returns an empty window cache over the store.
 func (s *Store) NewWindowCache() *WindowCache {
-	return &WindowCache{
-		s:      s,
-		rows:   make(map[windowKey]*delta.Delta),
-		images: make(map[windowKey]*batch.Batch),
-	}
+	return &WindowCache{s: s} // maps made on first use
 }
 
 // At returns the store as of ts as a source whose table images and
@@ -108,23 +107,23 @@ func tableAt[T any](c *WindowCache, entries *map[tableKey]T, table string, ts vc
 // DeltaSince it returns ErrStaleWindow when garbage collection has
 // already discarded part of the requested window.
 func (c *WindowCache) Window(table string, from, to vclock.Timestamp, compact bool) (*delta.Delta, error) {
-	return cached(c, c.rows, windowKey{table, from, to, compact}, c.s.window)
+	return cached(c, &c.rows, windowKey{table, from, to, compact}, c.s.window)
 }
 
 // WindowBatch returns the columnar image of the same window Window
 // would return (Store.WindowImage), built once per key and shared
 // read-only by every reader of the cache.
 func (c *WindowCache) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
-	return cached(c, c.images, windowKey{table, from, to, compact}, c.s.WindowImage)
+	return cached(c, &c.images, windowKey{table, from, to, compact}, c.s.WindowImage)
 }
 
 // cached serves key from entries, or builds it under the cache lock so
 // each form of a window is built exactly once, one miss per build.
-func cached[T any](c *WindowCache, entries map[windowKey]T, key windowKey,
+func cached[T any](c *WindowCache, entries *map[windowKey]T, key windowKey,
 	build func(string, vclock.Timestamp, vclock.Timestamp, bool) (T, error)) (T, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := entries[key]; ok {
+	if e, ok := (*entries)[key]; ok {
 		c.hits++
 		if m := c.s.met; m != nil {
 			m.windowHits.Inc()
@@ -139,7 +138,10 @@ func cached[T any](c *WindowCache, entries map[windowKey]T, key windowKey,
 	if m := c.s.met; m != nil {
 		m.windowMisses.Inc()
 	}
-	entries[key] = e
+	if *entries == nil {
+		*entries = make(map[windowKey]T)
+	}
+	(*entries)[key] = e
 	return e, nil
 }
 

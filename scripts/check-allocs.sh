@@ -13,8 +13,11 @@
 # selection MirrorCQ over loopback, server included (mirror);
 # BenchmarkRegister (internal/cq) measures registration, the initial
 # execution included: sixteen selections, one 3-way join and one GROUP
-# BY registered at one timestamp over 16k-row tables (burst). This
-# script fails when any arm exceeds its committed baseline
+# BY registered at one timestamp over 16k-row tables (burst);
+# BenchmarkTableApply (internal/batch) measures the maintained result
+# itself: one 64-row change (10% inserts, 10% deletes, 80%
+# modifications) applied to a 5k-row result table by typed writes into
+# its slots (apply, budget 0). This script fails when any arm exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
@@ -27,13 +30,14 @@ baseline=scripts/allocs-baseline.txt
 bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
 	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x
 	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x
-	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/burst' -benchmem -benchtime 20x)
+	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/burst' -benchmem -benchtime 20x
+	go test ./internal/batch -run '^$' -bench BenchmarkTableApply -benchmem -benchtime 3000x)
 echo "$bench"
 status=0
 while read -r arm base; do
 	[ -n "$arm" ] || continue
 	cur=$(echo "$bench" | awk -v arm="$arm" '
-		$1 ~ "^Benchmark(Refresh(Step|Round|Mirror)|Register)/"arm"(-|$)" {
+		$1 ~ "^Benchmark(Refresh(Step|Round|Mirror)|Register|TableApply)/"arm"(-|$)" {
 			for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
 		}')
 	if [ -z "$cur" ]; then
