@@ -21,7 +21,7 @@ import (
 // batches or value slices it was written from, and the collector has
 // little to trace.
 //
-// Reads that need rows render them on demand (ReadRow, Relation) into
+// Reads that need rows render them on demand (Relation) into
 // memory the caller owns. A Table is not safe for concurrent use.
 type Table struct {
 	rows  *Batch // slot-addressed; Signs[slot] is +1 live, 0 free
@@ -82,9 +82,6 @@ func (t *Table) Slot(tid relation.TID) int32 {
 	return s
 }
 
-// ReadRow fills dst (len == schema width) with the values of slot s.
-func (t *Table) ReadRow(s int32, dst []relation.Value) { t.rows.ReadRow(int(s), dst) }
-
 // RowEqual reports whether slot s holds vals, position by position
 // (relation.Value.Equal semantics), compared in place.
 func (t *Table) RowEqual(s int32, vals []relation.Value) bool {
@@ -142,13 +139,11 @@ func (t *Table) ApplyBatch(b *Batch, obs SlotObserver) {
 // has nothing to remove), and a -1 row directly followed by the +1 row
 // of the same tid is one overwrite in place. Values are written typed
 // into the table's own slots under relation.Column.Conform, so nothing
-// of s is retained. A value its column cannot hold fails the whole call
-// with an error wrapping relation.ErrTypeMismatch and leaves the table
-// untouched. A table left with more free slots than live rows compacts.
-func (t *Table) Apply(s *delta.Signed) error {
-	if err := t.Fits(s); err != nil {
-		return err
-	}
+// of s is retained. s must fit the table (Fits): a refresh checks it
+// before anything commits and applies it after, so Apply has nothing
+// left to refuse. A table left with more free slots than live rows
+// compacts.
+func (t *Table) Apply(s *delta.Signed) {
 	rows := s.Rows
 	for i, r := range rows {
 		switch {
@@ -163,12 +158,12 @@ func (t *Table) Apply(s *delta.Signed) error {
 		}
 	}
 	t.compact()
-	return nil
 }
 
-// Fits reports whether every +1 row of s can be written into the table:
-// the right arity, and every value one its column holds under
-// relation.Column.Conform. The -1 rows are only matched by tid.
+// Fits reports whether every +1 row of s can be written into the table
+// (Apply): the right arity, and every value one its column holds under
+// relation.Column.Conform. The -1 rows are only matched by tid. A value
+// its column cannot hold is an error wrapping relation.ErrTypeMismatch.
 func (t *Table) Fits(s *delta.Signed) error {
 	for _, r := range s.Rows {
 		if r.Sign > 0 {
@@ -218,7 +213,7 @@ func (t *Table) put(tid relation.TID, vals []relation.Value) {
 	for c := range t.rows.Cols {
 		v := vals[c]
 		if col := &t.rows.Cols[c]; v.Kind != col.Type {
-			v, _ = schema.Col(c).Conform(v) // fits: checked by the caller
+			v, _ = schema.Col(c).Conform(v) // fits: checked by the caller (Fits)
 		}
 		t.rows.Cols[c].setValue(int(s), t.rows.n, v)
 	}

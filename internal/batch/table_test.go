@@ -175,9 +175,10 @@ func TestTableMatchesApplySignedProperty(t *testing.T) {
 			s.Rows = append(s.Rows, delta.SignedRow{TID: tu.TID, Values: tu.Values, Sign: +1})
 		}
 		again := NewTable(schema, 0)
-		if err := again.Apply(s); err != nil {
+		if err := again.Fits(s); err != nil {
 			t.Fatal(err)
 		}
+		again.Apply(s)
 		sameByTID(t, "round trip", again, ref)
 		if c := tab.Clone(); c.Len() != tab.Len() {
 			t.Fatalf("clone has %d rows, want %d", c.Len(), tab.Len())
@@ -191,9 +192,10 @@ func TestTableMatchesApplySignedProperty(t *testing.T) {
 // and — conformed into a batch — to the replica table.
 func applyBoth(t *testing.T, s *delta.Signed, ref *relation.Relation, tab, rep *Table) {
 	t.Helper()
-	if err := tab.Apply(s); err != nil {
+	if err := tab.Fits(s); err != nil {
 		t.Fatal(err)
 	}
+	tab.Apply(s)
 	delta.ApplySigned(ref, s)
 	typed := &delta.Signed{Schema: s.Schema}
 	for _, r := range s.Rows {
@@ -211,8 +213,8 @@ func applyBoth(t *testing.T, s *delta.Signed, ref *relation.Relation, tab, rep *
 }
 
 // TestTableRefusesUnrepresentable: a value its column cannot hold fails
-// the apply with relation.ErrTypeMismatch and leaves the table as it was
-// — no row of the change lands, before or after the bad one.
+// the change's check (Fits) and a Set with relation.ErrTypeMismatch, and
+// leaves the table as it was.
 func TestTableRefusesUnrepresentable(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Column{Name: "n", Type: relation.TInt},
@@ -231,11 +233,14 @@ func TestTableRefusesUnrepresentable(t *testing.T) {
 			{TID: 2, Values: []relation.Value{relation.Int(2), relation.Str("ok")}, Sign: +1},
 			{TID: 3, Values: bad, Sign: +1},
 		}}
-		if err := tab.Apply(s); !errors.Is(err, relation.ErrTypeMismatch) {
-			t.Fatalf("Apply(%v) = %v, want ErrTypeMismatch", bad, err)
+		if err := tab.Fits(s); !errors.Is(err, relation.ErrTypeMismatch) {
+			t.Fatalf("Fits(%v) = %v, want ErrTypeMismatch", bad, err)
 		}
-		if tab.Len() != 1 || tab.Slot(1) < 0 || tab.Slot(2) >= 0 {
-			t.Fatalf("a refused change touched the table: %s", tab.Relation())
+		if err := tab.Set(3, bad); !errors.Is(err, relation.ErrTypeMismatch) {
+			t.Fatalf("Set(%v) = %v, want ErrTypeMismatch", bad, err)
+		}
+		if tab.Len() != 1 || tab.Slot(1) < 0 || tab.Slot(3) >= 0 {
+			t.Fatalf("a refused row touched the table: %s", tab.Relation())
 		}
 	}
 	// 2.0 into the INT column is the integer 2, as at the store's boundary.
@@ -243,7 +248,7 @@ func TestTableRefusesUnrepresentable(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := make([]relation.Value, 2)
-	tab.ReadRow(tab.Slot(4), row)
+	tab.Rows().ReadRow(int(tab.Slot(4)), row)
 	if row[0].Kind != relation.TInt || row[0].AsInt() != 2 || !row[1].IsNull() || row[1].Kind != relation.TString {
 		t.Fatalf("conformed row = %v (kinds %v, %v)", row, row[0].Kind, row[1].Kind)
 	}
@@ -258,17 +263,13 @@ func TestTableCompacts(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		ins.Rows = append(ins.Rows, delta.SignedRow{TID: relation.TID(i), Values: []relation.Value{relation.Str("v")}, Sign: +1})
 	}
-	if err := tab.Apply(ins); err != nil {
-		t.Fatal(err)
-	}
+	tab.Apply(ins)
 	full := tab.Bytes()
 	del := &delta.Signed{Schema: schema}
 	for _, r := range ins.Rows[:900] {
 		del.Rows = append(del.Rows, delta.SignedRow{TID: r.TID, Values: r.Values, Sign: -1})
 	}
-	if err := tab.Apply(del); err != nil {
-		t.Fatal(err)
-	}
+	tab.Apply(del)
 	if tab.Len() != 100 || tab.Rows().Len() != 100 || tab.Bytes() >= full/2 {
 		t.Fatalf("after deleting 900 of 1000 rows: %d live in %d slots, %d bytes (was %d)", tab.Len(), tab.Rows().Len(), tab.Bytes(), full)
 	}
@@ -328,9 +329,11 @@ func BenchmarkTableApply(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tab.Apply(changes[i%2]); err != nil {
+			// A refresh's check, then its apply.
+			if err := tab.Fits(changes[i%2]); err != nil {
 				b.Fatal(err)
 			}
+			tab.Apply(changes[i%2])
 		}
 	})
 }

@@ -76,7 +76,7 @@ type Notification struct {
 	// Complete holds the full current result (set in ModeComplete, and in
 	// the catch-up a ResubscribeFunc returns): a copy rendered from the
 	// CQ's result table for this notification, on one flat backing the
-	// notification owns.
+	// notification owns; a sorted query's rows in ORDER BY order.
 	Complete *relation.Relation
 
 	// Terminated reports the Stop condition became true; this is the last
@@ -998,7 +998,8 @@ func (m *Manager) State(name string) (CQState, error) {
 }
 
 // Result returns the CQ's current complete result: a copy rendered from
-// its result table, the caller's to keep and to write.
+// its result table, the caller's to keep and to write. A sorted query's
+// rows come in ORDER BY order.
 func (m *Manager) Result(name string) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -41,10 +41,8 @@ func (m *Manager) materializeLocked(inst *instance, res *dra.Result) error {
 		// return to delta-driven applies. The new result is rendered from
 		// a copy of the table: inst.prev must stay the previous result
 		// until the execution journals.
-		want := inst.prev.Clone()
-		if err := want.Apply(res.Signed); err != nil {
-			return err
-		}
+		// refreshInstance has run res.Fits(inst.prev).
+		want := res.Maintain(inst.prev.Clone())
 		if err := m.reconcileTarget(inst, want.Relation()); err != nil {
 			return err
 		}

@@ -690,7 +690,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 	if err == nil {
 		// A change the result table cannot hold fails the refresh here,
 		// before anything commits or journals.
-		err = inst.prev.Fits(res.Signed)
+		err = res.Fits(inst.prev)
 	}
 	if err != nil {
 		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
@@ -724,8 +724,8 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 	}
 
 	// Section 4.3: Et_i(Q) ∪ insertions − deletions, typed into the
-	// table's own slots. It fits (checked above), so it cannot fail.
-	_ = inst.prev.Apply(res.Signed)
+	// table's own slots. It fits (checked above).
+	inst.prev = res.Maintain(inst.prev)
 	inst.lastExec = execTS
 	inst.lastObs = execTS
 	inst.seq = newSeq

@@ -9,6 +9,7 @@ import (
 	"github.com/diorama/continual/internal/baseline"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/remote"
+	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 )
 
@@ -325,5 +326,97 @@ func TestStateReportsResultBytes(t *testing.T) {
 	}
 	if after := bytes("joined"); after >= joined {
 		t.Fatalf("join: ResultBytes %d after deleting 300 of its 400 rows, %d before", after, joined)
+	}
+}
+
+// TestOrderByResultKeepsOrder: a sorted CQ's result stays in ORDER BY
+// order through refreshes that change which rows are in the top k — the
+// result, the Complete notification and a client mirror's result alike —
+// though rows leaving the top k free slots the rows entering it could
+// take.
+func TestOrderByResultKeepsOrder(t *testing.T) {
+	const query = "SELECT name, price FROM stocks ORDER BY price DESC LIMIT 3"
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+	tids := map[string]relation.TID{}
+	for i, name := range []string{"A", "B", "C", "D"} {
+		tids[name] = insertStock(t, s, name, float64(10*(i+1)))
+	}
+	// No AutoGC: the mirror reads the same store's delta log.
+	m := NewManagerConfig(s, Config{UseDRA: true})
+	defer func() { _ = m.Close() }()
+	if _, err := m.Register(Def{Name: "top", Query: query, Mode: sql.ModeComplete}); err != nil {
+		t.Fatal(err)
+	}
+	notes, cancel, err := subscribeChan(m, "top", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	srv := remote.NewServer(s)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	client, err := remote.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	mirror, err := remote.NewMirrorCQ(client, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := baseline.NewFull(mustPlan(t, query, s), s.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inOrder := func(what string, got *relation.Relation) {
+		t.Helper()
+		want := full.Result()
+		if !got.EqualByTID(want) {
+			t.Fatalf("%s\n%s\nwant\n%s", what, got, want)
+		}
+		for i, tu := range got.Tuples() {
+			if w := want.At(i); tu.TID != w.TID {
+				t.Fatalf("%s: row %d is tid %d, want tid %d in ORDER BY order\n%s", what, i, tu.TID, w.TID, got)
+			}
+		}
+	}
+	for round, change := range []func(tx *storage.Tx) error{
+		// E enters between D and C; B leaves and frees its slot.
+		func(tx *storage.Tx) error {
+			_, err := tx.Insert("stocks", []relation.Value{relation.Str("E"), relation.Float(35)})
+			return err
+		},
+		// A rises to the top; C leaves.
+		func(tx *storage.Tx) error {
+			return tx.Update("stocks", tids["A"], []relation.Value{relation.Str("A"), relation.Float(50)})
+		},
+		// D leaves the table; C comes back last.
+		func(tx *storage.Tx) error { return tx.Delete("stocks", tids["D"]) },
+	} {
+		commit(t, s, change)
+		if _, err := full.Step(s.Live(), s.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Result("top")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOrder(fmt.Sprintf("round %d: Result", round), res)
+		got := drain(notes)
+		if len(got) != 1 {
+			t.Fatalf("round %d: %d notifications, want 1", round, len(got))
+		}
+		inOrder(fmt.Sprintf("round %d: Complete", round), got[0].Complete)
+		if _, err := mirror.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		inOrder(fmt.Sprintf("round %d: mirror", round), mirror.Result())
 	}
 }

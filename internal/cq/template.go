@@ -271,9 +271,10 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	if err != nil {
 		return err
 	}
-	if err := g.prev.Apply(res.Signed); err != nil {
+	if err := res.Fits(g.prev); err != nil {
 		return err
 	}
+	g.prev = res.Maintain(g.prev)
 	if len(res.Signed.Rows) > 0 {
 		m.dispatchLocked(g, res.Signed.Rows, rd.ts)
 	}
@@ -391,11 +392,16 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 // to.
 //
 // Nothing is allocated per row. Presence comes from the table's tid
-// index. The original value of a tid the member holds is the -old half
-// the group dispatched first for it: the member's row equals the
-// template row it was selected from, and the first step that changed
-// that row emitted it as -old and routed it here, since it matched. The
-// final value is compared with the table's slot in place.
+// index. The final value is compared with the table's slot in place.
+// The original value of a tid the member holds is the -old half the
+// group dispatched first for it, by this invariant: the first
+// dispatched row of a held tid is its -old. The member's row equals the
+// template row it was selected from (seeded typed from the group's
+// table, or folded from the same dispatched rows since), so the first
+// group step that changed the row — which nets a present tid to -old,
+// or -old/+new — emitted it as -old and routed it here, since it
+// matched. TestTemplateSharingEquivalence holds every member's
+// notifications, old values included, to its private plan's.
 func foldBatches(prev *batch.Table, batches []tmplBatch, execTS vclock.Timestamp) *delta.Signed {
 	type presence struct {
 		tid         relation.TID
@@ -438,12 +444,6 @@ func foldBatches(prev *batch.Table, batches []tmplBatch, execTS vclock.Timestamp
 	out := &delta.Signed{Schema: prev.Schema(), Rows: make([]delta.SignedRow, 0, 2*len(states))}
 	for i := range states {
 		st := &states[i]
-		if st.origPresent && st.orig == nil {
-			// A held row whose first dispatched change was not its -old
-			// half: render it from the table (never expected, see above).
-			st.orig = make([]relation.Value, prev.Schema().Len())
-			prev.ReadRow(st.slot, st.orig)
-		}
 		switch {
 		case st.origPresent && st.curPresent:
 			if st.cur != nil && !prev.RowEqual(st.slot, st.cur) {

@@ -266,6 +266,9 @@ type Result struct {
 	// materialized is set when the evaluation already produced the full
 	// result (complete re-evaluation); ApplyTo then returns it directly.
 	materialized *relation.Relation
+	// full is materialized written into a result table, in its order, by
+	// Fits; Maintain returns it.
+	full *batch.Table
 }
 
 // newResult returns a Result whose Signed and Delta point at headers
@@ -291,14 +294,52 @@ func newResult(execTS vclock.Timestamp) *Result {
 // +1 rows' value slices as they are, which reference this Result's
 // output, so a relation maintained this way pins every refresh output
 // one of its rows came from. A standing query's result is a
-// batch.Table instead, which takes the change by typed writes
-// (batch.Table.Apply) and references none of it.
+// batch.Table instead, which takes the change by typed writes (Fits,
+// then Maintain) and references none of it.
 func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 	if r.materialized != nil {
 		return r.materialized
 	}
 	delta.ApplySigned(prev, r.Signed)
 	return prev
+}
+
+// Fits is the conformance check of Maintain: whether the result table
+// t can take this refresh, a value its column cannot hold failing it
+// with an error wrapping relation.ErrTypeMismatch. A standing query runs
+// it before anything of the refresh commits or journals, and Maintain
+// after. Under complete re-evaluation it writes the new result, in the
+// evaluation's order, into the fresh table Maintain returns.
+func (r *Result) Fits(t *batch.Table) error {
+	if r.materialized == nil {
+		return t.Fits(r.Signed)
+	}
+	if r.full == nil {
+		full, err := tableOf(r.materialized)
+		if err != nil {
+			return err
+		}
+		r.full = full
+	}
+	return nil
+}
+
+// Maintain is ApplyTo over a standing query's result table (Section
+// 4.3: Et_i(Q) ∪ insertions − deletions), after Fits has passed. It
+// writes the change typed into t's slots (batch.Table.Apply), O(|Δ|),
+// and returns t. Under complete re-evaluation it returns instead the
+// table Fits filled from the full result: that arm is O(|R|) already,
+// and the evaluation's order — a sorted plan's ORDER BY order — is the
+// result's, which writes into freed slots would not keep.
+func (r *Result) Maintain(t *batch.Table) *batch.Table {
+	if r.materialized == nil {
+		t.Apply(r.Signed)
+		return t
+	}
+	if r.full == nil {
+		panic("dra: Result.Maintain before Fits")
+	}
+	return r.full
 }
 
 // Reevaluate computes the result of the current execution of the query

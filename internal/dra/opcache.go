@@ -18,8 +18,12 @@ import (
 // columns on probe, and the timestamp it reflects. Nothing here holds a
 // Tuple or a per-key map; apart from string payloads the whole structure
 // is pointer-free.
+//
+// The table is a named field, not embedded: only apply may write it, so
+// every written or freed slot reaches the key indexes (SlotObserver), and
+// the table never compacts under them.
 type replica struct {
-	*batch.Table
+	t    *batch.Table
 	keys []*keyIndex
 
 	// ts is the timestamp the replica reflects: rows equal the operand
@@ -43,7 +47,7 @@ type keyIndex struct {
 // apply folds an operand's signed delta batch into the replica
 // (batch.Table.ApplyBatch). A modification is one overwrite in place, and
 // only the indexes whose key hash changed are relinked.
-func (r *replica) apply(b *batch.Batch) { r.ApplyBatch(b, r) }
+func (r *replica) apply(b *batch.Batch) { r.t.ApplyBatch(b, r) }
 
 // SlotFreed unindexes a slot the table is about to free.
 func (r *replica) SlotFreed(s int32) {
@@ -54,7 +58,7 @@ func (r *replica) SlotFreed(s int32) {
 
 // SlotWritten indexes a slot the table has just written.
 func (r *replica) SlotWritten(s int32, fresh bool) {
-	rows := r.Rows()
+	rows := r.t.Rows()
 	for _, k := range r.keys {
 		h := rows.HashKey(int(s), k.cols)
 		if fresh {
@@ -75,7 +79,7 @@ func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
 		}
 	}
 	k := &keyIndex{cols: cols}
-	rows := r.Rows()
+	rows := r.t.Rows()
 	for s := 0; s < rows.Len(); s++ {
 		if rows.Signs[s] != 0 {
 			k.ix.Insert(int32(s), rows.HashKey(s, cols))
@@ -89,8 +93,8 @@ func (r *replica) index(cols []int, st *Stats) *relation.SlotIndex {
 // liveBatch copies the live rows into a pooled batch for the enumerating
 // steps of a term (seeds and cross products).
 func (r *replica) liveBatch(p *batch.Pool) *batch.Batch {
-	rows := r.Rows()
-	out := p.Get(rows.Schema, r.Len())
+	rows := r.t.Rows()
+	out := p.Get(rows.Schema, r.t.Len())
 	for s := 0; s < rows.Len(); s++ {
 		if rows.Signs[s] != 0 {
 			out.AppendFrom(rows, s)
@@ -164,7 +168,7 @@ func (c *opCache) pre(i int, v *vecEval) (*replica, error) {
 		return nil, err
 	}
 	st.IndexCacheMisses++
-	c.ents[i] = &replica{Table: batch.TableOf(rows), ts: ctx.LastTS}
+	c.ents[i] = &replica{t: batch.TableOf(rows), ts: ctx.LastTS}
 	return c.ents[i], nil
 }
 
@@ -199,7 +203,7 @@ func (e *Engine) gaugeReplicas(root *compiledNode, gauged *int) {
 		root.eachJoin(func(cj *compiledJoin) {
 			for _, ent := range cj.cache.ents {
 				if ent != nil {
-					rows += ent.Len()
+					rows += ent.t.Len()
 				}
 			}
 		})

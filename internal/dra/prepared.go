@@ -207,7 +207,7 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 				st.Operand = fmt.Sprintf("operand %d", i)
 			}
 			if ent != nil {
-				st.Rows, st.Indexes = ent.Len(), len(ent.keys)
+				st.Rows, st.Indexes = ent.t.Len(), len(ent.keys)
 			}
 			out = append(out, st)
 		}
@@ -217,8 +217,8 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 
 // Seed runs the query's initial execution as of ts over src and returns
 // the result as a fresh batch.Table, which the caller owns and keeps
-// current by applying every Step's Result.Signed to it
-// (batch.Table.Apply); src must hold the operand tables as they
+// current through every Step's Result (Result.Fits, then
+// Result.Maintain); src must hold the operand tables as they
 // stood at ts. The initial execution is the differential step from the
 // empty state with every ΔR = R (seed.go): the plan's own kernels run
 // over one all-insert columnar image per table — src's own

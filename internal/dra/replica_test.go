@@ -36,7 +36,7 @@ func strs(x, y string) []relation.Value { return []relation.Value{relation.Str(x
 func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
 	var st Stats
 	ix := r.index(cols, &st)
-	probe := batch.New(r.Rows().Schema.Project(cols), 1)
+	probe := batch.New(r.t.Rows().Schema.Project(cols), 1)
 	probe.AppendRow(0, +1, key)
 	pcols := make([]int, len(cols))
 	for i := range pcols {
@@ -44,8 +44,8 @@ func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
 	}
 	var out []relation.TID
 	for s := ix.First(probe.HashKey(0, pcols)); s >= 0; s = ix.Next(s) {
-		if r.Rows().KeyEqual(int(s), cols, probe, 0, pcols) {
-			out = append(out, r.Rows().TIDs[s])
+		if r.t.Rows().KeyEqual(int(s), cols, probe, 0, pcols) {
+			out = append(out, r.t.Rows().TIDs[s])
 		}
 	}
 	return out
@@ -60,26 +60,26 @@ func TestReplicaSlotReuse(t *testing.T) {
 	for i, k := range []string{"a", "b", "c", "d"} {
 		rows.AppendRow(relation.TID(i+1), +1, strs(k, "v"))
 	}
-	r := &replica{Table: batch.TableOf(rows), ts: 1}
+	r := &replica{t: batch.TableOf(rows), ts: 1}
 	key := []int{0}
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("probe b = %v", got)
 	}
-	slotB := r.Slot(2)
+	slotB := r.t.Slot(2)
 
 	r.apply(signedBatch(pairSchema(), srow{2, -1, strs("b", "v")}))
-	if r.Len() != 3 || r.Slot(2) != -1 || r.Rows().Signs[slotB] != 0 || r.Rows().Len() != 4 {
-		t.Fatalf("after delete: live=%d Slot(2)=%d sign=%d slots=%d", r.Len(), r.Slot(2), r.Rows().Signs[slotB], r.Rows().Len())
+	if r.t.Len() != 3 || r.t.Slot(2) != -1 || r.t.Rows().Signs[slotB] != 0 || r.t.Rows().Len() != 4 {
+		t.Fatalf("after delete: live=%d Slot(2)=%d sign=%d slots=%d", r.t.Len(), r.t.Slot(2), r.t.Rows().Signs[slotB], r.t.Rows().Len())
 	}
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 0 {
 		t.Fatalf("deleted row still answers its key: %v", got)
 	}
 
 	r.apply(signedBatch(pairSchema(), srow{9, +1, strs("z", "w")}))
-	if r.Slot(9) != slotB || r.Rows().Len() != 4 || r.Len() != 4 {
-		t.Fatalf("insert took slot %d (rows %d), want the freed slot %d", r.Slot(9), r.Rows().Len(), slotB)
+	if r.t.Slot(9) != slotB || r.t.Rows().Len() != 4 || r.t.Len() != 4 {
+		t.Fatalf("insert took slot %d (rows %d), want the freed slot %d", r.t.Slot(9), r.t.Rows().Len(), slotB)
 	}
-	if r.Slot(2) != -1 || len(probeSlots(r, key, relation.Str("b"))) != 0 {
+	if r.t.Slot(2) != -1 || len(probeSlots(r, key, relation.Str("b"))) != 0 {
 		t.Fatal("reusing the slot resurrected the old tid")
 	}
 	if got := probeSlots(r, key, relation.Str("z")); len(got) != 1 || got[0] != 9 {
@@ -87,10 +87,10 @@ func TestReplicaSlotReuse(t *testing.T) {
 	}
 
 	// Key-moving modification: out of chain "a", into chain "z", same slot.
-	slotA := r.Slot(1)
+	slotA := r.t.Slot(1)
 	r.apply(signedBatch(pairSchema(), srow{1, -1, strs("a", "v")}, srow{1, +1, strs("z", "moved")}))
-	if r.Slot(1) != slotA || r.Len() != 4 {
-		t.Fatalf("modified row moved to slot %d (live %d), want slot %d", r.Slot(1), r.Len(), slotA)
+	if r.t.Slot(1) != slotA || r.t.Len() != 4 {
+		t.Fatalf("modified row moved to slot %d (live %d), want slot %d", r.t.Slot(1), r.t.Len(), slotA)
 	}
 	if got := probeSlots(r, key, relation.Str("a")); len(got) != 0 {
 		t.Fatalf("old key still matches after the move: %v", got)

@@ -73,7 +73,7 @@ func (n *compiledNode) emptyReplicas(ts vclock.Timestamp) {
 	n.eachJoin(func(cj *compiledJoin) {
 		if c := cj.cache; c != nil {
 			for i, op := range cj.ops {
-				c.ents[i] = &replica{Table: batch.NewTable(op.plan.Schema(), 0), ts: ts}
+				c.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0), ts: ts}
 			}
 		}
 	})

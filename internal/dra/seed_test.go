@@ -232,9 +232,10 @@ func TestSeedMatchesInitialResult(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := got.Apply(res.Signed); err != nil {
+					if err := res.Fits(got); err != nil {
 						t.Fatal(err)
 					}
+					got = res.Maintain(got)
 					check(t, got.Relation(), head)
 				})
 			}

@@ -319,7 +319,7 @@ type vecInput struct {
 
 func (t *vecInput) length() int {
 	if t.ent != nil {
-		return t.ent.Len()
+		return t.ent.t.Len()
 	}
 	return t.b.Len()
 }
@@ -487,7 +487,7 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 		case len(step.buildCols) == 0:
 			nt = crossStepVec(nw, nt, work, tids, in.enumerable(v), cj.ops[step.op].lo, step.op, nOps)
 		case in.ent != nil:
-			nt = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.Rows(), cj.ops[step.op].lo, step, nOps)
+			nt = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.t.Rows(), cj.ops[step.op].lo, step, nOps)
 		default:
 			// A batch operand (another delta, or the truth table's
 			// pre-state) gets a transient index over its rows.

@@ -554,7 +554,7 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 	}
 	res, err := m.prep.Step(ctx, now)
 	if err == nil {
-		err = m.result.Fits(res.Signed)
+		err = res.Fits(m.result)
 	}
 	if err != nil {
 		return nil, err
@@ -567,7 +567,7 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 			return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
 		}
 	}
-	_ = m.result.Apply(res.Signed) // fits: checked above
+	m.result = res.Maintain(m.result) // fits: checked above
 	m.lastTS = now
 	return res.Delta, nil
 }
