@@ -36,7 +36,8 @@ chaos:
 # allocs: the refresh's allocation budget — fails when any arm of
 # BenchmarkRefreshStep (columnar, notify, join, agg, distinct), of
 # BenchmarkRefreshRound (round: one Poll; push: one commit fanned out to
-# push dispatches), of BenchmarkRefreshMirror (mirror: one commit and
+# push dispatches; members: one commit pushed to a 200-member template
+# group, nearly every member refresh empty), of BenchmarkRefreshMirror (mirror: one commit and
 # one client-side MirrorCQ refresh) or of BenchmarkRegister (burst: 18
 # registrations at one timestamp, initial executions included) or of
 # BenchmarkTableApply (apply: one 64-row change typed into a 5k-row

@@ -133,41 +133,35 @@ func (t *Table) ApplyBatch(b *Batch, obs SlotObserver) {
 	}
 }
 
-// Apply folds a netted signed change (dra.Result.Signed) into the table,
-// with delta.ApplySigned's semantics over a relation.Relation: a
-// +1 row inserts or replaces its tid, a -1 row removes it (an absent tid
-// has nothing to remove), and a -1 row directly followed by the +1 row
-// of the same tid is one overwrite in place. Values are written typed
-// into the table's own slots under relation.Column.Conform, so nothing
-// of s is retained. s must fit the table (Fits): a refresh checks it
-// before anything commits and applies it after, so Apply has nothing
-// left to refuse. A table left with more free slots than live rows
-// compacts.
-func (t *Table) Apply(s *delta.Signed) {
-	rows := s.Rows
-	for i, r := range rows {
-		switch {
-		case r.Sign > 0:
-			t.put(r.TID, r.Values)
-		case i+1 < len(rows) && rows[i+1].Sign > 0 && rows[i+1].TID == r.TID:
-			// -old of a pair: the +new that follows overwrites it.
-		default:
-			if sl := t.Slot(r.TID); sl >= 0 {
-				t.freeSlot(sl)
-			}
+// Apply folds a refresh's netted change (dra.Result.Delta) into the
+// table, with delta.ApplySigned's semantics over a relation.Relation: an
+// insert writes its tid, a delete frees it (an absent tid has nothing to
+// free), and a modification overwrites the tid's row in place. Values
+// are written typed into the table's own slots under
+// relation.Column.Conform, so nothing of d is retained. d must fit the
+// table (Fits): a refresh checks it before anything commits and applies
+// it after, so Apply has nothing left to refuse. A table left with more
+// free slots than live rows compacts.
+func (t *Table) Apply(d *delta.Delta) {
+	for _, r := range d.Rows() {
+		if r.New != nil {
+			t.put(r.TID, r.New)
+		} else if sl := t.Slot(r.TID); sl >= 0 {
+			t.freeSlot(sl)
 		}
 	}
 	t.compact()
 }
 
-// Fits reports whether every +1 row of s can be written into the table
-// (Apply): the right arity, and every value one its column holds under
-// relation.Column.Conform. The -1 rows are only matched by tid. A value
-// its column cannot hold is an error wrapping relation.ErrTypeMismatch.
-func (t *Table) Fits(s *delta.Signed) error {
-	for _, r := range s.Rows {
-		if r.Sign > 0 {
-			if err := t.fits(r.Values); err != nil {
+// Fits reports whether every new half of d can be written into the
+// table (Apply): the right arity, and every value one its column holds
+// under relation.Column.Conform. Deletions are only matched by tid. A
+// value its column cannot hold is an error wrapping
+// relation.ErrTypeMismatch.
+func (t *Table) Fits(d *delta.Delta) error {
+	for _, r := range d.Rows() {
+		if r.New != nil {
+			if err := t.fits(r.New); err != nil {
 				return err
 			}
 		}

@@ -132,14 +132,16 @@ func sameByTID(t *testing.T, label string, tab *Table, ref *relation.Relation) {
 	}
 }
 
-// TestTableMatchesApplySignedProperty: over random signed streams the
-// slot table holds, tid by tid, what delta.ApplySigned maintains in a
-// relation.Relation — through -old/+new pairs, modifications back to an
-// earlier value, deletes of absent tids, reused tids, typed and untyped
-// NULLs, string and float columns and the compaction of a shrunken
-// table; the replica's batch apply agrees wherever the stream has a
-// columnar form; and rendering the table and applying the render to an
-// empty table round-trips.
+// TestTableMatchesApplySignedProperty: over random netted changes the
+// slot table, taking each as a refresh's differential relation
+// (Table.Apply of a *delta.Delta), holds, tid by tid, what
+// delta.ApplySigned maintains in a relation.Relation from the same
+// change's signed form — through modifications, modifications back to
+// an earlier value, deletes of absent tids, inserts of present ones,
+// reused tids, typed and untyped NULLs, string and float columns and the
+// compaction of a shrunken table; the replica's batch apply agrees
+// wherever the stream has a columnar form; and rendering the table and
+// applying the render to an empty table round-trips.
 func TestTableMatchesApplySignedProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -175,10 +177,10 @@ func TestTableMatchesApplySignedProperty(t *testing.T) {
 			s.Rows = append(s.Rows, delta.SignedRow{TID: tu.TID, Values: tu.Values, Sign: +1})
 		}
 		again := NewTable(schema, 0)
-		if err := again.Fits(s); err != nil {
+		if err := again.Fits(s.ToDeltaNetted(0)); err != nil {
 			t.Fatal(err)
 		}
-		again.Apply(s)
+		again.Apply(s.ToDeltaNetted(0))
 		sameByTID(t, "round trip", again, ref)
 		if c := tab.Clone(); c.Len() != tab.Len() {
 			t.Fatalf("clone has %d rows, want %d", c.Len(), tab.Len())
@@ -188,14 +190,16 @@ func TestTableMatchesApplySignedProperty(t *testing.T) {
 	}
 }
 
-// applyBoth applies s to the reference relation, to the result table,
-// and — conformed into a batch — to the replica table.
+// applyBoth applies s to the reference relation (delta.ApplySigned), to
+// the result table in its differential-relation form (Table.Apply), and
+// — conformed into a batch — to the replica table.
 func applyBoth(t *testing.T, s *delta.Signed, ref *relation.Relation, tab, rep *Table) {
 	t.Helper()
-	if err := tab.Fits(s); err != nil {
+	d := s.ToDeltaNetted(0)
+	if err := tab.Fits(d); err != nil {
 		t.Fatal(err)
 	}
-	tab.Apply(s)
+	tab.Apply(d)
 	delta.ApplySigned(ref, s)
 	typed := &delta.Signed{Schema: s.Schema}
 	for _, r := range s.Rows {
@@ -233,7 +237,7 @@ func TestTableRefusesUnrepresentable(t *testing.T) {
 			{TID: 2, Values: []relation.Value{relation.Int(2), relation.Str("ok")}, Sign: +1},
 			{TID: 3, Values: bad, Sign: +1},
 		}}
-		if err := tab.Fits(s); !errors.Is(err, relation.ErrTypeMismatch) {
+		if err := tab.Fits(s.ToDeltaNetted(0)); !errors.Is(err, relation.ErrTypeMismatch) {
 			t.Fatalf("Fits(%v) = %v, want ErrTypeMismatch", bad, err)
 		}
 		if err := tab.Set(3, bad); !errors.Is(err, relation.ErrTypeMismatch) {
@@ -263,13 +267,13 @@ func TestTableCompacts(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		ins.Rows = append(ins.Rows, delta.SignedRow{TID: relation.TID(i), Values: []relation.Value{relation.Str("v")}, Sign: +1})
 	}
-	tab.Apply(ins)
+	tab.Apply(ins.ToDeltaNetted(0))
 	full := tab.Bytes()
 	del := &delta.Signed{Schema: schema}
 	for _, r := range ins.Rows[:900] {
 		del.Rows = append(del.Rows, delta.SignedRow{TID: r.TID, Values: r.Values, Sign: -1})
 	}
-	tab.Apply(del)
+	tab.Apply(del.ToDeltaNetted(0))
 	if tab.Len() != 100 || tab.Rows().Len() != 100 || tab.Bytes() >= full/2 {
 		t.Fatalf("after deleting 900 of 1000 rows: %d live in %d slots, %d bytes (was %d)", tab.Len(), tab.Rows().Len(), tab.Bytes(), full)
 	}
@@ -309,7 +313,7 @@ func BenchmarkTableApply(b *testing.B) {
 			gone[0] = append(gone[0], relation.TID(1+j))
 			gone[1] = append(gone[1], relation.TID(n+1+j))
 		}
-		var changes [2]*delta.Signed
+		var changes [2]*delta.Delta
 		for k := range changes {
 			s := &delta.Signed{Schema: schema}
 			for _, tid := range gone[k] {
@@ -324,7 +328,7 @@ func BenchmarkTableApply(b *testing.B) {
 					delta.SignedRow{TID: tid, Values: row(int(tid), k), Sign: -1},
 					delta.SignedRow{TID: tid, Values: row(int(tid), 1-k), Sign: +1})
 			}
-			changes[k] = s
+			changes[k] = s.ToDeltaNetted(0)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

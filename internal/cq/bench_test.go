@@ -36,6 +36,25 @@ func quotesRow(rng *rand.Rand, id int) []relation.Value {
 
 func newRoundBench(b *testing.B, push bool) *roundBench {
 	b.Helper()
+	rb := newQuotesBench(b, Config{UseDRA: true, AutoGC: true, Push: push, Parallelism: 1})
+	// Four shapes, sixteen constants each: thresholds, ranges, and two
+	// conjunctions over two columns.
+	var queries []string
+	for i := 0; i < 16; i++ {
+		queries = append(queries,
+			fmt.Sprintf("SELECT * FROM quotes WHERE px > %d", 990-10*i),
+			fmt.Sprintf("SELECT sym, px FROM quotes WHERE px > %d AND px < %d", 20*i, 20*i+20+10*i),
+			fmt.Sprintf("SELECT id, px, vol FROM quotes WHERE px > %d AND sector < %d", 100+20*i, 8+i),
+			fmt.Sprintf("SELECT id, sym, vol FROM quotes WHERE vol < %d AND px > %d", 9500-300*i, 980-20*i))
+	}
+	rb.register(b, queries)
+	return rb
+}
+
+// newQuotesBench builds the quotes table and an instrumented manager
+// over it with cfg (its Metrics set here).
+func newQuotesBench(b *testing.B, cfg Config) *roundBench {
+	b.Helper()
 	rb := &roundBench{store: storage.NewStore(), rng: rand.New(rand.NewSource(1))}
 	if err := rb.store.CreateTable("quotes", relation.MustSchema(
 		relation.Column{Name: "id", Type: relation.TInt},
@@ -59,17 +78,15 @@ func newRoundBench(b *testing.B, push bool) *roundBench {
 	}
 	rb.reg = obs.NewRegistry()
 	rb.store.Instrument(rb.reg)
-	rb.mgr = NewManagerConfig(rb.store, Config{UseDRA: true, AutoGC: true, Push: push, Parallelism: 1, Metrics: rb.reg})
-	// Four shapes, sixteen constants each: thresholds, ranges, and two
-	// conjunctions over two columns.
-	var queries []string
-	for i := 0; i < 16; i++ {
-		queries = append(queries,
-			fmt.Sprintf("SELECT * FROM quotes WHERE px > %d", 990-10*i),
-			fmt.Sprintf("SELECT sym, px FROM quotes WHERE px > %d AND px < %d", 20*i, 20*i+20+10*i),
-			fmt.Sprintf("SELECT id, px, vol FROM quotes WHERE px > %d AND sector < %d", 100+20*i, 8+i),
-			fmt.Sprintf("SELECT id, sym, vol FROM quotes WHERE vol < %d AND px > %d", 9500-300*i, 980-20*i))
-	}
+	cfg.Metrics = rb.reg
+	rb.mgr = NewManagerConfig(rb.store, cfg)
+	return rb
+}
+
+// register registers the queries as q00, q01, ..., each notifying
+// empty refreshes too and with a subscriber.
+func (rb *roundBench) register(b *testing.B, queries []string) {
+	b.Helper()
 	for i, q := range queries {
 		name := fmt.Sprintf("q%02d", i)
 		if _, err := rb.mgr.Register(Def{Name: name, Query: q, NotifyEmpty: true}); err != nil {
@@ -79,7 +96,6 @@ func newRoundBench(b *testing.B, push bool) *roundBench {
 			b.Fatal(err)
 		}
 	}
-	return rb
 }
 
 // commit modifies 64 random quotes in one transaction: a new price and
@@ -123,6 +139,11 @@ func (rb *roundBench) poll(b *testing.B) {
 //	push   one commit plus FlushPush, which fans the commit out to one
 //	       dispatch per CQ; every dispatch at the commit's timestamp
 //	       reads the same window cache.
+//	members  one commit plus FlushPush to a template group of 200
+//	       members, each selecting one quote by id: one group step,
+//	       its change dispatched to the few members it matches (about
+//	       three of 200 per commit), and 200 member refreshes, nearly
+//	       all of them empty.
 func BenchmarkRefreshRound(b *testing.B) {
 	b.Run("round", func(b *testing.B) {
 		rb := newRoundBench(b, false)
@@ -155,6 +176,33 @@ func BenchmarkRefreshRound(b *testing.B) {
 		if n := rb.reg.Snapshot().Counter("cq.refreshes"); n != int64(64*(3+b.N)) {
 			b.Fatalf("%d refreshes over %d commits, want 64 per commit", n, 3+b.N)
 		}
+	})
+	b.Run("members", func(b *testing.B) {
+		rb := newQuotesBench(b, Config{UseDRA: true, AutoGC: true, Push: true, ShareTemplates: true, Parallelism: 1})
+		defer func() { _ = rb.mgr.Close() }()
+		const members = 200
+		var queries []string
+		for i := 0; i < members; i++ {
+			queries = append(queries, fmt.Sprintf("SELECT * FROM quotes WHERE id = %d", 20*i))
+		}
+		rb.register(b, queries)
+		if n := rb.reg.Snapshot().Gauge("cq.templates"); n != 1 {
+			b.Fatalf("%d template groups, want 1", n)
+		}
+		for i := 0; i < 3; i++ {
+			rb.push(b) // warm-up, as in the round arm
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rb.push(b)
+		}
+		b.StopTimer()
+		snap := rb.reg.Snapshot()
+		if n := snap.Counter("cq.refreshes"); n != int64(members*(3+b.N)) {
+			b.Fatalf("%d refreshes over %d commits, want %d per commit", n, 3+b.N, members)
+		}
+		b.ReportMetric(float64(snap.Counter("cq.refreshes_empty"))/float64(snap.Counter("cq.refreshes")), "empty_share")
 	})
 }
 

@@ -271,6 +271,9 @@ type instance struct {
 	eval *dra.Prepared
 	// in is eval's step context, refilled by every refresh (stepContext).
 	in stepInput
+	// res is the refresh's change: eval steps into it (StepInto), a
+	// streaming member's fold reports into it, refresh after refresh.
+	res dra.Result
 	// fault, set only by the guard tests, fails every private step in
 	// eval's place: it injects panics, errors and stalls.
 	fault func() error

@@ -9,19 +9,24 @@ import (
 // Config.Metrics at construction. A nil *metrics (Config.Metrics == nil)
 // keeps every hook down to a nil check.
 type metrics struct {
-	registered    *obs.Gauge     // cq.registered: live (non-terminated) CQs
-	polls         *obs.Counter   // cq.polls
-	triggerEvals  *obs.Counter   // cq.trigger_evals: trigger conditions tested
-	firesEvery    *obs.Counter   // cq.trigger_fires.every
-	firesUpdates  *obs.Counter   // cq.trigger_fires.updates
-	firesEpsilon  *obs.Counter   // cq.trigger_fires.epsilon
-	firesDefault  *obs.Counter   // cq.trigger_fires.default
-	refreshes     *obs.Counter   // cq.refreshes
-	refreshNS     *obs.Histogram // cq.refresh_ns
-	refreshErrors *obs.Counter   // cq.refresh.errors: per-CQ failures isolated by Poll
-	roundNS       *obs.Histogram // cq.round_ns: wall time of one group-refresh round
-	roundWorkers  *obs.Gauge     // cq.round_workers: worker pool size of the last round
-	notifications *obs.Counter   // cq.notifications: delivered to subscribers
+	registered   *obs.Gauge   // cq.registered: live (non-terminated) CQs
+	polls        *obs.Counter // cq.polls
+	triggerEvals *obs.Counter // cq.trigger_evals: trigger conditions tested
+	firesEvery   *obs.Counter // cq.trigger_fires.every
+	firesUpdates *obs.Counter // cq.trigger_fires.updates
+	firesEpsilon *obs.Counter // cq.trigger_fires.epsilon
+	firesDefault *obs.Counter // cq.trigger_fires.default
+	refreshes    *obs.Counter // cq.refreshes
+	// refreshesEmpty counts the refreshes whose netted change has no row
+	// (Section 5.2's irrelevant update, among others), private CQs and
+	// template members alike: the share of cq.refreshes that allocate
+	// nothing for their change.
+	refreshesEmpty *obs.Counter   // cq.refreshes_empty
+	refreshNS      *obs.Histogram // cq.refresh_ns
+	refreshErrors  *obs.Counter   // cq.refresh.errors: per-CQ failures isolated by Poll
+	roundNS        *obs.Histogram // cq.round_ns: wall time of one group-refresh round
+	roundWorkers   *obs.Gauge     // cq.round_workers: worker pool size of the last round
+	notifications  *obs.Counter   // cq.notifications: delivered to subscribers
 	// Its pair, cq.notifications.dropped, is counted where notifications
 	// can be dropped: in the buffering layer above (continual.Subscription).
 	gcReclaimed *obs.Counter // cq.gc_reclaimed_rows
@@ -71,21 +76,22 @@ func newMetrics(reg *obs.Registry) *metrics {
 		return nil
 	}
 	return &metrics{
-		registered:    reg.Gauge("cq.registered"),
-		polls:         reg.Counter("cq.polls"),
-		triggerEvals:  reg.Counter("cq.trigger_evals"),
-		firesEvery:    reg.Counter("cq.trigger_fires.every"),
-		firesUpdates:  reg.Counter("cq.trigger_fires.updates"),
-		firesEpsilon:  reg.Counter("cq.trigger_fires.epsilon"),
-		firesDefault:  reg.Counter("cq.trigger_fires.default"),
-		refreshes:     reg.Counter("cq.refreshes"),
-		refreshNS:     reg.Histogram("cq.refresh_ns"),
-		refreshErrors: reg.Counter("cq.refresh.errors"),
-		roundNS:       reg.Histogram("cq.round_ns"),
-		roundWorkers:  reg.Gauge("cq.round_workers"),
-		notifications: reg.Counter("cq.notifications"),
-		gcReclaimed:   reg.Counter("cq.gc_reclaimed_rows"),
-		terminated:    reg.Counter("cq.terminated"),
+		registered:     reg.Gauge("cq.registered"),
+		polls:          reg.Counter("cq.polls"),
+		triggerEvals:   reg.Counter("cq.trigger_evals"),
+		firesEvery:     reg.Counter("cq.trigger_fires.every"),
+		firesUpdates:   reg.Counter("cq.trigger_fires.updates"),
+		firesEpsilon:   reg.Counter("cq.trigger_fires.epsilon"),
+		firesDefault:   reg.Counter("cq.trigger_fires.default"),
+		refreshes:      reg.Counter("cq.refreshes"),
+		refreshesEmpty: reg.Counter("cq.refreshes_empty"),
+		refreshNS:      reg.Histogram("cq.refresh_ns"),
+		refreshErrors:  reg.Counter("cq.refresh.errors"),
+		roundNS:        reg.Histogram("cq.round_ns"),
+		roundWorkers:   reg.Gauge("cq.round_workers"),
+		notifications:  reg.Counter("cq.notifications"),
+		gcReclaimed:    reg.Counter("cq.gc_reclaimed_rows"),
+		terminated:     reg.Counter("cq.terminated"),
 
 		refreshPanics:     reg.Counter("cq.refresh.panics"),
 		refreshTimeouts:   reg.Counter("cq.refresh.timeouts"),

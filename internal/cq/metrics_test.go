@@ -243,3 +243,42 @@ func TestMaintainerRefreshInPlace(t *testing.T) {
 		t.Errorf("dra.agg.groups after drop = %d, want 0", got)
 	}
 }
+
+// TestRefreshesEmptyCounter: cq.refreshes_empty counts the refreshes
+// whose netted change has no row, of private CQs and template members
+// alike.
+func TestRefreshesEmptyCounter(t *testing.T) {
+	for _, share := range []bool{false, true} {
+		t.Run(fmt.Sprintf("share=%v", share), func(t *testing.T) {
+			store := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+			reg := obs.NewRegistry()
+			mgr := NewManagerConfig(store, Config{UseDRA: true, ShareTemplates: share, Metrics: reg})
+			defer func() { _ = mgr.Close() }()
+			for name, q := range map[string]string{
+				"never": "SELECT * FROM stocks WHERE price > 1000",
+				"rich":  "SELECT * FROM stocks WHERE price > 120",
+			} {
+				if _, err := mgr.Register(Def{Name: name, Query: q}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := reg.Snapshot().Gauge("cq.templates"); share && got != 1 {
+				t.Fatalf("cq.templates = %d, want 1", got)
+			}
+			// 150 changes rich only; 50 changes neither.
+			for _, price := range []float64{150, 50} {
+				insertStock(t, store, "X", price)
+				if _, err := mgr.Poll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counter("cq.refreshes"); got != 4 {
+				t.Fatalf("cq.refreshes = %d, want 4", got)
+			}
+			if got := snap.Counter("cq.refreshes_empty"); got != 3 {
+				t.Fatalf("cq.refreshes_empty = %d, want 3", got)
+			}
+		})
+	}
+}

@@ -664,15 +664,20 @@ func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Resul
 	if inst.fault != nil {
 		return nil, inst.fault()
 	}
-	if span == nil {
-		return inst.eval.Step(ctx, rd.ts)
+	var evalStart time.Time
+	if span != nil {
+		evalStart = time.Now()
 	}
-	// The evaluator's share of the refresh: windows, materialization and
-	// journaling are the rest of the span.
-	evalStart := time.Now()
-	res, err := inst.eval.Step(ctx, rd.ts)
-	span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
-	return res, err
+	err = inst.eval.StepInto(ctx, rd.ts, &inst.res)
+	if span != nil {
+		// The evaluator's share of the refresh: windows, materialization
+		// and journaling are the rest of the span.
+		span.SetField("eval_ns", time.Since(evalStart).Nanoseconds())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &inst.res, nil
 }
 
 // refreshInstance re-evaluates the CQ at the round timestamp and
@@ -686,6 +691,9 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 		start = time.Now()
 		span = mm.traces.Start(inst.spanName)
 	}
+	// The change lives on in what was handed out (the notification, the
+	// materialized commit), not in the instance between refreshes.
+	defer inst.res.Clear()
 	res, err := m.evaluate(inst, rd, span)
 	if err == nil {
 		// A change the result table cannot hold fails the refresh here,
@@ -749,6 +757,9 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 
 	if mm := m.met; mm != nil {
 		mm.refreshes.Inc()
+		if res.Delta.Len() == 0 {
+			mm.refreshesEmpty.Inc()
+		}
 		mm.refreshNS.Observe(time.Since(start))
 		if willTerm {
 			mm.terminated.Inc()

@@ -279,29 +279,39 @@ func TestRefreshLeavesTheManagerUnlocked(t *testing.T) {
 // TestKeptNotificationOutlivesLaterRefreshes: a notification carries its
 // refresh's own result delta and renders its views only when asked, so
 // one a subscriber keeps must render the same Inserted, Deleted and
-// Modified after later refreshes of its CQ as it did in the callback.
-// This fails if anything a notification references is pooled or reused.
+// Modified, and hold the same Delta rows, old halves included, after 50
+// later refreshes of its CQ as it did in the callback — for a private CQ
+// refreshed by Poll or by push, and for a template member folded from
+// its group's stream. Every other refresh is empty and notifies
+// (NotifyEmpty) with the CQ's one empty Delta, which must never gain a
+// row. This fails if anything a notification references is pooled or
+// reused.
 func TestKeptNotificationOutlivesLaterRefreshes(t *testing.T) {
 	for _, mode := range []sql.ResultMode{sql.ModeDifferential, sql.ModeDeletions, sql.ModeComplete} {
-		for _, push := range []bool{false, true} {
-			driver := "poll"
-			if push {
-				driver = "push"
-			}
+		for _, driver := range []string{"poll", "push", "member"} {
 			t.Run(fmt.Sprintf("%s/%s", mode, driver), func(t *testing.T) {
 				s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 				var tids []relation.TID
 				for i := 0; i < 8; i++ {
 					tids = append(tids, insertStock(t, s, fmt.Sprintf("S%d", i), float64(20+i)))
 				}
-				m := NewManagerConfig(s, Config{UseDRA: true, Push: push})
+				push := driver == "push"
+				m := NewManagerConfig(s, Config{UseDRA: true, Push: push, ShareTemplates: driver == "member"})
 				defer func() { _ = m.Close() }()
-				if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 10", Mode: mode}); err != nil {
+				if _, err := m.Register(Def{Name: "q", Query: "SELECT * FROM stocks WHERE price > 10", Mode: mode, NotifyEmpty: true}); err != nil {
 					t.Fatal(err)
+				}
+				if driver == "member" {
+					if _, err := m.Register(Def{Name: "mate", Query: "SELECT * FROM stocks WHERE price > 25"}); err != nil {
+						t.Fatal(err)
+					}
+					if st, err := m.State("q"); err != nil || st.Template == 0 {
+						t.Fatalf("q did not join a template group: %+v, %v", st, err)
+					}
 				}
 				var mu sync.Mutex
 				var kept []Notification
-				var rendered []string
+				var rendered, rows []string
 				if _, err := m.SubscribeFunc("q", func(n Notification, closed bool) {
 					if closed {
 						return
@@ -310,10 +320,26 @@ func TestKeptNotificationOutlivesLaterRefreshes(t *testing.T) {
 					defer mu.Unlock()
 					kept = append(kept, n)
 					rendered = append(rendered, renderNotification(n))
+					rows = append(rows, fmt.Sprint(n.Delta.Rows()))
 				}); err != nil {
 					t.Fatal(err)
 				}
-				// Every round inserts, modifies and deletes a result row.
+				refresh := func() {
+					if push {
+						m.FlushPush()
+					} else if _, err := m.Poll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// An empty refresh: a row below the threshold comes and goes.
+				empty := func(i int) {
+					commit(t, s, func(tx *storage.Tx) error {
+						_, err := tx.Insert("stocks", []relation.Value{relation.Str(fmt.Sprintf("Z%d", i)), relation.Float(1)})
+						return err
+					})
+					refresh()
+				}
+				// Every change round inserts, modifies and deletes a result row.
 				for round := 0; round < 4; round++ {
 					commit(t, s, func(tx *storage.Tx) error {
 						if _, err := tx.Insert("stocks", []relation.Value{relation.Str(fmt.Sprintf("N%d", round)), relation.Float(float64(30 + round))}); err != nil {
@@ -324,24 +350,46 @@ func TestKeptNotificationOutlivesLaterRefreshes(t *testing.T) {
 						}
 						return tx.Delete("stocks", tids[4+round])
 					})
-					if push {
-						m.FlushPush()
-					} else if _, err := m.Poll(); err != nil {
-						t.Fatal(err)
-					}
+					refresh()
+					empty(round)
 				}
 				mu.Lock()
-				defer mu.Unlock()
-				if len(kept) != 4 {
-					t.Fatalf("%d notifications, want 4", len(kept))
+				if len(kept) != 8 {
+					t.Fatalf("%d notifications, want 8", len(kept))
 				}
-				first := kept[0]
+				first, none := kept[0], kept[1]
 				if first.Deleted().Len() != 2 || mode != sql.ModeDeletions && (first.Inserted().Len() != 2 || len(first.Modified()) != 1) {
 					t.Fatalf("the first refresh's views are too thin to prove anything: %s", rendered[0])
 				}
-				for i, n := range kept {
+				if none.Delta == nil || none.Delta.Len() != 0 {
+					t.Fatalf("the second refresh is not empty: %s", rendered[1])
+				}
+				mu.Unlock()
+				// 50 later refreshes, half of them changes: each moves a
+				// result row to a new price and back again.
+				for i := 0; i < 25; i++ {
+					commit(t, s, func(tx *storage.Tx) error {
+						return tx.Update("stocks", tids[i%4], []relation.Value{relation.Str(fmt.Sprintf("S%d", i%4)), relation.Float(float64(200 + i))})
+					})
+					refresh()
+					empty(4 + i)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(kept) != 58 {
+					t.Fatalf("%d notifications, want 58", len(kept))
+				}
+				for i, n := range kept[:8] {
 					if got := renderNotification(n); got != rendered[i] {
 						t.Errorf("notification %d, %d refreshes later:\n got %s\nwant %s", i, len(kept)-1-i, got, rendered[i])
+					}
+					if got := fmt.Sprint(n.Delta.Rows()); got != rows[i] {
+						t.Errorf("notification %d's delta rows, %d refreshes later:\n got %s\nwant %s", i, len(kept)-1-i, got, rows[i])
+					}
+				}
+				for i := 1; i < len(kept); i += 2 {
+					if d := kept[i].Delta; d != none.Delta || d.Len() != 0 {
+						t.Fatalf("empty refresh %d reported %v (%d rows), want the CQ's one empty delta", i, d, d.Len())
 					}
 				}
 			})
@@ -460,6 +508,82 @@ func TestReusedStepContextForgetsEarlierRounds(t *testing.T) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestEmptyRefreshAllocatesNothing: a refresh whose change is empty —
+// a private CQ whose predicate rejects the window, a template member
+// the group dispatched nothing to — allocates nothing, its span, result
+// header, change and NotifyEmpty notification included. A round with
+// seventeen such CQs allocates what a round with one does: the commit,
+// the round's snapshot and window, and (for members) the group's one
+// step are the round's fixed allocations.
+func TestEmptyRefreshAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not measured under the race detector")
+	}
+	for _, tc := range []struct {
+		name  string
+		share bool
+	}{{"private", false}, {"template member", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(cqs int) float64 {
+				s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+				tid := insertStock(t, s, "DEC", 50)
+				reg := obs.NewRegistry()
+				m := NewManagerConfig(s, Config{UseDRA: true, ShareTemplates: tc.share, Parallelism: 1, Metrics: reg})
+				defer func() { _ = m.Close() }()
+				notes := 0
+				for i := 0; i < cqs; i++ {
+					name := fmt.Sprintf("q%02d", i)
+					q := fmt.Sprintf("SELECT name, price FROM stocks WHERE price > %d", 1000+i)
+					if _, err := m.Register(Def{Name: name, Query: q, NotifyEmpty: true}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.SubscribeFunc(name, func(n Notification, closed bool) {
+						if !closed && n.Delta.Len() == 0 {
+							notes++
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.share {
+					if got := reg.Snapshot().Gauge("cq.template.members"); got != int64(cqs) {
+						t.Fatalf("%d template members, want %d", got, cqs)
+					}
+				}
+				price := 0
+				round := func() {
+					price = (price + 1) % 100
+					commit(t, s, func(tx *storage.Tx) error {
+						return tx.Update("stocks", tid, []relation.Value{relation.Str("DEC"), relation.Float(float64(price))})
+					})
+					if n, err := m.Poll(); err != nil || n != cqs {
+						t.Fatalf("poll refreshed %d CQs (err %v), want %d", n, err, cqs)
+					}
+				}
+				// Warm-up: the trace ring fills and starts handing back spans,
+				// pools and reused buffers reach size.
+				for i := 0; i < 2*obs.DefaultTraceCapacity; i++ {
+					round()
+				}
+				before := notes
+				got := testing.AllocsPerRun(50, round)
+				if notes == before {
+					t.Fatal("no empty notification was delivered")
+				}
+				if n := reg.Snapshot().Counter("cq.refreshes_empty"); n != reg.Snapshot().Counter("cq.refreshes") {
+					t.Fatalf("%d of %d refreshes empty, want all", n, reg.Snapshot().Counter("cq.refreshes"))
+				}
+				return got
+			}
+			one, many := allocs(1), allocs(17)
+			if many > one {
+				t.Errorf("a round of 17 empty refreshes allocates %v, a round of one %v: %.2f per empty refresh, want 0",
+					many, one, (many-one)/16)
 			}
 		})
 	}

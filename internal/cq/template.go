@@ -57,10 +57,16 @@ type templateGroup struct {
 	mu       sync.Mutex
 	prepared *dra.Prepared
 	in       stepInput    // prepared's step context (stepContext)
+	res      dra.Result   // prepared's change, stepped into by every step
 	prev     *batch.Table // template result at lastExec
 	lastExec vclock.Timestamp
 	members  map[string]*tmplMember
 	index    *paramIndex
+
+	// Scratch reused under mu: dispatchLocked's rows per matched member,
+	// and foldBatches' per-tid state.
+	matched map[*tmplMember][]delta.Row
+	fold    foldScratch
 }
 
 // tmplMember is one subscriber of a template.
@@ -78,7 +84,7 @@ type tmplMember struct {
 
 type tmplBatch struct {
 	ts   vclock.Timestamp
-	rows []delta.SignedRow
+	rows []delta.Row
 }
 
 // joinTemplateLocked attaches a CQ to its template group when
@@ -267,16 +273,17 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	if err != nil {
 		return err
 	}
-	res, err := g.prepared.Step(ctx, rd.ts)
-	if err != nil {
+	res := &g.res
+	defer res.Clear() // the members' pending batches hold what they need
+	if err := g.prepared.StepInto(ctx, rd.ts, res); err != nil {
 		return err
 	}
 	if err := res.Fits(g.prev); err != nil {
 		return err
 	}
 	g.prev = res.Maintain(g.prev)
-	if len(res.Signed.Rows) > 0 {
-		m.dispatchLocked(g, res.Signed.Rows, rd.ts)
+	if res.Delta.Len() > 0 {
+		m.dispatchLocked(g, res.Delta.Rows(), rd.ts)
 	}
 	g.lastExec = rd.ts
 	if mm := m.met; mm != nil {
@@ -286,31 +293,55 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
 	return nil
 }
 
-// dispatchLocked routes each template delta row to the members whose
-// parameters select it. The index narrows each row to its candidate
-// set (hash lookup on an equality slot, binary search on a range slot);
-// candidates are then verified against every slot, so the work per row
-// is O(lookup + matches), independent of the member count. Caller holds
-// g.mu.
-func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.SignedRow, ts vclock.Timestamp) {
-	matched := make(map[*tmplMember][]delta.SignedRow)
-	candidates, matches := 0, 0
+// dispatchLocked routes each half of each template delta row to the
+// members whose parameters select it. The index narrows each half to its
+// candidate set (hash lookup on an equality slot, binary search on a
+// range slot); candidates are then verified against every slot, so the
+// work per row is O(lookup + matches), independent of the member count.
+// A member gets the halves it matches: both (the row as it is), the old
+// half alone (the row left its selection: a deletion), or the new half
+// alone (the row entered it: an insertion). Caller holds g.mu.
+func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.Row, ts vclock.Timestamp) {
+	if g.matched == nil {
+		g.matched = make(map[*tmplMember][]delta.Row)
+	}
+	halves, candidates, matches := 0, 0, 0
 	for _, row := range rows {
-		cands := g.index.candidates(row.Values)
-		candidates += len(cands)
-		for _, mem := range cands {
-			if mem.removed || !g.tpl.MatchRow(mem.params, row.Values) {
+		for h, vals := range [2][]relation.Value{row.Old, row.New} {
+			if vals == nil {
 				continue
 			}
-			matches++
-			matched[mem] = append(matched[mem], row)
+			halves++
+			for _, mem := range g.index.candidates(vals) {
+				if mem.removed {
+					continue
+				}
+				candidates++
+				if !g.tpl.MatchRow(mem.params, vals) {
+					continue
+				}
+				matches++
+				rs := g.matched[mem]
+				if n := len(rs); h == 1 && n > 0 && rs[n-1].TID == row.TID {
+					rs[n-1].New = vals // the old half went to this member too
+					continue
+				}
+				r := delta.Row{TID: row.TID, TS: ts}
+				if h == 0 {
+					r.Old = vals
+				} else {
+					r.New = vals
+				}
+				g.matched[mem] = append(rs, r)
+			}
 		}
 	}
-	for mem, rs := range matched {
+	for mem, rs := range g.matched {
 		mem.pending = append(mem.pending, tmplBatch{ts: ts, rows: rs})
 	}
+	clear(g.matched)
 	if mm := m.met; mm != nil {
-		mm.templateDispatchRows.Add(int64(len(rows)))
+		mm.templateDispatchRows.Add(int64(halves))
 		mm.templateCandidates.Add(int64(candidates))
 		mm.templateMatches.Add(int64(matches))
 	}
@@ -319,10 +350,12 @@ func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.SignedRow, ts vc
 // refreshShared is the streaming member's replacement for a private
 // plan evaluation: step the group to the round timestamp (first fired
 // member of the round pays; the rest find lastExec already there), then
-// fold the member's pending batches into one net signed delta against
-// its previous result. Caller holds inst.mu. The fold is pure — batches
-// are only discarded by afterRefreshLocked once the refresh has journaled
-// and committed, so a journal failure retries against intact buffers.
+// fold the member's pending batches into one net change against its
+// previous result, into the member's own Result. A member with nothing
+// pending reports its empty change at once. Caller holds inst.mu. The
+// fold is pure — batches are only discarded by afterRefreshLocked once
+// the refresh has journaled and committed, so a journal failure retries
+// against intact buffers.
 func (m *Manager) refreshShared(inst *instance, rd round) (*dra.Result, error) {
 	g := inst.group
 	g.mu.Lock()
@@ -334,12 +367,8 @@ func (m *Manager) refreshShared(inst *instance, rd round) (*dra.Result, error) {
 	if mem == nil || mem.inst != inst {
 		return nil, errors.New("cq: instance detached from its template group")
 	}
-	net := foldBatches(inst.prev, mem.pending, rd.ts)
-	return &dra.Result{
-		Signed: net,
-		Delta:  net.ToDeltaNetted(rd.ts),
-		ExecTS: rd.ts,
-	}, nil
+	inst.res.Set(rd.ts, inst.prev.Schema(), foldBatches(inst.prev, mem.pending, rd.ts, &g.fold))
+	return &inst.res, nil
 }
 
 // afterRefreshLocked commits a grouped member's refresh at execTS:
@@ -381,83 +410,105 @@ func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, te
 	}
 }
 
-// foldBatches collapses a member's pending batches (those covered by
-// execTS) into one net signed delta relative to prev, the member's
-// result table. Batches cannot simply be concatenated: a Result carries
-// the net change — each tid at most once, as one row or a -old/+new pair
-// — and two batches may both touch a tid. Instead each tid runs a tiny
-// presence state machine seeded from prev, and the net emits at most one
-// -1 (the original value) and one +1 (the final value) per tid — exactly
-// what a private differential evaluation over the whole window would net
-// to.
+// foldScratch is foldBatches' per-tid state, kept by the group and reused
+// under its lock: at indexes states by tid.
+type foldScratch struct {
+	at     map[relation.TID]int32
+	states []presence
+}
+
+// presence is one tid's state in a fold: whether the member held it
+// before the fold (orig, at slot of its result table) and holds it after
+// (cur).
+type presence struct {
+	tid         relation.TID
+	orig, cur   []relation.Value
+	slot        int32
+	origPresent bool
+	curPresent  bool
+}
+
+// foldBatches collapses a member's pending batches (those covered by execTS)
+// into one net change relative to prev, the member's result table, and
+// returns its rows, stamped execTS — nil when the batches change
+// nothing. Batches cannot simply be concatenated: a Result carries the
+// net change — each tid at most once — and two batches may both touch a
+// tid. Instead each tid runs a tiny presence state machine seeded from
+// prev: the -old of its net is the Old of the tid's first dispatched
+// row, its final value the New of its last one (absent when that row
+// has none) — exactly what a private differential evaluation over the
+// whole window would net to.
 //
-// Nothing is allocated per row. Presence comes from the table's tid
-// index. The final value is compared with the table's slot in place.
-// The original value of a tid the member holds is the -old half the
-// group dispatched first for it, by this invariant: the first
-// dispatched row of a held tid is its -old. The member's row equals the
-// template row it was selected from (seeded typed from the group's
-// table, or folded from the same dispatched rows since), so the first
-// group step that changed the row — which nets a present tid to -old,
-// or -old/+new — emitted it as -old and routed it here, since it
-// matched. TestTemplateSharingEquivalence holds every member's
+// Nothing is allocated per row beyond the change itself. Presence comes
+// from the table's tid index. The final value is compared with the
+// table's slot in place. The original value of a tid the member holds is
+// the first dispatched row's Old, by this invariant: the first
+// dispatched row of a held tid carries its old half. The member's row
+// equals the template row it was selected from (seeded typed from the
+// group's table, or folded from the same dispatched rows since), so the
+// first group step that changed the row — a deletion or a modification
+// of a present tid — had it as its Old, which matched and was routed
+// here. TestTemplateSharingEquivalence holds every member's
 // notifications, old values included, to its private plan's.
-func foldBatches(prev *batch.Table, batches []tmplBatch, execTS vclock.Timestamp) *delta.Signed {
-	type presence struct {
-		tid         relation.TID
-		orig, cur   []relation.Value
-		slot        int32
-		origPresent bool
-		curPresent  bool
-	}
+func foldBatches(prev *batch.Table, batches []tmplBatch, execTS vclock.Timestamp, f *foldScratch) []delta.Row {
 	n := 0
 	for _, b := range batches {
 		if b.ts <= execTS {
 			n += len(b.rows)
 		}
 	}
-	at := make(map[relation.TID]int32, n)
-	states := make([]presence, 0, n)
+	if n == 0 {
+		return nil
+	}
+	if f.at == nil {
+		f.at = make(map[relation.TID]int32, n)
+	}
 	for _, b := range batches {
 		if b.ts > execTS {
 			continue
 		}
 		for _, r := range b.rows {
-			i, seen := at[r.TID]
+			i, seen := f.at[r.TID]
 			if !seen {
-				i = int32(len(states))
-				at[r.TID] = i
+				i = int32(len(f.states))
+				f.at[r.TID] = i
 				slot := prev.Slot(r.TID)
-				states = append(states, presence{tid: r.TID, slot: slot, origPresent: slot >= 0, curPresent: slot >= 0})
-				if slot >= 0 && r.Sign < 0 {
-					states[i].orig = r.Values
+				st := presence{tid: r.TID, slot: slot, origPresent: slot >= 0}
+				if slot >= 0 {
+					st.orig = r.Old
 				}
+				f.states = append(f.states, st)
 			}
-			st := &states[i]
-			if r.Sign < 0 {
-				st.curPresent = false
-			} else {
-				st.cur, st.curPresent = r.Values, true
-			}
+			st := &f.states[i]
+			st.cur, st.curPresent = r.New, r.New != nil
 		}
 	}
-	out := &delta.Signed{Schema: prev.Schema(), Rows: make([]delta.SignedRow, 0, 2*len(states))}
-	for i := range states {
-		st := &states[i]
+	var rows []delta.Row
+	for i := range f.states {
+		st := &f.states[i]
+		row := delta.Row{TID: st.tid, TS: execTS}
 		switch {
 		case st.origPresent && st.curPresent:
-			if st.cur != nil && !prev.RowEqual(st.slot, st.cur) {
-				out.Rows = append(out.Rows,
-					delta.SignedRow{TID: st.tid, Values: st.orig, Sign: -1},
-					delta.SignedRow{TID: st.tid, Values: st.cur, Sign: +1})
+			if prev.RowEqual(st.slot, st.cur) {
+				continue
 			}
+			row.Old, row.New = st.orig, st.cur
 		case st.origPresent:
-			out.Rows = append(out.Rows, delta.SignedRow{TID: st.tid, Values: st.orig, Sign: -1})
+			row.Old = st.orig
 		case st.curPresent:
-			out.Rows = append(out.Rows, delta.SignedRow{TID: st.tid, Values: st.cur, Sign: +1})
+			row.New = st.cur
+		default:
+			continue
 		}
+		if rows == nil {
+			rows = make([]delta.Row, 0, len(f.states)-i)
+		}
+		rows = append(rows, row)
 	}
-	return out
+	clear(f.at)
+	clear(f.states) // drop the value references
+	f.states = f.states[:0]
+	return rows
 }
 
 // --- push routing ------------------------------------------------------
@@ -538,14 +589,22 @@ type paramIndex struct {
 	eq      bool
 
 	buckets map[uint64][]*tmplMember // eq: coerced-constant hash → members
-	rng     []rngEnt                 // range: sorted by constant
-	dirty   bool                     // rng has unsorted appends
-	removed int                      // tombstoned entries in rng
+	// range: the members and their constants, sorted together by
+	// constant, so a lookup's candidates are a subslice of rngMem.
+	rngC    []relation.Value
+	rngMem  []*tmplMember
+	dirty   bool // the range entries have unsorted appends
+	removed int  // tombstoned range entries
 }
 
-type rngEnt struct {
-	c relation.Value
-	m *tmplMember
+// byConst sorts a range index's two parallel slices by constant.
+type byConst paramIndex
+
+func (b *byConst) Len() int           { return len(b.rngC) }
+func (b *byConst) Less(i, j int) bool { return b.rngC[i].Compare(b.rngC[j]) < 0 }
+func (b *byConst) Swap(i, j int) {
+	b.rngC[i], b.rngC[j] = b.rngC[j], b.rngC[i]
+	b.rngMem[i], b.rngMem[j] = b.rngMem[j], b.rngMem[i]
 }
 
 func newParamIndex(slots []algebra.ParamSlot) *paramIndex {
@@ -600,7 +659,8 @@ func (idx *paramIndex) add(mem *tmplMember) {
 		// is indexed nowhere: its member legitimately never matches.
 		return
 	}
-	idx.rng = append(idx.rng, rngEnt{c: c, m: mem})
+	idx.rngC = append(idx.rngC, c)
+	idx.rngMem = append(idx.rngMem, mem)
 	idx.dirty = true
 }
 
@@ -629,21 +689,26 @@ func (idx *paramIndex) remove(mem *tmplMember) {
 	// Range entries tombstone (mem.removed is already set) and compact
 	// once they dominate, keeping removal O(1) amortized.
 	idx.removed++
-	if idx.removed*2 > len(idx.rng) {
-		keep := idx.rng[:0]
-		for _, e := range idx.rng {
-			if !e.m.removed {
-				keep = append(keep, e)
+	if idx.removed*2 > len(idx.rngMem) {
+		n := 0
+		for i, m2 := range idx.rngMem {
+			if !m2.removed {
+				idx.rngC[n], idx.rngMem[n] = idx.rngC[i], m2
+				n++
 			}
 		}
-		idx.rng = keep
+		clear(idx.rngMem[n:]) // a removed member must not stay reachable
+		idx.rngC, idx.rngMem = idx.rngC[:n], idx.rngMem[:n]
 		idx.removed = 0
 	}
 }
 
 // candidates returns the members whose primary-slot constant can match
-// the row. Callers must still verify every slot (MatchRow): candidates
-// over-approximates on the non-primary slots only.
+// the row: a bucket of the hash index, or a range of the sorted array,
+// in place — the caller must not keep or write the slice. Callers must
+// still skip removed members and verify every slot (MatchRow):
+// candidates over-approximates on the non-primary slots and keeps
+// tombstones until the array compacts.
 func (idx *paramIndex) candidates(row []relation.Value) []*tmplMember {
 	v := row[idx.slots[idx.primary].Idx]
 	if v.IsNull() {
@@ -657,33 +722,22 @@ func (idx *paramIndex) candidates(row []relation.Value) []*tmplMember {
 		return idx.buckets[key]
 	}
 	if idx.dirty {
-		sort.SliceStable(idx.rng, func(i, j int) bool {
-			return idx.rng[i].c.Compare(idx.rng[j].c) < 0
-		})
+		sort.Stable((*byConst)(idx))
 		idx.dirty = false
 	}
-	n := len(idx.rng)
+	n := len(idx.rngC)
 	var lo, hi int
 	switch idx.slots[idx.primary].Op {
 	case ">": // member matches iff rowVal > c ⇔ c < rowVal
-		lo, hi = 0, sort.Search(n, func(i int) bool { return idx.rng[i].c.Compare(v) >= 0 })
+		lo, hi = 0, sort.Search(n, func(i int) bool { return idx.rngC[i].Compare(v) >= 0 })
 	case ">=": // c <= rowVal
-		lo, hi = 0, sort.Search(n, func(i int) bool { return idx.rng[i].c.Compare(v) > 0 })
+		lo, hi = 0, sort.Search(n, func(i int) bool { return idx.rngC[i].Compare(v) > 0 })
 	case "<": // rowVal < c ⇔ c > rowVal
-		lo, hi = sort.Search(n, func(i int) bool { return idx.rng[i].c.Compare(v) > 0 }), n
+		lo, hi = sort.Search(n, func(i int) bool { return idx.rngC[i].Compare(v) > 0 }), n
 	case "<=": // c >= rowVal
-		lo, hi = sort.Search(n, func(i int) bool { return idx.rng[i].c.Compare(v) >= 0 }), n
+		lo, hi = sort.Search(n, func(i int) bool { return idx.rngC[i].Compare(v) >= 0 }), n
 	default:
 		lo, hi = 0, n
 	}
-	if lo >= hi {
-		return nil
-	}
-	out := make([]*tmplMember, 0, hi-lo)
-	for _, e := range idx.rng[lo:hi] {
-		if !e.m.removed {
-			out = append(out, e.m)
-		}
-	}
-	return out
+	return idx.rngMem[lo:hi]
 }

@@ -109,6 +109,14 @@ func New(schema relation.Schema) *Delta {
 	return &Delta{schema: schema}
 }
 
+// FromRows adopts rows as a differential relation over schema, without
+// copying them: the delta owns the slice from then on. It is how a
+// refresh hands out its netted change (dra.Result.Delta), each tid at
+// most once, rendered once.
+func FromRows(schema relation.Schema, rows []Row) *Delta {
+	return &Delta{schema: schema, rows: rows}
+}
+
 // Schema returns the base schema the delta refers to.
 func (d *Delta) Schema() relation.Schema { return d.schema }
 

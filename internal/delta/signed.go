@@ -137,23 +137,14 @@ func (s *Signed) ToDelta(ts vclock.Timestamp) *Delta {
 
 // ToDeltaNetted is ToDelta specialized to signed deltas already in
 // netted form — each tid appears exactly once, as an adjacent run of at
-// most one -1 row followed by at most one +1 row (the shape the
-// engine's netting emits). The pairing is then a single forward pass
-// with no per-tid index, so the conversion allocates only the output
-// rows. Callers holding arbitrary signed deltas must use ToDelta.
+// most one -1 row followed by at most one +1 row. The pairing is then a
+// single forward pass with no per-tid index, so the conversion allocates
+// only the output. Callers holding arbitrary signed deltas must use
+// ToDelta.
 func (s *Signed) ToDeltaNetted(ts vclock.Timestamp) *Delta {
-	out := &Delta{}
-	s.ToDeltaNettedInto(out, ts)
-	return out
-}
-
-// ToDeltaNettedInto is ToDeltaNetted into a header the caller already
-// holds: out's schema and rows are replaced, and only the rows are
-// allocated.
-func (s *Signed) ToDeltaNettedInto(out *Delta, ts vclock.Timestamp) {
-	*out = Delta{schema: s.Schema}
+	out := &Delta{schema: s.Schema}
 	if len(s.Rows) == 0 {
-		return
+		return out
 	}
 	out.rows = make([]Row, 0, len(s.Rows))
 	for i := 0; i < len(s.Rows); i++ {
@@ -172,6 +163,7 @@ func (s *Signed) ToDeltaNettedInto(out *Delta, ts vclock.Timestamp) {
 			out.rows = append(out.rows, Row{TID: r.TID, New: r.Values, TS: ts})
 		}
 	}
+	return out
 }
 
 // InsertedRelation materializes the +1 rows as a relation.

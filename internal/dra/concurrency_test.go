@@ -31,9 +31,7 @@ func TestNetCollidingRows(t *testing.T) {
 		if !ok {
 			t.Fatal("fixture rows do not fit typed columns")
 		}
-		out := &delta.Signed{}
-		(&vecEval{e: NewEngine()}).netBatch(b, out)
-		return out
+		return delta.FromRows(s.Schema, (&vecEval{e: NewEngine()}).netBatch(b)).ToSigned()
 	}
 	a, b := collidingRows()
 	if relation.HashValues(a) != relation.HashValues(b) {
@@ -128,8 +126,8 @@ func TestConcurrentReevaluateSharedEngine(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if len(res.Signed.Rows) != len(ref.Signed.Rows) {
-					errs[w] = errMismatch(len(res.Signed.Rows), len(ref.Signed.Rows))
+				if res.Delta.Len() != ref.Delta.Len() {
+					errs[w] = errMismatch(res.Delta.Len(), ref.Delta.Len())
 					return
 				}
 				if res.Stats.DeltaRows != ref.Stats.DeltaRows || res.Stats.Terms != ref.Stats.Terms {

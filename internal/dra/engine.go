@@ -240,19 +240,26 @@ func NewEngine() *Engine {
 	}
 }
 
-// Result is the outcome of one differential re-evaluation. Invariant,
-// kept by every producer in the engine (both nettings, Diff behind the
-// propagate arms, the group table, the template fold) and relied on by
-// result assembly (Signed.ToDeltaNetted, delta.ApplySigned's in-place
-// update, the cq notification read straight off Delta): Delta holds each
-// tid at most once, and Signed carries it as one row or as one adjacent
-// -old/+new pair.
+// Result is the outcome of one differential re-evaluation: the net
+// change of the query result, rendered once, as the paper's
+// differential relation (Delta). Invariant, kept by every producer (both
+// nettings, Diff behind the propagate arms, the group table, the cq
+// template fold) and relied on by result maintenance (Fits, Maintain,
+// ApplyTo) and by the cq notification read straight off Delta: Delta
+// holds each tid at most once, as one insert, delete or modify row.
 //
-// A Result the engine produces owns its rows — netting renders them into
-// fresh backing, never into pooled or reused memory — so a caller may
-// keep it, or anything it references, for as long as it likes.
+// A non-empty Delta belongs to the refresh that produced it — its rows
+// and values on fresh backing, never pooled or reused memory — so a
+// caller may keep it, or anything it references, for as long as it
+// likes. An empty change is the Result's own empty Delta, allocated
+// once per Result and reported by every empty refresh stepped into it
+// (Prepared.StepInto): it is read-only, and nothing may append to it.
+// A holder that steps into one Result refresh after refresh therefore
+// allocates nothing for a refresh whose change is empty.
 type Result struct {
-	// Signed is the net signed change of the query result.
+	// Signed is never set: Delta is the change. The field stays declared
+	// only for a reader outside this module's serving path (the repo
+	// benchmark's replay) that still checks it for nil.
 	Signed *delta.Signed
 	// Delta is the change in differential-relation form (modifications
 	// paired), rows stamped with ExecTS.
@@ -269,18 +276,50 @@ type Result struct {
 	// full is materialized written into a result table, in its order, by
 	// Fits; Maintain returns it.
 	full *batch.Table
+	// none is the Result's empty change, kept across the steps into it.
+	none *delta.Delta
 }
 
-// newResult returns a Result whose Signed and Delta point at headers
-// allocated with it: one object per refresh instead of three.
-func newResult(execTS vclock.Timestamp) *Result {
-	blk := &struct {
-		res    Result
-		signed delta.Signed
-		delta  delta.Delta
-	}{}
-	blk.res = Result{Signed: &blk.signed, Delta: &blk.delta, ExecTS: execTS}
-	return &blk.res
+// Set makes rows — a netted change over schema at execTS, each tid at
+// most once — the Result's whole content, adopting the slice: how a
+// producer outside the engine (the cq template fold) reports into a
+// Result it holds. No rows reports the Result's own empty Delta.
+func (r *Result) Set(execTS vclock.Timestamp, schema relation.Schema, rows []delta.Row) {
+	r.reset(execTS)
+	r.setRows(schema, rows)
+}
+
+// Clear drops the change and everything else the last step left in r
+// but its empty Delta, so a holder that is done with a refresh pins none
+// of its output while it waits for the next.
+func (r *Result) Clear() { r.reset(0) }
+
+// reset readies r for a step at execTS, keeping only its empty Delta.
+func (r *Result) reset(execTS vclock.Timestamp) {
+	*r = Result{ExecTS: execTS, none: r.none}
+}
+
+// setRows reports rows as the change: adopted as they are, or the
+// Result's empty Delta when there are none.
+func (r *Result) setRows(schema relation.Schema, rows []delta.Row) {
+	if len(rows) == 0 {
+		r.setDelta(nil, schema)
+		return
+	}
+	r.Delta = delta.FromRows(schema, rows)
+}
+
+// setDelta reports d as the change, or the Result's empty Delta when d
+// is nil or has no row.
+func (r *Result) setDelta(d *delta.Delta, schema relation.Schema) {
+	if d != nil && d.Len() > 0 {
+		r.Delta = d
+		return
+	}
+	if r.none == nil {
+		r.none = delta.New(schema)
+	}
+	r.Delta = r.none
 }
 
 // ApplyTo maintains the complete result (Section 4.3: Et_i(Q) ∪
@@ -290,17 +329,25 @@ func newResult(execTS vclock.Timestamp) *Result {
 // first. Calling ApplyTo more than once on the same Result is incorrect.
 //
 // ApplyTo is the paper-facing form, over a relation.Relation: the
-// baselines, the tests and the benchmark's replay use it. prev keeps the
-// +1 rows' value slices as they are, which reference this Result's
-// output, so a relation maintained this way pins every refresh output
-// one of its rows came from. A standing query's result is a
-// batch.Table instead, which takes the change by typed writes (Fits,
-// then Maintain) and references none of it.
+// baselines, the tests and the benchmark's replay use it. An insert or
+// modification upserts its new half (a modification in place), a
+// deletion removes its tid. prev keeps the new halves' value slices as
+// they are, which reference this Result's Delta, so a relation
+// maintained this way pins every refresh output one of its rows came
+// from. A standing query's result is a batch.Table instead, which takes
+// the change by typed writes (Fits, then Maintain) and references none
+// of it.
 func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 	if r.materialized != nil {
 		return r.materialized
 	}
-	delta.ApplySigned(prev, r.Signed)
+	for _, row := range r.Delta.Rows() {
+		if row.New != nil {
+			_ = prev.Upsert(relation.Tuple{TID: row.TID, Values: row.New})
+		} else {
+			_ = prev.Delete(row.TID) // an absent tid has nothing to remove
+		}
+	}
 	return prev
 }
 
@@ -312,7 +359,7 @@ func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 // evaluation's order, into the fresh table Maintain returns.
 func (r *Result) Fits(t *batch.Table) error {
 	if r.materialized == nil {
-		return t.Fits(r.Signed)
+		return t.Fits(r.Delta)
 	}
 	if r.full == nil {
 		full, err := tableOf(r.materialized)
@@ -333,7 +380,7 @@ func (r *Result) Fits(t *batch.Table) error {
 // result's, which writes into freed slots would not keep.
 func (r *Result) Maintain(t *batch.Table) *batch.Table {
 	if r.materialized == nil {
-		t.Apply(r.Signed)
+		t.Apply(r.Delta)
 		return t
 	}
 	if r.full == nil {
@@ -362,21 +409,26 @@ func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Times
 		}
 		root = r
 	}
-	return e.evaluate(plan, root, ctx, execTS, false)
+	res := &Result{ExecTS: execTS}
+	if err := e.evaluate(plan, root, ctx, res, false); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // evaluate is the refresh core shared by Reevaluate (transient compile
-// per call) and Prepared.Step (compile once at registration): the
+// per call) and Prepared.StepInto (compile once at registration): the
 // differential evaluation when root is non-nil, complete re-evaluation
-// otherwise. exactPrev vouches that ctx.Prev is the query's result on
+// otherwise, into res, which the caller has reset to the execution's
+// timestamp. exactPrev vouches that ctx.Prev is the query's result on
 // ctx.Pre, so complete re-evaluation is one execution over ctx.Post and
 // a Diff; without it the query runs on both states.
-func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, execTS vclock.Timestamp, exactPrev bool) (*Result, error) {
+func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, res *Result, exactPrev bool) error {
 	if ctx.Prev == nil && !(root != nil && exactPrev) {
 		// Algorithm 1's input (v): Reevaluate takes it as the paper does,
 		// complete re-evaluation diffs against it; only a prepared
 		// differential step never reads it.
-		return nil, ErrNoPrev
+		return ErrNoPrev
 	}
 	var span *obs.Span
 	var start time.Time
@@ -385,12 +437,9 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 		span = m.startSpan()
 	}
 
-	var res *Result
 	var err error
 	switch {
 	case root != nil:
-		// The evaluator fills the result's own stats and headers in place.
-		res = newResult(execTS)
 		if err = e.vecEvaluate(root, ctx, res); err != nil {
 			// A failed refresh drops every replica of the plan: join groups
 			// advance them as they go, and the next refresh must rebuild from
@@ -398,22 +447,22 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, e
 			root.dropReplicas()
 		}
 	case exactPrev:
-		res, err = FullReevaluate(plan, ctx.Post, ctx.Prev, execTS)
+		err = fullReevaluate(plan, ctx.Post, ctx.Prev, res)
 	default:
-		// Diff output: already at most one -old and one +new per tid.
-		var net *delta.Signed
-		if net, err = PropagateSigned(plan, ctx.Pre, ctx.Post); err == nil {
-			res = &Result{Signed: net, Delta: net.ToDeltaNetted(execTS), ExecTS: execTS}
+		// Diff output: each tid at most once already.
+		var d *delta.Delta
+		if d, err = Propagate(plan, ctx.Pre, ctx.Post, res.ExecTS); err == nil {
+			res.setDelta(d, plan.Schema())
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Stats.FellBack = root == nil
 	if m := e.Metrics; m != nil {
 		m.observe(res.Stats, span, time.Since(start))
 	}
-	return res, nil
+	return nil
 }
 
 // supportsDifferential reports whether the plan is in the SPJ class

@@ -43,6 +43,8 @@ type groupTable struct {
 	keyIdx []int // 0..nKeys-1
 	aggs   []groupAgg
 	global bool // aggregates without a key: one group, always rendered
+	// none is the empty change every Result Step returns shares.
+	none *delta.Delta
 
 	keys *batch.Batch
 	ix   relation.SlotIndex
@@ -291,12 +293,22 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // as it found it and drops the replicas, which the input's joins may
 // have advanced: the retry rebuilds them and folds the window once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	if !g.seeded {
-		return nil, fmt.Errorf("dra: Step before Seed")
+	res := &Result{none: g.none}
+	if err := g.StepInto(ctx, execTS, res); err != nil {
+		return nil, err
 	}
-	res := newResult(execTS)
+	g.none = res.none
+	return res, nil
+}
+
+// StepInto is Step into a Result the caller holds (Prepared.StepInto).
+func (g *groupTable) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) error {
+	if !g.seeded {
+		return fmt.Errorf("dra: Step before Seed")
+	}
+	res.reset(execTS)
 	st := &res.Stats
-	v := newVecEval(g.engine, ctx, execTS, st)
+	v := newVecEval(g.engine, ctx, res.ExecTS, st)
 	defer v.release()
 	b, err := v.nodeBatch(g.fold)
 	if err == nil {
@@ -306,11 +318,12 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 		g.settle(true)
 		g.fold.dropReplicas()
 		g.gauge()
-		return nil, err
+		return err
 	}
 	st.GroupsTouched = len(g.touched)
-	g.emit(res.Signed)
-	st.GroupRowsEmitted = len(res.Signed.Rows)
+	rows, halves := g.emit(res.ExecTS)
+	st.GroupRowsEmitted = halves
+	res.setRows(g.schema, rows)
 	g.gauge()
 	if m := g.engine.Metrics; m != nil {
 		m.VecSteps.Inc()
@@ -318,8 +331,7 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 		m.AggGroupsTouched.Add(int64(st.GroupsTouched))
 		m.AggRowsEmitted.Add(int64(st.GroupRowsEmitted))
 	}
-	res.Signed.ToDeltaNettedInto(res.Delta, execTS)
-	return res, nil
+	return nil
 }
 
 // foldBatch folds a signed fold batch into the table.
@@ -429,13 +441,15 @@ func (g *groupTable) touch(s int32, h uint64) []aggCell {
 	return cells
 }
 
-// emit renders the output change off the touched groups into out —
-// insert on birth, delete on death, -old +new where the rendered row
-// changed, nothing where the fold netted to no change — in ascending tid
-// order, the order delta.Diff gave, and settles the fold.
-func (g *groupTable) emit(out *delta.Signed) {
+// emit renders the output change off the touched groups as result rows
+// stamped execTS — insert on birth, delete on death, a modification
+// where the rendered row changed, nothing where the fold netted to no
+// change — in ascending tid order, the order delta.Diff gave, and
+// settles the fold. emitted counts the halves rendered: the signed rows
+// of the change, a modification being two.
+func (g *groupTable) emit(execTS vclock.Timestamp) (rows []delta.Row, emitted int) {
 	g.changed = g.changed[:0] // indexes into touched
-	nOld, nNew := 0, 0
+	halves := 0
 	for i, t := range g.touched {
 		was, is := g.state(g.snap, i), g.state(g.cur, int(t.slot))
 		if slices.Equal(was, is) || len(g.aggs) == 0 && g.inOutput(was) && g.inOutput(is) {
@@ -443,50 +457,52 @@ func (g *groupTable) emit(out *delta.Signed) {
 		}
 		g.changed = append(g.changed, int32(i))
 		if g.inOutput(was) {
-			nOld++
+			halves++
 		}
 		if g.inOutput(is) {
-			nNew++
+			halves++
 		}
 	}
-	*out = delta.Signed{Schema: g.schema}
 	if len(g.changed) > 0 {
 		slices.SortFunc(g.changed, func(a, b int32) int {
 			return cmp.Compare(g.touched[a].tid, g.touched[b].tid)
 		})
-		// Every emitted row shares one backing, as a netting's do: the
+		// Every rendered half shares one backing, as a netting's do: the
 		// rows live as long as the notification, and the caller's result
 		// table copies what it keeps.
 		width := g.schema.Len()
-		flat := make([]relation.Value, (nOld+nNew)*width)
-		out.Rows = make([]delta.SignedRow, 0, nOld+nNew)
+		flat := make([]relation.Value, halves*width)
+		rows = make([]delta.Row, 0, len(g.changed))
 		for _, i := range g.changed {
 			t := g.touched[i]
 			was, is := g.state(g.snap, int(i)), g.state(g.cur, int(t.slot))
 			hadOld, stays := g.inOutput(was), g.inOutput(is)
-			old := flat[:width:width]
+			row := delta.Row{TID: t.tid, TS: execTS}
 			if hadOld {
-				g.render(old, t.slot, was)
+				row.Old = flat[:width:width]
+				g.render(row.Old, t.slot, was)
 			}
 			if hadOld && stays {
 				g.render(g.row, t.slot, is)
-				if slices.EqualFunc(old, g.row, relation.Value.Equal) {
+				if slices.EqualFunc(row.Old, g.row, relation.Value.Equal) {
 					continue // e.g. an integer SUM whose float shadow alone moved
 				}
 			}
 			if hadOld {
-				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: old, Sign: -1})
 				flat = flat[width:]
+				emitted++
 			}
 			if stays {
-				now := flat[:width:width]
-				g.render(now, t.slot, is)
-				out.Rows = append(out.Rows, delta.SignedRow{TID: t.tid, Values: now, Sign: +1})
+				row.New = flat[:width:width]
+				g.render(row.New, t.slot, is)
 				flat = flat[width:]
+				emitted++
 			}
+			rows = append(rows, row)
 		}
 	}
 	g.settle(false)
+	return rows, emitted
 }
 
 // render writes the output row of slot s in the given state (live, or

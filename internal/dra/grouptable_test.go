@@ -242,7 +242,7 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					dra.AssertSameNet(t, label, want.ToSigned(), res.Signed)
+					dra.AssertSameNet(t, label, want.ToSigned(), res.Delta.ToSigned())
 					if len(res.Delta.Rows()) != len(want.Rows()) {
 						t.Fatalf("%s: %d delta rows, complete re-evaluation has %d", label, len(res.Delta.Rows()), len(want.Rows()))
 					}
@@ -251,11 +251,11 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 							t.Fatalf("%s: delta row %d is %v of tid %d, delta.Diff has %v of tid %d", label, i, r.Kind(), r.TID, w.Kind(), w.TID)
 						}
 					}
-					if quiet && res.Signed.Len() != 0 {
-						t.Fatalf("%s: a row inserted and deleted within the window reported %+v", label, res.Signed.Rows)
+					if quiet && res.Delta.Len() != 0 {
+						t.Fatalf("%s: a row inserted and deleted within the window reported %+v", label, res.Delta.Rows())
 					}
-					if res.Stats.GroupRowsEmitted != res.Signed.Len() || res.Stats.GroupsTouched > d.ToSigned().Len() {
-						t.Fatalf("%s: stats %+v for %d signed input rows, %d emitted", label, res.Stats, d.ToSigned().Len(), res.Signed.Len())
+					if res.Stats.GroupRowsEmitted != res.Delta.ToSigned().Len() || res.Stats.GroupsTouched > d.ToSigned().Len() {
+						t.Fatalf("%s: stats %+v for %d signed input rows, %d emitted", label, res.Stats, d.ToSigned().Len(), res.Delta.ToSigned().Len())
 					}
 					if same := res.ApplyTo(prev); same != prev {
 						t.Fatalf("%s: ApplyTo replaced the caller's result instead of maintaining it", label)
@@ -438,7 +438,7 @@ func TestGroupTableOverJoin(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					dra.AssertSameNet(t, label, want.ToSigned(), res.Signed)
+					dra.AssertSameNet(t, label, want.ToSigned(), res.Delta.ToSigned())
 					res.ApplyTo(prev)
 					if !prev.EqualByTID(full.Result()) || !maint.Result().EqualByTID(full.Result()) {
 						t.Fatalf("%s: complete results diverge:\nmaintained:\n%s\nrendered:\n%s\ncomplete:\n%s", label, prev, maint.Result(), full.Result())

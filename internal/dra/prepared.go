@@ -7,6 +7,7 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
+	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -85,6 +86,8 @@ type Prepared struct {
 
 	// gauged is this plan's current contribution to dra.replica.rows.
 	gauged int
+	// none is the empty change every Result Step returns shares.
+	none *delta.Delta
 
 	closed bool
 }
@@ -260,20 +263,39 @@ func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, 
 	}
 }
 
-// Step runs one refresh over the window in ctx, producing the signed
-// change at execTS. Under complete re-evaluation ctx.Prev must be the
-// query's result at ctx.LastTS exactly — it diffs against it instead of
-// running the query on the pre-state too — and ctx.Post the state at
-// execTS; when Strategy is StrategyIncremental neither is read, and both
-// may be left nil.
+// Step runs one refresh over the window in ctx, producing the change at
+// execTS in a fresh Result. Under complete re-evaluation ctx.Prev must
+// be the query's result at ctx.LastTS exactly — it diffs against it
+// instead of running the query on the pre-state too — and ctx.Post the
+// state at execTS; when Strategy is StrategyIncremental neither is read,
+// and both may be left nil.
 func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+	res := &Result{none: p.none}
+	if err := p.StepInto(ctx, execTS, res); err != nil {
+		return nil, err
+	}
+	p.none = res.none
+	return res, nil
+}
+
+// StepInto is Step into a Result the caller holds and reuses, refresh
+// after refresh, under the lock that serializes its steps (a cq
+// instance's, a template group's): res is overwritten with this
+// refresh's change, so the header is allocated once per holder, not once
+// per refresh, and an empty change is res's own read-only empty Delta,
+// which allocates nothing either. A non-empty change is rendered once,
+// into a Delta that belongs to this refresh alone: what the caller
+// handed out from an earlier step into res — its Delta, a notification
+// built on it — stays as it was. On error res holds no change.
+func (p *Prepared) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) error {
 	if p.closed {
-		return nil, fmt.Errorf("dra: Step on closed Prepared")
+		return fmt.Errorf("dra: Step on closed Prepared")
 	}
 	if p.group != nil {
-		return p.group.Step(ctx, execTS)
+		return p.group.StepInto(ctx, execTS, res)
 	}
-	res, err := p.engine.evaluate(p.plan, p.root, ctx, execTS, true)
+	res.reset(execTS)
+	err := p.engine.evaluate(p.plan, p.root, ctx, res, true)
 	p.engine.gaugeReplicas(p.root, &p.gauged) // on failure too: a failed refresh drops them
-	return res, err
+	return err
 }

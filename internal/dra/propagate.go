@@ -27,37 +27,34 @@ func Propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp)
 	return delta.Diff(oldR, newR, ts)
 }
 
-// PropagateSigned is Propagate in signed-multiset form.
-func PropagateSigned(plan algebra.Plan, pre, post algebra.Source) (*delta.Signed, error) {
-	d, err := Propagate(plan, pre, post, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &delta.Signed{Schema: plan.Schema(), Rows: d.ToSigned().Rows}, nil
-}
-
 // FullReevaluate is the complete re-evaluation baseline used by the
 // benchmark harness: it executes the plan against the current state and
 // derives the change by diffing with the previous result.
 func FullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relation, execTS vclock.Timestamp) (*Result, error) {
+	res := &Result{ExecTS: execTS}
+	if err := fullReevaluate(plan, post, prev, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// fullReevaluate is FullReevaluate into res, reset to the execution's
+// timestamp.
+func fullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relation, res *Result) error {
 	if prev == nil {
-		return nil, ErrNoPrev
+		return ErrNoPrev
 	}
 	cur, err := execute(plan, post)
 	if err != nil {
-		return nil, fmt.Errorf("dra: full re-evaluation: %w", err)
+		return fmt.Errorf("dra: full re-evaluation: %w", err)
 	}
-	d, err := delta.Diff(prev, cur, execTS)
+	d, err := delta.Diff(prev, cur, res.ExecTS)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{
-		Signed: &delta.Signed{Schema: plan.Schema(), Rows: d.ToSigned().Rows},
-		Delta:  d,
-		ExecTS: execTS,
-	}
+	res.setDelta(d, plan.Schema())
 	res.materialized = cur
-	return res, nil
+	return nil
 }
 
 // InitialResult runs the query from scratch on the row executor (the

@@ -44,8 +44,8 @@ var selectionModes = []windowMode{
 }
 
 // assertNetted checks the invariant result assembly rests on: a result
-// delta holds each tid at most once, and its signed form carries it as
-// one row or as an adjacent -old/+new pair.
+// delta holds each tid at most once, as one insert, delete or modify
+// row, and a modification's halves differ.
 func assertNetted(t *testing.T, label string, res *Result) {
 	t.Helper()
 	seen := make(map[relation.TID]bool, res.Delta.Len())
@@ -55,16 +55,16 @@ func assertNetted(t *testing.T, label string, res *Result) {
 		}
 		seen[r.TID] = true
 	}
-	rows := res.Signed.Rows
-	for i, r := range rows {
-		if i > 0 && rows[i-1].TID == r.TID {
-			if rows[i-1].Sign >= 0 || r.Sign <= 0 || i > 1 && rows[i-2].TID == r.TID {
-				t.Fatalf("%s: signed rows of tid %d are not one -old/+new pair", label, r.TID)
-			}
+	for _, r := range res.Delta.Rows() {
+		if r.Old == nil && r.New == nil {
+			t.Fatalf("%s: result delta row of tid %d has neither half", label, r.TID)
 		}
-	}
-	if res.Signed.ToDeltaNetted(res.ExecTS).Len() != res.Delta.Len() {
-		t.Fatalf("%s: Delta is not the netted form of Signed", label)
+		if r.Kind() == delta.Modify && sameValues(r.Old, r.New) {
+			t.Fatalf("%s: result delta modifies tid %d to the same values", label, r.TID)
+		}
+		if r.TS != res.ExecTS {
+			t.Fatalf("%s: result delta row of tid %d stamped %d, want %d", label, r.TID, r.TS, res.ExecTS)
+		}
 	}
 }
 
@@ -107,7 +107,7 @@ func selectionStep(t *testing.T, label string, f *fixture, mode windowMode, plan
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+	assertSameNet(t, label, oracle(t, plan, ctx), res.Delta.ToSigned())
 	assertNetted(t, label, res)
 	assertImagesUntouched(t, label, ctx, before)
 	prev = res.ApplyTo(prev)
@@ -221,8 +221,8 @@ func TestSelectionViewCases(t *testing.T) {
 			if res.Stats.Skipped {
 				t.Error("a window whose rows pass the predicate is relevant: Skipped must be false")
 			}
-			if res.Delta.Len() != 0 || len(res.Signed.Rows) != 0 {
-				t.Errorf("-x/+x over the projected columns must net to nothing, got %v", res.Signed.Rows)
+			if res.Delta.Len() != 0 {
+				t.Errorf("-x/+x over the projected columns must net to nothing, got %v", res.Delta.Rows())
 			}
 			if res.Stats.DeltaRows == 0 {
 				t.Error("a relevant refresh counts the window rows it consumed")

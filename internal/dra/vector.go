@@ -2,6 +2,7 @@ package dra
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -69,7 +70,7 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) erro
 			return err
 		}
 		v.relevant = w.len() > 0
-		v.netView(w, res.Signed)
+		res.setRows(w.schema, v.netView(w))
 	} else {
 		out, err := v.nodeBatch(root)
 		if err != nil {
@@ -78,13 +79,12 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) erro
 		if root.joinFree() && out.Len() > 0 {
 			v.relevant = true
 		}
-		v.netBatch(out, res.Signed)
+		res.setRows(out.Schema, v.netBatch(out))
 	}
 	if e.SkipIrrelevant && !v.relevant {
 		st.Skipped = true
 		st.DeltaRows = 0 // a skipped refresh consumed no delta row
 	}
-	res.Signed.ToDeltaNettedInto(res.Delta, res.ExecTS)
 	return nil
 }
 
@@ -382,15 +382,17 @@ func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, change
 	e := v.e
 	nOps := len(cj.ops)
 	if len(changed) > maxChangedOperands {
-		s, err := PropagateSigned(cj.plan, v.ctx.Pre, v.ctx.Post)
+		d, err := Propagate(cj.plan, v.ctx.Pre, v.ctx.Post, 0)
 		if err != nil {
 			return nil, err
 		}
-		pb, ok := batch.FromSigned(e.pool, s)
-		if !ok {
-			return nil, nonConforming("join re-evaluation")
+		pb := v.own(e.pool.Get(d.Schema(), 2*d.Len()))
+		for _, r := range d.Rows() {
+			if !pb.AppendChange(r) {
+				return nil, nonConforming("join re-evaluation")
+			}
 		}
-		return v.own(pb), nil
+		return pb, nil
 	}
 
 	pres := make([]*vecInput, nOps)
@@ -588,21 +590,23 @@ func crossStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids
 }
 
 // netView nets a selection over paired windows (vecEval.paired) and
-// renders the result rows into out. Each tid reaches the view as a lone
-// row or as its adjacent -old/+new pair, so netting is one forward pass
-// with no grouping: a pair whose projected columns are equal cancels
-// (the projection dropped every changed column), everything else is the
-// net change as it stands. Only the projected columns are compared or
-// read; the emitted rows share one flat owned backing, so the result
-// does not reference the window.
-func (v *vecEval) netView(w selView, out *delta.Signed) {
-	*out = delta.Signed{Schema: w.schema}
+// renders the net change as result rows stamped with the execution's
+// timestamp. Each tid reaches the view as a lone row or as its adjacent
+// -old/+new pair, so netting is one forward pass with no grouping: a
+// pair whose projected columns are equal cancels (the projection dropped
+// every changed column), a pair that differs is one modification, a
+// lone row an insertion or a deletion. Only the projected columns are
+// compared or read; the rows' values share one flat owned backing, so
+// the change does not reference the window. No net change renders
+// nothing and returns nil.
+func (v *vecEval) netView(w selView) []delta.Row {
 	n := w.len()
 	if n == 0 {
-		return
+		return nil
 	}
 	b, pool := w.b, v.e.pool
-	keep := pool.GetIdx(n)
+	keep := pool.GetIdx(n) // window rows kept, a pair's two adjacent
+	tids := 0
 	for k := 0; k < n; k++ {
 		i := w.at(k)
 		if b.Signs[i] < 0 && k+1 < n {
@@ -610,26 +614,45 @@ func (v *vecEval) netView(w selView, out *delta.Signed) {
 				k++
 				if !b.KeyEqual(int(i), w.cols, b, int(j), w.cols) {
 					keep = append(keep, i, j)
+					tids++
 				}
 				continue
 			}
 		}
 		keep = append(keep, i)
+		tids++
 	}
-	if len(keep) > 0 {
+	var rows []delta.Row
+	if tids > 0 {
 		width := len(w.cols)
 		flat := make([]relation.Value, len(keep)*width)
-		out.Rows = make([]delta.SignedRow, len(keep))
-		for r, i := range keep {
-			vals := flat[r*width : (r+1)*width : (r+1)*width]
+		rows = make([]delta.Row, 0, tids)
+		render := func(i int32) []relation.Value {
+			vals := flat[:width:width]
+			flat = flat[width:]
 			for c, ci := range w.cols {
 				vals[c] = b.Value(int(i), ci)
 			}
-			out.Rows[r] = delta.SignedRow{TID: b.TIDs[i], Values: vals, Sign: int(b.Signs[i])}
+			return vals
+		}
+		for k := 0; k < len(keep); k++ {
+			i := keep[k]
+			row := delta.Row{TID: b.TIDs[i], TS: v.execTS}
+			if b.Signs[i] > 0 {
+				row.New = render(i)
+			} else {
+				row.Old = render(i)
+				if k+1 < len(keep) && b.Signs[keep[k+1]] > 0 && b.TIDs[keep[k+1]] == row.TID {
+					k++
+					row.New = render(keep[k])
+				}
+			}
+			rows = append(rows, row)
 		}
 	}
 	// released: the kept rows are rendered.
 	pool.PutIdx(keep)
+	return rows
 }
 
 // netEntry is one distinct value-row of a tid's net group: the index of
@@ -668,17 +691,23 @@ func (g *netGroup) add(e netEntry) {
 
 // netBatch reduces the signed batch to at most one negative and one
 // positive row per tid by counting per (tid, value) and keeping nonzero
-// nets. This collapses the cross terms of the truth-table expansion
-// (e.g. a tuple modified on both join sides contributes four signed rows
-// that net to one -old and one +new), and is the netting of everything
-// netView's premise does not cover: join outputs, computed projections,
-// uncompacted windows. Candidate rows are compared in
-// place (RowsEqual) — no row is materialized or hashed, so two distinct
-// rows can never merge — and grouping is a flat group slice addressed
-// through one tid index, so the pass costs O(1) allocations. The emitted
-// rows, written into out, share one flat owned backing, so the result
-// stays valid after the batch returns to the pool.
-func (v *vecEval) netBatch(b *batch.Batch, out *delta.Signed) {
+// nets, and renders each tid's net as one result row stamped with the
+// execution's timestamp: a deletion, an insertion, or a modification
+// pairing the two. This collapses the cross terms of the truth-table
+// expansion (e.g. a tuple modified on both join sides contributes four
+// signed rows that net to one -old and one +new), and is the netting of
+// everything netView's premise does not cover: join outputs, computed
+// projections, uncompacted windows. Candidate rows are compared in place
+// (RowsEqual) — no row is materialized or hashed, so two distinct rows
+// can never merge — and grouping is a flat group slice addressed through
+// one tid index, so the pass costs O(1) allocations. The rows' values
+// share one flat owned backing, so the change stays valid after the
+// batch returns to the pool. No net change renders nothing and returns
+// nil.
+func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
+	if b.Len() == 0 {
+		return nil
+	}
 	width := b.Schema.Len()
 	groupOf := make(map[relation.TID]int32, b.Len())
 	groups := make([]netGroup, 0, b.Len())
@@ -705,52 +734,63 @@ func (v *vecEval) netBatch(b *batch.Batch, out *delta.Signed) {
 		}
 	}
 	// Entries sit in arrival order within each group and groups in
-	// first-arrival order of their tid: the emit order is the first
-	// negative, then the first positive entry of each group.
-	nEmit := 0
+	// first-arrival order of their tid: a tid's net is its first
+	// negative and its first positive entry. Count the halves first, so
+	// the rendering allocates once.
+	halves := 0
 	for gi := range groups {
-		g := &groups[gi]
-		neg, pos := false, false
-		for k := 0; k < int(g.n); k++ {
-			switch c := g.entry(k).count; {
-			case c < 0 && !neg:
-				neg = true
-				nEmit++
-			case c > 0 && !pos:
-				pos = true
-				nEmit++
-			}
+		negAt, posAt := groups[gi].net()
+		if negAt >= 0 {
+			halves++
+		}
+		if posAt >= 0 {
+			halves++
 		}
 	}
-	*out = delta.Signed{Schema: b.Schema}
-	if nEmit == 0 {
-		return
+	if halves == 0 {
+		return nil
 	}
-	flat := make([]relation.Value, nEmit*width)
-	out.Rows = make([]delta.SignedRow, 0, nEmit)
-	emit := func(tid relation.TID, row int32, sign int) {
+	flat := make([]relation.Value, halves*width)
+	render := func(row int32) []relation.Value {
 		vals := flat[:width:width]
 		flat = flat[width:]
 		b.ReadRow(int(row), vals)
-		out.Rows = append(out.Rows, delta.SignedRow{TID: tid, Values: vals, Sign: sign})
+		return vals
 	}
+	rows := make([]delta.Row, 0, len(groups))
 	for gi := range groups {
 		g := &groups[gi]
-		negAt, posAt := int32(-1), int32(-1)
-		for k := 0; k < int(g.n); k++ {
-			e := g.entry(k)
-			switch {
-			case e.count < 0 && negAt < 0:
-				negAt = e.row
-			case e.count > 0 && posAt < 0:
-				posAt = e.row
-			}
+		negAt, posAt := g.net()
+		if negAt < 0 && posAt < 0 {
+			continue
 		}
+		row := delta.Row{TID: g.tid, TS: v.execTS}
 		if negAt >= 0 {
-			emit(g.tid, negAt, -1)
+			row.Old = render(negAt)
 		}
 		if posAt >= 0 {
-			emit(g.tid, posAt, +1)
+			row.New = render(posAt)
+		}
+		if row.Old != nil && row.New != nil && slices.EqualFunc(row.Old, row.New, relation.Value.Equal) {
+			continue // distinct in place, equal as values: no change
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// net returns the batch rows of the group's first negative and first
+// positive entry, -1 for a half the group nets without.
+func (g *netGroup) net() (negAt, posAt int32) {
+	negAt, posAt = -1, -1
+	for k := 0; k < int(g.n); k++ {
+		e := g.entry(k)
+		switch {
+		case e.count < 0 && negAt < 0:
+			negAt = e.row
+		case e.count > 0 && posAt < 0:
+			posAt = e.row
 		}
 	}
+	return negAt, posAt
 }

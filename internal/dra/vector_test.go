@@ -62,11 +62,11 @@ func assertSameNet(t *testing.T, label string, want, got *delta.Signed) {
 // complete re-evaluation of the plan on both states.
 func oracle(t *testing.T, plan algebra.Plan, ctx *Context) *delta.Signed {
 	t.Helper()
-	want, err := PropagateSigned(plan, ctx.Pre, ctx.Post)
+	want, err := Propagate(plan, ctx.Pre, ctx.Post, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want
+	return want.ToSigned()
 }
 
 // assertComplete checks a maintained result against running the query
@@ -120,7 +120,7 @@ func vecFixtureSchemas() map[string]relation.Schema {
 // inside the engine: over random histories, a prepared plan and
 // unprepared Reevaluate must each produce,
 // round after round, exactly the net signed delta of complete
-// re-evaluation (PropagateSigned) and maintain exactly the from-scratch
+// re-evaluation (Propagate) and maintain exactly the from-scratch
 // result, across the flag matrix that changes which kernels run.
 func TestVectorizedMatchesPropagate(t *testing.T) {
 	type variant struct {
@@ -164,7 +164,7 @@ func TestVectorizedMatchesPropagate(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+						assertSameNet(t, label, oracle(t, plan, ctx), res.Delta.ToSigned())
 						prev = res.ApplyTo(prev)
 						assertComplete(t, label, plan, f, prev)
 						f.mark()
@@ -225,8 +225,8 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameNet(t, fmt.Sprintf("round %d A", round), want, aRes.Signed)
-		assertSameNet(t, fmt.Sprintf("round %d B", round), want, bRes.Signed)
+		assertSameNet(t, fmt.Sprintf("round %d A", round), want, aRes.Delta.ToSigned())
+		assertSameNet(t, fmt.Sprintf("round %d B", round), want, bRes.Delta.ToSigned())
 		for _, b := range ctx.Batches {
 			pool.Put(b)
 		}
@@ -306,7 +306,7 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				assertSameNet(t, label, oracle(t, plan, ctx), res.Signed)
+				assertSameNet(t, label, oracle(t, plan, ctx), res.Delta.ToSigned())
 				prev = res.ApplyTo(prev)
 				f.mark()
 			}
@@ -400,11 +400,11 @@ func TestVectorizedBothKernels(t *testing.T) {
 		ctx.Prev = prev
 		want := oracle(t, plan, ctx)
 		for i, root := range []*compiledNode{bare, p.root, p.root} {
-			res := newResult(f.store.Now())
+			res := &Result{ExecTS: f.store.Now()}
 			if err := e.vecEvaluate(root, ctx, res); err != nil {
 				t.Fatalf("q%d run %d: %v", qi, i, err)
 			}
-			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, res.Signed)
+			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, res.Delta.ToSigned())
 		}
 		p.Close()
 	}

@@ -144,6 +144,130 @@ func TestTraceLogRing(t *testing.T) {
 	}
 }
 
+// TestTraceLogReusesEvictedSpans: once the ring is full, Start hands
+// back the memory of the root the ring evicted last, and a copy Recent
+// returned before stays as it was.
+func TestTraceLogReusesEvictedSpans(t *testing.T) {
+	l := NewTraceLog(1)
+	a := l.Start("a")
+	a.SetField("n", 1)
+	a.Finish()
+	kept := l.Recent()[0]
+	b := l.Start("b")
+	b.Finish() // evicts a
+	c := l.Start("c")
+	if c != a {
+		t.Fatal("Start did not reuse the span the ring evicted")
+	}
+	if c.Name != "c" || len(c.Fields) != 0 || len(c.Children) != 0 || c.Duration != 0 {
+		t.Fatalf("a reused span must start fresh: %+v", c)
+	}
+	c.SetField("n", 3)
+	c.Finish()
+	if kept == a || kept.Name != "a" || len(kept.Fields) != 1 || kept.Fields[0].Value != 1 {
+		t.Fatalf("a span Recent returned changed when its original was reused: %+v", kept)
+	}
+}
+
+// TestTraceLogConcurrentRecycle: writers Start and Finish roots while
+// readers call Recent, the ring wrapping a hundred times. Every span a
+// reader got stays exactly as it read it, however often the spans it
+// was copied from are reused, and /debug/traces keeps its JSON shape.
+// Run it under -race.
+func TestTraceLogConcurrentRecycle(t *testing.T) {
+	const capacity, writers, perWriter = 8, 4, 200 // 800 roots: the ring wraps 100 times
+	l := NewTraceLog(capacity)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				sp := l.Start("cq.refresh")
+				sp.SetField("writer", int64(w))
+				sp.SetField("seq", int64(i))
+				sp.Finish()
+			}
+		}(w)
+	}
+	type read struct {
+		spans []*Span
+		json  string
+	}
+	reads := make([][]read, 2)
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := range reads {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			for {
+				spans := l.Recent()
+				for _, sp := range spans {
+					if sp.Name != "cq.refresh" || len(sp.Fields) != 2 || sp.Fields[0].Key != "writer" || sp.Fields[1].Key != "seq" {
+						t.Errorf("torn span: %+v", sp)
+						return
+					}
+				}
+				js, err := json.Marshal(spans)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reads[r] = append(reads[r], read{spans, string(js)})
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	for r, rs := range reads {
+		for i, rd := range rs {
+			js, err := json.Marshal(rd.spans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(js) != rd.json {
+				t.Fatalf("reader %d, read %d changed after the ring wrapped:\n got %s\nwant %s", r, i, js, rd.json)
+			}
+		}
+	}
+
+	srv := httptest.NewServer(TracesHandler(l))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var spans []map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != capacity {
+		t.Fatalf("/debug/traces served %d spans, want %d", len(spans), capacity)
+	}
+	for _, sp := range spans {
+		if len(sp) != 4 || sp["name"] != "cq.refresh" || sp["start"] == nil || sp["duration_ns"] == nil {
+			t.Fatalf("/debug/traces span has keys %v, want name, start, duration_ns, fields", sp)
+		}
+		fields, ok := sp["fields"].([]any)
+		if !ok || len(fields) != 2 {
+			t.Fatalf("/debug/traces span fields = %v", sp["fields"])
+		}
+		for _, f := range fields {
+			if m, ok := f.(map[string]any); !ok || len(m) != 2 || m["key"] == nil || m["value"] == nil {
+				t.Fatalf("/debug/traces field = %v, want key and value", f)
+			}
+		}
+	}
+}
+
 func TestSnapshotAndWriteTable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dra.terms_evaluated").Add(7)

@@ -1,14 +1,17 @@
 #!/bin/sh
 # check-allocs: a refresh's allocations per operation are a budget, not
 # an observation. BenchmarkRefreshStep (internal/dra) measures the
-# steady-state refresh over a fixed window on a selection (columnar: the
-# step alone; notify: the step and ApplyTo), on the telescoping kernel of
-# a 3-way join (join), and on the group table under a GROUP BY and a
-# DISTINCT (agg, distinct); BenchmarkRefreshRound (internal/cq) measures
-# the refresh of 64 selection CQs over a shared window, everything the
-# manager does around each step included: one Poll (round), and one
-# commit fanned out to 64 push dispatches that share the commit's window
-# cache (push); BenchmarkRefreshMirror (internal/remote) measures the
+# steady-state refresh over a fixed window, each step into one held
+# Result, on a selection (columnar: the step alone; notify: the step and
+# ApplyTo), on the telescoping kernel of a 3-way join (join), and on the
+# group table under a GROUP BY and a DISTINCT (agg, distinct);
+# BenchmarkRefreshRound (internal/cq) measures the refresh of 64
+# selection CQs over a shared window, everything the manager does around
+# each step included: one Poll (round), and one commit fanned out to 64
+# push dispatches that share the commit's window cache (push); and one
+# commit pushed to a 200-member template group of which about three
+# members match, so nearly every member refresh is empty (members);
+# BenchmarkRefreshMirror (internal/remote) measures the
 # client side: one 64-row commit to a 50k-row table and one Refresh of a
 # selection MirrorCQ over loopback, server included (mirror);
 # BenchmarkRegister (internal/cq) measures registration, the initial
