@@ -33,7 +33,7 @@ var ErrNotIncremental = errors.New("dra: plan is not incrementally maintainable"
 
 // IncrementalAggregate maintains an aggregate query's result across
 // refreshes: the group table a prepared aggregate plan keeps, stand-alone.
-// Step, Result, Groups and Close are groupTable's.
+// Step, StepInto, Result, Groups and Close are groupTable's.
 type IncrementalAggregate struct{ *groupTable }
 
 // NewIncrementalAggregate validates the plan and seeds the table from the

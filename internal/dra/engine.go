@@ -302,18 +302,8 @@ func (r *Result) reset(execTS vclock.Timestamp) {
 // setRows reports rows as the change: adopted as they are, or the
 // Result's empty Delta when there are none.
 func (r *Result) setRows(schema relation.Schema, rows []delta.Row) {
-	if len(rows) == 0 {
-		r.setDelta(nil, schema)
-		return
-	}
-	r.Delta = delta.FromRows(schema, rows)
-}
-
-// setDelta reports d as the change, or the Result's empty Delta when d
-// is nil or has no row.
-func (r *Result) setDelta(d *delta.Delta, schema relation.Schema) {
-	if d != nil && d.Len() > 0 {
-		r.Delta = d
+	if len(rows) > 0 {
+		r.Delta = delta.FromRows(schema, rows)
 		return
 	}
 	if r.none == nil {
@@ -452,7 +442,7 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, r
 		// Diff output: each tid at most once already.
 		var d *delta.Delta
 		if d, err = Propagate(plan, ctx.Pre, ctx.Post, res.ExecTS); err == nil {
-			res.setDelta(d, plan.Schema())
+			res.setRows(plan.Schema(), d.Rows())
 		}
 	}
 	if err != nil {

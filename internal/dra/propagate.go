@@ -52,7 +52,7 @@ func fullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relat
 	if err != nil {
 		return err
 	}
-	res.setDelta(d, plan.Schema())
+	res.setRows(plan.Schema(), d.Rows())
 	res.materialized = cur
 	return nil
 }

@@ -2,7 +2,6 @@ package dra
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -770,9 +769,6 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		}
 		if posAt >= 0 {
 			row.New = render(posAt)
-		}
-		if row.Old != nil && row.New != nil && slices.EqualFunc(row.Old, row.New, relation.Value.Equal) {
-			continue // distinct in place, equal as values: no change
 		}
 		rows = append(rows, row)
 	}
