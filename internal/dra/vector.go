@@ -736,7 +736,7 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 	// first-arrival order of their tid: a tid's net is its first
 	// negative and its first positive entry. Count the halves first, so
 	// the rendering allocates once.
-	halves := 0
+	halves, nets := 0, 0
 	for gi := range groups {
 		negAt, posAt := groups[gi].net()
 		if negAt >= 0 {
@@ -744,6 +744,9 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		}
 		if posAt >= 0 {
 			halves++
+		}
+		if negAt >= 0 || posAt >= 0 {
+			nets++
 		}
 	}
 	if halves == 0 {
@@ -756,7 +759,7 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		b.ReadRow(int(row), vals)
 		return vals
 	}
-	rows := make([]delta.Row, 0, len(groups))
+	rows := make([]delta.Row, 0, nets)
 	for gi := range groups {
 		g := &groups[gi]
 		negAt, posAt := g.net()
