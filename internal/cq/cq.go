@@ -277,6 +277,11 @@ type instance struct {
 	// fault, set only by the guard tests, fails every private step in
 	// eval's place: it injects panics, errors and stalls.
 	fault func() error
+	// queued holds, in Seq order, the notifications of refreshes whose
+	// execution record is staged with the journal and maybe not yet
+	// written; a refresh worker delivers them once its flush has written
+	// them (outbox).
+	queued []queuedNote
 
 	// terminated is atomic (not under mu) so the manager-lock paths
 	// (gauge recomputation, GC horizon) can read it while a refresh
@@ -440,6 +445,10 @@ type Manager struct {
 	// late is noteLate bound once, the late callback of every budgeted
 	// refresh.
 	late func(error)
+	// staged numbers the execution records staged with the journal
+	// (Journal.CQStaged): a flush that read it as n before it started
+	// has written every record numbered n or less.
+	staged atomic.Uint64
 
 	// background loop lifecycle
 	loopStop chan struct{}
@@ -895,6 +904,12 @@ func (m *Manager) attach(name string, f func(n Notification, closed bool), snaps
 	sub := &subscriber{fn: f}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
+	if len(inst.queued) > 0 {
+		// A queued notification belongs to the subscribers of the refresh
+		// that made it: it goes out before the new one attaches at the
+		// CQ's present Seq, or the newcomer would receive that Seq twice.
+		m.flushQueuedLocked(inst)
+	}
 	at := Notification{
 		CQName:     name,
 		Seq:        inst.seq,
@@ -1041,6 +1056,7 @@ func (m *Manager) Drop(name string) error {
 	// must not happen in memory, or a restart would resurrect the CQ.
 	inst.mu.Lock()
 	inst.dropped.Store(true)
+	upTo := m.staged.Load()
 	if m.cfg.Journal != nil {
 		if err := m.cfg.Journal.CQDropped(name); err != nil {
 			inst.dropped.Store(false)
@@ -1048,6 +1064,10 @@ func (m *Manager) Drop(name string) error {
 			return fmt.Errorf("cq %q: journal drop: %w", name, err)
 		}
 	}
+	// The drop's record went out behind every staged one: what the CQ
+	// has queued is written, and reaches its subscribers before they
+	// close.
+	m.deliverQueuedLocked(inst, upTo)
 	closeSubs(inst)
 	inst.closeEval()
 	// Under inst.mu: an in-flight refresh of THIS member either finished

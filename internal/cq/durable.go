@@ -14,23 +14,43 @@ import (
 	"github.com/diorama/continual/internal/wal"
 )
 
-// Journal receives registry mutations and delivered executions in
-// write-ahead order: the manager calls each hook BEFORE the matching
-// in-memory change or notification, and a hook error aborts the
-// operation with the manager unchanged. This is what makes delivered
-// notifications at-most-once across crashes — an execution the journal
-// never saw was also never delivered, so after recovery its trigger
+// Journal receives registry mutations and executions in write-ahead
+// order: the manager calls each hook BEFORE the matching in-memory change
+// or notification, and a hook error aborts the operation with the
+// manager unchanged. This is what makes delivered notifications
+// at-most-once across crashes — an execution whose record was never
+// written was also never delivered, so after recovery its trigger
 // simply re-fires and the refresh re-runs differentially.
+//
+// An execution is recorded one of two ways. A private refresh calls
+// CQExecuted, whose record is written when it returns, and delivers at
+// once. A template member streaming from its group calls CQStaged: the
+// record waits in the journal's buffer and the notification waits on the
+// instance, until the refresh worker's Flush has written it (refresh.go,
+// outbox) — one write per worker for a round of members, not one per
+// member. Every write carries the staged records ahead of its own, so
+// the log holds the records in call order, and a crash can forget only
+// executions that delivered nothing: recovery resumes such a CQ at its
+// last written execution and re-derives the change there, as if the
+// crash had come just before the refresh journaled.
 //
 // The journal sees a CQ's bookkeeping, never its result: a resumed CQ
 // re-derives its result by one initial execution at LastExec.
 type Journal interface {
 	// CQRegistered records a new CQ's definition and bookkeeping.
 	CQRegistered(e wal.CQEntry) error
-	// CQExecuted records one delivered refresh: its sequence number,
-	// execution timestamp and whether it ended the sequence.
+	// CQExecuted records one refresh: its sequence number, execution
+	// timestamp and whether it ended the sequence. The record, and every
+	// staged one ahead of it, is written when it returns.
 	CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error
-	// CQDropped records removal.
+	// CQStaged records one refresh like CQExecuted but only stages the
+	// record: the next write — Flush, or any other record — carries it.
+	CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error
+	// Flush writes every staged record. A failure is final: the journal
+	// stops, and no later call succeeds.
+	Flush() error
+	// CQDropped records removal; its record is written when it returns,
+	// carrying the staged records ahead of it.
 	CQDropped(name string) error
 }
 

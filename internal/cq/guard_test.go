@@ -525,6 +525,14 @@ func (j *blockJournal) CQExecuted(name string, seq int, ts vclock.Timestamp, ter
 	return nil
 }
 
+// CQStaged records like CQExecuted: the test's CQ is private, so
+// nothing stages.
+func (j *blockJournal) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+	return j.CQExecuted(name, seq, ts, terminated)
+}
+
+func (j *blockJournal) Flush() error { return nil }
+
 func (j *blockJournal) CQDropped(name string) error {
 	j.record("drop:" + name)
 	return nil

@@ -33,6 +33,13 @@ package cq
 // The driver holds Manager.mu only for the snapshot and the trigger
 // pass; the evaluation, journaling and delivery of a refresh run under
 // the instance lock alone, whichever feeder started it.
+//
+// Under a journal, the members of a template that stream from their
+// group are group-committed: each worker of the round stages their
+// execution records and queues their notifications, then writes the
+// lot in one flush and delivers the queues (outbox) — at the end of its
+// slice, and before any private refresh it takes on, which writes and
+// delivers inline.
 
 import (
 	"errors"
@@ -384,26 +391,34 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, [
 		}
 	}
 	if workers <= 1 {
+		q := m.openOutbox()
 		for _, inst := range fired {
-			tally(m.guardedRefresh(inst, rd, forced))
+			tally(m.guardedRefresh(inst, rd, forced, q))
+		}
+		if err := m.closeOutbox(q); err != nil {
+			errs = append(errs, err)
 		}
 	} else {
 		type outcome struct {
 			refreshed bool
 			err       error
 		}
-		outs := make([]outcome, len(fired))
+		// A slot per fired CQ, then one per worker for its outbox's flush.
+		outs := make([]outcome, len(fired)+workers)
 		var wg sync.WaitGroup
 		idx := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			// guarded: guardedRefresh isolates per-item panics; nothing
-			// in the loop body itself can panic.
+			// guarded: guardedRefresh isolates per-item panics and
+			// closeOutbox's delivery isolates the callbacks; nothing else
+			// in the body can panic.
 			go func() {
 				defer wg.Done()
+				q := m.openOutbox()
 				for i := range idx {
-					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, forced)
+					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, forced, q)
 				}
+				outs[len(fired)+w].err = m.closeOutbox(q)
 			}()
 		}
 		for i := range fired {
@@ -421,6 +436,118 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, [
 	return n, errs
 }
 
+// outbox is one refresh worker's group commit. A template member that
+// streams from its group stages its execution record with the journal
+// and queues its notification on its instance (refreshInstance); the
+// worker then writes everything staged in one Flush and delivers the
+// queues it filled (settle) — before its next private refresh and at
+// the end of its slice of the round — so a round of N members costs at
+// most one write per worker, not N. A private refresh is never staged:
+// its step can be arbitrarily slow (a join, a rollup, an INTO commit),
+// nothing may wait behind it, and it writes one record anyway.
+type outbox struct {
+	insts  []*instance // the instances this worker queued a notification on
+	staged bool        // this worker staged a record since its last flush
+	err    error       // the first failed flush
+}
+
+var outboxes = sync.Pool{New: func() any { return new(outbox) }}
+
+// openOutbox returns a worker's outbox, or nil when every refresh
+// writes and delivers inline: without a journal there is nothing to
+// stage, and under a refresh budget an attempt the round abandons must
+// not share the worker's outbox (it delivers inline when it finishes).
+func (m *Manager) openOutbox() *outbox {
+	if m.cfg.Journal == nil || m.guardPol.Budget > 0 {
+		return nil
+	}
+	return outboxes.Get().(*outbox)
+}
+
+// closeOutbox settles the outbox at the end of the worker's slice and
+// returns the error of a failed flush, if any.
+func (m *Manager) closeOutbox(q *outbox) error {
+	if q == nil {
+		return nil
+	}
+	m.settle(q)
+	err := q.err
+	q.err = nil
+	outboxes.Put(q)
+	return err
+}
+
+// settle writes everything staged and delivers the queues the worker
+// filled, each under its instance's lock. A notification goes out only
+// once a flush that started after its record was staged has returned:
+// one staged later, by another worker, stays queued for that worker. If
+// the flush fails, the journal has stopped for good: the queued
+// notifications are dropped undelivered and the round returns the
+// error. Caller holds no instance lock.
+func (m *Manager) settle(q *outbox) {
+	if !q.staged {
+		return
+	}
+	upTo := m.staged.Load()
+	err := m.cfg.Journal.Flush()
+	if err != nil && q.err == nil {
+		q.err = fmt.Errorf("cq: journal flush: %w", err)
+	}
+	for _, inst := range q.insts {
+		inst.mu.Lock()
+		if err != nil {
+			inst.dropQueuedLocked()
+		} else {
+			m.deliverQueuedLocked(inst, upTo)
+		}
+		inst.mu.Unlock()
+	}
+	clear(q.insts) // a settled instance must not stay reachable
+	q.insts, q.staged = q.insts[:0], false
+}
+
+// queuedNote is a notification waiting for its execution record, staged
+// as number ticket (Manager.staged), to be written.
+type queuedNote struct {
+	note   Notification
+	ticket uint64
+}
+
+// deliverQueuedLocked delivers, in Seq order, inst's queued
+// notifications whose records a flush that read Manager.staged as upTo
+// has written. Caller holds inst.mu.
+func (m *Manager) deliverQueuedLocked(inst *instance, upTo uint64) {
+	n := 0
+	for ; n < len(inst.queued) && inst.queued[n].ticket <= upTo; n++ {
+		m.deliver(inst, inst.queued[n].note)
+	}
+	if n > 0 {
+		rest := copy(inst.queued, inst.queued[n:])
+		clear(inst.queued[rest:]) // a delivered change must not stay reachable
+		inst.queued = inst.queued[:rest]
+	}
+}
+
+// flushQueuedLocked writes the staged records and delivers everything
+// inst has queued — all of it staged under inst.mu, which the caller
+// holds, so the flush covers it. A failed flush drops the queue, as
+// settle does.
+func (m *Manager) flushQueuedLocked(inst *instance) {
+	upTo := m.staged.Load()
+	if err := m.cfg.Journal.Flush(); err != nil {
+		inst.dropQueuedLocked()
+		return
+	}
+	m.deliverQueuedLocked(inst, upTo)
+}
+
+// dropQueuedLocked discards inst's queued notifications undelivered.
+// Caller holds inst.mu.
+func (inst *instance) dropQueuedLocked() {
+	clear(inst.queued)
+	inst.queued = inst.queued[:0]
+}
+
 // errSkipRefresh marks a guarded attempt that found nothing to do (the
 // CQ terminated, was dropped, or a racing path already covered this
 // timestamp). Not a failure, not a success: the breaker releases its
@@ -436,13 +563,14 @@ var errSkipRefresh = errors.New("cq: refresh skipped")
 // monotonicity check makes its late completion harmless, and a reaper
 // records the late outcome in metrics. The timeout itself counts as a
 // breaker failure. Without a budget the attempt runs inline and creates
-// no closure (protectedRefresh).
-func (m *Manager) guardedRefresh(inst *instance, rd round, forced bool) (bool, error) {
+// no closure (protectedRefresh). q is the worker's outbox (nil under a
+// budget: see openOutbox).
+func (m *Manager) guardedRefresh(inst *instance, rd round, forced bool, q *outbox) (bool, error) {
 	var err error
 	if budget := m.guardPol.Budget; budget > 0 {
-		err = guard.Attempt(budget, func() error { return m.attemptRefresh(inst, rd, forced) }, m.late)
+		err = guard.Attempt(budget, func() error { return m.attemptRefresh(inst, rd, forced, nil) }, m.late)
 	} else {
-		err = m.protectedRefresh(inst, rd, forced)
+		err = m.protectedRefresh(inst, rd, forced, q)
 	}
 	switch {
 	case err == nil:
@@ -478,9 +606,18 @@ func (m *Manager) guardedRefresh(inst *instance, rd round, forced bool) (bool, e
 	return false, err
 }
 
-// attemptRefresh is one guarded attempt at a CQ's refresh.
-func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool) error {
+// attemptRefresh is one guarded attempt at a CQ's refresh, q the
+// worker's outbox or nil.
+func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool, q *outbox) error {
 	inst.mu.Lock()
+	if q != nil && q.staged && !inst.streams() {
+		// A private step can be slow: what the worker has queued goes out
+		// first. Delivery takes other instances' locks, so this one is let
+		// go meanwhile; the checks below run once it is retaken.
+		inst.mu.Unlock()
+		m.settle(q)
+		inst.mu.Lock()
+	}
 	defer inst.mu.Unlock()
 	// A racing round may have re-evaluated past this round's timestamp
 	// already; refreshing would move lastExec backwards, so skip —
@@ -491,7 +628,7 @@ func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool) error {
 		return errSkipRefresh
 	}
 	inst.guardErr.Store(nil)
-	if err := m.refreshInstance(inst, rd); err != nil {
+	if err := m.refreshInstance(inst, rd, q); err != nil {
 		inst.lastErr = err
 		return err
 	}
@@ -501,9 +638,9 @@ func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool) error {
 
 // protectedRefresh is attemptRefresh under guard.Protect's panic
 // isolation, written without the closure Protect takes.
-func (m *Manager) protectedRefresh(inst *instance, rd round, forced bool) (err error) {
+func (m *Manager) protectedRefresh(inst *instance, rd round, forced bool, q *outbox) (err error) {
 	defer guard.Recover(&err)
-	return m.attemptRefresh(inst, rd, forced)
+	return m.attemptRefresh(inst, rd, forced, q)
 }
 
 // noteFailure records one refresh (or trigger) failure against the CQ's
@@ -640,7 +777,7 @@ func (in *stepInput) release() {
 // holds inst.mu.
 func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Result, error) {
 	if g := inst.group; g != nil {
-		if inst.eval == nil {
+		if inst.streams() {
 			// No private windows, no private evaluation: step the group
 			// once and fold this member's dispatched rows.
 			return m.refreshShared(inst, rd)
@@ -680,10 +817,19 @@ func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Resul
 	return &inst.res, nil
 }
 
+// streams reports whether the instance is a template member that
+// streams from its group: its refresh folds the group's dispatched rows
+// and runs no private step. Caller holds inst.mu.
+func (inst *instance) streams() bool {
+	return inst.group != nil && inst.eval == nil
+}
+
 // refreshInstance re-evaluates the CQ at the round timestamp and
-// delivers the notification. Caller holds inst.mu (and only inst.mu; the
-// store and the DRA engine are safe for concurrent use).
-func (m *Manager) refreshInstance(inst *instance, rd round) error {
+// delivers the notification — or, for a streaming member under the
+// worker's outbox q, stages its record and queues the notification for
+// the worker to deliver once written. Caller holds inst.mu (and only
+// inst.mu; the store and the DRA engine are safe for concurrent use).
+func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	execTS := rd.ts
 	var span *obs.Span
 	var start time.Time
@@ -717,16 +863,30 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 		}
 	}
 
-	// Journal the execution BEFORE any state mutates or a notification
-	// goes out: a journal failure fails the refresh with the instance
-	// unchanged (the trigger re-fires next round), so a delivered
-	// notification is always durable — at-most-once delivery across
-	// crashes. Subscribers that need the gap re-fetch Result() after a
-	// restart.
+	// Journal the execution BEFORE any state mutates: a journal failure
+	// fails the refresh with the instance unchanged (the trigger re-fires
+	// next round). A private refresh's record is written here; a
+	// streaming member's is staged, and its notification waits on the
+	// instance until the worker's flush has written it (outbox). Either
+	// way a delivered notification is always durable — at-most-once
+	// delivery across crashes — and a crash forgets only executions that
+	// delivered nothing. Subscribers that need the gap re-fetch Result()
+	// after a restart.
 	newSeq := inst.seq + 1
 	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
-	if m.cfg.Journal != nil {
-		if jerr := m.cfg.Journal.CQExecuted(inst.def.Name, newSeq, execTS, willTerm); jerr != nil {
+	stage := q != nil && inst.streams()
+	var ticket uint64
+	if j := m.cfg.Journal; j != nil {
+		var jerr error
+		if stage {
+			if jerr = j.CQStaged(inst.def.Name, newSeq, execTS, willTerm); jerr == nil {
+				ticket = m.staged.Add(1)
+				q.staged = true
+			}
+		} else {
+			jerr = j.CQExecuted(inst.def.Name, newSeq, execTS, willTerm)
+		}
+		if jerr != nil {
 			return fmt.Errorf("cq %q: journal execution: %w", inst.def.Name, jerr)
 		}
 	}
@@ -785,6 +945,11 @@ func (m *Manager) refreshInstance(inst *instance, rd round) error {
 
 	note := m.buildNotification(inst, res)
 	if note.Empty() && !inst.def.NotifyEmpty && !note.Terminated {
+		return nil
+	}
+	if stage {
+		inst.queued = append(inst.queued, queuedNote{note: note, ticket: ticket})
+		q.insts = append(q.insts, inst)
 		return nil
 	}
 	m.deliver(inst, note)

@@ -245,6 +245,13 @@ func (j *nameFaultJournal) CQExecuted(name string, _ int, _ vclock.Timestamp, _ 
 	return nil
 }
 
+// CQStaged fails like CQExecuted: a streaming member stages its record.
+func (j *nameFaultJournal) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+	return j.CQExecuted(name, seq, ts, terminated)
+}
+
+func (j *nameFaultJournal) Flush() error { return nil }
+
 // TestTemplateQuarantineIsolation: a member whose refreshes fail is
 // quarantined on its own breaker; its template-mates keep refreshing
 // from the same shared plan, and when the faulty member heals its probe

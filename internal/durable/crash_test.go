@@ -10,6 +10,7 @@ import (
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/wal"
 )
@@ -135,15 +136,98 @@ func oracleRun(t *testing.T, ops []op) []*relation.Relation {
 // (v >= 50) — MODE COMPLETE makes the CQ result exactly this.
 func expectedResult(t *testing.T, table *relation.Relation) *relation.Relation {
 	t.Helper()
-	out := relation.New(table.Schema())
-	for _, tu := range table.Tuples() {
-		if tu.Values[1].AsInt() >= 50 {
-			if err := out.Insert(tu); err != nil {
-				t.Fatal(err)
-			}
+	return filterGE(t, table, 50)
+}
+
+// sweepMembers are the shared configuration's three members of one
+// template (`v > k`), registered beside watch; the NotifyEmpty one
+// delivers every execution, so its delivered Seq must stay gap-free.
+var sweepMembers = []struct {
+	name        string
+	over        int64
+	notifyEmpty bool
+}{{"over20", 20, false}, {"over45", 45, false}, {"over70", 70, true}}
+
+// crashCQs names the CQs a configuration registers.
+func crashCQs(shared bool) []string {
+	names := []string{"watch"}
+	if shared {
+		for _, mem := range sweepMembers {
+			names = append(names, mem.name)
 		}
 	}
-	return out
+	return names
+}
+
+// openCrashSys opens the data directory with template sharing on or
+// off. One refresh worker: a round's writes, one flush per worker, must
+// not depend on scheduling, or the sweep's kill points would not line
+// up from run to run.
+func openCrashSys(fs wal.FS, shared bool) (*durable.System, error) {
+	return durable.Open(durable.Options{
+		Dir:   "data",
+		FS:    fs,
+		Fsync: wal.FsyncAlways,
+		CQ:    cq.Config{UseDRA: true, AutoGC: true, ShareTemplates: shared, Parallelism: 1},
+	})
+}
+
+// setupCrash is setup, plus the shared configuration's template
+// members.
+func setupCrash(t *testing.T, sys *durable.System, shared bool) {
+	t.Helper()
+	setup(t, sys.Store, sys.Manager)
+	if !shared {
+		return
+	}
+	for _, mem := range sweepMembers {
+		if _, err := sys.Manager.Register(cq.Def{
+			Name:        mem.name,
+			Query:       fmt.Sprintf("SELECT name, v FROM stocks WHERE v > %d", mem.over),
+			Trigger:     sql.TriggerSpec{Kind: sql.TriggerUpdates, Updates: 1},
+			NotifyEmpty: mem.notifyEmpty,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := sys.Manager.State(sweepMembers[0].name)
+	if a.Template == 0 || a.TemplateMates != len(sweepMembers) {
+		t.Fatalf("members do not share one template: %+v", a)
+	}
+}
+
+// subscribeSeqs records the Seq of every notification each CQ delivers.
+func subscribeSeqs(t *testing.T, mgr *cq.Manager, names []string) (map[string][]int, func()) {
+	t.Helper()
+	seqs := make(map[string][]int)
+	var cancels []func()
+	for _, name := range names {
+		name := name
+		cancel, err := mgr.SubscribeFunc(name, func(n cq.Notification, closed bool) {
+			if !closed {
+				seqs[name] = append(seqs[name], n.Seq)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancels = append(cancels, cancel)
+	}
+	return seqs, func() {
+		for _, c := range cancels {
+			c()
+		}
+	}
+}
+
+// contiguous reports whether seqs rise by exactly one each step.
+func contiguous(seqs []int) bool {
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] != seqs[i-1]+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // runScript drives the workload: an op per step, a Poll every third
@@ -166,21 +250,18 @@ func runScript(t *testing.T, sys *durable.System, ops []op, ckptAt int) int {
 }
 
 // verifyRecovery opens the crashed directory and checks the full
-// differential-recovery contract against the oracle.
-func verifyRecovery(t *testing.T, fs *faults.MemFS, ops []op, oracle []*relation.Relation, acked, maxPreSeq int, tag string) {
+// differential-recovery contract against the oracle; pre holds the Seqs
+// each CQ delivered before the crash.
+func verifyRecovery(t *testing.T, fs *faults.MemFS, ops []op, oracle []*relation.Relation, acked int, pre map[string][]int, shared bool, tag string) {
 	t.Helper()
-	sys, err := durable.Open(durable.Options{
-		Dir:   "data",
-		FS:    fs,
-		Fsync: wal.FsyncAlways,
-		CQ:    cq.Config{UseDRA: true, AutoGC: true},
-	})
+	sys, err := openCrashSys(fs, shared)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", tag, err)
 	}
 	defer sys.Close()
-	if sys.Recovery.CQs != 1 {
-		t.Fatalf("%s: resumed %d CQs, want 1", tag, sys.Recovery.CQs)
+	names := crashCQs(shared)
+	if sys.Recovery.CQs != len(names) {
+		t.Fatalf("%s: resumed %d CQs, want %d", tag, sys.Recovery.CQs, len(names))
 	}
 
 	// The recovered table must be some oracle prefix: everything
@@ -200,18 +281,18 @@ func verifyRecovery(t *testing.T, fs *faults.MemFS, ops []op, oracle []*relation
 	if m < 0 {
 		t.Fatalf("%s: recovered state is no oracle prefix >= %d acked:\n%v", tag, acked, got)
 	}
+	recovered := make(map[string]int)
+	for _, name := range names {
+		st, err := sys.Manager.State(name)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		recovered[name] = st.Seq
+	}
 
 	// Post-crash notifications must continue the sequence past
 	// everything delivered before the crash — never a replay.
-	var postSeqs []int
-	cancel, err := sys.Manager.SubscribeFunc("watch", func(n cq.Notification, closed bool) {
-		if !closed {
-			postSeqs = append(postSeqs, n.Seq)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	post, cancel := subscribeSeqs(t, sys.Manager, names)
 	defer cancel()
 
 	// Continue the workload from exactly the recovered prefix; the
@@ -241,40 +322,63 @@ func verifyRecovery(t *testing.T, fs *faults.MemFS, ops []op, oracle []*relation
 	if want := expectedResult(t, final); !res.EqualContents(want) {
 		t.Fatalf("%s: final cq result %v, want %v", tag, res, want)
 	}
-	prev := maxPreSeq
-	for _, s := range postSeqs {
-		if s <= prev {
-			t.Fatalf("%s: notification seq %d not past %d (pre-crash max %d, post %v)", tag, s, prev, maxPreSeq, postSeqs)
+	if shared {
+		for _, mem := range sweepMembers {
+			res, err := sys.Manager.Result(mem.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := filterGE(t, final, mem.over+1); !res.EqualContents(want) {
+				t.Fatalf("%s: final %s result %v, want %v", tag, mem.name, res, want)
+			}
 		}
-		prev = s
+	}
+	for _, name := range names {
+		prev := 0
+		if s := pre[name]; len(s) > 0 {
+			prev = s[len(s)-1]
+		}
+		maxPreSeq := prev
+		for _, s := range post[name] {
+			if s <= prev {
+				t.Fatalf("%s: %s notification seq %d not past %d (pre-crash max %d, post %v)", tag, name, s, prev, maxPreSeq, post[name])
+			}
+			prev = s
+		}
+	}
+	if !shared {
+		return
+	}
+	// A NotifyEmpty member delivers every execution: its Seqs run
+	// without a gap on both sides of the crash, and recovery resumes it
+	// at its last delivered execution — or one past it, when the crash
+	// hit the unacknowledged write that carried the next record.
+	for _, mem := range sweepMembers {
+		if !mem.notifyEmpty {
+			continue
+		}
+		before, after, at := pre[mem.name], post[mem.name], recovered[mem.name]
+		last := 1 // the registration's initial execution, delivered to nobody
+		if len(before) > 0 {
+			last = before[len(before)-1]
+		}
+		if !contiguous(before) || !contiguous(after) || len(after) == 0 || after[0] != at+1 || at < last || at > last+1 {
+			t.Fatalf("%s: %s delivered %v before the crash, resumed at Seq %d, delivered %v after", tag, mem.name, before, at, after)
+		}
 	}
 }
 
 // crashRun executes setup, arms the kill point, runs the script until
 // the crash, then hands off to verifyRecovery.
-func crashRun(t *testing.T, seed int64, ops []op, oracle []*relation.Relation, kill, ckptAt int, tag string) {
+func crashRun(t *testing.T, seed int64, ops []op, oracle []*relation.Relation, kill, ckptAt int, shared bool, tag string) {
 	t.Helper()
 	fs := faults.NewMemFS(seed)
-	sys, err := durable.Open(durable.Options{
-		Dir:   "data",
-		FS:    fs,
-		Fsync: wal.FsyncAlways,
-		CQ:    cq.Config{UseDRA: true, AutoGC: true},
-	})
+	sys, err := openCrashSys(fs, shared)
 	if err != nil {
 		t.Fatalf("%s: open: %v", tag, err)
 	}
-	setup(t, sys.Store, sys.Manager)
-
-	var maxPreSeq int
-	cancel, err := sys.Manager.SubscribeFunc("watch", func(n cq.Notification, closed bool) {
-		if !closed && n.Seq > maxPreSeq {
-			maxPreSeq = n.Seq
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	setupCrash(t, sys, shared)
+	pre, cancel := subscribeSeqs(t, sys.Manager, crashCQs(shared))
 
 	fs.KillAfterWrites(kill)
 	acked := runScript(t, sys, ops, ckptAt)
@@ -286,46 +390,45 @@ func crashRun(t *testing.T, seed int64, ops []op, oracle []*relation.Relation, k
 	cancel()
 	_ = sys.Manager.Close() // the broken log stays; recovery reads the filesystem
 	fs.Crash()
-	verifyRecovery(t, fs, ops, oracle, acked, maxPreSeq, tag)
+	verifyRecovery(t, fs, ops, oracle, acked, pre, shared, tag)
 }
 
 // TestCrashSweep arms a kill at every single write boundary of the
 // scripted workload — the exhaustive version of "kill -9 at a random
-// point".
+// point" — with the watch CQ alone, and with template sharing on and
+// three members of one template beside it, whose refreshes are staged
+// and flushed once per round.
 func TestCrashSweep(t *testing.T) {
 	const scriptLen = 16
 	ops := buildScript(42, scriptLen)
 	oracle := oracleRun(t, ops)
 	ckptAt := scriptLen / 2
 
-	// Clean instrumented run to learn the write-count budget of the
-	// script region (setup writes are excluded: the sweep arms after
-	// setup).
-	fs := faults.NewMemFS(0)
-	sys, err := durable.Open(durable.Options{
-		Dir:   "data",
-		FS:    fs,
-		Fsync: wal.FsyncAlways,
-		CQ:    cq.Config{UseDRA: true, AutoGC: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup(t, sys.Store, sys.Manager)
-	preWrites := fs.Writes()
-	if got := runScript(t, sys, ops, ckptAt); got != len(ops) {
-		t.Fatalf("clean run stopped at %d", got)
-	}
-	scriptWrites := fs.Writes() - preWrites
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if scriptWrites < scriptLen {
-		t.Fatalf("suspicious write count %d for %d ops", scriptWrites, scriptLen)
-	}
+	for _, shared := range []bool{false, true} {
+		// Clean instrumented run to learn the write-count budget of the
+		// script region (setup writes are excluded: the sweep arms after
+		// setup).
+		fs := faults.NewMemFS(0)
+		sys, err := openCrashSys(fs, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setupCrash(t, sys, shared)
+		preWrites := fs.Writes()
+		if got := runScript(t, sys, ops, ckptAt); got != len(ops) {
+			t.Fatalf("clean run stopped at %d", got)
+		}
+		scriptWrites := fs.Writes() - preWrites
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if scriptWrites < scriptLen {
+			t.Fatalf("suspicious write count %d for %d ops", scriptWrites, scriptLen)
+		}
 
-	for kill := 1; kill <= scriptWrites; kill++ {
-		crashRun(t, int64(1000+kill), ops, oracle, kill, ckptAt, fmt.Sprintf("kill=%d", kill))
+		for kill := 1; kill <= scriptWrites; kill++ {
+			crashRun(t, int64(1000+kill), ops, oracle, kill, ckptAt, shared, fmt.Sprintf("shared=%v kill=%d", shared, kill))
+		}
 	}
 }
 
@@ -340,7 +443,7 @@ func TestCrashRandomizedWorkloads(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			kill := 1 + rng.Intn(30)
 			tag := fmt.Sprintf("seed=%d trial=%d kill=%d", seed, trial, kill)
-			crashRun(t, seed*100+int64(trial), ops, oracle, kill, len(ops)/3, tag)
+			crashRun(t, seed*100+int64(trial), ops, oracle, kill, len(ops)/3, false, tag)
 		}
 	}
 }

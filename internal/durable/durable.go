@@ -3,15 +3,20 @@
 //
 // The contract follows the paper's differential spirit: persistence
 // records base facts, never derived state. Every committed transaction
-// appends its delta to the WAL before the store applies it; every
-// delivered CQ refresh appends only its bookkeeping (seq, execution
-// timestamp, terminated) before the notification goes out. A CQ's
-// result is a function of the logged transactions, so it is never
-// logged: the latest checkpoint restores a consistent cut, the WAL tail
-// replays the transactions past it, each resumed CQ re-derives its
-// result by one initial execution at its last logged execution (paper
-// §4.2), and the first post-crash Poll computes an ordinary
-// differential catch-up over the replayed window.
+// appends its delta to the WAL before the store applies it; every CQ
+// refresh logs only its bookkeeping (seq, execution timestamp,
+// terminated), written before its notification goes out. A private
+// refresh writes its record at once; the template members of one round
+// stage theirs, and each refresh worker writes what is staged in one
+// write before it delivers the members' notifications (cq.Journal). A
+// crash can therefore forget only executions that delivered nothing;
+// recovery resumes such a CQ at its last written execution and
+// re-derives the change there. A CQ's result is a function of the
+// logged transactions, so it is never logged: the latest checkpoint
+// restores a consistent cut, the WAL tail replays the transactions past
+// it, each resumed CQ re-derives its result by one initial execution at
+// its last logged execution (paper §4.2), and the first post-crash Poll
+// computes an ordinary differential catch-up over the replayed window.
 package durable
 
 import (
@@ -237,12 +242,21 @@ func (s *System) AppendDropTable(name string) error {
 // CQRegistered implements cq.Journal.
 func (s *System) CQRegistered(e wal.CQEntry) error { return s.log.AppendCQRegister(&e) }
 
-// CQExecuted implements cq.Journal: logged before the refresh mutates
-// the instance or notifies anyone, making delivery at-most-once across
-// crashes.
+// CQExecuted implements cq.Journal: written (with every staged record
+// ahead of it) before the refresh mutates the instance or notifies
+// anyone, making delivery at-most-once across crashes.
 func (s *System) CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error {
 	return s.log.AppendCQExec(name, seq, ts, terminated)
 }
+
+// CQStaged implements cq.Journal: the record waits in the log's buffer
+// for the next write, which Flush, or any other record, makes.
+func (s *System) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+	return s.log.StageCQExec(name, seq, ts, terminated)
+}
+
+// Flush implements cq.Journal: every staged record in one write.
+func (s *System) Flush() error { return s.log.Flush() }
 
 // CQDropped implements cq.Journal.
 func (s *System) CQDropped(name string) error { return s.log.AppendCQDrop(name) }

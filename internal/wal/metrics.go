@@ -13,6 +13,7 @@ type metrics struct {
 	fsyncNS      *obs.Histogram
 	checkpointNS *obs.Histogram
 	bytes        *obs.Counter
+	records      *obs.Counter
 	recoveryNS   *obs.Gauge
 	replayed     *obs.Gauge
 }
@@ -26,17 +27,22 @@ func newMetrics(reg *obs.Registry) *metrics {
 		fsyncNS:      reg.Histogram("wal.fsync_ns"),
 		checkpointNS: reg.Histogram("wal.checkpoint_ns"),
 		bytes:        reg.Counter("wal.bytes"),
+		records:      reg.Counter("wal.records"),
 		recoveryNS:   reg.Gauge("wal.recovery_ns"),
 		replayed:     reg.Gauge("wal.records_replayed"),
 	}
 }
 
-func (m *metrics) observeAppend(d time.Duration, n int) {
+// observeAppend records one write of n bytes carrying frames records:
+// wal.append_ns samples count writes, wal.records the frames they
+// carried, staged or not.
+func (m *metrics) observeAppend(d time.Duration, n, frames int) {
 	if m == nil {
 		return
 	}
 	m.appendNS.Observe(d)
 	m.bytes.Add(int64(n))
+	m.records.Add(int64(frames))
 }
 
 func (m *metrics) observeFsync(d time.Duration) {

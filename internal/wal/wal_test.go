@@ -156,6 +156,164 @@ func TestTornTailSweep(t *testing.T) {
 			t.Fatalf("kill %d: %d acked but %d replayed", kill, acked, len(got))
 		}
 	}
+
+	// The same sweep over staged frames: each step stages two CQExec
+	// frames, then appends a transaction, whose one Write carries all
+	// three. At every kill point the replay must be a prefix of call
+	// order, keep every acknowledged frame, and hold no frame that was
+	// never written — at most the three of the write the crash hit.
+	const perStep = 3
+	step := func(l *wal.Log, i int) error {
+		for k := 0; k < perStep-1; k++ {
+			if err := l.StageCQExec(fmt.Sprintf("cq%d", k), i+1, vclock.Timestamp(i), false); err != nil {
+				return err
+			}
+		}
+		name := fmt.Sprintf("row-%03d", i)
+		return l.AppendTx(vclock.Timestamp(i+1), []wal.TxRow{txRow("stocks", uint64(i+1), uint64(i+1), name)})
+	}
+	var calls []string
+	for i := 0; i < rows; i++ {
+		for k := 0; k < perStep-1; k++ {
+			calls = append(calls, fmt.Sprintf("exec:cq%d:%d", k, i+1))
+		}
+		calls = append(calls, fmt.Sprintf("tx:row-%03d", i))
+	}
+	clean = faults.NewMemFS(0)
+	l, err = wal.Open("wal", wal.Options{FS: clean, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := step(l, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if got := clean.Writes(); got != 1+rows {
+		t.Fatalf("staged workload made %d writes, want %d (the magic, then one per step)", got, 1+rows)
+	}
+	for kill := 2; kill <= 1+rows; kill++ {
+		fs := faults.NewMemFS(int64(100 + kill))
+		l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.KillAfterWrites(kill - 1)
+		acked := 0
+		var stepErr error
+		for i := 0; i < rows && stepErr == nil; i++ {
+			if stepErr = step(l, i); stepErr == nil {
+				acked += perStep
+			}
+		}
+		if stepErr == nil {
+			t.Fatalf("kill %d: the workload outran the kill point", kill)
+		}
+		// The log is broken: staging and flushing report the sticky
+		// error, and what they were handed is never written.
+		if err := l.StageCQExec("late", 1, 1, false); err == nil || err.Error() != stepErr.Error() {
+			t.Fatalf("kill %d: stage on a broken log = %v, want %v", kill, err, stepErr)
+		}
+		if err := l.Flush(); err == nil || err.Error() != stepErr.Error() {
+			t.Fatalf("kill %d: flush on a broken log = %v, want %v", kill, err, stepErr)
+		}
+		fs.Crash()
+		got := scanLabels(t, fs, "wal")
+		for i, label := range got {
+			if i >= len(calls) || label != calls[i] {
+				t.Fatalf("kill %d: replay is not a prefix of call order at %d: %v", kill, i, got)
+			}
+		}
+		if len(got) < acked || len(got) > acked+perStep {
+			t.Fatalf("kill %d: %d frames acked, %d replayed (at most %d more were written)", kill, acked, len(got), perStep)
+		}
+	}
+}
+
+// scanLabels replays a directory and labels every record in log order:
+// "tx:<row name>" or "exec:<cq>:<seq>".
+func scanLabels(t *testing.T, fs wal.FS, dir string) []string {
+	t.Helper()
+	var labels []string
+	if _, err := wal.Scan(fs, dir, nil, func(rec *wal.Record) error {
+		switch rec.Kind {
+		case wal.KindTx:
+			labels = append(labels, "tx:"+rec.Rows[0].Row.New[0].AsString())
+		case wal.KindCQExec:
+			labels = append(labels, fmt.Sprintf("exec:%s:%d", rec.Name, rec.Seq))
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return labels
+}
+
+// Every write path carries the staged frames ahead of its own, so the
+// log holds them in call order; a flush with nothing staged writes
+// nothing, and a closed log refuses to stage or flush.
+func TestStagedFramesKeepCallOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(l *wal.Log) error
+		want  string // the last label, "" when the path logs no record
+		extra int    // writes beyond the one carrying the frames
+	}{
+		{"flush", (*wal.Log).Flush, "", 0},
+		{"sync", (*wal.Log).Sync, "", 0},
+		{"tx", func(l *wal.Log) error {
+			return l.AppendTx(9, []wal.TxRow{txRow("stocks", 9, 9, "row-tx")})
+		}, "tx:row-tx", 0},
+		{"exec", func(l *wal.Log) error { return l.AppendCQExec("q", 7, 9, false) }, "exec:q:7", 0},
+		{"drop", func(l *wal.Log) error { return l.AppendCQDrop("q") }, "", 0},
+		{"rotate", func(l *wal.Log) error { _, err := l.Rotate(); return err }, "", 1}, // the new segment's magic
+		{"close", (*wal.Log).Close, "", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, policy := range []wal.FsyncPolicy{wal.FsyncAlways, wal.FsyncInterval, wal.FsyncNever} {
+				fs := faults.NewMemFS(1)
+				l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: policy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := fs.Writes()
+				if err := l.Flush(); err != nil || fs.Writes() != base {
+					t.Fatalf("%v: an empty flush wrote (err %v)", policy, err)
+				}
+				for seq := 1; seq <= 3; seq++ {
+					if err := l.StageCQExec("q", seq, 1, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if fs.Writes() != base {
+					t.Fatalf("%v: staging wrote", policy)
+				}
+				if err := tc.write(l); err != nil {
+					t.Fatal(err)
+				}
+				if got := fs.Writes() - base; got != 1+tc.extra {
+					t.Fatalf("%v: %d writes, want the staged frames and the path's own in one", policy, got)
+				}
+				_ = l.Close()
+				fs.CrashClean() // only what was synced survives
+				got := scanLabels(t, fs, "wal")
+				want := []string{"exec:q:1", "exec:q:2", "exec:q:3"}
+				if tc.want != "" {
+					want = append(want, tc.want)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v: replay %v, want %v", policy, got, want)
+				}
+				if err := l.StageCQExec("q", 4, 1, false); !errors.Is(err, wal.ErrClosed) {
+					t.Fatalf("%v: stage on a closed log = %v", policy, err)
+				}
+				if err := l.Flush(); !errors.Is(err, wal.ErrClosed) {
+					t.Fatalf("%v: flush on a closed log = %v", policy, err)
+				}
+			}
+		})
+	}
 }
 
 func makeCheckpoint(seg uint64) *wal.Checkpoint {
