@@ -1,7 +1,7 @@
 # Development entry points. CI runs the same targets; see
 # .github/workflows/ci.yml for the full matrix.
 
-.PHONY: build test race lint chaos bench bench-smoke bench-compare allocs
+.PHONY: build test race lint chaos bench-smoke bench-compare allocs
 
 build:
 	go build ./...
@@ -60,11 +60,3 @@ BASE ?= HEAD~1
 PAIRS ?= 5
 bench-compare:
 	./scripts/bench-compare.sh $(BASE) $(PAIRS)
-
-# bench: regenerate the committed BENCH_<ID>.json tables at the repo
-# root. E16/E18/E19/E22 run at the quick scale; E20 and E21 run at full
-# scale because their headline points (100k shared-vs-unshared, 1M
-# shared; the paper-scale columnar-vs-row ratios) only exist there.
-bench:
-	go run ./cmd/cqbench -quick -run E16,E18,E19,E22 -json .
-	go run ./cmd/cqbench -run E20,E21 -json .

@@ -129,9 +129,8 @@ func (rb *roundBench) poll(b *testing.B) {
 // shared 64-row window: the round driver, the window and its columnar
 // image shared by the round, and per CQ the trigger test, the step
 // context, the evaluator's step, the result maintenance, the refresh
-// span and the notification delivered to a subscriber. Its arms are the
-// two ways a commit reaches the CQs, and both are gated by
-// scripts/check-allocs.sh:
+// span and the notification delivered to a subscriber. These three arms
+// are gated by scripts/check-allocs.sh:
 //
 //	round  one Poll; the commit runs with the timer stopped. Its
 //	       allocs/op is what a refresh allocates beyond its window's own
@@ -144,6 +143,9 @@ func (rb *roundBench) poll(b *testing.B) {
 //	       its change dispatched to the few members it matches (about
 //	       three of 200 per commit), and 200 member refreshes, nearly
 //	       all of them empty.
+//
+// Parallelism is E15 (benchParallelism): one Poll of 100 CQs over 4
+// tables on 1, 2, 4 and 8 workers. It is not gated.
 func BenchmarkRefreshRound(b *testing.B) {
 	b.Run("round", func(b *testing.B) {
 		rb := newRoundBench(b, false)
@@ -204,6 +206,174 @@ func BenchmarkRefreshRound(b *testing.B) {
 		}
 		b.ReportMetric(float64(snap.Counter("cq.refreshes_empty"))/float64(snap.Counter("cq.refreshes")), "empty_share")
 	})
+	b.Run("Parallelism", func(b *testing.B) {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchParallelism(b, workers) })
+		}
+	})
+}
+
+// benchParallelism is E15, the Parallelism arm of BenchmarkRefreshRound:
+// one Poll of 100 selection CQs over 4 tables on a pool of workers, a
+// 125-row insert batch committed to every table before it with the
+// timer stopped. The speedup over one worker is bounded by
+// min(workers, GOMAXPROCS); cache_hit_% is the share of window requests
+// the round's shared window cache served, 96 by construction (one miss
+// per table).
+func benchParallelism(b *testing.B, workers int) {
+	const tables, cqs = 4, 100
+	reg := obs.NewRegistry()
+	store := storage.NewStore()
+	store.Instrument(reg)
+	rng := rand.New(rand.NewSource(1))
+	insert := func(n int) {
+		for t := 0; t < tables; t++ {
+			tx := store.Begin()
+			for i := 0; i < n; i++ {
+				if _, err := tx.Insert(fmt.Sprintf("s%d", t), []relation.Value{
+					relation.Str(fmt.Sprintf("S%06d", rng.Intn(1_000_000))), relation.Float(float64(rng.Intn(200))),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for t := 0; t < tables; t++ {
+		if err := store.CreateTable(fmt.Sprintf("s%d", t), relation.MustSchema(
+			relation.Column{Name: "name", Type: relation.TString},
+			relation.Column{Name: "price", Type: relation.TFloat},
+		)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	insert(2500)
+	mgr := NewManagerConfig(store, Config{UseDRA: true, AutoGC: true, Parallelism: workers, Metrics: reg})
+	defer func() { _ = mgr.Close() }()
+	for i := 0; i < cqs; i++ {
+		q := fmt.Sprintf("SELECT * FROM s%d WHERE price > %d", i%tables, 25*(1+i%4))
+		if _, err := mgr.Register(Def{Name: fmt.Sprintf("cq%d", i), Query: q}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := reg.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		insert(125)
+		b.StartTimer()
+		if n, err := mgr.Poll(); err != nil || n != cqs {
+			b.Fatalf("poll refreshed %d CQs (err %v), want %d", n, err, cqs)
+		}
+	}
+	b.StopTimer()
+	snap := reg.Snapshot()
+	hits := snap.Counter("storage.window_cache.hits") - before.Counter("storage.window_cache.hits")
+	misses := snap.Counter("storage.window_cache.misses") - before.Counter("storage.window_cache.misses")
+	b.ReportMetric(100*float64(hits)/float64(hits+misses), "cache_hit_%")
+}
+
+// BenchmarkTemplateTenants is E20: N `price > X` tenants over a 400-row
+// quotes table, X spread over the top price quartile, registered as
+// private plans (unshared) or as members of one template group (shared).
+// Each op is one round: 100 price jitters below every threshold and 2
+// spike rows alternating between the quiet zone and the threshold band,
+// committed with the timer stopped, then one Poll. It reports the
+// registration rate (reg/s, untimed) and, for the shared arm, template
+// steps, dispatch matches per round and dispatch candidates per match.
+// The 100k and 1M points skip under -short.
+func BenchmarkTemplateTenants(b *testing.B) {
+	for _, pt := range []struct {
+		n      int
+		shared bool
+	}{{10_000, false}, {10_000, true}, {100_000, false}, {100_000, true}, {1_000_000, true}} {
+		arm := "unshared"
+		if pt.shared {
+			arm = "shared"
+		}
+		b.Run(fmt.Sprintf("%s/N=%d", arm, pt.n), func(b *testing.B) {
+			if testing.Short() && pt.n > 10_000 {
+				b.Skip("100k and 1M tenants skip under -short")
+			}
+			const rows, priceMax = 400, 200.0
+			const quiet = 0.7 * priceMax // below every member threshold
+			rng := rand.New(rand.NewSource(int64(pt.n)))
+			store := storage.NewStore()
+			if err := store.CreateTable("quotes", relation.MustSchema(
+				relation.Column{Name: "name", Type: relation.TString},
+				relation.Column{Name: "price", Type: relation.TFloat},
+			)); err != nil {
+				b.Fatal(err)
+			}
+			tids := make([]relation.TID, rows)
+			prices := make([]float64, rows)
+			set := func(tx *storage.Tx, i int, p float64) {
+				prices[i] = p
+				if err := tx.Update("quotes", tids[i], []relation.Value{relation.Str(fmt.Sprintf("Q%05d", i)), relation.Float(p)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tx := store.Begin()
+			for i := range tids {
+				prices[i] = rng.Float64() * quiet
+				tid, err := tx.Insert("quotes", []relation.Value{relation.Str(fmt.Sprintf("Q%05d", i)), relation.Float(prices[i])})
+				if err != nil {
+					b.Fatal(err)
+				}
+				tids[i] = tid
+			}
+			if _, err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			mgr := NewManagerConfig(store, Config{UseDRA: true, AutoGC: true, Metrics: reg, ShareTemplates: pt.shared})
+			defer func() { _ = mgr.Close() }()
+			start := time.Now()
+			for i := 0; i < pt.n; i++ {
+				q := fmt.Sprintf("SELECT * FROM quotes WHERE price > %.4f", priceMax*(0.75+0.25*float64(i)/float64(pt.n)))
+				if _, err := mgr.Register(Def{Name: fmt.Sprintf("t%07d", i), Query: q}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			regRate := float64(pt.n) / time.Since(start).Seconds()
+			before := reg.Snapshot()
+			b.ResetTimer()
+			for r := 0; r < b.N; r++ {
+				b.StopTimer()
+				tx := store.Begin()
+				for k := 0; k < 100; k++ {
+					i := 2 + rng.Intn(rows-2)
+					set(tx, i, min(max(prices[i]+rng.Float64()*4-2, 0), quiet))
+				}
+				for k := 0; k < 2; k++ {
+					p := rng.Float64() * quiet
+					if r%2 == 0 {
+						p = priceMax * (0.75 + 0.25*rng.Float64())
+					}
+					set(tx, k, p)
+				}
+				if _, err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := mgr.Poll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(regRate, "reg/s")
+			if pt.shared {
+				snap := reg.Snapshot()
+				count := func(name string) float64 { return float64(snap.Counter(name) - before.Counter(name)) }
+				matches := count("cq.template.dispatch_matches")
+				b.ReportMetric(count("cq.template.steps")/float64(b.N), "steps/round")
+				b.ReportMetric(matches/float64(b.N), "matches/round")
+				b.ReportMetric(count("cq.template.dispatch_candidates")/max(matches, 1), "cand/match")
+			}
+		})
+	}
 }
 
 // registerBench is the fixture of BenchmarkRegister: tables a, b and c

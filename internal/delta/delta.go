@@ -426,7 +426,9 @@ func (d *Delta) TruncateBefore(t vclock.Timestamp) int {
 	if lo == 0 {
 		return 0
 	}
+	old := len(d.rows)
 	n := copy(d.rows, d.rows[lo:])
+	clear(d.rows[n:old]) // a collected row must not stay reachable
 	d.rows = d.rows[:n]
 	return lo
 }

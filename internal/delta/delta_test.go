@@ -301,6 +301,25 @@ func TestTruncateBefore(t *testing.T) {
 	}
 }
 
+// TestTruncateReleasesCollectedRows: the slots a collection vacates
+// past the kept rows hold no row, so the collected rows' value slices
+// are not pinned until later appends overwrite the slots.
+func TestTruncateReleasesCollectedRows(t *testing.T) {
+	d := New(stockSchema())
+	for i := 1; i <= 10; i++ {
+		_ = d.AppendInsert(relation.TID(i), row(int64(i), "X", 1), vclock.Timestamp(i))
+	}
+	if n := d.TruncateBefore(8); n != 8 {
+		t.Fatalf("TruncateBefore(8) dropped %d, want 8", n)
+	}
+	rows := d.Rows()
+	for i, r := range rows[len(rows):cap(rows)] {
+		if r.TID != 0 || r.Old != nil || r.New != nil {
+			t.Errorf("slot %d past len still holds tid %d", len(rows)+i, r.TID)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	d := New(stockSchema())
 	_ = d.AppendInsert(1, row(1, "A", 10), 1)

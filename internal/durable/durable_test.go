@@ -236,6 +236,9 @@ func TestRecoveryMetrics(t *testing.T) {
 	if sys2.Recovery.Records != 3 { // create + 2 txs
 		t.Fatalf("records replayed: %+v", sys2.Recovery)
 	}
+	if got, _ := sys2.Store.Snapshot("stocks"); got == nil || got.Len() != 2 {
+		t.Fatalf("recovered %v rows, want 2", got)
+	}
 	snap := reg.Snapshot()
 	if snap.Gauges["wal.records_replayed"] != 3 {
 		t.Fatalf("wal.records_replayed gauge: %v", snap.Gauges)

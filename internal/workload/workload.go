@@ -1,8 +1,7 @@
 // Package workload provides the parameterized update generators used by
-// the benchmark harness: a stock ticker (the paper's running example), a
-// bank of checking accounts (the Section 3.2/5.3 epsilon example), and a
-// document feed (the append-only environment of the continuous-queries
-// comparison). All generators are deterministic under a seed.
+// the benchmarks and tests: a stock ticker (the paper's running example)
+// and a bank of checking accounts (the Section 3.2/5.3 epsilon example).
+// All generators are deterministic under a seed.
 package workload
 
 import (
@@ -228,53 +227,4 @@ func (g *Accounts) Activity(n int) error {
 		}
 	}
 	return nil
-}
-
-// DocumentSchema is (url STRING, topic STRING, words INT) — the web-page
-// monitoring workload of the introduction.
-func DocumentSchema() relation.Schema {
-	return relation.MustSchema(
-		relation.Column{Name: "url", Type: relation.TString},
-		relation.Column{Name: "topic", Type: relation.TString},
-		relation.Column{Name: "words", Type: relation.TInt},
-	)
-}
-
-// Documents generates an append-only crawl feed with a topic skew.
-type Documents struct {
-	rng    *rand.Rand
-	store  *storage.Store
-	table  string
-	topics []string
-	nextID int
-}
-
-// NewDocuments creates a generator over an existing table.
-func NewDocuments(store *storage.Store, table string, seed int64) *Documents {
-	return &Documents{
-		rng:    rand.New(rand.NewSource(seed)),
-		store:  store,
-		table:  table,
-		topics: []string{"databases", "networks", "systems", "theory", "ai"},
-	}
-}
-
-// Crawl appends n documents in one transaction.
-func (g *Documents) Crawl(n int) error {
-	tx := g.store.Begin()
-	for i := 0; i < n; i++ {
-		g.nextID++
-		topic := g.topics[g.rng.Intn(len(g.topics))]
-		_, err := tx.Insert(g.table, []relation.Value{
-			relation.Str(fmt.Sprintf("http://example.net/%s/%d", topic, g.nextID)),
-			relation.Str(topic),
-			relation.Int(int64(100 + g.rng.Intn(5000))),
-		})
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	_, err := tx.Commit()
-	return err
 }

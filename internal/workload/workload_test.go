@@ -101,22 +101,3 @@ func TestAccountsDepositWithdraw(t *testing.T) {
 		t.Errorf("activity should mix deposits and withdrawals: %d/%d", ins, del)
 	}
 }
-
-func TestDocumentsCrawl(t *testing.T) {
-	s := storage.NewStore()
-	_ = s.CreateTable("docs", DocumentSchema())
-	g := NewDocuments(s, "docs", 9)
-	if err := g.Crawl(120); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := s.Snapshot("docs")
-	if snap.Len() != 120 {
-		t.Fatalf("docs = %d", snap.Len())
-	}
-	// All appends.
-	d, _ := s.DeltaSince("docs", 0)
-	ins, del, mod := d.Counts()
-	if ins != 120 || del != 0 || mod != 0 {
-		t.Errorf("crawl counts = %d/%d/%d", ins, del, mod)
-	}
-}

@@ -31,7 +31,7 @@ set -eu
 cd "$(dirname "$0")/.."
 baseline=scripts/allocs-baseline.txt
 bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
-	go test ./internal/cq -run '^$' -bench BenchmarkRefreshRound -benchmem -benchtime 300x
+	go test ./internal/cq -run '^$' -bench 'BenchmarkRefreshRound/(round|push|members)$' -benchmem -benchtime 300x
 	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x
 	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/burst' -benchmem -benchtime 20x
 	go test ./internal/batch -run '^$' -bench BenchmarkTableApply -benchmem -benchtime 3000x)
