@@ -24,10 +24,11 @@ lint:
 # chaos: the robustness suite — fault isolation transcripts, quarantine
 # lifecycle and recovery, subscribe/drop churn, cascade DAG churn
 # (register/drop INTO pipelines under concurrent writes and polls), a
-# refresh beside a committing writer, and subscription backpressure (in
+# refresh beside a committing writer, the retry of a refresh whose INTO
+# commit the overloaded store refused, and subscription backpressure (in
 # the root package, where the policies run) — under the race detector.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG|TestRefreshReadsNoFurtherThanItsTimestamp' ./internal/cq/
+	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG|TestRefreshReadsNoFurtherThanItsTimestamp|TestRefusedMaterializeRetry' ./internal/cq/
 	go test -race -count=2 -run 'TestBackpressure|TestSubscriberBuffer' .
 	go test -race -count=2 -run 'TestQuarantineSurvivesRecovery' ./internal/durable/
 	go test -race -count=2 -run 'TestWatermark|TestSetWatermarks' ./internal/storage/

@@ -1111,12 +1111,13 @@ func closeSubs(inst *instance) {
 // gcLocked collects differential-relation garbage below the system
 // active delta zone (Section 5.4), refined per table: each table's
 // horizon is the minimum last-execution timestamp over the live CQs
-// reading it. Caller holds m.mu but no instance locks: each
-// instance's lastExec is read under its own lock, so a refresh worker
-// of a racing round can never be observed mid-update.
-func (m *Manager) gcLocked() {
+// reading it. It returns the number of rows the store collected.
+// Caller holds m.mu but no instance locks: each instance's lastExec is
+// read under its own lock, so a refresh worker of a racing round can
+// never be observed mid-update.
+func (m *Manager) gcLocked() int {
 	if len(m.cqs) == 0 {
-		return
+		return 0
 	}
 	// Horizons are per table: each table is collectable up to the
 	// minimum lastExec of the CQs that actually read it, with the global
@@ -1138,7 +1139,7 @@ func (m *Manager) gcLocked() {
 		// the very CQ the budget abandoned, so skip GC until the next
 		// tick instead (retention is bounded by the watermarks).
 		if !inst.mu.TryLock() {
-			return
+			return 0
 		}
 		lastExec := inst.lastExec
 		inst.mu.Unlock()
@@ -1152,26 +1153,25 @@ func (m *Manager) gcLocked() {
 			}
 		}
 	}
+	var reclaimed int
 	if first {
 		// All terminated: everything is collectable.
-		reclaimed := m.store.CollectGarbage(m.store.Now())
-		if mm := m.met; mm != nil {
-			mm.gcReclaimed.Add(int64(reclaimed))
+		reclaimed = m.store.CollectGarbage(m.store.Now())
+	} else {
+		horizons := make(map[string]vclock.Timestamp)
+		for _, t := range m.store.TableNames() {
+			if h, ok := perTable[t]; ok {
+				horizons[t] = h
+			} else {
+				horizons[t] = global
+			}
 		}
-		return
+		reclaimed = m.store.CollectGarbageTables(horizons)
 	}
-	horizons := make(map[string]vclock.Timestamp)
-	for _, t := range m.store.TableNames() {
-		if h, ok := perTable[t]; ok {
-			horizons[t] = h
-		} else {
-			horizons[t] = global
-		}
-	}
-	reclaimed := m.store.CollectGarbageTables(horizons)
 	if mm := m.met; mm != nil {
 		mm.gcReclaimed.Add(int64(reclaimed))
 	}
+	return reclaimed
 }
 
 // CollectGarbage exposes the GC step for callers managing their own poll
@@ -1180,21 +1180,10 @@ func (m *Manager) gcLocked() {
 func (m *Manager) CollectGarbage() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || len(m.cqs) == 0 {
+	if m.closed {
 		return 0
 	}
-	before := 0
-	for _, t := range m.store.TableNames() {
-		n, _ := m.store.DeltaLen(t)
-		before += n
-	}
-	m.gcLocked()
-	after := 0
-	for _, t := range m.store.TableNames() {
-		n, _ := m.store.DeltaLen(t)
-		after += n
-	}
-	return before - after
+	return m.gcLocked()
 }
 
 // Start launches the asynchronous evaluation loop: Poll every interval.

@@ -7,9 +7,9 @@ package cq
 //	         guardedRefresh → refreshInstance → deliver → housekeep
 //
 // runRound is the one round driver. It takes a candidate set, snapshots
-// the store once for the whole round (change counters, THEN the round
-// timestamp, THEN one window cache — the previous round's snapshot while
-// the clock has not moved, see newRound), passes every candidate through the
+// the store once for the whole round (the round timestamp, then one
+// window cache — the previous round's snapshot while the clock has not
+// moved, see newRound), passes every candidate through the
 // terminated/dropped/quarantine gate and the trigger test, refreshes the
 // ones that fired on the worker pool, and runs the housekeeping. Four
 // thin feeders decide only who the candidates are:
@@ -59,11 +59,6 @@ import (
 
 // round is the store snapshot every refresh of one round shares.
 type round struct {
-	// versions are the per-table change counters, read BEFORE ts: they
-	// then cover at most the commits older than ts, which is what lets a
-	// prepared plan's operand cache validate replicas by counter equality
-	// (dra.Context.Versions).
-	versions map[string]uint64
 	// ts is the round timestamp: the execTS of every refresh in it.
 	ts vclock.Timestamp
 	// cache shares one delta-window image per (table, window) across
@@ -73,7 +68,7 @@ type round struct {
 	cache *storage.WindowCache
 }
 
-// newRound takes the snapshot, in the one order that is sound. While the
+// newRound takes the snapshot: the clock, then a window cache. While the
 // store clock still reads the previous round's timestamp, it returns that
 // round again: a window (from, ts] cannot change once ts has been issued
 // (a commit ticks the clock under the store's write lock before it
@@ -85,9 +80,7 @@ func (m *Manager) newRound() round {
 	if m.round.cache != nil && m.store.Now() == m.round.ts {
 		return m.round
 	}
-	rd := round{versions: m.store.ChangeCounts()}
-	rd.ts = m.store.Now()
-	rd.cache = m.store.NewWindowCache()
+	rd := round{ts: m.store.Now(), cache: m.store.NewWindowCache()}
 	m.round = rd
 	return rd
 }
@@ -702,10 +695,13 @@ func (m *Manager) workerCount(tasks int) int {
 // propagate-arm CQ then reports the same insertion twice), and it scans
 // relations a writer is mutating. Both views are lazy: only the
 // propagate arms reconstruct them, and the differential path reads Pre
-// only to rebuild a join replica that is not current (as the table's
-// columnar image at lastExec, storage.HistoricView.TableImage) and never
-// touches Post. A Seed leaves its replicas current at the seed
-// timestamp, so the first step after it rebuilds nothing.
+// only to re-seed an evaluator whose position is not lastExec (as the
+// tables' columnar images at lastExec, storage.HistoricView.TableImage)
+// and never touches Post. Serving never re-seeds: a Seed leaves the
+// evaluator at lastExec and every successful step moves both to ts
+// together. Only the retry of a refresh that failed after its step
+// (materialize, Fits, journal), or a recovered member's first catch-up,
+// finds them apart.
 //
 // Each operand window is the round cache's columnar image, read in
 // place by every CQ at the round timestamp; an empty window is left out
@@ -737,7 +733,6 @@ func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Ti
 		Batches:   batches,
 		LastTS:    lastExec,
 		Compacted: compact,
-		Versions:  rd.versions,
 	}
 	if eval.Strategy() == dra.StrategyPropagate {
 		ctx.Prev, ctx.Post = prev.Relation(), m.store.At(rd.ts)

@@ -47,58 +47,6 @@ func (d *Delta) ToSigned() *Signed {
 // Len returns the number of signed rows.
 func (s *Signed) Len() int { return len(s.Rows) }
 
-// Normalize cancels matching +1/-1 rows with identical values, summing
-// multiplicities per value-key and emitting one row per nonzero net count.
-// The result uses value-hash tids so equal tuples merge.
-func (s *Signed) Normalize() *Signed {
-	type acc struct {
-		values []relation.Value
-		count  int
-		order  int
-	}
-	sums := make(map[uint64]*acc, len(s.Rows))
-	orderN := 0
-	for _, r := range s.Rows {
-		h := relation.HashValues(r.Values)
-		a, ok := sums[h]
-		if !ok {
-			a = &acc{values: r.Values, order: orderN}
-			orderN++
-			sums[h] = a
-		}
-		a.count += r.Sign
-	}
-	ordered := make([]*acc, 0, len(sums))
-	for _, a := range sums {
-		if a.count != 0 {
-			ordered = append(ordered, a)
-		}
-	}
-	// Stable order by first appearance.
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].order < ordered[j-1].order; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
-	out := &Signed{Schema: s.Schema, Rows: make([]SignedRow, 0, len(ordered))}
-	for _, a := range ordered {
-		sign := +1
-		n := a.count
-		if n < 0 {
-			sign = -1
-			n = -n
-		}
-		for k := 0; k < n; k++ {
-			out.Rows = append(out.Rows, SignedRow{
-				TID:    relation.HashTID(a.values),
-				Values: a.values,
-				Sign:   sign,
-			})
-		}
-	}
-	return out
-}
-
 // ToDelta converts a signed delta back to the old/new/ts differential
 // layout, pairing a -1 and a +1 row with the same tid into a modification.
 // All rows receive timestamp ts.
@@ -161,28 +109,6 @@ func (s *Signed) ToDeltaNetted(ts vclock.Timestamp) *Delta {
 			out.rows = append(out.rows, Row{TID: r.TID, Old: r.Values, TS: ts})
 		} else {
 			out.rows = append(out.rows, Row{TID: r.TID, New: r.Values, TS: ts})
-		}
-	}
-	return out
-}
-
-// InsertedRelation materializes the +1 rows as a relation.
-func (s *Signed) InsertedRelation() *relation.Relation {
-	out := relation.New(s.Schema)
-	for _, r := range s.Rows {
-		if r.Sign > 0 {
-			_ = out.Upsert(relation.Tuple{TID: r.TID, Values: r.Values})
-		}
-	}
-	return out
-}
-
-// DeletedRelation materializes the -1 rows as a relation.
-func (s *Signed) DeletedRelation() *relation.Relation {
-	out := relation.New(s.Schema)
-	for _, r := range s.Rows {
-		if r.Sign < 0 {
-			_ = out.Upsert(relation.Tuple{TID: r.TID, Values: r.Values})
 		}
 	}
 	return out

@@ -30,37 +30,6 @@ func TestToSignedDecomposesModifications(t *testing.T) {
 	}
 }
 
-func TestNormalizeCancelsOppositePairs(t *testing.T) {
-	s := &Signed{Schema: stockSchema()}
-	v := row(1, "A", 10)
-	s.Rows = append(s.Rows,
-		SignedRow{TID: 1, Values: v, Sign: +1},
-		SignedRow{TID: 1, Values: v, Sign: -1},
-		SignedRow{TID: 2, Values: row(2, "B", 20), Sign: +1},
-	)
-	n := s.Normalize()
-	if n.Len() != 1 {
-		t.Fatalf("Normalize len = %d, want 1", n.Len())
-	}
-	if n.Rows[0].Values[1].AsString() != "B" || n.Rows[0].Sign != 1 {
-		t.Errorf("surviving row wrong: %+v", n.Rows[0])
-	}
-}
-
-func TestNormalizeKeepsMultiplicity(t *testing.T) {
-	s := &Signed{Schema: stockSchema()}
-	v := row(1, "A", 10)
-	s.Rows = append(s.Rows,
-		SignedRow{TID: 1, Values: v, Sign: -1},
-		SignedRow{TID: 1, Values: v, Sign: -1},
-		SignedRow{TID: 1, Values: v, Sign: +1},
-	)
-	n := s.Normalize()
-	if n.Len() != 1 || n.Rows[0].Sign != -1 {
-		t.Fatalf("net count should be -1, got %+v", n.Rows)
-	}
-}
-
 func TestToDeltaPairsIntoModification(t *testing.T) {
 	s := &Signed{Schema: stockSchema()}
 	s.Rows = append(s.Rows,
@@ -126,18 +95,6 @@ func TestSignedRoundTripThroughDelta(t *testing.T) {
 	ins, del, mod := rt.Counts()
 	if ins != 1 || del != 1 || mod != 1 {
 		t.Fatalf("round trip counts = %d/%d/%d", ins, del, mod)
-	}
-}
-
-func TestInsertedDeletedRelations(t *testing.T) {
-	d := New(stockSchema())
-	_ = d.AppendInsert(1, row(1, "A", 10), 1)
-	_ = d.AppendModify(2, row(2, "B", 20), row(2, "B", 21), 2)
-	s := d.ToSigned()
-	ins := s.InsertedRelation()
-	del := s.DeletedRelation()
-	if ins.Len() != 2 || del.Len() != 1 {
-		t.Fatalf("inserted=%d deleted=%d, want 2/1", ins.Len(), del.Len())
 	}
 }
 

@@ -290,10 +290,10 @@ func TestGroupTableHashCollision(t *testing.T) {
 // TestGroupTableOverJoinFailedFold: the fold of an aggregate or DISTINCT
 // over a join fails AFTER the join group has advanced its replicas (two
 // group keys engineered to collide, see collidingRows). The error rule
-// of every standing query applies: the table rolls back, the replicas
-// are dropped, and the retry — the same window grown by the colliding
-// row's deletion — rebuilds them from the pre-state and folds the window
-// exactly once.
+// of every standing query applies: the position clears, and the retry —
+// the same window grown by the colliding row's deletion — re-seeds the
+// table and its replicas from the pre-state and folds the window exactly
+// once.
 func TestGroupTableOverJoinFailedFold(t *testing.T) {
 	a, b := collidingRows()
 	for _, q := range []string{
@@ -340,8 +340,8 @@ func TestGroupTableOverJoinFailedFold(t *testing.T) {
 		if _, err := g.Step(f.ctx(t), f.store.Now()); err == nil {
 			t.Fatalf("%q: colliding keys merged into one group:\n%s", q, g.Result())
 		}
-		if got := replicaRows(); got != 0 {
-			t.Fatalf("%q: dra.replica.rows = %d after a failed Step, want 0", q, got)
+		if g.pos.ok {
+			t.Fatalf("%q: a failed Step left the position at %d", q, g.pos.ts)
 		}
 
 		tx := f.store.Begin()
@@ -356,7 +356,7 @@ func TestGroupTableOverJoinFailedFold(t *testing.T) {
 			t.Fatalf("%q: retry after the collision left: %v", q, err)
 		}
 		if res.Stats.PreTuplesScanned == 0 {
-			t.Errorf("%q: the retry did not rebuild the dropped replicas", q)
+			t.Errorf("%q: the retry did not re-seed", q)
 		}
 		want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
 		if err != nil {

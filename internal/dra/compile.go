@@ -243,14 +243,9 @@ func (n *compiledNode) attachReplicas(e *Engine) {
 }
 
 // dropReplicas discards the operand replicas of every prepared join group
-// in the tree; the next refresh rebuilds them from its pre-state
-// (vecEval.operandAt).
+// in the tree (Close).
 func (n *compiledNode) dropReplicas() {
-	n.eachJoin(func(cj *compiledJoin) {
-		if cj.cache != nil {
-			cj.cache.invalidate()
-		}
-	})
+	n.eachJoin(func(cj *compiledJoin) { clear(cj.cache.ents) })
 }
 
 // probeStep is one join step of a term: operand op joins the rows

@@ -90,13 +90,13 @@ var (
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
-// Pre is read only where a refresh must rebuild state: a join replica
-// that is missing (a Step without a prior Seed, or after a failed one)
-// or not at LastTS, a truth-table term's pre-state, and the query on both
-// states under unprepared Reevaluate. A rebuild reads Pre the way Seed
-// reads its source: as one columnar image per table, the source's own
-// when it has a TableImage method (storage.HistoricView), converted from
-// its relations otherwise. A caller that keeps its own copy of the base
+// Pre is read only where a refresh must rebuild state: the re-seed of a
+// stateful Prepared whose position is not LastTS (never seeded, last
+// step failed, or stepped from elsewhere), a truth-table term's
+// pre-state, and the query on both states under unprepared Reevaluate.
+// A rebuild reads Pre the way Seed reads its source: as one columnar
+// image per table, the source's own when it has a TableImage method
+// (storage.HistoricView), converted from its relations otherwise. A caller that keeps its own copy of the base
 // tables hands them here as they stand at LastTS. Post is the current contents, needed by complete
 // re-evaluation and by result verification; a Prepared whose Strategy is
 // StrategyIncremental never reads it.
@@ -119,13 +119,10 @@ type Context struct {
 	// compacted images to many CQs.
 	Compacted bool
 
-	// Versions carries per-table change-counter snapshots
-	// (storage.Store.ChangeCounts) for prepared-plan operand caches.
-	// The snapshot MUST be taken before the refresh timestamp is
-	// issued — the counters then cover at most the commits older than
-	// the timestamp, so a later equality proves the table untouched in
-	// between. Nil disables counter revalidation (caches still hit on
-	// consecutive refreshes via timestamps alone).
+	// Versions is never read: a Prepared's state is valid at its one
+	// position, whatever the change counters say. The field stays
+	// declared only for a reader outside this module's serving path (the
+	// repo benchmark's replay) that still sets it.
 	Versions map[string]uint64
 
 	// Batches optionally carries prebuilt columnar images of the
@@ -157,8 +154,9 @@ type Stats struct {
 	// pre-tuples-per-delta-row) means rows that fed an evaluation, as it
 	// did when a separate pre-pass made the call.
 	DeltaRows int
-	// PreTuplesScanned counts tuples materialized from unchanged-operand
-	// pre-states for join partner sides.
+	// PreTuplesScanned counts tuples read from pre-states: a truth-table
+	// term's unchanged operands, and every image row a re-seed reads
+	// (dra.pre_tuples_scanned is the re-seed meter of a standing query).
 	PreTuplesScanned int
 	// FellBack reports complete re-evaluation: the plan is outside the
 	// SPJ class, or was prepared with StrategyPropagate.
@@ -167,13 +165,13 @@ type Stats struct {
 	// maximal join-free subtree of the plan — the root of a join-free
 	// plan, each join-free operand of a join group — filtered its window
 	// to nothing, so no term ran, no pre-state was read, and the net
-	// change is empty. Join replicas still end the refresh advanced to its
+	// change is empty. The plan's position still moves to the refresh's
 	// timestamp. Set only under Engine.SkipIrrelevant.
 	Skipped bool
-	// IndexCacheHits counts operand pre-states served from a prepared
-	// plan's cross-refresh cache (no snapshot scan, indexes reused);
-	// IndexCacheMisses counts replica rebuilds and first-time index
-	// builds. Both stay zero on the unprepared Reevaluate path.
+	// IndexCacheHits counts the operand replicas a step found at its
+	// LastTS (the plan's position) and served as they were; IndexCacheMisses
+	// counts the replicas a re-seed built and first-time index builds.
+	// Both stay zero on the unprepared Reevaluate path.
 	IndexCacheHits   int
 	IndexCacheMisses int
 	// JoinProbeRows counts in-progress join rows that entered a join
@@ -196,7 +194,8 @@ type Stats struct {
 // all over a pooled arena. The store's write boundary (relation.Schema.Conform) guarantees
 // that every stored value fits its column, so a window value that does
 // not is an invariant violation: the refresh fails with an error
-// wrapping relation.ErrTypeMismatch and the plan's replicas are dropped.
+// wrapping relation.ErrTypeMismatch, and the plan re-seeds on its next
+// step.
 // The flags correspond to the ablation benchmarks in EXPERIMENTS.md.
 type Engine struct {
 	// UseHeuristics orders term joins delta-first and applies predicates
@@ -430,12 +429,7 @@ func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, r
 	var err error
 	switch {
 	case root != nil:
-		if err = e.vecEvaluate(root, ctx, res); err != nil {
-			// A failed refresh drops every replica of the plan: join groups
-			// advance them as they go, and the next refresh must rebuild from
-			// its pre-state rather than read a part-advanced state.
-			root.dropReplicas()
-		}
+		err = e.vecEvaluate(root, ctx, res)
 	case exactPrev:
 		err = fullReevaluate(plan, ctx.Post, ctx.Prev, res)
 	default:

@@ -59,8 +59,8 @@ type groupTable struct {
 
 	// touched lists the groups the current fold reached, in first-touch
 	// order; snap holds their state as it was before the fold, stride
-	// cells each — what the pre-refresh output row renders from, and what
-	// a failed fold rolls back to. changed is emit's scratch.
+	// cells each — what the pre-refresh output row renders from. changed
+	// is emit's scratch.
 	touched []touchedGroup
 	mark    []bool // by slot: already in touched
 	snap    []aggCell
@@ -75,10 +75,11 @@ type groupTable struct {
 	// fold input keeps operand replicas, as a Prepared's does.
 	replicaRows int
 
+	// pos is where the groups and the input's replicas are (position).
+	pos position
 	// input is the SPJ input plan, whose tables seed reads; it sits after
 	// the fields every Step reads.
-	input  algebra.Plan
-	seeded bool
+	input algebra.Plan
 }
 
 // groupAgg is one aggregate of the output row.
@@ -164,17 +165,15 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	return g, nil
 }
 
-// seed fills the empty table by the step from the empty state at ts
-// (seedContext): the input's compiled kernels run over the images of its
-// tables in src, and their batch folds in as a refresh's would. It runs
-// once, before the first Step; a join in the input ends with its
-// replicas current at ts.
-func (g *groupTable) seed(src algebra.Source, ts vclock.Timestamp) error {
-	ctx, err := seedContext(src, g.input, ts)
-	if err != nil {
-		return err
-	}
-	g.seeded = true
+// seed fills the table, emptied first, by the step from the empty state
+// over ctx (seedContext of the input): the input's compiled kernels run
+// over the images of its tables, and their batch folds in as a
+// refresh's would. The groups and the input's replicas end at
+// ctx.LastTS, the table's position.
+func (g *groupTable) seed(ctx *Context) error {
+	g.keys = batch.New(g.keys.Schema, 0)
+	g.ix, g.free, g.cur, g.mark, g.live = relation.SlotIndex{}, nil, nil, nil, 0
+	g.touched, g.snap = g.touched[:0], g.snap[:0]
 	if g.global {
 		// The one group exists from the start and never dies: a global
 		// aggregate over an empty input still has its row.
@@ -184,22 +183,21 @@ func (g *groupTable) seed(src algebra.Source, ts vclock.Timestamp) error {
 		g.live = 1
 	}
 	var st Stats
-	v := newVecEval(g.engine, ctx, ts, &st)
+	v := newVecEval(g.engine, ctx, ctx.LastTS, &st)
 	defer v.release()
-	g.fold.emptyReplicas(ts)
+	g.fold.emptyReplicas()
 	b, err := v.nodeBatch(g.fold)
 	if err == nil {
 		err = g.foldBatch(b)
 	}
-	if err != nil {
-		g.fold.dropReplicas()
-		return err
+	if err == nil {
+		g.settle()
 	}
-	g.settle(false)
+	g.pos.set(ctx.LastTS, err)
 	// seed-sized; refreshes need window-sized
 	g.touched, g.snap, g.hashes, g.slots = nil, nil, nil, nil
 	g.gauge()
-	return nil
+	return err
 }
 
 // seededGroupTable compiles and seeds a group table in one go, for the
@@ -212,14 +210,17 @@ func seededGroupTable[Root algebra.Plan](engine *Engine, plan algebra.Plan, src 
 	if err != nil {
 		return nil, err
 	}
-	if err := g.seed(src, 0); err != nil {
+	ctx, err := seedContext(src, g.input, 0)
+	if err == nil {
+		err = g.seed(ctx)
+	}
+	if err != nil {
 		g.Close()
 		return nil, err
 	}
-	// src has no timestamp to tag the input's replicas with: the first
-	// Step rebuilds them at its own.
-	g.fold.dropReplicas()
-	g.gauge()
+	// src has no timestamp: the whole state is taken to be at the first
+	// Step's LastTS.
+	g.pos.float = true
 	return g, nil
 }
 
@@ -233,7 +234,7 @@ func (g *groupTable) Replicas() []ReplicaStat { return g.fold.replicaStats() }
 // Close releases the fold input's operand replicas and the table's
 // shares of the dra.agg.groups and dra.replica.rows gauges.
 func (g *groupTable) Close() {
-	g.live = 0
+	g.live, g.pos = 0, position{}
 	g.fold.dropReplicas()
 	g.gauge()
 }
@@ -289,9 +290,9 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // of the input's own signed delta, which runs the columnar kernels (a
 // selection view over ctx.Batches where the window image is shared,
 // its selected rows copied out once into the fold batch; a join
-// telescoping over its operand replicas). A failed Step leaves the table
-// as it found it and drops the replicas, which the input's joins may
-// have advanced: the retry rebuilds them and folds the window once.
+// telescoping over its operand replicas). A Step from anything but the
+// table's position re-seeds it first (position.resume); a failed Step
+// clears the position, so its retry re-seeds and folds the window once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	res := &Result{none: g.none}
 	if err := g.StepInto(ctx, execTS, res); err != nil {
@@ -303,20 +304,19 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 
 // StepInto is Step into a Result the caller holds (Prepared.StepInto).
 func (g *groupTable) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) error {
-	if !g.seeded {
-		return fmt.Errorf("dra: Step before Seed")
-	}
 	res.reset(execTS)
 	st := &res.Stats
-	v := newVecEval(g.engine, ctx, res.ExecTS, st)
-	defer v.release()
-	b, err := v.nodeBatch(g.fold)
+	err := g.pos.resume(ctx, g.input, g.fold, st, g.seed)
+	var b *batch.Batch
 	if err == nil {
-		err = g.foldBatch(b)
+		v := newVecEval(g.engine, ctx, res.ExecTS, st)
+		defer v.release()
+		if b, err = v.nodeBatch(g.fold); err == nil {
+			err = g.foldBatch(b)
+		}
 	}
+	g.pos.set(execTS, err)
 	if err != nil {
-		g.settle(true)
-		g.fold.dropReplicas()
 		g.gauge()
 		return err
 	}
@@ -327,6 +327,9 @@ func (g *groupTable) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result
 	g.gauge()
 	if m := g.engine.Metrics; m != nil {
 		m.VecSteps.Inc()
+		m.PreTuples.Add(int64(st.PreTuplesScanned))
+		m.IndexHits.Add(int64(st.IndexCacheHits))
+		m.IndexMisses.Add(int64(st.IndexCacheMisses))
 		m.AggRowsFolded.Add(int64(b.Len()))
 		m.AggGroupsTouched.Add(int64(st.GroupsTouched))
 		m.AggRowsEmitted.Add(int64(st.GroupRowsEmitted))
@@ -501,7 +504,7 @@ func (g *groupTable) emit(execTS vclock.Timestamp) (rows []delta.Row, emitted in
 			rows = append(rows, row)
 		}
 	}
-	g.settle(false)
+	g.settle()
 	return rows, emitted
 }
 
@@ -531,18 +534,13 @@ func (g *groupTable) render(dst []relation.Value, s int32, cells []aggCell) {
 	}
 }
 
-// settle ends a fold. With undo it first puts every touched group back
-// to its snapshot, so a fold that failed midway leaves the table as the
-// refresh found it and the retry folds the window exactly once. A group
-// left with no rows frees its slot (nothing between refreshes holds an
-// empty group, so "no rows in the snapshot" means "born in this fold");
-// the global group stays.
-func (g *groupTable) settle(undo bool) {
+// settle ends a fold. A group left with no rows frees its slot (nothing
+// between refreshes holds an empty group, so "no rows in the snapshot"
+// means "born in this fold"); the global group stays.
+func (g *groupTable) settle() {
 	for i, t := range g.touched {
 		was, is := g.state(g.snap, i), g.state(g.cur, int(t.slot))
-		if undo {
-			copy(is, was)
-		} else if !g.global {
+		if !g.global {
 			if is[0].count > 0 {
 				g.live++
 			}

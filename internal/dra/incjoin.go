@@ -17,17 +17,15 @@ import "github.com/diorama/continual/internal/batch"
 // over the group's operand replicas: each operand's window seeds a work
 // batch, walks the partner replicas' flat indexes along the
 // term plan resolved at Prepare, and is then folded into its own
-// replica before the next operand's window runs. An error part-way
-// leaves replicas part-advanced; the caller drops them all (evaluate,
-// groupTable.Step). A nil batch means no term emitted.
+// replica before the next operand's window runs. The replicas are at
+// the window's start: the plan's position (position.resume). An error
+// part-way leaves them part-advanced; the caller's failed step clears
+// the position, so the next step re-seeds. A nil batch means no term
+// emitted.
 func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch.Batch, error) {
 	c := cj.cache
 	term := make([]*vecInput, len(cj.ops))
-	for i := range cj.ops {
-		ent, err := c.pre(i, v)
-		if err != nil {
-			return nil, err
-		}
+	for i, ent := range c.ents {
 		term[i] = &vecInput{ent: ent}
 	}
 	var out *batch.Batch
@@ -54,7 +52,6 @@ func (v *vecEval) telescopeJoin(cj *compiledJoin, deltas []*batch.Batch) (*batch
 		// live rows (vecInput.enumerable); that copy is now stale.
 		held.b = nil
 	}
-	c.advance(v.ctx, v.execTS)
 	return out, nil
 }
 

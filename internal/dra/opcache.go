@@ -6,7 +6,6 @@ import (
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
-	"github.com/diorama/continual/internal/vclock"
 )
 
 // replica is one join operand's state kept across refreshes, read and
@@ -15,9 +14,10 @@ import (
 // index, a LIFO free list — the same slot table every maintained query
 // result is held in. On top of it the replica keeps one flat
 // relation.SlotIndex per probed key-column set, verified against the
-// columns on probe, and the timestamp it reflects. Nothing here holds a
-// Tuple or a per-key map; apart from string payloads the whole structure
-// is pointer-free.
+// columns on probe. It has no timestamp of its own: every replica of a
+// plan is at the plan's one position (Prepared, groupTable). Nothing
+// here holds a Tuple or a per-key map; apart from string payloads the
+// whole structure is pointer-free.
 //
 // The table is a named field, not embedded: only apply may write it, so
 // every written or freed slot reaches the key indexes (SlotObserver), and
@@ -25,17 +25,6 @@ import (
 type replica struct {
 	t    *batch.Table
 	keys []*keyIndex
-
-	// ts is the timestamp the replica reflects: rows equal the operand
-	// subtree executed at ts.
-	ts vclock.Timestamp
-	// version is the operand table's change counter from the refresh
-	// that advanced the replica to ts — snapshotted by the caller BEFORE
-	// that refresh's timestamp was issued (Context.Versions), which is
-	// what makes a later equality check prove the table untouched in
-	// between. verOK marks the snapshot as present.
-	version uint64
-	verOK   bool
 }
 
 // keyIndex is one maintained hash index: key hash of cols → slots.
@@ -109,8 +98,6 @@ func (r *replica) liveBatch(p *batch.Pool) *batch.Batch {
 // Step (the cq manager serializes refreshes per CQ under the instance
 // lock); nothing here is safe for concurrent use.
 type opCache struct {
-	engine *Engine
-	cj     *compiledJoin
 	tables []string // operand scan table; "" when the operand has several
 	ents   []*replica
 	// plans[i] is the term plan of operand i's delta against every other
@@ -120,7 +107,6 @@ type opCache struct {
 
 func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 	c := &opCache{
-		engine: e, cj: cj,
 		tables: make([]string, len(cj.ops)),
 		ents:   make([]*replica, len(cj.ops)),
 		plans:  make([]*termPlan, len(cj.ops)),
@@ -134,65 +120,12 @@ func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 	return c
 }
 
-// pre returns operand i's replica for a refresh whose window starts at
-// ctx.LastTS. Validation is two-tier:
-//
-//   - a replica advanced to exactly ctx.LastTS by the previous refresh
-//     (or left there by Seed) is current (the common case: consecutive
-//     refreshes);
-//   - otherwise, an unchanged table change-counter between the
-//     replica's refresh and this one proves the base — hence the operand
-//     output — identical at every timestamp in between, so only the
-//     timestamp tag moves.
-//
-// Anything else is rebuilt as the initial execution builds it: the
-// operand evaluated from the empty state over its tables' images as of
-// ctx.LastTS (vecEval.operandAt).
-func (c *opCache) pre(i int, v *vecEval) (*replica, error) {
-	ctx, st := v.ctx, v.st
-	if ent := c.ents[i]; ent != nil {
-		if ent.ts == ctx.LastTS {
-			st.IndexCacheHits++
-			return ent, nil
-		}
-		if ent.verOK && ctx.Versions != nil && c.tables[i] != "" {
-			if v, ok := ctx.Versions[c.tables[i]]; ok && v == ent.version {
-				ent.ts = ctx.LastTS
-				st.IndexCacheHits++
-				return ent, nil
-			}
-		}
-	}
-	rows := batch.New(c.cj.ops[i].plan.Schema(), 0)
-	if err := v.operandAt(c.cj, i, rows); err != nil {
-		return nil, err
-	}
-	st.IndexCacheMisses++
-	c.ents[i] = &replica{t: batch.TableOf(rows), ts: ctx.LastTS}
-	return c.ents[i], nil
-}
-
-// advance moves every replica that is current at ctx.LastTS to execTS.
-// The kernel has folded the window in by then (or there was none), so
-// the rows already equal the state at execTS and only the tags move.
-//
-// Replicas from older refreshes that were not revalidated this round
-// are left alone; the next pre() call version-checks or rebuilds them.
-func (c *opCache) advance(ctx *Context, execTS vclock.Timestamp) {
-	for i, ent := range c.ents {
-		if ent == nil || ent.ts != ctx.LastTS {
-			continue
-		}
-		ent.ts = execTS
-		ent.version, ent.verOK = ctx.Versions[c.tables[i]]
-		ent.verOK = ent.verOK && c.tables[i] != ""
-	}
-}
-
-// invalidate drops every replica (Close, and any refresh that failed:
-// its join groups may have advanced part-way).
-func (c *opCache) invalidate() {
-	clear(c.ents)
+// replicaCount counts the operand replicas the tree keeps: none for a
+// join-free tree, which keeps no state between steps.
+func (n *compiledNode) replicaCount() int {
+	count := 0
+	n.eachJoin(func(cj *compiledJoin) { count += len(cj.ops) })
+	return count
 }
 
 // gaugeReplicas brings dra.replica.rows in line with the replicas held

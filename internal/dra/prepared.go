@@ -75,6 +75,13 @@ func ParseStrategy(s string) (Strategy, error) {
 // compiled SPJ input. Any other plan, or one forced onto
 // StrategyPropagate, keeps nothing and re-evaluates completely.
 //
+// What a plan keeps is at one position, the timestamp of its last
+// execution (position): Seed sets it, a Step moves it, a failed Step
+// clears it, and a Step from any other timestamp first re-seeds at its
+// ctx.LastTS from ctx.Pre — a Prepared never seeded, the retry of a
+// refresh that failed after its step, a deliberate gap. A join-free SPJ
+// plan and complete re-evaluation keep no state and check nothing.
+//
 // A Prepared serves one CQ and is not safe for concurrent use; the cq
 // manager serializes refreshes per instance.
 type Prepared struct {
@@ -84,6 +91,8 @@ type Prepared struct {
 	group  *groupTable   // the aggregate or DISTINCT table, or nil
 	tables []string
 
+	// pos is where the join replicas under root are.
+	pos position
 	// gauged is this plan's current contribution to dra.replica.rows.
 	gauged int
 	// none is the empty change every Result Step returns shares.
@@ -227,19 +236,22 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 // over one all-insert columnar image per table — src's own
 // (storage.HistoricView, shared per timestamp when it is a window
 // cache's), or converted from its relations — and the output is copied
-// typed into the table's slots, so the result references none of it. A
-// join leaves its operand replicas current at ts, so the first Step from
-// ts probes them without rebuilding; a group table is filled from the
-// same pass, and must be seeded once before its first Step. A plan on
-// complete re-evaluation executes over src's relations and keeps
-// nothing.
+// typed into the table's slots, so the result references none of it.
+// What the plan keeps — a join's operand replicas, a group table filled
+// from the same pass — is then at ts, so the first Step from ts probes
+// it as it is. A plan on complete re-evaluation executes over src's
+// relations and keeps nothing.
 func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dra: Seed on closed Prepared")
 	}
 	switch {
 	case p.group != nil:
-		if err := p.group.seed(src, ts); err != nil {
+		ctx, err := seedContext(src, p.group.input, ts)
+		if err == nil {
+			err = p.group.seed(ctx)
+		}
+		if err != nil {
 			return nil, err
 		}
 		return p.group.table()
@@ -249,9 +261,7 @@ func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, 
 			return nil, err
 		}
 		t, err := p.engine.seed(p.root, ctx)
-		if err != nil {
-			p.root.dropReplicas()
-		}
+		p.pos.set(ts, err)
 		p.engine.gaugeReplicas(p.root, &p.gauged)
 		return t, err
 	default:
@@ -295,7 +305,17 @@ func (p *Prepared) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) 
 		return p.group.StepInto(ctx, execTS, res)
 	}
 	res.reset(execTS)
-	err := p.engine.evaluate(p.plan, p.root, ctx, res, true)
-	p.engine.gaugeReplicas(p.root, &p.gauged) // on failure too: a failed refresh drops them
+	if p.root == nil || p.root.replicaCount() == 0 {
+		return p.engine.evaluate(p.plan, p.root, ctx, res, true)
+	}
+	err := p.pos.resume(ctx, p.plan, p.root, &res.Stats, func(sctx *Context) error {
+		_, err := p.engine.seed(p.root, sctx)
+		return err
+	})
+	if err == nil {
+		err = p.engine.evaluate(p.plan, p.root, ctx, res, true)
+	}
+	p.pos.set(execTS, err)
+	p.engine.gaugeReplicas(p.root, &p.gauged)
 	return err
 }

@@ -50,19 +50,15 @@ func subjectFor(t *testing.T, e *Engine, plan algebra.Plan, name string) subject
 	return p
 }
 
-// stepPrepared runs one refresh of plan by p with the full protocol the
-// cq manager uses — change-counter snapshot BEFORE the execution
-// timestamp — maintains the complete result, and asserts it against full
-// re-evaluation. prev is consumed (mutated); f.lastTS advances to the
-// execution timestamp, so consecutive calls exercise the cache's
-// primary (ts) validation tier.
+// stepPrepared runs one refresh of plan by p from f.lastTS, maintains
+// the complete result, and asserts it against full re-evaluation. prev is
+// consumed (mutated); f.lastTS advances to the execution timestamp, so
+// consecutive calls step from the plan's position.
 func stepPrepared(t *testing.T, f *fixture, p subject, plan algebra.Plan, prev *relation.Relation) (*Result, *relation.Relation) {
 	t.Helper()
-	versions := f.store.ChangeCounts()
 	execTS := f.store.Now()
 	ctx := f.ctx(t)
 	ctx.Prev = prev
-	ctx.Versions = versions
 	res, err := p.Step(ctx, execTS)
 	if err != nil {
 		t.Fatalf("Step: %v", err)
@@ -190,13 +186,13 @@ func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheVersionRevalidation exercises the secondary
-// validation tier: when refreshes are not consecutive (the replica's ts
-// lags LastTS), an unchanged per-table change counter must still prove
-// the replica current — and a changed counter must force a rebuild, even
-// if the operand's delta window happens to be empty for the join's key
-// range.
-func TestPreparedCacheVersionRevalidation(t *testing.T) {
+// TestPreparedGapReseeds: a step whose LastTS is not the plan's position
+// — here a deliberate gap, commits landing between the last execution and
+// the next window — re-seeds the replicas at LastTS from the pre-state
+// (misses, pre-state tuples), however untouched the operand tables
+// stayed, and the result stays exact; the step after it, consecutive
+// again, serves them as they are.
+func TestPreparedGapReseeds(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},
 		relation.Column{Name: "volume", Type: relation.TInt},
@@ -207,39 +203,108 @@ func TestPreparedCacheVersionRevalidation(t *testing.T) {
 	f.insert(t, "stocks", sv("DEC", 150), sv("IBM", 75))
 	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(10)})
 	plan := f.plan(t, "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym")
-	e := NewEngine()
-	e.SkipIrrelevant = false // force evaluation so the cache is consulted
-	p, err := e.Prepare(plan, StrategyAuto)
+	p, err := NewEngine().Prepare(plan, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	prev, _ := InitialResult(plan, f.store.Live())
+	prev, err := InitialResult(plan, f.store.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Seed(f.store.Live(), f.store.Now()); err != nil {
+		t.Fatal(err)
+	}
 	f.mark()
 
-	// Warm the cache.
 	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(3)})
-	_, complete := stepPrepared(t, f, p, plan, prev)
-
-	// Advance time with commits to an UNRELATED table, then refresh
-	// with a gap: lastTS moves past the replicas' ts, so only the
-	// change counter can validate them.
-	f.insert(t, "other", sv("noise", 1))
-	f.mark() // deliberate gap: replicas' ts != new LastTS
-	f.insert(t, "trades", []relation.Value{relation.Str("DEC"), relation.Int(9)})
-	res, complete := stepPrepared(t, f, p, plan, complete)
-	if res.Stats.IndexCacheHits == 0 {
-		t.Error("unchanged stocks counter across the gap should revalidate the replica")
+	res, complete := stepPrepared(t, f, p, plan, prev)
+	if res.Stats.PreTuplesScanned != 0 || res.Stats.IndexCacheHits != 2 {
+		t.Fatalf("consecutive step: %d pre-state tuples, %d hits; want 0 and 2", res.Stats.PreTuplesScanned, res.Stats.IndexCacheHits)
 	}
 
-	// Now touch stocks inside a gap: the counter differs, the replica
-	// must be rebuilt (miss), and the result must stay exact.
-	f.insert(t, "stocks", sv("NEW", 200))
+	// A gap over an unrelated table, then one over stocks.
+	for _, table := range []string{"other", "stocks"} {
+		f.insert(t, table, sv(table, 200))
+		f.mark()
+		f.insert(t, "trades", []relation.Value{relation.Str(table), relation.Int(4)})
+		res, complete = stepPrepared(t, f, p, plan, complete)
+		if res.Stats.PreTuplesScanned == 0 || res.Stats.IndexCacheMisses < 2 || res.Stats.IndexCacheHits != 0 {
+			t.Fatalf("gap over %s: stats %+v; want a re-seed of both replicas", table, res.Stats)
+		}
+	}
+
+	f.insert(t, "stocks", sv("ACME", 9))
+	res, _ = stepPrepared(t, f, p, plan, complete)
+	if res.Stats.PreTuplesScanned != 0 || res.Stats.IndexCacheHits != 2 {
+		t.Fatalf("step after the gap: %d pre-state tuples, %d hits; want 0 and 2", res.Stats.PreTuplesScanned, res.Stats.IndexCacheHits)
+	}
+}
+
+// TestStepTwiceFromOneLastTS: a seeded Prepared stepped twice over one
+// window from one LastTS — what a refresh retried after a failure past
+// its step (materialize, Fits, journal) does — reports the same change
+// both times. The second step finds the position past LastTS and
+// re-seeds there; folding or telescoping the window into state already
+// past it reported a 2-way join's deletion with the new volume, and a
+// group's old sum with the window counted twice.
+func TestStepTwiceFromOneLastTS(t *testing.T) {
+	for _, q := range []string{
+		"SELECT s.name, s.price, t.volume FROM stocks s JOIN trades t ON s.name = t.sym",
+		"SELECT t.sym, SUM(t.volume) AS v FROM trades t GROUP BY t.sym",
+		"SELECT s.name, SUM(t.volume) AS v, COUNT(*) AS n FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name",
+	} {
+		t.Run(q, func(t *testing.T) { stepTwice(t, q) })
+	}
+}
+
+// stepTwice is one query of TestStepTwiceFromOneLastTS.
+func stepTwice(t *testing.T, q string) {
+	tradeSchema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema(), "trades": tradeSchema})
+	stocks := f.insert(t, "stocks", sv("DEC", 150), sv("IBM", 75))
+	trades := f.insert(t, "trades",
+		[]relation.Value{relation.Str("DEC"), relation.Int(10)},
+		[]relation.Value{relation.Str("IBM"), relation.Int(20)},
+	)
+	plan := f.plan(t, q)
+	p, err := NewEngine().Prepare(plan, StrategyAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Seed(f.store.Live(), f.store.Now()); err != nil {
+		t.Fatal(err)
+	}
 	f.mark()
-	f.insert(t, "trades", []relation.Value{relation.Str("NEW"), relation.Int(4)})
-	res2, _ := stepPrepared(t, f, p, plan, complete)
-	if res2.Stats.IndexCacheMisses == 0 {
-		t.Error("changed stocks counter must force a replica rebuild")
+
+	// Modifications on both sides of the join, under one key.
+	tx := f.store.Begin()
+	if err := tx.Update("stocks", stocks[0], sv("DEC", 151)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("trades", trades[0], []relation.Value{relation.Str("DEC"), relation.Int(14)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := oracle(t, plan, f.ctx(t))
+	versions := f.store.ChangeCounts() // what a cq round handed the engine
+	for i := 0; i < 2; i++ {
+		ctx := f.ctx(t)
+		ctx.Versions = versions
+		res, err := p.Step(ctx, f.store.Now())
+		if err != nil {
+			t.Fatalf("%q step %d: %v", q, i, err)
+		}
+		assertSameNet(t, fmt.Sprintf("%q step %d", q, i), want, res.Delta.ToSigned())
+		if reseeded := res.Stats.PreTuplesScanned > 0; reseeded != (i == 1) {
+			t.Errorf("%q step %d: %d pre-state tuples read", q, i, res.Stats.PreTuplesScanned)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func TestReplicaSlotReuse(t *testing.T) {
 	for i, k := range []string{"a", "b", "c", "d"} {
 		rows.AppendRow(relation.TID(i+1), +1, strs(k, "v"))
 	}
-	r := &replica{t: batch.TableOf(rows), ts: 1}
+	r := &replica{t: batch.TableOf(rows)}
 	key := []int{0}
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("probe b = %v", got)

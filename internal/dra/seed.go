@@ -16,8 +16,9 @@ import (
 // over the images exactly as a refresh runs over windows — a selection
 // is a view of its scan's image, a join group telescopes into empty
 // replicas and leaves them current at the seed timestamp, a group table
-// folds the input's batch. Replica rebuilds take the same path for one
-// operand. The row executor serves complete re-evaluation only.
+// folds the input's batch. A re-seed (position.resume) takes the same
+// path, and a truth-table term's pre-state takes it for one operand. The
+// row executor serves complete re-evaluation only.
 
 // imager is a Source that builds its tables' columnar images itself
 // (storage.HistoricView: one pass over the live relation and the log,
@@ -68,15 +69,65 @@ func seedContext(src algebra.Source, plan algebra.Plan, ts vclock.Timestamp) (*C
 }
 
 // emptyReplicas gives every join group in the tree empty operand
-// replicas at ts: the state a step from the empty state starts in.
-func (n *compiledNode) emptyReplicas(ts vclock.Timestamp) {
+// replicas: the state a step from the empty state starts in.
+func (n *compiledNode) emptyReplicas() {
 	n.eachJoin(func(cj *compiledJoin) {
 		if c := cj.cache; c != nil {
 			for i, op := range cj.ops {
-				c.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0), ts: ts}
+				c.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0)}
 			}
 		}
 	})
+}
+
+// position is the timestamp a stateful evaluator's whole state is at: a
+// Prepared's join replicas, or a group table's groups and its input's
+// replicas (Section 4.2: each execution starts from the state the
+// previous one left). A seed sets it, a successful step moves it to its
+// execution timestamp, and a failed step clears it. The zero position
+// is unset: the first step seeds.
+type position struct {
+	ts vclock.Timestamp
+	ok bool
+	// float marks state seeded from a source without a timestamp (the
+	// stand-alone maintainers): it is taken to be at its first step's
+	// LastTS.
+	float bool
+}
+
+// set ends a seed or a step at ts; a failure (err non-nil) clears the
+// position.
+func (p *position) set(ts vclock.Timestamp, err error) {
+	*p = position{ts: ts, ok: err == nil}
+}
+
+// resume readies an evaluator's state for a step from ctx.LastTS. State
+// at the position serves as it is, one index-cache hit per replica under
+// root. From any other timestamp the evaluator re-seeds: seed runs as
+// the initial execution of plan at ctx.LastTS over ctx.Pre, into fresh
+// state — never by undoing — and st counts every image row it reads as a
+// pre-state tuple and one index-cache miss per replica it builds.
+func (p *position) resume(ctx *Context, plan algebra.Plan, root *compiledNode, st *Stats, seed func(*Context) error) error {
+	if p.float {
+		*p = position{ts: ctx.LastTS, ok: true}
+	}
+	n := root.replicaCount()
+	if p.ok && p.ts == ctx.LastTS {
+		st.IndexCacheHits += n
+		return nil
+	}
+	if ctx.Pre == nil {
+		return errors.New("dra: re-seed: the context has no Pre source")
+	}
+	sctx, err := seedContext(ctx.Pre, plan, ctx.LastTS)
+	if err != nil {
+		return fmt.Errorf("dra: re-seed: %w", err)
+	}
+	for _, b := range sctx.Batches {
+		st.PreTuplesScanned += b.Len()
+	}
+	st.IndexCacheMisses += n
+	return seed(sctx)
 }
 
 // seed runs the compiled SPJ tree as one step from the empty state over
@@ -89,7 +140,7 @@ func (e *Engine) seed(root *compiledNode, ctx *Context) (*batch.Table, error) {
 	var st Stats
 	v := newVecEval(e, ctx, ctx.LastTS, &st)
 	defer v.release()
-	root.emptyReplicas(ctx.LastTS)
+	root.emptyReplicas()
 	if s := root.view; s != nil {
 		w, err := v.view(s)
 		if err != nil {
@@ -125,7 +176,7 @@ func tableOf(rel *relation.Relation) (*batch.Table, error) {
 }
 
 // operandAt appends operand i's output as of ctx.LastTS to dst, for a
-// replica (or a truth-table term) that needs the operand's pre-state:
+// truth-table term that needs the operand's pre-state:
 // the operand's compiled subtree run as a step from the empty state over
 // the images of its tables in ctx.Pre — the initial execution's path,
 // for one operand.
@@ -136,14 +187,14 @@ func (v *vecEval) operandAt(cj *compiledJoin, i int, dst *batch.Batch) error {
 	op, node := cj.ops[i].plan, cj.opNodes[i]
 	if !node.joinFree() {
 		// A join nested in the operand (a plan only the algebra API
-		// builds) seeds from its own empty replicas: the standing group's
-		// belong to this refresh, and a transient one has none.
+		// builds) seeds from empty replicas of its own: the transient
+		// tree's group keeps none.
 		n, err := compilePlan(op)
 		if err != nil {
 			return err
 		}
 		n.attachReplicas(v.e)
-		n.emptyReplicas(v.ctx.LastTS)
+		n.emptyReplicas()
 		node = n
 	}
 	ctx, err := seedContext(v.ctx.Pre, op, v.ctx.LastTS)

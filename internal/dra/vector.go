@@ -53,12 +53,11 @@ func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *ve
 // vecEvaluate runs the differential evaluation over typed columnar
 // batches and nets the result into res. Prepared join groups advance
 // their replicas as they go, so an error can leave them part-advanced;
-// the caller drops them (evaluate).
+// the caller clears the plan's position (Prepared.StepInto).
 //
 // A refresh whose operands' filtered windows are all empty is reported
 // as Skipped (when the engine skips irrelevant updates at all): nothing
-// past the window scan ran — a join group with no changed operand only
-// moves its replicas' tags forward — and the net change is empty.
+// past the window scan ran and the net change is empty.
 func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) error {
 	st := &res.Stats
 	v := newVecEval(e, ctx, res.ExecTS, st)
@@ -336,7 +335,7 @@ func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 
 // joinBatch computes the signed delta of a join group. What the group is
 // decides the kernel: a standing query's group (it has replicas)
-// telescopes over them and ends the call with them advanced to execTS; a
+// telescopes over them and ends the call with them at execTS; a
 // transient one runs Algorithm 1's truth table over the pre-state
 // snapshot.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
@@ -359,9 +358,6 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	var err error
 	switch {
 	case len(changed) == 0:
-		if cj.cache != nil {
-			cj.cache.advance(v.ctx, v.execTS)
-		}
 	case cj.cache != nil:
 		out, err = v.telescopeJoin(cj, deltas)
 	default:
@@ -445,8 +441,8 @@ func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, change
 	return out, nil
 }
 
-// operandPre evaluates operand i's pre-state into a pooled batch, as a
-// replica rebuild does (operandAt).
+// operandPre evaluates operand i's pre-state into a pooled batch
+// (operandAt).
 func (v *vecEval) operandPre(cj *compiledJoin, i int) (*batch.Batch, error) {
 	pb := v.own(v.e.pool.Get(cj.ops[i].plan.Schema(), 0))
 	if err := v.operandAt(cj, i, pb); err != nil {

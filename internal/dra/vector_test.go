@@ -240,10 +240,10 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 // and the stateless truth table — a hand-built window holding a value its column cannot (a STRING in a
 // FLOAT column — the store's write boundary would have rejected it): the
 // Step must fail with the relation.ErrTypeMismatch sentinel, never
-// evaluate a second way, and leave nothing half-advanced behind — the
-// next Step over the clean window must equal complete re-evaluation. The
-// last case fails ABOVE a join group that has already advanced its
-// replicas, which must be dropped.
+// evaluate a second way, and clear the evaluator's position, so the next
+// Step over the clean window re-seeds and equals complete
+// re-evaluation. The last case fails ABOVE a join group that has already
+// advanced its replicas.
 func TestNonConformingWindowFailsStep(t *testing.T) {
 	badWindow := func(t *testing.T, f *fixture, ctx *Context) {
 		t.Helper()
@@ -332,12 +332,15 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 			if tc.poison == nil && !errors.Is(err, relation.ErrTypeMismatch) {
 				t.Fatalf("Step error = %v, want relation.ErrTypeMismatch", err)
 			}
-			if p, ok := s.(*Prepared); ok {
-				for _, r := range p.Replicas() {
-					if r.Rows != 0 {
-						t.Fatalf("replica %q kept %d rows across a failed Step", r.Operand, r.Rows)
-					}
-				}
+			var pos *position
+			switch s := s.(type) {
+			case *Prepared:
+				pos = &s.pos
+			case *IncrementalAggregate:
+				pos = &s.pos
+			}
+			if pos != nil && pos.ok {
+				t.Fatalf("a failed Step left the position at %d", pos.ts)
 			}
 
 			// Round 3: the same window, clean (the poison rows leave
@@ -369,10 +372,11 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 
 // TestVectorizedBothKernels runs the truth table (a transient tree,
 // as unprepared Reevaluate compiles it) and the telescoping kernel (a
-// Prepared's tree) over the same window for every query shape, the
-// telescoping kernel twice: its second run finds the replicas advanced
-// past the window start by the first and rebuilds them from the
-// pre-state snapshot. All three must equal complete re-evaluation.
+// Prepared) over the same window for every query shape, the
+// telescoping kernel twice: the first run re-seeds the never-seeded
+// Prepared at the window's start, the second finds its position moved
+// past the start by the first and re-seeds again. All three must equal
+// complete re-evaluation.
 func TestVectorizedBothKernels(t *testing.T) {
 	for qi, q := range vecQueries {
 		rng := rand.New(rand.NewSource(int64(qi)))
@@ -399,9 +403,14 @@ func TestVectorizedBothKernels(t *testing.T) {
 		ctx := f.ctx(t)
 		ctx.Prev = prev
 		want := oracle(t, plan, ctx)
-		for i, root := range []*compiledNode{bare, p.root, p.root} {
+		for i := 0; i < 3; i++ {
 			res := &Result{ExecTS: f.store.Now()}
-			if err := e.vecEvaluate(root, ctx, res); err != nil {
+			if i == 0 {
+				err = e.vecEvaluate(bare, ctx, res)
+			} else {
+				res, err = p.Step(ctx, f.store.Now())
+			}
+			if err != nil {
 				t.Fatalf("q%d run %d: %v", qi, i, err)
 			}
 			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, res.Delta.ToSigned())

@@ -388,8 +388,8 @@ func (c *Client) ApplyUpdates(table string, rows []WireDeltaRow) error {
 // pulled. The result is a slot table (batch.Table), as a server CQ's
 // is: each Step's change is written typed into it, so it references
 // none of the windows or step output it came from. The replicas are the step's pre-state; they are read only
-// where the evaluator must rebuild (its first join refresh, or one after
-// a failure) or re-evaluates completely.
+// where the evaluator re-seeds (a retry of a refresh that failed after
+// its step ran) or re-evaluates completely.
 type MirrorCQ struct {
 	client *Client
 	prep   *dra.Prepared

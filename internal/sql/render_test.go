@@ -34,3 +34,35 @@ func TestRenderRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSQL is the registry's recovery property over arbitrary input:
+// the durable registry persists a CQ as SelectStmt.String() and recovery
+// parses it back, so for every query ParseSelect accepts, its rendering
+// must parse again and render the same string. The grammar has no
+// BETWEEN or IS NULL: those seeds start the corpus on the rejection path.
+func FuzzParseSQL(f *testing.F) {
+	for _, q := range []string{
+		`SELECT name, price INTO expensive FROM stocks WHERE price > 120`,
+		`SELECT branch, COUNT(*) AS n, SUM(amount) FROM accounts GROUP BY branch HAVING SUM(amount) > 100`,
+		`SELECT name FROM stocks WHERE NOT (price < 10 OR price > 100) ORDER BY name DESC, price LIMIT 5`,
+		`SELECT DISTINCT s.name FROM stocks AS s JOIN orders AS o ON s.name = o.name`,
+		`SELECT * FROM stocks WHERE price BETWEEN 10 AND 20 AND name IS NOT NULL`,
+		`SELECT name, price * 2 + 1 FROM stocks WHERE name != 'DEC''s' OR price IS NULL`,
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		stmt, err := ParseSelect(q)
+		if err != nil {
+			return
+		}
+		text := stmt.String()
+		again, err := ParseSelect(text)
+		if err != nil {
+			t.Fatalf("rendering of %q does not parse: %q: %v", q, text, err)
+		}
+		if text2 := again.String(); text2 != text {
+			t.Fatalf("render not a fixed point:\n  source   %q\n  render 1 %q\n  render 2 %q", q, text, text2)
+		}
+	})
+}

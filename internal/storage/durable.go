@@ -33,11 +33,10 @@ func (s *Store) SetWALSink(sink WALSink) {
 
 // State is a consistent cut of the whole store: the logical clock, the
 // tid allocator, and every table's base relation, retained differential
-// relation, GC low-water mark and change counter. Change counters are
-// part of the cut on purpose: prepared-plan operand caches
-// (dra.Context.Versions) revalidate by counter equality, so a restart
-// that reset them to zero could produce false hits against cached
-// indexes from a previous incarnation.
+// relation, GC low-water mark and change counter. The counters stay in
+// the cut for the checkpoint format and for ChangeCounts' readers (the
+// repo benchmark); no evaluator validates state by them — a dra.Prepared
+// keeps its state at one position instead.
 type State struct {
 	TS      vclock.Timestamp
 	NextTID uint64

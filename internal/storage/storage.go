@@ -49,8 +49,8 @@ type Table struct {
 	// version counts committed transactions that touched this table. It
 	// never resets (GC does not change base contents), so an unchanged
 	// version proves the base relation — at any timestamp — is identical
-	// to what it was when the version was last read. Prepared-plan
-	// operand index caches key their validity off it.
+	// to what it was when the version was last read. The checkpoint
+	// carries it; nothing in the engine keys validity off it.
 	version uint64
 }
 
@@ -311,11 +311,8 @@ func (s *Store) ChangeCount(table string) uint64 {
 }
 
 // ChangeCounts snapshots every table's change counter in one lock
-// acquisition. Prepared-plan operand caches (dra.Context.Versions)
-// require the snapshot to be taken BEFORE the refresh timestamp is
-// issued: a counter read after Now() may already include commits newer
-// than the timestamp, which would let a later equality check validate a
-// stale replica.
+// acquisition. The engine reads none of them; the counters are kept for
+// the checkpoint format and for this API's readers (the repo benchmark).
 func (s *Store) ChangeCounts() map[string]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -328,39 +325,16 @@ func (s *Store) ChangeCounts() map[string]uint64 {
 
 // CollectGarbage drops delta rows with timestamps <= horizon on every
 // table (Section 5.4: horizon is the lower boundary of the system active
-// delta zone). It returns the total number of rows collected.
+// delta zone): CollectGarbageTables with every table at horizon. It
+// returns the total number of rows collected.
 func (s *Store) CollectGarbage(horizon vclock.Timestamp) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	var freedBytes int64
-	for _, t := range s.tables {
-		// Sum the bytes of the prefix about to go before truncating:
-		// delta rows are stored in commit-timestamp order, so the
-		// collectable prefix is contiguous.
-		for _, r := range t.dlt.Rows() {
-			if r.TS > horizon {
-				break
-			}
-			freedBytes += approxRowBytes(r)
-		}
-		n := t.dlt.TruncateBefore(horizon)
-		total += n
-		if horizon > t.lowWater {
-			t.lowWater = horizon
-		}
-		if m := s.met; m != nil && n > 0 {
-			m.tableGauge(t.name).Set(int64(t.dlt.Len()))
-		}
+	s.mu.RLock()
+	horizons := make(map[string]vclock.Timestamp, len(s.tables))
+	for name := range s.tables {
+		horizons[name] = horizon
 	}
-	s.noteDeltaDropLocked(total, freedBytes)
-	s.recomputeOverloadLocked()
-	if m := s.met; m != nil {
-		m.gcRuns.Inc()
-		m.gcRows.Add(int64(total))
-		m.deltaTotal.Add(-int64(total))
-	}
-	return total
+	s.mu.RUnlock()
+	return s.CollectGarbageTables(horizons)
 }
 
 // CollectGarbageTables drops delta rows per table at table-specific

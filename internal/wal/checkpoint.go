@@ -26,7 +26,8 @@ const (
 // TableState is one table's snapshot inside a checkpoint: the base
 // relation, the retained differential relation (the paper's ΔR — the
 // system active delta zone as of the cut), the GC low-water mark, and
-// the change counter that the dra operand index cache revalidates by.
+// the change counter (storage.Store.ChangeCount), kept in the format for
+// its readers outside the engine; no evaluator reads it.
 type TableState struct {
 	Name      string
 	Schema    relation.Schema
