@@ -81,7 +81,7 @@ func run(args []string) error {
 	dataDir := fs.String("data", "", "durable data directory (WAL + checkpoints; empty = in-memory)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL sync policy: always, interval, never")
 	ckptEvery := fs.Int("checkpoint-every", 0, "auto-checkpoint after N committed transactions (0 = only on shutdown)")
-	refreshBudget := fs.Duration("refresh-budget", 30*time.Second, "per-refresh deadline; an overrunning CQ refresh is abandoned and counted as a failure (0 disables)")
+	refreshBudget := fs.Duration("refresh-budget", 30*time.Second, "per-refresh deadline; a CQ refresh still evaluating past it stops and counts as a failure (0 disables)")
 	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a CQ after N consecutive refresh failures (0 = default 3, negative disables)")
 	softDeltaRows := fs.Int("soft-delta-rows", 0, "soft watermark on retained delta rows: emergency GC and push->poll coalescing (0 disables)")
 	hardDeltaRows := fs.Int("hard-delta-rows", 0, "hard watermark on retained delta rows: reject writes until recovery (0 disables)")

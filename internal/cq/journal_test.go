@@ -9,7 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -265,32 +267,39 @@ func TestMemberRoundFlushesOncePerWorker(t *testing.T) {
 	const members, workers = 200, 4
 	for _, push := range []bool{false, true} {
 		t.Run(fmt.Sprintf("push=%v", push), func(t *testing.T) {
-			s, m, j := journaledFixture(t, Config{Parallelism: workers, Push: push}, members, false)
-			before := len(j.snapshot())
-			commitPrices(t, s, 0, 1000) // every member matches
-			if push {
-				m.FlushPush()
-			} else if _, err := m.Poll(); err != nil {
-				t.Fatal(err)
-			}
-			ops := j.snapshot()
-			checkWriteAhead(t, ops)
-			flushes, stages, delivered := 0, 0, 0
-			for _, op := range ops[before:] {
-				switch {
-				case op == "flush":
-					flushes++
-				case strings.HasPrefix(op, "stage:"):
-					stages++
-				case strings.HasPrefix(op, "deliver:m"):
-					delivered++
-				}
-			}
-			if stages != members || delivered != members {
-				t.Fatalf("%d staged, %d member deliveries, want %d each", stages, delivered, members)
-			}
-			if flushes < 1 || flushes > workers {
-				t.Fatalf("a round of %d members flushed %d times, want 1 to %d (one per worker)", members, flushes, workers)
+			// A budget changes nothing here: a budgeted refresh runs on
+			// the same path and stages the same way.
+			for _, budget := range []time.Duration{0, time.Minute} {
+				t.Run(fmt.Sprintf("budget=%v", budget), func(t *testing.T) {
+					cfg := Config{Parallelism: workers, Push: push, Guard: guard.Policy{Budget: budget}}
+					s, m, j := journaledFixture(t, cfg, members, false)
+					before := len(j.snapshot())
+					commitPrices(t, s, 0, 1000) // every member matches
+					if push {
+						m.FlushPush()
+					} else if _, err := m.Poll(); err != nil {
+						t.Fatal(err)
+					}
+					ops := j.snapshot()
+					checkWriteAhead(t, ops)
+					flushes, stages, delivered := 0, 0, 0
+					for _, op := range ops[before:] {
+						switch {
+						case op == "flush":
+							flushes++
+						case strings.HasPrefix(op, "stage:"):
+							stages++
+						case strings.HasPrefix(op, "deliver:m"):
+							delivered++
+						}
+					}
+					if stages != members || delivered != members {
+						t.Fatalf("%d staged, %d member deliveries, want %d each", stages, delivered, members)
+					}
+					if flushes < 1 || flushes > workers {
+						t.Fatalf("a round of %d members flushed %d times, want 1 to %d (one per worker)", members, flushes, workers)
+					}
+				})
 			}
 		})
 	}

@@ -34,8 +34,7 @@ type metrics struct {
 
 	// Guard layer (overload protection and self-healing).
 	refreshPanics   *obs.Counter // cq.refresh.panics: refreshes (or callbacks' refreshes) that panicked
-	refreshTimeouts *obs.Counter // cq.refresh.timeouts: refreshes abandoned past the budget
-	refreshLate     *obs.Counter // cq.refresh.late: abandoned refreshes that eventually finished
+	refreshTimeouts *obs.Counter // cq.refresh.timeouts: refreshes stopped at their budget's deadline
 	quarantines     *obs.Counter // cq.quarantines: breaker open transitions
 	quarantineSkips *obs.Counter // cq.quarantine.skips: rounds/dispatches skipped while quarantined
 	// subscriberPanics counts subscribers detached because their callback
@@ -95,7 +94,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		refreshPanics:     reg.Counter("cq.refresh.panics"),
 		refreshTimeouts:   reg.Counter("cq.refresh.timeouts"),
-		refreshLate:       reg.Counter("cq.refresh.late"),
 		quarantines:       reg.Counter("cq.quarantines"),
 		quarantineSkips:   reg.Counter("cq.quarantine.skips"),
 		subscriberPanics:  reg.Counter("cq.subscriber_panics"),

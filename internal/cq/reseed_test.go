@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/dra"
+	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
@@ -95,7 +97,9 @@ func TestServingNeverReseeds(t *testing.T) {
 				stocks = append(stocks, insertStock(t, s, fmt.Sprintf("S%d", i), float64(100+i)))
 			}
 			reg := obs.NewRegistry()
-			m := NewManagerConfig(s, Config{UseDRA: true, Push: push, Metrics: reg})
+			// A generous budget: the deadline never fires on a healthy
+			// serving path, so nothing re-seeds.
+			m := NewManagerConfig(s, Config{UseDRA: true, Push: push, Metrics: reg, Guard: guard.Policy{Budget: time.Minute}})
 			defer func() { _ = m.Close() }()
 			for name, q := range queries {
 				if _, err := m.Register(Def{Name: name, Query: q}); err != nil {

@@ -3,10 +3,12 @@ package durable_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
+	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/wal"
 )
 
@@ -99,50 +101,59 @@ func TestPushExecutionsAreDurable(t *testing.T) {
 // execution is in the log after a restart.
 func TestMemberRoundWritesOncePerWorker(t *testing.T) {
 	const members, workers = 200, 4
-	fs := faults.NewMemFS(1)
-	open := func() *durable.System {
-		sys, err := durable.Open(durable.Options{
-			Dir:   "data",
-			FS:    fs,
-			Fsync: wal.FsyncAlways,
-			CQ:    cq.Config{UseDRA: true, AutoGC: true, Push: true, ShareTemplates: true, Parallelism: workers},
-		})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		return sys
-	}
-	sys := open()
-	if err := sys.Store.CreateTable("stocks", stockSchema()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < members; i++ {
-		if _, err := sys.Manager.RegisterSQL(fmt.Sprintf(
-			"CREATE CONTINUAL QUERY m%03d AS SELECT name, v FROM stocks WHERE v > %d TRIGGER UPDATES 1", i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := fs.Writes()
-	insertRow(t, sys.Store, "DEC", 150) // about three quarters of the members match
-	sys.Manager.FlushPush()
-	writes := fs.Writes() - before
-	t.Logf("one commit to %d members: %d writes", members, writes)
-	if writes < 2 || writes > 1+workers {
-		t.Fatalf("one commit to %d members made %d writes, want the commit's plus 1 to %d flushes", members, writes, workers)
-	}
-	for i := 0; i < members; i++ {
-		if st, _ := sys.Manager.State(fmt.Sprintf("m%03d", i)); st.Seq != 2 {
-			t.Fatalf("member %d at Seq %d after one commit, want 2", i, st.Seq)
-		}
-	}
-	_ = sys.Manager.Close() // no final checkpoint: the restart replays the log
-	fs.CrashClean()         // fsync=always: every acknowledged write survives
+	// A budget changes nothing here: a budgeted refresh runs on the same
+	// path and stages the same way.
+	for _, budget := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("budget=%v", budget), func(t *testing.T) {
+			fs := faults.NewMemFS(1)
+			open := func() *durable.System {
+				sys, err := durable.Open(durable.Options{
+					Dir:   "data",
+					FS:    fs,
+					Fsync: wal.FsyncAlways,
+					CQ: cq.Config{
+						UseDRA: true, AutoGC: true, Push: true, ShareTemplates: true, Parallelism: workers,
+						Guard: guard.Policy{Budget: budget},
+					},
+				})
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				return sys
+			}
+			sys := open()
+			if err := sys.Store.CreateTable("stocks", stockSchema()); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < members; i++ {
+				if _, err := sys.Manager.RegisterSQL(fmt.Sprintf(
+					"CREATE CONTINUAL QUERY m%03d AS SELECT name, v FROM stocks WHERE v > %d TRIGGER UPDATES 1", i, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := fs.Writes()
+			insertRow(t, sys.Store, "DEC", 150) // about three quarters of the members match
+			sys.Manager.FlushPush()
+			writes := fs.Writes() - before
+			t.Logf("one commit to %d members: %d writes", members, writes)
+			if writes < 2 || writes > 1+workers {
+				t.Fatalf("one commit to %d members made %d writes, want the commit's plus 1 to %d flushes", members, writes, workers)
+			}
+			for i := 0; i < members; i++ {
+				if st, _ := sys.Manager.State(fmt.Sprintf("m%03d", i)); st.Seq != 2 {
+					t.Fatalf("member %d at Seq %d after one commit, want 2", i, st.Seq)
+				}
+			}
+			_ = sys.Manager.Close() // no final checkpoint: the restart replays the log
+			fs.CrashClean()         // fsync=always: every acknowledged write survives
 
-	sys = open()
-	defer sys.Close()
-	for i := 0; i < members; i++ {
-		if st, _ := sys.Manager.State(fmt.Sprintf("m%03d", i)); st.Seq != 2 {
-			t.Fatalf("member %d recovered at Seq %d, want 2", i, st.Seq)
-		}
+			sys = open()
+			defer sys.Close()
+			for i := 0; i < members; i++ {
+				if st, _ := sys.Manager.State(fmt.Sprintf("m%03d", i)); st.Seq != 2 {
+					t.Fatalf("member %d recovered at Seq %d, want 2", i, st.Seq)
+				}
+			}
+		})
 	}
 }
