@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
+	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/sql"
 )
@@ -43,6 +45,11 @@ type Executor struct {
 	// loops otherwise. Exposed for the A3 ablation benchmark.
 	UseHashJoin bool
 	Stats       ExecStats
+	// Deadline stops the execution with guard.ErrBudgetExceeded once it
+	// has passed: read every guard.CheckRows rows a scan copies or a
+	// join probes or emits, and after each plan node. Zero: no bound,
+	// no clock read.
+	Deadline time.Time
 }
 
 // NewExecutor creates an executor over a source with hash joins enabled.
@@ -61,7 +68,21 @@ func (ex *Executor) Execute(p Plan) (*relation.Relation, error) {
 	return out, nil
 }
 
+// exec materializes one plan node, then checks the deadline: a node's
+// own pass over its input is linear, so only scans and joins, whose
+// output can outgrow their input, check it row by row.
 func (ex *Executor) exec(p Plan) (*relation.Relation, error) {
+	out, err := ex.node(p)
+	if err == nil {
+		err = guard.Overdue(ex.Deadline)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (ex *Executor) node(p Plan) (*relation.Relation, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
 		return ex.execScan(n)
@@ -93,7 +114,11 @@ func (ex *Executor) execScan(n *ScanPlan) (*relation.Relation, error) {
 	// Rebadge the tuples under the plan's qualified schema. Values are
 	// shared; the executor never mutates tuples.
 	out := relation.New(n.Schema())
+	dm := guard.Meter{Deadline: ex.Deadline}
 	for _, t := range base.Tuples() {
+		if err := dm.Tick(); err != nil {
+			return nil, err
+		}
 		if err := out.Insert(t); err != nil {
 			return nil, fmt.Errorf("scan %s: %w", n.Table, err)
 		}
@@ -201,97 +226,81 @@ func (ex *Executor) execJoin(n *JoinPlan) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return JoinRelations(left, right, n.On, n.Schema(), ex.UseHashJoin)
+	return ex.joinRelations(left, right, n.On, n.Schema())
 }
 
-// JoinRelations joins two materialized relations under the given ON
+// joinRelations joins two materialized relations under the given ON
 // predicate, producing tuples in outSchema (left columns then right
-// columns). It is exported because DRA evaluates differential join terms
-// over substituted operands with exactly this routine.
-func JoinRelations(left, right *relation.Relation, on sql.Expr, outSchema relation.Schema, useHash bool) (*relation.Relation, error) {
-	out := relation.New(outSchema)
-	lk, rk, residualConjuncts := equiKeys(on, left.Schema(), right.Schema())
-	residual := JoinConjuncts(residualConjuncts)
-	var residualPred CompiledExpr
-	if residual != nil {
+// columns): a hash join on the equi-join keys under UseHashJoin, a
+// nested loop otherwise. Every pair it probes or emits ticks the
+// deadline's meter.
+func (ex *Executor) joinRelations(left, right *relation.Relation, on sql.Expr, outSchema relation.Schema) (*relation.Relation, error) {
+	lk, rk, residual := equiKeys(on, left.Schema(), right.Schema())
+	hash := ex.UseHashJoin && len(lk) > 0
+	// A hash join checks what its keys leave of ON; a nested loop (also
+	// one with equi keys and hashing off, ablation A3) checks all of it.
+	check := on
+	if hash {
+		check = JoinConjuncts(residual)
+	}
+	var pred CompiledExpr
+	if check != nil {
 		var err error
-		residualPred, err = Compile(residual, outSchema)
-		if err != nil {
-			return nil, fmt.Errorf("join residual: %w", err)
+		if pred, err = Compile(check, outSchema); err != nil {
+			return nil, fmt.Errorf("join predicate: %w", err)
 		}
 	}
-
+	out := relation.New(outSchema)
+	dm := guard.Meter{Deadline: ex.Deadline}
 	emit := func(lt, rt relation.Tuple) error {
+		if err := dm.Tick(); err != nil {
+			return err
+		}
 		vals := make([]relation.Value, 0, len(lt.Values)+len(rt.Values))
 		vals = append(vals, lt.Values...)
 		vals = append(vals, rt.Values...)
 		joined := relation.Tuple{TID: relation.CombineTIDs(lt.TID, rt.TID), Values: vals}
-		if residualPred != nil {
-			ok, err := EvalPredicate(residualPred, joined)
-			if err != nil {
+		if pred != nil {
+			ok, err := EvalPredicate(pred, joined)
+			if err != nil || !ok {
 				return err
-			}
-			if !ok {
-				return nil
 			}
 		}
 		return out.Upsert(joined)
 	}
 
-	if useHash && len(lk) > 0 {
-		// Build on the smaller side.
-		build, probe, bk, pk, buildIsRight := right, left, rk, lk, true
-		if left.Len() < right.Len() {
-			build, probe, bk, pk, buildIsRight = left, right, lk, rk, false
-		}
-		idx := relation.BuildHashIndex(build, bk)
-		key := make([]relation.Value, len(pk))
-		for _, pt := range probe.Tuples() {
-			for i, c := range pk {
-				key[i] = pt.Values[c]
-			}
-			for _, bt := range idx.Probe(key) {
-				var err error
-				if buildIsRight {
-					err = emit(pt, bt)
-				} else {
-					err = emit(bt, pt)
-				}
-				if err != nil {
+	if !hash {
+		for _, lt := range left.Tuples() {
+			for _, rt := range right.Tuples() {
+				if err := emit(lt, rt); err != nil {
 					return nil, err
 				}
 			}
 		}
 		return out, nil
 	}
-
-	// Nested loop join. When equi keys exist but hashing is disabled
-	// (ablation A3) the keys are folded back into the predicate via the
-	// residual path: rebuild a full predicate over the output schema.
-	var pred CompiledExpr
-	if on != nil {
-		var err error
-		pred, err = Compile(on, outSchema)
-		if err != nil {
-			return nil, fmt.Errorf("join predicate: %w", err)
-		}
+	// Build on the smaller side.
+	build, probe, bk, pk, buildIsRight := right, left, rk, lk, true
+	if left.Len() < right.Len() {
+		build, probe, bk, pk, buildIsRight = left, right, lk, rk, false
 	}
-	for _, lt := range left.Tuples() {
-		for _, rt := range right.Tuples() {
-			vals := make([]relation.Value, 0, len(lt.Values)+len(rt.Values))
-			vals = append(vals, lt.Values...)
-			vals = append(vals, rt.Values...)
-			joined := relation.Tuple{TID: relation.CombineTIDs(lt.TID, rt.TID), Values: vals}
-			if pred != nil {
-				ok, err := EvalPredicate(pred, joined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
+	idx := relation.BuildHashIndex(build, bk)
+	key := make([]relation.Value, len(pk))
+	for _, pt := range probe.Tuples() {
+		if err := dm.Tick(); err != nil {
+			return nil, err
+		}
+		for i, c := range pk {
+			key[i] = pt.Values[c]
+		}
+		for _, bt := range idx.Probe(key) {
+			var err error
+			if buildIsRight {
+				err = emit(pt, bt)
+			} else {
+				err = emit(bt, pt)
 			}
-			if err := out.Upsert(joined); err != nil {
+			if err != nil {
 				return nil, err
 			}
 		}

@@ -62,6 +62,12 @@ type templateGroup struct {
 	lastExec vclock.Timestamp
 	members  map[string]*tmplMember
 	index    *paramIndex
+	// failed is the round (round.n) whose step failed with failErr: the
+	// round's other members fail with it rather than step again, so a
+	// step stopped at its deadline costs one budget per round, not one
+	// per member.
+	failed  uint64
+	failErr error
 
 	// Scratch reused under mu: dispatchLocked's rows per matched member,
 	// and foldBatches' per-tid state.
@@ -259,11 +265,20 @@ func (m *Manager) reapTemplatesLocked() {
 // pending buffers. Caller holds g.mu. Monotonic: a round whose timestamp
 // the group has already covered is a no-op (the fired members just drain
 // their buffers), which is what makes one Step per template per round
-// out of N concurrent member refreshes.
-func (m *Manager) stepGroupLocked(g *templateGroup, rd round) error {
+// out of N concurrent member refreshes. A failed step is not retried in
+// its round: the members after the first get its error.
+func (m *Manager) stepGroupLocked(g *templateGroup, rd round) (err error) {
 	if rd.ts <= g.lastExec {
 		return nil
 	}
+	if rd.n == g.failed {
+		return g.failErr
+	}
+	defer func() {
+		if err != nil {
+			g.failed, g.failErr = rd.n, err
+		}
+	}()
 	var start time.Time
 	if m.met != nil {
 		start = time.Now()

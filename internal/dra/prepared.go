@@ -265,7 +265,7 @@ func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, 
 		p.engine.gaugeReplicas(p.root, &p.gauged)
 		return t, err
 	default:
-		rel, err := execute(p.plan, src)
+		rel, err := InitialResult(p.plan, src)
 		if err != nil {
 			return nil, err
 		}

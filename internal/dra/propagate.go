@@ -2,6 +2,7 @@ package dra
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/delta"
@@ -16,11 +17,16 @@ import (
 // functionally equivalent to this operator; the property tests in this
 // package exercise that equivalence over randomized histories.
 func Propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp) (*delta.Delta, error) {
-	oldR, err := execute(plan, pre)
+	return propagate(plan, pre, post, ts, time.Time{})
+}
+
+// propagate is Propagate with both executions under deadline.
+func propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp, deadline time.Time) (*delta.Delta, error) {
+	oldR, err := execute(plan, pre, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate pre: %w", err)
 	}
-	newR, err := execute(plan, post)
+	newR, err := execute(plan, post, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate post: %w", err)
 	}
@@ -32,19 +38,19 @@ func Propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp)
 // derives the change by diffing with the previous result.
 func FullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relation, execTS vclock.Timestamp) (*Result, error) {
 	res := &Result{ExecTS: execTS}
-	if err := fullReevaluate(plan, post, prev, res); err != nil {
+	if err := fullReevaluate(plan, post, prev, res, time.Time{}); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // fullReevaluate is FullReevaluate into res, reset to the execution's
-// timestamp.
-func fullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relation, res *Result) error {
+// timestamp, its execution under deadline.
+func fullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relation, res *Result, deadline time.Time) error {
 	if prev == nil {
 		return ErrNoPrev
 	}
-	cur, err := execute(plan, post)
+	cur, err := execute(plan, post, deadline)
 	if err != nil {
 		return fmt.Errorf("dra: full re-evaluation: %w", err)
 	}
@@ -62,11 +68,14 @@ func fullReevaluate(plan algebra.Plan, post algebra.Source, prev *relation.Relat
 // happened). It is the oracle Prepared.Seed is held to; a standing query
 // seeds through Seed.
 func InitialResult(plan algebra.Plan, src algebra.Source) (*relation.Relation, error) {
-	return execute(plan, src)
+	return execute(plan, src, time.Time{})
 }
 
-// execute runs the query completely over src: the one use of the row
-// executor in the package, behind complete re-evaluation and the oracle.
-func execute(plan algebra.Plan, src algebra.Source) (*relation.Relation, error) {
-	return algebra.NewExecutor(src).Execute(plan)
+// execute runs the query completely over src, stopped at deadline (zero:
+// never): the one use of the row executor in the package, behind
+// complete re-evaluation and the oracle.
+func execute(plan algebra.Plan, src algebra.Source, deadline time.Time) (*relation.Relation, error) {
+	ex := algebra.NewExecutor(src)
+	ex.Deadline = deadline
+	return ex.Execute(plan)
 }
