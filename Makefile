@@ -40,7 +40,8 @@ chaos:
 # push dispatches; members: one commit pushed to a 200-member template
 # group, nearly every member refresh empty), of BenchmarkRefreshMirror (mirror: one commit and
 # one client-side MirrorCQ refresh) or of BenchmarkRegister (burst: 18
-# registrations at one timestamp, initial executions included) or of
+# registrations at one timestamp, initial executions included; resume:
+# 200 template members resumed at two LastExec values, then one Poll) or of
 # BenchmarkTableApply (apply: one 64-row change typed into a 5k-row
 # result table, budget 0) exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.

@@ -114,6 +114,13 @@ func (b *Batch) init(schema relation.Schema, capHint int) {
 	b.Signs = slices.Grow(b.Signs, capHint)
 }
 
+// Reset empties the batch for reuse under its schema, keeping its
+// buffers' capacity.
+func (b *Batch) Reset() {
+	b.check()
+	b.init(b.Schema, 0)
+}
+
 // Len returns the number of rows.
 func (b *Batch) Len() int {
 	b.check()

@@ -9,6 +9,7 @@ import (
 
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 )
 
@@ -439,6 +440,13 @@ const join3 = "SELECT a.id, b.v, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.k = 
 //	       it can; it reports the writer's commit latency (commit_max_us,
 //	       commit_p99_us over every commit of the run), which is how long
 //	       a registration holds the writers up.
+//	resume each op resumes, into a new manager, 200 members of one
+//	       selection template over a 4k-row table, half at one LastExec
+//	       and half at a later one, with a commit behind both, and polls
+//	       once: the group is seeded at the first LastExec, stepped to
+//	       the second, and stepped over the rest by the Poll. Manager
+//	       creation and Close run with the timer stopped. Gated by
+//	       scripts/check-allocs.sh.
 func BenchmarkRegister(b *testing.B) {
 	b.Run("burst", func(b *testing.B) {
 		rb := newRegisterBench(b, 16<<10)
@@ -468,6 +476,48 @@ func BenchmarkRegister(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StartTimer()
+		}
+	})
+	b.Run("resume", func(b *testing.B) {
+		rb := newRegisterBench(b, 4<<10)
+		_ = rb.mgr.Close()
+		// No AutoGC: every op resumes at the same two LastExec.
+		cfg := Config{UseDRA: true, Parallelism: 1, ShareTemplates: true}
+		m := NewManagerConfig(rb.store, cfg)
+		for i := 0; i < 200; i++ {
+			def := Def{Name: fmt.Sprintf("t%03d", i), Query: fmt.Sprintf("SELECT id, v FROM a WHERE v > %d", 900+i/2)}
+			if i%2 == 1 { // fires every other commit: stays at the earlier LastExec
+				def.Trigger = sql.TriggerSpec{Kind: sql.TriggerUpdates, Updates: 2}
+			}
+			if _, err := m.Register(def); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rb.touch(b)
+		if _, err := m.Poll(); err != nil {
+			b.Fatal(err)
+		}
+		entries, err := m.SnapshotRegistry(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = m.Close()
+		rb.touch(b) // the window the first Poll after resuming covers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := NewManagerConfig(rb.store, cfg)
+			b.StartTimer()
+			if err := m.Resume(entries...); err != nil {
+				b.Fatal(err)
+			}
+			if n, err := m.Poll(); err != nil || n != len(entries) {
+				b.Fatalf("poll refreshed %d, %v; want %d", n, err, len(entries))
+			}
+			b.StopTimer()
+			_ = m.Close()
 			b.StartTimer()
 		}
 	})

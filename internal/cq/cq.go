@@ -265,15 +265,14 @@ type instance struct {
 	// query, a group table for SUM/COUNT/AVG without HAVING and DISTINCT,
 	// complete re-evaluation for any other query and under Config.UseDRA
 	// off or Config.Strategy propagate. It is nil in two cases only: a
-	// template member that streams from its group (group != nil; a
-	// recovered member holds a private catch-up plan here until its first
-	// refresh has run), and a CQ recovered already terminated, which
-	// never refreshes again.
+	// template member (group != nil), which streams from its group's plan
+	// from the round it joined at, and a CQ recovered already terminated,
+	// which never refreshes again.
 	eval *dra.Prepared
 	// in is eval's step context, refilled by every refresh (stepContext).
 	in stepInput
 	// res is the refresh's change: eval steps into it (StepInto), a
-	// streaming member's fold reports into it, refresh after refresh.
+	// template member's fold reports into it, refresh after refresh.
 	res dra.Result
 	// fault, set only by the guard tests, fails every private step in
 	// eval's place: it injects panics, errors and stalls.
@@ -512,25 +511,24 @@ func (m *Manager) Traces() *obs.TraceLog { return m.cfg.Metrics.Traces() }
 func (m *Manager) Register(def Def) (*relation.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	initial, err := m.installLocked(def, nil, nil)
+	initial, err := m.installLocked(def, nil, m.newRound())
 	if err != nil {
 		return nil, err
 	}
 	return initial.Relation(), nil
 }
 
-// installLocked is the one way a CQ enters the registry; Register and
-// Resume differ only in the seed they hand it. A fresh registration (rec
-// nil) seeds at the round timestamp from the round cache's shared table
-// images, the result sequence starts at 1, and the journal
-// gets a registration record before the CQ becomes visible. A recovered
-// one carries Seq and health over from the entry, unjournaled, and
-// re-derives its result by the same initial execution over the store as
-// of its last execution (paper §4.2) — so the first refresh after
-// recovery is a differential catch-up over the replayed window, the DRA
-// applied to the crash itself. It returns the CQ's result at the seed.
-// at is the store as of rec.LastExec (nil when rec is). Caller holds m.mu.
-func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*batch.Table, error) {
+// installLocked is the one way a CQ enters the registry: it seeds the CQ
+// at rd, the round it is handed — Register passes a fresh round, Resume
+// one round per run of equal LastExec. A fresh registration (rec nil)
+// starts its result sequence at 1, and the journal gets a registration
+// record before the CQ becomes visible. A recovered one carries Seq and
+// health over from the entry, unjournaled, and re-derives its result by
+// the same initial execution over the store as of its last execution
+// (paper §4.2) — so the first refresh after recovery is a differential
+// catch-up over the replayed window, the DRA applied to the crash
+// itself. It returns the CQ's result at the seed. Caller holds m.mu.
+func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Table, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -621,8 +619,9 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*ba
 		}
 	}
 
+	inst.lastExec = rd.ts // a recovered CQ's rd.ts is its LastExec
 	if rec != nil {
-		inst.seq, inst.lastExec = rec.Seq, rec.LastExec
+		inst.seq = rec.Seq
 		inst.terminated.Store(rec.Terminated)
 		// The crash may sit between the last materialize commit and its
 		// execution record: the first refresh reconciles the whole target.
@@ -637,51 +636,32 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, at *snapshotsAt) (*ba
 	}
 
 	// The evaluator (Section 4.2: Algorithm 1 applies "after its initial
-	// execution"). A template member's result is the parameter-filtered
-	// template result at its seed (a fresh member's lastExec pinned to the
-	// group's step position by the join). Materializing CQs never share —
+	// execution"). A template member takes σ_params of its group's result
+	// at rd and runs no plan of its own. Materializing CQs never share —
 	// their refreshes commit into a private target, so the plan stays
 	// private too. A terminated sequence never steps: it gets none.
 	if m.cfg.UseDRA && !inst.terminated.Load() && inst.into == "" {
-		if err := m.joinTemplateLocked(inst, at); err != nil {
+		if err := m.joinTemplateLocked(inst, rd); err != nil {
 			return nil, err
 		}
-	}
-	// A private plan — or, for a recovered template member, the plan of
-	// its one catch-up refresh from LastExec to wherever the group stands,
-	// after which it streams from the group like its mates.
-	if !inst.terminated.Load() && (inst.group == nil || rec != nil) {
-		prep, err := m.cfg.Engine.Prepare(plan, m.cfg.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		inst.eval = prep
 	}
 	switch {
-	case inst.prev != nil:
-		// A template member: seeded from its group's result.
-	case inst.eval == nil:
+	case inst.terminated.Load():
 		// Recovered terminated: it no longer pins the GC horizon, so the
 		// store at LastExec may be collected and the result cannot be
 		// re-derived. An empty table keeps State/Result well defined.
 		inst.prev = batch.NewTable(plan.Schema(), 0)
-	case rec != nil:
-		// The initial execution over the store as of the last execution,
-		// NOT the live head: the next refresh must see the post-crash window
-		// as its delta, or replayed-but-unprocessed commits would be
-		// skipped. At(LastExec) is always reconstructible for a live CQ
-		// because the GC horizon never passes the minimum live lastExec.
-		if inst.prev, err = inst.eval.Seed(at, at.ts); err != nil {
+	case inst.group == nil:
+		// The initial execution as of rd over its cache's table images:
+		// every CQ seeded at one timestamp reads the same image of each
+		// table, and the store's read lock is held only while an image is
+		// built. A commit landing meanwhile is past rd and left to the
+		// first refresh — for a recovered CQ, the post-crash window. The
+		// store at a live CQ's LastExec is always reconstructible, because
+		// the GC horizon never passes the minimum live lastExec.
+		if inst.eval, err = m.cfg.Engine.Prepare(plan, m.cfg.Strategy); err != nil {
 			return nil, err
 		}
-	default:
-		// The initial execution as of the round timestamp, over the round
-		// cache's table images: every registration between two commits
-		// seeds from the same image of each table, and the store's read
-		// lock is held only while an image is built. A commit landing
-		// meanwhile is past the timestamp and left to the first refresh.
-		rd := m.newRound()
-		inst.lastExec = rd.ts
 		if inst.prev, err = inst.eval.Seed(rd.cache.At(rd.ts), rd.ts); err != nil {
 			return nil, err
 		}

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/epsilon"
 	"github.com/diorama/continual/internal/sql"
-	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
 )
@@ -24,7 +20,7 @@ import (
 //
 // An execution is recorded one of two ways. A private refresh calls
 // CQExecuted, whose record is written when it returns, and delivers at
-// once. A template member streaming from its group calls CQStaged: the
+// once. A template member, streaming from its group, calls CQStaged: the
 // record waits in the journal's buffer and the notification waits on the
 // instance, until the refresh worker's Flush has written it (refresh.go,
 // outbox) — one write per worker for a round of members, not one per
@@ -124,30 +120,32 @@ func (m *Manager) SnapshotRegistry(cut func() error) ([]wal.CQEntry, error) {
 // Seq/LastExec carry on the result sequence exactly where the previous
 // incarnation stopped, the result is re-derived by one initial
 // execution over the store at LastExec, and the trigger starts
-// observing there (installLocked's recovered seed).
+// observing there (installLocked).
 //
 // A reseed reads whole tables as of LastExec, and recovered CQs share
 // few LastExec values (one or two after a clean close), so the entries
-// are resumed in LastExec order, each run of one LastExec over one
-// table image (and, for complete re-evaluation, one snapshot) per table,
-// released when the run ends.
+// are resumed in LastExec order, each run of one LastExec as one round:
+// one table image (and, for complete re-evaluation, one snapshot) per
+// table, released when the run ends. In that order a template group
+// only ever steps forward: it is seeded at its earliest member's
+// LastExec and stepped to each later one as its members rejoin.
 func (m *Manager) Resume(entries ...wal.CQEntry) error {
 	entries = append([]wal.CQEntry(nil), entries...)
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].LastExec < entries[j].LastExec })
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var at *snapshotsAt
+	var rd round
 	for i := range entries {
 		e := &entries[i]
 		def, err := resumedDef(e)
 		if err != nil {
 			return err
 		}
-		if at == nil || at.ts != e.LastExec {
-			at = &snapshotsAt{HistoricView: m.store.NewWindowCache().At(e.LastExec), ts: e.LastExec,
-				tmpls: make(map[uint64]*batch.Table)}
+		if rd.cache == nil || rd.ts != e.LastExec {
+			m.rounds++
+			rd = round{ts: e.LastExec, cache: m.store.NewWindowCache(), n: m.rounds}
 		}
-		if _, err := m.installLocked(def, e, at); err != nil {
+		if _, err := m.installLocked(def, e, rd); err != nil {
 			return fmt.Errorf("cq %q: resume: %w", e.Name, err)
 		}
 	}
@@ -178,33 +176,4 @@ func resumedDef(e *wal.CQEntry) (Def, error) {
 		def.Trigger.On = on
 	}
 	return def, nil
-}
-
-// snapshotsAt is the store as of one timestamp, shared by every seed
-// that reads it: a window cache's view, which builds each table's image
-// (and snapshot) at most once, plus each template's result, evaluated at
-// most once. Seeds only read what a source hands them.
-type snapshotsAt struct {
-	storage.HistoricView
-	ts    vclock.Timestamp
-	tmpls map[uint64]*batch.Table // template fingerprint → result
-}
-
-// templateResult is the template's result at ts: the initial execution
-// of a transient prepared template plan.
-func (s *snapshotsAt) templateResult(e *dra.Engine, strategy dra.Strategy, tpl *algebra.Template) (*batch.Table, error) {
-	if r, ok := s.tmpls[tpl.Fingerprint]; ok {
-		return r, nil
-	}
-	prep, err := e.Prepare(tpl.Plan, strategy)
-	if err != nil {
-		return nil, err
-	}
-	defer prep.Close()
-	r, err := prep.Seed(s, s.ts)
-	if err != nil {
-		return nil, err
-	}
-	s.tmpls[tpl.Fingerprint] = r
-	return r, nil
 }

@@ -346,11 +346,11 @@ func TestManualRefreshProbesQuarantined(t *testing.T) {
 
 // The poison CQs of TestBudgetTimeout run a `<`-theta join, which can
 // only be enumerated in full: each step pairs the probe rows with every
-// one of the poisonWide rows of wide, and only then runs the predicate,
-// which no pair passes. The differential one pairs the poisonProbe rows
-// one commit inserts (crossStepVec); unbudgeted, that step takes about
-// 150 ms and allocates about 206 MiB on a 2-core x86-64 box (the
-// materialized product): at least 10× poisonBudget, well under 256 MiB.
+// one of the poisonWide rows of wide and runs the predicate, which no
+// pair passes. The differential one pairs the poisonProbe rows one
+// commit inserts (crossStepVec, a chunk of the product at a time);
+// unbudgeted, that step takes about 110 ms and allocates under 1 MiB on
+// a 2-core x86-64 box (TestPoisonStepMemory): at least 10× poisonBudget.
 // The complete one (HAVING puts it on complete re-evaluation) runs the
 // row executor's nested loop over all of probe, one poll's worth more
 // each time.
@@ -483,6 +483,42 @@ func budgetTimeout(t *testing.T, poison string) {
 	}
 	if st, _ := m.State("healthy"); st.Seq != 1+threshold || st.LastErr != nil {
 		t.Errorf("healthy CQ at Seq %d (LastErr %v), want %d", st.Seq, st.LastErr, 1+threshold)
+	}
+}
+
+// TestPoisonStepMemory: the differential poison step, unbudgeted, runs
+// to the end and emits nothing, holding what survives its predicate plus
+// one chunk of the product: it allocates under a tenth of the 206 MiB
+// the materialized product took.
+func TestPoisonStepMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation is not measured under the race detector")
+	}
+	s := newPoisonStore(t)
+	m := NewManagerConfig(s, Config{UseDRA: true, AutoGC: true, Parallelism: 1})
+	defer func() { _ = m.Close() }()
+	if _, err := m.Register(Def{Name: "poison", Query: "SELECT p.x, w.y" + poisonJoin, Trigger: updatesTrigger()}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, s, func(tx *storage.Tx) error {
+		_, err := insertProbes(tx, 0, poisonProbe)
+		return err
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	if n, err := m.Poll(); err != nil || n != 1 {
+		t.Fatalf("poll refreshed %d, %v; want 1", n, err)
+	}
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("unbudgeted poison step: %v, %.1f MiB allocated", took, float64(alloc)/(1<<20))
+	if st, _ := m.State("poison"); st.Seq != 2 || st.ResultLen != 0 {
+		t.Errorf("poison CQ after its step: %+v, want Seq 2 and no rows", st)
+	}
+	if limit := uint64(206 << 20 / 10); alloc > limit {
+		t.Errorf("the step allocated %d bytes, want under %d", alloc, limit)
 	}
 }
 

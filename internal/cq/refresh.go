@@ -34,8 +34,8 @@ package cq
 // pass; the evaluation, journaling and delivery of a refresh run under
 // the instance lock alone, whichever feeder started it.
 //
-// Under a journal, the members of a template that stream from their
-// group are group-committed: each worker of the round stages their
+// Under a journal, template members, which stream from their group,
+// are group-committed: each worker of the round stages their
 // execution records and queues their notifications, then writes the
 // lot in one flush and delivers the queues (outbox) — at the end of its
 // slice, and before any private refresh it takes on, which writes and
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/diorama/continual/internal/batch"
@@ -369,8 +370,9 @@ func (inst *instance) observeAndTest(now vclock.Timestamp, cache *storage.Window
 }
 
 // refreshGroup re-evaluates the fired CQs of one round on a bounded
-// worker pool. Workers hold only the per-instance lock, so a slow CQ
-// does not stall the others.
+// worker pool. The caller is worker 0, and the others start only when
+// the round has CQs to share among them. Workers hold only the
+// per-instance lock, so a slow CQ does not stall the others.
 func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, []error) {
 	if len(fired) == 0 {
 		return 0, nil
@@ -381,55 +383,13 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, [
 		start = time.Now()
 		mm.roundWorkers.Set(int64(workers))
 	}
-	n := 0
+	var n int
 	var errs []error
-	tally := func(refreshed bool, err error) {
-		switch {
-		case err != nil:
-			errs = append(errs, err)
-		case refreshed:
-			n++
-		}
-	}
-	if workers <= 1 {
-		q := m.openOutbox()
-		for _, inst := range fired {
-			tally(m.guardedRefresh(inst, rd, forced, q))
-		}
-		if err := m.closeOutbox(q); err != nil {
-			errs = append(errs, err)
-		}
+	if workers == 1 {
+		var next atomic.Int64 // no goroutine sees it: it stays on the stack
+		n, errs = m.refreshWorker(fired, &next, rd, forced)
 	} else {
-		type outcome struct {
-			refreshed bool
-			err       error
-		}
-		// A slot per fired CQ, then one per worker for its outbox's flush.
-		outs := make([]outcome, len(fired)+workers)
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			// guarded: guardedRefresh isolates per-item panics and
-			// closeOutbox's delivery isolates the callbacks; nothing else
-			// in the body can panic.
-			go func() {
-				defer wg.Done()
-				q := m.openOutbox()
-				for i := range idx {
-					outs[i].refreshed, outs[i].err = m.guardedRefresh(fired[i], rd, forced, q)
-				}
-				outs[len(fired)+w].err = m.closeOutbox(q)
-			}()
-		}
-		for i := range fired {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		for _, o := range outs {
-			tally(o.refreshed, o.err)
-		}
+		n, errs = m.refreshParallel(fired, workers, rd, forced)
 	}
 	if mm := m.met; mm != nil {
 		mm.roundNS.Observe(time.Since(start))
@@ -437,8 +397,57 @@ func (m *Manager) refreshGroup(fired []*instance, rd round, forced bool) (int, [
 	return n, errs
 }
 
-// outbox is one refresh worker's group commit. A template member that
-// streams from its group stages its execution record with the journal
+// refreshParallel runs workers-1 refreshWorkers on goroutines beside the
+// caller's own, all taking CQs from one counter.
+func (m *Manager) refreshParallel(fired []*instance, workers int, rd round, forced bool) (int, []error) {
+	type tally struct {
+		n    int
+		errs []error
+	}
+	tallies := make([]tally, workers)
+	next := new(atomic.Int64)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		// guarded: refreshWorker isolates per-item panics (guardedRefresh)
+		// and its outbox's delivery isolates the callbacks; nothing else
+		// in the body can panic.
+		go func() {
+			defer wg.Done()
+			tallies[w].n, tallies[w].errs = m.refreshWorker(fired, next, rd, forced)
+		}()
+	}
+	tallies[0].n, tallies[0].errs = m.refreshWorker(fired, next, rd, forced)
+	wg.Wait()
+	n, errs := 0, []error(nil)
+	for _, t := range tallies {
+		n += t.n
+		errs = append(errs, t.errs...)
+	}
+	return n, errs
+}
+
+// refreshWorker is one worker of a round: it refreshes the fired CQs
+// whose indices it takes from next, through its own outbox, until none
+// is left, and returns how many it delivered and what failed.
+func (m *Manager) refreshWorker(fired []*instance, next *atomic.Int64, rd round, forced bool) (n int, errs []error) {
+	q := m.openOutbox()
+	for i := next.Add(1) - 1; i < int64(len(fired)); i = next.Add(1) - 1 {
+		switch refreshed, err := m.guardedRefresh(fired[i], rd, forced, q); {
+		case err != nil:
+			errs = append(errs, err)
+		case refreshed:
+			n++
+		}
+	}
+	if err := m.closeOutbox(q); err != nil {
+		errs = append(errs, err)
+	}
+	return n, errs
+}
+
+// outbox is one refresh worker's group commit. A template member stages
+// its execution record with the journal
 // and queues its notification on its instance (refreshInstance); the
 // worker then writes everything staged in one Flush and delivers the
 // queues it filled (settle) — before its next private refresh and at
@@ -597,7 +606,7 @@ func (m *Manager) guardedRefresh(inst *instance, rd round, forced bool, q *outbo
 func (m *Manager) attemptRefresh(inst *instance, rd round, forced bool, q *outbox) (err error) {
 	defer guard.Recover(&err)
 	inst.mu.Lock()
-	if q != nil && q.staged && !inst.streams() {
+	if q != nil && q.staged && inst.group == nil {
 		// A private step can be slow: what the worker has queued goes out
 		// first. Delivery takes other instances' locks, so this one is let
 		// go meanwhile; the checks below run once it is retaken.
@@ -670,8 +679,7 @@ func (m *Manager) workerCount(tasks int) int {
 // and never touches Post. Serving never re-seeds: a Seed leaves the
 // evaluator at lastExec and every successful step moves both to ts
 // together. Only the retry of a refresh that failed after its step
-// (materialize, Fits, journal), or a recovered member's first catch-up,
-// finds them apart.
+// (materialize, Fits, journal) finds them apart.
 //
 // Each operand window is the round cache's columnar image, read in
 // place by every CQ at the round timestamp; an empty window is left out
@@ -738,26 +746,11 @@ func (in *stepInput) release() {
 }
 
 // evaluate computes the CQ's change at the round timestamp: one Step of
-// its evaluator over stepContext, or, for a template member streaming
-// from its group, the fold of the rows the group dispatched to it. Caller
-// holds inst.mu.
+// its evaluator over stepContext, or, for a template member, the fold of
+// the rows its group dispatched to it. Caller holds inst.mu.
 func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Result, error) {
-	if g := inst.group; g != nil {
-		if inst.streams() {
-			// No private windows, no private evaluation: step the group
-			// once and fold this member's dispatched rows.
-			return m.refreshShared(inst, rd)
-		}
-		// A recovered member's private catch-up takes its group along: a
-		// group must never trail a member, because the GC horizon is
-		// computed from members' lastExec alone and would collect the
-		// window the group still has to step over.
-		g.mu.Lock()
-		err := m.stepGroupLocked(g, rd)
-		g.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	if inst.group != nil {
+		return m.refreshShared(inst, rd)
 	}
 	ctx, err := m.stepContext(&inst.in, inst.tables, inst.lastExec, inst.eval, inst.prev, rd)
 	defer inst.in.release()
@@ -783,15 +776,8 @@ func (m *Manager) evaluate(inst *instance, rd round, span *obs.Span) (*dra.Resul
 	return &inst.res, nil
 }
 
-// streams reports whether the instance is a template member that
-// streams from its group: its refresh folds the group's dispatched rows
-// and runs no private step. Caller holds inst.mu.
-func (inst *instance) streams() bool {
-	return inst.group != nil && inst.eval == nil
-}
-
 // refreshInstance re-evaluates the CQ at the round timestamp and
-// delivers the notification — or, for a streaming member under the
+// delivers the notification — or, for a template member under the
 // worker's outbox q, stages its record and queues the notification for
 // the worker to deliver once written. Caller holds inst.mu (and only
 // inst.mu; the store and the DRA engine are safe for concurrent use).
@@ -836,7 +822,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	// Journal the execution BEFORE any state mutates: a journal failure
 	// fails the refresh with the instance unchanged (the trigger re-fires
 	// next round). A private refresh's record is written here; a
-	// streaming member's is staged, and its notification waits on the
+	// template member's is staged, and its notification waits on the
 	// instance until the worker's flush has written it (outbox). Either
 	// way a delivered notification is always durable — at-most-once
 	// delivery across crashes — and a crash forgets only executions that
@@ -844,7 +830,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	// after a restart.
 	newSeq := inst.seq + 1
 	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
-	stage := q != nil && inst.streams()
+	stage := q != nil && inst.group != nil
 	var ticket uint64
 	if j := m.cfg.Journal; j != nil {
 		var jerr error
@@ -879,9 +865,8 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	}
 	if inst.group != nil {
 		// The refresh is journaled and applied: discard the covered
-		// template batches (a failure above kept them for the retry),
-		// retire a recovered member's catch-up plan, and take a
-		// terminated member out of the dispatch index.
+		// template batches (a failure above kept them for the retry) and
+		// take a terminated member out of the dispatch index.
 		m.afterRefreshLocked(inst, execTS, willTerm)
 	}
 

@@ -99,16 +99,14 @@ type tmplBatch struct {
 // installs a private plan. Caller (installLocked) holds m.mu and still
 // owns the instance.
 //
-// A fresh registration (at nil) steps the group to the current timestamp
-// and takes σ_params of the shared template result as its initial
-// result, with inst.lastExec pinned to the group's; the member then
-// consumes the template stream forever. A recovered member keeps its
-// recovered lastExec and takes σ_params of the template result as of it,
-// evaluated once over at for every member recovered there; the caller
-// gives it a private plan for one differential catch-up, after which
-// template batches at or before the catch-up point are discarded and the
-// member joins the stream (afterRefreshLocked).
-func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
+// Fresh or recovered, a member joins at rd one way: a new group is
+// seeded at rd, an existing one is stepped forward to rd (its state at
+// rd is its state at its lastExec integrated over the window between),
+// and the member takes σ_params of the group's result there as its own,
+// with inst.lastExec = rd.ts, then consumes the template stream. Only a
+// piecemeal Resume out of LastExec order can find the group already
+// past rd; that member registers unshared.
+func (m *Manager) joinTemplateLocked(inst *instance, rd round) error {
 	if !m.cfg.ShareTemplates {
 		return nil
 	}
@@ -133,8 +131,7 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 			members:  make(map[string]*tmplMember),
 			index:    newParamIndex(tpl.Slots),
 		}
-		// Seeded like a private plan, from the round's table images.
-		rd := m.newRound()
+		// Seeded like a private plan, from rd's table images.
 		g.lastExec = rd.ts
 		if g.prev, err = prep.Seed(rd.cache.At(rd.ts), rd.ts); err != nil {
 			prep.Close()
@@ -145,29 +142,20 @@ func (m *Manager) joinTemplateLocked(inst *instance, at *snapshotsAt) error {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	seed := g.prev
-	if at == nil {
-		// Bring the group to the registration point so the member's
-		// initial result is exact at the timestamp it starts streaming
-		// from.
-		if err := m.stepGroupLocked(g, m.newRound()); err != nil {
-			m.reapDue.Store(true) // a group created for this member is empty
-			return fmt.Errorf("cq %q: template catch-up: %w", inst.def.Name, err)
-		}
-		seed, inst.lastExec = g.prev, g.lastExec
-	} else if at.ts != g.lastExec {
-		var err error
-		if seed, err = at.templateResult(m.cfg.Engine, m.cfg.Strategy, tpl); err != nil {
-			m.reapDue.Store(true)
-			return fmt.Errorf("cq %q: template result at %d: %w", inst.def.Name, at.ts, err)
-		}
+	if g.lastExec > rd.ts { // a piecemeal Resume out of LastExec order
+		return nil
+	}
+	if err := m.stepGroupLocked(g, rd); err != nil {
+		m.reapDue.Store(true) // a group created for this member is empty
+		return fmt.Errorf("cq %q: template step to %d: %w", inst.def.Name, rd.ts, err)
 	}
 	// σ_params of the template result, selected column at a time and
 	// copied typed slot by slot (a hole's zero payload may match too, so
 	// holes are skipped).
-	rows := seed.Rows()
-	inst.prev = batch.NewTable(seed.Schema(), 0)
-	for _, s := range g.tpl.MatchBatch(params, rows, nil) {
+	rows := g.prev.Rows()
+	sel := g.tpl.MatchBatch(params, rows, nil)
+	inst.prev = batch.NewTable(g.prev.Schema(), len(sel))
+	for _, s := range sel {
 		if rows.Signs[s] != 0 {
 			inst.prev.PutFrom(rows, int(s))
 		}
@@ -362,10 +350,10 @@ func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.Row, ts vclock.T
 	}
 }
 
-// refreshShared is the streaming member's replacement for a private
-// plan evaluation: step the group to the round timestamp (first fired
-// member of the round pays; the rest find lastExec already there), then
-// fold the member's pending batches into one net change against its
+// refreshShared is a member's replacement for a private plan
+// evaluation: step the group to the round timestamp (first fired member
+// of the round pays; the rest find lastExec already there), then fold
+// the member's pending batches into one net change against its
 // previous result, into the member's own Result. A member with nothing
 // pending reports its empty change at once. Caller holds inst.mu. The
 // fold is pure — batches are only discarded by afterRefreshLocked once
@@ -386,14 +374,11 @@ func (m *Manager) refreshShared(inst *instance, rd round) (*dra.Result, error) {
 	return &inst.res, nil
 }
 
-// afterRefreshLocked commits a grouped member's refresh at execTS:
-// covered pending batches are discarded, a recovered member's catch-up
-// plan has done its one step and closes (from here on the member streams
-// from the group), and a member that just terminated (StopAfterN) leaves
-// the dispatch index. Caller holds inst.mu; the refresh has already
-// journaled and applied.
+// afterRefreshLocked commits a member's refresh at execTS: covered
+// pending batches are discarded, and a member that just terminated
+// (StopAfterN) leaves the dispatch index. Caller holds inst.mu; the
+// refresh has already journaled and applied.
 func (m *Manager) afterRefreshLocked(inst *instance, execTS vclock.Timestamp, terminated bool) {
-	inst.closeEval()
 	g := inst.group
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/diorama/continual/internal/baseline"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -465,9 +467,9 @@ func TestTemplateChurnRace(t *testing.T) {
 }
 
 // TestTemplateDurableResume: template membership round-trips the
-// checkpoint cycle. Resumed members rejoin (or recreate) their group,
-// run one private catch-up over the missed window, and then stream from
-// the shared plan with Seq continuing where the snapshot stopped.
+// checkpoint cycle. Resumed members rejoin (or recreate) their group at
+// their LastExec, and their first refresh folds the group's step over
+// the missed window, with Seq continuing where the snapshot stopped.
 func TestTemplateDurableResume(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
@@ -508,7 +510,7 @@ func TestTemplateDurableResume(t *testing.T) {
 		t.Fatalf("resume broke sharing: a=%+v b=%+v", stA, stB)
 	}
 
-	// First poll: the pendingSync catch-up covers the crash window.
+	// First poll: one group step covers the crash window.
 	if _, err := m2.Poll(); err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +525,7 @@ func TestTemplateDurableResume(t *testing.T) {
 		t.Fatalf("b after catch-up: %+v", stB)
 	}
 
-	// Second poll: pendingSync is done, members stream from the group.
+	// Second poll: a window after the crash.
 	insertStock(t, s, "R3", 300)
 	if _, err := m2.Poll(); err != nil {
 		t.Fatal(err)
@@ -532,6 +534,175 @@ func TestTemplateDurableResume(t *testing.T) {
 	stB, _ = m2.State("b")
 	if stA.Seq != 4 || stA.ResultLen != 3 || stB.Seq != 4 || stB.ResultLen != 2 {
 		t.Fatalf("post-resume streaming wrong: a=%+v b=%+v", stA, stB)
+	}
+}
+
+// TestTemplateResumeSharesOnePlan: 200 recovered members of one
+// selection template, resumed behind the head, rejoin one group seeded
+// at their LastExec: resuming prepares one plan, and the first Poll
+// steps the group once and runs no private step.
+func TestTemplateResumeSharesOnePlan(t *testing.T) {
+	const members = 200
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
+	m1 := NewManagerConfig(s, cfg)
+	for i := 0; i < members; i++ {
+		if _, err := m1.Register(Def{Name: fmt.Sprintf("m%03d", i),
+			Query: fmt.Sprintf("SELECT * FROM stocks WHERE price > %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertStock(t, s, "R1", 150)
+	if _, err := m1.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := m1.SnapshotRegistry(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	insertStock(t, s, "R2", 250) // the crash window
+
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	m2 := NewManagerConfig(s, cfg)
+	defer func() { _ = m2.Close() }()
+	if err := m2.Resume(entries...); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Histograms["dra.prepare_ns"].Count; n != 1 {
+		t.Errorf("resume prepared %d plans, want 1 (the group's)", n)
+	}
+	before := reg.Snapshot()
+	if n, err := m2.Poll(); err != nil || n != members {
+		t.Fatalf("first poll refreshed %d, %v; want %d", n, err, members)
+	}
+	after := reg.Snapshot()
+	steps := after.Counter("dra.vector_steps") - before.Counter("dra.vector_steps")
+	groupSteps := after.Counter("cq.template.steps") - before.Counter("cq.template.steps")
+	if steps != 1 || groupSteps != 1 {
+		t.Errorf("first poll ran %d steps, %d of them the group's; want 1 and 1", steps, groupSteps)
+	}
+	for i := 0; i < members; i++ {
+		st, err := m2.State(fmt.Sprintf("m%03d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 // R2 alone
+		if i < 150 {
+			want = 2
+		}
+		if st.Template == 0 || st.TemplateMates != members || st.Seq != 3 || st.ResultLen != want {
+			t.Fatalf("m%03d after the first poll: %+v, want shared, Seq 3, %d rows", i, st, want)
+		}
+	}
+}
+
+// TestTemplatePiecemealResume: members resumed one Resume call at a time,
+// in descending LastExec, find their group past the later call's round;
+// that member registers unshared. Every member's notifications still
+// equal complete re-evaluation's (baseline.Full), window by window.
+func TestTemplatePiecemealResume(t *testing.T) {
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
+	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
+	m1 := NewManagerConfig(s, cfg)
+	queries := map[string]string{
+		"hi":  "SELECT * FROM stocks WHERE price > 100",
+		"lag": "SELECT * FROM stocks WHERE price > 50",
+	}
+	for _, def := range []Def{
+		{Name: "hi", Query: queries["hi"]},
+		{Name: "lag", Query: queries["lag"], Trigger: sql.TriggerSpec{Kind: sql.TriggerUpdates, Updates: 2}},
+	} {
+		if _, err := m1.Register(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1 := insertStock(t, s, "R1", 150)
+	if _, err := m1.Poll(); err != nil { // hi fires; lag has seen one update of two
+		t.Fatal(err)
+	}
+	entries, err := m1.SnapshotRegistry(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].LastExec > entries[j].LastExec })
+	if entries[0].Name != "hi" || entries[0].LastExec == entries[1].LastExec {
+		t.Fatalf("entries %+v: want hi ahead of lag", entries)
+	}
+	r2 := insertStock(t, s, "R2", 80) // the crash window
+
+	m2 := NewManagerConfig(s, cfg)
+	defer func() { _ = m2.Close() }()
+	fulls := make(map[string]*baseline.Full)
+	notes := make(map[string]*int) // one CQ's callbacks never run concurrently
+	for _, e := range entries {
+		if err := m2.Resume(e); err != nil {
+			t.Fatal(err)
+		}
+		full, err := baseline.NewFull(mustPlan(t, queries[e.Name], s), s.At(e.LastExec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fulls[e.Name] = full
+		name, count := e.Name, new(int)
+		notes[name] = count
+		if _, err := m2.SubscribeFunc(name, func(n Notification, closed bool) {
+			if closed {
+				return
+			}
+			*count++
+			d, err := full.Step(s.At(n.ExecTS), n.ExecTS)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got := renderRel(n.Inserted()) + " / " + renderRel(n.Deleted())
+			want := renderRel(d.Insertions()) + " / " + renderRel(d.Deletions())
+			if got != want {
+				t.Errorf("%s seq %d at %d: notified %s, complete re-evaluation %s", name, n.Seq, n.ExecTS, got, want)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := m2.State("hi"); st.Template == 0 {
+		t.Errorf("hi, resumed first, is unshared: %+v", st)
+	}
+	if st, _ := m2.State("lag"); st.Template != 0 || st.Strategy != "incremental" {
+		t.Errorf("lag, resumed behind its group, is not a private plan: %+v", st)
+	}
+
+	poll := func() {
+		t.Helper()
+		if _, err := m2.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll()
+	commit(t, s, func(tx *storage.Tx) error {
+		return tx.Update("stocks", r1, []relation.Value{relation.Str("R1"), relation.Float(60)})
+	})
+	poll()
+	commit(t, s, func(tx *storage.Tx) error { return tx.Delete("stocks", r2) })
+	insertStock(t, s, "R3", 120)
+	poll()
+	for name, full := range fulls {
+		if *notes[name] < 2 {
+			t.Errorf("%s notified %d times; the script is too tame", name, *notes[name])
+		}
+		res, err := m2.Result(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.EqualByTID(full.Result()) {
+			t.Errorf("%s: result\n%s\nwant\n%s", name, res, full.Result())
+		}
 	}
 }
 

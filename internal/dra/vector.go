@@ -486,9 +486,10 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 		nw := v.own(pool.Get(work.Schema, work.Len()))
 		nt := pool.GetTIDs(len(tids))
 		deadline := v.ctx.Deadline
+		cross := len(step.buildCols) == 0
 		switch {
-		case len(step.buildCols) == 0:
-			nt, err = crossStepVec(nw, nt, work, tids, in.enumerable(v), cj.ops[step.op].lo, step.op, nOps, deadline)
+		case cross:
+			nt, err = v.crossStepVec(cj, nw, nt, work, tids, in.enumerable(v), step)
 		case in.ent != nil:
 			nt, err = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.t.Rows(), cj.ops[step.op].lo, step, nOps, deadline)
 		default:
@@ -503,7 +504,7 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 		// released: superseded by the join step's output provenance.
 		pool.PutTIDs(tids)
 		work, tids = nw, nt
-		if err == nil {
+		if err == nil && !cross { // a cross step filters as it goes
 			tids, err = v.applyPredsVec(cj, work, tids, step.preds)
 		}
 	}
@@ -587,17 +588,41 @@ func hashStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids 
 	return outT, nil
 }
 
-// crossStepVec joins the work batch with every row of kb; predicates
-// run afterwards, so the product is materialized whole unless the
-// deadline, read every guard.CheckRows emitted rows, stops it first.
-func crossStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, kb *batch.Batch, lo, opIdx, nOps int, deadline time.Time) ([]relation.TID, error) {
-	dm := guard.Meter{Deadline: deadline}
+// crossStepVec joins the work batch with every row of kb and filters
+// the product through the step's predicates one chunk of at most
+// guard.CheckRows rows at a time, built in one reused scratch batch:
+// only each chunk's survivors reach out, so the step holds what
+// survives it plus one chunk, never the whole product. The deadline is
+// read once per chunk.
+func (v *vecEval) crossStepVec(cj *compiledJoin, out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, kb *batch.Batch, step *probeStep) ([]relation.TID, error) {
+	pool, nOps, lo := v.e.pool, len(cj.ops), cj.ops[step.op].lo
+	size := min(work.Len()*kb.Len(), guard.CheckRows)
+	chunk, ct := pool.Get(work.Schema, size), pool.GetTIDs(nOps*size)
+	defer func() {
+		// released: each chunk's survivors were copied to out.
+		pool.Put(chunk)
+		pool.PutTIDs(ct)
+	}()
 	for r := 0; r < work.Len(); r++ {
 		for m := 0; m < kb.Len(); m++ {
-			out.AppendMerged(work, r, kb, m, lo)
-			outT = append(outT, tids[r*nOps:(r+1)*nOps]...)
-			outT[len(outT)-nOps+opIdx] = kb.TIDs[m]
-			if err := dm.Tick(); err != nil {
+			chunk.AppendMerged(work, r, kb, m, lo)
+			ct = append(ct, tids[r*nOps:(r+1)*nOps]...)
+			ct[len(ct)-nOps+step.op] = kb.TIDs[m]
+			if chunk.Len() < guard.CheckRows && (r+1 < work.Len() || m+1 < kb.Len()) {
+				continue
+			}
+			// A full chunk, or the last one.
+			var err error
+			if ct, err = v.applyPredsVec(cj, chunk, ct, step.preds); err != nil {
+				return outT, err
+			}
+			for k := 0; k < chunk.Len(); k++ {
+				out.AppendFrom(chunk, k)
+			}
+			outT = append(outT, ct...)
+			chunk.Reset()
+			ct = ct[:0]
+			if err := guard.Overdue(v.ctx.Deadline); err != nil {
 				return outT, err
 			}
 		}

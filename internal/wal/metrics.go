@@ -14,8 +14,6 @@ type metrics struct {
 	checkpointNS *obs.Histogram
 	bytes        *obs.Counter
 	records      *obs.Counter
-	recoveryNS   *obs.Gauge
-	replayed     *obs.Gauge
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -28,8 +26,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		checkpointNS: reg.Histogram("wal.checkpoint_ns"),
 		bytes:        reg.Counter("wal.bytes"),
 		records:      reg.Counter("wal.records"),
-		recoveryNS:   reg.Gauge("wal.recovery_ns"),
-		replayed:     reg.Gauge("wal.records_replayed"),
 	}
 }
 
@@ -57,12 +53,4 @@ func (m *metrics) observeCheckpoint(d time.Duration) {
 		return
 	}
 	m.checkpointNS.Observe(d)
-}
-
-func (m *metrics) observeRecovery(d time.Duration, records int) {
-	if m == nil {
-		return
-	}
-	m.recoveryNS.Set(int64(d))
-	m.replayed.Set(int64(records))
 }

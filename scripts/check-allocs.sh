@@ -16,7 +16,9 @@
 # selection MirrorCQ over loopback, server included (mirror);
 # BenchmarkRegister (internal/cq) measures registration, the initial
 # execution included: sixteen selections, one 3-way join and one GROUP
-# BY registered at one timestamp over 16k-row tables (burst);
+# BY registered at one timestamp over 16k-row tables (burst), and 200
+# members of one selection template resumed at two LastExec values
+# into a new manager, then one Poll (resume);
 # BenchmarkTableApply (internal/batch) measures the maintained result
 # itself: one 64-row change (10% inserts, 10% deletes, 80%
 # modifications) applied to a 5k-row result table by typed writes into
@@ -33,7 +35,7 @@ baseline=scripts/allocs-baseline.txt
 bench=$(go test ./internal/dra -run '^$' -bench BenchmarkRefreshStep -benchmem -benchtime 300x
 	go test ./internal/cq -run '^$' -bench 'BenchmarkRefreshRound/(round|push|members)$' -benchmem -benchtime 300x
 	go test ./internal/remote -run '^$' -bench BenchmarkRefreshMirror -benchmem -benchtime 300x
-	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/burst' -benchmem -benchtime 20x
+	go test ./internal/cq -run '^$' -bench 'BenchmarkRegister/(burst|resume)$' -benchmem -benchtime 20x
 	go test ./internal/batch -run '^$' -bench BenchmarkTableApply -benchmem -benchtime 3000x)
 echo "$bench"
 status=0
