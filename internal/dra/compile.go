@@ -236,9 +236,9 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 
 // attachReplicas gives every join group in the tree its cross-refresh
 // operand state — what makes the tree a standing query's.
-func (n *compiledNode) attachReplicas(e *Engine) {
+func (n *compiledNode) attachReplicas() {
 	n.eachJoin(func(cj *compiledJoin) {
-		cj.cache = newOpCache(e, cj)
+		cj.cache = newOpCache(cj)
 	})
 }
 
@@ -286,11 +286,11 @@ func (cj *compiledJoin) equiLinked(filled uint64, k int) bool {
 }
 
 // planTerm resolves the steps of joining the operands in the given
-// order. With useHash, every equi conjunct linking a step's operand to
-// the operands before it becomes part of the step's composite key and
-// is not evaluated again; all other conjuncts run as soon as their
-// operands are joined ("select before join", Section 5.2).
-func (cj *compiledJoin) planTerm(order []int, useHash bool) *termPlan {
+// order. Every equi conjunct linking a step's operand to the operands
+// before it becomes part of the step's composite key and is not
+// evaluated again; all other conjuncts run as soon as their operands are
+// joined ("select before join", Section 5.2).
+func (cj *compiledJoin) planTerm(order []int) *termPlan {
 	tp := &termPlan{first: order[0], steps: make([]probeStep, 0, len(order)-1)}
 	applied := make([]bool, len(cj.preds))
 	filled := uint64(1) << uint(order[0])
@@ -311,7 +311,7 @@ func (cj *compiledJoin) planTerm(order []int, useHash bool) *termPlan {
 		lo, hi := cj.ops[k].lo, cj.ops[k].hi
 		for i, eq := range cj.equi {
 			m := cj.masks[i]
-			if !useHash || applied[i] || !eq.ok || m&kbit == 0 || m&filled == 0 || m&^(filled|kbit) != 0 {
+			if applied[i] || !eq.ok || m&kbit == 0 || m&filled == 0 || m&^(filled|kbit) != 0 {
 				continue
 			}
 			lIn, rIn := eq.li >= lo && eq.li < hi, eq.ri >= lo && eq.ri < hi

@@ -177,7 +177,7 @@ type Stats struct {
 	// plan, each join-free operand of a join group — filtered its window
 	// to nothing, so no term ran, no pre-state was read, and the net
 	// change is empty. The plan's position still moves to the refresh's
-	// timestamp. Set only under Engine.SkipIrrelevant.
+	// timestamp.
 	Skipped bool
 	// IndexCacheHits counts the operand replicas a step found at its
 	// LastTS (the plan's position) and served as they were; IndexCacheMisses
@@ -207,23 +207,14 @@ type Stats struct {
 // not is an invariant violation: the refresh fails with an error
 // wrapping relation.ErrTypeMismatch, and the plan re-seeds on its next
 // step.
-// The flags correspond to the ablation benchmarks in EXPERIMENTS.md.
+// Every engine runs the three Section 5.2 refinements: terms join
+// delta-first and select before they join, equi-join steps probe hash
+// indexes, and a refresh whose filtered windows are all empty is
+// reported as skipped (Stats.Skipped).
 type Engine struct {
-	// UseHeuristics orders term joins delta-first and applies predicates
-	// as soon as their operands are joined ("select before join",
-	// Section 5.2). When false, terms join operands left-to-right and
-	// apply the full predicate at the end.
-	UseHeuristics bool
 	// CompactDeltas folds each operand's delta window to its net effect
 	// before evaluation (A2).
 	CompactDeltas bool
-	// UseHashJoin probes hash indexes for equi-join terms (A3); nested
-	// loops otherwise.
-	UseHashJoin bool
-	// SkipIrrelevant enables the Section 5.2 refinement: a refresh whose
-	// operands' filtered deltas are all empty is reported as skipped
-	// (Stats.Skipped) rather than as a differential evaluation.
-	SkipIrrelevant bool
 	// pool recycles batch and selection buffers across refreshes; it is
 	// sync.Pool-backed, so concurrent refresh workers share it safely.
 	// Nil (zero-value engines in tests) degrades to plain allocation.
@@ -239,15 +230,9 @@ type Engine struct {
 	Metrics *Metrics
 }
 
-// NewEngine returns an engine with all optimizations enabled.
+// NewEngine returns an engine that compacts delta windows.
 func NewEngine() *Engine {
-	return &Engine{
-		UseHeuristics:  true,
-		CompactDeltas:  true,
-		UseHashJoin:    true,
-		SkipIrrelevant: true,
-		pool:           batch.NewPool(),
-	}
+	return &Engine{CompactDeltas: true, pool: batch.NewPool()}
 }
 
 // Result is the outcome of one differential re-evaluation: the net

@@ -146,7 +146,7 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	fold.attachReplicas(engine)
+	fold.attachReplicas()
 	if items != nil {
 		fold = newProjectNode(nil, fold, items, foldSchema)
 	}

@@ -82,18 +82,12 @@ func compilePreds(preds []sql.Expr, outSchema relation.Schema, ops []*operand) (
 }
 
 // termOrder picks a truth-table term's operand join order from the
-// operand sizes: with heuristics, the smallest delta operand first, then
-// greedily the operand connected by an equi predicate with the smallest
-// relation; without, left-to-right.
-func (e *Engine) termOrder(cj *compiledJoin, lens []int, isDelta []bool) []int {
+// operand sizes ("delta-first", Section 5.2): the smallest delta operand
+// first, then greedily the operand connected by an equi predicate with
+// the smallest relation.
+func termOrder(cj *compiledJoin, lens []int, isDelta []bool) []int {
 	n := len(cj.ops)
 	order := make([]int, 0, n)
-	if !e.UseHeuristics {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		return order
-	}
 	used := make([]bool, n)
 	// Start with the smallest delta operand (there is at least one in
 	// every term).

@@ -105,7 +105,7 @@ type opCache struct {
 	plans []*termPlan
 }
 
-func newOpCache(e *Engine, cj *compiledJoin) *opCache {
+func newOpCache(cj *compiledJoin) *opCache {
 	c := &opCache{
 		tables: make([]string, len(cj.ops)),
 		ents:   make([]*replica, len(cj.ops)),
@@ -115,7 +115,7 @@ func newOpCache(e *Engine, cj *compiledJoin) *opCache {
 		if scans := algebra.Tables(op.plan); len(scans) == 1 {
 			c.tables[i] = scans[0].Table
 		}
-		c.plans[i] = cj.planTerm(cj.deltaFirstOrder(i), e.UseHashJoin)
+		c.plans[i] = cj.planTerm(cj.deltaFirstOrder(i))
 	}
 	return c
 }

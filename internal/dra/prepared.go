@@ -51,20 +51,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// ParseStrategy reads a Strategy from its String form.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "", "auto":
-		return StrategyAuto, nil
-	case "incremental":
-		return StrategyIncremental, nil
-	case "propagate":
-		return StrategyPropagate, nil
-	default:
-		return StrategyAuto, fmt.Errorf("dra: unknown strategy %q", s)
-	}
-}
-
 // Prepared is the one evaluator of a standing query, on the server and
 // in a client mirror alike: Seed runs the initial execution, and every
 // refresh after it is one Step (Section 4.2). What it keeps is compiled
@@ -123,7 +109,7 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 		if err != nil {
 			return nil, err
 		}
-		root.attachReplicas(e)
+		root.attachReplicas()
 		p.root = root
 	default:
 		g, err := newGroupTable(e, plan)

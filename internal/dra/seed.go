@@ -196,7 +196,7 @@ func (v *vecEval) operandAt(cj *compiledJoin, i int, dst *batch.Batch) error {
 		if err != nil {
 			return err
 		}
-		n.attachReplicas(v.e)
+		n.attachReplicas()
 		n.emptyReplicas()
 		node = n
 	}

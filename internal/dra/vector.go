@@ -58,8 +58,8 @@ func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *ve
 // the caller clears the plan's position (Prepared.StepInto).
 //
 // A refresh whose operands' filtered windows are all empty is reported
-// as Skipped (when the engine skips irrelevant updates at all): nothing
-// past the window scan ran and the net change is empty.
+// as Skipped: nothing past the window scan ran and the net change is
+// empty.
 func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) error {
 	st := &res.Stats
 	v := newVecEval(e, ctx, res.ExecTS, st)
@@ -81,7 +81,7 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) erro
 		}
 		res.setRows(out.Schema, v.netBatch(out))
 	}
-	if e.SkipIrrelevant && !v.relevant {
+	if !v.relevant {
 		st.Skipped = true
 		st.DeltaRows = 0 // a skipped refresh consumed no delta row
 	}
@@ -434,7 +434,7 @@ func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, change
 			continue
 		}
 		v.st.Terms++
-		tp := cj.planTerm(e.termOrder(cj, lens, isDelta), e.UseHashJoin)
+		tp := cj.planTerm(termOrder(cj, lens, isDelta))
 		var err error
 		if out, err = v.runTerm(cj, tp, term, out); err != nil {
 			return nil, err

@@ -121,34 +121,40 @@ func vecFixtureSchemas() map[string]relation.Schema {
 // unprepared Reevaluate must each produce,
 // round after round, exactly the net signed delta of complete
 // re-evaluation (Propagate) and maintain exactly the from-scratch
-// result, across the flag matrix that changes which kernels run.
+// result, with and without delta compaction.
 func TestVectorizedMatchesPropagate(t *testing.T) {
+	// default and no-compact run one history per query with and without
+	// delta compaction. no-hash, no-heuristics and no-skip name engine
+	// switches since removed (every engine hashes equi joins, orders
+	// terms by size and reports skipped windows), so they run the default
+	// engine, each on a history of its own.
 	type variant struct {
-		name string
-		mod  func(*Engine)
+		name    string
+		compact bool
+		history int
 	}
 	variants := []variant{
-		{"default", func(e *Engine) {}},
-		{"no-hash", func(e *Engine) { e.UseHashJoin = false }},
-		{"no-heuristics", func(e *Engine) { e.UseHeuristics = false }},
-		{"no-compact", func(e *Engine) { e.CompactDeltas = false }},
-		{"no-skip", func(e *Engine) { e.SkipIrrelevant = false }},
+		{"default", true, 0},
+		{"no-compact", false, 0},
+		{"no-hash", true, 1},
+		{"no-heuristics", true, 2},
+		{"no-skip", true, 3},
 	}
 	for qi, q := range vecQueries {
 		for _, va := range variants {
 			t.Run(fmt.Sprintf("q%d_%s", qi, va.name), func(t *testing.T) {
-				// Both join kernels under every flag: the standing query's
-				// telescoping and Algorithm 1's truth table, which is the one
-				// UseHeuristics and the term order reach.
+				// Both join kernels: the standing query's telescoping and
+				// Algorithm 1's truth table, the one the size-aware term
+				// order reaches.
 				for _, kernel := range []string{"auto", "truth-table"} {
-					rng := rand.New(rand.NewSource(int64(qi*31 + 7)))
+					rng := rand.New(rand.NewSource(int64(qi*31 + 7 + 1000*va.history)))
 					f := newFixture(t, vecFixtureSchemas())
 					live := liveSet{}
 					applyRandomBatch(t, f, rng, live, 8, 3)
 
 					plan := f.plan(t, q)
 					eng := NewEngine()
-					va.mod(eng)
+					eng.CompactDeltas = va.compact
 					p := subjectFor(t, eng, plan, kernel)
 					prev, err := InitialResult(plan, f.store.Live())
 					if err != nil {

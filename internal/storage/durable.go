@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/diorama/continual/internal/delta"
@@ -43,10 +44,17 @@ type State struct {
 	Tables  []wal.TableState
 }
 
-// CheckpointState deep-copies the store state under the store lock and,
-// at the same consistent point, runs cut — the caller rotates the WAL
+// CheckpointState copies the store state under the store lock and, at
+// the same consistent point, runs cut — the caller rotates the WAL
 // there, so the returned state plus the replay of segments at or after
 // the rotation reproduces the live store exactly.
+//
+// The copy is of tuple and row headers only; their value slices are
+// shared with the store. That is safe because a committed value slice
+// is never written (Relation.Update replaces a tuple's slice, Delete
+// swaps headers), while the headers themselves are rewritten in place
+// (Delete's swap, TruncateBefore's shift and clearing of vacated slots)
+// and so must be copied here.
 func (s *Store) CheckpointState(cut func() error) (State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -64,19 +72,14 @@ func (s *Store) CheckpointState(cut func() error) (State, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		t := s.tables[name]
-		ts := wal.TableState{
-			Name:     name,
-			Schema:   t.rel.Schema(),
-			LowWater: t.lowWater,
-			Version:  t.version,
-		}
-		for _, tu := range t.rel.Tuples() {
-			ts.Tuples = append(ts.Tuples, tu.Clone())
-		}
-		for _, r := range t.dlt.Rows() {
-			ts.DeltaRows = append(ts.DeltaRows, cloneRow(r))
-		}
-		st.Tables = append(st.Tables, ts)
+		st.Tables = append(st.Tables, wal.TableState{
+			Name:      name,
+			Schema:    t.rel.Schema(),
+			Tuples:    slices.Clone(t.rel.Tuples()),
+			DeltaRows: slices.Clone(t.dlt.Rows()),
+			LowWater:  t.lowWater,
+			Version:   t.version,
+		})
 	}
 	return st, nil
 }

@@ -211,6 +211,63 @@ func TestChangeCountsSurviveCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestCheckpointStateKeepsTheCut: a checkpoint state shares value
+// slices with the store but not headers, so the updates, deletes and
+// garbage collection that follow the cut leave it as it was cut.
+func TestCheckpointStateKeepsTheCut(t *testing.T) {
+	s := newStockStore(t)
+	tx := s.Begin()
+	var tids []relation.TID
+	for _, name := range []string{"A", "B", "C"} {
+		tid, err := tx.Insert("stocks", []relation.Value{relation.Str(name), relation.Float(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids = append(tids, tid)
+	}
+	mustCommit(t, tx)
+	st, err := s.CheckpointState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := deepCopyState(st)
+
+	s.CollectGarbage(s.Now()) // clears the log's vacated rows in place
+	tx = s.Begin()
+	if err := tx.Update("stocks", tids[2], []relation.Value{relation.Str("C"), relation.Float(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("stocks", tids[0]); err != nil { // swaps C's header into A's slot
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("stocks", []relation.Value{relation.Str("D"), relation.Float(3)}); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	s.CollectGarbage(s.Now())
+
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("checkpoint state changed after the cut:\n got %+v\nwant %+v", st.Tables, want.Tables)
+	}
+}
+
+func deepCopyState(st State) State {
+	out := st
+	out.Tables = make([]wal.TableState, len(st.Tables))
+	for i, ts := range st.Tables {
+		ts.Tuples = append([]relation.Tuple(nil), ts.Tuples...)
+		for j := range ts.Tuples {
+			ts.Tuples[j] = ts.Tuples[j].Clone()
+		}
+		ts.DeltaRows = append(ts.DeltaRows[:0:0], ts.DeltaRows...)
+		for j := range ts.DeltaRows {
+			ts.DeltaRows[j] = cloneRow(ts.DeltaRows[j])
+		}
+		out.Tables[i] = ts
+	}
+	return out
+}
+
 func TestRestoreRefusesNonEmptyStore(t *testing.T) {
 	s, _ := buildStore(t)
 	st, err := s.CheckpointState(nil)

@@ -54,25 +54,33 @@ type Checkpoint struct {
 // log garbage-collects: the newest two checkpoints are kept (the older
 // one covers a crash in the middle of this very sequence) and segments
 // older than both are removed.
+//
+// The file is encoded and written outside the log lock, so appends,
+// staging and syncs go on while it is written; ckMu serializes
+// checkpoint writers, so each one's garbage collection sees the files
+// of the checkpoints before it.
 func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
+	l.ckMu.Lock()
+	defer l.ckMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
+	err := l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	if err := l.writeCheckpointLocked(ck); err != nil {
-		return l.fail(err)
+	werr := l.writeCheckpointFile(ck)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if werr != nil {
+		return l.fail(werr)
 	}
 	l.met.observeCheckpoint(time.Since(start))
 	l.gcLocked(ck.Seg)
 	return nil
 }
 
-func (l *Log) writeCheckpointLocked(ck *Checkpoint) error {
+func (l *Log) writeCheckpointFile(ck *Checkpoint) error {
 	tmp := filepath.Join(l.dir, ckptName(ck.Seg)+".tmp")
 	f, err := l.fs.Create(tmp)
 	if err != nil {

@@ -102,6 +102,8 @@ type Log struct {
 	opts Options
 	met  *metrics
 
+	// ckMu serializes WriteCheckpoint calls; it is taken before mu.
+	ckMu   sync.Mutex
 	mu     sync.Mutex
 	seg    uint64 // current segment number
 	f      File
@@ -226,6 +228,15 @@ func (l *Log) fail(err error) error {
 	return l.broken
 }
 
+// usableLocked reports why the log takes no more operations: ErrClosed,
+// or its sticky failure. Caller holds l.mu.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.broken
+}
+
 // append encodes rec framed after the staged frames and writes them
 // all in a single Write call (so a crash tears only the final write:
 // replay keeps its frames up to the tear), applying the fsync policy.
@@ -241,11 +252,8 @@ func (l *Log) append(rec *Record) error {
 // stageLocked encodes rec framed onto the staged frames. Caller holds
 // l.mu.
 func (l *Log) stageLocked(rec *Record) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	buf, err := appendRecordFrame(l.buf, rec)
 	if err != nil {
@@ -280,11 +288,8 @@ func (l *Log) writeLocked() error {
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	return l.writeLocked()
 }
@@ -307,11 +312,8 @@ func (l *Log) syncLocked() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.broken != nil {
-		return l.broken
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if err := l.writeLocked(); err != nil {
 		return err
@@ -369,11 +371,8 @@ func (l *Log) AppendCQDrop(name string) error {
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.broken != nil {
-		return 0, l.broken
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	if err := l.writeLocked(); err != nil {
 		return 0, err

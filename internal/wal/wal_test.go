@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/delta"
@@ -375,6 +377,102 @@ func TestCheckpointCutAndReplay(t *testing.T) {
 	// measures as "recovery replays only the WAL tail".
 	if len(got) != 1 || got[0] != "tail-0" {
 		t.Fatalf("tail replay: %v", got)
+	}
+}
+
+// gatedFS parks the first Write to a checkpoint's temporary file until
+// release is closed, and closes parked when it gets there.
+type gatedFS struct {
+	*faults.MemFS
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (fs *gatedFS) Create(name string) (wal.File, error) {
+	f, err := fs.MemFS.Create(name)
+	if err != nil || !strings.HasSuffix(name, ".ckpt.tmp") {
+		return f, err
+	}
+	return &gatedFile{File: f, fs: fs}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	fs *gatedFS
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	f.fs.once.Do(func() {
+		close(f.fs.parked)
+		<-f.fs.release
+	})
+	return f.File.Write(p)
+}
+
+// TestAppendsGoOnWhileCheckpointWrites: the checkpoint file is written
+// outside the log lock, so a commit, and a staged record's flush, return
+// while the checkpoint's write is parked. Both land in the tail after
+// the checkpoint.
+func TestAppendsGoOnWhileCheckpointWrites(t *testing.T) {
+	fs := &gatedFS{MemFS: faults.NewMemFS(4), parked: make(chan struct{}), release: make(chan struct{})}
+	l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendWorkload(t, l, 4)
+	seg, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(chan error, 1)
+	go func() { written <- l.WriteCheckpoint(makeCheckpoint(seg)) }()
+	<-fs.parked
+
+	appended := make(chan error, 1)
+	go func() {
+		if err := l.AppendTx(50, []wal.TxRow{txRow("stocks", 50, 50, "tail-0")}); err != nil {
+			appended <- fmt.Errorf("append: %w", err)
+			return
+		}
+		if err := l.StageCQExec("q", 3, 50, false); err != nil {
+			appended <- fmt.Errorf("stage: %w", err)
+			return
+		}
+		appended <- l.Flush()
+	}()
+	select {
+	case err := <-appended:
+		close(fs.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(fs.release)
+		t.Fatal("an append waited for the checkpoint file's write")
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	execs := 0
+	res, err := wal.Scan(fs, "wal", nil, func(rec *wal.Record) error {
+		if rec.Kind == wal.KindCQExec {
+			execs++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Checkpoint == nil || res.Checkpoint.Seg != seg {
+		t.Fatalf("checkpoint not recovered: %+v", res.Checkpoint)
+	}
+	if _, got := scanNames(t, fs, "wal"); len(got) != 1 || got[0] != "tail-0" || execs != 1 {
+		t.Fatalf("tail replay: %v, %d cq executions", got, execs)
 	}
 }
 
