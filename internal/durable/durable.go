@@ -291,20 +291,29 @@ func (s *System) noteCommit() {
 func (s *System) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	// The rotation's disk work stays out of the cut: the next segment is
+	// created and synced before it, the old one synced after it.
+	rot, err := s.log.BeginRotate()
+	if err != nil {
+		return fmt.Errorf("durable: checkpoint cut: %w", err)
+	}
 	var st storage.State
 	var seg uint64
 	// Three-deep cut: pin every CQ instance, then the store, then
-	// rotate the log — when cut returns, store state, CQ bookkeeping
+	// switch segments — when cut returns, store state, CQ bookkeeping
 	// and the segment boundary all describe the same instant.
 	entries, err := s.Manager.SnapshotRegistry(func() error {
 		var err error
 		st, err = s.Store.CheckpointState(func() error {
 			var err error
-			seg, err = s.log.Rotate()
+			seg, err = rot.Cut()
 			return err
 		})
 		return err
 	})
+	if ferr := rot.Finish(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return fmt.Errorf("durable: checkpoint cut: %w", err)
 	}

@@ -85,7 +85,10 @@ func (s *Store) CheckpointState(cut func() error) (State, error) {
 }
 
 // Restore loads a checkpointed state into an empty store. It refuses a
-// non-empty store: recovery always rebuilds from scratch.
+// non-empty store: recovery always rebuilds from scratch. The store
+// takes ownership of the state's value slices, conforming them in
+// place: a caller whose slices are shared (CheckpointState's output
+// shares the live store's) clones them first.
 func (s *Store) Restore(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,7 +105,6 @@ func (s *Store) Restore(st State) error {
 			version:  ts.Version,
 		}
 		for _, tu := range ts.Tuples {
-			tu = tu.Clone()
 			if err := ts.Schema.Conform(tu.Values); err != nil {
 				return fmt.Errorf("storage: restore %q tid %d: %w", ts.Name, tu.TID, err)
 			}
@@ -111,7 +113,6 @@ func (s *Store) Restore(st State) error {
 			}
 		}
 		for _, r := range ts.DeltaRows {
-			r = cloneRow(r)
 			if err := conformRow(ts.Schema, &r); err != nil {
 				return fmt.Errorf("storage: restore %q delta tid %d: %w", ts.Name, r.TID, err)
 			}
@@ -135,12 +136,6 @@ func (s *Store) Restore(st State) error {
 		m.tables.Set(int64(len(s.tables)))
 	}
 	return nil
-}
-
-func cloneRow(r delta.Row) delta.Row {
-	r.Old = cloneValues(r.Old)
-	r.New = cloneValues(r.New)
-	return r
 }
 
 // conformRow passes both halves of a recovered differential row through

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
@@ -176,7 +177,8 @@ func TestChangeCountsSurviveCheckpointRestore(t *testing.T) {
 	}
 
 	r := NewStore()
-	if err := r.Restore(st); err != nil {
+	if err := r.Restore(deepCopyState(st)); err != nil { // Restore adopts the value slices
+
 		t.Fatal(err)
 	}
 	if got := r.ChangeCounts(); !reflect.DeepEqual(got, counts) {
@@ -249,6 +251,12 @@ func TestCheckpointStateKeepsTheCut(t *testing.T) {
 	if !reflect.DeepEqual(st, want) {
 		t.Fatalf("checkpoint state changed after the cut:\n got %+v\nwant %+v", st.Tables, want.Tables)
 	}
+}
+
+func cloneRow(r delta.Row) delta.Row {
+	r.Old = cloneValues(r.Old)
+	r.New = cloneValues(r.New)
+	return r
 }
 
 func deepCopyState(st State) State {

@@ -92,29 +92,45 @@ type Options struct {
 //
 // Log order is call order. A frame may be staged (StageCQExec) instead
 // of written at once: it waits in the log's buffer, and the next write
-// of any kind — Flush, an append, Sync, Rotate, Close — carries every
-// staged frame ahead of its own in the same Write call. A crash can
-// therefore lose only a suffix of the calls: frames staged and never
-// written, and at most a torn final write.
+// of any kind — Flush, an append, Sync, a rotation's cut, Close —
+// carries every staged frame ahead of its own in the same Write call. A
+// crash can therefore lose only a suffix of the calls: frames staged
+// and never written, and at most a torn final write.
+//
+// No fsync runs under mu, the lock every append takes: syncs run under
+// syncMu alone, so an append waits out only a sync it asked for (under
+// FsyncAlways, the one that covers its own frame). Two invariants hold
+// in every policy: under FsyncAlways an acknowledged write is synced,
+// whichever segment holds it; and no record reaches segment N before
+// every byte written to segment N-1 is synced — while a rotation's old
+// segment awaits its sync, writes wait in the buffer.
 type Log struct {
 	fs   FS
 	dir  string
 	opts Options
 	met  *metrics
 
-	// ckMu serializes WriteCheckpoint calls; it is taken before mu.
-	ckMu   sync.Mutex
+	// Lock order: ckMu, syncMu, mu.
+	ckMu   sync.Mutex // serializes WriteCheckpoint calls
+	syncMu sync.Mutex // serializes syncs and the closing of segments
 	mu     sync.Mutex
 	seg    uint64 // current segment number
 	f      File
-	dirty  bool  // appended since last sync
-	broken error // sticky first failure
-	closed bool
+	// prev is the segment a rotation's cut left, until a sync (the
+	// rotation's Finish, or any sync before it) has synced and closed
+	// it. While it is set, writes wait in buf.
+	prev     File
+	rotating bool  // a Rotation is between BeginRotate and Finish
+	dirty    bool  // f written since the last sync of it began
+	broken   error // sticky first failure
+	closed   bool
 	// buf holds the frames staged for the next write, in call order;
 	// an append encodes its own frame after them and writes the lot in
 	// one Write. Reused across writes.
-	buf    []byte
-	frames int // frames in buf
+	buf []byte
+	// staged counts the frames ever staged; written, those of them
+	// handed to a file; synced, those known to be on stable storage.
+	staged, written, synced uint64
 
 	tickStop chan struct{}
 	tickDone chan struct{}
@@ -166,7 +182,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 	}
 	l := &Log{fs: opts.FS, dir: dir, opts: opts, met: newMetrics(opts.Metrics), seg: next}
-	if err := l.openSegment(next); err != nil {
+	if l.f, err = l.createSegment(next); err != nil {
 		return nil, err
 	}
 	if opts.Fsync == FsyncInterval {
@@ -177,31 +193,28 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// openSegment creates the segment file, writes its magic, and makes the
-// directory entry durable. Caller holds no lock (Open) or l.mu (Rotate).
-func (l *Log) openSegment(seg uint64) error {
+// createSegment creates the segment file, writes its magic, and makes
+// both durable (unless FsyncNever). It takes no lock.
+func (l *Log) createSegment(seg uint64) (File, error) {
 	f, err := l.fs.Create(filepath.Join(l.dir, segName(seg)))
 	if err != nil {
-		return fmt.Errorf("wal: create segment %d: %w", seg, err)
+		return nil, fmt.Errorf("wal: create segment %d: %w", seg, err)
 	}
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: segment %d magic: %w", seg, err)
+		return nil, fmt.Errorf("wal: segment %d magic: %w", seg, err)
 	}
 	if l.opts.Fsync != FsyncNever {
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return fmt.Errorf("wal: segment %d sync: %w", seg, err)
+			return nil, fmt.Errorf("wal: segment %d sync: %w", seg, err)
 		}
 		if err := l.fs.SyncDir(l.dir); err != nil {
 			f.Close()
-			return fmt.Errorf("wal: sync dir: %w", err)
+			return nil, fmt.Errorf("wal: sync dir: %w", err)
 		}
 	}
-	l.f = f
-	l.seg = seg
-	l.dirty = false
-	return nil
+	return f, nil
 }
 
 func (l *Log) syncLoop() {
@@ -237,16 +250,25 @@ func (l *Log) usableLocked() error {
 	return l.broken
 }
 
-// append encodes rec framed after the staged frames and writes them
-// all in a single Write call (so a crash tears only the final write:
-// replay keeps its frames up to the tear), applying the fsync policy.
+// append encodes rec (if any) framed after the staged frames and writes
+// them all in a single Write call (so a crash tears only the final
+// write: replay keeps its frames up to the tear). Under FsyncAlways it
+// returns once every frame staged so far is synced.
 func (l *Log) append(rec *Record) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.stageLocked(rec); err != nil {
+	err := l.usableLocked()
+	if err == nil && rec != nil {
+		err = l.stageLocked(rec)
+	}
+	if err == nil {
+		err = l.writeLocked()
+	}
+	target, synced := l.staged, l.synced
+	l.mu.Unlock()
+	if err != nil || l.opts.Fsync != FsyncAlways || synced >= target {
 		return err
 	}
-	return l.writeLocked()
+	return l.syncTo(target)
 }
 
 // stageLocked encodes rec framed onto the staged frames. Caller holds
@@ -260,14 +282,15 @@ func (l *Log) stageLocked(rec *Record) error {
 		return err // encoding errors are caller bugs, not log failures
 	}
 	l.buf = buf
-	l.frames++
+	l.staged++
 	return nil
 }
 
-// writeLocked writes every staged frame in one Write call and applies
-// the fsync policy. Nothing staged, nothing written. Caller holds l.mu.
+// writeLocked writes every staged frame in one Write call. Nothing
+// staged, nothing written; while a rotation's old segment awaits its
+// sync, the frames wait too. Caller holds l.mu.
 func (l *Log) writeLocked() error {
-	if len(l.buf) == 0 {
+	if len(l.buf) == 0 || l.prev != nil {
 		return nil
 	}
 	start := time.Now()
@@ -275,50 +298,100 @@ func (l *Log) writeLocked() error {
 		return l.fail(err)
 	}
 	l.dirty = true
-	l.met.observeAppend(time.Since(start), len(l.buf), l.frames)
-	l.buf, l.frames = l.buf[:0], 0
-	if l.opts.Fsync == FsyncAlways {
-		return l.syncLocked()
-	}
+	l.met.observeAppend(time.Since(start), len(l.buf), int(l.staged-l.written))
+	l.written = l.staged
+	l.buf = l.buf[:0]
 	return nil
 }
 
-// Flush writes every staged frame in one Write call (and, under
-// FsyncAlways, syncs it). A flush with nothing staged writes nothing.
-func (l *Log) Flush() error {
+// Flush writes every staged frame in one Write call. Under FsyncAlways
+// it returns once they are synced — and so are the frames another write
+// carried for it, the cut of a rotation included. A flush with nothing
+// staged writes nothing.
+func (l *Log) Flush() error { return l.append(nil) }
+
+// syncTo returns once the first target staged frames are on stable
+// storage: at once if a finished sync covered them, else after a sync
+// of its own.
+func (l *Log) syncTo(target uint64) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.synced >= target {
+		return nil
+	}
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	return l.writeLocked()
+	return l.syncHeld()
 }
 
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return l.fail(err)
-	}
-	l.dirty = false
-	l.met.observeFsync(time.Since(start))
-	return nil
-}
-
-// Sync writes the staged frames and flushes everything written to
-// stable storage, regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
+// syncHeld writes the staged frames and syncs everything written: the
+// old segment of a rotation first, then the current one. Caller holds
+// syncMu and mu; mu is released across each fsync.
+func (l *Log) syncHeld() error {
+	if err := l.syncPrevHeld(); err != nil {
 		return err
 	}
 	if err := l.writeLocked(); err != nil {
 		return err
 	}
-	return l.syncLocked()
+	if !l.dirty {
+		// No sync is running (this one holds syncMu), so the last one
+		// covered every write.
+		l.synced = l.written
+		return nil
+	}
+	f, w := l.f, l.written
+	l.dirty = false
+	l.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
+	l.mu.Lock()
+	if err != nil {
+		return l.fail(err)
+	}
+	l.synced = w
+	l.met.observeFsync(time.Since(start))
+	return nil
+}
+
+// syncPrevHeld syncs and closes the segment a rotation's cut left, if
+// it is still open, then writes the frames that waited for it. A
+// failure breaks the log. Caller holds syncMu and mu; mu is released
+// across the fsync.
+func (l *Log) syncPrevHeld() error {
+	prev := l.prev
+	if prev == nil {
+		return nil
+	}
+	l.mu.Unlock()
+	start := time.Now()
+	err := prev.Sync()
+	if err == nil {
+		err = prev.Close()
+	}
+	l.mu.Lock()
+	if err != nil {
+		return l.fail(err)
+	}
+	l.met.observeFsync(time.Since(start))
+	l.prev = nil
+	return l.writeLocked()
+}
+
+// Sync writes the staged frames and flushes everything written to
+// stable storage, regardless of policy. Appends go on while it syncs.
+func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
+		return err
+	}
+	return l.syncHeld()
 }
 
 // AppendTx logs one committed transaction. With FsyncAlways the record
@@ -364,11 +437,50 @@ func (l *Log) AppendCQDrop(name string) error {
 	return l.append(&Record{Kind: KindCQDrop, Name: name})
 }
 
-// Rotate writes the staged frames, syncs and closes the current
-// segment and starts the next one, returning the new segment's number.
-// Records appended after Rotate land in the new segment; a checkpoint
-// cut at the rotation point therefore covers everything before it.
-func (l *Log) Rotate() (uint64, error) {
+// Rotation moves the log to its next segment in three steps, so that
+// the caller can cut where its own state is consistent while the disk
+// work happens outside its locks: BeginRotate creates, stamps and syncs
+// the next segment; Cut writes the staged frames and switches appends
+// over, without an fsync; Finish syncs and closes the old segment.
+type Rotation struct {
+	l   *Log
+	f   File
+	seg uint64
+	cut bool
+}
+
+// BeginRotate prepares the next segment; appends go on to the current
+// one meanwhile. One rotation runs at a time, and every one must end in
+// Finish.
+func (l *Log) BeginRotate() (*Rotation, error) {
+	l.mu.Lock()
+	err := l.usableLocked()
+	if err == nil && l.rotating {
+		err = errors.New("wal: a rotation is already in progress")
+	}
+	seg := l.seg + 1
+	l.rotating = err == nil
+	l.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	f, err := l.createSegment(seg)
+	if err != nil {
+		l.mu.Lock()
+		l.rotating = false
+		l.mu.Unlock()
+		return nil, err
+	}
+	return &Rotation{l: l, f: f, seg: seg}, nil
+}
+
+// Cut writes the staged frames to the current segment and makes the
+// prepared one current, returning its number: records appended after
+// Cut land in it, so a checkpoint cut here covers everything before.
+// It does no fsync; the old segment is synced by Finish, and until then
+// appends wait in the log's buffer.
+func (r *Rotation) Cut() (uint64, error) {
+	l := r.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
@@ -377,43 +489,74 @@ func (l *Log) Rotate() (uint64, error) {
 	if err := l.writeLocked(); err != nil {
 		return 0, err
 	}
-	if err := l.syncLocked(); err != nil {
+	l.prev, l.f, l.seg, l.dirty = l.f, r.f, r.seg, false
+	r.cut = true
+	return r.seg, nil
+}
+
+// Finish ends the rotation. After a cut it syncs and closes the old
+// segment (a failure breaks the log) and writes the frames that waited
+// for it; without one it removes the prepared segment.
+func (r *Rotation) Finish() error {
+	l := r.l
+	if !r.cut {
+		r.f.Close()
+		l.fs.Remove(filepath.Join(l.dir, segName(r.seg)))
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.rotating = false
+	if !r.cut || l.broken != nil {
+		return l.broken
+	}
+	return l.syncPrevHeld()
+}
+
+// Rotate runs a whole rotation: it writes the staged frames, syncs and
+// closes the current segment and starts the next one, returning the new
+// segment's number.
+func (l *Log) Rotate() (uint64, error) {
+	r, err := l.BeginRotate()
+	if err != nil {
 		return 0, err
 	}
-	if err := l.f.Close(); err != nil {
-		return 0, l.fail(err)
+	seg, err := r.Cut()
+	if ferr := r.Finish(); err == nil {
+		err = ferr
 	}
-	if err := l.openSegment(l.seg + 1); err != nil {
-		return 0, l.fail(err)
+	if err != nil {
+		return 0, err
 	}
-	return l.seg, nil
+	return seg, nil
 }
 
 // Close writes the staged frames, syncs and closes the log. Safe to
 // call twice.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return nil
 	}
 	l.closed = true
-	var err error
-	if l.broken != nil {
-		err = l.broken
-		l.f.Close()
-	} else {
-		if werr := l.writeLocked(); werr != nil {
-			err = werr
-		} else if serr := l.syncLocked(); serr != nil {
-			err = serr
-		}
-		if cerr := l.f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	err := l.broken
+	if err == nil {
+		err = l.syncHeld()
+	}
+	if l.prev != nil {
+		l.prev.Close()
+		l.prev = nil
+	}
+	if cerr := l.f.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	tickStop := l.tickStop
 	l.mu.Unlock()
+	l.syncMu.Unlock()
 	if tickStop != nil {
 		close(tickStop)
 		<-l.tickDone

@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
@@ -515,14 +516,6 @@ func decodeCQEntry(d *dec) *CQEntry {
 // ---------------------------------------------------------------------
 // framing
 
-// appendFrame wraps a payload in the length+CRC frame.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [8]byte
-	out := append(append(dst, hdr[:]...), payload...)
-	putFrameHeader(out[len(dst):])
-	return out
-}
-
 // appendRecordFrame appends rec as one frame, its payload encoded in
 // place behind the header rather than built apart and copied in.
 func appendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
@@ -574,16 +567,22 @@ func (fr *frameReader) next() ([]byte, error) {
 		// reject before allocating.
 		return nil, fmt.Errorf("%w: prefix claims %d bytes", ErrCorrupt, n)
 	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	buf := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrTorn // payload cut short
+	// The buffer grows with the bytes read, doubling from 64 KiB, so a
+	// length prefix claiming more than the stream holds allocates at
+	// most twice what is there, plus 64 KiB.
+	buf := fr.buf[:0]
+	for len(buf) < int(n) {
+		step := min(int(n)-len(buf), max(len(buf), 64<<10))
+		buf = slices.Grow(buf, step)
+		if _, err := io.ReadFull(fr.r, buf[len(buf):len(buf)+step]); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, ErrTorn // payload cut short
+			}
+			return nil, err
 		}
-		return nil, err
+		buf = buf[:len(buf)+step]
 	}
+	fr.buf = buf
 	if got := crc32.Checksum(buf, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: checksum %08x want %08x", ErrCorrupt, got, want)
 	}

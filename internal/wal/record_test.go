@@ -152,6 +152,14 @@ func legacyLog(t testing.TB) (payloads [][]byte, want []*Record) {
 	return payloads, want
 }
 
+// appendFrame wraps a payload in the length+CRC frame.
+func appendFrame(dst, payload []byte) []byte {
+	var hdr [8]byte
+	out := append(append(dst, hdr[:]...), payload...)
+	putFrameHeader(out[len(dst):])
+	return out
+}
+
 // LegacySegment frames legacyLog into a segment file image, and
 // CurrentSegment frames the same records as this codec writes them.
 func LegacySegment(t testing.TB) []byte {

@@ -3,6 +3,7 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/diorama/continual/internal/durable"
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
 )
@@ -665,5 +667,221 @@ func TestLegacyLogRecoversSameState(t *testing.T) {
 	if !strings.Contains(legacy, "Seq:2 LastExec:2") || !strings.Contains(legacy, "ResultLen:2") ||
 		!strings.Contains(legacy, "seq=3 ins=[{1 [DEC]}]") {
 		t.Fatalf("recovered %s; want q1 at seq 2 with IBM and HP, then DEC inserted at seq 3", legacy)
+	}
+}
+
+// The golden checkpoint in the CQCKPT01 format, the only one in its
+// data directory, recovers the same store state and CQ registry as the
+// same checkpoint written in the current format.
+func TestGoldenV1RecoversSameState(t *testing.T) {
+	recoverDir := func(fs wal.FS) string {
+		t.Helper()
+		store := storage.NewStore()
+		var cqs []wal.CQEntry
+		res, err := wal.Scan(fs, "data", func(ck *wal.Checkpoint) error {
+			cqs = ck.CQs
+			return store.Restore(storage.State{TS: ck.TS, NextTID: ck.NextTID, Tables: ck.Tables})
+		}, func(*wal.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Checkpoint == nil || res.Checkpoint.Seg != 3 {
+			t.Fatalf("recovered checkpoint %+v, want the one of segment 3", res.Checkpoint)
+		}
+		st, err := store.CheckpointState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v / %+v", st, cqs)
+	}
+
+	v1 := faults.NewMemFS(1)
+	if err := v1.MkdirAll("data"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := v1.Create("data/checkpoint-00000003.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal.GoldenV1(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	v2 := faults.NewMemFS(1)
+	l, err := wal.Open("data", wal.Options{FS: v2, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteCheckpoint(wal.GoldenCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	golden := wal.GoldenCheckpoint()
+	want := fmt.Sprintf("%+v / %+v", storage.State{TS: golden.TS, NextTID: golden.NextTID, Tables: golden.Tables}, golden.CQs)
+	if got := recoverDir(v1); got != want {
+		t.Fatalf("golden v1 recovers\n %s\nwant\n %s", got, want)
+	}
+	if got := recoverDir(v2); got != want {
+		t.Fatalf("the same checkpoint written now recovers\n %s\nwant\n %s", got, want)
+	}
+}
+
+// A rotation's cut leaves the old segment unsynced; whatever syncs next
+// syncs it first. Each case crashes (dropping every unsynced byte) right
+// after a sync that comes before the rotation's own Finish: the log
+// must recover every record that sync covered, in call order — never a
+// later segment's record without the earlier segment's.
+func TestRotationSyncsOldSegmentFirst(t *testing.T) {
+	tail := func(name string) func(*testing.T, *faults.MemFS, *wal.Log) error {
+		return func(_ *testing.T, _ *faults.MemFS, l *wal.Log) error {
+			return l.AppendTx(9, []wal.TxRow{txRow("stocks", 9, 9, name)})
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		policy wal.FsyncPolicy
+		after  func(*testing.T, *faults.MemFS, *wal.Log) error // runs after the cut
+		want   []string
+	}{
+		// The interval ticker's sync: appends after the cut wait in the
+		// buffer, and reach the new segment once the old one is synced.
+		{"interval sync", wal.FsyncInterval, func(t *testing.T, fs *faults.MemFS, l *wal.Log) error {
+			if err := tail("tail-0")(t, fs, l); err != nil {
+				return err
+			}
+			if got := segmentBytes(t, fs, "wal/wal-00000001.log"); got != len("CQWAL001") {
+				t.Fatalf("the new segment holds %d bytes before the old one is synced, want its magic only", got)
+			}
+			return l.Sync()
+		}, []string{"tx:row-000", "tx:row-001", "tx:row-002", "exec:q:1", "tx:tail-0"}},
+		// An acknowledged append is synced whichever segment holds it,
+		// and so is the staged frame the cut wrote to the old segment.
+		{"always append", wal.FsyncAlways, tail("tail-0"),
+			[]string{"tx:row-000", "tx:row-001", "tx:row-002", "exec:q:1", "tx:tail-0"}},
+		// A flush whose frame the cut wrote returns once it is synced.
+		{"always flush", wal.FsyncAlways, func(_ *testing.T, _ *faults.MemFS, l *wal.Log) error { return l.Flush() },
+			[]string{"tx:row-000", "tx:row-001", "tx:row-002", "exec:q:1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faults.NewMemFS(6)
+			l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: tc.policy, SyncEvery: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendWorkload(t, l, 3)
+			if err := l.StageCQExec("q", 1, 3, false); err != nil {
+				t.Fatal(err)
+			}
+			r, err := l.BeginRotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Cut(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.after(t, fs, l); err != nil {
+				t.Fatal(err)
+			}
+			fs.CrashClean()
+			if got := scanLabels(t, fs, "wal"); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("recovered %v, want %v", got, tc.want)
+			}
+			if err := r.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// segmentBytes reads a file's process-visible length.
+func segmentBytes(t *testing.T, fs wal.FS, name string) int {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(b)
+}
+
+// Appends, flushes and the interval ticker go on beside rotations:
+// after a clean close every acknowledged transaction replays, each
+// writer's in its call order.
+func TestRotationsBesideAppends(t *testing.T) {
+	for _, policy := range []wal.FsyncPolicy{wal.FsyncAlways, wal.FsyncInterval} {
+		fs := faults.NewMemFS(8)
+		l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: policy, SyncEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writers, per = 3, 150
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					ts := uint64(w*per + i + 1)
+					if err := l.AppendTx(vclock.Timestamp(ts), []wal.TxRow{txRow("stocks", ts, ts, fmt.Sprintf("w%d-%03d", w, i))}); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%10 == 0 {
+						if err := l.StageCQExec("q", i, vclock.Timestamp(ts), false); err != nil {
+							t.Error(err)
+							return
+						}
+						if err := l.Flush(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		rotations := 0
+		for running := true; running; rotations++ {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			if _, err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fs.CrashClean()
+		_, got := scanNames(t, fs, "wal")
+		next := make([]int, writers)
+		for _, name := range got {
+			var w, i int
+			if _, err := fmt.Sscanf(name, "w%d-%d", &w, &i); err != nil || i != next[w] {
+				t.Fatalf("%v: replayed %s out of order (%d rotations)", policy, name, rotations)
+			}
+			next[w]++
+		}
+		for w, n := range next {
+			if n != per {
+				t.Fatalf("%v: writer %d: %d of %d transactions replayed", policy, w, n, per)
+			}
+		}
 	}
 }
