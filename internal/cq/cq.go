@@ -408,6 +408,8 @@ type Manager struct {
 	mu     sync.Mutex
 	cqs    map[string]*instance
 	closed bool
+	// breakers maps each name in cqs to its breaker, read without mu.
+	breakers sync.Map
 	// dag is the cascade dependency registry: every CQ enters it as a
 	// reader of its source tables, materializing CQs also as the
 	// producer of their INTO target. It is a self-locked leaf,
@@ -442,7 +444,7 @@ type Manager struct {
 	guardPol    guard.Policy
 	breakerSeed atomic.Int64
 	// staged numbers the execution records staged with the journal
-	// (Journal.CQStaged): a flush that read it as n before it started
+	// (Journal.StageCQExec): a flush that read it as n before it started
 	// has written every record numbered n or less.
 	staged atomic.Uint64
 
@@ -685,14 +687,12 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Tab
 	// Journal before the registry mutation becomes visible: a journal
 	// failure fails the registration with the manager unchanged.
 	if rec == nil && m.cfg.Journal != nil {
-		inst.mu.Lock()
-		entry := m.entryLocked(inst)
-		inst.mu.Unlock()
-		if err := m.cfg.Journal.CQRegistered(entry); err != nil {
+		if err := m.cfg.Journal.AppendCQRegister(inst.entry()); err != nil {
 			return nil, fmt.Errorf("cq %q: journal registration: %w", def.Name, err)
 		}
 	}
 	m.cqs[def.Name] = inst
+	m.breakers.Store(def.Name, inst.breaker)
 	m.routePushLocked(inst)
 	m.registeredDelta(inst, +1)
 	installed = true
@@ -1029,7 +1029,7 @@ func (m *Manager) Drop(name string) error {
 	inst.dropped.Store(true)
 	upTo := m.staged.Load()
 	if m.cfg.Journal != nil {
-		if err := m.cfg.Journal.CQDropped(name); err != nil {
+		if err := m.cfg.Journal.AppendCQDrop(name); err != nil {
 			inst.dropped.Store(false)
 			inst.mu.Unlock()
 			return fmt.Errorf("cq %q: journal drop: %w", name, err)
@@ -1049,6 +1049,7 @@ func (m *Manager) Drop(name string) error {
 	m.leaveTemplateLocked(inst)
 	inst.mu.Unlock()
 	delete(m.cqs, name)
+	m.breakers.Delete(name)
 	if m.router != nil {
 		m.router.Unregister(name)
 	}

@@ -882,7 +882,8 @@ func TestResumeReseedsAtLastExec(t *testing.T) {
 		})
 	}
 	const query = "SELECT s.name, t.volume FROM stocks s JOIN trades t ON s.name = t.sym"
-	m1 := NewManagerConfig(s, Config{UseDRA: true})
+	j := &foldJournal{}
+	m1 := NewManagerConfig(s, Config{UseDRA: true, Journal: j})
 	if _, err := m1.Register(Def{Name: "joined", Query: query}); err != nil {
 		t.Fatal(err)
 	}
@@ -890,9 +891,9 @@ func TestResumeReseedsAtLastExec(t *testing.T) {
 	if _, err := m1.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := m1.SnapshotRegistry(nil)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("snapshot: %d entries, err %v", len(entries), err)
+	entries := j.entries()
+	if len(entries) != 1 {
+		t.Fatalf("journaled registry: %d entries, want 1", len(entries))
 	}
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
@@ -985,7 +986,8 @@ func TestFirstRefreshReadsNoPreState(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	m := NewManagerConfig(s, Config{UseDRA: true, Metrics: reg})
+	j := &foldJournal{}
+	m := NewManagerConfig(s, Config{UseDRA: true, Metrics: reg, Journal: j})
 	defer func() { _ = m.Close() }()
 	for name, q := range queries {
 		if _, err := m.Register(Def{Name: name, Query: q}); err != nil {
@@ -994,10 +996,7 @@ func TestFirstRefreshReadsNoPreState(t *testing.T) {
 	}
 	refresh(t, m, reg)
 
-	entries, err := m.SnapshotRegistry(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := j.entries()
 	trade("S02", 7) // past every CQ's last execution: the resumed CQs' first window
 	reg2 := obs.NewRegistry()
 	m2 := NewManagerConfig(s, Config{UseDRA: true, Metrics: reg2})

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/diorama/continual/internal/epsilon"
+	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/vclock"
 	"github.com/diorama/continual/internal/wal"
@@ -18,42 +19,42 @@ import (
 // written was also never delivered, so after recovery its trigger
 // simply re-fires and the refresh re-runs differentially.
 //
-// An execution is recorded one of two ways. A private refresh calls
-// CQExecuted, whose record is written when it returns, and delivers at
-// once. A template member, streaming from its group, calls CQStaged: the
-// record waits in the journal's buffer and the notification waits on the
-// instance, until the refresh worker's Flush has written it (refresh.go,
-// outbox) — one write per worker for a round of members, not one per
-// member. Every write carries the staged records ahead of its own, so
-// the log holds the records in call order, and a crash can forget only
+// An execution is recorded by StageCQExec: the record waits in the
+// journal's buffer until a Flush writes it. A private refresh flushes at
+// once and delivers inline. A template member, streaming from its
+// group, leaves its notification waiting on the instance until the
+// refresh worker's Flush has written the record (refresh.go, outbox) —
+// one write per worker for a round of members, not one per member.
+// Every write carries the staged records ahead of its own, so the log
+// holds the records in call order, and a crash can forget only
 // executions that delivered nothing: recovery resumes such a CQ at its
 // last written execution and re-derives the change there, as if the
 // crash had come just before the refresh journaled.
 //
 // The journal sees a CQ's bookkeeping, never its result: a resumed CQ
-// re-derives its result by one initial execution at LastExec.
+// re-derives its result by one initial execution at LastExec. The
+// durable journal is the write-ahead log itself (*wal.Log), whose fold
+// of these records (wal.Registry) is the registry a checkpoint holds
+// and recovery resumes; only Health is not journaled (ReadHealth).
 type Journal interface {
-	// CQRegistered records a new CQ's definition and bookkeeping.
-	CQRegistered(e wal.CQEntry) error
-	// CQExecuted records one refresh: its sequence number, execution
-	// timestamp and whether it ended the sequence. The record, and every
-	// staged one ahead of it, is written when it returns.
-	CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error
-	// CQStaged records one refresh like CQExecuted but only stages the
-	// record: the next write — Flush, or any other record — carries it.
-	CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error
+	// AppendCQRegister records a new CQ's definition and bookkeeping.
+	AppendCQRegister(e *wal.CQEntry) error
+	// StageCQExec records one refresh — its sequence number, execution
+	// timestamp and whether it ended the sequence — and stages the
+	// record: the next write, Flush or any other record, carries it.
+	StageCQExec(name string, seq int, ts vclock.Timestamp, terminated bool) error
 	// Flush writes every staged record. A failure is final: the journal
 	// stops, and no later call succeeds.
 	Flush() error
-	// CQDropped records removal; its record is written when it returns,
+	// AppendCQDrop records removal; its record is written when it returns,
 	// carrying the staged records ahead of it.
-	CQDropped(name string) error
+	AppendCQDrop(name string) error
 }
 
-// entryLocked renders one instance to its durable form. Caller holds
-// inst.mu.
-func (m *Manager) entryLocked(inst *instance) wal.CQEntry {
-	e := wal.CQEntry{
+// entry renders a new instance, which no refresh has reached yet, to
+// its durable form: not terminated, and healthy.
+func (inst *instance) entry() *wal.CQEntry {
+	e := &wal.CQEntry{
 		Name:           inst.def.Name,
 		Query:          inst.queryText,
 		TriggerKind:    int(inst.trigger.Kind),
@@ -66,8 +67,6 @@ func (m *Manager) entryLocked(inst *instance) wal.CQEntry {
 		NotifyEmpty:    inst.def.NotifyEmpty,
 		Seq:            inst.seq,
 		LastExec:       inst.lastExec,
-		Terminated:     inst.terminated.Load(),
-		Health:         inst.breaker.State().String(),
 	}
 	if inst.trigger.On != nil {
 		e.TriggerOn = inst.trigger.On.String()
@@ -75,45 +74,15 @@ func (m *Manager) entryLocked(inst *instance) wal.CQEntry {
 	return e
 }
 
-// SnapshotRegistry captures every registered CQ's durable entry at one
-// consistent point: it locks the manager and every instance (in sorted
-// name order, so concurrent snapshots cannot deadlock), runs cut while
-// everything is pinned — the caller snapshots the store and rotates the
-// WAL there — and renders the entries. The combination gives the
-// checkpoint a cut where store state, CQ bookkeeping and log position
-// all agree.
-func (m *Manager) SnapshotRegistry(cut func() error) ([]wal.CQEntry, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	names := make([]string, 0, len(m.cqs))
-	for n := range m.cqs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	locked := make([]*instance, 0, len(names))
-	defer func() {
-		for _, inst := range locked {
-			inst.mu.Unlock()
-		}
-	}()
-	for _, n := range names {
-		inst := m.cqs[n]
-		inst.mu.Lock()
-		locked = append(locked, inst)
-	}
-	if cut != nil {
-		if err := cut(); err != nil {
-			return nil, err
+// ReadHealth sets each entry's Health from its CQ's breaker, taking no
+// manager or instance lock: a checkpoint records health after its cut.
+// An entry whose CQ is gone keeps its own.
+func (m *Manager) ReadHealth(entries []wal.CQEntry) {
+	for i := range entries {
+		if b, ok := m.breakers.Load(entries[i].Name); ok {
+			entries[i].Health = b.(*guard.Breaker).State().String()
 		}
 	}
-	entries := make([]wal.CQEntry, 0, len(locked))
-	for _, inst := range locked {
-		entries = append(entries, m.entryLocked(inst))
-	}
-	return entries, nil
 }
 
 // Resume reinstalls recovered CQs without journaling: each entry's

@@ -732,7 +732,7 @@ func TestSubscriberPanicDisconnects(t *testing.T) {
 }
 
 // blockJournal records registry operations in order and, once armed,
-// parks CQExecuted on a gate so the test can race a Drop against an
+// parks StageCQExec on a gate so the test can race a Drop against an
 // in-flight refresh that is journaling.
 type blockJournal struct {
 	mu      sync.Mutex
@@ -759,29 +759,23 @@ func (j *blockJournal) snapshot() []string {
 	return append([]string(nil), j.ops...)
 }
 
-func (j *blockJournal) CQRegistered(e wal.CQEntry) error {
+func (j *blockJournal) AppendCQRegister(e *wal.CQEntry) error {
 	j.record("register:" + e.Name)
 	return nil
 }
 
-func (j *blockJournal) CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+func (j *blockJournal) StageCQExec(name string, seq int, ts vclock.Timestamp, terminated bool) error {
 	if j.armed.Load() {
 		j.once.Do(func() { close(j.entered) })
 		<-j.gate
 	}
-	j.record(fmt.Sprintf("exec:%s:%d", name, seq))
+	j.record(fmt.Sprintf("stage:%s:%d", name, seq))
 	return nil
-}
-
-// CQStaged records like CQExecuted: the test's CQ is private, so
-// nothing stages.
-func (j *blockJournal) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
-	return j.CQExecuted(name, seq, ts, terminated)
 }
 
 func (j *blockJournal) Flush() error { return nil }
 
-func (j *blockJournal) CQDropped(name string) error {
+func (j *blockJournal) AppendCQDrop(name string) error {
 	j.record("drop:" + name)
 	return nil
 }
@@ -810,7 +804,7 @@ func TestDropRaceKeepsJournalOrder(t *testing.T) {
 		_, err := m.Poll()
 		pollDone <- err
 	}()
-	<-j.entered // the refresh is inside CQExecuted, holding the CQ's lock
+	<-j.entered // the refresh is inside StageCQExec, holding the CQ's lock
 
 	dropDone := make(chan error, 1)
 	go func() { dropDone <- m.Drop("q") }()
@@ -835,7 +829,7 @@ func TestDropRaceKeepsJournalOrder(t *testing.T) {
 	execAt, dropAt := -1, -1
 	for i, op := range ops {
 		switch {
-		case strings.HasPrefix(op, "exec:q:"):
+		case strings.HasPrefix(op, "stage:q:"):
 			execAt = i
 		case op == "drop:q":
 			dropAt = i
@@ -853,7 +847,7 @@ func TestDropRaceKeepsJournalOrder(t *testing.T) {
 		t.Fatalf("post-drop poll: %v", err)
 	}
 	for _, op := range j.snapshot()[dropAt+1:] {
-		if strings.HasPrefix(op, "exec:q:") {
+		if strings.HasPrefix(op, "stage:q:") {
 			t.Fatalf("execution journaled after drop: %v", j.snapshot())
 		}
 	}

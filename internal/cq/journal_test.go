@@ -18,9 +18,9 @@ import (
 	"github.com/diorama/continual/internal/wal"
 )
 
-// recJournal models a write-ahead log in one op list: "stage:q:n" and
-// "exec:q:n" for execution records (staged, or written at once),
-// "flush" for a write of everything staged, "register:q" and "drop:q".
+// recJournal models a write-ahead log in one op list: "stage:q:n" for
+// an execution record, "flush" for a write of everything staged,
+// "register:q" and "drop:q".
 // Subscriber callbacks append "deliver:q:n" to the same list, so the
 // list is the order in which records were written and changes
 // delivered. With failFlush set, Flush records "flushfail" and fails.
@@ -44,15 +44,13 @@ func (j *recJournal) snapshot() []string {
 	return append([]string(nil), j.ops...)
 }
 
-func (j *recJournal) CQRegistered(e wal.CQEntry) error { j.record("register:" + e.Name); return nil }
-func (j *recJournal) CQDropped(name string) error      { j.record("drop:" + name); return nil }
-
-func (j *recJournal) CQExecuted(name string, seq int, _ vclock.Timestamp, _ bool) error {
-	j.record(fmt.Sprintf("exec:%s:%d", name, seq))
+func (j *recJournal) AppendCQRegister(e *wal.CQEntry) error {
+	j.record("register:" + e.Name)
 	return nil
 }
+func (j *recJournal) AppendCQDrop(name string) error { j.record("drop:" + name); return nil }
 
-func (j *recJournal) CQStaged(name string, seq int, _ vclock.Timestamp, _ bool) error {
+func (j *recJournal) StageCQExec(name string, seq int, _ vclock.Timestamp, _ bool) error {
 	j.record(fmt.Sprintf("stage:%s:%d", name, seq))
 	return nil
 }
@@ -66,6 +64,48 @@ func (j *recJournal) Flush() error {
 	}
 	j.record("flush")
 	return nil
+}
+
+// foldJournal folds what a manager journals with the log's own registry
+// fold (wal.Registry): its entries are the registry a checkpoint holds
+// and recovery resumes, so a test restarts from what was journaled.
+type foldJournal struct {
+	mu  sync.Mutex
+	reg wal.Registry
+}
+
+var _ Journal = (*foldJournal)(nil)
+
+func (j *foldJournal) apply(rec *wal.Record) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.reg.Apply(rec)
+}
+
+func (j *foldJournal) AppendCQRegister(e *wal.CQEntry) error {
+	return j.apply(&wal.Record{Kind: wal.KindCQRegister, CQ: e})
+}
+
+func (j *foldJournal) StageCQExec(name string, seq int, ts vclock.Timestamp, terminated bool) error {
+	return j.apply(&wal.Record{Kind: wal.KindCQExec, Name: name, Seq: seq, ExecTS: ts, Terminated: terminated})
+}
+
+func (j *foldJournal) Flush() error { return nil }
+
+func (j *foldJournal) AppendCQDrop(name string) error {
+	return j.apply(&wal.Record{Kind: wal.KindCQDrop, Name: name})
+}
+
+func (j *foldJournal) entries() []wal.CQEntry {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.reg.Entries()
+}
+
+// withJournal returns cfg journaling into j.
+func withJournal(cfg Config, j Journal) Config {
+	cfg.Journal = j
+	return cfg
 }
 
 // subscribe records every delivery of name into the journal's op list.
@@ -103,9 +143,6 @@ func checkWriteAhead(t *testing.T, ops []string) int {
 			pending[rec] = true
 		case "flush", "register", "drop":
 			writeStaged()
-		case "exec":
-			writeStaged()
-			written[rec] = true
 		case "deliver":
 			deliveries++
 			if !written[rec] {
@@ -339,12 +376,9 @@ func TestFailedFlushDeliversNothing(t *testing.T) {
 // countJournal counts staged records and flushes, allocating nothing.
 type countJournal struct{ staged, flushes atomic.Int64 }
 
-func (j *countJournal) CQRegistered(wal.CQEntry) error { return nil }
-func (j *countJournal) CQDropped(string) error         { return nil }
-func (j *countJournal) CQExecuted(string, int, vclock.Timestamp, bool) error {
-	return nil
-}
-func (j *countJournal) CQStaged(string, int, vclock.Timestamp, bool) error {
+func (j *countJournal) AppendCQRegister(*wal.CQEntry) error { return nil }
+func (j *countJournal) AppendCQDrop(string) error           { return nil }
+func (j *countJournal) StageCQExec(string, int, vclock.Timestamp, bool) error {
 	j.staged.Add(1)
 	return nil
 }

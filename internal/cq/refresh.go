@@ -821,8 +821,8 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 
 	// Journal the execution BEFORE any state mutates: a journal failure
 	// fails the refresh with the instance unchanged (the trigger re-fires
-	// next round). A private refresh's record is written here; a
-	// template member's is staged, and its notification waits on the
+	// next round). Every refresh stages its record: a private refresh's
+	// is flushed here; a template member's notification waits on the
 	// instance until the worker's flush has written it (outbox). Either
 	// way a delivered notification is always durable — at-most-once
 	// delivery across crashes — and a crash forgets only executions that
@@ -833,14 +833,14 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	stage := q != nil && inst.group != nil
 	var ticket uint64
 	if j := m.cfg.Journal; j != nil {
-		var jerr error
-		if stage {
-			if jerr = j.CQStaged(inst.def.Name, newSeq, execTS, willTerm); jerr == nil {
-				ticket = m.staged.Add(1)
-				q.staged = true
-			}
-		} else {
-			jerr = j.CQExecuted(inst.def.Name, newSeq, execTS, willTerm)
+		jerr := j.StageCQExec(inst.def.Name, newSeq, execTS, willTerm)
+		switch {
+		case jerr != nil:
+		case stage:
+			ticket = m.staged.Add(1)
+			q.staged = true
+		default:
+			jerr = j.Flush()
 		}
 		if jerr != nil {
 			return fmt.Errorf("cq %q: journal execution: %w", inst.def.Name, jerr)

@@ -217,7 +217,7 @@ func TestTemplateDispatchFanout(t *testing.T) {
 	}
 }
 
-// nameFaultJournal fails CQExecuted for one CQ while armed, letting a
+// nameFaultJournal fails StageCQExec for one CQ while armed, letting a
 // test break exactly one member of a shared template: the journal write
 // happens after the shared fold but before any member state mutates, so
 // the fault exercises the retry-against-intact-buffers path.
@@ -235,21 +235,16 @@ func (j *nameFaultJournal) arm(on bool) {
 	j.mu.Unlock()
 }
 
-func (j *nameFaultJournal) CQRegistered(wal.CQEntry) error { return nil }
-func (j *nameFaultJournal) CQDropped(string) error         { return nil }
+func (j *nameFaultJournal) AppendCQRegister(*wal.CQEntry) error { return nil }
+func (j *nameFaultJournal) AppendCQDrop(string) error           { return nil }
 
-func (j *nameFaultJournal) CQExecuted(name string, _ int, _ vclock.Timestamp, _ bool) error {
+func (j *nameFaultJournal) StageCQExec(name string, _ int, _ vclock.Timestamp, _ bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.armed && name == j.name {
 		return errors.New("injected journal fault")
 	}
 	return nil
-}
-
-// CQStaged fails like CQExecuted: a streaming member stages its record.
-func (j *nameFaultJournal) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
-	return j.CQExecuted(name, seq, ts, terminated)
 }
 
 func (j *nameFaultJournal) Flush() error { return nil }
@@ -473,7 +468,8 @@ func TestTemplateChurnRace(t *testing.T) {
 func TestTemplateDurableResume(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
-	m1 := NewManagerConfig(s, cfg)
+	j := &foldJournal{}
+	m1 := NewManagerConfig(s, withJournal(cfg, j))
 	for _, def := range []Def{
 		{Name: "a", Query: "SELECT * FROM stocks WHERE price > 100"},
 		{Name: "b", Query: "SELECT * FROM stocks WHERE price > 200"},
@@ -486,10 +482,7 @@ func TestTemplateDurableResume(t *testing.T) {
 	if _, err := m1.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := m1.SnapshotRegistry(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := j.entries()
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +538,8 @@ func TestTemplateResumeSharesOnePlan(t *testing.T) {
 	const members = 200
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
-	m1 := NewManagerConfig(s, cfg)
+	j := &foldJournal{}
+	m1 := NewManagerConfig(s, withJournal(cfg, j))
 	for i := 0; i < members; i++ {
 		if _, err := m1.Register(Def{Name: fmt.Sprintf("m%03d", i),
 			Query: fmt.Sprintf("SELECT * FROM stocks WHERE price > %d", i)}); err != nil {
@@ -556,10 +550,7 @@ func TestTemplateResumeSharesOnePlan(t *testing.T) {
 	if _, err := m1.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := m1.SnapshotRegistry(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := j.entries()
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +598,8 @@ func TestTemplateResumeSharesOnePlan(t *testing.T) {
 func TestTemplatePiecemealResume(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
-	m1 := NewManagerConfig(s, cfg)
+	j := &foldJournal{}
+	m1 := NewManagerConfig(s, withJournal(cfg, j))
 	queries := map[string]string{
 		"hi":  "SELECT * FROM stocks WHERE price > 100",
 		"lag": "SELECT * FROM stocks WHERE price > 50",
@@ -624,10 +616,7 @@ func TestTemplatePiecemealResume(t *testing.T) {
 	if _, err := m1.Poll(); err != nil { // hi fires; lag has seen one update of two
 		t.Fatal(err)
 	}
-	entries, err := m1.SnapshotRegistry(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := j.entries()
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}

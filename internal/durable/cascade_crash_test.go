@@ -224,7 +224,7 @@ func TestCascadeCrashDuringRegistration(t *testing.T) {
 	insertRow(t, sys.Store, "seed-hi", 90)
 	insertRow(t, sys.Store, "seed-lo", 10)
 
-	// The INTO registration writes the seed commit, then the CQRegistered
+	// The INTO registration writes the seed commit, then the CQRegister
 	// record. Sweep the kill across that window; each failure mode must
 	// recover to a usable system.
 	for kill := 1; kill <= 4; kill++ {

@@ -5,10 +5,10 @@
 // records base facts, never derived state. Every committed transaction
 // appends its delta to the WAL before the store applies it; every CQ
 // refresh logs only its bookkeeping (seq, execution timestamp,
-// terminated), written before its notification goes out. A private
-// refresh writes its record at once; the template members of one round
-// stage theirs, and each refresh worker writes what is staged in one
-// write before it delivers the members' notifications (cq.Journal). A
+// terminated), written before its notification goes out. Every refresh
+// stages its record: a private refresh flushes it at once, and each
+// refresh worker writes what the template members of its round staged
+// in one write before it delivers their notifications (cq.Journal). A
 // crash can therefore forget only executions that delivered nothing;
 // recovery resumes such a CQ at its last written execution and
 // re-derives the change there. A CQ's result is a function of the
@@ -101,8 +101,8 @@ type System struct {
 // Open recovers (or initializes) the data directory and returns a
 // running system. Recovery order: restore the newest loadable
 // checkpoint, replay the WAL tail through the store and the CQ
-// registry fold, open a fresh WAL segment, wire the write-ahead sinks,
-// then resume every surviving CQ.
+// registry fold (wal.Scan), open a fresh WAL segment seeded with the
+// fold, wire the write-ahead sinks, then resume every surviving CQ.
 func Open(opts Options) (*System, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -117,19 +117,10 @@ func Open(opts Options) (*System, error) {
 	}
 	store.SetWatermarks(opts.Watermarks)
 
-	// The registry fold: checkpoint entries seed it, then KindCQRegister
-	// / KindCQExec / KindCQDrop records move it forward in log order.
-	reg := make(map[string]*wal.CQEntry)
-	var order []string
 	start := time.Now()
 	res, err := wal.Scan(fs, opts.Dir, func(ck *wal.Checkpoint) error {
 		if err := store.Restore(storage.State{TS: ck.TS, NextTID: ck.NextTID, Tables: ck.Tables}); err != nil {
 			return fmt.Errorf("restore checkpoint: %w", err)
-		}
-		for i := range ck.CQs {
-			e := ck.CQs[i]
-			reg[e.Name] = &e
-			order = append(order, e.Name)
 		}
 		return nil
 	}, func(rec *wal.Record) error {
@@ -142,22 +133,6 @@ func Open(opts Options) (*System, error) {
 			if err := store.ApplyReplay(rec.TS, rec.Rows); err != nil {
 				return fmt.Errorf("tx record at ts %d: %w", rec.TS, err)
 			}
-		case wal.KindCQRegister:
-			e := *rec.CQ
-			if _, seen := reg[e.Name]; !seen {
-				order = append(order, e.Name)
-			}
-			reg[e.Name] = &e
-		case wal.KindCQExec:
-			e := reg[rec.Name]
-			if e == nil {
-				return fmt.Errorf("wal: execution record for unregistered cq %q", rec.Name)
-			}
-			e.Seq = rec.Seq
-			e.LastExec = rec.ExecTS
-			e.Terminated = rec.Terminated
-		case wal.KindCQDrop:
-			delete(reg, rec.Name)
 		}
 		return nil
 	})
@@ -174,6 +149,7 @@ func Open(opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: open wal: %w", err)
 	}
+	log.SeedRegistry(res.CQs)
 
 	s := &System{
 		Store: store,
@@ -181,26 +157,17 @@ func Open(opts Options) (*System, error) {
 		every: opts.CheckpointEvery,
 	}
 	// Write-ahead wiring: the store logs commits and DDL through us,
-	// the manager journals registry changes and executions. Replay is
-	// done, so nothing gets double-logged.
+	// the manager journals registry changes and executions into the
+	// log. Replay is done, so nothing gets double-logged.
 	store.SetWALSink(s)
 	cfg := opts.CQ
 	if cfg.Metrics == nil {
 		cfg.Metrics = opts.Metrics
 	}
-	cfg.Journal = s
+	cfg.Journal = log
 	s.Manager = cq.NewManagerConfig(store, cfg)
 
-	// order names a CQ once per registration; reg holds the survivor of
-	// the last one, if any.
-	var live []wal.CQEntry
-	for _, name := range order {
-		if e := reg[name]; e != nil {
-			live = append(live, *e)
-			delete(reg, name)
-		}
-	}
-	if err := s.Manager.Resume(live...); err != nil {
+	if err := s.Manager.Resume(res.CQs...); err != nil {
 		log.Close()
 		return nil, fmt.Errorf("durable: resume: %w", err)
 	}
@@ -209,7 +176,7 @@ func Open(opts Options) (*System, error) {
 		FromCheckpoint: res.Checkpoint != nil,
 		Records:        res.Records,
 		Torn:           res.Torn,
-		CQs:            len(live),
+		CQs:            len(res.CQs),
 		Elapsed:        time.Since(start),
 	}
 	if opts.Metrics != nil {
@@ -239,32 +206,10 @@ func (s *System) AppendDropTable(name string) error {
 	return s.log.AppendDropTable(name)
 }
 
-// CQRegistered implements cq.Journal.
-func (s *System) CQRegistered(e wal.CQEntry) error { return s.log.AppendCQRegister(&e) }
-
-// CQExecuted implements cq.Journal: written (with every staged record
-// ahead of it) before the refresh mutates the instance or notifies
-// anyone, making delivery at-most-once across crashes.
-func (s *System) CQExecuted(name string, seq int, ts vclock.Timestamp, terminated bool) error {
-	return s.log.AppendCQExec(name, seq, ts, terminated)
-}
-
-// CQStaged implements cq.Journal: the record waits in the log's buffer
-// for the next write, which Flush, or any other record, makes.
-func (s *System) CQStaged(name string, seq int, ts vclock.Timestamp, terminated bool) error {
-	return s.log.StageCQExec(name, seq, ts, terminated)
-}
-
-// Flush implements cq.Journal: every staged record in one write.
-func (s *System) Flush() error { return s.log.Flush() }
-
-// CQDropped implements cq.Journal.
-func (s *System) CQDropped(name string) error { return s.log.AppendCQDrop(name) }
-
 // noteCommit counts committed transactions toward the automatic
 // checkpoint threshold. It runs under the store lock, so the actual
-// checkpoint is taken on a fresh goroutine (checkpointing needs the
-// manager and store locks in front-door order).
+// checkpoint is taken on a fresh goroutine (its cut takes the store
+// lock).
 func (s *System) noteCommit() {
 	if s.every <= 0 || s.closed.Load() {
 		return
@@ -285,9 +230,11 @@ func (s *System) noteCommit() {
 	}()
 }
 
-// Checkpoint atomically snapshots store + CQ registry + log position
-// and writes it durably. Concurrent calls serialize; each produces a
-// full, self-sufficient checkpoint.
+// Checkpoint snapshots store, CQ registry and log position at one cut
+// and writes them durably; concurrent calls serialize. The cut holds the
+// store lock and, inside it, the log lock, whose registry fold of the
+// records before the cut is what replaying them computes: no manager or
+// instance lock. Health, not journaled, is read after the cut.
 func (s *System) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -297,18 +244,11 @@ func (s *System) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("durable: checkpoint cut: %w", err)
 	}
-	var st storage.State
 	var seg uint64
-	// Three-deep cut: pin every CQ instance, then the store, then
-	// switch segments — when cut returns, store state, CQ bookkeeping
-	// and the segment boundary all describe the same instant.
-	entries, err := s.Manager.SnapshotRegistry(func() error {
+	var cqs []wal.CQEntry
+	st, err := s.Store.CheckpointState(func() error {
 		var err error
-		st, err = s.Store.CheckpointState(func() error {
-			var err error
-			seg, err = rot.Cut()
-			return err
-		})
+		seg, cqs, err = rot.Cut()
 		return err
 	})
 	if ferr := rot.Finish(); err == nil {
@@ -317,7 +257,8 @@ func (s *System) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("durable: checkpoint cut: %w", err)
 	}
-	ck := &wal.Checkpoint{Seg: seg, TS: st.TS, NextTID: st.NextTID, Tables: st.Tables, CQs: entries}
+	s.Manager.ReadHealth(cqs)
+	ck := &wal.Checkpoint{Seg: seg, TS: st.TS, NextTID: st.NextTID, Tables: st.Tables, CQs: cqs}
 	if err := s.log.WriteCheckpoint(ck); err != nil {
 		return fmt.Errorf("durable: write checkpoint: %w", err)
 	}

@@ -131,6 +131,8 @@ type Log struct {
 	// staged counts the frames ever staged; written, those of them
 	// handed to a file; synced, those known to be on stable storage.
 	staged, written, synced uint64
+	// reg is the registry fold of every record staged, in log order.
+	reg Registry
 
 	tickStop chan struct{}
 	tickDone chan struct{}
@@ -271,15 +273,19 @@ func (l *Log) append(rec *Record) error {
 	return l.syncTo(target)
 }
 
-// stageLocked encodes rec framed onto the staged frames. Caller holds
-// l.mu.
+// stageLocked encodes rec framed onto the staged frames and folds it
+// into the registry. A record that does not encode or fold is a caller
+// bug, not a log failure: it is not staged. Caller holds l.mu.
 func (l *Log) stageLocked(rec *Record) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
 	buf, err := appendRecordFrame(l.buf, rec)
+	if err == nil {
+		err = l.reg.Apply(rec)
+	}
 	if err != nil {
-		return err // encoding errors are caller bugs, not log failures
+		return err
 	}
 	l.buf = buf
 	l.staged++
@@ -415,17 +421,11 @@ func (l *Log) AppendCQRegister(e *CQEntry) error {
 	return l.append(&Record{Kind: KindCQRegister, CQ: e})
 }
 
-// AppendCQExec logs one execution of a CQ: the record, and every frame
-// staged ahead of it, is written when it returns (durable too, under
-// FsyncAlways).
-func (l *Log) AppendCQExec(name string, seq int, execTS vclock.Timestamp, terminated bool) error {
-	return l.append(&Record{Kind: KindCQExec, Name: name, Seq: seq, ExecTS: execTS, Terminated: terminated})
-}
-
 // StageCQExec logs one execution of a CQ without writing it: the frame
 // joins the staged frames, and the next write of any kind (Flush
 // first of all) carries it. Nothing covered by a staged record may be
-// delivered before a flush that started after it was staged.
+// delivered before a flush that started after it was staged. An
+// execution of a CQ the log does not hold registered is refused.
 func (l *Log) StageCQExec(name string, seq int, execTS vclock.Timestamp, terminated bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -435,6 +435,14 @@ func (l *Log) StageCQExec(name string, seq int, execTS vclock.Timestamp, termina
 // AppendCQDrop logs a CQ removal.
 func (l *Log) AppendCQDrop(name string) error {
 	return l.append(&Record{Kind: KindCQDrop, Name: name})
+}
+
+// SeedRegistry starts the registry fold at the records already in the
+// log's directory (ScanResult.CQs), before any CQ record is logged.
+func (l *Log) SeedRegistry(entries []CQEntry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reg.seed(entries)
 }
 
 // Rotation moves the log to its next segment in three steps, so that
@@ -475,23 +483,24 @@ func (l *Log) BeginRotate() (*Rotation, error) {
 }
 
 // Cut writes the staged frames to the current segment and makes the
-// prepared one current, returning its number: records appended after
-// Cut land in it, so a checkpoint cut here covers everything before.
-// It does no fsync; the old segment is synced by Finish, and until then
-// appends wait in the log's buffer.
-func (r *Rotation) Cut() (uint64, error) {
+// prepared one current, returning its number and the registry fold of
+// every record before it: records appended after Cut land in the new
+// segment, so a checkpoint cut here covers everything before. It does
+// no fsync; the old segment is synced by Finish, and until then appends
+// wait in the log's buffer.
+func (r *Rotation) Cut() (uint64, []CQEntry, error) {
 	l := r.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := l.writeLocked(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	l.prev, l.f, l.seg, l.dirty = l.f, r.f, r.seg, false
 	r.cut = true
-	return r.seg, nil
+	return r.seg, l.reg.Entries(), nil
 }
 
 // Finish ends the rotation. After a cut it syncs and closes the old
@@ -522,7 +531,7 @@ func (l *Log) Rotate() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	seg, err := r.Cut()
+	seg, _, err := r.Cut()
 	if ferr := r.Finish(); err == nil {
 		err = ferr
 	}
@@ -575,13 +584,17 @@ type ScanResult struct {
 	Records int
 	// Torn is the count of segments that ended in a torn record.
 	Torn int
+	// CQs is the registry fold of the checkpoint and the replayed
+	// records, in registration order.
+	CQs []CQEntry
 }
 
 // Scan recovers a log directory: it locates the newest valid
 // checkpoint (calling onCheckpoint, when non-nil, so the caller can
 // restore it first), then replays every record in segments numbered at
 // or after the checkpoint's cut (all segments when there is none), in
-// segment order, calling handle for each.
+// segment order, folding it into the registry (ScanResult.CQs) and
+// calling handle for it.
 //
 // A torn or corrupt record ends its segment's replay cleanly —
 // everything before it is used, everything after is unreachable anyway
@@ -626,9 +639,13 @@ func Scan(fs FS, dir string, onCheckpoint func(*Checkpoint) error, handle func(*
 		from = ck.Seg
 		break
 	}
-	if res.Checkpoint != nil && onCheckpoint != nil {
-		if err := onCheckpoint(res.Checkpoint); err != nil {
-			return nil, err
+	var reg Registry
+	if res.Checkpoint != nil {
+		reg.seed(res.Checkpoint.CQs)
+		if onCheckpoint != nil {
+			if err := onCheckpoint(res.Checkpoint); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -638,6 +655,9 @@ func Scan(fs FS, dir string, onCheckpoint func(*Checkpoint) error, handle func(*
 		}
 		torn, err := scanSegment(fs, filepath.Join(dir, segName(seq)), func(rec *Record) error {
 			res.Records++
+			if err := reg.Apply(rec); err != nil {
+				return err
+			}
 			return handle(rec)
 		})
 		if err != nil {
@@ -647,6 +667,7 @@ func Scan(fs FS, dir string, onCheckpoint func(*Checkpoint) error, handle func(*
 			res.Torn++
 		}
 	}
+	res.CQs = reg.Entries()
 	return res, nil
 }
 

@@ -34,6 +34,7 @@ func TestMetricsCountWritesAndRecords(t *testing.T) {
 		}
 	}
 	check("open", 0, 0) // the segment magic is no record
+	l.SeedRegistry([]wal.CQEntry{{Name: "q"}})
 
 	if err := l.AppendTx(1, []wal.TxRow{txRow("stocks", 1, 1, "row-000")}); err != nil {
 		t.Fatal(err)

@@ -41,6 +41,17 @@ func appendWorkload(t *testing.T, l *wal.Log, n int) []string {
 	return names
 }
 
+// register logs a registration of each named CQ: the log refuses an
+// execution of a CQ it does not hold registered, and so does Scan.
+func register(t *testing.T, l *wal.Log, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if err := l.AppendCQRegister(&wal.CQEntry{Name: name, Query: "SELECT * FROM stocks"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // scanNames replays a directory and extracts the tx row names in order.
 func scanNames(t *testing.T, fs wal.FS, dir string) (*wal.ScanResult, []string) {
 	t.Helper()
@@ -183,19 +194,21 @@ func TestTornTailSweep(t *testing.T) {
 		}
 		calls = append(calls, fmt.Sprintf("tx:row-%03d", i))
 	}
+	cqs := []string{"cq0", "cq1"}
 	clean = faults.NewMemFS(0)
 	l, err = wal.Open("wal", wal.Options{FS: clean, Fsync: wal.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
+	register(t, l, cqs...)
 	for i := 0; i < rows; i++ {
 		if err := step(l, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.Close()
-	if got := clean.Writes(); got != 1+rows {
-		t.Fatalf("staged workload made %d writes, want %d (the magic, then one per step)", got, 1+rows)
+	if got, want := clean.Writes(), 1+len(cqs)+rows; got != want {
+		t.Fatalf("staged workload made %d writes, want %d (the magic, the registrations, then one per step)", got, want)
 	}
 	for kill := 2; kill <= 1+rows; kill++ {
 		fs := faults.NewMemFS(int64(100 + kill))
@@ -203,6 +216,7 @@ func TestTornTailSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		register(t, l, cqs...)
 		fs.KillAfterWrites(kill - 1)
 		acked := 0
 		var stepErr error
@@ -269,7 +283,12 @@ func TestStagedFramesKeepCallOrder(t *testing.T) {
 		{"tx", func(l *wal.Log) error {
 			return l.AppendTx(9, []wal.TxRow{txRow("stocks", 9, 9, "row-tx")})
 		}, "tx:row-tx", 0},
-		{"exec", func(l *wal.Log) error { return l.AppendCQExec("q", 7, 9, false) }, "exec:q:7", 0},
+		{"exec", func(l *wal.Log) error {
+			if err := l.StageCQExec("q", 7, 9, false); err != nil {
+				return err
+			}
+			return l.Flush()
+		}, "exec:q:7", 0},
 		{"drop", func(l *wal.Log) error { return l.AppendCQDrop("q") }, "", 0},
 		{"rotate", func(l *wal.Log) error { _, err := l.Rotate(); return err }, "", 1}, // the new segment's magic
 		{"close", (*wal.Log).Close, "", 0},
@@ -281,6 +300,7 @@ func TestStagedFramesKeepCallOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				register(t, l, "q")
 				base := fs.Writes()
 				if err := l.Flush(); err != nil || fs.Writes() != base {
 					t.Fatalf("%v: an empty flush wrote (err %v)", policy, err)
@@ -422,6 +442,7 @@ func TestAppendsGoOnWhileCheckpointWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	register(t, l, "q")
 	appendWorkload(t, l, 4)
 	seg, err := l.Rotate()
 	if err != nil {
@@ -774,6 +795,7 @@ func TestRotationSyncsOldSegmentFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			register(t, l, "q")
 			appendWorkload(t, l, 3)
 			if err := l.StageCQExec("q", 1, 3, false); err != nil {
 				t.Fatal(err)
@@ -782,7 +804,7 @@ func TestRotationSyncsOldSegmentFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Cut(); err != nil {
+			if _, _, err := r.Cut(); err != nil {
 				t.Fatal(err)
 			}
 			if err := tc.after(t, fs, l); err != nil {
@@ -827,6 +849,7 @@ func TestRotationsBesideAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		register(t, l, "q")
 		const writers, per = 3, 150
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -883,5 +906,143 @@ func TestRotationsBesideAppends(t *testing.T) {
 				t.Fatalf("%v: writer %d: %d of %d transactions replayed", policy, w, n, per)
 			}
 		}
+	}
+}
+
+// A rotation's cut returns the registry fold of every record before it:
+// the entries Scan computes from the segments before the cut — alone,
+// and from a checkpoint holding the previous cut's entries plus the
+// segments after it — through registrations, staged executions, a drop
+// and a re-registration of the dropped name.
+func TestCutEntriesMatchScan(t *testing.T) {
+	fs := faults.NewMemFS(9)
+	l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	stage := func(name string, seq int, term bool) {
+		t.Helper()
+		if err := l.StageCQExec(name, seq, vclock.Timestamp(10*seq), term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := func(checkpoint bool) []wal.CQEntry {
+		t.Helper()
+		r, err := l.BeginRotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, entries, err := r.Cut()
+		if ferr := r.Finish(); err == nil {
+			err = ferr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := wal.Scan(fs, "wal", nil, func(*wal.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%+v", entries) != fmt.Sprintf("%+v", res.CQs) {
+			t.Fatalf("cut at segment %d:\n%+v\nscan:\n%+v", seg, entries, res.CQs)
+		}
+		if checkpoint {
+			if err := l.WriteCheckpoint(&wal.Checkpoint{Seg: seg, CQs: entries}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return entries
+	}
+
+	register(t, l, "a", "b", "c")
+	stage("a", 2, false)
+	stage("b", 2, false)
+	cut(false)
+	stage("a", 3, false)
+	if err := l.AppendCQDrop("b"); err != nil {
+		t.Fatal(err)
+	}
+	stage("c", 2, true)
+	cut(true)
+	register(t, l, "b")
+	stage("b", 2, false)
+	stage("a", 4, false) // staged, written by the cut
+	got := cut(true)
+	want := []string{"a:4:40:false", "c:2:20:true", "b:2:20:false"}
+	var labels []string
+	for _, e := range got {
+		labels = append(labels, fmt.Sprintf("%s:%d:%d:%v", e.Name, e.Seq, e.LastExec, e.Terminated))
+	}
+	if fmt.Sprint(labels) != fmt.Sprint(want) {
+		t.Fatalf("registry %v, want %v (registration order)", labels, want)
+	}
+	register(t, l, "d")
+	if err := l.AppendCQDrop("a"); err != nil {
+		t.Fatal(err)
+	}
+	cut(false)
+}
+
+// An execution record for a CQ that is not registered is refused: the
+// live log stages none (and stays usable), and Scan fails on one whose
+// registration it cannot see.
+func TestScanRefusesUnregisteredExec(t *testing.T) {
+	fs := faults.NewMemFS(10)
+	l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.StageCQExec("q", 2, 5, false); err == nil || !strings.Contains(err.Error(), `unregistered cq "q"`) {
+		t.Fatalf("staging an unregistered execution = %v", err)
+	}
+	register(t, l, "q")
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.StageCQExec("q", 2, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := scanNames(t, fs, "wal"); len(res.CQs) != 1 || res.CQs[0].Seq != 2 {
+		t.Fatalf("registry %+v, want q at seq 2", res.CQs)
+	}
+	// Without the segment holding the registration, the execution is
+	// an execution of nothing.
+	if err := fs.Remove("wal/wal-00000000.log"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = wal.Scan(fs, "wal", nil, func(*wal.Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), `execution record for unregistered cq "q"`) {
+		t.Fatalf("scan = %v, want the unregistered execution refused", err)
+	}
+}
+
+// Staging an execution record, its encoding and its step of the
+// registry fold, allocates nothing once the log's buffer has grown.
+func TestStageCQExecAllocatesNothing(t *testing.T) {
+	l, err := wal.Open("wal", wal.Options{FS: faults.NewMemFS(11), Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	register(t, l, "q")
+	seq := 0
+	stage := func() {
+		seq++
+		if err := l.StageCQExec("q", seq, vclock.Timestamp(seq), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		stage()
+	}
+	if err := l.Flush(); err != nil { // the buffer keeps its capacity
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, stage); got != 0 {
+		t.Fatalf("staging an execution record allocates %v times, want 0", got)
 	}
 }
