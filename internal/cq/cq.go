@@ -299,12 +299,6 @@ type instance struct {
 	// under m.mu before the instance is visible, cleared by Drop under
 	// inst.mu.
 	group *templateGroup
-	// needsReconcile marks a recovered materializing CQ whose first
-	// refresh must reconcile the whole INTO target against the new
-	// result instead of trusting the delta: the crash may sit between
-	// the last materialize commit and its execution record
-	// (materialize.go). Guarded by mu.
-	needsReconcile bool
 
 	// breaker is the CQ's quarantine circuit breaker — a self-locked
 	// leaf, consultable under any manager/instance lock.
@@ -428,6 +422,9 @@ type Manager struct {
 	// Guarded by mu.
 	round  round
 	rounds uint64
+	// pending holds, during recovery's replay, the materializing CQs
+	// registered and not live yet (Replay). Guarded by mu.
+	pending map[string]*wal.CQEntry
 
 	// router is the push subsystem (nil unless Config.Push): it owns
 	// the store's commit hook and the dispatcher workers. Guarded by mu
@@ -522,14 +519,13 @@ func (m *Manager) Register(def Def) (*relation.Relation, error) {
 
 // installLocked is the one way a CQ enters the registry: it seeds the CQ
 // at rd, the round it is handed — Register passes a fresh round, Resume
-// one round per run of equal LastExec. A fresh registration (rec nil)
-// starts its result sequence at 1, and the journal gets a registration
-// record before the CQ becomes visible. A recovered one carries Seq and
-// health over from the entry, unjournaled, and re-derives its result by
-// the same initial execution over the store as of its last execution
-// (paper §4.2) — so the first refresh after recovery is a differential
-// catch-up over the replayed window, the DRA applied to the crash
-// itself. It returns the CQ's result at the seed. Caller holds m.mu.
+// one round per run of equal LastExec, Replay one per producer. A fresh
+// registration (rec nil) starts its result sequence at 1, and the
+// journal gets a registration record before the CQ becomes visible. A
+// recovered one carries Seq and health over from the entry, unjournaled,
+// and re-derives its result by the same initial execution over the store
+// as of its last execution (paper §4.2). It returns the CQ's result at
+// the seed. Caller holds m.mu.
 func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Table, error) {
 	if m.closed {
 		return nil, ErrClosed
@@ -625,9 +621,6 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Tab
 	if rec != nil {
 		inst.seq = rec.Seq
 		inst.terminated.Store(rec.Terminated)
-		// The crash may sit between the last materialize commit and its
-		// execution record: the first refresh reconciles the whole target.
-		inst.needsReconcile = inst.into != ""
 		// A CQ that was quarantined (or probing) when the checkpoint cut
 		// resumes in probation, not healthy: one immediate probe is
 		// allowed, but a persistently failing CQ does not get a free
@@ -670,24 +663,29 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Tab
 	}
 	inst.lastObs = inst.lastExec
 
+	// Journal before the registry mutation becomes visible: a journal
+	// failure fails the registration with the manager unchanged. A seed
+	// commit carries the record in its write-ahead step.
+	var reg *wal.Record
+	if rec == nil && m.cfg.Journal != nil {
+		reg = &wal.Record{Kind: wal.KindCQRegister, CQ: inst.entry()}
+	}
 	if inst.into != "" {
 		// Create the target table, or adopt an existing one. A fresh
 		// registration seeds it to the initial result; the seed commit
 		// ticks the clock past lastExec, which is harmless — the target is
-		// never one of this CQ's own operands. A recovered one leaves the
-		// contents to the reconciling first refresh.
+		// never one of this CQ's own operands. A recovered one finds it
+		// as its last execution left it.
 		createdTarget, err = m.ensureTargetLocked(inst)
 		if err == nil && rec == nil {
-			err = m.reconcileTarget(inst, inst.prev.Relation())
+			err = m.reconcileTarget(inst, inst.prev.Relation(), reg)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cq %q: materialize target %q: %w", def.Name, inst.into, err)
 		}
 	}
-	// Journal before the registry mutation becomes visible: a journal
-	// failure fails the registration with the manager unchanged.
-	if rec == nil && m.cfg.Journal != nil {
-		if err := m.cfg.Journal.AppendCQRegister(inst.entry()); err != nil {
+	if reg != nil && reg.TS == 0 {
+		if err := m.cfg.Journal.AppendCQ(reg); err != nil {
 			return nil, fmt.Errorf("cq %q: journal registration: %w", def.Name, err)
 		}
 	}
@@ -1029,7 +1027,7 @@ func (m *Manager) Drop(name string) error {
 	inst.dropped.Store(true)
 	upTo := m.staged.Load()
 	if m.cfg.Journal != nil {
-		if err := m.cfg.Journal.AppendCQDrop(name); err != nil {
+		if err := m.cfg.Journal.AppendCQ(&wal.Record{Kind: wal.KindCQDrop, Name: name}); err != nil {
 			inst.dropped.Store(false)
 			inst.mu.Unlock()
 			return fmt.Errorf("cq %q: journal drop: %w", name, err)
@@ -1048,12 +1046,7 @@ func (m *Manager) Drop(name string) error {
 	// its pending buffer.
 	m.leaveTemplateLocked(inst)
 	inst.mu.Unlock()
-	delete(m.cqs, name)
-	m.breakers.Delete(name)
-	if m.router != nil {
-		m.router.Unregister(name)
-	}
-	m.dag.Unregister(name)
+	m.forgetLocked(inst)
 	if inst.into != "" {
 		// The derived table goes with its producer — no readers remain
 		// (checked above). A failure is logged, not returned: the CQ
@@ -1062,8 +1055,20 @@ func (m *Manager) Drop(name string) error {
 			m.logf("cq %q: drop derived table %q: %v", name, inst.into, derr)
 		}
 	}
-	m.registeredDelta(inst, -1)
 	return nil
+}
+
+// forgetLocked takes a dropped CQ out of the registry, the push router,
+// the dependency DAG and the gauges. Caller holds m.mu.
+func (m *Manager) forgetLocked(inst *instance) {
+	name := inst.def.Name
+	delete(m.cqs, name)
+	m.breakers.Delete(name)
+	if m.router != nil {
+		m.router.Unregister(name)
+	}
+	m.dag.Unregister(name)
+	m.registeredDelta(inst, -1)
 }
 
 // closeSubs tells every subscriber the stream is over. Caller holds

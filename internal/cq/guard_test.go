@@ -759,8 +759,8 @@ func (j *blockJournal) snapshot() []string {
 	return append([]string(nil), j.ops...)
 }
 
-func (j *blockJournal) AppendCQRegister(e *wal.CQEntry) error {
-	j.record("register:" + e.Name)
+func (j *blockJournal) AppendCQ(rec *wal.Record) error {
+	j.record(journalOp(rec))
 	return nil
 }
 
@@ -774,11 +774,6 @@ func (j *blockJournal) StageCQExec(name string, seq int, ts vclock.Timestamp, te
 }
 
 func (j *blockJournal) Flush() error { return nil }
-
-func (j *blockJournal) AppendCQDrop(name string) error {
-	j.record("drop:" + name)
-	return nil
-}
 
 // TestDropRaceKeepsJournalOrder is the WAL-order regression test for
 // satellite (b): a Drop racing an in-flight refresh must not write its

@@ -44,11 +44,21 @@ func (j *recJournal) snapshot() []string {
 	return append([]string(nil), j.ops...)
 }
 
-func (j *recJournal) AppendCQRegister(e *wal.CQEntry) error {
-	j.record("register:" + e.Name)
+func (j *recJournal) AppendCQ(rec *wal.Record) error {
+	j.record(journalOp(rec))
 	return nil
 }
-func (j *recJournal) AppendCQDrop(name string) error { j.record("drop:" + name); return nil }
+
+// journalOp names a written CQ record in a test journal's op list.
+func journalOp(rec *wal.Record) string {
+	switch rec.Kind {
+	case wal.KindCQRegister:
+		return "register:" + rec.CQ.Name
+	case wal.KindCQDrop:
+		return "drop:" + rec.Name
+	}
+	return fmt.Sprintf("commit:%s:%d", rec.Name, rec.Seq)
+}
 
 func (j *recJournal) StageCQExec(name string, seq int, _ vclock.Timestamp, _ bool) error {
 	j.record(fmt.Sprintf("stage:%s:%d", name, seq))
@@ -82,19 +92,13 @@ func (j *foldJournal) apply(rec *wal.Record) error {
 	return j.reg.Apply(rec)
 }
 
-func (j *foldJournal) AppendCQRegister(e *wal.CQEntry) error {
-	return j.apply(&wal.Record{Kind: wal.KindCQRegister, CQ: e})
-}
+func (j *foldJournal) AppendCQ(rec *wal.Record) error { return j.apply(rec) }
 
 func (j *foldJournal) StageCQExec(name string, seq int, ts vclock.Timestamp, terminated bool) error {
 	return j.apply(&wal.Record{Kind: wal.KindCQExec, Name: name, Seq: seq, ExecTS: ts, Terminated: terminated})
 }
 
 func (j *foldJournal) Flush() error { return nil }
-
-func (j *foldJournal) AppendCQDrop(name string) error {
-	return j.apply(&wal.Record{Kind: wal.KindCQDrop, Name: name})
-}
 
 func (j *foldJournal) entries() []wal.CQEntry {
 	j.mu.Lock()
@@ -376,8 +380,7 @@ func TestFailedFlushDeliversNothing(t *testing.T) {
 // countJournal counts staged records and flushes, allocating nothing.
 type countJournal struct{ staged, flushes atomic.Int64 }
 
-func (j *countJournal) AppendCQRegister(*wal.CQEntry) error { return nil }
-func (j *countJournal) AppendCQDrop(string) error           { return nil }
+func (j *countJournal) AppendCQ(*wal.Record) error { return nil }
 func (j *countJournal) StageCQExec(string, int, vclock.Timestamp, bool) error {
 	j.staged.Add(1)
 	return nil

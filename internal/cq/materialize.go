@@ -2,66 +2,39 @@ package cq
 
 // Materializing continual queries (SELECT ... INTO target): each refresh
 // commits the result delta into a derived base table through the
-// ordinary storage commit path, so the WAL sink, the commit hook, the
-// push router and the window caches all see derived deltas as ordinary
-// deltas — downstream CQs over the target need no new machinery.
+// ordinary storage commit path, so the commit hook, the push router and
+// the window caches all see derived deltas as ordinary deltas —
+// downstream CQs over the target need no new machinery. The log holds
+// no derived row: the commit journals the record of the execution (or,
+// for the seed, the registration) that derived it, and recovery
+// re-derives the commit from that record (Manager.Replay).
 //
 // The apply is RECONCILING, not blind: every staged operation is checked
 // against the target's current contents and rows the table already
-// reflects stage as no-ops. That property carries the crash-recovery
-// contract: the materialize commit lands BEFORE the execution journals
-// (refreshInstance), so the WAL can hold a committed derived delta whose
-// execution record was lost — recovery then resumes the producer one
-// sequence back, the catch-up refresh re-derives the change, and
-// reconciliation reduces the already-applied part to nothing. A refresh
-// whose reconciliation stages zero operations commits nothing at all (no
+// reflects stage as no-ops — clients may write the target too, and a
+// registration may adopt a target left from before. A refresh whose
+// reconciliation stages zero operations commits nothing at all (no
 // clock tick, no hook, no downstream wake).
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/diorama/continual/internal/cascade"
 	"github.com/diorama/continual/internal/delta"
-	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
+	"github.com/diorama/continual/internal/vclock"
+	"github.com/diorama/continual/internal/wal"
 )
 
-// materializeLocked commits one refresh's change into the instance's
-// INTO target. Caller holds inst.mu; inst.prev still holds the previous
-// result (the change is applied to it after journaling).
-func (m *Manager) materializeLocked(inst *instance, res *dra.Result) error {
-	d := res.Delta
-	if inst.needsReconcile || d == nil {
-		// First refresh after recovery (or an evaluation path without a
-		// row delta): the crash window may have left the target a full
-		// refresh away from the journaled sequence — in either direction,
-		// since the sources can revert while the producer is down — so
-		// reconcile the whole target against the new result once, then
-		// return to delta-driven applies. The new result is rendered from
-		// a copy of the table: inst.prev must stay the previous result
-		// until the execution journals.
-		// refreshInstance has run res.Fits(inst.prev).
-		want := res.Maintain(inst.prev.Clone())
-		if err := m.reconcileTarget(inst, want.Relation()); err != nil {
-			return err
-		}
-		inst.needsReconcile = false
-		return nil
-	}
-	if d.Len() == 0 {
-		return nil
-	}
-	return m.commitReconciled(inst, d.Rows())
-}
-
 // reconcileTarget commits whatever transforms the target's current
-// contents into want — the seed at registration, the adoption of an
-// orphaned target, and the post-recovery catch-up all reduce to it. The
-// difference is taken under the store's read lock: client writes to the
-// target commit concurrently, and a commit mutates the relation Diff
-// reads.
-func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation) error {
+// contents into want — the seed at registration and the adoption of an
+// orphaned target reduce to it. The difference is taken under the
+// store's read lock: client writes to the target commit concurrently,
+// and a commit mutates the relation Diff reads. rec is as for
+// commitReconciled.
+func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation, rec *wal.Record) error {
 	var d *delta.Delta
 	err := m.store.View(func(v storage.LiveView) error {
 		cur, err := v.Relation(inst.into)
@@ -74,7 +47,7 @@ func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation) error
 	if err != nil || d.Len() == 0 {
 		return err
 	}
-	return m.commitReconciled(inst, d.Rows())
+	return m.commitReconciled(inst, d.Rows(), rec)
 }
 
 // commitReconciled stages the delta rows against the target in one
@@ -89,7 +62,11 @@ func (m *Manager) reconcileTarget(inst *instance, want *relation.Relation) error
 // staging or the commit as a conflict, never silently. The rows hold
 // each tid at most once (dra.Result.Delta, delta.Diff), so no row's
 // check depends on another's staging.
-func (m *Manager) commitReconciled(inst *instance, rows []delta.Row) error {
+//
+// rec, when set, is the CQ record the commit journals, stamped with its
+// timestamp (still 0 if nothing committed); one stamped already is being
+// replayed, and the commit is re-derived at that timestamp.
+func (m *Manager) commitReconciled(inst *instance, rows []delta.Row, rec *wal.Record) error {
 	staged := make([]delta.Row, 0, len(rows))
 	err := m.store.View(func(v storage.LiveView) error {
 		cur, err := v.Relation(inst.into)
@@ -104,8 +81,8 @@ func (m *Manager) commitReconciled(inst *instance, rows []delta.Row) error {
 					staged = append(staged, delta.Row{TID: r.TID, Old: have.Values})
 				}
 			// Insert and Modify both mean "the row's value is now New".
-			case ok && valuesEqual(have.Values, r.New):
-				// Already reflected — the crash-window no-op.
+			case ok && slices.EqualFunc(have.Values, r.New, relation.Value.Equal):
+				// Already reflected.
 			case ok:
 				staged = append(staged, delta.Row{TID: r.TID, Old: have.Values, New: r.New})
 			default:
@@ -133,20 +110,30 @@ func (m *Manager) commitReconciled(inst *instance, rows []delta.Row) error {
 		}
 	}
 	tx.SetOrigin(inst.def.Name, m.dag.Stage(inst.def.Name)+1)
-	if _, err := tx.Commit(); err != nil {
-		return err
+	switch {
+	case rec == nil:
+		_, err = tx.Commit()
+	case rec.TS != 0:
+		err = tx.CommitAt(rec.TS)
+	default:
+		j := m.cfg.Journal
+		tx.SetJournal(func(ts vclock.Timestamp) error {
+			rec.TS = ts
+			return j.AppendCQ(rec)
+		})
+		_, err = tx.Commit()
 	}
-	if mm := m.met; mm != nil {
+	if mm := m.met; mm != nil && err == nil {
 		mm.materializeCommits.Inc()
 		mm.materializeRows.Add(int64(len(staged)))
 	}
-	return nil
+	return err
 }
 
 // ensureTargetLocked creates the materialization target for a CQ being
 // installed, or adopts an existing table with a matching shape — the
 // replayed target of a recovered CQ, or the producerless orphan a crash
-// between the seed commit and the registration journal leaves behind.
+// between the target's creation and its seed commit leaves behind.
 // Caller holds m.mu. Reports whether the table was created here (so the
 // caller's rollback knows to drop it).
 func (m *Manager) ensureTargetLocked(inst *instance) (created bool, err error) {
@@ -202,16 +189,4 @@ func (m *Manager) DropTable(name string) error {
 // terminal queries) and its refresh stage.
 func (m *Manager) Deps() []cascade.Node {
 	return m.dag.Describe()
-}
-
-func valuesEqual(a, b []relation.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -56,6 +56,7 @@ import (
 	"github.com/diorama/continual/internal/sql"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
+	"github.com/diorama/continual/internal/wal"
 )
 
 // round is the store snapshot every refresh of one round shares.
@@ -802,29 +803,13 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 		return fmt.Errorf("cq %q: %w", inst.def.Name, err)
 	}
 
-	// Materialize BEFORE journaling the execution: the WAL must never
-	// hold an execution record whose derived delta did not commit, or
-	// replay would resurrect a result sequence the downstream tables
-	// never saw. The inverse crash window — delta committed, execution
-	// not journaled — is harmless because the apply is reconciling
-	// (materialize.go): recovery resumes one sequence back, re-derives
-	// the change, and the already-applied part stages as a no-op.
-	if inst.into != "" {
-		// The budget's last check: the commit itself is not stopped.
-		if err := guard.Overdue(rd.deadline); err != nil {
-			return fmt.Errorf("cq %q: %w", inst.def.Name, err)
-		}
-		if merr := m.materializeLocked(inst, res); merr != nil {
-			return fmt.Errorf("cq %q: materialize into %q: %w", inst.def.Name, inst.into, merr)
-		}
-	}
-
 	// Journal the execution BEFORE any state mutates: a journal failure
 	// fails the refresh with the instance unchanged (the trigger re-fires
-	// next round). Every refresh stages its record: a private refresh's
-	// is flushed here; a template member's notification waits on the
-	// instance until the worker's flush has written it (outbox). Either
-	// way a delivered notification is always durable — at-most-once
+	// next round). A commit into the INTO target writes the record in its
+	// write-ahead step. Every other refresh stages its record: a private
+	// refresh's is flushed here; a template member's notification waits
+	// on the instance until the worker's flush has written it (outbox).
+	// Either way a delivered notification is always durable — at-most-once
 	// delivery across crashes — and a crash forgets only executions that
 	// delivered nothing. Subscribers that need the gap re-fetch Result()
 	// after a restart.
@@ -832,7 +817,20 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	willTerm := inst.stop.AfterN > 0 && int64(newSeq) >= inst.stop.AfterN
 	stage := q != nil && inst.group != nil
 	var ticket uint64
-	if j := m.cfg.Journal; j != nil {
+	var rec *wal.Record // what a commit into the INTO target journals
+	if inst.into != "" {
+		// The budget's last check: the commit itself is not stopped.
+		if err := guard.Overdue(rd.deadline); err != nil {
+			return fmt.Errorf("cq %q: %w", inst.def.Name, err)
+		}
+		if m.cfg.Journal != nil && res.Delta.Len() > 0 {
+			rec = &wal.Record{Kind: wal.KindCQExec, Name: inst.def.Name, Seq: newSeq, ExecTS: execTS, Terminated: willTerm}
+		}
+		if err := m.commitReconciled(inst, res.Delta.Rows(), rec); err != nil {
+			return fmt.Errorf("cq %q: materialize into %q: %w", inst.def.Name, inst.into, err)
+		}
+	}
+	if j := m.cfg.Journal; j != nil && (rec == nil || rec.TS == 0) {
 		jerr := j.StageCQExec(inst.def.Name, newSeq, execTS, willTerm)
 		switch {
 		case jerr != nil:
@@ -847,22 +845,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 		}
 	}
 
-	// Section 4.3: Et_i(Q) ∪ insertions − deletions, typed into the
-	// table's own slots. It fits (checked above).
-	inst.prev = res.Maintain(inst.prev)
-	inst.lastExec = execTS
-	inst.lastObs = execTS
-	inst.seq = newSeq
-	inst.updatesSeen = 0
-	for _, acct := range inst.eps {
-		acct.Reset()
-	}
-
-	if willTerm {
-		// The gauges first: the delta skips instances already flagged.
-		m.registeredDelta(inst, -1)
-		inst.terminated.Store(true)
-	}
+	m.advanceLocked(inst, res, execTS, newSeq, willTerm)
 	if inst.group != nil {
 		// The refresh is journaled and applied: discard the covered
 		// template batches (a failure above kept them for the retry) and
@@ -909,6 +892,25 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 	}
 	m.deliver(inst, note)
 	return nil
+}
+
+// advanceLocked moves the CQ to its execution seq at execTS, whose
+// change res carries and fits (Section 4.3: Et_i(Q) ∪ insertions −
+// deletions). Caller holds inst.mu.
+func (m *Manager) advanceLocked(inst *instance, res *dra.Result, execTS vclock.Timestamp, seq int, term bool) {
+	inst.prev = res.Maintain(inst.prev)
+	inst.lastExec = execTS
+	inst.lastObs = execTS
+	inst.seq = seq
+	inst.updatesSeen = 0
+	for _, acct := range inst.eps {
+		acct.Reset()
+	}
+	if term {
+		// The gauges first: the delta skips instances already flagged.
+		m.registeredDelta(inst, -1)
+		inst.terminated.Store(true)
+	}
 }
 
 // buildNotification assembles the per-mode answer (Section 4.3 step 4):

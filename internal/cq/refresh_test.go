@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func (f *foldTranscript) apply(n Notification, closed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, r := range n.Modified() {
-		if cur, ok := f.state[r.TID]; !ok || !valuesEqual(cur, r.Old) {
+		if cur, ok := f.state[r.TID]; !ok || !slices.EqualFunc(cur, r.Old, relation.Value.Equal) {
 			f.errorf("seq %d modifies tid %d from %v, but the result holds %v", n.Seq, r.TID, r.Old, cur)
 		}
 	}
@@ -85,7 +86,7 @@ func (f *foldTranscript) check(t *testing.T, what string, want *relation.Relatio
 		t.Errorf("transcript folds to %d rows, %s has %d", len(f.state), what, want.Len())
 	}
 	for _, tu := range want.Tuples() {
-		if got, ok := f.state[tu.TID]; !ok || !valuesEqual(got, tu.Values) {
+		if got, ok := f.state[tu.TID]; !ok || !slices.EqualFunc(got, tu.Values, relation.Value.Equal) {
 			t.Errorf("tid %d: transcript folds to %v, %s has %v", tu.TID, got, what, tu.Values)
 			return
 		}

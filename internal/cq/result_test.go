@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestMaterializeBesideClientWriter(t *testing.T) {
 	}
 	for _, tu := range res.Tuples() {
 		row, ok := target.Lookup(tu.TID)
-		if !ok || !valuesEqual(row.Values, tu.Values) {
+		if !ok || !slices.EqualFunc(row.Values, tu.Values, relation.Value.Equal) {
 			t.Fatalf("target row %d = %v, want the result's %v", tu.TID, row.Values, tu.Values)
 		}
 	}

@@ -19,9 +19,10 @@ import (
 // round each result and each derived table must equal its query
 // evaluated from scratch, tids included. The system is then closed with
 // commits no refresh has seen and reopened: the group tables reseed
-// (Prepared.Seed) at each CQ's last execution, the first refresh folds the missed window
-// and reconciles the INTO targets against it, and the pipeline carries
-// on as if nothing had happened.
+// (Prepared.Seed) at each CQ's last execution, whose INTO targets the
+// checkpoint holds as those executions left them, the first refresh
+// folds the missed window into them, and the pipeline carries on as if
+// nothing had happened.
 func TestRollupDurableReopen(t *testing.T) {
 	stages := []struct{ name, sel, into, from string }{
 		{"roll_key", "SELECT k, bucket, SUM(v) AS s, COUNT(*) AS n", "by_key", "FROM events GROUP BY k, bucket"},

@@ -235,8 +235,7 @@ func (j *nameFaultJournal) arm(on bool) {
 	j.mu.Unlock()
 }
 
-func (j *nameFaultJournal) AppendCQRegister(*wal.CQEntry) error { return nil }
-func (j *nameFaultJournal) AppendCQDrop(string) error           { return nil }
+func (j *nameFaultJournal) AppendCQ(*wal.Record) error { return nil }
 
 func (j *nameFaultJournal) StageCQExec(name string, _ int, _ vclock.Timestamp, _ bool) error {
 	j.mu.Lock()

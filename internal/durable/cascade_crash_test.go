@@ -179,11 +179,11 @@ func cascadeCrashRun(t *testing.T, seed int64, ops []op, oracle []*relation.Rela
 }
 
 // TestCascadeCrashSweep arms a kill at every write boundary of the
-// cascading workload. Crash windows this covers include: between mid's
-// materialize commit and its execution journal (the reconciling apply
-// turns the replayed delta into no-ops), between mid's journal and
-// leaf's refresh (leaf catches up from hot's recovered window), and
-// mid-checkpoint.
+// cascading workload. Crash windows this covers include: inside the
+// write of mid's commit into hot, which carries mid's execution record
+// (the pair survives whole or not at all, and recovery re-derives a
+// survivor from the record), between mid's commit and leaf's refresh
+// (leaf catches up from hot's recovered window), and mid-checkpoint.
 func TestCascadeCrashSweep(t *testing.T) {
 	const scriptLen = 12
 	ops := buildScript(96, scriptLen)
@@ -212,9 +212,10 @@ func TestCascadeCrashSweep(t *testing.T) {
 	}
 }
 
-// TestCascadeCrashDuringRegistration kills between the target-table
-// seed commit and the registration journal: the next Open must not see
-// mid, and re-registering adopts the orphaned target table.
+// TestCascadeCrashDuringRegistration kills across an INTO registration:
+// the target's creation, then its seed commit, which carries the
+// registration record. A crash after the creation leaves an orphaned,
+// empty target and no mid; re-registering adopts it.
 func TestCascadeCrashDuringRegistration(t *testing.T) {
 	fs := faults.NewMemFS(11)
 	sys := openCascadeSys(t, fs, "reg")
@@ -224,9 +225,9 @@ func TestCascadeCrashDuringRegistration(t *testing.T) {
 	insertRow(t, sys.Store, "seed-hi", 90)
 	insertRow(t, sys.Store, "seed-lo", 10)
 
-	// The INTO registration writes the seed commit, then the CQRegister
-	// record. Sweep the kill across that window; each failure mode must
-	// recover to a usable system.
+	// The INTO registration writes the target's creation, then the seed
+	// commit carrying the CQRegister record. Sweep the kill across both;
+	// each failure mode must recover to a usable system.
 	for kill := 1; kill <= 4; kill++ {
 		fs2 := faults.NewMemFS(int64(100 + kill))
 		s2 := openCascadeSys(t, fs2, fmt.Sprintf("reg kill=%d", kill))

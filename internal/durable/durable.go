@@ -2,21 +2,18 @@
 // write-ahead log into a crash-recoverable system.
 //
 // The contract follows the paper's differential spirit: persistence
-// records base facts, never derived state. Every committed transaction
+// records inputs, never derivations. Every committed client transaction
 // appends its delta to the WAL before the store applies it; every CQ
 // refresh logs only its bookkeeping (seq, execution timestamp,
-// terminated), written before its notification goes out. Every refresh
-// stages its record: a private refresh flushes it at once, and each
-// refresh worker writes what the template members of its round staged
-// in one write before it delivers their notifications (cq.Journal). A
-// crash can therefore forget only executions that delivered nothing;
-// recovery resumes such a CQ at its last written execution and
-// re-derives the change there. A CQ's result is a function of the
-// logged transactions, so it is never logged: the latest checkpoint
-// restores a consistent cut, the WAL tail replays the transactions past
-// it, each resumed CQ re-derives its result by one initial execution at
-// its last logged execution (paper §4.2), and the first post-crash Poll
-// computes an ordinary differential catch-up over the replayed window.
+// terminated), written before its notification goes out (cq.Journal);
+// a materializing CQ's commit into its INTO target is logged as that
+// record, not as rows. A CQ's result is never logged either: the latest
+// checkpoint restores a consistent cut, the WAL tail replays the
+// transactions past it and re-derives the INTO commits in log order
+// (cq.Manager.Replay), each other CQ re-derives its result by one
+// initial execution at its last logged execution (paper §4.2), and the
+// first post-crash Poll computes an ordinary differential catch-up over
+// the replayed window.
 package durable
 
 import (
@@ -45,14 +42,15 @@ type Options struct {
 	// SyncEvery is the FsyncInterval period (default 50ms).
 	SyncEvery time.Duration
 	// CheckpointEvery triggers an automatic background checkpoint after
-	// that many committed transactions. 0 means manual checkpoints only
-	// (Checkpoint / Close).
+	// that many committed transactions, derived commits included. 0
+	// means manual checkpoints only (Checkpoint / Close).
 	CheckpointEvery int
 	// Metrics receives wal.* and recovery instruments when non-nil.
 	Metrics *obs.Registry
 	// Watermarks bounds retained differential state (degraded mode):
-	// see storage.Watermarks. Applied before recovery, so a restart
-	// into an already-overloaded store reports overload immediately.
+	// see storage.Watermarks. Applied once recovery is done (no emergency
+	// GC runs mid-replay), so a restart into an already-overloaded store
+	// reports overload immediately.
 	Watermarks storage.Watermarks
 	// CQ configures the manager. The zero value means complete
 	// re-evaluation with no auto-GC; callers wanting the engine
@@ -90,6 +88,7 @@ type System struct {
 	Recovery RecoveryInfo
 
 	log     *wal.Log
+	journal journal
 	every   int
 	commits atomic.Int64
 	ckptMu  sync.Mutex // serializes checkpoint construction
@@ -100,9 +99,10 @@ type System struct {
 
 // Open recovers (or initializes) the data directory and returns a
 // running system. Recovery order: restore the newest loadable
-// checkpoint, replay the WAL tail through the store and the CQ
-// registry fold (wal.Scan), open a fresh WAL segment seeded with the
-// fold, wire the write-ahead sinks, then resume every surviving CQ.
+// checkpoint, replay the WAL tail through the store, the manager
+// (cq.Manager.Replay) and the CQ registry fold (wal.Scan), open a fresh
+// WAL segment seeded with the fold, wire the write-ahead sinks, resume
+// every other surviving CQ, then apply the watermarks.
 func Open(opts Options) (*System, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -115,62 +115,70 @@ func Open(opts Options) (*System, error) {
 	if opts.Metrics != nil {
 		store.Instrument(opts.Metrics)
 	}
-	store.SetWatermarks(opts.Watermarks)
+	s := &System{Store: store, every: opts.CheckpointEvery}
+	s.journal.s = s
+	cfg := opts.CQ
+	if cfg.Metrics == nil {
+		cfg.Metrics = opts.Metrics
+	}
+	cfg.Journal = &s.journal // journals nothing until the log is open
+	s.Manager = cq.NewManagerConfig(store, cfg)
+	fail := func(err error) (*System, error) {
+		_ = s.Manager.Close()
+		if s.log != nil {
+			_ = s.log.Close()
+		}
+		return nil, err
+	}
 
 	start := time.Now()
 	res, err := wal.Scan(fs, opts.Dir, func(ck *wal.Checkpoint) error {
 		if err := store.Restore(storage.State{TS: ck.TS, NextTID: ck.NextTID, Tables: ck.Tables}); err != nil {
 			return fmt.Errorf("restore checkpoint: %w", err)
 		}
-		return nil
-	}, func(rec *wal.Record) error {
-		switch rec.Kind {
-		case wal.KindCreateTable:
-			return store.CreateTable(rec.Table, rec.Schema)
-		case wal.KindDropTable:
-			return store.DropTable(rec.Table)
-		case wal.KindTx:
-			if err := store.ApplyReplay(rec.TS, rec.Rows); err != nil {
-				return fmt.Errorf("tx record at ts %d: %w", rec.TS, err)
+		for i := range ck.CQs {
+			if err := s.Manager.Replay(&wal.Record{Kind: wal.KindCQRegister, CQ: &ck.CQs[i]}); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
 			}
 		}
 		return nil
+	}, func(rec *wal.Record) (err error) {
+		switch rec.Kind {
+		case wal.KindCreateTable:
+			err = store.CreateTable(rec.Table, rec.Schema)
+		case wal.KindDropTable:
+			err = store.DropTable(rec.Table)
+		case wal.KindTx:
+			err = store.ApplyReplay(rec.TS, rec.Rows)
+		}
+		if err != nil {
+			return err
+		}
+		return s.Manager.Replay(rec)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("durable: recover %s: %w", opts.Dir, err)
+		return fail(fmt.Errorf("durable: recover %s: %w", opts.Dir, err))
 	}
 
-	log, err := wal.Open(opts.Dir, wal.Options{
+	s.log, err = wal.Open(opts.Dir, wal.Options{
 		FS:        fs,
 		Fsync:     opts.Fsync,
 		SyncEvery: opts.SyncEvery,
 		Metrics:   opts.Metrics,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("durable: open wal: %w", err)
+		return fail(fmt.Errorf("durable: open wal: %w", err))
 	}
-	log.SeedRegistry(res.CQs)
-
-	s := &System{
-		Store: store,
-		log:   log,
-		every: opts.CheckpointEvery,
-	}
+	s.log.SeedRegistry(res.CQs)
 	// Write-ahead wiring: the store logs commits and DDL through us,
 	// the manager journals registry changes and executions into the
 	// log. Replay is done, so nothing gets double-logged.
+	s.journal.Log = s.log
 	store.SetWALSink(s)
-	cfg := opts.CQ
-	if cfg.Metrics == nil {
-		cfg.Metrics = opts.Metrics
-	}
-	cfg.Journal = log
-	s.Manager = cq.NewManagerConfig(store, cfg)
-
 	if err := s.Manager.Resume(res.CQs...); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("durable: resume: %w", err)
+		return fail(fmt.Errorf("durable: resume: %w", err))
 	}
+	store.SetWatermarks(opts.Watermarks)
 
 	s.Recovery = RecoveryInfo{
 		FromCheckpoint: res.Checkpoint != nil,
@@ -196,6 +204,21 @@ func (s *System) AppendTx(ts vclock.Timestamp, rows []wal.TxRow) error {
 	}
 	s.noteCommit()
 	return nil
+}
+
+// journal is the manager's cq.Journal: the log, counting a derived
+// commit's record toward the automatic checkpoint.
+type journal struct {
+	*wal.Log
+	s *System
+}
+
+func (j *journal) AppendCQ(rec *wal.Record) error {
+	err := j.Log.AppendCQ(rec)
+	if err == nil && rec.TS != 0 {
+		j.s.noteCommit()
+	}
+	return err
 }
 
 func (s *System) AppendCreateTable(name string, schema relation.Schema) error {

@@ -45,8 +45,8 @@ type CommitEvent struct {
 // commit-timestamp order with the committed state already visible. The
 // hook MUST NOT block and MUST NOT call back into the store; it should
 // hand the event to its own machinery (the push router enqueues and
-// returns). Replayed recovery transactions (ApplyReplay) do not fire
-// the hook: install it after recovery, like the WAL sink.
+// returns). Replayed recovery transactions (ApplyReplay) and
+// re-derived commits (Tx.CommitAt) do not fire the hook.
 type CommitHook func(ev CommitEvent)
 
 // SetCommitHook attaches (or, with nil, detaches) the commit hook. Set

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/diorama/continual/internal/relation"
@@ -79,7 +80,7 @@ func TestWriteBoundaryConformance(t *testing.T) {
 						t.Fatalf("commit after abort: %v", err)
 					}
 					rel, _ := s.Snapshot("t")
-					if got, _ := rel.Lookup(seeded); rel.Len() != 1 || !valuesEqual(got.Values, clean()) {
+					if got, _ := rel.Lookup(seeded); rel.Len() != 1 || !slices.EqualFunc(got.Values, clean(), relation.Value.Equal) {
 						t.Fatalf("store changed by a refused write:\n%s", rel)
 					}
 					if n, _ := s.DeltaLen("t"); n != 1 || s.Now() != before || hooked != 0 {

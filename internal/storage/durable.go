@@ -14,9 +14,10 @@ import (
 // WALSink receives the durable form of every state change the store
 // commits, BEFORE the change is applied in memory (write-ahead order):
 // a sink error fails the operation and leaves the store untouched, so
-// the store never holds state the log cannot reproduce. *wal.Log
-// satisfies this interface directly; internal/durable wraps it to count
-// commits for auto-checkpointing.
+// the store never holds state the log cannot reproduce (or, for a
+// Tx.SetJournal commit, its journal step). *wal.Log satisfies this
+// interface directly; internal/durable wraps it to count commits for
+// auto-checkpointing.
 type WALSink interface {
 	AppendTx(ts vclock.Timestamp, rows []wal.TxRow) error
 	AppendCreateTable(name string, schema relation.Schema) error
@@ -157,61 +158,32 @@ func conformRow(schema relation.Schema, r *delta.Row) error {
 }
 
 // ApplyReplay applies one logged transaction during recovery: the same
-// validation and bookkeeping as Commit, but with the logged timestamp
-// and rows instead of a fresh tick, and without re-logging. Replay is
-// strict — a row that does not apply cleanly means the log and the
-// checkpoint disagree, which is corruption, not a crash artifact.
+// apply as Commit, with the logged timestamp and rows instead of a fresh
+// tick, and without re-logging. Replay is strict — a row that does not
+// apply cleanly means the log and the checkpoint disagree, which is
+// corruption, not a crash artifact. A logged transaction's tids came
+// from the allocator (Tx.Insert), so the allocator moves past them.
 func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	touched := make(map[*Table]struct{}, 1)
-	maxTID := relation.TID(0)
-	for _, tr := range rows {
+	for i := range rows {
+		tr := &rows[i]
 		t, ok := s.tables[tr.Table]
 		if !ok {
 			return fmt.Errorf("%w: %q in replay", ErrNoSuchTable, tr.Table)
 		}
-		row := tr.Row // the record's slices become the differential row's
-		row.TS = ts
-		if err := conformRow(t.rel.Schema(), &row); err != nil {
-			return fmt.Errorf("storage: replay %q tid %d: %w", tr.Table, row.TID, err)
-		}
-		switch row.Kind() {
-		case delta.Insert:
-			if err := t.rel.Insert(relation.Tuple{TID: row.TID, Values: row.New}); err != nil {
-				return fmt.Errorf("storage: replay insert %q tid %d: %w", tr.Table, row.TID, err)
-			}
-		case delta.Delete:
-			if err := t.rel.Delete(row.TID); err != nil {
-				return fmt.Errorf("storage: replay delete %q tid %d: %w", tr.Table, row.TID, err)
-			}
-		case delta.Modify:
-			if err := t.rel.Update(row.TID, row.New); err != nil {
-				return fmt.Errorf("storage: replay update %q tid %d: %w", tr.Table, row.TID, err)
-			}
-		}
-		if err := t.dlt.Append(row); err != nil {
-			return fmt.Errorf("storage: replay delta append %q: %w", tr.Table, err)
-		}
-		s.noteDeltaAppendLocked(row)
-		if row.TID > maxTID {
-			maxTID = row.TID
-		}
-		touched[t] = struct{}{}
-	}
-	for t := range touched {
-		t.version++
-		if m := s.met; m != nil {
-			m.tableGauge(t.name).Set(int64(t.dlt.Len()))
+		// The record's slices become the differential row's.
+		if err := conformRow(t.rel.Schema(), &tr.Row); err != nil {
+			return fmt.Errorf("storage: replay at ts %d: %q tid %d: %w", ts, tr.Table, tr.Row.TID, err)
 		}
 	}
-	if m := s.met; m != nil {
-		m.deltaTotal.Add(int64(len(rows)))
+	if err := s.applyLocked(ts, rows, make(map[*Table]int, 1)); err != nil {
+		return fmt.Errorf("storage: replay at ts %d: %w", ts, err)
 	}
-	s.clock.AdvanceTo(ts)
-	if maxTID+1 > s.nextID {
-		s.nextID = maxTID + 1
+	for _, tr := range rows {
+		if tr.Row.TID >= s.nextID {
+			s.nextID = tr.Row.TID + 1
+		}
 	}
-	s.recomputeOverloadLocked()
 	return nil
 }

@@ -17,6 +17,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -124,9 +125,6 @@ func NewStore() *Store {
 		nextID: 1,
 	}
 }
-
-// Clock exposes the store's logical clock (read-only use intended).
-func (s *Store) Clock() *vclock.Clock { return s.clock }
 
 // Now returns the current logical time.
 func (s *Store) Now() vclock.Timestamp { return s.clock.Now() }
@@ -388,19 +386,13 @@ func (s *Store) NewTID() relation.TID {
 	return tid
 }
 
-// writeOp is one buffered mutation inside a transaction.
-type writeOp struct {
-	table string
-	row   delta.Row // Old/New as in a differential row; TS filled at commit
-}
-
 // Tx is a transaction. Mutations are buffered in the write set and become
 // visible (and are appended to the differential relations) atomically at
 // Commit, stamped with a single commit timestamp — so the differential
 // relation records the net effect per transaction, as in Example 1.
 type Tx struct {
 	store *Store
-	ops   []writeOp
+	ops   []wal.TxRow // the write set; TS filled at commit
 	done  bool
 	// pending maps table/tid to the index in ops of the buffered write,
 	// for read-your-writes and intra-tx folding. Indexes (not pointers)
@@ -408,8 +400,9 @@ type Tx struct {
 	pending map[string]map[relation.TID]int
 	// origin/depth carry materialization provenance onto the commit
 	// event (SetOrigin); zero for ordinary client transactions.
-	origin string
-	depth  int
+	origin  string
+	depth   int
+	journal func(ts vclock.Timestamp) error // see SetJournal
 }
 
 // SetOrigin tags the transaction as the materialization of a continual
@@ -420,6 +413,14 @@ type Tx struct {
 func (tx *Tx) SetOrigin(origin string, depth int) {
 	tx.origin = origin
 	tx.depth = depth
+}
+
+// SetJournal makes step the transaction's write-ahead step in place of
+// the store's WAL sink: Commit calls it with the commit timestamp under
+// the store lock, and its error fails the commit with the store
+// untouched. A materializing CQ journals its derived commit this way.
+func (tx *Tx) SetJournal(step func(ts vclock.Timestamp) error) {
+	tx.journal = step
 }
 
 // Begin starts a transaction.
@@ -443,7 +444,7 @@ func (tx *Tx) pendingRow(table string, tid relation.TID) (*delta.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &tx.ops[i].row, true
+	return &tx.ops[i].Row, true
 }
 
 // conformed is the write boundary: it returns the transaction's own copy
@@ -479,7 +480,7 @@ func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error
 		return 0, err
 	}
 	tid := tx.store.NewTID()
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, New: row}})
+	tx.ops = append(tx.ops, wal.TxRow{Table: table, Row: delta.Row{TID: tid, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return tid, nil
 }
@@ -494,7 +495,7 @@ func (tx *Tx) InsertWithTID(table string, tid relation.TID, values []relation.Va
 	if err != nil {
 		return err
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, New: row}})
+	tx.ops = append(tx.ops, wal.TxRow{Table: table, Row: delta.Row{TID: tid, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -539,7 +540,7 @@ func (tx *Tx) Update(table string, tid relation.TID, values []relation.Value) er
 		p.New = row
 		return nil
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: old, New: row}})
+	tx.ops = append(tx.ops, wal.TxRow{Table: table, Row: delta.Row{TID: tid, Old: old, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -563,7 +564,7 @@ func (tx *Tx) Delete(table string, tid relation.TID) error {
 		p.New = nil
 		return nil
 	}
-	tx.ops = append(tx.ops, writeOp{table: table, row: delta.Row{TID: tid, Old: old}})
+	tx.ops = append(tx.ops, wal.TxRow{Table: table, Row: delta.Row{TID: tid, Old: old}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return nil
 }
@@ -571,6 +572,19 @@ func (tx *Tx) Delete(table string, tid relation.TID) error {
 // Commit applies the write set atomically and appends the net per-tuple
 // changes to the differential relations with a single commit timestamp.
 func (tx *Tx) Commit() (vclock.Timestamp, error) {
+	return tx.commit(0)
+}
+
+// CommitAt applies the write set as the commit at ts that recovery
+// re-derives (SetJournal): no clock tick, write-ahead step or commit
+// hook, and, as for every InsertWithTID, no move of the tid allocator.
+func (tx *Tx) CommitAt(ts vclock.Timestamp) error {
+	_, err := tx.commit(ts)
+	return err
+}
+
+// commit is Commit, or with at > 0 CommitAt.
+func (tx *Tx) commit(at vclock.Timestamp) (vclock.Timestamp, error) {
 	if tx.done {
 		return 0, ErrTxDone
 	}
@@ -583,11 +597,19 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	// An insert deleted in the same tx voids its op, which drops out.
+	rows := tx.ops[:0]
+	for _, op := range tx.ops {
+		if op.Row.Old != nil || op.Row.New != nil {
+			rows = append(rows, op)
+		}
+	}
+
 	// Hard degraded mode rejects writes outright: retention is past the
 	// hard watermark, so accepting more deltas would grow the backlog
 	// the overload is made of. Reads and GC still run; the level drops
 	// (hysteresis in recomputeOverloadLocked) once GC catches up.
-	if s.overload == OverloadHard && len(tx.ops) > 0 {
+	if s.overload == OverloadHard && len(rows) > 0 {
 		if m := s.met; m != nil {
 			m.overloadRejects.Inc()
 		}
@@ -596,95 +618,61 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 	}
 
 	// Validate first so commit is all-or-nothing.
-	for _, op := range tx.ops {
-		if op.row.Old == nil && op.row.New == nil {
-			continue // voided op (insert+delete in same tx)
-		}
-		t, ok := s.tables[op.table]
+	for _, op := range rows {
+		t, ok := s.tables[op.Table]
 		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, op.table)
+			return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, op.Table)
 		}
-		switch op.row.Kind() {
+		switch op.Row.Kind() {
 		case delta.Insert:
-			if t.rel.Has(op.row.TID) {
-				return 0, fmt.Errorf("%w: insert tid %d exists in %q", ErrWriteConflict, op.row.TID, op.table)
+			if t.rel.Has(op.Row.TID) {
+				return 0, fmt.Errorf("%w: insert tid %d exists in %q", ErrWriteConflict, op.Row.TID, op.Table)
 			}
 		case delta.Delete, delta.Modify:
-			cur, ok := t.rel.Lookup(op.row.TID)
+			cur, ok := t.rel.Lookup(op.Row.TID)
 			if !ok {
-				return 0, fmt.Errorf("%w: tid %d gone from %q", ErrWriteConflict, op.row.TID, op.table)
+				return 0, fmt.Errorf("%w: tid %d gone from %q", ErrWriteConflict, op.Row.TID, op.Table)
 			}
-			if !valuesEqual(cur.Values, op.row.Old) {
-				return 0, fmt.Errorf("%w: tid %d changed under tx in %q", ErrWriteConflict, op.row.TID, op.table)
+			if !slices.EqualFunc(cur.Values, op.Row.Old, relation.Value.Equal) {
+				return 0, fmt.Errorf("%w: tid %d changed under tx in %q", ErrWriteConflict, op.Row.TID, op.Table)
 			}
 		}
 	}
 
-	ts := s.clock.Tick()
-
-	// Write-ahead: the commit is logged before any in-memory state
-	// changes. A sink failure fails the whole commit with the store
-	// untouched (the consumed clock tick leaves a harmless gap).
-	if s.sink != nil {
-		walRows := make([]wal.TxRow, 0, len(tx.ops))
-		for i := range tx.ops {
-			op := &tx.ops[i]
-			if op.row.Old == nil && op.row.New == nil {
-				continue
-			}
-			row := op.row
-			row.TS = ts
-			walRows = append(walRows, wal.TxRow{Table: op.table, Row: row})
+	ts := at
+	if at == 0 {
+		ts = s.clock.Tick()
+		for i := range rows {
+			rows[i].Row.TS = ts
 		}
-		if err := s.sink.AppendTx(ts, walRows); err != nil {
+		// Write-ahead: the commit is logged before any in-memory state
+		// changes. A failure fails the whole commit with the store
+		// untouched (the consumed clock tick leaves a harmless gap).
+		var err error
+		switch {
+		case tx.journal != nil:
+			err = tx.journal(ts)
+		case s.sink != nil:
+			err = s.sink.AppendTx(ts, rows)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("storage: log commit: %w", err)
 		}
 	}
 
-	appended := 0
 	touched := make(map[*Table]int, 1)
-	for i := range tx.ops {
-		op := &tx.ops[i]
-		if op.row.Old == nil && op.row.New == nil {
-			continue
-		}
-		t := s.tables[op.table]
-		op.row.TS = ts
-		switch op.row.Kind() {
-		case delta.Insert:
-			_ = t.rel.Insert(relation.Tuple{TID: op.row.TID, Values: op.row.New})
-		case delta.Delete:
-			_ = t.rel.Delete(op.row.TID)
-		case delta.Modify:
-			_ = t.rel.Update(op.row.TID, op.row.New)
-		}
-		if err := t.dlt.Append(op.row); err != nil {
-			// Cannot happen: single writer under s.mu, monotone clock.
-			return 0, fmt.Errorf("storage: delta append: %w", err)
-		}
-		s.noteDeltaAppendLocked(op.row)
-		appended++
-		touched[t]++
-	}
-	for t := range touched {
-		t.version++
-	}
-	if appended > 0 {
-		s.recomputeOverloadLocked()
+	if err := s.applyLocked(ts, rows, touched); err != nil || at != 0 {
+		return ts, err
 	}
 	if m := s.met; m != nil {
 		m.commits.Inc()
-		m.commitRows.Add(int64(appended))
-		m.deltaTotal.Add(int64(appended))
-		for t := range touched {
-			m.tableGauge(t.name).Set(int64(t.dlt.Len()))
-		}
+		m.commitRows.Add(int64(len(rows)))
 		m.commitNS.Observe(time.Since(commitStart))
 	}
 	// The commit hook fires under s.mu after the state applies, so a
 	// consumer sees events in strict commit order and every event's
 	// delta window is already readable.
-	if h := s.hook; h != nil && appended > 0 {
+	if h := s.hook; h != nil && len(rows) > 0 {
 		ev := CommitEvent{TS: ts, At: time.Now(), Overload: s.overload, Changes: make([]TableChange, 0, len(touched)),
 			Origin: tx.origin, Depth: tx.depth}
 		for t, n := range touched {
@@ -693,6 +681,53 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 		h(ev)
 	}
 	return ts, nil
+}
+
+// applyLocked applies rows committed at ts to their tables and
+// differential relations — for Commit, CommitAt and ApplyReplay — and
+// counts the rows appended per table into touched. Only replay can meet
+// a row that does not apply: a commit validated its rows. Caller holds
+// s.mu.
+func (s *Store) applyLocked(ts vclock.Timestamp, rows []wal.TxRow, touched map[*Table]int) error {
+	for _, tr := range rows {
+		t, ok := s.tables[tr.Table]
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrNoSuchTable, tr.Table)
+		}
+		row := tr.Row
+		row.TS = ts
+		var err error
+		switch row.Kind() {
+		case delta.Insert:
+			err = t.rel.Insert(relation.Tuple{TID: row.TID, Values: row.New})
+		case delta.Delete:
+			err = t.rel.Delete(row.TID)
+		case delta.Modify:
+			err = t.rel.Update(row.TID, row.New)
+		}
+		if err == nil {
+			err = t.dlt.Append(row)
+		}
+		if err != nil {
+			return fmt.Errorf("storage: apply %q tid %d: %w", tr.Table, row.TID, err)
+		}
+		s.noteDeltaAppendLocked(row)
+		touched[t]++
+	}
+	for t := range touched {
+		t.version++
+		if m := s.met; m != nil {
+			m.tableGauge(t.name).Set(int64(t.dlt.Len()))
+		}
+	}
+	if m := s.met; m != nil {
+		m.deltaTotal.Add(int64(len(rows)))
+	}
+	s.clock.AdvanceTo(ts)
+	if len(rows) > 0 {
+		s.recomputeOverloadLocked()
+	}
+	return nil
 }
 
 // Abort discards the transaction.
@@ -709,16 +744,4 @@ func cloneValues(vs []relation.Value) []relation.Value {
 	out := make([]relation.Value, len(vs))
 	copy(out, vs)
 	return out
-}
-
-func valuesEqual(a, b []relation.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -17,8 +17,12 @@ import (
 
 // segMagic opens every segment file; a file without it is not a
 // segment (or its very first write was torn, which recovery treats as
-// an empty segment).
-const segMagic = "CQWAL001"
+// an empty segment). legacySegMagic opens segments written before
+// derived commits rode their CQ records (Record.Legacy).
+const (
+	segMagic       = "CQWAL002"
+	legacySegMagic = "CQWAL001"
+)
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -416,9 +420,11 @@ func (l *Log) AppendDropTable(name string) error {
 	return l.append(&Record{Kind: KindDropTable, Table: name})
 }
 
-// AppendCQRegister logs a CQ installation.
-func (l *Log) AppendCQRegister(e *CQEntry) error {
-	return l.append(&Record{Kind: KindCQRegister, CQ: e})
+// AppendCQ logs a CQ record: a registration, a drop, or an execution
+// written at once — one whose change commits into the CQ's INTO target,
+// written as that commit's write-ahead step (rec.TS).
+func (l *Log) AppendCQ(rec *Record) error {
+	return l.append(rec)
 }
 
 // StageCQExec logs one execution of a CQ without writing it: the frame
@@ -430,11 +436,6 @@ func (l *Log) StageCQExec(name string, seq int, execTS vclock.Timestamp, termina
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stageLocked(&Record{Kind: KindCQExec, Name: name, Seq: seq, ExecTS: execTS, Terminated: terminated})
-}
-
-// AppendCQDrop logs a CQ removal.
-func (l *Log) AppendCQDrop(name string) error {
-	return l.append(&Record{Kind: KindCQDrop, Name: name})
 }
 
 // SeedRegistry starts the registry fold at the records already in the
@@ -683,7 +684,8 @@ func scanSegment(fs FS, path string, handle func(*Record) error) (torn bool, err
 		// Shorter than the magic: the crash hit the very first write.
 		return true, nil
 	}
-	if string(magic[:]) != segMagic {
+	legacy := string(magic[:]) == legacySegMagic
+	if !legacy && string(magic[:]) != segMagic {
 		return false, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	fr := &frameReader{r: f}
@@ -708,6 +710,7 @@ func scanSegment(fs FS, path string, handle func(*Record) error) (torn bool, err
 			// it is real corruption or version skew. Surface it.
 			return false, derr
 		}
+		rec.Legacy = legacy
 		if err := handle(rec); err != nil {
 			return false, err
 		}

@@ -69,13 +69,15 @@ const (
 	KindDropTable
 	// KindCQRegister installs a continual query: its definition and
 	// result-sequence bookkeeping, never its result. Recovery re-derives
-	// the result by one initial execution at LastExec (paper §4.2).
+	// the result by one initial execution at LastExec (paper §4.2), and a
+	// seed committed into its INTO target from the commit's TS.
 	KindCQRegister
-	// KindCQExec is one delivered refresh of a CQ: seq, exec timestamp
-	// and whether it terminated the sequence. The result delta is not
+	// KindCQExec is one refresh of a CQ: seq, exec timestamp, whether it
+	// terminated the sequence, and the TS of its commit into its INTO
+	// target, which recovery re-derives from it. The result delta is not
 	// logged: it is a function of the logged transactions. Its slot in
-	// the layout stays (a zero row count); rows in records written before
-	// are parsed and dropped.
+	// the layout stays (a zero row count); rows in records written
+	// before are parsed and dropped.
 	KindCQExec
 	// KindCQDrop removes a continual query.
 	KindCQDrop
@@ -93,7 +95,8 @@ type TxRow struct {
 type Record struct {
 	Kind Kind
 
-	// KindTx
+	// KindTx; and for KindCQRegister/KindCQExec the derived commit the
+	// record stands for, if any.
 	TS   vclock.Timestamp
 	Rows []TxRow
 
@@ -109,13 +112,18 @@ type Record struct {
 	Seq        int
 	ExecTS     vclock.Timestamp
 	Terminated bool
+
+	// Legacy marks a record of a segment written before derived commits
+	// rode their CQ records (legacySegMagic): their rows are KindTx rows.
+	Legacy bool
 }
 
 // CQEntry is the durable form of one registered continual query: the
 // paper's triple (Q, Tcq, Stop) rendered to primitives, plus the
 // bookkeeping needed to resume the result sequence where it stopped
 // (Seq, LastExec). The result as of LastExec is not part of it: a
-// recovered CQ re-derives it from the store at LastExec.
+// recovered CQ re-derives it from the store at LastExec, and a seed
+// committed into its INTO target from the registration record's TS.
 type CQEntry struct {
 	Name           string
 	Query          string // SELECT text; re-parsed at recovery
@@ -351,6 +359,15 @@ func (d *dec) skipRelation() {
 	}
 }
 
+// commitTS reads the Record.TS that ends a CQ record; one written before
+// it had one reads 0.
+func (d *dec) commitTS() vclock.Timestamp {
+	if d.err != nil || len(d.b) == 0 {
+		return 0
+	}
+	return vclock.Timestamp(d.u64())
+}
+
 func (d *dec) deltaRow() delta.Row {
 	var r delta.Row
 	r.TID = relation.TID(d.u64())
@@ -391,12 +408,14 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 		if err := encodeCQEntry(e, rec.CQ); err != nil {
 			return nil, err
 		}
+		e.u64(uint64(rec.TS))
 	case KindCQExec:
 		e.str(rec.Name)
 		e.u64(uint64(rec.Seq))
 		e.u64(uint64(rec.ExecTS))
 		e.bool(rec.Terminated)
 		e.u64(0) // the retired result-delta row count
+		e.u64(uint64(rec.TS))
 	case KindCQDrop:
 		e.str(rec.Name)
 	default:
@@ -438,6 +457,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		rec.Table = d.str()
 	case KindCQRegister:
 		rec.CQ = decodeCQEntry(d)
+		rec.TS = d.commitTS()
 	case KindCQExec:
 		rec.Name = d.str()
 		rec.Seq = int(d.u64())
@@ -446,6 +466,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		for n := d.count(); n > 0 && d.err == nil; n-- {
 			d.deltaRow() // a legacy result-delta row: dropped
 		}
+		rec.TS = d.commitTS()
 	case KindCQDrop:
 		rec.Name = d.str()
 	default:

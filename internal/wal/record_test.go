@@ -42,6 +42,10 @@ func testRecords(t testing.TB) []*Record {
 		{Kind: KindCQRegister, CQ: &CQEntry{Name: "q2", Query: "SELECT * FROM stocks", TriggerKind: 3, Mode: 1}},
 		{Kind: KindCQExec, Name: "q1", Seq: 5, ExecTS: 43, Terminated: true},
 		{Kind: KindCQExec, Name: "q2", Seq: 1, ExecTS: 44},
+		// A materializing CQ's registration and execution, each standing
+		// for the commit into its target at TS.
+		{Kind: KindCQRegister, TS: 46, CQ: &CQEntry{Name: "m", Query: "SELECT name INTO hot FROM stocks", TriggerKind: 3, Mode: 1, Seq: 1, LastExec: 45}},
+		{Kind: KindCQExec, Name: "m", Seq: 2, ExecTS: 47, TS: 48},
 		{Kind: KindDropTable, Table: "stocks"},
 		{Kind: KindCQDrop, Name: "q1"},
 	}
@@ -164,7 +168,22 @@ func appendFrame(dst, payload []byte) []byte {
 // CurrentSegment frames the same records as this codec writes them.
 func LegacySegment(t testing.TB) []byte {
 	payloads, _ := legacyLog(t)
-	return segmentImage(payloads)
+	return segmentImage(legacySegMagic, payloads)
+}
+
+// LegacySegmentOf frames recs, as this codec writes them, behind the
+// magic of a segment written before derived commits rode their CQ
+// records.
+func LegacySegmentOf(t testing.TB, recs ...*Record) []byte {
+	var payloads [][]byte
+	for _, rec := range recs {
+		p, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	return segmentImage(legacySegMagic, payloads)
 }
 
 func CurrentSegment(t testing.TB) []byte {
@@ -177,11 +196,11 @@ func CurrentSegment(t testing.TB) []byte {
 		}
 		payloads = append(payloads, p)
 	}
-	return segmentImage(payloads)
+	return segmentImage(segMagic, payloads)
 }
 
-func segmentImage(payloads [][]byte) []byte {
-	img := []byte(segMagic)
+func segmentImage(magic string, payloads [][]byte) []byte {
+	img := []byte(magic)
 	for _, p := range payloads {
 		img = appendFrame(img, p)
 	}
@@ -352,7 +371,7 @@ func FuzzWALRecord(f *testing.F) {
 		stream = appendFrame(stream, payload)
 	}
 	f.Add(stream)
-	f.Add(LegacySegment(&seedT)[len(segMagic):])
+	f.Add(LegacySegment(&seedT)[len(legacySegMagic):])
 	f.Add(stream[:len(stream)-3])
 	flipped := append([]byte{}, stream...)
 	flipped[len(flipped)/2] ^= 0x01

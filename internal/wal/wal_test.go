@@ -46,7 +46,7 @@ func appendWorkload(t *testing.T, l *wal.Log, n int) []string {
 func register(t *testing.T, l *wal.Log, names ...string) {
 	t.Helper()
 	for _, name := range names {
-		if err := l.AppendCQRegister(&wal.CQEntry{Name: name, Query: "SELECT * FROM stocks"}); err != nil {
+		if err := l.AppendCQ(&wal.Record{Kind: wal.KindCQRegister, CQ: &wal.CQEntry{Name: name, Query: "SELECT * FROM stocks"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestStagedFramesKeepCallOrder(t *testing.T) {
 			}
 			return l.Flush()
 		}, "exec:q:7", 0},
-		{"drop", func(l *wal.Log) error { return l.AppendCQDrop("q") }, "", 0},
+		{"drop", func(l *wal.Log) error { return l.AppendCQ(&wal.Record{Kind: wal.KindCQDrop, Name: "q"}) }, "", 0},
 		{"rotate", func(l *wal.Log) error { _, err := l.Rotate(); return err }, "", 1}, // the new segment's magic
 		{"close", (*wal.Log).Close, "", 0},
 	} {
@@ -691,6 +691,61 @@ func TestLegacyLogRecoversSameState(t *testing.T) {
 	}
 }
 
+// A segment written before derived commits rode their CQ records holds a
+// materializing query's rows as transactions of their own, and a crash
+// between those and the query's record cannot be re-derived: recovery
+// refuses such a segment with an error that says how to bring the data
+// directory over. One without a materializing query still opens
+// (TestLegacyLogRecoversSameState).
+func TestLegacyLogWithProducerRefused(t *testing.T) {
+	stocks := relation.MustSchema(
+		relation.Column{Name: "name", Type: relation.TString},
+		relation.Column{Name: "price", Type: relation.TFloat},
+	)
+	names := relation.MustSchema(relation.Column{Name: "name", Type: relation.TString})
+	segment := wal.LegacySegmentOf(t,
+		&wal.Record{Kind: wal.KindCreateTable, Table: "stocks", Schema: stocks},
+		&wal.Record{Kind: wal.KindTx, TS: 1, Rows: []wal.TxRow{
+			{Table: "stocks", Row: delta.Row{TID: 1, TS: 1, New: []relation.Value{relation.Str("IBM"), relation.Float(150)}}},
+		}},
+		&wal.Record{Kind: wal.KindCreateTable, Table: "hot", Schema: names},
+		&wal.Record{Kind: wal.KindTx, TS: 2, Rows: []wal.TxRow{
+			{Table: "hot", Row: delta.Row{TID: 1, TS: 2, New: []relation.Value{relation.Str("IBM")}}},
+		}},
+		&wal.Record{Kind: wal.KindCQRegister, CQ: &wal.CQEntry{Name: "mid",
+			Query: "SELECT name INTO hot FROM stocks WHERE price > 100", TriggerKind: 3, TriggerUpdates: 1, Mode: 1, Seq: 1, LastExec: 1}},
+		&wal.Record{Kind: wal.KindTx, TS: 3, Rows: []wal.TxRow{
+			{Table: "stocks", Row: delta.Row{TID: 2, TS: 3, New: []relation.Value{relation.Str("HP"), relation.Float(120)}}},
+		}},
+		// mid's commit of HP, whose execution record the crash cut off.
+		&wal.Record{Kind: wal.KindTx, TS: 4, Rows: []wal.TxRow{
+			{Table: "hot", Row: delta.Row{TID: 2, TS: 4, New: []relation.Value{relation.Str("HP")}}},
+		}},
+	)
+	fs := faults.NewMemFS(1)
+	if err := fs.MkdirAll("data"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("data/wal-00000000.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(segment); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := durable.Open(durable.Options{Dir: "data", FS: fs, CQ: cq.Config{UseDRA: true}})
+	if err == nil {
+		_ = sys.Close()
+		t.Fatal("a legacy segment holding a materializing query's rows opened")
+	}
+	if !strings.Contains(err.Error(), "close it cleanly") {
+		t.Fatalf("refused with %v; want the way to bring the directory over", err)
+	}
+}
+
 // The golden checkpoint in the CQCKPT01 format, the only one in its
 // data directory, recovers the same store state and CQ registry as the
 // same checkpoint written in the current format.
@@ -960,7 +1015,7 @@ func TestCutEntriesMatchScan(t *testing.T) {
 	stage("b", 2, false)
 	cut(false)
 	stage("a", 3, false)
-	if err := l.AppendCQDrop("b"); err != nil {
+	if err := l.AppendCQ(&wal.Record{Kind: wal.KindCQDrop, Name: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	stage("c", 2, true)
@@ -978,7 +1033,7 @@ func TestCutEntriesMatchScan(t *testing.T) {
 		t.Fatalf("registry %v, want %v (registration order)", labels, want)
 	}
 	register(t, l, "d")
-	if err := l.AppendCQDrop("a"); err != nil {
+	if err := l.AppendCQ(&wal.Record{Kind: wal.KindCQDrop, Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	cut(false)
