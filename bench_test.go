@@ -83,11 +83,19 @@ func newBenchFixture(b *testing.B, rows, updates int, query string) *benchFixtur
 	}
 }
 
+// runDRA steps a plan prepared on engine over the fixture's window,
+// b.N times. The fixture's plans are join-free, which keep no state, so
+// every iteration does the same work.
 func (f *benchFixture) runDRA(b *testing.B, engine *dra.Engine) {
 	b.Helper()
+	prep, err := engine.Prepare(f.plan, dra.StrategyAuto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer prep.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Reevaluate(f.plan, f.ctx, f.execTS); err != nil {
+		if _, err := prep.Step(f.ctx, f.execTS); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,59 +165,78 @@ func BenchmarkE4SelectivitySweep(b *testing.B) {
 	}
 }
 
-// joinBenchFixture builds the 3-way join A ⋈ B ⋈ C over rows tuples per
-// operand and a pending window of churn commits, each modifying the first
-// 10 tuples of every touched operand.
-func joinBenchFixture(b *testing.B, rows, churn int, touched ...string) (*dra.Context, algebra.Plan, *storage.Store, *relation.Relation, vclock.Timestamp) {
+// joinStream is the 3-way join A ⋈ B ⋈ C over rows tuples per operand,
+// standing as a plan prepared and seeded on an engine. Each window is
+// churn commits, each modifying the same 10 tuples of every touched
+// operand (the next 10 in the next window).
+type joinStream struct {
+	store   *storage.Store
+	plan    algebra.Plan
+	prep    *dra.Prepared
+	tids    map[string][]relation.TID
+	touched []string
+	churn   int
+	windows int
+	lastTS  vclock.Timestamp
+}
+
+func newJoinStream(b *testing.B, engine *dra.Engine, rows, churn int, touched ...string) *joinStream {
 	b.Helper()
-	store := storage.NewStore()
-	schemas := map[string]relation.Schema{
+	j := &joinStream{store: storage.NewStore(), tids: map[string][]relation.TID{}, touched: touched, churn: churn}
+	for name, schema := range map[string]relation.Schema{
 		"a": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "tag", Type: relation.TString}),
 		"b": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "y", Type: relation.TInt}),
 		"c": relation.MustSchema(relation.Column{Name: "y", Type: relation.TInt}, relation.Column{Name: "name", Type: relation.TString}),
-	}
-	for name, schema := range schemas {
-		if err := store.CreateTable(name, schema); err != nil {
+	} {
+		if err := j.store.CreateTable(name, schema); err != nil {
 			b.Fatal(err)
 		}
 	}
-	tids := map[string][]relation.TID{}
-	tx := store.Begin()
+	tx := j.store.Begin()
 	for i := 0; i < rows; i++ {
 		ta, _ := tx.Insert("a", []relation.Value{relation.Int(int64(i)), relation.Str("t")})
 		tb, _ := tx.Insert("b", []relation.Value{relation.Int(int64(i)), relation.Int(int64(2 * i))})
 		tc, _ := tx.Insert("c", []relation.Value{relation.Int(int64(2 * i)), relation.Str("c")})
-		tids["a"] = append(tids["a"], ta)
-		tids["b"] = append(tids["b"], tb)
-		tids["c"] = append(tids["c"], tc)
+		j.tids["a"] = append(j.tids["a"], ta)
+		j.tids["b"] = append(j.tids["b"], tb)
+		j.tids["c"] = append(j.tids["c"], tc)
 	}
 	if _, err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	plan, err := algebra.PlanSQL("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y", store.Live())
+	plan, err := algebra.PlanSQL("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y", j.store.Live())
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan = algebra.Optimize(plan)
-	prev, err := dra.InitialResult(plan, store.Live())
-	if err != nil {
+	j.plan = algebra.Optimize(plan)
+	if j.prep, err = engine.Prepare(j.plan, dra.StrategyAuto); err != nil {
 		b.Fatal(err)
 	}
-	lastTS := store.Now()
+	b.Cleanup(j.prep.Close)
+	j.lastTS = j.store.Now()
+	if _, err := j.prep.Seed(j.store.Live(), j.lastTS); err != nil {
+		b.Fatal(err)
+	}
+	return j
+}
 
-	for c := 0; c < churn; c++ {
-		tx = store.Begin()
-		for _, table := range touched {
-			for i := 0; i < 10; i++ {
-				live, _ := store.Contents(table)
-				cur, _ := live.Lookup(tids[table][i])
+// commit commits the next window.
+func (j *joinStream) commit(b *testing.B) {
+	b.Helper()
+	for c := 0; c < j.churn; c++ {
+		tx := j.store.Begin()
+		for _, table := range j.touched {
+			live, _ := j.store.Contents(table)
+			for k := 0; k < 10; k++ {
+				tid := j.tids[table][(j.windows*10+k)%len(j.tids[table])]
+				cur, _ := live.Lookup(tid)
 				vals := append([]relation.Value(nil), cur.Values...)
 				if vals[1].Kind == relation.TString {
 					vals[1] = relation.Str(vals[1].AsString() + "'")
 				} else {
 					vals[1] = relation.Int(vals[1].AsInt() + 1)
 				}
-				if err := tx.Update(table, tids[table][i], vals); err != nil {
+				if err := tx.Update(table, tid, vals); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -218,49 +245,62 @@ func joinBenchFixture(b *testing.B, rows, churn int, touched ...string) (*dra.Co
 			b.Fatal(err)
 		}
 	}
+	j.windows++
+}
 
-	deltas := map[string]*delta.Delta{}
-	for name := range schemas {
-		d, err := store.DeltaSince(name, lastTS)
+// step commits the next window with the timer stopped and times the
+// plan's step over it.
+func (j *joinStream) step(b *testing.B) *dra.Result {
+	b.Helper()
+	b.StopTimer()
+	j.commit(b)
+	ctx := &dra.Context{Pre: j.store.At(j.lastTS), Post: j.store.Live(), Deltas: map[string]*delta.Delta{}, LastTS: j.lastTS}
+	for _, name := range []string{"a", "b", "c"} {
+		d, err := j.store.DeltaSince(name, j.lastTS)
 		if err != nil {
 			b.Fatal(err)
 		}
-		deltas[name] = d
+		ctx.Deltas[name] = d
 	}
-	ctx := &dra.Context{
-		Pre:    store.At(lastTS),
-		Post:   store.Live(),
-		Deltas: deltas,
-		LastTS: lastTS,
-		Prev:   prev,
+	ts := j.store.Now()
+	b.StartTimer()
+	res, err := j.prep.Step(ctx, ts)
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return ctx, plan, store, prev, store.Now()
+	j.lastTS = ts
+	j.store.CollectGarbage(ts)
+	b.StartTimer()
+	return res
 }
 
-// BenchmarkE5JoinTruthTable: 3-way join, k changed operands → 2^k−1
-// terms.
-func BenchmarkE5JoinTruthTable(b *testing.B) {
+// BenchmarkE5JoinTerms: 3-way join, k changed operands: one telescoping
+// term per changed operand, where Algorithm 1's truth table runs 2^k−1.
+func BenchmarkE5JoinTerms(b *testing.B) {
 	cases := [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}}
 	for _, touched := range cases {
 		b.Run(fmt.Sprintf("k=%d/DRA", len(touched)), func(b *testing.B) {
-			ctx, plan, _, _, ts := joinBenchFixture(b, 4000, 1, touched...)
-			engine := dra.NewEngine()
+			j := newJoinStream(b, dra.NewEngine(), 4000, 1, touched...)
 			var res *dra.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = engine.Reevaluate(plan, ctx, ts); err != nil {
-					b.Fatal(err)
-				}
+				res = j.step(b)
 			}
 			b.ReportMetric(float64(res.Stats.Terms), "terms")
 		})
 	}
 	b.Run("Full", func(b *testing.B) {
-		_, plan, store, prev, ts := joinBenchFixture(b, 4000, 1, "a")
+		j := newJoinStream(b, dra.NewEngine(), 4000, 1, "a")
+		prev, err := dra.InitialResult(j.plan, j.store.Live())
+		if err != nil {
+			b.Fatal(err)
+		}
+		j.commit(b)
+		ts := j.store.Now()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dra.FullReevaluate(plan, store.Live(), prev, ts); err != nil {
+			if _, err := dra.FullReevaluate(j.plan, j.store.Live(), prev, ts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -552,11 +592,11 @@ func BenchmarkE11AppendOnly(b *testing.B) {
 	})
 	b.Run("dra", func(b *testing.B) {
 		store, plan, gen := setup(b)
-		prev, err := dra.InitialResult(plan, store.Live())
+		prep, err := dra.NewEngine().Prepare(plan, dra.StrategyAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
-		engine := dra.NewEngine()
+		defer prep.Close()
 		last := store.Now()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -571,15 +611,13 @@ func BenchmarkE11AppendOnly(b *testing.B) {
 			ctx := &dra.Context{
 				Pre: store.At(last), Post: store.Live(),
 				Deltas: map[string]*delta.Delta{"stocks": d},
-				LastTS: last, Prev: prev,
+				LastTS: last,
 			}
 			b.StartTimer()
-			res, err := engine.Reevaluate(plan, ctx, store.Now())
-			if err != nil {
+			if _, err := prep.Step(ctx, store.Now()); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			prev = res.ApplyTo(prev)
 			last = store.Now()
 			b.StartTimer()
 		}
@@ -599,7 +637,11 @@ func BenchmarkE12IrrelevantUpdates(b *testing.B) {
 		for _, mode := range []string{"refinement-on", "full"} {
 			b.Run(fmt.Sprintf("share=%g/%s", share, mode), func(b *testing.B) {
 				f := newBenchFixture(b, benchBaseRows, 0, "SELECT * FROM stocks WHERE price > 190")
-				engine := dra.NewEngine()
+				prep, err := dra.NewEngine().Prepare(f.plan, dra.StrategyAuto)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer prep.Close()
 				skipped := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -634,7 +676,7 @@ func BenchmarkE12IrrelevantUpdates(b *testing.B) {
 					if mode == "full" {
 						res, err = dra.FullReevaluate(f.plan, f.store.Live(), f.prev, ts)
 					} else {
-						res, err = engine.Reevaluate(f.plan, ctx, ts)
+						res, err = prep.Step(ctx, ts)
 					}
 					b.StopTimer()
 					if err != nil {
@@ -723,16 +765,13 @@ func BenchmarkA2Compaction(b *testing.B) {
 			f.runDRA(b, engine)
 		})
 		b.Run(fmt.Sprintf("join/compaction=%v", on), func(b *testing.B) {
-			ctx, plan, _, _, ts := joinBenchFixture(b, 4000, 40, "a")
 			engine := dra.NewEngine()
 			engine.CompactDeltas = on
+			j := newJoinStream(b, engine, 4000, 40, "a")
 			var res *dra.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = engine.Reevaluate(plan, ctx, ts); err != nil {
-					b.Fatal(err)
-				}
+				res = j.step(b)
 			}
 			b.ReportMetric(float64(res.Stats.DeltaRows), "signed_rows")
 		})
@@ -799,125 +838,37 @@ func BenchmarkA4IncrementalAggregates(b *testing.B) {
 	})
 	b.Run("propagate-fallback", func(b *testing.B) {
 		_, plan, ctx, ts := setup(b)
-		engine := dra.NewEngine()
+		prep, err := dra.NewEngine().Prepare(plan, dra.StrategyPropagate)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer prep.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.Reevaluate(plan, ctx, ts); err != nil {
+			if _, err := prep.Step(ctx, ts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkA5MaintainedJoin: the maintained-index join extension vs the
-// paper's truth-table evaluation on the E5 k=1 workload. The maintainer
-// folds state destructively, so each iteration advances a fresh real
-// window (10 modified tuples of A) on one persistent fixture; window
-// generation runs with the timer stopped. It is also E16, a standing
-// query vs the stateless Algorithm 1: allocs/op per arm, and ix_hits/op,
-// the operand replicas the prepared plan found current.
+// BenchmarkA5MaintainedJoin: the maintained-index join extension on the
+// E5 k=1 workload: the prepared plan telescopes over its operand
+// replicas, each iteration stepping a fresh real window (10 modified
+// tuples of A) on one persistent fixture, window generation with the
+// timer stopped. It is also E16, a standing query: allocs/op, and
+// ix_hits/op, the operand replicas the plan found current.
 func BenchmarkA5MaintainedJoin(b *testing.B) {
 	b.Run("maintained-indexes", func(b *testing.B) {
-		store := storage.NewStore()
-		for name, schema := range map[string]relation.Schema{
-			"a": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "tag", Type: relation.TString}),
-			"b": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "y", Type: relation.TInt}),
-			"c": relation.MustSchema(relation.Column{Name: "y", Type: relation.TInt}, relation.Column{Name: "name", Type: relation.TString}),
-		} {
-			if err := store.CreateTable(name, schema); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var aTIDs []relation.TID
-		tx := store.Begin()
-		for i := 0; i < 4000; i++ {
-			ta, _ := tx.Insert("a", []relation.Value{relation.Int(int64(i)), relation.Str("t")})
-			_, _ = tx.Insert("b", []relation.Value{relation.Int(int64(i)), relation.Int(int64(2 * i))})
-			_, _ = tx.Insert("c", []relation.Value{relation.Int(int64(2 * i)), relation.Str("c")})
-			aTIDs = append(aTIDs, ta)
-		}
-		if _, err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-		plan, err := algebra.PlanSQL("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y", store.Live())
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan = algebra.Optimize(plan)
-		prep, err := dra.NewEngine().Prepare(plan, dra.StrategyIncremental)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer prep.Close()
-		prev, err := dra.InitialResult(plan, store.Live())
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastTS := store.Now()
-		// step commits window r with the timer stopped, steps the prepared
-		// plan over it and returns the operand replicas it found current.
-		step := func(r int) int {
-			b.StopTimer()
-			tx := store.Begin()
-			for k := 0; k < 10; k++ {
-				tid := aTIDs[(r*10+k)%len(aTIDs)]
-				live, _ := store.Contents("a")
-				cur, _ := live.Lookup(tid)
-				vals := append([]relation.Value(nil), cur.Values...)
-				vals[1] = relation.Str(cur.Values[1].AsString() + "'")
-				if err := tx.Update("a", tid, vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			d, err := store.DeltaSince("a", lastTS)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := &dra.Context{
-				Pre: store.At(lastTS), Post: store.Live(),
-				Deltas: map[string]*delta.Delta{
-					"a": d,
-					"b": delta.New(relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "y", Type: relation.TInt})),
-					"c": delta.New(relation.MustSchema(relation.Column{Name: "y", Type: relation.TInt}, relation.Column{Name: "name", Type: relation.TString})),
-				},
-				LastTS: lastTS,
-				Prev:   prev,
-			}
-			ts := store.Now()
-			b.StartTimer()
-			res, err := prep.Step(ctx, ts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prev = res.ApplyTo(prev)
-			b.StopTimer()
-			lastTS = ts
-			store.CollectGarbage(lastTS)
-			b.StartTimer()
-			return res.Stats.IndexCacheHits
-		}
-		step(0) // warm-up: the first step builds the replicas
+		j := newJoinStream(b, dra.NewEngine(), 4000, 1, "a")
+		j.step(b) // warm-up: builds the probe indexes the seed did not
 		hits := 0
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 1; i <= b.N; i++ {
-			hits += step(i)
+		for i := 0; i < b.N; i++ {
+			hits += j.step(b).Stats.IndexCacheHits
 		}
 		b.ReportMetric(float64(hits)/float64(b.N), "ix_hits/op")
-	})
-	b.Run("truth-table", func(b *testing.B) {
-		ctx, plan, _, _, ts := joinBenchFixture(b, 4000, 1, "a")
-		engine := dra.NewEngine()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Reevaluate(plan, ctx, ts); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

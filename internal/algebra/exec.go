@@ -14,13 +14,13 @@ import (
 
 // Source provides base relation contents to the executor. Implementations
 // include the storage engine (current contents), historical snapshots,
-// and the substituted operand sets that DRA's truth-table terms use.
+// and a client mirror's operand replicas.
 type Source interface {
 	Relation(table string) (*relation.Relation, error)
 }
 
-// MapSource is a Source backed by a map, used for tests, for DRA term
-// evaluation and for a client mirror's operand replicas.
+// MapSource is a Source backed by a map, used for tests and for a client
+// mirror's operand replicas.
 type MapSource map[string]*relation.Relation
 
 // Relation implements Source.

@@ -74,8 +74,11 @@ func NewAppendOnly(plan algebra.Plan, src algebra.Source) (*AppendOnly, error) {
 
 // Step consumes the update windows. Deletion and modification rows are
 // dropped on the floor — the defining restriction of the append-only
-// model. pre is the base state as of the previous step (partner operands
-// for join terms).
+// model. pre is the base state as of the previous step: the partner
+// operands of a join. Each step runs a freshly prepared plan, which has
+// no position and so seeds its operand replicas from pre; a plan kept
+// across steps would have folded only the inserts into them. A plan
+// outside the differential class diffs post against the running result.
 func (a *AppendOnly) Step(deltas map[string]*delta.Delta, pre, post algebra.Source, ts vclock.Timestamp) (*relation.Relation, error) {
 	insertOnly := make(map[string]*delta.Delta, len(deltas))
 	for table, d := range deltas {
@@ -89,8 +92,13 @@ func (a *AppendOnly) Step(deltas map[string]*delta.Delta, pre, post algebra.Sour
 		}
 		insertOnly[table] = filtered
 	}
+	p, err := a.engine.Prepare(a.plan, dra.StrategyAuto)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
 	ctx := &dra.Context{Pre: pre, Post: post, Deltas: insertOnly, Prev: a.result}
-	res, err := a.engine.Reevaluate(a.plan, ctx, ts)
+	res, err := p.Step(ctx, ts)
 	if err != nil {
 		return nil, err
 	}

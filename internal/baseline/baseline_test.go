@@ -162,3 +162,77 @@ func TestAppendOnlyReportsOnlyNewMatches(t *testing.T) {
 		t.Errorf("added = \n%s", added)
 	}
 }
+
+// TestAppendOnlyJoinReadsPartnersFromPre: the append-only model drops a
+// window's deletions, but a join's partner operands are the base state
+// the step is handed (pre), not what earlier steps saw. A stock deleted
+// in one window must not join a trade inserted for it in the next.
+func TestAppendOnlyJoinReadsPartnersFromPre(t *testing.T) {
+	s := storage.NewStore()
+	trades := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "volume", Type: relation.TInt},
+	)
+	if err := s.CreateTable("stocks", stockSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTable("trades", trades); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := algebra.PlanSQL("SELECT * FROM stocks s JOIN trades t ON s.name = t.sym", s.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = algebra.Optimize(plan)
+	p := insert(t, s, "P", 150)
+	insert(t, s, "Q", 120)
+	trade := func(sym string) {
+		t.Helper()
+		tx := s.Begin()
+		if _, err := tx.Insert("trades", []relation.Value{relation.Str(sym), relation.Int(10)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ao, err := NewAppendOnly(plan, s.Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := s.Now()
+	step := func() *relation.Relation {
+		t.Helper()
+		ds := deltasSince(t, s, last)
+		d, err := s.DeltaSince("trades", last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds["trades"] = d
+		added, err := ao.Step(ds, s.At(last), s.Live(), s.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = s.Now()
+		return added
+	}
+
+	trade("Q")
+	if added := step(); added.Len() != 1 {
+		t.Fatalf("first step added %d rows, want the Q match:\n%s", added.Len(), added)
+	}
+	tx := s.Begin()
+	if err := tx.Delete("stocks", p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if added := step(); added.Len() != 0 {
+		t.Fatalf("a deletion added %d rows:\n%s", added.Len(), added)
+	}
+	trade("P")
+	if added := step(); added.Len() != 0 {
+		t.Fatalf("a trade for the deleted stock P joined it:\n%s", added)
+	}
+}

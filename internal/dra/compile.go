@@ -14,8 +14,7 @@ import (
 // the differential evaluator needs, derived once so that a refresh only
 // pays for delta rows. Exactly one of the kind fields is set.
 //
-// Reevaluate builds a transient tree per call; Prepare builds one at CQ
-// registration and reuses it for the life of the query.
+// Prepare builds the tree once and reuses it for the life of the query.
 type compiledNode struct {
 	plan algebra.Plan
 	scan *algebra.ScanPlan
@@ -80,11 +79,9 @@ type compiledJoin struct {
 	equi      []equiBind
 	outSchema relation.Schema
 
-	// cache holds the operand replicas and their hash indexes across
-	// refreshes, and decides the group's kernel: with it the group
-	// telescopes over the replicas (telescopeJoin), without it — the
-	// transient Reevaluate path — it runs Algorithm 1's truth table over
-	// the pre-state snapshot. Set by attachReplicas.
+	// cache holds the operand replicas, their hash indexes and the
+	// telescoping term plans across refreshes (telescopeJoin). Every
+	// compiled group has one from compileJoin on.
 	cache *opCache
 }
 
@@ -159,7 +156,7 @@ func newProjectNode(p algebra.Plan, in *compiledNode, items []algebra.CompiledEx
 
 // compileJoin flattens a join subtree and resolves what no refresh or
 // term should re-derive: compiled conjuncts, operand masks, equi
-// bindings.
+// bindings, and the operand replicas with their term plans.
 func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 	ops, preds, err := flatten(n)
 	if err != nil {
@@ -199,6 +196,7 @@ func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 		equi:      equi,
 		outSchema: outSchema,
 	}
+	cj.cache = newOpCache(cj)
 	return &compiledNode{plan: n, join: cj}, nil
 }
 
@@ -234,14 +232,6 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 	}
 }
 
-// attachReplicas gives every join group in the tree its cross-refresh
-// operand state — what makes the tree a standing query's.
-func (n *compiledNode) attachReplicas() {
-	n.eachJoin(func(cj *compiledJoin) {
-		cj.cache = newOpCache(cj)
-	})
-}
-
 // dropReplicas discards the operand replicas of every prepared join group
 // in the tree (Close).
 func (n *compiledNode) dropReplicas() {
@@ -263,10 +253,9 @@ type probeStep struct {
 
 // termPlan is the resolved evaluation plan of one term: the seeding
 // operand, the conjuncts over it alone, and the join steps in order.
-// Everything the term evaluators used to re-derive per row or per step
-// (key columns, which conjuncts are ready, which the key consumed) is
-// decided here once — at Prepare for the telescoping kernel, per term
-// for the truth table, whose join order depends on operand sizes.
+// Everything the term evaluator would otherwise re-derive per row or per
+// step (key columns, which conjuncts are ready, which the key consumed)
+// is decided here once, at Prepare.
 type termPlan struct {
 	first     int
 	seedPreds []int

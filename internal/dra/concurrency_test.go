@@ -6,6 +6,7 @@ import (
 
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 )
 
@@ -74,10 +75,12 @@ func TestNetCollidingRows(t *testing.T) {
 }
 
 // TestConcurrentReevaluateSharedEngine drives one engine from many
-// goroutines over the same context, as the cq scheduler's refresh
-// workers do. Run under -race this is the regression test for the
-// stats be shared mutable engine state; the assertions check every concurrent
-// call still computes the serial answer.
+// goroutines over the same context, one Prepared per goroutine, as the
+// cq scheduler's refresh workers step their CQs' plans. Run under -race
+// this is the regression test for the stats being shared mutable engine
+// state (the engine's pool and metrics are what the plans share); the
+// assertions check every concurrent step still computes the serial
+// answer.
 func TestConcurrentReevaluateSharedEngine(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	tids := f.insert(t, "stocks",
@@ -108,7 +111,8 @@ func TestConcurrentReevaluateSharedEngine(t *testing.T) {
 	execTS := f.store.Now()
 
 	e := NewEngine()
-	ref, err := e.Reevaluate(plan, ctx, execTS)
+	e.Instrument(obs.NewRegistry())
+	ref, err := subjectFor(t, e, plan, "auto").Step(ctx, execTS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +121,12 @@ func TestConcurrentReevaluateSharedEngine(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
+		p := subjectFor(t, e, plan, "auto")
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := e.Reevaluate(plan, ctx, execTS)
+				res, err := p.Step(ctx, execTS)
 				if err != nil {
 					errs[w] = err
 					return

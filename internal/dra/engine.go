@@ -21,7 +21,12 @@
 //
 //	(R1+ΔR1) ⋈ (R2+ΔR2) = R1⋈R2 + ΔR1⋈R2 + R1⋈ΔR2 + ΔR1⋈ΔR2
 //
-// generalized to n operands. Selections and projections commute with the
+// generalized to n operands. The engine computes the same net change in
+// its telescoped form (telescopeJoin): with the operands' states kept
+// as replicas, operand i's window joins the replicas of the operands
+// before it already advanced past their windows and those after it not
+// yet, so a refresh runs at most one term per changed operand and reads
+// no pre-state. Selections and projections commute with the
 // signed representation row by row: they are linear, so their
 // incremental form keeps no state and builds no structure. A join-free
 // subtree [Project(bare columns)]([Select](Scan)) is therefore evaluated
@@ -39,19 +44,16 @@
 // by the equivalence proofs in the test suite and by the benchmark
 // baselines.
 //
-// A standing query holds one evaluator, Prepared, wherever it runs: the
-// cq manager's CQs and template groups on the server, and
-// remote.MirrorCQ on a client (Section 6). Engine.Prepare compiles the
-// plan once, Prepared.Seed runs the initial execution — the same
-// kernels' step from the empty state, every operand entering as an
-// all-insert columnar image (ΔR = R) — and every refresh is one
-// Prepared.Step. Joins have two kernels, chosen by what the
-// caller is. Reevaluate is the paper's stateless Algorithm 1: the truth
-// table above, every unchanged operand's pre-state executed from the
-// last-execution snapshot; it serves one-shot callers (baselines,
-// experiments, tests). Prepared keeps a replica per join operand and
-// telescopes over them instead (telescopeJoin): the same net change in
-// at most one term per changed operand, O(|ΔR|) per refresh.
+// A query holds one evaluator, Prepared, wherever it runs: the cq
+// manager's CQs and template groups on the server, remote.MirrorCQ on a
+// client (Section 6), and one-shot callers such as baseline.AppendOnly,
+// which prepares a plan per step. Engine.Prepare compiles
+// the plan once, giving every join group its operand replicas,
+// Prepared.Seed runs the initial execution — the same kernels' step
+// from the empty state, every operand entering as an all-insert
+// columnar image (ΔR = R) — and every refresh is one Prepared.Step. A
+// plan stepped from anywhere but its last execution (never seeded, or
+// prepared afresh) re-seeds its replicas from the pre-state first.
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
 // Algorithm 1 covers ("limited to SPJ expressions"). Prepare keeps the
@@ -84,25 +86,25 @@ var (
 
 // Context carries the inputs of Algorithm 1:
 //
-//	(i)   the CQ definition        — the plan passed to Reevaluate;
+//	(i)   the CQ definition        — the plan passed to Prepare;
 //	(ii)  base contents at the last execution — Pre;
 //	(iii) the differential relations           — Deltas or Batches (window > last ts);
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
 // Pre is read only where a refresh must rebuild state: the re-seed of a
-// stateful Prepared whose position is not LastTS (never seeded, last
-// step failed, or stepped from elsewhere), a truth-table term's
-// pre-state, and the query on both states under unprepared Reevaluate.
-// A rebuild reads Pre the way Seed reads its source: as one columnar
-// image per table, the source's own when it has a TableImage method
-// (storage.HistoricView), converted from its relations otherwise. A caller that keeps its own copy of the base
-// tables hands them here as they stand at LastTS. Post is the current contents, needed by complete
+// stateful Prepared whose position is not LastTS (never seeded, prepared
+// afresh, last step failed, or stepped from elsewhere). A rebuild reads
+// Pre the way Seed reads its source: as one columnar image per table,
+// the source's own when it has a TableImage method
+// (storage.HistoricView), converted from its relations otherwise. A
+// caller that keeps its own copy of the base tables hands them here as
+// they stand at LastTS. Post is the current contents, needed by complete
 // re-evaluation and by result verification; a Prepared whose Strategy is
-// StrategyIncremental never reads it.
+// StrategyIncremental never reads it, nor Prev.
 //
 // The engine keeps no reference to a Context, nor to its Pre and Post
-// sources or its maps, once Step (or Reevaluate) returns: a caller may
+// sources or its maps, once Step returns: a caller may
 // reuse one Context, refilling it in place, for every refresh of its
 // evaluator. Windows and batches it carries are only read; the Result
 // references none of them.
@@ -154,9 +156,8 @@ type Context struct {
 // the benchmark harness.
 type Stats struct {
 	// Terms is the number of join terms evaluated: per join group, one
-	// per changed operand under the telescoping kernel of a prepared
-	// plan, one per non-empty truth-table row (up to 2^k - 1) under
-	// unprepared Reevaluate.
+	// per changed operand (telescopeJoin), where Algorithm 1's truth
+	// table would run up to 2^k - 1.
 	Terms int
 	// DeltaRows is the total number of signed window rows the scans of a
 	// relevant refresh read. A skipped refresh reports zero although it
@@ -165,9 +166,9 @@ type Stats struct {
 	// pre-tuples-per-delta-row) means rows that fed an evaluation, as it
 	// did when a separate pre-pass made the call.
 	DeltaRows int
-	// PreTuplesScanned counts tuples read from pre-states: a truth-table
-	// term's unchanged operands, and every image row a re-seed reads
-	// (dra.pre_tuples_scanned is the re-seed meter of a standing query).
+	// PreTuplesScanned counts tuples read from pre-states: every image
+	// row a re-seed reads (dra.pre_tuples_scanned is the re-seed meter of
+	// a standing query).
 	PreTuplesScanned int
 	// FellBack reports complete re-evaluation: the plan is outside the
 	// SPJ class, or was prepared with StrategyPropagate.
@@ -182,7 +183,6 @@ type Stats struct {
 	// IndexCacheHits counts the operand replicas a step found at its
 	// LastTS (the plan's position) and served as they were; IndexCacheMisses
 	// counts the replicas a re-seed built and first-time index builds.
-	// Both stay zero on the unprepared Reevaluate path.
 	IndexCacheHits   int
 	IndexCacheMisses int
 	// JoinProbeRows counts in-progress join rows that entered a join
@@ -220,8 +220,8 @@ type Engine struct {
 	// Nil (zero-value engines in tests) degrades to plain allocation.
 	pool *batch.Pool
 
-	// Metrics accumulates per-call Stats into the engine-wide obs
-	// registry and records a span per Reevaluate. Nil (the default)
+	// Metrics accumulates per-step Stats into the engine-wide obs
+	// registry and records a sampled span per step. Nil (the default)
 	// leaves the engine uninstrumented; see Instrument.
 	//
 	// Per-call stats live in Result.Stats, owned by the caller; the
@@ -374,66 +374,23 @@ func (r *Result) Maintain(t *batch.Table) *batch.Table {
 	return r.full
 }
 
-// Reevaluate computes the result of the current execution of the query
-// differentially, compiling the plan transiently per call and keeping
-// nothing afterwards: this is Algorithm 1 as the paper states it — join
-// groups by the 2^k-1 truth-table expansion over the pre-state snapshot —
-// with Propagate (the query on both states) for plans outside the SPJ
-// class. ctx.Prev must be non-nil but need not be the exact previous
-// result. Standing queries Prepare once and Step instead.
-//
-// Reevaluate is safe for concurrent use: stats accumulate into a
-// per-call value (returned in Result.Stats) and the context is only
-// read, so the cq scheduler's refresh workers share one engine.
-func (e *Engine) Reevaluate(plan algebra.Plan, ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	var root *compiledNode
-	if supportsDifferential(plan) {
-		r, err := compilePlan(plan)
-		if err != nil {
-			return nil, err
-		}
-		root = r
-	}
-	res := &Result{ExecTS: execTS}
-	if err := e.evaluate(plan, root, ctx, res, false); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// evaluate is the refresh core shared by Reevaluate (transient compile
-// per call) and Prepared.StepInto (compile once at registration): the
-// differential evaluation when root is non-nil, complete re-evaluation
-// otherwise, into res, which the caller has reset to the execution's
-// timestamp. exactPrev vouches that ctx.Prev is the query's result on
-// ctx.Pre, so complete re-evaluation is one execution over ctx.Post and
-// a Diff; without it the query runs on both states.
-func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, res *Result, exactPrev bool) error {
-	if ctx.Prev == nil && !(root != nil && exactPrev) {
-		// Algorithm 1's input (v): Reevaluate takes it as the paper does,
-		// complete re-evaluation diffs against it; only a prepared
-		// differential step never reads it.
-		return ErrNoPrev
-	}
+// evaluate is the refresh core of Prepared.StepInto: the differential
+// evaluation when root is non-nil, complete re-evaluation otherwise —
+// one execution over ctx.Post diffed against ctx.Prev, which must be the
+// query's result on ctx.Pre — into res, which the caller has reset to
+// the execution's timestamp.
+func (e *Engine) evaluate(plan algebra.Plan, root *compiledNode, ctx *Context, res *Result) error {
 	var span *obs.Span
 	var start time.Time
 	if m := e.Metrics; m != nil {
 		start = time.Now()
 		span = m.startSpan()
 	}
-
 	var err error
-	switch {
-	case root != nil:
+	if root != nil {
 		err = e.vecEvaluate(root, ctx, res)
-	case exactPrev:
+	} else {
 		err = fullReevaluate(plan, ctx.Post, ctx.Prev, res, ctx.Deadline)
-	default:
-		// Diff output: each tid at most once already.
-		var d *delta.Delta
-		if d, err = propagate(plan, ctx.Pre, ctx.Post, res.ExecTS, ctx.Deadline); err == nil {
-			res.setRows(plan.Schema(), d.Rows())
-		}
 	}
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package dra
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -86,25 +87,20 @@ func (f *fixture) plan(t *testing.T, query string) algebra.Plan {
 	return algebra.Optimize(p)
 }
 
-// reval runs the engine, maintains the complete result, and sanity
-// checks it against full re-evaluation. prev is consumed (mutated).
+// reval refreshes plan once, from f.lastTS, by a plan prepared on e and
+// seeded there, maintains the complete result, and sanity checks it
+// against full re-evaluation (stepPrepared). prev is consumed (mutated).
 func (f *fixture) reval(t *testing.T, e *Engine, plan algebra.Plan, prev *relation.Relation) (*Result, *relation.Relation) {
 	t.Helper()
-	ctx := f.ctx(t)
-	ctx.Prev = prev
-	res, err := e.Reevaluate(plan, ctx, f.store.Now())
-	if err != nil {
-		t.Fatalf("Reevaluate: %v", err)
-	}
-	complete := res.ApplyTo(prev)
-	want, err := algebra.NewExecutor(f.store.Live()).Execute(plan)
+	p, err := e.Prepare(plan, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !complete.EqualByTID(want) {
-		t.Fatalf("differential result diverges from full re-evaluation.\nDRA:\n%s\nfull:\n%s", complete, want)
+	defer p.Close()
+	if _, err := p.Seed(f.store.At(f.lastTS), f.lastTS); err != nil {
+		t.Fatal(err)
 	}
-	return res, complete
+	return stepPrepared(t, f, p, plan, prev)
 }
 
 // TestExample2 reproduces Example 2 of the paper end to end: continual
@@ -277,7 +273,7 @@ func TestJoinDeltaSingleChangedOperand(t *testing.T) {
 	}
 	f.mark()
 
-	// One new trade for IBM: exactly one truth-table term (Δtrades ⋈ stocks).
+	// One new trade for IBM: exactly one term (Δtrades ⋈ stocks).
 	f.insert(t, "trades", []relation.Value{relation.Str("IBM"), relation.Int(50)})
 
 	e := NewEngine()
@@ -305,7 +301,8 @@ func TestJoinDeltaBothOperandsChanged(t *testing.T) {
 	prev, _ := InitialResult(plan, f.store.Live())
 	f.mark()
 
-	// Modify a stock and insert a trade for it: 3 truth-table terms.
+	// Modify a stock and insert a trade for it: one term per changed
+	// operand, where the truth table would run 2^2-1.
 	tx := f.store.Begin()
 	_ = tx.Update("stocks", stockTIDs[1], sv("IBM", 80))
 	_, _ = tx.Insert("trades", []relation.Value{relation.Str("IBM"), relation.Int(10)})
@@ -315,8 +312,8 @@ func TestJoinDeltaBothOperandsChanged(t *testing.T) {
 
 	e := NewEngine()
 	res, _ := f.reval(t, e, plan, prev)
-	if res.Stats.Terms != 3 {
-		t.Errorf("terms = %d, want 3 (2^2-1)", res.Stats.Terms)
+	if res.Stats.Terms != 2 {
+		t.Errorf("terms = %d, want 2 (one per changed operand)", res.Stats.Terms)
 	}
 	// IBM@80 joined with old trade (modification) and with new trade
 	// (insertion).
@@ -356,7 +353,8 @@ func TestThreeWayJoinDelta(t *testing.T) {
 	}
 	f.mark()
 
-	// Change a and c (not b): 3 terms over k=2 changed operands.
+	// Change every operand: one term each, where the truth table would
+	// run 2^3-1.
 	tx := f.store.Begin()
 	_, _ = tx.Insert("a", iv(3, "a3"))
 	_, _ = tx.Insert("b", iv(3, 30))
@@ -367,8 +365,8 @@ func TestThreeWayJoinDelta(t *testing.T) {
 
 	e := NewEngine()
 	res, _ := f.reval(t, e, plan, prev)
-	if res.Stats.Terms != 7 {
-		t.Errorf("terms = %d, want 7 (2^3-1)", res.Stats.Terms)
+	if res.Stats.Terms != 3 {
+		t.Errorf("terms = %d, want 3 (one per changed operand)", res.Stats.Terms)
 	}
 	if res.Delta.Insertions().Len() != 1 {
 		t.Errorf("inserted = %d:\n%s", res.Delta.Insertions().Len(), res.Delta.Insertions())
@@ -384,18 +382,20 @@ func TestAggregateFallsBackToPropagate(t *testing.T) {
 		[]relation.Value{relation.Str("alice"), relation.Float(100)},
 		[]relation.Value{relation.Str("bob"), relation.Float(200)},
 	)
-	plan := f.plan(t, "SELECT SUM(amount) AS total FROM accounts")
+	// MAX is outside what a group table keeps (a deletion of the
+	// maximum needs the group's other rows): complete re-evaluation.
+	plan := f.plan(t, "SELECT MAX(amount) AS top FROM accounts")
 	prev, _ := InitialResult(plan, f.store.Live())
 	f.mark()
-	f.insert(t, "accounts", []relation.Value{relation.Str("carol"), relation.Float(50)})
+	f.insert(t, "accounts", []relation.Value{relation.Str("carol"), relation.Float(250)})
 
 	e := NewEngine()
 	res, complete := f.reval(t, e, plan, prev)
 	if !res.Stats.FellBack {
 		t.Error("aggregate should fall back to Propagate")
 	}
-	if complete.Len() != 1 || complete.At(0).Values[0].AsFloat() != 350 {
-		t.Errorf("sum = %v", complete.At(0).Values)
+	if complete.Len() != 1 || complete.At(0).Values[0].AsFloat() != 250 {
+		t.Errorf("max = %v", complete.At(0).Values)
 	}
 	// The change shows as a modification of the single aggregate row.
 	if len(res.Delta.Modifications()) != 1 {
@@ -403,12 +403,23 @@ func TestAggregateFallsBackToPropagate(t *testing.T) {
 	}
 }
 
+// TestReevaluateRequiresPrev: complete re-evaluation diffs against the
+// previous result (Algorithm 1's input (v)), so a step on
+// StrategyPropagate without ctx.Prev fails with ErrNoPrev; a
+// differential step never reads it.
 func TestReevaluateRequiresPrev(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	plan := f.plan(t, "SELECT * FROM stocks WHERE price > 120")
-	ctx := f.ctx(t)
-	if _, err := NewEngine().Reevaluate(plan, ctx, 1); err != ErrNoPrev {
-		t.Errorf("err = %v, want ErrNoPrev", err)
+	for _, strat := range []Strategy{StrategyPropagate, StrategyIncremental} {
+		p, err := NewEngine().Prepare(plan, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.Step(f.ctx(t), 1)
+		if want := map[Strategy]error{StrategyPropagate: ErrNoPrev}[strat]; !errors.Is(err, want) {
+			t.Errorf("%v: err = %v, want %v", strat, err, want)
+		}
+		p.Close()
 	}
 }
 
@@ -446,7 +457,7 @@ func catalogFor(r *relation.Relation) relCatalog { return relCatalog{rel: r} }
 
 // TestSelfJoinDelta exercises the same base table appearing as two join
 // operands: both operands share the same differential relation, and the
-// truth table must still produce the exact change.
+// telescoping terms must still produce the exact change.
 func TestSelfJoinDelta(t *testing.T) {
 	f := newFixture(t, map[string]relation.Schema{"stocks": stockSchema()})
 	f.insert(t, "stocks", sv("DEC", 150), sv("IBM", 75), sv("MAC", 117))

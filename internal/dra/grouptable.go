@@ -146,7 +146,6 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	fold.attachReplicas()
 	if items != nil {
 		fold = newProjectNode(nil, fold, items, foldSchema)
 	}

@@ -8,11 +8,6 @@ import (
 	"github.com/diorama/continual/internal/sql"
 )
 
-// maxChangedOperands caps the truth-table width; beyond it (4096 terms)
-// complete re-evaluation is cheaper and Reevaluate falls back to
-// Propagate.
-const maxChangedOperands = 12
-
 // operand is one leaf of the flattened join expression: a maximal
 // join-free subtree (Scan, possibly under Selects from predicate
 // pushdown).
@@ -79,54 +74,6 @@ func compilePreds(preds []sql.Expr, outSchema relation.Schema, ops []*operand) (
 		}
 	}
 	return compiled, masks, nil
-}
-
-// termOrder picks a truth-table term's operand join order from the
-// operand sizes ("delta-first", Section 5.2): the smallest delta operand
-// first, then greedily the operand connected by an equi predicate with
-// the smallest relation.
-func termOrder(cj *compiledJoin, lens []int, isDelta []bool) []int {
-	n := len(cj.ops)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	// Start with the smallest delta operand (there is at least one in
-	// every term).
-	best := -1
-	for i := 0; i < n; i++ {
-		if isDelta[i] && (best == -1 || lens[i] < lens[best]) {
-			best = i
-		}
-	}
-	if best == -1 {
-		best = 0
-	}
-	order = append(order, best)
-	used[best] = true
-	var filled uint64 = 1 << uint(best)
-
-	for len(order) < n {
-		next := -1
-		for k := 0; k < n; k++ {
-			if used[k] {
-				continue
-			}
-			if next == -1 {
-				next = k
-				continue
-			}
-			nc, kc := cj.equiLinked(filled, next), cj.equiLinked(filled, k)
-			switch {
-			case kc && !nc:
-				next = k
-			case kc == nc && lens[k] < lens[next]:
-				next = k
-			}
-		}
-		order = append(order, next)
-		used[next] = true
-		filled |= 1 << uint(next)
-	}
-	return order
 }
 
 func isEquiConjunct(p sql.Expr) bool {

@@ -7,7 +7,7 @@ import (
 	"github.com/diorama/continual/internal/obs"
 )
 
-// spanSample thins per-Reevaluate trace recording to one span every
+// spanSample thins per-step trace recording to one span every
 // spanSample calls (the first call always records). Counters and the
 // latency histogram still see every call; only the span — the expensive
 // part of the hook (allocation plus a mutexed ring write) — is sampled,
@@ -19,7 +19,7 @@ const spanSample = 16
 // construction. Result.Stats keeps the per-call numbers (used by the
 // benchmark harness); Metrics accumulates them across calls for the
 // /stats surface. With a nil *Metrics the engine is uninstrumented: the
-// only cost in Reevaluate is one nil check.
+// only cost in a step is one nil check.
 type Metrics struct {
 	Reevaluations *obs.Counter // dra.reevaluations
 	Terms         *obs.Counter // dra.terms_evaluated
@@ -44,7 +44,7 @@ type Metrics struct {
 	ReplicaRows   *obs.Gauge     // dra.replica.rows
 	Latency       *obs.Histogram // dra.reevaluate_ns
 	PrepareNS     *obs.Histogram // dra.prepare_ns
-	Traces        *obs.TraceLog  // per-Reevaluate spans, sampled
+	Traces        *obs.TraceLog  // per-step spans, sampled
 
 	// AggRowsFolded counts the signed input rows the aggregate and
 	// DISTINCT maintainers folded, AggGroupsTouched the groups those rows
@@ -59,7 +59,7 @@ type Metrics struct {
 	calls atomic.Uint64 // span sampling cursor
 }
 
-// startSpan begins a sampled per-Reevaluate span; nil outside the
+// startSpan begins a sampled per-step span; nil outside the
 // sample.
 func (m *Metrics) startSpan() *obs.Span {
 	if m.calls.Add(1)%spanSample != 1 {
@@ -106,7 +106,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.Metrics = NewMetrics(reg)
 }
 
-// observe folds one finished Reevaluate into the cumulative instruments
+// observe folds one finished step into the cumulative instruments
 // and records its span (span may be nil when tracing is off).
 func (m *Metrics) observe(st Stats, span *obs.Span, elapsed time.Duration) {
 	m.Reevaluations.Inc()

@@ -109,7 +109,6 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 		if err != nil {
 			return nil, err
 		}
-		root.attachReplicas()
 		p.root = root
 	default:
 		g, err := newGroupTable(e, plan)
@@ -292,14 +291,14 @@ func (p *Prepared) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) 
 	}
 	res.reset(execTS)
 	if p.root == nil || p.root.replicaCount() == 0 {
-		return p.engine.evaluate(p.plan, p.root, ctx, res, true)
+		return p.engine.evaluate(p.plan, p.root, ctx, res)
 	}
 	err := p.pos.resume(ctx, p.plan, p.root, &res.Stats, func(sctx *Context) error {
 		_, err := p.engine.seed(p.root, sctx)
 		return err
 	})
 	if err == nil {
-		err = p.engine.evaluate(p.plan, p.root, ctx, res, true)
+		err = p.engine.evaluate(p.plan, p.root, ctx, res)
 	}
 	p.pos.set(execTS, err)
 	p.engine.gaugeReplicas(p.root, &p.gauged)

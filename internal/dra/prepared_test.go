@@ -12,31 +12,37 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// subject is one way to refresh a plan: a Prepared, or Algorithm 1 run
-// statelessly (transient).
+// subject is one way to refresh a plan: a Prepared kept across steps,
+// or a plan prepared afresh for every step (fresh).
 type subject interface {
 	Step(ctx *Context, execTS vclock.Timestamp) (*Result, error)
 }
 
-// transient is unprepared Engine.Reevaluate as a subject: the plan is
-// compiled per call, join groups run the truth table over the pre-state
-// snapshot, and nothing is kept between refreshes.
-type transient struct {
+// fresh prepares the plan anew for every step, as baseline.AppendOnly
+// does: a plan with no position re-seeds its state from ctx.Pre, so
+// every step starts from the pre-state and nothing is kept between
+// refreshes.
+type fresh struct {
 	e    *Engine
 	plan algebra.Plan
 }
 
-func (r transient) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
-	return r.e.Reevaluate(r.plan, ctx, execTS)
+func (r fresh) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
+	p, err := r.e.Prepare(r.plan, StrategyAuto)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Step(ctx, execTS)
 }
 
-// subjectFor returns the named way to refresh plan on e: "truth-table"
-// is unprepared Reevaluate, any other name a Strategy's, prepared and
+// subjectFor returns the named way to refresh plan on e: "fresh" is a
+// plan prepared per step, any other name a Strategy's, prepared once and
 // closed with the test.
 func subjectFor(t *testing.T, e *Engine, plan algebra.Plan, name string) subject {
 	t.Helper()
-	if name == "truth-table" {
-		return transient{e, plan}
+	if name == "fresh" {
+		return fresh{e, plan}
 	}
 	strat, ok := map[string]Strategy{
 		"auto": StrategyAuto, "incremental": StrategyIncremental, "propagate": StrategyPropagate,
@@ -82,10 +88,11 @@ func stepPrepared(t *testing.T, f *fixture, p subject, plan algebra.Plan, prev *
 // theorem check to the prepared pipeline: over random multi-table
 // histories and SPJ query shapes, every way to refresh — the differential
 // pipeline by shape (auto) and by name (incremental), complete
-// re-evaluation (propagate), and Algorithm 1's stateless truth table
-// (unprepared Reevaluate) — must produce exactly the complete
-// re-evaluation result, round after round against the SAME long-lived
-// subject (so cross-refresh replica state is actually exercised).
+// re-evaluation (propagate), and a plan prepared afresh per step, which
+// re-seeds from the pre-state every time (fresh) — must produce exactly
+// the complete re-evaluation result, round after round against the SAME
+// long-lived subject (so cross-refresh replica state is actually
+// exercised).
 func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		"SELECT * FROM r WHERE a > 100",
@@ -96,7 +103,7 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 		"SELECT * FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE w.c > 10",
 		"SELECT r.a, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x",
 	}
-	subjects := []string{"auto", "truth-table", "incremental", "propagate"}
+	subjects := []string{"auto", "fresh", "incremental", "propagate"}
 
 	rSchema := relation.MustSchema(
 		relation.Column{Name: "s1", Type: relation.TString},
@@ -139,11 +146,10 @@ func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheHitsAcrossRefreshes is the tentpole's payoff check:
-// consecutive refreshes of the same prepared join serve unchanged
-// operand pre-states from the cross-refresh cache (hits), instead of
-// re-executing them against a historical snapshot per refresh (the
-// transient path, all misses).
+// TestPreparedCacheHitsAcrossRefreshes: consecutive refreshes of the
+// same prepared join serve unchanged operands from the cross-refresh
+// replicas (hits), instead of re-seeding them from a historical snapshot
+// per refresh (misses).
 func TestPreparedCacheHitsAcrossRefreshes(t *testing.T) {
 	tradeSchema := relation.MustSchema(
 		relation.Column{Name: "sym", Type: relation.TString},

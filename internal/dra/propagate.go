@@ -17,16 +17,11 @@ import (
 // functionally equivalent to this operator; the property tests in this
 // package exercise that equivalence over randomized histories.
 func Propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp) (*delta.Delta, error) {
-	return propagate(plan, pre, post, ts, time.Time{})
-}
-
-// propagate is Propagate with both executions under deadline.
-func propagate(plan algebra.Plan, pre, post algebra.Source, ts vclock.Timestamp, deadline time.Time) (*delta.Delta, error) {
-	oldR, err := execute(plan, pre, deadline)
+	oldR, err := execute(plan, pre, time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate pre: %w", err)
 	}
-	newR, err := execute(plan, post, deadline)
+	newR, err := execute(plan, post, time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("dra: propagate post: %w", err)
 	}

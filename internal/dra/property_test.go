@@ -83,9 +83,10 @@ func randomRow(rng *rand.Rand, schema relation.Schema) []relation.Value {
 // TestDRAEquivalenceProperty is the package's central theorem check
 // (Section 4.2: "the differential re-evaluation ... is functionally
 // equivalent to the complete re-evaluation solution"): over random
-// multi-table histories and a pool of SPJ query shapes, chained
-// differential re-evaluation must always equal running the query from
-// scratch — over several histories, with and without delta compaction.
+// multi-table histories and a pool of SPJ query shapes, a standing
+// Prepared stepped round after round must always equal running the
+// query from scratch — over several histories, with and without delta
+// compaction.
 func TestDRAEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		"SELECT * FROM r WHERE a > 100",
@@ -122,6 +123,9 @@ func TestDRAEquivalenceProperty(t *testing.T) {
 				applyRandomBatch(t, f, rng, live, 10, 3)
 
 				plan := f.plan(t, q)
+				e := NewEngine()
+				e.CompactDeltas = ei%2 == 0
+				p := subjectFor(t, e, plan, "auto")
 				prev, err := InitialResult(plan, f.store.Live())
 				if err != nil {
 					t.Fatal(err)
@@ -132,11 +136,7 @@ func TestDRAEquivalenceProperty(t *testing.T) {
 				// feeds the next as Prev.
 				for round := 0; round < 6; round++ {
 					applyRandomBatch(t, f, rng, live, 1+rng.Intn(3), 1+rng.Intn(4))
-					e := NewEngine()
-					e.CompactDeltas = ei%2 == 0
-					_, complete := f.reval(t, e, plan, prev) // reval asserts vs full re-eval
-					prev = complete
-					f.mark()
+					_, prev = stepPrepared(t, f, p, plan, prev) // asserts vs full re-eval
 				}
 			})
 		}
@@ -144,7 +144,8 @@ func TestDRAEquivalenceProperty(t *testing.T) {
 }
 
 // TestFullReevaluateBaselineAgreesWithDRA checks the benchmark baseline
-// produces the same Delta as the engine over a random history.
+// produces the same Delta as a seeded Prepared's step over a random
+// history.
 func TestFullReevaluateBaselineAgreesWithDRA(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	rSchema := relation.MustSchema(
@@ -163,7 +164,11 @@ func TestFullReevaluateBaselineAgreesWithDRA(t *testing.T) {
 	ctx := f.ctx(t)
 	ctx.Prev = prev
 	ts := f.store.Now()
-	draRes, err := NewEngine().Reevaluate(plan, ctx, ts)
+	p := subjectFor(t, NewEngine(), plan, "auto").(*Prepared)
+	if _, err := p.Seed(f.store.At(f.lastTS), f.lastTS); err != nil {
+		t.Fatal(err)
+	}
+	draRes, err := p.Step(ctx, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,15 +106,15 @@ func TestReplicaSlotReuse(t *testing.T) {
 // TestFlatIndexHashCollision joins on a composite key whose two values
 // are engineered to collide under the key hash (see collidingRows): the
 // colliding rows share an index chain in both replicas, and only the
-// column-by-column verification keeps them from joining — under the
-// telescoping kernel (replica indexes) and Algorithm 1's truth table
-// (transient indexes over the pre-state) alike.
+// column-by-column verification keeps them from joining — on a standing
+// plan's replicas and on replicas re-seeded from the pre-state every
+// step alike.
 func TestFlatIndexHashCollision(t *testing.T) {
 	a, b := collidingRows()
 	if relation.HashValues(a) != relation.HashValues(b) {
 		t.Fatal("fixture rows no longer collide; rebuild them against the current HashValues encoding")
 	}
-	for _, strat := range []string{"incremental", "truth-table"} {
+	for _, strat := range []string{"incremental", "fresh"} {
 		f := newFixture(t, map[string]relation.Schema{"l": pairSchema(), "r": pairSchema()})
 		f.insert(t, "l", a)
 		f.insert(t, "r", b)

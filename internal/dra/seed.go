@@ -17,8 +17,7 @@ import (
 // is a view of its scan's image, a join group telescopes into empty
 // replicas and leaves them current at the seed timestamp, a group table
 // folds the input's batch. A re-seed (position.resume) takes the same
-// path, and a truth-table term's pre-state takes it for one operand. The
-// row executor serves complete re-evaluation only.
+// path. The row executor serves complete re-evaluation only.
 
 // imager is a Source that builds its tables' columnar images itself
 // (storage.HistoricView: one pass over the live relation and the log,
@@ -72,10 +71,8 @@ func seedContext(src algebra.Source, plan algebra.Plan, ts vclock.Timestamp) (*C
 // replicas: the state a step from the empty state starts in.
 func (n *compiledNode) emptyReplicas() {
 	n.eachJoin(func(cj *compiledJoin) {
-		if c := cj.cache; c != nil {
-			for i, op := range cj.ops {
-				c.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0)}
-			}
+		for i, op := range cj.ops {
+			cj.cache.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0)}
 		}
 	})
 }
@@ -176,44 +173,4 @@ func tableOf(rel *relation.Relation) (*batch.Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// operandAt appends operand i's output as of ctx.LastTS to dst, for a
-// truth-table term that needs the operand's pre-state:
-// the operand's compiled subtree run as a step from the empty state over
-// the images of its tables in ctx.Pre — the initial execution's path,
-// for one operand.
-func (v *vecEval) operandAt(cj *compiledJoin, i int, dst *batch.Batch) error {
-	if v.ctx.Pre == nil {
-		return errors.New("dra: operand pre-state: the context has no Pre source")
-	}
-	op, node := cj.ops[i].plan, cj.opNodes[i]
-	if !node.joinFree() {
-		// A join nested in the operand (a plan only the algebra API
-		// builds) seeds from empty replicas of its own: the transient
-		// tree's group keeps none.
-		n, err := compilePlan(op)
-		if err != nil {
-			return err
-		}
-		n.attachReplicas()
-		n.emptyReplicas()
-		node = n
-	}
-	ctx, err := seedContext(v.ctx.Pre, op, v.ctx.LastTS)
-	if err != nil {
-		return fmt.Errorf("dra: operand pre-state: %w", err)
-	}
-	var st Stats
-	sub := newVecEval(v.e, ctx, ctx.LastTS, &st)
-	defer sub.release()
-	b, err := sub.nodeBatch(node)
-	if err != nil {
-		return fmt.Errorf("dra: operand pre-state: %w", err)
-	}
-	for r := 0; r < b.Len(); r++ {
-		dst.AppendFrom(b, r)
-	}
-	v.st.PreTuplesScanned += b.Len()
-	return nil
 }

@@ -328,9 +328,10 @@ func (s *scribbled) TableImage(table string) (*batch.Batch, error) {
 }
 
 // TestRebuildNestedJoinOperand: a join operand that is itself a join
-// under a projection (a plan only the algebra API builds) evaluates its
-// pre-state from a transient seed of its own: prepared Steps without a
-// Seed and after one, and the stateless truth table, match the executor.
+// under a projection (a plan only the algebra API builds) keeps replicas
+// of its own, which a seed or re-seed fills with the outer group's:
+// prepared Steps without a Seed and after one, and a plan prepared
+// afresh per step, match the executor.
 func TestRebuildNestedJoinOperand(t *testing.T) {
 	s := relation.MustSchema(
 		relation.Column{Name: "k", Type: relation.TInt},
@@ -349,12 +350,12 @@ func TestRebuildNestedJoinOperand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"prepared", "seeded", "truth-table"} {
-		e := NewEngine()
-		p := subjectFor(t, e, plan, "auto")
-		if name == "truth-table" {
-			p = transient{e, plan}
+	for _, name := range []string{"prepared", "seeded", "fresh"} {
+		kind := "auto"
+		if name == "fresh" {
+			kind = "fresh"
 		}
+		p := subjectFor(t, NewEngine(), plan, kind)
 		f.mark()
 		prev, err := InitialResult(plan, f.store.Live())
 		if err != nil {

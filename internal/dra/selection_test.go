@@ -305,12 +305,11 @@ func TestSelectionViewCases(t *testing.T) {
 // selections gathers each from its window once; with one operand
 // unchanged, and with every operand's window filtered away (skipped:
 // a standing query's replicas still move to the execution timestamp, so
-// the next refresh finds them current), both join kernels — Algorithm 1's
-// truth table under unprepared Reevaluate, telescoping under a Prepared —
-// equal complete re-evaluation.
+// the next refresh finds them current), a standing Prepared and a plan
+// prepared afresh per step equal complete re-evaluation.
 func TestSelectionViewJoinOperands(t *testing.T) {
 	const query = "SELECT r.s1, u.b, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE r.a > 20 AND w.c > 10"
-	for _, strat := range []string{"truth-table", "incremental"} {
+	for _, strat := range []string{"fresh", "incremental"} {
 		for _, mode := range selectionModes {
 			t.Run(strat+"/"+mode.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(41))
@@ -371,7 +370,7 @@ func TestSelectionViewJoinOperands(t *testing.T) {
 				if got := reg.Snapshot().Counters["dra.skipped"] - skipsBefore; got != 1 {
 					t.Fatalf("dra.skipped moved by %d, want 1", got)
 				}
-				// The truth table keeps no replicas.
+				// A fresh plan keeps no replicas.
 				if standing && (!prep.pos.ok || prep.pos.ts != res.ExecTS) {
 					t.Fatalf("replicas did not move to the skipped refresh's timestamp: position %+v", prep.pos)
 				}

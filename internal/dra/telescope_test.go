@@ -220,9 +220,9 @@ func (w *world) window(image bool) (*dra.Context, vclock.Timestamp) {
 	return ctx, execTS
 }
 
-// subject is one way to refresh a plan — a prepared plan, or Algorithm
-// 1's stateless truth table (unprepared Reevaluate; prep is nil) — with
-// the complete result it maintains.
+// subject is one way to refresh a plan — a prepared plan, or a plan
+// prepared afresh per step (prep is nil) — with the complete result it
+// maintains.
 type subject struct {
 	name string
 	prep *dra.Prepared
@@ -240,10 +240,18 @@ func newSubject(t *testing.T, name string, e *dra.Engine, plan algebra.Plan, str
 	return &subject{name: name, prep: prep, eval: prep.Step, prev: initialResult(t, plan, src)}
 }
 
-func newTruthTable(t *testing.T, name string, e *dra.Engine, plan algebra.Plan, src algebra.Source) *subject {
+// newFresh prepares plan anew for every step: a plan with no position
+// re-seeds its replicas from ctx.Pre, so every step starts from the
+// pre-state and keeps nothing afterwards.
+func newFresh(t *testing.T, name string, e *dra.Engine, plan algebra.Plan, src algebra.Source) *subject {
 	t.Helper()
 	return &subject{name: name, prev: initialResult(t, plan, src), eval: func(ctx *dra.Context, ts vclock.Timestamp) (*dra.Result, error) {
-		return e.Reevaluate(plan, ctx, ts)
+		p, err := e.Prepare(plan, dra.StrategyAuto)
+		if err != nil {
+			return nil, err
+		}
+		defer p.Close()
+		return p.Step(ctx, ts)
 	}}
 }
 
@@ -282,11 +290,11 @@ var telescopeQueries = []string{
 }
 
 // TestTelescopeTranscriptEquivalence is the kernel's property test: over
-// random histories, the telescoping kernel (by name, and as the plan's
-// shape picks it) and Algorithm 1's truth table (unprepared Reevaluate)
-// must report the net change of complete re-evaluation (baseline.Full)
-// every round and hold its complete result — the one argument that lets
-// the serving path keep a single join kernel. Histories include key-moving
+// random histories, the telescoping kernel — a standing plan (by name,
+// and as the plan's shape picks it), and a plan prepared afresh per
+// step, which re-seeds from the pre-state — must report the net change
+// of complete re-evaluation (baseline.Full) every round and hold its
+// complete result. Histories include key-moving
 // modifications, a tid inserted and deleted within one window, probe
 // fan-out above one, windows touching every operand (touchAll), string,
 // float and composite keys, and 3-way joins whose cross steps enumerate
@@ -326,7 +334,7 @@ func TestTelescopeTranscriptEquivalence(t *testing.T) {
 				kernelEng.CompactDeltas = va.compact
 				kernelEng.Instrument(reg)
 				kernel := newSubject(t, "kernel", kernelEng, plan, va.strat, w.store.Live())
-				table := newTruthTable(t, "truth table", kernelEng, plan, w.store.Live())
+				fresh := newFresh(t, "fresh", kernelEng, plan, w.store.Live())
 				full, err := baseline.NewFull(plan, w.store.Live())
 				if err != nil {
 					t.Fatal(err)
@@ -368,9 +376,9 @@ func TestTelescopeTranscriptEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := fd.ToSigned()
-					dra.AssertSameNet(t, label+" full vs truth table", want, table.step(t, ctx, ts))
+					dra.AssertSameNet(t, label+" full vs fresh", want, fresh.step(t, ctx, ts))
 					dra.AssertSameNet(t, label+" full vs kernel", want, kernel.step(t, ctx, ts))
-					if !kernel.prev.EqualByTID(full.Result()) || !table.prev.EqualByTID(full.Result()) {
+					if !kernel.prev.EqualByTID(full.Result()) || !fresh.prev.EqualByTID(full.Result()) {
 						t.Fatalf("%s: complete results diverge", label)
 					}
 					w.lastTS = ts

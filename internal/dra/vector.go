@@ -309,9 +309,9 @@ func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, sc
 	return out, nil
 }
 
-// vecInput is one operand's relation within a term: a signed batch to
-// enumerate, or a replica whose maintained hash indexes the hash step
-// probes directly.
+// vecInput is one operand's relation within a term: the seeding
+// operand's signed window batch, or a partner's replica, whose
+// maintained hash indexes the hash step probes directly.
 type vecInput struct {
 	b   *batch.Batch
 	ent *replica
@@ -325,8 +325,8 @@ func (t *vecInput) length() int {
 }
 
 // enumerable returns the input as a batch, copying a replica's live
-// rows on first use (seed and cross steps enumerate; hash steps probe
-// the replica's index and never call this). The copy is good until the
+// rows on first use (cross steps enumerate; hash steps probe the
+// replica's index and never call this). The copy is good until the
 // replica advances; telescopeJoin drops it there.
 func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 	if t.b == nil {
@@ -335,122 +335,25 @@ func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
 	return t.b
 }
 
-// joinBatch computes the signed delta of a join group. What the group is
-// decides the kernel: a standing query's group (it has replicas)
-// telescopes over them and ends the call with them at execTS; a
-// transient one runs Algorithm 1's truth table over the pre-state
-// snapshot.
+// joinBatch computes the signed delta of a join group by telescoping
+// over its replicas, which end the call at execTS.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	deltas := make([]*batch.Batch, len(cj.ops))
-	var changed []int
 	for i := range cj.ops {
 		d, err := v.nodeBatch(cj.opNodes[i])
 		if err != nil {
 			return nil, err
 		}
 		deltas[i] = d
-		if d.Len() > 0 {
-			changed = append(changed, i)
-			if cj.opNodes[i].joinFree() {
-				v.relevant = true
-			}
+		if d.Len() > 0 && cj.opNodes[i].joinFree() {
+			v.relevant = true
 		}
 	}
-	var out *batch.Batch
-	var err error
-	switch {
-	case len(changed) == 0:
-	case cj.cache != nil:
-		out, err = v.telescopeJoin(cj, deltas)
-	default:
-		out, err = v.truthTableJoin(cj, deltas, changed)
-	}
+	out, err := v.telescopeJoin(cj, deltas)
 	if out == nil && err == nil {
 		out = v.own(v.e.pool.Get(cj.outSchema, 0))
 	}
 	return out, err
-}
-
-// truthTableJoin is Algorithm 1, steps 1-3: one term per non-empty subset
-// of the changed operands, the subset's windows joined with every other
-// operand's pre-state, evaluated from the images as of the last
-// execution on first use (operandPre). It keeps nothing between calls. A nil batch means no term emitted.
-func (v *vecEval) truthTableJoin(cj *compiledJoin, deltas []*batch.Batch, changed []int) (*batch.Batch, error) {
-	e := v.e
-	nOps := len(cj.ops)
-	if len(changed) > maxChangedOperands {
-		d, err := Propagate(cj.plan, v.ctx.Pre, v.ctx.Post, 0)
-		if err != nil {
-			return nil, err
-		}
-		pb := v.own(e.pool.Get(d.Schema(), 2*d.Len()))
-		for _, r := range d.Rows() {
-			if !pb.AppendChange(r) {
-				return nil, nonConforming("join re-evaluation")
-			}
-		}
-		return pb, nil
-	}
-
-	pres := make([]*vecInput, nOps)
-	dIn := make([]*vecInput, nOps)
-	for i := range deltas {
-		dIn[i] = &vecInput{b: deltas[i]}
-	}
-	var out *batch.Batch
-	term := make([]*vecInput, nOps)
-	isDelta := make([]bool, nOps)
-	lens := make([]int, nOps)
-	k := len(changed)
-	for mask := 1; mask < 1<<k; mask++ {
-		empty := false
-		for i := 0; i < nOps; i++ {
-			substituted := false
-			for b, ci := range changed {
-				if ci == i && mask&(1<<b) != 0 {
-					substituted = true
-					break
-				}
-			}
-			if substituted {
-				term[i] = dIn[i]
-			} else {
-				if pres[i] == nil {
-					pb, err := v.operandPre(cj, i)
-					if err != nil {
-						return nil, err
-					}
-					pres[i] = &vecInput{b: pb}
-				}
-				term[i] = pres[i]
-			}
-			isDelta[i] = substituted
-			if lens[i] = term[i].length(); lens[i] == 0 {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue
-		}
-		v.st.Terms++
-		tp := cj.planTerm(termOrder(cj, lens, isDelta))
-		var err error
-		if out, err = v.runTerm(cj, tp, term, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// operandPre evaluates operand i's pre-state into a pooled batch
-// (operandAt).
-func (v *vecEval) operandPre(cj *compiledJoin, i int) (*batch.Batch, error) {
-	pb := v.own(v.e.pool.Get(cj.ops[i].plan.Schema(), 0))
-	if err := v.operandAt(cj, i, pb); err != nil {
-		return nil, err
-	}
-	return pb, nil
 }
 
 // runTerm joins one term's operand inputs along its resolved plan,
@@ -487,19 +390,10 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 		nt := pool.GetTIDs(len(tids))
 		deadline := v.ctx.Deadline
 		cross := len(step.buildCols) == 0
-		switch {
-		case cross:
+		if cross {
 			nt, err = v.crossStepVec(cj, nw, nt, work, tids, in.enumerable(v), step)
-		case in.ent != nil:
+		} else {
 			nt, err = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.t.Rows(), cj.ops[step.op].lo, step, nOps, deadline)
-		default:
-			// A batch operand (another delta, or the truth table's
-			// pre-state) gets a transient index over its rows.
-			var ix relation.SlotIndex
-			for r := 0; r < in.b.Len(); r++ {
-				ix.Insert(int32(r), in.b.HashKey(r, step.buildCols))
-			}
-			nt, err = hashStepVec(nw, nt, work, tids, &ix, in.b, cj.ops[step.op].lo, step, nOps, deadline)
 		}
 		// released: superseded by the join step's output provenance.
 		pool.PutTIDs(tids)
@@ -561,9 +455,8 @@ func (v *vecEval) applyPredsVec(cj *compiledJoin, work *batch.Batch, tids []rela
 	return tids, nil
 }
 
-// hashStepVec joins the work batch with one operand by walking a flat
-// hash index over the operand's rows — a replica's maintained index
-// over its slots, or a transient one over a batch — verifying each
+// hashStepVec joins the work batch with one operand by walking the flat
+// hash index a replica maintains over its slots, verifying each
 // candidate against the columns and emitting matches straight into the
 // output batch and provenance buffer. Every row it probes or emits
 // ticks the deadline's meter, so a hot key stops mid-probe too.
@@ -734,9 +627,9 @@ func (g *netGroup) add(e netEntry) {
 // positive row per tid by counting per (tid, value) and keeping nonzero
 // nets, and renders each tid's net as one result row stamped with the
 // execution's timestamp: a deletion, an insertion, or a modification
-// pairing the two. This collapses the cross terms of the truth-table
-// expansion (e.g. a tuple modified on both join sides contributes four
-// signed rows that net to one -old and one +new), and is the netting of
+// pairing the two. This collapses what the join terms emit for one tid
+// (e.g. a tuple modified on both join sides contributes four signed
+// rows that net to one -old and one +new), and is the netting of
 // everything netView's premise does not cover: join outputs, computed
 // projections, uncompacted windows. Candidate rows are compared in place
 // (RowsEqual) — no row is materialized or hashed, so two distinct rows

@@ -117,8 +117,8 @@ func vecFixtureSchemas() map[string]relation.Schema {
 }
 
 // TestVectorizedMatchesPropagate is the transcript-equivalence gate
-// inside the engine: over random histories, a prepared plan and
-// unprepared Reevaluate must each produce,
+// inside the engine: over random histories, a standing prepared plan
+// and a plan prepared afresh per step must each produce,
 // round after round, exactly the net signed delta of complete
 // re-evaluation (Propagate) and maintain exactly the from-scratch
 // result, with and without delta compaction.
@@ -143,10 +143,9 @@ func TestVectorizedMatchesPropagate(t *testing.T) {
 	for qi, q := range vecQueries {
 		for _, va := range variants {
 			t.Run(fmt.Sprintf("q%d_%s", qi, va.name), func(t *testing.T) {
-				// Both join kernels: the standing query's telescoping and
-				// Algorithm 1's truth table, the one the size-aware term
-				// order reaches.
-				for _, kernel := range []string{"auto", "truth-table"} {
+				// The telescoping kernel from its last position and from a
+				// re-seed of the pre-state every step.
+				for _, kernel := range []string{"auto", "fresh"} {
 					rng := rand.New(rand.NewSource(int64(qi*31 + 7 + 1000*va.history)))
 					f := newFixture(t, vecFixtureSchemas())
 					live := liveSet{}
@@ -197,7 +196,7 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 	plan := f.plan(t, q)
 	eng := NewEngine()
 	vecA := subjectFor(t, eng, plan, "auto")
-	vecB := subjectFor(t, eng, plan, "truth-table")
+	vecB := subjectFor(t, eng, plan, "fresh")
 	prev, err := InitialResult(plan, f.store.Live())
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +242,8 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 }
 
 // TestNonConformingWindowFailsStep hands each kind of standing plan —
-// and the stateless truth table — a hand-built window holding a value its column cannot (a STRING in a
+// and a plan prepared afresh per step — a hand-built window holding a
+// value its column cannot (a STRING in a
 // FLOAT column — the store's write boundary would have rejected it): the
 // Step must fail with the relation.ErrTypeMismatch sentinel, never
 // evaluate a second way, and clear the evaluator's position, so the next
@@ -274,7 +274,7 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 		// poison makes the next Step fail; nil hand-builds a bad window.
 		poison func(*testing.T, *fixture)
 	}{
-		{"truth-table", "SELECT * FROM r JOIN u ON r.s1 = u.s2", named("truth-table"), nil},
+		{"fresh", "SELECT * FROM r JOIN u ON r.s1 = u.s2", named("fresh"), nil},
 		{"telescoping", "SELECT * FROM r JOIN u ON r.s1 = u.s2", named("incremental"), nil},
 		{"group-table", "SELECT s1, SUM(a) AS total, COUNT(*) AS n FROM r GROUP BY s1", func(t *testing.T, f *fixture, plan algebra.Plan) subject {
 			ia, err := NewIncrementalAggregate(NewEngine(), plan, f.store.Live())
@@ -376,13 +376,12 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 	}
 }
 
-// TestVectorizedBothKernels runs the truth table (a transient tree,
-// as unprepared Reevaluate compiles it) and the telescoping kernel (a
-// Prepared) over the same window for every query shape, the
-// telescoping kernel twice: the first run re-seeds the never-seeded
-// Prepared at the window's start, the second finds its position moved
-// past the start by the first and re-seeds again. All three must equal
-// complete re-evaluation.
+// TestVectorizedBothKernels runs the telescoping kernel over the same
+// window from both of its starting states, for every query shape: a
+// Prepared seeded at the window's start, and one never seeded, stepped
+// twice — the first run re-seeds at the window's start, the second finds
+// its position moved past the start by the first and re-seeds again.
+// All three must equal complete re-evaluation.
 func TestVectorizedBothKernels(t *testing.T) {
 	for qi, q := range vecQueries {
 		rng := rand.New(rand.NewSource(int64(qi)))
@@ -392,27 +391,24 @@ func TestVectorizedBothKernels(t *testing.T) {
 
 		plan := f.plan(t, q)
 		e := NewEngine()
-		p, err := e.Prepare(plan, StrategyAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare, err := compilePlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seeded := subjectFor(t, e, plan, "auto").(*Prepared)
+		p := subjectFor(t, e, plan, "auto")
 		prev, err := InitialResult(plan, f.store.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.mark()
+		if _, err := seeded.Seed(f.store.Live(), f.lastTS); err != nil {
+			t.Fatal(err)
+		}
 		applyRandomBatch(t, f, rng, live, 3, 3)
 		ctx := f.ctx(t)
 		ctx.Prev = prev
 		want := oracle(t, plan, ctx)
 		for i := 0; i < 3; i++ {
-			res := &Result{ExecTS: f.store.Now()}
+			var res *Result
 			if i == 0 {
-				err = e.vecEvaluate(bare, ctx, res)
+				res, err = seeded.Step(ctx, f.store.Now())
 			} else {
 				res, err = p.Step(ctx, f.store.Now())
 			}
@@ -421,13 +417,13 @@ func TestVectorizedBothKernels(t *testing.T) {
 			}
 			assertSameNet(t, fmt.Sprintf("q%d run %d", qi, i), want, res.Delta.ToSigned())
 		}
-		p.Close()
 	}
 }
 
-// TestVectorizedCompleteResult chains unprepared refreshes, maintaining
-// the complete result, and checks each round against full re-evaluation
-// — the paper's functional-equivalence statement.
+// TestVectorizedCompleteResult chains refreshes, each by a plan seeded
+// at its round's start, maintaining the complete result, and checks
+// each round against full re-evaluation — the paper's
+// functional-equivalence statement.
 func TestVectorizedCompleteResult(t *testing.T) {
 	for qi, q := range vecQueries {
 		t.Run(fmt.Sprintf("q%d", qi), func(t *testing.T) {

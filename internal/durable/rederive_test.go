@@ -359,3 +359,37 @@ func TestReopenKeepsTIDAllocator(t *testing.T) {
 		t.Fatalf("after the crash and reopen: %s; without the crash: %s", got, want)
 	}
 }
+
+// TestReopenKeepsClientTIDs: a client insert under a tid of its own
+// choosing moves the tid allocator when it commits, so recovery, which
+// replays it, leaves the allocator where the live commit did.
+func TestReopenKeepsClientTIDs(t *testing.T) {
+	run := func(crash bool) uint64 {
+		fs := faults.NewMemFS(1)
+		sys := openSys(t, fs, 0)
+		if err := sys.Store.CreateTable("stocks", stockSchema()); err != nil {
+			t.Fatal(err)
+		}
+		tx := sys.Store.Begin()
+		if err := tx.InsertWithTID("stocks", 1<<60, []relation.Value{relation.Str("a"), relation.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			_ = sys.Manager.Close()
+			fs.Crash()
+			sys = openSys(t, fs, 0)
+		}
+		defer func() { _ = sys.Close() }()
+		st, err := sys.Store.CheckpointState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.NextTID
+	}
+	if live, recovered := run(false), run(true); live != recovered {
+		t.Fatalf("NextTID %d before the crash, %d after", live, recovered)
+	}
+}

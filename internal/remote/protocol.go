@@ -272,13 +272,30 @@ func toWireRelation(r *relation.Relation) *WireRelation {
 	return out
 }
 
-// fromWireRelation converts back.
+// errRelation reports a malformed snapshot or query reply. As for a
+// columnar frame, every shape defect is detected before any row is
+// built.
+var errRelation = errors.New("remote: malformed relation")
+
+// fromWireRelation converts back, validating the payload's shape first:
+// present, one row per tid, each row as wide as the schema.
 func fromWireRelation(w *WireRelation) (*relation.Relation, error) {
+	if w == nil {
+		return nil, fmt.Errorf("%w: reply carries no relation", errRelation)
+	}
 	schema, err := fromWireSchema(w.Columns)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(schema)
+	if len(w.Rows) != len(w.TIDs) {
+		return nil, fmt.Errorf("%w: %d tids, %d rows", errRelation, len(w.TIDs), len(w.Rows))
+	}
+	for i, row := range w.Rows {
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("%w: row %d has %d values, schema has %d columns", errRelation, i, len(row), schema.Len())
+		}
+	}
+	out := relation.NewSized(schema, len(w.TIDs))
 	for i, tid := range w.TIDs {
 		if err := out.Insert(relation.Tuple{TID: relation.TID(tid), Values: w.Rows[i]}); err != nil {
 			return nil, err

@@ -161,8 +161,9 @@ func conformRow(schema relation.Schema, r *delta.Row) error {
 // apply as Commit, with the logged timestamp and rows instead of a fresh
 // tick, and without re-logging. Replay is strict — a row that does not
 // apply cleanly means the log and the checkpoint disagree, which is
-// corruption, not a crash artifact. A logged transaction's tids came
-// from the allocator (Tx.Insert), so the allocator moves past them.
+// corruption, not a crash artifact. A logged transaction is a client's
+// (derived commits are re-derived, not logged), so its inserts move the
+// tid allocator as its live commit did.
 func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,13 +178,8 @@ func (s *Store) ApplyReplay(ts vclock.Timestamp, rows []wal.TxRow) error {
 			return fmt.Errorf("storage: replay at ts %d: %q tid %d: %w", ts, tr.Table, tr.Row.TID, err)
 		}
 	}
-	if err := s.applyLocked(ts, rows, make(map[*Table]int, 1)); err != nil {
+	if err := s.applyLocked(ts, rows, true, make(map[*Table]int, 1)); err != nil {
 		return fmt.Errorf("storage: replay at ts %d: %w", ts, err)
-	}
-	for _, tr := range rows {
-		if tr.Row.TID >= s.nextID {
-			s.nextID = tr.Row.TID + 1
-		}
 	}
 	return nil
 }

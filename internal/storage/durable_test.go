@@ -344,3 +344,79 @@ func TestApplyReplayMatchesCommit(t *testing.T) {
 		t.Fatal("replay into missing table must fail")
 	}
 }
+
+// nextTID reads the tid allocator as a checkpoint records it.
+func nextTID(t *testing.T, s *Store) relation.TID {
+	t.Helper()
+	st, err := s.CheckpointState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return relation.TID(st.NextTID)
+}
+
+// TestClientTIDsMoveAllocator: a client's insert under a tid of its own
+// choosing moves the allocator past it, live as on replay, so later
+// Inserts are never handed a tid that exists; a derived commit
+// (SetOrigin, CommitAt) leaves it where it was, and a tid at the top of
+// the range does not wrap it.
+func TestClientTIDsMoveAllocator(t *testing.T) {
+	row := func(name string) []relation.Value { return []relation.Value{relation.Str(name), relation.Float(1)} }
+	s := newStockStore(t)
+	tx := s.Begin()
+	if err := tx.InsertWithTID("stocks", 3, row("own")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	for i := 0; i < 3; i++ {
+		tx := s.Begin()
+		tid, err := tx.Insert("stocks", row("next"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatalf("insert %d (tid %d) after a client tid 3: %v", i, tid, err)
+		}
+	}
+
+	before := nextTID(t, s)
+	derived := s.Begin()
+	derived.SetOrigin("q", 1)
+	if err := derived.InsertWithTID("stocks", 1<<60, row("derived")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, derived)
+	rederived := s.Begin()
+	if err := rederived.InsertWithTID("stocks", 1<<61, row("rederived")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rederived.CommitAt(s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if got := nextTID(t, s); got != before {
+		t.Fatalf("derived commits moved the allocator %d -> %d", before, got)
+	}
+
+	top := ^relation.TID(0)
+	for name, apply := range map[string]func(*Store) error{
+		"commit": func(s *Store) error {
+			tx := s.Begin()
+			if err := tx.InsertWithTID("stocks", top, row("top")); err != nil {
+				return err
+			}
+			_, err := tx.Commit()
+			return err
+		},
+		"replay": func(s *Store) error {
+			return s.ApplyReplay(s.Now()+1, []wal.TxRow{{Table: "stocks", Row: delta.Row{TID: top, New: row("top")}}})
+		},
+	} {
+		s := newStockStore(t)
+		if err := apply(s); err != nil {
+			t.Fatal(err)
+		}
+		if got := nextTID(t, s); got == 0 {
+			t.Fatalf("%s of tid %d wrapped the allocator to 0", name, top)
+		}
+	}
+}

@@ -486,7 +486,9 @@ func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error
 }
 
 // InsertWithTID buffers an insertion with a caller-chosen tid (used by
-// translators replaying external identities, e.g. Example 1's tids).
+// translators replaying external identities, e.g. Example 1's tids). A
+// client's commit moves the tid allocator past it; a derived one
+// (SetOrigin, CommitAt) does not.
 func (tx *Tx) InsertWithTID(table string, tid relation.TID, values []relation.Value) error {
 	if tx.done {
 		return ErrTxDone
@@ -577,7 +579,7 @@ func (tx *Tx) Commit() (vclock.Timestamp, error) {
 
 // CommitAt applies the write set as the commit at ts that recovery
 // re-derives (SetJournal): no clock tick, write-ahead step or commit
-// hook, and, as for every InsertWithTID, no move of the tid allocator.
+// hook, and, as for every derived commit, no move of the tid allocator.
 func (tx *Tx) CommitAt(ts vclock.Timestamp) error {
 	_, err := tx.commit(ts)
 	return err
@@ -661,7 +663,8 @@ func (tx *Tx) commit(at vclock.Timestamp) (vclock.Timestamp, error) {
 	}
 
 	touched := make(map[*Table]int, 1)
-	if err := s.applyLocked(ts, rows, touched); err != nil || at != 0 {
+	client := at == 0 && tx.origin == ""
+	if err := s.applyLocked(ts, rows, client, touched); err != nil || at != 0 {
 		return ts, err
 	}
 	if m := s.met; m != nil {
@@ -686,9 +689,13 @@ func (tx *Tx) commit(at vclock.Timestamp) (vclock.Timestamp, error) {
 // applyLocked applies rows committed at ts to their tables and
 // differential relations — for Commit, CommitAt and ApplyReplay — and
 // counts the rows appended per table into touched. Only replay can meet
-// a row that does not apply: a commit validated its rows. Caller holds
-// s.mu.
-func (s *Store) applyLocked(ts vclock.Timestamp, rows []wal.TxRow, touched map[*Table]int) error {
+// a row that does not apply: a commit validated its rows. A client's
+// rows (client: a Commit not tagged by SetOrigin, or its replay) move
+// the tid allocator past every tid they insert, so a tid the client
+// chose (InsertWithTID) is never handed out again, live or after
+// recovery; a derived commit's tids (a GROUP BY target's key hashes)
+// leave it where it is. Caller holds s.mu.
+func (s *Store) applyLocked(ts vclock.Timestamp, rows []wal.TxRow, client bool, touched map[*Table]int) error {
 	for _, tr := range rows {
 		t, ok := s.tables[tr.Table]
 		if !ok {
@@ -713,6 +720,10 @@ func (s *Store) applyLocked(ts vclock.Timestamp, rows []wal.TxRow, touched map[*
 		}
 		s.noteDeltaAppendLocked(row)
 		touched[t]++
+		// The top tid has no successor: the allocator stays put.
+		if client && row.Kind() == delta.Insert && row.TID >= s.nextID && row.TID != ^relation.TID(0) {
+			s.nextID = row.TID + 1
+		}
 	}
 	for t := range touched {
 		t.version++
