@@ -42,8 +42,10 @@ chaos:
 # one client-side MirrorCQ refresh) or of BenchmarkRegister (burst: 18
 # registrations at one timestamp, initial executions included; resume:
 # 200 template members resumed at two LastExec values, then one Poll) or of
-# BenchmarkTableApply (apply: one 64-row change typed into a 5k-row
-# result table, budget 0) exceeds its committed baseline
+# BenchmarkTableApply (apply, apply100k: one 64-row columnar change typed
+# into a 5k-row and a 100k-row result table; apply_rows: the same change
+# in row form into the 5k-row table; budget 0) exceeds its committed
+# baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 allocs:
 	./scripts/check-allocs.sh

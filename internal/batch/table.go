@@ -30,6 +30,8 @@ type Table struct {
 	// free slot's TID cell holds 1 + the slot freed before it the same way.
 	free int32
 	live int
+	// moves is ApplyChange's scratch, kept for the next change.
+	moves []move
 }
 
 // SlotObserver is told of every slot Table.ApplyBatch writes or frees,
@@ -331,7 +333,8 @@ func (t *Table) Relation() *relation.Relation {
 
 // Bytes is the memory the table holds: its columns (string headers, not
 // the payloads, which it shares with the rows it was written from; the
-// free list lives in the holes) and the tid index, by capacity.
+// free list lives in the holes), the tid index and ApplyChange's
+// scratch, by capacity.
 func (t *Table) Bytes() int {
 	b := t.rows
 	n := cap(b.TIDs)*8 + cap(b.Signs) + cap(b.TS)*8
@@ -339,7 +342,7 @@ func (t *Table) Bytes() int {
 		col := &b.Cols[c]
 		n += cap(col.I64)*8 + cap(col.F64)*8 + cap(col.Str)*16 + cap(col.B) + cap(col.Valid)*8
 	}
-	return n + t.byTID.Bytes()
+	return n + t.byTID.Bytes() + cap(t.moves)*8
 }
 
 // appendHole appends one empty row (sign 0, tid 0, zero payloads,

@@ -284,60 +284,89 @@ func TestTableCompacts(t *testing.T) {
 	}
 }
 
-// BenchmarkTableApply/apply applies one 64-row change — 10% inserts, 10%
-// deletes, 80% modifications — to a 5,000-row result table: the typed
-// write of a refresh's change into a maintained result. Two changes
-// alternate, each undoing the other's inserts and deletes, so the table
-// stays at 5,000 rows and every insert reuses a freed slot. Gated at 0
-// allocs/op (scripts/check-allocs.sh).
+// BenchmarkTableApply applies one 64-row change — 10% inserts, 10%
+// deletes, 80% modifications — to a result table the way a refresh
+// maintains its result. In apply and apply100k the change is columnar
+// (a Change over a signed window batch, as a selection's refresh
+// produces it), checked with FitsChange and written typed into the
+// table's slots with ApplyChange, at 5,000 and at 100,000 rows; in
+// apply_rows it is the same change in row form (a *delta.Delta, as a
+// join, a group table or a template member produces it), checked with
+// Fits and written with Apply, at 5,000 rows. The modified tids are
+// spread evenly over the table. Two changes alternate, each undoing the
+// other's inserts and deletes, so the table keeps its size and every
+// insert reuses a freed slot. Every arm is gated at 0 allocs/op
+// (scripts/check-allocs.sh).
 func BenchmarkTableApply(b *testing.B) {
-	b.Run("apply", func(b *testing.B) {
-		schema := relation.MustSchema(
-			relation.Column{Name: "sym", Type: relation.TString},
-			relation.Column{Name: "price", Type: relation.TFloat},
-			relation.Column{Name: "qty", Type: relation.TInt})
-		row := func(i, v int) []relation.Value {
-			return []relation.Value{relation.Str("S"), relation.Float(float64(v)), relation.Int(int64(i))}
+	b.Run("apply", func(b *testing.B) { benchTableApply(b, 5000, false) })
+	b.Run("apply100k", func(b *testing.B) { benchTableApply(b, 100000, false) })
+	b.Run("apply_rows", func(b *testing.B) { benchTableApply(b, 5000, true) })
+}
+
+func benchTableApply(b *testing.B, n int, rowForm bool) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "sym", Type: relation.TString},
+		relation.Column{Name: "price", Type: relation.TFloat},
+		relation.Column{Name: "qty", Type: relation.TInt})
+	row := func(i, v int) []relation.Value {
+		return []relation.Value{relation.Str("S"), relation.Float(float64(v)), relation.Int(int64(i))}
+	}
+	tab := NewTable(schema, n)
+	for i := 1; i <= n; i++ {
+		if err := tab.Set(relation.TID(i), row(i, 0)); err != nil {
+			b.Fatal(err)
 		}
-		const n = 5000
-		tab := NewTable(schema, n)
-		for i := 1; i <= n; i++ {
-			if err := tab.Set(relation.TID(i), row(i, 0)); err != nil {
-				b.Fatal(err)
-			}
+	}
+	// Change k deletes tids gone[k], inserts back[k] (the other change's
+	// deletes), and modifies 52 tids that both keep.
+	gone := [2][]relation.TID{}
+	for j := 0; j < 6; j++ {
+		gone[0] = append(gone[0], relation.TID(1+j))
+		gone[1] = append(gone[1], relation.TID(n+1+j))
+	}
+	var changes [2]*Change
+	for k := range changes {
+		img := New(schema, 128)
+		for _, tid := range gone[k] {
+			img.AppendRow(tid, -1, row(int(tid), 0))
 		}
-		// Change k deletes tids gone[k], inserts back[k] (the other change's
-		// deletes), and modifies 52 tids that both keep.
-		gone := [2][]relation.TID{}
-		for j := 0; j < 6; j++ {
-			gone[0] = append(gone[0], relation.TID(1+j))
-			gone[1] = append(gone[1], relation.TID(n+1+j))
+		for _, tid := range gone[1-k] {
+			img.AppendRow(tid, +1, row(int(tid), 0))
 		}
-		var changes [2]*delta.Delta
-		for k := range changes {
-			s := &delta.Signed{Schema: schema}
-			for _, tid := range gone[k] {
-				s.Rows = append(s.Rows, delta.SignedRow{TID: tid, Values: row(int(tid), 0), Sign: -1})
-			}
-			for _, tid := range gone[1-k] {
-				s.Rows = append(s.Rows, delta.SignedRow{TID: tid, Values: row(int(tid), 0), Sign: +1})
-			}
-			for j := 0; j < 52; j++ {
-				tid := relation.TID(100 + j*50)
-				s.Rows = append(s.Rows,
-					delta.SignedRow{TID: tid, Values: row(int(tid), k), Sign: -1},
-					delta.SignedRow{TID: tid, Values: row(int(tid), 1-k), Sign: +1})
-			}
-			changes[k] = s.ToDeltaNetted(0)
+		for j := 0; j < 52; j++ {
+			tid := relation.TID(100 + j*(n/100))
+			img.AppendRow(tid, -1, row(int(tid), k))
+			img.AppendRow(tid, +1, row(int(tid), 1-k))
+		}
+		rows := make([]int32, img.Len())
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		changes[k] = new(Change)
+		changes[k].Init(schema, img, rows, []int{0, 1, 2}, 0, nil)
+	}
+	if rowForm {
+		deltas := [2]*delta.Delta{
+			delta.FromRows(schema, changes[0].Rows()),
+			delta.FromRows(schema, changes[1].Rows()),
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// A refresh's check, then its apply.
-			if err := tab.Fits(changes[i%2]); err != nil {
+			if err := tab.Fits(deltas[i%2]); err != nil {
 				b.Fatal(err)
 			}
-			tab.Apply(changes[i%2])
+			tab.Apply(deltas[i%2])
 		}
-	})
+		return
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A refresh's check, then its apply.
+		if err := tab.FitsChange(changes[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		tab.ApplyChange(changes[i%2])
+	}
 }

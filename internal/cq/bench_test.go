@@ -35,7 +35,7 @@ func quotesRow(rng *rand.Rand, id int) []relation.Value {
 	}
 }
 
-func newRoundBench(b *testing.B, push bool) *roundBench {
+func newRoundBench(b testing.TB, push bool) *roundBench {
 	b.Helper()
 	rb := newQuotesBench(b, Config{UseDRA: true, AutoGC: true, Push: push, Parallelism: 1})
 	// Four shapes, sixteen constants each: thresholds, ranges, and two
@@ -54,7 +54,7 @@ func newRoundBench(b *testing.B, push bool) *roundBench {
 
 // newQuotesBench builds the quotes table and an instrumented manager
 // over it with cfg (its Metrics set here).
-func newQuotesBench(b *testing.B, cfg Config) *roundBench {
+func newQuotesBench(b testing.TB, cfg Config) *roundBench {
 	b.Helper()
 	rb := &roundBench{store: storage.NewStore(), rng: rand.New(rand.NewSource(1))}
 	if err := rb.store.CreateTable("quotes", relation.MustSchema(
@@ -86,7 +86,7 @@ func newQuotesBench(b *testing.B, cfg Config) *roundBench {
 
 // register registers the queries as q00, q01, ..., each notifying
 // empty refreshes too and with a subscriber.
-func (rb *roundBench) register(b *testing.B, queries []string) {
+func (rb *roundBench) register(b testing.TB, queries []string) {
 	b.Helper()
 	for i, q := range queries {
 		name := fmt.Sprintf("q%02d", i)
@@ -101,7 +101,7 @@ func (rb *roundBench) register(b *testing.B, queries []string) {
 
 // commit modifies 64 random quotes in one transaction: a new price and
 // volume, identity columns kept.
-func (rb *roundBench) commit(b *testing.B) {
+func (rb *roundBench) commit(b testing.TB) {
 	tx := rb.store.Begin()
 	for i := 0; i < 64; i++ {
 		id := rb.rng.Intn(len(rb.tids))
@@ -120,7 +120,7 @@ func (rb *roundBench) push(b *testing.B) {
 	rb.mgr.FlushPush()
 }
 
-func (rb *roundBench) poll(b *testing.B) {
+func (rb *roundBench) poll(b testing.TB) {
 	if n, err := rb.mgr.Poll(); err != nil || n != 64 {
 		b.Fatalf("poll refreshed %d CQs (err %v), want 64", n, err)
 	}

@@ -57,9 +57,11 @@ var (
 // A refresh hands every subscriber the change it computed, as it stands:
 // Delta is the refresh's netted result delta (dra.Result.Delta), and
 // Inserted, Deleted and Modified render the mode's views of it only when
-// called. Nothing a notification references is pooled or reused, so a
-// subscriber may keep it, and call its views, after the callback returns
-// and after any number of later refreshes.
+// called. A selection's Delta is itself deferred: its rows are rendered
+// on the first read, once for all subscribers, and a notification whose
+// rows nobody reads renders none. Nothing a notification references is
+// pooled or reused, so a subscriber may keep it, and call its views,
+// after the callback returns and after any number of later refreshes.
 type Notification struct {
 	CQName string
 	// Seq numbers the executions; the initial execution is 1.
@@ -71,6 +73,8 @@ type Notification struct {
 	// Delta is the difference from the previous result: each tid at most
 	// once, as one insert, delete or modify row. Nil in the catch-up a
 	// ResubscribeFunc returns. Read-only: it is shared by every subscriber.
+	// Its rows are rendered on the first read (Rows, or a view built on
+	// them), safely under concurrent readers; Len and Counts are free.
 	Delta *delta.Delta
 
 	// Complete holds the full current result (set in ModeComplete, and in
@@ -93,19 +97,20 @@ type Notification struct {
 
 // Empty reports whether the notification carries no change its mode
 // shows: no row at all, or in ModeDeletions no delete or modify row. A
-// notification carrying the complete result is never empty.
+// notification carrying the complete result is never empty. It counts
+// the change's rows, rendering none.
 func (n Notification) Empty() bool {
 	if n.Complete != nil {
 		return false
 	}
-	if n.Delta != nil {
-		for _, r := range n.Delta.Rows() {
-			if n.Mode != sql.ModeDeletions || r.Kind() != delta.Insert {
-				return false
-			}
-		}
+	if n.Delta == nil {
+		return true
 	}
-	return true
+	if n.Mode != sql.ModeDeletions {
+		return n.Delta.Len() == 0
+	}
+	_, del, mod := n.Delta.Counts()
+	return del+mod == 0
 }
 
 // Inserted renders the tuples that entered the result — the new halves

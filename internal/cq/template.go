@@ -69,9 +69,11 @@ type templateGroup struct {
 	failed  uint64
 	failErr error
 
-	// Scratch reused under mu: dispatchLocked's rows per matched member,
-	// and foldBatches' per-tid state.
+	// Scratch reused under mu: dispatchLocked's rows per matched member
+	// and the row it reads a columnar change's halves into, and
+	// foldBatches' per-tid state.
 	matched map[*tmplMember][]delta.Row
+	scratch []relation.Value
 	fold    foldScratch
 }
 
@@ -286,7 +288,7 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) (err error) {
 	}
 	g.prev = res.Maintain(g.prev)
 	if res.Delta.Len() > 0 {
-		m.dispatchLocked(g, res.Delta.Rows(), rd.ts)
+		m.dispatchLocked(g, res, rd.ts)
 	}
 	g.lastExec = rd.ts
 	if mm := m.met; mm != nil {
@@ -296,46 +298,83 @@ func (m *Manager) stepGroupLocked(g *templateGroup, rd round) (err error) {
 	return nil
 }
 
-// dispatchLocked routes each half of each template delta row to the
-// members whose parameters select it. The index narrows each half to its
-// candidate set (hash lookup on an equality slot, binary search on a
+// dispatchLocked routes each half of each row of the group's change to
+// the members whose parameters select it. The index narrows each half to
+// its candidate set (hash lookup on an equality slot, binary search on a
 // range slot); candidates are then verified against every slot, so the
 // work per row is O(lookup + matches), independent of the member count.
 // A member gets the halves it matches: both (the row as it is), the old
 // half alone (the row left its selection: a deletion), or the new half
-// alone (the row entered it: an insertion). Caller holds g.mu.
-func (m *Manager) dispatchLocked(g *templateGroup, rows []delta.Row, ts vclock.Timestamp) {
+// alone (the row entered it: an insertion). A columnar change
+// (res.Change: the template's selection over the round's shared image)
+// is read half by half into the group's scratch row and never rendered:
+// a half is copied out on its first match, so the halves no member
+// selects — most of the window, since the template's plan has no
+// constants to filter by — cost nothing. Caller holds g.mu.
+func (m *Manager) dispatchLocked(g *templateGroup, res *dra.Result, ts vclock.Timestamp) {
 	if g.matched == nil {
 		g.matched = make(map[*tmplMember][]delta.Row)
 	}
 	halves, candidates, matches := 0, 0, 0
-	for _, row := range rows {
-		for h, vals := range [2][]relation.Value{row.Old, row.New} {
-			if vals == nil {
+	// block is the backing copied-out halves share, 16 at a time.
+	var block []relation.Value
+	// route sends half h (0 old, 1 new) of tid's row, vals, to its
+	// members; a scratch vals is copied out before a member keeps it.
+	route := func(tid relation.TID, h int, vals []relation.Value, scratch bool) {
+		halves++
+		for _, mem := range g.index.candidates(vals) {
+			if mem.removed {
 				continue
 			}
-			halves++
-			for _, mem := range g.index.candidates(vals) {
-				if mem.removed {
-					continue
+			candidates++
+			if !g.tpl.MatchRow(mem.params, vals) {
+				continue
+			}
+			matches++
+			if scratch {
+				w := len(vals)
+				if len(block) < w {
+					block = make([]relation.Value, 16*w)
 				}
-				candidates++
-				if !g.tpl.MatchRow(mem.params, vals) {
-					continue
-				}
-				matches++
-				rs := g.matched[mem]
-				if n := len(rs); h == 1 && n > 0 && rs[n-1].TID == row.TID {
-					rs[n-1].New = vals // the old half went to this member too
-					continue
-				}
-				r := delta.Row{TID: row.TID, TS: ts}
-				if h == 0 {
-					r.Old = vals
-				} else {
-					r.New = vals
-				}
-				g.matched[mem] = append(rs, r)
+				out := block[:w:w]
+				copy(out, vals)
+				vals, block, scratch = out, block[w:], false
+			}
+			rs := g.matched[mem]
+			if n := len(rs); h == 1 && n > 0 && rs[n-1].TID == tid {
+				rs[n-1].New = vals // the old half went to this member too
+				continue
+			}
+			r := delta.Row{TID: tid, TS: ts}
+			if h == 0 {
+				r.Old = vals
+			} else {
+				r.New = vals
+			}
+			g.matched[mem] = append(rs, r)
+		}
+	}
+	if c := res.Change(); c != nil {
+		if w := c.Schema().Len(); len(g.scratch) != w {
+			g.scratch = make([]relation.Value, w)
+		}
+		c.Each(func(tid relation.TID, oldAt, newAt int32) {
+			if oldAt >= 0 {
+				c.ReadRow(oldAt, g.scratch)
+				route(tid, 0, g.scratch, true)
+			}
+			if newAt >= 0 {
+				c.ReadRow(newAt, g.scratch)
+				route(tid, 1, g.scratch, true)
+			}
+		})
+	} else {
+		for _, row := range res.Delta.Rows() {
+			if row.Old != nil {
+				route(row.TID, 0, row.Old, false)
+			}
+			if row.New != nil {
+				route(row.TID, 1, row.New, false)
 			}
 		}
 	}

@@ -89,19 +89,38 @@ func (r Row) Kind() Kind {
 
 // Errors returned by Delta operations.
 var (
-	ErrBadRow  = errors.New("delta: row has neither old nor new values")
-	ErrArity   = errors.New("delta: value arity does not match schema")
-	ErrReplay  = errors.New("delta: cannot apply row to relation")
-	ErrOrder   = errors.New("delta: rows must be appended in timestamp order")
-	ErrSchemas = errors.New("delta: incompatible schemas")
+	ErrBadRow   = errors.New("delta: row has neither old nor new values")
+	ErrArity    = errors.New("delta: value arity does not match schema")
+	ErrReplay   = errors.New("delta: cannot apply row to relation")
+	ErrOrder    = errors.New("delta: rows must be appended in timestamp order")
+	ErrSchemas  = errors.New("delta: incompatible schemas")
+	ErrDeferred = errors.New("delta: a deferred delta is read-only")
 )
 
 // Delta is a differential relation over a base schema. Rows are kept in
 // append (= timestamp) order. Delta is not safe for concurrent mutation;
 // the storage engine serializes appends.
+//
+// A deferred Delta (Defer) holds a change kept in another form — a
+// refresh's columnar net change — and reads its rows from that Source:
+// Len, Counts and Schema answer without rendering, and the first read
+// of the rows (Rows, the views, every method built on them) renders
+// them. A deferred Delta is read-only (Append fails with ErrDeferred,
+// TruncateBefore panics).
 type Delta struct {
 	schema relation.Schema
 	rows   []Row
+	src    Source // non-nil: deferred, the rows are src's
+}
+
+// Source is a change held in a form other than rows, behind a deferred
+// Delta. Len and Counts report its rows and their kinds without
+// rendering them; Rows renders them on its first call, once even under
+// concurrent callers, and returns that one rendering on every call.
+type Source interface {
+	Len() int
+	Counts() (ins, del, mod int)
+	Rows() []Row
 }
 
 // New creates an empty differential relation for the given base schema.
@@ -117,18 +136,42 @@ func FromRows(schema relation.Schema, rows []Row) *Delta {
 	return &Delta{schema: schema, rows: rows}
 }
 
+// Defer makes the zero Delta d a deferred delta over schema whose rows
+// are src's. A holder that embeds d in src keeps both in one allocation.
+func (d *Delta) Defer(schema relation.Schema, src Source) {
+	d.schema, d.src = schema, src
+}
+
+// all returns the rows, a deferred delta's rendered by its source.
+func (d *Delta) all() []Row {
+	if d.src != nil {
+		return d.src.Rows()
+	}
+	return d.rows
+}
+
 // Schema returns the base schema the delta refers to.
 func (d *Delta) Schema() relation.Schema { return d.schema }
 
-// Len returns the number of rows.
-func (d *Delta) Len() int { return len(d.rows) }
+// Len returns the number of rows; a deferred delta answers without
+// rendering.
+func (d *Delta) Len() int {
+	if d.src != nil {
+		return d.src.Len()
+	}
+	return len(d.rows)
+}
 
-// Rows exposes the backing slice for read-only iteration.
-func (d *Delta) Rows() []Row { return d.rows }
+// Rows exposes the backing slice for read-only iteration, rendering a
+// deferred delta first.
+func (d *Delta) Rows() []Row { return d.all() }
 
 // Append adds a row. Rows must arrive in non-decreasing timestamp order
-// and match the schema arity.
+// and match the schema arity. A deferred delta refuses every row.
 func (d *Delta) Append(r Row) error {
+	if d.src != nil {
+		return ErrDeferred
+	}
 	if r.Old == nil && r.New == nil {
 		return ErrBadRow
 	}
@@ -165,7 +208,8 @@ func (d *Delta) AppendModify(tid relation.TID, old, now []relation.Value, ts vcl
 // evaluation (Section 4.2). The returned Delta shares row storage with d;
 // callers must treat it as read-only.
 func (d *Delta) After(t vclock.Timestamp) *Delta {
-	return &Delta{schema: d.schema, rows: d.rows[d.search(t):]}
+	rows := d.all()
+	return &Delta{schema: d.schema, rows: rows[search(rows, t):]}
 }
 
 // Window returns rows with lo < TS <= hi, sharing row storage with d
@@ -177,33 +221,36 @@ func (d *Delta) Window(lo, hi vclock.Timestamp) *Delta {
 // WindowRows returns the rows with lo < TS <= hi: a subslice of d's row
 // storage, found by binary search, for read-only use before d changes.
 func (d *Delta) WindowRows(lo, hi vclock.Timestamp) []Row {
-	i, j := d.search(lo), d.search(hi)
+	rows := d.all()
+	i, j := search(rows, lo), search(rows, hi)
 	if j < i {
 		return nil // hi < lo: the window is empty
 	}
-	return d.rows[i:j]
+	return rows[i:j]
 }
 
 // search returns the index of the first row with TS > t (rows are in ts
 // order).
-func (d *Delta) search(t vclock.Timestamp) int {
-	return sort.Search(len(d.rows), func(i int) bool { return d.rows[i].TS > t })
+func search(rows []Row, t vclock.Timestamp) int {
+	return sort.Search(len(rows), func(i int) bool { return rows[i].TS > t })
 }
 
 // MaxTS returns the timestamp of the newest row, or 0 if empty.
 func (d *Delta) MaxTS() vclock.Timestamp {
-	if len(d.rows) == 0 {
+	rows := d.all()
+	if len(rows) == 0 {
 		return 0
 	}
-	return d.rows[len(d.rows)-1].TS
+	return rows[len(rows)-1].TS
 }
 
 // MinTS returns the timestamp of the oldest row, or 0 if empty.
 func (d *Delta) MinTS() vclock.Timestamp {
-	if len(d.rows) == 0 {
+	rows := d.all()
+	if len(rows) == 0 {
 		return 0
 	}
-	return d.rows[0].TS
+	return rows[0].TS
 }
 
 // Insertions materializes the insertions view: the new halves of insert
@@ -214,7 +261,7 @@ func (d *Delta) Insertions() *relation.Relation {
 	// In row order, so the last row of a tid decides: a later new half
 	// supersedes an earlier one, a later delete takes the tid out again,
 	// and a re-insert after a delete puts it back.
-	for _, r := range d.rows {
+	for _, r := range d.all() {
 		if r.New != nil {
 			_ = out.Upsert(relation.Tuple{TID: r.TID, Values: r.New})
 		} else if out.Has(r.TID) {
@@ -227,8 +274,9 @@ func (d *Delta) Insertions() *relation.Relation {
 // Deletions materializes the deletions view: the old halves of delete and
 // modify rows.
 func (d *Delta) Deletions() *relation.Relation {
+	rows := d.all()
 	out := relation.New(d.schema)
-	for _, r := range d.rows {
+	for _, r := range rows {
 		if r.Old == nil {
 			continue
 		}
@@ -240,8 +288,8 @@ func (d *Delta) Deletions() *relation.Relation {
 	// old value — keep it; but a tid whose first appearance in the window
 	// is an insert did not exist before the window, so its later delete
 	// must not appear in the deletions view.
-	first := make(map[relation.TID]Kind, len(d.rows))
-	for _, r := range d.rows {
+	first := make(map[relation.TID]Kind, len(rows))
+	for _, r := range rows {
 		if _, seen := first[r.TID]; !seen {
 			first[r.TID] = r.Kind()
 		}
@@ -259,7 +307,7 @@ func (d *Delta) Deletions() *relation.Relation {
 // notification purposes.
 func (d *Delta) Modifications() []Row {
 	var out []Row
-	for _, r := range d.rows {
+	for _, r := range d.all() {
 		if r.Kind() == Modify {
 			out = append(out, r)
 		}
@@ -267,8 +315,12 @@ func (d *Delta) Modifications() []Row {
 	return out
 }
 
-// Counts returns the number of insert, delete and modify rows.
+// Counts returns the number of insert, delete and modify rows; a
+// deferred delta answers without rendering.
 func (d *Delta) Counts() (ins, del, mod int) {
+	if d.src != nil {
+		return d.src.Counts()
+	}
 	for _, r := range d.rows {
 		switch r.Kind() {
 		case Insert:
@@ -288,7 +340,7 @@ func (d *Delta) Apply(rel *relation.Relation) error {
 	if !d.schema.TypesEqual(rel.Schema()) {
 		return fmt.Errorf("%w: delta %s, relation %s", ErrSchemas, d.schema, rel.Schema())
 	}
-	for _, r := range d.rows {
+	for _, r := range d.all() {
 		switch r.Kind() {
 		case Insert:
 			if err := rel.Insert(relation.Tuple{TID: r.TID, Values: cloneValues(r.New)}); err != nil {
@@ -315,8 +367,9 @@ func (d *Delta) Unapply(rel *relation.Relation) error {
 	if !d.schema.TypesEqual(rel.Schema()) {
 		return fmt.Errorf("%w: delta %s, relation %s", ErrSchemas, d.schema, rel.Schema())
 	}
-	for i := len(d.rows) - 1; i >= 0; i-- {
-		r := d.rows[i]
+	rows := d.all()
+	for i := len(rows) - 1; i >= 0; i-- {
+		r := rows[i]
 		switch r.Kind() {
 		case Insert:
 			if err := rel.Delete(r.TID); err != nil {
@@ -339,7 +392,7 @@ func (d *Delta) Unapply(rel *relation.Relation) error {
 // share their value slices with d's. Returns a new Delta.
 func (d *Delta) Compact() *Delta {
 	out := New(d.schema)
-	Fold(d.rows, func(r Row) { out.rows = append(out.rows, r) })
+	Fold(d.all(), func(r Row) { out.rows = append(out.rows, r) })
 	return out
 }
 
@@ -417,8 +470,11 @@ func byTS(a, b Row) int { return cmp.Compare(a.TS, b.TS) }
 // TruncateBefore drops all rows with TS <= t. This is the garbage
 // collection primitive of Section 5.4: t is the lower boundary of the
 // system active delta zone (the oldest last-execution timestamp over all
-// registered CQs).
+// registered CQs). A deferred delta is read-only: truncating one panics.
 func (d *Delta) TruncateBefore(t vclock.Timestamp) int {
+	if d.src != nil {
+		panic(ErrDeferred)
+	}
 	lo := 0
 	for lo < len(d.rows) && d.rows[lo].TS <= t {
 		lo++
@@ -437,14 +493,15 @@ func (d *Delta) TruncateBefore(t vclock.Timestamp) int {
 // value slices (see Row): it stays intact when d is truncated or
 // appended to, and costs one allocation, not one per value.
 func (d *Delta) Detach() *Delta {
-	return &Delta{schema: d.schema, rows: slices.Clone(d.rows)}
+	return &Delta{schema: d.schema, rows: slices.Clone(d.all())}
 }
 
 // Clone deep-copies the delta.
 func (d *Delta) Clone() *Delta {
+	rows := d.all()
 	out := New(d.schema)
-	out.rows = make([]Row, len(d.rows))
-	for i, r := range d.rows {
+	out.rows = make([]Row, len(rows))
+	for i, r := range rows {
 		out.rows[i] = Row{TID: r.TID, TS: r.TS, Old: cloneValues(r.Old), New: cloneValues(r.New)}
 	}
 	return out
@@ -482,7 +539,7 @@ func (d *Delta) String() string {
 	ins := d.Insertions()
 	del := d.Deletions()
 	return fmt.Sprintf("Δ%s  rows=%d\ninsertions:\n%s\ndeletions:\n%s",
-		d.schema, len(d.rows), ins, del)
+		d.schema, d.Len(), ins, del)
 }
 
 func cloneValues(vs []relation.Value) []relation.Value {

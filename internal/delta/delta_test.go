@@ -496,3 +496,72 @@ func TestFoldMatchesReferenceProperty(t *testing.T) {
 func sameHalf(a, b []relation.Value) bool {
 	return (a == nil) == (b == nil) && valuesEqual(a, b)
 }
+
+// rowsSource is a Source over rows it already holds, counting the reads
+// of its rows.
+type rowsSource struct {
+	rows     []Row
+	reads    int
+	ins, del int
+}
+
+func (s *rowsSource) Len() int                    { return len(s.rows) }
+func (s *rowsSource) Counts() (ins, del, mod int) { return s.ins, s.del, len(s.rows) - s.ins - s.del }
+
+func (s *rowsSource) Rows() []Row {
+	s.reads++
+	return s.rows
+}
+
+// TestDeferredDelta: a deferred delta answers Len, Counts and Schema
+// from its source without reading its rows, reads them from the source
+// for Rows and every view, and is read-only: Append fails with
+// ErrDeferred and TruncateBefore panics.
+func TestDeferredDelta(t *testing.T) {
+	src := &rowsSource{
+		rows: []Row{
+			{TID: 1, New: row(1, "MAC", 117), TS: 5},
+			{TID: 2, Old: row(2, "DEC", 150), New: row(2, "DEC", 149), TS: 5},
+			{TID: 3, Old: row(3, "QLI", 145), TS: 5},
+		},
+		ins: 1, del: 1,
+	}
+	var d Delta
+	d.Defer(stockSchema(), src)
+	if d.Len() != 3 || !d.Schema().TypesEqual(stockSchema()) {
+		t.Fatalf("Len %d, Schema %s", d.Len(), d.Schema())
+	}
+	if ins, del, mod := d.Counts(); ins != 1 || del != 1 || mod != 1 {
+		t.Fatalf("Counts %d/%d/%d, want 1/1/1", ins, del, mod)
+	}
+	if src.reads != 0 {
+		t.Fatalf("Len, Counts and Schema read the rows %d times", src.reads)
+	}
+	if got := d.Insertions().Len(); got != 2 {
+		t.Fatalf("%d insertions, want 2", got)
+	}
+	if got := len(d.Rows()); got != 3 || d.MaxTS() != 5 || len(d.Modifications()) != 1 {
+		t.Fatalf("Rows %d, MaxTS %d", got, d.MaxTS())
+	}
+	if src.reads == 0 {
+		t.Fatal("the views did not read the source's rows")
+	}
+
+	if err := d.Append(Row{TID: 4, New: row(4, "IBM", 75), TS: 6}); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("Append: %v, want ErrDeferred", err)
+	}
+	if err := d.AppendInsert(4, row(4, "IBM", 75), 6); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("AppendInsert: %v, want ErrDeferred", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("TruncateBefore on a deferred delta did not panic")
+			}
+		}()
+		d.TruncateBefore(5)
+	}()
+	if d.Len() != 3 || len(d.Rows()) != 3 {
+		t.Fatalf("a refused write changed the delta: Len %d, rows %d", d.Len(), len(d.Rows()))
+	}
+}

@@ -27,8 +27,9 @@ type SignedRow struct {
 
 // ToSigned converts a differential relation to its signed form.
 func (d *Delta) ToSigned() *Signed {
-	out := &Signed{Schema: d.schema, Rows: make([]SignedRow, 0, len(d.rows))}
-	for _, r := range d.rows {
+	rows := d.all()
+	out := &Signed{Schema: d.schema, Rows: make([]SignedRow, 0, len(rows))}
+	for _, r := range rows {
 		switch r.Kind() {
 		case Insert:
 			out.Rows = append(out.Rows, SignedRow{TID: r.TID, Values: r.New, Sign: +1})

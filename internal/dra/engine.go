@@ -32,7 +32,8 @@
 // subtree [Project(bare columns)]([Select](Scan)) is therefore evaluated
 // as a view of its scan's window — surviving row indices and a column
 // map over the batch every CQ of the round shares (selView) — which the
-// root nets by adjacent -old/+new pair straight into result rows and
+// root nets by adjacent -old/+new pair straight into its change, kept
+// columnar over that batch until a reader asks for rows (Result), and
 // which a join operand copies out once. A join-free refresh is one pass
 // over the window.
 //
@@ -107,7 +108,9 @@ var (
 // sources or its maps, once Step returns: a caller may
 // reuse one Context, refilling it in place, for every refresh of its
 // evaluator. Windows and batches it carries are only read; the Result
-// references none of them.
+// references none of them but one: a selection's change over a Batches
+// image reads that image until its rows are rendered (Result), so an
+// image handed in here must never be written or recycled afterwards.
 type Context struct {
 	Pre    algebra.Source
 	Post   algebra.Source
@@ -236,28 +239,38 @@ func NewEngine() *Engine {
 }
 
 // Result is the outcome of one differential re-evaluation: the net
-// change of the query result, rendered once, as the paper's
-// differential relation (Delta). Invariant, kept by every producer (both
-// nettings, Diff behind the propagate arms, the group table, the cq
-// template fold) and relied on by result maintenance (Fits, Maintain,
-// ApplyTo) and by the cq notification read straight off Delta: Delta
-// holds each tid at most once, as one insert, delete or modify row.
+// change of the query result as the paper's differential relation
+// (Delta). Invariant, kept by every producer (both nettings, Diff behind
+// the propagate arms, the group table, the cq template fold) and relied
+// on by result maintenance (Fits, Maintain, ApplyTo) and by the cq
+// notification read straight off Delta: Delta holds each tid at most
+// once, as one insert, delete or modify row.
+//
+// A selection over the round's shared window image keeps its change
+// columnar (batch.Change: row indices over the image, which nobody
+// writes or recycles), and Delta is that change's deferred form: Len,
+// Counts and Schema answer from it, Fits and Maintain write it typed
+// into the result table, and only the first read of its rows renders
+// them, once. Every other producer renders its change eagerly.
 //
 // A non-empty Delta belongs to the refresh that produced it — its rows
-// and values on fresh backing, never pooled or reused memory — so a
-// caller may keep it, or anything it references, for as long as it
-// likes. An empty change is the Result's own empty Delta, allocated
-// once per Result and reported by every empty refresh stepped into it
-// (Prepared.StepInto): it is read-only, and nothing may append to it.
-// A holder that steps into one Result refresh after refresh therefore
-// allocates nothing for a refresh whose change is empty.
+// and values on fresh backing, or the shared image it renders from,
+// never pooled or reused memory — so a caller may keep it, or anything
+// it references, for as long as it likes. An empty change is the
+// Result's own empty Delta, allocated once per Result and reported by
+// every empty refresh stepped into it (Prepared.StepInto): it is
+// read-only, and nothing may append to it. A holder that steps into one
+// Result refresh after refresh therefore allocates nothing for a
+// refresh whose change is empty.
 type Result struct {
 	// Signed is never set: Delta is the change. The field stays declared
 	// only for a reader outside this module's serving path (the repo
 	// benchmark's replay) that still checks it for nil.
 	Signed *delta.Signed
 	// Delta is the change in differential-relation form (modifications
-	// paired), rows stamped with ExecTS.
+	// paired), rows stamped with ExecTS. A selection's is deferred:
+	// rendered on the first read of its rows, while Len and Counts cost
+	// nothing.
 	Delta *delta.Delta
 	// ExecTS is the timestamp assigned to this execution.
 	ExecTS vclock.Timestamp
@@ -273,6 +286,8 @@ type Result struct {
 	full *batch.Table
 	// none is the Result's empty change, kept across the steps into it.
 	none *delta.Delta
+	// change is Delta's columnar form when Delta is deferred.
+	change *batch.Change
 }
 
 // Set makes rows — a netted change over schema at execTS, each tid at
@@ -292,6 +307,17 @@ func (r *Result) Clear() { r.reset(0) }
 // reset readies r for a step at execTS, keeping only its empty Delta.
 func (r *Result) reset(execTS vclock.Timestamp) {
 	*r = Result{ExecTS: execTS, none: r.none}
+}
+
+// Change returns Delta's columnar form when Delta is deferred (a
+// selection over the round's shared image), nil otherwise. A reader
+// that needs only some of the change's rows, or only some of their
+// values, reads them here without rendering the rest.
+func (r *Result) Change() *batch.Change { return r.change }
+
+// setChange reports a columnar change, Delta being its deferred form.
+func (r *Result) setChange(c *batch.Change) {
+	r.change, r.Delta = c, &c.Delta
 }
 
 // setRows reports rows as the change: adopted as they are, or the
@@ -340,9 +366,14 @@ func (r *Result) ApplyTo(prev *relation.Relation) *relation.Relation {
 // t can take this refresh, a value its column cannot hold failing it
 // with an error wrapping relation.ErrTypeMismatch. A standing query runs
 // it before anything of the refresh commits or journals, and Maintain
-// after. Under complete re-evaluation it writes the new result, in the
-// evaluation's order, into the fresh table Maintain returns.
+// after. A columnar change is checked by its column types, O(width),
+// without rendering a row. Under complete re-evaluation it writes the
+// new result, in the evaluation's order, into the fresh table Maintain
+// returns.
 func (r *Result) Fits(t *batch.Table) error {
+	if r.change != nil {
+		return t.FitsChange(r.change)
+	}
 	if r.materialized == nil {
 		return t.Fits(r.Delta)
 	}
@@ -358,12 +389,18 @@ func (r *Result) Fits(t *batch.Table) error {
 
 // Maintain is ApplyTo over a standing query's result table (Section
 // 4.3: Et_i(Q) ∪ insertions − deletions), after Fits has passed. It
-// writes the change typed into t's slots (batch.Table.Apply), O(|Δ|),
-// and returns t. Under complete re-evaluation it returns instead the
+// writes the change typed into t's slots, O(|Δ|), and returns t: a
+// columnar change straight from its source columns
+// (batch.Table.ApplyChange, rendering nothing), any other through its
+// rows (batch.Table.Apply). Under complete re-evaluation it returns instead the
 // table Fits filled from the full result: that arm is O(|R|) already,
 // and the evaluation's order — a sorted plan's ORDER BY order — is the
 // result's, which writes into freed slots would not keep.
 func (r *Result) Maintain(t *batch.Table) *batch.Table {
+	if r.change != nil {
+		t.ApplyChange(r.change)
+		return t
+	}
 	if r.materialized == nil {
 		t.Apply(r.Delta)
 		return t

@@ -39,12 +39,16 @@ type Metrics struct {
 	// netting (emit/probe is the probe fan-out); ReplicaRows gauges the
 	// live operand-replica rows held by every prepared plan — the join
 	// state size.
-	JoinProbeRows *obs.Counter   // dra.join.probe_rows
-	JoinEmitRows  *obs.Counter   // dra.join.emit_rows
-	ReplicaRows   *obs.Gauge     // dra.replica.rows
-	Latency       *obs.Histogram // dra.reevaluate_ns
-	PrepareNS     *obs.Histogram // dra.prepare_ns
-	Traces        *obs.TraceLog  // per-step spans, sampled
+	JoinProbeRows *obs.Counter // dra.join.probe_rows
+	JoinEmitRows  *obs.Counter // dra.join.emit_rows
+	// ChangesRendered counts the columnar changes of selection refreshes
+	// that a reader rendered into rows (Result.Delta is deferred): a
+	// refresh whose rows nobody reads renders none.
+	ChangesRendered *obs.Counter   // dra.changes_rendered
+	ReplicaRows     *obs.Gauge     // dra.replica.rows
+	Latency         *obs.Histogram // dra.reevaluate_ns
+	PrepareNS       *obs.Histogram // dra.prepare_ns
+	Traces          *obs.TraceLog  // per-step spans, sampled
 
 	// AggRowsFolded counts the signed input rows the aggregate and
 	// DISTINCT maintainers folded, AggGroupsTouched the groups those rows
@@ -73,22 +77,23 @@ func (m *Metrics) startSpan() *obs.Span {
 // so callers can thread Config.Metrics straight through.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Reevaluations: reg.Counter("dra.reevaluations"),
-		Terms:         reg.Counter("dra.terms_evaluated"),
-		DeltaRows:     reg.Counter("dra.delta_rows_consumed"),
-		PreTuples:     reg.Counter("dra.pre_tuples_scanned"),
-		Differential:  reg.Counter("dra.differential_path"),
-		Fallbacks:     reg.Counter("dra.fallback_path"),
-		Skips:         reg.Counter("dra.skipped"),
-		IndexHits:     reg.Counter("dra.index_cache.hits"),
-		IndexMisses:   reg.Counter("dra.index_cache.misses"),
-		VecSteps:      reg.Counter("dra.vector_steps"),
-		JoinProbeRows: reg.Counter("dra.join.probe_rows"),
-		JoinEmitRows:  reg.Counter("dra.join.emit_rows"),
-		ReplicaRows:   reg.Gauge("dra.replica.rows"),
-		Latency:       reg.Histogram("dra.reevaluate_ns"),
-		PrepareNS:     reg.Histogram("dra.prepare_ns"),
-		Traces:        reg.Traces(),
+		Reevaluations:   reg.Counter("dra.reevaluations"),
+		Terms:           reg.Counter("dra.terms_evaluated"),
+		DeltaRows:       reg.Counter("dra.delta_rows_consumed"),
+		PreTuples:       reg.Counter("dra.pre_tuples_scanned"),
+		Differential:    reg.Counter("dra.differential_path"),
+		Fallbacks:       reg.Counter("dra.fallback_path"),
+		Skips:           reg.Counter("dra.skipped"),
+		IndexHits:       reg.Counter("dra.index_cache.hits"),
+		IndexMisses:     reg.Counter("dra.index_cache.misses"),
+		VecSteps:        reg.Counter("dra.vector_steps"),
+		JoinProbeRows:   reg.Counter("dra.join.probe_rows"),
+		JoinEmitRows:    reg.Counter("dra.join.emit_rows"),
+		ChangesRendered: reg.Counter("dra.changes_rendered"),
+		ReplicaRows:     reg.Gauge("dra.replica.rows"),
+		Latency:         reg.Histogram("dra.reevaluate_ns"),
+		PrepareNS:       reg.Histogram("dra.prepare_ns"),
+		Traces:          reg.Traces(),
 
 		AggRowsFolded:    reg.Counter("dra.agg.rows_folded"),
 		AggGroupsTouched: reg.Counter("dra.agg.groups_touched"),

@@ -278,10 +278,12 @@ func (p *Prepared) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) 
 // instance's, a template group's): res is overwritten with this
 // refresh's change, so the header is allocated once per holder, not once
 // per refresh, and an empty change is res's own read-only empty Delta,
-// which allocates nothing either. A non-empty change is rendered once,
-// into a Delta that belongs to this refresh alone: what the caller
-// handed out from an earlier step into res — its Delta, a notification
-// built on it — stays as it was. On error res holds no change.
+// which allocates nothing either. A non-empty change is a Delta that
+// belongs to this refresh alone — rendered once, now or, for a
+// selection over the round's shared image, on its first row read (see
+// Result): what the caller handed out from an earlier step into res —
+// its Delta, a notification built on it — stays as it was. On error res
+// holds no change.
 func (p *Prepared) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) error {
 	if p.closed {
 		return fmt.Errorf("dra: Step on closed Prepared")

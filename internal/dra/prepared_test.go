@@ -84,6 +84,38 @@ func stepPrepared(t *testing.T, f *fixture, p subject, plan algebra.Plan, prev *
 	return res, complete
 }
 
+// equivalenceShapes are the SPJ query shapes of the equivalence
+// properties, over equivalenceTables: selections with and without a
+// projection, two-way joins, and three-way joins.
+var equivalenceShapes = []string{
+	"SELECT * FROM r WHERE a > 100",
+	"SELECT s1, a FROM r WHERE a > 50 AND s1 != 'k0'",
+	"SELECT * FROM r JOIN u ON r.s1 = u.s2",
+	"SELECT r.s1, u.b FROM r JOIN u ON r.s1 = u.s2 WHERE r.a > 80",
+	"SELECT * FROM r, u WHERE r.s1 = u.s2 AND u.b < 150 AND r.a > 20",
+	"SELECT * FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE w.c > 10",
+	"SELECT r.a, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x",
+}
+
+// equivalenceTables are the schemas equivalenceShapes run over.
+func equivalenceTables() map[string]relation.Schema {
+	return map[string]relation.Schema{
+		"r": relation.MustSchema(
+			relation.Column{Name: "s1", Type: relation.TString},
+			relation.Column{Name: "a", Type: relation.TFloat},
+		),
+		"u": relation.MustSchema(
+			relation.Column{Name: "s2", Type: relation.TString},
+			relation.Column{Name: "b", Type: relation.TFloat},
+			relation.Column{Name: "x", Type: relation.TInt},
+		),
+		"w": relation.MustSchema(
+			relation.Column{Name: "x", Type: relation.TInt},
+			relation.Column{Name: "c", Type: relation.TFloat},
+		),
+	}
+}
+
 // TestPreparedStrategyEquivalenceProperty extends the package's central
 // theorem check to the prepared pipeline: over random multi-table
 // histories and SPJ query shapes, every way to refresh — the differential
@@ -94,36 +126,12 @@ func stepPrepared(t *testing.T, f *fixture, p subject, plan algebra.Plan, prev *
 // long-lived subject (so cross-refresh replica state is actually
 // exercised).
 func TestPreparedStrategyEquivalenceProperty(t *testing.T) {
-	queries := []string{
-		"SELECT * FROM r WHERE a > 100",
-		"SELECT s1, a FROM r WHERE a > 50 AND s1 != 'k0'",
-		"SELECT * FROM r JOIN u ON r.s1 = u.s2",
-		"SELECT r.s1, u.b FROM r JOIN u ON r.s1 = u.s2 WHERE r.a > 80",
-		"SELECT * FROM r, u WHERE r.s1 = u.s2 AND u.b < 150 AND r.a > 20",
-		"SELECT * FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x WHERE w.c > 10",
-		"SELECT r.a, w.c FROM r JOIN u ON r.s1 = u.s2 JOIN w ON u.x = w.x",
-	}
 	subjects := []string{"auto", "fresh", "incremental", "propagate"}
-
-	rSchema := relation.MustSchema(
-		relation.Column{Name: "s1", Type: relation.TString},
-		relation.Column{Name: "a", Type: relation.TFloat},
-	)
-	uSchema := relation.MustSchema(
-		relation.Column{Name: "s2", Type: relation.TString},
-		relation.Column{Name: "b", Type: relation.TFloat},
-		relation.Column{Name: "x", Type: relation.TInt},
-	)
-	wSchema := relation.MustSchema(
-		relation.Column{Name: "x", Type: relation.TInt},
-		relation.Column{Name: "c", Type: relation.TFloat},
-	)
-
-	for qi, q := range queries {
+	for qi, q := range equivalenceShapes {
 		for si, name := range subjects {
 			t.Run(fmt.Sprintf("q%d_%s", qi, name), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(qi*1000) + int64(si)))
-				f := newFixture(t, map[string]relation.Schema{"r": rSchema, "u": uSchema, "w": wSchema})
+				f := newFixture(t, equivalenceTables())
 				live := liveSet{}
 				applyRandomBatch(t, f, rng, live, 10, 3)
 

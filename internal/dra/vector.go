@@ -9,6 +9,7 @@ import (
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/guard"
+	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
@@ -27,8 +28,8 @@ func nonConforming(what string) error {
 // pooled batch and selection vector it creates lands in owned / idx and
 // returns to the arena in one sweep at the end — cross-refresh buffer
 // reuse through the pool is where the allocation win comes from. The
-// vecEval itself is pooled too (vecEvals), its two lists keeping their
-// capacity from one refresh to the next.
+// vecEval itself is pooled too (vecEvals), its two lists and netBatch's
+// grouping scratch keeping their capacity from one refresh to the next.
 type vecEval struct {
 	e      *Engine
 	ctx    *Context
@@ -40,6 +41,10 @@ type vecEval struct {
 	// window was non-empty: the relevance test of Section 5.2, answered
 	// by the evaluation itself.
 	relevant bool
+	// groupOf and groups are netBatch's tid index and groups, emptied
+	// after each use in O(groups), not O(capacity) (resetNet).
+	groupOf map[relation.TID]int32
+	groups  []netGroup
 }
 
 // vecEvals recycles evaluator states across refreshes and engines.
@@ -48,7 +53,7 @@ var vecEvals = sync.Pool{New: func() any { return new(vecEval) }}
 // newVecEval takes an evaluator state from the pool; release returns it.
 func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *vecEval {
 	v := vecEvals.Get().(*vecEval)
-	*v = vecEval{e: e, ctx: ctx, execTS: execTS, st: st, owned: v.owned[:0], idx: v.idx[:0]}
+	*v = vecEval{e: e, ctx: ctx, execTS: execTS, st: st, owned: v.owned[:0], idx: v.idx[:0], groupOf: v.groupOf, groups: v.groups}
 	return v
 }
 
@@ -70,7 +75,7 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) erro
 			return err
 		}
 		v.relevant = w.len() > 0
-		res.setRows(w.schema, v.netView(w))
+		v.netView(w, res)
 	} else {
 		out, err := v.nodeBatch(root)
 		if err != nil {
@@ -111,7 +116,7 @@ func (v *vecEval) release() {
 	}
 	clear(v.owned)
 	clear(v.idx)
-	*v = vecEval{owned: v.owned[:0], idx: v.idx[:0]}
+	*v = vecEval{owned: v.owned[:0], idx: v.idx[:0], groupOf: v.groupOf, groups: v.groups}
 	// released: the evaluation is over and the state is wiped above, so
 	// the pooled value keeps no buffer, context or engine reachable.
 	vecEvals.Put(v)
@@ -150,11 +155,13 @@ func (v *vecEval) nodeBatch(n *compiledNode) (*batch.Batch, error) {
 
 // selView is the signed change of a selection, read in place: rows sel
 // of the scan's window batch b — the round's shared image, which this
-// evaluation must not write, or the scan's own conversion — with output
-// column j in b's column cols[j]. Its consumer nets it straight into
-// result rows (netView) or copies it out once (nodeBatch).
+// evaluation must not write (shared), or the scan's own conversion —
+// with output column j in b's column cols[j]. Its consumer nets it
+// straight into the result's change (netView) or copies it out once
+// (nodeBatch).
 type selView struct {
 	b      *batch.Batch
+	shared bool
 	sel    []int32 // nil: every row
 	cols   []int
 	schema relation.Schema
@@ -180,7 +187,7 @@ func (w *selView) at(k int) int32 {
 func (v *vecEval) view(s *selection) (selView, error) {
 	w := selView{cols: s.cols, schema: s.schema}
 	var err error
-	if w.b, err = v.scanBatch(s.scan); err != nil {
+	if w.b, w.shared, err = v.scanBatch(s.scan); err != nil {
 		return w, err
 	}
 	pool := v.e.pool
@@ -201,13 +208,13 @@ func (v *vecEval) view(s *selection) (selView, error) {
 // with the scan's column types. When the context carries a prebuilt
 // columnar window (built once by the window cache and shared by every
 // CQ at the round timestamp) and no further compaction would apply, that
-// batch is the scan, read in place; otherwise the scan converts the row
-// window into a pooled batch.
-func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {
+// batch is the scan, read in place (shared); otherwise the scan converts
+// the row window into a pooled batch.
+func (v *vecEval) scanBatch(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
 	e := v.e
 	if pre := v.ctx.Batches[n.Table]; pre != nil && (!e.CompactDeltas || v.ctx.Compacted) {
 		v.st.DeltaRows += pre.Len()
-		return pre, nil
+		return pre, true, nil
 	}
 	d := v.ctx.Deltas[n.Table]
 	if d != nil && e.CompactDeltas && !v.ctx.Compacted {
@@ -221,12 +228,12 @@ func (v *vecEval) scanBatch(n *algebra.ScanPlan) (*batch.Batch, error) {
 	if d != nil {
 		for _, r := range d.Rows() {
 			if !out.AppendChange(r) {
-				return nil, nonConforming("window of " + n.Table)
+				return nil, false, nonConforming("window of " + n.Table)
 			}
 		}
 	}
 	v.st.DeltaRows += out.Len()
-	return out, nil
+	return out, false, nil
 }
 
 // filterBatch applies a selection predicate column-at-a-time to a batch
@@ -523,24 +530,26 @@ func (v *vecEval) crossStepVec(cj *compiledJoin, out *batch.Batch, outT []relati
 	return outT, nil
 }
 
-// netView nets a selection over paired windows (vecEval.paired) and
-// renders the net change as result rows stamped with the execution's
-// timestamp. Each tid reaches the view as a lone row or as its adjacent
-// -old/+new pair, so netting is one forward pass with no grouping: a
-// pair whose projected columns are equal cancels (the projection dropped
-// every changed column), a pair that differs is one modification, a
-// lone row an insertion or a deletion. Only the projected columns are
-// compared or read; the rows' values share one flat owned backing, so
-// the change does not reference the window. No net change renders
-// nothing and returns nil.
-func (v *vecEval) netView(w selView) []delta.Row {
+// netView nets a selection over paired windows (vecEval.paired) into
+// res's change. Each tid reaches the view as a lone row or as its
+// adjacent -old/+new pair, so netting is one forward pass with no
+// grouping: a pair whose projected columns are equal cancels (the
+// projection dropped every changed column), a pair that differs is one
+// modification, a lone row an insertion or a deletion. Only the
+// projected columns are compared. Over the round's shared image the net
+// change stays columnar — the kept row indices over the image, which
+// nobody writes or recycles (batch.Change) — and renders rows only when
+// a reader asks for them; over the scan's own pooled conversion it is
+// rendered now (batch.NetRows), since that batch returns to the pool
+// when the evaluation ends. No net change reports res's empty Delta.
+func (v *vecEval) netView(w selView, res *Result) {
 	n := w.len()
 	if n == 0 {
-		return nil
+		res.setRows(w.schema, nil)
+		return
 	}
 	b, pool := w.b, v.e.pool
 	keep := pool.GetIdx(n) // window rows kept, a pair's two adjacent
-	tids := 0
 	for k := 0; k < n; k++ {
 		i := w.at(k)
 		if b.Signs[i] < 0 && k+1 < n {
@@ -548,45 +557,33 @@ func (v *vecEval) netView(w selView) []delta.Row {
 				k++
 				if !b.KeyEqual(int(i), w.cols, b, int(j), w.cols) {
 					keep = append(keep, i, j)
-					tids++
 				}
 				continue
 			}
 		}
 		keep = append(keep, i)
-		tids++
 	}
-	var rows []delta.Row
-	if tids > 0 {
-		width := len(w.cols)
-		flat := make([]relation.Value, len(keep)*width)
-		rows = make([]delta.Row, 0, tids)
-		render := func(i int32) []relation.Value {
-			vals := flat[:width:width]
-			flat = flat[width:]
-			for c, ci := range w.cols {
-				vals[c] = b.Value(int(i), ci)
-			}
-			return vals
-		}
-		for k := 0; k < len(keep); k++ {
-			i := keep[k]
-			row := delta.Row{TID: b.TIDs[i], TS: v.execTS}
-			if b.Signs[i] > 0 {
-				row.New = render(i)
-			} else {
-				row.Old = render(i)
-				if k+1 < len(keep) && b.Signs[keep[k+1]] > 0 && b.TIDs[keep[k+1]] == row.TID {
-					k++
-					row.New = render(keep[k])
-				}
-			}
-			rows = append(rows, row)
-		}
+	switch {
+	case len(keep) == 0:
+		res.setRows(w.schema, nil)
+	case w.shared:
+		c := new(batch.Change)
+		c.Init(w.schema, b, keep, w.cols, v.execTS, v.renderCounter())
+		res.setChange(c)
+	default:
+		res.setRows(w.schema, batch.NetRows(b, keep, w.cols, v.execTS))
 	}
-	// released: the kept rows are rendered.
+	// released: the kept rows are copied out or rendered.
 	pool.PutIdx(keep)
-	return rows
+}
+
+// renderCounter is dra.changes_rendered, or nil on an uninstrumented
+// engine.
+func (v *vecEval) renderCounter() *obs.Counter {
+	if m := v.e.Metrics; m != nil {
+		return m.ChangesRendered
+	}
+	return nil
 }
 
 // netEntry is one distinct value-row of a tid's net group: the index of
@@ -634,17 +631,19 @@ func (g *netGroup) add(e netEntry) {
 // projections, uncompacted windows. Candidate rows are compared in place
 // (RowsEqual) — no row is materialized or hashed, so two distinct rows
 // can never merge — and grouping is a flat group slice addressed through
-// one tid index, so the pass costs O(1) allocations. The rows' values
-// share one flat owned backing, so the change stays valid after the
-// batch returns to the pool. No net change renders nothing and returns
-// nil.
+// one tid index, both kept on the pooled evaluator, so a steady stream
+// of refreshes groups without allocating. The rows' values share one
+// flat owned backing, so the change stays valid after the batch returns
+// to the pool. No net change renders nothing and returns nil.
 func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 	if b.Len() == 0 {
 		return nil
 	}
 	width := b.Schema.Len()
-	groupOf := make(map[relation.TID]int32, b.Len())
-	groups := make([]netGroup, 0, b.Len())
+	if v.groupOf == nil {
+		v.groupOf = make(map[relation.TID]int32, b.Len())
+	}
+	groupOf, groups := v.groupOf, v.groups
 	for i := 0; i < b.Len(); i++ {
 		tid := b.TIDs[i]
 		gi, ok := groupOf[tid]
@@ -667,6 +666,8 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 			g.add(netEntry{row: int32(i), count: int32(b.Signs[i])})
 		}
 	}
+	v.groups = groups
+	defer v.resetNet()
 	// Entries sit in arrival order within each group and groups in
 	// first-arrival order of their tid: a tid's net is its first
 	// negative and its first positive entry. Count the halves first, so
@@ -711,6 +712,26 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// maxPooledNet bounds the grouping scratch an evaluator keeps: a
+// refresh that grouped more tids leaves its map and groups to the
+// collector rather than pinning them in the pool.
+const maxPooledNet = 1 << 14
+
+// resetNet empties netBatch's scratch by deleting the keys its groups
+// name — O(groups this call made), where clearing the map would cost
+// its high-water capacity — and drops the groups' spill slices.
+func (v *vecEval) resetNet() {
+	if len(v.groups) > maxPooledNet {
+		v.groupOf, v.groups = nil, nil
+		return
+	}
+	for i := range v.groups {
+		delete(v.groupOf, v.groups[i].tid)
+	}
+	clear(v.groups)
+	v.groups = v.groups[:0]
 }
 
 // net returns the batch rows of the group's first negative and first

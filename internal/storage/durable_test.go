@@ -420,3 +420,73 @@ func TestClientTIDsMoveAllocator(t *testing.T) {
 		}
 	}
 }
+
+// TestTxRefusesHeldTID: a transaction never buffers two inserts under
+// one tid. Insert draws past a tid the transaction already holds (here
+// the allocator's next one, claimed by InsertWithTID), so both rows
+// commit under distinct tids in one logged frame; and InsertWithTID
+// refuses a tid the transaction holds live with ErrWriteConflict, so a
+// caller that then aborts leaves no row, no delta row and no WAL frame.
+// Before, both wrote a duplicate that the commit logged and then failed
+// to apply half-way, with the first row applied.
+func TestTxRefusesHeldTID(t *testing.T) {
+	row := func(name string) []relation.Value { return []relation.Value{relation.Str(name), relation.Float(1)} }
+	fresh := func() (*Store, *recSink) {
+		s := newStockStore(t)
+		sink := &recSink{}
+		s.SetWALSink(sink)
+		return s, sink
+	}
+
+	s, sink := fresh()
+	tx := s.Begin()
+	next := nextTID(t, s)
+	if err := tx.InsertWithTID("stocks", next, row("claimed")); err != nil {
+		t.Fatal(err)
+	}
+	tid, err := tx.Insert("stocks", row("drawn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid == next {
+		t.Fatalf("Insert handed out tid %d, which the tx already holds", tid)
+	}
+	mustCommit(t, tx)
+	if n, _ := s.DeltaLen("stocks"); n != 2 {
+		t.Fatalf("%d delta rows after the commit, want 2", n)
+	}
+	if len(sink.txs) != 1 || len(sink.txs[0]) != 2 || sink.txs[0][0].Row.TID == sink.txs[0][1].Row.TID {
+		t.Fatalf("logged %+v, want one frame of two tids", sink.txs)
+	}
+
+	for name, held := range map[string]func(*Tx) relation.TID{
+		"inserted": func(tx *Tx) relation.TID {
+			tid, err := tx.Insert("stocks", row("a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tid
+		},
+		"claimed": func(tx *Tx) relation.TID {
+			if err := tx.InsertWithTID("stocks", 7, row("a")); err != nil {
+				t.Fatal(err)
+			}
+			return 7
+		},
+	} {
+		s, sink := fresh()
+		tx := s.Begin()
+		tid := held(tx)
+		if err := tx.InsertWithTID("stocks", tid, row("b")); !errors.Is(err, ErrWriteConflict) {
+			t.Fatalf("%s: InsertWithTID of held tid %d: %v, want ErrWriteConflict", name, tid, err)
+		}
+		tx.Abort()
+		rel, err := s.Snapshot("stocks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := s.DeltaLen("stocks"); rel.Len() != 0 || n != 0 || len(sink.txs) != 0 {
+			t.Fatalf("%s: %d rows, %d delta rows, %d frames left after the refused write", name, rel.Len(), n, len(sink.txs))
+		}
+	}
+}

@@ -470,7 +470,10 @@ func (tx *Tx) conformed(op, table string, values []relation.Value) ([]relation.V
 	return row, nil
 }
 
-// Insert buffers an insertion and returns the assigned tid.
+// Insert buffers an insertion and returns the assigned tid: a fresh one
+// from the store's allocator, drawn past any tid this transaction
+// already holds in the table (InsertWithTID may have claimed the next
+// one before the allocator moved).
 func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error) {
 	if tx.done {
 		return 0, ErrTxDone
@@ -480,6 +483,12 @@ func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error
 		return 0, err
 	}
 	tid := tx.store.NewTID()
+	for {
+		if _, held := tx.pending[table][tid]; !held {
+			break
+		}
+		tid = tx.store.NewTID()
+	}
 	tx.ops = append(tx.ops, wal.TxRow{Table: table, Row: delta.Row{TID: tid, New: row}})
 	tx.pendingFor(table)[tid] = len(tx.ops) - 1
 	return tid, nil
@@ -488,10 +497,15 @@ func (tx *Tx) Insert(table string, values []relation.Value) (relation.TID, error
 // InsertWithTID buffers an insertion with a caller-chosen tid (used by
 // translators replaying external identities, e.g. Example 1's tids). A
 // client's commit moves the tid allocator past it; a derived one
-// (SetOrigin, CommitAt) does not.
+// (SetOrigin, CommitAt) does not. A tid this transaction already holds
+// live in the table — inserted or updated, not deleted — is refused with
+// ErrWriteConflict and buffers nothing.
 func (tx *Tx) InsertWithTID(table string, tid relation.TID, values []relation.Value) error {
 	if tx.done {
 		return ErrTxDone
+	}
+	if p, ok := tx.pendingRow(table, tid); ok && p.New != nil {
+		return fmt.Errorf("%w: insert tid %d, which this tx already holds in %q", ErrWriteConflict, tid, table)
 	}
 	row, err := tx.conformed("insert into", table, values)
 	if err != nil {

@@ -20,9 +20,12 @@
 # members of one selection template resumed at two LastExec values
 # into a new manager, then one Poll (resume);
 # BenchmarkTableApply (internal/batch) measures the maintained result
-# itself: one 64-row change (10% inserts, 10% deletes, 80%
-# modifications) applied to a 5k-row result table by typed writes into
-# its slots (apply, budget 0). This script fails when any arm exceeds its committed baseline
+# itself: one 64-row columnar change (10% inserts, 10% deletes, 80%
+# modifications) applied to a result table by typed writes into its
+# slots, at 5k rows (apply) and at 100k (apply100k), and the same change
+# in row form (Fits + Apply over a *delta.Delta) at 5k rows
+# (apply_rows), budget 0 each.
+# This script fails when any arm exceeds its committed baseline
 # (scripts/allocs-baseline.txt) by more than 20%.
 # Latency is machine-dependent and cannot be gated in CI; allocation
 # counts are deterministic for a fixed workload, which makes them the
