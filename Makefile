@@ -25,17 +25,20 @@ lint:
 # lifecycle and recovery, subscribe/drop churn, cascade DAG churn
 # (register/drop INTO pipelines under concurrent writes and polls), a
 # refresh beside a committing writer, the retry of a refresh whose INTO
-# commit the overloaded store refused, and subscription backpressure (in
-# the root package, where the policies run) — under the race detector.
+# commit the overloaded store refused, CQ churn over shared join
+# arrangements beside push and poll refreshes, and subscription
+# backpressure (in the root package, where the policies run) — under the
+# race detector.
 chaos:
-	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG|TestRefreshReadsNoFurtherThanItsTimestamp|TestRefusedMaterializeRetry' ./internal/cq/
+	go test -race -count=2 -run 'TestChaos|TestQuarantine|TestBudget|TestSubscriber|TestDropRace|TestSubscribeDropChurn|TestManualRefresh|TestHealthCounts|TestTemplateChurnRace|TestTemplateQuarantineIsolation|TestCascadeChurnDAG|TestRefreshReadsNoFurtherThanItsTimestamp|TestRefusedMaterializeRetry|TestArrangementChurnRace' ./internal/cq/
 	go test -race -count=2 -run 'TestBackpressure|TestSubscriberBuffer' .
 	go test -race -count=2 -run 'TestQuarantineSurvivesRecovery' ./internal/durable/
 	go test -race -count=2 -run 'TestWatermark|TestSetWatermarks' ./internal/storage/
 	go test -race -count=2 -run 'TestSheds|TestGate' ./internal/push/
 
 # allocs: the refresh's allocation budget — fails when any arm of
-# BenchmarkRefreshStep (columnar, notify, join, agg, distinct), of
+# BenchmarkRefreshStep (columnar, notify, join, join_shared, agg,
+# distinct), of
 # BenchmarkRefreshRound (round: one Poll; push: one commit fanned out to
 # push dispatches; members: one commit pushed to a 200-member template
 # group, nearly every member refresh empty), of BenchmarkRefreshMirror (mirror: one commit and

@@ -24,8 +24,9 @@
 // restart). `cqctl checkpoint` forces a checkpoint remotely.
 //
 // With -http set, the daemon also serves its metrics over HTTP:
-// GET /stats returns the metrics snapshot as JSON and GET /debug/traces
-// the recent spans. The same snapshot is available over the TCP
+// GET /stats returns the metrics snapshot as JSON, GET /debug/traces
+// the recent spans, GET /healthz the readiness check, and /debug/pprof/
+// the Go runtime's profiles. The same snapshot is available over the TCP
 // protocol via `cqctl stats`.
 //
 // Connections idle longer than -idle-timeout are shed (clients
@@ -68,7 +69,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("cqd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7070", "listen address")
-	httpAddr := fs.String("http", "", "HTTP stats address (/stats, /debug/traces; empty disables)")
+	httpAddr := fs.String("http", "", "HTTP stats address (/stats, /debug/traces, /healthz, /debug/pprof/; empty disables)")
 	initFile := fs.String("init", "", "schema/seed script")
 	demo := fs.Bool("demo", false, "load the demo stock dataset")
 	demoRows := fs.Int("demo-rows", 1000, "demo dataset size")

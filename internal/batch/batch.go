@@ -528,18 +528,27 @@ func (b *Batch) AppendPlaced(src *Batch, r, lo int) {
 	b.n++
 }
 
-// AppendMerged appends src row r with columns [lo, lo+op.width)
-// replaced by op row m, multiplying the signs — one join-step emit of
-// vectorized term evaluation.
-func (b *Batch) AppendMerged(src *Batch, r int, op *Batch, m, lo int) {
+// AppendMerged appends src row r with columns [lo, lo+w) replaced by op
+// row m, multiplying the signs — one join-step emit of vectorized term
+// evaluation. Column lo+k comes from op column cols[k]: a join operand's
+// column map over its table's rows. Nil cols takes op's columns as they
+// are (w is op's width).
+func (b *Batch) AppendMerged(src *Batch, r int, op *Batch, m, lo int, cols []int) {
 	b.check()
 	src.check()
 	op.check()
 	w := len(op.Cols)
+	if cols != nil {
+		w = len(cols)
+	}
 	for c := range b.Cols {
 		dc := &b.Cols[c]
 		if c >= lo && c < lo+w {
-			dc.appendFromCol(b.n, &op.Cols[c-lo], m)
+			oc := c - lo
+			if cols != nil {
+				oc = cols[oc]
+			}
+			dc.appendFromCol(b.n, &op.Cols[oc], m)
 		} else {
 			dc.appendFromCol(b.n, &src.Cols[c], r)
 		}

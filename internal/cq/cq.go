@@ -210,11 +210,12 @@ type CQState struct {
 	// TemplateMates is the current member count of the CQ's template
 	// group, this CQ included (0 when unshared).
 	TemplateMates int
-	// Replicas is the state a standing join keeps per operand — live
-	// rows and maintained hash indexes — in plan order, whether the join
-	// is the plan or the input of an aggregate or DISTINCT; empty for
-	// join-free plans. A template member reports its group's shared
-	// replicas.
+	// Replicas is the state a standing join reads per operand — the
+	// engine's arrangement of the operand's table: live rows, maintained
+	// hash indexes, and the number of plans sharing it — in plan order,
+	// whether the join is the plan or the input of an aggregate or
+	// DISTINCT; empty for join-free plans. A template member reports its
+	// group's.
 	Replicas []dra.ReplicaStat
 	// Groups is the number of groups an aggregate or DISTINCT CQ's group
 	// table holds in its output (its refreshes touch a few of them; see
@@ -266,7 +267,7 @@ type instance struct {
 	eps         map[string]*epsilon.Accountant // per monitored table
 	subs        []*subscriber
 	// eval is the CQ's one evaluator, seeded at install and stepped by
-	// every refresh: differential with its operand replicas for an SPJ
+	// every refresh: differential over the engine's arrangements for an SPJ
 	// query, a group table for SUM/COUNT/AVG without HAVING and DISTINCT,
 	// complete re-evaluation for any other query and under Config.UseDRA
 	// off or Config.Strategy propagate. It is nil in two cases only: a
@@ -301,9 +302,13 @@ type instance struct {
 
 	// group is the shared-template group this CQ subscribes to
 	// (Config.ShareTemplates), nil when unshared. Written at install
-	// under m.mu before the instance is visible, cleared by Drop under
-	// inst.mu.
+	// under m.mu before the instance is visible, or by a rejoin under
+	// m.mu and inst.mu; cleared by Drop under inst.mu.
 	group *templateGroup
+	// orphan is the fingerprint of the template group this CQ found past
+	// its resume point and so registered unshared (joinTemplateLocked); 0
+	// when it has none or has rejoined it. Guarded by m.mu.
+	orphan uint64
 
 	// breaker is the CQ's quarantine circuit breaker — a self-locked
 	// leaf, consultable under any manager/instance lock.
@@ -422,6 +427,11 @@ type Manager struct {
 	// manager lock cannot be taken) when a termination leaves a template
 	// group without active members; the round's housekeeping reaps it.
 	reapDue atomic.Bool
+	// orphans counts the live CQs registered unshared behind their
+	// template group (instance.orphan): while it is above zero, a round
+	// ends by moving those that caught up into their group
+	// (rejoinTemplatesLocked).
+	orphans atomic.Int64
 	// round is the last round taken, reused by every round at its
 	// timestamp (newRound); rounds counts the rounds taken (round.n).
 	// Guarded by mu.
@@ -608,6 +618,9 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Tab
 		}
 		inst.closeEval()
 		m.leaveTemplateLocked(inst)
+		if inst.orphan != 0 {
+			m.orphans.Add(-1)
+		}
 		m.dag.Unregister(def.Name)
 		if createdTarget {
 			_ = m.store.DropTable(inst.into)
@@ -1067,6 +1080,10 @@ func (m *Manager) Drop(name string) error {
 // the dependency DAG and the gauges. Caller holds m.mu.
 func (m *Manager) forgetLocked(inst *instance) {
 	name := inst.def.Name
+	if inst.orphan != 0 {
+		inst.orphan = 0
+		m.orphans.Add(-1)
+	}
 	delete(m.cqs, name)
 	m.breakers.Delete(name)
 	if m.router != nil {

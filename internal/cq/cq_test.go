@@ -714,7 +714,7 @@ func TestStateReportsJoinState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same join under a GROUP BY and under DISTINCT: each group
-	// table's input keeps the same replicas.
+	// table's input reads the same arrangements.
 	for name, query := range map[string]string{
 		"rollup":   "SELECT s.name, SUM(t.volume) FROM stocks s JOIN trades t ON s.name = t.sym GROUP BY s.name",
 		"distinct": "SELECT DISTINCT s.name FROM stocks s JOIN trades t ON s.name = t.sym",
@@ -741,9 +741,11 @@ func TestStateReportsJoinState(t *testing.T) {
 	if res, _ := m.Result("joined"); st.Strategy != dra.StrategyIncremental.String() || res.Len() != 3 {
 		t.Fatalf("strategy = %q with %d maintained rows, want incremental and 3", st.Strategy, res.Len())
 	}
+	// One arrangement per table, shared by the three joins, each table
+	// indexed on the key the other table's window probes it by.
 	want := []dra.ReplicaStat{
-		{Operand: "stocks", Rows: 2, Indexes: 1}, // probed by the trades window
-		{Operand: "trades", Rows: 3, Indexes: 0}, // advanced, never probed yet
+		{Operand: "stocks", Rows: 2, Indexes: 1, Shared: 3},
+		{Operand: "trades", Rows: 3, Indexes: 1, Shared: 3},
 	}
 	if fmt.Sprint(st.Replicas) != fmt.Sprint(want) {
 		t.Errorf("join state = %+v, want %+v", st.Replicas, want)
@@ -762,8 +764,11 @@ func TestStateReportsJoinState(t *testing.T) {
 	if p, e := snap.Counter("dra.join.probe_rows"), snap.Counter("dra.join.emit_rows"); p != 3 || e != 3 {
 		t.Errorf("probe rows = %d, emit rows = %d, want 3 and 3", p, e)
 	}
-	if g := snap.Gauges["dra.replica.rows"]; g != 15 {
-		t.Errorf("dra.replica.rows = %d, want 5 per join", g)
+	if g := snap.Gauges["dra.replica.rows"]; g != 5 {
+		t.Errorf("dra.replica.rows = %d, want 5: each arrangement once", g)
+	}
+	if b := snap.Gauges["dra.replica.bytes"]; b <= 0 {
+		t.Errorf("dra.replica.bytes = %d with 5 rows held", b)
 	}
 	for _, name := range []string{"joined", "rollup", "distinct"} {
 		if err := m.Drop(name); err != nil {
@@ -772,6 +777,9 @@ func TestStateReportsJoinState(t *testing.T) {
 	}
 	if g := reg.Snapshot().Gauges["dra.replica.rows"]; g != 0 {
 		t.Errorf("dra.replica.rows after drop = %d, want 0", g)
+	}
+	if b := reg.Snapshot().Gauges["dra.replica.bytes"]; b != 0 {
+		t.Errorf("dra.replica.bytes after drop = %d, want 0", b)
 	}
 }
 

@@ -167,6 +167,11 @@ func (m *Manager) runRound(cands []*instance, f feed) (int, error) {
 	m.mu.Unlock()
 
 	n, refErrs := m.refreshGroup(fired, rd, f.forced)
+	if m.orphans.Load() > 0 {
+		m.mu.Lock()
+		m.rejoinTemplatesLocked(fired, rd)
+		m.mu.Unlock()
+	}
 	m.housekeep(f.sweep, n)
 	return n, errors.Join(append(errs, refErrs...)...)
 }
@@ -686,7 +691,11 @@ func (m *Manager) workerCount(tasks int) int {
 // place by every CQ at the round timestamp; an empty window is left out
 // of Batches and scans as empty. ctx.Deltas stays unset: the engine
 // reads the images, already compacted when the engine compacts. A window
-// the cache cannot produce fails the step.
+// the cache cannot produce fails the step. The cache is also the step's
+// Windows: the images a join reads to move the engine's shared
+// arrangement of a table between its own timestamp and the states the
+// step's terms need (dra.Context.Windows), built once per round however
+// many CQs share the arrangement.
 //
 // Prev and Post are set for an evaluator on complete re-evaluation
 // (propagate) only, which runs the query over Post and diffs against
@@ -712,6 +721,7 @@ func (m *Manager) stepContext(in *stepInput, tables []string, lastExec vclock.Ti
 		Batches:   batches,
 		LastTS:    lastExec,
 		Compacted: compact,
+		Windows:   rd.cache,
 		Deadline:  rd.deadline,
 	}
 	if eval.Strategy() == dra.StrategyPropagate {

@@ -107,7 +107,9 @@ type tmplBatch struct {
 // and the member takes σ_params of the group's result there as its own,
 // with inst.lastExec = rd.ts, then consumes the template stream. Only a
 // piecemeal Resume out of LastExec order can find the group already
-// past rd; that member registers unshared.
+// past rd; that member registers unshared, as the group's orphan, and
+// rejoins it at the end of the first round that leaves both at one
+// timestamp (rejoinTemplatesLocked).
 func (m *Manager) joinTemplateLocked(inst *instance, rd round) error {
 	if !m.cfg.ShareTemplates {
 		return nil
@@ -145,6 +147,8 @@ func (m *Manager) joinTemplateLocked(inst *instance, rd round) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.lastExec > rd.ts { // a piecemeal Resume out of LastExec order
+		inst.orphan = g.fp
+		m.orphans.Add(1)
 		return nil
 	}
 	if err := m.stepGroupLocked(g, rd); err != nil {
@@ -180,6 +184,57 @@ func (m *Manager) joinTemplateLocked(inst *instance, rd round) error {
 		mm.templateMembers.Add(1)
 	}
 	return nil
+}
+
+// rejoinTemplatesLocked ends a round by moving each orphan among its
+// CQs (instance.orphan) into its template group when both stand at the
+// round's timestamp: the member's result there is σ_params of the
+// group's, which is what it holds already, and it consumes the group's
+// stream from the next step on. Its private plan closes and its push
+// route retires: the group's route covers it. An orphan with
+// notifications still queued, or whose group is gone, waits. Caller
+// holds m.mu and no instance lock.
+func (m *Manager) rejoinTemplatesLocked(fired []*instance, rd round) {
+	for _, inst := range fired {
+		g := m.templates[inst.orphan]
+		if inst.orphan == 0 || g == nil {
+			continue
+		}
+		inst.mu.Lock()
+		if inst.group == nil && !inst.dropped.Load() && !inst.terminated.Load() &&
+			inst.lastExec == rd.ts && len(inst.queued) == 0 && m.rejoinLocked(inst, g, rd) {
+			inst.closeEval()
+			if m.router != nil {
+				m.router.Unregister(inst.def.Name)
+			}
+			inst.orphan = 0
+			m.orphans.Add(-1)
+		}
+		inst.mu.Unlock()
+	}
+}
+
+// rejoinLocked adds inst to g as a member if g stands at rd. Caller
+// holds m.mu and inst.mu.
+func (m *Manager) rejoinLocked(inst *instance, g *templateGroup, rd round) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.lastExec != rd.ts {
+		return false
+	}
+	_, params, _ := algebra.ExtractTemplate(inst.plan)
+	mem := &tmplMember{inst: inst, params: params}
+	g.members[inst.def.Name] = mem
+	g.index.add(mem)
+	if g.active.Add(1) == 1 {
+		m.routeTemplateLocked(g)
+	}
+	inst.group = g
+	if mm := m.met; mm != nil {
+		mm.sharedRegs.Inc()
+		mm.templateMembers.Add(1)
+	}
+	return true
 }
 
 // leaveTemplateLocked detaches an instance from its group (Drop, or a

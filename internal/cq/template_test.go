@@ -592,8 +592,10 @@ func TestTemplateResumeSharesOnePlan(t *testing.T) {
 
 // TestTemplatePiecemealResume: members resumed one Resume call at a time,
 // in descending LastExec, find their group past the later call's round;
-// that member registers unshared. Every member's notifications still
-// equal complete re-evaluation's (baseline.Full), window by window.
+// that member registers unshared, and rejoins its group at the end of
+// the first round that leaves both at one timestamp. Every member's
+// notifications still equal complete re-evaluation's (baseline.Full),
+// window by window, before and after the rejoin.
 func TestTemplatePiecemealResume(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
 	cfg := Config{UseDRA: true, AutoGC: true, ShareTemplates: true}
@@ -680,6 +682,9 @@ func TestTemplatePiecemealResume(t *testing.T) {
 	commit(t, s, func(tx *storage.Tx) error { return tx.Delete("stocks", r2) })
 	insertStock(t, s, "R3", 120)
 	poll()
+	if st, _ := m2.State("lag"); st.Template == 0 || st.TemplateMates != 2 {
+		t.Errorf("lag never rejoined its group: %+v", st)
+	}
 	for name, full := range fulls {
 		if *notes[name] < 2 {
 			t.Errorf("%s notified %d times; the script is too tame", name, *notes[name])

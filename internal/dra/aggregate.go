@@ -17,8 +17,8 @@ import (
 // input subplan, and the result change is rendered from the groups that
 // delta touched. Refreshing SELECT SUM(amount) FROM CheckingAccounts
 // GROUP BY branch therefore costs O(|Δ|) — neither a base scan nor a
-// pass over the groups; a join in the input keeps operand replicas and
-// telescopes over them, as a prepared SPJ plan's does.
+// pass over the groups; a join in the input telescopes over the
+// engine's arrangements of its tables, as a prepared SPJ plan's does.
 //
 // Supported: root-level AggregatePlan with SUM / COUNT / COUNT(*) / AVG
 // aggregates and no HAVING clause, which Engine.Prepare compiles into a

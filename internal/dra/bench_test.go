@@ -94,14 +94,15 @@ func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, vclock.T
 	return prep, ctx, store.Now()
 }
 
-// joinBench is a live 3-way equi-join fixture for the join arm: unlike
-// a selection, a join step advances its operand replicas, so every
-// iteration needs a fresh window, committed and imaged with the timer
-// stopped.
+// joinBench is a live fixture of equi-joins over three tables for the
+// join arms, every plan prepared on one engine, so they share its
+// arrangements: unlike a selection, a join step advances the
+// arrangements, so every iteration needs a fresh window, committed and
+// imaged with the timer stopped.
 type joinBench struct {
 	store  *storage.Store
-	prep   *Prepared
-	prev   *relation.Relation
+	preps  []*Prepared
+	prevs  []*relation.Relation
 	tids   [3][]relation.TID
 	lastTS vclock.Timestamp
 	round  int
@@ -109,7 +110,17 @@ type joinBench struct {
 
 var joinBenchTables = [3]string{"a", "b", "c"}
 
-func newJoinBench(b *testing.B, base int) *joinBench {
+// joinBenchQueries are the join arm's 3-way join and, for the
+// join_shared arm, the three other joins of the repo benchmark's
+// join3_churn workload beside it.
+var joinBenchQueries = []string{
+	"SELECT a.id, b.id, c.id, a.v, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k WHERE a.v > 500",
+	"SELECT a.id, b.v, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k WHERE c.v < 300",
+	"SELECT a.id, b.id, a.v, b.v FROM a JOIN b ON a.k = b.k WHERE b.v < 400",
+	"SELECT b.id, c.v FROM b JOIN c ON b.k = c.k",
+}
+
+func newJoinBench(b *testing.B, base int, queries ...string) *joinBench {
 	b.Helper()
 	jb := &joinBench{store: storage.NewStore()}
 	schema := relation.MustSchema(
@@ -133,19 +144,31 @@ func newJoinBench(b *testing.B, base int) *joinBench {
 	if _, err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
-	plan, err := algebra.PlanSQL("SELECT a.id, b.id, c.id, a.v, c.v FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k WHERE a.v > 500", jb.store.Live())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan = algebra.Optimize(plan)
-	if jb.prep, err = NewEngine().Prepare(plan, StrategyAuto); err != nil {
-		b.Fatal(err)
-	}
-	if jb.prev, err = InitialResult(plan, jb.store.Live()); err != nil {
-		b.Fatal(err)
+	e := NewEngine()
+	for _, q := range queries {
+		plan, err := algebra.PlanSQL(q, jb.store.Live())
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan = algebra.Optimize(plan)
+		p, err := e.Prepare(plan, StrategyAuto)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prev, err := InitialResult(plan, jb.store.Live())
+		if err != nil {
+			b.Fatal(err)
+		}
+		jb.preps, jb.prevs = append(jb.preps, p), append(jb.prevs, prev)
 	}
 	jb.lastTS = jb.store.Now()
 	return jb
+}
+
+func (jb *joinBench) close() {
+	for _, p := range jb.preps {
+		p.Close()
+	}
 }
 
 // window commits `rows` modifications to the round's table (a tenth of
@@ -176,7 +199,7 @@ func (jb *joinBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp)
 	ctx := &Context{
 		Pre: jb.store.At(jb.lastTS), Post: jb.store.Live(),
 		Deltas: map[string]*delta.Delta{}, Batches: map[string]*batch.Batch{},
-		LastTS: jb.lastTS, Prev: jb.prev, Compacted: true, Versions: jb.store.ChangeCounts(),
+		LastTS: jb.lastTS, Compacted: true,
 	}
 	for _, name := range joinBenchTables {
 		d, err := jb.store.DeltaSince(name, jb.lastTS)
@@ -192,17 +215,29 @@ func (jb *joinBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp)
 	return ctx, jb.store.Now()
 }
 
-func (jb *joinBench) step(b *testing.B, ctx *Context, ts vclock.Timestamp) {
-	res, err := jb.prep.Step(ctx, ts)
-	jb.finish(b, res, err, ts)
+// warm steps every plan over a few windows, untimed: the first step
+// builds the arrangements.
+func (jb *joinBench) warm(b *testing.B) {
+	for i := 0; i < 3; i++ {
+		ctx, ts := jb.window(b, 128)
+		for p := range jb.preps {
+			res, err := jb.preps[p].Step(ctx, ts)
+			jb.apply(b, p, res, err)
+		}
+		jb.done(ts)
+	}
 }
 
-// finish folds a step's result into the fixture's bookkeeping.
-func (jb *joinBench) finish(b *testing.B, res *Result, err error, ts vclock.Timestamp) {
+// apply folds plan p's step into its result.
+func (jb *joinBench) apply(b *testing.B, p int, res *Result, err error) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	jb.prev = res.ApplyTo(jb.prev)
+	jb.prevs[p] = res.ApplyTo(jb.prevs[p])
+}
+
+// done ends the window at ts: every plan has stepped over it.
+func (jb *joinBench) done(ts vclock.Timestamp) {
 	jb.lastTS = ts
 	jb.store.CollectGarbage(ts)
 }
@@ -286,11 +321,125 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 	return ctx, gb.store.Now()
 }
 
+// filterBench is the measured cell's fixture: table p (the probing
+// side, whose windows every step reads) joined on k with table q, whose
+// v is uniform over 0..99 so that v < pct keeps pct% of it; the copy
+// form joins instead with qf, which holds q's rows with v < pct.
+type filterBench struct {
+	store  *storage.Store
+	prep   *Prepared
+	tids   []relation.TID
+	lastTS vclock.Timestamp
+	round  int
+	probed string
+}
+
+func newFilterBench(b *testing.B, base, pct int, copied bool) *filterBench {
+	b.Helper()
+	fb := &filterBench{store: storage.NewStore(), probed: "q"}
+	schema := relation.MustSchema(
+		relation.Column{Name: "id", Type: relation.TInt},
+		relation.Column{Name: "k", Type: relation.TInt},
+		relation.Column{Name: "v", Type: relation.TInt},
+	)
+	for _, name := range []string{"p", "q", "qf"} {
+		if err := fb.store.CreateTable(name, schema); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tx := fb.store.Begin()
+	for i := 0; i < base; i++ {
+		row := []relation.Value{relation.Int(int64(i)), relation.Int(int64(i % 4096)), relation.Int(int64(i * 37 % 100))}
+		tid, err := tx.Insert("p", row)
+		if err == nil {
+			_, err = tx.Insert("q", row)
+		}
+		if err == nil && i*37%100 < pct {
+			_, err = tx.Insert("qf", row)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		fb.tids = append(fb.tids, tid)
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	q := fmt.Sprintf("SELECT p.id, q.id, q.v FROM p JOIN q ON p.k = q.k WHERE q.v < %d", pct)
+	if copied {
+		fb.probed = "qf"
+		q = "SELECT p.id, qf.id, qf.v FROM p JOIN qf ON p.k = qf.k"
+	}
+	plan, err := algebra.PlanSQL(q, fb.store.Live())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fb.prep, err = NewEngine().Prepare(algebra.Optimize(plan), StrategyAuto); err != nil {
+		b.Fatal(err)
+	}
+	fb.lastTS = fb.store.Now()
+	if _, err := fb.prep.Seed(fb.store.At(fb.lastTS), fb.lastTS); err != nil {
+		b.Fatal(err)
+	}
+	return fb
+}
+
+// window commits `rows` modifications to p, moving a tenth of them to
+// another key, and returns the refresh inputs as the cq manager builds
+// them.
+func (fb *filterBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp) {
+	b.Helper()
+	tx := fb.store.Begin()
+	for i := 0; i < rows; i++ {
+		n := (fb.round*rows + i*7) % len(fb.tids)
+		k := n % 4096
+		if i%10 == 0 {
+			k = (n * 31) % 4096
+		}
+		if err := tx.Update("p", fb.tids[n], []relation.Value{
+			relation.Int(int64(n)), relation.Int(int64(k)), relation.Int(int64((fb.round + i) % 100)),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	fb.round++
+	d, err := fb.store.DeltaSince("p", fb.lastTS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d = d.Compact()
+	img, ok := batch.FromDelta(nil, d)
+	if !ok {
+		b.Fatal("benchmark window unrepresentable in columnar form")
+	}
+	return &Context{LastTS: fb.lastTS, Compacted: true, Batches: map[string]*batch.Batch{"p": img}}, fb.store.Now()
+}
+
+// probedBytes is the memory of the probed operand's arrangement, as
+// dra.replica.bytes counts it.
+func (fb *filterBench) probedBytes() int {
+	n := 0
+	fb.prep.root.eachJoin(func(cj *compiledJoin) {
+		for _, u := range cj.uses {
+			if u.a.table == fb.probed {
+				n = u.a.bytes
+			}
+		}
+	})
+	return n
+}
+
 // BenchmarkRefreshStep measures the steady-state refresh step: the
 // columnar arm (a selection) over a 2048-row signed window of a 16k-row
 // relation; the join arm over a 256-row signed window of a 3-way
-// equi-join of 16k-row operands (the telescoping kernel, its replicas
-// built by an untimed first step); the agg
+// equi-join of 16k-row operands (the telescoping kernel, its
+// arrangements built by an untimed first step), and the join_shared arm
+// over the same window of four joins sharing those arrangements, one
+// step each; the filter arms, the cell that decided for base
+// arrangements (see DESIGN §5d); the agg
 // and distinct arms over a 256-row signed window of a 16k-row input —
 // GROUP BY two int keys with SUM and COUNT(*) over 2k groups, and
 // DISTINCT over 2k values — through the group table. It is the
@@ -300,8 +449,8 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 // arm adds what follows the step for a selection — ApplyTo, the
 // maintenance of the complete result. Every arm steps into one Result it
 // holds (StepInto), as a standing query's holder does, so the header is
-// not counted per refresh. The five arms, with
-// BenchmarkRefreshRound's round arm in internal/cq, are the allocation
+// not counted per refresh. Every arm but the filter ones, with
+// BenchmarkRefreshRound's round arm in internal/cq, is the allocation
 // contract scripts/check-allocs.sh gates in CI.
 func BenchmarkRefreshStep(b *testing.B) {
 	for _, arm := range []struct{ name, query string }{
@@ -352,26 +501,74 @@ func BenchmarkRefreshStep(b *testing.B) {
 		})
 	}
 
-	b.Run("join", func(b *testing.B) {
-		jb := newJoinBench(b, 16_384)
-		defer jb.prep.Close()
-		for i := 0; i < 3; i++ {
-			ctx, ts := jb.window(b, 128) // warm-up: the first step builds the replicas
-			jb.step(b, ctx, ts)
+	// join steps one 3-way join; join_shared four joins over the same
+	// three arrangements, each one step per window: the one step that
+	// finds an arrangement behind the window advances it, the others
+	// probe it as it stands.
+	for _, arm := range []struct {
+		name  string
+		plans int
+	}{{"join", 1}, {"join_shared", 4}} {
+		b.Run(arm.name, func(b *testing.B) {
+			jb := newJoinBench(b, 16_384, joinBenchQueries[:arm.plans]...)
+			defer jb.close()
+			jb.warm(b)
+			res := make([]Result, len(jb.preps))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ctx, ts := jb.window(b, 128)
+				for p, prep := range jb.preps {
+					b.StartTimer()
+					err := prep.StepInto(ctx, ts, &res[p])
+					b.StopTimer()
+					jb.apply(b, p, &res[p], err)
+				}
+				jb.done(ts)
+				b.StartTimer()
+			}
+		})
+	}
+
+	// The measured cell of base against filtered arrangements: a 2-way
+	// join whose probed operand is filtered to 1% or 50% of its table,
+	// read through its filter at probe time from the base arrangement
+	// every plan over the table shares (base), against the same join
+	// over a copy of the table holding only the rows the filter keeps —
+	// what a per-plan filtered arrangement would hold (copy). Every
+	// window modifies the probing table only. replica_kb is the probed
+	// operand's arrangement.
+	for _, pct := range []int{1, 50} {
+		for _, kind := range []string{"base", "copy"} {
+			b.Run(fmt.Sprintf("filter%d_%s", pct, kind), func(b *testing.B) {
+				fb := newFilterBench(b, 16_384, pct, kind == "copy")
+				defer fb.prep.Close()
+				var res Result
+				step := func() {
+					ctx, ts := fb.window(b, 128)
+					b.StartTimer()
+					err := fb.prep.StepInto(ctx, ts, &res)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					fb.lastTS = ts
+					fb.store.CollectGarbage(ts)
+				}
+				b.StopTimer()
+				for i := 0; i < 3; i++ {
+					step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+				b.ReportMetric(float64(fb.probedBytes())/1024, "replica_kb")
+			})
 		}
-		var res Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ctx, ts := jb.window(b, 128)
-			b.StartTimer()
-			err := jb.prep.StepInto(ctx, ts, &res)
-			b.StopTimer()
-			jb.finish(b, &res, err, ts)
-			b.StartTimer()
-		}
-	})
+	}
 
 	b.Run("columnar", func(b *testing.B) {
 		prep, ctx, ts := newBenchStep(b, 16_384, 1024)

@@ -79,10 +79,15 @@ type compiledJoin struct {
 	equi      []equiBind
 	outSchema relation.Schema
 
-	// cache holds the operand replicas, their hash indexes and the
-	// telescoping term plans across refreshes (telescopeJoin). Every
-	// compiled group has one from compileJoin on.
-	cache *opCache
+	// plans[i] is the term plan of operand i's window against the other
+	// operands' states (telescopeJoin), resolved once here.
+	plans []*termPlan
+	// arrs[i] is the engine's arrangement of operand i's table, and uses
+	// the group's distinct arrangements in table-name order — the order a
+	// step read-locks them in. Both are set while the plan is attached
+	// (Engine.attach), from Prepare to Close.
+	arrs []*arrangement
+	uses []arrUse
 }
 
 // compilePlan builds the compiled mirror of an SPJ plan. Plans outside
@@ -156,7 +161,12 @@ func newProjectNode(p algebra.Plan, in *compiledNode, items []algebra.CompiledEx
 
 // compileJoin flattens a join subtree and resolves what no refresh or
 // term should re-derive: compiled conjuncts, operand masks, equi
-// bindings, and the operand replicas with their term plans.
+// bindings, and the term plans. Every operand must be a selection over
+// one table (a view): its state is the engine's arrangement of that
+// table read through the view, so an operand the SQL planner never
+// builds — a join, a computed projection — is refused with
+// ErrUnsupportedPlan, and Prepare puts the plan on complete
+// re-evaluation.
 func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 	ops, preds, err := flatten(n)
 	if err != nil {
@@ -167,6 +177,9 @@ func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 		opNodes[i], err = compilePlan(op.plan)
 		if err != nil {
 			return nil, err
+		}
+		if op.view = opNodes[i].view; op.view == nil {
+			return nil, fmt.Errorf("%w: join operand %d is not a selection over one table", ErrUnsupportedPlan, i)
 		}
 	}
 	outSchema := n.Schema()
@@ -196,7 +209,10 @@ func compileJoin(n *algebra.JoinPlan) (*compiledNode, error) {
 		equi:      equi,
 		outSchema: outSchema,
 	}
-	cj.cache = newOpCache(cj)
+	cj.plans = make([]*termPlan, len(ops))
+	for i := range ops {
+		cj.plans[i] = cj.planTerm(cj.deltaFirstOrder(i))
+	}
 	return &compiledNode{plan: n, join: cj}, nil
 }
 
@@ -232,22 +248,21 @@ func (n *compiledNode) eachJoin(f func(*compiledJoin)) {
 	}
 }
 
-// dropReplicas discards the operand replicas of every prepared join group
-// in the tree (Close).
-func (n *compiledNode) dropReplicas() {
-	n.eachJoin(func(cj *compiledJoin) { clear(cj.cache.ents) })
-}
-
 // probeStep is one join step of a term: operand op joins the rows
 // accumulated so far, through a hash index on buildCols (local columns
 // of op) probed with the accumulated row's probeCols (full-width
 // columns), or as a cross product when no equi conjunct links op to the
-// operands already joined. preds lists the conjuncts that become
-// evaluable once op is joined and that the key did not already decide.
+// operands already joined. keyCols are buildCols as columns of op's
+// table (its view's column map): the key set of the arrangement index
+// the step probes, key, registered while the plan is attached. preds
+// lists the conjuncts that become evaluable once op is joined and that
+// the key did not already decide.
 type probeStep struct {
 	op        int
 	probeCols []int
 	buildCols []int
+	keyCols   []int
+	key       *keyIndex
 	preds     []int
 }
 
@@ -313,6 +328,9 @@ func (cj *compiledJoin) planTerm(order []int) *termPlan {
 				continue
 			}
 			applied[i] = true
+		}
+		for _, c := range st.buildCols {
+			st.keyCols = append(st.keyCols, cj.ops[k].view.cols[c])
 		}
 		filled |= kbit
 		st.preds = ready()

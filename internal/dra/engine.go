@@ -22,11 +22,23 @@
 //	(R1+ΔR1) ⋈ (R2+ΔR2) = R1⋈R2 + ΔR1⋈R2 + R1⋈ΔR2 + ΔR1⋈ΔR2
 //
 // generalized to n operands. The engine computes the same net change in
-// its telescoped form (telescopeJoin): with the operands' states kept
-// as replicas, operand i's window joins the replicas of the operands
-// before it already advanced past their windows and those after it not
-// yet, so a refresh runs at most one term per changed operand and reads
-// no pre-state. Selections and projections commute with the
+// its telescoped form (telescopeJoin): operand i's window joins the
+// operands before it at the step's timestamp and those after it at the
+// last execution, so a refresh runs at most one term per changed
+// operand.
+//
+// As in the paper there is one Rj per base table, however many queries
+// join it: the engine keeps one arrangement per table (arrangement) —
+// the table's rows at one timestamp, with a hash index per key set some
+// join probes — shared by every prepared plan over the engine and
+// reference-counted by them. A term reads a partner's state at the
+// step's last execution or at its timestamp as the arrangement plus a
+// correction of O(|Δ|) rows, Rj(X) = Arr(at) ⊎ −Δj(X, at], and the
+// arrangement itself only moves forward: the first step that needs it
+// past at advances it by the window image, under its write lock. A join
+// plan therefore keeps no state and no position of its own, and steps
+// from any last execution the store still holds the log of. Selections
+// and projections commute with the
 // signed representation row by row: they are linear, so their
 // incremental form keeps no state and builds no structure. A join-free
 // subtree [Project(bare columns)]([Select](Scan)) is therefore evaluated
@@ -48,13 +60,15 @@
 // A query holds one evaluator, Prepared, wherever it runs: the cq
 // manager's CQs and template groups on the server, remote.MirrorCQ on a
 // client (Section 6), and one-shot callers such as baseline.AppendOnly,
-// which prepares a plan per step. Engine.Prepare compiles
-// the plan once, giving every join group its operand replicas,
+// which prepares a plan per step. Engine.Prepare compiles the plan
+// once and attaches its joins to the engine's arrangements,
 // Prepared.Seed runs the initial execution — the same kernels' step
 // from the empty state, every operand entering as an all-insert
-// columnar image (ΔR = R) — and every refresh is one Prepared.Step. A
-// plan stepped from anywhere but its last execution (never seeded, or
-// prepared afresh) re-seeds its replicas from the pre-state first.
+// columnar image (ΔR = R) — and every refresh is one Prepared.Step. The
+// first plan to read a table builds its arrangement from the seed
+// source's image (or, for a plan never seeded, the pre-state's); a
+// MirrorCQ or an AppendOnly with an engine of its own gets private
+// arrangements the same way.
 //
 // Aggregate and DISTINCT queries are outside the SPJ class that
 // Algorithm 1 covers ("limited to SPJ expressions"). Prepare keeps the
@@ -69,6 +83,7 @@ package dra
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
@@ -93,11 +108,11 @@ var (
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
-// Pre is read only where a refresh must rebuild state: the re-seed of a
-// stateful Prepared whose position is not LastTS (never seeded, prepared
-// afresh, last step failed, or stepped from elsewhere). A rebuild reads
-// Pre the way Seed reads its source: as one columnar image per table,
-// the source's own when it has a TableImage method
+// Pre is read only where a refresh must build state: an arrangement no
+// plan has built yet (a plan never seeded), and the re-seed of a group
+// table whose position is not LastTS (last step failed, or stepped from
+// elsewhere). It is read the way Seed reads its source: as one columnar
+// image per table, the source's own when it has a TableImage method
 // (storage.HistoricView), converted from its relations otherwise. A
 // caller that keeps its own copy of the base tables hands them here as
 // they stand at LastTS. Post is the current contents, needed by complete
@@ -143,15 +158,24 @@ type Context struct {
 	// compacted window row for row.
 	Batches map[string]*batch.Batch
 
+	// Windows reads the window images a join step needs beyond its own
+	// windows: to advance an arrangement from a timestamp other than
+	// LastTS, and to correct one that another step has moved past the
+	// step's timestamp (telescopeJoin). The cq manager hands its round's
+	// storage.WindowCache. A step that needs an image without one fails;
+	// it never reads live state.
+	Windows WindowSource
+
 	// Deadline bounds the step (a refresh budget). The kernels check it
 	// at batch boundaries — each join step, every guard.CheckRows rows a
 	// cross or hash step probes or emits and of the group-table fold;
 	// on complete re-evaluation, every guard.CheckRows rows the row
 	// executor scans or joins and after each plan node — and fail the
-	// step with guard.ErrBudgetExceeded once it has passed; the failed
-	// step clears the plan's position, so nothing is left to undo. A
-	// re-seed runs outside it (position.resume). The zero value sets no
-	// bound and reads no clock.
+	// step with guard.ErrBudgetExceeded once it has passed. A join plan
+	// keeps no state of its own, and a group table's failed step clears
+	// its position, so nothing is left to undo. A group table's re-seed
+	// runs outside it (position.resume). The zero value sets no bound
+	// and reads no clock.
 	Deadline time.Time
 }
 
@@ -170,8 +194,9 @@ type Stats struct {
 	// did when a separate pre-pass made the call.
 	DeltaRows int
 	// PreTuplesScanned counts tuples read from pre-states: every image
-	// row a re-seed reads (dra.pre_tuples_scanned is the re-seed meter of
-	// a standing query).
+	// row a group table's re-seed or an arrangement's build on a step
+	// reads (dra.pre_tuples_scanned is the re-seed meter of a standing
+	// query).
 	PreTuplesScanned int
 	// FellBack reports complete re-evaluation: the plan is outside the
 	// SPJ class, or was prepared with StrategyPropagate.
@@ -183,9 +208,9 @@ type Stats struct {
 	// change is empty. The plan's position still moves to the refresh's
 	// timestamp.
 	Skipped bool
-	// IndexCacheHits counts the operand replicas a step found at its
-	// LastTS (the plan's position) and served as they were; IndexCacheMisses
-	// counts the replicas a re-seed built and first-time index builds.
+	// IndexCacheHits counts the arrangements a join step found built;
+	// IndexCacheMisses the arrangements it built, one per table plus one
+	// per key index.
 	IndexCacheHits   int
 	IndexCacheMisses int
 	// JoinProbeRows counts in-progress join rows that entered a join
@@ -204,12 +229,12 @@ type Stats struct {
 // Engine evaluates differential forms of SPJ plans over typed columnar
 // batches (internal/batch): operand windows are signed column batches,
 // selection produces selection indices over them, bare-column projection
-// is a column map, join terms probe the operand replicas' flat indexes,
-// all over a pooled arena. The store's write boundary (relation.Schema.Conform) guarantees
-// that every stored value fits its column, so a window value that does
-// not is an invariant violation: the refresh fails with an error
-// wrapping relation.ErrTypeMismatch, and the plan re-seeds on its next
-// step.
+// is a column map, join terms probe the flat indexes of the engine's
+// shared arrangements, all over a pooled arena. The store's write
+// boundary (relation.Schema.Conform) guarantees that every stored value
+// fits its column, so a window value that does not is an invariant
+// violation: the refresh fails with an error wrapping
+// relation.ErrTypeMismatch.
 // Every engine runs the three Section 5.2 refinements: terms join
 // delta-first and select before they join, equi-join steps probe hash
 // indexes, and a refresh whose filtered windows are all empty is
@@ -228,9 +253,15 @@ type Engine struct {
 	// leaves the engine uninstrumented; see Instrument.
 	//
 	// Per-call stats live in Result.Stats, owned by the caller; the
-	// engine keeps no mutable evaluation state of its own, which is
-	// what lets one engine serve concurrent refresh workers.
+	// engine keeps no mutable evaluation state of its own but the
+	// arrangements, each under its own lock, which is what lets one
+	// engine serve concurrent refresh workers.
 	Metrics *Metrics
+
+	// arrs holds one arrangement per base table some attached plan
+	// joins; arrMu guards the map and the arrangements' refs.
+	arrMu sync.Mutex
+	arrs  map[string]*arrangement
 }
 
 // NewEngine returns an engine that compacts delta windows.

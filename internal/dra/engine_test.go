@@ -43,10 +43,11 @@ func (f *fixture) ctx(t *testing.T) *Context {
 		deltas[name] = d
 	}
 	return &Context{
-		Pre:    f.store.At(f.lastTS),
-		Post:   f.store.Live(),
-		Deltas: deltas,
-		LastTS: f.lastTS,
+		Pre:     f.store.At(f.lastTS),
+		Post:    f.store.Live(),
+		Deltas:  deltas,
+		LastTS:  f.lastTS,
+		Windows: f.store.NewWindowCache(),
 	}
 }
 

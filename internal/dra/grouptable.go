@@ -2,6 +2,7 @@ package dra
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -20,7 +21,7 @@ import (
 // slot-addressed columnar table of groups, and the output delta is read
 // off the groups the fold touched — never off the whole result.
 //
-// Layout, as in replica: key columns live in a batch addressed by slot
+// Layout, as in batch.Table: key columns live in a batch addressed by slot
 // (Signs[slot] is +1 occupied, 0 free; TIDs[slot] is the group's output
 // tid), accumulators in flat arrays beside it, freed slots are reused
 // LIFO, and one relation.SlotIndex maps key hash → slot. The output tid
@@ -73,11 +74,8 @@ type groupTable struct {
 
 	live   int // groups in the output
 	gauged int // share of dra.agg.groups this table accounts for
-	// replicaRows is the table's share of dra.replica.rows: a join in the
-	// fold input keeps operand replicas, as a Prepared's does.
-	replicaRows int
 
-	// pos is where the groups and the input's replicas are (position).
+	// pos is where the groups are (position).
 	pos position
 	// input is the SPJ input plan, whose tables seed reads; it sits after
 	// the fields every Step reads.
@@ -139,6 +137,9 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 		return nil, fmt.Errorf("%w: input is not SPJ", ErrNotIncremental)
 	}
 	fold, err := compilePlan(input)
+	if errors.Is(err, ErrUnsupportedPlan) {
+		return nil, fmt.Errorf("%w: %w", ErrNotIncremental, err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -163,15 +164,20 @@ func newGroupTable(engine *Engine, plan algebra.Plan) (*groupTable, error) {
 	for i := 0; i < nKeys; i++ {
 		g.keyIdx = append(g.keyIdx, i)
 	}
+	engine.attach(g.fold)
 	return g, nil
 }
 
 // seed fills the table, emptied first, by the step from the empty state
 // over ctx (seedContext of the input): the input's compiled kernels run
 // over the images of its tables, and their batch folds in as a
-// refresh's would. The groups and the input's replicas end at
-// ctx.LastTS, the table's position.
-func (g *groupTable) seed(ctx *Context) error {
+// refresh's would. The groups end at ctx.LastTS, the table's position.
+func (g *groupTable) seed(ctx *Context) error { return g.seedFrom(ctx, false) }
+
+// seedFrom is seed; float marks a source without a timestamp
+// (seededGroupTable), whose images a join in the input takes to be at
+// its arrangements' own timestamp.
+func (g *groupTable) seedFrom(ctx *Context, float bool) error {
 	g.keys = batch.New(g.keys.Schema, 0)
 	g.ix, g.free, g.cur, g.mark, g.live = relation.SlotIndex{}, nil, nil, nil, 0
 	g.touched, g.snap = g.touched[:0], g.snap[:0]
@@ -186,7 +192,7 @@ func (g *groupTable) seed(ctx *Context) error {
 	var st Stats
 	v := newVecEval(g.engine, ctx, ctx.LastTS, &st)
 	defer v.release()
-	g.fold.emptyReplicas()
+	v.seeding, v.float = true, float
 	b, err := v.nodeBatch(g.fold)
 	if err == nil {
 		err = g.foldBatch(b, ctx.Deadline)
@@ -213,7 +219,7 @@ func seededGroupTable[Root algebra.Plan](engine *Engine, plan algebra.Plan, src 
 	}
 	ctx, err := seedContext(src, g.input, 0)
 	if err == nil {
-		err = g.seed(ctx)
+		err = g.seedFrom(ctx, true)
 	}
 	if err != nil {
 		g.Close()
@@ -228,15 +234,19 @@ func seededGroupTable[Root algebra.Plan](engine *Engine, plan algebra.Plan, src 
 // Groups returns the number of groups currently in the output.
 func (g *groupTable) Groups() int { return g.live }
 
-// Replicas reports the operand replicas a join in the fold input keeps,
-// as Prepared.Replicas does; nil for a join-free input.
-func (g *groupTable) Replicas() []ReplicaStat { return g.fold.replicaStats() }
+// Replicas reports the arrangements a join in the fold input reads, as
+// Prepared.Replicas does; nil for a join-free input.
+func (g *groupTable) Replicas() []ReplicaStat { return g.engine.replicaStats(g.fold) }
 
-// Close releases the fold input's operand replicas and the table's
-// shares of the dra.agg.groups and dra.replica.rows gauges.
+// Close detaches the fold input from its arrangements and releases the
+// table's share of the dra.agg.groups gauge. Closing twice is a no-op.
 func (g *groupTable) Close() {
+	if g.fold == nil {
+		return
+	}
 	g.live, g.pos = 0, position{}
-	g.fold.dropReplicas()
+	g.engine.detach(g.fold)
+	g.fold = nil
 	g.gauge()
 }
 
@@ -245,7 +255,6 @@ func (g *groupTable) gauge() {
 		m.AggGroups.Add(int64(g.live - g.gauged))
 	}
 	g.gauged = g.live
-	g.engine.gaugeReplicas(g.fold, &g.replicaRows)
 }
 
 // Result renders the maintained output as a fresh relation the caller
@@ -291,9 +300,10 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // of the input's own signed delta, which runs the columnar kernels (a
 // selection view over ctx.Batches where the window image is shared,
 // its selected rows copied out once into the fold batch; a join
-// telescoping over its operand replicas). A Step from anything but the
-// table's position re-seeds it first (position.resume); a failed Step
-// clears the position, so its retry re-seeds and folds the window once.
+// telescoping over the engine's arrangements). A Step from anything but
+// the table's position re-seeds it first (position.resume); a failed
+// Step clears the position, so its retry re-seeds and folds the window
+// once.
 func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error) {
 	res := &Result{none: g.none}
 	if err := g.StepInto(ctx, execTS, res); err != nil {
@@ -307,7 +317,10 @@ func (g *groupTable) Step(ctx *Context, execTS vclock.Timestamp) (*Result, error
 func (g *groupTable) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) error {
 	res.reset(execTS)
 	st := &res.Stats
-	err := g.pos.resume(ctx, g.input, g.fold, st, g.seed)
+	if g.fold == nil {
+		return fmt.Errorf("dra: Step on closed group table")
+	}
+	err := g.pos.resume(ctx, g.input, st, g.seed)
 	var b *batch.Batch
 	if err == nil {
 		v := newVecEval(g.engine, ctx, res.ExecTS, st)

@@ -10,10 +10,14 @@ import (
 
 // operand is one leaf of the flattened join expression: a maximal
 // join-free subtree (Scan, possibly under Selects from predicate
-// pushdown).
+// pushdown and a bare-column projection).
 type operand struct {
 	plan   algebra.Plan
 	lo, hi int // column range in the flattened output schema
+	// view is the operand as a selection over its table's scan
+	// (compileJoin): the filter and column map a partner's arrangement
+	// rows are read through.
+	view *selection
 }
 
 // flatten decomposes a plan subtree into join operands and the list of

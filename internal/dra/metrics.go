@@ -37,8 +37,9 @@ type Metrics struct {
 	// JoinProbeRows counts rows entering a join step of the columnar
 	// kernels, JoinEmitRows the signed rows join terms emitted before
 	// netting (emit/probe is the probe fan-out); ReplicaRows gauges the
-	// live operand-replica rows held by every prepared plan — the join
-	// state size.
+	// live rows of the engine's arrangements, each counted once however
+	// many plans share it — the join state size — and ReplicaBytes their
+	// memory (batch.Table.Bytes plus the key indexes').
 	JoinProbeRows *obs.Counter // dra.join.probe_rows
 	JoinEmitRows  *obs.Counter // dra.join.emit_rows
 	// ChangesRendered counts the columnar changes of selection refreshes
@@ -46,6 +47,7 @@ type Metrics struct {
 	// refresh whose rows nobody reads renders none.
 	ChangesRendered *obs.Counter   // dra.changes_rendered
 	ReplicaRows     *obs.Gauge     // dra.replica.rows
+	ReplicaBytes    *obs.Gauge     // dra.replica.bytes
 	Latency         *obs.Histogram // dra.reevaluate_ns
 	PrepareNS       *obs.Histogram // dra.prepare_ns
 	Traces          *obs.TraceLog  // per-step spans, sampled
@@ -91,6 +93,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		JoinEmitRows:    reg.Counter("dra.join.emit_rows"),
 		ChangesRendered: reg.Counter("dra.changes_rendered"),
 		ReplicaRows:     reg.Gauge("dra.replica.rows"),
+		ReplicaBytes:    reg.Gauge("dra.replica.bytes"),
 		Latency:         reg.Histogram("dra.reevaluate_ns"),
 		PrepareNS:       reg.Histogram("dra.prepare_ns"),
 		Traces:          reg.Traces(),

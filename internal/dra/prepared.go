@@ -24,8 +24,9 @@ const (
 	StrategyAuto Strategy = iota
 	// StrategyIncremental is the differential refresh: a join-free
 	// subtree is a view over its scan's window (selection), a join group
-	// telescopes over its operand replicas (telescopeJoin): at most one
-	// term per changed operand, each probing maintained indexes only. An
+	// telescopes over the engine's arrangements of its tables
+	// (telescopeJoin): at most one term per changed operand, each probing
+	// maintained indexes only. An
 	// aggregate (SUM / COUNT / AVG without HAVING) or DISTINCT over such
 	// an SPJ input folds the input's signed delta into a group table and
 	// reads its change off the groups touched. Requested for any other
@@ -56,20 +57,24 @@ func (s Strategy) String() string {
 // refresh after it is one Step (Section 4.2). What it keeps is compiled
 // once and reused by every Step, so a refresh only pays for delta rows:
 // for an SPJ plan the compiled tree (predicates, projections, join
-// bindings, term plans) and each join group's operand replicas; for an
-// aggregate or DISTINCT plan a group table, seeded by Seed, over its
-// compiled SPJ input. Any other plan, or one forced onto
-// StrategyPropagate, keeps nothing and re-evaluates completely.
+// bindings, term plans) attached to the engine's arrangements of the
+// tables it joins; for an aggregate or DISTINCT plan a group table,
+// seeded by Seed, over its compiled SPJ input. Any other plan, or one
+// forced onto StrategyPropagate, keeps nothing and re-evaluates
+// completely.
 //
-// What a plan keeps is at one position, the timestamp of its last
+// An SPJ plan has no state and no position of its own: its joins read
+// the shared arrangements at whatever states a step needs (telescopeJoin),
+// so a Step runs from any ctx.LastTS — the retry of a failed refresh, a
+// lagging trigger, a deliberate gap — without re-seeding. A group
+// table's groups are at one position instead, the timestamp of its last
 // execution (position): Seed sets it, a Step moves it, a failed Step
-// clears it, and a Step from any other timestamp first re-seeds at its
-// ctx.LastTS from ctx.Pre — a Prepared never seeded, the retry of a
-// refresh that failed after its step, a deliberate gap. A join-free SPJ
-// plan and complete re-evaluation keep no state and check nothing.
+// clears it, and a Step from any other timestamp first re-seeds it at
+// ctx.LastTS from ctx.Pre.
 //
 // A Prepared serves one CQ and is not safe for concurrent use; the cq
-// manager serializes refreshes per instance.
+// manager serializes refreshes per instance. Plans sharing an engine
+// step concurrently: the arrangements they share lock themselves.
 type Prepared struct {
 	engine *Engine
 	plan   algebra.Plan
@@ -77,10 +82,6 @@ type Prepared struct {
 	group  *groupTable   // the aggregate or DISTINCT table, or nil
 	tables []string
 
-	// pos is where the join replicas under root are.
-	pos position
-	// gauged is this plan's current contribution to dra.replica.rows.
-	gauged int
 	// none is the empty change every Result Step returns shares.
 	none *delta.Delta
 
@@ -102,13 +103,17 @@ func (e *Engine) Prepare(plan algebra.Plan, strategy Strategy) (*Prepared, error
 	for _, s := range algebra.Tables(plan) {
 		p.tables = append(p.tables, s.Table)
 	}
-	switch {
-	case strategy == StrategyPropagate:
-	case supportsDifferential(plan):
-		root, err := compilePlan(plan)
-		if err != nil {
+	var root *compiledNode
+	if strategy != StrategyPropagate && supportsDifferential(plan) {
+		var err error
+		if root, err = compilePlan(plan); err != nil && !errors.Is(err, ErrUnsupportedPlan) {
 			return nil, err
 		}
+	}
+	switch {
+	case strategy == StrategyPropagate:
+	case root != nil:
+		e.attach(root)
 		p.root = root
 	default:
 		g, err := newGroupTable(e, plan)
@@ -142,9 +147,10 @@ func (p *Prepared) Tables() []string {
 	return out
 }
 
-// Close releases the operand replicas and group table and their shares
-// of dra.replica.rows and dra.agg.groups. The Prepared must not be
-// stepped afterwards.
+// Close detaches the plan from its arrangements — the last plan on one
+// drops it, with its share of dra.replica.rows and dra.replica.bytes —
+// and releases the group table and its share of dra.agg.groups. The
+// Prepared must not be stepped afterwards.
 func (p *Prepared) Close() {
 	if p.closed {
 		return
@@ -154,31 +160,33 @@ func (p *Prepared) Close() {
 		p.group.Close()
 	}
 	if p.root != nil {
-		p.root.dropReplicas()
+		p.engine.detach(p.root)
 	}
-	p.engine.gaugeReplicas(p.root, &p.gauged)
 }
 
-// ReplicaStat describes one join operand's maintained state.
+// ReplicaStat describes the state one join operand reads: the engine's
+// arrangement of its table.
 type ReplicaStat struct {
-	// Operand names the operand: its base table, or its position in the
-	// join when the operand subtree reads several.
+	// Operand names the operand's base table.
 	Operand string
-	// Rows is the replica's live row count; Indexes the number of key
-	// sets it keeps a hash index on (the tid table not counted). Both
-	// are zero while the replica is not built.
+	// Rows is the arrangement's live row count — the whole table, which
+	// the operand's filter reads through at probe time; Indexes the
+	// number of key sets it keeps a hash index on (the tid table not
+	// counted). Both are zero while the arrangement is not built.
 	Rows    int
 	Indexes int
+	// Shared is the number of prepared plans attached to the
+	// arrangement, this one included.
+	Shared int
 }
 
-// Replicas reports the state the plan keeps per join operand, in plan
-// order across join groups — the SPJ tree's, or the group table's input's.
-// Like Step it must not run concurrently with a Step of the same Prepared.
+// Replicas reports the arrangement each join operand reads, in plan
+// order — the SPJ tree's, or the group table's input's.
 func (p *Prepared) Replicas() []ReplicaStat {
 	if p.group != nil {
 		return p.group.Replicas()
 	}
-	return p.root.replicaStats()
+	return p.engine.replicaStats(p.root)
 }
 
 // Groups reports the live group count of an aggregate or DISTINCT plan's
@@ -188,28 +196,6 @@ func (p *Prepared) Groups() (n int, ok bool) {
 		return 0, false
 	}
 	return p.group.Groups(), true
-}
-
-// replicaStats reports the operand replicas of every join group in the
-// tree, in plan order; nil for a join-free (or absent) tree.
-func (n *compiledNode) replicaStats() []ReplicaStat {
-	if n == nil {
-		return nil
-	}
-	var out []ReplicaStat
-	n.eachJoin(func(cj *compiledJoin) {
-		for i, ent := range cj.cache.ents {
-			st := ReplicaStat{Operand: cj.cache.tables[i]}
-			if st.Operand == "" {
-				st.Operand = fmt.Sprintf("operand %d", i)
-			}
-			if ent != nil {
-				st.Rows, st.Indexes = ent.t.Len(), len(ent.keys)
-			}
-			out = append(out, st)
-		}
-	})
-	return out
 }
 
 // Seed runs the query's initial execution as of ts over src and returns
@@ -222,10 +208,11 @@ func (n *compiledNode) replicaStats() []ReplicaStat {
 // (storage.HistoricView, shared per timestamp when it is a window
 // cache's), or converted from its relations — and the output is copied
 // typed into the table's slots, so the result references none of it.
-// What the plan keeps — a join's operand replicas, a group table filled
-// from the same pass — is then at ts, so the first Step from ts probes
-// it as it is. A plan on complete re-evaluation executes over src's
-// relations and keeps nothing.
+// An arrangement no plan has built yet is built from the same images,
+// at ts; one already built is read at ts with a correction, read through
+// src when it is a storage.HistoricView (WindowSource). A group table is
+// filled from the same pass and is then at ts. A plan on complete
+// re-evaluation executes over src's relations and keeps nothing.
 func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, error) {
 	if p.closed {
 		return nil, fmt.Errorf("dra: Seed on closed Prepared")
@@ -245,10 +232,7 @@ func (p *Prepared) Seed(src algebra.Source, ts vclock.Timestamp) (*batch.Table, 
 		if err != nil {
 			return nil, err
 		}
-		t, err := p.engine.seed(p.root, ctx)
-		p.pos.set(ts, err)
-		p.engine.gaugeReplicas(p.root, &p.gauged)
-		return t, err
+		return p.engine.seed(p.root, ctx)
 	default:
 		rel, err := InitialResult(p.plan, src)
 		if err != nil {
@@ -292,17 +276,5 @@ func (p *Prepared) StepInto(ctx *Context, execTS vclock.Timestamp, res *Result) 
 		return p.group.StepInto(ctx, execTS, res)
 	}
 	res.reset(execTS)
-	if p.root == nil || p.root.replicaCount() == 0 {
-		return p.engine.evaluate(p.plan, p.root, ctx, res)
-	}
-	err := p.pos.resume(ctx, p.plan, p.root, &res.Stats, func(sctx *Context) error {
-		_, err := p.engine.seed(p.root, sctx)
-		return err
-	})
-	if err == nil {
-		err = p.engine.evaluate(p.plan, p.root, ctx, res)
-	}
-	p.pos.set(execTS, err)
-	p.engine.gaugeReplicas(p.root, &p.gauged)
-	return err
+	return p.engine.evaluate(p.plan, p.root, ctx, res)
 }

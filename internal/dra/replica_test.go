@@ -31,11 +31,11 @@ func signedBatch(schema relation.Schema, rows ...srow) *batch.Batch {
 
 func strs(x, y string) []relation.Value { return []relation.Value{relation.Str(x), relation.Str(y)} }
 
-// probeSlots walks the replica's index on cols for a key, verifying
+// probeSlots walks the arrangement's index k for a key, verifying
 // candidates against the columns exactly as hashStepVec does.
-func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
-	var st Stats
-	ix := r.index(cols, &st)
+func probeSlots(r *arrangement, k *keyIndex, key ...relation.Value) []relation.TID {
+	cols := k.cols
+	ix := &k.ix
 	probe := batch.New(r.t.Rows().Schema.Project(cols), 1)
 	probe.AppendRow(0, +1, key)
 	pcols := make([]int, len(cols))
@@ -51,23 +51,24 @@ func probeSlots(r *replica, cols []int, key ...relation.Value) []relation.TID {
 	return out
 }
 
-// TestReplicaSlotReuse: a delete frees its slot into a hole, the next
-// insert lands in that hole, and nothing of the old tenant survives —
-// not its tid, not its place in any index chain. A key-moving
-// modification (-old +new in one window) keeps its slot.
+// TestReplicaSlotReuse: in an arrangement, a delete frees its slot into
+// a hole, the next insert lands in that hole, and nothing of the old
+// tenant survives — not its tid, not its place in any index chain. A
+// key-moving modification (-old +new in one window) keeps its slot.
 func TestReplicaSlotReuse(t *testing.T) {
 	rows := batch.New(pairSchema(), 4)
 	for i, k := range []string{"a", "b", "c", "d"} {
 		rows.AppendRow(relation.TID(i+1), +1, strs(k, "v"))
 	}
-	r := &replica{t: batch.TableOf(rows)}
-	key := []int{0}
+	r := &arrangement{table: "t"}
+	key := r.addKey([]int{0}, nil)
+	r.fill(rows, 1, false)
 	if got := probeSlots(r, key, relation.Str("b")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("probe b = %v", got)
 	}
 	slotB := r.t.Slot(2)
 
-	r.apply(signedBatch(pairSchema(), srow{2, -1, strs("b", "v")}))
+	r.advance(signedBatch(pairSchema(), srow{2, -1, strs("b", "v")}), 2)
 	if r.t.Len() != 3 || r.t.Slot(2) != -1 || r.t.Rows().Signs[slotB] != 0 || r.t.Rows().Len() != 4 {
 		t.Fatalf("after delete: live=%d Slot(2)=%d sign=%d slots=%d", r.t.Len(), r.t.Slot(2), r.t.Rows().Signs[slotB], r.t.Rows().Len())
 	}
@@ -75,7 +76,7 @@ func TestReplicaSlotReuse(t *testing.T) {
 		t.Fatalf("deleted row still answers its key: %v", got)
 	}
 
-	r.apply(signedBatch(pairSchema(), srow{9, +1, strs("z", "w")}))
+	r.advance(signedBatch(pairSchema(), srow{9, +1, strs("z", "w")}), 3)
 	if r.t.Slot(9) != slotB || r.t.Rows().Len() != 4 || r.t.Len() != 4 {
 		t.Fatalf("insert took slot %d (rows %d), want the freed slot %d", r.t.Slot(9), r.t.Rows().Len(), slotB)
 	}
@@ -88,7 +89,7 @@ func TestReplicaSlotReuse(t *testing.T) {
 
 	// Key-moving modification: out of chain "a", into chain "z", same slot.
 	slotA := r.t.Slot(1)
-	r.apply(signedBatch(pairSchema(), srow{1, -1, strs("a", "v")}, srow{1, +1, strs("z", "moved")}))
+	r.advance(signedBatch(pairSchema(), srow{1, -1, strs("a", "v")}, srow{1, +1, strs("z", "moved")}), 4)
 	if r.t.Slot(1) != slotA || r.t.Len() != 4 {
 		t.Fatalf("modified row moved to slot %d (live %d), want slot %d", r.t.Slot(1), r.t.Len(), slotA)
 	}
@@ -98,8 +99,8 @@ func TestReplicaSlotReuse(t *testing.T) {
 	if got := probeSlots(r, key, relation.Str("z")); len(got) != 2 {
 		t.Fatalf("probe z after the move = %v, want tids 1 and 9", got)
 	}
-	if lb := r.liveBatch(nil); lb.Len() != 4 {
-		t.Fatalf("live batch has %d rows, want the 4 live ones", lb.Len())
+	if r.at != 4 {
+		t.Fatalf("arrangement at %d after three advances, want 4", r.at)
 	}
 }
 

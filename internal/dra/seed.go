@@ -14,10 +14,12 @@ import (
 // (Section 4.2 with every ΔR = R): each operand table enters as an
 // all-insert columnar image, and the plan's own compiled kernels run
 // over the images exactly as a refresh runs over windows — a selection
-// is a view of its scan's image, a join group telescopes into empty
-// replicas and leaves them current at the seed timestamp, a group table
-// folds the input's batch. A re-seed (position.resume) takes the same
-// path. The row executor serves complete re-evaluation only.
+// is a view of its scan's image, a join group runs its last operand's
+// image against the other operands' arrangements at the seed timestamp
+// (building those no plan has built yet from the same images), a group
+// table folds the input's batch. A group table's re-seed
+// (position.resume) takes the same path. The row executor serves
+// complete re-evaluation only.
 
 // imager is a Source that builds its tables' columnar images itself
 // (storage.HistoricView: one pass over the live relation and the log,
@@ -27,8 +29,8 @@ type imager interface {
 }
 
 // tableImage returns table's contents in src as an all-insert columnar
-// image. A source without images of its own (a client mirror's
-// replicas, a test's MapSource, the live store) is converted row by
+// image. A source without images of its own (a client mirror's copies
+// of its tables, a test's MapSource, the live store) is converted row by
 // row. The image is only read.
 func tableImage(src algebra.Source, table string) (*batch.Batch, error) {
 	if im, ok := src.(imager); ok {
@@ -50,10 +52,13 @@ func tableImage(src algebra.Source, table string) (*batch.Batch, error) {
 // seedContext is the input of a step from the empty state at ts: every
 // table of plan as its image in src, standing in for a compacted window
 // (each tid once, as a lone +1 row). Pre is unset: a step from the empty
-// state reads no pre-state, its replicas start empty (emptyReplicas).
+// state reads no pre-state. Windows is src when src can read window
+// images (storage.HistoricView), for an arrangement another plan has
+// already moved away from ts.
 func seedContext(src algebra.Source, plan algebra.Plan, ts vclock.Timestamp) (*Context, error) {
 	scans := algebra.Tables(plan)
 	ctx := &Context{LastTS: ts, Compacted: true, Batches: make(map[string]*batch.Batch, len(scans))}
+	ctx.Windows, _ = src.(WindowSource)
 	for _, s := range scans {
 		if _, ok := ctx.Batches[s.Table]; ok {
 			continue
@@ -67,22 +72,12 @@ func seedContext(src algebra.Source, plan algebra.Plan, ts vclock.Timestamp) (*C
 	return ctx, nil
 }
 
-// emptyReplicas gives every join group in the tree empty operand
-// replicas: the state a step from the empty state starts in.
-func (n *compiledNode) emptyReplicas() {
-	n.eachJoin(func(cj *compiledJoin) {
-		for i, op := range cj.ops {
-			cj.cache.ents[i] = &replica{t: batch.NewTable(op.plan.Schema(), 0)}
-		}
-	})
-}
-
-// position is the timestamp a stateful evaluator's whole state is at: a
-// Prepared's join replicas, or a group table's groups and its input's
-// replicas (Section 4.2: each execution starts from the state the
-// previous one left). A seed sets it, a successful step moves it to its
-// execution timestamp, and a failed step clears it. The zero position
-// is unset: the first step seeds.
+// position is the timestamp a group table's groups are at (Section 4.2:
+// each execution starts from the state the previous one left). A seed
+// sets it, a successful step moves it to its execution timestamp, and a
+// failed step clears it. The zero position is unset: the first step
+// seeds. Joins have none: their arrangements are shared, and a step
+// reads them at any timestamp (telescopeJoin).
 type position struct {
 	ts vclock.Timestamp
 	ok bool
@@ -98,22 +93,19 @@ func (p *position) set(ts vclock.Timestamp, err error) {
 	*p = position{ts: ts, ok: err == nil}
 }
 
-// resume readies an evaluator's state for a step from ctx.LastTS. State
-// at the position serves as it is, one index-cache hit per replica under
-// root. From any other timestamp the evaluator re-seeds: seed runs as
-// the initial execution of plan at ctx.LastTS over ctx.Pre, into fresh
-// state — never by undoing — and st counts every image row it reads as a
-// pre-state tuple and one index-cache miss per replica it builds. A
-// re-seed runs outside the step's deadline, as a registration's seed
-// does: the budget bounds the window, so a CQ whose seed alone outlasts
-// it still steps once its windows fit.
-func (p *position) resume(ctx *Context, plan algebra.Plan, root *compiledNode, st *Stats, seed func(*Context) error) error {
+// resume readies a group table's state for a step from ctx.LastTS.
+// State at the position serves as it is. From any other timestamp the
+// table re-seeds: seed runs as the initial execution of plan at
+// ctx.LastTS over ctx.Pre, into fresh state — never by undoing — and st
+// counts every image row it reads as a pre-state tuple. A re-seed runs
+// outside the step's deadline, as a registration's seed does: the
+// budget bounds the window, so a CQ whose seed alone outlasts it still
+// steps once its windows fit.
+func (p *position) resume(ctx *Context, plan algebra.Plan, st *Stats, seed func(*Context) error) error {
 	if p.float {
 		*p = position{ts: ctx.LastTS, ok: true}
 	}
-	n := root.replicaCount()
 	if p.ok && p.ts == ctx.LastTS {
-		st.IndexCacheHits += n
 		return nil
 	}
 	if ctx.Pre == nil {
@@ -123,24 +115,26 @@ func (p *position) resume(ctx *Context, plan algebra.Plan, root *compiledNode, s
 	if err != nil {
 		return fmt.Errorf("dra: re-seed: %w", err)
 	}
+	if ctx.Windows != nil {
+		sctx.Windows = ctx.Windows
+	}
 	for _, b := range sctx.Batches {
 		st.PreTuplesScanned += b.Len()
 	}
-	st.IndexCacheMisses += n
 	return seed(sctx)
 }
 
 // seed runs the compiled SPJ tree as one step from the empty state over
 // ctx (seedContext) and fills its output into a fresh result table. Its
-// join groups end with their replicas current at ctx.LastTS, so the
-// first Step from there probes them. The table's rows are typed copies:
-// the result outlives the seed by as long as the CQ stands, and must not
-// keep the images or the step's batches alive.
+// join groups end with their arrangements at ctx.LastTS or past it. The
+// table's rows are typed copies: the result outlives the seed by as long
+// as the CQ stands, and must not keep the images or the step's batches
+// alive.
 func (e *Engine) seed(root *compiledNode, ctx *Context) (*batch.Table, error) {
 	var st Stats
 	v := newVecEval(e, ctx, ctx.LastTS, &st)
 	defer v.release()
-	root.emptyReplicas()
+	v.seeding = true
 	if s := root.view; s != nil {
 		w, err := v.view(s)
 		if err != nil {

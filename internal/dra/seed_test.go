@@ -328,10 +328,10 @@ func (s *scribbled) TableImage(table string) (*batch.Batch, error) {
 }
 
 // TestRebuildNestedJoinOperand: a join operand that is itself a join
-// under a projection (a plan only the algebra API builds) keeps replicas
-// of its own, which a seed or re-seed fills with the outer group's:
-// prepared Steps without a Seed and after one, and a plan prepared
-// afresh per step, match the executor.
+// under a projection (a plan only the algebra API builds) has no one
+// table to read an arrangement of, so the plan is completely
+// re-evaluated: prepared Steps without a Seed and after one, and a plan
+// prepared afresh per step, match the executor.
 func TestRebuildNestedJoinOperand(t *testing.T) {
 	s := relation.MustSchema(
 		relation.Column{Name: "k", Type: relation.TInt},
@@ -356,6 +356,9 @@ func TestRebuildNestedJoinOperand(t *testing.T) {
 			kind = "fresh"
 		}
 		p := subjectFor(t, NewEngine(), plan, kind)
+		if pp, ok := p.(*Prepared); ok && pp.Strategy() != StrategyPropagate {
+			t.Fatalf("a join over a join operand prepared %v, want propagate", pp.Strategy())
+		}
 		f.mark()
 		prev, err := InitialResult(plan, f.store.Live())
 		if err != nil {

@@ -370,12 +370,18 @@ func TestSelectionViewJoinOperands(t *testing.T) {
 				if got := reg.Snapshot().Counters["dra.skipped"] - skipsBefore; got != 1 {
 					t.Fatalf("dra.skipped moved by %d, want 1", got)
 				}
-				// A fresh plan keeps no replicas.
-				if standing && (!prep.pos.ok || prep.pos.ts != res.ExecTS) {
-					t.Fatalf("replicas did not move to the skipped refresh's timestamp: position %+v", prep.pos)
+				// A fresh plan's arrangements go with it.
+				if standing {
+					prep.root.eachJoin(func(cj *compiledJoin) {
+						for _, u := range cj.uses {
+							if u.a.at != res.ExecTS {
+								t.Fatalf("arrangement of %s did not move to the skipped refresh's timestamp: at %d", u.a.table, u.a.at)
+							}
+						}
+					})
 				}
 
-				// The next relevant refresh reads the replicas it kept.
+				// The next relevant refresh reads the arrangements it moved.
 				applyRandomBatch(t, f, rng, live, 3, 3)
 				res, _ = selectionStep(t, "after skip", f, mode, plan, p, prev)
 				if standing && res.Stats.PreTuplesScanned != 0 {

@@ -3,7 +3,6 @@ package dra
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
@@ -28,8 +27,9 @@ func nonConforming(what string) error {
 // pooled batch and selection vector it creates lands in owned / idx and
 // returns to the arena in one sweep at the end — cross-refresh buffer
 // reuse through the pool is where the allocation win comes from. The
-// vecEval itself is pooled too (vecEvals), its two lists and netBatch's
-// grouping scratch keeping their capacity from one refresh to the next.
+// vecEval itself is pooled too (vecEvals), its lists, the join kernel's
+// scratch and netBatch's grouping scratch keeping their capacity from
+// one refresh to the next.
 type vecEval struct {
 	e      *Engine
 	ctx    *Context
@@ -37,14 +37,35 @@ type vecEval struct {
 	st     *Stats
 	owned  []*batch.Batch
 	idx    [][]int32
+	// seeding marks the step from the empty state (a seed: every window
+	// is its table's image); float a seed from a source without a
+	// timestamp (telescopeJoin, ready).
+	seeding, float bool
 	// relevant records that some maximal join-free subtree's filtered
 	// window was non-empty: the relevance test of Section 5.2, answered
 	// by the evaluation itself.
 	relevant bool
+	// scans are the step's own windows, one per table (window).
+	scans []scanned
+	// term, corrs and aheads are telescopeJoin's partner inputs,
+	// corrections and images past the step; cix is the hash index a
+	// probe builds over a correction.
+	term   []vecInput
+	corrs  []correction
+	aheads []aheadImage
+	cix    relation.SlotIndex
 	// groupOf and groups are netBatch's tid index and groups, emptied
 	// after each use in O(groups), not O(capacity) (resetNet).
 	groupOf map[relation.TID]int32
 	groups  []netGroup
+}
+
+// scanned is one table's window as the step reads it: the round's
+// shared image (shared), or the scan's own conversion of ctx.Deltas.
+type scanned struct {
+	table  string
+	b      *batch.Batch
+	shared bool
 }
 
 // vecEvals recycles evaluator states across refreshes and engines.
@@ -53,14 +74,21 @@ var vecEvals = sync.Pool{New: func() any { return new(vecEval) }}
 // newVecEval takes an evaluator state from the pool; release returns it.
 func newVecEval(e *Engine, ctx *Context, execTS vclock.Timestamp, st *Stats) *vecEval {
 	v := vecEvals.Get().(*vecEval)
-	*v = vecEval{e: e, ctx: ctx, execTS: execTS, st: st, owned: v.owned[:0], idx: v.idx[:0], groupOf: v.groupOf, groups: v.groups}
+	*v = vecEval{e: e, ctx: ctx, execTS: execTS, st: st, owned: v.owned[:0], idx: v.idx[:0]}.keep(v)
+	return v
+}
+
+// keep carries w's reusable scratch over into v.
+func (v vecEval) keep(w *vecEval) vecEval {
+	v.scans, v.term, v.corrs, v.aheads = w.scans[:0], w.term[:0], w.corrs[:0], w.aheads[:0]
+	v.cix, v.groupOf, v.groups = w.cix, w.groupOf, w.groups
 	return v
 }
 
 // vecEvaluate runs the differential evaluation over typed columnar
-// batches and nets the result into res. Prepared join groups advance
-// their replicas as they go, so an error can leave them part-advanced;
-// the caller clears the plan's position (Prepared.StepInto).
+// batches and nets the result into res. A join moves the arrangements
+// it reads to the step's timestamp before its terms run
+// (telescopeJoin), so an error leaves no state of the plan's behind.
 //
 // A refresh whose operands' filtered windows are all empty is reported
 // as Skipped: nothing past the window scan ran and the net change is
@@ -116,7 +144,12 @@ func (v *vecEval) release() {
 	}
 	clear(v.owned)
 	clear(v.idx)
-	*v = vecEval{owned: v.owned[:0], idx: v.idx[:0], groupOf: v.groupOf, groups: v.groups}
+	clear(v.scans)
+	clear(v.term)
+	clear(v.corrs)
+	clear(v.aheads)
+	v.cix.Reset()
+	*v = vecEval{owned: v.owned[:0], idx: v.idx[:0]}.keep(v)
 	// released: the evaluation is over and the state is wiped above, so
 	// the pooled value keeps no buffer, context or engine reachable.
 	vecEvals.Put(v)
@@ -187,33 +220,60 @@ func (w *selView) at(k int) int32 {
 func (v *vecEval) view(s *selection) (selView, error) {
 	w := selView{cols: s.cols, schema: s.schema}
 	var err error
-	if w.b, w.shared, err = v.scanBatch(s.scan); err != nil {
+	if w.b, w.shared, err = v.window(s.scan); err != nil {
 		return w, err
 	}
-	pool := v.e.pool
-	for _, pred := range s.preds {
-		if w.len() == 0 {
-			break
-		}
-		w.sel, err = algebra.SelectBatch(pred, w.b, w.sel, pool.GetIdx(w.len()), pool)
-		v.idx = append(v.idx, w.sel)
-		if err != nil {
-			return w, fmt.Errorf("dra: select: %w", err)
-		}
-	}
-	return w, nil
+	v.st.DeltaRows += w.b.Len()
+	w.sel, err = v.filterRows(s, w.b, nil)
+	return w, err
 }
 
-// scanBatch produces the table's differential window as a signed batch
-// with the scan's column types. When the context carries a prebuilt
-// columnar window (built once by the window cache and shared by every
-// CQ at the round timestamp) and no further compaction would apply, that
-// batch is the scan, read in place (shared); otherwise the scan converts
-// the row window into a pooled batch.
-func (v *vecEval) scanBatch(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
+// filterRows runs a selection's predicates over the rows in (nil: all)
+// of b, which has the selection's scan schema, and returns the
+// surviving row indices (in itself when there is no predicate), owned
+// by the evaluation.
+func (v *vecEval) filterRows(s *selection, b *batch.Batch, in []int32) ([]int32, error) {
+	pool := v.e.pool
+	sel := in
+	for _, pred := range s.preds {
+		n := viewLen(b, sel)
+		if n == 0 {
+			break
+		}
+		var err error
+		sel, err = algebra.SelectBatch(pred, b, sel, pool.GetIdx(n), pool)
+		v.idx = append(v.idx, sel)
+		if err != nil {
+			return sel, fmt.Errorf("dra: select: %w", err)
+		}
+	}
+	return sel, nil
+}
+
+// window produces the table's differential window as a signed batch
+// with the scan's column types, once per table and step: the view of
+// each operand over the table reads it, and so does the advance of the
+// table's arrangement. When the context carries a prebuilt columnar
+// window (built once by the window cache and shared by every CQ at the
+// round timestamp) and no further compaction would apply, that batch is
+// the scan, read in place (shared); otherwise the scan converts the row
+// window into a pooled batch.
+func (v *vecEval) window(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
+	for _, s := range v.scans {
+		if s.table == n.Table {
+			return s.b, s.shared, nil
+		}
+	}
+	if b, shared, err = v.convert(n); err == nil {
+		v.scans = append(v.scans, scanned{table: n.Table, b: b, shared: shared})
+	}
+	return b, shared, err
+}
+
+// convert is window's first read of a table.
+func (v *vecEval) convert(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
 	e := v.e
 	if pre := v.ctx.Batches[n.Table]; pre != nil && (!e.CompactDeltas || v.ctx.Compacted) {
-		v.st.DeltaRows += pre.Len()
 		return pre, true, nil
 	}
 	d := v.ctx.Deltas[n.Table]
@@ -232,7 +292,6 @@ func (v *vecEval) scanBatch(n *algebra.ScanPlan) (b *batch.Batch, shared bool, e
 			}
 		}
 	}
-	v.st.DeltaRows += out.Len()
 	return out, false, nil
 }
 
@@ -317,33 +376,66 @@ func (v *vecEval) projectBatch(in *batch.Batch, items []algebra.CompiledExpr, sc
 }
 
 // vecInput is one operand's relation within a term: the seeding
-// operand's signed window batch, or a partner's replica, whose
-// maintained hash indexes the hash step probes directly.
+// operand's signed window batch (b), or a partner's state — the
+// arrangement of its table read through its view, plus its correction
+// rows (telescopeJoin), whose maintained hash indexes the hash step
+// probes directly.
 type vecInput struct {
-	b   *batch.Batch
-	ent *replica
+	b    *batch.Batch
+	arr  *arrangement
+	view *selection
+	corr *batch.Batch
 }
 
+// length bounds the partner's rows from above: the arrangement's table
+// before the view filters it, plus the correction; 0 means none.
 func (t *vecInput) length() int {
-	if t.ent != nil {
-		return t.ent.t.Len()
+	if t.arr == nil {
+		return t.b.Len()
 	}
-	return t.b.Len()
+	n := t.arr.t.Len()
+	if t.corr != nil {
+		n += t.corr.Len()
+	}
+	return n
 }
 
-// enumerable returns the input as a batch, copying a replica's live
-// rows on first use (cross steps enumerate; hash steps probe the
-// replica's index and never call this). The copy is good until the
-// replica advances; telescopeJoin drops it there.
-func (t *vecInput) enumerable(v *vecEval) *batch.Batch {
-	if t.b == nil {
-		t.b = v.own(t.ent.liveBatch(v.e.pool))
+// enumerate returns a partner's rows as a batch in its view's schema,
+// built on first use: the arrangement's live rows the view keeps, then
+// the correction (cross steps enumerate; hash steps probe the index and
+// never call this).
+func (v *vecEval) enumerate(t *vecInput) (*batch.Batch, error) {
+	if t.b != nil {
+		return t.b, nil
 	}
-	return t.b
+	rows, pool := t.arr.t.Rows(), v.e.pool
+	live := pool.GetIdx(t.arr.t.Len())
+	v.idx = append(v.idx, live)
+	for s := 0; s < rows.Len(); s++ {
+		if rows.Signs[s] != 0 {
+			live = append(live, int32(s))
+		}
+	}
+	v.idx[len(v.idx)-1] = live
+	sel, err := v.filterRows(t.view, rows, live)
+	if err != nil {
+		return nil, err
+	}
+	n := len(sel)
+	if t.corr != nil {
+		n += t.corr.Len()
+	}
+	b := v.own(pool.Get(t.view.schema, n))
+	b.AppendSelected(rows, sel, t.view.cols)
+	for k := 0; t.corr != nil && k < t.corr.Len(); k++ {
+		b.AppendFrom(t.corr, k)
+	}
+	t.b = b
+	return b, nil
 }
 
 // joinBatch computes the signed delta of a join group by telescoping
-// over its replicas, which end the call at execTS.
+// over its arrangements, which end the call at execTS or past it.
 func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 	deltas := make([]*batch.Batch, len(cj.ops))
 	for i := range cj.ops {
@@ -371,10 +463,10 @@ func (v *vecEval) joinBatch(cj *compiledJoin) (*batch.Batch, error) {
 // flattened schema (unfilled operand ranges hold placeholders that no
 // ready predicate can read) plus a pooled row-major provenance buffer
 // of one TID per operand per row.
-func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out *batch.Batch) (*batch.Batch, error) {
+func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []vecInput, out *batch.Batch) (*batch.Batch, error) {
 	pool := v.e.pool
 	nOps := len(cj.ops)
-	fb := term[tp.first].enumerable(v)
+	fb := term[tp.first].b
 	work := v.own(pool.Get(cj.outSchema, fb.Len()))
 	tids := pool.GetTIDs(nOps * fb.Len())
 	lo := cj.ops[tp.first].lo
@@ -391,16 +483,18 @@ func (v *vecEval) runTerm(cj *compiledJoin, tp *termPlan, term []*vecInput, out 
 			break
 		}
 		step := &tp.steps[i]
-		in := term[step.op]
+		in := &term[step.op]
 		v.st.JoinProbeRows += work.Len()
 		nw := v.own(pool.Get(work.Schema, work.Len()))
 		nt := pool.GetTIDs(len(tids))
-		deadline := v.ctx.Deadline
 		cross := len(step.buildCols) == 0
 		if cross {
-			nt, err = v.crossStepVec(cj, nw, nt, work, tids, in.enumerable(v), step)
+			var kb *batch.Batch
+			if kb, err = v.enumerate(in); err == nil {
+				nt, err = v.crossStepVec(cj, nw, nt, work, tids, kb, step)
+			}
 		} else {
-			nt, err = hashStepVec(nw, nt, work, tids, in.ent.index(step.buildCols, v.st), in.ent.t.Rows(), cj.ops[step.op].lo, step, nOps, deadline)
+			nt, err = v.hashStepVec(cj, nw, nt, work, tids, in, step)
 		}
 		// released: superseded by the join step's output provenance.
 		pool.PutTIDs(tids)
@@ -462,30 +556,89 @@ func (v *vecEval) applyPredsVec(cj *compiledJoin, work *batch.Batch, tids []rela
 	return tids, nil
 }
 
-// hashStepVec joins the work batch with one operand by walking the flat
-// hash index a replica maintains over its slots, verifying each
-// candidate against the columns and emitting matches straight into the
-// output batch and provenance buffer. Every row it probes or emits
-// ticks the deadline's meter, so a hot key stops mid-probe too.
-func hashStepVec(out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, ix *relation.SlotIndex, rows *batch.Batch, lo int, step *probeStep, nOps int, deadline time.Time) ([]relation.TID, error) {
-	dm := guard.Meter{Deadline: deadline}
+// hashStepVec joins the work batch with one partner by walking the flat
+// hash index its arrangement maintains over its slots, verifying each
+// candidate against the columns, and then its correction rows the same
+// way through a scratch index. The arrangement's candidates are
+// collected first and the partner's view filters them column at a time
+// (filterPairs), so only survivors are merged into the output batch and
+// provenance buffer. Every row it probes or emits ticks the deadline's
+// meter, so a hot key stops mid-probe too.
+func (v *vecEval) hashStepVec(cj *compiledJoin, out *batch.Batch, outT []relation.TID, work *batch.Batch, tids []relation.TID, in *vecInput, step *probeStep) ([]relation.TID, error) {
+	dm := guard.Meter{Deadline: v.ctx.Deadline}
+	nOps, lo := len(cj.ops), cj.ops[step.op].lo
+	rows, ix := in.arr.t.Rows(), &step.key.ix
+	emit := func(r int, src *batch.Batch, m int, cols []int) {
+		out.AppendMerged(work, r, src, m, lo, cols)
+		outT = append(outT, tids[r*nOps:(r+1)*nOps]...)
+		outT[len(outT)-nOps+step.op] = src.TIDs[m]
+	}
+	pool := v.e.pool
+	at, slots := pool.GetIdx(work.Len()), pool.GetIdx(work.Len())
+	v.idx = append(v.idx, at, slots)
 	for r := 0; r < work.Len(); r++ {
 		if err := dm.Tick(); err != nil {
 			return outT, err
 		}
 		for s := ix.First(work.HashKey(r, step.probeCols)); s >= 0; s = ix.Next(s) {
-			if !rows.KeyEqual(int(s), step.buildCols, work, r, step.probeCols) {
-				continue // hash collision
-			}
-			out.AppendMerged(work, r, rows, int(s), lo)
-			outT = append(outT, tids[r*nOps:(r+1)*nOps]...)
-			outT[len(outT)-nOps+step.op] = rows.TIDs[s]
-			if err := dm.Tick(); err != nil {
-				return outT, err
+			if rows.KeyEqual(int(s), step.keyCols, work, r, step.probeCols) { // else a hash collision
+				at, slots = append(at, int32(r)), append(slots, s)
 			}
 		}
 	}
+	v.idx[len(v.idx)-2], v.idx[len(v.idx)-1] = at, slots
+	at, slots, err := v.filterPairs(in.view, rows, at, slots)
+	if err != nil {
+		return outT, err
+	}
+	for k, r := range at {
+		emit(int(r), rows, int(slots[k]), in.view.cols)
+		if err := dm.Tick(); err != nil {
+			return outT, err
+		}
+	}
+	c := in.corr
+	if c == nil || c.Len() == 0 {
+		return outT, nil
+	}
+	v.cix.Reset()
+	for k := 0; k < c.Len(); k++ {
+		v.cix.Insert(int32(k), c.HashKey(k, step.buildCols))
+	}
+	for r := 0; r < work.Len(); r++ {
+		for k := v.cix.First(work.HashKey(r, step.probeCols)); k >= 0; k = v.cix.Next(k) {
+			if c.KeyEqual(int(k), step.buildCols, work, r, step.probeCols) {
+				emit(r, c, int(k), nil)
+			}
+		}
+		if err := dm.Tick(); err != nil {
+			return outT, err
+		}
+	}
 	return outT, nil
+}
+
+// filterPairs keeps the candidate pairs (work row at[k], arrangement
+// slot slots[k]) whose slot the view's predicates keep, compacting both
+// lists in place. SelectBatch keeps a subsequence of the slots it is
+// given, in order, so each survivor is matched back to its pair by one
+// forward walk.
+func (v *vecEval) filterPairs(view *selection, rows *batch.Batch, at, slots []int32) ([]int32, []int32, error) {
+	if len(slots) == 0 || len(view.preds) == 0 {
+		return at, slots, nil
+	}
+	kept, err := v.filterRows(view, rows, slots)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, p := 0, 0
+	for k, s := range slots {
+		if p < len(kept) && kept[p] == s {
+			at[n], slots[n] = at[k], s
+			n, p = n+1, p+1
+		}
+	}
+	return at[:n], slots[:n], nil
 }
 
 // crossStepVec joins the work batch with every row of kb and filters
@@ -505,7 +658,7 @@ func (v *vecEval) crossStepVec(cj *compiledJoin, out *batch.Batch, outT []relati
 	}()
 	for r := 0; r < work.Len(); r++ {
 		for m := 0; m < kb.Len(); m++ {
-			chunk.AppendMerged(work, r, kb, m, lo)
+			chunk.AppendMerged(work, r, kb, m, lo, nil)
 			ct = append(ct, tids[r*nOps:(r+1)*nOps]...)
 			ct[len(ct)-nOps+step.op] = kb.TIDs[m]
 			if chunk.Len() < guard.CheckRows && (r+1 < work.Len() || m+1 < kb.Len()) {
@@ -640,33 +793,7 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		return nil
 	}
 	width := b.Schema.Len()
-	if v.groupOf == nil {
-		v.groupOf = make(map[relation.TID]int32, b.Len())
-	}
-	groupOf, groups := v.groupOf, v.groups
-	for i := 0; i < b.Len(); i++ {
-		tid := b.TIDs[i]
-		gi, ok := groupOf[tid]
-		if !ok {
-			gi = int32(len(groups))
-			groupOf[tid] = gi
-			groups = append(groups, netGroup{tid: tid})
-		}
-		g := &groups[gi]
-		matched := false
-		for k := 0; k < int(g.n); k++ {
-			e := g.entry(k)
-			if b.RowsEqual(int(e.row), i) {
-				e.count += int32(b.Signs[i])
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			g.add(netEntry{row: int32(i), count: int32(b.Signs[i])})
-		}
-	}
-	v.groups = groups
+	groups := v.group(b)
 	defer v.resetNet()
 	// Entries sit in arrival order within each group and groups in
 	// first-arrival order of their tid: a tid's net is its first
@@ -712,6 +839,68 @@ func (v *vecEval) netBatch(b *batch.Batch) []delta.Row {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// group counts the signed rows of b per (tid, row) into the
+// evaluator's grouping scratch: one group per tid, in first-arrival
+// order, each holding its distinct rows with their summed signs.
+// Candidate rows are compared in place (RowsEqual), so two distinct
+// rows never merge. The caller empties the scratch (resetNet).
+func (v *vecEval) group(b *batch.Batch) []netGroup {
+	if v.groupOf == nil {
+		v.groupOf = make(map[relation.TID]int32, b.Len())
+	}
+	groupOf, groups := v.groupOf, v.groups
+	for i := 0; i < b.Len(); i++ {
+		tid := b.TIDs[i]
+		gi, ok := groupOf[tid]
+		if !ok {
+			gi = int32(len(groups))
+			groupOf[tid] = gi
+			groups = append(groups, netGroup{tid: tid})
+		}
+		g := &groups[gi]
+		matched := false
+		for k := 0; k < int(g.n); k++ {
+			e := g.entry(k)
+			if b.RowsEqual(int(e.row), i) {
+				e.count += int32(b.Signs[i])
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			g.add(netEntry{row: int32(i), count: int32(b.Signs[i])})
+		}
+	}
+	v.groups = groups
+	return groups
+}
+
+// cancel reduces a signed batch to its net multiset: each distinct
+// (tid, row) once per unit of its summed sign, in first-arrival order
+// of the tids. A join whose terms read corrections emits ± pairs beside
+// the arrangements' rows; this takes them out before anything that is
+// not a netting (a group table's fold) reads the batch.
+func (v *vecEval) cancel(b *batch.Batch) *batch.Batch {
+	groups := v.group(b)
+	defer v.resetNet()
+	out := v.own(v.e.pool.Get(b.Schema, b.Len()))
+	for gi := range groups {
+		g := &groups[gi]
+		for k := 0; k < int(g.n); k++ {
+			e := g.entry(k)
+			for c := e.count; c != 0; {
+				out.AppendFrom(b, int(e.row))
+				if c > 0 {
+					out.Signs[out.Len()-1], c = +1, c-1
+				} else {
+					out.Signs[out.Len()-1], c = -1, c+1
+				}
+			}
+		}
+	}
+	return out
 }
 
 // maxPooledNet bounds the grouping scratch an evaluator keeps: a

@@ -338,15 +338,8 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 			if tc.poison == nil && !errors.Is(err, relation.ErrTypeMismatch) {
 				t.Fatalf("Step error = %v, want relation.ErrTypeMismatch", err)
 			}
-			var pos *position
-			switch s := s.(type) {
-			case *Prepared:
-				pos = &s.pos
-			case *IncrementalAggregate:
-				pos = &s.pos
-			}
-			if pos != nil && pos.ok {
-				t.Fatalf("a failed Step left the position at %d", pos.ts)
+			if s, ok := s.(*IncrementalAggregate); ok && s.pos.ok {
+				t.Fatalf("a failed Step left the position at %d", s.pos.ts)
 			}
 
 			// Round 3: the same window, clean (the poison rows leave

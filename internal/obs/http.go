@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 )
 
 // Handler serves the registry snapshot as JSON — mount it at /stats.
@@ -56,11 +57,19 @@ func Mux(r *Registry) http.Handler {
 	return mux
 }
 
-// MuxHealth is Mux plus /healthz backed by check.
+// MuxHealth is Mux plus /healthz backed by check, and the standard
+// library's runtime profiles under /debug/pprof/ (net/http/pprof): the
+// heap profile is how a heap figure such as the benchmark's
+// heap_live_mb is attributed to the structures that hold it.
 func MuxHealth(r *Registry, check func() (ready bool, detail any)) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/stats", Handler(r))
 	mux.Handle("/debug/traces", TracesHandler(r.Traces()))
 	mux.Handle("/healthz", Healthz(check))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

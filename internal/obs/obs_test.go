@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -324,6 +326,25 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 	if len(spans) != 1 || spans[0].Name != "cq.refresh" {
 		t.Fatalf("/debug/traces = %+v, want one cq.refresh span", spans)
+	}
+}
+
+// TestMuxHealthServesPprof: the daemon's mux serves the runtime's heap
+// profile, in its text form.
+func TestMuxHealthServesPprof(t *testing.T) {
+	srv := httptest.NewServer(MuxHealth(NewRegistry(), func() (bool, any) { return true, "ok" }))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile:") {
+		t.Fatalf("/debug/pprof/heap?debug=1: %s\n%.200s", resp.Status, body)
 	}
 }
 

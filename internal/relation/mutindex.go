@@ -37,6 +37,17 @@ func (ix *SlotIndex) Len() int { return ix.n }
 // Bytes is the memory the index holds, by capacity.
 func (ix *SlotIndex) Bytes() int { return cap(ix.heads)*4 + cap(ix.ents)*16 }
 
+// Reset empties the index, keeping its capacity for the next build: a
+// scratch index rebuilt per use allocates only when it outgrows the
+// last one.
+func (ix *SlotIndex) Reset() {
+	for i := range ix.heads {
+		ix.heads[i] = -1
+	}
+	ix.ents = ix.ents[:0]
+	ix.n = 0
+}
+
 // bucket spreads the hash by Fibonacci multiplication and keeps the
 // high bits, so sequential tids and FNV sums distribute alike.
 func (ix *SlotIndex) bucket(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> ix.shift) }

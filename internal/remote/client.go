@@ -467,6 +467,32 @@ func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 	return m, nil
 }
 
+// pulled serves the window images a join step needs beyond its own
+// windows (dra.Context.Windows) from the windows a refresh pulled,
+// (from, to] of each table: a step retried after one that failed
+// part-way finds its arrangements past its last refresh, and moves them
+// on by a part of these.
+type pulled struct {
+	deltas   map[string]*delta.Delta
+	from, to vclock.Timestamp
+}
+
+func (p pulled) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
+	d := p.deltas[table]
+	if d == nil || from < p.from || to > p.to {
+		return nil, fmt.Errorf("remote: window (%d, %d] of %q is outside the pulled (%d, %d]", from, to, table, p.from, p.to)
+	}
+	w := d.Window(from, to)
+	if compact {
+		w = w.Compact()
+	}
+	b, ok := batch.FromDelta(nil, w)
+	if !ok {
+		return nil, fmt.Errorf("remote: window of %q: %w", table, relation.ErrTypeMismatch)
+	}
+	return b, nil
+}
+
 // clientCatalog resolves schemas over the wire for planning.
 type clientCatalog struct{ client *Client }
 
@@ -535,9 +561,10 @@ func (m *MirrorCQ) refresh() (*delta.Delta, error) {
 		deltas[table] = d.Window(m.lastTS, now)
 	}
 	ctx := &dra.Context{
-		Pre:    m.replica,
-		Deltas: deltas,
-		LastTS: m.lastTS,
+		Pre:     m.replica,
+		Deltas:  deltas,
+		LastTS:  m.lastTS,
+		Windows: pulled{deltas: deltas, from: m.lastTS, to: now},
 	}
 	if m.prep.Strategy() == dra.StrategyPropagate {
 		// Complete re-evaluation runs the query on the post state and

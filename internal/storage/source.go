@@ -97,6 +97,17 @@ func (v HistoricView) TableImage(table string) (*batch.Batch, error) {
 	return v.s.TableImage(table, v.ts)
 }
 
+// WindowBatch returns the columnar image of the table's window (from,
+// to] (Store.WindowImage), shared when the view is a cache's: what a
+// shared join arrangement reads to move between the view's timestamp
+// and its own.
+func (v HistoricView) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
+	if v.cache != nil {
+		return v.cache.WindowBatch(table, from, to, compact)
+	}
+	return v.s.WindowImage(table, from, to, compact)
+}
+
 // Schema implements the planner's Catalog contract.
 func (v HistoricView) Schema(table string) (relation.Schema, error) {
 	return v.s.Schema(table)

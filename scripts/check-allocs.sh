@@ -3,8 +3,10 @@
 # an observation. BenchmarkRefreshStep (internal/dra) measures the
 # steady-state refresh over a fixed window, each step into one held
 # Result, on a selection (columnar: the step alone; notify: the step and
-# ApplyTo), on the telescoping kernel of a 3-way join (join), and on the
-# group table under a GROUP BY and a DISTINCT (agg, distinct);
+# ApplyTo), on the telescoping kernel of a 3-way join (join) and of four
+# joins sharing the engine's arrangements of three tables, one step each
+# (join_shared), and on the group table under a GROUP BY and a DISTINCT
+# (agg, distinct);
 # BenchmarkRefreshRound (internal/cq) measures the refresh of 64
 # selection CQs over a shared window, everything the manager does around
 # each step included: one Poll (round), and one commit fanned out to 64

@@ -65,9 +65,9 @@ func (db *DB) WriteStats(w io.Writer) { db.metrics.Snapshot().WriteTable(w) }
 
 // StatsHandler returns an HTTP handler serving the engine's metrics and
 // health: GET /stats returns the snapshot as JSON, GET /debug/traces the
-// recent refresh spans, and GET /healthz the HealthStatus (200 when
-// ready, 503 when overloaded). cmd/cqd mounts the same routes when
-// -http is set.
+// recent refresh spans, GET /healthz the HealthStatus (200 when ready,
+// 503 when overloaded), and /debug/pprof/ the Go runtime's profiles
+// (net/http/pprof). cmd/cqd mounts the same routes when -http is set.
 func (db *DB) StatsHandler() http.Handler {
 	return obs.MuxHealth(db.metrics, func() (bool, any) {
 		h := db.Health()
