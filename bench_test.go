@@ -16,6 +16,7 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/baseline"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/cq"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
@@ -64,23 +65,29 @@ func newBenchFixture(b *testing.B, rows, updates int, query string) *benchFixtur
 	if err := gen.Batch(updates); err != nil {
 		b.Fatal(err)
 	}
-	d, err := store.DeltaSince("stocks", lastTS)
-	if err != nil {
-		b.Fatal(err)
+	ctx := windows(b, store, lastTS, true, "stocks")
+	ctx.Prev = prev
+	return &benchFixture{store: store, plan: plan, prev: prev, ctx: ctx, execTS: store.Now()}
+}
+
+// windows is a step's context over each table's window (lastTS, now]:
+// the store's columnar images, compacted when compact is set, the form
+// the cq scheduler hands a step.
+func windows(b *testing.B, store *storage.Store, lastTS vclock.Timestamp, compact bool, tables ...string) *dra.Context {
+	b.Helper()
+	ctx := &dra.Context{
+		Pre: store.At(lastTS), Post: store.Live(), LastTS: lastTS,
+		Batches: make(map[string]*batch.Batch, len(tables)), Compacted: compact,
 	}
-	return &benchFixture{
-		store: store,
-		plan:  plan,
-		prev:  prev,
-		ctx: &dra.Context{
-			Pre:    store.At(lastTS),
-			Post:   store.Live(),
-			Deltas: map[string]*delta.Delta{"stocks": d},
-			LastTS: lastTS,
-			Prev:   prev,
-		},
-		execTS: store.Now(),
+	now := store.Now()
+	for _, table := range tables {
+		img, err := store.WindowImage(table, lastTS, now, compact)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Batches[table] = img
 	}
+	return ctx
 }
 
 // runDRA steps a plan prepared on engine over the fixture's window,
@@ -178,11 +185,12 @@ type joinStream struct {
 	churn   int
 	windows int
 	lastTS  vclock.Timestamp
+	compact bool // the engine's CompactDeltas: the form of its windows
 }
 
 func newJoinStream(b *testing.B, engine *dra.Engine, rows, churn int, touched ...string) *joinStream {
 	b.Helper()
-	j := &joinStream{store: storage.NewStore(), tids: map[string][]relation.TID{}, touched: touched, churn: churn}
+	j := &joinStream{store: storage.NewStore(), tids: map[string][]relation.TID{}, touched: touched, churn: churn, compact: engine.CompactDeltas}
 	for name, schema := range map[string]relation.Schema{
 		"a": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "tag", Type: relation.TString}),
 		"b": relation.MustSchema(relation.Column{Name: "x", Type: relation.TInt}, relation.Column{Name: "y", Type: relation.TInt}),
@@ -254,14 +262,7 @@ func (j *joinStream) step(b *testing.B) *dra.Result {
 	b.Helper()
 	b.StopTimer()
 	j.commit(b)
-	ctx := &dra.Context{Pre: j.store.At(j.lastTS), Post: j.store.Live(), Deltas: map[string]*delta.Delta{}, LastTS: j.lastTS}
-	for _, name := range []string{"a", "b", "c"} {
-		d, err := j.store.DeltaSince(name, j.lastTS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx.Deltas[name] = d
-	}
+	ctx := windows(b, j.store, j.lastTS, j.compact, "a", "b", "c")
 	ts := j.store.Now()
 	b.StartTimer()
 	res, err := j.prep.Step(ctx, ts)
@@ -398,7 +399,7 @@ func BenchmarkE7ClientScalability(b *testing.B) {
 						refreshes[i] = func() error { _, err := m.Refresh(); return err }
 					}
 				}
-				before := srv.Stats().TuplesExecuted
+				before := srv.Stats().Counter("remote.tuples_executed")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -412,7 +413,7 @@ func BenchmarkE7ClientScalability(b *testing.B) {
 						}
 					}
 				}
-				b.ReportMetric(float64(srv.Stats().TuplesExecuted-before)/float64(b.N), "srvTuples/op")
+				b.ReportMetric(float64(srv.Stats().Counter("remote.tuples_executed")-before)/float64(b.N), "srvTuples/op")
 			})
 		}
 	}
@@ -604,15 +605,7 @@ func BenchmarkE11AppendOnly(b *testing.B) {
 			if err := gen.Batch(20); err != nil {
 				b.Fatal(err)
 			}
-			d, err := store.DeltaSince("stocks", last)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := &dra.Context{
-				Pre: store.At(last), Post: store.Live(),
-				Deltas: map[string]*delta.Delta{"stocks": d},
-				LastTS: last,
-			}
+			ctx := windows(b, store, last, true, "stocks")
 			b.StartTimer()
 			if _, err := prep.Step(ctx, store.Now()); err != nil {
 				b.Fatal(err)
@@ -662,15 +655,8 @@ func BenchmarkE12IrrelevantUpdates(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					d, err := f.store.DeltaSince("stocks", f.ctx.LastTS)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctx := &dra.Context{
-						Pre: f.store.At(f.ctx.LastTS), Post: f.store.Live(),
-						Deltas: map[string]*delta.Delta{"stocks": d},
-						LastTS: f.ctx.LastTS, Prev: f.prev,
-					}
+					ctx := windows(b, f.store, f.ctx.LastTS, true, "stocks")
+					ctx.Prev = f.prev
 					b.StartTimer()
 					var res *dra.Result
 					if mode == "full" {
@@ -719,7 +705,7 @@ func BenchmarkE13AssembleComplete(b *testing.B) {
 // window (10 tuples modified 40 times each), on a selection and on the
 // 3-way join; signed_rows is the window the terms evaluate.
 func BenchmarkA2Compaction(b *testing.B) {
-	mk := func(b *testing.B) *benchFixture {
+	mk := func(b *testing.B, compact bool) *benchFixture {
 		store := storage.NewStore()
 		if err := store.CreateTable("stocks", workload.StockSchema()); err != nil {
 			b.Fatal(err)
@@ -743,23 +729,13 @@ func BenchmarkA2Compaction(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		d, err := store.DeltaSince("stocks", lastTS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &benchFixture{
-			store: store, plan: plan, prev: prev,
-			ctx: &dra.Context{
-				Pre: store.At(lastTS), Post: store.Live(),
-				Deltas: map[string]*delta.Delta{"stocks": d},
-				LastTS: lastTS, Prev: prev,
-			},
-			execTS: store.Now(),
-		}
+		ctx := windows(b, store, lastTS, compact, "stocks")
+		ctx.Prev = prev
+		return &benchFixture{store: store, plan: plan, prev: prev, ctx: ctx, execTS: store.Now()}
 	}
 	for _, on := range []bool{true, false} {
 		b.Run(fmt.Sprintf("select/compaction=%v", on), func(b *testing.B) {
-			f := mk(b)
+			f := mk(b, on)
 			engine := dra.NewEngine()
 			engine.CompactDeltas = on
 			f.runDRA(b, engine)
@@ -805,17 +781,8 @@ func BenchmarkA4IncrementalAggregates(b *testing.B) {
 		if err := gen.Activity(50); err != nil {
 			b.Fatal(err)
 		}
-		window, err := store.DeltaSince("accounts", lastTS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := &dra.Context{
-			Pre:    store.At(lastTS),
-			Post:   store.Live(),
-			Deltas: map[string]*delta.Delta{"accounts": window},
-			LastTS: lastTS,
-			Prev:   prev,
-		}
+		ctx := windows(b, store, lastTS, true, "accounts")
+		ctx.Prev = prev
 		return store, plan, ctx, store.Now()
 	}
 

@@ -95,12 +95,12 @@ func run(args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: cqctl snapshot <table>")
 		}
-		rel, now, err := client.Snapshot(rest[1])
+		t, now, err := client.Snapshot(rest[1], remote.Latest)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("-- %d rows at t=%d\n", rel.Len(), now)
-		fmt.Print(rel)
+		fmt.Printf("-- %d rows at t=%d\n", t.Len(), now)
+		fmt.Print(t.Relation())
 		return nil
 
 	case "delta":

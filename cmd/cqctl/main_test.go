@@ -104,8 +104,8 @@ func TestStatsSubcommand(t *testing.T) {
 }
 
 func TestStatsAgainstUninstrumentedServer(t *testing.T) {
-	// A bare server (no Instrument call) must still answer OpStats with
-	// its legacy work counters.
+	// A bare server (no Instrument call) answers OpStats from the
+	// registry it instruments itself with.
 	store := storage.NewStore()
 	srv := remote.NewServer(store)
 	addr, err := srv.Serve("127.0.0.1:0")
@@ -118,6 +118,6 @@ func TestStatsAgainstUninstrumentedServer(t *testing.T) {
 		return run([]string{"-addr", addr, "stats"})
 	})
 	if !strings.Contains(out, "remote.queries_served") {
-		t.Errorf("fallback stats missing legacy counters:\n%s", out)
+		t.Errorf("bare server's stats miss its own counters:\n%s", out)
 	}
 }

@@ -19,8 +19,7 @@ type Source interface {
 	Relation(table string) (*relation.Relation, error)
 }
 
-// MapSource is a Source backed by a map, used for tests and for a client
-// mirror's operand replicas.
+// MapSource is a Source backed by a map of relations, for tests.
 type MapSource map[string]*relation.Relation
 
 // Relation implements Source.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/relation"
@@ -80,24 +81,23 @@ func NewAppendOnly(plan algebra.Plan, src algebra.Source) (*AppendOnly, error) {
 // across steps would have folded only the inserts into them. A plan
 // outside the differential class diffs post against the running result.
 func (a *AppendOnly) Step(deltas map[string]*delta.Delta, pre, post algebra.Source, ts vclock.Timestamp) (*relation.Relation, error) {
-	insertOnly := make(map[string]*delta.Delta, len(deltas))
+	inserts := make(map[string]*batch.Batch, len(deltas))
 	for table, d := range deltas {
-		filtered := delta.New(d.Schema())
+		b := batch.New(d.Schema(), d.Len())
 		for _, r := range d.Rows() {
-			if r.Kind() == delta.Insert {
-				if err := filtered.Append(r); err != nil {
-					return nil, fmt.Errorf("baseline append-only: %w", err)
-				}
+			if r.Kind() == delta.Insert && !b.AppendRow(r.TID, +1, r.New) {
+				return nil, fmt.Errorf("baseline append-only: window of %q: %w", table, relation.ErrTypeMismatch)
 			}
 		}
-		insertOnly[table] = filtered
+		inserts[table] = b
 	}
 	p, err := a.engine.Prepare(a.plan, dra.StrategyAuto)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	ctx := &dra.Context{Pre: pre, Post: post, Deltas: insertOnly, Prev: a.result}
+	// Inserts only: each tid at most once, a compacted window.
+	ctx := &dra.Context{Pre: pre, Post: post, Batches: inserts, Compacted: true, Prev: a.result}
 	res, err := p.Step(ctx, ts)
 	if err != nil {
 		return nil, err

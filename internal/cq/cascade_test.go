@@ -219,21 +219,26 @@ func TestCascadeCycleRejected(t *testing.T) {
 	}
 }
 
+// TestCascadeDepthBound: a materialization pipeline may be
+// cascade.DefaultMaxDepth stages deep and no deeper, and a terminal
+// reader of its last stage stays registrable.
 func TestCascadeDepthBound(t *testing.T) {
 	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema()})
-	m := NewManagerConfig(s, Config{UseDRA: true, MaxCascadeDepth: 2})
+	m := NewManagerConfig(s, Config{UseDRA: true})
 	defer m.Close()
-	if _, err := m.Register(Def{Name: "a", Query: `SELECT name, price INTO d1 FROM stocks`}); err != nil {
-		t.Fatal(err)
+	from := "stocks"
+	for stage := 1; stage <= cascade.DefaultMaxDepth; stage++ {
+		into := fmt.Sprintf("d%d", stage)
+		if _, err := m.Register(Def{Name: "p" + into, Query: "SELECT name, price INTO " + into + " FROM " + from}); err != nil {
+			t.Fatalf("stage %d: %v", stage, err)
+		}
+		from = into
 	}
-	if _, err := m.Register(Def{Name: "b", Query: `SELECT name, price INTO d2 FROM d1`}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Register(Def{Name: "c", Query: `SELECT name, price INTO d3 FROM d2`}); !errors.Is(err, cascade.ErrTooDeep) {
-		t.Fatalf("depth 3 at bound 2: %v", err)
+	if _, err := m.Register(Def{Name: "deeper", Query: "SELECT name, price INTO past FROM " + from}); !errors.Is(err, cascade.ErrTooDeep) {
+		t.Fatalf("stage %d at bound %d: %v", cascade.DefaultMaxDepth+1, cascade.DefaultMaxDepth, err)
 	}
 	// Terminal readers at the same depth stay registrable.
-	if _, err := m.Register(Def{Name: "leaf", Query: `SELECT name, price FROM d2`}); err != nil {
+	if _, err := m.Register(Def{Name: "leaf", Query: "SELECT name, price FROM " + from}); err != nil {
 		t.Fatal(err)
 	}
 }

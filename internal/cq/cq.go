@@ -256,6 +256,10 @@ type instance struct {
 	mu       sync.Mutex
 	lastExec vclock.Timestamp // timestamp of the last execution
 	lastObs  vclock.Timestamp // high-water mark of observed updates
+	// horizon is lastExec, written with it (setLastExec) and read
+	// without mu by the GC horizon, so a refresh step or a subscriber
+	// callback running under mu never holds up collection.
+	horizon atomic.Uint64
 	// prev is the CQ's maintained result at lastExec (Section 4.3's
 	// Et_i(Q)): a slot table every refresh applies its change to by
 	// typed writes, so no row references the refresh output it came
@@ -386,12 +390,6 @@ type Config struct {
 	// BackoffBase/Max/Jitter). The zero value gets guard defaults:
 	// no budget, quarantine after 3 consecutive failures.
 	Guard guard.Policy
-	// MaxCascadeDepth bounds the length of materialization pipelines
-	// (SELECT ... INTO chains): a registration whose derived table would
-	// sit more than this many commit hops from the originating client
-	// write is rejected with cascade.ErrTooDeep. 0 uses
-	// cascade.DefaultMaxDepth.
-	MaxCascadeDepth int
 	// ShareTemplates deduplicates structurally identical CQs: queries
 	// differing only in comparison constants (`price > 5` vs
 	// `price > 90`) share one prepared template plan and one operand
@@ -491,7 +489,7 @@ func NewManagerConfig(store *storage.Store, cfg Config) *Manager {
 		met:       newMetrics(cfg.Metrics),
 		cqs:       make(map[string]*instance),
 		templates: make(map[uint64]*templateGroup),
-		dag:       cascade.New(cfg.MaxCascadeDepth),
+		dag:       cascade.New(cascade.DefaultMaxDepth),
 	}
 	m.guardPol = cfg.Guard.WithDefaults()
 	// Degraded-mode hook: a watermark trip runs emergency GC to shed
@@ -635,7 +633,7 @@ func (m *Manager) installLocked(def Def, rec *wal.CQEntry, rd round) (*batch.Tab
 		}
 	}
 
-	inst.lastExec = rd.ts // a recovered CQ's rd.ts is its LastExec
+	inst.setLastExec(rd.ts) // a recovered CQ's rd.ts is its LastExec
 	if rec != nil {
 		inst.seq = rec.Seq
 		inst.terminated.Store(rec.Terminated)
@@ -1107,13 +1105,20 @@ func closeSubs(inst *instance) {
 	inst.subs = nil
 }
 
+// setLastExec moves the CQ's last execution to ts. Caller holds inst.mu.
+func (inst *instance) setLastExec(ts vclock.Timestamp) {
+	inst.lastExec = ts
+	inst.horizon.Store(uint64(ts))
+}
+
 // gcLocked collects differential-relation garbage below the system
 // active delta zone (Section 5.4), refined per table: each table's
 // horizon is the minimum last-execution timestamp over the live CQs
 // reading it. It returns the number of rows the store collected.
 // Caller holds m.mu but no instance locks: each instance's lastExec is
-// read under its own lock, so a refresh worker of a racing round can
-// never be observed mid-update.
+// read from its lock-free copy (horizon), which moves only once a
+// refresh has committed, so a refresh in flight — whose windows start
+// at the old value — keeps them.
 func (m *Manager) gcLocked() int {
 	if len(m.cqs) == 0 {
 		return 0
@@ -1132,17 +1137,7 @@ func (m *Manager) gcLocked() int {
 		if inst.terminated.Load() {
 			continue
 		}
-		// TryLock, not Lock: a refresh of a racing round holds this
-		// instance's lock for as long as its step runs, and the GC
-		// horizon needs its lastExec. Blocking here, under the manager
-		// lock, would stall every round behind that one step, so skip GC
-		// until the next tick instead (retention is bounded by the
-		// watermarks).
-		if !inst.mu.TryLock() {
-			return 0
-		}
-		lastExec := inst.lastExec
-		inst.mu.Unlock()
+		lastExec := vclock.Timestamp(inst.horizon.Load())
 		if first || lastExec < global {
 			global = lastExec
 			first = false

@@ -689,9 +689,9 @@ func (m *Manager) workerCount(tasks int) int {
 //
 // Each operand window is the round cache's columnar image, read in
 // place by every CQ at the round timestamp; an empty window is left out
-// of Batches and scans as empty. ctx.Deltas stays unset: the engine
-// reads the images, already compacted when the engine compacts. A window
-// the cache cannot produce fails the step. The cache is also the step's
+// of Batches and scans as empty. The images are compacted when the
+// engine compacts (Context.Compacted). A window the cache cannot produce
+// fails the step. The cache is also the step's
 // Windows: the images a join reads to move the engine's shared
 // arrangement of a table between its own timestamp and the states the
 // step's terms need (dra.Context.Windows), built once per round however
@@ -909,7 +909,7 @@ func (m *Manager) refreshInstance(inst *instance, rd round, q *outbox) error {
 // deletions). Caller holds inst.mu.
 func (m *Manager) advanceLocked(inst *instance, res *dra.Result, execTS vclock.Timestamp, seq int, term bool) {
 	inst.prev = res.Maintain(inst.prev)
-	inst.lastExec = execTS
+	inst.setLastExec(execTS)
 	inst.lastObs = execTS
 	inst.seq = seq
 	inst.updatesSeen = 0

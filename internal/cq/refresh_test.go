@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -274,6 +275,56 @@ func TestRefreshLeavesTheManagerUnlocked(t *testing.T) {
 	close(release)
 	if err := <-refreshed; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectGarbageBesideParkedCallback: collection reads each CQ's
+// last execution without its lock, so one subscriber parked in delivery
+// — under its instance lock — holds up no table's collection: the rows
+// of a table only another CQ reads go as soon as that CQ has moved past
+// them.
+func TestCollectGarbageBesideParkedCallback(t *testing.T) {
+	s := newStoreWith(t, map[string]relation.Schema{"stocks": stockSchema(), "other": stockSchema()})
+	m := NewManagerConfig(s, Config{UseDRA: true})
+	defer func() { _ = m.Close() }()
+	for name, table := range map[string]string{"slow": "stocks", "fast": "other"} {
+		if _, err := m.Register(Def{Name: name, Query: "SELECT * FROM " + table + " WHERE price > 0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	if _, err := m.SubscribeFunc("slow", func(n Notification, closed bool) {
+		if !closed {
+			close(entered)
+			<-release
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	insertStock(t, s, "DEC", 150)
+	refreshed := make(chan error, 1)
+	go func() { refreshed <- m.Refresh("slow") }()
+	<-entered
+	defer func() {
+		close(release)
+		if err := <-refreshed; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	mark := s.Now()
+	commit(t, s, func(tx *storage.Tx) error {
+		_, err := tx.Insert("other", []relation.Value{relation.Str("QLI"), relation.Float(130)})
+		return err
+	})
+	if err := m.Refresh("fast"); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.CollectGarbage(); n == 0 {
+		t.Fatal("a callback parked under one CQ's lock stopped collection on every table")
+	}
+	if _, err := s.DeltaSince("other", mark); !errors.Is(err, storage.ErrStaleWindow) {
+		t.Fatalf("the row of other that fast has passed is still in its log (err = %v)", err)
 	}
 }
 

@@ -76,7 +76,7 @@ type keyIndex struct {
 }
 
 // arrUse is one arrangement a join group reads, with a scan of its
-// table: the schema the step's own window of the table converts to.
+// table: the schema the step reads the table's window in.
 type arrUse struct {
 	a    *arrangement
 	scan *algebra.ScanPlan

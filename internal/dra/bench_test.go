@@ -6,7 +6,6 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -80,7 +79,6 @@ func newBenchStep(b *testing.B, base, window int) (*Prepared, *Context, vclock.T
 	ctx := &Context{
 		Pre:       store.At(lastTS),
 		Post:      store.Live(),
-		Deltas:    map[string]*delta.Delta{"r": d},
 		LastTS:    lastTS,
 		Prev:      prev,
 		Versions:  store.ChangeCounts(),
@@ -198,8 +196,7 @@ func (jb *joinBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp)
 	jb.round++
 	ctx := &Context{
 		Pre: jb.store.At(jb.lastTS), Post: jb.store.Live(),
-		Deltas: map[string]*delta.Delta{}, Batches: map[string]*batch.Batch{},
-		LastTS: jb.lastTS, Compacted: true,
+		Batches: map[string]*batch.Batch{}, LastTS: jb.lastTS, Compacted: true,
 	}
 	for _, name := range joinBenchTables {
 		d, err := jb.store.DeltaSince(name, jb.lastTS)
@@ -207,7 +204,6 @@ func (jb *joinBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp)
 			b.Fatal(err)
 		}
 		d = d.Compact()
-		ctx.Deltas[name] = d
 		if img, ok := batch.FromDelta(nil, d); ok {
 			ctx.Batches[name] = img
 		}
@@ -316,7 +312,7 @@ func (gb *groupBench) window(b *testing.B, rows int) (*Context, vclock.Timestamp
 	}
 	ctx := &Context{
 		Pre: gb.store.At(gb.lastTS), Post: gb.store.Live(), LastTS: gb.lastTS, Compacted: true,
-		Deltas: map[string]*delta.Delta{"e": d}, Batches: map[string]*batch.Batch{"e": img},
+		Batches: map[string]*batch.Batch{"e": img},
 	}
 	return ctx, gb.store.Now()
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/baseline"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/guard"
 	"github.com/diorama/continual/internal/relation"
@@ -138,21 +137,13 @@ func stopAndResume(t *testing.T, q, kind string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// window is the step's context from lastTS: the raw windows, which
-	// the engine compacts, the pre-state a re-seed reads, the window
-	// images a correction reads, and the result at lastTS complete
-	// re-evaluation diffs against.
+	// window is the step's context from lastTS: the raw window images,
+	// the pre-state a re-seed reads, the window images a correction
+	// reads, and the result at lastTS complete re-evaluation diffs
+	// against.
 	window := func() *dra.Context {
-		ctx := &dra.Context{Pre: s.At(lastTS), Post: s.Live(), Prev: seeded.Relation(), LastTS: lastTS,
-			Deltas: map[string]*delta.Delta{}, Windows: s.NewWindowCache()}
-		for _, table := range []string{"a", "b"} {
-			d, err := s.DeltaSince(table, lastTS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx.Deltas[table] = d
-		}
-		return ctx
+		return &dra.Context{Pre: s.At(lastTS), Post: s.Live(), Prev: seeded.Relation(), LastTS: lastTS,
+			Batches: images(t, s, []string{"a", "b"}, lastTS, s.Now(), false), Windows: s.NewWindowCache()}
 	}
 
 	// The window: a modification on each side, a new row in a, for the

@@ -14,9 +14,9 @@ import (
 
 // TestDeferredChangeMatchesEager: across the equivalence shapes, a plan
 // stepped over the round's shared window images (Context.Batches, as
-// the cq scheduler steps it) and one stepped over the same windows in
-// row form (Context.Deltas, which the scan converts into a pooled batch
-// and the netting renders eagerly) report the same change: the same
+// the cq scheduler steps it) and one stepped over the same images
+// without Context.Compacted (so the general netting runs and renders
+// eagerly) report the same change: the same
 // Len and Counts before any row is read, and then the same rows, row
 // for row, ts included. A selection's change over the shared image is
 // deferred — nothing renders until its rows are read, and then once —
@@ -57,12 +57,14 @@ func TestDeferredChangeMatchesEager(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := rows.Step(f.ctx(t), execTS)
+				ectx := f.ctx(t)
+				ectx.Compacted = false
+				want, err := rows.Step(ectx, execTS)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want.change != nil {
-					t.Fatalf("round %d: a change over a pooled conversion was deferred", round)
+					t.Fatalf("round %d: a change of the general netting was deferred", round)
 				}
 				before := rendered()
 				if got.Delta.Len() != want.Delta.Len() {

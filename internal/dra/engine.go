@@ -104,7 +104,7 @@ var (
 //
 //	(i)   the CQ definition        — the plan passed to Prepare;
 //	(ii)  base contents at the last execution — Pre;
-//	(iii) the differential relations           — Deltas or Batches (window > last ts);
+//	(iii) the differential relations           — Batches (window > last ts);
 //	(iv)  the timestamp of the last execution  — LastTS;
 //	(v)   the previous complete result         — Prev.
 //
@@ -122,21 +122,26 @@ var (
 // The engine keeps no reference to a Context, nor to its Pre and Post
 // sources or its maps, once Step returns: a caller may
 // reuse one Context, refilling it in place, for every refresh of its
-// evaluator. Windows and batches it carries are only read; the Result
+// evaluator. The images it carries are only read; the Result
 // references none of them but one: a selection's change over a Batches
 // image reads that image until its rows are rendered (Result), so an
 // image handed in here must never be written or recycled afterwards.
 type Context struct {
-	Pre    algebra.Source
-	Post   algebra.Source
+	Pre  algebra.Source
+	Post algebra.Source
+	// Deltas is never read: the windows are Batches. The field stays
+	// declared only for a reader outside this module's serving path (the
+	// repo benchmark's replay) that still sets it.
 	Deltas map[string]*delta.Delta
 	LastTS vclock.Timestamp
 	Prev   *relation.Relation
 
-	// Compacted declares that the windows are already folded to their
-	// net per-tid effect, so a CompactDeltas engine must not compact them
-	// again. The cq scheduler sets this when it hands the window cache's
-	// compacted images to many CQs.
+	// Compacted declares that every window in Batches is folded to its
+	// net per-tid effect — each tid once, as one row or an adjacent
+	// -old/+new pair — so a selection nets its window in one forward
+	// pass (netView); otherwise the general netting runs. The cq
+	// scheduler sets it when it hands the window cache's compacted images
+	// to many CQs.
 	Compacted bool
 
 	// Versions is never read: a Prepared's state is valid at its one
@@ -145,17 +150,11 @@ type Context struct {
 	// repo benchmark's replay) that still sets it.
 	Versions map[string]uint64
 
-	// Batches optionally carries prebuilt columnar images of the
-	// windows — the rows of the window's delta, in the same order —
-	// built once (storage.WindowCache) and shared read-only by every CQ
-	// refreshing over the window. The scan reads them as zero-copy views
-	// instead of converting the row window per CQ, provided no further
-	// compaction would apply (CompactDeltas off, or Compacted set). A
-	// table missing from Batches scans Deltas' entry, and one missing
-	// from both scans as an empty window. "Same rows, same order" is
-	// load-bearing under Compacted: a selection nets its window by
-	// adjacent -old/+new pair (netView), so the image must be the
-	// compacted window row for row.
+	// Batches carries the columnar image of each operand's window, in
+	// the ordered signed form of Store.WindowImage — built once
+	// (storage.WindowCache, or a client mirror's decoded frame) and read
+	// in place by every CQ refreshing over the window. A table missing
+	// from Batches scans as an empty window.
 	Batches map[string]*batch.Batch
 
 	// Windows reads the window images a join step needs beyond its own
@@ -240,8 +239,9 @@ type Stats struct {
 // indexes, and a refresh whose filtered windows are all empty is
 // reported as skipped (Stats.Skipped).
 type Engine struct {
-	// CompactDeltas folds each operand's delta window to its net effect
-	// before evaluation (A2).
+	// CompactDeltas is the form of the windows a join reads through
+	// Context.Windows: folded to their net per-tid effect (A2). Callers
+	// that compact hand their own windows the same way (Context.Compacted).
 	CompactDeltas bool
 	// pool recycles batch and selection buffers across refreshes; it is
 	// sync.Pool-backed, so concurrent refresh workers share it safely.

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"github.com/diorama/continual/internal/algebra"
-	"github.com/diorama/continual/internal/delta"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 	"github.com/diorama/continual/internal/vclock"
@@ -31,23 +31,28 @@ func newFixture(t *testing.T, tables map[string]relation.Schema) *fixture {
 // mark records the current time as the CQ's last execution point.
 func (f *fixture) mark() { f.lastTS = f.store.Now() }
 
-// ctx assembles the DRA context for all tables.
+// ctx assembles the DRA context for all tables: every window up to now
+// as the store's compacted image, the form the cq scheduler hands a
+// step.
 func (f *fixture) ctx(t *testing.T) *Context {
 	t.Helper()
-	deltas := make(map[string]*delta.Delta)
+	cache := f.store.NewWindowCache()
+	now := f.store.Now()
+	batches := make(map[string]*batch.Batch)
 	for _, name := range f.store.TableNames() {
-		d, err := f.store.DeltaSince(name, f.lastTS)
+		b, err := cache.WindowBatch(name, f.lastTS, now, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltas[name] = d
+		batches[name] = b
 	}
 	return &Context{
-		Pre:     f.store.At(f.lastTS),
-		Post:    f.store.Live(),
-		Deltas:  deltas,
-		LastTS:  f.lastTS,
-		Windows: f.store.NewWindowCache(),
+		Pre:       f.store.At(f.lastTS),
+		Post:      f.store.Live(),
+		Batches:   batches,
+		Compacted: true,
+		LastTS:    f.lastTS,
+		Windows:   cache,
 	}
 }
 

@@ -298,8 +298,8 @@ func (g *groupTable) inOutput(cells []aggCell) bool { return g.global || cells[0
 // Step folds the update window into the table and returns the change of
 // the output, read off the touched groups: O(|Δ|) beyond the evaluation
 // of the input's own signed delta, which runs the columnar kernels (a
-// selection view over ctx.Batches where the window image is shared,
-// its selected rows copied out once into the fold batch; a join
+// selection view over the window image in ctx.Batches, its selected
+// rows copied out once into the fold batch; a join
 // telescoping over the engine's arrangements). A Step from anything but
 // the table's position re-seeds it first (position.resume); a failed
 // Step clears the position, so its retry re-seeds and folds the window

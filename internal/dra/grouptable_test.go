@@ -7,8 +7,6 @@ import (
 
 	"github.com/diorama/continual/internal/algebra"
 	"github.com/diorama/continual/internal/baseline"
-	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/dra"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
@@ -215,24 +213,12 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 						commit(tx)
 					}
 
-					d, err := store.DeltaSince("t", lastTS)
-					if err != nil {
-						t.Fatal(err)
-					}
+					ts := store.Now()
 					ctx := &dra.Context{
 						Pre: store.At(lastTS), Post: store.Live(), LastTS: lastTS,
-						Deltas: map[string]*delta.Delta{"t": d}, Versions: store.ChangeCounts(),
+						Batches:   images(t, store, []string{"t"}, lastTS, ts, va.image),
+						Compacted: va.image, Versions: store.ChangeCounts(),
 					}
-					if va.image {
-						cd := d.Compact()
-						ctx.Compacted, ctx.Deltas["t"] = true, cd
-						img, ok := batch.FromDelta(nil, cd)
-						if !ok {
-							t.Fatalf("round %d: window has no columnar image", round)
-						}
-						ctx.Batches = map[string]*batch.Batch{"t": img}
-					}
-					ts := store.Now()
 					label := fmt.Sprintf("round %d", round)
 					res, err := maint.Step(ctx, ts)
 					if err != nil {
@@ -254,8 +240,8 @@ func TestGroupTableTranscriptEquivalence(t *testing.T) {
 					if quiet && res.Delta.Len() != 0 {
 						t.Fatalf("%s: a row inserted and deleted within the window reported %+v", label, res.Delta.Rows())
 					}
-					if res.Stats.GroupRowsEmitted != res.Delta.ToSigned().Len() || res.Stats.GroupsTouched > d.ToSigned().Len() {
-						t.Fatalf("%s: stats %+v for %d signed input rows, %d emitted", label, res.Stats, d.ToSigned().Len(), res.Delta.ToSigned().Len())
+					if in := ctx.Batches["t"].Len(); res.Stats.GroupRowsEmitted != res.Delta.ToSigned().Len() || res.Stats.GroupsTouched > in {
+						t.Fatalf("%s: stats %+v for %d signed input rows, %d emitted", label, res.Stats, in, res.Delta.ToSigned().Len())
 					}
 					if same := res.ApplyTo(prev); same != prev {
 						t.Fatalf("%s: ApplyTo replaced the caller's result instead of maintaining it", label)
@@ -405,29 +391,11 @@ func TestGroupTableOverJoin(t *testing.T) {
 					}
 					commit(tx)
 
+					ts := store.Now()
 					ctx := &dra.Context{
 						Pre: store.At(lastTS), Post: store.Live(), LastTS: lastTS,
-						Deltas: map[string]*delta.Delta{}, Versions: store.ChangeCounts(),
-					}
-					ts := store.Now()
-					for _, table := range tables {
-						d, err := store.DeltaSince(table, lastTS)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ctx.Deltas[table] = d
-					}
-					if image {
-						ctx.Compacted, ctx.Batches = true, map[string]*batch.Batch{}
-						for table, d := range ctx.Deltas {
-							cd := d.Compact()
-							ctx.Deltas[table] = cd
-							img, ok := batch.FromDelta(nil, cd)
-							if !ok {
-								t.Fatalf("round %d: window of %s has no columnar image", round, table)
-							}
-							ctx.Batches[table] = img
-						}
+						Batches:   images(t, store, tables, lastTS, ts, image),
+						Compacted: image, Versions: store.ChangeCounts(),
 					}
 					label := fmt.Sprintf("round %d", round)
 					res, err := maint.Step(ctx, ts)

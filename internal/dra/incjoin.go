@@ -126,7 +126,7 @@ func (v *vecEval) ready(u arrUse) error {
 			img, err = v.image(u)
 		case float:
 		case at == v.ctx.LastTS && !v.seeding:
-			img, _, err = v.window(u.scan)
+			img, err = v.window(u.scan)
 		default:
 			img, err = v.windowImage(a.table, at, T)
 		}
@@ -157,7 +157,7 @@ func (v *vecEval) ready(u arrUse) error {
 // from: a seed's own (its window is the image), or ctx.Pre's at LastTS.
 func (v *vecEval) image(u arrUse) (*batch.Batch, error) {
 	if v.seeding {
-		b, _, err := v.window(u.scan)
+		b, err := v.window(u.scan)
 		return b, err
 	}
 	if v.ctx.Pre == nil {

@@ -29,9 +29,8 @@ type imager interface {
 }
 
 // tableImage returns table's contents in src as an all-insert columnar
-// image. A source without images of its own (a client mirror's copies
-// of its tables, a test's MapSource, the live store) is converted row by
-// row. The image is only read.
+// image. A source without images of its own (a test's MapSource, the
+// live store) is converted row by row. The image is only read.
 func tableImage(src algebra.Source, table string) (*batch.Batch, error) {
 	if im, ok := src.(imager); ok {
 		return im.TableImage(table)

@@ -15,32 +15,42 @@ import (
 // windowMode is how a refresh's windows reach the engine.
 type windowMode struct {
 	name string
-	// engine adjusts the engine's flags; ctx dresses the raw context.
+	// engine adjusts the engine's flags; ctx dresses the context of the
+	// fixture's pending window.
 	engine func(*Engine)
-	ctx    func(*testing.T, *Context)
+	ctx    func(*testing.T, *fixture, *Context)
 }
 
-// selectionModes are the three ways a scan meets its window: the raw
-// row window (the scan compacts and converts), the round's shared
-// compacted image (read in place — the cq scheduler's path), and the
-// uncompacted window, where a tid may occur any number of times and only
-// the general netting is sound.
+// selectionModes are the three ways a scan meets its window: the
+// caller's own conversion of the compacted row window (batch.FromDelta),
+// the round's shared compacted image (read in place — the cq
+// scheduler's path), and the uncompacted image, where a tid may occur
+// any number of times and only the general netting is sound.
 var selectionModes = []windowMode{
-	{"converted", func(*Engine) {}, func(*testing.T, *Context) {}},
-	{"shared-image", func(*Engine) {}, func(t *testing.T, ctx *Context) {
-		ctx.Compacted = true
-		ctx.Batches = make(map[string]*batch.Batch, len(ctx.Deltas))
-		for name, d := range ctx.Deltas {
-			cd := d.Compact()
-			ctx.Deltas[name] = cd
-			b, ok := batch.FromDelta(nil, cd)
+	{"converted", func(*Engine) {}, func(t *testing.T, f *fixture, ctx *Context) {
+		for name := range ctx.Batches {
+			d, err := f.store.DeltaSince(name, ctx.LastTS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := batch.FromDelta(nil, d.Compact())
 			if !ok {
 				t.Fatalf("window of %q has no columnar image", name)
 			}
 			ctx.Batches[name] = b
 		}
 	}},
-	{"uncompacted", func(e *Engine) { e.CompactDeltas = false }, func(*testing.T, *Context) {}},
+	{"shared-image", func(*Engine) {}, func(*testing.T, *fixture, *Context) {}},
+	{"uncompacted", func(e *Engine) { e.CompactDeltas = false }, func(t *testing.T, f *fixture, ctx *Context) {
+		ctx.Compacted = false
+		for name := range ctx.Batches {
+			b, err := f.store.WindowImage(name, ctx.LastTS, f.store.Now(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.Batches[name] = b
+		}
+	}},
 }
 
 // assertNetted checks the invariant result assembly rests on: a result
@@ -100,7 +110,7 @@ func assertImagesUntouched(t *testing.T, label string, ctx *Context, before map[
 func selectionStep(t *testing.T, label string, f *fixture, mode windowMode, plan algebra.Plan, p subject, prev *relation.Relation) (*Result, *relation.Relation) {
 	t.Helper()
 	ctx := f.ctx(t)
-	mode.ctx(t, ctx)
+	mode.ctx(t, f, ctx)
 	ctx.Prev = prev
 	before := imagesOf(ctx)
 	res, err := p.Step(ctx, f.store.Now())

@@ -190,34 +190,32 @@ func (w *world) rewrite() {
 }
 
 // window assembles the refresh inputs of the pending window. With image
-// set it hands them over the way the cq manager does: compacted once,
-// with a prebuilt columnar image of every window that has one.
+// set it hands them over the way the cq manager does, as compacted
+// images; otherwise as the raw ones, which the general netting nets.
 func (w *world) window(image bool) (*dra.Context, vclock.Timestamp) {
-	ctx := &dra.Context{
-		Pre: w.store.At(w.lastTS), Post: w.store.Live(),
-		Deltas: map[string]*delta.Delta{}, LastTS: w.lastTS,
-		Versions: w.store.ChangeCounts(), // before the execution timestamp
-	}
 	execTS := w.store.Now()
-	for _, name := range worldTables {
-		d, err := w.store.DeltaSince(name, w.lastTS)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		ctx.Deltas[name] = d
-	}
-	if image {
-		ctx.Compacted = true
-		ctx.Batches = map[string]*batch.Batch{}
-		for name, d := range ctx.Deltas {
-			cd := d.Compact()
-			ctx.Deltas[name] = cd
-			if b, ok := batch.FromDelta(nil, cd); ok {
-				ctx.Batches[name] = b
-			}
-		}
+	ctx := &dra.Context{
+		Pre: w.store.At(w.lastTS), Post: w.store.Live(), LastTS: w.lastTS,
+		Batches:   images(w.t, w.store, worldTables, w.lastTS, execTS, image),
+		Compacted: image,
+		Versions:  w.store.ChangeCounts(), // before the execution timestamp
 	}
 	return ctx, execTS
+}
+
+// images reads each table's window (from, to] as the store's columnar
+// image, compacted when compact is set: the form a step reads.
+func images(t testing.TB, s *storage.Store, tables []string, from, to vclock.Timestamp, compact bool) map[string]*batch.Batch {
+	t.Helper()
+	out := make(map[string]*batch.Batch, len(tables))
+	for _, table := range tables {
+		b, err := s.WindowImage(table, from, to, compact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[table] = b
+	}
+	return out
 }
 
 // subject is one way to refresh a plan — a prepared plan, or a plan
@@ -307,8 +305,8 @@ func TestTelescopeTranscriptEquivalence(t *testing.T) {
 	type variant struct {
 		name    string
 		strat   dra.Strategy
-		compact bool // engine compacts windows itself
-		image   bool // manager-style prebuilt compacted images
+		compact bool // engine reads compacted correction images
+		image   bool // manager-style compacted images, else raw ones
 		drift   bool
 	}
 	variants := []variant{

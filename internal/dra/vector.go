@@ -60,12 +60,11 @@ type vecEval struct {
 	groups  []netGroup
 }
 
-// scanned is one table's window as the step reads it: the round's
-// shared image (shared), or the scan's own conversion of ctx.Deltas.
+// scanned is one table's window as the step reads it: the context's
+// image of it (Context.Batches), or an empty batch of the scan's own.
 type scanned struct {
-	table  string
-	b      *batch.Batch
-	shared bool
+	table string
+	b     *batch.Batch
 }
 
 // vecEvals recycles evaluator states across refreshes and engines.
@@ -122,10 +121,9 @@ func (e *Engine) vecEvaluate(root *compiledNode, ctx *Context, res *Result) erro
 }
 
 // paired reports that every scan's window holds each tid at most once,
-// as one row or as an adjacent -old/+new pair: the windows are compacted,
-// by the caller (whose Context.Batches are then the compacted windows
-// row for row) or by the scan.
-func (v *vecEval) paired() bool { return v.e.CompactDeltas || v.ctx.Compacted }
+// as one row or as an adjacent -old/+new pair: the caller compacted the
+// windows (Context.Compacted).
+func (v *vecEval) paired() bool { return v.ctx.Compacted }
 
 func (v *vecEval) own(b *batch.Batch) *batch.Batch {
 	v.owned = append(v.owned, b)
@@ -187,14 +185,12 @@ func (v *vecEval) nodeBatch(n *compiledNode) (*batch.Batch, error) {
 }
 
 // selView is the signed change of a selection, read in place: rows sel
-// of the scan's window batch b — the round's shared image, which this
-// evaluation must not write (shared), or the scan's own conversion —
-// with output column j in b's column cols[j]. Its consumer nets it
-// straight into the result's change (netView) or copies it out once
-// (nodeBatch).
+// of the scan's window batch b — the context's image, which this
+// evaluation must not write — with output column j in b's column
+// cols[j]. Its consumer nets it straight into the result's change
+// (netView) or copies it out once (nodeBatch).
 type selView struct {
 	b      *batch.Batch
-	shared bool
 	sel    []int32 // nil: every row
 	cols   []int
 	schema relation.Schema
@@ -220,7 +216,7 @@ func (w *selView) at(k int) int32 {
 func (v *vecEval) view(s *selection) (selView, error) {
 	w := selView{cols: s.cols, schema: s.schema}
 	var err error
-	if w.b, w.shared, err = v.window(s.scan); err != nil {
+	if w.b, err = v.window(s.scan); err != nil {
 		return w, err
 	}
 	v.st.DeltaRows += w.b.Len()
@@ -250,49 +246,42 @@ func (v *vecEval) filterRows(s *selection, b *batch.Batch, in []int32) ([]int32,
 	return sel, nil
 }
 
-// window produces the table's differential window as a signed batch
+// window returns the table's differential window as a signed batch
 // with the scan's column types, once per table and step: the view of
 // each operand over the table reads it, and so does the advance of the
-// table's arrangement. When the context carries a prebuilt columnar
-// window (built once by the window cache and shared by every CQ at the
-// round timestamp) and no further compaction would apply, that batch is
-// the scan, read in place (shared); otherwise the scan converts the row
-// window into a pooled batch.
-func (v *vecEval) window(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
+// table's arrangement. It is the context's image of the window
+// (Context.Batches), read in place; a table the context leaves out has
+// an empty window. An image whose columns are not the scan's types is
+// refused: the store conforms every value to its column, so such an
+// image was built by hand or decoded from a faulty peer.
+func (v *vecEval) window(n *algebra.ScanPlan) (*batch.Batch, error) {
 	for _, s := range v.scans {
 		if s.table == n.Table {
-			return s.b, s.shared, nil
+			return s.b, nil
 		}
 	}
-	if b, shared, err = v.convert(n); err == nil {
-		v.scans = append(v.scans, scanned{table: n.Table, b: b, shared: shared})
+	schema := n.Schema()
+	b := v.ctx.Batches[n.Table]
+	if b == nil {
+		b = v.own(v.e.pool.Get(schema, 0))
+	} else if !typed(b, schema) {
+		return nil, nonConforming("window of " + n.Table)
 	}
-	return b, shared, err
+	v.scans = append(v.scans, scanned{table: n.Table, b: b})
+	return b, nil
 }
 
-// convert is window's first read of a table.
-func (v *vecEval) convert(n *algebra.ScanPlan) (b *batch.Batch, shared bool, err error) {
-	e := v.e
-	if pre := v.ctx.Batches[n.Table]; pre != nil && (!e.CompactDeltas || v.ctx.Compacted) {
-		return pre, true, nil
+// typed reports whether b's columns have schema's types.
+func typed(b *batch.Batch, schema relation.Schema) bool {
+	if len(b.Cols) != schema.Len() {
+		return false
 	}
-	d := v.ctx.Deltas[n.Table]
-	if d != nil && e.CompactDeltas && !v.ctx.Compacted {
-		d = d.Compact()
-	}
-	size := 0
-	if d != nil {
-		size = d.Len() * 2
-	}
-	out := v.own(e.pool.Get(n.Schema(), size))
-	if d != nil {
-		for _, r := range d.Rows() {
-			if !out.AppendChange(r) {
-				return nil, false, nonConforming("window of " + n.Table)
-			}
+	for c := range b.Cols {
+		if b.Cols[c].Type != schema.Col(c).Type {
+			return false
 		}
 	}
-	return out, false, nil
+	return true
 }
 
 // filterBatch applies a selection predicate column-at-a-time to a batch
@@ -689,12 +678,10 @@ func (v *vecEval) crossStepVec(cj *compiledJoin, out *batch.Batch, outT []relati
 // grouping: a pair whose projected columns are equal cancels (the
 // projection dropped every changed column), a pair that differs is one
 // modification, a lone row an insertion or a deletion. Only the
-// projected columns are compared. Over the round's shared image the net
-// change stays columnar — the kept row indices over the image, which
-// nobody writes or recycles (batch.Change) — and renders rows only when
-// a reader asks for them; over the scan's own pooled conversion it is
-// rendered now (batch.NetRows), since that batch returns to the pool
-// when the evaluation ends. No net change reports res's empty Delta.
+// projected columns are compared. The net change stays columnar — the
+// kept row indices over the context's image, which nobody writes or
+// recycles (batch.Change) — and renders rows only when a reader asks for
+// them. No net change reports res's empty Delta.
 func (v *vecEval) netView(w selView, res *Result) {
 	n := w.len()
 	if n == 0 {
@@ -716,17 +703,14 @@ func (v *vecEval) netView(w selView, res *Result) {
 		}
 		keep = append(keep, i)
 	}
-	switch {
-	case len(keep) == 0:
+	if len(keep) == 0 {
 		res.setRows(w.schema, nil)
-	case w.shared:
+	} else {
 		c := new(batch.Change)
 		c.Init(w.schema, b, keep, w.cols, v.execTS, v.renderCounter())
 		res.setChange(c)
-	default:
-		res.setRows(w.schema, batch.NetRows(b, keep, w.cols, v.execTS))
 	}
-	// released: the kept rows are copied out or rendered.
+	// released: the change keeps its own copy of the indices.
 	pool.PutIdx(keep)
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
 // sameValues reports whether two rows carry equal values position by
@@ -206,14 +207,14 @@ func TestVectorizedPrebuiltWindow(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		applyRandomBatch(t, f, rng, live, 2, 3)
 		ctx := f.ctx(t)
-		// Compact once, as the shared window cache does, and attach the
-		// columnar image of every window.
-		ctx.Compacted = true
-		ctx.Batches = make(map[string]*batch.Batch, len(ctx.Deltas))
-		for name, d := range ctx.Deltas {
-			cd := d.Compact()
-			ctx.Deltas[name] = cd
-			b, ok := batch.FromDelta(pool, cd)
+		// Compact once, as the shared window cache does, into pooled
+		// images of the test's own, recycled after both steps.
+		for name := range ctx.Batches {
+			d, err := f.store.DeltaSince(name, ctx.LastTS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, ok := batch.FromDelta(pool, d.Compact())
 			if !ok {
 				t.Fatalf("window of %q has no columnar image", name)
 			}
@@ -257,11 +258,13 @@ func TestNonConformingWindowFailsStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := delta.New(schema)
-		if err := bad.AppendInsert(1<<40, []relation.Value{relation.Str("k1"), relation.Str("oops")}, f.store.Now()); err != nil {
-			t.Fatal(err)
+		// A STRING column where the schema has a FLOAT: no batch built
+		// through AppendRow can hold the value, so the image is adopted.
+		cols := []batch.Col{
+			{Type: schema.Col(0).Type, Str: []string{"k1"}},
+			{Type: relation.TString, Str: []string{"oops"}},
 		}
-		ctx.Deltas["r"] = bad
+		ctx.Batches["r"] = batch.Adopt(schema, []relation.TID{1 << 40}, []int8{1}, []vclock.Timestamp{f.store.Now()}, cols)
 	}
 	named := func(name string) func(*testing.T, *fixture, algebra.Plan) subject {
 		return func(t *testing.T, _ *fixture, plan algebra.Plan) subject {

@@ -44,11 +44,26 @@ func TestCheckpointOpInvokesHandler(t *testing.T) {
 	}
 }
 
+// TestCheckpointOpString names every op, so an error on any request
+// reads "remote: <Op>: ...", never "Op?".
 func TestCheckpointOpString(t *testing.T) {
-	if OpCheckpoint.String() != "Checkpoint" {
-		t.Fatalf("OpCheckpoint.String() = %q", OpCheckpoint.String())
+	names := map[Op]string{
+		OpListTables: "ListTables",
+		OpSchema:     "Schema",
+		OpSnapshot:   "Snapshot",
+		OpDeltaSince: "DeltaSince",
+		OpQuery:      "Query",
+		OpNow:        "Now",
+		OpStats:      "Stats",
+		OpCheckpoint: "Checkpoint",
+		OpDeps:       "Deps",
 	}
-	if !OpCheckpoint.retryable() {
-		t.Fatal("checkpoint is idempotent and must be retryable")
+	for op := OpListTables; op <= OpDeps; op++ {
+		if got, want := op.String(), names[op]; got != want || want == "" {
+			t.Errorf("Op(%d).String() = %q, want %q", op, got, want)
+		}
+	}
+	if got := (OpDeps + 1).String(); got != "Op?" {
+		t.Errorf("an unknown op is %q, want Op?", got)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // serialized over the single connection.
 //
 // The client is fault tolerant per its Policy: requests carry I/O
-// deadlines, idempotent operations are retried with capped exponential
-// backoff, and a failed connection is marked broken — never reused, so
+// deadlines, every request is retried with capped exponential backoff,
+// and a failed connection is marked broken — never reused, so
 // a desynced codec cannot serve a later request — and transparently
 // re-established on the next attempt.
 type Client struct {
@@ -211,8 +211,10 @@ func (c *Client) sleep(d time.Duration) {
 }
 
 // roundTrip sends one request, transparently reconnecting and retrying
-// per the policy. Server-level errors (a well-formed error Response)
-// are returned as-is and never retried — only transport failures are.
+// per the policy: every op only reads, so a request that may have
+// reached the server is safe to send again. Server-level errors (a
+// well-formed error Response) are returned as-is and never retried —
+// only transport failures are.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -241,11 +243,6 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		}
 		c.breakConnLocked(err)
 		lastErr = fmt.Errorf("remote: %s: %w", req.Op, err)
-		if !req.Op.retryable() {
-			// The request may have reached the server before the
-			// connection died; re-sending could double-apply.
-			return Response{}, fmt.Errorf("%w: %v", ErrMaybeApplied, err)
-		}
 	}
 	return Response{}, lastErr
 }
@@ -325,33 +322,50 @@ func (c *Client) Schema(table string) (relation.Schema, error) {
 	return fromWireSchema(resp.Columns)
 }
 
-// Snapshot fetches the full current contents of a table and the server's
-// logical time.
-func (c *Client) Snapshot(table string) (*relation.Relation, vclock.Timestamp, error) {
-	resp, err := c.roundTrip(Request{Op: OpSnapshot, Table: table})
+// Snapshot fetches a table's contents as of at (Latest: now, which the
+// reply's timestamp then is) as a slot table the caller owns.
+func (c *Client) Snapshot(table string, at vclock.Timestamp) (*batch.Table, vclock.Timestamp, error) {
+	resp, err := c.roundTrip(Request{Op: OpSnapshot, Table: table, Until: at})
 	if err != nil {
 		return nil, 0, err
 	}
-	rel, err := fromWireRelation(resp.Rel)
-	return rel, resp.Now, err
+	t, err := tableFromWire(resp.Image, resp.Columns)
+	return t, resp.Now, err
 }
 
-// DeltaSince fetches a table's differential window, shipped in the
-// columnar wire form.
+// Window fetches a table's window (since, until] as its columnar image,
+// folded to its net per-tid effect when compact is set. The server
+// clamps until to its clock (Latest reads up to now) and the reply's
+// timestamp is the bound it used. The image carries its schema, so no
+// second request follows.
+func (c *Client) Window(table string, since, until vclock.Timestamp, compact bool) (*batch.Batch, vclock.Timestamp, error) {
+	resp, err := c.roundTrip(Request{Op: OpDeltaSince, Table: table, Since: since, Until: until, Compact: compact})
+	if err != nil {
+		return nil, 0, err
+	}
+	b, err := fromWire(resp.Image, resp.Columns)
+	return b, resp.Now, err
+}
+
+// WindowBatch reads a window image from the server: a mirror's
+// dra.Context.Windows.
+func (c *Client) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
+	b, _, err := c.Window(table, from, to, compact)
+	return b, err
+}
+
+// DeltaSince fetches a table's differential window up to now in row
+// form.
 func (c *Client) DeltaSince(table string, since vclock.Timestamp) (*delta.Delta, vclock.Timestamp, error) {
-	resp, err := c.roundTrip(Request{Op: OpDeltaSince, Table: table, Since: since})
+	b, now, err := c.Window(table, since, Latest, false)
 	if err != nil {
 		return nil, 0, err
 	}
-	if resp.ColDelta == nil {
-		return nil, 0, fmt.Errorf("%w: reply carries no window", errColDelta)
-	}
-	schema, err := c.Schema(table)
+	d, err := b.ToDeltaOrdered()
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("%w: %v", errColDelta, err)
 	}
-	d, err := fromWireColDelta(resp.ColDelta, schema)
-	return d, resp.Now, err
+	return d, now, nil
 }
 
 // Query executes a SELECT on the server and ships the full result back —
@@ -362,8 +376,11 @@ func (c *Client) Query(query string) (*relation.Relation, vclock.Timestamp, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	rel, err := fromWireRelation(resp.Rel)
-	return rel, resp.Now, err
+	t, err := tableFromWire(resp.Image, resp.Columns)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t.Relation(), resp.Now, nil
 }
 
 // Now returns the server's logical clock.
@@ -372,32 +389,28 @@ func (c *Client) Now() (vclock.Timestamp, error) {
 	return resp.Now, err
 }
 
-// ApplyUpdates pushes a batch of updates into a server table (benchmark
-// drivers use this to generate load over the wire).
-func (c *Client) ApplyUpdates(table string, rows []WireDeltaRow) error {
-	_, err := c.roundTrip(Request{Op: OpApplyUpdates, Table: table, Updates: rows})
-	return err
-}
-
 // MirrorCQ is a client-side continual query — "shifting the processing
-// to the client side" (Section 6). It keeps a replica of each operand
-// table, applied forward by the shipped delta windows, and the query's
-// current result, and refreshes them with the same evaluator a server
-// CQ holds: the query is prepared once (dra.Prepared), seeded from the
-// initial snapshots, and every Refresh is one Step over the windows it
-// pulled. The result is a slot table (batch.Table), as a server CQ's
-// is: each Step's change is written typed into it, so it references
-// none of the windows or step output it came from. The replicas are the step's pre-state; they are read only
-// where the evaluator re-seeds (a retry of a refresh that failed after
-// its step ran) or re-evaluates completely.
+// to the client side" (Section 6). It keeps a copy of each operand table
+// and the query's current result, and refreshes them with the same
+// evaluator a server CQ holds: the query is prepared once (dra.Prepared),
+// seeded from snapshots of its tables at one timestamp, and every
+// Refresh is one Step over the compacted window images it pulled, the
+// images read in place as a server CQ reads its round's. The result and
+// the copies are slot tables (batch.Table), as a server CQ's result is:
+// each Step's change is written typed into the result, each window
+// image is applied to its copy (batch.Table.ApplyBatch), so neither
+// references the windows or step output it came from. The copies are
+// the step's pre-state; they are read only where the evaluator re-seeds
+// (a retry of a refresh that failed after its step ran) or re-evaluates
+// completely.
 type MirrorCQ struct {
 	client *Client
 	prep   *dra.Prepared
 
-	tables  []string
-	replica algebra.MapSource // operand replicas at lastTS
-	lastTS  vclock.Timestamp
-	result  *batch.Table
+	tables   []string // distinct operand tables
+	replicas replicas // operand tables at lastTS
+	lastTS   vclock.Timestamp
+	result   *batch.Table
 
 	// Degraded-mode state: when a Refresh fails (server unreachable,
 	// retries exhausted) the CQ keeps serving the last good result and
@@ -406,9 +419,10 @@ type MirrorCQ struct {
 	lastErr error
 }
 
-// NewMirrorCQ installs a client-side CQ: it prepares the query, snapshots
-// the operand tables once, seeds the initial result locally, and
-// afterwards refreshes by pulling only deltas.
+// NewMirrorCQ installs a client-side CQ: it prepares the query,
+// snapshots the operand tables once, all as of the timestamp of the
+// first snapshot, seeds the initial result locally, and afterwards
+// refreshes by pulling only deltas.
 func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 	// Plan against server schemas.
 	serverCat := &clientCatalog{client: client}
@@ -421,76 +435,54 @@ func NewMirrorCQ(client *Client, query string) (*MirrorCQ, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	m := &MirrorCQ{
-		client:  client,
-		prep:    prep,
-		tables:  prep.Tables(),
-		replica: make(algebra.MapSource),
-	}
-	// Initial snapshots. Each snapshot arrives tagged with the server
-	// time it was taken at; replicas are then brought forward to the
-	// common horizon ts with one delta window each, so all replicas
-	// reflect the same consistent cut.
-	var ts vclock.Timestamp
-	snapTS := make(map[string]vclock.Timestamp, len(m.tables))
-	for _, table := range m.tables {
-		if _, dup := m.replica[table]; dup {
+	m := &MirrorCQ{client: client, prep: prep, replicas: make(replicas)}
+	ts := Latest
+	for _, table := range prep.Tables() {
+		if _, dup := m.replicas[table]; dup {
 			continue
 		}
-		rel, now, err := client.Snapshot(table)
+		t, at, err := client.Snapshot(table, ts)
 		if err != nil {
 			return nil, err
 		}
-		m.replica[table] = rel
-		snapTS[table] = now
-		if now > ts {
-			ts = now
-		}
-	}
-	for table, rel := range m.replica {
-		if snapTS[table] == ts {
-			continue
-		}
-		d, _, err := client.DeltaSince(table, snapTS[table])
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Window(snapTS[table], ts).Apply(rel); err != nil {
-			return nil, fmt.Errorf("remote: align replica %q: %w", table, err)
-		}
+		m.tables = append(m.tables, table)
+		m.replicas[table], ts = t, at
 	}
 	m.lastTS = ts
-	if m.result, err = prep.Seed(m.replica, ts); err != nil {
+	if m.result, err = prep.Seed(m.replicas, ts); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// pulled serves the window images a join step needs beyond its own
-// windows (dra.Context.Windows) from the windows a refresh pulled,
-// (from, to] of each table: a step retried after one that failed
-// part-way finds its arrangements past its last refresh, and moves them
-// on by a part of these.
-type pulled struct {
-	deltas   map[string]*delta.Delta
-	from, to vclock.Timestamp
+// replicas are a mirror's copies of its operand tables, a dra.Context's
+// Pre (through TableImage) and, advanced by a window, its Post.
+type replicas map[string]*batch.Table
+
+func (r replicas) table(name string) (*batch.Table, error) {
+	t, ok := r[name]
+	if !ok {
+		return nil, fmt.Errorf("remote: mirror holds no table %q", name)
+	}
+	return t, nil
 }
 
-func (p pulled) WindowBatch(table string, from, to vclock.Timestamp, compact bool) (*batch.Batch, error) {
-	d := p.deltas[table]
-	if d == nil || from < p.from || to > p.to {
-		return nil, fmt.Errorf("remote: window (%d, %d] of %q is outside the pulled (%d, %d]", from, to, table, p.from, p.to)
+// Relation renders a copy for the row executor (complete re-evaluation).
+func (r replicas) Relation(name string) (*relation.Relation, error) {
+	t, err := r.table(name)
+	if err != nil {
+		return nil, err
 	}
-	w := d.Window(from, to)
-	if compact {
-		w = w.Compact()
+	return t.Relation(), nil
+}
+
+// TableImage is the table's live rows as an all-insert image.
+func (r replicas) TableImage(name string) (*batch.Batch, error) {
+	t, err := r.table(name)
+	if err != nil {
+		return nil, err
 	}
-	b, ok := batch.FromDelta(nil, w)
-	if !ok {
-		return nil, fmt.Errorf("remote: window of %q: %w", table, relation.ErrTypeMismatch)
-	}
-	return b, nil
+	return t.Clone().Rows(), nil
 }
 
 // clientCatalog resolves schemas over the wire for planning.
@@ -525,9 +517,10 @@ func (m *MirrorCQ) LastErr() error { return m.lastErr }
 // changes until every window has been pulled and the step has
 // succeeded, so a refresh that dies mid-stream (connection killed,
 // server restarted) leaves lastTS intact and the next Refresh simply
-// re-pulls DeltaSince(lastTS) over a fresh connection — no snapshot
-// rebuild. On failure the CQ enters degraded mode (Stale reports true,
-// Result serves the last good state) until a refresh succeeds.
+// re-pulls the windows since lastTS over a fresh connection — no
+// snapshot rebuild. On failure the CQ enters degraded mode (Stale
+// reports true, Result serves the last good state) until a refresh
+// succeeds.
 func (m *MirrorCQ) Refresh() (*delta.Delta, error) {
 	d, err := m.refresh()
 	if err != nil {
@@ -539,62 +532,47 @@ func (m *MirrorCQ) Refresh() (*delta.Delta, error) {
 }
 
 func (m *MirrorCQ) refresh() (*delta.Delta, error) {
-	deltas := make(map[string]*delta.Delta, len(m.tables))
-	var now vclock.Timestamp
+	// One request per table: the first window's reply names the cut, the
+	// server's clock, and every other window is asked up to it.
+	windows := make(map[string]*batch.Batch, len(m.tables))
+	cut := Latest
 	for _, table := range m.tables {
-		if _, dup := deltas[table]; dup {
-			continue
-		}
-		d, serverNow, err := m.client.DeltaSince(table, m.lastTS)
+		b, now, err := m.client.Window(table, m.lastTS, cut, true)
 		if err != nil {
 			return nil, err
 		}
-		// The cut is the earliest time any window was read at: every
-		// window is complete up to it, and rows past it come again with
-		// the next refresh.
-		if len(deltas) == 0 || serverNow < now {
-			now = serverNow
-		}
-		deltas[table] = d
-	}
-	for table, d := range deltas {
-		deltas[table] = d.Window(m.lastTS, now)
+		windows[table], cut = b, now
 	}
 	ctx := &dra.Context{
-		Pre:     m.replica,
-		Deltas:  deltas,
-		LastTS:  m.lastTS,
-		Windows: pulled{deltas: deltas, from: m.lastTS, to: now},
+		Pre:       m.replicas,
+		Batches:   windows,
+		Compacted: true,
+		LastTS:    m.lastTS,
+		Windows:   m.client,
 	}
 	if m.prep.Strategy() == dra.StrategyPropagate {
 		// Complete re-evaluation runs the query on the post state and
 		// diffs against the previous result.
 		ctx.Prev = m.result.Relation()
-		post := make(algebra.MapSource, len(m.replica))
-		for table, rel := range m.replica {
-			post[table] = rel.Clone()
-			if err := deltas[table].Apply(post[table]); err != nil {
-				return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
-			}
+		post := make(replicas, len(m.replicas))
+		for table, t := range m.replicas {
+			post[table] = t.Clone()
+			post[table].ApplyBatch(windows[table], nil)
 		}
 		ctx.Post = post
 	}
-	res, err := m.prep.Step(ctx, now)
+	res, err := m.prep.Step(ctx, cut)
 	if err == nil {
 		err = res.Fits(m.result)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// In place, once the step has succeeded. A window that does not apply
-	// means the replica has diverged from the server, which no later
-	// refresh can repair.
-	for table, d := range deltas {
-		if err := d.Apply(m.replica[table]); err != nil {
-			return nil, fmt.Errorf("remote: advance replica %q: %w", table, err)
-		}
+	// In place, once the step has succeeded.
+	for table, t := range m.replicas {
+		t.ApplyBatch(windows[table], nil)
 	}
 	m.result = res.Maintain(m.result) // fits: checked above
-	m.lastTS = now
+	m.lastTS = cut
 	return res.Delta, nil
 }

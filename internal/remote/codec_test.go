@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"github.com/diorama/continual/internal/relation"
 )
 
 // rwBuf is an in-memory duplex stream for codec tests: writes append to
@@ -39,10 +37,8 @@ func TestCodecRoundTripsRequests(t *testing.T) {
 	sender := newCodec(&buf)
 	reqs := []Request{
 		{Op: OpSnapshot, Table: "stocks"},
-		{Op: OpDeltaSince, Table: "stocks", Since: 42},
-		{Op: OpApplyUpdates, Table: "t", Updates: []WireDeltaRow{
-			{TID: 7, New: []relation.Value{relation.Str("x"), relation.Float(1.5)}},
-		}},
+		{Op: OpDeltaSince, Table: "stocks", Since: 42, Until: 50, Compact: true},
+		{Op: OpQuery, Query: "SELECT * FROM t"},
 	}
 	for _, r := range reqs {
 		if err := sender.send(r); err != nil {
@@ -55,7 +51,7 @@ func TestCodecRoundTripsRequests(t *testing.T) {
 		if err := recv.recv(&got); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Op != want.Op || got.Table != want.Table || got.Since != want.Since {
+		if got != want {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
 func colSchema(t testing.TB) relation.Schema {
@@ -50,13 +51,13 @@ func TestColDeltaRoundTrip(t *testing.T) {
 	}
 	// The wire form must survive the gob codec, not just the in-memory
 	// struct.
-	frames := encodeFrames(t, Response{ColDelta: w, Now: 3})
+	frames := encodeFrames(t, Response{Columns: toWireSchema(sc), Image: w, Now: 3})
 	recv := newCodec(&rwBuf{in: *bytes.NewBuffer(frames)})
 	var resp Response
 	if err := recv.recv(&resp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fromWireColDelta(resp.ColDelta, sc)
+	got, err := fromWireColDelta(resp.Image, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +103,9 @@ func TestColDeltaRejectsMalformedFrames(t *testing.T) {
 	sc := colSchema(t)
 	base := func() *WireColDelta {
 		return &WireColDelta{
-			TIDs:  []uint64{1},
+			TIDs:  []relation.TID{1},
 			Signs: []int8{1},
-			TS:    []uint64{1},
+			TS:    []vclock.Timestamp{1},
 			Cols: []WireCol{
 				{Type: int(relation.TString), Str: []string{"DEC"}},
 				{Type: int(relation.TFloat), F64: []float64{150}},
@@ -114,7 +115,7 @@ func TestColDeltaRejectsMalformedFrames(t *testing.T) {
 	}
 	cases := map[string]func(*WireColDelta){
 		"sign length":    func(w *WireColDelta) { w.Signs = nil },
-		"ts length":      func(w *WireColDelta) { w.TS = []uint64{1, 2} },
+		"ts length":      func(w *WireColDelta) { w.TS = []vclock.Timestamp{1, 2} },
 		"column count":   func(w *WireColDelta) { w.Cols = w.Cols[:2] },
 		"column type":    func(w *WireColDelta) { w.Cols[1].Type = int(relation.TInt) },
 		"payload length": func(w *WireColDelta) { w.Cols[0].Str = nil },
@@ -133,13 +134,13 @@ func TestColDeltaRejectsMalformedFrames(t *testing.T) {
 			// frame with a one-word bitmap instead.
 			w = base()
 			n := 65
-			w.TIDs = make([]uint64, n)
+			w.TIDs = make([]relation.TID, n)
 			w.Signs = make([]int8, n)
-			w.TS = make([]uint64, n)
+			w.TS = make([]vclock.Timestamp, n)
 			for i := range w.TIDs {
-				w.TIDs[i] = uint64(i + 1)
+				w.TIDs[i] = relation.TID(i + 1)
 				w.Signs[i] = 1
-				w.TS[i] = uint64(i + 1)
+				w.TS[i] = vclock.Timestamp(i + 1)
 			}
 			w.Cols[0].Str = make([]string, n)
 			w.Cols[1].F64 = make([]float64, n)
@@ -163,10 +164,10 @@ func FuzzColDelta(f *testing.F) {
 		relation.Str("DEC"), relation.Float(150), relation.Int(10),
 	}})
 	if w, ok := toWireColDelta(d); ok {
-		f.Add(encodeFrames(&seedT, Response{ColDelta: w}))
+		f.Add(encodeFrames(&seedT, Response{Image: w}))
 	}
-	f.Add(encodeFrames(&seedT, Response{ColDelta: &WireColDelta{
-		TIDs: []uint64{1}, Signs: []int8{2}, TS: []uint64{0},
+	f.Add(encodeFrames(&seedT, Response{Image: &WireColDelta{
+		TIDs: []relation.TID{1}, Signs: []int8{2}, TS: []vclock.Timestamp{0},
 	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newCodec(&rwBuf{in: *bytes.NewBuffer(data)})
@@ -174,10 +175,10 @@ func FuzzColDelta(f *testing.F) {
 		if err := c.recv(&resp); err != nil {
 			return
 		}
-		if resp.ColDelta == nil {
+		if resp.Image == nil {
 			return
 		}
-		got, err := fromWireColDelta(resp.ColDelta, sc)
+		got, err := fromWireColDelta(resp.Image, sc)
 		if err != nil {
 			return
 		}
@@ -226,5 +227,15 @@ func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
 	if !ok {
 		return nil, false
 	}
-	return toWireColBatch(b), true
+	return toWire(b), true
+}
+
+// fromWireColDelta decodes a window frame on schema and renders its rows
+// (batch.Batch.ToDeltaOrdered), as Client.DeltaSince does.
+func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, error) {
+	b, err := fromWire(w, toWireSchema(schema))
+	if err != nil {
+		return nil, err
+	}
+	return b.ToDeltaOrdered()
 }

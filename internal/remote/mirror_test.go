@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/diorama/continual/internal/dra"
+	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
 )
@@ -280,6 +281,91 @@ func TestMirrorConvergesBesideWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		matchServer(t, client, name, queries[name], m)
+	}
+}
+
+// A mirror's refresh makes one request per operand table — the first
+// window's reply carries the cut and its own columns, so nothing else
+// is asked — and the join's self-reference counts its table once.
+func TestMirrorRefreshRequestsOneWindowPerTable(t *testing.T) {
+	store, client := mirrorServer(t, nil)
+	reg := obs.NewRegistry()
+	client.Instrument(reg)
+	rng := rand.New(rand.NewSource(5))
+	live := map[string][]relation.TID{}
+	mustChurn(t, store, rng, live, 30)
+	for query, k := range map[string]int64{
+		"SELECT q.id, t.vol FROM quotes q JOIN trades t ON q.sym = t.sym":                      2,
+		"SELECT a.id, b.id FROM quotes a JOIN quotes b ON a.sym = b.sym":                       1,
+		"SELECT sym, COUNT(*) AS n FROM trades GROUP BY sym":                                   1,
+		"SELECT q.sym, MAX(t.vol) FROM quotes q JOIN trades t ON q.sym = t.sym GROUP BY q.sym": 2,
+	} {
+		m, err := NewMirrorCQ(client, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 3; round++ {
+			mustChurn(t, store, rng, live, 6)
+			before := reg.Snapshot()
+			if _, err := m.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			after := reg.Snapshot()
+			requests := after.Counter("remote.client.requests") - before.Counter("remote.client.requests")
+			windows := after.Counter("remote.client.windows_pulled") - before.Counter("remote.client.windows_pulled")
+			if requests != k || windows != k {
+				t.Fatalf("%s: a refresh made %d requests, %d of them windows; want %d windows and nothing else", query, requests, windows, k)
+			}
+			matchServer(t, client, query, query, m)
+		}
+	}
+}
+
+// A plan on complete re-evaluation (MAX: no group table) mirrors the
+// server at every refresh through churn, re-running over its copies of
+// the tables advanced by the window — and what it pulls per refresh is
+// the window, however large the table.
+func TestMirrorCompleteReevaluationFollowsTheWindow(t *testing.T) {
+	const query = "SELECT sym, MAX(px) AS hi FROM quotes GROUP BY sym"
+	perRefresh := func(rows int) float64 {
+		store, client := mirrorServer(t, nil)
+		rng := rand.New(rand.NewSource(9))
+		live := map[string][]relation.TID{}
+		tx := store.Begin()
+		for i := 0; i < rows; i++ {
+			tid, err := tx.Insert("quotes", []relation.Value{relation.Int(int64(i)), relation.Str("ABCDE"[i%5 : i%5+1]), relation.Int(int64(i % 100))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live["quotes"] = append(live["quotes"], tid)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMirrorCQ(client, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.prep.Strategy(); got != dra.StrategyPropagate {
+			t.Fatalf("strategy %s, want %s", got, dra.StrategyPropagate)
+		}
+		var pulled int64
+		const rounds = 20
+		for round := 0; round < rounds; round++ {
+			mustChurn(t, store, rng, live, 1+rng.Intn(8))
+			before := client.BytesRead()
+			if _, err := m.Refresh(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			pulled += client.BytesRead() - before
+			matchServer(t, client, fmt.Sprintf("%d rows, round %d", rows, round), query, m)
+		}
+		return float64(pulled) / rounds
+	}
+	small, large := perRefresh(1_000), perRefresh(20_000)
+	t.Logf("bytes per refresh: %.0f over 1k rows, %.0f over 20k rows", small, large)
+	if large > small*1.5 {
+		t.Fatalf("bytes per refresh: %.0f over 1k rows, %.0f over 20k rows; want the window's, not the table's", small, large)
 	}
 }
 

@@ -7,26 +7,14 @@ import (
 	"time"
 )
 
-// ErrMaybeApplied is returned (wrapped) when an OpApplyUpdates request
-// fails after it may have reached the server: the connection died
-// between send and reply, so the batch may or may not have committed.
-// Blind retry would double-apply, so the client surfaces the ambiguity
-// instead; callers resolve it by re-reading server state (e.g. a
-// DeltaSince from their last known timestamp).
-var ErrMaybeApplied = errors.New("remote: update may have been applied")
-
 // ErrClientClosed is returned by requests on a client after Close.
 var ErrClientClosed = errors.New("remote: client closed")
 
 // Policy is the client's fault-tolerance configuration: deadlines for
 // dialing and per-request I/O, and a capped exponential backoff with
-// jitter governing retries of idempotent operations.
-//
-// Every read-only op (OpSnapshot, OpDeltaSince, OpQuery, OpSchema,
-// OpListTables, OpNow, OpStats) is retried transparently up to
-// MaxAttempts, reconnecting as needed. OpApplyUpdates is never blindly
-// retried once the request may have reached the server — see
-// ErrMaybeApplied.
+// jitter governing retries. Every op only reads (OpCheckpoint is
+// idempotent), so each is retried transparently up to MaxAttempts,
+// reconnecting as needed.
 type Policy struct {
 	// DialTimeout bounds each connection attempt.
 	DialTimeout time.Duration
@@ -90,10 +78,6 @@ func (p Policy) backoff(retry int, rng *rand.Rand) time.Duration {
 	return d
 }
 
-// retryable reports whether an op may be transparently re-sent after a
-// connection failure.
-func (o Op) retryable() bool { return o != OpApplyUpdates }
-
 // String names an op for error messages and logs.
 func (o Op) String() string {
 	switch o {
@@ -109,12 +93,12 @@ func (o Op) String() string {
 		return "Query"
 	case OpNow:
 		return "Now"
-	case OpApplyUpdates:
-		return "ApplyUpdates"
 	case OpStats:
 		return "Stats"
 	case OpCheckpoint:
 		return "Checkpoint"
+	case OpDeps:
+		return "Deps"
 	default:
 		return "Op?"
 	}

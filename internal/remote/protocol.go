@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"github.com/diorama/continual/internal/batch"
-	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -35,11 +34,14 @@ type Op int
 const (
 	OpListTables Op = iota + 1
 	OpSchema
+	// OpSnapshot fetches a table's image as of Until (Store.TableImage).
 	OpSnapshot
+	// OpDeltaSince fetches a table's window (Since, Until]
+	// (Store.WindowImage), compacted when Compact is set.
 	OpDeltaSince
+	// OpQuery executes a SELECT on the server and ships its result.
 	OpQuery
 	OpNow
-	OpApplyUpdates
 	// OpStats fetches the server's metrics snapshot (the same view cqd
 	// serves over HTTP at /stats); `cqctl stats` renders it.
 	OpStats
@@ -54,32 +56,37 @@ const (
 	OpDeps
 )
 
-// Request is one client request.
+// Latest is the Until of a request for the server's current state:
+// every bound is clamped to the server's clock.
+const Latest = vclock.Timestamp(math.MaxUint64)
+
+// Request is one client request. Every op only reads, so any request
+// may be re-sent after a connection failure.
 type Request struct {
 	Op    Op
 	Table string
-	Since vclock.Timestamp
-	Query string
-	// Updates carries OpApplyUpdates rows (benchmark drivers push load
-	// through the same connection).
-	Updates []WireDeltaRow
+	// Since and Until bound a window (Since, Until]; Until alone is a
+	// snapshot's timestamp. The server clamps Until to its clock and
+	// answers with the bound it used (Response.Now).
+	Since, Until vclock.Timestamp
+	// Compact asks for a window folded to its net per-tid effect.
+	Compact bool
+	Query   string
 }
 
 // Response is one server reply. Exactly one payload field is set on
-// success; Err is the error text otherwise.
+// success — Columns and Image together for a row set — and Err is the
+// error text otherwise.
 type Response struct {
-	Err string
-	// TypeErr marks Err as the store's write-boundary refusal
-	// (relation.ErrTypeMismatch), so the client's error keeps that
-	// identity across the wire.
-	TypeErr  bool
-	Tables   []string
-	Columns  []WireColumn
-	Rel      *WireRelation
-	ColDelta *WireColDelta // OpDeltaSince's window, the one wire form
-	Now      vclock.Timestamp
-	Stats    *obs.Snapshot
-	Deps     []WireDep
+	Err     string
+	Tables  []string
+	Columns []WireColumn
+	// Image is every row set the server sends: a window, a snapshot or a
+	// query result, with Columns its schema.
+	Image *WireColDelta
+	Now   vclock.Timestamp
+	Stats *obs.Snapshot
+	Deps  []WireDep
 }
 
 // WireDep is one cascade DAG node on the wire (OpDeps).
@@ -96,35 +103,20 @@ type WireColumn struct {
 	Type int
 }
 
-// WireRelation is a materialized relation on the wire.
-type WireRelation struct {
-	Columns []WireColumn
-	TIDs    []uint64
-	Rows    [][]relation.Value
-}
-
-// WireDeltaRow mirrors delta.Row for the wire: the rows OpApplyUpdates
-// carries.
-type WireDeltaRow struct {
-	TID uint64
-	Old []relation.Value
-	New []relation.Value
-	TS  vclock.Timestamp
-}
-
-// WireColDelta is a differential window in ordered signed columnar
-// form: one typed flat slice per column plus parallel TID, sign and
+// WireColDelta is a row set in ordered signed columnar form: one typed
+// flat slice per column plus parallel TID, sign and (for a window)
 // commit-timestamp slices. Gob encodes a []float64 as raw numbers where
 // []relation.Value ships a type tag and field per cell, so the columnar
 // frame is both smaller on the wire and cheaper to encode — the same
 // structure-of-arrays economics the in-process batch layout buys the
-// refresh path. Pairing is positional, exactly as in the delta log: a
-// -1 row immediately followed by a +1 row with the same TID and TS is a
-// modification; a lone +1 inserts, a lone -1 deletes.
+// refresh path. A window pairs positionally, exactly as in the delta
+// log: a -1 row immediately followed by a +1 row with the same TID is a
+// modification; a lone +1 inserts, a lone -1 deletes. A snapshot or a
+// query result is all +1 rows, each tid once, and carries no TS.
 type WireColDelta struct {
-	TIDs  []uint64
+	TIDs  []relation.TID
 	Signs []int8
-	TS    []uint64
+	TS    []vclock.Timestamp
 	Cols  []WireCol
 }
 
@@ -141,57 +133,51 @@ type WireCol struct {
 	Valid []uint64
 }
 
-// toWireColBatch flattens a window's ordered signed image (TS column
-// set) into the columnar wire form, sharing its column payloads.
-func toWireColBatch(b *batch.Batch) *WireColDelta {
+// toWire flattens a batch into the columnar wire form, sharing its
+// slices.
+func toWire(b *batch.Batch) *WireColDelta {
 	n := b.Len()
-	out := &WireColDelta{
-		TIDs:  make([]uint64, n),
-		Signs: make([]int8, n),
-		TS:    make([]uint64, n),
-		Cols:  make([]WireCol, len(b.Cols)),
-	}
-	for i := 0; i < n; i++ {
-		out.TIDs[i] = uint64(b.TIDs[i])
-		out.Signs[i] = b.Signs[i]
-		out.TS[i] = uint64(b.TS[i])
+	out := &WireColDelta{TIDs: b.TIDs[:n], Signs: b.Signs[:n], Cols: make([]WireCol, len(b.Cols))}
+	if b.TS != nil {
+		out.TS = b.TS[:n]
 	}
 	for c := range b.Cols {
 		col := &b.Cols[c]
-		wc := &out.Cols[c]
-		wc.Type = int(col.Type)
-		wc.Valid = col.Valid
-		switch col.Type {
-		case relation.TInt:
-			wc.I64 = col.I64
-		case relation.TFloat:
-			wc.F64 = col.F64
-		case relation.TString:
-			wc.Str = col.Str
-		case relation.TBool:
-			wc.B = col.B
-		}
+		out.Cols[c] = WireCol{Type: int(col.Type), I64: col.I64, F64: col.F64, Str: col.Str, B: col.B, Valid: col.Valid}
 	}
 	return out
 }
 
 // errColDelta reports a malformed columnar frame. Every shape defect is
-// detected before any row is materialized, so a hostile or corrupted
-// frame surfaces as an error, never a panic or misdecoded delta.
-var errColDelta = errors.New("remote: malformed columnar delta")
+// detected before any row is read, so a hostile or corrupted frame
+// surfaces as an error, never a panic or misdecoded rows.
+var errColDelta = errors.New("remote: malformed columnar frame")
 
-// fromWireColDelta reconstructs the differential window on a schema,
-// validating the frame's shape strictly, then adopts its columns into a
-// batch and reads the rows off it (batch.Batch.ToDeltaOrdered).
-func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, error) {
+// fromWire adopts a frame's columns as a batch on the schema its reply
+// carries, validating the frame's shape strictly first: one sign (and,
+// when present, one timestamp) per tid, every sign ±1, and every column
+// of the schema's type with one value per row.
+func fromWire(w *WireColDelta, cols []WireColumn) (*batch.Batch, error) {
+	if w == nil {
+		return nil, fmt.Errorf("%w: reply carries no rows", errColDelta)
+	}
+	schema, err := fromWireSchema(cols)
+	if err != nil {
+		return nil, err
+	}
 	n := len(w.TIDs)
-	if len(w.Signs) != n || len(w.TS) != n {
+	if len(w.Signs) != n || (len(w.TS) != n && len(w.TS) != 0) {
 		return nil, fmt.Errorf("%w: %d tids, %d signs, %d ts", errColDelta, n, len(w.Signs), len(w.TS))
 	}
 	if len(w.Cols) != schema.Len() {
 		return nil, fmt.Errorf("%w: %d columns, schema has %d", errColDelta, len(w.Cols), schema.Len())
 	}
-	cols := make([]batch.Col, len(w.Cols))
+	for i, sign := range w.Signs {
+		if sign != 1 && sign != -1 {
+			return nil, fmt.Errorf("%w: sign[%d] = %d", errColDelta, i, sign)
+		}
+	}
+	out := make([]batch.Col, len(w.Cols))
 	for c := range w.Cols {
 		wc := &w.Cols[c]
 		want := schema.Col(c).Type
@@ -214,26 +200,42 @@ func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, er
 		if have != n {
 			return nil, fmt.Errorf("%w: column %d has %d rows, want %d", errColDelta, c, have, n)
 		}
-		if len(wc.Valid) != 0 && len(wc.Valid) < (n+63)/64 {
-			return nil, fmt.Errorf("%w: column %d bitmap too short", errColDelta, c)
-		}
-		cols[c] = batch.Col{Type: want, I64: wc.I64, F64: wc.F64, Str: wc.Str, B: wc.B}
+		out[c] = batch.Col{Type: want, I64: wc.I64, F64: wc.F64, Str: wc.Str, B: wc.B}
 		if len(wc.Valid) != 0 {
-			cols[c].Valid = wc.Valid
+			words := (n + 63) / 64
+			if len(wc.Valid) < words {
+				return nil, fmt.Errorf("%w: column %d bitmap too short", errColDelta, c)
+			}
+			out[c].Valid = wc.Valid[:words]
 		}
 	}
-	tids, ts := make([]relation.TID, n), make([]vclock.Timestamp, n)
-	for i := 0; i < n; i++ {
-		if w.Signs[i] != 1 && w.Signs[i] != -1 {
-			return nil, fmt.Errorf("%w: sign[%d] = %d", errColDelta, i, w.Signs[i])
-		}
-		tids[i], ts[i] = relation.TID(w.TIDs[i]), vclock.Timestamp(w.TS[i])
+	var ts []vclock.Timestamp
+	if len(w.TS) != 0 {
+		ts = w.TS
 	}
-	d, err := batch.Adopt(schema, tids, w.Signs, ts, cols).ToDeltaOrdered()
+	return batch.Adopt(schema, w.TIDs, w.Signs, ts, out), nil
+}
+
+// tableFromWire adopts a snapshot or query frame as a slot table. Its
+// rows must be what batch.TableOf takes — every sign +1, each tid once —
+// and a frame that is not is refused before the table adopts it.
+func tableFromWire(w *WireColDelta, cols []WireColumn) (*batch.Table, error) {
+	b, err := fromWire(w, cols)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errColDelta, err)
+		return nil, err
 	}
-	return d, nil
+	seen := make(map[relation.TID]struct{}, b.Len())
+	for i, tid := range b.TIDs {
+		if b.Signs[i] != 1 {
+			return nil, fmt.Errorf("%w: row %d of an image has sign %d", errColDelta, i, b.Signs[i])
+		}
+		if _, dup := seen[tid]; dup {
+			return nil, fmt.Errorf("%w: tid %d repeats in an image", errColDelta, tid)
+		}
+		seen[tid] = struct{}{}
+	}
+	b.TS = nil
+	return batch.TableOf(b), nil
 }
 
 // toWireSchema converts a schema.
@@ -256,52 +258,6 @@ func fromWireSchema(cols []WireColumn) (relation.Schema, error) {
 		rc[i] = relation.Column{Name: c.Name, Type: relation.Type(c.Type)}
 	}
 	return relation.NewSchema(rc...)
-}
-
-// toWireRelation converts a relation.
-func toWireRelation(r *relation.Relation) *WireRelation {
-	out := &WireRelation{
-		Columns: toWireSchema(r.Schema()),
-		TIDs:    make([]uint64, 0, r.Len()),
-		Rows:    make([][]relation.Value, 0, r.Len()),
-	}
-	for _, t := range r.Tuples() {
-		out.TIDs = append(out.TIDs, uint64(t.TID))
-		out.Rows = append(out.Rows, t.Values)
-	}
-	return out
-}
-
-// errRelation reports a malformed snapshot or query reply. As for a
-// columnar frame, every shape defect is detected before any row is
-// built.
-var errRelation = errors.New("remote: malformed relation")
-
-// fromWireRelation converts back, validating the payload's shape first:
-// present, one row per tid, each row as wide as the schema.
-func fromWireRelation(w *WireRelation) (*relation.Relation, error) {
-	if w == nil {
-		return nil, fmt.Errorf("%w: reply carries no relation", errRelation)
-	}
-	schema, err := fromWireSchema(w.Columns)
-	if err != nil {
-		return nil, err
-	}
-	if len(w.Rows) != len(w.TIDs) {
-		return nil, fmt.Errorf("%w: %d tids, %d rows", errRelation, len(w.TIDs), len(w.Rows))
-	}
-	for i, row := range w.Rows {
-		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("%w: row %d has %d values, schema has %d columns", errRelation, i, len(row), schema.Len())
-		}
-	}
-	out := relation.NewSized(schema, len(w.TIDs))
-	for i, tid := range w.TIDs {
-		if err := out.Insert(relation.Tuple{TID: relation.TID(tid), Values: w.Rows[i]}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // countingConn wraps a stream with transfer counters.
@@ -404,24 +360,12 @@ func (c *codec) bytesRead() int64    { return c.conn.read.Load() }
 func (c *codec) bytesWritten() int64 { return c.conn.wrote.Load() }
 
 // errResponse builds an error reply.
-func errResponse(err error) Response {
-	return Response{Err: err.Error(), TypeErr: errors.Is(err, relation.ErrTypeMismatch)}
-}
-
-// typeError is a server-side relation.ErrTypeMismatch as the client sees
-// it: the server's text, the sentinel's identity.
-type typeError string
-
-func (e typeError) Error() string        { return string(e) }
-func (e typeError) Is(target error) bool { return target == relation.ErrTypeMismatch }
+func errResponse(err error) Response { return Response{Err: err.Error()} }
 
 // asError converts a reply's Err field.
 func (r Response) asError() error {
-	switch {
-	case r.Err == "":
+	if r.Err == "" {
 		return nil
-	case r.TypeErr:
-		return fmt.Errorf("remote: server: %w", typeError(r.Err))
 	}
 	return fmt.Errorf("remote: server: %s", r.Err)
 }

@@ -1,9 +1,6 @@
 package remote
 
 import (
-	"errors"
-	"net"
-	"strings"
 	"testing"
 
 	"github.com/diorama/continual/internal/relation"
@@ -76,7 +73,7 @@ func TestSnapshotAndQueryOverWire(t *testing.T) {
 	insertStock(t, store, "DEC", 150)
 	insertStock(t, store, "IBM", 75)
 
-	snap, now, err := client.Snapshot("stocks")
+	snap, now, err := client.Snapshot("stocks", Latest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +114,6 @@ func TestDeltaSinceOverWire(t *testing.T) {
 	// Value fidelity across gob.
 	if d.Rows()[1].New[1].AsFloat() != 25 {
 		t.Errorf("modified value = %v", d.Rows()[1].New)
-	}
-}
-
-func TestApplyUpdatesOverWire(t *testing.T) {
-	store, _, client := startServer(t)
-	err := client.ApplyUpdates("stocks", []WireDeltaRow{
-		{New: []relation.Value{relation.Str("NEW"), relation.Float(42)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := store.Snapshot("stocks")
-	if snap.Len() != 1 || snap.At(0).Values[0].AsString() != "NEW" {
-		t.Errorf("pushed row missing:\n%s", snap)
 	}
 }
 
@@ -260,8 +243,10 @@ func TestServerStatsCountWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.QueriesServed != 1 || st.DeltasServed != 1 || st.TuplesExecuted != 1 {
-		t.Errorf("stats = %+v", st)
+	for name, want := range map[string]int64{"remote.queries_served": 1, "remote.windows_pulled": 1, "remote.tuples_executed": 1} {
+		if got := st.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -310,7 +295,7 @@ func TestMultipleClients(t *testing.T) {
 	c2 := addrClient()
 	c3 := addrClient()
 	for _, c := range []*Client{c1, c2, c3} {
-		snap, _, err := c.Snapshot("stocks")
+		snap, _, err := c.Snapshot("stocks", Latest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,48 +317,6 @@ func TestNowAndBytesWritten(t *testing.T) {
 	}
 }
 
-func TestApplyUpdatesModifyDeleteAndErrors(t *testing.T) {
-	store, _, client := startServer(t)
-	tid := insertStock(t, store, "A", 10)
-
-	// Modify over the wire.
-	if err := client.ApplyUpdates("stocks", []WireDeltaRow{{
-		TID: uint64(tid),
-		Old: []relation.Value{relation.Str("A"), relation.Float(10)},
-		New: []relation.Value{relation.Str("A"), relation.Float(20)},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := store.Snapshot("stocks")
-	got, _ := snap.Lookup(tid)
-	if got.Values[1].AsFloat() != 20 {
-		t.Errorf("wire modify = %v", got.Values)
-	}
-	// Delete over the wire.
-	if err := client.ApplyUpdates("stocks", []WireDeltaRow{{
-		TID: uint64(tid),
-		Old: []relation.Value{relation.Str("A"), relation.Float(20)},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ = store.Snapshot("stocks")
-	if snap.Len() != 0 {
-		t.Error("wire delete did not take")
-	}
-	// Errors: empty row, missing table, missing tid.
-	if err := client.ApplyUpdates("stocks", []WireDeltaRow{{}}); err == nil {
-		t.Error("empty row should fail")
-	}
-	if err := client.ApplyUpdates("", nil); err == nil {
-		t.Error("missing table should fail")
-	}
-	if err := client.ApplyUpdates("stocks", []WireDeltaRow{{
-		TID: 9999, Old: []relation.Value{relation.Str("x"), relation.Float(1)},
-	}}); err == nil {
-		t.Error("deleting unknown tid should fail")
-	}
-}
-
 func TestStaleDeltaWindowErrorsOverWire(t *testing.T) {
 	store, _, client := startServer(t)
 	insertStock(t, store, "A", 1)
@@ -381,64 +324,6 @@ func TestStaleDeltaWindowErrorsOverWire(t *testing.T) {
 	store.CollectGarbage(store.Now())
 	if _, _, err := client.DeltaSince("stocks", 0); err == nil {
 		t.Error("collected window should error through the wire")
-	}
-}
-
-// TestApplyUpdatesTypeErrorOverWire is the wire-level regression for the
-// store's write boundary: a STRING pushed into the FLOAT column used to
-// commit. On a raw connection the server must answer the frame with an
-// application error flagged TypeErr, abort the whole transaction (the
-// clean row ahead of the bad one must not land), and keep serving the
-// same connection; through the client the error is final (no retry, no
-// ErrMaybeApplied, connection not broken) and still IS
-// relation.ErrTypeMismatch.
-func TestApplyUpdatesTypeErrorOverWire(t *testing.T) {
-	store, srv, client := startServer(t)
-	bad := []WireDeltaRow{
-		{New: []relation.Value{relation.Str("OK"), relation.Float(1)}},
-		{New: []relation.Value{relation.Str("BAD"), relation.Str("oops")}},
-	}
-
-	conn, err := net.Dial("tcp", srv.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wire := newCodec(conn)
-	exchange := func(req Request) Response {
-		t.Helper()
-		if err := wire.send(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := wire.recv(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	resp := exchange(Request{Op: OpApplyUpdates, Table: "stocks", Updates: bad})
-	if !resp.TypeErr || !strings.Contains(resp.Err, relation.ErrTypeMismatch.Error()) {
-		t.Fatalf("response = %+v, want the type error flagged TypeErr", resp)
-	}
-	if snap, _ := store.Snapshot("stocks"); snap.Len() != 0 {
-		t.Fatalf("refused batch left rows behind:\n%s", snap)
-	}
-	if resp = exchange(Request{Op: OpNow}); resp.Err != "" || resp.Now != store.Now() {
-		t.Fatalf("connection unusable after the type error: %+v", resp)
-	}
-
-	err = client.ApplyUpdates("stocks", bad)
-	if !errors.Is(err, relation.ErrTypeMismatch) || errors.Is(err, ErrMaybeApplied) {
-		t.Fatalf("client error = %v, want relation.ErrTypeMismatch and not ErrMaybeApplied", err)
-	}
-	if client.broken {
-		t.Fatal("an application error broke the client connection")
-	}
-	if err := client.ApplyUpdates("stocks", bad[:1]); err != nil {
-		t.Fatalf("clean batch after the refusal: %v", err)
-	}
-	if snap, _ := store.Snapshot("stocks"); snap.Len() != 1 {
-		t.Fatalf("store holds %d rows, want the one clean row", snap.Len())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/diorama/continual/internal/algebra"
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/obs"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/storage"
@@ -42,12 +43,8 @@ type Server struct {
 	idleTimeout  time.Duration
 	drainTimeout time.Duration
 
-	// stats
-	queriesServed  int64
-	deltasServed   int64
-	tuplesExecuted int64
-
-	// obs instrumentation; nil unless Instrument was called.
+	// obs instrumentation: a registry of the server's own until
+	// Instrument attaches another.
 	met *serverMetrics
 	reg *obs.Registry
 
@@ -79,7 +76,6 @@ type serverMetrics struct {
 	queries    *obs.Counter // remote.queries_served
 	windows    *obs.Counter // remote.windows_pulled: delta windows shipped
 	snapshots  *obs.Counter // remote.snapshots_served
-	updates    *obs.Counter // remote.updates_applied: pushed delta rows
 	tuples     *obs.Counter // remote.tuples_executed: server-side query scans
 	bytesIn    *obs.Counter // remote.bytes_in
 	bytesOut   *obs.Counter // remote.bytes_out
@@ -91,9 +87,10 @@ type serverMetrics struct {
 	connsBroken  *obs.Counter // remote.conns_broken: conns dropped on I/O or codec errors
 }
 
-// Instrument attaches the server to a metrics registry. Call before
-// Serve; the registry also becomes the payload of OpStats so clients
-// (cqctl stats) can read the daemon's counters over the wire.
+// Instrument attaches the server to a metrics registry in place of its
+// own. Call before Serve; the registry also becomes the payload of
+// OpStats so clients (cqctl stats) can read the daemon's counters over
+// the wire.
 func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -104,7 +101,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		queries:    reg.Counter("remote.queries_served"),
 		windows:    reg.Counter("remote.windows_pulled"),
 		snapshots:  reg.Counter("remote.snapshots_served"),
-		updates:    reg.Counter("remote.updates_applied"),
 		tuples:     reg.Counter("remote.tuples_executed"),
 		bytesIn:    reg.Counter("remote.bytes_in"),
 		bytesOut:   reg.Counter("remote.bytes_out"),
@@ -116,22 +112,17 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	}
 }
 
-// ServerStats is a snapshot of server-side work counters, used by the
-// scalability experiment (E7): server CPU work per client refresh.
-type ServerStats struct {
-	QueriesServed  int64
-	DeltasServed   int64
-	TuplesExecuted int64
-}
-
-// NewServer wraps a store. Call Serve to start listening.
+// NewServer wraps a store, instrumented into a registry of its own.
+// Call Serve to start listening.
 func NewServer(store *storage.Store) *Server {
-	return &Server{
+	s := &Server{
 		store:        store,
 		conns:        make(map[net.Conn]struct{}),
 		idleTimeout:  DefaultIdleTimeout,
 		drainTimeout: DefaultDrainTimeout,
 	}
+	s.Instrument(obs.NewRegistry())
+	return s
 }
 
 // SetIdleTimeout sets the per-connection read deadline between requests
@@ -206,11 +197,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	if m := s.met; m != nil {
-		m.conns.Add(1)
-		m.connsTotal.Inc()
-		defer m.conns.Add(-1)
-	}
+	m := s.met
+	m.conns.Add(1)
+	m.connsTotal.Inc()
+	defer m.conns.Add(-1)
 	c := newCodec(conn)
 	s.mu.Lock()
 	idle := s.idleTimeout
@@ -229,7 +219,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		var req Request
 		if err := c.recv(&req); err != nil {
 			// Dropping the conn; classify why, unless shutting down.
-			if m := s.met; m != nil && !s.isClosed() {
+			if !s.isClosed() {
 				var ne net.Error
 				switch {
 				case errors.As(err, &ne) && ne.Timeout():
@@ -245,32 +235,32 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.SetReadDeadline(time.Time{}) // no deadline while handling
 		resp := s.handle(req)
 		if err := c.send(resp); err != nil {
-			if m := s.met; m != nil && !s.isClosed() {
+			if !s.isClosed() {
 				m.connsBroken.Inc()
 			}
 			return
 		}
-		if m := s.met; m != nil {
-			// Fold this request's wire traffic into the counters: one
-			// pair of adds per request, not per byte.
-			in, out := c.bytesRead(), c.bytesWritten()
-			m.requests.Inc()
-			m.bytesIn.Add(in - lastIn)
-			m.bytesOut.Add(out - lastOut)
-			lastIn, lastOut = in, out
-		}
+		// Fold this request's wire traffic into the counters: one pair of
+		// adds per request, not per byte.
+		in, out := c.bytesRead(), c.bytesWritten()
+		m.requests.Inc()
+		m.bytesIn.Add(in - lastIn)
+		m.bytesOut.Add(out - lastOut)
+		lastIn, lastOut = in, out
 	}
 }
 
-// Stats returns a snapshot of the work counters.
-func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ServerStats{
-		QueriesServed:  s.queriesServed,
-		DeltasServed:   s.deltasServed,
-		TuplesExecuted: s.tuplesExecuted,
-	}
+// Stats returns a snapshot of the server's metrics registry: its own,
+// or the one Instrument attached.
+func (s *Server) Stats() obs.Snapshot { return s.reg.Snapshot() }
+
+// bound clamps a requested timestamp to the server's clock. The clock is
+// read first and the rows after it: a commit ticks the clock under the
+// store's write lock before it appends, so once a later read lock is
+// granted every row at or before the bound is in the log, and a row past
+// it is left for the next request.
+func (s *Server) bound(until vclock.Timestamp) vclock.Timestamp {
+	return min(until, s.store.Now())
 }
 
 func (s *Server) handle(req Request) Response {
@@ -286,46 +276,22 @@ func (s *Server) handle(req Request) Response {
 		return Response{Columns: toWireSchema(schema)}
 
 	case OpSnapshot:
-		// The clock is read under the same read lock as the copy: commits
-		// tick it under the write lock, so the copy is exactly the state
-		// at now.
-		var rel *relation.Relation
-		var now vclock.Timestamp
-		err := s.store.View(func(v storage.LiveView) error {
-			live, err := v.Relation(req.Table)
-			if err != nil {
-				return err
-			}
-			rel, now = live.Clone(), s.store.Now()
-			return nil
-		})
+		at := s.bound(req.Until)
+		b, err := s.store.TableImage(req.Table, at)
 		if err != nil {
 			return errResponse(err)
 		}
-		if m := s.met; m != nil {
-			m.snapshots.Inc()
-		}
-		return Response{Rel: toWireRelation(rel), Now: now}
+		s.met.snapshots.Inc()
+		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: at}
 
 	case OpDeltaSince:
-		// The clock first, the window clamped to it: a commit ticks the
-		// clock under the write lock before it appends, so once the read
-		// lock is granted every row at or before now is in the log, and a
-		// row past now is left for the next pull. The frame is encoded
-		// from the store's one-pass image of (Since, now], with no
-		// row-form copy of the window.
-		now := s.store.Now()
-		b, err := s.store.WindowImage(req.Table, req.Since, now, false)
+		until := s.bound(req.Until)
+		b, err := s.store.WindowImage(req.Table, req.Since, until, req.Compact)
 		if err != nil {
 			return errResponse(err)
 		}
-		s.mu.Lock()
-		s.deltasServed++
-		s.mu.Unlock()
-		if m := s.met; m != nil {
-			m.windows.Inc()
-		}
-		return Response{ColDelta: toWireColBatch(b), Now: now}
+		s.met.windows.Inc()
+		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: until}
 
 	case OpQuery:
 		plan, err := algebra.PlanSQL(req.Query, s.store.Live())
@@ -348,30 +314,19 @@ func (s *Server) handle(req Request) Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		s.mu.Lock()
-		s.queriesServed++
-		s.tuplesExecuted += int64(ex.Stats.TuplesScanned)
-		s.mu.Unlock()
-		if m := s.met; m != nil {
-			m.queries.Inc()
-			m.tuples.Add(int64(ex.Stats.TuplesScanned))
+		s.met.queries.Inc()
+		s.met.tuples.Add(int64(ex.Stats.TuplesScanned))
+		b, err := imageOf(rel)
+		if err != nil {
+			return errResponse(err)
 		}
-		return Response{Rel: toWireRelation(rel), Now: now}
+		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: now}
 
 	case OpNow:
 		return Response{Now: s.store.Now()}
 
-	case OpApplyUpdates:
-		if err := s.applyUpdates(req); err != nil {
-			return errResponse(err)
-		}
-		if m := s.met; m != nil {
-			m.updates.Add(int64(len(req.Updates)))
-		}
-		return Response{Now: s.store.Now()}
-
 	case OpStats:
-		snap := s.statsSnapshot()
+		snap := s.Stats()
 		return Response{Stats: &snap, Now: s.store.Now()}
 
 	case OpCheckpoint:
@@ -397,56 +352,16 @@ func (s *Server) handle(req Request) Response {
 	}
 }
 
-// statsSnapshot builds the OpStats payload: the attached registry's
-// snapshot when instrumented, otherwise the legacy work counters so
-// `cqctl stats` still renders something against a bare server.
-func (s *Server) statsSnapshot() obs.Snapshot {
-	if s.reg != nil {
-		return s.reg.Snapshot()
-	}
-	st := s.Stats()
-	return obs.Snapshot{
-		Counters: map[string]int64{
-			"remote.queries_served":  st.QueriesServed,
-			"remote.windows_pulled":  st.DeltasServed,
-			"remote.tuples_executed": st.TuplesExecuted,
-		},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]obs.HistogramStat{},
-	}
-}
-
-// applyUpdates commits a batch of differential rows pushed by a client
-// (used by benchmark drivers).
-func (s *Server) applyUpdates(req Request) error {
-	if req.Table == "" {
-		return errors.New("table required")
-	}
-	tx := s.store.Begin()
-	for _, r := range req.Updates {
-		switch {
-		case r.Old == nil && r.New == nil:
-			tx.Abort()
-			return errors.New("empty update row")
-		case r.Old == nil:
-			if _, err := tx.Insert(req.Table, r.New); err != nil {
-				tx.Abort()
-				return err
-			}
-		case r.New == nil:
-			if err := tx.Delete(req.Table, relation.TID(r.TID)); err != nil {
-				tx.Abort()
-				return err
-			}
-		default:
-			if err := tx.Update(req.Table, relation.TID(r.TID), r.New); err != nil {
-				tx.Abort()
-				return err
-			}
+// imageOf is a query result as an all-insert image, each value typed to
+// its column (batch.Table.Set).
+func imageOf(rel *relation.Relation) (*batch.Batch, error) {
+	t := batch.NewTable(rel.Schema(), rel.Len())
+	for _, tu := range rel.Tuples() {
+		if err := t.Set(tu.TID, tu.Values); err != nil {
+			return nil, err
 		}
 	}
-	_, err := tx.Commit()
-	return err
+	return t.Rows(), nil
 }
 
 // Close shuts the server down gracefully: the listener stops, requests
