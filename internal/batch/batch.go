@@ -413,13 +413,15 @@ func (b *Batch) RowsEqual(i, j int) bool {
 	return true
 }
 
-// AppendRow appends one signed row. It reports false — leaving the
-// batch with the row partially unappended, so the caller must discard
-// it — when any value is unrepresentable under its column's type.
+// AppendRow appends one signed row. It reports false when any value is
+// unrepresentable under its column's type, leaving the batch's rows as
+// they were (a column's validity bitmap may have been materialized, all
+// valid, which reads the same).
 func (b *Batch) AppendRow(tid relation.TID, sign int8, vals []relation.Value) bool {
 	b.check()
 	for c := range b.Cols {
 		if !b.Cols[c].appendValue(b.n, vals[c]) {
+			b.truncateCols(c)
 			return false
 		}
 	}
@@ -430,6 +432,23 @@ func (b *Batch) AppendRow(tid relation.TID, sign int8, vals []relation.Value) bo
 	}
 	b.n++
 	return true
+}
+
+// truncateCols cuts the payloads of the first cols columns back to the
+// batch's rows, undoing a partly appended row.
+func (b *Batch) truncateCols(cols int) {
+	for c := range b.Cols[:cols] {
+		switch col := &b.Cols[c]; col.Type {
+		case relation.TInt:
+			col.I64 = col.I64[:b.n]
+		case relation.TFloat:
+			col.F64 = col.F64[:b.n]
+		case relation.TString:
+			col.Str = col.Str[:b.n]
+		case relation.TBool:
+			col.B = col.B[:b.n]
+		}
+	}
 }
 
 // AppendFrom appends row i of src (same column types) to b.

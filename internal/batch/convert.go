@@ -24,8 +24,8 @@ func (b *Batch) EnableTS() {
 	b.TS = b.TS[:0]
 }
 
-// Adopt wraps columns built elsewhere — a decoded wire frame — as an
-// ordered signed batch without copying them. Every slice must hold
+// Adopt wraps columns built elsewhere — a decoded frame (Dec.Frame) —
+// as an ordered signed batch without copying them. Every slice must hold
 // len(tids) rows (a Valid bitmap: nil, or at least one bit per row); the
 // caller checks that, and must not modify the slices while the batch is
 // in use.

@@ -10,15 +10,10 @@ import (
 // ErrMarshal reports a malformed encoded value.
 var ErrMarshal = errors.New("relation: malformed encoded value")
 
-// MarshalBinary encodes the value compactly: one tag byte (kind, with the
-// high bit marking NULL) followed by the payload. encoding/gob picks this
-// up automatically, which is how values travel over the remote protocol.
-func (v Value) MarshalBinary() ([]byte, error) {
-	return v.AppendBinary(nil)
-}
-
-// AppendBinary appends MarshalBinary's encoding of the value to dst
-// (encoding.BinaryAppender), so an encoder writing many values into one
+// AppendBinary appends the value's compact encoding to dst
+// (encoding.BinaryAppender): one tag byte (kind, with the high bit
+// marking NULL) followed by the payload. The WAL writes a record's
+// row-form values with it, so an encoder writing many values into one
 // buffer allocates only when the buffer grows.
 func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	tag := byte(v.Kind)
@@ -41,7 +36,7 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	}
 }
 
-// UnmarshalBinary decodes a value written by MarshalBinary.
+// UnmarshalBinary decodes a value written by AppendBinary.
 func (v *Value) UnmarshalBinary(data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: empty", ErrMarshal)

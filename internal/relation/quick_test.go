@@ -37,10 +37,10 @@ func (Value) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(v)
 }
 
-// Property: marshal/unmarshal is the identity on Value.
+// Property: AppendBinary/UnmarshalBinary is the identity on Value.
 func TestValueMarshalRoundTripQuick(t *testing.T) {
 	f := func(v Value) bool {
-		data, err := v.MarshalBinary()
+		data, err := v.AppendBinary(nil)
 		if err != nil {
 			return false
 		}
@@ -116,5 +116,36 @@ func TestCombineTIDsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestValueMarshalRoundTrip(t *testing.T) {
+	vals := []Value{
+		Int(-42),
+		Float(3.25),
+		Str("hello 'quoted'"),
+		Bool(true),
+		NullValue(),
+		TypedNull(TFloat),
+	}
+	for _, v := range vals {
+		data, err := v.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", v, err)
+		}
+		var back Value
+		if err := back.UnmarshalBinary(data); err != nil {
+			t.Fatalf("unmarshal %v: %v", v, err)
+		}
+		if !back.Equal(v) || back.Kind != v.Kind {
+			t.Errorf("round trip %v -> %v", v, back)
+		}
+	}
+	var bad Value
+	if err := bad.UnmarshalBinary(nil); err == nil {
+		t.Error("empty unmarshal should fail")
+	}
+	if err := bad.UnmarshalBinary([]byte{byte(TInt), 1, 2}); err == nil {
+		t.Error("short int payload should fail")
 	}
 }

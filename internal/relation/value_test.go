@@ -214,7 +214,7 @@ func TestValueEncodingsPinned(t *testing.T) {
 	all := make([]Value, 0, len(pinned))
 	for _, p := range pinned {
 		all = append(all, p.v)
-		b, err := p.v.MarshalBinary()
+		b, err := p.v.AppendBinary(nil)
 		if err != nil || hex.EncodeToString(b) != p.bytes {
 			t.Errorf("%v marshals to %x (err %v), want %s", p.v, b, err, p.bytes)
 		}
@@ -223,7 +223,7 @@ func TestValueEncodingsPinned(t *testing.T) {
 			t.Errorf("%v: unmarshal: %v", p.v, err)
 		}
 		// NaN != NaN under Equal, so compare the re-marshalled bytes.
-		if again, _ := back.MarshalBinary(); back.Kind != p.v.Kind || back.Null != p.v.Null || !bytes.Equal(again, b) {
+		if again, _ := back.AppendBinary(nil); back.Kind != p.v.Kind || back.Null != p.v.Null || !bytes.Equal(again, b) {
 			t.Errorf("%v does not survive a marshal round trip: got %v", p.v, back)
 		}
 		if got := HashValues([]Value{p.v}); got != p.hash {

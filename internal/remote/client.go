@@ -259,11 +259,11 @@ func (c *Client) doRequestLocked(req Request) (Response, error) {
 	if t := c.policy.IOTimeout; t > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(t))
 	}
-	if err := c.codec.send(req); err != nil {
+	if err := c.codec.send(&req); err != nil {
 		return Response{}, fmt.Errorf("send: %w", err)
 	}
 	var resp Response
-	if err := c.codec.recv(&resp); err != nil {
+	if err := c.codec.recv(func(d *batch.Dec) { resp.decode(d, req.Op) }); err != nil {
 		return Response{}, fmt.Errorf("recv: %w", err)
 	}
 	if c.policy.IOTimeout > 0 {
@@ -319,7 +319,11 @@ func (c *Client) Schema(table string) (relation.Schema, error) {
 	if err != nil {
 		return relation.Schema{}, err
 	}
-	return fromWireSchema(resp.Columns)
+	b, err := resp.rows()
+	if err != nil {
+		return relation.Schema{}, err
+	}
+	return b.Schema, nil
 }
 
 // Snapshot fetches a table's contents as of at (Latest: now, which the
@@ -329,8 +333,11 @@ func (c *Client) Snapshot(table string, at vclock.Timestamp) (*batch.Table, vclo
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := tableFromWire(resp.Image, resp.Columns)
-	return t, resp.Now, err
+	b, err := resp.rows()
+	if err != nil {
+		return nil, 0, err
+	}
+	return batch.TableOf(b), resp.Now, nil
 }
 
 // Window fetches a table's window (since, until] as its columnar image,
@@ -343,7 +350,7 @@ func (c *Client) Window(table string, since, until vclock.Timestamp, compact boo
 	if err != nil {
 		return nil, 0, err
 	}
-	b, err := fromWire(resp.Image, resp.Columns)
+	b, err := resp.rows()
 	return b, resp.Now, err
 }
 
@@ -376,11 +383,11 @@ func (c *Client) Query(query string) (*relation.Relation, vclock.Timestamp, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := tableFromWire(resp.Image, resp.Columns)
+	b, err := resp.rows()
 	if err != nil {
 		return nil, 0, err
 	}
-	return t.Relation(), resp.Now, nil
+	return batch.TableOf(b).Relation(), resp.Now, nil
 }
 
 // Now returns the server's logical clock.

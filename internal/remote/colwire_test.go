@@ -1,7 +1,7 @@
 package remote
 
 import (
-	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/diorama/continual/internal/batch"
@@ -45,19 +45,17 @@ func TestColDeltaRoundTrip(t *testing.T) {
 	mustAppend(delta.Row{TID: 1, Old: row("DEC", 150, 10), New: row("DEC", 160, 10), TS: 2})
 	mustAppend(delta.Row{TID: 2, Old: nullRow, TS: 3})
 
-	w, ok := toWireColDelta(d)
+	b, ok := batch.FromDelta(nil, d)
 	if !ok {
 		t.Fatal("representable window reported unrepresentable")
 	}
-	// The wire form must survive the gob codec, not just the in-memory
+	// The wire form must survive the codec, not just the in-memory
 	// struct.
-	frames := encodeFrames(t, Response{Columns: toWireSchema(sc), Image: w, Now: 3})
-	recv := newCodec(&rwBuf{in: *bytes.NewBuffer(frames)})
-	var resp Response
-	if err := recv.recv(&resp); err != nil {
+	resp, err := recvResponse(encodeFrames(t, &Response{Image: b, Now: 3}), OpDeltaSince)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fromWireColDelta(resp.Image, sc)
+	got, err := resp.Image.ToDeltaOrdered()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,110 +90,51 @@ func TestColDeltaUnrepresentable(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := toWireColDelta(d); ok {
+	if _, ok := batch.FromDelta(nil, d); ok {
 		t.Fatal("kind-drifted window must be unrepresentable")
 	}
 }
 
-// TestColDeltaRejectsMalformedFrames: shape defects must error, never
-// panic or misdecode.
+// TestColDeltaRejectsMalformedFrames: shape defects of a window frame
+// must error, never panic or misdecode.
 func TestColDeltaRejectsMalformedFrames(t *testing.T) {
-	sc := colSchema(t)
-	base := func() *WireColDelta {
-		return &WireColDelta{
-			TIDs:  []relation.TID{1},
-			Signs: []int8{1},
-			TS:    []vclock.Timestamp{1},
-			Cols: []WireCol{
-				{Type: int(relation.TString), Str: []string{"DEC"}},
-				{Type: int(relation.TFloat), F64: []float64{150}},
-				{Type: int(relation.TInt), I64: []int64{10}},
+	base := func() frameParts {
+		return frameParts{
+			schema: colSchema(t),
+			rows:   1,
+			tids:   []relation.TID{1},
+			signs:  []int8{1},
+			ts:     []vclock.Timestamp{1},
+			cols: []batch.Col{
+				{Type: relation.TString, Str: []string{"DEC"}},
+				{Type: relation.TFloat, F64: []float64{150}},
+				{Type: relation.TInt, I64: []int64{10}},
 			},
 		}
 	}
-	cases := map[string]func(*WireColDelta){
-		"sign length":    func(w *WireColDelta) { w.Signs = nil },
-		"ts length":      func(w *WireColDelta) { w.TS = []vclock.Timestamp{1, 2} },
-		"column count":   func(w *WireColDelta) { w.Cols = w.Cols[:2] },
-		"column type":    func(w *WireColDelta) { w.Cols[1].Type = int(relation.TInt) },
-		"payload length": func(w *WireColDelta) { w.Cols[0].Str = nil },
-		"bad sign":       func(w *WireColDelta) { w.Signs[0] = 0 },
-		"short bitmap":   func(w *WireColDelta) { w.Cols[0].Valid = []uint64{} },
-		"unknown type": func(w *WireColDelta) {
-			w.Cols[0].Type = 99
-			w.Cols[0].Str = nil
+	cases := map[string]func(*frameParts){
+		"sign length":    func(f *frameParts) { f.signs = nil },
+		"ts length":      func(f *frameParts) { f.ts = []vclock.Timestamp{1, 2} },
+		"column count":   func(f *frameParts) { f.cols = f.cols[:2] },
+		"column type":    func(f *frameParts) { f.cols[1] = batch.Col{Type: relation.TInt, I64: []int64{150}} },
+		"payload length": func(f *frameParts) { f.cols[0].Str = nil },
+		"bad sign":       func(f *frameParts) { f.signs[0] = 0 },
+		"short bitmap":   func(f *frameParts) { f.cols[0].Valid = []uint64{} },
+		"unknown type": func(f *frameParts) {
+			f.schema = relation.MustSchema(relation.Column{Name: "x", Type: 99})
+			f.cols = f.cols[:1]
 		},
 	}
+	if _, err := recvResponse(encodeRaw(imageReply(t, base().bytes())), OpDeltaSince); err != nil {
+		t.Fatalf("the base frame: %v", err)
+	}
 	for name, breakIt := range cases {
-		w := base()
-		breakIt(w)
-		if name == "short bitmap" {
-			// An empty-but-non-nil bitmap means all-valid; use a 65-row
-			// frame with a one-word bitmap instead.
-			w = base()
-			n := 65
-			w.TIDs = make([]relation.TID, n)
-			w.Signs = make([]int8, n)
-			w.TS = make([]vclock.Timestamp, n)
-			for i := range w.TIDs {
-				w.TIDs[i] = relation.TID(i + 1)
-				w.Signs[i] = 1
-				w.TS[i] = vclock.Timestamp(i + 1)
-			}
-			w.Cols[0].Str = make([]string, n)
-			w.Cols[1].F64 = make([]float64, n)
-			w.Cols[2].I64 = make([]int64, n)
-			w.Cols[0].Valid = []uint64{^uint64(0)} // needs 2 words for 65 rows
-		}
-		if _, err := fromWireColDelta(w, sc); err == nil {
-			t.Errorf("%s: malformed frame accepted", name)
+		f := base()
+		breakIt(&f)
+		if _, err := recvResponse(encodeRaw(imageReply(t, f.bytes())), OpDeltaSince); !errors.Is(err, errColDelta) {
+			t.Errorf("%s: malformed frame decoded with %v", name, err)
 		}
 	}
-}
-
-// FuzzColDelta throws arbitrary columnar frames at the decoder through
-// the real codec: like FuzzCodecRecv it must error or decode cleanly,
-// never panic. Well-formed frames additionally round-trip.
-func FuzzColDelta(f *testing.F) {
-	var seedT testing.T
-	sc := colSchema(&seedT)
-	d := delta.New(sc)
-	_ = d.Append(delta.Row{TID: 1, TS: 1, New: []relation.Value{
-		relation.Str("DEC"), relation.Float(150), relation.Int(10),
-	}})
-	if w, ok := toWireColDelta(d); ok {
-		f.Add(encodeFrames(&seedT, Response{Image: w}))
-	}
-	f.Add(encodeFrames(&seedT, Response{Image: &WireColDelta{
-		TIDs: []relation.TID{1}, Signs: []int8{2}, TS: []vclock.Timestamp{0},
-	}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newCodec(&rwBuf{in: *bytes.NewBuffer(data)})
-		var resp Response
-		if err := c.recv(&resp); err != nil {
-			return
-		}
-		if resp.Image == nil {
-			return
-		}
-		got, err := fromWireColDelta(resp.Image, sc)
-		if err != nil {
-			return
-		}
-		// Anything the decoder accepts must re-encode and decode to the
-		// same window.
-		w2, ok := toWireColDelta(got)
-		if !ok {
-			t.Fatal("accepted frame no longer representable")
-		}
-		got2, err := fromWireColDelta(w2, sc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if got2.Len() != got.Len() {
-			t.Fatalf("round trip changed row count: %d vs %d", got2.Len(), got.Len())
-		}
-	})
 }
 
 // TestClientDecodesColumnarWindow: end to end over a real connection,
@@ -219,23 +158,53 @@ func TestClientDecodesColumnarWindow(t *testing.T) {
 	}
 }
 
-// toWireColDelta encodes a row-form window the way the server encodes
-// the store's image of one; ok=false means some value does not fit its
-// typed column.
-func toWireColDelta(d *delta.Delta) (*WireColDelta, bool) {
-	b, ok := batch.FromDelta(nil, d)
-	if !ok {
-		return nil, false
+// FuzzColDelta throws arbitrary window replies at the client's decoding
+// (what DeltaSince reads): like FuzzCodecRecv it must error or decode
+// cleanly, never panic. A window it accepts in row form round-trips
+// through the columnar form to the same rows.
+func FuzzColDelta(f *testing.F) {
+	var seedT testing.T
+	sc := colSchema(&seedT)
+	d := delta.New(sc)
+	_ = d.Append(delta.Row{TID: 1, TS: 1, New: []relation.Value{
+		relation.Str("DEC"), relation.Float(150), relation.Int(10),
+	}})
+	if b, ok := batch.FromDelta(nil, d); ok {
+		f.Add(encodeFrames(&seedT, &Response{Image: b, Now: 1}))
 	}
-	return toWire(b), true
-}
-
-// fromWireColDelta decodes a window frame on schema and renders its rows
-// (batch.Batch.ToDeltaOrdered), as Client.DeltaSince does.
-func fromWireColDelta(w *WireColDelta, schema relation.Schema) (*delta.Delta, error) {
-	b, err := fromWire(w, toWireSchema(schema))
-	if err != nil {
-		return nil, err
-	}
-	return b.ToDeltaOrdered()
+	f.Add(encodeRaw(imageReply(f, frameParts{
+		schema: sc, rows: 1, tids: []relation.TID{1}, signs: []int8{2}, ts: []vclock.Timestamp{0},
+		cols: []batch.Col{
+			{Type: relation.TString, Str: []string{"DEC"}},
+			{Type: relation.TFloat, F64: []float64{150}},
+			{Type: relation.TInt, I64: []int64{10}},
+		},
+	}.bytes())))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := recvResponse(data, OpDeltaSince)
+		if err != nil || resp.Image == nil {
+			return
+		}
+		got, err := resp.Image.ToDeltaOrdered()
+		if err != nil {
+			return
+		}
+		// Anything the decoder accepts must re-encode and decode to the
+		// same window.
+		b, ok := batch.FromDelta(nil, got)
+		if !ok {
+			t.Fatal("accepted window no longer representable")
+		}
+		again, err := recvResponse(encodeFrames(t, &Response{Image: b}), OpDeltaSince)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		got2, err := again.Image.ToDeltaOrdered()
+		if err != nil {
+			t.Fatalf("re-decoded window has no row form: %v", err)
+		}
+		if got2.Len() != got.Len() {
+			t.Fatalf("round trip changed row count: %d vs %d", got2.Len(), got.Len())
+		}
+	})
 }

@@ -12,9 +12,8 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,7 +22,6 @@ import (
 
 	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/obs"
-	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
 )
 
@@ -74,17 +72,36 @@ type Request struct {
 	Query   string
 }
 
+func (r *Request) appendTo(e *batch.Enc) error {
+	e.Uvarint(uint64(r.Op))
+	e.Str(r.Table)
+	e.Uvarint(uint64(r.Since))
+	e.Uvarint(uint64(r.Until))
+	e.Bool(r.Compact)
+	e.Str(r.Query)
+	return nil
+}
+
+func (r *Request) decode(d *batch.Dec) {
+	r.Op = Op(d.Uvarint())
+	r.Table = d.Str()
+	r.Since = vclock.Timestamp(d.Uvarint())
+	r.Until = vclock.Timestamp(d.Uvarint())
+	r.Compact = d.Bool()
+	r.Query = d.Str()
+}
+
 // Response is one server reply. Exactly one payload field is set on
-// success — Columns and Image together for a row set — and Err is the
-// error text otherwise.
+// success, and Err is the error text otherwise.
 type Response struct {
-	Err     string
-	Tables  []string
-	Columns []WireColumn
-	// Image is every row set the server sends: a window, a snapshot or a
-	// query result, with Columns its schema.
-	Image *WireColDelta
+	Err    string
+	Tables []string
+	// Image is every row set the server sends, as one frame
+	// (batch.Enc.Frame) that carries its schema: a window, a snapshot, a
+	// query result, or — with no rows — a table's schema.
+	Image *batch.Batch
 	Now   vclock.Timestamp
+	// Stats travels as the JSON /stats serves.
 	Stats *obs.Snapshot
 	Deps  []WireDep
 }
@@ -97,167 +114,67 @@ type WireDep struct {
 	Stage   int
 }
 
-// WireColumn mirrors relation.Column for the wire.
-type WireColumn struct {
-	Name string
-	Type int
+// meta is the small, rare part of a reply as one JSON document: table
+// names, the metrics snapshot (the JSON /stats serves) and the cascade
+// DAG. A reply holding none of them carries none.
+type meta struct {
+	Tables []string      `json:"tables,omitempty"`
+	Stats  *obs.Snapshot `json:"stats,omitempty"`
+	Deps   []WireDep     `json:"deps,omitempty"`
 }
 
-// WireColDelta is a row set in ordered signed columnar form: one typed
-// flat slice per column plus parallel TID, sign and (for a window)
-// commit-timestamp slices. Gob encodes a []float64 as raw numbers where
-// []relation.Value ships a type tag and field per cell, so the columnar
-// frame is both smaller on the wire and cheaper to encode — the same
-// structure-of-arrays economics the in-process batch layout buys the
-// refresh path. A window pairs positionally, exactly as in the delta
-// log: a -1 row immediately followed by a +1 row with the same TID is a
-// modification; a lone +1 inserts, a lone -1 deletes. A snapshot or a
-// query result is all +1 rows, each tid once, and carries no TS.
-type WireColDelta struct {
-	TIDs  []relation.TID
-	Signs []int8
-	TS    []vclock.Timestamp
-	Cols  []WireCol
-}
-
-// WireCol is one typed column of a WireColDelta. Exactly one payload
-// slice is in use, selected by Type, with one element per row. Valid is
-// the validity bitmap (bit i set means row i is non-NULL); empty means
-// every row is valid, and NULL rows hold zero-value placeholders.
-type WireCol struct {
-	Type  int
-	I64   []int64
-	F64   []float64
-	Str   []string
-	B     []bool
-	Valid []uint64
-}
-
-// toWire flattens a batch into the columnar wire form, sharing its
-// slices.
-func toWire(b *batch.Batch) *WireColDelta {
-	n := b.Len()
-	out := &WireColDelta{TIDs: b.TIDs[:n], Signs: b.Signs[:n], Cols: make([]WireCol, len(b.Cols))}
-	if b.TS != nil {
-		out.TS = b.TS[:n]
+func (r *Response) appendTo(e *batch.Enc) error {
+	e.Str(r.Err)
+	e.Uvarint(uint64(r.Now))
+	var js []byte
+	if len(r.Tables) != 0 || r.Stats != nil || len(r.Deps) != 0 {
+		var err error
+		if js, err = json.Marshal(meta{r.Tables, r.Stats, r.Deps}); err != nil {
+			return err
+		}
 	}
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		out.Cols[c] = WireCol{Type: int(col.Type), I64: col.I64, F64: col.F64, Str: col.Str, B: col.B, Valid: col.Valid}
+	e.Bytes(js)
+	e.Bool(r.Image != nil)
+	if r.Image != nil {
+		e.Frame(r.Image)
 	}
-	return out
+	return nil
 }
 
-// errColDelta reports a malformed columnar frame. Every shape defect is
-// detected before any row is read, so a hostile or corrupted frame
-// surfaces as an error, never a panic or misdecoded rows.
+// decode reads a reply whose row set, if any, must be an image
+// (batch.Dec.Frame) unless it answers OpDeltaSince.
+func (r *Response) decode(d *batch.Dec, op Op) {
+	r.Err = d.Str()
+	r.Now = vclock.Timestamp(d.Uvarint())
+	if js := d.Bytes(); len(js) != 0 {
+		var m meta
+		if err := json.Unmarshal(js, &m); err != nil {
+			d.Fail(fmt.Errorf("remote: reply: %w", err))
+		}
+		r.Tables, r.Stats, r.Deps = m.Tables, m.Stats, m.Deps
+	}
+	if d.Bool() {
+		// The frame ends the reply: bytes after it are the frame's.
+		if r.Image = d.Frame(op != OpDeltaSince); d.Err == nil && len(d.B) != 0 {
+			d.Fail(fmt.Errorf("%w: %d bytes past the frame", batch.ErrMalformed, len(d.B)))
+		}
+		if d.Err != nil {
+			d.Err = fmt.Errorf("%w: %w", errColDelta, d.Err)
+		}
+	}
+}
+
+// errColDelta reports a malformed row-set frame, or a reply that lacks
+// the one its request asks for: a hostile or corrupted frame surfaces
+// as an error, never a panic or misdecoded rows.
 var errColDelta = errors.New("remote: malformed columnar frame")
 
-// fromWire adopts a frame's columns as a batch on the schema its reply
-// carries, validating the frame's shape strictly first: one sign (and,
-// when present, one timestamp) per tid, every sign ±1, and every column
-// of the schema's type with one value per row.
-func fromWire(w *WireColDelta, cols []WireColumn) (*batch.Batch, error) {
-	if w == nil {
+// rows is the reply's row set.
+func (r *Response) rows() (*batch.Batch, error) {
+	if r.Image == nil {
 		return nil, fmt.Errorf("%w: reply carries no rows", errColDelta)
 	}
-	schema, err := fromWireSchema(cols)
-	if err != nil {
-		return nil, err
-	}
-	n := len(w.TIDs)
-	if len(w.Signs) != n || (len(w.TS) != n && len(w.TS) != 0) {
-		return nil, fmt.Errorf("%w: %d tids, %d signs, %d ts", errColDelta, n, len(w.Signs), len(w.TS))
-	}
-	if len(w.Cols) != schema.Len() {
-		return nil, fmt.Errorf("%w: %d columns, schema has %d", errColDelta, len(w.Cols), schema.Len())
-	}
-	for i, sign := range w.Signs {
-		if sign != 1 && sign != -1 {
-			return nil, fmt.Errorf("%w: sign[%d] = %d", errColDelta, i, sign)
-		}
-	}
-	out := make([]batch.Col, len(w.Cols))
-	for c := range w.Cols {
-		wc := &w.Cols[c]
-		want := schema.Col(c).Type
-		if wc.Type != int(want) {
-			return nil, fmt.Errorf("%w: column %d type %d, schema says %d", errColDelta, c, wc.Type, want)
-		}
-		var have int
-		switch want {
-		case relation.TInt:
-			have = len(wc.I64)
-		case relation.TFloat:
-			have = len(wc.F64)
-		case relation.TString:
-			have = len(wc.Str)
-		case relation.TBool:
-			have = len(wc.B)
-		default:
-			return nil, fmt.Errorf("%w: column %d has unknown type %d", errColDelta, c, wc.Type)
-		}
-		if have != n {
-			return nil, fmt.Errorf("%w: column %d has %d rows, want %d", errColDelta, c, have, n)
-		}
-		out[c] = batch.Col{Type: want, I64: wc.I64, F64: wc.F64, Str: wc.Str, B: wc.B}
-		if len(wc.Valid) != 0 {
-			words := (n + 63) / 64
-			if len(wc.Valid) < words {
-				return nil, fmt.Errorf("%w: column %d bitmap too short", errColDelta, c)
-			}
-			out[c].Valid = wc.Valid[:words]
-		}
-	}
-	var ts []vclock.Timestamp
-	if len(w.TS) != 0 {
-		ts = w.TS
-	}
-	return batch.Adopt(schema, w.TIDs, w.Signs, ts, out), nil
-}
-
-// tableFromWire adopts a snapshot or query frame as a slot table. Its
-// rows must be what batch.TableOf takes — every sign +1, each tid once —
-// and a frame that is not is refused before the table adopts it.
-func tableFromWire(w *WireColDelta, cols []WireColumn) (*batch.Table, error) {
-	b, err := fromWire(w, cols)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[relation.TID]struct{}, b.Len())
-	for i, tid := range b.TIDs {
-		if b.Signs[i] != 1 {
-			return nil, fmt.Errorf("%w: row %d of an image has sign %d", errColDelta, i, b.Signs[i])
-		}
-		if _, dup := seen[tid]; dup {
-			return nil, fmt.Errorf("%w: tid %d repeats in an image", errColDelta, tid)
-		}
-		seen[tid] = struct{}{}
-	}
-	b.TS = nil
-	return batch.TableOf(b), nil
-}
-
-// toWireSchema converts a schema.
-func toWireSchema(s relation.Schema) []WireColumn {
-	out := make([]WireColumn, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		c := s.Col(i)
-		out[i] = WireColumn{Name: c.Name, Type: int(c.Type)}
-	}
-	return out
-}
-
-// fromWireSchema converts back.
-func fromWireSchema(cols []WireColumn) (relation.Schema, error) {
-	rc := make([]relation.Column, len(cols))
-	for i, c := range cols {
-		if c.Type < 0 || c.Type > math.MaxUint8 {
-			return relation.Schema{}, fmt.Errorf("remote: column %q has type %d out of range", c.Name, c.Type)
-		}
-		rc[i] = relation.Column{Name: c.Name, Type: relation.Type(c.Type)}
-	}
-	return relation.NewSchema(rc...)
+	return r.Image, nil
 }
 
 // countingConn wraps a stream with transfer counters.
@@ -289,48 +206,42 @@ const maxFrame = 64 << 20 // 64 MiB
 var errFrameTooLarge = errors.New("remote: frame exceeds size limit")
 
 // codec is the framed wire format: each message is a 4-byte big-endian
-// length prefix followed by that many bytes of gob payload. The gob
-// encoder/decoder pair persists for the life of the connection (type
-// descriptors ship once), but framing means a receive error leaves the
+// length prefix followed by that many bytes of a hand-encoded Request
+// or Response (batch.Enc). Framing means a receive error leaves the
 // stream at a known boundary and is detectable: truncated frames,
 // trailing garbage inside a frame, and oversized prefixes all surface
 // as errors instead of silently desyncing later messages. After any
 // codec error the connection must be discarded — the owner marks it
 // broken and reconnects with a fresh codec.
 type codec struct {
-	conn   *countingConn
-	enc    *gob.Encoder
-	encBuf bytes.Buffer // staging area: gob payload of the frame being sent
-	dec    *gob.Decoder
-	decBuf bytes.Buffer // staging area: gob payload of the frame being decoded
-	hdr    [4]byte
+	conn *countingConn
+	out  batch.Enc // the frame being sent, length prefix first
+	in   []byte    // the payload of the frame being decoded
+	hdr  [4]byte
 }
 
-func newCodec(rw io.ReadWriter) *codec {
-	c := &codec{conn: &countingConn{rw: rw}}
-	c.enc = gob.NewEncoder(&c.encBuf)
-	c.dec = gob.NewDecoder(&c.decBuf)
-	return c
-}
+func newCodec(rw io.ReadWriter) *codec { return &codec{conn: &countingConn{rw: rw}} }
 
-func (c *codec) send(v any) error {
-	c.encBuf.Reset()
-	if err := c.enc.Encode(v); err != nil {
+// message is a Request or a Response.
+type message interface{ appendTo(*batch.Enc) error }
+
+func (c *codec) send(m message) error {
+	c.out.B = append(c.out.B[:0], 0, 0, 0, 0)
+	if err := m.appendTo(&c.out); err != nil {
 		return err
 	}
-	n := c.encBuf.Len()
+	n := len(c.out.B) - 4
 	if n > maxFrame {
 		return fmt.Errorf("%w: encoding %d bytes", errFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(c.hdr[:], uint32(n))
-	if _, err := c.conn.Write(c.hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(c.encBuf.Bytes())
+	binary.BigEndian.PutUint32(c.out.B, uint32(n))
+	_, err := c.conn.Write(c.out.B)
 	return err
 }
 
-func (c *codec) recv(v any) error {
+// recv reads one frame and decodes its payload with decode, which must
+// consume all of it.
+func (c *codec) recv(decode func(*batch.Dec)) error {
 	if _, err := io.ReadFull(c.conn, c.hdr[:]); err != nil {
 		return err
 	}
@@ -338,20 +249,19 @@ func (c *codec) recv(v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("%w: prefix claims %d bytes", errFrameTooLarge, n)
 	}
-	c.decBuf.Reset()
-	if _, err := io.CopyN(&c.decBuf, c.conn, int64(n)); err != nil {
-		if err == io.EOF {
-			return io.ErrUnexpectedEOF
-		}
+	var err error
+	if c.in, err = batch.ReadN(c.conn, c.in, int(n)); err != nil {
 		return err
 	}
-	if err := c.dec.Decode(v); err != nil {
-		return fmt.Errorf("remote: decode frame: %w", err)
+	d := batch.Dec{B: c.in}
+	decode(&d)
+	if d.Err != nil {
+		return fmt.Errorf("remote: decode frame: %w", d.Err)
 	}
-	// One Encode call produced exactly this frame; a non-empty remainder
-	// means the stream is desynced or the frame was corrupted.
-	if left := c.decBuf.Len(); left != 0 {
-		return fmt.Errorf("remote: frame desync: %d trailing bytes", left)
+	// One message is exactly this frame; a non-empty remainder means
+	// the stream is desynced or the frame was corrupted.
+	if len(d.B) != 0 {
+		return fmt.Errorf("remote: frame desync: %d trailing bytes", len(d.B))
 	}
 	return nil
 }

@@ -250,37 +250,6 @@ func TestServerStatsCountWork(t *testing.T) {
 	}
 }
 
-func TestValueMarshalRoundTrip(t *testing.T) {
-	vals := []relation.Value{
-		relation.Int(-42),
-		relation.Float(3.25),
-		relation.Str("hello 'quoted'"),
-		relation.Bool(true),
-		relation.NullValue(),
-		relation.TypedNull(relation.TFloat),
-	}
-	for _, v := range vals {
-		data, err := v.MarshalBinary()
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var back relation.Value
-		if err := back.UnmarshalBinary(data); err != nil {
-			t.Fatalf("unmarshal %v: %v", v, err)
-		}
-		if !back.Equal(v) || back.Kind != v.Kind {
-			t.Errorf("round trip %v -> %v", v, back)
-		}
-	}
-	var bad relation.Value
-	if err := bad.UnmarshalBinary(nil); err == nil {
-		t.Error("empty unmarshal should fail")
-	}
-	if err := bad.UnmarshalBinary([]byte{byte(relation.TInt), 1, 2}); err == nil {
-		t.Error("short int payload should fail")
-	}
-}
-
 func TestMultipleClients(t *testing.T) {
 	store, srv, c1 := startServer(t)
 	insertStock(t, store, "A", 10)

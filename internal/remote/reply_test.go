@@ -2,74 +2,166 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"testing"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/relation"
+	"github.com/diorama/continual/internal/vclock"
 )
 
+// frameParts is a row-set frame taken apart, so that a test can break
+// one part: bytes writes it in the frame's layout (batch.Enc.Frame)
+// whatever the parts' lengths, each column's payload in full.
+type frameParts struct {
+	schema relation.Schema
+	rows   int
+	tids   []relation.TID
+	signs  []int8
+	ts     []vclock.Timestamp // nil: no timestamps
+	cols   []batch.Col
+}
+
+func (f frameParts) bytes() []byte {
+	e := &batch.Enc{}
+	e.Schema(f.schema)
+	e.Uvarint(uint64(f.rows))
+	e.Bool(f.ts != nil)
+	for _, tid := range f.tids {
+		e.Uvarint(uint64(tid))
+	}
+	for _, s := range f.signs {
+		e.Byte(byte(s))
+	}
+	for _, ts := range f.ts {
+		e.Uvarint(uint64(ts))
+	}
+	for _, c := range f.cols {
+		e.Bool(c.Valid != nil)
+		for _, w := range c.Valid {
+			e.B = binary.LittleEndian.AppendUint64(e.B, w)
+		}
+		for _, v := range c.I64 {
+			e.B = binary.AppendVarint(e.B, v)
+		}
+		for _, v := range c.F64 {
+			e.B = binary.LittleEndian.AppendUint64(e.B, math.Float64bits(v))
+		}
+		for _, s := range c.Str {
+			e.Uvarint(uint64(len(s)))
+		}
+		for _, s := range c.Str {
+			e.B = append(e.B, s...)
+		}
+		for _, v := range c.B {
+			e.Bool(v)
+		}
+	}
+	return e.B
+}
+
 // goodImage is a well-formed one-row image of stockSchema.
-func goodImage() *WireColDelta {
-	return &WireColDelta{
-		TIDs:  []relation.TID{7},
-		Signs: []int8{1},
-		Cols: []WireCol{
-			{Type: int(relation.TString), Str: []string{"DEC"}},
-			{Type: int(relation.TFloat), F64: []float64{150}},
+func goodImage() frameParts {
+	return frameParts{
+		schema: stockSchema(),
+		rows:   1,
+		tids:   []relation.TID{7},
+		signs:  []int8{1},
+		cols: []batch.Col{
+			{Type: relation.TString, Str: []string{"DEC"}},
+			{Type: relation.TFloat, F64: []float64{150}},
 		},
 	}
 }
 
-// malformedRelations are snapshot and query images a faulty or hostile
-// server can send: each must be refused before any row is read.
-func malformedRelations() map[string]*WireColDelta {
-	broken := func(breakIt func(w *WireColDelta)) *WireColDelta {
-		w := goodImage()
-		breakIt(w)
-		return w
+// goodBatch is goodImage as the batch it decodes to.
+func goodBatch(t testing.TB) *batch.Batch {
+	b := batch.New(stockSchema(), 1)
+	if !b.AppendRow(7, 1, []relation.Value{relation.Str("DEC"), relation.Float(150)}) {
+		t.Fatal("the good image does not fit its schema")
 	}
-	return map[string]*WireColDelta{
+	return b
+}
+
+// imageReply is the payload of a reply carrying the frame; a nil frame
+// is a reply with no row set.
+func imageReply(t testing.TB, frame []byte) []byte {
+	e := &batch.Enc{}
+	if err := (&Response{Now: 1}).appendTo(e); err != nil {
+		t.Fatal(err)
+	}
+	if frame == nil {
+		return e.B
+	}
+	e.B[len(e.B)-1] = 1 // the last byte flags the row set that follows
+	return append(e.B, frame...)
+}
+
+// malformedRelations are snapshot and query images a faulty or hostile
+// server can send, as frames (nil: no frame at all): each must be
+// refused before any row is read.
+func malformedRelations() map[string][]byte {
+	broken := func(breakIt func(f *frameParts)) []byte {
+		f := goodImage()
+		breakIt(&f)
+		return f.bytes()
+	}
+	return map[string][]byte{
 		"nil relation": nil,
-		"more tids":    broken(func(w *WireColDelta) { w.TIDs = append(w.TIDs, 8) }),
-		"more rows":    broken(func(w *WireColDelta) { w.Cols[1].F64 = append(w.Cols[1].F64, 160) }),
-		"short row":    broken(func(w *WireColDelta) { w.Cols = w.Cols[:1] }),
-		"long row": broken(func(w *WireColDelta) {
-			w.Cols = append(w.Cols, WireCol{Type: int(relation.TInt), I64: []int64{1}})
+		"more tids":    broken(func(f *frameParts) { f.tids = append(f.tids, 8) }),
+		"more rows":    broken(func(f *frameParts) { f.cols[1].F64 = append(f.cols[1].F64, 160) }),
+		"short row":    broken(func(f *frameParts) { f.cols = f.cols[:1] }),
+		"long row": broken(func(f *frameParts) {
+			f.cols = append(f.cols, batch.Col{Type: relation.TInt, I64: []int64{1}})
 		}),
-		"nil row":           broken(func(w *WireColDelta) { w.Cols[0].Str = nil }),
-		"rows without tids": broken(func(w *WireColDelta) { w.TIDs, w.Signs = nil, nil }),
-		"deleted row":       broken(func(w *WireColDelta) { w.Signs[0] = -1 }),
-		"repeated tid": broken(func(w *WireColDelta) {
-			w.TIDs, w.Signs = append(w.TIDs, 7), append(w.Signs, 1)
-			w.Cols[0].Str = append(w.Cols[0].Str, "IBM")
-			w.Cols[1].F64 = append(w.Cols[1].F64, 75)
+		"nil row":           broken(func(f *frameParts) { f.cols[0].Str = nil }),
+		"rows without tids": broken(func(f *frameParts) { f.rows, f.tids, f.signs = 0, nil, nil }),
+		"deleted row":       broken(func(f *frameParts) { f.signs[0] = -1 }),
+		"repeated tid": broken(func(f *frameParts) {
+			f.rows, f.tids, f.signs = 2, append(f.tids, 7), append(f.signs, 1)
+			f.cols[0].Str = append(f.cols[0].Str, "IBM")
+			f.cols[1].F64 = append(f.cols[1].F64, 75)
 		}),
 	}
 }
 
 // TestMalformedRelationRejected: the image decoder refuses a missing
-// payload, tids, signs and columns of mismatched lengths, columns the
-// schema does not have, a row that is not an insertion and a tid that
-// repeats, with an error wrapping errColDelta, and never panics.
+// frame, a row count its tids, signs and columns do not hold, columns
+// the schema does not have, a row that is not an insertion and a tid
+// that repeats, with an error wrapping errColDelta, and never panics.
 func TestMalformedRelationRejected(t *testing.T) {
-	cols := toWireSchema(stockSchema())
-	for name, w := range malformedRelations() {
+	for name, frame := range malformedRelations() {
 		t.Run(name, func(t *testing.T) {
-			tab, err := tableFromWire(w, cols)
+			resp, err := recvResponse(encodeRaw(imageReply(t, frame)), OpSnapshot)
+			if err == nil {
+				_, err = resp.rows()
+			}
 			if !errors.Is(err, errColDelta) {
-				t.Fatalf("err = %v (table %v), want errColDelta", err, tab)
+				t.Fatalf("err = %v (image %v), want errColDelta", err, resp.Image)
 			}
 		})
 	}
-	tab, err := tableFromWire(goodImage(), cols)
-	if err != nil || tab.Len() != 1 || tab.Slot(7) < 0 {
-		t.Fatalf("well-formed image: %v, %v", tab, err)
+	resp, err := recvResponse(encodeRaw(imageReply(t, goodImage().bytes())), OpSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := batch.TableOf(resp.Image)
+	if tab.Len() != 1 || tab.Slot(7) < 0 {
+		t.Fatalf("well-formed image: %v", tab)
 	}
 }
 
-// scriptedServer answers every request on every connection with reply.
-func scriptedServer(t *testing.T, reply Response) string {
+// encodeRaw frames a payload as the codec does.
+func encodeRaw(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// scriptedServer answers every request on every connection with the
+// reply payload.
+func scriptedServer(t *testing.T, reply []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -87,7 +179,10 @@ func scriptedServer(t *testing.T, reply Response) string {
 				c := newCodec(conn)
 				for {
 					var req Request
-					if c.recv(&req) != nil || c.send(reply) != nil {
+					if c.recv(req.decode) != nil {
+						return
+					}
+					if _, err := conn.Write(encodeRaw(reply)); err != nil {
 						return
 					}
 				}
@@ -101,9 +196,9 @@ func scriptedServer(t *testing.T, reply Response) string {
 // NewMirrorCQ against a server whose images are malformed return an
 // error and keep the client process alive.
 func TestClientRejectsMalformedRelationReplies(t *testing.T) {
-	for name, w := range malformedRelations() {
+	for name, frame := range malformedRelations() {
 		t.Run(name, func(t *testing.T) {
-			addr := scriptedServer(t, Response{Columns: toWireSchema(stockSchema()), Image: w, Now: 1})
+			addr := scriptedServer(t, imageReply(t, frame))
 			client, err := DialPolicy(addr, testPolicy())
 			if err != nil {
 				t.Fatal(err)
@@ -122,31 +217,39 @@ func TestClientRejectsMalformedRelationReplies(t *testing.T) {
 	}
 }
 
-// FuzzRelationReply throws arbitrary reply frames at the client's
-// snapshot and query decoding (tableFromWire): it must error or decode
-// cleanly, never panic, and what it accepts is a table of the reply's
-// schema holding every tid of the frame once, live.
-func FuzzRelationReply(f *testing.F) {
-	var seedT testing.T
-	cols := toWireSchema(stockSchema())
-	for _, w := range malformedRelations() {
-		f.Add(encodeFrames(&seedT, Response{Columns: cols, Image: w}))
+// The frame layout frameParts writes is the encoder's.
+func TestFramePartsMatchEncoder(t *testing.T) {
+	e := &batch.Enc{}
+	e.Frame(goodBatch(t))
+	if got := goodImage().bytes(); !bytes.Equal(got, e.B) {
+		t.Fatalf("frameParts writes %x, the encoder %x", got, e.B)
 	}
-	f.Add(encodeFrames(&seedT, Response{Columns: cols, Image: goodImage()}))
+}
+
+// FuzzRelationReply throws arbitrary replies at the client's snapshot
+// and query decoding (an image read into a slot table): it must error
+// or decode cleanly, never panic, and what it accepts is a table of the
+// image's schema holding every tid of the frame once, live.
+func FuzzRelationReply(f *testing.F) {
+	for _, frame := range malformedRelations() {
+		f.Add(encodeRaw(imageReply(f, frame)))
+	}
+	f.Add(encodeRaw(imageReply(f, goodImage().bytes())))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newCodec(&rwBuf{in: *bytes.NewBuffer(data)})
-		var resp Response
-		if err := c.recv(&resp); err != nil {
-			return
-		}
-		tab, err := tableFromWire(resp.Image, resp.Columns)
+		resp, err := recvResponse(data, OpSnapshot)
 		if err != nil {
 			return
 		}
-		if tab.Len() != len(resp.Image.TIDs) || tab.Schema().Len() != len(resp.Columns) {
-			t.Fatalf("accepted %d tids under %d columns as %d rows under %d", len(resp.Image.TIDs), len(resp.Columns), tab.Len(), tab.Schema().Len())
+		b, err := resp.rows()
+		if err != nil {
+			return
 		}
-		for s, tid := range resp.Image.TIDs {
+		tids := append([]relation.TID(nil), b.TIDs...)
+		tab := batch.TableOf(b)
+		if tab.Len() != len(tids) || tab.Schema().Len() != b.Schema.Len() {
+			t.Fatalf("accepted %d tids under %d columns as %d rows under %d", len(tids), b.Schema.Len(), tab.Len(), tab.Schema().Len())
+		}
+		for s, tid := range tids {
 			if tab.Slot(tid) != int32(s) {
 				t.Fatalf("tid %d of row %d is at slot %d", tid, s, tab.Slot(tid))
 			}

@@ -217,7 +217,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
 		var req Request
-		if err := c.recv(&req); err != nil {
+		if err := c.recv(req.decode); err != nil {
 			// Dropping the conn; classify why, unless shutting down.
 			if !s.isClosed() {
 				var ne net.Error
@@ -234,7 +234,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		_ = conn.SetReadDeadline(time.Time{}) // no deadline while handling
 		resp := s.handle(req)
-		if err := c.send(resp); err != nil {
+		if err := c.send(&resp); err != nil {
 			if !s.isClosed() {
 				m.connsBroken.Inc()
 			}
@@ -273,7 +273,7 @@ func (s *Server) handle(req Request) Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return Response{Columns: toWireSchema(schema)}
+		return Response{Image: batch.New(schema, 0)}
 
 	case OpSnapshot:
 		at := s.bound(req.Until)
@@ -282,7 +282,7 @@ func (s *Server) handle(req Request) Response {
 			return errResponse(err)
 		}
 		s.met.snapshots.Inc()
-		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: at}
+		return Response{Image: b, Now: at}
 
 	case OpDeltaSince:
 		until := s.bound(req.Until)
@@ -291,7 +291,7 @@ func (s *Server) handle(req Request) Response {
 			return errResponse(err)
 		}
 		s.met.windows.Inc()
-		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: until}
+		return Response{Image: b, Now: until}
 
 	case OpQuery:
 		plan, err := algebra.PlanSQL(req.Query, s.store.Live())
@@ -320,7 +320,7 @@ func (s *Server) handle(req Request) Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return Response{Columns: toWireSchema(b.Schema), Image: toWire(b), Now: now}
+		return Response{Image: b, Now: now}
 
 	case OpNow:
 		return Response{Now: s.store.Now()}

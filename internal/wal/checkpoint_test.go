@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,12 +16,16 @@ import (
 	"github.com/diorama/continual/internal/vclock"
 )
 
-// goldenV1Path is a checkpoint in the CQCKPT01 format (one frame per
-// table), written from GoldenCheckpoint by that format's encoder before
-// chunked tables replaced it.
-const goldenV1Path = "testdata/checkpoint-00000003.ckpt"
+// The golden files are checkpoints written from GoldenCheckpoint by
+// the encoders of the formats before the current one: goldenV1Path in
+// CQCKPT01 (one frame per table), goldenV2Path in CQCKPT02 (chunks of
+// row-form values).
+const (
+	goldenV1Path = "testdata/checkpoint-00000003.ckpt"
+	goldenV2Path = "testdata/checkpoint-v2.ckpt"
+)
 
-// GoldenCheckpoint is the checkpoint the golden CQCKPT01 file holds:
+// GoldenCheckpoint is the checkpoint the golden files hold:
 // two tables of every column type, typed NULLs, delta rows that insert,
 // modify and delete, and two CQ entries.
 func GoldenCheckpoint() *Checkpoint {
@@ -77,10 +83,13 @@ func GoldenCheckpoint() *Checkpoint {
 	}
 }
 
-// GoldenV1 returns the golden CQCKPT01 file's bytes.
-func GoldenV1(t testing.TB) []byte {
+// GoldenV1 and GoldenV2 return the golden files' bytes.
+func GoldenV1(t testing.TB) []byte { return readGolden(t, goldenV1Path) }
+func GoldenV2(t testing.TB) []byte { return readGolden(t, goldenV2Path) }
+
+func readGolden(t testing.TB, path string) []byte {
 	t.Helper()
-	b, err := os.ReadFile(goldenV1Path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,32 +109,112 @@ func encodeCheckpoint(t testing.TB, ck *Checkpoint) []byte {
 	return buf.Bytes()
 }
 
-// The golden CQCKPT01 file still loads, to the checkpoint it was
-// written from, and reads back the same once rewritten in the current
-// format.
+// The golden CQCKPT01 file is refused with an error naming the way to
+// bring it over, never read as a checkpoint.
 func TestGoldenV1CheckpointLoads(t *testing.T) {
 	v1 := GoldenV1(t)
 	if string(v1[:len(ckptMagicV1)]) != ckptMagicV1 {
 		t.Fatalf("golden file opens with %q", v1[:len(ckptMagicV1)])
 	}
-	got, err := readCheckpoint(OSFS{}, goldenV1Path)
+	ck, err := readCheckpoint(OSFS{}, goldenV1Path)
+	if !errors.Is(err, ErrCheckpointV1) || ck != nil {
+		t.Fatalf("golden v1 reads %+v, %v; want ErrCheckpointV1", ck, err)
+	}
+	if !strings.Contains(err.Error(), "take a checkpoint") {
+		t.Fatalf("refusal %q names no remedy", err)
+	}
+}
+
+// The golden CQCKPT02 file still loads, to the checkpoint it was
+// written from, and reads back the same once rewritten in the current
+// format.
+func TestGoldenV2CheckpointLoads(t *testing.T) {
+	v2 := GoldenV2(t)
+	if string(v2[:len(ckptMagicV2)]) != ckptMagicV2 {
+		t.Fatalf("golden file opens with %q", v2[:len(ckptMagicV2)])
+	}
+	got, err := readCheckpoint(OSFS{}, goldenV2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := GoldenCheckpoint()
 	if !sameCheckpoint(got, want) {
-		t.Fatalf("golden v1 reads\n %+v\nwant\n %+v", got, want)
+		t.Fatalf("golden v2 reads\n %+v\nwant\n %+v", got, want)
 	}
-	v2 := encodeCheckpoint(t, got)
-	if string(v2[:len(ckptMagic)]) != ckptMagic {
-		t.Fatalf("writer opens with %q", v2[:len(ckptMagic)])
+	v3 := encodeCheckpoint(t, got)
+	if string(v3[:len(ckptMagic)]) != ckptMagic {
+		t.Fatalf("writer opens with %q", v3[:len(ckptMagic)])
 	}
-	again, err := decodeCheckpoint(bytes.NewReader(v2))
+	again, err := decodeCheckpoint(bytes.NewReader(v3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameCheckpoint(again, want) {
 		t.Fatalf("rewritten golden reads\n %+v\nwant\n %+v", again, want)
+	}
+}
+
+// The legacy reader brings a CQCKPT02 table's rows under its schema
+// (relation.Schema.Conform) — untyped NULLs typed, an INT in a FLOAT
+// column widened — so the current writer can write them back, and
+// refuses a value that cannot be.
+func TestV2ReaderConformsRows(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "price", Type: relation.TFloat},
+		relation.Column{Name: "live", Type: relation.TBool},
+	)
+	legacy := func(vals []relation.Value) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		buf.WriteString(ckptMagicV2)
+		frame := func(build func(e *enc)) {
+			e := &enc{}
+			build(e)
+			buf.Write(appendFrame(nil, e.B))
+		}
+		frame(func(e *enc) {
+			e.Byte(ckKindHeader)
+			for _, v := range []uint64{1, 2, 3, 1, 0} { // seg, ts, next tid, tables, cqs
+				e.Uvarint(v)
+			}
+		})
+		frame(func(e *enc) {
+			e.Byte(ckKindTable)
+			e.Str("t")
+			e.Schema(schema)
+			for _, v := range []uint64{0, 1, 1, 1} { // low water, version, tuples, delta rows
+				e.Uvarint(v)
+			}
+		})
+		frame(func(e *enc) {
+			e.Byte(ckKindChunk)
+			e.Uvarint(7)
+			if err := e.vals(vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.deltaRow(delta.Row{TID: 7, TS: 2, New: vals}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		frame(func(e *enc) { e.Byte(ckKindEnd) })
+		return buf.Bytes()
+	}
+	ck, err := decodeCheckpoint(bytes.NewReader(legacy([]relation.Value{relation.Int(3), relation.NullValue()})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []relation.Value{relation.Float(3), relation.TypedNull(relation.TBool)}
+	tb := ck.Tables[0]
+	if fmt.Sprint(tb.Tuples[0].Values) != fmt.Sprint(want) || fmt.Sprint(tb.DeltaRows[0].New) != fmt.Sprint(want) ||
+		tb.Tuples[0].Values[1].Kind != relation.TBool || tb.DeltaRows[0].New[1].Kind != relation.TBool {
+		t.Fatalf("conformed to %v / %v, want %v", tb.Tuples[0].Values, tb.DeltaRows[0].New, want)
+	}
+	again, err := decodeCheckpoint(bytes.NewReader(encodeCheckpoint(t, ck)))
+	if err != nil || !sameCheckpoint(again, ck) {
+		t.Fatalf("rewritten: %+v, %v", again, err)
+	}
+	if _, err := decodeCheckpoint(bytes.NewReader(legacy([]relation.Value{relation.Str("x"), relation.Bool(true)}))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a string in a FLOAT column read with %v, want ErrCorrupt", err)
 	}
 }
 
@@ -228,13 +317,12 @@ func TestWriteCheckpointAllocs(t *testing.T) {
 // same.
 func FuzzCheckpoint(f *testing.F) {
 	var seedT testing.T
-	v1 := GoldenV1(&seedT)
-	v2 := encodeCheckpoint(&seedT, GoldenCheckpoint())
-	f.Add(v1)
-	f.Add(v2)
+	v3 := encodeCheckpoint(&seedT, GoldenCheckpoint())
+	f.Add(GoldenV2(&seedT))
+	f.Add(v3)
 	f.Add(encodeCheckpoint(&seedT, wideCheckpoint(40, 10)))
-	f.Add(v2[:len(v2)-3])
-	flipped := append([]byte{}, v2...)
+	f.Add(v3[:len(v3)-3])
+	flipped := append([]byte{}, v3...)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add([]byte(ckptMagic))

@@ -597,6 +597,14 @@ type ScanResult struct {
 // segment order, folding it into the registry (ScanResult.CQs) and
 // calling handle for it.
 //
+// A checkpoint that does not load is passed over for the one before it
+// (or for none), but only while the segments the fallback replays from
+// are all there: when the first segment at or after its cut is not the
+// cut itself (segment 0 without a checkpoint), the state only the
+// passed-over checkpoint held is gone and Scan refuses, naming it. A
+// checkpoint in the retired CQCKPT01 format is never passed over
+// (ErrCheckpointV1).
+//
 // A torn or corrupt record ends its segment's replay cleanly —
 // everything before it is used, everything after is unreachable anyway
 // because appends past a tear never happened (Open starts fresh
@@ -629,16 +637,26 @@ func Scan(fs FS, dir string, onCheckpoint func(*Checkpoint) error, handle func(*
 
 	res := &ScanResult{}
 	from := uint64(0)
+	var passed error // why the newest checkpoint passed over did not load
 	for _, seq := range ckptSeqs {
 		ck, err := readCheckpoint(fs, filepath.Join(dir, ckptName(seq)))
+		if errors.Is(err, ErrCheckpointV1) {
+			return nil, fmt.Errorf("%s: %w", ckptName(seq), err)
+		}
 		if err != nil {
 			// Unreadable checkpoint (torn rename window, partial GC):
 			// fall back to the next-newest.
+			if passed == nil {
+				passed = fmt.Errorf("%s: %w", ckptName(seq), err)
+			}
 			continue
 		}
 		res.Checkpoint = ck
 		from = ck.Seg
 		break
+	}
+	if i := sort.Search(len(segs), func(i int) bool { return segs[i] >= from }); passed != nil && i < len(segs) && segs[i] != from {
+		return nil, fmt.Errorf("wal: replay would start at segment %d, not at %d, past a checkpoint that does not load: %w", segs[i], from, passed)
 	}
 	var reg Registry
 	if res.Checkpoint != nil {

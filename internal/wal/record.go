@@ -29,8 +29,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -149,27 +149,17 @@ type CQEntry struct {
 // ---------------------------------------------------------------------
 // primitive encoder / decoder
 
-// enc builds a record payload by appending to a byte slice.
-type enc struct{ b []byte }
+// enc builds a record payload: the module's byte primitives
+// (batch.Enc) plus the row-form values a record holds.
+type enc struct{ batch.Enc }
 
-func (e *enc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) byte(v byte)  { e.b = append(e.b, v) }
-func (e *enc) str(s string) { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.byte(b)
-}
-
-// val writes a value as its MarshalBinary bytes behind their uvarint
+// val writes a value as its AppendBinary bytes behind their uvarint
 // length, encoded in place: the payload is appended behind a one-byte
 // length slot, which holds the length of any payload under 128 bytes; a
 // longer one (a long string) moves up to make room for its wider prefix.
 func (e *enc) val(v relation.Value) error {
-	at := len(e.b)
-	b, err := v.AppendBinary(append(e.b, 0))
+	at := len(e.B)
+	b, err := v.AppendBinary(append(e.B, 0))
 	if err != nil {
 		return err
 	}
@@ -181,7 +171,7 @@ func (e *enc) val(v relation.Value) error {
 		copy(b[at+k:], b[at+1:at+1+n])
 	}
 	copy(b[at:], pre[:k])
-	e.b = b
+	e.B = b
 	return nil
 }
 
@@ -190,10 +180,10 @@ func (e *enc) val(v relation.Value) error {
 // a delta row an insert, delete or modify.
 func (e *enc) vals(vs []relation.Value) error {
 	if vs == nil {
-		e.u64(0)
+		e.Uvarint(0)
 		return nil
 	}
-	e.u64(uint64(len(vs)) + 1)
+	e.Uvarint(uint64(len(vs)) + 1)
 	for _, v := range vs {
 		if err := e.val(v); err != nil {
 			return err
@@ -202,159 +192,67 @@ func (e *enc) vals(vs []relation.Value) error {
 	return nil
 }
 
-func (e *enc) schema(s relation.Schema) {
-	e.u64(uint64(s.Len()))
-	for i := 0; i < s.Len(); i++ {
-		c := s.Col(i)
-		e.str(c.Name)
-		e.u64(uint64(c.Type))
-	}
-}
-
 func (e *enc) deltaRow(r delta.Row) error {
-	e.u64(uint64(r.TID))
-	e.u64(uint64(r.TS))
+	e.Uvarint(uint64(r.TID))
+	e.Uvarint(uint64(r.TS))
 	if err := e.vals(r.Old); err != nil {
 		return err
 	}
 	return e.vals(r.New)
 }
 
-// dec reads a record payload with strict bounds checking: every length
-// is validated against the remaining buffer before slicing, so a
-// corrupted or adversarial payload produces ErrCorrupt, never a panic
-// or a huge allocation.
-type dec struct {
-	b   []byte
-	err error
-}
+// dec reads a record payload with the module's bounds-checked
+// primitives (batch.Dec): a corrupted or adversarial payload produces
+// ErrCorrupt, never a panic or a huge allocation.
+type dec struct{ batch.Dec }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
+// corrupt returns the decoder's failure, if any, as an ErrCorrupt.
+func (d *dec) corrupt() error {
+	if d.Err == nil || errors.Is(d.Err, ErrCorrupt) {
+		return d.Err
 	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) bool() bool { return d.byte() == 1 }
-
-func (d *dec) raw() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *dec) str() string { return string(d.raw()) }
-
-// count reads a collection length and sanity-bounds it: a collection of
-// n elements needs at least n bytes of payload, so anything larger is a
-// corrupt length, rejected before allocation.
-func (d *dec) count() int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
+	return fmt.Errorf("%w: %w", ErrCorrupt, d.Err)
 }
 
 func (d *dec) val() relation.Value {
-	p := d.raw()
-	if d.err != nil {
+	p := d.Bytes()
+	if d.Err != nil {
 		return relation.Value{}
 	}
 	var v relation.Value
 	if err := v.UnmarshalBinary(p); err != nil {
-		d.fail()
+		d.Fail(ErrCorrupt)
 		return relation.Value{}
 	}
 	return v
 }
 
 func (d *dec) vals() []relation.Value {
-	tag := d.u64()
-	if d.err != nil || tag == 0 {
+	tag := d.Uvarint()
+	if d.Err != nil || tag == 0 {
 		return nil
 	}
 	n := tag - 1
-	if n > uint64(len(d.b)) {
-		d.fail()
+	if n > uint64(len(d.B)) {
+		d.Fail(ErrCorrupt)
 		return nil
 	}
 	out := make([]relation.Value, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, d.val())
-		if d.err != nil {
+		if d.Err != nil {
 			return nil
 		}
 	}
 	return out
 }
 
-func (d *dec) schema() relation.Schema {
-	n := d.count()
-	cols := make([]relation.Column, 0, n)
-	for i := 0; i < n; i++ {
-		name := d.str()
-		typ := d.u64()
-		if typ > math.MaxUint8 {
-			d.fail() // relation.Type is one byte; a wider tag is not one of ours
-		}
-		cols = append(cols, relation.Column{Name: name, Type: relation.Type(typ)})
-	}
-	if d.err != nil {
-		return relation.Schema{}
-	}
-	s, err := relation.NewSchema(cols...)
-	if err != nil {
-		d.fail()
-		return relation.Schema{}
-	}
-	return s
-}
-
 // skipRelation parses and drops a relation: the result slot of a CQ
 // entry written before results were re-derived at recovery.
 func (d *dec) skipRelation() {
-	d.schema()
-	for n := d.count(); n > 0 && d.err == nil; n-- {
-		d.u64()
+	d.Schema()
+	for n := d.Count(); n > 0 && d.Err == nil; n-- {
+		d.Uvarint()
 		d.vals()
 	}
 }
@@ -362,16 +260,16 @@ func (d *dec) skipRelation() {
 // commitTS reads the Record.TS that ends a CQ record; one written before
 // it had one reads 0.
 func (d *dec) commitTS() vclock.Timestamp {
-	if d.err != nil || len(d.b) == 0 {
+	if d.Err != nil || len(d.B) == 0 {
 		return 0
 	}
-	return vclock.Timestamp(d.u64())
+	return vclock.Timestamp(d.Uvarint())
 }
 
 func (d *dec) deltaRow() delta.Row {
 	var r delta.Row
-	r.TID = relation.TID(d.u64())
-	r.TS = vclock.Timestamp(d.u64())
+	r.TID = relation.TID(d.Uvarint())
+	r.TS = vclock.Timestamp(d.Uvarint())
 	r.Old = d.vals()
 	r.New = d.vals()
 	return r
@@ -387,63 +285,63 @@ func encodeRecord(rec *Record) ([]byte, error) {
 
 // appendRecord appends rec's payload to dst.
 func appendRecord(dst []byte, rec *Record) ([]byte, error) {
-	e := &enc{b: dst}
-	e.byte(byte(rec.Kind))
+	e := &enc{batch.Enc{B: dst}}
+	e.Byte(byte(rec.Kind))
 	switch rec.Kind {
 	case KindTx:
-		e.u64(uint64(rec.TS))
-		e.u64(uint64(len(rec.Rows)))
+		e.Uvarint(uint64(rec.TS))
+		e.Uvarint(uint64(len(rec.Rows)))
 		for _, tr := range rec.Rows {
-			e.str(tr.Table)
+			e.Str(tr.Table)
 			if err := e.deltaRow(tr.Row); err != nil {
 				return nil, err
 			}
 		}
 	case KindCreateTable:
-		e.str(rec.Table)
-		e.schema(rec.Schema)
+		e.Str(rec.Table)
+		e.Schema(rec.Schema)
 	case KindDropTable:
-		e.str(rec.Table)
+		e.Str(rec.Table)
 	case KindCQRegister:
 		if err := encodeCQEntry(e, rec.CQ); err != nil {
 			return nil, err
 		}
-		e.u64(uint64(rec.TS))
+		e.Uvarint(uint64(rec.TS))
 	case KindCQExec:
-		e.str(rec.Name)
-		e.u64(uint64(rec.Seq))
-		e.u64(uint64(rec.ExecTS))
-		e.bool(rec.Terminated)
-		e.u64(0) // the retired result-delta row count
-		e.u64(uint64(rec.TS))
+		e.Str(rec.Name)
+		e.Uvarint(uint64(rec.Seq))
+		e.Uvarint(uint64(rec.ExecTS))
+		e.Bool(rec.Terminated)
+		e.Uvarint(0) // the retired result-delta row count
+		e.Uvarint(uint64(rec.TS))
 	case KindCQDrop:
-		e.str(rec.Name)
+		e.Str(rec.Name)
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record kind %d", rec.Kind)
 	}
-	if n := len(e.b) - len(dst); n > maxRecord {
+	if n := len(e.B) - len(dst); n > maxRecord {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 	}
-	return e.b, nil
+	return e.B, nil
 }
 
 // decodeRecord parses a payload produced by encodeRecord. It never
 // panics on malformed input: any structural violation yields ErrCorrupt.
 func decodeRecord(payload []byte) (*Record, error) {
-	d := &dec{b: payload}
-	rec := &Record{Kind: Kind(d.byte())}
+	d := &dec{batch.Dec{B: payload}}
+	rec := &Record{Kind: Kind(d.Byte())}
 	switch rec.Kind {
 	case KindTx:
-		rec.TS = vclock.Timestamp(d.u64())
-		n := d.count()
+		rec.TS = vclock.Timestamp(d.Uvarint())
+		n := d.Count()
 		if n > 0 {
 			rec.Rows = make([]TxRow, 0, n)
 		}
 		for i := 0; i < n; i++ {
-			table := d.str()
+			table := d.Str()
 			row := d.deltaRow()
-			if d.err != nil {
-				return nil, d.err
+			if d.Err != nil {
+				return nil, d.corrupt()
 			}
 			if row.Old == nil && row.New == nil {
 				return nil, fmt.Errorf("%w: tx row with no halves", ErrCorrupt)
@@ -451,32 +349,32 @@ func decodeRecord(payload []byte) (*Record, error) {
 			rec.Rows = append(rec.Rows, TxRow{Table: table, Row: row})
 		}
 	case KindCreateTable:
-		rec.Table = d.str()
-		rec.Schema = d.schema()
+		rec.Table = d.Str()
+		rec.Schema = d.Schema()
 	case KindDropTable:
-		rec.Table = d.str()
+		rec.Table = d.Str()
 	case KindCQRegister:
 		rec.CQ = decodeCQEntry(d)
 		rec.TS = d.commitTS()
 	case KindCQExec:
-		rec.Name = d.str()
-		rec.Seq = int(d.u64())
-		rec.ExecTS = vclock.Timestamp(d.u64())
-		rec.Terminated = d.bool()
-		for n := d.count(); n > 0 && d.err == nil; n-- {
+		rec.Name = d.Str()
+		rec.Seq = int(d.Uvarint())
+		rec.ExecTS = vclock.Timestamp(d.Uvarint())
+		rec.Terminated = d.Bool()
+		for n := d.Count(); n > 0 && d.Err == nil; n-- {
 			d.deltaRow() // a legacy result-delta row: dropped
 		}
 		rec.TS = d.commitTS()
 	case KindCQDrop:
-		rec.Name = d.str()
+		rec.Name = d.Str()
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, rec.Kind)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err != nil {
+		return nil, d.corrupt()
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
+	if len(d.B) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.B))
 	}
 	return rec, nil
 }
@@ -487,48 +385,48 @@ func encodeCQEntry(e *enc, cq *CQEntry) error {
 	if cq == nil {
 		return fmt.Errorf("wal: nil CQ entry")
 	}
-	e.str(cq.Name)
-	e.str(cq.Query)
-	e.u64(uint64(cq.TriggerKind))
-	e.u64(uint64(cq.TriggerEvery))
-	e.u64(floatBits(cq.TriggerBound))
-	e.str(cq.TriggerOn)
-	e.u64(uint64(cq.TriggerUpdates))
-	e.u64(uint64(cq.Mode))
-	e.u64(uint64(cq.StopAfterN))
-	e.u64(uint64(cq.EpsilonMeasure))
-	e.bool(cq.NotifyEmpty)
-	e.str("") // retired strategy name
-	e.u64(uint64(cq.Seq))
-	e.u64(uint64(cq.LastExec))
-	e.bool(cq.Terminated)
-	e.str(cq.Health)
-	e.bool(false) // no result
+	e.Str(cq.Name)
+	e.Str(cq.Query)
+	e.Uvarint(uint64(cq.TriggerKind))
+	e.Uvarint(uint64(cq.TriggerEvery))
+	e.Uvarint(floatBits(cq.TriggerBound))
+	e.Str(cq.TriggerOn)
+	e.Uvarint(uint64(cq.TriggerUpdates))
+	e.Uvarint(uint64(cq.Mode))
+	e.Uvarint(uint64(cq.StopAfterN))
+	e.Uvarint(uint64(cq.EpsilonMeasure))
+	e.Bool(cq.NotifyEmpty)
+	e.Str("") // retired strategy name
+	e.Uvarint(uint64(cq.Seq))
+	e.Uvarint(uint64(cq.LastExec))
+	e.Bool(cq.Terminated)
+	e.Str(cq.Health)
+	e.Bool(false) // no result
 	return nil
 }
 
 func decodeCQEntry(d *dec) *CQEntry {
 	cq := &CQEntry{}
-	cq.Name = d.str()
-	cq.Query = d.str()
-	cq.TriggerKind = int(d.u64())
-	cq.TriggerEvery = int64(d.u64())
-	cq.TriggerBound = floatFromBits(d.u64())
-	cq.TriggerOn = d.str()
-	cq.TriggerUpdates = int64(d.u64())
-	cq.Mode = int(d.u64())
-	cq.StopAfterN = int64(d.u64())
-	cq.EpsilonMeasure = int(d.u64())
-	cq.NotifyEmpty = d.bool()
-	d.str() // retired strategy name, dropped
-	cq.Seq = int(d.u64())
-	cq.LastExec = vclock.Timestamp(d.u64())
-	cq.Terminated = d.bool()
-	cq.Health = d.str()
-	if d.bool() {
+	cq.Name = d.Str()
+	cq.Query = d.Str()
+	cq.TriggerKind = int(d.Uvarint())
+	cq.TriggerEvery = int64(d.Uvarint())
+	cq.TriggerBound = floatFromBits(d.Uvarint())
+	cq.TriggerOn = d.Str()
+	cq.TriggerUpdates = int64(d.Uvarint())
+	cq.Mode = int(d.Uvarint())
+	cq.StopAfterN = int64(d.Uvarint())
+	cq.EpsilonMeasure = int(d.Uvarint())
+	cq.NotifyEmpty = d.Bool()
+	d.Str() // retired strategy name, dropped
+	cq.Seq = int(d.Uvarint())
+	cq.LastExec = vclock.Timestamp(d.Uvarint())
+	cq.Terminated = d.Bool()
+	cq.Health = d.Str()
+	if d.Bool() {
 		d.skipRelation() // a legacy result, re-derived at recovery instead
 	}
-	if d.err != nil {
+	if d.Err != nil {
 		return nil
 	}
 	return cq
@@ -588,22 +486,14 @@ func (fr *frameReader) next() ([]byte, error) {
 		// reject before allocating.
 		return nil, fmt.Errorf("%w: prefix claims %d bytes", ErrCorrupt, n)
 	}
-	// The buffer grows with the bytes read, doubling from 64 KiB, so a
-	// length prefix claiming more than the stream holds allocates at
-	// most twice what is there, plus 64 KiB.
-	buf := fr.buf[:0]
-	for len(buf) < int(n) {
-		step := min(int(n)-len(buf), max(len(buf), 64<<10))
-		buf = slices.Grow(buf, step)
-		if _, err := io.ReadFull(fr.r, buf[len(buf):len(buf)+step]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, ErrTorn // payload cut short
-			}
-			return nil, err
-		}
-		buf = buf[:len(buf)+step]
-	}
+	buf, err := batch.ReadN(fr.r, fr.buf, int(n))
 	fr.buf = buf
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, ErrTorn // payload cut short
+	}
+	if err != nil {
+		return nil, err
+	}
 	if got := crc32.Checksum(buf, castagnoli); got != want {
 		return nil, fmt.Errorf("%w: checksum %08x want %08x", ErrCorrupt, got, want)
 	}

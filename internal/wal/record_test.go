@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/diorama/continual/internal/batch"
 	"github.com/diorama/continual/internal/delta"
 	"github.com/diorama/continual/internal/relation"
 	"github.com/diorama/continual/internal/vclock"
@@ -114,44 +115,44 @@ func legacyLog(t testing.TB) (payloads [][]byte, want []*Record) {
 		switch rec.Kind {
 		case KindCQRegister:
 			c := rec.CQ
-			e.byte(byte(KindCQRegister))
-			e.str(c.Name)
-			e.str(c.Query)
-			e.u64(uint64(c.TriggerKind))
-			e.u64(uint64(c.TriggerEvery))
-			e.u64(floatBits(c.TriggerBound))
-			e.str(c.TriggerOn)
-			e.u64(uint64(c.TriggerUpdates))
-			e.u64(uint64(c.Mode))
-			e.u64(uint64(c.StopAfterN))
-			e.u64(uint64(c.EpsilonMeasure))
-			e.bool(c.NotifyEmpty)
-			e.str("incremental") // strategy
-			e.u64(uint64(c.Seq))
-			e.u64(uint64(c.LastExec))
-			e.bool(c.Terminated)
-			e.str(c.Health)
-			e.bool(true) // result present: π_name of IBM
-			e.schema(relation.MustSchema(relation.Column{Name: "name", Type: relation.TString}))
-			e.u64(1)
-			e.u64(2)
+			e.Byte(byte(KindCQRegister))
+			e.Str(c.Name)
+			e.Str(c.Query)
+			e.Uvarint(uint64(c.TriggerKind))
+			e.Uvarint(uint64(c.TriggerEvery))
+			e.Uvarint(floatBits(c.TriggerBound))
+			e.Str(c.TriggerOn)
+			e.Uvarint(uint64(c.TriggerUpdates))
+			e.Uvarint(uint64(c.Mode))
+			e.Uvarint(uint64(c.StopAfterN))
+			e.Uvarint(uint64(c.EpsilonMeasure))
+			e.Bool(c.NotifyEmpty)
+			e.Str("incremental") // strategy
+			e.Uvarint(uint64(c.Seq))
+			e.Uvarint(uint64(c.LastExec))
+			e.Bool(c.Terminated)
+			e.Str(c.Health)
+			e.Bool(true) // result present: π_name of IBM
+			e.Schema(relation.MustSchema(relation.Column{Name: "name", Type: relation.TString}))
+			e.Uvarint(1)
+			e.Uvarint(2)
 			_ = e.vals(str("IBM"))
 		case KindCQExec:
-			e.byte(byte(KindCQExec))
-			e.str(rec.Name)
-			e.u64(uint64(rec.Seq))
-			e.u64(uint64(rec.ExecTS))
-			e.bool(rec.Terminated)
-			e.u64(1) // one result-delta row: HP inserted
+			e.Byte(byte(KindCQExec))
+			e.Str(rec.Name)
+			e.Uvarint(uint64(rec.Seq))
+			e.Uvarint(uint64(rec.ExecTS))
+			e.Bool(rec.Terminated)
+			e.Uvarint(1) // one result-delta row: HP inserted
 			_ = e.deltaRow(delta.Row{TID: 3, TS: 2, New: str("HP")})
 		default:
 			p, err := encodeRecord(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.b = p
+			e.B = p
 		}
-		payloads = append(payloads, e.b)
+		payloads = append(payloads, e.B)
 	}
 	return payloads, want
 }
@@ -295,7 +296,7 @@ func txRecord(n int) *Record {
 	return rec
 }
 
-// A value is encoded in place, as its MarshalBinary bytes behind their
+// A value is encoded in place, as its AppendBinary bytes behind their
 // uvarint length — including a string long enough to need a wider
 // length prefix — and a framed record is the frame of its payload.
 func TestValueEncodesInPlace(t *testing.T) {
@@ -304,21 +305,21 @@ func TestValueEncodesInPlace(t *testing.T) {
 		relation.Str(""), relation.Str(string(bytes.Repeat([]byte("x"), 126))),
 		relation.Str(string(bytes.Repeat([]byte("y"), 127))), relation.Str(string(bytes.Repeat([]byte("z"), 20_000))),
 	}
-	got, want := &enc{b: []byte{0xAB}}, &enc{b: []byte{0xAB}}
+	got, want := &enc{batch.Enc{B: []byte{0xAB}}}, &enc{batch.Enc{B: []byte{0xAB}}}
 	if err := got.vals(vals); err != nil {
 		t.Fatal(err)
 	}
-	want.u64(uint64(len(vals)) + 1)
+	want.Uvarint(uint64(len(vals)) + 1)
 	for _, v := range vals {
-		p, err := v.MarshalBinary()
+		p, err := v.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.u64(uint64(len(p)))
-		want.b = append(want.b, p...)
+		want.Uvarint(uint64(len(p)))
+		want.B = append(want.B, p...)
 	}
-	if !bytes.Equal(got.b, want.b) {
-		t.Fatalf("in-place encoding differs from length + MarshalBinary:\n got %x\nwant %x", got.b, want.b)
+	if !bytes.Equal(got.B, want.B) {
+		t.Fatalf("in-place encoding differs from length + AppendBinary:\n got %x\nwant %x", got.B, want.B)
 	}
 
 	rec := txRecord(3)

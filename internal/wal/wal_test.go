@@ -746,49 +746,75 @@ func TestLegacyLogWithProducerRefused(t *testing.T) {
 	}
 }
 
+// goldenDir is a data directory holding one checkpoint file, of
+// segment 3, with the given bytes, and the segment after its cut.
+func goldenDir(t *testing.T, ckpt []byte) *faults.MemFS {
+	t.Helper()
+	fs := faults.NewMemFS(1)
+	if err := fs.MkdirAll("data"); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"data/checkpoint-00000003.ckpt": ckpt, "data/wal-00000003.log": []byte("CQWAL002")} {
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
+}
+
+// recoverGolden restores a directory's checkpoint into a fresh store
+// and renders the store state and the CQ registry it recovers.
+func recoverGolden(t *testing.T, fs wal.FS) (string, error) {
+	t.Helper()
+	store := storage.NewStore()
+	var cqs []wal.CQEntry
+	res, err := wal.Scan(fs, "data", func(ck *wal.Checkpoint) error {
+		cqs = ck.CQs
+		return store.Restore(storage.State{TS: ck.TS, NextTID: ck.NextTID, Tables: ck.Tables})
+	}, func(*wal.Record) error { return nil })
+	if err != nil {
+		return "", err
+	}
+	if res.Checkpoint == nil || res.Checkpoint.Seg != 3 {
+		t.Fatalf("recovered checkpoint %+v, want the one of segment 3", res.Checkpoint)
+	}
+	st, err := store.CheckpointState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%+v / %+v", st, cqs), nil
+}
+
 // The golden checkpoint in the CQCKPT01 format, the only one in its
+// data directory, fails recovery with the way to bring it over: it is
+// never passed over as a crash artifact.
+func TestGoldenV1RecoversSameState(t *testing.T) {
+	got, err := recoverGolden(t, goldenDir(t, wal.GoldenV1(t)))
+	if !errors.Is(err, wal.ErrCheckpointV1) {
+		t.Fatalf("golden v1 recovers %s, %v; want ErrCheckpointV1", got, err)
+	}
+	if !strings.Contains(err.Error(), "checkpoint-00000003.ckpt") {
+		t.Fatalf("refusal %q does not name the file", err)
+	}
+}
+
+// The golden checkpoint in the CQCKPT02 format, the only one in its
 // data directory, recovers the same store state and CQ registry as the
 // same checkpoint written in the current format.
-func TestGoldenV1RecoversSameState(t *testing.T) {
-	recoverDir := func(fs wal.FS) string {
-		t.Helper()
-		store := storage.NewStore()
-		var cqs []wal.CQEntry
-		res, err := wal.Scan(fs, "data", func(ck *wal.Checkpoint) error {
-			cqs = ck.CQs
-			return store.Restore(storage.State{TS: ck.TS, NextTID: ck.NextTID, Tables: ck.Tables})
-		}, func(*wal.Record) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Checkpoint == nil || res.Checkpoint.Seg != 3 {
-			t.Fatalf("recovered checkpoint %+v, want the one of segment 3", res.Checkpoint)
-		}
-		st, err := store.CheckpointState(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v / %+v", st, cqs)
-	}
-
-	v1 := faults.NewMemFS(1)
-	if err := v1.MkdirAll("data"); err != nil {
-		t.Fatal(err)
-	}
-	f, err := v1.Create("data/checkpoint-00000003.ckpt")
+func TestGoldenV2RecoversSameState(t *testing.T) {
+	current := faults.NewMemFS(1)
+	l, err := wal.Open("data", wal.Options{FS: current, Fsync: wal.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(wal.GoldenV1(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v2 := faults.NewMemFS(1)
-	l, err := wal.Open("data", wal.Options{FS: v2, Fsync: wal.FsyncAlways})
-	if err != nil {
+	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.WriteCheckpoint(wal.GoldenCheckpoint()); err != nil {
@@ -800,11 +826,69 @@ func TestGoldenV1RecoversSameState(t *testing.T) {
 
 	golden := wal.GoldenCheckpoint()
 	want := fmt.Sprintf("%+v / %+v", storage.State{TS: golden.TS, NextTID: golden.NextTID, Tables: golden.Tables}, golden.CQs)
-	if got := recoverDir(v1); got != want {
-		t.Fatalf("golden v1 recovers\n %s\nwant\n %s", got, want)
+	for name, fs := range map[string]wal.FS{"golden v2": goldenDir(t, wal.GoldenV2(t)), "written now": current} {
+		got, err := recoverGolden(t, fs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Fatalf("%s recovers\n %s\nwant\n %s", name, got, want)
+		}
 	}
-	if got := recoverDir(v2); got != want {
-		t.Fatalf("the same checkpoint written now recovers\n %s\nwant\n %s", got, want)
+}
+
+// When no checkpoint loads, recovery does not replay the segments left
+// as if they were the whole log: the checkpoints stood for the segments
+// collected before them, so Scan refuses, naming the newest checkpoint.
+// With the older checkpoint readable, it falls back to it as before.
+func TestScanRefusesReplayPastUnreadableCheckpoints(t *testing.T) {
+	fs := faults.NewMemFS(12)
+	l, err := wal.Open("wal", wal.Options{FS: fs, Fsync: wal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendWorkload(t, l, 2)
+	for i := 0; i < 3; i++ {
+		seg, err := l.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteCheckpoint(makeCheckpoint(seg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendTx(vclock.Timestamp(10+i), []wal.TxRow{txRow("stocks", uint64(10+i), uint64(10+i), fmt.Sprintf("tail-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	garble := func(name string) {
+		t.Helper()
+		f, err := fs.Create("wal/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("not a checkpoint at all")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	garble("checkpoint-00000003.ckpt")
+	res, err := wal.Scan(fs, "wal", nil, func(*wal.Record) error { return nil })
+	if err != nil || res.Checkpoint == nil || res.Checkpoint.Seg != 2 {
+		t.Fatalf("with the older checkpoint readable: %+v, %v; want it recovered", res, err)
+	}
+	garble("checkpoint-00000002.ckpt")
+	res, err = wal.Scan(fs, "wal", nil, func(*wal.Record) error { return nil })
+	if err == nil {
+		t.Fatalf("replayed %d records with no checkpoint readable and segments 0 and 1 collected", res.Records)
+	}
+	if !strings.Contains(err.Error(), "checkpoint-00000003.ckpt") {
+		t.Fatalf("refusal %q does not name the unreadable checkpoint", err)
 	}
 }
 
